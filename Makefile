@@ -1,7 +1,7 @@
 # Development entry points. The repo is plain `go build ./...`-able; these
 # targets just name the common workflows.
 
-.PHONY: all build test race bench bench-check lint
+.PHONY: all build test race lint
 
 all: build test
 
@@ -14,7 +14,7 @@ test:
 race:
 	go test -race -run 'Parallel|Deterministic|Workers|Quotient|Frontier|Spill|Truncation' ./internal/check ./internal/lowerbound
 	go test -race -run 'Reduce|Bloom|SymWorker|Canonicalize' ./internal/check ./internal/sweep ./internal/model
-	go test -race -run 'Async|WSDeque|Order' ./internal/check ./internal/sweep
+	go test -race -run 'Async|WSDeque|Order|Mode' ./internal/check ./internal/sweep
 
 # spill-smoke forces real disk spills: a 64KB budget against a ~240KB
 # visited set, race-enabled — the local twin of the CI spill-smoke job.
@@ -22,19 +22,6 @@ race:
 spill-smoke:
 	go run -race ./cmd/sweep -grid small -rows explore -n 4 \
 		-store spill -membudget 64KB -max 30000 -json -progress
-
-# bench writes the next BENCH_<n>.json snapshot of the explorer benchmark
-# suite (ns/op, states/sec, allocs/op per scenario). Commit the file to
-# extend the bench trajectory; see README "Performance".
-bench:
-	go run ./cmd/sweep -bench -progress
-
-# bench-check reruns the suite and fails if states/sec regressed >20%
-# against the highest BENCH_<n>.json present — the CI gate (in a clean
-# checkout that is the committed baseline). The fresh
-# snapshot goes to BENCH_ci.json (not part of the trajectory).
-bench-check:
-	go run ./cmd/sweep -bench -progress -out BENCH_ci.json -benchbaseline auto
 
 lint:
 	gofmt -l .

@@ -27,9 +27,9 @@
 // for the level-synchronized order, per wall-clock tick (cumulative
 // states admitted/visited) under -order async. Note that every search
 // here extracts witness schedules from provenance chains, which the
-// async order cannot maintain: passing -order async to a search mode
-// fails loudly with the engine's provenance error instead of silently
-// falling back. The covering scans of -covering and the -forbidden
+// async order cannot maintain: passing -order async (or -reduce, or
+// -checkpoint) to a search mode is a usage error, never a silent
+// fallback. The covering scans of -covering and the -forbidden
 // ledger run still use their original sequential passes and ignore the
 // engine flags. -max and -depth override any mode's default budget.
 package main
@@ -101,13 +101,14 @@ func run(args []string, out io.Writer) error {
 		}
 		l, err := engFlags.SearchLimits(modeConfigs, modeDepth, os.Stderr)
 		if err != nil {
-			panic("lbcheck: " + err.Error()) // -membudget parse errors are caught below before any mode runs
+			panic("lbcheck: " + err.Error()) // flag errors are caught below before any mode runs
 		}
 		return l
 	}
-	// Surface a bad -store/-membudget combination as a usage error before
-	// any search runs.
-	if err := engFlags.Validate(); err != nil {
+	// Surface a bad -store/-membudget pair, or a flag the witness-producing
+	// searches cannot honor (-order async, -reduce, -checkpoint), as a
+	// usage error before any search runs.
+	if _, err := engFlags.SearchLimits(0, 0, nil); err != nil {
 		return err
 	}
 	// limits resolves a mode's default budget from the shared sweep

@@ -46,24 +46,10 @@
 // records to stdout instead of the table. -progress reports per-cell
 // completions to stderr, keeping stdout parseable.
 //
-// Benchmark trajectory:
-//
-//	sweep -bench [-out BENCH_1.json] [-benchbaseline BENCH_0.json|auto]
-//
-// -bench runs the explorer benchmark suite (internal/bench) instead of a
-// grid and writes one BENCH_<n>.json snapshot — ns/op, states/sec and
-// allocs/op per explorer benchmark — to -out (default: the next free
-// BENCH_<n>.json in the current directory). -benchbaseline compares the
-// fresh run against a committed snapshot ("auto" = the highest-numbered
-// BENCH_<n>.json) and exits 1 if any scenario's states/sec regressed more
-// than 20%.
-//
-// -cpuprofile/-memprofile capture pprof profiles of whatever the
-// invocation runs (a grid or the bench suite).
+// -cpuprofile/-memprofile capture pprof profiles of the grid run.
 //
 // Exit status: 0 when every cell is ok, 1 when any cell reports a
-// violation, failure, timeout or error, or a benchmark regressed beyond
-// tolerance (the CI gates), 2 on usage errors.
+// violation, failure, timeout or error (the CI gate), 2 on usage errors.
 package main
 
 import (
@@ -75,7 +61,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/harness"
 	"repro/internal/prof"
 	"repro/internal/serve"
@@ -85,14 +70,11 @@ import (
 // errCells reports that some cell did not come back clean.
 var errCells = errors.New("sweep: some cells did not pass")
 
-// errBench reports a benchmark regression beyond tolerance.
-var errBench = errors.New("sweep: benchmark regression")
-
 func main() {
 	err := run(os.Args[1:], os.Stdout)
 	switch {
 	case err == nil:
-	case errors.Is(err, errCells), errors.Is(err, errBench):
+	case errors.Is(err, errCells):
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	default:
@@ -121,8 +103,6 @@ func run(args []string, stdout io.Writer) error {
 	ckptDir := fs.String("checkpointdir", "", "directory for per-cell engine snapshots: a sweep killed mid-cell resumes that cell from its last level barrier instead of restarting it (in-process exploration rows only)")
 	jsonOut := fs.Bool("json", false, "stream JSONL records to stdout instead of the table")
 	progress := fs.Bool("progress", false, "report per-cell completions to stderr")
-	benchRun := fs.Bool("bench", false, "run the explorer benchmark suite and write a BENCH_<n>.json snapshot")
-	benchBaseline := fs.String("benchbaseline", "", "compare -bench against this snapshot (\"auto\" = highest committed BENCH_<n>.json); >20% states/sec regression fails")
 	daemonURL := fs.String("daemon", "", "run cells through an mcheckd instance at this base URL (e.g. http://127.0.0.1:7077) instead of in-process; symmetric duplicates hit its result cache")
 	profFlags := prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -138,10 +118,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintln(os.Stderr, "sweep:", perr)
 		}
 	}()
-
-	if *benchRun {
-		return runBench(*outFile, *benchBaseline, *progress, stdout)
-	}
 
 	grid, err := loadGrid(*specFile, *gridName)
 	if err != nil {
@@ -301,65 +277,6 @@ func run(args []string, stdout io.Writer) error {
 	if bad > 0 {
 		return fmt.Errorf("%w: %d of %d cells", errCells, bad, len(results))
 	}
-	return nil
-}
-
-// runBench executes the explorer benchmark suite, writes the snapshot and
-// applies the optional baseline gate.
-func runBench(outFile, baseline string, progress bool, stdout io.Writer) error {
-	var report func(string)
-	if progress {
-		report = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	// Resolve and read the baseline before writing the fresh snapshot, so
-	// the new file can never be compared against itself (neither via
-	// "auto" nor via -out and -benchbaseline naming the same path).
-	var base bench.Snapshot
-	if baseline == "auto" {
-		path, ok, err := bench.LatestBaseline("")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return errors.New("-benchbaseline auto: no BENCH_<n>.json found")
-		}
-		baseline = path
-	}
-	if baseline != "" {
-		var err error
-		if base, err = bench.Read(baseline); err != nil {
-			return err
-		}
-	}
-
-	snap := bench.Measure(report)
-
-	if outFile == "" {
-		next, err := bench.NextSnapshotPath("")
-		if err != nil {
-			return err
-		}
-		outFile = next
-	}
-	if err := bench.Write(outFile, snap); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d benchmarks)\n", outFile, len(snap.Records))
-
-	if baseline == "" {
-		return nil
-	}
-	regressions, skipped := bench.CompareHost(base, snap, 0.20, snap.NumCPU)
-	for _, s := range skipped {
-		fmt.Fprintln(os.Stderr, "sweep: bench: skip:", s)
-	}
-	for _, r := range regressions {
-		fmt.Fprintln(os.Stderr, "sweep: bench:", r)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%w: %d scenario(s) vs %s", errBench, len(regressions), baseline)
-	}
-	fmt.Fprintf(stdout, "no states/sec regression beyond 20%% vs %s\n", baseline)
 	return nil
 }
 

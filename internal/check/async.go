@@ -2,19 +2,20 @@ package check
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/model"
 )
 
 // This file implements the barrier-free asynchronous exploration order
 // (EngineOptions.Order = "async"): a work-stealing alternative to the
-// level-synchronized loop in engine.go that removes the per-level
-// EndLevel barrier entirely.
+// level-synchronized loop in levelsync.go that removes the per-level
+// EndLevel barrier entirely. Like that loop it is a scheduler over the
+// shared expansion core (expand.go): successor generation, keying, sleep
+// masks and remote routing are the expander's; this file owns where
+// nodes wait (deques, inboxes), how successors are admitted (continuously,
+// with wake and deepen repairs) and when the run is over (quiescence).
 //
 // Structure:
 //
@@ -91,13 +92,6 @@ const (
 	OrderAsync = "async"
 )
 
-// ValidateOrder checks an Order mode string without running anything —
-// the flag/spec validation entry point for harness and sweep.
-func ValidateOrder(order string) error {
-	_, err := parseOrder(order)
-	return err
-}
-
 // parseOrder validates an Order mode string.
 func parseOrder(order string) (async bool, err error) {
 	switch order {
@@ -124,18 +118,6 @@ type AsyncStats struct {
 	// validating double-scan. At least 1 on every completed async run.
 	QuiescenceScans int64 `json:"quiescence_scans,omitempty"`
 }
-
-// Node re-expansion kinds (Node.reexpand), async order only.
-const (
-	// asyncFresh is a first admission: visit, then expand.
-	asyncFresh uint8 = iota
-	// asyncWake is a sleep-mask wake item: re-expand ONLY the woken pids
-	// (Node.wake), do not re-visit.
-	asyncWake
-	// asyncDeepen is a depth-relaxation item: re-expand every non-slept
-	// pid at the improved depth, do not re-visit.
-	asyncDeepen
-)
 
 // asyncStallHook, when non-nil, is invoked by an idle worker right before
 // its steal sweep — a test seam for stalling a worker mid-steal and
@@ -277,29 +259,12 @@ type asyncBatch struct {
 	nodes []*Node
 }
 
-// asyncParams carries the engine-run context runAsync needs from
-// RunFrontier's setup (steppers, reduction plan, limits, callbacks).
-type asyncParams struct {
-	opts       EngineOptions
-	limits     ExploreLimits
-	allowed    []bool
-	nObj       int
-	nProc      int
-	stepperFor func(worker int) *model.Stepper
-	symFor     func(worker int) *symWorker
-	visit      func(worker int, n *Node) error
-	afterLevel func(depth, processed int) bool
-	// dec rematerializes remote successor records in distributed runs
-	// (nil otherwise). Used only by the link service goroutine.
-	dec *distDecoder
-}
-
-// asyncRun is the shared state of one async exploration.
+// asyncRun is the scheduling state of one async exploration, on top of
+// the shared engineRun (which holds the stop signal every loop here
+// selects on).
 type asyncRun struct {
 	run   *engineRun
 	store asyncStateStore
-	c     asyncParams
-	start time.Time
 
 	workers []*asyncWorker
 	owners  []*asyncOwner
@@ -310,70 +275,31 @@ type asyncRun struct {
 	steals      atomic.Int64
 	scans       atomic.Int64
 
-	doneFlag atomic.Bool
-	doneCh   chan struct{}
-	stopped  atomic.Bool // afterLevel requested an early stop
-	// runErr boxes the first failure: atomic.Value demands one concrete
-	// type across stores, and concurrent failures (a severed link racing
-	// an engine error) carry different ones.
-	runErr atomic.Pointer[asyncErr]
+	stopped atomic.Bool // afterLevel requested an early stop
 }
 
-type asyncErr struct{ err error }
-
-func (a *asyncRun) fail(err error) {
-	if err != nil && a.runErr.CompareAndSwap(nil, &asyncErr{err: err}) {
-		a.finish()
-	}
-}
-
-// finish ends the run exactly once (quiescence, early stop, or error).
-func (a *asyncRun) finish() {
-	if a.doneFlag.CompareAndSwap(false, true) {
-		close(a.doneCh)
-	}
-}
-
-// runAsync is the async-order counterpart of RunFrontier's level loop.
-// The caller has already admitted nothing: root is a fully keyed node
-// (fingerprint and reduction applied) not yet in the store.
-func runAsync(run *engineRun, store StateStore, root *Node, c asyncParams) (RunStats, error) {
-	as, ok := store.(asyncStateStore)
+// runAsync is the async-order counterpart of runLevelSync. root is a
+// fully keyed node (fingerprint and reduction applied) not yet in the
+// store.
+func runAsync(run *engineRun, root *Node) (RunStats, error) {
+	as, ok := run.store.(asyncStateStore)
 	if !ok {
-		return RunStats{}, fmt.Errorf("frontier engine: store %q does not support order %q", c.opts.Store, OrderAsync)
+		return RunStats{}, fmt.Errorf("frontier engine: store %q does not support order %q", run.opts.Store, OrderAsync)
 	}
-	a := &asyncRun{run: run, store: as, c: c, start: time.Now(), doneCh: make(chan struct{})}
+	a := &asyncRun{run: run, store: as}
 
-	// In-process cancellation mirrors the level loop's: the watcher routes
-	// Ctx's done signal through fail, which closes doneCh, and every
-	// worker, owner and monitor loop selects on doneCh.
-	if ctx := c.opts.Ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return RunStats{}, fmt.Errorf("frontier engine: %w", err)
-		}
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				a.fail(fmt.Errorf("frontier engine: %w", ctx.Err()))
-			case <-watchDone:
-			}
-		}()
-	}
-
-	nw := c.opts.Workers
+	nw := run.opts.Workers
 	a.workers = make([]*asyncWorker, nw)
 	for i := range a.workers {
 		a.workers[i] = &asyncWorker{deque: newWSDeque(), wake: make(chan struct{}, 1)}
 	}
-	a.owners = make([]*asyncOwner, len(run.owners))
+	a.owners = make([]*asyncOwner, run.ownerMask+1)
 	for i := range a.owners {
 		o := &asyncOwner{part: i, ch: make(chan asyncBatch, 2*nw)}
 		if run.sleepOn {
 			o.asleep = map[uint64]uint64{}
 		}
-		if c.limits.MaxDepth > 0 {
+		if run.limits.MaxDepth > 0 {
 			o.depth = map[uint64]int{}
 		}
 		a.owners[i] = o
@@ -398,7 +324,7 @@ func runAsync(run *engineRun, store StateStore, root *Node, c asyncParams) (RunS
 		if o := a.owners[rootPart]; o.asleep != nil {
 			o.asleep[root.fp] = 0
 		}
-		root.reexpand = asyncFresh
+		root.reexpand = expandFresh
 		a.outstanding.Store(1)
 		a.workers[0].deque.push(root)
 	}
@@ -412,7 +338,7 @@ func runAsync(run *engineRun, store StateStore, root *Node, c asyncParams) (RunS
 		}(o)
 	}
 	var monWG sync.WaitGroup
-	if c.opts.Progress != nil || c.afterLevel != nil {
+	if run.opts.Progress != nil || run.afterLevel != nil {
 		monWG.Add(1)
 		go func() {
 			defer monWG.Done()
@@ -443,7 +369,7 @@ func runAsync(run *engineRun, store StateStore, root *Node, c asyncParams) (RunS
 		}(w)
 	}
 	wg.Wait()
-	a.finish() // covers error/cancel exits; quiescence already called it
+	run.finish() // covers error/cancel exits; quiescence already called it
 	if run.link != nil {
 		run.link.Detach()
 	}
@@ -456,27 +382,27 @@ func runAsync(run *engineRun, store StateStore, root *Node, c asyncParams) (RunS
 		stats.Processed += int(wk.processed.Load())
 	}
 	stats.Async = AsyncStats{Order: OrderAsync, Steals: a.steals.Load(), QuiescenceScans: a.scans.Load()}
-	if box := a.runErr.Load(); box != nil {
-		return stats, box.err
+	if err := run.err(); err != nil {
+		return stats, err
 	}
 	stats.Complete = !run.truncated.Load()
-	if c.limits.MaxDepth > 0 && !a.stopped.Load() {
+	if run.limits.MaxDepth > 0 && !a.stopped.Load() {
 		// The owners have exited; their depth maps now hold every state's
 		// true BFS depth (relaxation ran to fixpoint). A state sitting at
 		// the cap was visited but not expanded — the space extends beyond
 		// the cap, exactly the level engine's incompleteness condition.
 		for _, o := range a.owners {
 			for _, d := range o.depth {
-				if d >= c.limits.MaxDepth {
+				if d >= run.limits.MaxDepth {
 					stats.Complete = false
 					break
 				}
 			}
 		}
 	}
-	if c.opts.Progress != nil {
-		c.opts.Progress(Progress{Order: OrderAsync, Depth: -1, Processed: stats.Processed,
-			Admitted: int(run.admitted.Load()), Elapsed: time.Since(a.start)})
+	if run.opts.Progress != nil {
+		run.opts.Progress(Progress{Order: OrderAsync, Depth: -1, Processed: stats.Processed,
+			Admitted: int(run.admitted.Load()), Elapsed: time.Since(run.began)})
 	}
 	return stats, nil
 }
@@ -489,21 +415,21 @@ func (a *asyncRun) monitorLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-a.doneCh:
+		case <-a.run.done:
 			return
 		case <-tick.C:
 			processed := 0
 			for _, wk := range a.workers {
 				processed += int(wk.processed.Load())
 			}
-			if a.c.afterLevel != nil && a.c.afterLevel(-1, processed) {
+			if a.run.afterLevel != nil && a.run.afterLevel(-1, processed) {
 				a.stopped.Store(true)
-				a.finish()
+				a.run.finish()
 				return
 			}
-			if a.c.opts.Progress != nil {
-				a.c.opts.Progress(Progress{Order: OrderAsync, Depth: -1, Processed: processed,
-					Admitted: int(a.run.admitted.Load()), Elapsed: time.Since(a.start)})
+			if a.run.opts.Progress != nil {
+				a.run.opts.Progress(Progress{Order: OrderAsync, Depth: -1, Processed: processed,
+					Admitted: int(a.run.admitted.Load()), Elapsed: time.Since(a.run.began)})
 			}
 		}
 	}
@@ -515,7 +441,7 @@ func (a *asyncRun) ownerLoop(o *asyncOwner) {
 		select {
 		case b := <-o.ch:
 			a.admitBatch(o, b)
-		case <-a.doneCh:
+		case <-a.run.done:
 			return
 		}
 	}
@@ -532,9 +458,7 @@ func (a *asyncRun) admitBatch(o *asyncOwner, b asyncBatch) {
 	dead := int64(0)
 	for _, nn := range b.nodes {
 		keep, err := a.admitOne(o, nn)
-		if err != nil {
-			a.fail(err)
-		}
+		run.fail(err)
 		if keep {
 			o.kept = append(o.kept, nn)
 		} else {
@@ -575,7 +499,7 @@ func (a *asyncRun) admitOne(o *asyncOwner, nn *Node) (keep bool, err error) {
 		return false, err
 	}
 	if added {
-		if v := run.admitted.Add(1); v > int64(a.c.limits.MaxConfigs) {
+		if v := run.admitted.Add(1); v > int64(run.limits.MaxConfigs) {
 			// Admit-then-check: roll back, close, drop. The store keeps a
 			// phantom entry for nn.fp — later duplicates of it would have
 			// been rejected here anyway (admissions are closed for good).
@@ -591,7 +515,7 @@ func (a *asyncRun) admitOne(o *asyncOwner, nn *Node) (keep bool, err error) {
 		if o.asleep != nil {
 			o.asleep[nn.fp] = nn.sleep
 		}
-		nn.reexpand = asyncFresh
+		nn.reexpand = expandFresh
 		return true, nil
 	}
 	// Duplicate. Without a barrier a duplicate can still owe work: a
@@ -602,7 +526,7 @@ func (a *asyncRun) admitOne(o *asyncOwner, nn *Node) (keep bool, err error) {
 			nm := stored & nn.sleep
 			if wake := stored &^ nn.sleep; wake != 0 {
 				o.asleep[nn.fp] = nm
-				nn.reexpand, nn.wake, keep = asyncWake, wake, true
+				nn.reexpand, nn.wake, keep = expandWake, wake, true
 			}
 			nn.sleep = nm
 		}
@@ -613,7 +537,7 @@ func (a *asyncRun) admitOne(o *asyncOwner, nn *Node) (keep bool, err error) {
 				o.depth[nn.fp] = nn.Depth
 				// Deepen subsumes any wake: it re-expands every pid outside
 				// the (just-intersected) mask, a superset of the woken bits.
-				nn.reexpand, keep = asyncDeepen, true
+				nn.reexpand, keep = expandDeepen, true
 			} else if keep {
 				nn.Depth = d // wake items expand at the state's best depth
 			}
@@ -628,23 +552,16 @@ func (a *asyncRun) admitOne(o *asyncOwner, nn *Node) (keep bool, err error) {
 	return true, nil
 }
 
-// workerLoop is one worker: pop/drain/steal, expand, flush, and — when
-// everything is idle — quiescence detection.
+// workerLoop is one worker: pop/drain/steal, visit and expand, flush,
+// and — when everything is idle — quiescence detection.
 func (a *asyncRun) workerLoop(w int) {
 	run := a.run
 	wk := a.workers[w]
-	st := a.c.stepperFor(w)
-	sw := a.c.symFor(w)
-	nObj, nProc := a.c.nObj, a.c.nProc
+	x := run.expander(w)
 
 	buckets := make([][]*Node, len(a.owners))
 	var localDelta int64
-	var sleepSkips, steals int64
-	var objs []int
-	var encScratch []byte
-	if run.sleepOn {
-		objs = make([]int, nProc)
-	}
+	var steals int64
 
 	// send publishes a batch: the flush rule requires the local delta to
 	// ride along with (or before) every send, so buffered births are
@@ -659,7 +576,7 @@ func (a *asyncRun) workerLoop(w int) {
 		localDelta = 0
 		select {
 		case a.owners[oi].ch <- asyncBatch{from: w, nodes: b}:
-		case <-a.doneCh:
+		case <-run.done:
 			// Run is ending (error or early stop); accounting is moot.
 		}
 	}
@@ -691,122 +608,42 @@ func (a *asyncRun) workerLoop(w int) {
 			// Remote buffers ride the same flush discipline: a worker
 			// never parks with records a peer has not been sent (their
 			// sent-count is what keeps the coordinator's quiescence scan
-			// from declaring a false global zero).
-			if err := run.link.FlushWorker(w); err != nil {
-				a.fail(err)
-			}
+			// from declaring a false global zero). A remote-owned successor
+			// is not a local published unit — the link's own sent counter
+			// carries it until the owning peer injects it.
+			run.fail(run.link.FlushWorker(w))
 		}
 	}
 
-	expand := func(n *Node) {
-		kind := n.reexpand
-		if kind == asyncFresh {
-			if err := a.c.visit(w, n); err != nil {
-				a.fail(err)
-				localDelta--
-				run.recycleAlways(n)
-				return
-			}
-			wk.processed.Add(1)
-		}
-		if (a.c.limits.MaxDepth > 0 && n.Depth >= a.c.limits.MaxDepth) || run.closed.Load() {
-			// At the depth cap states are visited but not expanded (a wake
-			// for a cap-depth state is dropped the same way: if the state
-			// is ever deepened below the cap, the deepen re-expands every
-			// non-masked pid, woken ones included). After budget close
-			// every admission is rejected, so expansion is pure drain.
-			localDelta--
-			run.recycleAlways(n)
-			return
-		}
-		var nodeMask uint64
-		if run.sleepOn {
-			nodeMask = n.sleep
-			for pid := 0; pid < nProc; pid++ {
-				objs[pid] = -1
-				if a.c.allowed[pid] {
-					if obj, ok := st.PoisedObject(n.Cfg, pid, n.slotH[nObj+pid]); ok {
-						objs[pid] = obj
-					}
-				}
+	// process visits a fresh node, expands it unless it sits at a cap,
+	// and retires its unit of work.
+	process := func(n *Node) {
+		var err error
+		if n.reexpand == expandFresh {
+			if err = run.visit(w, n); err == nil {
+				wk.processed.Add(1)
 			}
 		}
-		for pid := 0; pid < nProc; pid++ {
-			if !a.c.allowed[pid] {
-				continue
-			}
-			if kind == asyncWake {
-				if n.wake&(1<<uint(pid)) == 0 {
-					continue // wake items re-expand only the woken pids
-				}
-			} else if nodeMask&(1<<uint(pid)) != 0 {
-				if kind == asyncFresh {
-					sleepSkips++
-				}
-				continue
-			}
-			succ := run.newNode()
-			fp, ok, err := st.ApplyCOW(n.Cfg, n.slotFP, n.slotH, pid, succ.Cfg, succ.slotH)
-			if err != nil {
-				run.recycleAlways(succ)
-				a.fail(fmt.Errorf("frontier engine: %w", err))
-				break
-			}
-			if !ok { // pid has decided; no step
-				run.recycleAlways(succ)
-				continue
-			}
-			succ.slotFP = fp
-			succ.Depth = n.Depth + 1
-			succ.Pid = pid
-			succ.parent = nil
-			if run.pathsOn {
-				succ.path = append(append(succ.path[:0], n.path...), byte(pid))
-			}
-			switch {
-			case a.c.opts.Canonical != nil:
-				succ.fp = a.c.opts.Canonical(succ.Cfg)
-			case sw != nil:
-				succ.fp = sw.canonFP(fp, succ.slotH)
-			default:
-				succ.fp = fp
-			}
-			if run.sleepOn {
-				var m uint64
-				myObj := objs[pid]
-				for cand := (uint64(1)<<uint(pid) - 1) | nodeMask; cand != 0; cand &= cand - 1 {
-					r := bits.TrailingZeros64(cand)
-					if a.c.allowed[r] && objs[r] >= 0 && objs[r] != myObj {
-						m |= 1 << uint(r)
-					}
-				}
-				succ.sleep = m
-			}
-			if run.link != nil && !run.link.Owns(succ.fp) {
-				// Remote-owned successor: ship it instead of admitting.
-				// Not a local published unit — the link's own sent
-				// counter carries it until the owning peer injects it.
-				var rec DistRecord
-				rec, encScratch = distRecordOf(succ, encScratch)
-				run.recycleAlways(succ)
-				if err := run.link.Send(w, rec); err != nil {
-					a.fail(err)
-					break
-				}
-				continue
-			}
-			deliver(succ)
+		// At the depth cap states are visited but not expanded (a wake
+		// for a cap-depth state is dropped the same way: if the state
+		// is ever deepened below the cap, the deepen re-expands every
+		// non-masked pid, woken ones included). After budget close
+		// every admission is rejected, so expansion is pure drain.
+		capped := (run.limits.MaxDepth > 0 && n.Depth >= run.limits.MaxDepth) || run.closed.Load()
+		if err == nil && !capped {
+			err = x.expand(n, deliver)
 		}
+		run.fail(err)
 		localDelta--
 		run.recycleAlways(n)
 	}
 
 	idleSpins := 0
-	for !a.doneFlag.Load() {
+	for !run.doneFlag.Load() {
 		n := a.next(wk, w, &steals)
 		if n != nil {
 			idleSpins = 0
-			expand(n)
+			process(n)
 			continue
 		}
 		flushAll()
@@ -817,7 +654,7 @@ func (a *asyncRun) workerLoop(w int) {
 			// probe protocol owns termination, and workers just park.)
 			a.scans.Add(1)
 			if a.confirmQuiesce() {
-				a.finish()
+				run.finish()
 				break
 			}
 			continue
@@ -829,7 +666,7 @@ func (a *asyncRun) workerLoop(w int) {
 		}
 		select {
 		case <-wk.wake:
-		case <-a.doneCh:
+		case <-run.done:
 		case <-time.After(100 * time.Microsecond):
 			// Periodic re-sweep: work may sit in a deque whose steals
 			// keep losing CAS races, or in a stalled peer's inbox.
@@ -837,9 +674,6 @@ func (a *asyncRun) workerLoop(w int) {
 	}
 	if steals > 0 {
 		a.steals.Add(steals)
-	}
-	if sleepSkips > 0 {
-		run.sleepSkipped.Add(sleepSkips)
 	}
 }
 
@@ -915,8 +749,8 @@ func (a *asyncRun) distService() {
 		if err != nil {
 			// Detach on shutdown surfaces as an error; a live run failing
 			// here is a lost link.
-			if !a.doneFlag.Load() {
-				a.fail(err)
+			if !run.doneFlag.Load() {
+				run.fail(err)
 			}
 			return
 		}
@@ -926,13 +760,18 @@ func (a *asyncRun) distService() {
 				return
 			}
 		case DistEvProbe:
-			idle := a.localQuiesce()
+			// The probe answer: every deque and inbox empty and the
+			// outstanding counter at zero. Workers flush their deltas and
+			// remote buffers before parking, so "idle here" plus the link's
+			// balanced sent/delivered counters across all peers is exactly
+			// the in-process termination condition lifted to the cluster.
+			idle := a.confirmQuiesce()
 			if idle {
 				a.scans.Add(1)
 			}
 			if err := run.link.ProbeReply(ev.Seq, idle, run.admitted.Load()); err != nil {
-				if !a.doneFlag.Load() {
-					a.fail(err)
+				if !run.doneFlag.Load() {
+					run.fail(err)
 				}
 				return
 			}
@@ -944,7 +783,7 @@ func (a *asyncRun) distService() {
 			run.closed.Store(true)
 			run.truncated.Store(true)
 		case DistEvDone:
-			a.finish()
+			run.finish()
 			return
 		}
 	}
@@ -957,9 +796,9 @@ func (a *asyncRun) injectRemote(recs []DistRecord) bool {
 	run := a.run
 	buckets := make([][]*Node, len(a.owners))
 	for _, rec := range recs {
-		n, err := a.c.dec.decode(rec)
+		n, err := run.dec.decode(rec)
 		if err != nil {
-			a.fail(err)
+			run.fail(err)
 			return false
 		}
 		oi := int(n.fp & run.ownerMask)
@@ -979,7 +818,7 @@ func (a *asyncRun) injectRemote(recs []DistRecord) bool {
 			from = (from + 1) % len(a.workers)
 			select {
 			case a.owners[oi].ch <- asyncBatch{from: from, nodes: chunk}:
-			case <-a.doneCh:
+			case <-run.done:
 				a.outstanding.Add(int64(-len(chunk)))
 				for _, n := range chunk {
 					run.recycleAlways(n)
@@ -989,13 +828,4 @@ func (a *asyncRun) injectRemote(recs []DistRecord) bool {
 		}
 	}
 	return true
-}
-
-// localQuiesce is the distributed peer's probe answer: every deque and
-// inbox empty and the outstanding counter at zero. Workers flush their
-// deltas and remote buffers before parking, so "idle here" plus the
-// link's balanced sent/delivered counters across all peers is exactly
-// the in-process termination condition lifted to the cluster.
-func (a *asyncRun) localQuiesce() bool {
-	return a.confirmQuiesce()
 }

@@ -217,51 +217,6 @@ func TestAsyncTruncationTerminates(t *testing.T) {
 	}
 }
 
-// TestAsyncIncompatibilities: unsound combinations are rejected loudly;
-// a pure Canonical hook composes (and induces the same quotient as under
-// the levelsync order).
-func TestAsyncIncompatibilities(t *testing.T) {
-	p := core.MustNew(core.Params{N: 3, K: 1, M: 2})
-	c := model.MustNewConfig(p, []int{0, 1, 1})
-	pids := []int{0, 1, 2}
-	run := func(opts check.EngineOptions) error {
-		opts.Order = check.OrderAsync
-		_, err := check.ExploreOpts(p, c, pids, 1, check.ExploreOptions{
-			Limits: check.ExploreLimits{MaxConfigs: 5000, MaxDepth: 4},
-			Engine: opts,
-		})
-		return err
-	}
-	if err := run(check.EngineOptions{Provenance: true}); err == nil {
-		t.Error("async with provenance accepted (witness parent chains would be timing-dependent)")
-	}
-	if err := run(check.EngineOptions{StringKeys: true}); err == nil {
-		t.Error("async with exact string keys accepted")
-	}
-	if _, err := check.ExploreOpts(p, c, pids, 1, check.ExploreOptions{
-		Engine: check.EngineOptions{Order: "bogus"}}); err == nil {
-		t.Error("unknown order accepted")
-	}
-
-	canon := func(cfg *model.Config) uint64 { return cfg.SymmetricFingerprint(pids) }
-	limits := check.ExploreLimits{MaxConfigs: 100000, MaxDepth: 5}
-	oracle, err := check.ExploreOpts(p, c, pids, 0, check.ExploreOptions{
-		Limits: limits, Engine: check.EngineOptions{Canonical: canon}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := check.ExploreOpts(p, c, pids, 0, check.ExploreOptions{
-		Limits: limits,
-		Engine: check.EngineOptions{Order: check.OrderAsync, Canonical: canon, Workers: 4, Shards: 8},
-	})
-	if err != nil {
-		t.Fatalf("async rejected a pure Canonical hook: %v", err)
-	}
-	if res.Visited != oracle.Visited {
-		t.Errorf("async Canonical quotient visited %d, levelsync %d", res.Visited, oracle.Visited)
-	}
-}
-
 // cycleProto is a cyclic protocol with a tunable state space (~m^n
 // configurations): each process counts modulo m, swapping its counter
 // into one of two objects, so every configuration recurs after full

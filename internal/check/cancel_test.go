@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,4 +248,43 @@ func TestFrontierCancelNopCtx(t *testing.T) {
 			withCtx.Visited, withCtx.Complete, plain.Visited, plain.Complete)
 	}
 	waitNoGoroutineLeak(t, before)
+}
+
+// visitFailure is a plain struct error: a different concrete type from
+// the *fmt.wrapError the Ctx watcher records.
+type visitFailure struct{}
+
+func (visitFailure) Error() string { return "visit failed" }
+
+// TestFrontierConcurrentFailuresOfDifferentTypes: two goroutines failing
+// one run with differently-typed errors — the Ctx watcher with a wrapped
+// context error, a worker with a struct error from visit — must yield one
+// of the two, not a panic. The run's first-error cell boxes the error; a
+// bare atomic.Value compare-and-swap panics on the second type, which is
+// what every distributed cancel and fail-over used to trip on multi-core
+// hosts (a link error racing the context error).
+func TestFrontierConcurrentFailuresOfDifferentTypes(t *testing.T) {
+	p, c, pids := cancelInstance(t)
+	for _, order := range []string{OrderLevelSync, OrderAsync} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var once sync.Once
+		_, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: 5_000_000},
+			EngineOptions{Ctx: ctx, Workers: 2, Order: order},
+			func(_ int, n *Node) error {
+				if n.Depth < 3 {
+					return nil
+				}
+				once.Do(func() {
+					cancel()
+					// Let the watcher record its error first, so that this
+					// worker's failure is the second, differently-typed one.
+					time.Sleep(20 * time.Millisecond)
+				})
+				return visitFailure{}
+			}, nil)
+		cancel()
+		if !errors.Is(err, context.Canceled) && !errors.As(err, new(visitFailure)) {
+			t.Errorf("%s: err = %v, want the context error or the visit error", order, err)
+		}
+	}
 }

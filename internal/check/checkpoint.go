@@ -19,9 +19,10 @@ package check
 // cannot be decoded from bytes without the in-process intern exchange,
 // which dies with the process). Resume replays each path from the start
 // configuration through Stepper.ApplyCOW — O(frontier × depth) applies,
-// paid once at resume — and then re-applies the run's keying switch, so
-// the rebuilt nodes are bit-identical to the lost ones. Paths store one
-// byte per step, which caps checkpointable protocols at 255 processes.
+// paid once at resume — and then re-applies the run's keying
+// (expander.key), so the rebuilt nodes are bit-identical to the lost
+// ones. Paths store one byte per step, which caps checkpointable
+// protocols at 255 processes.
 //
 // Scope: level-synchronized order only. The async order has no barrier
 // at which the invariant above holds; it accepts the option as a no-op,
@@ -30,6 +31,7 @@ package check
 // same verdict, just without salvaging partial work.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -45,8 +47,7 @@ import (
 // Workers, Shards and the store backend are deliberately absent: the
 // visited snapshot is store-agnostic and partition routing is recomputed
 // from fingerprints at seed time, so a run may resume with a different
-// parallelism or store. A custom Canonical hook is recorded only by
-// presence — callers must not swap one hook for another between runs.
+// parallelism or store.
 type ckptProfile struct {
 	Protocol   string `json:"protocol"`
 	NObj       int    `json:"n_obj"`
@@ -54,7 +55,6 @@ type ckptProfile struct {
 	StartFP    uint64 `json:"start_fp"`
 	StringKeys bool   `json:"string_keys"`
 	Reduction  string `json:"reduction"`
-	Canonical  bool   `json:"canonical"`
 	MaxConfigs int    `json:"max_configs"`
 	MaxDepth   int    `json:"max_depth"`
 }
@@ -127,14 +127,10 @@ func loadCheckpoint(dir string, profile ckptProfile) (*ckptLoaded, error) {
 		quarantine(ckptManifestPath(dir), "manifest not parseable")
 		return nil, nil
 	}
-	sum := man.Sum
-	man.Sum = 0
-	clean, _ := json.Marshal(man)
-	if crc32.ChecksumIEEE(clean) != sum || man.Version != ckptManifestVersion {
+	if crc32.ChecksumIEEE(manifestSummed(raw)) != man.Sum || man.Version != ckptManifestVersion {
 		quarantine(ckptManifestPath(dir), "manifest checksum/version mismatch")
 		return nil, nil
 	}
-	man.Sum = sum
 	if man.Profile != profile {
 		return nil, fmt.Errorf("checkpoint: %s holds a checkpoint for a different run (profile %+v, want %+v); use a fresh directory", dir, man.Profile, profile)
 	}
@@ -154,6 +150,19 @@ func loadCheckpoint(dir string, profile ckptProfile) (*ckptLoaded, error) {
 		loaded.aux = aux
 	}
 	return loaded, nil
+}
+
+// manifestSummed returns the bytes a manifest's checksum covers: the JSON
+// as written with its trailing sum field zeroed. It works on the raw
+// bytes instead of re-marshalling the decoded struct so that a manifest
+// whose profile carries a field this build no longer has (earlier builds
+// wrote "canonical":false) still verifies and resumes.
+func manifestSummed(raw []byte) []byte {
+	i := bytes.LastIndex(raw, []byte(`"sum":`))
+	if i < 0 {
+		return nil
+	}
+	return append(raw[:i:i], `"sum":0}`...)
 }
 
 // ckptDiscard handles a manifest that committed but whose artifacts are

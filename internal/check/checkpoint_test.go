@@ -6,7 +6,11 @@ package check_test
 // restart fresh, never crash or change verdicts.
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -183,6 +187,66 @@ func TestCheckpointProfileMismatch(t *testing.T) {
 	opts.Limits = check.ExploreLimits{MaxDepth: 1}
 	if _, err := check.ExploreOpts(p, c, pids, 2, opts); err == nil {
 		t.Fatal("expected a profile-mismatch error for changed limits")
+	}
+}
+
+// TestCheckpointResumesEarlierManifest: manifests written before the
+// Canonical hook was removed carry "canonical":false in their profile.
+// Such a checkpoint must still verify and resume (not be quarantined as
+// corrupt and restarted) to the same verdict.
+func TestCheckpointResumesEarlierManifest(t *testing.T) {
+	p := symRace{n: 4}
+	c := model.MustNewConfig(p, []int{0, 0, 1, 1})
+	pids := []int{0, 1, 2, 3}
+	clean := exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2}})
+
+	dir := t.TempDir()
+	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Checkpoint: dir}}
+	ctx, cancel := context.WithCancel(context.Background())
+	opts.Engine.Ctx = ctx
+	opts.Engine.Progress = func(pr check.Progress) {
+		if pr.Depth >= 1 {
+			cancel()
+		}
+	}
+	if _, err := check.ExploreOpts(p, c, pids, 2, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+
+	// Rewrite the manifest the way the earlier build serialized it: the
+	// extra profile field, and the checksum (over the JSON with sum 0).
+	sub := filepath.Join(dir, "explore")
+	mp := filepath.Join(sub, "MANIFEST.json")
+	raw, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte(`"max_configs":`), []byte(`"canonical":false,"max_configs":`), 1)
+	i := bytes.LastIndex(raw, []byte(`"sum":`))
+	if i < 0 || !bytes.Contains(raw, []byte(`"canonical":false`)) {
+		t.Fatalf("manifest layout changed: %s", raw)
+	}
+	zeroed := append(append([]byte(nil), raw[:i]...), `"sum":0}`...)
+	raw = append(raw[:i:i], fmt.Sprintf(`"sum":%d}`, crc32.ChecksumIEEE(zeroed))...)
+	if err := os.WriteFile(mp, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	levels := 0
+	opts.Engine.Ctx = nil
+	opts.Engine.Progress = func(check.Progress) { levels++ }
+	got := exploreT(t, p, c, pids, 2, opts)
+	if !reflect.DeepEqual(verdictOf(p, got), verdictOf(p, clean)) {
+		t.Errorf("resumed verdict = %+v, want %+v", verdictOf(p, got), verdictOf(p, clean))
+	}
+	if _, err := os.Stat(filepath.Join(sub, "quarantine")); err == nil {
+		t.Error("the earlier-format manifest was quarantined instead of resumed")
+	}
+	cleanLevels := 0
+	exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2,
+		Progress: func(check.Progress) { cleanLevels++ }}})
+	if levels >= cleanLevels {
+		t.Errorf("resume ran %d levels, a fresh run %d: the checkpoint was not used", levels, cleanLevels)
 	}
 }
 

@@ -47,10 +47,8 @@ import (
 // Distribution composes with the reduction stack (canonical fingerprints
 // and sleep masks are computed peer-side and intersected at the owning
 // peer, both commutative) and with either store backend. It is rejected
-// together with Provenance (parent chains cannot cross the wire),
-// StringKeys and a custom Canonical hook (both would ship full encodings
-// per admission probe), and Checkpoint (a multi-process snapshot needs a
-// coordinator-side protocol of its own).
+// together with Provenance, StringKeys and Checkpoint (modes.go says
+// why).
 
 // DistNumParts is the size of the global partition space fingerprints
 // hash into before peer assignment: fixed so the fp -> peer routing is
@@ -200,25 +198,6 @@ type DistLink interface {
 	NetStats() NetStats
 }
 
-// validateDist rejects the option combinations distribution cannot
-// honor, mirroring the reduction/order validations.
-func validateDist(opts EngineOptions, nProc int) error {
-	switch {
-	case opts.Provenance:
-		return fmt.Errorf("frontier engine: distributed runs are disabled for witness-producing (provenance) searches: parent chains are in-RAM pointers that cannot cross the wire")
-	case opts.StringKeys:
-		return fmt.Errorf("frontier engine: distributed runs require fingerprint keying: exact string keys would ship full encodings on every admission probe")
-	case opts.Canonical != nil:
-		return fmt.Errorf("frontier engine: distributed runs and a custom Canonical quotient are mutually exclusive (use Reduction, which peers recompute locally)")
-	case opts.Checkpoint != "":
-		return fmt.Errorf("frontier engine: distributed runs do not checkpoint: a multi-process snapshot needs coordinator-side generations (rerun from scratch instead — restart == resume for a deterministic run)")
-	}
-	if nProc > 255 {
-		return fmt.Errorf("frontier engine: distributed runs support at most 255 processes (wire records carry one pid byte per path step), protocol declares %d", nProc)
-	}
-	return nil
-}
-
 // distDecoder rematerializes remote successor records: slot-exchange
 // fast path, pid-path replay fallback (which interns the new spans, so
 // the exchange warms up to the hot slot population).
@@ -226,15 +205,14 @@ type distDecoder struct {
 	run   *engineRun
 	st    *model.Stepper
 	exch  *model.SlotExchange
-	start *model.Config
 	nObj  int
 	nProc int
 	spans [][]byte
 }
 
-func newDistDecoder(run *engineRun, p model.Protocol, start *model.Config, nObj, nProc int) *distDecoder {
-	return &distDecoder{run: run, st: model.NewStepper(p), exch: model.NewSlotExchange(),
-		start: start, nObj: nObj, nProc: nProc}
+func newDistDecoder(run *engineRun) *distDecoder {
+	return &distDecoder{run: run, st: model.NewStepper(run.p), exch: model.NewSlotExchange(),
+		nObj: run.nObj, nProc: run.nProc}
 }
 
 // decode rebuilds one remote record as an admission-ready node.
@@ -270,7 +248,7 @@ func (d *distDecoder) decode(rec DistRecord) (*Node, error) {
 		// sender's — a mismatch means the record does not belong to this
 		// run (wrong protocol build or corrupted-but-CRC-colliding frame).
 		d.run.recycleAlways(n)
-		if n, err = replayPath(d.run, d.st, d.start, rec.Path); err != nil {
+		if n, err = replayPath(d.run, d.st, rec.Path); err != nil {
 			return nil, fmt.Errorf("dist: remote record does not replay: %w", err)
 		}
 		if n.slotFP != rec.SlotFP {

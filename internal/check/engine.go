@@ -3,9 +3,7 @@ package check
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,38 +11,44 @@ import (
 	"repro/internal/model"
 )
 
-// This file implements the sharded frontier engine: a level-synchronized
-// (BSP-style) parallel BFS over configuration spaces. All exhaustive
-// searches in the repository — Explore, ClassifyValency,
-// CheckObstructionFree and the lowerbound schedule searches — run on it.
+// This file is the sharded frontier engine's set-up and shared run
+// state. All exhaustive searches in the repository — Explore,
+// ClassifyValency, CheckObstructionFree and the lowerbound schedule
+// searches — run on it.
 //
-// Design (the zero-allocation hot path):
+// Structure: one expansion core, two schedulers.
 //
-//   - The reachable space is explored one depth level at a time. Within a
-//     level, worker goroutines drain the frontier concurrently; between
-//     levels there is a barrier.
+//   - The expander (expand.go) turns a node into keyed successors. Each
+//     worker owns one; successor generation is arena-backed and
+//     copy-on-write: the worker's model.Stepper canonicalizes object
+//     values and process states in an append-only intern arena, so a
+//     successor shares every unchanged slot with its parent and its
+//     fingerprint is maintained incrementally (model.Stepper.ApplyCOW
+//     re-hashes only the two slots a step touches). Node buffers — the
+//     Config slices and slot-hash vectors — are recycled through a
+//     sync.Pool, so expanding a state performs no per-successor heap
+//     allocation in the steady case.
 //
-//   - Successor generation is arena-backed and copy-on-write: each worker
-//     owns a model.Stepper whose append-only intern arena canonicalizes
-//     object values and process states, so a successor shares every
-//     unchanged slot with its parent and its fingerprint is maintained
-//     incrementally (model.Stepper.ApplyCOW re-hashes only the two slots
-//     a step touches). Node buffers — the Config slices and slot-hash
-//     vectors — are recycled through a sync.Pool, so expanding a state
-//     performs no per-successor heap allocation in the steady case.
+//   - The level-synchronized order (levelsync.go) explores one depth
+//     level at a time: workers drain the frontier concurrently, and a
+//     barrier between levels settles dedup, budget truncation, the
+//     distributed exchange and checkpoints. The async order (async.go)
+//     replaces the barrier with work-stealing deques, continuous
+//     admission and a quiescence counter. RunFrontier below builds what
+//     they share — the run state, the store, the root, the first-error
+//     cell and the Ctx watcher — and dispatches to one of them.
 //
 //   - Deduplication and frontier queuing are owned by a pluggable
 //     StateStore (store.go), partitioned by fingerprint. Each partition
 //     is touched by a single dedup goroutine; workers deliver successors
 //     in ~256-node batches over per-partition channels, amortizing all
 //     cross-goroutine synchronization over the batch. No mutex is taken
-//     per successor. Levels processed by a single worker skip the
-//     goroutines entirely and admit inline. The in-memory store
-//     (memstore.go) keeps open-addressing fpSet tables and in-RAM node
-//     slices; the disk-spilling store (spillstore.go) bounds resident
-//     memory by a byte budget, spilling visited fingerprints to sorted
-//     runs (resolved by k-way merge at each barrier) and frontier nodes
-//     to spooled segments, so the explorable space is bounded by disk.
+//     per successor. The in-memory store (memstore.go) keeps
+//     open-addressing fpSet tables and in-RAM node slices; the
+//     disk-spilling store (spillstore.go) bounds resident memory by a
+//     byte budget, spilling visited fingerprints to sorted runs and
+//     frontier nodes to spooled segments, so the explorable space is
+//     bounded by disk.
 //
 //   - Results are deterministic regardless of worker interleaving and of
 //     the store backend: the set of configurations processed at each
@@ -52,7 +56,8 @@ import (
 //     truncation picks survivors by sorted fingerprint, not arrival
 //     order), per-worker accumulators are merged with commutative
 //     operations, and witness provenance is tie-broken by (parent
-//     fingerprint, pid) rather than discovery order.
+//     fingerprint, pid) rather than discovery order. The async order
+//     keeps the verdicts and gives up the schedule determinism.
 //
 //   - By default the visited set is keyed by the 64-bit incremental slot
 //     fingerprint (model.Config.SlotFingerprint). Distinct configurations
@@ -68,8 +73,9 @@ import (
 //     (reduce.go): orbit-canonical fingerprints for declared
 //     process-symmetric protocols, and sleep-set masks that skip
 //     redundant interleavings of commuting steps. Reductions preserve
-//     reachability verdicts, not schedules, and are rejected for
-//     provenance or exact-key runs.
+//     reachability verdicts, not schedules.
+//
+//   - Which modes combine is declared once, in modes.go.
 
 // EngineOptions configures the sharded frontier engine.
 type EngineOptions struct {
@@ -93,21 +99,14 @@ type EngineOptions struct {
 	// hash collisions, at higher memory and hashing cost (every
 	// successor is re-encoded in full).
 	StringKeys bool
-	// Canonical, if non-nil, replaces the fingerprint function, letting
-	// callers quotient the space by a congruence — e.g.
-	// model.Config.SymmetricFingerprint for process-symmetric protocols.
-	// Incompatible with StringKeys (Canonical wins). Prefer Reduction:
-	// the hook re-encodes every successor in full, where the reduction
-	// layer canonicalizes from the incremental slot hashes.
-	Canonical func(*model.Config) uint64
 	// Reduction selects the state-space reduction layer (reduce.go):
 	// "" or "none" (no reduction), "sym" (incremental process-symmetry
 	// quotienting over the classes the protocol declares via
 	// model.ProcessSymmetric), or "sym+sleep" (symmetry plus sleep-set
 	// pruning of commuting successor pairs). Reductions preserve
 	// decided-value sets, valency classes and violation existence but
-	// not schedules, so they are rejected together with Provenance,
-	// StringKeys or a custom Canonical hook.
+	// not schedules, so they are rejected together with Provenance or
+	// StringKeys (modes.go).
 	Reduction string
 	// Order selects the exploration order: "" or "levelsync" for the
 	// deterministic level-synchronized loop above, "async" for the
@@ -115,8 +114,8 @@ type EngineOptions struct {
 	// deques, continuous admission with no EndLevel barrier, and
 	// counter-based quiescence termination. Async preserves every verdict
 	// and the visited-set size but not schedules or level structure, so
-	// it is rejected together with Provenance or StringKeys; a pure
-	// Canonical hook and the reduction layer both compose with it.
+	// it is rejected together with Provenance or StringKeys; the reduction
+	// layer composes with it.
 	Order string
 	// Provenance retains every node's parent chain and configuration so
 	// that Node.Parent and Node.Schedule work after the run — required
@@ -169,7 +168,7 @@ type EngineOptions struct {
 	// local candidates, and level barriers (or the async order's
 	// quiescence scans) are coordinated across the wire. dist.go states
 	// the routing and determinism contract. Incompatible with Provenance,
-	// StringKeys, Canonical and Checkpoint.
+	// StringKeys and Checkpoint.
 	Dist DistLink
 }
 
@@ -225,16 +224,16 @@ type Node struct {
 	Pid int
 
 	parent *Node
-	fp     uint64   // dedup fingerprint (slot fp, canonical, or Canonical's value)
+	fp     uint64   // dedup fingerprint (slot fp, or orbit-canonical under "sym")
 	slotFP uint64   // incremental slot fingerprint (ApplyCOW chain)
 	slotH  []uint64 // per-slot content hashes, parallel to Cfg slots
 	key    string   // exact encoding, set only in string-key mode
 	sleep  uint64   // sleep-set pid bitmask, set only in sleep-reduction mode
 	path   []byte   // root-to-node pid bytes, set only in checkpointing runs
 
-	// Async-order scheduling state (async.go): how to (re-)expand the
-	// node (asyncFresh / asyncWake / asyncDeepen) and, for wake items,
-	// which pids to wake. Unused by the level-synchronized order.
+	// How to (re-)expand the node (expandFresh / expandWake /
+	// expandDeepen, see expand.go) and, for wake items, which pids to
+	// wake. Always fresh in the level-synchronized order.
 	reexpand uint8
 	wake     uint64
 }
@@ -299,50 +298,91 @@ type RunStats struct {
 // synchronization over the batch.
 const batchSize = 256
 
-// dedupOwner is the engine-side face of one visited-set partition: its
-// per-level pending admissions (for deterministic provenance claims) and
-// its batch channel. The tables and frontier queues live in the store.
-// During a parallel level a partition is owned exclusively by one
-// goroutine consuming ch; during single-worker levels the worker calls
-// admit directly. Either way, no lock is ever taken.
-type dedupOwner struct {
-	part    int
-	pending map[uint64]*Node
-	ch      chan []*Node
-	// sleep collects the level's admitted sleep masks by fingerprint
-	// (sleep-reduction mode only). Duplicate admissions intersect — a
-	// commutative fold, so the surviving mask is a pure function of the
-	// level's candidate set, not of arrival order — and the barrier hands
-	// the finished map to the next level's expansions.
-	sleep map[uint64]uint64
-}
-
-// engineRun carries the per-run state shared by the level loop, the
-// workers and the dedup owners.
+// engineRun carries the per-run state both exploration orders share: the
+// instance, the callbacks, the store, the per-worker expanders, the
+// admission counters and the stop signal.
 type engineRun struct {
-	stringKeys bool
-	provenance bool
-	sleepOn    bool
+	p          model.Protocol
+	start      *model.Config
+	allowed    []bool // allowed[pid]: pid is in the explored set
+	nObj       int
+	nProc      int
+	opts       EngineOptions
+	limits     ExploreLimits
+	visit      func(worker int, n *Node) error
+	afterLevel func(depth, processed int) (stop bool)
+	began      time.Time
+
+	sleepOn bool
 	// pathsOn maintains every node's root-to-node pid path: set for
 	// checkpointing runs (paths are how frontiers persist) and for
 	// distributed runs (paths are the wire records' replay fallback and
 	// how peers ship replayable violation witnesses to the coordinator).
 	pathsOn bool
-	// link is the distributed peer link (nil for single-process runs).
-	link      DistLink
+	// link is the distributed peer link (nil for single-process runs) and
+	// dec the decoder that rematerializes the records it delivers.
+	link DistLink
+	dec  *distDecoder
+	// plan is the refined symmetry plan (nil or inactive: no quotient).
+	plan      *reductionPlan
+	expanders []*expander
 	store     StateStore
-	owners    []*dedupOwner
+	// ownerMask routes a fingerprint to its visited-set partition. The
+	// partition count is fixed for the whole run (stores persist across
+	// levels, so the routing must not move).
 	ownerMask uint64
 	nodePool  *sync.Pool
 	batchPool *sync.Pool
-	// prevSleep holds the previous level's finished per-partition sleep
-	// maps (read-only during a level; swapped at the barrier).
+	// owners and prevSleep belong to the level-synchronized order
+	// (levelsync.go): the per-partition dedup state, and the previous
+	// level's finished per-partition sleep maps (read-only during a
+	// level; swapped at the barrier).
+	owners    []*dedupOwner
 	prevSleep []map[uint64]uint64
 
-	admitted     atomic.Int64
-	sleepSkipped atomic.Int64
-	closed       atomic.Bool // no further admissions (budget exhausted)
-	truncated    atomic.Bool // some reachable configuration was dropped
+	admitted  atomic.Int64
+	closed    atomic.Bool // no further admissions (budget exhausted)
+	truncated atomic.Bool // some reachable configuration was dropped
+
+	// firstErr is the run's one error cell. The error is boxed behind a
+	// pointer because concurrent failures (a Ctx wrap error racing a link
+	// or visit error) carry different concrete types, which a bare
+	// atomic.Value compare-and-swap panics on.
+	firstErr atomic.Pointer[error]
+	// done is closed, and doneFlag set, when the run must stop: the first
+	// failure, or (async order) quiescence or an early stop.
+	doneFlag atomic.Bool
+	done     chan struct{}
+}
+
+// fail records err if it is the run's first failure and stops the run.
+// Every worker breaks out at its next node boundary; the order's loop
+// returns the recorded error once the in-flight work drains.
+func (r *engineRun) fail(err error) {
+	if err == nil {
+		return
+	}
+	// Box a copy: taking the parameter's own address would move it to the
+	// heap on every call, nil ones on the hot paths included.
+	boxed := err
+	if r.firstErr.CompareAndSwap(nil, &boxed) {
+		r.finish()
+	}
+}
+
+// err returns the recorded first failure, if any.
+func (r *engineRun) err() error {
+	if p := r.firstErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// finish stops the run exactly once (failure, quiescence or early stop).
+func (r *engineRun) finish() {
+	if r.doneFlag.CompareAndSwap(false, true) {
+		close(r.done)
+	}
 }
 
 // newNode hands out a recycled (or fresh) node with correctly-shaped
@@ -353,7 +393,7 @@ func (r *engineRun) newNode() *Node { return r.nodePool.Get().(*Node) }
 // the run tracks provenance, in which case every admitted node stays
 // live (parent chains may reference it).
 func (r *engineRun) recycle(n *Node) {
-	if r.provenance {
+	if r.opts.Provenance {
 		return
 	}
 	r.recycleAlways(n)
@@ -371,68 +411,16 @@ func (r *engineRun) recycleAlways(n *Node) {
 	r.nodePool.Put(n)
 }
 
-// admit applies the dedup/admission protocol to one candidate successor.
-// It runs on the owner's goroutine (or the sole worker), so the store
-// partition is touched without locking. In the common open-admissions
-// case the visited table is probed exactly once (StateStore.Admit reports
-// newly-added); only the rare sticky closed state needs a read-only Has.
-func (o *dedupOwner) admit(r *engineRun, nn *Node) {
-	if r.closed.Load() {
-		if !r.store.Has(o.part, nn.fp, nn.key) {
-			// Budget exhausted earlier: the space extends beyond what
-			// was admitted.
-			r.truncated.Store(true)
-			r.recycleAlways(nn)
-			return
-		}
-		o.claimProvenance(r, nn)
-		return
-	}
-	added, retained := r.store.Admit(o.part, nn)
-	if added {
-		if r.provenance {
-			o.pending[nn.fp] = nn
-		}
-		if r.sleepOn {
-			o.sleep[nn.fp] = nn.sleep
-		}
-		r.admitted.Add(1)
-		if !retained {
-			// The store externalized the node's content (spooled to
-			// disk); its buffers are free immediately.
-			r.recycleAlways(nn)
-		}
-		return
-	}
-	if r.sleepOn {
-		// Same-level duplicate: only the pids every generator agrees are
-		// redundant may stay asleep. A duplicate of an EARLIER level
-		// (absent from this level's map — the graph re-reaches a state at
-		// a different depth) contributes nothing and needs nothing: masks
-		// are built exclusively from a state's first-visit-level
-		// generators, and every skip they justify routes through the
-		// first visit's own sibling diamonds (see reduce.go), so a later
-		// path to the same state has no claim to reconcile.
-		if m, ok := o.sleep[nn.fp]; ok {
-			o.sleep[nn.fp] = m & nn.sleep
-		}
-	}
-	o.claimProvenance(r, nn)
-}
-
-// claimProvenance handles a duplicate candidate: if its configuration was
-// admitted this very level, claim provenance when ours is
-// deterministically smaller, so witness schedules do not depend on
-// discovery order; then recycle the candidate.
-func (o *dedupOwner) claimProvenance(r *engineRun, nn *Node) {
-	if r.provenance {
-		if prev, ok := o.pending[nn.fp]; ok && (!r.stringKeys || prev.key == nn.key) {
-			if nn.parent.fp < prev.parent.fp || (nn.parent.fp == prev.parent.fp && nn.Pid < prev.Pid) {
-				prev.parent, prev.Pid = nn.parent, nn.Pid
-			}
-		}
-	}
-	r.recycleAlways(nn)
+// rootNode returns a depth-0 node holding the start configuration,
+// slot-hashed through st and not yet keyed.
+func (r *engineRun) rootNode(st *model.Stepper) *Node {
+	n := r.newNode()
+	n.Cfg.CopyFrom(r.start)
+	n.Depth, n.Pid = 0, -1
+	n.parent = nil
+	n.path = n.path[:0]
+	n.slotFP = st.InitSlots(n.Cfg, n.slotH)
+	return n
 }
 
 // newStateStore builds the backend selected by the options.
@@ -459,39 +447,10 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 ) (rstats RunStats, rerr error) {
 	limits = limits.withDefaults()
 	opts = opts.withDefaults()
-
-	symOn, sleepOn, err := parseReduction(opts.Reduction)
+	asyncOn, symOn, sleepOn, err := Modes{Order: opts.Order, Reduction: opts.Reduction, StringKeys: opts.StringKeys,
+		Provenance: opts.Provenance, Checkpoint: opts.Checkpoint != "", Dist: opts.Dist != nil}.resolve()
 	if err != nil {
 		return RunStats{}, err
-	}
-	asyncOn, err := parseOrder(opts.Order)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if asyncOn {
-		switch {
-		case opts.Provenance:
-			return RunStats{}, fmt.Errorf("frontier engine: order %q is disabled for witness-producing (provenance) searches: async admission order is timing-dependent, so the deterministic first-reached parent chains witness schedules replay do not exist", OrderAsync)
-		case opts.StringKeys:
-			return RunStats{}, fmt.Errorf("frontier engine: order %q requires fingerprint keying: exact string keys pick a timing-dependent representative among colliding encodings without the level barrier", OrderAsync)
-		}
-	}
-	// Checkpointing is a levelsync-barrier feature; the async order
-	// accepts the option as a documented no-op (restart == resume for a
-	// deterministic from-scratch rerun).
-	ckptOn := opts.Checkpoint != "" && !asyncOn
-	if opts.Checkpoint != "" && opts.Provenance {
-		return RunStats{}, fmt.Errorf("frontier engine: Checkpoint and Provenance are mutually exclusive: parent chains are in-RAM pointers that cannot be persisted across a crash")
-	}
-	if symOn || sleepOn {
-		switch {
-		case opts.Provenance:
-			return RunStats{}, fmt.Errorf("frontier engine: reduction %q is disabled for witness-producing (provenance) searches: a quotient merges schedules, so parent chains replayed through it are not valid executions", opts.Reduction)
-		case opts.StringKeys:
-			return RunStats{}, fmt.Errorf("frontier engine: reduction %q requires fingerprint keying: exact string keys dedup on full encodings, which orbit members do not share", opts.Reduction)
-		case opts.Canonical != nil:
-			return RunStats{}, fmt.Errorf("frontier engine: reduction %q and a custom Canonical quotient are mutually exclusive", opts.Reduction)
-		}
 	}
 
 	nObj := len(p.Objects())
@@ -505,36 +464,31 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		return RunStats{}, fmt.Errorf("frontier engine: start configuration has %d objects and %d states, protocol declares %d and %d",
 			len(start.Objects), len(start.States), nObj, nProc)
 	}
-	if ckptOn && nProc > 255 {
-		return RunStats{}, fmt.Errorf("frontier engine: checkpointing supports at most 255 processes (frontier paths store one pid byte per step), protocol declares %d", nProc)
-	}
-	if opts.Dist != nil {
-		if err := validateDist(opts, nProc); err != nil {
-			return RunStats{}, err
-		}
-	}
-	slots := nObj + nProc
-
-	allowed := make([]bool, nProc)
-	for _, pid := range pids {
-		if pid >= 0 && pid < len(allowed) {
-			allowed[pid] = true
-		}
+	// Checkpointing is a levelsync-barrier feature; the async order
+	// accepts the option as a documented no-op (restart == resume for a
+	// deterministic from-scratch rerun).
+	pathsOn := (opts.Checkpoint != "" && !asyncOn) || opts.Dist != nil
+	if pathsOn && nProc > 255 {
+		return RunStats{}, fmt.Errorf("frontier engine: checkpointed and distributed runs support at most 255 processes (root-to-node paths store one pid byte per step), protocol declares %d", nProc)
 	}
 
 	run := &engineRun{
-		stringKeys: opts.StringKeys && opts.Canonical == nil,
-		provenance: opts.Provenance,
-		sleepOn:    sleepOn,
-		pathsOn:    ckptOn || opts.Dist != nil,
-		link:       opts.Dist,
+		p: p, start: start, nObj: nObj, nProc: nProc,
+		allowed: make([]bool, nProc),
+		opts:    opts, limits: limits, visit: visit, afterLevel: afterLevel,
+		began:     time.Now(),
+		sleepOn:   sleepOn,
+		pathsOn:   pathsOn,
+		link:      opts.Dist,
+		expanders: make([]*expander, opts.Workers),
+		done:      make(chan struct{}),
 		nodePool: &sync.Pool{New: func() any {
 			return &Node{
 				Cfg: &model.Config{
 					Objects: make([]model.Value, nObj),
 					States:  make([]model.State, nProc),
 				},
-				slotH: make([]uint64, slots),
+				slotH: make([]uint64, nObj+nProc),
 			}
 		}},
 		batchPool: &sync.Pool{New: func() any {
@@ -542,20 +496,24 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 			return &b
 		}},
 	}
+	for _, pid := range pids {
+		if pid >= 0 && pid < nProc {
+			run.allowed[pid] = true
+		}
+	}
 
 	// Visited-set partitions: one single-owner store partition per owner,
-	// min(Shards, Workers) of them rounded up to a power of two. The
-	// partition count is fixed for the whole run (stores persist across
-	// levels, so the fp -> partition routing must not move).
+	// min(Shards, Workers) of them rounded up to a power of two.
 	numOwners := 1
 	for numOwners < opts.Shards && numOwners < opts.Workers {
 		numOwners <<= 1
 	}
-	store, err := newStateStore(opts, storeCtx{
+	run.ownerMask = uint64(numOwners - 1)
+	run.store, err = newStateStore(opts, storeCtx{
 		parts:      numOwners,
 		nObj:       nObj,
 		nProc:      nProc,
-		stringKeys: run.stringKeys,
+		stringKeys: opts.StringKeys,
 		retain:     opts.Provenance,
 		paths:      run.pathsOn,
 		newNode:    run.newNode,
@@ -564,11 +522,13 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	if err != nil {
 		return RunStats{}, err
 	}
-	var symWorkers []*symWorker
 	defer func() {
-		rstats.Store = store.Stats()
-		if cerr := store.Close(); cerr != nil && rerr == nil {
+		rstats.Store = run.store.Stats()
+		if cerr := run.store.Close(); cerr != nil && rerr == nil {
 			rerr = cerr
+		}
+		if rerr != nil {
+			rstats.Complete = false
 		}
 		switch {
 		case symOn && sleepOn:
@@ -576,797 +536,48 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		case symOn:
 			rstats.Reduction.Reduce = ReduceSym
 		}
-		for _, w := range symWorkers {
-			if w != nil {
-				rstats.Reduction.StatesPruned += w.statesPruned
-				rstats.Reduction.OrbitHits += w.orbitHits
+		for _, x := range run.expanders {
+			if x == nil {
+				continue
 			}
+			if x.sw != nil {
+				rstats.Reduction.StatesPruned += x.sw.statesPruned
+				rstats.Reduction.OrbitHits += x.sw.orbitHits
+			}
+			rstats.Reduction.SleepSkipped += x.sleepSkips
 		}
-		rstats.Reduction.SleepSkipped = run.sleepSkipped.Load()
 		rstats.Reduction.StatesPruned += rstats.Reduction.SleepSkipped
-		if rstats.Async.Order == "" {
-			rstats.Async.Order = OrderLevelSync
-		}
 		if run.link != nil {
 			rstats.Net = run.link.NetStats()
 		}
 	}()
-	run.store = store
-	run.owners = make([]*dedupOwner, numOwners)
-	run.ownerMask = uint64(numOwners - 1)
-	for i := range run.owners {
-		run.owners[i] = &dedupOwner{part: i, pending: map[uint64]*Node{}}
-		if sleepOn {
-			run.owners[i].sleep = map[uint64]uint64{}
-		}
-	}
-	if sleepOn {
-		run.prevSleep = make([]map[uint64]uint64, numOwners)
-	}
 
-	// Per-worker steppers: each owns an append-only intern arena and the
-	// COW apply fast path. They persist across levels so the arenas keep
-	// their intern tables and transition memos warm. Exact-key runs use
-	// memo-free steppers: their guarantee is that no hash shortcut can
-	// substitute a wrong configuration, so every step is recomputed.
-	steppers := make([]*model.Stepper, opts.Workers)
-	stepperFor := func(worker int) *model.Stepper {
-		if steppers[worker] == nil {
-			if run.stringKeys {
-				steppers[worker] = model.NewStepperExact(p)
-			} else {
-				steppers[worker] = model.NewStepper(p)
-			}
-		}
-		return steppers[worker]
-	}
-
-	// Root node, seeded through the store like any admission (the store
-	// may spool it straight to disk), then drawn back as level 0.
-	root := run.newNode()
-	root.Cfg.CopyFrom(start)
-	root.Depth, root.Pid = 0, -1
-	root.parent = nil
-	root.path = root.path[:0]
-	root.slotFP = stepperFor(0).InitSlots(root.Cfg, root.slotH)
-
-	// Reduction plan: refine the declared symmetry classes against this
-	// run's start configuration and explored pid set. Per-worker
-	// canonicalizers are created lazily like the steppers.
-	var plan *reductionPlan
+	// Root node. The reduction plan refines the declared symmetry classes
+	// against the root's slot hashes and the explored pid set, so it sits
+	// between hashing the root and keying it.
+	root := run.rootNode(run.expander(0).st)
 	if symOn {
-		plan = planReduction(p, allowed, nObj, root.slotH, sleepOn)
+		run.plan = planReduction(p, run.allowed, nObj, root.slotH, sleepOn)
 	}
-	if plan.active() {
-		symWorkers = make([]*symWorker, opts.Workers)
-	}
-	symFor := func(worker int) *symWorker {
-		if symWorkers == nil {
-			return nil
-		}
-		if symWorkers[worker] == nil {
-			symWorkers[worker] = newSymWorker(plan, nObj)
-		}
-		return symWorkers[worker]
-	}
+	run.expander(0).key(root)
 
-	var encScratch []byte
-	switch {
-	case opts.Canonical != nil:
-		root.fp = opts.Canonical(root.Cfg)
-	case run.stringKeys:
-		root.fp = root.slotFP
-		encScratch = root.Cfg.AppendEncoding(encScratch[:0])
-		root.key = string(encScratch)
-	default:
-		root.fp = root.slotFP
-		if sw := symFor(0); sw != nil {
-			root.fp = sw.canonFP(root.slotFP, root.slotH)
-		}
-	}
 	if run.link != nil {
 		run.link.Start(opts.Workers)
+		run.dec = newDistDecoder(run)
 	}
-	if asyncOn {
-		// The async order (async.go) takes over from here: the root has
-		// its fingerprint and reduction keying applied but is not yet in
-		// the store. The deferred finalizer above still closes the store
-		// and folds the reduction counters.
-		var dec *distDecoder
-		if run.link != nil {
-			dec = newDistDecoder(run, p, start, nObj, nProc)
-		}
-		return runAsync(run, store, root, asyncParams{
-			opts:       opts,
-			limits:     limits,
-			allowed:    allowed,
-			nObj:       nObj,
-			nProc:      nProc,
-			stepperFor: stepperFor,
-			symFor:     symFor,
-			visit:      visit,
-			afterLevel: afterLevel,
-			dec:        dec,
-		})
-	}
-
-	// Checkpoint wiring: load any previous generation (nil when absent or
-	// quarantined-corrupt — a fresh start) and arm the writer for this
-	// run's barrier snapshots. The manifest profile pins everything that
-	// shapes the explored space; Workers/Shards/Store deliberately stay
-	// out of it, so a resume may change parallelism and storage freely.
-	var (
-		ckpt    *ckptWriter
-		resumed *ckptLoaded
-	)
-	if ckptOn {
-		cs, ok := store.(checkpointableStore)
-		if !ok {
-			return RunStats{}, fmt.Errorf("frontier engine: store %q does not support checkpointing", opts.Store)
-		}
-		profile := ckptProfile{
-			Protocol:   p.Name(),
-			NObj:       nObj,
-			NProc:      nProc,
-			StartFP:    root.slotFP,
-			StringKeys: run.stringKeys,
-			Reduction:  fmt.Sprintf("sym=%t,sleep=%t", symOn, sleepOn),
-			Canonical:  opts.Canonical != nil,
-			MaxConfigs: limits.MaxConfigs,
-			MaxDepth:   limits.MaxDepth,
-		}
-		if resumed, err = loadCheckpoint(opts.Checkpoint, profile); err != nil {
-			return RunStats{}, err
-		}
-		startGen := 1
-		if resumed != nil {
-			startGen = resumed.man.Gen + 1
-		}
-		if ckpt, err = newCkptWriter(opts.Checkpoint, profile, opts.CheckpointEvery, startGen); err != nil {
-			return RunStats{}, err
-		}
-		ckpt.dump = cs.DumpVisited
-	}
-	var dec *distDecoder
-	if run.link != nil {
-		dec = newDistDecoder(run, p, start, nObj, nProc)
-	}
-
-	var (
-		stats     = RunStats{Complete: true}
-		runErr    atomic.Value
-		cancelled atomic.Bool
-		startTime = time.Now()
-	)
-	fail := func(err error) {
-		if err != nil && runErr.CompareAndSwap(nil, err) {
-			cancelled.Store(true)
-		}
-	}
-	// In-process cancellation: a watcher turns Ctx's done signal into the
-	// same cancelled/runErr path a visit error takes, so every worker
-	// breaks out at its next node boundary and the level loop returns the
-	// context error after the in-flight level drains.
+	// In-process cancellation: Ctx's done signal takes the same fail path
+	// a visit error takes, under either order.
 	if ctx := opts.Ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
-			stats.Complete = false
-			return stats, fmt.Errorf("frontier engine: %w", err)
+			return RunStats{}, fmt.Errorf("frontier engine: %w", err)
 		}
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				fail(fmt.Errorf("frontier engine: %w", ctx.Err()))
-			case <-watchDone:
-			}
-		}()
+		stopWatch := context.AfterFunc(ctx, func() {
+			run.fail(fmt.Errorf("frontier engine: %w", ctx.Err()))
+		})
+		defer stopWatch()
 	}
-
-	// Seed level 0 — from the checkpoint when resuming (the store's
-	// visited set is rebuilt wholesale and the frontier replayed from
-	// paths, bypassing the admission queue entirely), otherwise by
-	// admitting the root through the store like any node.
-	var frontier FrontierSource
-	startDepth := 0
-	if resumed != nil {
-		run.recycleAlways(root)
-		frontier, err = resumeFromCheckpoint(run, resumed, store.(checkpointableStore), &stats, opts, start, stepperFor(0), symFor(0))
-		if err != nil {
-			stats.Complete = false
-			return stats, err
-		}
-		startDepth = resumed.man.NextDepth
-	} else {
-		if run.link != nil && !run.link.Owns(root.fp) {
-			// Another peer owns the root; this peer starts with an empty
-			// level-0 frontier and joins the run at the first barrier.
-			run.recycleAlways(root)
-		} else {
-			if _, retained := store.Admit(int(root.fp&run.ownerMask), root); !retained {
-				run.recycleAlways(root)
-			}
-			run.admitted.Store(1)
-		}
-		seed, err := store.EndLevel(limits.MaxConfigs)
-		if err != nil {
-			return RunStats{}, err
-		}
-		frontier = seed.Frontier
+	if asyncOn {
+		return runAsync(run, root)
 	}
-	// A distributed peer enters every level in lockstep with its peers —
-	// even with an empty local frontier it must run the expand and level
-	// barriers — and leaves when the coordinator declares the global
-	// frontier empty.
-	for depth := startDepth; run.link != nil || frontier.Size() > 0; depth++ {
-		stats.Levels++
-		levelSize := frontier.Size()
-		admittedBefore := int(run.admitted.Load())
-		atDepthCap := limits.MaxDepth > 0 && depth >= limits.MaxDepth
-
-		nw := opts.Workers
-		if nw > levelSize {
-			nw = levelSize // never more goroutines than nodes; visits
-			// may be expensive (solo runs), so do not serialize further
-		}
-		if nw < 1 {
-			nw = 1 // empty local level on a distributed peer: one worker
-			// still runs (and immediately finishes) so the barriers fire
-		}
-		inline := nw <= 1
-		// pull is the per-claim batch the workers draw from the frontier
-		// source: large enough to amortize the claim, small enough that
-		// the level's tail stays balanced across workers.
-		pull := levelSize/(4*nw) + 1
-		if pull > batchSize {
-			pull = batchSize
-		}
-
-		// work visits and expands frontier batches cooperatively. In
-		// inline mode successors are admitted directly; otherwise they
-		// are batched to the partition owners.
-		work := func(worker int) {
-			st := stepperFor(worker)
-			sw := symFor(worker)
-			var scratch []byte
-			var buckets [][]*Node
-			if !inline {
-				buckets = make([][]*Node, numOwners)
-			}
-			var sleepSkips int64
-			var objs []int // per-pid poised object (-1 = decided), sleep mode only
-			if run.sleepOn {
-				objs = make([]int, nProc)
-			}
-			nodeBuf := make([]*Node, pull)
-			deliver := func(oi uint64, nn *Node) {
-				if inline {
-					run.owners[oi].admit(run, nn)
-					return
-				}
-				if buckets[oi] == nil {
-					buckets[oi] = (*run.batchPool.Get().(*[]*Node))[:0]
-				}
-				buckets[oi] = append(buckets[oi], nn)
-				if len(buckets[oi]) == batchSize {
-					run.owners[oi].ch <- buckets[oi]
-					buckets[oi] = nil
-				}
-			}
-		pulling:
-			for !cancelled.Load() {
-				m := frontier.Next(nodeBuf)
-				if m == 0 {
-					break
-				}
-				for _, n := range nodeBuf[:m] {
-					if cancelled.Load() {
-						break pulling
-					}
-					if err := visit(worker, n); err != nil {
-						fail(err)
-						break pulling
-					}
-					if atDepthCap {
-						run.recycle(n)
-						continue
-					}
-					// Sleep-set mode: fetch the node's finished mask (the
-					// intersection over all of its generators, completed at
-					// the previous barrier) and the poised-object vector the
-					// commutation test needs. Both are memo-backed lookups.
-					var nodeMask uint64
-					if run.sleepOn {
-						if m := run.prevSleep[n.fp&run.ownerMask]; m != nil {
-							nodeMask = m[n.fp]
-						}
-						for pid := 0; pid < nProc; pid++ {
-							objs[pid] = -1
-							if allowed[pid] {
-								if obj, ok := st.PoisedObject(n.Cfg, pid, n.slotH[nObj+pid]); ok {
-									objs[pid] = obj
-								}
-							}
-						}
-					}
-					for pid := 0; pid < nProc; pid++ {
-						if !allowed[pid] {
-							continue
-						}
-						if nodeMask&(1<<uint(pid)) != 0 {
-							// Asleep: every generator of this node agreed the
-							// step commutes with its own last step, so the
-							// successor is exactly the state the ascending-pid
-							// sibling order reaches. Skip the redundant work.
-							sleepSkips++
-							continue
-						}
-						succ := run.newNode()
-						fp, ok, err := st.ApplyCOW(n.Cfg, n.slotFP, n.slotH, pid, succ.Cfg, succ.slotH)
-						if err != nil {
-							run.recycleAlways(succ)
-							fail(fmt.Errorf("frontier engine: %w", err))
-							break // stop expanding; fall through to the flush
-						}
-						if !ok { // pid has decided; no step
-							run.recycleAlways(succ)
-							continue
-						}
-						succ.slotFP = fp
-						succ.Depth = n.Depth + 1
-						succ.Pid = pid
-						succ.parent = nil
-						if run.provenance {
-							succ.parent = n
-						}
-						if run.pathsOn {
-							// Root-to-node pid path: the only protocol-
-							// independent serialization of a frontier node
-							// (configs are opaque; a resumed or remote
-							// process replays the path through its own
-							// stepper).
-							succ.path = append(append(succ.path[:0], n.path...), byte(pid))
-						}
-						switch {
-						case opts.Canonical != nil:
-							succ.fp = opts.Canonical(succ.Cfg)
-						case run.stringKeys:
-							succ.fp = fp
-							scratch = succ.Cfg.AppendEncoding(scratch[:0])
-							succ.key = string(scratch)
-						case sw != nil:
-							succ.fp = sw.canonFP(fp, succ.slotH)
-						default:
-							succ.fp = fp
-						}
-						if run.sleepOn {
-							// The successor sleeps every commuting smaller pid
-							// (its interleaving is covered by the ascending
-							// order) and every still-commuting pid it inherits
-							// from this node's own sleep set.
-							var m uint64
-							myObj := objs[pid]
-							for cand := (uint64(1)<<uint(pid) - 1) | nodeMask; cand != 0; cand &= cand - 1 {
-								r := bits.TrailingZeros64(cand)
-								if allowed[r] && objs[r] >= 0 && objs[r] != myObj {
-									m |= 1 << uint(r)
-								}
-							}
-							succ.sleep = m
-						}
-						if run.link != nil && !run.link.Owns(succ.fp) {
-							// Remote-owned successor: ship it over the link
-							// instead of admitting. The owning peer dedups
-							// and (in sleep mode) intersects masks exactly
-							// as a local partition owner would.
-							var rec DistRecord
-							rec, scratch = distRecordOf(succ, scratch)
-							run.recycleAlways(succ)
-							if err := run.link.Send(worker, rec); err != nil {
-								fail(err)
-								break // stop expanding; fall through to the flush
-							}
-							continue
-						}
-						deliver(succ.fp&run.ownerMask, succ)
-					}
-					run.recycle(n)
-				}
-			}
-			// Flush partial batches so the owners see every candidate
-			// before their channels close.
-			for oi, b := range buckets {
-				if len(b) > 0 {
-					run.owners[oi].ch <- b
-				}
-			}
-			if run.link != nil {
-				if err := run.link.FlushWorker(worker); err != nil {
-					fail(err)
-				}
-			}
-			if sleepSkips > 0 {
-				run.sleepSkipped.Add(sleepSkips)
-			}
-		}
-
-		if inline {
-			work(0)
-		} else {
-			var ownerWG sync.WaitGroup
-			for _, o := range run.owners {
-				o.ch = make(chan []*Node, 2*nw)
-				ownerWG.Add(1)
-				go func(o *dedupOwner) {
-					defer ownerWG.Done()
-					for batch := range o.ch {
-						for _, nn := range batch {
-							o.admit(run, nn)
-						}
-						batch = batch[:0]
-						run.batchPool.Put(&batch)
-					}
-				}(o)
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					work(w)
-				}(w)
-			}
-			wg.Wait()
-			for _, o := range run.owners {
-				close(o.ch)
-			}
-			ownerWG.Wait()
-		}
-		if err, _ := runErr.Load().(error); err != nil {
-			stats.Complete = false
-			return stats, err
-		}
-		stats.Processed += levelSize
-		if atDepthCap {
-			stats.Complete = false
-			if run.link == nil {
-				if opts.Progress != nil {
-					opts.Progress(Progress{Depth: depth, FrontierSize: levelSize,
-						Processed: stats.Processed, Admitted: int(run.admitted.Load()),
-						Elapsed: time.Since(startTime)})
-				}
-				break
-			}
-			// Distributed peers stay in lockstep instead of breaking: no
-			// successors were generated (every peer is at the same depth),
-			// so the barriers below see an empty global next frontier and
-			// the coordinator ends the run.
-		}
-
-		// Distributed expand barrier: flush, announce this peer's level
-		// complete, wait for every peer to finish expanding, then admit
-		// the remote successors addressed here. Admission is
-		// single-threaded at this point (the owner goroutines have
-		// joined) and sleep-mask intersection is commutative, so remote
-		// arrival order cannot leak into the result.
-		if run.link != nil {
-			recs, lerr := run.link.BarrierExpand(depth)
-			if lerr != nil {
-				stats.Complete = false
-				return stats, lerr
-			}
-			for _, rec := range recs {
-				n, derr := dec.decode(rec)
-				if derr != nil {
-					stats.Complete = false
-					return stats, derr
-				}
-				run.owners[n.fp&run.ownerMask].admit(run, n)
-			}
-		}
-
-		// Barrier: the store resolves delayed duplicates, applies the
-		// budget cutoff and hands back the next frontier. This level may
-		// have overshot MaxConfigs (admission is unthrottled within a
-		// level so that the admitted set stays a pure function of the
-		// space, not of thread timing); at most maxNext admissions
-		// survive, chosen by sorted (fingerprint, key) — deterministic —
-		// and admissions close.
-		maxNext := limits.MaxConfigs - admittedBefore
-		if maxNext < 0 {
-			// Defensive: the previous barrier caps admissions at exactly
-			// MaxConfigs and closes the run when it binds, so the budget
-			// remainder cannot go negative — but a zero remainder is
-			// reachable (a level boundary landing exactly on MaxConfigs),
-			// and the clamp keeps the store contract ("at most maxNext")
-			// meaningful under any future admission-accounting change.
-			maxNext = 0
-		}
-		if run.link != nil {
-			// Budget truncation is a global decision in a distributed run:
-			// the store never truncates locally; the coordinator compares
-			// the summed per-peer admissions against MaxConfigs at the
-			// level barrier below and hands back per-peer keep counts.
-			maxNext = int(^uint(0) >> 1)
-		}
-		lvl, err := store.EndLevel(maxNext)
-		if err != nil {
-			stats.Complete = false
-			return stats, err
-		}
-		if lvl.Revoked > 0 {
-			run.admitted.Add(int64(-lvl.Revoked))
-		}
-		if lvl.Truncated {
-			run.admitted.Store(int64(limits.MaxConfigs))
-			run.closed.Store(true)
-			run.truncated.Store(true)
-		}
-		for _, o := range run.owners {
-			clear(o.pending)
-		}
-		if run.sleepOn {
-			// Hand the finished mask maps to the next level's expansions
-			// and start fresh ones; duplicate-intersection is complete at
-			// this point, so the maps are read-only from here on.
-			for i, o := range run.owners {
-				run.prevSleep[i] = o.sleep
-				o.sleep = make(map[uint64]uint64, len(o.sleep))
-			}
-		}
-		if run.truncated.Load() {
-			stats.Complete = false
-		}
-		stop := afterLevel != nil && afterLevel(depth, stats.Processed)
-
-		// Distributed level barrier: report cumulative admissions and the
-		// next local frontier, and receive the global verdict — a keep
-		// count when the summed admissions overshot MaxConfigs (the
-		// coordinator merges the per-peer sorted fingerprints and cuts at
-		// the same global sorted order the store's own truncation uses,
-		// so the surviving set is peer-count-independent), and Done when
-		// the global next frontier is empty or a peer stopped early.
-		distDone := false
-		if run.link != nil {
-			var drained []*Node
-			sortedNext := func() ([]*Node, error) {
-				if drained != nil {
-					return drained, nil
-				}
-				nodes, derr := drainFrontier(lvl.Frontier)
-				if derr != nil {
-					return nil, derr
-				}
-				sort.Slice(nodes, func(i, j int) bool { return nodes[i].fp < nodes[j].fp })
-				drained = nodes
-				lvl.Frontier = &memSource{nodes: nodes}
-				return nodes, nil
-			}
-			fps := func() ([]uint64, error) {
-				nodes, derr := sortedNext()
-				if derr != nil {
-					return nil, derr
-				}
-				out := make([]uint64, len(nodes))
-				for i, n := range nodes {
-					out[i] = n.fp
-				}
-				return out, nil
-			}
-			db, lerr := run.link.BarrierLevel(depth, run.admitted.Load(), lvl.Frontier.Size(), stop, fps)
-			if lerr != nil {
-				stats.Complete = false
-				return stats, lerr
-			}
-			if db.Truncated {
-				nodes, derr := sortedNext()
-				if derr != nil {
-					stats.Complete = false
-					return stats, derr
-				}
-				if db.Keep < 0 || db.Keep > len(nodes) {
-					stats.Complete = false
-					return stats, fmt.Errorf("dist: coordinator keep count %d outside [0, %d]", db.Keep, len(nodes))
-				}
-				for _, n := range nodes[db.Keep:] {
-					run.recycleAlways(n)
-				}
-				run.admitted.Add(int64(-(len(nodes) - db.Keep)))
-				run.closed.Store(true)
-				run.truncated.Store(true)
-				stats.Complete = false
-				lvl.Frontier = &memSource{nodes: nodes[:db.Keep]}
-			}
-			distDone = db.Done
-		}
-
-		// Checkpoint barrier: snapshot visited + frontier + search-layer
-		// accumulators when a generation is due or the run is ending (early
-		// stop or empty frontier — a Finished manifest lets a resume return
-		// the verdict without re-exploring). The early-stop decision is
-		// taken BEFORE the snapshot so Finished is recorded truthfully.
-		if ckpt != nil && (stop || lvl.Frontier.Size() == 0 || ckpt.due(depth)) {
-			nodes, derr := drainFrontier(lvl.Frontier)
-			if derr != nil {
-				stats.Complete = false
-				return stats, derr
-			}
-			var aux []byte
-			if opts.CheckpointAux != nil {
-				if aux, derr = opts.CheckpointAux(); derr != nil {
-					stats.Complete = false
-					return stats, fmt.Errorf("checkpoint: serializing search state: %w", derr)
-				}
-			}
-			sleepOf := func(n *Node) uint64 { return 0 }
-			if run.sleepOn {
-				sleepOf = func(n *Node) uint64 {
-					if m := run.prevSleep[n.fp&run.ownerMask]; m != nil {
-						return m[n.fp]
-					}
-					return 0
-				}
-			}
-			man := ckptManifest{
-				NextDepth: depth + 1,
-				Processed: stats.Processed,
-				Levels:    stats.Levels,
-				Admitted:  run.admitted.Load(),
-				Closed:    run.closed.Load(),
-				Truncated: run.truncated.Load(),
-				Finished:  stop || len(nodes) == 0,
-				HasAux:    len(aux) > 0,
-			}
-			if werr := ckpt.write(man, nodes, sleepOf, aux); werr != nil {
-				stats.Complete = false
-				return stats, werr
-			}
-			lvl.Frontier = &memSource{nodes: nodes}
-		}
-
-		if opts.Progress != nil {
-			opts.Progress(Progress{Depth: depth, FrontierSize: levelSize,
-				Processed: stats.Processed, Admitted: int(run.admitted.Load()),
-				Elapsed: time.Since(startTime)})
-		}
-		if stop {
-			return stats, nil
-		}
-		frontier = lvl.Frontier
-		if distDone {
-			break
-		}
-	}
-	if run.truncated.Load() {
-		stats.Complete = false
-	}
-	return stats, nil
-}
-
-// resumeFromCheckpoint seeds the engine from a loaded checkpoint: the
-// visited set is seeded wholesale into the store (bypassing admission —
-// delayed-duplicate accounting already ran before the snapshot), the
-// frontier is rebuilt by replaying each node's pid path from the start
-// configuration, and the run counters are restored so the resumed
-// process behaves as if it had explored the prefix itself.
-func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, cs checkpointableStore, stats *RunStats,
-	opts EngineOptions, start *model.Config, st *model.Stepper, sw *symWorker) (FrontierSource, error) {
-	man := resumed.man
-	for _, v := range resumed.visited {
-		cs.SeedVisited(int(v.fp&run.ownerMask), v.fp, v.key)
-	}
-	var scratch []byte
-	nodes := make([]*Node, 0, len(resumed.frontier))
-	for _, rec := range resumed.frontier {
-		n, err := replayPath(run, st, start, rec.path)
-		if err != nil {
-			return nil, err
-		}
-		// Re-apply the run's keying switch, mirroring root seeding: the
-		// rebuilt node must carry the same (fp, key) the lost one did.
-		switch {
-		case opts.Canonical != nil:
-			n.fp = opts.Canonical(n.Cfg)
-		case run.stringKeys:
-			n.fp = n.slotFP
-			scratch = n.Cfg.AppendEncoding(scratch[:0])
-			n.key = string(scratch)
-		default:
-			n.fp = n.slotFP
-			if sw != nil {
-				n.fp = sw.canonFP(n.slotFP, n.slotH)
-			}
-		}
-		n.sleep = rec.sleep
-		nodes = append(nodes, n)
-	}
-	if run.sleepOn {
-		for i := range run.prevSleep {
-			if run.prevSleep[i] == nil {
-				run.prevSleep[i] = map[uint64]uint64{}
-			}
-		}
-		for _, n := range nodes {
-			if n.sleep != 0 {
-				run.prevSleep[n.fp&run.ownerMask][n.fp] = n.sleep
-			}
-		}
-	}
-	run.admitted.Store(man.Admitted)
-	if man.Closed {
-		run.closed.Store(true)
-	}
-	if man.Truncated {
-		run.truncated.Store(true)
-		stats.Complete = false
-	}
-	stats.Processed = man.Processed
-	stats.Levels = man.Levels
-	if opts.CheckpointRestore != nil && len(resumed.aux) > 0 {
-		if err := opts.CheckpointRestore(resumed.aux); err != nil {
-			return nil, fmt.Errorf("checkpoint: restoring search state: %w", err)
-		}
-	}
-	if man.Finished {
-		// The run ended at the snapshot barrier; an empty frontier skips
-		// the level loop and returns the restored verdict directly.
-		return &memSource{}, nil
-	}
-	return &memSource{nodes: nodes}, nil
-}
-
-// replayPath rebuilds a frontier node by applying its root-to-node pid
-// path from the start configuration. Failure means the checkpoint does
-// not belong to this protocol (the profile check guards the common
-// cases; this is the backstop for a changed protocol implementation).
-func replayPath(run *engineRun, st *model.Stepper, start *model.Config, path []byte) (*Node, error) {
-	cur := run.newNode()
-	cur.Cfg.CopyFrom(start)
-	cur.Depth, cur.Pid = 0, -1
-	cur.parent = nil
-	cur.path = cur.path[:0]
-	cur.slotFP = st.InitSlots(cur.Cfg, cur.slotH)
-	for i, pb := range path {
-		succ := run.newNode()
-		fp, ok, err := st.ApplyCOW(cur.Cfg, cur.slotFP, cur.slotH, int(pb), succ.Cfg, succ.slotH)
-		if err == nil && !ok {
-			err = fmt.Errorf("pid %d has no step at depth %d", pb, i)
-		}
-		if err != nil {
-			run.recycleAlways(succ)
-			run.recycleAlways(cur)
-			return nil, fmt.Errorf("checkpoint: frontier path does not replay (%v); was the checkpoint written by a different protocol build?", err)
-		}
-		succ.slotFP = fp
-		succ.Depth = cur.Depth + 1
-		succ.Pid = int(pb)
-		succ.parent = nil
-		succ.path = append(succ.path[:0], path[:i+1]...)
-		run.recycleAlways(cur)
-		cur = succ
-	}
-	return cur, nil
-}
-
-// drainFrontier materializes a level's frontier into a slice. Memory
-// cost is one level resident, paid only at checkpoint barriers; the
-// level is then served to the workers from the slice.
-func drainFrontier(src FrontierSource) ([]*Node, error) {
-	if ms, ok := src.(*memSource); ok {
-		return ms.nodes, nil
-	}
-	want := src.Size()
-	nodes := make([]*Node, 0, want)
-	buf := make([]*Node, batchSize)
-	for {
-		m := src.Next(buf)
-		if m == 0 {
-			break
-		}
-		nodes = append(nodes, buf[:m]...)
-	}
-	if len(nodes) != want {
-		return nil, fmt.Errorf("checkpoint: frontier drain came up short (%d of %d nodes): the store hit an I/O error reading its spooled segments", len(nodes), want)
-	}
-	return nodes, nil
+	return runLevelSync(run, root)
 }

@@ -15,7 +15,8 @@ import (
 // into the object and decides the response (its own input if it swapped
 // first). States and object values carry no process identity, so the
 // protocol is symmetric in any set of processes sharing an input — the
-// soundness condition of model.Config.SymmetricFingerprint.
+// soundness condition of model.ProcessSymmetric, which it declares (the
+// engine refines the class by input).
 type symRace struct{ n int }
 
 type symSt struct {
@@ -53,6 +54,7 @@ func (p symRace) Decision(st model.State) (int, bool) {
 	s := st.(symSt)
 	return s.dec, s.done
 }
+func (p symRace) SymmetryClasses() [][]int { return model.SingleClass(p.n) }
 
 // exploreT runs ExploreOpts, failing the test on engine errors (the
 // instances here are known-good, so any error is a harness regression).
@@ -236,8 +238,8 @@ func TestObstructionFreeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSymmetryQuotientShrinksSpace: exploring the anonymous race with the
-// symmetric fingerprint visits strictly fewer configurations than the
+// TestSymmetryQuotientShrinksSpace: exploring the anonymous race under
+// the symmetry reduction visits strictly fewer configurations than the
 // exact explorer while reaching the same decided values — the quotient
 // collapses pid-permuted duplicates, not behaviour.
 func TestSymmetryQuotientShrinksSpace(t *testing.T) {
@@ -247,14 +249,10 @@ func TestSymmetryQuotientShrinksSpace(t *testing.T) {
 	c := model.MustNewConfig(p, inputs)
 
 	exact := check.Explore(p, c, pids, 2, check.ExploreLimits{})
+	// Processes 0,1 share input 0 and 2,3 share input 1; the declared
+	// single class refines into those two same-input classes.
 	quotient := exploreT(t, p, c, pids, 2, check.ExploreOptions{
-		Engine: check.EngineOptions{
-			// Processes 0,1 share input 0 and 2,3 share input 1; quotient
-			// each same-input class separately (two applications compose
-			// into one canonical fingerprint via hashing both classes —
-			// here the {0,1} class alone suffices to show shrinkage).
-			Canonical: func(cfg *model.Config) uint64 { return cfg.SymmetricFingerprint([]int{0, 1}) },
-		},
+		Engine: check.EngineOptions{Reduction: check.ReduceSym},
 	})
 	if !exact.Complete || !quotient.Complete {
 		t.Fatalf("both explorations should complete (exact %v, quotient %v)", exact.Complete, quotient.Complete)

@@ -1,0 +1,207 @@
+package check
+
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/model"
+)
+
+// This file is the expansion core both exploration orders run on. An
+// expander owns everything between "here is a node" and "here is a keyed
+// successor": poised-pid iteration over the allowed set, sleep-mask skips
+// and wake-subset selection, the arena-backed copy-on-write step, the
+// depth/pid/parent/path bookkeeping, the run's one keying decision (also
+// applied to the root and to replayed checkpoint nodes), the successor's
+// sleep mask, and routing to the owning peer of a distributed run. What
+// is left to the orders (levelsync.go, async.go) is scheduling: where
+// nodes come from, when they are visited, and how a local successor is
+// admitted.
+
+// Node expansion kinds (Node.reexpand). The level-synchronized order
+// only ever sees fresh nodes; wake and deepen items are the async order's
+// repairs for masks and depths that a barrier would have settled.
+const (
+	// expandFresh is a first admission: every pid outside the sleep mask.
+	expandFresh uint8 = iota
+	// expandWake re-expands ONLY the woken pids (Node.wake).
+	expandWake
+	// expandDeepen re-expands every pid outside the sleep mask at an
+	// improved depth.
+	expandDeepen
+)
+
+// expander is one worker's expansion state. Like the stepper it wraps,
+// an instance serves one goroutine; it persists across levels so the
+// intern arena, transition memos and orbit memo stay warm.
+type expander struct {
+	run    *engineRun
+	worker int
+	st     *model.Stepper
+	sw     *symWorker // nil unless the symmetry quotient is active
+	objs   []int      // per-pid poised object (-1 = none); sleep mode only
+	enc    []byte     // encoding scratch: exact keys and wire records
+
+	sleepSkips int64
+}
+
+// expander returns worker's expander, creating it on first use. Exact-key
+// runs use memo-free steppers: their guarantee is that no hash shortcut
+// can substitute a wrong configuration, so every step is recomputed.
+func (r *engineRun) expander(worker int) *expander {
+	x := r.expanders[worker]
+	if x == nil {
+		x = &expander{run: r, worker: worker}
+		if r.opts.StringKeys {
+			x.st = model.NewStepperExact(r.p)
+		} else {
+			x.st = model.NewStepper(r.p)
+		}
+		if r.sleepOn {
+			x.objs = make([]int, r.nProc)
+		}
+		r.expanders[worker] = x
+	}
+	if x.sw == nil && r.plan.active() {
+		// Checked on every call, not only at creation: worker 0's expander
+		// hashes the root before the reduction plan (refined against the
+		// root's slot hashes) exists.
+		x.sw = newSymWorker(r.plan, r.nObj)
+	}
+	return x
+}
+
+// key sets n's dedup identity from its slot fingerprint: the exact
+// encoding in string-key mode, the orbit-canonical fingerprint under an
+// active symmetry quotient, the plain slot fingerprint otherwise.
+func (x *expander) key(n *Node) {
+	n.fp = n.slotFP
+	switch {
+	case x.run.opts.StringKeys:
+		x.enc = n.Cfg.AppendEncoding(x.enc[:0])
+		n.key = string(x.enc)
+	case x.sw != nil:
+		n.fp = x.sw.canonFP(n.slotFP, n.slotH)
+	}
+}
+
+// expand generates n's successors. n.sleep must hold the mask to expand
+// under (the finished intersection in the level-synchronized order, the
+// owner's current one in the async order). Successors owned by another
+// peer are shipped over the link; every other one is handed to emit,
+// fully keyed. An error (an illegal poised operation, a lost link) stops
+// the expansion; the caller fails the run.
+func (x *expander) expand(n *Node, emit func(*Node)) error {
+	r := x.run
+	var mask uint64
+	if r.sleepOn {
+		// The poised-object vector feeds the commutation test below; both
+		// it and the mask are memo-backed lookups.
+		mask = n.sleep
+		for pid := range x.objs {
+			x.objs[pid] = -1
+			if r.allowed[pid] {
+				if obj, ok := x.st.PoisedObject(n.Cfg, pid, n.slotH[r.nObj+pid]); ok {
+					x.objs[pid] = obj
+				}
+			}
+		}
+	}
+	for pid := 0; pid < r.nProc; pid++ {
+		if !r.allowed[pid] {
+			continue
+		}
+		if bit := uint64(1) << uint(pid); n.reexpand == expandWake {
+			if n.wake&bit == 0 {
+				continue
+			}
+		} else if mask&bit != 0 {
+			// Asleep: every generator of this node agreed the step commutes
+			// with its own last step, so the successor is exactly the state
+			// the ascending-pid sibling order reaches.
+			if n.reexpand == expandFresh {
+				x.sleepSkips++
+			}
+			continue
+		}
+		succ := r.newNode()
+		fp, ok, err := x.st.ApplyCOW(n.Cfg, n.slotFP, n.slotH, pid, succ.Cfg, succ.slotH)
+		if err != nil {
+			r.recycleAlways(succ)
+			return fmt.Errorf("frontier engine: %w", err)
+		}
+		if !ok { // pid has decided; no step
+			r.recycleAlways(succ)
+			continue
+		}
+		succ.slotFP = fp
+		succ.Depth = n.Depth + 1
+		succ.Pid = pid
+		succ.parent = nil
+		if r.opts.Provenance {
+			succ.parent = n
+		}
+		if r.pathsOn {
+			// Root-to-node pid path: the only protocol-independent
+			// serialization of a node (configs are opaque; a resumed or
+			// remote process replays the path through its own stepper).
+			succ.path = append(append(succ.path[:0], n.path...), byte(pid))
+		}
+		x.key(succ)
+		if r.sleepOn {
+			// The successor sleeps every commuting smaller pid (its
+			// interleaving is covered by the ascending order) and every
+			// still-commuting pid it inherits from this node's sleep set.
+			var m uint64
+			for cand := (uint64(1)<<uint(pid) - 1) | mask; cand != 0; cand &= cand - 1 {
+				q := bits.TrailingZeros64(cand)
+				if r.allowed[q] && x.objs[q] >= 0 && x.objs[q] != x.objs[pid] {
+					m |= 1 << uint(q)
+				}
+			}
+			succ.sleep = m
+		}
+		if r.link != nil && !r.link.Owns(succ.fp) {
+			// The owning peer dedups and (in sleep mode) intersects masks
+			// exactly as a local partition owner would.
+			var rec DistRecord
+			rec, x.enc = distRecordOf(succ, x.enc)
+			r.recycleAlways(succ)
+			if err := r.link.Send(x.worker, rec); err != nil {
+				return err
+			}
+			continue
+		}
+		emit(succ)
+	}
+	return nil
+}
+
+// replayPath rebuilds a node by applying its root-to-node pid path from
+// the start configuration — a different job from expand: one path, no
+// fan-out. The result is not keyed. Failure means the path does not
+// belong to this protocol (the checkpoint profile check guards the
+// common cases; this is the backstop for a changed implementation).
+func replayPath(run *engineRun, st *model.Stepper, path []byte) (*Node, error) {
+	cur := run.rootNode(st)
+	for i, pb := range path {
+		succ := run.newNode()
+		fp, ok, err := st.ApplyCOW(cur.Cfg, cur.slotFP, cur.slotH, int(pb), succ.Cfg, succ.slotH)
+		if err == nil && !ok {
+			err = fmt.Errorf("pid %d has no step at depth %d", pb, i)
+		}
+		if err != nil {
+			run.recycleAlways(succ)
+			run.recycleAlways(cur)
+			return nil, fmt.Errorf("checkpoint: frontier path does not replay (%v); was the checkpoint written by a different protocol build?", err)
+		}
+		succ.slotFP = fp
+		succ.Depth = cur.Depth + 1
+		succ.Pid = int(pb)
+		succ.parent = nil
+		succ.path = append(succ.path[:0], path[:i+1]...)
+		run.recycleAlways(cur)
+		cur = succ
+	}
+	return cur, nil
+}

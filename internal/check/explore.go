@@ -128,9 +128,9 @@ func Explore(p model.Protocol, c *model.Config, pids []int, k int, limits Explor
 
 // ExploreOpts is Explore with explicit engine options. The result is
 // deterministic: it does not depend on Workers, Shards or Store
-// (switching between fingerprint and string keying, installing a
-// Canonical quotient, or selecting a Reduction changes the visited set
-// and may legitimately change counts). Under a symmetry reduction the
+// (switching between fingerprint and string keying, or selecting a
+// Reduction, changes the visited set and may legitimately change
+// counts). Under a symmetry reduction the
 // counts, decided-value sets and violation *existence* remain
 // worker-independent, but the AgreementViolation representative may be
 // any member of the violating orbit — orbit members share a fingerprint,

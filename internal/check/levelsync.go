@@ -1,0 +1,628 @@
+package check
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+)
+
+// This file is the level-synchronized (BSP) exploration order: what it
+// adds to the shared expansion core (expand.go) is frontier scheduling
+// and admission policy. Workers drain one depth level concurrently and
+// batch successors to single-owner dedup partitions; the barrier between
+// levels resolves delayed duplicates, applies the sorted-fingerprint
+// budget cutoff (StateStore.EndLevel), exchanges remote successors and
+// the global verdict on a distributed run, and snapshots a checkpoint.
+
+// dedupOwner is the engine-side face of one visited-set partition: its
+// per-level pending admissions (for deterministic provenance claims) and
+// its batch channel. The tables and frontier queues live in the store.
+// During a parallel level a partition is owned exclusively by one
+// goroutine consuming ch; during single-worker levels the worker calls
+// admit directly. Either way, no lock is ever taken.
+type dedupOwner struct {
+	part    int
+	pending map[uint64]*Node
+	ch      chan []*Node
+	// sleep collects the level's admitted sleep masks by fingerprint
+	// (sleep-reduction mode only). Duplicate admissions intersect — a
+	// commutative fold, so the surviving mask is a pure function of the
+	// level's candidate set, not of arrival order — and the barrier hands
+	// the finished map to the next level's expansions.
+	sleep map[uint64]uint64
+}
+
+// admit applies the dedup/admission protocol to one candidate successor.
+// It runs on the owner's goroutine (or the sole worker), so the store
+// partition is touched without locking. In the common open-admissions
+// case the visited table is probed exactly once (StateStore.Admit reports
+// newly-added); only the rare sticky closed state needs a read-only Has.
+func (o *dedupOwner) admit(r *engineRun, nn *Node) {
+	if r.closed.Load() {
+		if !r.store.Has(o.part, nn.fp, nn.key) {
+			// Budget exhausted earlier: the space extends beyond what
+			// was admitted.
+			r.truncated.Store(true)
+			r.recycleAlways(nn)
+			return
+		}
+		o.claimProvenance(r, nn)
+		return
+	}
+	added, retained := r.store.Admit(o.part, nn)
+	if added {
+		if r.opts.Provenance {
+			o.pending[nn.fp] = nn
+		}
+		if r.sleepOn {
+			o.sleep[nn.fp] = nn.sleep
+		}
+		r.admitted.Add(1)
+		if !retained {
+			// The store externalized the node's content (spooled to
+			// disk); its buffers are free immediately.
+			r.recycleAlways(nn)
+		}
+		return
+	}
+	if r.sleepOn {
+		// Same-level duplicate: only the pids every generator agrees are
+		// redundant may stay asleep. A duplicate of an EARLIER level
+		// (absent from this level's map — the graph re-reaches a state at
+		// a different depth) contributes nothing and needs nothing: masks
+		// are built exclusively from a state's first-visit-level
+		// generators, and every skip they justify routes through the
+		// first visit's own sibling diamonds (see reduce.go), so a later
+		// path to the same state has no claim to reconcile.
+		if m, ok := o.sleep[nn.fp]; ok {
+			o.sleep[nn.fp] = m & nn.sleep
+		}
+	}
+	o.claimProvenance(r, nn)
+}
+
+// claimProvenance handles a duplicate candidate: if its configuration was
+// admitted this very level, claim provenance when ours is
+// deterministically smaller, so witness schedules do not depend on
+// discovery order; then recycle the candidate.
+func (o *dedupOwner) claimProvenance(r *engineRun, nn *Node) {
+	if r.opts.Provenance {
+		if prev, ok := o.pending[nn.fp]; ok && (!r.opts.StringKeys || prev.key == nn.key) {
+			if nn.parent.fp < prev.parent.fp || (nn.parent.fp == prev.parent.fp && nn.Pid < prev.Pid) {
+				prev.parent, prev.Pid = nn.parent, nn.Pid
+			}
+		}
+	}
+	r.recycleAlways(nn)
+}
+
+// finishedMask returns the sleep mask the previous barrier settled for
+// fp: the intersection over all of the state's generators.
+func (r *engineRun) finishedMask(fp uint64) uint64 {
+	if m := r.prevSleep[fp&r.ownerMask]; m != nil {
+		return m[fp]
+	}
+	return 0
+}
+
+// runLevelSync is the level loop. root is fully keyed and not yet in the
+// store.
+func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
+	stats := RunStats{Complete: true, Async: AsyncStats{Order: OrderLevelSync}}
+	run.owners = make([]*dedupOwner, run.ownerMask+1)
+	for i := range run.owners {
+		run.owners[i] = &dedupOwner{part: i, pending: map[uint64]*Node{}}
+		if run.sleepOn {
+			run.owners[i].sleep = map[uint64]uint64{}
+		}
+	}
+	if run.sleepOn {
+		run.prevSleep = make([]map[uint64]uint64, len(run.owners))
+	}
+
+	// Seed level 0 — from the checkpoint when resuming (the store's
+	// visited set is rebuilt wholesale and the frontier replayed from
+	// paths, bypassing the admission queue entirely), otherwise by
+	// admitting the root through the store like any node (the store may
+	// spool it straight to disk), then drawing it back as level 0.
+	ckpt, resumed, err := openCheckpoint(run, root.slotFP)
+	if err != nil {
+		return stats, err
+	}
+	var frontier FrontierSource
+	startDepth := 0
+	if resumed != nil {
+		run.recycleAlways(root)
+		if frontier, err = resumeFromCheckpoint(run, resumed, &stats); err != nil {
+			return stats, err
+		}
+		startDepth = resumed.man.NextDepth
+	} else {
+		if run.link != nil && !run.link.Owns(root.fp) {
+			// Another peer owns the root; this peer starts with an empty
+			// level-0 frontier and joins the run at the first barrier.
+			run.recycleAlways(root)
+		} else {
+			if _, retained := run.store.Admit(int(root.fp&run.ownerMask), root); !retained {
+				run.recycleAlways(root)
+			}
+			run.admitted.Store(1)
+		}
+		seed, err := run.store.EndLevel(run.limits.MaxConfigs)
+		if err != nil {
+			return stats, err
+		}
+		frontier = seed.Frontier
+	}
+
+	// A distributed peer enters every level in lockstep with its peers —
+	// even with an empty local frontier it must run the expand and level
+	// barriers — and leaves when the coordinator declares the global
+	// frontier empty.
+	for depth := startDepth; run.link != nil || frontier.Size() > 0; depth++ {
+		stats.Levels++
+		levelSize := frontier.Size()
+		admittedBefore := int(run.admitted.Load())
+		atDepthCap := run.limits.MaxDepth > 0 && depth >= run.limits.MaxDepth
+		progress := func() {
+			if run.opts.Progress != nil {
+				run.opts.Progress(Progress{Depth: depth, FrontierSize: levelSize,
+					Processed: stats.Processed, Admitted: int(run.admitted.Load()),
+					Elapsed: time.Since(run.began)})
+			}
+		}
+
+		expandLevel(run, frontier, atDepthCap)
+		if err := run.err(); err != nil {
+			return stats, err
+		}
+		stats.Processed += levelSize
+		if atDepthCap {
+			stats.Complete = false
+			if run.link == nil {
+				progress()
+				break
+			}
+			// Distributed peers stay in lockstep instead of breaking: no
+			// successors were generated (every peer is at the same depth),
+			// so the barriers below see an empty global next frontier and
+			// the coordinator ends the run.
+		}
+		if run.link != nil {
+			if err := distExpandBarrier(run, depth); err != nil {
+				return stats, err
+			}
+		}
+
+		// Barrier: the store resolves delayed duplicates, applies the
+		// budget cutoff and hands back the next frontier. This level may
+		// have overshot MaxConfigs (admission is unthrottled within a
+		// level so that the admitted set stays a pure function of the
+		// space, not of thread timing); at most maxNext admissions
+		// survive, chosen by sorted (fingerprint, key) — deterministic —
+		// and admissions close.
+		maxNext := run.limits.MaxConfigs - admittedBefore
+		if maxNext < 0 {
+			// Defensive: the previous barrier caps admissions at exactly
+			// MaxConfigs and closes the run when it binds, so the budget
+			// remainder cannot go negative — but a zero remainder is
+			// reachable (a level boundary landing exactly on MaxConfigs),
+			// and the clamp keeps the store contract ("at most maxNext")
+			// meaningful under any future admission-accounting change.
+			maxNext = 0
+		}
+		if run.link != nil {
+			// Budget truncation is a global decision in a distributed run:
+			// the store never truncates locally; the coordinator compares
+			// the summed per-peer admissions against MaxConfigs at the
+			// level barrier below and hands back per-peer keep counts.
+			maxNext = int(^uint(0) >> 1)
+		}
+		lvl, err := run.store.EndLevel(maxNext)
+		if err != nil {
+			return stats, err
+		}
+		if lvl.Revoked > 0 {
+			run.admitted.Add(int64(-lvl.Revoked))
+		}
+		if lvl.Truncated {
+			run.admitted.Store(int64(run.limits.MaxConfigs))
+			run.closed.Store(true)
+			run.truncated.Store(true)
+		}
+		for _, o := range run.owners {
+			clear(o.pending)
+		}
+		if run.sleepOn {
+			// Hand the finished mask maps to the next level's expansions
+			// and start fresh ones; duplicate-intersection is complete at
+			// this point, so the maps are read-only from here on.
+			for i, o := range run.owners {
+				run.prevSleep[i] = o.sleep
+				o.sleep = make(map[uint64]uint64, len(o.sleep))
+			}
+		}
+		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
+
+		distDone := false
+		if run.link != nil {
+			if distDone, err = distLevelBarrier(run, depth, &lvl, stop); err != nil {
+				return stats, err
+			}
+		}
+		if run.truncated.Load() {
+			stats.Complete = false
+		}
+		// The early-stop decision is taken BEFORE the snapshot so Finished
+		// is recorded truthfully.
+		if ckpt != nil && (stop || lvl.Frontier.Size() == 0 || ckpt.due(depth)) {
+			if err := checkpointBarrier(run, ckpt, depth, &lvl, stop, stats); err != nil {
+				return stats, err
+			}
+		}
+		progress()
+		if stop {
+			return stats, nil
+		}
+		frontier = lvl.Frontier
+		if distDone {
+			break
+		}
+	}
+	return stats, nil
+}
+
+// expandLevel visits and expands one level's frontier with up to Workers
+// goroutines and returns once every candidate successor has been admitted
+// (or shipped). A level drained by a single worker skips the goroutines
+// entirely and admits inline; otherwise successors are batched to the
+// partition owners. A failure lands in run.fail; the caller checks.
+func expandLevel(run *engineRun, frontier FrontierSource, atDepthCap bool) {
+	levelSize := frontier.Size()
+	nw := run.opts.Workers
+	if nw > levelSize {
+		nw = levelSize // never more goroutines than nodes; visits
+		// may be expensive (solo runs), so do not serialize further
+	}
+	if nw < 1 {
+		nw = 1 // empty local level on a distributed peer: one worker
+		// still runs (and immediately finishes) so the barriers fire
+	}
+	inline := nw <= 1
+	// pull is the per-claim batch the workers draw from the frontier
+	// source: large enough to amortize the claim, small enough that
+	// the level's tail stays balanced across workers.
+	pull := levelSize/(4*nw) + 1
+	if pull > batchSize {
+		pull = batchSize
+	}
+
+	work := func(worker int) {
+		x := run.expander(worker)
+		var buckets [][]*Node
+		if !inline {
+			buckets = make([][]*Node, len(run.owners))
+		}
+		nodeBuf := make([]*Node, pull)
+		deliver := func(nn *Node) {
+			oi := nn.fp & run.ownerMask
+			if inline {
+				run.owners[oi].admit(run, nn)
+				return
+			}
+			if buckets[oi] == nil {
+				buckets[oi] = (*run.batchPool.Get().(*[]*Node))[:0]
+			}
+			buckets[oi] = append(buckets[oi], nn)
+			if len(buckets[oi]) == batchSize {
+				run.owners[oi].ch <- buckets[oi]
+				buckets[oi] = nil
+			}
+		}
+	pulling:
+		for !run.doneFlag.Load() {
+			m := frontier.Next(nodeBuf)
+			if m == 0 {
+				break
+			}
+			for _, n := range nodeBuf[:m] {
+				if run.doneFlag.Load() {
+					break pulling
+				}
+				if err := run.visit(worker, n); err != nil {
+					run.fail(err)
+					break pulling
+				}
+				if !atDepthCap {
+					if run.sleepOn {
+						n.sleep = run.finishedMask(n.fp)
+					}
+					if err := x.expand(n, deliver); err != nil {
+						run.fail(err) // stop expanding; fall through to the flush
+					}
+				}
+				run.recycle(n)
+			}
+		}
+		// Flush partial batches so the owners see every candidate
+		// before their channels close.
+		for oi, b := range buckets {
+			if len(b) > 0 {
+				run.owners[oi].ch <- b
+			}
+		}
+		if run.link != nil {
+			run.fail(run.link.FlushWorker(worker))
+		}
+	}
+
+	if inline {
+		work(0)
+		return
+	}
+	var ownerWG sync.WaitGroup
+	for _, o := range run.owners {
+		o.ch = make(chan []*Node, 2*nw)
+		ownerWG.Add(1)
+		go func(o *dedupOwner) {
+			defer ownerWG.Done()
+			for batch := range o.ch {
+				for _, nn := range batch {
+					o.admit(run, nn)
+				}
+				batch = batch[:0]
+				run.batchPool.Put(&batch)
+			}
+		}(o)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	wg.Wait()
+	for _, o := range run.owners {
+		close(o.ch)
+	}
+	ownerWG.Wait()
+}
+
+// distExpandBarrier is the distributed expand barrier: flush, announce
+// this peer's level complete, wait for every peer to finish expanding,
+// then admit the remote successors addressed here. Admission is
+// single-threaded at this point (the owner goroutines have joined) and
+// sleep-mask intersection is commutative, so remote arrival order cannot
+// leak into the result.
+func distExpandBarrier(run *engineRun, depth int) error {
+	recs, err := run.link.BarrierExpand(depth)
+	if err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		n, err := run.dec.decode(rec)
+		if err != nil {
+			return err
+		}
+		run.owners[n.fp&run.ownerMask].admit(run, n)
+	}
+	return nil
+}
+
+// distLevelBarrier is the distributed level barrier: report cumulative
+// admissions and the next local frontier, and receive the global verdict
+// — a keep count when the summed admissions overshot MaxConfigs (the
+// coordinator merges the per-peer sorted fingerprints and cuts at the
+// same global sorted order the store's own truncation uses, so the
+// surviving set is peer-count-independent), and done when the global next
+// frontier is empty or a peer stopped early. lvl.Frontier is replaced
+// when the cutoff had to materialize it.
+func distLevelBarrier(run *engineRun, depth int, lvl *LevelResult, stop bool) (done bool, err error) {
+	var drained []*Node
+	sortedNext := func() ([]*Node, error) {
+		if drained != nil {
+			return drained, nil
+		}
+		nodes, err := drainFrontier(lvl.Frontier)
+		if err != nil {
+			return nil, err
+		}
+		sort.Slice(nodes, func(i, j int) bool { return nodes[i].fp < nodes[j].fp })
+		drained = nodes
+		lvl.Frontier = &memSource{nodes: nodes}
+		return nodes, nil
+	}
+	fps := func() ([]uint64, error) {
+		nodes, err := sortedNext()
+		if err != nil {
+			return nil, err
+		}
+		out := make([]uint64, len(nodes))
+		for i, n := range nodes {
+			out[i] = n.fp
+		}
+		return out, nil
+	}
+	db, err := run.link.BarrierLevel(depth, run.admitted.Load(), lvl.Frontier.Size(), stop, fps)
+	if err != nil {
+		return false, err
+	}
+	if db.Truncated {
+		nodes, err := sortedNext()
+		if err != nil {
+			return false, err
+		}
+		if db.Keep < 0 || db.Keep > len(nodes) {
+			return false, fmt.Errorf("dist: coordinator keep count %d outside [0, %d]", db.Keep, len(nodes))
+		}
+		for _, n := range nodes[db.Keep:] {
+			run.recycleAlways(n)
+		}
+		run.admitted.Add(int64(-(len(nodes) - db.Keep)))
+		run.closed.Store(true)
+		run.truncated.Store(true)
+		lvl.Frontier = &memSource{nodes: nodes[:db.Keep]}
+	}
+	return db.Done, nil
+}
+
+// openCheckpoint wires checkpointing for a run that asked for it: it
+// loads any previous generation (nil when absent or quarantined-corrupt —
+// a fresh start) and arms the writer for this run's barrier snapshots.
+// The manifest profile pins everything that shapes the explored space;
+// Workers/Shards/Store deliberately stay out of it, so a resume may
+// change parallelism and storage freely.
+func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, error) {
+	if run.opts.Checkpoint == "" {
+		return nil, nil, nil
+	}
+	cs, ok := run.store.(checkpointableStore)
+	if !ok {
+		return nil, nil, fmt.Errorf("frontier engine: store %q does not support checkpointing", run.opts.Store)
+	}
+	profile := ckptProfile{
+		Protocol:   run.p.Name(),
+		NObj:       run.nObj,
+		NProc:      run.nProc,
+		StartFP:    startFP,
+		StringKeys: run.opts.StringKeys,
+		// plan is non-nil exactly when a symmetry reduction was requested.
+		Reduction:  fmt.Sprintf("sym=%t,sleep=%t", run.plan != nil, run.sleepOn),
+		MaxConfigs: run.limits.MaxConfigs,
+		MaxDepth:   run.limits.MaxDepth,
+	}
+	resumed, err := loadCheckpoint(run.opts.Checkpoint, profile)
+	if err != nil {
+		return nil, nil, err
+	}
+	startGen := 1
+	if resumed != nil {
+		startGen = resumed.man.Gen + 1
+	}
+	ckpt, err := newCkptWriter(run.opts.Checkpoint, profile, run.opts.CheckpointEvery, startGen)
+	if err != nil {
+		return nil, nil, err
+	}
+	ckpt.dump = cs.DumpVisited
+	return ckpt, resumed, nil
+}
+
+// checkpointBarrier snapshots visited + frontier + search-layer
+// accumulators when a generation is due or the run is ending (early stop
+// or empty frontier — a Finished manifest lets a resume return the
+// verdict without re-exploring). The drained frontier replaces
+// lvl.Frontier.
+func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelResult, stop bool, stats RunStats) error {
+	nodes, err := drainFrontier(lvl.Frontier)
+	if err != nil {
+		return err
+	}
+	var aux []byte
+	if run.opts.CheckpointAux != nil {
+		if aux, err = run.opts.CheckpointAux(); err != nil {
+			return fmt.Errorf("checkpoint: serializing search state: %w", err)
+		}
+	}
+	sleepOf := func(n *Node) uint64 { return 0 }
+	if run.sleepOn {
+		sleepOf = func(n *Node) uint64 { return run.finishedMask(n.fp) }
+	}
+	man := ckptManifest{
+		NextDepth: depth + 1,
+		Processed: stats.Processed,
+		Levels:    stats.Levels,
+		Admitted:  run.admitted.Load(),
+		Closed:    run.closed.Load(),
+		Truncated: run.truncated.Load(),
+		Finished:  stop || len(nodes) == 0,
+		HasAux:    len(aux) > 0,
+	}
+	if err := ckpt.write(man, nodes, sleepOf, aux); err != nil {
+		return err
+	}
+	lvl.Frontier = &memSource{nodes: nodes}
+	return nil
+}
+
+// resumeFromCheckpoint seeds the engine from a loaded checkpoint: the
+// visited set is seeded wholesale into the store (bypassing admission —
+// delayed-duplicate accounting already ran before the snapshot), the
+// frontier is rebuilt by replaying each node's pid path from the start
+// configuration and re-keying it, and the run counters are restored so
+// the resumed process behaves as if it had explored the prefix itself.
+func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) (FrontierSource, error) {
+	man := resumed.man
+	cs := run.store.(checkpointableStore)
+	for _, v := range resumed.visited {
+		cs.SeedVisited(int(v.fp&run.ownerMask), v.fp, v.key)
+	}
+	x := run.expander(0)
+	nodes := make([]*Node, 0, len(resumed.frontier))
+	for _, rec := range resumed.frontier {
+		n, err := replayPath(run, x.st, rec.path)
+		if err != nil {
+			return nil, err
+		}
+		// The rebuilt node must carry the same (fp, key) the lost one did.
+		x.key(n)
+		n.sleep = rec.sleep
+		nodes = append(nodes, n)
+	}
+	if run.sleepOn {
+		for i := range run.prevSleep {
+			run.prevSleep[i] = map[uint64]uint64{}
+		}
+		for _, n := range nodes {
+			if n.sleep != 0 {
+				run.prevSleep[n.fp&run.ownerMask][n.fp] = n.sleep
+			}
+		}
+	}
+	run.admitted.Store(man.Admitted)
+	if man.Closed {
+		run.closed.Store(true)
+	}
+	if man.Truncated {
+		run.truncated.Store(true)
+		stats.Complete = false
+	}
+	stats.Processed = man.Processed
+	stats.Levels = man.Levels
+	if run.opts.CheckpointRestore != nil && len(resumed.aux) > 0 {
+		if err := run.opts.CheckpointRestore(resumed.aux); err != nil {
+			return nil, fmt.Errorf("checkpoint: restoring search state: %w", err)
+		}
+	}
+	if man.Finished {
+		// The run ended at the snapshot barrier; an empty frontier skips
+		// the level loop and returns the restored verdict directly.
+		return &memSource{}, nil
+	}
+	return &memSource{nodes: nodes}, nil
+}
+
+// drainFrontier materializes a level's frontier into a slice. Memory
+// cost is one level resident, paid only at checkpoint barriers; the
+// level is then served to the workers from the slice.
+func drainFrontier(src FrontierSource) ([]*Node, error) {
+	if ms, ok := src.(*memSource); ok {
+		return ms.nodes, nil
+	}
+	want := src.Size()
+	nodes := make([]*Node, 0, want)
+	buf := make([]*Node, batchSize)
+	for {
+		m := src.Next(buf)
+		if m == 0 {
+			break
+		}
+		nodes = append(nodes, buf[:m]...)
+	}
+	if len(nodes) != want {
+		return nil, fmt.Errorf("checkpoint: frontier drain came up short (%d of %d nodes): the store hit an I/O error reading its spooled segments", len(nodes), want)
+	}
+	return nodes, nil
+}

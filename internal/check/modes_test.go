@@ -1,0 +1,248 @@
+package check_test
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"reflect"
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/check"
+	"repro/internal/harness"
+	"repro/internal/model"
+	"repro/internal/sweep"
+)
+
+// --- The mode matrix, generated from check.ModeConflicts ---
+//
+// The three entry points that accept engine modes — the engine itself,
+// sweep.EngineSpec.Validate and harness.EngineFlags — must agree with the
+// table: every listed pair is rejected with check.ErrIncompatibleModes
+// wherever the entry point can express it, and every combination the
+// table does not list validates everywhere and explores to the
+// sequential oracle's verdict.
+
+// modeEngine switches the modes in set on in engine options.
+func modeEngine(set check.Mode, dir string) check.EngineOptions {
+	var o check.EngineOptions
+	if set&check.ModeAsync != 0 {
+		o.Order = check.OrderAsync
+	}
+	if set&check.ModeReduce != 0 {
+		o.Reduction = check.ReduceSym
+	}
+	o.StringKeys = set&check.ModeStringKeys != 0
+	o.Provenance = set&check.ModeProvenance != 0
+	if set&check.ModeCheckpoint != 0 {
+		o.Checkpoint = dir
+	}
+	if set&check.ModeDist != 0 {
+		// Validation precedes any use of the link, so a link with no
+		// implementation behind it is enough to select the mode.
+		o.Dist = struct{ check.DistLink }{}
+	}
+	return o
+}
+
+// modeSpec is modeEngine for a sweep spec; ok is false when the spec has
+// no axis for one of the modes (provenance and checkpointing are chosen
+// by the row and the runner, not by the spec).
+func modeSpec(set check.Mode) (spec sweep.EngineSpec, ok bool) {
+	if set&(check.ModeProvenance|check.ModeCheckpoint) != 0 {
+		return spec, false
+	}
+	if set&check.ModeAsync != 0 {
+		spec.Order = check.OrderAsync
+	}
+	if set&check.ModeReduce != 0 {
+		spec.Reduce = check.ReduceSym
+	}
+	if set&check.ModeStringKeys != 0 {
+		spec.Keys = "string"
+	}
+	if set&check.ModeDist != 0 {
+		spec.Peers = 2
+	}
+	return spec, true
+}
+
+// modeFlags validates the modes in set as mcheck-polarity command-line
+// flags; ok is false when the flag block has no flag for one of them
+// (distribution has its own block). Provenance is what SearchLimits
+// implies, so it selects that path instead of Options.
+func modeFlags(set check.Mode, dir string) (err error, ok bool) {
+	if set&check.ModeDist != 0 {
+		return nil, false
+	}
+	var args []string
+	if set&check.ModeAsync != 0 {
+		args = append(args, "-order", check.OrderAsync)
+	}
+	if set&check.ModeReduce != 0 {
+		args = append(args, "-reduce", check.ReduceSym)
+	}
+	if set&check.ModeStringKeys != 0 {
+		args = append(args, "-stringkeys")
+	}
+	if set&check.ModeCheckpoint != 0 {
+		args = append(args, "-checkpoint", dir)
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := harness.RegisterEngineFlags(fs, false)
+	if err := fs.Parse(args); err != nil {
+		return err, true
+	}
+	if set&check.ModeProvenance != 0 {
+		_, err = f.SearchLimits(1000, 0, nil)
+	} else {
+		_, err = f.Options(nil)
+	}
+	return err, true
+}
+
+// conflicting reports whether the table lists a pair inside set.
+func conflicting(set check.Mode) bool {
+	for _, c := range check.ModeConflicts {
+		if set&c.A != 0 && set&c.B != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func TestModeMatrix(t *testing.T) {
+	pair := baseline.NewPairConsensus(2)
+	pairCfg := model.MustNewConfig(pair, []int{0, 1})
+	explore := func(o check.EngineOptions) error {
+		_, err := check.ExploreOpts(pair, pairCfg, []int{0, 1}, 1, check.ExploreOptions{Engine: o})
+		return err
+	}
+
+	// Unknown names are rejected everywhere, and are not mode conflicts.
+	for _, o := range []check.EngineOptions{{Order: "bogus"}, {Reduction: "bogus"}} {
+		spec := sweep.EngineSpec{Order: o.Order, Reduce: o.Reduction}
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		f := harness.RegisterEngineFlags(fs, false)
+		if err := fs.Parse([]string{"-order", o.Order, "-reduce", o.Reduction}); err != nil {
+			t.Fatal(err)
+		}
+		_, ferr := f.Options(nil)
+		for entry, err := range map[string]error{"engine": explore(o), "sweep": spec.Validate(), "harness": ferr} {
+			if err == nil || errors.Is(err, check.ErrIncompatibleModes) {
+				t.Errorf("%s: order %q reduction %q: err = %v, want an unknown-name error", entry, o.Order, o.Reduction, err)
+			}
+		}
+	}
+
+	// Every row of the table, at every entry point that can express it.
+	for _, c := range check.ModeConflicts {
+		set := c.A | c.B
+		t.Run(fmt.Sprintf("reject/%v+%v", c.A, c.B), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := explore(modeEngine(set, dir)); !errors.Is(err, check.ErrIncompatibleModes) {
+				t.Errorf("engine: err = %v, want ErrIncompatibleModes", err)
+			}
+			if spec, ok := modeSpec(set); ok {
+				if err := spec.Validate(); !errors.Is(err, check.ErrIncompatibleModes) {
+					t.Errorf("sweep %+v: err = %v, want ErrIncompatibleModes", spec, err)
+				}
+			}
+			if err, ok := modeFlags(set, dir); ok && !errors.Is(err, check.ErrIncompatibleModes) {
+				t.Errorf("harness: err = %v, want ErrIncompatibleModes", err)
+			}
+		})
+	}
+
+	// Every combination the table allows, against the sequential oracle.
+	toybit, err := baseline.NewToyBitRace(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos := []struct {
+		p      model.Protocol
+		inputs []int
+		k      int
+	}{
+		{pair, []int{0, 1}, 1},
+		{toybit, []int{0, 1, 0}, 1},
+		{loopProto{n: 3}, []int{0, 1, 0}, 1},
+	}
+	// The depth cap keeps toybit's unbounded space exact: a depth-capped
+	// BFS visits all configurations within the cap under either order.
+	limits := check.ExploreLimits{MaxConfigs: 100000, MaxDepth: 8}
+	for _, pc := range protos {
+		c := model.MustNewConfig(pc.p, pc.inputs)
+		pids := make([]int, pc.p.NumProcesses())
+		for i := range pids {
+			pids[i] = i
+		}
+		oracle := check.ExploreSequential(pc.p, c, pids, pc.k, limits)
+		// A quotient legitimately visits fewer configurations than the
+		// oracle; its count must instead be one number per reduction.
+		reducedVisited := map[string]int{}
+		for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
+			for _, store := range []string{check.StoreMem, check.StoreSpill} {
+				for _, reduce := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
+					for _, stringKeys := range []bool{false, true} {
+						var set check.Mode
+						spec := sweep.EngineSpec{Order: order, Store: store, Reduce: reduce}
+						if order == check.OrderAsync {
+							set |= check.ModeAsync
+						}
+						if reduce != check.ReduceNone {
+							set |= check.ModeReduce
+						}
+						if stringKeys {
+							set |= check.ModeStringKeys
+							spec.Keys = "string"
+						}
+						if conflicting(set) {
+							continue
+						}
+						if err := spec.Validate(); err != nil {
+							t.Errorf("sweep rejects the legal %+v: %v", spec, err)
+						}
+						for _, workers := range []int{1, 2, 4} {
+							name := fmt.Sprintf("%s/%s/%s/%s/keys=%t/w%d", pc.p.Name(), order, store, reduce, stringKeys, workers)
+							eng := check.EngineOptions{Order: order, Store: store, Reduction: reduce,
+								StringKeys: stringKeys, Workers: workers}
+							if store == check.StoreSpill {
+								eng.MemBudget = 1 << 12 // tiny: force real spilling
+							}
+							res, err := check.ExploreOpts(pc.p, c, pids, pc.k, check.ExploreOptions{Limits: limits, Engine: eng})
+							if err != nil {
+								t.Errorf("%s: %v", name, err)
+								continue
+							}
+							if !reflect.DeepEqual(res.DecidedValues, oracle.DecidedValues) {
+								t.Errorf("%s: decided %v, oracle %v", name, res.DecidedValues, oracle.DecidedValues)
+							}
+							if (res.AgreementViolation != nil) != (oracle.AgreementViolation != nil) {
+								t.Errorf("%s: violation found = %t, oracle %t", name, res.AgreementViolation != nil, oracle.AgreementViolation != nil)
+							}
+							if res.Complete != oracle.Complete {
+								t.Errorf("%s: complete = %t, oracle %t", name, res.Complete, oracle.Complete)
+							}
+							want := oracle.Visited
+							if reduce != check.ReduceNone {
+								if _, seen := reducedVisited[reduce]; !seen {
+									reducedVisited[reduce] = res.Visited
+								}
+								want = reducedVisited[reduce]
+								if want > oracle.Visited {
+									t.Errorf("%s: quotient visited %d > unreduced %d", name, want, oracle.Visited)
+								}
+							}
+							if res.Visited != want {
+								t.Errorf("%s: visited %d, want %d", name, res.Visited, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

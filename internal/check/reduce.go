@@ -17,10 +17,9 @@ import (
 //     orbit representative at a time: a successor's dedup fingerprint is
 //     the orbit-canonical fingerprint — class state-slot hashes sorted
 //     before position mixing — so all pid-permuted variants of a
-//     configuration collapse into one visited entry. Unlike the legacy
-//     Canonical hook (a full re-encode per successor, slower than no
-//     reduction at all), the canonical fingerprint here is assembled from
-//     the per-slot content hashes ApplyCOW already maintains: removing a
+//     configuration collapse into one visited entry. The canonical
+//     fingerprint is assembled from the per-slot content hashes ApplyCOW
+//     already maintains, not from a re-encoding: removing a
 //     class's raw contribution and adding its sorted contribution is a
 //     handful of XORs, and an orbit-memo table keyed by the class's
 //     hash multiset answers repeated orbits in O(class) with no sort.
@@ -131,7 +130,7 @@ const (
 )
 
 // ReductionStats reports a run's reduction activity; the sweep JSONL
-// records and BENCH snapshots carry it so reduced runs are auditable.
+// records carry it so reduced runs are auditable.
 //
 // The counters are diagnostics, not results: when the quotient is active
 // under multiple workers, which concrete orbit member is retained as a
@@ -155,13 +154,6 @@ type ReductionStats struct {
 	// SleepSkipped counts expansions skipped by sleep masks (also
 	// included in StatesPruned).
 	SleepSkipped int64 `json:"sleep_skipped,omitempty"`
-}
-
-// ValidateReduction checks a Reduction mode string without running
-// anything — the flag/spec validation entry point for harness and sweep.
-func ValidateReduction(mode string) error {
-	_, _, err := parseReduction(mode)
-	return err
 }
 
 // parseReduction validates a Reduction mode string.

@@ -335,29 +335,11 @@ func TestReducePrefilterOnSpilledRun(t *testing.T) {
 	}
 }
 
-// TestReduceIncompatibilities: every unsound combination is rejected
-// loudly, and unknown modes never run.
-func TestReduceIncompatibilities(t *testing.T) {
+// TestReduceObstructionModes: the obstruction check quantifies over every
+// schedule, so it takes the symmetry quotient but not sleep-set pruning.
+// (The engine-level mode conflicts are walked by TestModeMatrix.)
+func TestReduceObstructionModes(t *testing.T) {
 	p := baseline.NewPairConsensus(2)
-	c := model.MustNewConfig(p, []int{0, 1})
-	pids := []int{0, 1}
-	run := func(opts check.EngineOptions) error {
-		_, err := check.ExploreOpts(p, c, pids, 1, check.ExploreOptions{Engine: opts})
-		return err
-	}
-	if err := run(check.EngineOptions{Reduction: "bogus"}); err == nil {
-		t.Error("unknown reduction accepted")
-	}
-	if err := run(check.EngineOptions{Reduction: check.ReduceSym, Provenance: true}); err == nil {
-		t.Error("reduction with provenance accepted (witness schedules would be invalid)")
-	}
-	if err := run(check.EngineOptions{Reduction: check.ReduceSym, StringKeys: true}); err == nil {
-		t.Error("reduction with exact string keys accepted")
-	}
-	if err := run(check.EngineOptions{Reduction: check.ReduceSym,
-		Canonical: func(cfg *model.Config) uint64 { return cfg.Fingerprint() }}); err == nil {
-		t.Error("reduction with a custom Canonical hook accepted")
-	}
 	if _, err := check.CheckObstructionFreeOpts(p, []int{0, 1}, check.ExploreOptions{
 		Engine: check.EngineOptions{Reduction: check.ReduceSymSleep}}, 4); err == nil {
 		t.Error("obstruction check accepted sleep-set reduction")
@@ -432,44 +414,5 @@ func TestReduceSleepOnCyclicGraph(t *testing.T) {
 		if sym.Visited > base.Visited {
 			t.Errorf("depth %d: quotient visited %d > unreduced %d", depth, sym.Visited, base.Visited)
 		}
-	}
-}
-
-// TestReduceQuotientMatchesLegacyCanonical: on a symmetric protocol the
-// incremental quotient visits exactly as many configurations as the
-// legacy full-re-encode Canonical hook over the same classes — the two
-// canonicalizations induce the same partition of the space.
-func TestReduceQuotientMatchesLegacyCanonical(t *testing.T) {
-	p, err := baseline.NewToyBitRace(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Equal inputs: one 4-process orbit class for both mechanisms (the
-	// legacy hook cannot refine by input, so give it nothing to miss).
-	c := model.MustNewConfig(p, []int{1, 1, 1, 1})
-	pids := []int{0, 1, 2, 3}
-	limits := check.ExploreLimits{MaxConfigs: 200000}
-
-	legacy, err := check.ExploreOpts(p, c, pids, 0, check.ExploreOptions{
-		Limits: limits,
-		Engine: check.EngineOptions{
-			Canonical: func(cfg *model.Config) uint64 { return cfg.SymmetricFingerprint([]int{0, 1, 2, 3}) },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := check.ExploreOpts(p, c, pids, 0, check.ExploreOptions{
-		Limits: limits,
-		Engine: check.EngineOptions{Reduction: check.ReduceSym},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Visited != fast.Visited {
-		t.Errorf("legacy canonical visited %d, incremental quotient visited %d", legacy.Visited, fast.Visited)
-	}
-	if !reflect.DeepEqual(legacy.DecidedValues, fast.DecidedValues) {
-		t.Errorf("decided sets differ: %v vs %v", legacy.DecidedValues, fast.DecidedValues)
 	}
 }

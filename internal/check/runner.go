@@ -7,39 +7,43 @@
 // # The frontier engine
 //
 // All exhaustive searches (Explore, ClassifyValency, CheckObstructionFree
-// and, via the lowerbound package, the schedule searches) run on a shared
-// level-synchronized parallel BFS — the sharded frontier engine
-// (RunFrontier). Its hot path is allocation-free in the steady case:
-// successors are produced by arena-backed copy-on-write steps with
-// incrementally-maintained fingerprints (model.Stepper), node buffers are
-// recycled through sync.Pool, and deduplication runs on single-owner
-// open-addressing tables fed by batched channels instead of a
-// mutex-striped map. The engine knobs live in EngineOptions:
+// and, via the lowerbound package, the schedule searches) run on the
+// sharded frontier engine (RunFrontier): one expansion core and two
+// schedulers over it. The per-worker expander (expand.go) turns a node
+// into keyed successors — arena-backed copy-on-write steps with
+// incrementally-maintained fingerprints (model.Stepper), node buffers
+// recycled through sync.Pool, one keying decision, sleep masks, routing
+// to the owning peer of a distributed run — allocation-free in the steady
+// case. The level-synchronized order (levelsync.go) schedules it as a
+// parallel BFS with a barrier per depth level; the async order (async.go)
+// as barrier-free work stealing with quiescence detection. Deduplication
+// runs on single-owner open-addressing tables fed by batched channels
+// instead of a mutex-striped map. The engine knobs live in EngineOptions:
 //
-//   - Workers: goroutines draining each frontier level (default
+//   - Workers: goroutines expanding the frontier (default
 //     runtime.GOMAXPROCS(0)). Results never depend on it: per-level
 //     barriers, commutative merging and sorted-fingerprint budget
 //     truncation make every aggregate deterministic.
 //   - Shards: cap on the visited-set partition count (default 64; the
 //     engine uses min(Shards, Workers) single-owner partitions). Purely
 //     a contention knob.
+//   - Order: "levelsync" (the default) or "async". Same visited set and
+//     verdicts; async gives up level structure and schedule determinism.
 //   - StringKeys: dedup on the exact compact binary encoding instead of
 //     the default 64-bit incremental slot fingerprint. Fingerprints are
 //     faster and ~10x smaller but admit a ~2^-64 per-pair collision risk
 //     (bitstate-hashing trade-off); certificate searches that must never
 //     silently prune a witness use StringKeys, which also disables the
 //     hash-keyed transition memos (every step is recomputed exactly).
-//   - Canonical: an optional quotient fingerprint, e.g.
-//     model.Config.SymmetricFingerprint, to collapse process-symmetric
-//     configurations. Opt-in because soundness depends on the protocol
-//     actually being symmetric; superseded for declared-symmetric
-//     protocols by the cheaper Reduction layer.
 //   - Reduction: the state-space reduction layer (reduce.go) —
 //     incremental process-symmetry quotienting over the classes the
 //     protocol declares (model.ProcessSymmetric) and sleep-set pruning
 //     of commuting successor pairs. Sound for reachability/valency
-//     questions; rejected together with Provenance or StringKeys, so
-//     witness-producing searches always run unreduced.
+//     questions, not for schedules.
+//
+// Which of these (and Provenance, Checkpoint, Dist) combine is declared
+// once, in ModeConflicts (modes.go); a rejected combination wraps
+// ErrIncompatibleModes.
 //
 // ExploreSequential is the original single-threaded explorer, retained as
 // the differential-testing oracle and benchmark baseline.

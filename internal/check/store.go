@@ -22,8 +22,8 @@ package check
 // therefore need no per-candidate locking, mirroring the fpSet contract.
 
 // StoreStats summarizes a store's activity over one engine run. The
-// spill-store numbers surface in sweep JSONL records and BENCH snapshots
-// so beyond-RAM runs are auditable.
+// spill-store numbers surface in sweep JSONL records so beyond-RAM runs
+// are auditable.
 type StoreStats struct {
 	// Kind is the backend that ran: "mem" or "spill".
 	Kind string `json:"kind"`

@@ -178,25 +178,21 @@ func (f *EngineFlags) Reduce() string { return *f.reduce }
 func (f *EngineFlags) Order() string { return *f.order }
 
 // Validate extends the store validation (which it shadows) with the
-// reduction mode and the keying interaction: exact string keys dedup on
-// full encodings, which a quotient's orbit members do not share, so the
-// pair is rejected here with flag-level wording (the engine enforces the
-// same rule).
-func (f *EngineFlags) Validate() error {
+// engine's mode names and its compatibility table (check.ModeConflicts,
+// which owns every cross-flag rule), so a bad combination is a usage
+// error before anything runs.
+func (f *EngineFlags) Validate() error { return f.validate(false) }
+
+// validate is Validate for an exploration (provenance false) or for the
+// witness-producing searches, which always run with provenance.
+func (f *EngineFlags) validate(provenance bool) error {
 	if err := f.StoreFlags.Validate(); err != nil {
 		return err
 	}
-	if err := check.ValidateReduction(*f.reduce); err != nil {
-		return fmt.Errorf("-reduce: %w", err)
-	}
-	if *f.reduce != "" && *f.reduce != check.ReduceNone && f.StringKeys() {
-		return fmt.Errorf("-reduce %s requires fingerprint keying (orbit members have distinct exact keys)", *f.reduce)
-	}
-	if err := check.ValidateOrder(*f.order); err != nil {
-		return fmt.Errorf("-order: %w", err)
-	}
-	if *f.order == check.OrderAsync && f.StringKeys() {
-		return fmt.Errorf("-order %s requires fingerprint keying (single-owner partition tables admit by fingerprint)", check.OrderAsync)
+	modes := check.Modes{Order: *f.order, Reduction: *f.reduce, StringKeys: f.StringKeys(),
+		Provenance: provenance, Checkpoint: *f.checkpoint != ""}
+	if err := modes.Validate(); err != nil {
+		return err
 	}
 	if *f.ckptEvery > 0 && *f.checkpoint == "" {
 		return fmt.Errorf("-checkpointevery requires -checkpoint")
@@ -235,13 +231,8 @@ func (f *EngineFlags) Options(progressW io.Writer) (check.EngineOptions, error) 
 // SearchLimits threads the engine flags into lower-bound search limits
 // with the given budget.
 func (f *EngineFlags) SearchLimits(maxConfigs, maxDepth int, progressW io.Writer) (lowerbound.SearchLimits, error) {
-	if err := f.Validate(); err != nil {
+	if err := f.validate(true); err != nil {
 		return lowerbound.SearchLimits{}, err
-	}
-	if *f.checkpoint != "" {
-		// The witness searches keep in-RAM parent chains (provenance),
-		// which cannot be persisted; refusing beats silently ignoring.
-		return lowerbound.SearchLimits{}, fmt.Errorf("-checkpoint is not supported by the witness-producing searches (their provenance chains are in-RAM only)")
 	}
 	budget, _ := f.MemBudget()
 	l := lowerbound.SearchLimits{
@@ -252,11 +243,8 @@ func (f *EngineFlags) SearchLimits(maxConfigs, maxDepth int, progressW io.Writer
 		Fingerprints: !f.StringKeys(),
 		Store:        f.Store(),
 		MemBudget:    budget,
-		// Carried verbatim; the witness searches reject any reduction or
-		// the async order with an explicit error rather than silently
-		// ignoring the flag.
-		Reduction: *f.reduce,
-		Order:     *f.order,
+		Reduction:    *f.reduce,
+		Order:        *f.order,
 	}
 	if *f.progress && progressW != nil {
 		l.Progress = check.ProgressPrinter(progressW)

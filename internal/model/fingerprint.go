@@ -1,9 +1,6 @@
 package model
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // This file implements a compact binary encoding of configurations and a
 // 64-bit FNV-1a fingerprint over that encoding. The string Key() encoding
@@ -149,58 +146,4 @@ func (c *Config) Fingerprint() uint64 {
 func (c *Config) FingerprintInto(buf []byte) (uint64, []byte) {
 	buf = c.AppendEncoding(buf[:0])
 	return fnv1a(fnvOffset64, buf), buf
-}
-
-// SymmetricFingerprint returns a fingerprint of c that is invariant under
-// permutations of the processes in class: the states of those processes
-// are hashed as a sorted multiset rather than in pid order (all other
-// processes, and all object values, are hashed positionally). Exploring
-// with this fingerprint quotients the configuration space by process
-// symmetry.
-//
-// Soundness is conditional: it is only a valid state-space reduction for
-// protocols that are symmetric in the processes of class — i.e. renaming
-// those processes yields an equivalent protocol, their inputs are equal,
-// and no object value or state encodes a process identity asymmetrically.
-// Algorithm 1 stores ⟨lap, pid⟩ pairs in its swap objects, so it is NOT
-// symmetric in this sense; the quotient applies to anonymous protocols
-// such as the register-race baselines. The explorer exposes this as an
-// opt-in canonicalization hook and never enables it by default.
-func (c *Config) SymmetricFingerprint(class []int) uint64 {
-	inClass := make(map[int]bool, len(class))
-	for _, pid := range class {
-		inClass[pid] = true
-	}
-	var buf []byte
-	for _, v := range c.Objects {
-		buf = appendValue(buf, v)
-	}
-	buf = append(buf, encObjsDone)
-	// Positional states for processes outside the class.
-	for pid, s := range c.States {
-		if inClass[pid] {
-			continue
-		}
-		buf = appendUvarint(buf, uint64(pid))
-		buf = appendState(buf, s)
-		buf = append(buf, encStateDone)
-	}
-	// Sorted multiset of class states.
-	keys := make([]string, 0, len(class))
-	for pid := range inClass {
-		keys = append(keys, stateKeyOf(c.States[pid]))
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = append(buf, encStateDone)
-	}
-	return fnv1a(fnvOffset64, buf)
-}
-
-func stateKeyOf(s State) string {
-	if s == nil {
-		return "<nil>"
-	}
-	return s.Key()
 }

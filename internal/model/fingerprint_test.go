@@ -79,30 +79,3 @@ func TestFingerprintIntoReusesBuffer(t *testing.T) {
 type anonState struct{ in int }
 
 func (s anonState) Key() string { return "anon:" + string(rune('0'+s.in)) }
-
-// TestSymmetricFingerprintQuotient: permuting the states of processes
-// inside the symmetry class preserves the symmetric fingerprint, while the
-// plain fingerprint distinguishes them; processes outside the class remain
-// positional.
-func TestSymmetricFingerprintQuotient(t *testing.T) {
-	obj := []model.Value{model.Int(7)}
-	c1 := &model.Config{Objects: obj, States: []model.State{anonState{0}, anonState{1}, anonState{2}}}
-	c2 := &model.Config{Objects: obj, States: []model.State{anonState{1}, anonState{0}, anonState{2}}}
-
-	if c1.Fingerprint() == c2.Fingerprint() {
-		t.Fatal("plain fingerprints of permuted configurations should differ")
-	}
-	if c1.SymmetricFingerprint([]int{0, 1}) != c2.SymmetricFingerprint([]int{0, 1}) {
-		t.Fatal("symmetric fingerprint must be invariant under permutations within the class")
-	}
-	// Swapping a class member with a non-member is not quotiented.
-	c3 := &model.Config{Objects: obj, States: []model.State{anonState{2}, anonState{1}, anonState{0}}}
-	if c1.SymmetricFingerprint([]int{0, 1}) == c3.SymmetricFingerprint([]int{0, 1}) {
-		t.Fatal("permutation across the class boundary must change the fingerprint")
-	}
-	// The multiset quotient must still see multiplicities.
-	c4 := &model.Config{Objects: obj, States: []model.State{anonState{0}, anonState{0}, anonState{2}}}
-	if c1.SymmetricFingerprint([]int{0, 1}) == c4.SymmetricFingerprint([]int{0, 1}) {
-		t.Fatal("different state multisets must fingerprint differently")
-	}
-}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/check"
@@ -38,13 +39,18 @@ func TestOrderAxisOnViolationRows(t *testing.T) {
 
 // TestOrderAxisMatchesLevelsync: the async cell visits the same state
 // count and decided set as the level-synchronized one — the sweep-level
-// face of the differential contract.
+// face of the differential contract. The instance completes inside its
+// budget: on a truncated run async's survivors (and so its decided set)
+// are timing-dependent by design.
 func TestOrderAxisMatchesLevelsync(t *testing.T) {
-	base := RunCellRecord(Cell{Row: "explore", N: 4, K: 1, MaxConfigs: 100000})
-	async := RunCellRecord(Cell{Row: "explore", N: 4, K: 1, MaxConfigs: 100000,
+	base := RunCellRecord(Cell{Row: "explore-anon", N: 4, K: 1, MaxConfigs: 100000})
+	async := RunCellRecord(Cell{Row: "explore-anon", N: 4, K: 1, MaxConfigs: 100000,
 		Engine: EngineSpec{Order: check.OrderAsync, Workers: 4}})
 	if base.Status != StatusOK || async.Status != StatusOK {
 		t.Fatalf("statuses %q / %q, want ok", base.Status, async.Status)
+	}
+	if !base.Complete || !async.Complete {
+		t.Fatalf("complete = %t / %t: the comparison needs an instance that fits its budget", base.Complete, async.Complete)
 	}
 	if base.Order != check.OrderLevelSync {
 		t.Errorf("default cell carries order=%q, want %q", base.Order, check.OrderLevelSync)
@@ -52,7 +58,7 @@ func TestOrderAxisMatchesLevelsync(t *testing.T) {
 	if async.States != base.States {
 		t.Errorf("async visited %d states, levelsync %d; orders must agree", async.States, base.States)
 	}
-	if len(async.Decided) != len(base.Decided) {
+	if !reflect.DeepEqual(async.Decided, base.Decided) {
 		t.Errorf("decided sets differ: levelsync %v, async %v", base.Decided, async.Decided)
 	}
 }
@@ -73,23 +79,6 @@ func TestOrderAxisIgnoredByCertificateRows(t *testing.T) {
 	}
 	if limits := (Cell{Engine: EngineSpec{Order: check.OrderAsync}}).SearchLimits(100, 10); limits.Order != "" {
 		t.Errorf("SearchLimits carried Order %q; certificate searches run level-synchronized", limits.Order)
-	}
-}
-
-// TestEngineSpecOrderValidation: bad order values and the string-keying
-// conflict fail at spec validation, before any cell runs.
-func TestEngineSpecOrderValidation(t *testing.T) {
-	if err := (EngineSpec{Order: "bogus"}).validate(); err == nil {
-		t.Error("unknown order must be rejected")
-	}
-	if err := (EngineSpec{Order: check.OrderAsync, Keys: "string"}).validate(); err == nil {
-		t.Error("async order with string keys must be rejected")
-	}
-	if err := (EngineSpec{Order: check.OrderAsync}).validate(); err != nil {
-		t.Errorf("valid async spec rejected: %v", err)
-	}
-	if err := (EngineSpec{Order: check.OrderLevelSync}).validate(); err != nil {
-		t.Errorf("explicit levelsync spec rejected: %v", err)
 	}
 }
 

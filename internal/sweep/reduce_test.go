@@ -76,20 +76,6 @@ func TestReduceAxisIgnoredByCertificateRows(t *testing.T) {
 	}
 }
 
-// TestEngineSpecReduceValidation: bad reduce values and the
-// string-keying conflict fail at spec validation, before any cell runs.
-func TestEngineSpecReduceValidation(t *testing.T) {
-	if err := (EngineSpec{Reduce: "bogus"}).validate(); err == nil {
-		t.Error("unknown reduce mode must be rejected")
-	}
-	if err := (EngineSpec{Reduce: check.ReduceSym, Keys: "string"}).validate(); err == nil {
-		t.Error("reduce with string keys must be rejected")
-	}
-	if err := (EngineSpec{Reduce: check.ReduceSymSleep}).validate(); err != nil {
-		t.Errorf("valid reduce spec rejected: %v", err)
-	}
-}
-
 // TestEngineSpecReduceLabel: the reduce axis lands in the cell ID (so
 // checkpoints distinguish reduced cells) and the default label is
 // unchanged (so existing checkpoint files still resume).

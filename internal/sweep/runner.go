@@ -114,8 +114,8 @@ type Result struct {
 	// AllocsPerState is heap allocations per explored configuration
 	// (runtime mallocs delta over the cell / States). With concurrent
 	// cells the delta includes neighbors' allocations, so treat it as an
-	// upper bound; the committed BENCH_<n>.json snapshots carry the
-	// isolated numbers.
+	// upper bound; the repository benchmark (benchmark/) measures the
+	// isolated number, check.allocs_per_state.
 	AllocsPerState float64      `json:"allocs_per_state,omitempty"`
 	Table          *harness.Row `json:"table,omitempty"`
 }

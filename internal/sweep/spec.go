@@ -92,8 +92,9 @@ func (e EngineSpec) label() string {
 	return l
 }
 
-// validate rejects unknown backends and unparsable budgets so a typo'd
-// spec fails before any cell runs.
+// validate rejects unknown backends, unparsable budgets and incompatible
+// axis combinations (the engine's check.ModeConflicts table owns every
+// cross-axis rule) so a typo'd spec fails before any cell runs.
 func (e EngineSpec) validate() error {
 	switch e.Store {
 	case "", check.StoreMem, check.StoreSpill:
@@ -106,23 +107,12 @@ func (e EngineSpec) validate() error {
 	if e.MemBudget != "" && e.Store != check.StoreSpill {
 		return fmt.Errorf("sweep: mem_budget %q requires store %q (the in-memory store is unbudgeted)", e.MemBudget, check.StoreSpill)
 	}
-	if err := check.ValidateReduction(e.Reduce); err != nil {
-		return fmt.Errorf("sweep: reduce: %w", err)
-	}
-	if e.Reduce != "" && e.Reduce != check.ReduceNone && e.Keys == "string" {
-		return fmt.Errorf("sweep: reduce %q requires fingerprint keying (orbit members have distinct exact keys)", e.Reduce)
-	}
-	if err := check.ValidateOrder(e.Order); err != nil {
-		return fmt.Errorf("sweep: order: %w", err)
-	}
-	if e.Order == check.OrderAsync && e.Keys == "string" {
-		return fmt.Errorf("sweep: order %q requires fingerprint keying (single-owner partition tables admit by fingerprint)", e.Order)
-	}
 	if e.Peers < 0 || e.Peers > check.DistNumParts {
 		return fmt.Errorf("sweep: peers %d outside [0, %d]", e.Peers, check.DistNumParts)
 	}
-	if e.Peers > 0 && e.Keys == "string" {
-		return fmt.Errorf("sweep: peers requires fingerprint keying (frontier shards route by fingerprint partition)")
+	modes := check.Modes{Order: e.Order, Reduction: e.Reduce, StringKeys: e.Keys == "string", Dist: e.Peers > 0}
+	if err := modes.Validate(); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	return nil
 }
