@@ -15,6 +15,7 @@ race:
 	go test -race -run 'Parallel|Deterministic|Workers|Quotient|Frontier|Spill|Truncation' ./internal/check ./internal/lowerbound
 	go test -race -run 'Reduce|Bloom|SymWorker|Canonicalize' ./internal/check ./internal/sweep ./internal/model
 	go test -race -run 'Async|WSDeque|Order|Mode' ./internal/check ./internal/sweep
+	go test -race -run 'Checkpoint|Resume' ./internal/check
 
 # spill-smoke forces real disk spills: a 64KB budget against a ~240KB
 # visited set, race-enabled — the local twin of the CI spill-smoke job.

@@ -16,9 +16,13 @@
 package repro_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ablation"
 	"repro/internal/baseline"
@@ -674,6 +678,58 @@ func BenchmarkExploreEngineMatrix(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkCheckpointResume times what a killed long run pays to carry
+// on: the shared instance at 100k states, checkpointing at every barrier,
+// is cancelled after level 10 (untimed), and the timed call resumes it
+// from the snapshot to the verdict. restore-s is the part before the
+// first resumed level completes: loading and verifying the snapshot,
+// bulk-seeding the visited set, replaying the frontier, and that level.
+func BenchmarkCheckpointResume(b *testing.B) {
+	p, c, pids, limits := exploreBenchInstance(b)
+	limits.MaxConfigs = 100000
+	want, err := check.ExploreOpts(p, c, pids, 1, check.ExploreOptions{Limits: limits})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var restore time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		opts := check.ExploreOptions{Limits: limits, Engine: check.EngineOptions{Workers: 2, Checkpoint: b.TempDir()}}
+		ctx, cancel := context.WithCancel(context.Background())
+		opts.Engine.Ctx = ctx
+		opts.Engine.Progress = func(pr check.Progress) {
+			if pr.Depth == 10 {
+				cancel()
+				runtime.Gosched() // the cancellation lands through a goroutine
+			}
+		}
+		_, err := check.ExploreOpts(p, c, pids, 1, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			b.Fatalf("run to kill: err = %v, want context.Canceled", err)
+		}
+		opts.Engine.Ctx = nil
+		first := true
+		began := time.Now()
+		opts.Engine.Progress = func(check.Progress) {
+			if first {
+				restore += time.Since(began)
+				first = false
+			}
+		}
+		b.StartTimer()
+		res, err := check.ExploreOpts(p, c, pids, 1, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Visited != want.Visited {
+			b.Fatalf("resumed run visited %d, uninterrupted %d", res.Visited, want.Visited)
+		}
+	}
+	b.ReportMetric(restore.Seconds()/float64(b.N), "restore-s")
+	b.ReportMetric(float64(want.Visited), "configs")
 }
 
 // BenchmarkLowerboundSearchWorkers measures the ported schedule search

@@ -17,12 +17,21 @@ package check
 // Frontier nodes are persisted as pid paths rather than configuration
 // encodings because canonical Values/States are protocol-opaque (they
 // cannot be decoded from bytes without the in-process intern exchange,
-// which dies with the process). Resume replays each path from the start
-// configuration through Stepper.ApplyCOW — O(frontier × depth) applies,
-// paid once at resume — and then re-applies the run's keying
-// (expander.key), so the rebuilt nodes are bit-identical to the lost
-// ones. Paths store one byte per step, which caps checkpointable
+// which dies with the process). Resume replays the paths from the start
+// configuration through Stepper.ApplyCOW and then re-applies the run's
+// keying (expander.key), so the rebuilt nodes are bit-identical to the
+// lost ones. Paths store one byte per step, which caps checkpointable
 // protocols at 255 processes.
+//
+// Resume costs time linear in the snapshot. Both artifacts are decoded
+// block-wise into flat arrays (8 bytes per fingerprint, one arena for
+// all paths) and nothing decoded reaches the run until the artifact's
+// CRC trailer has verified, so a corrupt generation still restarts from
+// an empty store. The visited set is then bulk-loaded into tables sized
+// first (checkpointableStore.SeedVisited), and the frontier is replayed
+// in path order with a stack of live nodes, so a prefix shared by many
+// paths is applied once — at most the BFS-tree size in applies, not
+// frontier × depth — by the run's workers in parallel (replayFrontier).
 //
 // Scope: level-synchronized order only. The async order has no barrier
 // at which the invariant above holds; it accepts the option as a no-op,
@@ -31,9 +40,11 @@ package check
 // same verdict, just without salvaging partial work.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -87,12 +98,6 @@ func ckptGenPath(dir, kind string, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%d", kind, gen))
 }
 
-// ckptVisited is one visited-set entry in a snapshot.
-type ckptVisited struct {
-	fp  uint64
-	key string
-}
-
 // ckptFrontNode is one frontier node in a snapshot: its pid path from
 // the root and its finished sleep mask.
 type ckptFrontNode struct {
@@ -100,12 +105,16 @@ type ckptFrontNode struct {
 	sleep uint64
 }
 
-// ckptLoaded is a fully-read checkpoint, ready for the engine to seed.
+// ckptLoaded is a fully-read and checksum-verified checkpoint, ready for
+// the engine to seed.
 type ckptLoaded struct {
-	man      ckptManifest
-	visited  []ckptVisited
-	frontier []ckptFrontNode
-	aux      []byte
+	man ckptManifest
+	// The visited snapshot: fingerprints and, under exact keys only, the
+	// parallel keys.
+	visitedFP   []uint64
+	visitedKeys []string
+	frontier    []ckptFrontNode
+	aux         []byte
 }
 
 // loadCheckpoint reads the latest committed checkpoint under dir.
@@ -171,7 +180,7 @@ func manifestSummed(raw []byte) []byte {
 // likely hit them too).
 func ckptDiscard(dir string, man ckptManifest, err error) (*ckptLoaded, error) {
 	var corrupt *CorruptArtifactError
-	if !errorsAs(err, &corrupt) && !os.IsNotExist(err) {
+	if !errors.As(err, &corrupt) && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	quarantine(ckptManifestPath(dir), "references unreadable artifacts")
@@ -183,34 +192,32 @@ func ckptDiscard(dir string, man ckptManifest, err error) (*ckptLoaded, error) {
 	return nil, nil
 }
 
-// errorsAs is errors.As without importing errors twice under test
-// builds; kept tiny and local.
-func errorsAs(err error, target *(*CorruptArtifactError)) bool {
-	for err != nil {
-		if c, ok := err.(*CorruptArtifactError); ok {
-			*target = c
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
+// ckptBlock is the unit of snapshot I/O: records are decoded from, and
+// encoded into, buffers of this size, so the artifact layer checksums and
+// copies a block at a time instead of a field at a time.
+const ckptBlock = 1 << 18
 
-// readVisited streams the visited snapshot: fp (8B LE) | uvarint klen |
-// key bytes.
+// readVisited decodes the visited snapshot: fp (8B LE) | uvarint klen |
+// key bytes. The arrays are sized from what the snapshot already says: a
+// fingerprint entry is 9 bytes, and an exact-key run holds the manifest's
+// Admitted entries (plus whatever the spill store repeated).
 func (l *ckptLoaded) readVisited(dir string) error {
-	r, _, err := openArtifact(ckptGenPath(dir, "visited", l.man.Gen), artifactVisited)
+	path := ckptGenPath(dir, "visited", l.man.Gen)
+	r, payload, err := openArtifact(path, artifactVisited)
 	if err != nil {
 		return err
 	}
 	defer r.close()
-	br := newByteReader(r)
+	br := bufio.NewReaderSize(r, ckptBlock)
+	if l.man.Profile.StringKeys {
+		l.visitedFP = make([]uint64, 0, l.man.Admitted)
+		l.visitedKeys = make([]string, 0, l.man.Admitted)
+	} else {
+		l.visitedFP = make([]uint64, 0, payload/9)
+	}
+	var fixed [8]byte
+	var key []byte
 	for {
-		var fixed [8]byte
 		if _, err := io.ReadFull(br, fixed[:]); err != nil {
 			if err == io.EOF {
 				return nil
@@ -221,27 +228,42 @@ func (l *ckptLoaded) readVisited(dir string) error {
 		if err != nil {
 			return err
 		}
-		key := ""
-		if klen > 0 {
-			kb := make([]byte, klen)
-			if _, err := io.ReadFull(br, kb); err != nil {
-				return err
-			}
-			key = string(kb)
+		if klen > uint64(payload) {
+			// Only a damaged length can exceed the artifact holding it; do
+			// not allocate on its say-so.
+			return quarantine(path, "entry longer than the payload")
 		}
-		l.visited = append(l.visited, ckptVisited{fp: binary.LittleEndian.Uint64(fixed[:]), key: key})
+		if uint64(cap(key)) < klen {
+			key = make([]byte, klen)
+		}
+		key = key[:klen]
+		if _, err := io.ReadFull(br, key); err != nil {
+			return err
+		}
+		l.visitedFP = append(l.visitedFP, binary.LittleEndian.Uint64(fixed[:]))
+		if l.visitedKeys != nil {
+			l.visitedKeys = append(l.visitedKeys, string(key))
+		}
 	}
 }
 
-// readFrontier streams the frontier snapshot: uvarint plen | path bytes
-// | sleep (8B LE).
+// readFrontier decodes the frontier snapshot: uvarint plen | path bytes
+// | sleep (8B LE). Every path lives in one arena the size of the payload
+// (which the paths cannot outgrow), so loading allocates per snapshot,
+// not per node.
 func (l *ckptLoaded) readFrontier(dir string) error {
-	r, _, err := openArtifact(ckptGenPath(dir, "frontier", l.man.Gen), artifactFrontier)
+	path := ckptGenPath(dir, "frontier", l.man.Gen)
+	r, payload, err := openArtifact(path, artifactFrontier)
 	if err != nil {
 		return err
 	}
 	defer r.close()
-	br := newByteReader(r)
+	br := bufio.NewReaderSize(r, ckptBlock)
+	arena := make([]byte, 0, payload)
+	// Every node of a level has a path of NextDepth steps, which gives the
+	// record count up front.
+	l.frontier = make([]ckptFrontNode, 0, payload/int64(9+l.man.NextDepth)+1)
+	var fixed [8]byte
 	for {
 		plen, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -250,15 +272,18 @@ func (l *ckptLoaded) readFrontier(dir string) error {
 			}
 			return err
 		}
-		path := make([]byte, plen)
-		if _, err := io.ReadFull(br, path); err != nil {
+		if plen > uint64(cap(arena)-len(arena)) {
+			return quarantine(path, "path longer than the payload")
+		}
+		off := len(arena)
+		arena = arena[:off+int(plen)]
+		if _, err := io.ReadFull(br, arena[off:]); err != nil {
 			return err
 		}
-		var fixed [8]byte
 		if _, err := io.ReadFull(br, fixed[:]); err != nil {
 			return err
 		}
-		l.frontier = append(l.frontier, ckptFrontNode{path: path, sleep: binary.LittleEndian.Uint64(fixed[:])})
+		l.frontier = append(l.frontier, ckptFrontNode{path: arena[off:len(arena):len(arena)], sleep: binary.LittleEndian.Uint64(fixed[:])})
 	}
 }
 
@@ -269,6 +294,7 @@ type ckptWriter struct {
 	every   int           // write at every N-th barrier (>=1)
 	gen     int           // next generation to write
 	dump    dumpVisitedFn // installed by the engine; streams the visited set
+	buf     []byte        // record-encoding block, reused across barriers
 }
 
 // dumpVisitedFn streams every visited (fp, key) entry to emit.
@@ -288,6 +314,38 @@ func newCkptWriter(dir string, profile ckptProfile, every, startGen int) (*ckptW
 // due reports whether the barrier completing depth should checkpoint.
 func (w *ckptWriter) due(depth int) bool { return (depth+1)%w.every == 0 }
 
+// writeRecords writes one artifact of small records block-wise: encode
+// appends each record to w.buf and calls flushFull after it, which hands
+// the block to the artifact writer whenever it has filled.
+func (w *ckptWriter) writeRecords(path string, kind byte, encode func(flushFull func() error) error) error {
+	aw, err := newArtifactWriter(path, kind)
+	if err != nil {
+		return err
+	}
+	aw.sync = true
+	w.buf = w.buf[:0]
+	flush := func() error {
+		_, err := aw.Write(w.buf)
+		w.buf = w.buf[:0]
+		return err
+	}
+	err = encode(func() error {
+		if len(w.buf) < ckptBlock {
+			return nil
+		}
+		return flush()
+	})
+	if err == nil {
+		err = flush()
+	}
+	if err != nil {
+		aw.abort()
+		return err
+	}
+	_, err = aw.finish()
+	return err
+}
+
 // write commits one checkpoint generation. nodes is the next level's
 // frontier (with finished sleep masks already swapped into prevSleep);
 // sleepOf returns a node's mask.
@@ -298,55 +356,29 @@ func (w *ckptWriter) write(man ckptManifest, nodes []*Node, sleepOf func(*Node) 
 	man.Gen = gen
 	man.HasAux = len(aux) > 0
 
-	vw, err := newArtifactWriter(ckptGenPath(w.dir, "visited", gen), artifactVisited)
+	err := w.writeRecords(ckptGenPath(w.dir, "visited", gen), artifactVisited, func(flushFull func() error) error {
+		return w.dump(func(fp uint64, key string) error {
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, fp)
+			w.buf = binary.AppendUvarint(w.buf, uint64(len(key)))
+			w.buf = append(w.buf, key...)
+			return flushFull()
+		})
+	})
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	vw.sync = true
-	var scratch [16]byte
-	writeEntry := func(fp uint64, key string) error {
-		binary.LittleEndian.PutUint64(scratch[:8], fp)
-		h := binary.AppendUvarint(scratch[:8], uint64(len(key)))
-		if _, err := vw.Write(h); err != nil {
-			return err
-		}
-		if len(key) > 0 {
-			if _, err := io.WriteString(vw, key); err != nil {
+	err = w.writeRecords(ckptGenPath(w.dir, "frontier", gen), artifactFrontier, func(flushFull func() error) error {
+		for _, n := range nodes {
+			w.buf = binary.AppendUvarint(w.buf, uint64(len(n.path)))
+			w.buf = append(w.buf, n.path...)
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, sleepOf(n))
+			if err := flushFull(); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	if err := w.dump(writeEntry); err != nil {
-		vw.abort()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := vw.finish(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-
-	fw, err := newArtifactWriter(ckptGenPath(w.dir, "frontier", gen), artifactFrontier)
+	})
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	fw.sync = true
-	for _, n := range nodes {
-		h := binary.AppendUvarint(scratch[:0], uint64(len(n.path)))
-		if _, err := fw.Write(h); err != nil {
-			fw.abort()
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		if _, err := fw.Write(n.path); err != nil {
-			fw.abort()
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		binary.LittleEndian.PutUint64(scratch[:8], sleepOf(n))
-		if _, err := fw.Write(scratch[:8]); err != nil {
-			fw.abort()
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-	}
-	if _, err := fw.finish(); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 
@@ -404,21 +436,4 @@ func (w *ckptWriter) write(man ckptManifest, nodes []*Node, sleepOf func(*Node) 
 	}
 	w.gen++
 	return nil
-}
-
-// newByteReader wraps an artifactReader for uvarint decoding.
-func newByteReader(r io.Reader) *byteReader { return &byteReader{r: r} }
-
-type byteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.buf[:]); err != nil {
-		return 0, err
-	}
-	return b.buf[0], nil
 }

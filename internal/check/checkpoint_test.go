@@ -14,10 +14,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -128,6 +130,214 @@ func TestCheckpointResumeIdenticalVerdict(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// levelRec is the schedule-visible part of one Progress report.
+type levelRec struct{ depth, frontier, processed int }
+
+// recordLevels returns a Progress hook appending every level to *into
+// and, with killAt >= 0, cancelling when level killAt completes.
+// Cancellation reaches the engine through a goroutine (context.AfterFunc),
+// so the hook yields to let it land before the next level starts; a dying
+// run that still gets further — to a later snapshot, even to its verdict —
+// leaves a directory every test here must resume correctly all the same.
+func recordLevels(into *[]levelRec, killAt int, cancel context.CancelFunc) func(check.Progress) {
+	return func(pr check.Progress) {
+		*into = append(*into, levelRec{pr.Depth, pr.FrontierSize, pr.Processed})
+		if pr.Depth == killAt {
+			cancel()
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestCheckpointResumeSameLevels: the resumed frontier is the killed
+// run's, node for node — so a run killed at a mid level and resumed
+// reports, level by level, exactly what the uninterrupted run reports,
+// and the same result, whatever worker counts wrote and resumed the
+// snapshot and although the resume runs on the other store. The replay
+// reorders the frontier records and splits them across the resuming
+// run's workers; sym+sleep shows the sleep masks still land on the nodes
+// they were saved with (a misplaced mask changes the next level's size).
+//
+// Row 3 at 200k states is the scale cell — snapshots of several I/O
+// blocks, tables of 2^17 slots and more, replay chunks of tens of
+// thousands of records — on two write/resume pairs; the full
+// write-workers × resume-workers × store-direction cross runs on
+// instances small enough for 24 runs each.
+func TestCheckpointResumeSameLevels(t *testing.T) {
+	row3 := core.MustNew(core.Params{N: 4, K: 1, M: 3})
+	toybit, err := baseline.NewToyBitRace(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cell is one killed-then-resumed run: the store and worker count
+	// that wrote the snapshot, and the worker count that resumed it on the
+	// other store.
+	type cell struct {
+		from                        string
+		writeWorkers, resumeWorkers int
+	}
+	var cross []cell
+	for _, from := range []string{check.StoreMem, check.StoreSpill} {
+		for _, ww := range []int{1, 2, 4} {
+			for _, rw := range []int{1, 2, 4} {
+				cross = append(cross, cell{from, ww, rw})
+			}
+		}
+	}
+	cases := []struct {
+		name       string
+		p          model.Protocol
+		inputs     []int
+		limits     check.ExploreLimits
+		stringKeys bool
+		reduce     string
+		killAt     int // the last level the killed run completes
+		cells      []cell
+	}{
+		{"row3/fp/200k", row3, []int{0, 1, 2, 0}, check.ExploreLimits{MaxConfigs: 200000}, false, "", 10,
+			[]cell{{check.StoreMem, 2, 4}, {check.StoreSpill, 1, 2}}},
+		{"row3/fp", row3, []int{0, 1, 2, 0}, check.ExploreLimits{MaxConfigs: 6000}, false, "", 5, cross},
+		{"row3/stringkeys", row3, []int{0, 1, 2, 0}, check.ExploreLimits{MaxConfigs: 6000}, true, "", 5, cross},
+		{"toybit/sym+sleep", toybit, []int{0, 1, 0, 1, 0}, check.ExploreLimits{MaxConfigs: 6000}, false, check.ReduceSymSleep, 8, cross},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := model.MustNewConfig(tc.p, tc.inputs)
+			pids := make([]int, tc.p.NumProcesses())
+			for i := range pids {
+				pids[i] = i
+			}
+			options := func(store, dir string, workers int) check.ExploreOptions {
+				// One snapshot, at the kill barrier (and the final one): the
+				// fsyncs of a snapshot per barrier would be most of the test.
+				eng := check.EngineOptions{Workers: workers, StringKeys: tc.stringKeys, Reduction: tc.reduce, Store: store,
+					Checkpoint: dir, CheckpointEvery: tc.killAt + 1}
+				if store == check.StoreSpill {
+					eng.MemBudget = 1 << 16 // small: the spill side really spills
+				}
+				return check.ExploreOptions{Limits: tc.limits, Engine: eng}
+			}
+
+			var wantLevels []levelRec
+			opts := options(check.StoreMem, "", 2)
+			opts.Engine.Progress = recordLevels(&wantLevels, -1, nil)
+			want := verdictOf(tc.p, exploreT(t, tc.p, c, pids, 1, opts))
+			if len(wantLevels) < tc.killAt+3 {
+				t.Fatalf("the uninterrupted run has %d levels; killing after level %d is not mid-run", len(wantLevels), tc.killAt)
+			}
+
+			// One killed run per (store, write-workers); every resume of it
+			// works on its own copy of the directory.
+			type killedRun struct {
+				dir    string
+				levels []levelRec
+			}
+			killed := map[cell]*killedRun{}
+			for _, cl := range tc.cells {
+				to := check.StoreMem
+				if cl.from == check.StoreMem {
+					to = check.StoreSpill
+				}
+				tag := fmt.Sprintf("%s w%d -> %s w%d", cl.from, cl.writeWorkers, to, cl.resumeWorkers)
+				k := killed[cell{cl.from, cl.writeWorkers, 0}]
+				if k == nil {
+					k = &killedRun{dir: t.TempDir()}
+					killed[cell{cl.from, cl.writeWorkers, 0}] = k
+					ctx, cancel := context.WithCancel(context.Background())
+					opts := options(cl.from, k.dir, cl.writeWorkers)
+					opts.Engine.Ctx = ctx
+					opts.Engine.Progress = recordLevels(&k.levels, tc.killAt, cancel)
+					_, err := check.ExploreOpts(tc.p, c, pids, 1, opts)
+					cancel()
+					if err != nil && !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s: run to kill: %v", tag, err)
+					}
+				}
+				dir := t.TempDir()
+				if err := os.CopyFS(dir, os.DirFS(k.dir)); err != nil {
+					t.Fatal(err)
+				}
+				var resumed []levelRec
+				opts := options(to, dir, cl.resumeWorkers)
+				opts.Engine.Progress = recordLevels(&resumed, -1, nil)
+				got := exploreT(t, tc.p, c, pids, 1, opts)
+				// The resume starts at the level after the last snapshot the
+				// dying run committed: the kill level's, unless it outran
+				// the cancellation.
+				from := len(wantLevels)
+				if len(resumed) > 0 {
+					from = resumed[0].depth
+				}
+				if from != tc.killAt+1 {
+					t.Logf("%s: the killed run got past level %d; resumed from level %d", tag, tc.killAt, from)
+				}
+				levels := append(append([]levelRec(nil), k.levels[:min(from, len(k.levels))]...), resumed...)
+				if gv := verdictOf(tc.p, got); !reflect.DeepEqual(gv, want) {
+					t.Errorf("%s: resumed result = %+v, want %+v", tag, gv, want)
+				}
+				if !reflect.DeepEqual(levels, wantLevels) {
+					t.Errorf("%s: levels (depth, frontier, processed)\n got %v\nwant %v", tag, levels, wantLevels)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointSpillResumeHonoursBudget: resuming under the spill store
+// seeds the snapshot through the byte budget — full deltas flush to sorted
+// runs as they do during a run — instead of materializing every visited
+// fingerprint resident. The instance is deep and narrow (41 levels of a
+// few thousand states), so by the kill the visited set is an order of
+// magnitude larger than anything the uninterrupted run ever held.
+func TestCheckpointSpillResumeHonoursBudget(t *testing.T) {
+	p, err := baseline.NewToyBitRace(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := model.MustNewConfig(p, []int{0, 1, 0, 1, 0})
+	pids := []int{0, 1, 2, 3, 4}
+	const budget = 1 << 16
+	const killAt = 30
+	options := func(dir string) check.ExploreOptions {
+		return check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: check.ReduceSymSleep,
+			Store: check.StoreSpill, MemBudget: budget, Checkpoint: dir, CheckpointEvery: killAt + 1}}
+	}
+	clean := exploreT(t, p, c, pids, 1, options(""))
+
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := options(dir)
+	opts.Engine.Ctx = ctx
+	seeded := 0
+	opts.Engine.Progress = func(pr check.Progress) {
+		if pr.Depth == killAt {
+			seeded = pr.Admitted
+			cancel()
+			runtime.Gosched() // see recordLevels
+		}
+	}
+	_, err = check.ExploreOpts(p, c, pids, 1, opts)
+	cancel()
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("run to kill: %v", err)
+	}
+
+	got := exploreT(t, p, c, pids, 1, options(dir))
+	if !reflect.DeepEqual(verdictOf(p, got), verdictOf(p, clean)) {
+		t.Errorf("resumed verdict = %+v, want %+v", verdictOf(p, got), verdictOf(p, clean))
+	}
+	// The seeded deltas hold at most the budget between them, on top of
+	// what a level of the run itself needs.
+	if limit := clean.Store.PeakResidentBytes + budget; got.Store.PeakResidentBytes > limit {
+		t.Errorf("resumed run peaked at %d resident bytes; the uninterrupted run at %d under a %d-byte budget",
+			got.Store.PeakResidentBytes, clean.Store.PeakResidentBytes, budget)
+	}
+	if all := int64(seeded) * 8; got.Store.PeakResidentBytes >= all {
+		t.Errorf("resumed run peaked at %d resident bytes: no less than the %d seeded fingerprints take (%d bytes)",
+			got.Store.PeakResidentBytes, seeded, all)
 	}
 }
 
@@ -252,17 +462,63 @@ func TestCheckpointResumesEarlierManifest(t *testing.T) {
 
 // TestCheckpointCorruptionRestartsFresh: corrupting any checkpoint file
 // must quarantine the generation and restart from scratch with the same
-// verdict — never crash, never a wrong verdict.
+// verdict — never crash, never a wrong verdict. The last-payload-byte
+// cases are damage only the CRC trailer reveals, after every entry has
+// decoded cleanly, on a run killed mid-way (a finished run's resume never
+// consults its visited set): nothing decoded may have reached the store by
+// then, or the restart would skip the phantom entries and count short. The
+// length case is a damaged entry length met well before the trailer: it
+// must not be trusted with an allocation.
 func TestCheckpointCorruptionRestartsFresh(t *testing.T) {
 	p := symRace{n: 4}
 	c := model.MustNewConfig(p, []int{0, 0, 1, 1})
 	pids := []int{0, 1, 2, 3}
 
-	for _, target := range []string{"MANIFEST.json", "frontier", "visited"} {
-		t.Run(target, func(t *testing.T) {
+	// Artifact framing: an 8-byte header, the payload, an 8-byte trailer
+	// (CRC32 + end marker).
+	flipMiddle := func(raw []byte) { raw[len(raw)/2] ^= 0x40 }
+	flipLastPayloadByte := func(raw []byte) { raw[len(raw)-8-1] ^= 0x40 }
+	for _, tc := range []struct {
+		name, target string
+		killed       bool // corrupt a run killed after level 1, not a finished one
+		damage       func(raw []byte)
+	}{
+		{"MANIFEST.json", "MANIFEST.json", false, flipMiddle},
+		{"frontier", "frontier", false, flipMiddle},
+		{"visited", "visited", false, flipMiddle},
+		{"frontier/last-payload-byte", "frontier", true, flipLastPayloadByte},
+		{"visited/last-payload-byte", "visited", true, flipLastPayloadByte},
+		{"visited/length", "visited", true, func(raw []byte) {
+			// The first entry's key length (after the header and an 8-byte
+			// fingerprint) becomes a nine-byte uvarint: 2^63-1.
+			for i := 16; i < 24; i++ {
+				raw[i] = 0xff
+			}
+			raw[24] = 0x7f
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Shards: 8, Checkpoint: dir}}
-			clean := exploreT(t, p, c, pids, 2, opts)
+			clean := exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Shards: 8}})
+			if tc.killed {
+				ctx, cancel := context.WithCancel(context.Background())
+				killOpts := opts
+				killOpts.Engine.Ctx = ctx
+				killOpts.Engine.Progress = func(pr check.Progress) {
+					if pr.Depth == 1 {
+						cancel()
+						runtime.Gosched() // see recordLevels
+					}
+				}
+				_, err := check.ExploreOpts(p, c, pids, 2, killOpts)
+				cancel()
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("run to kill: %v", err)
+				}
+			} else {
+				exploreT(t, p, c, pids, 2, opts)
+			}
 
 			// Corrupt the chosen file of the committed generation.
 			sub := filepath.Join(dir, "explore")
@@ -273,13 +529,13 @@ func TestCheckpointCorruptionRestartsFresh(t *testing.T) {
 			corrupted := false
 			for _, ent := range ents {
 				name := ent.Name()
-				if name == target || (len(name) > len(target) && name[:len(target)+1] == target+"-") {
+				if name == tc.target || (len(name) > len(tc.target) && name[:len(tc.target)+1] == tc.target+"-") {
 					path := filepath.Join(sub, name)
 					raw, err := os.ReadFile(path)
 					if err != nil {
 						t.Fatal(err)
 					}
-					raw[len(raw)/2] ^= 0x40
+					tc.damage(raw)
 					if err := os.WriteFile(path, raw, 0o644); err != nil {
 						t.Fatal(err)
 					}
@@ -287,7 +543,7 @@ func TestCheckpointCorruptionRestartsFresh(t *testing.T) {
 				}
 			}
 			if !corrupted {
-				t.Fatalf("no %s file found to corrupt in %s", target, sub)
+				t.Fatalf("no %s file found to corrupt in %s", tc.target, sub)
 			}
 
 			got := exploreT(t, p, c, pids, 2, opts)

@@ -1,8 +1,12 @@
 package check
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -177,31 +181,126 @@ func (x *expander) expand(n *Node, emit func(*Node)) error {
 	return nil
 }
 
-// replayPath rebuilds a node by applying its root-to-node pid path from
-// the start configuration — a different job from expand: one path, no
-// fan-out. The result is not keyed. Failure means the path does not
-// belong to this protocol (the checkpoint profile check guards the
-// common cases; this is the backstop for a changed implementation).
+// replayStep applies pid's step to cur and returns the successor — one
+// link of a replayed path: a different job from expand (one path, no
+// fan-out, nothing keyed). Failure means the path does not belong to this
+// protocol (the checkpoint profile check guards the common cases; this is
+// the backstop for a changed implementation).
+func replayStep(run *engineRun, st *model.Stepper, cur *Node, pid byte) (*Node, error) {
+	succ := run.newNode()
+	fp, ok, err := st.ApplyCOW(cur.Cfg, cur.slotFP, cur.slotH, int(pid), succ.Cfg, succ.slotH)
+	if err == nil && !ok {
+		err = fmt.Errorf("pid %d has no step at depth %d", pid, cur.Depth)
+	}
+	if err != nil {
+		run.recycleAlways(succ)
+		return nil, fmt.Errorf("checkpoint: frontier path does not replay (%v); was the checkpoint written by a different protocol build?", err)
+	}
+	succ.slotFP = fp
+	succ.Depth = cur.Depth + 1
+	succ.Pid = int(pid)
+	succ.parent = nil
+	return succ, nil
+}
+
+// replayPath rebuilds a single node by applying its root-to-node pid path
+// from the start configuration (a distributed peer's fallback for a wire
+// record it cannot rematerialize). The result is not keyed.
 func replayPath(run *engineRun, st *model.Stepper, path []byte) (*Node, error) {
 	cur := run.rootNode(st)
-	for i, pb := range path {
-		succ := run.newNode()
-		fp, ok, err := st.ApplyCOW(cur.Cfg, cur.slotFP, cur.slotH, int(pb), succ.Cfg, succ.slotH)
-		if err == nil && !ok {
-			err = fmt.Errorf("pid %d has no step at depth %d", pb, i)
-		}
-		if err != nil {
-			run.recycleAlways(succ)
-			run.recycleAlways(cur)
-			return nil, fmt.Errorf("checkpoint: frontier path does not replay (%v); was the checkpoint written by a different protocol build?", err)
-		}
-		succ.slotFP = fp
-		succ.Depth = cur.Depth + 1
-		succ.Pid = int(pb)
-		succ.parent = nil
-		succ.path = append(succ.path[:0], path[:i+1]...)
+	for _, pid := range path {
+		succ, err := replayStep(run, st, cur, pid)
 		run.recycleAlways(cur)
+		if err != nil {
+			return nil, err
+		}
 		cur = succ
 	}
+	cur.path = append(cur.path[:0], path...)
 	return cur, nil
+}
+
+// replayFrontier rebuilds a checkpointed frontier: nodes[i] is the node
+// recs[i] describes, keyed by the run's keying and carrying its sleep
+// mask, so the resumed level is the one the lost process held, in its
+// order. The records are walked in path order, where consecutive paths
+// share their longest prefixes, and the order is cut into one contiguous
+// chunk per worker, each replayed on that worker's own expander.
+func replayFrontier(run *engineRun, recs []ckptFrontNode) ([]*Node, error) {
+	order := make([]int, len(recs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(recs[a].path, recs[b].path) })
+
+	nodes := make([]*Node, len(recs))
+	nw := max(1, min(run.opts.Workers, len(recs)))
+	errs := make([]error, nw)
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			chunk := order[w*len(order)/nw : (w+1)*len(order)/nw]
+			errs[w] = run.expander(w).replayChunk(recs, chunk, nodes)
+		}(w)
+	}
+	wg.Wait()
+	return nodes, errors.Join(errs...)
+}
+
+// replayChunk rebuilds the records order lists, which must be in path
+// order, into nodes (at each record's own index). It keeps the nodes
+// along the current path on a stack — stack[d] is the configuration d
+// steps in — so moving to the next record pops back to the prefix the two
+// paths share and applies only the steps beyond it: every distinct prefix
+// in the chunk is applied once.
+func (x *expander) replayChunk(recs []ckptFrontNode, order []int, nodes []*Node) error {
+	r := x.run
+	// A node handed out as a record's result belongs to the frontier from
+	// then on (kept); only the others go back to the pool when popped.
+	type frame struct {
+		n    *Node
+		kept bool
+	}
+	stack := []frame{{n: r.rootNode(x.st)}}
+	pop := func(to int) {
+		for _, f := range stack[to:] {
+			if !f.kept {
+				r.recycleAlways(f.n)
+			}
+		}
+		stack = stack[:to]
+	}
+	defer func() { pop(0) }()
+	var prev []byte
+	for i, idx := range order {
+		path := recs[idx].path
+		shared := 0
+		for shared < len(prev) && shared < len(path) && prev[shared] == path[shared] {
+			shared++
+		}
+		if i > 0 && shared == len(path) {
+			// Path order puts a path right after the one it repeats; its
+			// node would enter the frontier twice.
+			return fmt.Errorf("checkpoint: frontier path %v appears twice; was the checkpoint written by a different protocol build?", path)
+		}
+		pop(shared + 1)
+		for _, pid := range path[shared:] {
+			succ, err := replayStep(r, x.st, stack[len(stack)-1].n, pid)
+			if err != nil {
+				return err
+			}
+			stack = append(stack, frame{n: succ})
+		}
+		top := &stack[len(stack)-1]
+		top.kept = true
+		n := top.n
+		n.path = append(n.path[:0], path...)
+		x.key(n) // the rebuilt node must carry the same (fp, key) the lost one did
+		n.sleep = recs[idx].sleep
+		nodes[idx] = n
+		prev = path
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package check
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -119,6 +120,86 @@ func TestFpSetAppendAll(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// maxDisplacement is the longest probe sequence in the table: how far the
+// worst-placed member sits from its probe start.
+func maxDisplacement(s *fpSet) uint64 {
+	var worst uint64
+	for i, fp := range s.slots {
+		if fp != 0 {
+			worst = max(worst, (uint64(i)-s.probeStart(fp))&s.mask)
+		}
+	}
+	return worst
+}
+
+// TestFpSetReservedBulkLoad pins what keeps checkpoint seeding linear: a
+// table-order dump (appendAll, and forEach, which must agree with it)
+// loaded into a table that reserved for it first never grows and probes
+// no further than the table it was dumped from. Loading the same stream
+// into an unreserved set is the anti-pattern reserve documents — every
+// insert then walks one ever-longer cluster, seconds at this size and
+// quadratic beyond — so it is described here, not timed.
+func TestFpSetReservedBulkLoad(t *testing.T) {
+	const n = 200000
+	src := newFpSet(16)
+	rng := rand.New(rand.NewSource(7))
+	src.Add(0)
+	for src.Len() < n {
+		src.Add(rng.Uint64())
+	}
+	dump := src.appendAll(nil)
+	var streamed []uint64
+	src.forEach(func(fp uint64) error {
+		streamed = append(streamed, fp)
+		return nil
+	})
+	if !slices.Equal(streamed, dump) {
+		t.Fatal("forEach and appendAll enumerate differently")
+	}
+
+	dst := newFpSet(16)
+	dst.reserve(len(dump))
+	slots := len(dst.slots)
+	if slots != len(src.slots) {
+		t.Fatalf("reserve(%d) sized the table to %d slots; growing to %d members sized it to %d", n, slots, n, len(src.slots))
+	}
+	for _, fp := range dump {
+		if !dst.Add(fp) {
+			t.Fatalf("Add(%#x) reported a duplicate in a duplicate-free dump", fp)
+		}
+	}
+	if len(dst.slots) != slots {
+		t.Fatalf("the reserved table grew from %d to %d slots during the load", slots, len(dst.slots))
+	}
+	if dst.Len() != n {
+		t.Fatalf("Len = %d after the load, want %d", dst.Len(), n)
+	}
+	// 200k random members in 2^19 slots (38% load): the longest probe
+	// sequence is a few dozen slots, not the thousands a cluster built by
+	// an unreserved load reaches.
+	if got, was := maxDisplacement(dst), maxDisplacement(src); got > was || got > 64 {
+		t.Fatalf("longest probe sequence after the reserved load = %d slots (source table %d), want <= source and <= 64", got, was)
+	}
+
+	// Reserving on a populated table rehashes it once, losing nothing.
+	dst.reserve(4 * n)
+	if len(dst.slots) <= slots {
+		t.Fatalf("reserve(%d) on %d members left the table at %d slots", 4*n, n, len(dst.slots))
+	}
+	slots = len(dst.slots)
+	for _, fp := range dump {
+		if !dst.Has(fp) {
+			t.Fatalf("fingerprint %#x lost across reserve", fp)
+		}
+	}
+	for dst.Len() < 5*n {
+		dst.Add(rng.Uint64())
+	}
+	if len(dst.slots) != slots {
+		t.Fatalf("the table grew from %d to %d slots within its reservation", slots, len(dst.slots))
 	}
 }
 

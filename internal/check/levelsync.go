@@ -547,40 +547,19 @@ func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelRe
 	return nil
 }
 
-// resumeFromCheckpoint seeds the engine from a loaded checkpoint: the
-// visited set is seeded wholesale into the store (bypassing admission —
-// delayed-duplicate accounting already ran before the snapshot), the
-// frontier is rebuilt by replaying each node's pid path from the start
-// configuration and re-keying it, and the run counters are restored so
-// the resumed process behaves as if it had explored the prefix itself.
+// resumeFromCheckpoint seeds the engine from a loaded (and verified)
+// checkpoint: the visited set is bulk-loaded into the store (bypassing
+// admission — delayed-duplicate accounting already ran before the
+// snapshot), the frontier is rebuilt by replaying the nodes' pid paths
+// from the start configuration and re-keying them, and the run counters
+// are restored so the resumed process behaves as if it had explored the
+// prefix itself.
 func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) (FrontierSource, error) {
 	man := resumed.man
-	cs := run.store.(checkpointableStore)
-	for _, v := range resumed.visited {
-		cs.SeedVisited(int(v.fp&run.ownerMask), v.fp, v.key)
+	if err := run.store.(checkpointableStore).SeedVisited(resumed.visitedFP, resumed.visitedKeys); err != nil {
+		return nil, fmt.Errorf("checkpoint: seeding the visited set: %w", err)
 	}
-	x := run.expander(0)
-	nodes := make([]*Node, 0, len(resumed.frontier))
-	for _, rec := range resumed.frontier {
-		n, err := replayPath(run, x.st, rec.path)
-		if err != nil {
-			return nil, err
-		}
-		// The rebuilt node must carry the same (fp, key) the lost one did.
-		x.key(n)
-		n.sleep = rec.sleep
-		nodes = append(nodes, n)
-	}
-	if run.sleepOn {
-		for i := range run.prevSleep {
-			run.prevSleep[i] = map[uint64]uint64{}
-		}
-		for _, n := range nodes {
-			if n.sleep != 0 {
-				run.prevSleep[n.fp&run.ownerMask][n.fp] = n.sleep
-			}
-		}
-	}
+	resumed.visitedFP, resumed.visitedKeys = nil, nil // the run outlives them by hours
 	run.admitted.Store(man.Admitted)
 	if man.Closed {
 		run.closed.Store(true)
@@ -600,6 +579,21 @@ func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) 
 		// The run ended at the snapshot barrier; an empty frontier skips
 		// the level loop and returns the restored verdict directly.
 		return &memSource{}, nil
+	}
+	nodes, err := replayFrontier(run, resumed.frontier)
+	if err != nil {
+		return nil, err
+	}
+	resumed.frontier = nil
+	if run.sleepOn {
+		for i := range run.prevSleep {
+			run.prevSleep[i] = map[uint64]uint64{}
+		}
+		for _, n := range nodes {
+			if n.sleep != 0 {
+				run.prevSleep[n.fp&run.ownerMask][n.fp] = n.sleep
+			}
+		}
 	}
 	return &memSource{nodes: nodes}, nil
 }

@@ -153,26 +153,33 @@ func (s *memStore) DumpVisited(emit func(fp uint64, key string) error) error {
 			}
 			continue
 		}
-		for _, fp := range p.fps.appendAll(nil) {
-			if err := emit(fp, ""); err != nil {
-				return err
-			}
+		if err := p.fps.forEach(func(fp uint64) error { return emit(fp, "") }); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// SeedVisited marks one entry visited (checkpoint resume).
-func (s *memStore) SeedVisited(part int, fp uint64, key string) {
-	p := &s.parts[part]
+// SeedVisited loads a checkpoint's visited snapshot (checkpoint resume).
+func (s *memStore) SeedVisited(fps []uint64, keys []string) error {
+	mask := uint64(len(s.parts) - 1)
 	if s.ctx.stringKeys {
-		if _, dup := p.keys[key]; !dup {
-			p.keys[key] = fp
-			p.keyBytes += int64(len(key)) + mapEntryOverhead
+		for i, fp := range fps {
+			p := &s.parts[fp&mask]
+			if _, dup := p.keys[keys[i]]; !dup {
+				p.keys[keys[i]] = fp
+				p.keyBytes += int64(len(keys[i])) + mapEntryOverhead
+			}
 		}
-		return
+		return nil
 	}
-	p.fps.Add(fp)
+	for i, n := range partCounts(fps, len(s.parts)) {
+		s.parts[i].fps.reserve(n)
+	}
+	for _, fp := range fps {
+		s.parts[fp&mask].fps.Add(fp)
+	}
+	return nil
 }
 
 // mapEntryOverhead is the per-entry bookkeeping estimate (header, bucket

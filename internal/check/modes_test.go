@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -22,7 +23,8 @@ import (
 // table: every listed pair is rejected with check.ErrIncompatibleModes
 // wherever the entry point can express it, and every combination the
 // table does not list validates everywhere and explores to the
-// sequential oracle's verdict.
+// sequential oracle's verdict — also when it is killed at a level barrier
+// and resumed from its checkpoint.
 
 // modeEngine switches the modes in set on in engine options.
 func modeEngine(set check.Mode, dir string) check.EngineOptions {
@@ -205,17 +207,11 @@ func TestModeMatrix(t *testing.T) {
 						if err := spec.Validate(); err != nil {
 							t.Errorf("sweep rejects the legal %+v: %v", spec, err)
 						}
-						for _, workers := range []int{1, 2, 4} {
-							name := fmt.Sprintf("%s/%s/%s/%s/keys=%t/w%d", pc.p.Name(), order, store, reduce, stringKeys, workers)
-							eng := check.EngineOptions{Order: order, Store: store, Reduction: reduce,
-								StringKeys: stringKeys, Workers: workers}
-							if store == check.StoreSpill {
-								eng.MemBudget = 1 << 12 // tiny: force real spilling
-							}
-							res, err := check.ExploreOpts(pc.p, c, pids, pc.k, check.ExploreOptions{Limits: limits, Engine: eng})
+						// compare holds a legal cell's result to the oracle.
+						compare := func(name string, res *check.ExploreResult, err error) {
 							if err != nil {
 								t.Errorf("%s: %v", name, err)
-								continue
+								return
 							}
 							if !reflect.DeepEqual(res.DecidedValues, oracle.DecidedValues) {
 								t.Errorf("%s: decided %v, oracle %v", name, res.DecidedValues, oracle.DecidedValues)
@@ -239,6 +235,52 @@ func TestModeMatrix(t *testing.T) {
 							if res.Visited != want {
 								t.Errorf("%s: visited %d, want %d", name, res.Visited, want)
 							}
+						}
+						engine := func(store string, workers int) check.EngineOptions {
+							eng := check.EngineOptions{Order: order, Store: store, Reduction: reduce,
+								StringKeys: stringKeys, Workers: workers}
+							if store == check.StoreSpill {
+								eng.MemBudget = 1 << 12 // tiny: force real spilling
+							}
+							return eng
+						}
+						for _, workers := range []int{1, 2, 4} {
+							name := fmt.Sprintf("%s/%s/%s/%s/keys=%t/w%d", pc.p.Name(), order, store, reduce, stringKeys, workers)
+							res, err := check.ExploreOpts(pc.p, c, pids, pc.k, check.ExploreOptions{Limits: limits, Engine: engine(store, workers)})
+							compare(name, res, err)
+
+							// The checkpoint axis: the same cell killed at a level
+							// barrier and resumed from its snapshot by a different
+							// number of workers on the other store. (Under async the
+							// option is a no-op; the axis is levelsync's.)
+							if order != check.OrderLevelSync || conflicting(set|check.ModeCheckpoint) {
+								continue
+							}
+							// A snapshot at every third barrier: the kill's and few
+							// others, or fsyncs would be most of the matrix.
+							eng := engine(store, workers)
+							eng.Checkpoint, eng.CheckpointEvery = t.TempDir(), 3
+							ctx, cancel := context.WithCancel(context.Background())
+							eng.Ctx = ctx
+							eng.Progress = func(pr check.Progress) {
+								if pr.Depth >= 2 {
+									cancel()
+								}
+							}
+							_, err = check.ExploreOpts(pc.p, c, pids, pc.k, check.ExploreOptions{Limits: limits, Engine: eng})
+							cancel()
+							if err != nil && !errors.Is(err, context.Canceled) {
+								t.Errorf("%s/checkpoint: run to kill: %v", name, err)
+								continue
+							}
+							otherStore, otherWorkers := check.StoreSpill, workers%4+1 // 1→2, 2→3, 4→1
+							if store == check.StoreSpill {
+								otherStore = check.StoreMem
+							}
+							resume := engine(otherStore, otherWorkers)
+							resume.Checkpoint, resume.CheckpointEvery = eng.Checkpoint, 3
+							res, err = check.ExploreOpts(pc.p, c, pids, pc.k, check.ExploreOptions{Limits: limits, Engine: resume})
+							compare(fmt.Sprintf("%s/checkpoint->%s/w%d", name, otherStore, otherWorkers), res, err)
 						}
 					}
 				}

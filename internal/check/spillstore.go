@@ -754,26 +754,42 @@ func (s *spillStore) compact(p *spillPart) error {
 	return nil
 }
 
-func (s *spillStore) Stats() StoreStats {
-	// Async runs never reach EndLevel, so sample the resident footprint
-	// here too (Stats runs after the run ends, when no owner goroutine is
-	// live); the async peak is a flush/close-time sample rather than a
-	// per-barrier one.
-	var resident, hits int64
+// residentBytes is the store's current resident footprint: every
+// partition's delta table plus its Bloom prefilter.
+func (s *spillStore) residentBytes() int64 {
+	var resident int64
 	for i := range s.parts {
 		p := &s.parts[i]
-		hits += p.prefilterHits
 		if s.ctx.stringKeys {
 			resident += p.deltaKeyBytes
-		} else if p.deltaFP != nil {
+		} else {
 			resident += int64(len(p.deltaFP.slots)) * 8
 		}
 		if p.bloom != nil {
 			resident += p.bloom.bytes()
 		}
 	}
-	if resident > s.peak {
+	return resident
+}
+
+// foldPeak raises the resident high-water mark to the current footprint.
+// It runs wherever no barrier samples for it: when an async run ends
+// (Stats) and around every flush of a checkpoint seed.
+func (s *spillStore) foldPeak() {
+	if resident := s.residentBytes(); resident > s.peak {
 		s.peak = resident
+	}
+}
+
+func (s *spillStore) Stats() StoreStats {
+	// Async runs never reach EndLevel, so sample the resident footprint
+	// here too (Stats runs after the run ends, when no owner goroutine is
+	// live); the async peak is a flush/close-time sample rather than a
+	// per-barrier one.
+	s.foldPeak()
+	var hits int64
+	for i := range s.parts {
+		hits += s.parts[i].prefilterHits
 	}
 	return StoreStats{
 		Kind:              StoreSpill,
@@ -1257,12 +1273,8 @@ func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
 					return err
 				}
 			}
-		} else if p.deltaFP != nil {
-			for _, fp := range p.deltaFP.appendAll(nil) {
-				if err := emit(fp, ""); err != nil {
-					return err
-				}
-			}
+		} else if err := p.deltaFP.forEach(func(fp uint64) error { return emit(fp, "") }); err != nil {
+			return err
 		}
 		for j := range p.runs {
 			r, err := newRunReader(p.runs[j].path, s.ctx.stringKeys)
@@ -1289,16 +1301,51 @@ func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
 	return nil
 }
 
-// SeedVisited marks one entry visited in the partition's resident delta
-// (checkpoint resume; the next over-budget barrier spills it normally).
-func (s *spillStore) SeedVisited(part int, fp uint64, key string) {
-	p := &s.parts[part]
-	if s.ctx.stringKeys {
-		if _, dup := p.deltaKeys[key]; !dup {
-			p.deltaKeys[key] = fp
-			p.deltaKeyBytes += int64(len(key)) + mapEntryOverhead
-		}
-	} else {
-		p.deltaFP.Add(fp)
+// SeedVisited loads a checkpoint's visited snapshot under the byte budget
+// (checkpoint resume): a partition's delta takes entries up to its share
+// of the budget, is flushed to a sorted run like any over-budget delta,
+// and starts over, so a resumed run holds no more of the visited set
+// resident than the run that wrote the snapshot did. Every fresh delta
+// table is sized for what it will take before it takes it (fpSet.reserve:
+// a mem-store snapshot arrives in table order).
+func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
+	// A delta table may have as many slots as the partition budget holds,
+	// and takes 70% of that many entries before it would grow.
+	slots := 1024
+	for int64(slots)*2*8 <= s.partBudget {
+		slots <<= 1
 	}
+	chunk := slots * 7 / 10
+	left := partCounts(fps, len(s.parts)) // entries still to come, per partition
+	room := make([]int, len(s.parts))     // entries the current delta table still takes
+	mask := uint64(len(s.parts) - 1)
+	for i, fp := range fps {
+		part := fp & mask
+		p := &s.parts[part]
+		var full bool // the partition's delta has reached its share of the budget
+		if s.ctx.stringKeys {
+			if _, dup := p.deltaKeys[keys[i]]; !dup {
+				p.deltaKeys[keys[i]] = fp
+				p.deltaKeyBytes += int64(len(keys[i])) + mapEntryOverhead
+			}
+			full = p.deltaKeyBytes > s.partBudget
+		} else {
+			if room[part] == 0 {
+				room[part] = min(left[part], chunk)
+				p.deltaFP.reserve(room[part])
+			}
+			p.deltaFP.Add(fp)
+			room[part]--
+			full = room[part] == 0
+		}
+		left[part]--
+		if full && left[part] > 0 {
+			s.foldPeak()
+			if err := s.spillDelta(p); err != nil {
+				return err
+			}
+		}
+	}
+	s.foldPeak()
+	return nil
 }

@@ -121,13 +121,35 @@ type asyncStateStore interface {
 }
 
 // checkpointableStore is the optional capability checkpointing needs
-// from a store: dumping the visited set at a level barrier and seeding
-// it back on resume. Both built-in stores implement it. Dump may emit
-// an entry more than once (the spill store's deltas and runs can
-// overlap); SeedVisited is idempotent.
+// from a store: dumping the visited set at a level barrier and loading a
+// snapshot back on resume. Both built-in stores implement it.
+//
+// DumpVisited may emit an entry more than once (the spill store's deltas
+// and runs can overlap) and emits resident tables in table order, which
+// costs no memory but is the one order that must never be inserted into a
+// table that is still growing (fpSet.reserve says why).
+//
+// SeedVisited therefore takes the snapshot whole, after its checksum has
+// verified: fps (and, under exact keys, the parallel keys; nil otherwise)
+// go to partition fp & (parts-1), the engine's routing, into tables sized
+// from the per-partition counts first, so seeding is linear in the
+// snapshot whatever order it arrives in and whichever store wrote it. It
+// runs once, on a fresh store, before the first level; repeats in the
+// snapshot are harmless.
 type checkpointableStore interface {
 	DumpVisited(emit func(fp uint64, key string) error) error
-	SeedVisited(part int, fp uint64, key string)
+	SeedVisited(fps []uint64, keys []string) error
+}
+
+// partCounts is how many of fps the engine's routing sends to each of
+// parts partitions (parts is a power of two).
+func partCounts(fps []uint64, parts int) []int {
+	counts := make([]int, parts)
+	mask := uint64(parts - 1)
+	for _, fp := range fps {
+		counts[fp&mask]++
+	}
+	return counts
 }
 
 // Store backend names accepted by EngineOptions.Store.
