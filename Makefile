@@ -12,7 +12,7 @@ test:
 	go test ./...
 
 race:
-	go test -race -run 'Parallel|Deterministic|Workers|Quotient|Frontier|Spill|Truncation' ./internal/check ./internal/lowerbound
+	go test -race -run 'Parallel|Deterministic|Workers|Quotient|Frontier|Spill|Truncation|Cancel|ExactKeys|DegenerateHash' ./internal/check ./internal/lowerbound ./internal/model
 	go test -race -run 'Reduce|Bloom|SymWorker|Canonicalize' ./internal/check ./internal/sweep ./internal/model
 	go test -race -run 'Async|WSDeque|Order|Mode' ./internal/check ./internal/sweep
 	go test -race -run 'Checkpoint|Resume' ./internal/check

@@ -3,6 +3,7 @@
 //
 //	Table 1 rows  -> BenchmarkTable1*           (one benchmark per row)
 //	Figure 1      -> BenchmarkLemma9Construction
+//	Theorem 10    -> BenchmarkTheorem10Certificate
 //	Figures 2-5   -> BenchmarkCoveringScan, BenchmarkBivalenceSearch
 //	Figure 6      -> BenchmarkForbiddenLedger
 //	Lemma 8       -> BenchmarkSoloTermination
@@ -680,6 +681,35 @@ func BenchmarkExploreEngineMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkTheorem10Certificate is the exact-key engine where the paper
+// needs it: the Theorem 10 certificate for Algorithm 1 at n=12, k=3 — the
+// sweep's theorem10 scenario, as certify-grid runs it — whose R-only
+// decision hunts run on exact string keys with provenance. configs/s
+// counts every configuration those searches visit.
+func BenchmarkTheorem10Certificate(b *testing.B) {
+	const n, k = 12, 3
+	mode, _ := sweep.LBModeByKey("theorem10")
+	p, _, err := mode.Build(n, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	configs := 0
+	limits := lowerbound.SearchLimits{MaxConfigs: mode.MaxConfigs, MaxDepth: mode.MaxDepth,
+		Progress: func(pr check.Progress) { configs += pr.FrontierSize }}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cert, err := lowerbound.Theorem10Driver(p, k, limits, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cert.Objects != lowerbound.Theorem10Bound(n, k) {
+			b.Fatalf("certified %d objects, bound %d", cert.Objects, lowerbound.Theorem10Bound(n, k))
+		}
+	}
+	b.ReportMetric(float64(configs)/b.Elapsed().Seconds(), "configs/s")
+}
+
 // BenchmarkCheckpointResume times what a killed long run pays to carry
 // on: the shared instance at 100k states, checkpointing at every barrier,
 // is cancelled after level 10 (untimed), and the timed call resumes it
@@ -733,7 +763,10 @@ func BenchmarkCheckpointResume(b *testing.B) {
 }
 
 // BenchmarkLowerboundSearchWorkers measures the ported schedule search
-// (Theorem 10's R-only decision hunt) across engine worker counts.
+// across engine worker counts on the negative control: the agreement
+// violation of the 2-process pair consensus run with 3 processes
+// (FindAgreementViolation). BenchmarkTheorem10Certificate is the one that
+// times Theorem 10's R-only decision hunts.
 func BenchmarkLowerboundSearchWorkers(b *testing.B) {
 	p := baseline.NewPairConsensus(2).WithProcesses(3)
 	for _, workers := range []int{1, 2, 4} {

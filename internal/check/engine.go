@@ -56,8 +56,9 @@ import (
 //     truncation picks survivors by sorted fingerprint, not arrival
 //     order), per-worker accumulators are merged with commutative
 //     operations, and witness provenance is tie-broken by (parent
-//     fingerprint, pid) rather than discovery order. The async order
-//     keeps the verdicts and gives up the schedule determinism.
+//     fingerprint, parent key, pid) rather than discovery order. The
+//     async order keeps the verdicts and gives up the schedule
+//     determinism.
 //
 //   - By default the visited set is keyed by the 64-bit incremental slot
 //     fingerprint (model.Config.SlotFingerprint). Distinct configurations
@@ -66,8 +67,10 @@ import (
 //     EngineOptions.StringKeys selects exact binary-encoding
 //     deduplication instead — the exact-encoding fallback the lowerbound
 //     certificate searches use so that a collision can never silently
-//     prune a witness. Exact keying re-encodes every successor in full,
-//     which disables the incremental-fingerprint savings by construction.
+//     prune a witness. Exact keying has the same shortcuts made exact
+//     (transition memos keyed by encodings, successor keys spliced from
+//     the parent's: model.Stepper.ApplyKeyed); what it pays for is keeping
+//     every visited configuration's whole key.
 //
 //   - EngineOptions.Reduction installs the state-space reduction layer
 //     (reduce.go): orbit-canonical fingerprints for declared
@@ -96,8 +99,9 @@ type EngineOptions struct {
 	Shards int
 	// StringKeys keys the visited set by the exact binary encoding of
 	// each configuration instead of the 64-bit fingerprint: immune to
-	// hash collisions, at higher memory and hashing cost (every
-	// successor is re-encoded in full).
+	// hash collisions — no dedup, memo or ordering decision rests on a
+	// hash comparison alone — at higher memory and hashing cost (every
+	// visited configuration keeps its whole key).
 	StringKeys bool
 	// Reduction selects the state-space reduction layer (reduce.go):
 	// "" or "none" (no reduction), "sym" (incremental process-symmetry

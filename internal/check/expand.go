@@ -45,13 +45,18 @@ type expander struct {
 	sw     *symWorker // nil unless the symmetry quotient is active
 	objs   []int      // per-pid poised object (-1 = none); sleep mode only
 	enc    []byte     // encoding scratch: exact keys and wire records
+	// penc is the node under expansion's exact key split at its slots
+	// (exact-key runs only). It is rebuilt by one scan per expanded node
+	// instead of stored per node: provenance runs retain every node.
+	penc model.SlotEncoding
 
 	sleepSkips int64
 }
 
 // expander returns worker's expander, creating it on first use. Exact-key
-// runs use memo-free steppers: their guarantee is that no hash shortcut
-// can substitute a wrong configuration, so every step is recomputed.
+// runs use exact steppers: their guarantee is that no hash shortcut can
+// substitute a wrong configuration, so what those memoize, they memoize
+// on the encodings themselves.
 func (r *engineRun) expander(worker int) *expander {
 	x := r.expanders[worker]
 	if x == nil {
@@ -77,7 +82,11 @@ func (r *engineRun) expander(worker int) *expander {
 
 // key sets n's dedup identity from its slot fingerprint: the exact
 // encoding in string-key mode, the orbit-canonical fingerprint under an
-// active symmetry quotient, the plain slot fingerprint otherwise.
+// active symmetry quotient, the plain slot fingerprint otherwise. In
+// string-key mode only nodes without a keyed parent come here and are
+// encoded in full (the root, a node replayed from a checkpoint; the spill
+// store reloads a node's key with it): step splices every successor's
+// key, the same bytes, from its parent's.
 func (x *expander) key(n *Node) {
 	n.fp = n.slotFP
 	switch {
@@ -97,6 +106,11 @@ func (x *expander) key(n *Node) {
 // the expansion; the caller fails the run.
 func (x *expander) expand(n *Node, emit func(*Node)) error {
 	r := x.run
+	if r.opts.StringKeys {
+		if err := x.penc.Set(n.key, r.nObj, r.nProc); err != nil {
+			return fmt.Errorf("frontier engine: node key: %w", err)
+		}
+	}
 	var mask uint64
 	if r.sleepOn {
 		// The poised-object vector feeds the commutation test below; both
@@ -129,7 +143,7 @@ func (x *expander) expand(n *Node, emit func(*Node)) error {
 			continue
 		}
 		succ := r.newNode()
-		fp, ok, err := x.st.ApplyCOW(n.Cfg, n.slotFP, n.slotH, pid, succ.Cfg, succ.slotH)
+		ok, err := x.step(n, pid, succ)
 		if err != nil {
 			r.recycleAlways(succ)
 			return fmt.Errorf("frontier engine: %w", err)
@@ -138,7 +152,6 @@ func (x *expander) expand(n *Node, emit func(*Node)) error {
 			r.recycleAlways(succ)
 			continue
 		}
-		succ.slotFP = fp
 		succ.Depth = n.Depth + 1
 		succ.Pid = pid
 		succ.parent = nil
@@ -151,7 +164,6 @@ func (x *expander) expand(n *Node, emit func(*Node)) error {
 			// remote process replays the path through its own stepper).
 			succ.path = append(append(succ.path[:0], n.path...), byte(pid))
 		}
-		x.key(succ)
 		if r.sleepOn {
 			// The successor sleeps every commuting smaller pid (its
 			// interleaving is covered by the ascending order) and every
@@ -179,6 +191,24 @@ func (x *expander) expand(n *Node, emit func(*Node)) error {
 		emit(succ)
 	}
 	return nil
+}
+
+// step applies pid's step from n into succ and keys succ; ok is false
+// when pid has decided. In string-key mode n's key must be loaded in
+// x.penc, and the successor's key is spliced from it.
+func (x *expander) step(n *Node, pid int, succ *Node) (ok bool, err error) {
+	if x.run.opts.StringKeys {
+		succ.slotFP, x.enc, ok, err = x.st.ApplyKeyed(n.Cfg, n.slotFP, n.slotH, &x.penc, pid, succ.Cfg, succ.slotH, x.enc[:0])
+		if ok {
+			succ.fp, succ.key = succ.slotFP, string(x.enc)
+		}
+		return ok, err
+	}
+	succ.slotFP, ok, err = x.st.ApplyCOW(n.Cfg, n.slotFP, n.slotH, pid, succ.Cfg, succ.slotH)
+	if ok {
+		x.key(succ)
+	}
+	return ok, err
 }
 
 // replayStep applies pid's step to cur and returns the successor — one

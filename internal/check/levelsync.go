@@ -24,7 +24,11 @@ import (
 type dedupOwner struct {
 	part    int
 	pending map[uint64]*Node
-	ch      chan []*Node
+	// pendingExact holds the admissions whose fingerprint an earlier
+	// pending node with a different key already took: under exact keys a
+	// shared fingerprint must not merge two configurations here either.
+	pendingExact map[string]*Node
+	ch           chan []*Node
 	// sleep collects the level's admitted sleep masks by fingerprint
 	// (sleep-reduction mode only). Duplicate admissions intersect — a
 	// commutative fold, so the surviving mask is a pure function of the
@@ -53,7 +57,11 @@ func (o *dedupOwner) admit(r *engineRun, nn *Node) {
 	added, retained := r.store.Admit(o.part, nn)
 	if added {
 		if r.opts.Provenance {
-			o.pending[nn.fp] = nn
+			if prev := o.pending[nn.fp]; prev != nil && prev.key != nn.key {
+				o.pendingExact[nn.key] = nn
+			} else {
+				o.pending[nn.fp] = nn
+			}
 		}
 		if r.sleepOn {
 			o.sleep[nn.fp] = nn.sleep
@@ -84,12 +92,19 @@ func (o *dedupOwner) admit(r *engineRun, nn *Node) {
 
 // claimProvenance handles a duplicate candidate: if its configuration was
 // admitted this very level, claim provenance when ours is
-// deterministically smaller, so witness schedules do not depend on
-// discovery order; then recycle the candidate.
+// deterministically smaller — by the parent's (fingerprint, key), then
+// pid — so witness schedules do not depend on discovery order; then
+// recycle the candidate. (Keys are empty, and so equal, outside exact-key
+// runs.)
 func (o *dedupOwner) claimProvenance(r *engineRun, nn *Node) {
 	if r.opts.Provenance {
-		if prev, ok := o.pending[nn.fp]; ok && (!r.opts.StringKeys || prev.key == nn.key) {
-			if nn.parent.fp < prev.parent.fp || (nn.parent.fp == prev.parent.fp && nn.Pid < prev.Pid) {
+		prev := o.pending[nn.fp]
+		if prev != nil && prev.key != nn.key {
+			prev = o.pendingExact[nn.key]
+		}
+		if prev != nil {
+			a, b := nn.parent, prev.parent
+			if a.fp < b.fp || (a.fp == b.fp && (a.key < b.key || (a.key == b.key && nn.Pid < prev.Pid))) {
 				prev.parent, prev.Pid = nn.parent, nn.Pid
 			}
 		}
@@ -112,7 +127,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 	stats := RunStats{Complete: true, Async: AsyncStats{Order: OrderLevelSync}}
 	run.owners = make([]*dedupOwner, run.ownerMask+1)
 	for i := range run.owners {
-		run.owners[i] = &dedupOwner{part: i, pending: map[uint64]*Node{}}
+		run.owners[i] = &dedupOwner{part: i, pending: map[uint64]*Node{}, pendingExact: map[string]*Node{}}
 		if run.sleepOn {
 			run.owners[i].sleep = map[uint64]uint64{}
 		}
@@ -233,6 +248,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		}
 		for _, o := range run.owners {
 			clear(o.pending)
+			clear(o.pendingExact)
 		}
 		if run.sleepOn {
 			// Hand the finished mask maps to the next level's expansions

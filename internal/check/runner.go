@@ -33,8 +33,8 @@
 //     the default 64-bit incremental slot fingerprint. Fingerprints are
 //     faster and ~10x smaller but admit a ~2^-64 per-pair collision risk
 //     (bitstate-hashing trade-off); certificate searches that must never
-//     silently prune a witness use StringKeys, which also disables the
-//     hash-keyed transition memos (every step is recomputed exactly).
+//     silently prune a witness use StringKeys, which also keys the
+//     transition memos by exact encodings instead of slot hashes.
 //   - Reduction: the state-space reduction layer (reduce.go) —
 //     incremental process-symmetry quotienting over the classes the
 //     protocol declares (model.ProcessSymmetric) and sleep-set pruning

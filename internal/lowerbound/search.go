@@ -3,6 +3,7 @@ package lowerbound
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,11 +27,12 @@ type SearchLimits struct {
 	Workers int
 	// Shards is the visited-set stripe count (default 64).
 	Shards int
-	// Fingerprints switches deduplication from exact encoding keys to
-	// 64-bit incremental slot fingerprints: faster and leaner (and it
-	// enables the engine's hash-keyed transition memos), but a hash
-	// collision could silently prune a witness or substitute a wrong
-	// transition, so certificate searches default to exact.
+	// Fingerprints switches deduplication, and the engine's transition
+	// memos with it, from exact encodings to 64-bit incremental slot
+	// fingerprints: leaner (an 8-byte visited entry instead of the whole
+	// key) and faster, but a hash collision could silently prune a
+	// witness or substitute a wrong transition, so certificate searches
+	// default to exact.
 	Fingerprints bool
 	// Store selects the engine's state-store backend ("", "mem" or
 	// "spill"). Provenance runs keep their nodes resident either way;
@@ -101,9 +103,7 @@ type Witness struct {
 // protocols fail — e.g. the 2-process single-swap consensus run with three
 // processes (Section 1's motivation for needing more objects).
 func FindAgreementViolation(p model.Protocol, inputs []int, k int, limits SearchLimits) (*Witness, error) {
-	return searchDecisions(p, inputs, nil, limits, func(decided map[int]bool) bool {
-		return len(decided) > k
-	})
+	return searchDecisions(p, inputs, nil, limits, func(distinct int) bool { return distinct > k })
 }
 
 // FindKDistinctDecisions searches for an execution by the processes in
@@ -111,19 +111,18 @@ func FindAgreementViolation(p model.Protocol, inputs []int, k int, limits Search
 // the "R-only execution in which all k values are decided" case of
 // Theorem 10's induction. Returns nil if none is found within limits.
 func FindKDistinctDecisions(p model.Protocol, inputs []int, restrict []int, k int, limits SearchLimits) (*Witness, error) {
-	return searchDecisions(p, inputs, restrict, limits, func(decided map[int]bool) bool {
-		return len(decided) >= k
-	})
+	return searchDecisions(p, inputs, restrict, limits, func(distinct int) bool { return distinct >= k })
 }
 
 // searchDecisions is a breadth-first search over schedules with parent
-// tracking, stopping when goal(decidedValues) becomes true. It runs on
-// the check package's sharded frontier engine: goal configurations are
-// detected during parallel level processing, the run stops at the first
-// level containing one, and the reported witness is the deterministically
-// smallest goal node of that level (by fingerprint, then key), so the
-// schedule does not depend on worker count or interleaving.
-func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits SearchLimits, goal func(map[int]bool) bool) (*Witness, error) {
+// tracking, stopping at a configuration whose number of distinct decided
+// values satisfies goal. It runs on the check package's sharded frontier
+// engine: goal configurations are detected during parallel level
+// processing, the run stops at the first level containing one, and the
+// reported witness is the deterministically smallest goal node of that
+// level (by fingerprint, then key), so the schedule does not depend on
+// worker count or interleaving.
+func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits SearchLimits, goal func(distinct int) bool) (*Witness, error) {
 	start, err := model.NewConfig(p, inputs)
 	if err != nil {
 		return nil, err
@@ -144,13 +143,16 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 		exLimits, engOpts = limits.engineOptions()
 	)
 	visit := func(_ int, n *check.Node) error {
-		dec := map[int]bool{}
+		// Runs once per visited node: the distinct decided values (a k-set
+		// protocol decides at most k+1 of them) are collected on the stack.
+		var buf [8]int
+		dec := buf[:0]
 		for pid := range n.Cfg.States {
-			if v, ok := n.Cfg.Decided(p, pid); ok {
-				dec[v] = true
+			if v, ok := n.Cfg.Decided(p, pid); ok && !slices.Contains(dec, v) {
+				dec = append(dec, v)
 			}
 		}
-		if !goal(dec) {
+		if !goal(len(dec)) {
 			return nil
 		}
 		key := n.Cfg.Key()
@@ -160,10 +162,7 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 		if best == nil || n.Fingerprint() < best.Fingerprint() ||
 			(n.Fingerprint() == best.Fingerprint() && key < bestKey) {
 			best, bestKey = n, key
-			bestDec = make([]int, 0, len(dec))
-			for v := range dec {
-				bestDec = append(bestDec, v)
-			}
+			bestDec = append([]int(nil), dec...)
 		}
 		mu.Unlock()
 		return nil

@@ -31,6 +31,14 @@ import "fmt"
 //     slots. Like the FNV fingerprint, distinct configurations may
 //     collide (~2^-64 per pair, the bitstate trade-off); exact-encoding
 //     keying remains available for certificate searches.
+//
+//   - Exact-key runs get the same two shortcuts without trusting a hash
+//     (NewStepperExact, ApplyKeyed): transitions are memoized by the
+//     touched slots' encodings, compared byte for byte, and a successor's
+//     exact key is spliced from its parent's (SlotEncoding, slots.go)
+//     instead of re-encoded. The slot hashes and the fingerprint are
+//     maintained there too — the stores order and partition by them —
+//     but nothing is decided by them alone.
 
 // mixSlot combines a slot index with the content hash of the value stored
 // there into that slot's fingerprint contribution (splitmix64-style
@@ -45,9 +53,20 @@ func mixSlot(slot int, h uint64) uint64 {
 	return x
 }
 
+// degenerateSlotHash, when set, gives every slot the same content hash,
+// so every configuration has the same fingerprint: the test seam
+// (export_test.go) behind the proof that exact-key runs rest no decision
+// on a hash. Only tests set it, and never while a stepper is in use.
+var degenerateSlotHash bool
+
 // hashEncoding is the slot-content hash: FNV-1a over the compact
 // encoding bytes.
-func hashEncoding(enc []byte) uint64 { return fnv1a(fnvOffset64, enc) }
+func hashEncoding(enc []byte) uint64 {
+	if degenerateSlotHash {
+		return 0
+	}
+	return fnv1a(fnvOffset64, enc)
+}
 
 // MixSlotHash exposes the slot-fingerprint combine — mixSlot(slot, h) —
 // to the explorer's reduction layer, which reassigns class slot hashes
@@ -132,13 +151,18 @@ func (a *Arena) internBytes(enc []byte, h uint64, entries *[]arenaEntry, idx map
 // hash of its encoding. The first instance seen for an encoding becomes
 // canonical; later equal values are dropped in its favor.
 func (a *Arena) InternValue(v Value) (Value, uint64) {
+	ref, h := a.internValue(v)
+	return a.vals[ref].val, h
+}
+
+func (a *Arena) internValue(v Value) (uint32, uint64) {
 	a.scratch = appendValue(a.scratch[:0], v)
 	h := hashEncoding(a.scratch)
 	ref, found := a.internBytes(a.scratch, h, &a.vals, a.valIdx)
 	if !found {
 		a.vals[ref].val = v
 	}
-	return a.vals[ref].val, h
+	return ref, h
 }
 
 // InternState is InternValue for process states. States with equal Keys
@@ -148,14 +172,24 @@ func (a *Arena) InternValue(v Value) (Value, uint64) {
 // behavioral content by that same contract, and an engine-produced
 // configuration may hold any Key-equal representative's values for them.
 func (a *Arena) InternState(s State) (State, uint64) {
+	ref, h := a.internState(s)
+	return a.sts[ref].st, h
+}
+
+func (a *Arena) internState(s State) (uint32, uint64) {
 	a.scratch = appendState(a.scratch[:0], s)
 	h := hashEncoding(a.scratch)
 	ref, found := a.internBytes(a.scratch, h, &a.sts, a.stIdx)
 	if !found {
 		a.sts[ref].st = s
 	}
-	return a.sts[ref].st, h
+	return ref, h
 }
+
+// encoding returns the stored encoding of an interned entry. The bytes
+// are never rewritten (the arena only appends), so the slice stays valid
+// across later interns.
+func (a *Arena) encoding(e arenaEntry) []byte { return a.data[e.off:e.end] }
 
 // poisedKey memoizes Poised by (pid, state content hash): protocols are
 // deterministic, so the poised operation — and whether the process has
@@ -189,29 +223,52 @@ type transVal struct {
 	sh  uint64
 }
 
+// exactVal is the exact memo's transition entry: a transVal plus the
+// arena refs of the two successor encodings, which ApplyKeyed splices
+// into the successor's key.
+type exactVal struct {
+	transVal
+	valRef, stRef uint32
+}
+
 // Stepper is the arena-backed expansion hot path: a per-worker object
 // that performs copy-on-write Apply steps, interning the touched slots
 // and maintaining the incremental slot fingerprint. One Stepper serves
 // one goroutine.
 //
-// By default the Stepper also memoizes poised operations and whole
-// transitions by slot content hash, which makes repeated transitions —
-// the overwhelmingly common case in a BFS — entirely allocation-free: no
-// Poised, Observe or encoding call happens on a memo hit. Hash-keyed
-// memoization inherits the fingerprint mode's ~2^-64 per-pair collision
-// tolerance; exact-keyed (certificate) searches construct their Stepper
-// with NewStepperExact, which disables the memos so every step is
-// recomputed from the configuration itself.
+// Both kinds of Stepper memoize poised operations and whole transitions,
+// which makes repeated transitions — the overwhelmingly common case in a
+// BFS — allocation-free: no Poised, Observe or encoding call happens on
+// a memo hit. They differ in what a hit rests on:
+//
+//   - NewStepper keys the memos by slot content hash (ApplyCOW), and so
+//     inherits the fingerprint mode's ~2^-64 per-pair collision tolerance.
+//
+//   - NewStepperExact, which exact-keyed (certificate) searches use, keys
+//     them by the encodings themselves — (pid, the actor's state encoding)
+//     and (pid, state encoding, the targeted value's encoding), compared
+//     byte for byte (ApplyKeyed). Equal encodings are equal Keys, and
+//     states with equal Keys are interchangeable by the State contract
+//     interning already relies on, so a hit returns exactly what the
+//     protocol would. The encodings come from the parent's exact key, so
+//     nothing is re-encoded either. Its ApplyCOW stays memo-free: every
+//     call asks the protocol (checkpoint replay, and the reference the
+//     memoized step is tested against).
 type Stepper struct {
 	p      Protocol
 	specs  []ObjectSpec
 	arena  *Arena
 	poised map[poisedKey]poisedVal
 	trans  map[transKey]transVal
+
+	// The exact memos and their key scratch (NewStepperExact only).
+	exPoised map[string]poisedVal
+	exTrans  map[string]exactVal
+	mkey     []byte
 }
 
-// NewStepper returns a Stepper for p with its own arena and transition
-// memoization enabled (fingerprint-grade guarantees).
+// NewStepper returns a Stepper for p with its own arena and hash-keyed
+// transition memoization (fingerprint-grade guarantees).
 func NewStepper(p Protocol) *Stepper {
 	return &Stepper{
 		p: p, specs: p.Objects(), arena: NewArena(),
@@ -220,12 +277,15 @@ func NewStepper(p Protocol) *Stepper {
 	}
 }
 
-// NewStepperExact returns a Stepper without hash-keyed memoization: every
-// step calls the protocol and re-encodes the touched slots, so a hash
-// collision can never substitute a wrong transition. The exact-keying
-// engine mode uses it.
+// NewStepperExact returns the Stepper of exact-key runs: ApplyKeyed
+// memoizes on exact encodings and ApplyCOW not at all, so no hash
+// collision can ever substitute a wrong transition.
 func NewStepperExact(p Protocol) *Stepper {
-	return &Stepper{p: p, specs: p.Objects(), arena: NewArena()}
+	return &Stepper{
+		p: p, specs: p.Objects(), arena: NewArena(),
+		exPoised: make(map[string]poisedVal, 1024),
+		exTrans:  make(map[string]exactVal, 4096),
+	}
 }
 
 // Arena exposes the stepper's intern pool (diagnostics and tests).
@@ -287,96 +347,148 @@ func (st *Stepper) PoisedObject(c *Config, pid int, stH uint64) (int, bool) {
 	return op.Object, true
 }
 
+// poisedOf asks the protocol what pid does next from state s: its poised
+// operation, or that it has decided (no step to take).
+func (st *Stepper) poisedOf(pid int, s State) (poisedVal, error) {
+	op, ok := st.p.Poised(pid, s)
+	if !ok {
+		// Poised contract: ok is false exactly when the process has
+		// decided. A protocol for which an undecided process is not
+		// poised is buggy; fail loudly (the pre-arena engine surfaced
+		// this through model.Apply's error) instead of silently
+		// pruning the process from the exploration.
+		if _, decided := st.p.Decision(s); !decided {
+			return poisedVal{}, fmt.Errorf("model: process %d is undecided but not poised", pid)
+		}
+		return poisedVal{decided: true}, nil
+	}
+	if op.Object < 0 || op.Object >= len(st.specs) {
+		return poisedVal{}, fmt.Errorf("model: process %d poised on object %d of %d", pid, op.Object, len(st.specs))
+	}
+	return poisedVal{op: op}, nil
+}
+
+// transition computes pid's step op from (object value v, state s)
+// through the protocol and interns the two successor slots.
+func (st *Stepper) transition(pid int, op Op, v Value, s State) (exactVal, error) {
+	next, resp, err := st.specs[op.Object].Type.Apply(v, op)
+	if err != nil {
+		return exactVal{}, fmt.Errorf("model: process %d applying %v: %w", pid, op, err)
+	}
+	a := st.arena
+	valRef, vh := a.internValue(next)
+	stRef, sh := a.internState(st.p.Observe(pid, s, resp))
+	return exactVal{
+		transVal: transVal{val: a.vals[valRef].val, st: a.sts[stRef].st, vh: vh, sh: sh},
+		valRef:   valRef, stRef: stRef,
+	}, nil
+}
+
+// install writes into dst the successor of parent in which pid's step put
+// tv into object obj and pid's state: every other slot is shared with the
+// parent (canonical interned objects), which is the copy-on-write
+// discipline. dstH receives parent's slot hashes with the two touched
+// slots updated, and the returned fingerprint is the successor's —
+// four XORs, never a full re-encode.
+func (st *Stepper) install(parent *Config, parentFP uint64, parentH []uint64, pid, obj int, tv *transVal, dst *Config, dstH []uint64) uint64 {
+	stateSlot := len(st.specs) + pid
+	copy(dst.Objects, parent.Objects)
+	copy(dst.States, parent.States)
+	copy(dstH, parentH)
+	dst.Objects[obj] = tv.val
+	dst.States[pid] = tv.st
+	fp := parentFP ^
+		mixSlot(obj, parentH[obj]) ^ mixSlot(obj, tv.vh) ^
+		mixSlot(stateSlot, parentH[stateSlot]) ^ mixSlot(stateSlot, tv.sh)
+	dstH[obj] = tv.vh
+	dstH[stateSlot] = tv.sh
+	return fp
+}
+
 // ApplyCOW performs the poised step of process pid from parent, writing
 // the successor into dst without mutating parent. dst's slices must
-// already have the configuration's shape (the engine pools them); all
-// slots except the touched object and state are shared with the parent
-// (canonical interned objects), which is the copy-on-write discipline.
-// dstH receives parent's slot hashes with the two touched slots updated,
-// and the returned fp is the successor's slot fingerprint — computed with
-// two slot re-hashes and four XORs, never a full re-encode.
+// already have the configuration's shape (the engine pools them); see
+// install for what dst, dstH and the returned fingerprint hold.
 //
 // ok is false when pid has decided (no step to take). parentH and dstH
 // must both have length Slots() and may not alias.
 func (st *Stepper) ApplyCOW(parent *Config, parentFP uint64, parentH []uint64, pid int, dst *Config, dstH []uint64) (fp uint64, ok bool, err error) {
-	stateSlot := len(st.specs) + pid
-	stH := parentH[stateSlot]
+	stH := parentH[len(st.specs)+pid]
 
 	// Fast path: poised-op and transition memo hits recycle the interned
 	// successor slots without calling into the protocol at all.
-	var obj int
-	var op Op
+	var pe poisedVal
 	var havePoised bool
 	if st.poised != nil {
-		if pe, hit := st.poised[poisedKey{pid: int32(pid), stH: stH}]; hit {
-			if pe.decided {
-				return 0, false, nil
-			}
-			op, obj, havePoised = pe.op, pe.op.Object, true
+		if pe, havePoised = st.poised[poisedKey{pid: int32(pid), stH: stH}]; havePoised && !pe.decided {
+			obj := pe.op.Object
 			if tv, hit := st.trans[transKey{pid: int32(pid), obj: int32(obj), stH: stH, valH: parentH[obj]}]; hit {
-				copy(dst.Objects, parent.Objects)
-				copy(dst.States, parent.States)
-				copy(dstH, parentH)
-				dst.Objects[obj] = tv.val
-				dst.States[pid] = tv.st
-				fp = parentFP ^
-					mixSlot(obj, parentH[obj]) ^ mixSlot(obj, tv.vh) ^
-					mixSlot(stateSlot, stH) ^ mixSlot(stateSlot, tv.sh)
-				dstH[obj] = tv.vh
-				dstH[stateSlot] = tv.sh
-				return fp, true, nil
+				return st.install(parent, parentFP, parentH, pid, obj, &tv, dst, dstH), true, nil
 			}
 		}
 	}
 
 	s := parent.States[pid]
 	if !havePoised {
-		op, ok = st.p.Poised(pid, s)
-		if !ok {
-			// Poised contract: ok is false exactly when the process has
-			// decided. A protocol for which an undecided process is not
-			// poised is buggy; fail loudly (the pre-arena engine surfaced
-			// this through model.Apply's error) instead of silently
-			// pruning the process from the exploration.
-			if _, decided := st.p.Decision(s); !decided {
-				return 0, false, fmt.Errorf("model: process %d is undecided but not poised", pid)
-			}
-			if st.poised != nil {
-				st.poised[poisedKey{pid: int32(pid), stH: stH}] = poisedVal{decided: true}
-			}
-			return 0, false, nil
+		if pe, err = st.poisedOf(pid, s); err != nil {
+			return 0, false, err
 		}
 		if st.poised != nil {
-			st.poised[poisedKey{pid: int32(pid), stH: stH}] = poisedVal{op: op}
+			st.poised[poisedKey{pid: int32(pid), stH: stH}] = pe
 		}
-		obj = op.Object
 	}
-	if obj < 0 || obj >= len(st.specs) {
-		return 0, false, fmt.Errorf("model: process %d poised on object %d of %d", pid, obj, len(st.specs))
+	if pe.decided {
+		return 0, false, nil
 	}
-	next, resp, err := st.specs[obj].Type.Apply(parent.Objects[obj], op)
+	obj := pe.op.Object
+	tv, err := st.transition(pid, pe.op, parent.Objects[obj], s)
 	if err != nil {
-		return 0, false, fmt.Errorf("model: process %d applying %v: %w", pid, op, err)
+		return 0, false, err
 	}
-	newState := st.p.Observe(pid, s, resp)
-
-	cv, vh := st.arena.InternValue(next)
-	cs, sh := st.arena.InternState(newState)
 	if st.trans != nil {
-		st.trans[transKey{pid: int32(pid), obj: int32(obj), stH: stH, valH: parentH[obj]}] =
-			transVal{val: cv, st: cs, vh: vh, sh: sh}
+		st.trans[transKey{pid: int32(pid), obj: int32(obj), stH: stH, valH: parentH[obj]}] = tv.transVal
 	}
+	return st.install(parent, parentFP, parentH, pid, obj, &tv.transVal, dst, dstH), true, nil
+}
 
-	copy(dst.Objects, parent.Objects)
-	copy(dst.States, parent.States)
-	copy(dstH, parentH)
-	dst.Objects[obj] = cv
-	dst.States[pid] = cs
-
-	fp = parentFP ^
-		mixSlot(obj, parentH[obj]) ^ mixSlot(obj, vh) ^
-		mixSlot(stateSlot, stH) ^ mixSlot(stateSlot, sh)
-	dstH[obj] = vh
-	dstH[stateSlot] = sh
-	return fp, true, nil
+// ApplyKeyed is the step of exact-key runs (NewStepperExact steppers
+// only): ApplyCOW, memoized on exact encodings, which also appends the
+// successor's exact key — byte for byte its Config.AppendEncoding — to
+// key and returns the extended slice. penc must hold parent's own exact
+// encoding: the actor's state span and the targeted object's value span
+// are the memo keys, so a hit skips Poised, Type.Apply, Observe and both
+// interns, and the successor's key is penc's with the two touched spans
+// replaced, so no slot is re-encoded either. On !ok or an error key comes
+// back unextended.
+func (st *Stepper) ApplyKeyed(parent *Config, parentFP uint64, parentH []uint64, penc *SlotEncoding, pid int, dst *Config, dstH []uint64, key []byte) (fp uint64, succKey []byte, ok bool, err error) {
+	stateSlot := len(st.specs) + pid
+	mk := append(st.mkey[:0], byte(pid), byte(pid>>8), byte(pid>>16), byte(pid>>24))
+	mk = append(mk, penc.spans[stateSlot]...)
+	st.mkey = mk
+	pe, hit := st.exPoised[string(mk)]
+	if !hit {
+		if pe, err = st.poisedOf(pid, parent.States[pid]); err != nil {
+			return 0, key, false, err
+		}
+		st.exPoised[string(mk)] = pe
+	}
+	if pe.decided {
+		return 0, key, false, nil
+	}
+	// Both encodings are self-delimiting, so the concatenation names the
+	// (state, value) pair uniquely.
+	obj := pe.op.Object
+	mk = append(mk, penc.spans[obj]...)
+	st.mkey = mk
+	tv, hit := st.exTrans[string(mk)]
+	if !hit {
+		if tv, err = st.transition(pid, pe.op, parent.Objects[obj], parent.States[pid]); err != nil {
+			return 0, key, false, err
+		}
+		st.exTrans[string(mk)] = tv
+	}
+	fp = st.install(parent, parentFP, parentH, pid, obj, &tv.transVal, dst, dstH)
+	a := st.arena
+	key = penc.splice(key, obj, a.encoding(a.vals[tv.valRef]), stateSlot, a.encoding(a.sts[tv.stRef]))
+	return fp, key, true, nil
 }

@@ -9,48 +9,116 @@ import (
 	"repro/internal/model"
 )
 
-// stepperHarness drives a plain Clone+Apply configuration and an
-// arena/COW configuration through the same schedule and cross-checks
-// them after every step. It is shared by the unit test and the fuzz
-// target.
+// stepperHarness drives a plain Clone+Apply configuration, an arena/COW
+// configuration (hash-keyed memos) and an exact-keyed one (ApplyKeyed:
+// encoding-keyed memos, spliced keys) through the same schedule and
+// cross-checks them after every step. It is shared by the unit test and
+// the fuzz target.
 type stepperHarness struct {
 	t       *testing.T
 	p       model.Protocol
+	inputs  []int
 	stepper *model.Stepper
+	keyed   *model.Stepper // NewStepperExact, stepped with ApplyKeyed
+	ref     *model.Stepper // NewStepperExact, stepped with its memo-free ApplyCOW
 
 	plain *model.Config
 	cow   *model.Config
 	cowFP uint64
 	cowH  []uint64
+
+	ex    *model.Config
+	exFP  uint64
+	exH   []uint64
+	exKey string // maintained by splicing alone, after the start
+	penc  model.SlotEncoding
 }
 
 func newStepperHarness(t *testing.T, p model.Protocol, inputs []int) *stepperHarness {
 	t.Helper()
-	plain := model.MustNewConfig(p, inputs)
-	stepper := model.NewStepper(p)
-	cow := model.MustNewConfig(p, inputs)
-	slotH := make([]uint64, stepper.Slots())
-	fp := stepper.InitSlots(cow, slotH)
-	h := &stepperHarness{t: t, p: p, stepper: stepper, plain: plain, cow: cow, cowFP: fp, cowH: slotH}
-	h.check("initial")
+	h := &stepperHarness{t: t, p: p, inputs: inputs,
+		stepper: model.NewStepper(p), keyed: model.NewStepperExact(p), ref: model.NewStepperExact(p)}
+	h.restart()
 	return h
+}
+
+// restart returns every representation to the initial configuration and
+// keeps the steppers, so a schedule run again finds all its transitions
+// memoized.
+func (h *stepperHarness) restart() {
+	h.t.Helper()
+	h.plain = model.MustNewConfig(h.p, h.inputs)
+	h.cow = model.MustNewConfig(h.p, h.inputs)
+	h.cowH = make([]uint64, h.stepper.Slots())
+	h.cowFP = h.stepper.InitSlots(h.cow, h.cowH)
+	h.ex = model.MustNewConfig(h.p, h.inputs)
+	h.exH = make([]uint64, h.keyed.Slots())
+	h.exFP = h.keyed.InitSlots(h.ex, h.exH)
+	h.exKey = string(h.ex.AppendEncoding(nil))
+	h.check("initial")
+}
+
+func (h *stepperHarness) newDst() (*model.Config, []uint64) {
+	return &model.Config{
+		Objects: make([]model.Value, len(h.cow.Objects)),
+		States:  make([]model.State, len(h.cow.States)),
+	}, make([]uint64, len(h.cowH))
+}
+
+// stepKeyed takes pid's step in the exact-keyed representation and holds
+// the memoized step to the memo-free one taken from the same parent:
+// same outcome, fingerprint, slot hashes and successor.
+func (h *stepperHarness) stepKeyed(pid int) bool {
+	h.t.Helper()
+	if err := h.penc.Set(h.exKey, len(h.ex.Objects), len(h.ex.States)); err != nil {
+		h.t.Fatalf("spliced key does not scan: %v", err)
+	}
+	dst, dstH := h.newDst()
+	fp, key, ok, err := h.keyed.ApplyKeyed(h.ex, h.exFP, h.exH, &h.penc, pid, dst, dstH, nil)
+	if err != nil {
+		h.t.Fatalf("ApplyKeyed(p%d): %v", pid, err)
+	}
+	rdst, rdstH := h.newDst()
+	rfp, rok, err := h.ref.ApplyCOW(h.ex, h.exFP, h.exH, pid, rdst, rdstH)
+	if err != nil {
+		h.t.Fatalf("memo-free ApplyCOW(p%d): %v", pid, err)
+	}
+	if ok != rok {
+		h.t.Fatalf("ApplyKeyed(p%d) ok=%v, memo-free step ok=%v", pid, ok, rok)
+	}
+	if !ok {
+		if len(key) != 0 {
+			h.t.Fatalf("ApplyKeyed(p%d) extended the key of a decided process", pid)
+		}
+		return false
+	}
+	if fp != rfp || !reflect.DeepEqual(dstH, rdstH) {
+		h.t.Fatalf("ApplyKeyed(p%d): fp %#x hashes %x, memo-free step fp %#x hashes %x", pid, fp, dstH, rfp, rdstH)
+	}
+	if want := rdst.AppendEncoding(nil); string(key) != string(want) {
+		h.t.Fatalf("ApplyKeyed(p%d): spliced key\n%q\nmemo-free successor encodes\n%q", pid, key, want)
+	}
+	if dk, rk := dst.Key(), rdst.Key(); dk != rk {
+		h.t.Fatalf("ApplyKeyed(p%d): successor %q, memo-free successor %q", pid, dk, rk)
+	}
+	h.ex, h.exFP, h.exH, h.exKey = dst, fp, dstH, string(key)
+	return true
 }
 
 // step applies pid in both representations; it reports whether the
 // process was active (took a step).
 func (h *stepperHarness) step(pid int) bool {
 	h.t.Helper()
-	dst := &model.Config{
-		Objects: make([]model.Value, len(h.cow.Objects)),
-		States:  make([]model.State, len(h.cow.States)),
-	}
-	dstH := make([]uint64, len(h.cowH))
+	dst, dstH := h.newDst()
 	fp, ok, err := h.stepper.ApplyCOW(h.cow, h.cowFP, h.cowH, pid, dst, dstH)
 	if err != nil {
 		h.t.Fatalf("ApplyCOW(p%d): %v", pid, err)
 	}
 	if _, decided := h.plain.Decided(h.p, pid); decided != !ok {
 		h.t.Fatalf("ApplyCOW(p%d) ok=%v but plain decided=%v", pid, ok, decided)
+	}
+	if kok := h.stepKeyed(pid); kok != ok {
+		h.t.Fatalf("ApplyKeyed(p%d) ok=%v but ApplyCOW ok=%v", pid, kok, ok)
 	}
 	if !ok {
 		return false
@@ -82,6 +150,15 @@ func (h *stepperHarness) check(when string) {
 	}
 	if got, want := h.cow.SlotFingerprint(), h.cowFP; got != want {
 		h.t.Fatalf("%s: arena config re-hash %#x != maintained %#x", when, got, want)
+	}
+	if h.exKey != string(plainEnc) {
+		h.t.Fatalf("%s: spliced key diverges:\nplain   %q\nspliced %q", when, plainEnc, h.exKey)
+	}
+	if exEnc := h.ex.AppendEncoding(nil); h.exKey != string(exEnc) {
+		h.t.Fatalf("%s: spliced key is not its own configuration's encoding:\nconfig  %q\nspliced %q", when, exEnc, h.exKey)
+	}
+	if h.exFP != h.cowFP || !reflect.DeepEqual(h.exH, h.cowH) {
+		h.t.Fatalf("%s: exact-keyed fp %#x hashes %x != hash-keyed fp %#x hashes %x", when, h.exFP, h.exH, h.cowFP, h.cowH)
 	}
 	if got, want := h.cow.DecidedValues(h.p), h.plain.DecidedValues(h.p); !reflect.DeepEqual(got, want) {
 		h.t.Fatalf("%s: decided values %v != %v", when, got, want)
@@ -130,18 +207,23 @@ func TestStepperMatchesApply(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newStepperHarness(t, tc.p, tc.inputs)
 			n := tc.p.NumProcesses()
-			for i := 0; i < 60; i++ {
-				h.step(i % n)
-				h.step((i * i) % n)
+			for pass := 0; pass < 2; pass++ { // the second pass runs on warm memos
+				for i := 0; i < 60; i++ {
+					h.step(i % n)
+					h.step((i * i) % n)
+				}
+				h.restart()
 			}
 		})
 	}
 }
 
 // FuzzStepperCOW is the arena/COW differential fuzz target: a random
-// schedule (one byte per step: pid and protocol choice) applied to both
-// the arena-backed and the plain representation must agree on encoding,
-// fingerprint, decided values and poised ops after every step.
+// schedule (one byte per step: pid and protocol choice) applied to the
+// plain, the arena-backed and the exact-keyed representation must agree
+// on encoding, fingerprint, decided values and poised ops after every
+// step — and again on a second pass over the same schedule, where every
+// transition is a memo hit.
 func FuzzStepperCOW(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 0})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
@@ -157,8 +239,11 @@ func FuzzStepperCOW(f *testing.F) {
 		tc := protos[int(schedule[0])%len(protos)]
 		h := newStepperHarness(t, tc.p, tc.inputs)
 		n := tc.p.NumProcesses()
-		for _, b := range schedule[1:] {
-			h.step(int(b) % n)
+		for pass := 0; pass < 2; pass++ {
+			for _, b := range schedule[1:] {
+				h.step(int(b) % n)
+			}
+			h.restart()
 		}
 	})
 }
