@@ -14,7 +14,7 @@ test:
 race:
 	go test -race -run 'Parallel|Deterministic|Workers|Quotient|Frontier|Spill|Truncation|Cancel|ExactKeys|DegenerateHash' ./internal/check ./internal/lowerbound ./internal/model
 	go test -race -run 'Reduce|Bloom|SymWorker|Canonicalize' ./internal/check ./internal/sweep ./internal/model
-	go test -race -run 'Async|WSDeque|Order|Mode' ./internal/check ./internal/sweep
+	go test -race -run 'Async|WSDeque|Order|Mode|ExhaustiveOrbitCount' ./internal/check ./internal/sweep
 	go test -race -run 'Checkpoint|Resume' ./internal/check
 
 # spill-smoke forces real disk spills: a 64KB budget against a ~240KB

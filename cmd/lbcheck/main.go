@@ -17,8 +17,8 @@
 //
 // The schedule and valency searches (-theorem10, -counterexample, the
 // Lemma 16 valency certifications) run on the sharded frontier engine:
-// -workers and -shards set its parallelism (results are identical for
-// every setting), -fingerprints switches deduplication from exact string
+// -workers sets its parallelism (results are identical for every
+// setting), -fingerprints switches deduplication from exact string
 // keys to 64-bit fingerprints (leaner, with a ~2^-64 per-pair collision
 // risk), -store/-membudget select the disk-spilling state store (the
 // searches retain provenance, so their frontiers stay resident and the

@@ -7,19 +7,20 @@
 // Usage:
 //
 //	mcheck -proto algorithm1 -n 3 -k 1 -m 2 [-inputs 0,1,1] [-max 200000]
-//	       [-workers 0] [-shards 64] [-stringkeys] [-progress]
+//	       [-workers 0] [-stringkeys] [-progress]
 //	       [-store mem|spill] [-membudget 64MB] [-reduce none|sym|sym+sleep]
 //	       [-order levelsync|async] [-checkpoint dir [-checkpointevery N]]
 //
 // Exploration runs on the sharded frontier engine: -workers sets the
-// parallelism (0 = all cores), -shards the visited-set partition count,
-// -stringkeys switches from 64-bit fingerprint dedup to exact string
-// keys, and -progress streams per-level throughput to stderr. -store
+// parallelism (0 = all cores; the visited set has one single-owner
+// partition per worker, rounded up to a power of two), -stringkeys
+// switches from 64-bit fingerprint dedup to exact string keys, and
+// -progress streams per-level throughput to stderr. -store
 // selects the state-store backend: "mem" keeps the visited set and
 // frontier in RAM; "spill" bounds resident store memory by -membudget,
 // spilling visited fingerprints to sorted runs and frontier segments to
 // disk, so instances larger than RAM finish bounded by disk and time.
-// Results are identical for every -workers/-shards/-store setting.
+// Results are identical for every -workers/-store setting.
 // -reduce selects the state-space reduction layer: "sym" explores one
 // representative per process-symmetry orbit (for protocols that declare
 // symmetry — toybit, pair, pairing; others run unreduced), "sym+sleep"
@@ -28,10 +29,11 @@
 // counts legitimately shrink. -order selects the exploration order:
 // "levelsync" (the default) processes the frontier in BFS levels with a
 // barrier between them, "async" replaces the barrier with per-worker
-// work-stealing deques — the same visited set and verdicts, better
-// multicore scaling, but no per-level progress and no witness
-// provenance (so -order async composes with exploration, not with the
-// certificate searches). -checkpoint names a directory to snapshot
+// work-stealing deques — the same visited set and verdicts, but no
+// per-level progress and no witness provenance (so -order async composes
+// with exploration, not with the certificate searches), and it runs over
+// the in-memory store, unreduced or under -reduce sym: -help lists, from
+// check.ModeConflicts, what each flag cannot be combined with. -checkpoint names a directory to snapshot
 // exploration state into at level barriers; re-running the same command
 // after a crash or kill resumes from the last committed snapshot and
 // reaches the identical final verdict. -checkpointevery thins snapshots
@@ -51,7 +53,7 @@
 // identical, visited set included, to a single-process run of the same
 // instance (valency too: peers ship replayable decided-value witnesses
 // with their results). The engine flags on the coordinator (-workers,
-// -shards, -store, -membudget, -reduce, -order) apply on every peer.
+// -store, -membudget, -reduce, -order) apply on every peer.
 // -failover turns confirmed peer death from a fatal error into a
 // re-seed: the coordinator redials every peer with jittered backoff
 // (-peer-retries attempts each), drops the unreachable ones, and
@@ -188,8 +190,8 @@ func run(args []string, out io.Writer) error {
 			Proto: *proto, N: *inst.N, K: *inst.K, M: *inst.M,
 			AgreeK: *inst.K, Inputs: inputs,
 			Limits:  limitFlags.ExploreLimits(),
-			Workers: engine.Workers, Shards: engine.Shards,
-			Store: engine.Store, MemBudget: engine.MemBudget,
+			Workers: engine.Workers,
+			Store:   engine.Store, MemBudget: engine.MemBudget,
 			Reduce: engine.Reduction, Order: engine.Order,
 			Failover:    distFlags.Failover(),
 			Heartbeat:   distFlags.Heartbeat(),

@@ -57,7 +57,7 @@ func TestRunExplicitInputs(t *testing.T) {
 	}
 }
 
-// TestRunEngineFlagsDoNotChangeResults: the -workers/-shards/-stringkeys
+// TestRunEngineFlagsDoNotChangeResults: the -workers/-stringkeys/-store
 // knobs tune the engine, never the answer; every combination prints the
 // same exploration counts and verdicts.
 func TestRunEngineFlagsDoNotChangeResults(t *testing.T) {
@@ -81,7 +81,7 @@ func TestRunEngineFlagsDoNotChangeResults(t *testing.T) {
 	baseExplored, baseDecided := extract("-proto", "pair", "-n", "2", "-workers", "1")
 	for _, args := range [][]string{
 		{"-proto", "pair", "-n", "2", "-workers", "4"},
-		{"-proto", "pair", "-n", "2", "-workers", "4", "-shards", "8"},
+		{"-proto", "pair", "-n", "2", "-workers", "4", "-store", "spill"},
 		{"-proto", "pair", "-n", "2", "-workers", "2", "-stringkeys"},
 	} {
 		explored, decided := extract(args...)

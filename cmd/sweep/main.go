@@ -25,7 +25,10 @@
 // (records carry order, steals, quiescence_scans); "async" replaces the
 // BFS level barrier with work-stealing deques — same visited set and
 // verdicts — while certificate searches always run level-synchronized
-// (witness extraction needs provenance chains async cannot maintain).
+// (witness extraction needs provenance chains async cannot maintain), and
+// so does any engine spec the override would make illegal (async runs
+// unreduced or under "sym", over the in-memory store, on fingerprint
+// keys): the grid keeps running, that spec on its own order.
 //
 // -daemon routes every cell to a running mcheckd instance instead of
 // checking in-process: the daemon applies its own admission control and
@@ -61,6 +64,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/check"
 	"repro/internal/harness"
 	"repro/internal/prof"
 	"repro/internal/serve"
@@ -95,8 +99,12 @@ func run(args []string, stdout io.Writer) error {
 	maxConfigs := fs.Int("max", 0, "configuration budget override")
 	maxDepth := fs.Int("depth", 0, "depth cap override")
 	storeFlags := harness.RegisterStoreFlags(fs)
-	reduceFlag := fs.String("reduce", "", "override the grid's reduction axis: none, sym, or sym+sleep (exploration rows only; certificate searches always run unreduced)")
-	orderFlag := fs.String("order", "", "override the grid's exploration-order axis: levelsync or async (exploration rows only; certificate searches always run level-synchronized)")
+	// The axis overrides carry the help of the engine flags they stand in
+	// for, conflict lists (generated from check.ModeConflicts) included.
+	engHelp := flag.NewFlagSet("", flag.ContinueOnError)
+	harness.RegisterEngineFlags(engHelp, false)
+	reduceFlag := fs.String("reduce", "", "override the grid's reduction axis (exploration rows only; certificate searches always run unreduced) — "+engHelp.Lookup("reduce").Usage)
+	orderFlag := fs.String("order", "", "override the grid's exploration-order axis (exploration rows only; certificate searches and engine specs it conflicts with keep theirs) — "+engHelp.Lookup("order").Usage)
 	par := fs.Int("par", 0, "concurrently executing cells (0 = all cores)")
 	timeout := fs.Int("timeout", -1, "per-cell wall-time budget in seconds (-1 = grid default, 0 = none)")
 	outFile := fs.String("out", "", "JSONL results file; existing cells are skipped (resume)")
@@ -159,15 +167,17 @@ func run(args []string, stdout io.Writer) error {
 		if _, err := storeFlags.MemBudget(); err != nil {
 			return err
 		}
+		// Flags that conflict with each other are a usage error; an
+		// override that conflicts with what a spec says itself is not.
+		if err := (sweep.EngineSpec{Store: storeFlags.Store(), Reduce: *reduceFlag, Order: *orderFlag}).Validate(); err != nil {
+			return err
+		}
 		if len(grid.Engines) == 0 {
 			grid.Engines = []sweep.EngineSpec{{}}
 		}
 		for i := range grid.Engines {
 			if *reduceFlag != "" {
 				grid.Engines[i].Reduce = *reduceFlag
-			}
-			if *orderFlag != "" {
-				grid.Engines[i].Order = *orderFlag
 			}
 			if storeFlags.Store() != "" {
 				grid.Engines[i].Store = storeFlags.Store()
@@ -180,6 +190,16 @@ func run(args []string, stdout io.Writer) error {
 			}
 			if storeFlags.MemBudgetText() != "" {
 				grid.Engines[i].MemBudget = storeFlags.MemBudgetText()
+			}
+			if *orderFlag != "" {
+				// Last, against the spec as overridden so far: the order
+				// axis stays put on a spec the override would make illegal,
+				// the way certificate rows drop it.
+				e := grid.Engines[i]
+				e.Order = *orderFlag
+				if !errors.Is(e.Validate(), check.ErrIncompatibleModes) {
+					grid.Engines[i] = e
+				}
 			}
 		}
 		// The override can make specs that differed only on the store

@@ -2,13 +2,18 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/harness"
 	"repro/internal/serve"
 	"repro/internal/sweep"
@@ -166,6 +171,72 @@ func TestRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-membudget", "1GB"}, &out); err == nil {
 		t.Error("-membudget without -store spill must be rejected, not silently unenforced")
+	}
+	for _, args := range [][]string{
+		{"-order", "async", "-reduce", "sym+sleep"},
+		{"-order", "async", "-store", "spill"},
+	} {
+		if err := run(args, &out); !errors.Is(err, check.ErrIncompatibleModes) {
+			t.Errorf("%v: err = %v, want ErrIncompatibleModes", args, err)
+		}
+	}
+}
+
+// TestOrderOverrideKeepsIllegalSpecsLevelsync: -order async moves every
+// engine spec of the small grid it legally can — the unreduced and the
+// sym one — and leaves the sym+sleep spec, which async cannot run, on
+// its own order, so the grid still runs and gates clean.
+func TestOrderOverrideKeepsIllegalSpecsLevelsync(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-grid", "small", "-rows", "explore-anon", "-order", "async", "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	orderOf := map[string]string{} // reduction -> order that ran
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		var rec sweep.Result
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad record %q: %v", line, err)
+		}
+		orderOf[rec.Reduce] = rec.Order
+	}
+	want := map[string]string{"": check.OrderAsync, check.ReduceSym: check.OrderAsync, check.ReduceSymSleep: check.OrderLevelSync}
+	if !reflect.DeepEqual(orderOf, want) {
+		t.Errorf("orders by reduction = %v, want %v", orderOf, want)
+	}
+}
+
+// TestHelpListsModeConflicts: every row of check.ModeConflicts that an
+// axis-override flag can trip appears in that flag's -help text.
+func TestHelpListsModeConflicts(t *testing.T) {
+	// -help goes to the flag set's default output, os.Stderr.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	runErr := run([]string{"-help"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	text, err := io.ReadAll(r)
+	if err != nil || !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("-help: run err %v, read err %v", runErr, err)
+	}
+	usage := map[string]string{} // flag name -> its help paragraph
+	name := ""
+	for _, line := range strings.Split(string(text), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(rest, " ")
+		}
+		usage[name] += line + "\n"
+	}
+	flagOf := map[check.Mode]string{check.ModeAsync: "order", check.ModeReduce: "reduce", check.ModeSleep: "reduce", check.ModeSpill: "store"}
+	for _, c := range check.ModeConflicts {
+		for _, side := range [][2]check.Mode{{c.A, c.B}, {c.B, c.A}} {
+			if name, ok := flagOf[side[0]]; ok && !strings.Contains(usage[name], side[1].String()) {
+				t.Errorf("-%s help does not name its conflict with %s:\n%s", name, side[1], usage[name])
+			}
+		}
 	}
 }
 

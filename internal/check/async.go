@@ -15,7 +15,8 @@ import (
 // shared expansion core (expand.go): successor generation, keying, sleep
 // masks and remote routing are the expander's; this file owns where
 // nodes wait (deques, inboxes), how successors are admitted (continuously,
-// with wake and deepen repairs) and when the run is over (quiescence).
+// with depth relaxation under a MaxDepth cap) and when the run is over
+// (quiescence).
 //
 // Structure:
 //
@@ -26,11 +27,11 @@ import (
 //     search order is a depth-leaning interleaving that depends on thread
 //     timing — deliberately. Verdicts do not: the visited SET is the same
 //     as the level-synchronized engine's (the differential suite in
-//     async_test.go pins this per protocol × reduction × store).
+//     async_test.go pins this per protocol, unreduced and under "sym").
 //
 //   - Successors still route to single-owner dedup partitions over the
-//     same batched MPSC channels the level loop uses, so no store
-//     partition is ever touched by two goroutines. Owners drain
+//     same batched MPSC channels the level loop uses, so no visited
+//     table is ever touched by two goroutines. Owners drain
 //     continuously: an admitted node is pushed straight back to the
 //     admitting worker's inbox (and from there to its deque) instead of
 //     parking in a next-level queue.
@@ -50,10 +51,10 @@ import (
 //     accounting bugs, and each attempt is counted in
 //     AsyncStats.QuiescenceScans.
 //
-//   - MaxConfigs uses admit-then-check: the owner admits into the store,
-//     increments the shared counter, and on overflow rolls the counter
-//     back, closes admissions and drops the node (the store keeps a
-//     phantom table entry, which can only suppress states that would have
+//   - MaxConfigs uses admit-then-check: the owner inserts into its
+//     visited table, increments the shared counter, and on overflow rolls
+//     the counter back, closes admissions and drops the node (the table
+//     keeps a phantom entry, which can only suppress states that would have
 //     been rejected anyway). Runs whose space fits the budget can never
 //     spuriously truncate, so exact differential comparisons hold; when
 //     truncation does fire, WHICH states survive is timing-dependent
@@ -69,15 +70,14 @@ import (
 //     the visited set equals the level engine's {minDepth <= cap} set,
 //     and Complete is computed from the final depth map.
 //
-//   - Sleep-set masks compose with async via wake items; the proof
-//     obligation (mask intersection without a barrier) is written down in
-//     reduce.go and stress-tested on the deliberately cyclic loopProto.
-//
 // What async gives up: provenance (witness schedules need the
-// deterministic level order — rejected loudly), exact string keys
-// (admission order would pick timing-dependent representatives among
-// colliding encodings — rejected loudly), deterministic truncation
-// survivors, and deterministic reduction counters. Everything the
+// deterministic level order), exact string keys (admission order would
+// pick timing-dependent representatives among colliding encodings),
+// sleep sets (their masks are settled at the level barrier) and the spill
+// store (the frontier lives in the deques, so a store budget bounds
+// nothing) — all rejected loudly through ModeConflicts — plus
+// deterministic truncation survivors and deterministic reduction
+// counters. Everything the
 // level engine promises about verdicts — visited-set size,
 // decided-value sets, violation existence, completeness — is preserved.
 
@@ -220,7 +220,7 @@ func (d *wsDeque) empty() bool { return d.bottom.Load() <= d.top.Load() }
 // ---- async run state ----
 
 // asyncWorker is one worker's scheduling state: its deque, its inbox (the
-// MPSC slice its partition owners push admitted work into) and its wake
+// MPSC slice its partition owners push admitted work into) and its ready
 // signal.
 type asyncWorker struct {
 	deque *wsDeque
@@ -229,24 +229,20 @@ type asyncWorker struct {
 	inbox   []*Node
 	spare   []*Node // double buffer: last drained inbox slice, reused
 
-	wake      chan struct{} // cap 1; owners signal after an inbox push
+	ready     chan struct{} // cap 1; owners signal after an inbox push
 	processed atomic.Int64  // nodes visited (monitor + final stats)
 }
 
 // asyncOwner is one dedup partition's continuous-admission state. Like
-// the level engine's dedupOwner, the maps are touched only by the one
-// owner goroutine, so no locking: fingerprint routing pins each state to
-// exactly one partition for the whole run.
+// the level engine's dedupOwner, the partition's visited table and the
+// depth map are touched only by the one owner goroutine, so no locking:
+// fingerprint routing pins each state to exactly one partition for the
+// whole run.
 type asyncOwner struct {
-	part int
-	ch   chan asyncBatch
-	kept []*Node // per-batch admitted scratch, reused
+	visited *fpSet // the partition's table in the run's in-memory store
+	ch      chan asyncBatch
+	kept    []*Node // per-batch admitted scratch, reused
 
-	// asleep is the persistent per-state sleep mask (sleep mode only):
-	// the intersection of every generator mask seen so far. Shrinks
-	// monotonically; each shrink emits a wake item (see reduce.go for the
-	// barrier-free soundness argument).
-	asleep map[uint64]uint64
 	// depth is the best-known depth per state (MaxDepth runs only); a
 	// strictly smaller duplicate re-enqueues the state as a deepen item.
 	depth map[uint64]int
@@ -263,8 +259,7 @@ type asyncBatch struct {
 // the shared engineRun (which holds the stop signal every loop here
 // selects on).
 type asyncRun struct {
-	run   *engineRun
-	store asyncStateStore
+	run *engineRun
 
 	workers []*asyncWorker
 	owners  []*asyncOwner
@@ -282,23 +277,20 @@ type asyncRun struct {
 // fully keyed node (fingerprint and reduction applied) not yet in the
 // store.
 func runAsync(run *engineRun, root *Node) (RunStats, error) {
-	as, ok := run.store.(asyncStateStore)
-	if !ok {
-		return RunStats{}, fmt.Errorf("frontier engine: store %q does not support order %q", run.opts.Store, OrderAsync)
-	}
-	a := &asyncRun{run: run, store: as}
+	a := &asyncRun{run: run}
+	// The mode table lets async run over the in-memory store only, and of
+	// that it uses the visited tables alone: admission is an insert into
+	// the owner's table, and nodes never queue in the store.
+	visited := run.store.(*memStore).parts
 
 	nw := run.opts.Workers
 	a.workers = make([]*asyncWorker, nw)
 	for i := range a.workers {
-		a.workers[i] = &asyncWorker{deque: newWSDeque(), wake: make(chan struct{}, 1)}
+		a.workers[i] = &asyncWorker{deque: newWSDeque(), ready: make(chan struct{}, 1)}
 	}
 	a.owners = make([]*asyncOwner, run.ownerMask+1)
 	for i := range a.owners {
-		o := &asyncOwner{part: i, ch: make(chan asyncBatch, 2*nw)}
-		if run.sleepOn {
-			o.asleep = map[uint64]uint64{}
-		}
+		o := &asyncOwner{visited: visited[i].fps, ch: make(chan asyncBatch, 2*nw)}
 		if run.limits.MaxDepth > 0 {
 			o.depth = map[uint64]int{}
 		}
@@ -312,19 +304,12 @@ func runAsync(run *engineRun, root *Node) (RunStats, error) {
 	if run.link != nil && !run.link.Owns(root.fp) {
 		run.recycleAlways(root)
 	} else {
-		rootPart := int(root.fp & run.ownerMask)
-		if _, err := as.AdmitAsync(rootPart, root); err != nil {
-			run.recycleAlways(root)
-			return RunStats{}, err
-		}
+		o := a.owners[root.fp&run.ownerMask]
+		o.visited.Add(root.fp)
 		run.admitted.Store(1)
-		if o := a.owners[rootPart]; o.depth != nil {
+		if o.depth != nil {
 			o.depth[root.fp] = 0
 		}
-		if o := a.owners[rootPart]; o.asleep != nil {
-			o.asleep[root.fp] = 0
-		}
-		root.reexpand = expandFresh
 		a.outstanding.Store(1)
 		a.workers[0].deque.push(root)
 	}
@@ -457,9 +442,7 @@ func (a *asyncRun) admitBatch(o *asyncOwner, b asyncBatch) {
 	o.kept = o.kept[:0]
 	dead := int64(0)
 	for _, nn := range b.nodes {
-		keep, err := a.admitOne(o, nn)
-		run.fail(err)
-		if keep {
+		if a.admitOne(o, nn) {
 			o.kept = append(o.kept, nn)
 		} else {
 			dead++
@@ -473,7 +456,7 @@ func (a *asyncRun) admitBatch(o *asyncOwner, b asyncBatch) {
 		wk.inbox = append(wk.inbox, o.kept...)
 		wk.inboxMu.Unlock()
 		select {
-		case wk.wake <- struct{}{}:
+		case wk.ready <- struct{}{}:
 		default:
 		}
 	}
@@ -482,74 +465,42 @@ func (a *asyncRun) admitBatch(o *asyncOwner, b asyncBatch) {
 	}
 }
 
-// admitOne admits, wakes or deepens one candidate. Runs on the partition
-// owner's goroutine; the store partition and the owner maps need no
-// locks.
-func (a *asyncRun) admitOne(o *asyncOwner, nn *Node) (keep bool, err error) {
+// admitOne admits or deepens one candidate and reports whether it is
+// still a unit of work. Runs on the partition owner's goroutine; the
+// visited table and the depth map need no locks.
+func (a *asyncRun) admitOne(o *asyncOwner, nn *Node) (keep bool) {
 	run := a.run
 	if run.closed.Load() {
 		// Budget exhausted: async closes only on a proven overflow, so
 		// truncated is already set; nothing left to record.
 		run.recycleAlways(nn)
-		return false, nil
+		return false
 	}
-	added, err := a.store.AdmitAsync(o.part, nn)
-	if err != nil {
-		run.recycleAlways(nn)
-		return false, err
-	}
-	if added {
+	if o.visited.Add(nn.fp) {
 		if v := run.admitted.Add(1); v > int64(run.limits.MaxConfigs) {
-			// Admit-then-check: roll back, close, drop. The store keeps a
+			// Admit-then-check: roll back, close, drop. The table keeps a
 			// phantom entry for nn.fp — later duplicates of it would have
 			// been rejected here anyway (admissions are closed for good).
 			run.admitted.Add(-1)
 			run.closed.Store(true)
 			run.truncated.Store(true)
 			run.recycleAlways(nn)
-			return false, nil
+			return false
 		}
 		if o.depth != nil {
 			o.depth[nn.fp] = nn.Depth
 		}
-		if o.asleep != nil {
-			o.asleep[nn.fp] = nn.sleep
-		}
-		nn.reexpand = expandFresh
-		return true, nil
+		return true
 	}
-	// Duplicate. Without a barrier a duplicate can still owe work: a
-	// smaller sleep mask wakes the already-expanded state's masked pids,
-	// and a smaller depth re-relaxes it (MaxDepth runs).
-	if o.asleep != nil {
-		if stored, ok := o.asleep[nn.fp]; ok {
-			nm := stored & nn.sleep
-			if wake := stored &^ nn.sleep; wake != 0 {
-				o.asleep[nn.fp] = nm
-				nn.reexpand, nn.wake, keep = expandWake, wake, true
-			}
-			nn.sleep = nm
-		}
+	// Duplicate. Without a barrier a duplicate can still owe work under a
+	// MaxDepth cap: a smaller depth re-relaxes the state.
+	if d, ok := o.depth[nn.fp]; ok && nn.Depth < d {
+		o.depth[nn.fp] = nn.Depth
+		nn.reexpand = true
+		return true
 	}
-	if o.depth != nil {
-		if d, ok := o.depth[nn.fp]; ok {
-			if nn.Depth < d {
-				o.depth[nn.fp] = nn.Depth
-				// Deepen subsumes any wake: it re-expands every pid outside
-				// the (just-intersected) mask, a superset of the woken bits.
-				nn.reexpand, keep = expandDeepen, true
-			} else if keep {
-				nn.Depth = d // wake items expand at the state's best depth
-			}
-		} else if keep {
-			keep = false // defensive: no depth record means no live state
-		}
-	}
-	if !keep {
-		run.recycleAlways(nn)
-		return false, nil
-	}
-	return true, nil
+	run.recycleAlways(nn)
+	return false
 }
 
 // workerLoop is one worker: pop/drain/steal, visit and expand, flush,
@@ -619,16 +570,14 @@ func (a *asyncRun) workerLoop(w int) {
 	// and retires its unit of work.
 	process := func(n *Node) {
 		var err error
-		if n.reexpand == expandFresh {
+		if !n.reexpand {
 			if err = run.visit(w, n); err == nil {
 				wk.processed.Add(1)
 			}
 		}
-		// At the depth cap states are visited but not expanded (a wake
-		// for a cap-depth state is dropped the same way: if the state
-		// is ever deepened below the cap, the deepen re-expands every
-		// non-masked pid, woken ones included). After budget close
-		// every admission is rejected, so expansion is pure drain.
+		// At the depth cap states are visited but not expanded. After
+		// budget close every admission is rejected, so expansion is pure
+		// drain.
 		capped := (run.limits.MaxDepth > 0 && n.Depth >= run.limits.MaxDepth) || run.closed.Load()
 		if err == nil && !capped {
 			err = x.expand(n, deliver)
@@ -665,7 +614,7 @@ func (a *asyncRun) workerLoop(w int) {
 			continue
 		}
 		select {
-		case <-wk.wake:
+		case <-wk.ready:
 		case <-run.done:
 		case <-time.After(100 * time.Microsecond):
 			// Periodic re-sweep: work may sit in a deque whose steals

@@ -52,7 +52,7 @@ func runAsyncCount(t *testing.T, p model.Protocol, inputs, pids []int, workers i
 	t.Helper()
 	c := model.MustNewConfig(p, inputs)
 	stats, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: 100000},
-		EngineOptions{Order: OrderAsync, Workers: workers, Shards: 8},
+		EngineOptions{Order: OrderAsync, Workers: workers},
 		func(_ int, _ *Node) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)

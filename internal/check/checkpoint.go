@@ -55,7 +55,7 @@ import (
 )
 
 // ckptProfile pins the run parameters a checkpoint is only valid for.
-// Workers, Shards and the store backend are deliberately absent: the
+// Workers and the store backend are deliberately absent: the
 // visited snapshot is store-agnostic and partition routing is recomputed
 // from fingerprints at seed time, so a run may resume with a different
 // parallelism or store.

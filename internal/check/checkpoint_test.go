@@ -82,7 +82,6 @@ func ckptCases() []ckptCase {
 func (tc ckptCase) options(dir string, workers int) check.ExploreOptions {
 	eng := check.EngineOptions{
 		Workers:    workers,
-		Shards:     8,
 		StringKeys: tc.stringKeys,
 		Store:      tc.store,
 		Reduction:  tc.reduce,
@@ -349,7 +348,7 @@ func TestCheckpointFinishedShortCircuit(t *testing.T) {
 	c := model.MustNewConfig(p, []int{0, 1, 1})
 	pids := []int{0, 1, 2}
 	dir := t.TempDir()
-	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Shards: 8, Checkpoint: dir}}
+	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Checkpoint: dir}}
 
 	first := exploreT(t, p, c, pids, 1, opts)
 	second := exploreT(t, p, c, pids, 1, opts)
@@ -371,7 +370,7 @@ func TestCheckpointValencyResume(t *testing.T) {
 	c := model.MustNewConfig(p, []int{0, 1, 1})
 	pids := []int{0, 1, 2}
 	dir := t.TempDir()
-	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Shards: 8, Checkpoint: dir}}
+	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Checkpoint: dir}}
 
 	first := classifyT(t, p, c, pids, opts)
 	second := classifyT(t, p, c, pids, opts)
@@ -499,8 +498,8 @@ func TestCheckpointCorruptionRestartsFresh(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Shards: 8, Checkpoint: dir}}
-			clean := exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Shards: 8}})
+			opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Checkpoint: dir}}
+			clean := exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2}})
 			if tc.killed {
 				ctx, cancel := context.WithCancel(context.Background())
 				killOpts := opts
@@ -565,7 +564,7 @@ func TestCheckpointEveryThinsSnapshots(t *testing.T) {
 	pids := []int{0, 1, 2, 3}
 	dir := t.TempDir()
 	opts := check.ExploreOptions{Engine: check.EngineOptions{
-		Workers: 2, Shards: 8, Checkpoint: dir, CheckpointEvery: 3,
+		Workers: 2, Checkpoint: dir, CheckpointEvery: 3,
 	}}
 	clean := exploreT(t, p, c, pids, 2, opts)
 	got := exploreT(t, p, c, pids, 2, opts)

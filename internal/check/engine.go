@@ -92,11 +92,6 @@ type EngineOptions struct {
 	// Workers is the number of goroutines draining each frontier level
 	// (default runtime.GOMAXPROCS(0)). Results do not depend on it.
 	Workers int
-	// Shards caps the number of visited-set partitions. The engine uses
-	// min(Shards, Workers) partitions, rounded up to a power of two
-	// (default 64); each partition's table is owned by one dedup
-	// goroutine. Purely a contention knob — results do not depend on it.
-	Shards int
 	// StringKeys keys the visited set by the exact binary encoding of
 	// each configuration instead of the 64-bit fingerprint: immune to
 	// hash collisions — no dedup, memo or ordering decision rests on a
@@ -118,8 +113,9 @@ type EngineOptions struct {
 	// deques, continuous admission with no EndLevel barrier, and
 	// counter-based quiescence termination. Async preserves every verdict
 	// and the visited-set size but not schedules or level structure, so
-	// it is rejected together with Provenance or StringKeys; the reduction
-	// layer composes with it.
+	// it is rejected together with Provenance or StringKeys. It runs over
+	// the in-memory store, unreduced or under "sym" (modes.go says why
+	// sleep sets and the spill store are rejected with it).
 	Order string
 	// Provenance retains every node's parent chain and configuration so
 	// that Node.Parent and Node.Schedule work after the run — required
@@ -180,15 +176,6 @@ func (o EngineOptions) withDefaults() EngineOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Shards <= 0 {
-		o.Shards = 64
-	}
-	// Round shards up to a power of two so partition selection is a mask.
-	s := 1
-	for s < o.Shards {
-		s <<= 1
-	}
-	o.Shards = s
 	if o.Store == "" {
 		o.Store = StoreMem
 	}
@@ -235,11 +222,9 @@ type Node struct {
 	sleep  uint64   // sleep-set pid bitmask, set only in sleep-reduction mode
 	path   []byte   // root-to-node pid bytes, set only in checkpointing runs
 
-	// How to (re-)expand the node (expandFresh / expandWake /
-	// expandDeepen, see expand.go) and, for wake items, which pids to
-	// wake. Always fresh in the level-synchronized order.
-	reexpand uint8
-	wake     uint64
+	// reexpand marks an async-order depth-relaxation item (MaxDepth runs
+	// only): a state already visited, re-expanded at an improved depth.
+	reexpand bool
 }
 
 // Parent returns the node this one was first (deterministically) reached
@@ -301,6 +286,10 @@ type RunStats struct {
 // dedup owners in chunks of up to this many, amortizing channel
 // synchronization over the batch.
 const batchSize = 256
+
+// maxOwners caps the number of visited-set partitions (a power of two,
+// so partition selection is a mask).
+const maxOwners = 64
 
 // engineRun carries the per-run state both exploration orders share: the
 // instance, the callbacks, the store, the per-worker expanders, the
@@ -410,8 +399,7 @@ func (r *engineRun) recycle(n *Node) {
 func (r *engineRun) recycleAlways(n *Node) {
 	n.parent = nil
 	n.key = ""
-	n.reexpand = 0
-	n.wake = 0
+	n.reexpand = false
 	r.nodePool.Put(n)
 }
 
@@ -451,7 +439,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 ) (rstats RunStats, rerr error) {
 	limits = limits.withDefaults()
 	opts = opts.withDefaults()
-	asyncOn, symOn, sleepOn, err := Modes{Order: opts.Order, Reduction: opts.Reduction, StringKeys: opts.StringKeys,
+	asyncOn, symOn, sleepOn, err := Modes{Order: opts.Order, Reduction: opts.Reduction, Store: opts.Store, StringKeys: opts.StringKeys,
 		Provenance: opts.Provenance, Checkpoint: opts.Checkpoint != "", Dist: opts.Dist != nil}.resolve()
 	if err != nil {
 		return RunStats{}, err
@@ -507,9 +495,9 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	}
 
 	// Visited-set partitions: one single-owner store partition per owner,
-	// min(Shards, Workers) of them rounded up to a power of two.
+	// the power of two >= Workers, capped at maxOwners.
 	numOwners := 1
-	for numOwners < opts.Shards && numOwners < opts.Workers {
+	for numOwners < opts.Workers && numOwners < maxOwners {
 		numOwners <<= 1
 	}
 	run.ownerMask = uint64(numOwners - 1)

@@ -124,7 +124,7 @@ func TestExploreParallelMatchesSequential(t *testing.T) {
 				for _, stringKeys := range []bool{false, true} {
 					got := exploreT(t, tc.p, c, tc.pids, tc.k, check.ExploreOptions{
 						Limits: tc.limits,
-						Engine: check.EngineOptions{Workers: workers, Shards: 8, StringKeys: stringKeys},
+						Engine: check.EngineOptions{Workers: workers, StringKeys: stringKeys},
 					})
 					tag := fmt.Sprintf("workers=%d stringKeys=%v", workers, stringKeys)
 					if got.Visited != want.Visited {
@@ -163,7 +163,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 		c := model.MustNewConfig(p, inputs)
 		res := exploreT(t, p, c, pids, k, check.ExploreOptions{
 			Limits: limits,
-			Engine: check.EngineOptions{Workers: workers, Shards: 4},
+			Engine: check.EngineOptions{Workers: workers},
 		})
 		s := snapshot{visited: res.Visited, maxTogether: res.MaxDecidedTogether,
 			complete: res.Complete, decided: res.DecidedValues}
@@ -308,7 +308,7 @@ func TestFrontierBatchedDedupRace(t *testing.T) {
 		} {
 			got := exploreT(t, p, c, pids, 1, check.ExploreOptions{
 				Limits: limits,
-				Engine: check.EngineOptions{Workers: 8, Shards: 2, StringKeys: stringKeys},
+				Engine: check.EngineOptions{Workers: 8, StringKeys: stringKeys},
 			})
 			if limits.MaxConfigs == 0 {
 				if got.Visited != want.Visited || got.Complete != want.Complete {

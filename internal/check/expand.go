@@ -13,27 +13,14 @@ import (
 
 // This file is the expansion core both exploration orders run on. An
 // expander owns everything between "here is a node" and "here is a keyed
-// successor": poised-pid iteration over the allowed set, sleep-mask skips
-// and wake-subset selection, the arena-backed copy-on-write step, the
-// depth/pid/parent/path bookkeeping, the run's one keying decision (also
+// successor": poised-pid iteration over the allowed set, sleep-mask
+// skips, the arena-backed copy-on-write step, the depth/pid/parent/path
+// bookkeeping, the run's one keying decision (also
 // applied to the root and to replayed checkpoint nodes), the successor's
 // sleep mask, and routing to the owning peer of a distributed run. What
 // is left to the orders (levelsync.go, async.go) is scheduling: where
 // nodes come from, when they are visited, and how a local successor is
 // admitted.
-
-// Node expansion kinds (Node.reexpand). The level-synchronized order
-// only ever sees fresh nodes; wake and deepen items are the async order's
-// repairs for masks and depths that a barrier would have settled.
-const (
-	// expandFresh is a first admission: every pid outside the sleep mask.
-	expandFresh uint8 = iota
-	// expandWake re-expands ONLY the woken pids (Node.wake).
-	expandWake
-	// expandDeepen re-expands every pid outside the sleep mask at an
-	// improved depth.
-	expandDeepen
-)
 
 // expander is one worker's expansion state. Like the stepper it wraps,
 // an instance serves one goroutine; it persists across levels so the
@@ -98,12 +85,11 @@ func (x *expander) key(n *Node) {
 	}
 }
 
-// expand generates n's successors. n.sleep must hold the mask to expand
-// under (the finished intersection in the level-synchronized order, the
-// owner's current one in the async order). Successors owned by another
-// peer are shipped over the link; every other one is handed to emit,
-// fully keyed. An error (an illegal poised operation, a lost link) stops
-// the expansion; the caller fails the run.
+// expand generates n's successors. In sleep mode n.sleep must hold the
+// finished intersection the level barrier settled. Successors owned by
+// another peer are shipped over the link; every other one is handed to
+// emit, fully keyed. An error (an illegal poised operation, a lost link)
+// stops the expansion; the caller fails the run.
 func (x *expander) expand(n *Node, emit func(*Node)) error {
 	r := x.run
 	if r.opts.StringKeys {
@@ -129,17 +115,11 @@ func (x *expander) expand(n *Node, emit func(*Node)) error {
 		if !r.allowed[pid] {
 			continue
 		}
-		if bit := uint64(1) << uint(pid); n.reexpand == expandWake {
-			if n.wake&bit == 0 {
-				continue
-			}
-		} else if mask&bit != 0 {
+		if mask&(uint64(1)<<uint(pid)) != 0 {
 			// Asleep: every generator of this node agreed the step commutes
 			// with its own last step, so the successor is exactly the state
 			// the ascending-pid sibling order reaches.
-			if n.reexpand == expandFresh {
-				x.sleepSkips++
-			}
+			x.sleepSkips++
 			continue
 		}
 		succ := r.newNode()

@@ -127,7 +127,7 @@ func Explore(p model.Protocol, c *model.Config, pids []int, k int, limits Explor
 }
 
 // ExploreOpts is Explore with explicit engine options. The result is
-// deterministic: it does not depend on Workers, Shards or Store
+// deterministic: it does not depend on Workers or Store
 // (switching between fingerprint and string keying, or selecting a
 // Reduction, changes the visited set and may legitimately change
 // counts). Under a symmetry reduction the

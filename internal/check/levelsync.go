@@ -76,7 +76,7 @@ func (o *dedupOwner) admit(r *engineRun, nn *Node) {
 	}
 	if r.sleepOn {
 		// Same-level duplicate: only the pids every generator agrees are
-		// redundant may stay asleep. A duplicate of an EARLIER level
+		// redundant may stay masked. A duplicate of an EARLIER level
 		// (absent from this level's map — the graph re-reaches a state at
 		// a different depth) contributes nothing and needs nothing: masks
 		// are built exclusively from a state's first-visit-level
@@ -489,7 +489,7 @@ func distLevelBarrier(run *engineRun, depth int, lvl *LevelResult, stop bool) (d
 // loads any previous generation (nil when absent or quarantined-corrupt —
 // a fresh start) and arms the writer for this run's barrier snapshots.
 // The manifest profile pins everything that shapes the explored space;
-// Workers/Shards/Store deliberately stay out of it, so a resume may
+// Workers/Store deliberately stay out of it, so a resume may
 // change parallelism and storage freely.
 func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, error) {
 	if run.opts.Checkpoint == "" {

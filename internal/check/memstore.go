@@ -53,23 +53,6 @@ func (s *memStore) Admit(part int, n *Node) (added, retained bool) {
 	return true, true
 }
 
-// AdmitAsync (asyncStateStore) is the barrier-free admission path: a pure
-// table insert, no frontier queuing — async nodes stay in the workers'
-// deques. The resident high-water mark is folded in at Stats time instead
-// of at barriers (async has none).
-func (s *memStore) AdmitAsync(part int, n *Node) (added bool, err error) {
-	p := &s.parts[part]
-	if s.ctx.stringKeys {
-		if _, dup := p.keys[n.key]; dup {
-			return false, nil
-		}
-		p.keys[n.key] = n.fp
-		p.keyBytes += int64(len(n.key)) + mapEntryOverhead
-		return true, nil
-	}
-	return p.fps.Add(n.fp), nil
-}
-
 func (s *memStore) Has(part int, fp uint64, key string) bool {
 	p := &s.parts[part]
 	if s.ctx.stringKeys {
@@ -81,20 +64,12 @@ func (s *memStore) Has(part int, fp uint64, key string) bool {
 
 func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
 	next := make([]*Node, 0)
-	var resident int64
 	for i := range s.parts {
 		p := &s.parts[i]
 		next = append(next, p.next...)
 		p.next = nil
-		if s.ctx.stringKeys {
-			resident += p.keyBytes
-		} else {
-			resident += int64(len(p.fps.slots)) * 8
-		}
 	}
-	if resident > s.peak {
-		s.peak = resident
-	}
+	s.foldPeak()
 
 	res := LevelResult{}
 	// Budget cutoff: this level may have overshot (admission is
@@ -119,22 +94,25 @@ func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
 	return res, nil
 }
 
-func (s *memStore) Stats() StoreStats {
-	// Async runs never reach EndLevel, so fold the current table sizes
-	// into the high-water mark here (Stats runs after the run ends, when
-	// no owner goroutine is live).
+// foldPeak raises the resident high-water mark to the visited tables'
+// current footprint.
+func (s *memStore) foldPeak() {
 	var resident int64
 	for i := range s.parts {
 		p := &s.parts[i]
 		if s.ctx.stringKeys {
 			resident += p.keyBytes
-		} else if p.fps != nil {
+		} else {
 			resident += int64(len(p.fps.slots)) * 8
 		}
 	}
-	if resident > s.peak {
-		s.peak = resident
-	}
+	s.peak = max(s.peak, resident)
+}
+
+func (s *memStore) Stats() StoreStats {
+	// Async runs never reach EndLevel, so sample here too (Stats runs
+	// after the run ends, when no owner goroutine is live).
+	s.foldPeak()
 	return StoreStats{Kind: StoreMem, PeakResidentBytes: s.peak}
 }
 

@@ -31,6 +31,11 @@ const (
 	ModeCheckpoint
 	// ModeDist is a non-nil EngineOptions.Dist.
 	ModeDist
+	// ModeSleep is EngineOptions.Reduction "sym+sleep" (ModeReduce is set
+	// along with it).
+	ModeSleep
+	// ModeSpill is EngineOptions.Store "spill".
+	ModeSpill
 )
 
 func (m Mode) String() string {
@@ -47,6 +52,10 @@ func (m Mode) String() string {
 		return "checkpointing"
 	case ModeDist:
 		return "a distributed run"
+	case ModeSleep:
+		return "sleep-set pruning"
+	case ModeSpill:
+		return "store " + StoreSpill
 	default:
 		return fmt.Sprintf("Mode(%#x)", uint8(m))
 	}
@@ -70,6 +79,8 @@ var ModeConflicts = []struct {
 }{
 	{ModeAsync, ModeProvenance, "async admission order is timing-dependent, so the deterministic first-reached parent chains that witness schedules replay do not exist"},
 	{ModeAsync, ModeStringKeys, "without the level barrier, exact keys pick a timing-dependent representative among colliding encodings"},
+	{ModeAsync, ModeSleep, "sleep masks are only settled (every generator's mask intersected) at a level barrier; expanding under an unsettled mask loses states"},
+	{ModeAsync, ModeSpill, "async keeps its frontier in the workers' deques, so a store budget bounds nothing; levelsync with the spill store is faster and smaller"},
 	{ModeCheckpoint, ModeProvenance, "parent chains are in-RAM pointers that cannot be persisted across a crash"},
 	{ModeReduce, ModeProvenance, "a quotient merges schedules, so parent chains replayed through it are not valid executions"},
 	{ModeReduce, ModeStringKeys, "exact keys dedup on full encodings, which orbit members do not share"},
@@ -83,6 +94,7 @@ var ModeConflicts = []struct {
 type Modes struct {
 	Order      string
 	Reduction  string
+	Store      string
 	StringKeys bool
 	Provenance bool
 	Checkpoint bool
@@ -90,7 +102,8 @@ type Modes struct {
 }
 
 // Validate rejects unknown Order and Reduction names, and any pair listed
-// in ModeConflicts with an error wrapping ErrIncompatibleModes.
+// in ModeConflicts with an error wrapping ErrIncompatibleModes. (Store
+// names are checked where the store is built.)
 func (m Modes) Validate() error {
 	_, _, _, err := m.resolve()
 	return err
@@ -104,8 +117,8 @@ func (m Modes) resolve() (async, sym, sleep bool, err error) {
 	if sym, sleep, err = parseReduction(m.Reduction); err != nil {
 		return
 	}
-	set := ModeAsync.when(async) | ModeReduce.when(sym) | ModeStringKeys.when(m.StringKeys) |
-		ModeProvenance.when(m.Provenance) | ModeCheckpoint.when(m.Checkpoint) | ModeDist.when(m.Dist)
+	set := ModeAsync.when(async) | ModeReduce.when(sym) | ModeSleep.when(sleep) | ModeSpill.when(m.Store == StoreSpill) |
+		ModeStringKeys.when(m.StringKeys) | ModeProvenance.when(m.Provenance) | ModeCheckpoint.when(m.Checkpoint) | ModeDist.when(m.Dist)
 	for _, c := range ModeConflicts {
 		if set&c.A != 0 && set&c.B != 0 {
 			err = fmt.Errorf("frontier engine: %w: %s cannot be combined with %s: %s", ErrIncompatibleModes, c.A, c.B, c.Why)

@@ -35,6 +35,12 @@ func modeEngine(set check.Mode, dir string) check.EngineOptions {
 	if set&check.ModeReduce != 0 {
 		o.Reduction = check.ReduceSym
 	}
+	if set&check.ModeSleep != 0 {
+		o.Reduction = check.ReduceSymSleep
+	}
+	if set&check.ModeSpill != 0 {
+		o.Store = check.StoreSpill
+	}
 	o.StringKeys = set&check.ModeStringKeys != 0
 	o.Provenance = set&check.ModeProvenance != 0
 	if set&check.ModeCheckpoint != 0 {
@@ -61,6 +67,12 @@ func modeSpec(set check.Mode) (spec sweep.EngineSpec, ok bool) {
 	if set&check.ModeReduce != 0 {
 		spec.Reduce = check.ReduceSym
 	}
+	if set&check.ModeSleep != 0 {
+		spec.Reduce = check.ReduceSymSleep
+	}
+	if set&check.ModeSpill != 0 {
+		spec.Store = check.StoreSpill
+	}
 	if set&check.ModeStringKeys != 0 {
 		spec.Keys = "string"
 	}
@@ -82,8 +94,13 @@ func modeFlags(set check.Mode, dir string) (err error, ok bool) {
 	if set&check.ModeAsync != 0 {
 		args = append(args, "-order", check.OrderAsync)
 	}
-	if set&check.ModeReduce != 0 {
+	if set&check.ModeSleep != 0 {
+		args = append(args, "-reduce", check.ReduceSymSleep)
+	} else if set&check.ModeReduce != 0 {
 		args = append(args, "-reduce", check.ReduceSym)
+	}
+	if set&check.ModeSpill != 0 {
+		args = append(args, "-store", check.StoreSpill)
 	}
 	if set&check.ModeStringKeys != 0 {
 		args = append(args, "-stringkeys")
@@ -196,6 +213,12 @@ func TestModeMatrix(t *testing.T) {
 						}
 						if reduce != check.ReduceNone {
 							set |= check.ModeReduce
+						}
+						if reduce == check.ReduceSymSleep {
+							set |= check.ModeSleep
+						}
+						if store == check.StoreSpill {
+							set |= check.ModeSpill
 						}
 						if stringKeys {
 							set |= check.ModeStringKeys

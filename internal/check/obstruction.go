@@ -44,7 +44,8 @@ func CheckObstructionFree(p model.Protocol, inputs []int, limits ExploreLimits, 
 // A violation does not abort mid-level: the whole level finishes so that
 // the report's counts stay deterministic, and among all violations found
 // at that level the deterministically smallest (by configuration
-// fingerprint, then pid) is reported — identical for every worker count.
+// fingerprint, then exact key where the run has one, then pid) is
+// reported — identical for every worker count.
 func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOptions, soloBound int) (*ObstructionFreeReport, error) {
 	if soloBound <= 0 {
 		return nil, fmt.Errorf("check: solo bound %d must be positive", soloBound)
@@ -71,6 +72,7 @@ func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOption
 	// violation is the smallest failing (configuration, pid) pair seen.
 	type violation struct {
 		fp    uint64
+		key   string // "" unless the run uses exact keys
 		pid   int
 		depth int
 		err   error
@@ -102,8 +104,9 @@ func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOption
 			steps, err := SoloSteps(p, solo, pid, soloBound)
 			if err != nil {
 				mu.Lock()
-				if failed == nil || n.fp < failed.fp || (n.fp == failed.fp && pid < failed.pid) {
-					failed = &violation{fp: n.fp, pid: pid, depth: n.Depth, err: err}
+				if failed == nil || n.fp < failed.fp || (n.fp == failed.fp &&
+					(n.key < failed.key || (n.key == failed.key && pid < failed.pid))) {
+					failed = &violation{fp: n.fp, key: n.key, pid: pid, depth: n.Depth, err: err}
 				}
 				mu.Unlock()
 				continue

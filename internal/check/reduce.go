@@ -64,46 +64,10 @@ import (
 //     cross-level differential cases (loopProto, toybit, kset-swap)
 //     exercise exactly this.
 //
-//     Sleep under the BARRIER-FREE order (EngineOptions.Order "async"),
-//     where the "intersection complete before any mask is consulted"
-//     premise above does not hold — the proof obligation for composing
-//     sleep with async admission:
-//
-//       Claim: with per-state persistent masks intersected at the
-//       partition owner and wake items re-expanding un-masked pids, the
-//       async visited set equals the level-synchronized one.
-//
-//       (1) Only justified skips. A state's effective mask at any moment
-//       is the intersection of the masks of the generators that have
-//       ARRIVED so far — a superset of no generator's claim: every bit
-//       still set is justified by EVERY arrived generator, in particular
-//       by one first-visit generator, and the diamond-descent argument
-//       above applies to it verbatim (it nowhere used level completeness,
-//       only the existence of a justifying generator one step shallower).
-//       So a skipped pid's successors are reachable through the unmasked
-//       routes, async or not.
-//
-//       (2) No lost wake-ups. The hazard async adds is the converse:
-//       the state may have been EXPANDED under a transiently-too-large
-//       mask (generators that would have shrunk it had not arrived yet —
-//       at a barrier they always have). The owner repairs this: a
-//       duplicate admission that shrinks the stored mask emits a WAKE
-//       item for exactly the cleared bits, and the wake re-expands those
-//       pids from the stored state (at its best-known depth). After the
-//       last generator arrives the stored mask is the full intersection,
-//       and the union of the fresh expansion plus all wakes is exactly
-//       the expansion under that final mask — the level engine's.
-//
-//       (3) Termination. A state's stored mask only shrinks, each wake
-//       clears at least one bit, and masks have at most 64 bits, so a
-//       state is re-expanded at most 64 times; quiescence counting treats
-//       wake items as ordinary work units.
-//
-//       Counters are the trade: sleep_skipped under async depends on
-//       arrival order (a transiently-large mask skips more, then wakes),
-//       so async runs compare visited sets and verdicts, never reduction
-//       counters. The deliberately cyclic loopProto differential in
-//       async_test.go stress-tests exactly this composition.
+//     The argument leans on the barrier twice — "the intersection is
+//     complete before any mask is consulted" and "first-visit level" —
+//     so sleep sets run under the level-synchronized order only; the
+//     async order rejects them (ModeConflicts).
 //
 // Both reductions are quotients of *reachability*, not of schedules:
 // they are sound for the questions Explore and ClassifyValency answer

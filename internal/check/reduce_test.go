@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -258,7 +259,7 @@ func TestReduceDeterministicAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			res, err := check.ExploreOpts(p, c, pids, 0, check.ExploreOptions{
 				Limits: check.ExploreLimits{MaxConfigs: 200000},
-				Engine: check.EngineOptions{Reduction: mode, Workers: workers, Shards: 8},
+				Engine: check.EngineOptions{Reduction: mode, Workers: workers},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -286,7 +287,7 @@ func TestReduceDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		res, err := check.ExploreOpts(alg1, c1, []int{0, 1, 2, 3}, 1, check.ExploreOptions{
 			Limits: check.ExploreLimits{MaxConfigs: 20000},
-			Engine: check.EngineOptions{Reduction: check.ReduceSymSleep, Workers: workers, Shards: 8},
+			Engine: check.EngineOptions{Reduction: check.ReduceSymSleep, Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -413,6 +414,60 @@ func TestReduceSleepOnCyclicGraph(t *testing.T) {
 		}
 		if sym.Visited > base.Visited {
 			t.Errorf("depth %d: quotient visited %d > unreduced %d", depth, sym.Visited, base.Visited)
+		}
+	}
+}
+
+// TestExhaustiveOrbitCount pins an exhaustive quotient exploration big
+// enough to have exposed lost states: the toy-bit race at n=5 over 2
+// bits, inputs i mod 2, has 90,488 orbit states, all of which every legal
+// order × reduction × store × workers cell must visit, reporting the
+// space complete and both values decided. (The n <= 4 instances of the
+// differential suites, 17,263 states, never showed the async × sym+sleep
+// pairing visiting 90,481–90,486 of these and calling that complete.) The
+// two pairings check.ModeConflicts took from the async order must answer
+// this instance with ErrIncompatibleModes, not with a count.
+func TestExhaustiveOrbitCount(t *testing.T) {
+	const orbitStates = 90488
+	p, err := baseline.NewToyBitRace(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := model.MustNewConfig(p, []int{0, 1, 0, 1, 0})
+	pids := []int{0, 1, 2, 3, 4}
+	explore := func(eng check.EngineOptions) (*check.ExploreResult, error) {
+		if eng.Store == check.StoreSpill {
+			eng.MemBudget = 64 << 10 // small: the visited set really spills
+		}
+		return check.ExploreOpts(p, c, pids, 0, check.ExploreOptions{
+			Limits: check.ExploreLimits{MaxConfigs: 1000000}, Engine: eng})
+	}
+	cells := []check.EngineOptions{{Order: check.OrderAsync, Reduction: check.ReduceSym}}
+	for _, reduce := range []string{check.ReduceSym, check.ReduceSymSleep} {
+		for _, store := range []string{check.StoreMem, check.StoreSpill} {
+			cells = append(cells, check.EngineOptions{Reduction: reduce, Store: store})
+		}
+	}
+	for _, cell := range cells {
+		for _, workers := range []int{1, 2, 4} {
+			cell.Workers = workers
+			name := fmt.Sprintf("order=%q reduce=%s store=%q workers=%d", cell.Order, cell.Reduction, cell.Store, workers)
+			res, err := explore(cell)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Visited != orbitStates || !res.Complete || !reflect.DeepEqual(res.DecidedValues, []int{0, 1}) {
+				t.Errorf("%s: visited %d (complete %t) deciding %v, want %d (complete) deciding [0 1]",
+					name, res.Visited, res.Complete, res.DecidedValues, orbitStates)
+			}
+		}
+	}
+	for _, cell := range []check.EngineOptions{
+		{Order: check.OrderAsync, Reduction: check.ReduceSymSleep},
+		{Order: check.OrderAsync, Reduction: check.ReduceSym, Store: check.StoreSpill},
+	} {
+		if res, err := explore(cell); !errors.Is(err, check.ErrIncompatibleModes) {
+			t.Errorf("order=%q reduce=%s store=%q: result %+v, err = %v, want ErrIncompatibleModes", cell.Order, cell.Reduction, cell.Store, res, err)
 		}
 	}
 }

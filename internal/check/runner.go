@@ -24,11 +24,9 @@
 //     runtime.GOMAXPROCS(0)). Results never depend on it: per-level
 //     barriers, commutative merging and sorted-fingerprint budget
 //     truncation make every aggregate deterministic.
-//   - Shards: cap on the visited-set partition count (default 64; the
-//     engine uses min(Shards, Workers) single-owner partitions). Purely
-//     a contention knob.
 //   - Order: "levelsync" (the default) or "async". Same visited set and
-//     verdicts; async gives up level structure and schedule determinism.
+//     verdicts; async gives up level structure and schedule determinism,
+//     and runs unreduced or under "sym" over the in-memory store only.
 //   - StringKeys: dedup on the exact compact binary encoding instead of
 //     the default 64-bit incremental slot fingerprint. Fingerprints are
 //     faster and ~10x smaller but admit a ~2^-64 per-pair collision risk

@@ -27,7 +27,7 @@ func TestExploreSpillParallelMatchesSequential(t *testing.T) {
 						got := exploreT(t, tc.p, c, tc.pids, tc.k, check.ExploreOptions{
 							Limits: tc.limits,
 							Engine: check.EngineOptions{
-								Workers: workers, Shards: 4, StringKeys: stringKeys,
+								Workers: workers, StringKeys: stringKeys,
 								Store: check.StoreSpill, MemBudget: budget,
 							},
 						})
@@ -116,7 +116,7 @@ func TestSpillDeterministicAcrossWorkers(t *testing.T) {
 		c := model.MustNewConfig(p, inputs)
 		res := exploreT(t, p, c, pids, 1, check.ExploreOptions{
 			Limits: limits,
-			Engine: check.EngineOptions{Workers: workers, Shards: 4, Store: store, MemBudget: 1},
+			Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: 1},
 		})
 		return snapshot{res.Visited, res.Complete, res.DecidedValues}
 	}
@@ -216,7 +216,7 @@ func TestBudgetTruncationExactLevelBoundary(t *testing.T) {
 				c := model.MustNewConfig(p, inputs)
 				res := exploreT(t, p, c, pids, 1, check.ExploreOptions{
 					Limits: check.ExploreLimits{MaxConfigs: maxConfigs},
-					Engine: check.EngineOptions{Workers: workers, Shards: 4, Store: store, MemBudget: 1},
+					Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: 1},
 				})
 				tag := fmt.Sprintf("workers=%d store=%s max=%d", workers, store, maxConfigs)
 				if res.Visited != maxConfigs {
@@ -249,7 +249,7 @@ func TestTruncationStraddleDeterministicAcrossWorkers(t *testing.T) {
 		c := model.MustNewConfig(p, inputs)
 		res := exploreT(t, p, c, pids, 1, check.ExploreOptions{
 			Limits: check.ExploreLimits{MaxConfigs: maxConfigs},
-			Engine: check.EngineOptions{Workers: workers, Shards: 2, Store: store, MemBudget: 4 << 10},
+			Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: 4 << 10},
 		})
 		return snapshot{res.Visited, res.Complete, res.DecidedValues, res.MaxDecidedTogether}
 	}

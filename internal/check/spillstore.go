@@ -78,22 +78,16 @@ type spillStore struct {
 	dir     string
 	ownsDir bool
 	budget  int64
-	// partBudget is the per-partition resident-delta trigger for the
-	// barrier-free admission path (AdmitAsync), which flushes partitions
-	// individually — there is no barrier at which to sum them. Floored at
-	// the delta table's initial footprint so tiny budgets batch flushes
-	// instead of spilling every admission.
-	partBudget int64
-	seq        int // depth of the frontier currently being admitted
-	parts      []spillPart
-	exch       *model.SlotExchange
-	source     *spillSource // last handed-out streaming source (for Close)
+	seq     int // depth of the frontier currently being admitted
+	parts   []spillPart
+	exch    *model.SlotExchange
+	source  *spillSource // last handed-out streaming source (for Close)
 
-	// Counters mutated by spillDelta/compact are atomic: the async order
-	// flushes different partitions from concurrent owner goroutines.
+	// bytesSpilled is atomic: the partition owners spool frontier nodes
+	// concurrently. The run counters move only at barriers and seeding.
 	bytesSpilled atomic.Int64
-	runsWritten  atomic.Int64
-	runsMerged   atomic.Int64
+	runsWritten  int
+	runsMerged   int
 	peak         int64
 
 	errMu sync.Mutex
@@ -150,16 +144,11 @@ func entryLess(a, b spillEntry) bool {
 	return a.key < b.key
 }
 
-// spillRun is one sorted run file. The async admission path keeps a lazy
-// read handle and the entry count for binary-search probes (fingerprint
-// mode writes fixed 8-byte records after the artifact header, so the
-// payload IS a sorted array); level-synchronized runs never open one.
-// verified records that the file passed a full checksum pass since it
-// was last opened by a consumer that may stop reading early.
+// spillRun is one sorted run file. verified records that the file passed
+// a full checksum pass before a consumer that may stop reading early
+// (the barrier merge) first opened it.
 type spillRun struct {
 	path     string
-	f        *fault.File
-	entries  int64
 	verified bool
 }
 
@@ -189,10 +178,6 @@ func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) 
 	}
 	s := &spillStore{ctx: ctx, dir: dir, ownsDir: ownsDir, budget: budget,
 		parts: make([]spillPart, ctx.parts)}
-	s.partBudget = budget / int64(ctx.parts)
-	if s.partBudget < 8<<10 {
-		s.partBudget = 8 << 10
-	}
 	s.exch = model.NewSlotExchange()
 	for i := range s.parts {
 		p := &s.parts[i]
@@ -251,104 +236,6 @@ func (s *spillStore) Admit(part int, n *Node) (added, retained bool) {
 		s.fail(err)
 	}
 	return true, false
-}
-
-// AdmitAsync (asyncStateStore) is the barrier-free admission path: dedup
-// must be exact AT ADMISSION TIME — there is no later barrier to resolve
-// tentative admissions — so a Bloom-positive candidate pays for binary
-// searches over the partition's sorted run files right here, through
-// cached read handles (the incremental substitute for the barrier's
-// k-way merge; bloom-negative candidates, the vast majority on fresh
-// growth, still cost one resident-delta probe only). Frontier nodes are
-// NOT spooled: async keeps them in the workers' deques, so only dedup
-// memory is budget-bounded and the per-partition delta flushes on its
-// own share of the budget. Single-ownership per partition still holds,
-// but different partitions run concurrently — shared counters here and
-// in spillDelta/compact are atomic.
-func (s *spillStore) AdmitAsync(part int, n *Node) (added bool, err error) {
-	if s.ctx.stringKeys {
-		return false, fmt.Errorf("spill store: async admission requires fingerprint keying")
-	}
-	p := &s.parts[part]
-	if p.deltaFP.Has(n.fp) {
-		return false, nil
-	}
-	if p.bloom != nil && p.bloom.has(n.fp) {
-		p.prefilterHits++
-		found, err := s.probeRuns(p, n.fp)
-		if err != nil {
-			return false, err
-		}
-		if found {
-			return false, nil
-		}
-	}
-	p.deltaFP.Add(n.fp)
-	if int64(len(p.deltaFP.slots))*8 > s.partBudget {
-		if err := s.spillDelta(p); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// probeRuns binary-searches every run file of the partition for fp,
-// opening read handles lazily (they persist until compaction consumes
-// the run, or Close). Each run is checksum-verified once at first open:
-// probes read the file piecemeal, so corruption would otherwise go
-// undetected and silently change the admitted set.
-func (s *spillStore) probeRuns(p *spillPart, fp uint64) (bool, error) {
-	for i := range p.runs {
-		r := &p.runs[i]
-		if r.f == nil {
-			if !r.verified {
-				if err := verifyArtifact(r.path, artifactRun); err != nil {
-					return false, err
-				}
-				r.verified = true
-			}
-			f, err := fault.Open(r.path)
-			if err != nil {
-				return false, fmt.Errorf("spill store: %w", err)
-			}
-			st, err := f.Stat()
-			if err != nil {
-				f.File.Close()
-				return false, fmt.Errorf("spill store: %w", err)
-			}
-			r.f, r.entries = f, (st.Size()-artifactOverhead)/8
-		}
-		found, err := probeRunFile(r.f, r.entries, fp)
-		if err != nil {
-			return false, err
-		}
-		if found {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// probeRunFile binary-searches a fingerprint-mode run file (sorted fixed
-// 8-byte little-endian records following the artifact header) for fp.
-func probeRunFile(f io.ReaderAt, entries int64, fp uint64) (bool, error) {
-	var buf [8]byte
-	lo, hi := int64(0), entries
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if _, err := f.ReadAt(buf[:], artifactHeaderLen+mid*8); err != nil {
-			return false, fmt.Errorf("spill store: run probe: %w", err)
-		}
-		switch v := binary.LittleEndian.Uint64(buf[:]); {
-		case v == fp:
-			return true, nil
-		case v < fp:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return false, nil
 }
 
 func (s *spillStore) Has(part int, fp uint64, key string) bool {
@@ -663,7 +550,7 @@ func (s *spillStore) spillDelta(p *spillPart) error {
 		return err
 	}
 	s.bytesSpilled.Add(written)
-	s.runsWritten.Add(1)
+	s.runsWritten++
 	p.runs = append(p.runs, spillRun{path: path})
 
 	if len(p.runs) >= runFanout {
@@ -741,15 +628,11 @@ func (s *spillStore) compact(p *spillPart) error {
 		readers[i] = nil
 	}
 	for i := range p.runs {
-		// Async probe handles on the consumed runs go with them.
-		if p.runs[i].f != nil {
-			p.runs[i].f.File.Close()
-		}
 		os.Remove(p.runs[i].path)
 	}
 	s.bytesSpilled.Add(written)
-	s.runsMerged.Add(int64(len(p.runs)))
-	s.runsWritten.Add(1)
+	s.runsMerged += len(p.runs)
+	s.runsWritten++
 	p.runs = []spillRun{{path: path}}
 	return nil
 }
@@ -773,8 +656,8 @@ func (s *spillStore) residentBytes() int64 {
 }
 
 // foldPeak raises the resident high-water mark to the current footprint.
-// It runs wherever no barrier samples for it: when an async run ends
-// (Stats) and around every flush of a checkpoint seed.
+// It runs where no barrier samples for it: around every flush of a
+// checkpoint seed.
 func (s *spillStore) foldPeak() {
 	if resident := s.residentBytes(); resident > s.peak {
 		s.peak = resident
@@ -782,11 +665,6 @@ func (s *spillStore) foldPeak() {
 }
 
 func (s *spillStore) Stats() StoreStats {
-	// Async runs never reach EndLevel, so sample the resident footprint
-	// here too (Stats runs after the run ends, when no owner goroutine is
-	// live); the async peak is a flush/close-time sample rather than a
-	// per-barrier one.
-	s.foldPeak()
 	var hits int64
 	for i := range s.parts {
 		hits += s.parts[i].prefilterHits
@@ -794,8 +672,8 @@ func (s *spillStore) Stats() StoreStats {
 	return StoreStats{
 		Kind:              StoreSpill,
 		BytesSpilled:      s.bytesSpilled.Load(),
-		RunsWritten:       int(s.runsWritten.Load()),
-		RunsMerged:        int(s.runsMerged.Load()),
+		RunsWritten:       s.runsWritten,
+		RunsMerged:        s.runsMerged,
 		PeakResidentBytes: s.peak,
 		PrefilterHits:     hits,
 	}
@@ -811,14 +689,6 @@ func (s *spillStore) Close() error {
 	if s.source != nil {
 		s.source.closeAll()
 		s.source = nil
-	}
-	for i := range s.parts {
-		for j := range s.parts[i].runs {
-			if f := s.parts[i].runs[j].f; f != nil {
-				f.File.Close()
-				s.parts[i].runs[j].f = nil
-			}
-		}
 	}
 	var cleanupErr error
 	if s.ownsDir {
@@ -1309,10 +1179,13 @@ func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
 // table is sized for what it will take before it takes it (fpSet.reserve:
 // a mem-store snapshot arrives in table order).
 func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
-	// A delta table may have as many slots as the partition budget holds,
-	// and takes 70% of that many entries before it would grow.
+	// A partition's share of the budget, floored at a delta table's
+	// initial footprint so tiny budgets batch flushes instead of spilling
+	// every entry. A delta table may have as many slots as that holds, and
+	// takes 70% of that many entries before it would grow.
+	partBudget := max(s.budget/int64(len(s.parts)), 8<<10)
 	slots := 1024
-	for int64(slots)*2*8 <= s.partBudget {
+	for int64(slots)*2*8 <= partBudget {
 		slots <<= 1
 	}
 	chunk := slots * 7 / 10
@@ -1328,7 +1201,7 @@ func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
 				p.deltaKeys[keys[i]] = fp
 				p.deltaKeyBytes += int64(len(keys[i])) + mapEntryOverhead
 			}
-			full = p.deltaKeyBytes > s.partBudget
+			full = p.deltaKeyBytes > partBudget
 		} else {
 			if room[part] == 0 {
 				room[part] = min(left[part], chunk)

@@ -75,7 +75,9 @@ type LevelResult struct {
 // StateStore owns deduplication and frontier queuing for one engine run.
 // Partition indices are engine-assigned (fp & ownerMask); during a level
 // each partition is called only from its single owner goroutine, and
-// EndLevel/Stats/Close only from the engine's level loop.
+// EndLevel/Stats/Close only from the engine's level loop. (The async
+// order has no levels: it keeps its frontier in the workers' deques and
+// uses the in-memory store's visited tables alone, see async.go.)
 type StateStore interface {
 	// Admit records n's (fingerprint, key) as visited in the partition and
 	// queues n for the next level, unless it is a known duplicate. added
@@ -99,25 +101,6 @@ type StateStore interface {
 	// Close releases all resources (spill files, directories). It is safe
 	// to call after an aborted level.
 	Close() error
-}
-
-// asyncStateStore is the admission interface the barrier-free order
-// (async.go) needs: dedup WITHOUT frontier queuing and WITHOUT EndLevel —
-// async has no barrier at which delayed duplicates could be resolved, so
-// an implementation must answer exactly at admission time. Partition
-// single-ownership still holds (each partition is called only from its
-// owner goroutine), but different partitions are admitted CONCURRENTLY
-// for the whole run, so any cross-partition state must be synchronized.
-// Both built-in stores implement it: memStore probes its complete
-// resident tables; spillStore backs its Bloom prefilter with binary
-// searches over the sorted on-disk runs (an incremental merge substitute)
-// and flushes per-partition deltas on their own budget, never spooling
-// frontier nodes (async keeps them in the workers' deques).
-type asyncStateStore interface {
-	// AdmitAsync records n's fingerprint as visited in the partition and
-	// reports whether it was new. The caller keeps ownership of n either
-	// way. Exact string keys are not supported (async rejects them).
-	AdmitAsync(part int, n *Node) (added bool, err error)
 }
 
 // checkpointableStore is the optional capability checkpointing needs

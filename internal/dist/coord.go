@@ -47,7 +47,6 @@ type Spec struct {
 	Limits check.ExploreLimits
 
 	Workers   int
-	Shards    int
 	Store     string
 	MemBudget int64
 	Reduce    string
@@ -254,11 +253,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // uninterrupted run with a smaller peer count.
 func Run(ctx context.Context, p model.Protocol, conns []net.Conn, addrs []string, spec Spec) (*check.ExploreResult, error) {
 	peers := len(conns)
-	if peers < 1 || peers > check.DistNumParts {
+	err := check.Modes{Order: spec.Order, Reduction: spec.Reduce, Store: spec.Store, Dist: true}.Validate()
+	if err == nil && (peers < 1 || peers > check.DistNumParts) {
+		err = fmt.Errorf("dist: peer count %d outside [1, %d]", peers, check.DistNumParts)
+	}
+	if err != nil {
 		for _, c := range conns {
 			c.Close()
 		}
-		return nil, fmt.Errorf("dist: peer count %d outside [1, %d]", peers, check.DistNumParts)
+		return nil, err
 	}
 	spec.Limits = withLimitDefaults(spec.Limits)
 
@@ -388,8 +391,7 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 			Proto: spec.Proto, N: spec.N, K: spec.K, M: spec.M,
 			AgreeK: spec.AgreeK, Inputs: spec.Inputs,
 			MaxConfigs: spec.Limits.MaxConfigs, MaxDepth: spec.Limits.MaxDepth,
-			Workers: spec.Workers, Shards: spec.Shards,
-			Store: spec.Store, MemBudget: spec.MemBudget,
+			Workers: spec.Workers, Store: spec.Store, MemBudget: spec.MemBudget,
 			Reduce: spec.Reduce, Order: spec.Order,
 			PeerIndex: i, PeerCount: peers,
 		}

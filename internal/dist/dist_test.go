@@ -91,53 +91,119 @@ func verdictOf(res *check.ExploreResult) verdict {
 	}
 }
 
-// TestLoopbackParity: 1/2/3 peers x {levelsync, async} x {none, sym,
-// sym+sleep} matches the single-process engine on every case. Run under
+// legalEngines lists, at 2 workers, every order × reduction × store cell
+// the mode table accepts for a distributed run that keep also accepts
+// (nil = all of them). It is read off check.Modes.Validate, so the
+// suites here follow check.ModeConflicts instead of a hand-kept list.
+func legalEngines(keep func(check.EngineOptions) bool) []check.EngineOptions {
+	var cells []check.EngineOptions
+	for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
+		for _, reduce := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
+			for _, store := range []string{check.StoreMem, check.StoreSpill} {
+				if (check.Modes{Order: order, Reduction: reduce, Store: store, Dist: true}).Validate() != nil {
+					continue
+				}
+				eng := check.EngineOptions{Order: order, Reduction: reduce, Store: store, Workers: 2}
+				if store == check.StoreSpill {
+					eng.MemBudget = 1 << 16
+				}
+				if keep == nil || keep(eng) {
+					cells = append(cells, eng)
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// inMemory keeps the in-memory-store cells.
+func inMemory(e check.EngineOptions) bool { return e.Store == check.StoreMem }
+
+func engineName(e check.EngineOptions) string {
+	return fmt.Sprintf("%s/%s/%s", e.Order, e.Reduction, e.Store)
+}
+
+// parityOracle runs opts in one process and returns the check a
+// distributed run of opts must pass. The oracle is always the
+// level-synchronized run of the cell, so no expectation comes from a
+// timing-dependent run: for an async cell that pins what is
+// order-independent — visited count, decided values, completeness and
+// that a violation exists — and leaves out which violation is reported.
+// A merged violation witness must replay to a genuinely violating
+// configuration, not just match by id.
+func parityOracle(t *testing.T, p model.Protocol, inputs []int, k int, opts check.ExploreOptions) func(name string, res *check.ExploreResult) {
+	t.Helper()
+	async := opts.Engine.Order == check.OrderAsync
+	opts.Engine.Order = check.OrderLevelSync
+	oracle, err := check.ExploreOpts(p, model.MustNewConfig(p, inputs), pidsOf(p), k, opts)
+	if err != nil {
+		t.Fatalf("%s oracle: %v", engineName(opts.Engine), err)
+	}
+	orderFree := func(v verdict) verdict {
+		if async {
+			v.violDepth, v.violFP = 0, 0
+		}
+		return v
+	}
+	want := orderFree(verdictOf(oracle))
+	return func(name string, res *check.ExploreResult) {
+		t.Helper()
+		if got := orderFree(verdictOf(res)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: verdict %+v, single-process levelsync %+v", name, got, want)
+		}
+		if want.hasViol {
+			if res.AgreementViolation == nil {
+				t.Fatalf("%s: violation lost in merge", name)
+			}
+			if vals := res.AgreementViolation.DecidedValues(p); len(vals) <= k {
+				t.Errorf("%s: replayed witness decides %d values, need > %d", name, len(vals), k)
+			}
+		}
+	}
+}
+
+// TestLoopbackParity: 1/2/3 peers x every legal order x reduction x
+// store cell matches the single-process engine on every case. Run under
 // -race this is the dist-smoke CI gate.
 func TestLoopbackParity(t *testing.T) {
 	for _, tc := range distCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			c := model.MustNewConfig(tc.p, tc.inputs)
 			limits := check.ExploreLimits{MaxConfigs: 300000, MaxDepth: tc.maxDepth}
-			for _, reduce := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
-				for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
-					opts := check.ExploreOptions{
-						Limits: limits,
-						Engine: check.EngineOptions{Order: order, Reduction: reduce, Workers: 2, Shards: 4},
-					}
-					oracle, err := check.ExploreOpts(tc.p, c, pidsOf(tc.p), tc.k, opts)
+			for _, eng := range legalEngines(nil) {
+				opts := check.ExploreOptions{Limits: limits, Engine: eng}
+				matches := parityOracle(t, tc.p, tc.inputs, tc.k, opts)
+				for peers := 1; peers <= 3; peers++ {
+					name := fmt.Sprintf("%s/%d peers", engineName(eng), peers)
+					res, err := dist.LoopbackExplore(context.Background(), tc.p, tc.inputs, tc.k, opts, peers)
 					if err != nil {
-						t.Fatalf("%s/%s oracle: %v", reduce, order, err)
+						t.Fatalf("%s: %v", name, err)
 					}
-					want := verdictOf(oracle)
-					for peers := 1; peers <= 3; peers++ {
-						res, err := dist.LoopbackExplore(context.Background(), tc.p, tc.inputs, tc.k, opts, peers)
-						if err != nil {
-							t.Fatalf("%s/%s/%d peers: %v", reduce, order, peers, err)
-						}
-						if got := verdictOf(res); !reflect.DeepEqual(got, want) {
-							t.Errorf("%s/%s/%d peers: verdict %+v, single-process %+v", reduce, order, peers, got, want)
-						}
-						if res.Net.Peers != peers {
-							t.Errorf("%s/%s/%d peers: Net.Peers = %d", reduce, order, peers, res.Net.Peers)
-						}
-						if peers > 1 && res.Net.BatchesSent == 0 {
-							t.Errorf("%s/%s/%d peers: no batches crossed the wire", reduce, order, peers)
-						}
-						if want.hasViol {
-							// The merged witness must replay to a genuinely
-							// violating configuration, not just match by id.
-							if res.AgreementViolation == nil {
-								t.Fatalf("%s/%s/%d peers: violation lost in merge", reduce, order, peers)
-							}
-							if vals := res.AgreementViolation.DecidedValues(tc.p); len(vals) <= tc.k {
-								t.Errorf("%s/%s/%d peers: replayed witness decides %d values, need > %d", reduce, order, peers, len(vals), tc.k)
-							}
-						}
+					matches(name, res)
+					if res.Net.Peers != peers {
+						t.Errorf("%s: Net.Peers = %d", name, res.Net.Peers)
+					}
+					if peers > 1 && res.Net.BatchesSent == 0 {
+						t.Errorf("%s: no batches crossed the wire", name)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestLoopbackRejectsModeConflicts: the pairings the mode table forbids
+// are refused by the coordinator before any peer runs, with the error
+// every other entry point gives.
+func TestLoopbackRejectsModeConflicts(t *testing.T) {
+	tc := distCases(t)[0]
+	for _, eng := range []check.EngineOptions{
+		{Order: check.OrderAsync, Reduction: check.ReduceSymSleep},
+		{Order: check.OrderAsync, Store: check.StoreSpill},
+	} {
+		_, err := dist.LoopbackExplore(context.Background(), tc.p, tc.inputs, tc.k, check.ExploreOptions{Engine: eng}, 2)
+		if !errors.Is(err, check.ErrIncompatibleModes) {
+			t.Errorf("%s: err = %v, want ErrIncompatibleModes", engineName(eng), err)
+		}
 	}
 }
 
@@ -152,7 +218,7 @@ func TestLoopbackTruncationParity(t *testing.T) {
 	for _, budget := range []int{50, 400, 2000} {
 		opts := check.ExploreOptions{
 			Limits: check.ExploreLimits{MaxConfigs: budget},
-			Engine: check.EngineOptions{Workers: 2, Shards: 4},
+			Engine: check.EngineOptions{Workers: 2},
 		}
 		oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
 		if err != nil {
@@ -182,7 +248,7 @@ func TestLoopbackSpillStore(t *testing.T) {
 	c := model.MustNewConfig(p, inputs)
 	opts := check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: 300000, MaxDepth: 5},
-		Engine: check.EngineOptions{Store: check.StoreSpill, MemBudget: 1 << 16, Workers: 2, Shards: 4},
+		Engine: check.EngineOptions{Store: check.StoreSpill, MemBudget: 1 << 16, Workers: 2},
 	}
 	oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
 	if err != nil {

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -26,93 +27,67 @@ import (
 // budget gathers, result delivery, and the never-trips tail.
 
 // TestFailoverKillSweep kills each peer at every write position 0..16 in
-// both exploration orders and demands the single-process verdict every
-// time. The respawned slot makes this the full-recovery path.
+// each exploration order the quotient runs under and demands the
+// single-process verdict every time. The respawned slot makes this the
+// full-recovery path.
 func TestFailoverKillSweep(t *testing.T) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 2})
 	inputs := []int{0, 1, 1, 0}
-	c := model.MustNewConfig(p, inputs)
 	limits := check.ExploreLimits{MaxConfigs: 300000, MaxDepth: 5}
-	for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
-		opts := check.ExploreOptions{
-			Limits: limits,
-			Engine: check.EngineOptions{Order: order, Reduction: check.ReduceSym, Workers: 2, Shards: 4},
-		}
-		oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
-		if err != nil {
-			t.Fatalf("%s oracle: %v", order, err)
-		}
-		want := verdictOf(oracle)
+	underSym := func(e check.EngineOptions) bool { return inMemory(e) && e.Reduction == check.ReduceSym }
+	for _, eng := range legalEngines(underSym) {
+		opts := check.ExploreOptions{Limits: limits, Engine: eng}
+		matches := parityOracle(t, p, inputs, 1, opts)
 		for victim := 0; victim < 2; victim++ {
 			for j := 0; j <= 16; j++ {
+				name := fmt.Sprintf("%s victim=%d writes=%d", eng.Order, victim, j)
 				res, err := dist.LoopbackExploreOpts(context.Background(), p, inputs, 1, opts, dist.LoopbackOptions{
 					Peers: 2, Failover: true, PeerRetries: 2,
 					Kill: true, KillPeer: victim, KillAfterWrites: j,
 					Respawn: true,
 				})
 				if err != nil {
-					t.Fatalf("%s victim=%d writes=%d: %v", order, victim, j, err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				if got := verdictOf(res); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s victim=%d writes=%d: verdict %+v, single-process %+v", order, victim, j, got, want)
-				}
+				matches(name, res)
 				// If a fail-over round ran, the whole partition map moved.
 				if res.Net.ReseededPartitions != 0 && res.Net.ReseededPartitions%int64(check.DistNumParts) != 0 {
-					t.Errorf("%s victim=%d writes=%d: reseeded %d partitions, not a multiple of %d",
-						order, victim, j, res.Net.ReseededPartitions, check.DistNumParts)
+					t.Errorf("%s: reseeded %d partitions, not a multiple of %d",
+						name, res.Net.ReseededPartitions, check.DistNumParts)
 				}
 				// With a respawned slot nothing is permanently lost.
 				if res.Net.PeersLost != 0 {
-					t.Errorf("%s victim=%d writes=%d: peers_lost = %d with respawn", order, victim, j, res.Net.PeersLost)
+					t.Errorf("%s: peers_lost = %d with respawn", name, res.Net.PeersLost)
 				}
 			}
 		}
 	}
 }
 
-// TestFailoverMatrix crosses reduction modes and orders on a case with a
-// genuine violation (k-set from registers): the merged witness after a
-// fail-over must still replay to a real violating configuration.
+// TestFailoverMatrix crosses every legal order × reduction × store cell
+// with a case that has a genuine violation (k-set from registers): the
+// merged witness after a fail-over must still replay to a real violating
+// configuration.
 func TestFailoverMatrix(t *testing.T) {
 	rks, err := baseline.NewRegisterKSet(4, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := []int{0, 1, 2, 0}
-	c := model.MustNewConfig(rks, inputs)
 	limits := check.ExploreLimits{MaxConfigs: 300000, MaxDepth: 6}
-	for _, reduce := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
-		for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
-			opts := check.ExploreOptions{
-				Limits: limits,
-				Engine: check.EngineOptions{Order: order, Reduction: reduce, Workers: 2, Shards: 4},
-			}
-			oracle, err := check.ExploreOpts(rks, c, pidsOf(rks), 2, opts)
+	for _, eng := range legalEngines(nil) {
+		opts := check.ExploreOptions{Limits: limits, Engine: eng}
+		matches := parityOracle(t, rks, inputs, 2, opts)
+		for _, j := range []int{1, 6, 11} {
+			res, err := dist.LoopbackExploreOpts(context.Background(), rks, inputs, 2, opts, dist.LoopbackOptions{
+				Peers: 2, Failover: true, PeerRetries: 2,
+				Kill: true, KillPeer: 1, KillAfterWrites: j,
+				Respawn: true,
+			})
 			if err != nil {
-				t.Fatalf("%s/%s oracle: %v", reduce, order, err)
+				t.Fatalf("%s writes=%d: %v", engineName(eng), j, err)
 			}
-			want := verdictOf(oracle)
-			for _, j := range []int{1, 6, 11} {
-				res, err := dist.LoopbackExploreOpts(context.Background(), rks, inputs, 2, opts, dist.LoopbackOptions{
-					Peers: 2, Failover: true, PeerRetries: 2,
-					Kill: true, KillPeer: 1, KillAfterWrites: j,
-					Respawn: true,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s writes=%d: %v", reduce, order, j, err)
-				}
-				if got := verdictOf(res); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s writes=%d: verdict %+v, single-process %+v", reduce, order, j, got, want)
-				}
-				if want.hasViol {
-					if res.AgreementViolation == nil {
-						t.Fatalf("%s/%s writes=%d: violation lost across fail-over", reduce, order, j)
-					}
-					if vals := res.AgreementViolation.DecidedValues(rks); len(vals) <= 2 {
-						t.Errorf("%s/%s writes=%d: replayed witness decides %d values, need > 2", reduce, order, j, len(vals))
-					}
-				}
-			}
+			matches(fmt.Sprintf("%s writes=%d", engineName(eng), j), res)
 		}
 	}
 }
@@ -123,39 +98,31 @@ func TestFailoverMatrix(t *testing.T) {
 func TestFailoverDegraded(t *testing.T) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 2})
 	inputs := []int{0, 1, 1, 0}
-	c := model.MustNewConfig(p, inputs)
 	limits := check.ExploreLimits{MaxConfigs: 300000, MaxDepth: 5}
-	for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
-		opts := check.ExploreOptions{
-			Limits: limits,
-			Engine: check.EngineOptions{Order: order, Workers: 2, Shards: 4},
-		}
-		oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
-		if err != nil {
-			t.Fatalf("%s oracle: %v", order, err)
-		}
-		want := verdictOf(oracle)
+	unreduced := func(e check.EngineOptions) bool { return inMemory(e) && e.Reduction == check.ReduceNone }
+	for _, eng := range legalEngines(unreduced) {
+		opts := check.ExploreOptions{Limits: limits, Engine: eng}
+		matches := parityOracle(t, p, inputs, 1, opts)
 		for _, j := range []int{0, 3, 7} {
+			name := fmt.Sprintf("%s writes=%d", eng.Order, j)
 			res, err := dist.LoopbackExploreOpts(context.Background(), p, inputs, 1, opts, dist.LoopbackOptions{
 				Peers: 3, Failover: true, PeerRetries: 1,
 				Kill: true, KillPeer: 1, KillAfterWrites: j,
 				Respawn: false, // the dead slot stays dead
 			})
 			if err != nil {
-				t.Fatalf("%s writes=%d: %v", order, j, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if got := verdictOf(res); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s writes=%d: verdict %+v, single-process %+v", order, j, got, want)
-			}
+			matches(name, res)
 			if res.Net.PeersLost != 1 {
-				t.Errorf("%s writes=%d: peers_lost = %d, want 1", order, j, res.Net.PeersLost)
+				t.Errorf("%s: peers_lost = %d, want 1", name, res.Net.PeersLost)
 			}
 			if res.Net.Peers != 2 {
-				t.Errorf("%s writes=%d: verdict epoch ran on %d peers, want 2", order, j, res.Net.Peers)
+				t.Errorf("%s: verdict epoch ran on %d peers, want 2", name, res.Net.Peers)
 			}
 			if res.Net.ReseededPartitions < int64(check.DistNumParts) {
-				t.Errorf("%s writes=%d: reseeded_partitions = %d, want >= %d",
-					order, j, res.Net.ReseededPartitions, check.DistNumParts)
+				t.Errorf("%s: reseeded_partitions = %d, want >= %d",
+					name, res.Net.ReseededPartitions, check.DistNumParts)
 			}
 		}
 	}
@@ -171,7 +138,7 @@ func TestFailoverTruncationParity(t *testing.T) {
 	for _, budget := range []int{50, 400} {
 		opts := check.ExploreOptions{
 			Limits: check.ExploreLimits{MaxConfigs: budget},
-			Engine: check.EngineOptions{Workers: 2, Shards: 4},
+			Engine: check.EngineOptions{Workers: 2},
 		}
 		oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
 		if err != nil {
@@ -219,7 +186,7 @@ func TestHeartbeatFalsePositive(t *testing.T) {
 	c := model.MustNewConfig(p, inputs)
 	opts := check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: 300000, MaxDepth: 4},
-		Engine: check.EngineOptions{Workers: 2, Shards: 4},
+		Engine: check.EngineOptions{Workers: 2},
 	}
 	oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
 	if err != nil {
@@ -256,7 +223,7 @@ func TestFailoverValencyParity(t *testing.T) {
 	// both values well inside this budget, certifying bivalence.
 	opts := check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: 200000},
-		Engine: check.EngineOptions{Workers: 2, Shards: 4},
+		Engine: check.EngineOptions{Workers: 2},
 	}
 	oracleVal, err := check.ClassifyValencyOpts(p, c, pidsOf(p), opts)
 	if err != nil {

@@ -114,7 +114,6 @@ func LoopbackExploreOpts(ctx context.Context, p model.Protocol, inputs []int, ag
 		Inputs:    inputs,
 		Limits:    opts.Limits,
 		Workers:   opts.Engine.Workers,
-		Shards:    opts.Engine.Shards,
 		Store:     opts.Engine.Store,
 		MemBudget: opts.Engine.MemBudget,
 		Reduce:    opts.Engine.Reduction,

@@ -120,7 +120,6 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 		Engine: check.EngineOptions{
 			Ctx:       ctx,
 			Workers:   h.Workers,
-			Shards:    h.Shards,
 			Store:     h.Store,
 			MemBudget: h.MemBudget,
 			Reduction: h.Reduce,

@@ -334,7 +334,6 @@ type helloMsg struct {
 	MaxDepth   int `json:"max_depth,omitempty"`
 
 	Workers   int    `json:"workers,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	Store     string `json:"store,omitempty"`
 	MemBudget int64  `json:"mem_budget,omitempty"`
 	Reduce    string `json:"reduce,omitempty"`

@@ -259,3 +259,17 @@ func TestWireStreamReuse(t *testing.T) {
 		t.Fatalf("stream end: %v, want io.EOF", err)
 	}
 }
+
+// TestHelloFromOlderCoordinator: a HELLO written before the
+// partition-count knob was retired still carries it; the peer decodes the
+// run spec and ignores the field.
+func TestHelloFromOlderCoordinator(t *testing.T) {
+	var h helloMsg
+	old := []byte(`{"proto":"algorithm1","n":4,"k":1,"m":2,"agree_k":1,"inputs":[0,1,1,0],"max_configs":1000,"workers":2,"shards":8,"order":"async","peer_index":1,"peer_count":2}`)
+	if err := unmarshalCtrl(old, &h); err != nil {
+		t.Fatalf("older coordinator's HELLO rejected: %v", err)
+	}
+	if h.Proto != "algorithm1" || h.Workers != 2 || h.Order != check.OrderAsync || h.PeerIndex != 1 || h.PeerCount != 2 {
+		t.Errorf("decoded %+v", h)
+	}
+}

@@ -58,8 +58,8 @@ type chaosVerdict struct {
 // spill.run.write, spill.run.merge and checkpoint.manifest sites.
 func exploreEngine(dir string) check.EngineOptions {
 	return check.EngineOptions{
-		Workers: 4, Shards: 4,
-		Store: check.StoreSpill, MemBudget: 1,
+		Workers: 4,
+		Store:   check.StoreSpill, MemBudget: 1,
 		SpillDir:   filepath.Join(dir, "spill"),
 		Checkpoint: filepath.Join(dir, "ckpt"),
 	}
@@ -155,7 +155,7 @@ func runDistScenario(string) (chaosVerdict, error) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 3})
 	res, err := dist.LoopbackExploreOpts(context.Background(), p, []int{0, 1, 2, 0}, 1, check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: 20000},
-		Engine: check.EngineOptions{Workers: 2, Shards: 4},
+		Engine: check.EngineOptions{Workers: 2},
 	}, dist.LoopbackOptions{
 		Peers: 2, Failover: true, PeerRetries: 1,
 		Kill: true, KillPeer: 1, KillAfterWrites: 6,

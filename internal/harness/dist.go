@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/check"
 )
 
 // DistFlags are the distributed-exploration mode flags: a process is
@@ -28,7 +30,7 @@ func RegisterDistFlags(fs *flag.FlagSet) *DistFlags {
 	return &DistFlags{
 		peer:        fs.Bool("peer", false, "run as a distributed-exploration peer: serve coordinator connections on -listen and explore the partition range each run assigns"),
 		listen:      fs.String("listen", "127.0.0.1:0", "peer listen address (with -peer)"),
-		distributed: fs.Bool("distributed", false, "run as a distributed-exploration coordinator over the -peers processes"),
+		distributed: fs.Bool("distributed", false, "run as a distributed-exploration coordinator over the -peers processes; "+conflictHelp(check.ModeDist)),
 		peers:       fs.String("peers", "", "comma-separated peer addresses (with -distributed), e.g. host1:7001,host2:7001"),
 		failover:    fs.Bool("failover", false, "survive peer loss (with -distributed): redial lost peers with backoff and re-seed the run onto the reachable ones — same verdict, degraded capacity"),
 		heartbeat:   fs.Duration("heartbeat", 0, "peer liveness probe period (with -distributed; 0 = 1s when -failover, else off)"),

@@ -14,7 +14,7 @@ import (
 // This file deduplicates the CLI flag blocks of the cmd/ binaries: the
 // protocol-instance flags (-n/-k/-m), the validation flags
 // (-schedules/-seed), the search-limit flags (-max/-depth) and the
-// frontier-engine flags (-workers/-shards/keying/-store/-membudget/
+// frontier-engine flags (-workers/keying/-store/-membudget/
 // -progress) are each declared once here, with one help text, so mcheck,
 // lbcheck, sweep, table1, ablate and swaprace cannot drift apart. The
 // profiling flags have the same treatment in internal/prof.
@@ -56,6 +56,22 @@ func RegisterValidationFlags(fs *flag.FlagSet, defSchedules int, defSeed int64) 
 	}
 }
 
+// conflictHelp renders, from check.ModeConflicts, what mode m cannot be
+// combined with. Flag validation, the README matrix and check's
+// TestModeMatrix read the same table, so -help cannot drift.
+func conflictHelp(m check.Mode) string {
+	var with []string
+	for _, c := range check.ModeConflicts {
+		switch m {
+		case c.A:
+			with = append(with, c.B.String())
+		case c.B:
+			with = append(with, c.A.String())
+		}
+	}
+	return fmt.Sprintf("%s cannot be combined with %s", m, strings.Join(with, ", "))
+}
+
 // LimitFlags are the search-budget flags.
 type LimitFlags struct {
 	// Max and Depth are -max and -depth.
@@ -85,7 +101,7 @@ type StoreFlags struct {
 // RegisterStoreFlags declares -store and -membudget on fs.
 func RegisterStoreFlags(fs *flag.FlagSet) *StoreFlags {
 	return &StoreFlags{
-		store:     fs.String("store", "", "state store: mem (in-memory, the default) or spill (disk-spilling: visited fingerprints and frontier segments spill to disk under -membudget)"),
+		store:     fs.String("store", "", "state store: mem (in-memory, the default) or spill (disk-spilling: visited fingerprints and frontier segments spill to disk under -membudget); "+conflictHelp(check.ModeSpill)),
 		memBudget: fs.String("membudget", "", "spill-store resident-memory budget, e.g. 64MB or 1GiB (default 256MiB; meaningful with -store=spill)"),
 	}
 }
@@ -121,7 +137,7 @@ func (f *StoreFlags) Validate() error {
 }
 
 // EngineFlags bundles the full frontier-engine flag block shared by
-// mcheck and lbcheck: -workers, -shards, the keying toggle, -store,
+// mcheck and lbcheck: -workers, the keying toggle, -store,
 // -membudget, -reduce and -progress. The keying toggle keeps each
 // command's historical polarity: commands defaulting to fingerprint
 // dedup register -stringkeys, commands defaulting to exact keys (the
@@ -129,7 +145,6 @@ func (f *StoreFlags) Validate() error {
 type EngineFlags struct {
 	*StoreFlags
 	workers      *int
-	shards       *int
 	flip         *bool
 	exactDefault bool
 	reduce       *string
@@ -145,17 +160,16 @@ func RegisterEngineFlags(fs *flag.FlagSet, exactKeysDefault bool) *EngineFlags {
 		StoreFlags:   RegisterStoreFlags(fs),
 		exactDefault: exactKeysDefault,
 		workers:      fs.Int("workers", 0, "engine worker goroutines (0 = all cores); results never depend on it"),
-		shards:       fs.Int("shards", 0, "visited-set partitions (0 = default 64); purely a contention knob"),
-		reduce:       fs.String("reduce", "", "state-space reduction: none (default), sym (process-symmetry quotient over classes the protocol declares), or sym+sleep (plus sleep-set pruning); sound for exploration/valency questions, rejected by witness-producing searches"),
-		order:        fs.String("order", "", "exploration order: levelsync (BFS level barriers, the default) or async (barrier-free work stealing — faster on multicore, same visited set and verdicts, but no depth metadata and rejected by witness-producing searches)"),
+		reduce:       fs.String("reduce", "", "state-space reduction: none (default), sym (process-symmetry quotient over classes the protocol declares), or sym+sleep (plus sleep-set pruning); sound for exploration/valency questions; "+conflictHelp(check.ModeReduce)+"; "+conflictHelp(check.ModeSleep)),
+		order:        fs.String("order", "", "exploration order: levelsync (BFS level barriers, the default) or async (barrier-free work stealing: same visited set and verdicts, no depth metadata); "+conflictHelp(check.ModeAsync)),
 		progress:     fs.Bool("progress", false, "report per-level engine throughput to stderr"),
-		checkpoint:   fs.String("checkpoint", "", "checkpoint directory: snapshot exploration state at level barriers and resume a killed run from it with the identical final verdict (levelsync order only)"),
+		checkpoint:   fs.String("checkpoint", "", "checkpoint directory: snapshot exploration state at level barriers and resume a killed run from it with the identical final verdict (levelsync order only); "+conflictHelp(check.ModeCheckpoint)),
 		ckptEvery:    fs.Int("checkpointevery", 0, "checkpoint every N-th level barrier (0 = every barrier; meaningful with -checkpoint)"),
 	}
 	if exactKeysDefault {
-		f.flip = fs.Bool("fingerprints", false, "dedup on 64-bit fingerprints instead of exact string keys (leaner, ~2^-64 per-pair collision risk)")
+		f.flip = fs.Bool("fingerprints", false, "dedup on 64-bit fingerprints instead of exact string keys (leaner, ~2^-64 per-pair collision risk); "+conflictHelp(check.ModeStringKeys))
 	} else {
-		f.flip = fs.Bool("stringkeys", false, "dedup on exact string keys instead of 64-bit fingerprints (immune to hash collisions, higher cost)")
+		f.flip = fs.Bool("stringkeys", false, "dedup on exact string keys instead of 64-bit fingerprints (immune to hash collisions, higher cost); "+conflictHelp(check.ModeStringKeys))
 	}
 	return f
 }
@@ -167,15 +181,6 @@ func (f *EngineFlags) StringKeys() bool {
 	}
 	return *f.flip
 }
-
-// Progress reports whether -progress was set.
-func (f *EngineFlags) Progress() bool { return *f.progress }
-
-// Reduce returns the selected reduction mode ("" = none).
-func (f *EngineFlags) Reduce() string { return *f.reduce }
-
-// Order returns the selected exploration order ("" = levelsync).
-func (f *EngineFlags) Order() string { return *f.order }
 
 // Validate extends the store validation (which it shadows) with the
 // engine's mode names and its compatibility table (check.ModeConflicts,
@@ -189,7 +194,7 @@ func (f *EngineFlags) validate(provenance bool) error {
 	if err := f.StoreFlags.Validate(); err != nil {
 		return err
 	}
-	modes := check.Modes{Order: *f.order, Reduction: *f.reduce, StringKeys: f.StringKeys(),
+	modes := check.Modes{Order: *f.order, Reduction: *f.reduce, Store: f.Store(), StringKeys: f.StringKeys(),
 		Provenance: provenance, Checkpoint: *f.checkpoint != ""}
 	if err := modes.Validate(); err != nil {
 		return err
@@ -200,20 +205,22 @@ func (f *EngineFlags) validate(provenance bool) error {
 	return nil
 }
 
-// Checkpoint returns the selected checkpoint directory ("" = disabled).
-func (f *EngineFlags) Checkpoint() string { return *f.checkpoint }
-
 // Options assembles check.EngineOptions. progressW receives per-level
 // throughput when -progress was set (pass stderr so stdout stays
 // parseable); nil disables it regardless.
 func (f *EngineFlags) Options(progressW io.Writer) (check.EngineOptions, error) {
-	if err := f.Validate(); err != nil {
+	return f.options(false, progressW)
+}
+
+// options is Options for an exploration or for a witness-producing
+// search (provenance), which differ in what validation lets through.
+func (f *EngineFlags) options(provenance bool, progressW io.Writer) (check.EngineOptions, error) {
+	if err := f.validate(provenance); err != nil {
 		return check.EngineOptions{}, err
 	}
 	budget, _ := f.MemBudget()
 	opts := check.EngineOptions{
 		Workers:         *f.workers,
-		Shards:          *f.shards,
 		StringKeys:      f.StringKeys(),
 		Store:           f.Store(),
 		MemBudget:       budget,
@@ -231,25 +238,15 @@ func (f *EngineFlags) Options(progressW io.Writer) (check.EngineOptions, error) 
 // SearchLimits threads the engine flags into lower-bound search limits
 // with the given budget.
 func (f *EngineFlags) SearchLimits(maxConfigs, maxDepth int, progressW io.Writer) (lowerbound.SearchLimits, error) {
-	if err := f.validate(true); err != nil {
+	o, err := f.options(true, progressW)
+	if err != nil {
 		return lowerbound.SearchLimits{}, err
 	}
-	budget, _ := f.MemBudget()
-	l := lowerbound.SearchLimits{
-		MaxConfigs:   maxConfigs,
-		MaxDepth:     maxDepth,
-		Workers:      *f.workers,
-		Shards:       *f.shards,
-		Fingerprints: !f.StringKeys(),
-		Store:        f.Store(),
-		MemBudget:    budget,
-		Reduction:    *f.reduce,
-		Order:        *f.order,
-	}
-	if *f.progress && progressW != nil {
-		l.Progress = check.ProgressPrinter(progressW)
-	}
-	return l, nil
+	return lowerbound.SearchLimits{
+		MaxConfigs: maxConfigs, MaxDepth: maxDepth,
+		Workers: o.Workers, Fingerprints: !o.StringKeys, Store: o.Store, MemBudget: o.MemBudget,
+		Reduction: o.Reduction, Order: o.Order, Progress: o.Progress,
+	}, nil
 }
 
 // ByteSizeFlag is a flag.Value for human-readable byte sizes ("64MB",

@@ -3,6 +3,7 @@ package harness
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -190,5 +191,41 @@ func TestByteSizeFlag(t *testing.T) {
 	}
 	if f.Bytes() != 1<<30 {
 		t.Fatalf("default not applied: %d", f.Bytes())
+	}
+}
+
+// TestHelpListsModeConflicts: the flag help is generated from
+// check.ModeConflicts, so every row of the table shows up under the flag
+// of each of its sides that has one (provenance has none: the command,
+// not a flag, decides it).
+func TestHelpListsModeConflicts(t *testing.T) {
+	for _, exactDefault := range []bool{false, true} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		RegisterEngineFlags(fs, exactDefault)
+		RegisterDistFlags(fs)
+		keys := "stringkeys"
+		if exactDefault {
+			keys = "fingerprints"
+		}
+		flagOf := map[check.Mode]string{
+			check.ModeAsync: "order", check.ModeReduce: "reduce", check.ModeSleep: "reduce", check.ModeSpill: "store",
+			check.ModeStringKeys: keys, check.ModeCheckpoint: "checkpoint", check.ModeDist: "distributed",
+		}
+		for _, c := range check.ModeConflicts {
+			listed := false
+			for _, side := range [][2]check.Mode{{c.A, c.B}, {c.B, c.A}} {
+				name, ok := flagOf[side[0]]
+				if !ok {
+					continue
+				}
+				listed = true
+				if usage := fs.Lookup(name).Usage; !strings.Contains(usage, side[1].String()) {
+					t.Errorf("-%s help does not name its conflict with %s: %q", name, side[1], usage)
+				}
+			}
+			if !listed {
+				t.Errorf("conflict %s × %s appears under no flag", c.A, c.B)
+			}
+		}
 	}
 }

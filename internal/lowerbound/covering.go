@@ -52,56 +52,52 @@ type BivalenceCertificate struct {
 	Values [2]int
 }
 
-// ProveBivalent searches for a bivalence certificate for Q in c: two
-// Q-only executions deciding different values. Returns nil if none found
-// within limits (which proves nothing — univalence needs exhaustion).
-func ProveBivalent(p model.Protocol, c *model.Config, q []int, limits SearchLimits) (*BivalenceCertificate, error) {
-	limits = limits.withDefaults()
-	type node struct {
-		cfg    *model.Config
-		parent int
-		pid    int
-		depth  int
+// walk is the breadth-first search ProveBivalent, Lemma13Gamma and
+// CoveringScan share: the configurations reachable from a start
+// configuration by steps of a process set, deduplicated by Config.Key, in
+// discovery order (a configuration's successors in Config.Active's pid
+// order), with the parent links a schedule is read back from.
+type walk struct {
+	nodes []walkNode
+}
+
+type walkNode struct {
+	cfg    *model.Config
+	parent int
+	pid    int
+	depth  int
+}
+
+// schedule returns the pid sequence leading from the start to node idx.
+func (w *walk) schedule(idx int) []int {
+	var sched []int
+	for i := idx; w.nodes[i].parent != -1; i = w.nodes[i].parent {
+		sched = append(sched, w.nodes[i].pid)
 	}
-	nodes := []node{{cfg: c.Clone(), parent: -1, pid: -1}}
-	seen := map[string]bool{c.Key(): true}
+	for l, r := 0, len(sched)-1; l < r; l, r = l+1, r-1 {
+		sched[l], sched[r] = sched[r], sched[l]
+	}
+	return sched
+}
+
+// run walks from start, which it keeps, by steps of pids. visit sees each configuration once, before it is expanded,
+// and ends the walk by returning stop or an error. full reports that the
+// walk ended because one more configuration would exceed
+// limits.MaxConfigs; configurations at limits.MaxDepth are visited but
+// not expanded.
+func (w *walk) run(p model.Protocol, start *model.Config, pids []int, limits SearchLimits,
+	visit func(idx int, cfg *model.Config) (stop bool, err error)) (full bool, err error) {
+	limits = limits.withDefaults()
+	w.nodes = []walkNode{{cfg: start, parent: -1, pid: -1}}
+	seen := map[string]bool{start.Key(): true}
 	allowed := map[int]bool{}
-	for _, pid := range q {
+	for _, pid := range pids {
 		allowed[pid] = true
 	}
-
-	extract := func(idx int) []int {
-		var sched []int
-		for i := idx; nodes[i].parent != -1; i = nodes[i].parent {
-			sched = append(sched, nodes[i].pid)
-		}
-		for l, r := 0, len(sched)-1; l < r; l, r = l+1, r-1 {
-			sched[l], sched[r] = sched[r], sched[l]
-		}
-		return sched
-	}
-
-	// found maps decided value -> node index of first witness.
-	found := map[int]int{}
-	for head := 0; head < len(nodes); head++ {
-		cur := nodes[head]
-		for _, pid := range q {
-			if v, ok := cur.cfg.Decided(p, pid); ok {
-				if _, dup := found[v]; !dup {
-					found[v] = head
-				}
-			}
-		}
-		if len(found) >= 2 {
-			vals := make([]int, 0, 2)
-			for v := range found {
-				vals = append(vals, v)
-			}
-			sort.Ints(vals)
-			return &BivalenceCertificate{
-				Schedules: [2][]int{extract(found[vals[0]]), extract(found[vals[1]])},
-				Values:    [2]int{vals[0], vals[1]},
-			}, nil
+	for head := 0; head < len(w.nodes); head++ {
+		cur := w.nodes[head]
+		if stop, err := visit(head, cur.cfg); stop || err != nil {
+			return false, err
 		}
 		if limits.MaxDepth > 0 && cur.depth >= limits.MaxDepth {
 			continue
@@ -112,20 +108,51 @@ func ProveBivalent(p model.Protocol, c *model.Config, q []int, limits SearchLimi
 			}
 			next := cur.cfg.Clone()
 			if _, err := model.Apply(p, next, pid); err != nil {
-				return nil, err
+				return false, err
 			}
 			key := next.Key()
 			if seen[key] {
 				continue
 			}
-			if len(nodes) >= limits.MaxConfigs {
-				return nil, nil
+			if len(w.nodes) >= limits.MaxConfigs {
+				return true, nil
 			}
 			seen[key] = true
-			nodes = append(nodes, node{cfg: next, parent: head, pid: pid, depth: cur.depth + 1})
+			w.nodes = append(w.nodes, walkNode{cfg: next, parent: head, pid: pid, depth: cur.depth + 1})
 		}
 	}
-	return nil, nil
+	return false, nil
+}
+
+// ProveBivalent searches for a bivalence certificate for Q in c: two
+// Q-only executions deciding different values. Returns nil if none found
+// within limits (which proves nothing — univalence needs exhaustion).
+func ProveBivalent(p model.Protocol, c *model.Config, q []int, limits SearchLimits) (*BivalenceCertificate, error) {
+	var w walk
+	// found maps decided value -> node index of first witness.
+	found := map[int]int{}
+	_, err := w.run(p, c.Clone(), q, limits, func(idx int, cfg *model.Config) (bool, error) {
+		for _, pid := range q {
+			if v, ok := cfg.Decided(p, pid); ok {
+				if _, dup := found[v]; !dup {
+					found[v] = idx
+				}
+			}
+		}
+		return len(found) >= 2, nil
+	})
+	if err != nil || len(found) < 2 {
+		return nil, err
+	}
+	vals := make([]int, 0, 2)
+	for v := range found {
+		vals = append(vals, v)
+	}
+	sort.Ints(vals)
+	return &BivalenceCertificate{
+		Schedules: [2][]int{w.schedule(found[vals[0]]), w.schedule(found[vals[1]])},
+		Values:    [2]int{vals[0], vals[1]},
+	}, nil
 }
 
 // Observation12 verifies the paper's Observation 12 on a binary consensus
@@ -183,69 +210,29 @@ type Lemma13Result struct {
 // schedules breadth-first and, for each, applies β on a clone and tries to
 // certify bivalence.
 func Lemma13Gamma(p model.Protocol, c *model.Config, q, s []int, limits SearchLimits, bivLimits SearchLimits) (*Lemma13Result, error) {
-	limits = limits.withDefaults()
-	type node struct {
-		cfg    *model.Config
-		parent int
-		pid    int
-		depth  int
-	}
-	nodes := []node{{cfg: c.Clone(), parent: -1, pid: -1}}
-	seen := map[string]bool{c.Key(): true}
-	allowed := map[int]bool{}
-	for _, pid := range q {
-		allowed[pid] = true
-	}
+	var w walk
 	res := &Lemma13Result{}
-
-	extract := func(idx int) []int {
-		var sched []int
-		for i := idx; nodes[i].parent != -1; i = nodes[i].parent {
-			sched = append(sched, nodes[i].pid)
-		}
-		for l, r := 0, len(sched)-1; l < r; l, r = l+1, r-1 {
-			sched[l], sched[r] = sched[r], sched[l]
-		}
-		return sched
-	}
-
-	for head := 0; head < len(nodes); head++ {
-		cur := nodes[head]
+	full, err := w.run(p, c.Clone(), q, limits, func(idx int, cfg *model.Config) (bool, error) {
 		res.Tried++
 		// Apply the block swap on a clone and test bivalence of Q there.
-		withBeta := cur.cfg.Clone()
-		if _, err := BlockUpdate(p, withBeta, s); err == nil {
-			cert, err := ProveBivalent(p, withBeta, q, bivLimits)
-			if err != nil {
-				return nil, err
-			}
-			if cert != nil {
-				res.Gamma = extract(head)
-				res.Bivalence = cert
-				return res, nil
-			}
+		withBeta := cfg.Clone()
+		if _, err := BlockUpdate(p, withBeta, s); err != nil {
+			return false, nil
 		}
-		if limits.MaxDepth > 0 && cur.depth >= limits.MaxDepth {
-			continue
+		cert, err := ProveBivalent(p, withBeta, q, bivLimits)
+		if cert != nil {
+			res.Gamma = w.schedule(idx)
+			res.Bivalence = cert
 		}
-		for _, pid := range cur.cfg.Active(p) {
-			if !allowed[pid] {
-				continue
-			}
-			next := cur.cfg.Clone()
-			if _, err := model.Apply(p, next, pid); err != nil {
-				return nil, err
-			}
-			key := next.Key()
-			if seen[key] {
-				continue
-			}
-			if len(nodes) >= limits.MaxConfigs {
-				return nil, fmt.Errorf("lowerbound: lemma 13 search budget exhausted after %d prefixes", res.Tried)
-			}
-			seen[key] = true
-			nodes = append(nodes, node{cfg: next, parent: head, pid: pid, depth: cur.depth + 1})
-		}
+		return cert != nil, err
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case res.Bivalence != nil:
+		return res, nil
+	case full:
+		return nil, fmt.Errorf("lowerbound: lemma 13 search budget exhausted after %d prefixes", res.Tried)
 	}
 	return nil, fmt.Errorf("lowerbound: lemma 13: no γ found within limits (%d prefixes tried)", res.Tried)
 }
@@ -269,63 +256,27 @@ type CoveringScanResult struct {
 // empirical analogue of the covering structures that Lemma 16 accumulates
 // (its X_i ∪ Y_i sets grow to n-2 covered-or-frozen objects).
 func CoveringScan(p model.Protocol, inputs []int, limits SearchLimits) (*CoveringScanResult, error) {
-	limits = limits.withDefaults()
 	start, err := model.NewConfig(p, inputs)
 	if err != nil {
 		return nil, err
 	}
-	type node struct {
-		cfg    *model.Config
-		parent int
-		pid    int
-		depth  int
-	}
-	nodes := []node{{cfg: start, parent: -1, pid: -1}}
-	seen := map[string]bool{start.Key(): true}
-	res := &CoveringScanResult{CoverMap: map[int]int{}}
-
-	extract := func(idx int) []int {
-		var sched []int
-		for i := idx; nodes[i].parent != -1; i = nodes[i].parent {
-			sched = append(sched, nodes[i].pid)
-		}
-		for l, r := 0, len(sched)-1; l < r; l, r = l+1, r-1 {
-			sched[l], sched[r] = sched[r], sched[l]
-		}
-		return sched
-	}
-
 	all := make([]int, p.NumProcesses())
 	for i := range all {
 		all[i] = i
 	}
-	for head := 0; head < len(nodes); head++ {
-		cur := nodes[head]
+	var w walk
+	res := &CoveringScanResult{CoverMap: map[int]int{}}
+	_, err = w.run(p, start, all, limits, func(idx int, cfg *model.Config) (bool, error) {
 		res.Visited++
-		cover := CoveredObjects(p, cur.cfg, all)
-		if len(cover) > res.MaxCovered {
+		if cover := CoveredObjects(p, cfg, all); len(cover) > res.MaxCovered {
 			res.MaxCovered = len(cover)
-			res.Schedule = extract(head)
+			res.Schedule = w.schedule(idx)
 			res.CoverMap = cover
 		}
-		if limits.MaxDepth > 0 && cur.depth >= limits.MaxDepth {
-			continue
-		}
-		for _, pid := range cur.cfg.Active(p) {
-			next := cur.cfg.Clone()
-			if _, err := model.Apply(p, next, pid); err != nil {
-				return nil, err
-			}
-			key := next.Key()
-			if seen[key] {
-				continue
-			}
-			if len(nodes) >= limits.MaxConfigs {
-				return res, nil
-			}
-			seen[key] = true
-			nodes = append(nodes, node{cfg: next, parent: head, pid: pid, depth: cur.depth + 1})
-		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -25,8 +25,6 @@ type SearchLimits struct {
 	// Workers is the engine worker count (default all cores). Search
 	// results, including witness schedules, do not depend on it.
 	Workers int
-	// Shards is the visited-set stripe count (default 64).
-	Shards int
 	// Fingerprints switches deduplication, and the engine's transition
 	// memos with it, from exact encodings to 64-bit incremental slot
 	// fingerprints: leaner (an 8-byte visited entry instead of the whole
@@ -80,7 +78,7 @@ func (l SearchLimits) withDefaults() SearchLimits {
 func (l SearchLimits) engineOptions() (check.ExploreLimits, check.EngineOptions) {
 	l = l.withDefaults()
 	return check.ExploreLimits{MaxConfigs: l.MaxConfigs, MaxDepth: l.MaxDepth},
-		check.EngineOptions{Ctx: l.Ctx, Workers: l.Workers, Shards: l.Shards, StringKeys: !l.Fingerprints,
+		check.EngineOptions{Ctx: l.Ctx, Workers: l.Workers, StringKeys: !l.Fingerprints,
 			Store: l.Store, MemBudget: l.MemBudget, Reduction: l.Reduction, Order: l.Order,
 			// Witness extraction replays parent chains after the run.
 			Provenance: true, Progress: l.Progress}

@@ -26,7 +26,7 @@ func TestWitnessDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, limits := range []lowerbound.SearchLimits{
 		{Workers: 2},
-		{Workers: 4, Shards: 2},
+		{Workers: 4},
 		{Workers: 4, Fingerprints: true},
 	} {
 		w, err := lowerbound.FindAgreementViolation(p, inputs, 1, limits)

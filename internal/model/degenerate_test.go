@@ -3,6 +3,8 @@ package model_test
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -23,7 +25,8 @@ import (
 // of several equally short witnesses is reported is a (fingerprint, key)
 // tie-break, so real hashes legitimately pick another one; with all
 // fingerprints equal it is the one degenerateWitness derives from the
-// keys alone.)
+// keys alone.) The last cell holds the obstruction check's choice of
+// which failure to report to the same standard.
 func TestDegenerateHashExactRuns(t *testing.T) {
 	toybit, err := baseline.NewToyBitRace(3, 2)
 	if err != nil {
@@ -128,6 +131,85 @@ func TestDegenerateHashExactRuns(t *testing.T) {
 			}
 		}()
 	}
+
+	// The obstruction cell. Under a solo bound the instance cannot meet,
+	// the check fails at the first level holding a stuck (configuration,
+	// pid) pair and reports the smallest; exact-key runs order those by
+	// (fingerprint, key, pid), so with every fingerprint equal the report
+	// is the pair degenerateStuck derives from the keys alone — in this
+	// instance not the level's smallest stuck pid, which is what ordering
+	// by fingerprint alone reports.
+	const soloBound = 4
+	obsInputs := []int{0, 1, 0}
+	pid, depth, smallestPid := degenerateStuck(t, toybit, model.MustNewConfig(toybit, obsInputs), soloBound)
+	if pid == smallestPid {
+		t.Fatalf("the smallest stuck key also holds the smallest stuck pid %d; the instance tests nothing", pid)
+	}
+	want := fmt.Sprintf("p%d does not decide within %d solo steps from a configuration at depth %d:", pid, soloBound, depth)
+	model.SetDegenerateSlotHashes(true)
+	defer model.SetDegenerateSlotHashes(false)
+	for _, store := range []string{check.StoreMem, check.StoreSpill} {
+		for _, workers := range []int{1, 2, 4} {
+			eng := check.EngineOptions{StringKeys: true, Workers: workers, Store: store}
+			if store == check.StoreSpill {
+				eng.MemBudget = 1 << 12
+			}
+			_, err := check.CheckObstructionFreeOpts(toybit, obsInputs, check.ExploreOptions{Engine: eng}, soloBound)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("obstruction %s/w%d: err = %v, want %q", store, workers, err, want)
+			}
+		}
+	}
+}
+
+// degenerateStuck derives from first principles what an obstruction check
+// under soloBound must report when fingerprints carry no information:
+// breadth-first by levels, the first level holding a process that does
+// not decide solo within the bound from one of its configurations, and
+// there the smallest (configuration encoding, pid). smallestPid is the
+// smallest stuck pid anywhere in that level.
+func degenerateStuck(t *testing.T, p model.Protocol, start *model.Config, soloBound int) (pid, depth, smallestPid int) {
+	t.Helper()
+	level := map[string]*model.Config{string(start.AppendEncoding(nil)): start}
+	seen := map[string]bool{}
+	for ; len(level) > 0 && len(seen) < 100000; depth++ {
+		encs := make([]string, 0, len(level))
+		for enc := range level {
+			encs = append(encs, enc)
+			seen[enc] = true
+		}
+		sort.Strings(encs)
+		pid, smallestPid = -1, -1
+		next := map[string]*model.Config{}
+		for _, enc := range encs {
+			for q := range level[enc].States {
+				if _, decided := level[enc].Decided(p, q); decided {
+					continue
+				}
+				if _, err := check.SoloSteps(p, level[enc].Clone(), q, soloBound); err != nil {
+					if pid < 0 {
+						pid = q
+					}
+					if smallestPid < 0 || q < smallestPid {
+						smallestPid = q
+					}
+				}
+				c := level[enc].Clone()
+				if _, err := model.Apply(p, c, q); err != nil {
+					t.Fatal(err)
+				}
+				if e := string(c.AppendEncoding(nil)); !seen[e] && level[e] == nil {
+					next[e] = c
+				}
+			}
+		}
+		if pid >= 0 {
+			return pid, depth, smallestPid
+		}
+		level = next
+	}
+	t.Fatalf("%s: every solo run within the reference search's budget decides in %d steps", p.Name(), soloBound)
+	return 0, 0, 0
 }
 
 // degenerateWitness derives from first principles the schedule a search

@@ -54,12 +54,12 @@ func TestCacheKeyAxesAreDistinct(t *testing.T) {
 	}
 }
 
-// Workers and shards are scheduling knobs, not experiment axes: the
-// engine's determinism contract makes verdicts independent of them, so
-// runs at different worker counts must share a slot.
-func TestCacheKeyIgnoresWorkersAndShards(t *testing.T) {
+// Workers is a scheduling knob, not an experiment axis: the engine's
+// determinism contract makes verdicts independent of it, so runs at
+// different worker counts must share a slot.
+func TestCacheKeyIgnoresWorkers(t *testing.T) {
 	a := Request{Row: "explore", N: 4, K: 2, MaxConfigs: 1000, Engine: sweep.EngineSpec{Workers: 1}}
-	b := Request{Row: "explore", N: 4, K: 2, MaxConfigs: 1000, Engine: sweep.EngineSpec{Workers: 16, Shards: 8}}
+	b := Request{Row: "explore", N: 4, K: 2, MaxConfigs: 1000, Engine: sweep.EngineSpec{Workers: 16}}
 	ka, err := a.CacheKey()
 	if err != nil {
 		t.Fatal(err)

@@ -29,17 +29,17 @@ type Job struct {
 	state  string
 	events []string
 	result *CheckResponse
-	// wake is closed (and replaced) whenever events grow or the state
+	// changed is closed (and replaced) whenever events grow or the state
 	// changes, so streamers can wait without polling.
-	wake chan struct{}
+	changed chan struct{}
 }
 
 // event appends one JSON line and wakes streamers.
 func (j *Job) event(line string) {
 	j.mu.Lock()
 	j.events = append(j.events, line)
-	close(j.wake)
-	j.wake = make(chan struct{})
+	close(j.changed)
+	j.changed = make(chan struct{})
 	j.mu.Unlock()
 }
 
@@ -48,8 +48,8 @@ func (j *Job) setState(state string) {
 	j.mu.Lock()
 	j.state = state
 	j.events = append(j.events, fmt.Sprintf(`{"job":%q,"state":%q}`, j.ID, state))
-	close(j.wake)
-	j.wake = make(chan struct{})
+	close(j.changed)
+	j.changed = make(chan struct{})
 	j.mu.Unlock()
 }
 
@@ -74,8 +74,8 @@ func (j *Job) finish(resp CheckResponse) {
 	j.state = JobDone
 	j.result = &resp
 	j.events = append(j.events, string(data))
-	close(j.wake)
-	j.wake = make(chan struct{})
+	close(j.changed)
+	j.changed = make(chan struct{})
 	j.mu.Unlock()
 }
 
@@ -88,7 +88,7 @@ func (j *Job) snapshot(from int) (lines []string, done bool, wake <-chan struct{
 	if from < len(j.events) {
 		lines = append(lines, j.events[from:]...)
 	}
-	return lines, j.state == JobDone, j.wake
+	return lines, j.state == JobDone, j.changed
 }
 
 // Result returns the terminal response once the job is done.
@@ -133,7 +133,7 @@ func (r *jobRegistry) createWithID(id, cellID string) *Job {
 	j := &Job{
 		ID:   id,
 		Cell: cellID, state: JobQueued,
-		wake: make(chan struct{}),
+		changed: make(chan struct{}),
 	}
 	r.jobs[j.ID] = j
 	return j

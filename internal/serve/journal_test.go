@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/sweep"
 )
 
@@ -190,5 +191,68 @@ func TestJournalAbsentWithoutCacheDir(t *testing.T) {
 	}
 	if err := s.journal.done("x"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetiredPairingsNeverServed: the engine pairings the mode table no
+// longer allows (async × sym+sleep lost states; async × spill) are
+// answered 400 before the cache is consulted, and a journal entry for
+// one, written by a daemon that still accepted it, replays to an error
+// record — a verdict such a run left in the cache is never handed out.
+func TestRetiredPairingsNeverServed(t *testing.T) {
+	for name, engine := range map[string]sweep.EngineSpec{
+		"async sym+sleep": {Order: check.OrderAsync, Reduce: check.ReduceSymSleep},
+		"async spill":     {Order: check.OrderAsync, Store: check.StoreSpill},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			req := Request{Row: "explore-anon", N: 4, K: 1, Engine: engine}
+			key, err := req.CacheKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache, err := NewCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const poisoned = 4242 // the state count of the verdict that must not come back
+			cache.Put(key, sweep.Result{Cell: req.Cell(0).ID(), Row: req.Row, N: req.N, K: req.K,
+				Status: sweep.StatusOK, States: poisoned, Complete: true, Measured: -1, Certified: -1})
+			line, err := json.Marshal(journalEvent{Ev: "submitted", ID: "job-old", Req: &req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), append(line, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, ts, _ := newTestServer(t, Config{CacheDir: dir})
+			job, ok := s.jobs.get("job-old")
+			if !ok {
+				t.Fatal("the journal's pending job was not re-admitted")
+			}
+			waitFor(t, func() bool { _, done := job.Result(); return done })
+			if jr, _ := job.Result(); jr.Cached || jr.Result.Status != sweep.StatusError || jr.Result.States == poisoned ||
+				!strings.Contains(jr.Result.Error, check.ErrIncompatibleModes.Error()) {
+				t.Errorf("replayed job answered %+v, want an incompatible-modes error record", jr)
+			}
+
+			body, _ := json.Marshal(req)
+			resp, err := http.Post(ts.URL+"/check", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, check.ErrIncompatibleModes.Error()) {
+				t.Errorf("POST /check: HTTP %d error=%q, want 400 naming the mode conflict", resp.StatusCode, eb.Error)
+			}
+			if st := serverStats(t, ts.URL); st.Cache.Hits != 0 {
+				t.Errorf("cache served %d hits for a rejected pairing", st.Cache.Hits)
+			}
+		})
 	}
 }

@@ -131,7 +131,7 @@ func (r Request) Cell(defaultTimeout time.Duration) sweep.Cell {
 //
 // Deliberately excluded, with reasons:
 //
-//   - Engine Workers and Shards: verdicts are scheduling-independent by
+//   - Engine Workers: verdicts are scheduling-independent by
 //     the engine's determinism contract, so a 1-worker and a 16-worker
 //     run of the same cell must share a slot.
 //   - Timeout: a verdict that was reached is the verdict; the timeout

@@ -190,6 +190,13 @@ func (s *Server) Close() {
 // engine's reports only when this request is the one executing — a
 // coalesced or cached answer has no exploration to report on.
 func (s *Server) execute(req Request, progress func(check.Progress)) (CheckResponse, error) {
+	// POST /check validated the request; a job re-admitted from the
+	// journal was validated by the daemon that wrote it, whose mode table
+	// may have allowed what this one's does not. Checked before the cache,
+	// so a verdict such a pairing left there is never served.
+	if err := req.Engine.Validate(); err != nil {
+		return CheckResponse{}, err
+	}
 	key, err := req.CacheKey()
 	if err != nil {
 		return CheckResponse{}, err

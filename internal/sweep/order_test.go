@@ -95,4 +95,11 @@ func TestEngineSpecOrderLabel(t *testing.T) {
 	if got := (EngineSpec{Reduce: check.ReduceSym, Order: check.OrderAsync}).label(); got != "w0-s0-default-sym-async" {
 		t.Errorf("combined label = %q, want w0-s0-default-sym-async", got)
 	}
+	// A whole cell ID as sweep resume files and mcheckd journals written
+	// before the partition-count axis was retired hold it: the "s0"
+	// segment stays.
+	cell := Cell{Row: "explore", N: 4, K: 2, Engine: EngineSpec{Workers: 2, Store: check.StoreSpill, MemBudget: "64KB", Reduce: check.ReduceSymSleep}}
+	if got, want := cell.ID(), "explore/n=4/k=2/w2-s0-default-spill@64KB-sym+sleep"; got != want {
+		t.Errorf("cell ID = %q, want %q", got, want)
+	}
 }

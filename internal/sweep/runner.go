@@ -56,7 +56,6 @@ type Result struct {
 	// scenario ran its default assignment).
 	Inputs  []int  `json:"inputs,omitempty"`
 	Workers int    `json:"workers,omitempty"`
-	Shards  int    `json:"shards,omitempty"`
 	Keys    string `json:"keys,omitempty"`
 
 	Status string `json:"status"`
@@ -299,7 +298,7 @@ func RunCellRecordCtx(ctx context.Context, cell Cell) Result {
 	rec := Result{
 		Grid: cell.Grid, Cell: cell.ID(), Row: cell.Row, N: cell.N, K: cell.K,
 		Inputs:  cell.Inputs,
-		Workers: cell.Engine.Workers, Shards: cell.Engine.Shards, Keys: cell.Engine.Keys,
+		Workers: cell.Engine.Workers, Keys: cell.Engine.Keys,
 		Measured: -1, Certified: -1,
 	}
 	spec, ok := RowByKey(cell.Row)

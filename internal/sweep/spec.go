@@ -26,15 +26,12 @@ import (
 )
 
 // EngineSpec selects frontier-engine options for one grid axis point. The
-// zero value means "each scenario's default": all cores, default shards,
-// fingerprint keying for exploration and exact string keying for
+// zero value means "each scenario's default": all cores, fingerprint keying for exploration and exact string keying for
 // certificate searches (the same asymmetry as the mcheck/lbcheck flag
 // defaults).
 type EngineSpec struct {
 	// Workers is the engine worker-goroutine count (0 = all cores).
 	Workers int `json:"workers,omitempty"`
-	// Shards is the visited-set stripe count (0 = engine default).
-	Shards int `json:"shards,omitempty"`
 	// Keys is the visited-set keying: "" (scenario default),
 	// "fingerprint", or "string".
 	Keys string `json:"keys,omitempty"`
@@ -66,14 +63,15 @@ type EngineSpec struct {
 }
 
 // label is the engine's contribution to a cell ID. Cells on the default
-// store keep the historical three-part label, so existing checkpoint
-// files resume cleanly.
+// store keep the historical three-part label — the literal "s0" is where
+// a partition-count axis once sat, always at its default — so cell IDs in
+// existing sweep resume files and cache journals stay valid.
 func (e EngineSpec) label() string {
 	keys := e.Keys
 	if keys == "" {
 		keys = "default"
 	}
-	l := fmt.Sprintf("w%d-s%d-%s", e.Workers, e.Shards, keys)
+	l := fmt.Sprintf("w%d-s0-%s", e.Workers, keys)
 	if e.Store != "" && e.Store != check.StoreMem {
 		l += "-" + e.Store
 		if e.MemBudget != "" {
@@ -110,7 +108,7 @@ func (e EngineSpec) validate() error {
 	if e.Peers < 0 || e.Peers > check.DistNumParts {
 		return fmt.Errorf("sweep: peers %d outside [0, %d]", e.Peers, check.DistNumParts)
 	}
-	modes := check.Modes{Order: e.Order, Reduction: e.Reduce, StringKeys: e.Keys == "string", Dist: e.Peers > 0}
+	modes := check.Modes{Order: e.Order, Reduction: e.Reduce, Store: e.Store, StringKeys: e.Keys == "string", Dist: e.Peers > 0}
 	if err := modes.Validate(); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
@@ -310,7 +308,7 @@ func (c Cell) SearchLimits(defConfigs, defDepth int) lowerbound.SearchLimits {
 	return lowerbound.SearchLimits{
 		Ctx:        c.Ctx,
 		MaxConfigs: defConfigs, MaxDepth: defDepth,
-		Workers: c.Engine.Workers, Shards: c.Engine.Shards,
+		Workers:      c.Engine.Workers,
 		Fingerprints: c.Engine.Keys == "fingerprint",
 		Store:        c.Engine.Store, MemBudget: c.Engine.memBudgetBytes(),
 		Progress: c.Progress,
@@ -323,8 +321,8 @@ func (c Cell) ExploreOptions() check.ExploreOptions {
 	return check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: c.MaxConfigs, MaxDepth: c.MaxDepth},
 		Engine: check.EngineOptions{
-			Ctx:     c.Ctx,
-			Workers: c.Engine.Workers, Shards: c.Engine.Shards,
+			Ctx:        c.Ctx,
+			Workers:    c.Engine.Workers,
 			StringKeys: c.Engine.Keys == "string",
 			Store:      c.Engine.Store, MemBudget: c.Engine.memBudgetBytes(),
 			Reduction: c.Engine.Reduce, Order: c.Engine.Order,

@@ -150,6 +150,9 @@ func TestParseGrid(t *testing.T) {
 	if _, err := ParseGrid([]byte(`{"nope":1}`)); err == nil {
 		t.Error("unknown field in spec must be rejected")
 	}
+	if _, err := ParseGrid([]byte(`{"engines":[{"workers":2,"shards":8}]}`)); err == nil {
+		t.Error("the retired shards axis in a spec must be rejected, not silently dropped")
+	}
 }
 
 func TestNamedGrids(t *testing.T) {
