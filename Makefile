@@ -24,6 +24,21 @@ spill-smoke:
 	go run -race ./cmd/sweep -grid small -rows explore -n 4 \
 		-store spill -membudget 64KB -max 30000 -json -progress
 
+# bench-pairs measures a change against its parent commit the way a
+# performance claim needs: N alternating pairs of the repository benchmark
+# on one workload (W) and seed (S), PARENT being a checkout of the parent
+# commit (a `git clone` of this repository at it). It prints medians,
+# quartiles and wins per end-to-end metric and appends every run's driver
+# record to BENCH_<pr>.json (the PR number is ISSUE.md's), to be committed
+# with the PR.
+#   make bench-pairs PARENT=/root/scratch/parent W=explore-levelsync N=10
+.PHONY: bench-pairs
+N ?= 10
+S ?= 7
+PR := $(shell sed -n '1s/^\# ISSUE \([0-9]*\).*/\1/p' ISSUE.md)
+bench-pairs:
+	go run ./cmd/benchpairs -parent $(PARENT) -workload $(W) -n $(N) -seed $(S) -out BENCH_$(PR).json
+
 lint:
 	gofmt -l .
 	go vet ./...

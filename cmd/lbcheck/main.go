@@ -39,7 +39,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"repro/internal/harness"
 	"repro/internal/lowerbound"
@@ -197,8 +199,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		var s []int
-		for _, pid := range scan.CoverMap {
-			if pid != 0 && pid != 1 {
+		for _, obj := range slices.Sorted(maps.Keys(scan.CoverMap)) { // not map order: S's order steers the search
+			if pid := scan.CoverMap[obj]; pid != 0 && pid != 1 {
 				s = append(s, pid)
 			}
 		}

@@ -49,6 +49,28 @@ func TestRunCovering(t *testing.T) {
 	}
 }
 
+// TestRunCoveringDeterministic: -covering prints the same bytes on every
+// run. The cover map is a Go map; both its rendering and the process set
+// S that Lemma 13's search is given were once read off it in map order,
+// so the cover line and the γ found changed from run to run.
+func TestRunCoveringDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 5; i++ {
+		var out strings.Builder
+		if err := run([]string{"-covering", "-n", "4"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out.String()
+			if !strings.Contains(first, "cover:") {
+				t.Fatalf("no cover line to compare:\n%s", first)
+			}
+		} else if out.String() != first {
+			t.Fatalf("run %d differs from run 0:\n%s\n--- run 0 ---\n%s", i, out.String(), first)
+		}
+	}
+}
+
 func TestRunForbidden(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-forbidden", "-n", "4"}, &out); err != nil {

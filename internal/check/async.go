@@ -59,7 +59,10 @@ import (
 //     spuriously truncate, so exact differential comparisons hold; when
 //     truncation does fire, WHICH states survive is timing-dependent
 //     (unlike the level engine's sorted-fingerprint cutoff) and the run
-//     is marked incomplete either way.
+//     is marked incomplete either way. What is still queued at the close
+//     is visited and not expanded — the expansion core's rule for a
+//     closed run (engineRun.visitOnly), the one the level engine's last
+//     level follows.
 //
 //   - MaxDepth is supported exactly by depth re-relaxation: owners track
 //     the best-known depth per fingerprint, and a duplicate arriving via
@@ -575,12 +578,8 @@ func (a *asyncRun) workerLoop(w int) {
 				wk.processed.Add(1)
 			}
 		}
-		// At the depth cap states are visited but not expanded. After
-		// budget close every admission is rejected, so expansion is pure
-		// drain.
-		capped := (run.limits.MaxDepth > 0 && n.Depth >= run.limits.MaxDepth) || run.closed.Load()
-		if err == nil && !capped {
-			err = x.expand(n, deliver)
+		if err == nil {
+			err = x.expand(n, deliver) // nothing, if n is visit-only
 		}
 		run.fail(err)
 		localDelta--

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/baseline"
@@ -337,6 +338,50 @@ func TestCheckpointSpillResumeHonoursBudget(t *testing.T) {
 	if all := int64(seeded) * 8; got.Store.PeakResidentBytes >= all {
 		t.Errorf("resumed run peaked at %d resident bytes: no less than the %d seeded fingerprints take (%d bytes)",
 			got.Store.PeakResidentBytes, seeded, all)
+	}
+}
+
+// TestCheckpointSpillResumeKeepsDepth: the spill store hands a resumed
+// run's nodes back at their own BFS depth. Its records carry none (a level
+// shares one), and it used to number levels from its own first barrier, so
+// a run resumed at level d told every visitor — and every successor's
+// Depth — that it was at level 0 again. A checkpointing run maintains
+// root-to-node paths, whose length is the depth.
+func TestCheckpointSpillResumeKeepsDepth(t *testing.T) {
+	p := core.MustNew(core.Params{N: 3, K: 1, M: 2})
+	c := model.MustNewConfig(p, []int{0, 1, 0})
+	pids := []int{0, 1, 2}
+	limits := check.ExploreLimits{MaxConfigs: 5000}
+	var wrong atomic.Int64
+	visit := func(_ int, n *check.Node) error {
+		if n.Depth != len(n.Path()) {
+			wrong.Add(1)
+		}
+		return nil
+	}
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := check.RunFrontier(p, c, pids, limits, check.EngineOptions{Workers: 2, Checkpoint: dir, Ctx: ctx,
+		Progress: func(pr check.Progress) {
+			if pr.Depth == 3 {
+				cancel()
+				runtime.Gosched() // see recordLevels
+			}
+		}}, visit, nil)
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("run to kill: %v", err)
+	}
+	stats, err := check.RunFrontier(p, c, pids, limits, check.EngineOptions{Workers: 2, Checkpoint: dir,
+		Store: check.StoreSpill, MemBudget: 1 << 12}, visit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Processed != limits.MaxConfigs {
+		t.Errorf("resumed run visited %d, want %d", stats.Processed, limits.MaxConfigs)
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Errorf("%d nodes visited at a Depth that is not their path's length", n)
 	}
 }
 

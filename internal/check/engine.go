@@ -475,13 +475,18 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		expanders: make([]*expander, opts.Workers),
 		done:      make(chan struct{}),
 		nodePool: &sync.Pool{New: func() any {
-			return &Node{
-				Cfg: &model.Config{
-					Objects: make([]model.Value, nObj),
-					States:  make([]model.State, nProc),
-				},
-				slotH: make([]uint64, nObj+nProc),
-			}
+			// The node and its configuration header are one allocation:
+			// they are handed out, recycled and collected together.
+			b := &struct {
+				n   Node
+				cfg model.Config
+			}{cfg: model.Config{
+				Objects: make([]model.Value, nObj),
+				States:  make([]model.State, nProc),
+			}}
+			b.n.Cfg = &b.cfg
+			b.n.slotH = make([]uint64, nObj+nProc)
+			return &b.n
 		}},
 		batchPool: &sync.Pool{New: func() any {
 			b := make([]*Node, 0, batchSize)

@@ -13,14 +13,15 @@ import (
 
 // This file is the expansion core both exploration orders run on. An
 // expander owns everything between "here is a node" and "here is a keyed
-// successor": poised-pid iteration over the allowed set, sleep-mask
-// skips, the arena-backed copy-on-write step, the depth/pid/parent/path
-// bookkeeping, the run's one keying decision (also
-// applied to the root and to replayed checkpoint nodes), the successor's
-// sleep mask, and routing to the owning peer of a distributed run. What
-// is left to the orders (levelsync.go, async.go) is scheduling: where
-// nodes come from, when they are visited, and how a local successor is
-// admitted.
+// successor": whether the node is expanded at all (visitOnly: not at the
+// depth cap, and not once the run's admissions have closed), poised-pid
+// iteration over the allowed set, sleep-mask skips, the arena-backed
+// copy-on-write step, the depth/pid/parent/path bookkeeping, the run's
+// one keying decision (also applied to the root and to replayed
+// checkpoint nodes), the successor's sleep mask, and routing to the
+// owning peer of a distributed run. What is left to the orders
+// (levelsync.go, async.go) is scheduling: where nodes come from, when
+// they are visited, and how a local successor is admitted.
 
 // expander is one worker's expansion state. Like the stepper it wraps,
 // an instance serves one goroutine; it persists across levels so the
@@ -85,13 +86,29 @@ func (x *expander) key(n *Node) {
 	}
 }
 
-// expand generates n's successors. In sleep mode n.sleep must hold the
-// finished intersection the level barrier settled. Successors owned by
-// another peer are shipped over the link; every other one is handed to
-// emit, fully keyed. An error (an illegal poised operation, a lost link)
-// stops the expansion; the caller fails the run.
+// visitOnly reports whether a node at depth is visited but not expanded,
+// which is the case under two rules, both the expansion core's: the node
+// sits at the MaxDepth cap, or the run's admissions have closed. A closed
+// run rejects every candidate for good — the budget is spent and the
+// space is already marked truncated — so stepping the node could only
+// produce successors to throw away. The level after the closing barrier
+// (levelsync), everything still queued when the budget overflows (async),
+// a distributed peer told to close and a run resumed from a snapshot
+// taken after the close all come through here.
+func (r *engineRun) visitOnly(depth int) bool {
+	return (r.limits.MaxDepth > 0 && depth >= r.limits.MaxDepth) || r.closed.Load()
+}
+
+// expand generates n's successors, none if n is visit-only. In sleep mode
+// n.sleep must hold the finished intersection the level barrier settled.
+// Successors owned by another peer are shipped over the link; every other
+// one is handed to emit, fully keyed. An error (an illegal poised
+// operation, a lost link) stops the expansion; the caller fails the run.
 func (x *expander) expand(n *Node, emit func(*Node)) error {
 	r := x.run
+	if r.visitOnly(n.Depth) {
+		return nil
+	}
 	if r.opts.StringKeys {
 		if err := x.penc.Set(n.key, r.nObj, r.nProc); err != nil {
 			return fmt.Errorf("frontier engine: node key: %w", err)

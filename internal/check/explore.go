@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -19,7 +20,13 @@ const DefaultMaxConfigs = 200000
 // budgeted; results report whether the budget was exhausted.
 type ExploreLimits struct {
 	// MaxConfigs caps the number of distinct configurations visited
-	// (<= 0 selects DefaultMaxConfigs).
+	// (<= 0 selects DefaultMaxConfigs). A run the cap ends visits exactly
+	// MaxConfigs configurations and is marked incomplete. Once the cap is
+	// spent no further configuration can be admitted, so the ones admitted
+	// last — the level the budget cutoff kept, or whatever the async order
+	// still had queued — are visited but not stepped: a protocol error
+	// (an illegal poised operation, an undecided process that is not
+	// poised) that only stepping one of them would hit is not reported.
 	MaxConfigs int
 	// MaxDepth caps the BFS depth: configurations at depth MaxDepth are
 	// still visited but not expanded, and the result is marked
@@ -179,22 +186,20 @@ func ExploreOpts(p model.Protocol, c *model.Config, pids []int, k int, opts Expl
 	visit := func(_ int, n *Node) error {
 		// Only count decisions by members of P; a process outside P that
 		// is decided in c decided before the exploration began and is
-		// background state.
-		var vals []int
+		// background state. This runs once per visited configuration, so
+		// the distinct values are collected on the stack.
+		var buf [8]int
+		distinct := buf[:0]
 		for _, pid := range pids {
-			if v, ok := n.Cfg.Decided(p, pid); ok {
-				vals = append(vals, v)
+			if v, ok := n.Cfg.Decided(p, pid); ok && !slices.Contains(distinct, v) {
+				distinct = append(distinct, v)
 			}
 		}
-		if len(vals) == 0 {
+		if len(distinct) == 0 {
 			return nil
 		}
-		distinct := map[int]bool{}
-		for _, v := range vals {
-			distinct[v] = true
-		}
 		mu.Lock()
-		for v := range distinct {
+		for _, v := range distinct {
 			decided[v] = true
 			if valWits != nil {
 				w := &witness{depth: n.Depth, fp: n.Fingerprint(), key: n.Cfg.Key()}

@@ -1,8 +1,8 @@
 package check
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -14,6 +14,15 @@ import (
 // levels resolves delayed duplicates, applies the sorted-fingerprint
 // budget cutoff (StateStore.EndLevel), exchanges remote successors and
 // the global verdict on a distributed run, and snapshots a checkpoint.
+//
+// A budget-bound run ends in two levels that are not like the others. The
+// closing level is expanded in full although it overshoots MaxConfigs —
+// which of its successors survive must not depend on arrival order — and
+// its barrier cuts the admissions back to the budget and closes the run.
+// The level the cut kept is then visit-only (the expansion core's rule,
+// engineRun.visitOnly): its configurations are visited, none is stepped,
+// and the barriers, the distributed lockstep, the final checkpoint and
+// Progress run over an empty next frontier.
 
 // dedupOwner is the engine-side face of one visited-set partition: its
 // per-level pending admissions (for deterministic provenance claims) and
@@ -188,7 +197,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			}
 		}
 
-		expandLevel(run, frontier, atDepthCap)
+		expandLevel(run, frontier, run.visitOnly(depth))
 		if err := run.err(); err != nil {
 			return stats, err
 		}
@@ -293,8 +302,13 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 // goroutines and returns once every candidate successor has been admitted
 // (or shipped). A level drained by a single worker skips the goroutines
 // entirely and admits inline; otherwise successors are batched to the
-// partition owners. A failure lands in run.fail; the caller checks.
-func expandLevel(run *engineRun, frontier FrontierSource, atDepthCap bool) {
+// partition owners. A visit-only level (engineRun.visitOnly: the depth
+// cap, or the level after the barrier that closed admissions) has no
+// successors to route, so it runs its visits on the workers and nothing
+// else: no owner goroutines, no batches, and a successor emitted there
+// all the same fails the run. A failure lands in run.fail; the caller
+// checks.
+func expandLevel(run *engineRun, frontier FrontierSource, visitOnly bool) {
 	levelSize := frontier.Size()
 	nw := run.opts.Workers
 	if nw > levelSize {
@@ -305,7 +319,10 @@ func expandLevel(run *engineRun, frontier FrontierSource, atDepthCap bool) {
 		nw = 1 // empty local level on a distributed peer: one worker
 		// still runs (and immediately finishes) so the barriers fire
 	}
-	inline := nw <= 1
+	// routed: candidates are batched to owner goroutines; a single worker
+	// admits on its own goroutine instead. A visit-only level has no
+	// candidates (expand returns before stepping), so it starts no owners.
+	routed := nw > 1 && !visitOnly
 	// pull is the per-claim batch the workers draw from the frontier
 	// source: large enough to amortize the claim, small enough that
 	// the level's tail stays balanced across workers.
@@ -317,13 +334,20 @@ func expandLevel(run *engineRun, frontier FrontierSource, atDepthCap bool) {
 	work := func(worker int) {
 		x := run.expander(worker)
 		var buckets [][]*Node
-		if !inline {
+		if routed {
 			buckets = make([][]*Node, len(run.owners))
 		}
 		nodeBuf := make([]*Node, pull)
 		deliver := func(nn *Node) {
 			oi := nn.fp & run.ownerMask
-			if inline {
+			switch {
+			case visitOnly:
+				// expand judges each node by the same rule and emits
+				// nothing here; with no owners running, a disagreement
+				// must not reach the store from several workers.
+				run.fail(errors.New("frontier engine: successor emitted on a visit-only level"))
+				return
+			case !routed:
 				run.owners[oi].admit(run, nn)
 				return
 			}
@@ -350,13 +374,11 @@ func expandLevel(run *engineRun, frontier FrontierSource, atDepthCap bool) {
 					run.fail(err)
 					break pulling
 				}
-				if !atDepthCap {
-					if run.sleepOn {
-						n.sleep = run.finishedMask(n.fp)
-					}
-					if err := x.expand(n, deliver); err != nil {
-						run.fail(err) // stop expanding; fall through to the flush
-					}
+				if run.sleepOn {
+					n.sleep = run.finishedMask(n.fp)
+				}
+				if err := x.expand(n, deliver); err != nil {
+					run.fail(err) // stop expanding; fall through to the flush
 				}
 				run.recycle(n)
 			}
@@ -373,12 +395,16 @@ func expandLevel(run *engineRun, frontier FrontierSource, atDepthCap bool) {
 		}
 	}
 
-	if inline {
+	if nw <= 1 {
 		work(0)
 		return
 	}
+	var owners []*dedupOwner // the owners that get a goroutine this level
+	if routed {
+		owners = run.owners
+	}
 	var ownerWG sync.WaitGroup
-	for _, o := range run.owners {
+	for _, o := range owners {
 		o.ch = make(chan []*Node, 2*nw)
 		ownerWG.Add(1)
 		go func(o *dedupOwner) {
@@ -401,7 +427,7 @@ func expandLevel(run *engineRun, frontier FrontierSource, atDepthCap bool) {
 		}(w)
 	}
 	wg.Wait()
-	for _, o := range run.owners {
+	for _, o := range owners {
 		close(o.ch)
 	}
 	ownerWG.Wait()
@@ -446,7 +472,7 @@ func distLevelBarrier(run *engineRun, depth int, lvl *LevelResult, stop bool) (d
 		if err != nil {
 			return nil, err
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].fp < nodes[j].fp })
+		sortNodes(nodes) // by fingerprint: a distributed run has no keys
 		drained = nodes
 		lvl.Frontier = &memSource{nodes: nodes}
 		return nodes, nil

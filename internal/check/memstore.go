@@ -1,9 +1,6 @@
 package check
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // memStore is the in-memory state store: the engine's original
 // per-partition visited tables and next-frontier slices, extracted behind
@@ -78,12 +75,7 @@ func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
 	// exactly maxNext survivors by ascending (fingerprint, key) —
 	// deterministic regardless of arrival order.
 	if len(next) > maxNext {
-		sort.Slice(next, func(i, j int) bool {
-			if next[i].fp != next[j].fp {
-				return next[i].fp < next[j].fp
-			}
-			return next[i].key < next[j].key
-		})
+		sortNodes(next)
 		for _, dropped := range next[maxNext:] {
 			s.ctx.recycle(dropped)
 		}

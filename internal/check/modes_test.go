@@ -202,6 +202,10 @@ func TestModeMatrix(t *testing.T) {
 		// A quotient legitimately visits fewer configurations than the
 		// oracle; its count must instead be one number per reduction.
 		reducedVisited := map[string]int{}
+		// The budget axis: levelsync's budget cutoff keeps a set that is a
+		// function of the space alone, so what it decides is one set per
+		// reduction and keying (async's survivors are timing's choice).
+		truncatedDecided := map[string][]int{}
 		for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
 			for _, store := range []string{check.StoreMem, check.StoreSpill} {
 				for _, reduce := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
@@ -271,6 +275,31 @@ func TestModeMatrix(t *testing.T) {
 							name := fmt.Sprintf("%s/%s/%s/%s/keys=%t/w%d", pc.p.Name(), order, store, reduce, stringKeys, workers)
 							res, err := check.ExploreOpts(pc.p, c, pids, pc.k, check.ExploreOptions{Limits: limits, Engine: engine(store, workers)})
 							compare(name, res, err)
+
+							// The budget axis: the same cell at half the
+							// configurations it has, so admissions close in
+							// the middle of the space. The oracle and every
+							// cell visit exactly the budget and say so.
+							if err == nil && res.Visited >= 4 {
+								cut := check.ExploreLimits{MaxConfigs: res.Visited / 2, MaxDepth: limits.MaxDepth}
+								want := check.ExploreSequential(pc.p, c, pids, pc.k, cut)
+								got, err := check.ExploreOpts(pc.p, c, pids, pc.k, check.ExploreOptions{Limits: cut, Engine: engine(store, workers)})
+								switch {
+								case err != nil:
+									t.Errorf("%s/budget: %v", name, err)
+								case got.Visited != want.Visited || got.Visited != cut.MaxConfigs || got.Complete || want.Complete:
+									t.Errorf("%s/budget: visited %d complete %t, oracle %d %t, want both truncated at %d",
+										name, got.Visited, got.Complete, want.Visited, want.Complete, cut.MaxConfigs)
+								case order == check.OrderLevelSync:
+									group := fmt.Sprintf("%s/keys=%t", reduce, stringKeys)
+									if _, seen := truncatedDecided[group]; !seen {
+										truncatedDecided[group] = got.DecidedValues
+									}
+									if !reflect.DeepEqual(got.DecidedValues, truncatedDecided[group]) {
+										t.Errorf("%s/budget: decided %v, other %s cells %v", name, got.DecidedValues, group, truncatedDecided[group])
+									}
+								}
+							}
 
 							// The checkpoint axis: the same cell killed at a level
 							// barrier and resumed from its snapshot by a different

@@ -7,7 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,7 +78,7 @@ type spillStore struct {
 	dir     string
 	ownsDir bool
 	budget  int64
-	seq     int // depth of the frontier currently being admitted
+	seq     int // levels ended so far; names the level's segment files
 	parts   []spillPart
 	exch    *model.SlotExchange
 	source  *spillSource // last handed-out streaming source (for Close)
@@ -137,12 +137,10 @@ type spillEntry struct {
 	fresh bool
 }
 
-func entryLess(a, b spillEntry) bool {
-	if a.fp != b.fp {
-		return a.fp < b.fp
-	}
-	return a.key < b.key
-}
+// entryCompare is compareKeyed on two dedup entries.
+func entryCompare(a, b spillEntry) int { return compareKeyed(a.fp, a.key, b.fp, b.key) }
+
+func entryLess(a, b spillEntry) bool { return entryCompare(a, b) < 0 }
 
 // spillRun is one sorted run file. verified records that the file passed
 // a full checksum pass before a consumer that may stop reading early
@@ -251,7 +249,7 @@ func (s *spillStore) Has(part int, fp uint64, key string) bool {
 // every slot encoding in the exchange so the node can be rematerialized.
 func (s *spillStore) spoolNode(p *spillPart, n *Node) error {
 	if p.spool == nil {
-		w, err := newSpoolWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-p%d", s.seq, p.id)))
+		w, err := newSpoolWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-p%d", s.seq, p.id)), n.Depth)
 		if err != nil {
 			return err
 		}
@@ -322,7 +320,7 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 				}
 			}
 		}
-		sort.Slice(all, func(i, j int) bool { return entryLess(all[i], all[j]) })
+		slices.SortFunc(all, entryCompare)
 		cutoff = all[maxNext-1]
 	}
 	dropped := func(p *spillPart, j int) bool {
@@ -356,7 +354,7 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		}
 		res.Frontier = &memSource{nodes: next}
 	} else {
-		src := &spillSource{store: s, size: kept, depth: s.seq,
+		src := &spillSource{store: s, size: kept,
 			readers: make([]*spoolReader, len(s.parts)),
 			dropFP:  make([]map[uint64]struct{}, len(s.parts)),
 			dropKey: make([]map[string]struct{}, len(s.parts)),
@@ -389,6 +387,7 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 				// is abandoned mid-level.
 				os.Remove(segs[i].path)
 				src.readers[i] = r
+				src.depth = segs[i].depth
 			}
 		}
 		s.source = src
@@ -453,7 +452,7 @@ func (s *spillStore) markDead(p *spillPart) (int, error) {
 	if len(order) == 0 {
 		return 0, nil
 	}
-	sort.Slice(order, func(i, j int) bool { return entryLess(p.level[order[i]], p.level[order[j]]) })
+	slices.SortFunc(order, func(i, j int) int { return entryCompare(p.level[i], p.level[j]) })
 
 	for i := range p.runs {
 		if err := s.mergeMark(p, &p.runs[i], order); err != nil {
@@ -541,7 +540,7 @@ func (s *spillStore) spillDelta(p *spillPart) error {
 	for _, e := range entries {
 		p.bloom.add(e.fp)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entryLess(entries[i], entries[j]) })
+	slices.SortFunc(entries, entryCompare)
 
 	path := filepath.Join(s.dir, fmt.Sprintf("run-p%d-%d", p.id, p.runSeq))
 	p.runSeq++
@@ -727,16 +726,20 @@ func (s *spillStore) Close() error {
 // path rides along so a resumed run can rebuild the node).
 type spoolWriter struct {
 	path string
-	aw   *artifactWriter
-	hdr  []byte
+	// depth is the BFS depth of the level spooled here (records do not
+	// carry it: a level's nodes share one). It is the nodes' own, not a
+	// count of this store's levels, which starts over on a resumed run.
+	depth int
+	aw    *artifactWriter
+	hdr   []byte
 }
 
-func newSpoolWriter(path string) (*spoolWriter, error) {
+func newSpoolWriter(path string, depth int) (*spoolWriter, error) {
 	aw, err := newArtifactWriter(path, artifactSegment)
 	if err != nil {
 		return nil, fmt.Errorf("spill store: %w", err)
 	}
-	return &spoolWriter{path: path, aw: aw}, nil
+	return &spoolWriter{path: path, depth: depth, aw: aw}, nil
 }
 
 func (w *spoolWriter) write(pid int, fp, slotFP uint64, enc, path []byte) (int64, error) {

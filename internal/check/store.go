@@ -1,5 +1,11 @@
 package check
 
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
+
 // This file defines the pluggable state-store layer of the frontier
 // engine. A StateStore owns the two memory-heavy halves of an exploration
 // — deduplication (the visited set) and frontier queuing (the next-level
@@ -20,6 +26,44 @@ package check
 // partition i is only ever touched by its single owner goroutine during a
 // level (Admit/Has), and EndLevel runs alone at the barrier. Stores
 // therefore need no per-candidate locking, mirroring the fpSet contract.
+
+// compareKeyed is the engine's canonical order on visited entries, by
+// (fingerprint, key): the order the budget cutoff keeps a prefix of and
+// the spill store's runs are sorted in. Entries of one visited set never
+// tie (that is what dedup means), so sorting by it is deterministic. Keys
+// are empty, and the order the fingerprints', outside exact-key runs.
+func compareKeyed(fpA uint64, keyA string, fpB uint64, keyB string) int {
+	if c := cmp.Compare(fpA, fpB); c != 0 {
+		return c
+	}
+	return strings.Compare(keyA, keyB)
+}
+
+// sortNodes sorts nodes into the canonical order. It sorts (fingerprint,
+// node) pairs, not the pointers: a level that overshoots the budget is
+// hundreds of thousands of nodes scattered over the heap, and comparing
+// two of them through their pointers is two cache misses, where two
+// pairs lie side by side. A node is read only to break a fingerprint tie
+// by key, which fingerprint-keyed runs never have.
+func sortNodes(nodes []*Node) {
+	type keyed struct {
+		fp uint64
+		n  *Node
+	}
+	ks := make([]keyed, len(nodes))
+	for i, n := range nodes {
+		ks[i] = keyed{n.fp, n}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.fp, b.fp); c != 0 {
+			return c
+		}
+		return strings.Compare(a.n.key, b.n.key)
+	})
+	for i, k := range ks {
+		nodes[i] = k.n
+	}
+}
 
 // StoreStats summarizes a store's activity over one engine run. The
 // spill-store numbers surface in sweep JSONL records so beyond-RAM runs

@@ -579,51 +579,73 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 		return nil, loopErr
 	}
 
-	// Gather the per-peer results and merge. A peer closes its conn right
-	// after its RESULT, so an EOF from a peer whose result is already in
-	// is the normal end of its stream, not a loss — only fail on errors
-	// from peers still owing a result.
+	results, err := gatherResults(ctrl, errc, slots[:peers])
+	if err != nil {
+		return nil, err
+	}
+	return mergeResults(p, spec, results, st)
+}
+
+// gatherResults collects one RESULT per peer from the readers' channels.
+// A peer closes its conn right after its RESULT, so an EOF from a peer
+// whose result is already in is the normal end of its stream, not a loss
+// — only errors from peers still owing a result fail the epoch.
+//
+// A peer's reader queues the RESULT before the EOF that follows it, but
+// on two channels, and a select with both ready takes either: an EOF from
+// a peer still owing its result is therefore held (owed) while the
+// control frames already queued are read, and is a loss only if the
+// result is not among them.
+func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]*resultMsg, error) {
+	peers := len(slots)
 	results := make([]*resultMsg, peers)
+	var owed *PeerLostError
 	for got := 0; got < peers; {
 		var m ctrlMsg
-		select {
-		case m = <-ctrl:
-		default:
-			var rerr error
+		if owed != nil {
 			select {
 			case m = <-ctrl:
-			case rerr = <-errc:
+			default:
+				return nil, owed
 			}
-			if rerr != nil {
+		} else {
+			select {
+			case m = <-ctrl:
+			case rerr := <-errc:
 				var pl *PeerLostError
-				if errors.As(rerr, &pl) && pl.Peer < peers && results[pl.Peer] != nil {
-					continue
+				if !errors.As(rerr, &pl) || pl.Peer >= peers {
+					return nil, rerr
 				}
-				shutdown()
-				return nil, rerr
+				if results[pl.Peer] == nil {
+					owed = pl
+				}
+				continue
 			}
 		}
 		switch m.kind {
 		case frameResult:
 			var r resultMsg
 			if err := unmarshalCtrl(m.payload, &r); err != nil {
-				return nil, &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: err}
+				return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: err}
 			}
 			if results[m.peer] == nil {
 				got++
 			}
 			results[m.peer] = &r
+			if owed != nil && owed.Peer == m.peer {
+				owed = nil
+			}
 		case frameError:
 			var em errorMsg
 			unmarshalCtrl(m.payload, &em)
-			return nil, &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: fmt.Errorf("peer run failed: %s", em.Msg)}
+			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: fmt.Errorf("peer run failed: %s", em.Msg)}
 		case frameProbeReply:
 			// A stale probe answer racing the DONE broadcast; ignore.
 		default:
-			return nil, &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("expected result, got frame type %d", m.kind)}}
+			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("expected result, got frame type %d", m.kind)}}
 		}
 	}
-	return mergeResults(p, spec, results, st)
+	return results, nil
 }
 
 // runLevelControl is the levelsync barrier state machine: per depth,

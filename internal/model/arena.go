@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file implements the zero-allocation exploration hot path: an
 // append-only intern arena for object values and process states, and a
@@ -32,13 +35,21 @@ import "fmt"
 //     collide (~2^-64 per pair, the bitstate trade-off); exact-encoding
 //     keying remains available for certificate searches.
 //
-//   - Exact-key runs get the same two shortcuts without trusting a hash
-//     (NewStepperExact, ApplyKeyed): transitions are memoized by the
-//     touched slots' encodings, compared byte for byte, and a successor's
-//     exact key is spliced from its parent's (SlotEncoding, slots.go)
-//     instead of re-encoded. The slot hashes and the fingerprint are
-//     maintained there too — the stores order and partition by them —
-//     but nothing is decided by them alone.
+//   - A step the worker has taken before costs one table probe: the
+//     stepper's memo (stepMemo) is open-addressed on the actor's (pid,
+//     state content hash) — a hash the node already carries, so nothing
+//     is hashed to look it up — and the entry found holds the poised
+//     operation together with every transition seen from it, one per
+//     value of the targeted object.
+//
+//   - Exact-key runs get the same shortcuts without trusting a hash
+//     (NewStepperExact, ApplyKeyed): the same table, whose entries then
+//     also hold the touched slots' encodings and match only when those
+//     compare equal byte for byte, and a successor's exact key is spliced
+//     from its parent's (SlotEncoding, slots.go) instead of re-encoded.
+//     The slot hashes and the fingerprint are maintained there too — the
+//     stores order and partition by them, the memo probes by them — but
+//     nothing is decided by them alone.
 
 // mixSlot combines a slot index with the content hash of the value stored
 // there into that slot's fingerprint contribution (splitmix64-style
@@ -191,44 +202,188 @@ func (a *Arena) internState(s State) (uint32, uint64) {
 // across later interns.
 func (a *Arena) encoding(e arenaEntry) []byte { return a.data[e.off:e.end] }
 
-// poisedKey memoizes Poised by (pid, state content hash): protocols are
-// deterministic, so the poised operation — and whether the process has
-// decided — is a pure function of the pair.
-type poisedKey struct {
-	pid int32
-	stH uint64
-}
-
+// poisedVal is what a process does next from one state: its poised
+// operation, or that it has decided. Protocols are deterministic, so this
+// is a pure function of (pid, state).
 type poisedVal struct {
 	op      Op
 	decided bool
 }
 
-// transKey memoizes a whole transition: for a deterministic protocol over
-// historyless objects, the successor (object value, process state) pair
-// is a pure function of (pid, the actor's state, the targeted object's
-// current value). Keying by content hashes makes the memo arena- and
-// worker-independent.
-type transKey struct {
-	pid  int32
-	obj  int32
-	stH  uint64 // actor state slot hash
-	valH uint64 // targeted object slot hash
-}
-
-type transVal struct {
-	val Value // canonical successor value of the targeted object
-	st  State // canonical successor state of the actor
-	vh  uint64
-	sh  uint64
-}
-
-// exactVal is the exact memo's transition entry: a transVal plus the
-// arena refs of the two successor encodings, which ApplyKeyed splices
+// transVal is one memoized transition: for a deterministic protocol over
+// historyless objects, the successor (object value, process state) pair is
+// a pure function of (pid, the actor's state, the targeted object's
+// current value). It holds the canonical successor slots, their content
+// hashes, and the arena refs of their encodings, which ApplyKeyed splices
 // into the successor's key.
-type exactVal struct {
-	transVal
+type transVal struct {
+	val           Value // canonical successor value of the targeted object
+	st            State // canonical successor state of the actor
+	vh, sh        uint64
 	valRef, stRef uint32
+	// fpDelta is what the step XORs into the slot fingerprint: the two
+	// touched slots' old contributions out, their new ones in. It is a
+	// constant of the transition, which is identified by the content
+	// hashes of exactly those two old slots.
+	fpDelta uint64
+}
+
+// memoEntry is everything the stepper remembers about one (pid, actor
+// state): the poised operation and the transitions taken from it so far.
+// The operation fixes the targeted object, so a transition is identified
+// within its entry by that object's value alone. How many values one
+// state meets is the protocol's business and has no bound — Algorithm 1's
+// lap counters keep producing new ones: an entry holds 15 transitions on
+// average and 39 at most on Table 1's row 3 at 1M states, 8 and 45 on the
+// Theorem 10 search at n=16, k=4, 41 and 65 on n=3, m=2 at 1M — so the
+// transitions get an index of their own, open-addressed on the value's
+// content hash like the table the entry sits in, and a hit costs one
+// short probe whatever the fan-in.
+//
+// stEnc and each transition's valEnc are the exact encodings of the state
+// and of the value. A hash-keyed stepper leaves them empty, so for it a
+// match is (pid, hash) equality; an exact stepper fills them in, so for
+// it a match also requires equal bytes — equal encodings have equal
+// content hashes, so comparing the hash first loses nothing. One
+// comparison serves both.
+type memoEntry struct {
+	live   bool
+	pid    int32
+	stH    uint64
+	stEnc  string
+	poised poisedVal
+	trans  []memoTrans // in the order they were first taken
+	// index locates a transition by valH: linear probing, a power of two
+	// long and at most half full; 0 is a free slot, j+1 stands for
+	// trans[j].
+	index []uint32
+}
+
+type memoTrans struct {
+	valH   uint64
+	valEnc string
+	transVal
+}
+
+// indexStart is the first index slot probed for valH, before masking
+// (content hashes are FNV-1a, whose low bits alone are weak).
+func indexStart(valH uint64) int { return int((valH * 0xBF58476D1CE4E5B9) >> 32) }
+
+// find returns the transition from e on the targeted value (valH, valEnc),
+// or nil. The pointer is valid until the next addTransition on e.
+func (e *memoEntry) find(valH uint64, valEnc []byte) *transVal {
+	if len(e.index) == 0 {
+		return nil
+	}
+	mask := len(e.index) - 1
+	for i := indexStart(valH) & mask; ; i = (i + 1) & mask {
+		j := e.index[i]
+		if j == 0 {
+			return nil
+		}
+		if t := &e.trans[j-1]; t.valH == valH && t.valEnc == string(valEnc) {
+			return &t.transVal
+		}
+	}
+}
+
+// addTransition records tv as e's transition on a value find did not
+// know, and returns the stored copy.
+func (e *memoEntry) addTransition(valH uint64, valEnc []byte, tv transVal) *transVal {
+	e.trans = append(e.trans, memoTrans{valH: valH, valEnc: string(valEnc), transVal: tv})
+	if 2*len(e.trans) > len(e.index) {
+		e.index = make([]uint32, max(8, 2*len(e.index)))
+		for j := range e.trans {
+			e.place(j)
+		}
+	} else {
+		e.place(len(e.trans) - 1)
+	}
+	return &e.trans[len(e.trans)-1].transVal
+}
+
+// place enters trans[j] in the index.
+func (e *memoEntry) place(j int) {
+	mask := len(e.index) - 1
+	i := indexStart(e.trans[j].valH) & mask
+	for e.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	e.index[i] = uint32(j + 1)
+}
+
+// stepMemo is the stepper's transition memo: an open-addressed table of
+// memoEntry with linear probing, kept at most half full. The probe starts
+// from (pid, stH) — slot content hashes the engine carries per node — so a
+// lookup hashes no bytes and builds no key.
+type stepMemo struct {
+	slots []memoEntry // length a power of two
+	shift uint        // 64 - log2(len(slots))
+	n     int
+}
+
+// newStepMemo returns an empty memo sized for the usual run, a few
+// hundred (pid, state) pairs.
+func newStepMemo() *stepMemo {
+	m := &stepMemo{}
+	m.resize(1024)
+	return m
+}
+
+func (m *stepMemo) resize(size int) {
+	old := m.slots
+	m.slots = make([]memoEntry, size)
+	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for i := range old {
+		if e := &old[i]; e.live {
+			*m.free(int(e.pid), e.stH) = *e
+		}
+	}
+}
+
+// start is the first slot probed for (pid, stH): the pair multiplied out
+// to the table's top bits (content hashes are FNV-1a, whose low bits alone
+// are weak; with degenerate hashes it is a function of pid only, and the
+// probe sequence degrades to a scan, never to a wrong answer).
+func (m *stepMemo) start(pid int, stH uint64) int {
+	return int(((stH ^ uint64(pid+1)*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9) >> m.shift)
+}
+
+// find returns the entry of (pid, stH, stEnc), or nil. The pointer is
+// valid until the next add.
+func (m *stepMemo) find(pid int, stH uint64, stEnc []byte) *memoEntry {
+	mask := len(m.slots) - 1
+	for i := m.start(pid, stH); ; i = (i + 1) & mask {
+		e := &m.slots[i]
+		if !e.live {
+			return nil
+		}
+		if e.stH == stH && e.pid == int32(pid) && e.stEnc == string(stEnc) {
+			return e
+		}
+	}
+}
+
+// free returns the first unused slot on (pid, stH)'s probe sequence.
+func (m *stepMemo) free(pid int, stH uint64) *memoEntry {
+	mask := len(m.slots) - 1
+	i := m.start(pid, stH)
+	for m.slots[i].live {
+		i = (i + 1) & mask
+	}
+	return &m.slots[i]
+}
+
+// add enters (pid, stH, stEnc), which find did not know, with its poised
+// operation and no transitions yet.
+func (m *stepMemo) add(pid int, stH uint64, stEnc []byte, pe poisedVal) *memoEntry {
+	if 2*(m.n+1) > len(m.slots) {
+		m.resize(2 * len(m.slots))
+	}
+	m.n++
+	e := m.free(pid, stH)
+	*e = memoEntry{live: true, pid: int32(pid), stH: stH, stEnc: string(stEnc), poised: pe}
+	return e
 }
 
 // Stepper is the arena-backed expansion hot path: a per-worker object
@@ -236,56 +391,44 @@ type exactVal struct {
 // and maintaining the incremental slot fingerprint. One Stepper serves
 // one goroutine.
 //
-// Both kinds of Stepper memoize poised operations and whole transitions,
-// which makes repeated transitions — the overwhelmingly common case in a
-// BFS — allocation-free: no Poised, Observe or encoding call happens on
-// a memo hit. They differ in what a hit rests on:
+// Both kinds of Stepper memoize poised operations and whole transitions
+// in one stepMemo, which makes repeated transitions — the overwhelmingly
+// common case in a BFS — allocation-free: a memo hit is one table probe,
+// and no Poised, Observe or encoding call happens on it. They differ in
+// what a hit rests on:
 //
-//   - NewStepper keys the memos by slot content hash (ApplyCOW), and so
+//   - NewStepper matches entries by slot content hash (ApplyCOW), and so
 //     inherits the fingerprint mode's ~2^-64 per-pair collision tolerance.
 //
-//   - NewStepperExact, which exact-keyed (certificate) searches use, keys
-//     them by the encodings themselves — (pid, the actor's state encoding)
-//     and (pid, state encoding, the targeted value's encoding), compared
-//     byte for byte (ApplyKeyed). Equal encodings are equal Keys, and
-//     states with equal Keys are interchangeable by the State contract
+//   - NewStepperExact, which exact-keyed (certificate) searches use,
+//     matches them by the encodings themselves — (pid, the actor's state
+//     encoding) and, within the entry, the targeted value's encoding,
+//     compared byte for byte (ApplyKeyed). Equal encodings are equal Keys,
+//     and states with equal Keys are interchangeable by the State contract
 //     interning already relies on, so a hit returns exactly what the
 //     protocol would. The encodings come from the parent's exact key, so
 //     nothing is re-encoded either. Its ApplyCOW stays memo-free: every
 //     call asks the protocol (checkpoint replay, and the reference the
 //     memoized step is tested against).
 type Stepper struct {
-	p      Protocol
-	specs  []ObjectSpec
-	arena  *Arena
-	poised map[poisedKey]poisedVal
-	trans  map[transKey]transVal
-
-	// The exact memos and their key scratch (NewStepperExact only).
-	exPoised map[string]poisedVal
-	exTrans  map[string]exactVal
-	mkey     []byte
+	p     Protocol
+	specs []ObjectSpec
+	arena *Arena
+	exact bool
+	memo  *stepMemo
 }
 
 // NewStepper returns a Stepper for p with its own arena and hash-keyed
 // transition memoization (fingerprint-grade guarantees).
 func NewStepper(p Protocol) *Stepper {
-	return &Stepper{
-		p: p, specs: p.Objects(), arena: NewArena(),
-		poised: make(map[poisedKey]poisedVal, 1024),
-		trans:  make(map[transKey]transVal, 4096),
-	}
+	return &Stepper{p: p, specs: p.Objects(), arena: NewArena(), memo: newStepMemo()}
 }
 
 // NewStepperExact returns the Stepper of exact-key runs: ApplyKeyed
 // memoizes on exact encodings and ApplyCOW not at all, so no hash
 // collision can ever substitute a wrong transition.
 func NewStepperExact(p Protocol) *Stepper {
-	return &Stepper{
-		p: p, specs: p.Objects(), arena: NewArena(),
-		exPoised: make(map[string]poisedVal, 1024),
-		exTrans:  make(map[string]exactVal, 4096),
-	}
+	return &Stepper{p: p, specs: p.Objects(), arena: NewArena(), exact: true, memo: newStepMemo()}
 }
 
 // Arena exposes the stepper's intern pool (diagnostics and tests).
@@ -319,32 +462,30 @@ func (st *Stepper) InitSlots(c *Config, slotH []uint64) uint64 {
 
 // PoisedObject returns the index of the object process pid's poised
 // operation targets in c, or ok == false when pid has decided. It shares
-// ApplyCOW's poised memo (stH must be pid's state slot hash, the memo
-// key), so on warm paths it costs one map probe and no protocol call —
-// what lets the sleep-set reducer ask "which object would pid touch?"
-// for every process of a node without re-deriving operations.
+// ApplyCOW's memo (stH must be pid's state slot hash, the probe key), so
+// on warm paths it costs one probe and no protocol call — what lets the
+// sleep-set reducer ask "which object would pid touch?" for every process
+// of a node without re-deriving operations. A process that is neither
+// poised nor decided reads as not poised here; ApplyCOW reports it.
 func (st *Stepper) PoisedObject(c *Config, pid int, stH uint64) (int, bool) {
-	if st.poised != nil {
-		if pe, hit := st.poised[poisedKey{pid: int32(pid), stH: stH}]; hit {
-			if pe.decided {
-				return 0, false
-			}
-			return pe.op.Object, true
-		}
-	}
-	op, ok := st.p.Poised(pid, c.States[pid])
-	if !ok {
-		if st.poised != nil {
-			if _, decided := st.p.Decision(c.States[pid]); decided {
-				st.poised[poisedKey{pid: int32(pid), stH: stH}] = poisedVal{decided: true}
-			}
+	if st.exact { // no encoding at hand to match on: ask the protocol
+		if op, ok := st.p.Poised(pid, c.States[pid]); ok {
+			return op.Object, true
 		}
 		return 0, false
 	}
-	if st.poised != nil {
-		st.poised[poisedKey{pid: int32(pid), stH: stH}] = poisedVal{op: op}
+	e := st.memo.find(pid, stH, nil)
+	if e == nil {
+		pe, err := st.poisedOf(pid, c.States[pid])
+		if err != nil {
+			return 0, false
+		}
+		e = st.memo.add(pid, stH, nil, pe)
 	}
-	return op.Object, true
+	if e.poised.decided {
+		return 0, false
+	}
+	return e.poised.op.Object, true
 }
 
 // poisedOf asks the protocol what pid does next from state s: its poised
@@ -368,19 +509,21 @@ func (st *Stepper) poisedOf(pid int, s State) (poisedVal, error) {
 	return poisedVal{op: op}, nil
 }
 
-// transition computes pid's step op from (object value v, state s)
-// through the protocol and interns the two successor slots.
-func (st *Stepper) transition(pid int, op Op, v Value, s State) (exactVal, error) {
-	next, resp, err := st.specs[op.Object].Type.Apply(v, op)
+// transition computes pid's step op from parent through the protocol and
+// interns the two successor slots.
+func (st *Stepper) transition(pid int, op Op, parent *Config, parentH []uint64) (transVal, error) {
+	obj, stateSlot := op.Object, len(st.specs)+pid
+	next, resp, err := st.specs[obj].Type.Apply(parent.Objects[obj], op)
 	if err != nil {
-		return exactVal{}, fmt.Errorf("model: process %d applying %v: %w", pid, op, err)
+		return transVal{}, fmt.Errorf("model: process %d applying %v: %w", pid, op, err)
 	}
 	a := st.arena
 	valRef, vh := a.internValue(next)
-	stRef, sh := a.internState(st.p.Observe(pid, s, resp))
-	return exactVal{
-		transVal: transVal{val: a.vals[valRef].val, st: a.sts[stRef].st, vh: vh, sh: sh},
-		valRef:   valRef, stRef: stRef,
+	stRef, sh := a.internState(st.p.Observe(pid, parent.States[pid], resp))
+	return transVal{
+		val: a.vals[valRef].val, st: a.sts[stRef].st, vh: vh, sh: sh, valRef: valRef, stRef: stRef,
+		fpDelta: mixSlot(obj, parentH[obj]) ^ mixSlot(obj, vh) ^
+			mixSlot(stateSlot, parentH[stateSlot]) ^ mixSlot(stateSlot, sh),
 	}, nil
 }
 
@@ -388,8 +531,8 @@ func (st *Stepper) transition(pid int, op Op, v Value, s State) (exactVal, error
 // tv into object obj and pid's state: every other slot is shared with the
 // parent (canonical interned objects), which is the copy-on-write
 // discipline. dstH receives parent's slot hashes with the two touched
-// slots updated, and the returned fingerprint is the successor's —
-// four XORs, never a full re-encode.
+// slots updated, and the returned fingerprint is the successor's — one
+// XOR with the transition's delta, never a full re-encode.
 func (st *Stepper) install(parent *Config, parentFP uint64, parentH []uint64, pid, obj int, tv *transVal, dst *Config, dstH []uint64) uint64 {
 	stateSlot := len(st.specs) + pid
 	copy(dst.Objects, parent.Objects)
@@ -397,12 +540,9 @@ func (st *Stepper) install(parent *Config, parentFP uint64, parentH []uint64, pi
 	copy(dstH, parentH)
 	dst.Objects[obj] = tv.val
 	dst.States[pid] = tv.st
-	fp := parentFP ^
-		mixSlot(obj, parentH[obj]) ^ mixSlot(obj, tv.vh) ^
-		mixSlot(stateSlot, parentH[stateSlot]) ^ mixSlot(stateSlot, tv.sh)
 	dstH[obj] = tv.vh
 	dstH[stateSlot] = tv.sh
-	return fp
+	return parentFP ^ tv.fpDelta
 }
 
 // ApplyCOW performs the poised step of process pid from parent, writing
@@ -413,42 +553,62 @@ func (st *Stepper) install(parent *Config, parentFP uint64, parentH []uint64, pi
 // ok is false when pid has decided (no step to take). parentH and dstH
 // must both have length Slots() and may not alias.
 func (st *Stepper) ApplyCOW(parent *Config, parentFP uint64, parentH []uint64, pid int, dst *Config, dstH []uint64) (fp uint64, ok bool, err error) {
-	stH := parentH[len(st.specs)+pid]
-
-	// Fast path: poised-op and transition memo hits recycle the interned
-	// successor slots without calling into the protocol at all.
-	var pe poisedVal
-	var havePoised bool
-	if st.poised != nil {
-		if pe, havePoised = st.poised[poisedKey{pid: int32(pid), stH: stH}]; havePoised && !pe.decided {
-			obj := pe.op.Object
-			if tv, hit := st.trans[transKey{pid: int32(pid), obj: int32(obj), stH: stH, valH: parentH[obj]}]; hit {
-				return st.install(parent, parentFP, parentH, pid, obj, &tv, dst, dstH), true, nil
-			}
-		}
-	}
-
-	s := parent.States[pid]
-	if !havePoised {
-		if pe, err = st.poisedOf(pid, s); err != nil {
+	if st.exact {
+		pe, err := st.poisedOf(pid, parent.States[pid])
+		if err != nil || pe.decided {
 			return 0, false, err
 		}
-		if st.poised != nil {
-			st.poised[poisedKey{pid: int32(pid), stH: stH}] = pe
+		tv, err := st.transition(pid, pe.op, parent, parentH)
+		if err != nil {
+			return 0, false, err
 		}
+		return st.install(parent, parentFP, parentH, pid, pe.op.Object, &tv, dst, dstH), true, nil
 	}
-	if pe.decided {
-		return 0, false, nil
-	}
-	obj := pe.op.Object
-	tv, err := st.transition(pid, pe.op, parent.Objects[obj], s)
-	if err != nil {
+	obj, tv, err := st.lookup(parent, parentH, pid, nil)
+	if tv == nil {
 		return 0, false, err
 	}
-	if st.trans != nil {
-		st.trans[transKey{pid: int32(pid), obj: int32(obj), stH: stH, valH: parentH[obj]}] = tv.transVal
+	return st.install(parent, parentFP, parentH, pid, obj, tv, dst, dstH), true, nil
+}
+
+// lookup is the memoized step both keyings share: the entry of (pid, the
+// actor's state) gives the poised operation and with it the targeted
+// object, and the entry's transition on that object's value gives the
+// successor slots — a hit on both calls nothing in the protocol and
+// interns nothing. penc is nil for the hash-keyed step and parent's exact
+// encoding for the exact one, whose matches then rest on its spans. tv is
+// nil when pid has decided (or on an error), and otherwise valid until
+// the stepper's next lookup.
+func (st *Stepper) lookup(parent *Config, parentH []uint64, pid int, penc *SlotEncoding) (obj int, tv *transVal, err error) {
+	stateSlot := len(st.specs) + pid
+	stH := parentH[stateSlot]
+	var stEnc, valEnc []byte
+	if penc != nil {
+		stEnc = penc.spans[stateSlot]
 	}
-	return st.install(parent, parentFP, parentH, pid, obj, &tv.transVal, dst, dstH), true, nil
+	e := st.memo.find(pid, stH, stEnc)
+	if e == nil {
+		pe, err := st.poisedOf(pid, parent.States[pid])
+		if err != nil {
+			return 0, nil, err
+		}
+		e = st.memo.add(pid, stH, stEnc, pe)
+	}
+	if e.poised.decided {
+		return 0, nil, nil
+	}
+	obj = e.poised.op.Object
+	if penc != nil {
+		valEnc = penc.spans[obj]
+	}
+	if tv = e.find(parentH[obj], valEnc); tv == nil {
+		t, err := st.transition(pid, e.poised.op, parent, parentH)
+		if err != nil {
+			return 0, nil, err
+		}
+		tv = e.addTransition(parentH[obj], valEnc, t)
+	}
+	return obj, tv, nil
 }
 
 // ApplyKeyed is the step of exact-key runs (NewStepperExact steppers
@@ -456,39 +616,17 @@ func (st *Stepper) ApplyCOW(parent *Config, parentFP uint64, parentH []uint64, p
 // successor's exact key — byte for byte its Config.AppendEncoding — to
 // key and returns the extended slice. penc must hold parent's own exact
 // encoding: the actor's state span and the targeted object's value span
-// are the memo keys, so a hit skips Poised, Type.Apply, Observe and both
-// interns, and the successor's key is penc's with the two touched spans
-// replaced, so no slot is re-encoded either. On !ok or an error key comes
-// back unextended.
+// are what the memo matches on, so a hit skips Poised, Type.Apply, Observe
+// and both interns, and the successor's key is penc's with the two touched
+// spans replaced, so no slot is re-encoded either. On !ok or an error key
+// comes back unextended.
 func (st *Stepper) ApplyKeyed(parent *Config, parentFP uint64, parentH []uint64, penc *SlotEncoding, pid int, dst *Config, dstH []uint64, key []byte) (fp uint64, succKey []byte, ok bool, err error) {
-	stateSlot := len(st.specs) + pid
-	mk := append(st.mkey[:0], byte(pid), byte(pid>>8), byte(pid>>16), byte(pid>>24))
-	mk = append(mk, penc.spans[stateSlot]...)
-	st.mkey = mk
-	pe, hit := st.exPoised[string(mk)]
-	if !hit {
-		if pe, err = st.poisedOf(pid, parent.States[pid]); err != nil {
-			return 0, key, false, err
-		}
-		st.exPoised[string(mk)] = pe
+	obj, tv, err := st.lookup(parent, parentH, pid, penc)
+	if tv == nil {
+		return 0, key, false, err
 	}
-	if pe.decided {
-		return 0, key, false, nil
-	}
-	// Both encodings are self-delimiting, so the concatenation names the
-	// (state, value) pair uniquely.
-	obj := pe.op.Object
-	mk = append(mk, penc.spans[obj]...)
-	st.mkey = mk
-	tv, hit := st.exTrans[string(mk)]
-	if !hit {
-		if tv, err = st.transition(pid, pe.op, parent.Objects[obj], parent.States[pid]); err != nil {
-			return 0, key, false, err
-		}
-		st.exTrans[string(mk)] = tv
-	}
-	fp = st.install(parent, parentFP, parentH, pid, obj, &tv.transVal, dst, dstH)
+	fp = st.install(parent, parentFP, parentH, pid, obj, tv, dst, dstH)
 	a := st.arena
-	key = penc.splice(key, obj, a.encoding(a.vals[tv.valRef]), stateSlot, a.encoding(a.sts[tv.stRef]))
+	key = penc.splice(key, obj, a.encoding(a.vals[tv.valRef]), len(st.specs)+pid, a.encoding(a.sts[tv.stRef]))
 	return fp, key, true, nil
 }

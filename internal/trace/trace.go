@@ -7,6 +7,8 @@ package trace
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/lowerbound"
@@ -118,8 +120,8 @@ func Covering(res *lowerbound.CoveringScanResult) string {
 		res.MaxCovered, res.Visited)
 	if len(res.CoverMap) > 0 {
 		fmt.Fprintf(&b, "  witness schedule: %v\n  cover:", res.Schedule)
-		for obj, pid := range res.CoverMap {
-			fmt.Fprintf(&b, " B%d←p%d", obj, pid)
+		for _, obj := range slices.Sorted(maps.Keys(res.CoverMap)) {
+			fmt.Fprintf(&b, " B%d←p%d", obj, res.CoverMap[obj])
 		}
 		b.WriteByte('\n')
 	}

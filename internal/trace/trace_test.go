@@ -124,3 +124,20 @@ func TestCoveringRendering(t *testing.T) {
 		t.Errorf("covering output missing witness: %s", out)
 	}
 }
+
+// TestCoveringRenderingDeterministic: a cover map of several objects
+// renders in ascending object order, the same way every time (it was read
+// in Go's map order once).
+func TestCoveringRenderingDeterministic(t *testing.T) {
+	res := &lowerbound.CoveringScanResult{MaxCovered: 6, Visited: 1, Schedule: []int{0},
+		CoverMap: map[int]int{5: 0, 3: 1, 0: 2, 4: 3, 1: 4, 2: 5}}
+	first := trace.Covering(res)
+	if want := "cover: B0←p2 B1←p4 B2←p5 B3←p1 B4←p3 B5←p0\n"; !strings.HasSuffix(first, want) {
+		t.Errorf("cover line not in object order:\n%s", first)
+	}
+	for i := 0; i < 20; i++ {
+		if again := trace.Covering(res); again != first {
+			t.Fatalf("rendering %d differs:\n%s\n--- first ---\n%s", i+1, again, first)
+		}
+	}
+}
