@@ -31,9 +31,10 @@
 // barrier between them, "async" replaces the barrier with per-worker
 // work-stealing deques — the same visited set and verdicts, but no
 // per-level progress and no witness provenance (so -order async composes
-// with exploration, not with the certificate searches), and it runs over
-// the in-memory store, unreduced or under -reduce sym: -help lists, from
-// check.ModeConflicts, what each flag cannot be combined with. -checkpoint names a directory to snapshot
+// with exploration, not with the certificate searches), and it runs in
+// one process over the in-memory store, unreduced or under -reduce sym:
+// -help lists, from check.ModeConflicts, what each flag cannot be
+// combined with. -checkpoint names a directory to snapshot
 // exploration state into at level barriers; re-running the same command
 // after a crash or kill resumes from the last committed snapshot and
 // reaches the identical final verdict. -checkpointevery thins snapshots
@@ -48,12 +49,13 @@
 // Each peer owns a contiguous range of the 64-way global fingerprint
 // partition space and runs the unmodified engine over it; the
 // coordinator relays successor batches between peers, runs the level
-// barriers (or async quiescence probes), applies the global
-// configuration budget, and merges the per-peer verdicts — which are
-// identical, visited set included, to a single-process run of the same
-// instance (valency too: peers ship replayable decided-value witnesses
-// with their results). The engine flags on the coordinator (-workers,
-// -store, -membudget, -reduce, -order) apply on every peer.
+// barriers, applies the global configuration budget there, and merges
+// the per-peer verdicts — which are identical, visited set included, to
+// a single-process run of the same instance (valency too: peers ship
+// replayable decided-value witnesses with their results). The engine
+// flags on the coordinator (-workers, -store, -membudget, -reduce) apply
+// on every peer; -order async, -stringkeys and -checkpoint do not combine
+// with -distributed and are usage errors before any peer is dialled.
 // -failover turns confirmed peer death from a fatal error into a
 // re-seed: the coordinator redials every peer with jittered backoff
 // (-peer-retries attempts each), drops the unreachable ones, and

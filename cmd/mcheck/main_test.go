@@ -2,9 +2,14 @@ package main
 
 import (
 	"errors"
+	"net"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/harness"
 )
 
@@ -125,6 +130,51 @@ func TestRunBadUsage(t *testing.T) {
 	}
 	if err := run([]string{"-proto", "pair", "-n", "2", "-inputs", "x,y"}, &out); err == nil {
 		t.Error("non-numeric inputs must fail")
+	}
+}
+
+// TestRunDistributedModeConflicts: -distributed is a mode like the
+// others, so the three pairings the mode table forbids it are usage
+// errors (exit 2) raised before any peer is dialled — not flags the
+// coordinator drops on the way to a clean exit.
+func TestRunDistributedModeConflicts(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dialled atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dialled.Add(1)
+			conn.Close()
+		}
+	}()
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	for _, mode := range [][]string{
+		{"-order", "async"},
+		{"-stringkeys"},
+		{"-checkpoint", ckpt},
+	} {
+		args := append([]string{"-proto", "pair", "-n", "2", "-distributed", "-peers", ln.Addr().String()}, mode...)
+		var out strings.Builder
+		err := run(args, &out)
+		if !errors.Is(err, check.ErrIncompatibleModes) || errors.Is(err, errViolation) {
+			t.Errorf("%v: err = %v, want a usage error wrapping ErrIncompatibleModes", mode, err)
+		}
+		if strings.Contains(out.String(), "explored") {
+			t.Errorf("%v: a run was reported:\n%s", mode, out.String())
+		}
+	}
+	ln.Close()
+	if n := dialled.Load(); n != 0 {
+		t.Errorf("%d peer connections were made before the flags were rejected", n)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("checkpoint directory: stat err = %v, want it never created", err)
 	}
 }
 

@@ -185,7 +185,8 @@ func TestRejectsBadFlags(t *testing.T) {
 // TestOrderOverrideKeepsIllegalSpecsLevelsync: -order async moves every
 // engine spec of the small grid it legally can — the unreduced and the
 // sym one — and leaves the sym+sleep spec, which async cannot run, on
-// its own order, so the grid still runs and gates clean.
+// its own order, so the grid still runs and gates clean. The same holds
+// for a spec with peers.
 func TestOrderOverrideKeepsIllegalSpecsLevelsync(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-grid", "small", "-rows", "explore-anon", "-order", "async", "-json"}, &out); err != nil {
@@ -202,6 +203,29 @@ func TestOrderOverrideKeepsIllegalSpecsLevelsync(t *testing.T) {
 	want := map[string]string{"": check.OrderAsync, check.ReduceSym: check.OrderAsync, check.ReduceSymSleep: check.OrderLevelSync}
 	if !reflect.DeepEqual(orderOf, want) {
 		t.Errorf("orders by reduction = %v, want %v", orderOf, want)
+	}
+
+	// A distributed spec is the other kind async cannot run: it stays on
+	// levelsync over its peers, beside the in-process spec that moved.
+	specFile := filepath.Join(t.TempDir(), "grid.json")
+	spec := `{"name":"custom","rows":["explore"],"ns":[3],"ks":[1],"max_configs":1000,"engines":[{},{"peers":2}]}`
+	if err := os.WriteFile(specFile, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-spec", specFile, "-order", "async", "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	records, err := sweep.ReadResults(strings.NewReader(out.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orderOfPeers := map[int]string{}
+	for _, rec := range records {
+		orderOfPeers[rec.Peers] = rec.Order
+	}
+	if want := map[int]string{0: check.OrderAsync, 2: check.OrderLevelSync}; !reflect.DeepEqual(orderOfPeers, want) {
+		t.Errorf("orders by peer count = %v, want %v", orderOfPeers, want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // level-synchronized loop in levelsync.go that removes the per-level
 // EndLevel barrier entirely. Like that loop it is a scheduler over the
 // shared expansion core (expand.go): successor generation, keying, sleep
-// masks and remote routing are the expander's; this file owns where
+// masks are the expander's; this file owns where
 // nodes wait (deques, inboxes), how successors are admitted (continuously,
 // with depth relaxation under a MaxDepth cap) and when the run is over
 // (quiescence).
@@ -76,12 +76,14 @@ import (
 // What async gives up: provenance (witness schedules need the
 // deterministic level order), exact string keys (admission order would
 // pick timing-dependent representatives among colliding encodings),
-// sleep sets (their masks are settled at the level barrier) and the spill
+// sleep sets (their masks are settled at the level barrier), the spill
 // store (the frontier lives in the deques, so a store budget bounds
-// nothing) — all rejected loudly through ModeConflicts — plus
-// deterministic truncation survivors and deterministic reduction
-// counters. Everything the
-// level engine promises about verdicts — visited-set size,
+// nothing) and distribution (the admit-then-check budget below is one
+// shared counter; across peers it would be one counter each, and a capped
+// run would visit up to peers x MaxConfigs) — all rejected loudly through
+// ModeConflicts — plus deterministic truncation survivors and
+// deterministic reduction counters. Async runs in one process: everything
+// the level engine promises about verdicts — visited-set size,
 // decided-value sets, violation existence, completeness — is preserved.
 
 // Exploration order names accepted by EngineOptions.Order.
@@ -109,7 +111,8 @@ func parseOrder(order string) (async bool, err error) {
 }
 
 // AsyncStats reports an exploration-order run's scheduling activity; the
-// sweep JSONL records carry it so async runs are auditable.
+// sweep JSONL records carry it so async runs are auditable. Async runs in
+// one process, so a distributed run's merged result carries Order alone.
 type AsyncStats struct {
 	// Order is the exploration order that ran ("levelsync" or "async").
 	Order string `json:"order"`
@@ -300,22 +303,15 @@ func runAsync(run *engineRun, root *Node) (RunStats, error) {
 		a.owners[i] = o
 	}
 
-	// Seed: the root is one published unit in worker 0's deque. On a
-	// distributed peer that does not own the root's partition the run
-	// starts idle — the owning peer (every peer computes the same root
-	// fingerprint) explores it and ships this peer its share.
-	if run.link != nil && !run.link.Owns(root.fp) {
-		run.recycleAlways(root)
-	} else {
-		o := a.owners[root.fp&run.ownerMask]
-		o.visited.Add(root.fp)
-		run.admitted.Store(1)
-		if o.depth != nil {
-			o.depth[root.fp] = 0
-		}
-		a.outstanding.Store(1)
-		a.workers[0].deque.push(root)
+	// Seed: the root is one published unit in worker 0's deque.
+	o := a.owners[root.fp&run.ownerMask]
+	o.visited.Add(root.fp)
+	run.admitted.Store(1)
+	if o.depth != nil {
+		o.depth[root.fp] = 0
 	}
+	a.outstanding.Store(1)
+	a.workers[0].deque.push(root)
 
 	var ownerWG sync.WaitGroup
 	for _, o := range a.owners {
@@ -333,21 +329,6 @@ func runAsync(run *engineRun, root *Node) (RunStats, error) {
 			a.monitorLoop()
 		}()
 	}
-	// Distributed link service: one goroutine consumes the link's event
-	// stream — remote successor batches are decoded and injected as
-	// published units, quiescence probes are answered after everything
-	// delivered before them (records and probes share one FIFO, which is
-	// what makes the coordinator's counters sound), and close/done are
-	// applied. Workers never self-terminate in a distributed run; only
-	// the coordinator's DONE (or an error) ends it.
-	var distWG sync.WaitGroup
-	if run.link != nil {
-		distWG.Add(1)
-		go func() {
-			defer distWG.Done()
-			a.distService()
-		}()
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
@@ -358,10 +339,6 @@ func runAsync(run *engineRun, root *Node) (RunStats, error) {
 	}
 	wg.Wait()
 	run.finish() // covers error/cancel exits; quiescence already called it
-	if run.link != nil {
-		run.link.Detach()
-	}
-	distWG.Wait()
 	ownerWG.Wait()
 	monWG.Wait()
 
@@ -558,15 +535,6 @@ func (a *asyncRun) workerLoop(w int) {
 			a.outstanding.Add(localDelta)
 			localDelta = 0
 		}
-		if run.link != nil {
-			// Remote buffers ride the same flush discipline: a worker
-			// never parks with records a peer has not been sent (their
-			// sent-count is what keeps the coordinator's quiescence scan
-			// from declaring a false global zero). A remote-owned successor
-			// is not a local published unit — the link's own sent counter
-			// carries it until the owning peer injects it.
-			run.fail(run.link.FlushWorker(w))
-		}
 	}
 
 	// process visits a fresh node, expands it unless it sits at a cap,
@@ -595,11 +563,8 @@ func (a *asyncRun) workerLoop(w int) {
 			continue
 		}
 		flushAll()
-		if run.link == nil && a.outstanding.Load() == 0 {
+		if a.outstanding.Load() == 0 {
 			// First scan saw zero: run the validating sweep, then re-read.
-			// (Distributed peers skip this: local zero says nothing about
-			// records in flight to or from other peers — the coordinator's
-			// probe protocol owns termination, and workers just park.)
 			a.scans.Add(1)
 			if a.confirmQuiesce() {
 				run.finish()
@@ -681,99 +646,4 @@ func (a *asyncRun) confirmQuiesce() bool {
 		}
 	}
 	return a.outstanding.Load() == 0
-}
-
-// distService consumes the distributed link's event stream on its own
-// goroutine. The link delivers records and probes through one FIFO, so
-// by the time a probe is answered every record delivered before it has
-// been injected as a published unit — a probe can therefore never
-// observe "idle" while an already-delivered record is still invisible
-// to the outstanding counter, which is what makes the coordinator's
-// sent/delivered bookkeeping a sound global-quiescence test.
-func (a *asyncRun) distService() {
-	run := a.run
-	for {
-		ev, err := run.link.NextEvent()
-		if err != nil {
-			// Detach on shutdown surfaces as an error; a live run failing
-			// here is a lost link.
-			if !run.doneFlag.Load() {
-				run.fail(err)
-			}
-			return
-		}
-		switch ev.Kind {
-		case DistEvRecords:
-			if !a.injectRemote(ev.Records) {
-				return
-			}
-		case DistEvProbe:
-			// The probe answer: every deque and inbox empty and the
-			// outstanding counter at zero. Workers flush their deltas and
-			// remote buffers before parking, so "idle here" plus the link's
-			// balanced sent/delivered counters across all peers is exactly
-			// the in-process termination condition lifted to the cluster.
-			idle := a.confirmQuiesce()
-			if idle {
-				a.scans.Add(1)
-			}
-			if err := run.link.ProbeReply(ev.Seq, idle, run.admitted.Load()); err != nil {
-				if !run.doneFlag.Load() {
-					run.fail(err)
-				}
-				return
-			}
-		case DistEvClose:
-			// Global budget overrun: close local admissions for good. The
-			// async order's truncation is coarse by design (see admitOne's
-			// admit-then-check), and the distributed close is the same
-			// verdict delivered by the coordinator.
-			run.closed.Store(true)
-			run.truncated.Store(true)
-		case DistEvDone:
-			run.finish()
-			return
-		}
-	}
-}
-
-// injectRemote decodes one delivered batch and publishes it to the
-// partition owners, counted before it becomes visible. Reports false
-// when the run is ending and injection stopped early.
-func (a *asyncRun) injectRemote(recs []DistRecord) bool {
-	run := a.run
-	buckets := make([][]*Node, len(a.owners))
-	for _, rec := range recs {
-		n, err := run.dec.decode(rec)
-		if err != nil {
-			run.fail(err)
-			return false
-		}
-		oi := int(n.fp & run.ownerMask)
-		buckets[oi] = append(buckets[oi], n)
-	}
-	from := 0
-	for oi, b := range buckets {
-		for off := 0; off < len(b); off += batchSize {
-			end := off + batchSize
-			if end > len(b) {
-				end = len(b)
-			}
-			chunk := (*run.batchPool.Get().(*[]*Node))[:0]
-			chunk = append(chunk, b[off:end]...)
-			a.outstanding.Add(int64(len(chunk)))
-			// Spread surviving admissions across the workers' inboxes.
-			from = (from + 1) % len(a.workers)
-			select {
-			case a.owners[oi].ch <- asyncBatch{from: from, nodes: chunk}:
-			case <-run.done:
-				a.outstanding.Add(int64(-len(chunk)))
-				for _, n := range chunk {
-					run.recycleAlways(n)
-				}
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -23,10 +23,10 @@ import (
 //     the spill store's compact Config encoding plus the root-to-node pid
 //     path — and shipped instead of admitted. The receiving peer decodes
 //     via a model.SlotExchange fast path (canonical slots looked up by
-//     encoding span, slot hashes recomputed, exactly the spill store's
-//     rematerialization) and falls back to replaying the pid path through
-//     its own stepper for spans it has never seen, interning the result
-//     so the exchange warms up.
+//     encoding span, slot hashes recomputed: fillFromExchange, the spill
+//     store's rematerialization) and falls back to replaying the pid path
+//     through its own stepper for spans it has never seen, interning the
+//     result so the exchange warms up.
 //
 //   - Level barriers are a two-phase gather run by the coordinator;
 //     remote admissions are applied single-threaded between the owner
@@ -37,18 +37,13 @@ import (
 //     sorted-fingerprint cutoff (the same order the store's EndLevel
 //     uses) and hands each peer its keep count.
 //
-//   - The async order's counter-based quiescence lifts to the wire: each
-//     link counts records sent and delivered, the coordinator probes all
-//     peers and declares termination only after two identical scans show
-//     every peer idle with sent and delivered balanced (the PR 6
-//     double-scan argument, with monotonic counters standing in for the
-//     in-process sweep).
-//
-// Distribution composes with the reduction stack (canonical fingerprints
-// and sleep masks are computed peer-side and intersected at the owning
-// peer, both commutative) and with either store backend. It is rejected
-// together with Provenance, StringKeys and Checkpoint (modes.go says
-// why).
+// Distribution runs the level-synchronized order only, which is what
+// makes every cell of it deterministic: the one budget test is the
+// coordinator's, at a barrier. It composes with the reduction stack
+// (canonical fingerprints and sleep masks are computed peer-side and
+// intersected at the owning peer, both commutative) and with either store
+// backend. It is rejected together with the async order, Provenance,
+// StringKeys and Checkpoint (modes.go says why).
 
 // DistNumParts is the size of the global partition space fingerprints
 // hash into before peer assignment: fixed so the fp -> peer routing is
@@ -85,8 +80,8 @@ type NetStats struct {
 	BatchesSent int64 `json:"batches_sent,omitempty"`
 	// BytesSent is the total frame bytes sent (headers included).
 	BytesSent int64 `json:"bytes_sent,omitempty"`
-	// PeerStalls counts blocking waits on remote peers: level-barrier
-	// waits, plus idle quiescence-probe replies in the async order.
+	// PeerStalls counts blocking waits on remote peers: two per level,
+	// one at each phase of the barrier.
 	PeerStalls int64 `json:"peer_stalls,omitempty"`
 	// PeersLost counts peer sessions confirmed dead mid-run. Without
 	// fail-over any loss is fatal, so a result can only carry a nonzero
@@ -129,33 +124,10 @@ type DistBarrier struct {
 	Done bool
 }
 
-// DistEventKind enumerates the async-order link events.
-type DistEventKind uint8
-
-const (
-	// DistEvRecords delivers decodable remote successor records.
-	DistEvRecords DistEventKind = iota
-	// DistEvProbe is a coordinator quiescence probe; the engine answers
-	// with DistLink.ProbeReply after everything delivered before the
-	// probe has been injected (the FIFO that makes the counters sound).
-	DistEvProbe
-	// DistEvClose closes admissions (global budget overrun, async order).
-	DistEvClose
-	// DistEvDone ends the run (global quiescence confirmed).
-	DistEvDone
-)
-
-// DistEvent is one async-order link event.
-type DistEvent struct {
-	Kind    DistEventKind
-	Records []DistRecord
-	Seq     uint64
-}
-
 // DistLink is the engine's handle on one peer's wire endpoint,
 // implemented by internal/dist. Send/FlushWorker are called by the
-// worker goroutine named; everything else by one engine/service
-// goroutine at a time.
+// worker goroutine named; everything else by the engine's control
+// goroutine.
 type DistLink interface {
 	// Peers is the cooperating peer count; Self this peer's index.
 	Peers() int
@@ -183,17 +155,6 @@ type DistLink interface {
 	// fingerprints in ascending order.
 	BarrierLevel(depth int, admitted int64, next int, stop bool, fps func() ([]uint64, error)) (DistBarrier, error)
 
-	// NextEvent blocks for the next async-order event (records, probe,
-	// close, done). It returns an error when the link is lost or
-	// detached.
-	NextEvent() (DistEvent, error)
-	// ProbeReply answers a DistEvProbe: whether this peer is locally
-	// quiescent, and its cumulative admission count (global budget).
-	ProbeReply(seq uint64, idle bool, admitted int64) error
-	// Detach unblocks NextEvent and stops the link's reader; the engine
-	// calls it on every exit path so no goroutine is left behind.
-	Detach()
-
 	// NetStats reports the link's cumulative wire activity.
 	NetStats() NetStats
 }
@@ -217,30 +178,14 @@ func newDistDecoder(run *engineRun) *distDecoder {
 
 // decode rebuilds one remote record as an admission-ready node.
 func (d *distDecoder) decode(rec DistRecord) (*Node, error) {
-	spans, err := model.SlotSpans(rec.Enc, d.nObj, d.nProc, d.spans)
+	n := d.run.newNode()
+	spans, miss, err := fillFromExchange(n, d.exch, rec.Enc, d.nObj, d.nProc, d.spans)
+	d.spans = spans
 	if err != nil {
+		d.run.recycleAlways(n)
 		return nil, fmt.Errorf("dist: remote record encoding: %w", err)
 	}
-	d.spans = spans
-	n := d.run.newNode()
-	hit := true
-	for i := 0; i < d.nObj && hit; i++ {
-		if v, ok := d.exch.Value(spans[i]); ok {
-			n.Cfg.Objects[i] = v
-			n.slotH[i] = model.SlotContentHash(spans[i])
-		} else {
-			hit = false
-		}
-	}
-	for p := 0; p < d.nProc && hit; p++ {
-		if st, ok := d.exch.State(spans[d.nObj+p]); ok {
-			n.Cfg.States[p] = st
-			n.slotH[d.nObj+p] = model.SlotContentHash(spans[d.nObj+p])
-		} else {
-			hit = false
-		}
-	}
-	if hit {
+	if miss < 0 {
 		n.slotFP = rec.SlotFP
 	} else {
 		// Replay fallback: some span has never been seen on this peer.

@@ -113,9 +113,10 @@ type EngineOptions struct {
 	// deques, continuous admission with no EndLevel barrier, and
 	// counter-based quiescence termination. Async preserves every verdict
 	// and the visited-set size but not schedules or level structure, so
-	// it is rejected together with Provenance or StringKeys. It runs over
-	// the in-memory store, unreduced or under "sym" (modes.go says why
-	// sleep sets and the spill store are rejected with it).
+	// it is rejected together with Provenance or StringKeys. It runs in
+	// one process over the in-memory store, unreduced or under "sym"
+	// (modes.go says why sleep sets, the spill store and Dist are rejected
+	// with it).
 	Order string
 	// Provenance retains every node's parent chain and configuration so
 	// that Node.Parent and Node.Schedule work after the run — required
@@ -165,10 +166,10 @@ type EngineOptions struct {
 	// peer: successors whose fingerprints hash to another peer's
 	// partition range are shipped over the link instead of admitted
 	// locally, remote successors delivered by the link are admitted as
-	// local candidates, and level barriers (or the async order's
-	// quiescence scans) are coordinated across the wire. dist.go states
-	// the routing and determinism contract. Incompatible with Provenance,
-	// StringKeys and Checkpoint.
+	// local candidates, and level barriers are coordinated across the
+	// wire. dist.go states the routing and determinism contract.
+	// Levelsync order only; incompatible with Provenance, StringKeys and
+	// Checkpoint.
 	Dist DistLink
 }
 

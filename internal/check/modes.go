@@ -81,6 +81,7 @@ var ModeConflicts = []struct {
 	{ModeAsync, ModeStringKeys, "without the level barrier, exact keys pick a timing-dependent representative among colliding encodings"},
 	{ModeAsync, ModeSleep, "sleep masks are only settled (every generator's mask intersected) at a level barrier; expanding under an unsettled mask loses states"},
 	{ModeAsync, ModeSpill, "async keeps its frontier in the workers' deques, so a store budget bounds nothing; levelsync with the spill store is faster and smaller"},
+	{ModeAsync, ModeDist, "each peer would test the global budget against its own admission count, so a capped run visits up to peers x MaxConfigs; levelsync over peers is exact and no slower"},
 	{ModeCheckpoint, ModeProvenance, "parent chains are in-RAM pointers that cannot be persisted across a crash"},
 	{ModeReduce, ModeProvenance, "a quotient merges schedules, so parent chains replayed through it are not valid executions"},
 	{ModeReduce, ModeStringKeys, "exact keys dedup on full encodings, which orbit members do not share"},

@@ -6,7 +6,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -83,14 +85,14 @@ func modeSpec(set check.Mode) (spec sweep.EngineSpec, ok bool) {
 }
 
 // modeFlags validates the modes in set as mcheck-polarity command-line
-// flags; ok is false when the flag block has no flag for one of them
-// (distribution has its own block). Provenance is what SearchLimits
-// implies, so it selects that path instead of Options.
-func modeFlags(set check.Mode, dir string) (err error, ok bool) {
-	if set&check.ModeDist != 0 {
-		return nil, false
-	}
+// flags (the engine block plus the distribution block, as mcheck declares
+// them). Provenance is what SearchLimits implies, so it selects that path
+// instead of Options.
+func modeFlags(set check.Mode, dir string) error {
 	var args []string
+	if set&check.ModeDist != 0 {
+		args = append(args, "-distributed", "-peers", "127.0.0.1:1")
+	}
 	if set&check.ModeAsync != 0 {
 		args = append(args, "-order", check.OrderAsync)
 	}
@@ -111,15 +113,17 @@ func modeFlags(set check.Mode, dir string) (err error, ok bool) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	f := harness.RegisterEngineFlags(fs, false)
+	harness.RegisterDistFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err, true
+		return err
 	}
+	var err error
 	if set&check.ModeProvenance != 0 {
 		_, err = f.SearchLimits(1000, 0, nil)
 	} else {
 		_, err = f.Options(nil)
 	}
-	return err, true
+	return err
 }
 
 // conflicting reports whether the table lists a pair inside set.
@@ -169,7 +173,7 @@ func TestModeMatrix(t *testing.T) {
 					t.Errorf("sweep %+v: err = %v, want ErrIncompatibleModes", spec, err)
 				}
 			}
-			if err, ok := modeFlags(set, dir); ok && !errors.Is(err, check.ErrIncompatibleModes) {
+			if err := modeFlags(set, dir); !errors.Is(err, check.ErrIncompatibleModes) {
 				t.Errorf("harness: err = %v, want ErrIncompatibleModes", err)
 			}
 		})
@@ -338,5 +342,62 @@ func TestModeMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReadmeModeMatrix: README's "Which modes combine" matrix is the
+// table a reader sees, so it is held to check.ModeConflicts cell by cell:
+// ✗ exactly where the row's and the column's modes contain a listed pair.
+func TestReadmeModeMatrix(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modeOf := map[string]check.Mode{
+		"`-order async`":                check.ModeAsync,
+		"`-reduce sym`":                 check.ModeReduce,
+		"`-reduce sym+sleep`":           check.ModeReduce | check.ModeSleep,
+		"`-store spill`":                check.ModeSpill,
+		"exact string keys":             check.ModeStringKeys,
+		"provenance":                    check.ModeProvenance,
+		"provenance (witness searches)": check.ModeProvenance,
+		"`-checkpoint`":                 check.ModeCheckpoint,
+		"distributed":                   check.ModeDist,
+	}
+	var cols []check.Mode
+	rows := 0
+	for _, line := range strings.Split(string(readme), "\n") {
+		if !strings.HasPrefix(line, "| ") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if cols == nil {
+			if cells[0] != "" || cells[1] != "`-order async`" {
+				continue // some other table
+			}
+			for _, h := range cells[1:] {
+				cols = append(cols, modeOf[h])
+			}
+			continue
+		}
+		row, ok := modeOf[strings.Trim(cells[0], "*")]
+		if !ok || len(cells) != len(cols)+1 {
+			continue
+		}
+		rows++
+		for i, cell := range cells[1:] {
+			if cell == "" {
+				continue // the diagonal, and sym against sym+sleep
+			}
+			if got, want := strings.HasPrefix(cell, "✗"), conflicting(row|cols[i]); got != want {
+				t.Errorf("README matrix, row %s column %d: %q, but ModeConflicts says conflict = %t", cells[0], i+1, cell, want)
+			}
+		}
+	}
+	if rows != len(cols) || rows != 8 {
+		t.Fatalf("found %d matrix rows under %d columns, want 8 of each", rows, len(cols))
 	}
 }

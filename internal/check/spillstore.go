@@ -1091,32 +1091,19 @@ func (s *spillSource) closeAll() {
 }
 
 // decode rematerializes one spooled node: canonical slots from the
-// exchange, slot hashes recomputed from the encoding spans.
+// exchange, slot hashes recomputed from the encoding spans. Every span a
+// spooled node carries was interned when it was spooled, so a miss is
+// corruption.
 func (s *spillStore) decode(rec rawRec, data []byte, depth int, spans [][]byte) (*Node, [][]byte, error) {
 	enc := data[rec.off:rec.end]
-	spans, err := model.SlotSpans(enc, s.ctx.nObj, s.ctx.nProc, spans)
-	if err != nil {
-		return nil, spans, fmt.Errorf("spill store: %w", err)
-	}
 	n := s.ctx.newNode()
-	for i := 0; i < s.ctx.nObj; i++ {
-		v, ok := s.exch.Value(spans[i])
-		if !ok {
-			s.ctx.recycle(n)
-			return nil, spans, fmt.Errorf("spill store: object slot %d encoding not interned", i)
-		}
-		n.Cfg.Objects[i] = v
-		n.slotH[i] = model.SlotContentHash(spans[i])
+	spans, miss, err := fillFromExchange(n, s.exch, enc, s.ctx.nObj, s.ctx.nProc, spans)
+	if err == nil && miss >= 0 {
+		err = fmt.Errorf("slot %d encoding not interned", miss)
 	}
-	for p := 0; p < s.ctx.nProc; p++ {
-		span := spans[s.ctx.nObj+p]
-		st, ok := s.exch.State(span)
-		if !ok {
-			s.ctx.recycle(n)
-			return nil, spans, fmt.Errorf("spill store: state slot %d encoding not interned", p)
-		}
-		n.Cfg.States[p] = st
-		n.slotH[s.ctx.nObj+p] = model.SlotContentHash(span)
+	if err != nil {
+		s.ctx.recycle(n)
+		return nil, spans, fmt.Errorf("spill store: %w", err)
 	}
 	n.Depth = depth
 	n.Pid = rec.pid

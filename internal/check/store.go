@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+
+	"repro/internal/model"
 )
 
 // This file defines the pluggable state-store layer of the frontier
@@ -209,4 +211,37 @@ type storeCtx struct {
 	paths   bool
 	newNode func() *Node
 	recycle func(*Node)
+}
+
+// fillFromExchange rebuilds n's configuration and slot hashes from enc, a
+// compact Config encoding, without stepping anything: the encoding is
+// split into its per-slot spans, each span's canonical value or state is
+// looked up in the exchange, and the slot hash is recomputed from the
+// span. It is how the spill store's frontier spool and a distributed
+// peer's inbound records both rematerialize nodes. miss is the first slot
+// (objects, then states) whose span the exchange has never interned, or
+// -1; n is only complete when miss < 0 and err == nil. spans is scratch,
+// returned for reuse.
+func fillFromExchange(n *Node, exch *model.SlotExchange, enc []byte, nObj, nProc int, spans [][]byte) (out [][]byte, miss int, err error) {
+	if spans, err = model.SlotSpans(enc, nObj, nProc, spans); err != nil {
+		return spans, -1, err
+	}
+	for i := 0; i < nObj; i++ {
+		v, ok := exch.Value(spans[i])
+		if !ok {
+			return spans, i, nil
+		}
+		n.Cfg.Objects[i] = v
+		n.slotH[i] = model.SlotContentHash(spans[i])
+	}
+	for p := 0; p < nProc; p++ {
+		span := spans[nObj+p]
+		st, ok := exch.State(span)
+		if !ok {
+			return spans, nObj + p, nil
+		}
+		n.Cfg.States[p] = st
+		n.slotH[nObj+p] = model.SlotContentHash(span)
+	}
+	return spans, -1, nil
 }

@@ -119,11 +119,6 @@ func (s Spec) heartbeatEvery() time.Duration {
 // hbDeadlineFactor: a peer is dead after this many silent periods.
 const hbDeadlineFactor = 4
 
-// asyncProbeEvery is the coordinator's quiescence-probe period. Probes
-// are cheap (one tiny frame per peer each way), so this leans brisk:
-// termination latency is ~2 probe rounds past actual quiescence.
-const asyncProbeEvery = 2 * time.Millisecond
-
 // coordPeer is the coordinator's per-peer connection state.
 type coordPeer struct {
 	conn net.Conn
@@ -242,7 +237,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // count, Run's result has the same Visited count, Complete flag,
 // decided-value set and violation identity (depth, fingerprint) as the
 // single-process engine with the same spec — the differential suite in
-// dist_test.go pins this per protocol, order and reduction.
+// dist_test.go pins this per protocol, reduction and store, on spaces
+// that fit their budget and on ones the budget cuts.
 //
 // With spec.Failover, that same invariance is what makes recovery
 // sound: a confirmed peer death aborts the epoch, the coordinator
@@ -503,7 +499,7 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 					}
 				case framePong:
 					cp.lastPong.Store(time.Now().UnixNano())
-				case frameExpanded, frameLevel, frameFPs, frameProbeReply, frameResult, frameError:
+				case frameExpanded, frameLevel, frameFPs, frameResult, frameError:
 					ctrl <- ctrlMsg{peer: i, kind: t, payload: append([]byte(nil), payload...)}
 				default:
 					fail(&FrameError{Reason: fmt.Sprintf("unexpected frame type %d from peer", t)})
@@ -567,16 +563,9 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 		}
 	}
 
-	async := spec.Order == check.OrderAsync
-	var loopErr error
-	if async {
-		loopErr = runAsyncControl(cps, spec, next)
-	} else {
-		loopErr = runLevelControl(cps, spec, st, next)
-	}
-	if loopErr != nil {
+	if err := runLevelControl(cps, spec, st, next); err != nil {
 		shutdown()
-		return nil, loopErr
+		return nil, err
 	}
 
 	results, err := gatherResults(ctrl, errc, slots[:peers])
@@ -639,8 +628,6 @@ func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]
 			var em errorMsg
 			unmarshalCtrl(m.payload, &em)
 			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: fmt.Errorf("peer run failed: %s", em.Msg)}
-		case frameProbeReply:
-			// A stale probe answer racing the DONE broadcast; ignore.
 		default:
 			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("expected result, got frame type %d", m.kind)}}
 		}
@@ -648,7 +635,7 @@ func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]
 	return results, nil
 }
 
-// runLevelControl is the levelsync barrier state machine: per depth,
+// runLevelControl is the coordinator's barrier state machine: per depth,
 // gather EXPANDED from every peer, broadcast BARRIER, gather LEVEL
 // reports, apply the global budget, broadcast CONT.
 func runLevelControl(cps []*coordPeer, spec Spec, st *failState, next func() (ctrlMsg, error)) error {
@@ -787,129 +774,6 @@ func runLevelControl(cps []*coordPeer, spec Spec, st *failState, next func() (ct
 	}
 }
 
-// runAsyncControl lifts the async order's double-scan quiescence across
-// the wire: probe every peer, and declare termination only after two
-// consecutive complete scans in which every peer is idle, the summed
-// sent and delivered record counters balance, and nothing moved between
-// the scans (all counters monotonic, so equality means no record was in
-// flight anywhere when either scan ran).
-func runAsyncControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) error {
-	peers := len(cps)
-	type scan struct {
-		replies int
-		vec     []probeReplyMsg
-	}
-	var (
-		seq       uint64
-		cur       scan
-		prev      []probeReplyMsg
-		prevOK    bool
-		closeSent bool
-	)
-	probe := func() error {
-		seq++
-		cur = scan{vec: make([]probeReplyMsg, peers)}
-		for i, cp := range cps {
-			if err := cp.writeFrame(frameProbe, marshalCtrl(probeMsg{Seq: seq})); err != nil {
-				return &PeerLostError{Peer: i, Addr: cp.addr, Err: err}
-			}
-		}
-		return nil
-	}
-	if err := probe(); err != nil {
-		return err
-	}
-	timer := time.NewTimer(asyncProbeEvery)
-	defer timer.Stop()
-
-	// next() blocks on the control channel; fold the probe ticker in by
-	// running reads on a goroutine-free select via a small adapter: the
-	// readers already push into ctrl, so we only need a timeout wait.
-	// ctrlMsg arrival drives everything; the timer only launches the next
-	// probe round once the previous round completed.
-	roundDone := false
-	for {
-		if roundDone {
-			roundDone = false
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(asyncProbeEvery)
-			<-timer.C
-			if err := probe(); err != nil {
-				return err
-			}
-		}
-		m, err := next()
-		if err != nil {
-			return err
-		}
-		switch m.kind {
-		case frameProbeReply:
-			var pr probeReplyMsg
-			if err := unmarshalCtrl(m.payload, &pr); err != nil {
-				return err
-			}
-			if pr.Seq != seq {
-				continue // stale round
-			}
-			if cur.vec[m.peer].Seq == 0 {
-				cur.replies++
-			}
-			cur.vec[m.peer] = pr
-			if cur.replies < peers {
-				continue
-			}
-			// Round complete: budget first, then the double scan.
-			var totalAdmitted, totalSent, totalDelivered int64
-			allIdle := true
-			for _, pr := range cur.vec {
-				totalAdmitted += pr.Admitted
-				totalSent += pr.Sent
-				totalDelivered += pr.Delivered
-				allIdle = allIdle && pr.Idle
-			}
-			if !closeSent && int(totalAdmitted) > spec.Limits.MaxConfigs {
-				closeSent = true
-				for i, cp := range cps {
-					if err := cp.writeFrame(frameClose, nil); err != nil {
-						return &PeerLostError{Peer: i, Addr: cp.addr, Err: err}
-					}
-				}
-			}
-			quiet := allIdle && totalSent == totalDelivered
-			if quiet && prevOK && sameScan(prev, cur.vec) {
-				for i, cp := range cps {
-					if err := cp.writeFrame(frameDone, nil); err != nil {
-						return &PeerLostError{Peer: i, Addr: cp.addr, Err: err}
-					}
-				}
-				return nil
-			}
-			prev, prevOK = cur.vec, quiet
-			roundDone = true
-		case frameError:
-			var em errorMsg
-			unmarshalCtrl(m.payload, &em)
-			return &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: fmt.Errorf("peer run failed: %s", em.Msg)}
-		default:
-			return &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("unexpected frame type %d during async run", m.kind)}}
-		}
-	}
-}
-
-func sameScan(a, b []probeReplyMsg) bool {
-	for i := range a {
-		if a[i].Sent != b[i].Sent || a[i].Delivered != b[i].Delivered || !a[i].Idle || !b[i].Idle {
-			return false
-		}
-	}
-	return true
-}
-
 // mergeResults folds the per-peer shares into one ExploreResult: counts
 // sum, completeness ANDs, decided values union, and the violation
 // witness is the global (depth, fingerprint) minimum replayed from its
@@ -957,8 +821,6 @@ func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failSta
 		out.Reduction.SleepSkipped += r.Reduction.SleepSkipped
 
 		out.Async.Order = r.Async.Order
-		out.Async.Steals += r.Async.Steals
-		out.Async.QuiescenceScans += r.Async.QuiescenceScans
 
 		// Each relayed record is counted once, at its sender. Traffic
 		// counters reflect the verdict-producing epoch; aborted epochs'

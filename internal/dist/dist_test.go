@@ -22,8 +22,8 @@ import (
 // --- The distributed differential suite ---
 //
 // The entire correctness claim of the dist layer is peer-count
-// invariance: for every protocol, exploration order, reduction mode and
-// peer count, `-distributed` must report exactly the verdict the
+// invariance: for every protocol, reduction mode, store and peer count,
+// `-distributed` must report exactly the verdict the
 // single-process engine reports — same visited-set size, same decided
 // values, same violation identity. These tests pin that claim over
 // loopback pipes (same wire protocol as TCP, no sockets), plus a real
@@ -94,7 +94,9 @@ func verdictOf(res *check.ExploreResult) verdict {
 // legalEngines lists, at 2 workers, every order × reduction × store cell
 // the mode table accepts for a distributed run that keep also accepts
 // (nil = all of them). It is read off check.Modes.Validate, so the
-// suites here follow check.ModeConflicts instead of a hand-kept list.
+// suites here follow check.ModeConflicts instead of a hand-kept list:
+// the table leaves a distributed run the levelsync order only, so every
+// cell is a deterministic one.
 func legalEngines(keep func(check.EngineOptions) bool) []check.EngineOptions {
 	var cells []check.EngineOptions
 	for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
@@ -124,32 +126,20 @@ func engineName(e check.EngineOptions) string {
 }
 
 // parityOracle runs opts in one process and returns the check a
-// distributed run of opts must pass. The oracle is always the
-// level-synchronized run of the cell, so no expectation comes from a
-// timing-dependent run: for an async cell that pins what is
-// order-independent — visited count, decided values, completeness and
-// that a violation exists — and leaves out which violation is reported.
-// A merged violation witness must replay to a genuinely violating
-// configuration, not just match by id.
+// distributed run of opts must pass: the whole verdict, the violation's
+// (depth, fingerprint) included. A merged violation witness must also
+// replay to a genuinely violating configuration, not just match by id.
 func parityOracle(t *testing.T, p model.Protocol, inputs []int, k int, opts check.ExploreOptions) func(name string, res *check.ExploreResult) {
 	t.Helper()
-	async := opts.Engine.Order == check.OrderAsync
-	opts.Engine.Order = check.OrderLevelSync
 	oracle, err := check.ExploreOpts(p, model.MustNewConfig(p, inputs), pidsOf(p), k, opts)
 	if err != nil {
 		t.Fatalf("%s oracle: %v", engineName(opts.Engine), err)
 	}
-	orderFree := func(v verdict) verdict {
-		if async {
-			v.violDepth, v.violFP = 0, 0
-		}
-		return v
-	}
-	want := orderFree(verdictOf(oracle))
+	want := verdictOf(oracle)
 	return func(name string, res *check.ExploreResult) {
 		t.Helper()
-		if got := orderFree(verdictOf(res)); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: verdict %+v, single-process levelsync %+v", name, got, want)
+		if got := verdictOf(res); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: verdict %+v, single-process %+v", name, got, want)
 		}
 		if want.hasViol {
 			if res.AgreementViolation == nil {
@@ -162,8 +152,8 @@ func parityOracle(t *testing.T, p model.Protocol, inputs []int, k int, opts chec
 	}
 }
 
-// TestLoopbackParity: 1/2/3 peers x every legal order x reduction x
-// store cell matches the single-process engine on every case. Run under
+// TestLoopbackParity: 1/2/3 peers x every legal reduction x store cell
+// matches the single-process engine on every case. Run under
 // -race this is the dist-smoke CI gate.
 func TestLoopbackParity(t *testing.T) {
 	for _, tc := range distCases(t) {
@@ -197,6 +187,8 @@ func TestLoopbackParity(t *testing.T) {
 func TestLoopbackRejectsModeConflicts(t *testing.T) {
 	tc := distCases(t)[0]
 	for _, eng := range []check.EngineOptions{
+		{Order: check.OrderAsync},
+		{Order: check.OrderAsync, Reduction: check.ReduceSym},
 		{Order: check.OrderAsync, Reduction: check.ReduceSymSleep},
 		{Order: check.OrderAsync, Store: check.StoreSpill},
 	} {
@@ -208,33 +200,29 @@ func TestLoopbackRejectsModeConflicts(t *testing.T) {
 }
 
 // TestLoopbackTruncationParity: when the global configuration budget
-// bites, the coordinator's merged-fingerprint cutoff must keep exactly
-// the set the single-process store's sorted truncation keeps, so the
-// visited count and incompleteness flag stay peer-count-invariant.
+// bites, a distributed run visits exactly the budget — what
+// ExploreLimits.MaxConfigs promises of any capped run — and the
+// coordinator's merged-fingerprint cutoff keeps exactly the set the
+// single-process store's sorted truncation keeps, so the whole verdict
+// stays peer-count-invariant, in every cell the mode table leaves a
+// distributed run.
 func TestLoopbackTruncationParity(t *testing.T) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 2})
 	inputs := []int{0, 1, 1, 0}
-	c := model.MustNewConfig(p, inputs)
-	for _, budget := range []int{50, 400, 2000} {
-		opts := check.ExploreOptions{
-			Limits: check.ExploreLimits{MaxConfigs: budget},
-			Engine: check.EngineOptions{Workers: 2},
-		}
-		oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
-		if err != nil {
-			t.Fatalf("budget %d oracle: %v", budget, err)
-		}
-		if oracle.Complete {
-			t.Fatalf("budget %d did not truncate; test needs the budget to bite", budget)
-		}
-		want := verdictOf(oracle)
-		for peers := 1; peers <= 3; peers++ {
-			res, err := dist.LoopbackExplore(context.Background(), p, inputs, 1, opts, peers)
-			if err != nil {
-				t.Fatalf("budget %d, %d peers: %v", budget, peers, err)
-			}
-			if got := verdictOf(res); !reflect.DeepEqual(got, want) {
-				t.Errorf("budget %d, %d peers: verdict %+v, single-process %+v", budget, peers, got, want)
+	for _, eng := range legalEngines(nil) {
+		for _, budget := range []int{50, 400, 2000} {
+			opts := check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: budget}, Engine: eng}
+			matches := parityOracle(t, p, inputs, 1, opts)
+			for peers := 1; peers <= 3; peers++ {
+				name := fmt.Sprintf("%s/budget %d/%d peers", engineName(eng), budget, peers)
+				res, err := dist.LoopbackExplore(context.Background(), p, inputs, 1, opts, peers)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Visited != budget || res.Complete {
+					t.Errorf("%s: visited %d (complete %v), want exactly the budget and incomplete", name, res.Visited, res.Complete)
+				}
+				matches(name, res)
 			}
 		}
 	}

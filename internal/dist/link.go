@@ -18,14 +18,14 @@ const recordBatchSize = 256
 
 // linkEvent is one inbound item on a peer link. Records and control
 // frames share a single FIFO: the ordering between a delivered batch
-// and a following probe (or barrier) is exactly the conn's byte order,
-// which is what both quiescence arguments lean on.
+// and a following barrier is exactly the conn's byte order, which is
+// what the expand barrier's "every batch of the level has arrived"
+// leans on.
 type linkEvent struct {
 	kind  frameType
 	recs  []check.DistRecord
 	depth int
 	cont  contMsg
-	seq   uint64
 	err   error
 }
 
@@ -97,8 +97,8 @@ type outBuf struct {
 // peerLink implements check.DistLink over one connection to the
 // coordinator. Send/FlushWorker run on the engine's worker goroutines
 // (per-worker buffers, a write mutex at the frame boundary); the
-// barrier and event methods run on the engine's control or service
-// goroutine; a reader goroutine drains the conn into the event queue
+// barrier methods run on the engine's control goroutine; a reader
+// goroutine drains the conn into the event queue
 // continuously, so the coordinator's relay writes never block on this
 // peer's engine.
 type peerLink struct {
@@ -112,11 +112,9 @@ type peerLink struct {
 
 	bufs [][]outBuf // [worker][peer]
 
-	sent      atomic.Int64
-	delivered atomic.Int64
-	batches   atomic.Int64
-	bytes     atomic.Int64
-	stalls    atomic.Int64
+	batches atomic.Int64
+	bytes   atomic.Int64
+	stalls  atomic.Int64
 
 	// Fail-over observability: the re-seed epoch this session was
 	// established under (0 = original run) and RANGE announcements seen.
@@ -210,18 +208,6 @@ func (l *peerLink) readLoop(r io.Reader) {
 				return
 			}
 			l.evq.push(linkEvent{kind: t, cont: m})
-		case frameProbe:
-			var m probeMsg
-			if derr := unmarshalCtrl(payload, &m); derr != nil {
-				l.evq.push(linkEvent{kind: frameError, err: derr})
-				return
-			}
-			l.evq.push(linkEvent{kind: t, seq: m.Seq})
-		case frameClose, frameDone:
-			l.evq.push(linkEvent{kind: t})
-			if t == frameDone {
-				return
-			}
 		case framePing:
 			// Answered via the pong writer, not the engine, so liveness
 			// probes get through even while every worker is compute-bound:
@@ -290,7 +276,6 @@ func (l *peerLink) Send(worker int, rec check.DistRecord) error {
 	b := &l.bufs[worker][dest]
 	b.buf = appendRecord(b.buf, rec)
 	b.count++
-	l.sent.Add(1)
 	if b.count >= recordBatchSize {
 		return l.flushBuf(dest, b)
 	}
@@ -346,7 +331,6 @@ func (l *peerLink) BarrierExpand(depth int) ([]check.DistRecord, error) {
 		}
 		switch ev.kind {
 		case frameBatch:
-			l.delivered.Add(int64(len(ev.recs)))
 			recs = append(recs, ev.recs...)
 		case frameBarrier:
 			if ev.depth != depth {
@@ -394,7 +378,6 @@ func (l *peerLink) BarrierLevel(depth int, admitted int64, next int, stop bool, 
 			// Early records for the next level (a peer released from this
 			// barrier before us is already expanding); hold them for the
 			// next BarrierExpand.
-			l.delivered.Add(int64(len(ev.recs)))
 			l.pending = append(l.pending, ev.recs...)
 		case frameCont:
 			if ev.cont.Depth != depth {
@@ -409,42 +392,6 @@ func (l *peerLink) BarrierLevel(depth int, admitted int64, next int, stop bool, 
 	}
 }
 
-func (l *peerLink) NextEvent() (check.DistEvent, error) {
-	ev, ok := l.evq.pop()
-	if !ok {
-		return check.DistEvent{}, &FrameError{Reason: "link detached"}
-	}
-	switch ev.kind {
-	case frameBatch:
-		l.delivered.Add(int64(len(ev.recs)))
-		return check.DistEvent{Kind: check.DistEvRecords, Records: ev.recs}, nil
-	case frameProbe:
-		return check.DistEvent{Kind: check.DistEvProbe, Seq: ev.seq}, nil
-	case frameClose:
-		return check.DistEvent{Kind: check.DistEvClose}, nil
-	case frameDone:
-		return check.DistEvent{Kind: check.DistEvDone}, nil
-	case frameError:
-		return check.DistEvent{}, ev.err
-	default:
-		return check.DistEvent{}, &FrameError{Reason: fmt.Sprintf("unexpected frame type %d on async link", ev.kind)}
-	}
-}
-
-func (l *peerLink) ProbeReply(seq uint64, idle bool, admitted int64) error {
-	if idle {
-		l.stalls.Add(1)
-	}
-	return l.writeFrame(frameProbeReply, marshalCtrl(probeReplyMsg{
-		Seq: seq, Sent: l.sent.Load(), Delivered: l.delivered.Load(),
-		Idle: idle, Admitted: admitted,
-	}))
-}
-
-func (l *peerLink) Detach() {
-	l.evq.close()
-}
-
 func (l *peerLink) NetStats() check.NetStats {
 	return check.NetStats{
 		Peers:       l.n,
@@ -454,8 +401,11 @@ func (l *peerLink) NetStats() check.NetStats {
 	}
 }
 
-// join waits for the reader goroutine; the caller must have closed (or
-// arranged the closing of) the conn, or the reader may block forever.
-func (l *peerLink) join() {
+// close ends the session: it unblocks anything waiting on the event
+// queue, closes the conn so the reader's blocking read returns, and joins
+// the reader and pong-writer goroutines.
+func (l *peerLink) close() {
+	l.evq.close()
+	l.conn.Close()
 	l.readerWG.Wait()
 }

@@ -66,8 +66,9 @@ func ServePeer(ctx context.Context, ln net.Listener, build ProtocolBuilder) erro
 }
 
 // ServePeerConn runs one exploration over an established coordinator
-// connection: HELLO -> HELLOACK -> engine run with the link installed ->
-// RESULT (or ERROR). It always closes conn.
+// connection: HELLO -> HELLOACK (or ERROR, for a spec this peer will not
+// run) -> engine run with the link installed -> RESULT (or ERROR). It
+// always closes conn.
 func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -88,6 +89,13 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 		sendErr(fmt.Errorf("dist peer: bad peer assignment %d/%d", h.PeerIndex, h.PeerCount))
 		return
 	}
+	// The mode table is checked here, before HELLOACK, so a coordinator
+	// asking for a pairing this build does not run (an older one's
+	// "order":"async", say) is refused at the handshake.
+	if err := (check.Modes{Order: h.Order, Reduction: h.Reduce, Store: h.Store, Dist: true}).Validate(); err != nil {
+		sendErr(err)
+		return
+	}
 	p, err := build(h.Proto, h.N, h.K, h.M)
 	if err != nil {
 		sendErr(fmt.Errorf("dist peer: building protocol %q: %w", h.Proto, err))
@@ -104,13 +112,7 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 	}
 
 	link := newPeerLink(conn, br, h.PeerIndex, h.PeerCount)
-	defer func() {
-		// Unblock anything waiting on the event queue, close the conn so
-		// the reader's blocking read returns, then join the reader.
-		link.Detach()
-		conn.Close()
-		link.join()
-	}()
+	defer link.close()
 	if err := link.writeFrame(frameHelloAck, marshalCtrl(helloAckMsg{PeerIndex: h.PeerIndex})); err != nil {
 		return
 	}

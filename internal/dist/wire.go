@@ -7,11 +7,12 @@
 // spillstore, full reduction stack — over its range, and successors
 // owned elsewhere travel as batched wire records framed with a CRC32
 // per frame. The coordinator is a star hub: it relays successor batches
-// between peers, runs the level barriers as a two-phase gather, applies
-// the global budget by merging per-peer sorted fingerprints, and (in
-// the async order) drives counter-based quiescence probes. coord.go and
-// peer.go state the two protocol state machines; this file is the
-// codec.
+// between peers, runs the level barriers as a two-phase gather, and
+// applies the global budget by merging per-peer sorted fingerprints.
+// The level-synchronized order is the only one that runs here (the mode
+// table rejects async with a distributed run), so that barrier is the
+// whole protocol. coord.go and peer.go state its two sides; this file
+// is the codec.
 package dist
 
 import (
@@ -51,28 +52,38 @@ const frameHeaderLen = 12 // magic + type + reserved + length
 type frameType uint8
 
 const (
-	frameHello      frameType = 1  // coordinator -> peer: run spec (JSON helloMsg)
-	frameHelloAck   frameType = 2  // peer -> coordinator: ready (JSON helloAckMsg)
-	frameBatch      frameType = 3  // peer -> coordinator -> peer: successor records
-	frameExpanded   frameType = 4  // peer -> coordinator: level expansion finished (JSON depthMsg)
-	frameBarrier    frameType = 5  // coordinator -> peer: all peers expanded (JSON depthMsg)
-	frameLevel      frameType = 6  // peer -> coordinator: post-EndLevel report (JSON levelMsg)
-	frameNeedFPs    frameType = 7  // coordinator -> peer: budget bound; send frontier fps (JSON depthMsg)
-	frameFPs        frameType = 8  // peer -> coordinator: sorted fingerprint chunk (binary)
-	frameCont       frameType = 9  // coordinator -> peer: barrier verdict (JSON contMsg)
-	frameProbe      frameType = 10 // coordinator -> peer: async quiescence probe (JSON probeMsg)
-	frameProbeReply frameType = 11 // peer -> coordinator: probe answer (JSON probeReplyMsg)
-	frameClose      frameType = 12 // coordinator -> peer: async budget close (empty)
-	frameDone       frameType = 13 // coordinator -> peer: run over (empty)
-	frameResult     frameType = 14 // peer -> coordinator: final result (JSON resultMsg)
-	frameError      frameType = 15 // peer -> coordinator: run failed (JSON errorMsg)
-	framePing       frameType = 16 // coordinator -> peer: liveness probe (empty)
-	framePong       frameType = 17 // peer -> coordinator: liveness answer (empty)
-	frameReseed     frameType = 18 // coordinator -> peer: this session re-seeds a lost index (JSON reseedMsg)
-	frameRange      frameType = 19 // coordinator -> peer: a partition range is being re-seeded (JSON rangeMsg)
+	frameHello    frameType = 1 // coordinator -> peer: run spec (JSON helloMsg)
+	frameHelloAck frameType = 2 // peer -> coordinator: ready (JSON helloAckMsg)
+	frameBatch    frameType = 3 // peer -> coordinator -> peer: successor records
+	frameExpanded frameType = 4 // peer -> coordinator: level expansion finished (JSON depthMsg)
+	frameBarrier  frameType = 5 // coordinator -> peer: all peers expanded (JSON depthMsg)
+	frameLevel    frameType = 6 // peer -> coordinator: post-EndLevel report (JSON levelMsg)
+	frameNeedFPs  frameType = 7 // coordinator -> peer: budget bound; send frontier fps (JSON depthMsg)
+	frameFPs      frameType = 8 // peer -> coordinator: sorted fingerprint chunk (binary)
+	frameCont     frameType = 9 // coordinator -> peer: barrier verdict (JSON contMsg)
+	// 10-13 are retired, not reusable: they were the async order's
+	// quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE), and a build
+	// that still speaks it must get a typed error, not a misparse.
+	frameResult frameType = 14 // peer -> coordinator: final result (JSON resultMsg)
+	frameError  frameType = 15 // peer -> coordinator: run failed (JSON errorMsg)
+	framePing   frameType = 16 // coordinator -> peer: liveness probe (empty)
+	framePong   frameType = 17 // peer -> coordinator: liveness answer (empty)
+	frameReseed frameType = 18 // coordinator -> peer: this session re-seeds a lost index (JSON reseedMsg)
+	frameRange  frameType = 19 // coordinator -> peer: a partition range is being re-seeded (JSON rangeMsg)
 )
 
 const frameTypeMax = frameRange
+
+// checkFrameType rejects type bytes no frame of this protocol carries.
+func checkFrameType(b byte) error {
+	switch t := frameType(b); {
+	case t == 0 || t > frameTypeMax:
+		return &FrameError{Reason: fmt.Sprintf("unknown frame type %d", b)}
+	case t > frameCont && t < frameResult:
+		return &FrameError{Reason: fmt.Sprintf("retired frame type %d", b)}
+	}
+	return nil
+}
 
 // FrameError is the typed failure for anything wrong at the framing
 // layer: bad magic, an unknown type, an oversized or truncated frame,
@@ -112,8 +123,8 @@ func decodeFrame(b []byte) (t frameType, payload, rest []byte, err error) {
 		return 0, nil, nil, &FrameError{Reason: fmt.Sprintf("bad magic %q", b[:4])}
 	}
 	t = frameType(b[4])
-	if t == 0 || t > frameTypeMax {
-		return 0, nil, nil, &FrameError{Reason: fmt.Sprintf("unknown frame type %d", b[4])}
+	if err := checkFrameType(b[4]); err != nil {
+		return 0, nil, nil, err
 	}
 	n := binary.LittleEndian.Uint32(b[8:12])
 	if n > maxFramePayload {
@@ -148,8 +159,8 @@ func readFrame(r io.Reader, buf []byte) (t frameType, payload, out []byte, err e
 		return 0, nil, buf, &FrameError{Reason: fmt.Sprintf("bad magic %q", hdr[:4])}
 	}
 	t = frameType(hdr[4])
-	if t == 0 || t > frameTypeMax {
-		return 0, nil, buf, &FrameError{Reason: fmt.Sprintf("unknown frame type %d", hdr[4])}
+	if err := checkFrameType(hdr[4]); err != nil {
+		return 0, nil, buf, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:12])
 	if n > maxFramePayload {
@@ -367,10 +378,6 @@ type contMsg struct {
 	Done      bool `json:"done,omitempty"`
 }
 
-type probeMsg struct {
-	Seq uint64 `json:"seq"`
-}
-
 // reseedMsg tags a freshly-helloed session as part of a re-seeded
 // epoch: a fail-over aborted the previous session set and the run is
 // restarting from the initial configuration on this one. Observability
@@ -392,18 +399,6 @@ type rangeMsg struct {
 	Epoch int `json:"epoch"`
 	Peer  int `json:"peer"`  // the lost slot's original peer index
 	Depth int `json:"depth"` // deepest level the aborted epoch had entered
-}
-
-// probeReplyMsg carries a peer's quiescence snapshot: the link's
-// monotonic sent/delivered record counters plus local idleness. The
-// coordinator declares termination after two consecutive identical
-// all-idle snapshots whose sums balance.
-type probeReplyMsg struct {
-	Seq       uint64 `json:"seq"`
-	Sent      int64  `json:"sent"`
-	Delivered int64  `json:"delivered"`
-	Idle      bool   `json:"idle"`
-	Admitted  int64  `json:"admitted"`
 }
 
 // resultMsg is a peer's final ExploreResult share.

@@ -2,13 +2,18 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/model"
 )
 
 // --- Frame codec: the corruption contract ---
@@ -43,8 +48,8 @@ func seedFrames() [][]byte {
 		appendFrame(nil, frameLevel, marshalCtrl(levelMsg{Depth: 3, Admitted: 512, Next: 40})),
 		appendFrame(nil, frameFPs, appendFPChunk(nil, []uint64{1, 2, 3, ^uint64(0)}, true)),
 		appendFrame(nil, frameCont, marshalCtrl(contMsg{Depth: 3, Keep: 17, Truncated: true})),
-		appendFrame(nil, frameProbeReply, marshalCtrl(probeReplyMsg{Seq: 9, Sent: 100, Delivered: 100, Idle: true})),
-		appendFrame(nil, frameDone, nil),
+		appendFrame(nil, frameBarrier, marshalCtrl(depthMsg{Depth: 3})),
+		appendFrame(nil, frameNeedFPs, marshalCtrl(depthMsg{Depth: 3})),
 		appendFrame(nil, frameError, marshalCtrl(errorMsg{Msg: "boom"})),
 		appendFrame(nil, framePing, nil),
 		appendFrame(nil, framePong, nil),
@@ -180,6 +185,29 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 	}
 }
 
+// TestWireRetiredFrameTypes: types 10-13 carried the async order's
+// quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE) until the mode
+// table took async x distributed away. The numbers stay reserved: a
+// well-formed frame of one of them, from a build that still speaks that
+// protocol, is refused typed by both decoders instead of being read as
+// something else.
+func TestWireRetiredFrameTypes(t *testing.T) {
+	for typ := frameCont + 1; typ < frameResult; typ++ {
+		fr := appendFrame(nil, typ, []byte(`{"seq":1}`))
+		_, _, _, derr := decodeFrame(fr)
+		_, _, _, rerr := readFrame(bytes.NewReader(fr), nil)
+		for _, err := range []error{derr, rerr} {
+			var fe *FrameError
+			if !errors.As(err, &fe) || !strings.Contains(fe.Reason, "retired frame type") {
+				t.Errorf("type %d: error = %v, want a retired-frame-type *FrameError", typ, err)
+			}
+		}
+	}
+	if frameCont != 9 || frameResult != 14 {
+		t.Errorf("live frame types moved: CONT = %d, RESULT = %d; wire numbers are never reassigned", frameCont, frameResult)
+	}
+}
+
 // TestWireBatchCountOverflow: a batch claiming more records than its
 // payload could hold is rejected without sizing an allocation from the
 // corrupt count.
@@ -265,11 +293,49 @@ func TestWireStreamReuse(t *testing.T) {
 // run spec and ignores the field.
 func TestHelloFromOlderCoordinator(t *testing.T) {
 	var h helloMsg
-	old := []byte(`{"proto":"algorithm1","n":4,"k":1,"m":2,"agree_k":1,"inputs":[0,1,1,0],"max_configs":1000,"workers":2,"shards":8,"order":"async","peer_index":1,"peer_count":2}`)
+	old := []byte(`{"proto":"algorithm1","n":4,"k":1,"m":2,"agree_k":1,"inputs":[0,1,1,0],"max_configs":1000,"workers":2,"shards":8,"order":"levelsync","peer_index":1,"peer_count":2}`)
 	if err := unmarshalCtrl(old, &h); err != nil {
 		t.Fatalf("older coordinator's HELLO rejected: %v", err)
 	}
-	if h.Proto != "algorithm1" || h.Workers != 2 || h.Order != check.OrderAsync || h.PeerIndex != 1 || h.PeerCount != 2 {
+	if h.Proto != "algorithm1" || h.Workers != 2 || h.Order != check.OrderLevelSync || h.PeerIndex != 1 || h.PeerCount != 2 {
 		t.Errorf("decoded %+v", h)
+	}
+}
+
+// TestAsyncHelloRefusedAtHandshake: a coordinator built before async x
+// distributed became a mode conflict can still ask for it. The peer
+// answers the HELLO with a typed ERROR carrying the mode-table message,
+// never a HELLOACK, and a coordinator that gets that far reports it as
+// the peer rejecting the spec.
+func TestAsyncHelloRefusedAtHandshake(t *testing.T) {
+	p := core.MustNew(core.Params{N: 4, K: 1, M: 2})
+	build := func(string, int, int, int) (model.Protocol, error) { return p, nil }
+	serve := func() net.Conn {
+		c, s := net.Pipe()
+		go ServePeerConn(context.Background(), s, build)
+		return c
+	}
+
+	c := serve()
+	defer c.Close()
+	hello := `{"proto":"algorithm1","n":4,"k":1,"m":2,"agree_k":1,"inputs":[0,1,1,0],"max_configs":1000,"workers":2,"order":"async","peer_index":0,"peer_count":1}`
+	go c.Write(appendFrame(nil, frameHello, []byte(hello)))
+	ft, payload, _, err := readFrame(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var em errorMsg
+	if ft != frameError || unmarshalCtrl(payload, &em) != nil || !strings.Contains(em.Msg, check.ErrIncompatibleModes.Error()) {
+		t.Fatalf("peer answered frame type %d %q, want ERROR naming %q", ft, payload, check.ErrIncompatibleModes)
+	}
+
+	// runEpoch is Run past its own Validate call: what an older
+	// coordinator, whose table lacks the row, goes on to do.
+	spec := Spec{Proto: p.Name(), AgreeK: 1, Inputs: []int{0, 1, 1, 0}, Order: check.OrderAsync,
+		Limits: check.ExploreLimits{MaxConfigs: 1000}}
+	_, err = runEpoch(context.Background(), p, []net.Conn{serve()}, []slotInfo{{addr: "pipe-0"}}, spec, &failState{})
+	var pl *PeerLostError
+	if !errors.As(err, &pl) || !strings.Contains(err.Error(), "peer rejected spec") || !strings.Contains(err.Error(), check.ErrIncompatibleModes.Error()) {
+		t.Fatalf("coordinator error = %v, want the peer's rejection of the spec", err)
 	}
 }

@@ -144,6 +144,7 @@ func (f *StoreFlags) Validate() error {
 // certificate searches) register -fingerprints.
 type EngineFlags struct {
 	*StoreFlags
+	fs           *flag.FlagSet
 	workers      *int
 	flip         *bool
 	exactDefault bool
@@ -158,6 +159,7 @@ type EngineFlags struct {
 func RegisterEngineFlags(fs *flag.FlagSet, exactKeysDefault bool) *EngineFlags {
 	f := &EngineFlags{
 		StoreFlags:   RegisterStoreFlags(fs),
+		fs:           fs,
 		exactDefault: exactKeysDefault,
 		workers:      fs.Int("workers", 0, "engine worker goroutines (0 = all cores); results never depend on it"),
 		reduce:       fs.String("reduce", "", "state-space reduction: none (default), sym (process-symmetry quotient over classes the protocol declares), or sym+sleep (plus sleep-set pruning); sound for exploration/valency questions; "+conflictHelp(check.ModeReduce)+"; "+conflictHelp(check.ModeSleep)),
@@ -194,8 +196,15 @@ func (f *EngineFlags) validate(provenance bool) error {
 	if err := f.StoreFlags.Validate(); err != nil {
 		return err
 	}
+	// -distributed is DistFlags', declared on the same set by the commands
+	// that can coordinate a distributed run; it is a mode like the others,
+	// so it is read here and the table is consulted once.
+	distributed := false
+	if fl := f.fs.Lookup("distributed"); fl != nil {
+		distributed = fl.Value.String() == "true"
+	}
 	modes := check.Modes{Order: *f.order, Reduction: *f.reduce, Store: f.Store(), StringKeys: f.StringKeys(),
-		Provenance: provenance, Checkpoint: *f.checkpoint != ""}
+		Provenance: provenance, Checkpoint: *f.checkpoint != "", Dist: distributed}
 	if err := modes.Validate(); err != nil {
 		return err
 	}

@@ -195,14 +195,15 @@ func TestJournalAbsentWithoutCacheDir(t *testing.T) {
 }
 
 // TestRetiredPairingsNeverServed: the engine pairings the mode table no
-// longer allows (async × sym+sleep lost states; async × spill) are
-// answered 400 before the cache is consulted, and a journal entry for
+// longer allows (async × sym+sleep lost states; async × spill; async ×
+// peers overran the budget) are answered 400 before the cache is consulted, and a journal entry for
 // one, written by a daemon that still accepted it, replays to an error
 // record — a verdict such a run left in the cache is never handed out.
 func TestRetiredPairingsNeverServed(t *testing.T) {
 	for name, engine := range map[string]sweep.EngineSpec{
 		"async sym+sleep": {Order: check.OrderAsync, Reduce: check.ReduceSymSleep},
 		"async spill":     {Order: check.OrderAsync, Store: check.StoreSpill},
+		"async dist":      {Order: check.OrderAsync, Peers: 2},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
