@@ -1,7 +1,7 @@
 # Development entry points. The repo is plain `go build ./...`-able; these
 # targets just name the common workflows.
 
-.PHONY: all build test race lint
+.PHONY: all build test race race-short lint
 
 all: build test
 
@@ -15,6 +15,14 @@ test:
 # is chosen by name, so none can silently leave the set.
 race:
 	go test -race ./...
+
+# race-short is the inner loop: the same tree and detector with the three
+# tests that dominate internal/check (TestExhaustiveOrbitCount,
+# TestCheckpointResumeSameLevels, TestModeMatrix) at their testing.Short()
+# scale — one worker count or a third of the cross instead of all of it.
+# CI runs `race`.
+race-short:
+	go test -short -race ./...
 
 # spill-smoke forces real disk spills: a 64KB budget against a ~240KB
 # visited set, race-enabled — the local twin of the CI spill-smoke job.

@@ -63,6 +63,13 @@
 // verdicts are peer-count-invariant; only capacity degrades. -heartbeat
 // sets the liveness-probe period that detects silently wedged peers.
 //
+// The valency line classifies the initial configuration from the
+// exploration just reported, not from a second one: its values are every
+// decided value that exploration reached and its complete flag is that
+// exploration's (the "decided values reachable" list and the "complete:"
+// above it), where an early-stopping classifier would list only the values
+// it had seen when the second one turned up. The class is the same.
+//
 // -json replaces the prose report with one JSON line carrying the
 // verdict, valency and every stats block — the machine-readable form
 // CI and tooling consume.
@@ -269,18 +276,10 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(prose, "k-agreement (k=%d) holds on every visited configuration\n", *inst.K)
 
-	var val *check.ValencyResult
-	if distFlags.Distributed() {
-		// The merged result carries the decided-value union with
-		// replay-validated witnesses from the peers, which is exactly the
-		// evidence the local classifier gathers — no re-exploration.
-		val = check.ValencyFromResult(res)
-	} else {
-		val, err = check.ClassifyValencyOpts(p, c, all, opts)
-		if err != nil {
-			return err
-		}
-	}
+	// The exploration's result — a distributed run's merged one included —
+	// carries the decided values and the completeness a classification of
+	// its own would gather over the same space; nothing is explored twice.
+	val := check.ValencyFromResult(res)
 	fmt.Fprintf(prose, "initial configuration valency (all processes): %s (values %v, complete %v)\n",
 		val.Class, val.Values, val.Complete)
 	return emitJSON(false, val)

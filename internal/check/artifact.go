@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/fault"
 )
@@ -278,42 +279,121 @@ func verifyArtifact(path string, kind byte) error {
 	return nil
 }
 
-// writeArtifactFile writes a whole-buffer artifact (checkpoint aux and
-// other small snapshots). sync forces fsync before the publishing
-// rename.
-func writeArtifactFile(path string, kind byte, payload []byte, sync bool) error {
-	w, err := newArtifactWriter(path, kind)
+// blockWriter is an artifact of small records written a block at a time:
+// a record is appended to buf and followed by flushFull, which hands the
+// block to the artifact writer once it has filled, so the artifact layer
+// checksums and copies per block instead of per field. A framed artifact
+// (the spill store's segments) writes each block behind its uvarint
+// length, which lets a reader take a block whole and decode it elsewhere.
+type blockWriter struct {
+	*artifactWriter
+	buf    []byte
+	framed bool
+}
+
+// artifactBlock is the size a block is flushed at: a few hundred node
+// records, the grain a level's workers share a segment in.
+const artifactBlock = 64 << 10
+
+func newBlockWriter(path string, kind byte, framed bool) (*blockWriter, error) {
+	aw, err := newArtifactWriter(path, kind)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w.sync = sync
-	if _, err := w.Write(payload); err != nil {
-		w.abort()
-		return err
+	return &blockWriter{artifactWriter: aw, framed: framed}, nil
+}
+
+func (w *blockWriter) flushFull() error {
+	if len(w.buf) < artifactBlock {
+		return nil
 	}
-	_, err = w.finish()
+	return w.flush()
+}
+
+func (w *blockWriter) flush() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	if w.framed {
+		var l [binary.MaxVarintLen64]byte
+		if _, err := w.Write(l[:binary.PutUvarint(l[:], uint64(len(w.buf)))]); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(w.buf)
+	w.buf = w.buf[:0]
 	return err
+}
+
+// finish flushes the last block and publishes the artifact, returning the
+// total bytes written; on failure the artifact is aborted.
+func (w *blockWriter) finish() (int64, error) {
+	if err := w.flush(); err != nil {
+		w.abort()
+		return 0, err
+	}
+	return w.artifactWriter.finish()
+}
+
+// artifactScanner reads an artifact's payload record by record through a
+// buffer. The payload checksum is verified as a side effect of reaching
+// the end; a record that cannot lie within the payload is corruption too.
+type artifactScanner struct {
+	*bufio.Reader
+	ar      *artifactReader
+	payload int64
+}
+
+func scanArtifact(path string, kind byte) (*artifactScanner, error) {
+	ar, payload, err := openArtifact(path, kind)
+	if err != nil {
+		return nil, err
+	}
+	return &artifactScanner{Reader: bufio.NewReaderSize(ar, 1<<18), ar: ar, payload: payload}, nil
+}
+
+// short is err with a payload that ends inside a record reported as the
+// corruption it is: the end of a payload is clean only between records.
+func (s *artifactScanner) short(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return quarantine(s.ar.path, "record cut short")
+	}
+	return err
+}
+
+func (s *artifactScanner) close() { s.ar.close() }
+
+// blob reads a uvarint length and that many bytes into buf, grown as
+// needed. It returns io.EOF only when the payload ended cleanly before
+// the length.
+func (s *artifactScanner) blob(buf []byte) ([]byte, error) {
+	n, err := binary.ReadUvarint(s)
+	if err != nil {
+		if err != io.EOF {
+			err = s.short(err)
+		}
+		return buf, err
+	}
+	if n > uint64(s.payload) {
+		// Only a damaged length can exceed the artifact holding it; do not
+		// allocate on its say-so.
+		return buf, quarantine(s.ar.path, "record longer than the payload")
+	}
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(s, buf); err != nil {
+		return buf, s.short(err)
+	}
+	return buf, nil
 }
 
 // readArtifactFile reads and verifies a whole-buffer artifact.
 func readArtifactFile(path string, kind byte) ([]byte, error) {
-	r, payload, err := openArtifact(path, kind)
+	s, err := scanArtifact(path, kind)
 	if err != nil {
 		return nil, err
 	}
-	defer r.close()
-	buf := make([]byte, payload)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	// One more read drives the CRC check.
-	if _, err := r.Read(make([]byte, 1)); err != io.EOF {
-		if err == nil {
-			err = &CorruptArtifactError{Path: path, Reason: "payload longer than framing"}
-		}
-		return nil, err
-	}
-	return buf, nil
+	defer s.close()
+	return io.ReadAll(s) // to the end of the payload, where the CRC is checked
 }
 
 // removeStaleArtifacts deletes leftover *.tmp files (and, when prefixes

@@ -296,7 +296,7 @@ func runAsync(run *engineRun, root *Node) (RunStats, error) {
 	}
 	a.owners = make([]*asyncOwner, run.ownerMask+1)
 	for i := range a.owners {
-		o := &asyncOwner{visited: visited[i].fps, ch: make(chan asyncBatch, 2*nw)}
+		o := &asyncOwner{visited: visited[i].set.fps, ch: make(chan asyncBatch, 2*nw)}
 		if run.limits.MaxDepth > 0 {
 			o.depth = map[uint64]int{}
 		}

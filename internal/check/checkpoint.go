@@ -28,7 +28,7 @@ package check
 // all paths) and nothing decoded reaches the run until the artifact's
 // CRC trailer has verified, so a corrupt generation still restarts from
 // an empty store. The visited set is then bulk-loaded into tables sized
-// first (checkpointableStore.SeedVisited), and the frontier is replayed
+// first (StateStore.SeedVisited), and the frontier is replayed
 // in path order with a stack of live nodes, so a prefix shared by many
 // paths is applied once — at most the BFS-tree size in applies, not
 // frontier × depth — by the run's workers in parallel (replayFrontier).
@@ -192,59 +192,29 @@ func ckptDiscard(dir string, man ckptManifest, err error) (*ckptLoaded, error) {
 	return nil, nil
 }
 
-// ckptBlock is the unit of snapshot I/O: records are decoded from, and
-// encoded into, buffers of this size, so the artifact layer checksums and
-// copies a block at a time instead of a field at a time.
-const ckptBlock = 1 << 18
-
-// readVisited decodes the visited snapshot: fp (8B LE) | uvarint klen |
-// key bytes. The arrays are sized from what the snapshot already says: a
-// fingerprint entry is 9 bytes, and an exact-key run holds the manifest's
-// Admitted entries (plus whatever the spill store repeated).
+// readVisited decodes the visited snapshot, an entry stream (entry.go).
+// The arrays are sized from what the snapshot already says: a fingerprint
+// entry is 9 bytes, and an exact-key run holds the manifest's Admitted
+// entries (plus whatever the spill store repeated).
 func (l *ckptLoaded) readVisited(dir string) error {
-	path := ckptGenPath(dir, "visited", l.man.Gen)
-	r, payload, err := openArtifact(path, artifactVisited)
+	r, err := openEntries(ckptGenPath(dir, "visited", l.man.Gen), artifactVisited)
 	if err != nil {
 		return err
 	}
 	defer r.close()
-	br := bufio.NewReaderSize(r, ckptBlock)
 	if l.man.Profile.StringKeys {
 		l.visitedFP = make([]uint64, 0, l.man.Admitted)
 		l.visitedKeys = make([]string, 0, l.man.Admitted)
 	} else {
-		l.visitedFP = make([]uint64, 0, payload/9)
+		l.visitedFP = make([]uint64, 0, r.payload/9)
 	}
-	var fixed [8]byte
-	var key []byte
-	for {
-		if _, err := io.ReadFull(br, fixed[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		klen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		if klen > uint64(payload) {
-			// Only a damaged length can exceed the artifact holding it; do
-			// not allocate on its say-so.
-			return quarantine(path, "entry longer than the payload")
-		}
-		if uint64(cap(key)) < klen {
-			key = make([]byte, klen)
-		}
-		key = key[:klen]
-		if _, err := io.ReadFull(br, key); err != nil {
-			return err
-		}
-		l.visitedFP = append(l.visitedFP, binary.LittleEndian.Uint64(fixed[:]))
+	return r.each(func(fp uint64, key string) error {
+		l.visitedFP = append(l.visitedFP, fp)
 		if l.visitedKeys != nil {
-			l.visitedKeys = append(l.visitedKeys, string(key))
+			l.visitedKeys = append(l.visitedKeys, key)
 		}
-	}
+		return nil
+	})
 }
 
 // readFrontier decodes the frontier snapshot: uvarint plen | path bytes
@@ -258,7 +228,7 @@ func (l *ckptLoaded) readFrontier(dir string) error {
 		return err
 	}
 	defer r.close()
-	br := bufio.NewReaderSize(r, ckptBlock)
+	br := bufio.NewReaderSize(r, 1<<18)
 	arena := make([]byte, 0, payload)
 	// Every node of a level has a path of NextDepth steps, which gives the
 	// record count up front.
@@ -291,14 +261,11 @@ func (l *ckptLoaded) readFrontier(dir string) error {
 type ckptWriter struct {
 	dir     string
 	profile ckptProfile
-	every   int           // write at every N-th barrier (>=1)
-	gen     int           // next generation to write
-	dump    dumpVisitedFn // installed by the engine; streams the visited set
-	buf     []byte        // record-encoding block, reused across barriers
+	every   int // write at every N-th barrier (>=1)
+	gen     int // next generation to write
+	// dump is the store's DumpVisited, installed by the engine.
+	dump func(emit func(fp uint64, key string) error) error
 }
-
-// dumpVisitedFn streams every visited (fp, key) entry to emit.
-type dumpVisitedFn func(emit func(fp uint64, key string) error) error
 
 func newCkptWriter(dir string, profile ckptProfile, every, startGen int) (*ckptWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -314,35 +281,19 @@ func newCkptWriter(dir string, profile ckptProfile, every, startGen int) (*ckptW
 // due reports whether the barrier completing depth should checkpoint.
 func (w *ckptWriter) due(depth int) bool { return (depth+1)%w.every == 0 }
 
-// writeRecords writes one artifact of small records block-wise: encode
-// appends each record to w.buf and calls flushFull after it, which hands
-// the block to the artifact writer whenever it has filled.
-func (w *ckptWriter) writeRecords(path string, kind byte, encode func(flushFull func() error) error) error {
-	aw, err := newArtifactWriter(path, kind)
+// writeBlocks writes one synced artifact of small records: fill appends
+// each record to bw.buf and calls bw.flushFull (blockWriter).
+func writeBlocks(path string, kind byte, fill func(bw *blockWriter) error) error {
+	bw, err := newBlockWriter(path, kind, false)
 	if err != nil {
 		return err
 	}
-	aw.sync = true
-	w.buf = w.buf[:0]
-	flush := func() error {
-		_, err := aw.Write(w.buf)
-		w.buf = w.buf[:0]
+	bw.sync = true
+	if err := fill(bw); err != nil {
+		bw.abort()
 		return err
 	}
-	err = encode(func() error {
-		if len(w.buf) < ckptBlock {
-			return nil
-		}
-		return flush()
-	})
-	if err == nil {
-		err = flush()
-	}
-	if err != nil {
-		aw.abort()
-		return err
-	}
-	_, err = aw.finish()
+	_, err = bw.finish()
 	return err
 }
 
@@ -356,23 +307,18 @@ func (w *ckptWriter) write(man ckptManifest, nodes []*Node, sleepOf func(*Node) 
 	man.Gen = gen
 	man.HasAux = len(aux) > 0
 
-	err := w.writeRecords(ckptGenPath(w.dir, "visited", gen), artifactVisited, func(flushFull func() error) error {
-		return w.dump(func(fp uint64, key string) error {
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, fp)
-			w.buf = binary.AppendUvarint(w.buf, uint64(len(key)))
-			w.buf = append(w.buf, key...)
-			return flushFull()
-		})
+	err := writeBlocks(ckptGenPath(w.dir, "visited", gen), artifactVisited, func(bw *blockWriter) error {
+		return w.dump(bw.addEntry)
 	})
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	err = w.writeRecords(ckptGenPath(w.dir, "frontier", gen), artifactFrontier, func(flushFull func() error) error {
+	err = writeBlocks(ckptGenPath(w.dir, "frontier", gen), artifactFrontier, func(bw *blockWriter) error {
 		for _, n := range nodes {
-			w.buf = binary.AppendUvarint(w.buf, uint64(len(n.path)))
-			w.buf = append(w.buf, n.path...)
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, sleepOf(n))
-			if err := flushFull(); err != nil {
+			bw.buf = binary.AppendUvarint(bw.buf, uint64(len(n.path)))
+			bw.buf = append(bw.buf, n.path...)
+			bw.buf = binary.LittleEndian.AppendUint64(bw.buf, sleepOf(n))
+			if err := bw.flushFull(); err != nil {
 				return err
 			}
 		}
@@ -383,7 +329,11 @@ func (w *ckptWriter) write(man ckptManifest, nodes []*Node, sleepOf func(*Node) 
 	}
 
 	if man.HasAux {
-		if err := writeArtifactFile(ckptGenPath(w.dir, "aux", gen), artifactAux, aux, true); err != nil {
+		err := writeBlocks(ckptGenPath(w.dir, "aux", gen), artifactAux, func(bw *blockWriter) error {
+			bw.buf = aux // one block
+			return nil
+		})
+		if err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}

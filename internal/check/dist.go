@@ -1,16 +1,9 @@
 package check
 
-import (
-	"fmt"
-
-	"repro/internal/model"
-)
-
 // This file is the engine-side face of distributed frontier sharding
-// (internal/dist): the link interface a peer's engine drives, the wire
-// record it exchanges, and the decoder that rematerializes remote
-// successors. The design lifts the engine's single-process invariants to
-// process boundaries:
+// (internal/dist): the link interface a peer's engine drives and the
+// fingerprint-to-peer routing. The design lifts the engine's
+// single-process invariants to process boundaries:
 //
 //   - Fingerprints hash to peers exactly as they hash to partitions: a
 //     fixed 64-way global partition space (the top six fingerprint bits,
@@ -19,14 +12,13 @@ import (
 //     exactly one owning peer, so the visited set stays single-owner all
 //     the way across the wire.
 //
-//   - A successor owned by a remote peer is serialized as a DistRecord —
-//     the spill store's compact Config encoding plus the root-to-node pid
-//     path — and shipped instead of admitted. The receiving peer decodes
-//     via a model.SlotExchange fast path (canonical slots looked up by
-//     encoding span, slot hashes recomputed: fillFromExchange, the spill
-//     store's rematerialization) and falls back to replaying the pid path
-//     through its own stepper for spans it has never seen, interning the
-//     result so the exchange warms up.
+//   - A successor owned by a remote peer is shipped instead of admitted,
+//     as the node record the spill store spools (noderec.go): workers
+//     append it straight into the link's per-peer batch, and the owning
+//     peer decodes the batches in place at the expand barrier and
+//     rematerialises each node through a model.SlotExchange, replaying
+//     the record's pid path through its own stepper for spans it has
+//     never seen.
 //
 //   - Level barriers are a two-phase gather run by the coordinator;
 //     remote admissions are applied single-threaded between the owner
@@ -96,20 +88,6 @@ type NetStats struct {
 	Retries int64 `json:"retries,omitempty"`
 }
 
-// DistRecord is one successor shipped to its owning peer: enough to
-// rematerialize the node (Enc via the slot exchange, Path as the replay
-// fallback) and to admit it exactly as a local candidate (FP already
-// canonical under the run's reduction, Sleep the generator's mask).
-type DistRecord struct {
-	Pid    int
-	Depth  int
-	FP     uint64
-	SlotFP uint64
-	Sleep  uint64
-	Enc    []byte
-	Path   []byte
-}
-
 // DistBarrier is the coordinator's verdict at one level barrier.
 type DistBarrier struct {
 	// Keep, valid when Truncated, is how many of this peer's next-level
@@ -129,25 +107,23 @@ type DistBarrier struct {
 // worker goroutine named; everything else by the engine's control
 // goroutine.
 type DistLink interface {
-	// Peers is the cooperating peer count; Self this peer's index.
-	Peers() int
-	Self() int
 	// Start sizes the per-worker outgoing buffers; called once before
 	// any Send.
 	Start(workers int)
 	// Owns reports whether this peer owns fp's global partition.
 	Owns(fp uint64) bool
-	// Send buffers one record for its owning peer (batched per peer,
-	// mirroring the engine's in-process successor batches).
-	Send(worker int, rec DistRecord) error
+	// Send buffers n's record (AppendNodeRecord) for its owning peer,
+	// batched per peer like the engine's in-process successor batches. n
+	// is the caller's again when Send returns.
+	Send(worker int, n *Node) error
 	// FlushWorker sends the worker's partial batches.
 	FlushWorker(worker int) error
 
 	// BarrierExpand flushes everything outstanding, announces that this
 	// peer finished expanding the level, and blocks until the
 	// coordinator's barrier — returning every remote record addressed to
-	// this peer for the level.
-	BarrierExpand(depth int) ([]DistRecord, error)
+	// this peer for the level, as blocks of whole node records.
+	BarrierExpand(depth int) ([][]byte, error)
 	// BarrierLevel reports the post-EndLevel state (cumulative local
 	// admissions, next-frontier size, local early-stop request) and
 	// blocks for the coordinator's verdict. fps is called only if the
@@ -157,70 +133,4 @@ type DistLink interface {
 
 	// NetStats reports the link's cumulative wire activity.
 	NetStats() NetStats
-}
-
-// distDecoder rematerializes remote successor records: slot-exchange
-// fast path, pid-path replay fallback (which interns the new spans, so
-// the exchange warms up to the hot slot population).
-type distDecoder struct {
-	run   *engineRun
-	st    *model.Stepper
-	exch  *model.SlotExchange
-	nObj  int
-	nProc int
-	spans [][]byte
-}
-
-func newDistDecoder(run *engineRun) *distDecoder {
-	return &distDecoder{run: run, st: model.NewStepper(run.p), exch: model.NewSlotExchange(),
-		nObj: run.nObj, nProc: run.nProc}
-}
-
-// decode rebuilds one remote record as an admission-ready node.
-func (d *distDecoder) decode(rec DistRecord) (*Node, error) {
-	n := d.run.newNode()
-	spans, miss, err := fillFromExchange(n, d.exch, rec.Enc, d.nObj, d.nProc, d.spans)
-	d.spans = spans
-	if err != nil {
-		d.run.recycleAlways(n)
-		return nil, fmt.Errorf("dist: remote record encoding: %w", err)
-	}
-	if miss < 0 {
-		n.slotFP = rec.SlotFP
-	} else {
-		// Replay fallback: some span has never been seen on this peer.
-		// The replayed configuration's slot fingerprint must match the
-		// sender's — a mismatch means the record does not belong to this
-		// run (wrong protocol build or corrupted-but-CRC-colliding frame).
-		d.run.recycleAlways(n)
-		if n, err = replayPath(d.run, d.st, rec.Path); err != nil {
-			return nil, fmt.Errorf("dist: remote record does not replay: %w", err)
-		}
-		if n.slotFP != rec.SlotFP {
-			d.run.recycleAlways(n)
-			return nil, fmt.Errorf("dist: remote record replays to fingerprint %#x, sender advertised %#x", n.slotFP, rec.SlotFP)
-		}
-		d.exch.Intern(n.Cfg, spans, d.nObj)
-	}
-	n.Depth, n.Pid = rec.Depth, rec.Pid
-	n.parent = nil
-	n.fp = rec.FP
-	n.sleep = rec.Sleep
-	n.key = ""
-	n.path = append(n.path[:0], rec.Path...)
-	return n, nil
-}
-
-// distRecordOf serializes a node for the wire; enc is the reusable
-// per-worker encoding scratch (returned for reuse). The record's Enc and
-// Path are copies owned by the link.
-func distRecordOf(n *Node, enc []byte) (DistRecord, []byte) {
-	enc = n.Cfg.AppendEncoding(enc[:0])
-	rec := DistRecord{
-		Pid: n.Pid, Depth: n.Depth,
-		FP: n.fp, SlotFP: n.slotFP, Sleep: n.sleep,
-		Enc:  append([]byte(nil), enc...),
-		Path: append([]byte(nil), n.path...),
-	}
-	return rec, enc
 }

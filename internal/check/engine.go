@@ -314,9 +314,9 @@ type engineRun struct {
 	// how peers ship replayable violation witnesses to the coordinator).
 	pathsOn bool
 	// link is the distributed peer link (nil for single-process runs) and
-	// dec the decoder that rematerializes the records it delivers.
-	link DistLink
-	dec  *distDecoder
+	// remat what rebuilds the nodes of the records it delivers.
+	link  DistLink
+	remat *rematerialiser
 	// plan is the refined symmetry plan (nil or inactive: no quotient).
 	plan      *reductionPlan
 	expanders []*expander
@@ -507,17 +507,16 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		numOwners <<= 1
 	}
 	run.ownerMask = uint64(numOwners - 1)
-	run.store, err = newStateStore(opts, storeCtx{
+	sctx := storeCtx{
 		parts:      numOwners,
 		nObj:       nObj,
 		nProc:      nProc,
 		stringKeys: opts.StringKeys,
 		retain:     opts.Provenance,
-		paths:      run.pathsOn,
 		newNode:    run.newNode,
 		recycle:    run.recycleAlways,
-	})
-	if err != nil {
+	}
+	if run.store, err = newStateStore(opts, sctx); err != nil {
 		return RunStats{}, err
 	}
 	defer func() {
@@ -561,7 +560,9 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 
 	if run.link != nil {
 		run.link.Start(opts.Workers)
-		run.dec = newDistDecoder(run)
+		st := model.NewStepper(p)
+		run.remat = &rematerialiser{ctx: sctx, exch: model.NewSlotExchange(),
+			replay: func(path []byte) (*Node, error) { return replayPath(run, st, path) }}
 	}
 	// In-process cancellation: Ctx's done signal takes the same fail path
 	// a visit error takes, under either order.

@@ -32,7 +32,7 @@ type expander struct {
 	st     *model.Stepper
 	sw     *symWorker // nil unless the symmetry quotient is active
 	objs   []int      // per-pid poised object (-1 = none); sleep mode only
-	enc    []byte     // encoding scratch: exact keys and wire records
+	enc    []byte     // encoding scratch (exact keys)
 	// penc is the node under expansion's exact key split at its slots
 	// (exact-key runs only). It is rebuilt by one scan per expanded node
 	// instead of stored per node: provenance runs retain every node.
@@ -177,10 +177,9 @@ func (x *expander) expand(n *Node, emit func(*Node)) error {
 		if r.link != nil && !r.link.Owns(succ.fp) {
 			// The owning peer dedups and (in sleep mode) intersects masks
 			// exactly as a local partition owner would.
-			var rec DistRecord
-			rec, x.enc = distRecordOf(succ, x.enc)
+			err := r.link.Send(x.worker, succ)
 			r.recycleAlways(succ)
-			if err := r.link.Send(x.worker, rec); err != nil {
+			if err != nil {
 				return err
 			}
 			continue

@@ -291,13 +291,9 @@ func ExploreOpts(p model.Protocol, c *model.Config, pids []int, k int, opts Expl
 		if violation.cfg == nil {
 			// Restored from a checkpoint: rebuild the witness configuration
 			// by replaying its recorded schedule from the start.
-			cfg := c.Clone()
-			for _, pb := range violation.path {
-				if _, err := model.Apply(p, cfg, int(pb)); err != nil {
-					return nil, fmt.Errorf("explore checkpoint: replaying violation witness: %w", err)
-				}
+			if violation.cfg, err = model.Replay(p, c, violation.path); err != nil {
+				return nil, fmt.Errorf("explore checkpoint: replaying violation witness: %w", err)
 			}
-			violation.cfg = cfg
 		}
 		res.AgreementViolation = violation.cfg
 		res.ViolationDepth = violation.depth
@@ -519,13 +515,14 @@ func classifyValency(values []int, complete bool) Valency {
 }
 
 // ValencyFromResult classifies the initial configuration's valency from
-// a finished exploration over the full process set — the distributed
-// path, where the coordinator's merged result (decided-value union with
-// replay-validated witnesses, ANDed completeness) carries exactly the
-// evidence ClassifyValencyOpts gathers in-process. The classification
-// is identical to the single-process one: bivalence needs two decided
-// values (each backed by a ValueWitness), univalence and undecidability
-// additionally need completeness, and anything else is Unknown.
+// a finished exploration over the full process set — mcheck's path, single
+// process or distributed, where the result (a coordinator's merged one:
+// decided-value union with replay-validated witnesses, ANDed completeness)
+// carries exactly the evidence ClassifyValencyOpts would gather by
+// exploring the same space again. The class is the one that would find:
+// bivalence needs two decided values (each backed by a ValueWitness),
+// univalence and undecidability additionally need completeness, and
+// anything else is Unknown.
 func ValencyFromResult(res *ExploreResult) *ValencyResult {
 	return &ValencyResult{
 		Class:    classifyValency(res.DecidedValues, res.Complete),

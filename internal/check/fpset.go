@@ -84,7 +84,7 @@ func (s *fpSet) Add(fp uint64) bool {
 			s.n++
 			// Grow at 70% load so probe chains stay short.
 			if uint64(s.n)*10 > uint64(len(s.slots))*7 {
-				s.grow()
+				s.resize(len(s.slots) * 2)
 			}
 			return true
 		}
@@ -93,8 +93,8 @@ func (s *fpSet) Add(fp uint64) bool {
 
 // reserve sizes the table so that n more fingerprints fit under the growth
 // bound, rehashing at most once; a bulk load that reserves first never
-// grows. That is what keeps a table-order stream (appendAll, forEach)
-// linear to load: such a stream is sorted by probe start, so fed to a
+// grows. That is what keeps a table-order stream (forEach) linear to
+// load: such a stream is sorted by probe start, so fed to a
 // table still doubling up from small it lands every entry at the end of
 // one contiguous cluster — quadratic, 33.8 s for a million entries —
 // whereas in a table already at its final size each entry probes exactly
@@ -104,28 +104,14 @@ func (s *fpSet) reserve(n int) {
 	for uint64(s.n+n)*10 > uint64(size)*7 {
 		size <<= 1
 	}
-	if size == len(s.slots) {
-		return
-	}
-	old := s.slots
-	s.setSlots(make([]uint64, size))
-	for _, fp := range old {
-		if fp == 0 {
-			continue
-		}
-		for i := s.probeStart(fp); ; i = (i + 1) & s.mask {
-			if s.slots[i] == 0 {
-				s.slots[i] = fp
-				break
-			}
-		}
+	if size > len(s.slots) {
+		s.resize(size)
 	}
 }
 
 // forEach calls fn on every member in table order — sorted by probe
-// start, the order appendAll produces — without materializing the
-// members, and stops at fn's first error. Load such a stream only into a
-// reserved table (see reserve).
+// start — without materializing the members, and stops at fn's first
+// error. Load such a stream only into a reserved table (see reserve).
 func (s *fpSet) forEach(fn func(fp uint64) error) error {
 	if s.hasZero {
 		if err := fn(0); err != nil {
@@ -142,24 +128,10 @@ func (s *fpSet) forEach(fn func(fp uint64) error) error {
 	return nil
 }
 
-// appendAll appends every member of the set to dst (in table order, which
-// is arbitrary) and returns the extended slice. The spill store uses it to
-// enumerate a delta table when flushing it to a sorted run.
-func (s *fpSet) appendAll(dst []uint64) []uint64 {
-	if s.hasZero {
-		dst = append(dst, 0)
-	}
-	for _, fp := range s.slots {
-		if fp != 0 {
-			dst = append(dst, fp)
-		}
-	}
-	return dst
-}
-
-func (s *fpSet) grow() {
+// resize rehashes the set into a table of size slots.
+func (s *fpSet) resize(size int) {
 	old := s.slots
-	s.setSlots(make([]uint64, len(old)*2))
+	s.setSlots(make([]uint64, size))
 	for _, fp := range old {
 		if fp == 0 {
 			continue

@@ -440,16 +440,23 @@ func expandLevel(run *engineRun, frontier FrontierSource, visitOnly bool) {
 // sleep-mask intersection is commutative, so remote arrival order cannot
 // leak into the result.
 func distExpandBarrier(run *engineRun, depth int) error {
-	recs, err := run.link.BarrierExpand(depth)
+	blocks, err := run.link.BarrierExpand(depth)
 	if err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		n, err := run.dec.decode(rec)
-		if err != nil {
-			return err
+	var spans [][]byte
+	for _, b := range blocks {
+		for len(b) > 0 {
+			var rec NodeRecord
+			if rec, b, err = DecodeNodeRecord(b); err != nil {
+				return fmt.Errorf("dist: remote successor: %w", err)
+			}
+			var n *Node
+			if n, spans, err = run.remat.node(rec, spans); err != nil {
+				return fmt.Errorf("dist: remote successor: %w", err)
+			}
+			run.owners[n.fp&run.ownerMask].admit(run, n)
 		}
-		run.owners[n.fp&run.ownerMask].admit(run, n)
 	}
 	return nil
 }
@@ -521,10 +528,6 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 	if run.opts.Checkpoint == "" {
 		return nil, nil, nil
 	}
-	cs, ok := run.store.(checkpointableStore)
-	if !ok {
-		return nil, nil, fmt.Errorf("frontier engine: store %q does not support checkpointing", run.opts.Store)
-	}
 	profile := ckptProfile{
 		Protocol:   run.p.Name(),
 		NObj:       run.nObj,
@@ -548,7 +551,7 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 	if err != nil {
 		return nil, nil, err
 	}
-	ckpt.dump = cs.DumpVisited
+	ckpt.dump = run.store.DumpVisited
 	return ckpt, resumed, nil
 }
 
@@ -598,7 +601,7 @@ func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelRe
 // prefix itself.
 func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) (FrontierSource, error) {
 	man := resumed.man
-	if err := run.store.(checkpointableStore).SeedVisited(resumed.visitedFP, resumed.visitedKeys); err != nil {
+	if err := run.store.SeedVisited(resumed.visitedFP, resumed.visitedKeys); err != nil {
 		return nil, fmt.Errorf("checkpoint: seeding the visited set: %w", err)
 	}
 	resumed.visitedFP, resumed.visitedKeys = nil, nil // the run outlives them by hours

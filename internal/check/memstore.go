@@ -12,38 +12,24 @@ type memStore struct {
 	peak  int64
 }
 
-// memPart is one partition: its visited table (fingerprint set or exact
-// key map, per the keying mode) and its slice of the next frontier.
+// memPart is one partition: its visited table and its slice of the next
+// frontier.
 type memPart struct {
-	fps *fpSet
-	// keys maps exact encoding key -> fingerprint (the fp rides along so
-	// checkpoint snapshots can re-derive partition routing on resume).
-	keys     map[string]uint64
-	keyBytes int64
-	next     []*Node
+	set  keyedSet
+	next []*Node
 }
 
 func newMemStore(ctx storeCtx) *memStore {
 	s := &memStore{ctx: ctx, parts: make([]memPart, ctx.parts)}
 	for i := range s.parts {
-		if ctx.stringKeys {
-			s.parts[i].keys = map[string]uint64{}
-		} else {
-			s.parts[i].fps = newFpSet(1024)
-		}
+		s.parts[i].set = newKeyedSet(ctx.stringKeys)
 	}
 	return s
 }
 
 func (s *memStore) Admit(part int, n *Node) (added, retained bool) {
 	p := &s.parts[part]
-	if s.ctx.stringKeys {
-		if _, dup := p.keys[n.key]; dup {
-			return false, true
-		}
-		p.keys[n.key] = n.fp
-		p.keyBytes += int64(len(n.key)) + mapEntryOverhead
-	} else if !p.fps.Add(n.fp) {
+	if !p.set.add(n.fp, n.key) {
 		return false, true
 	}
 	p.next = append(p.next, n)
@@ -51,12 +37,7 @@ func (s *memStore) Admit(part int, n *Node) (added, retained bool) {
 }
 
 func (s *memStore) Has(part int, fp uint64, key string) bool {
-	p := &s.parts[part]
-	if s.ctx.stringKeys {
-		_, ok := p.keys[key]
-		return ok
-	}
-	return p.fps.Has(fp)
+	return s.parts[part].set.has(fp, key)
 }
 
 func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
@@ -91,12 +72,7 @@ func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
 func (s *memStore) foldPeak() {
 	var resident int64
 	for i := range s.parts {
-		p := &s.parts[i]
-		if s.ctx.stringKeys {
-			resident += p.keyBytes
-		} else {
-			resident += int64(len(p.fps.slots)) * 8
-		}
+		resident += s.parts[i].set.bytes()
 	}
 	s.peak = max(s.peak, resident)
 }
@@ -110,51 +86,29 @@ func (s *memStore) Stats() StoreStats {
 
 func (s *memStore) Close() error { return nil }
 
-// DumpVisited streams every visited entry to emit, for checkpoint
-// snapshots (runs at a level barrier only).
 func (s *memStore) DumpVisited(emit func(fp uint64, key string) error) error {
 	for i := range s.parts {
-		p := &s.parts[i]
-		if s.ctx.stringKeys {
-			for k, fp := range p.keys {
-				if err := emit(fp, k); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := p.fps.forEach(func(fp uint64) error { return emit(fp, "") }); err != nil {
+		if err := s.parts[i].set.forEach(emit); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// SeedVisited loads a checkpoint's visited snapshot (checkpoint resume).
 func (s *memStore) SeedVisited(fps []uint64, keys []string) error {
-	mask := uint64(len(s.parts) - 1)
-	if s.ctx.stringKeys {
-		for i, fp := range fps {
-			p := &s.parts[fp&mask]
-			if _, dup := p.keys[keys[i]]; !dup {
-				p.keys[keys[i]] = fp
-				p.keyBytes += int64(len(keys[i])) + mapEntryOverhead
-			}
-		}
-		return nil
-	}
 	for i, n := range partCounts(fps, len(s.parts)) {
-		s.parts[i].fps.reserve(n)
+		s.parts[i].set.reserve(n, 0)
 	}
-	for _, fp := range fps {
-		s.parts[fp&mask].fps.Add(fp)
+	mask := uint64(len(s.parts) - 1)
+	for i, fp := range fps {
+		key := ""
+		if keys != nil {
+			key = keys[i]
+		}
+		s.parts[fp&mask].set.add(fp, key)
 	}
 	return nil
 }
-
-// mapEntryOverhead is the per-entry bookkeeping estimate (header, bucket
-// slot, string header) added to key bytes in resident-memory accounting.
-const mapEntryOverhead = 48
 
 // memSource serves an in-RAM frontier slice: workers claim disjoint
 // chunks with one atomic add per batch.

@@ -196,6 +196,10 @@ func TestModeMatrix(t *testing.T) {
 	// The depth cap keeps toybit's unbounded space exact: a depth-capped
 	// BFS visits all configurations within the cap under either order.
 	limits := check.ExploreLimits{MaxConfigs: 100000, MaxDepth: 8}
+	workerCounts := []int{1, 2, 4}
+	if testing.Short() {
+		workerCounts = []int{2} // the routed path; resumed by 3 on the other store
+	}
 	for _, pc := range protos {
 		c := model.MustNewConfig(pc.p, pc.inputs)
 		pids := make([]int, pc.p.NumProcesses())
@@ -275,7 +279,7 @@ func TestModeMatrix(t *testing.T) {
 							}
 							return eng
 						}
-						for _, workers := range []int{1, 2, 4} {
+						for _, workers := range workerCounts {
 							name := fmt.Sprintf("%s/%s/%s/%s/keys=%t/w%d", pc.p.Name(), order, store, reduce, stringKeys, workers)
 							res, err := check.ExploreOpts(pc.p, c, pids, pc.k, check.ExploreOptions{Limits: limits, Engine: engine(store, workers)})
 							compare(name, res, err)

@@ -448,8 +448,12 @@ func TestExhaustiveOrbitCount(t *testing.T) {
 			cells = append(cells, check.EngineOptions{Reduction: reduce, Store: store})
 		}
 	}
+	workerCounts := []int{1, 2, 4}
+	if testing.Short() {
+		workerCounts = []int{2}
+	}
 	for _, cell := range cells {
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range workerCounts {
 			cell.Workers = workers
 			name := fmt.Sprintf("order=%q reduce=%s store=%q workers=%d", cell.Order, cell.Reduction, cell.Store, workers)
 			res, err := explore(cell)

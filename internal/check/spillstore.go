@@ -1,8 +1,6 @@
 package check
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -21,16 +19,17 @@ import (
 //
 // Deduplication — delayed duplicate detection over sorted runs:
 //
-//   - Each partition keeps a resident *delta* table (fpSet, or an exact
-//     key map) holding the visited entries admitted since its last spill.
-//     Candidates are checked against the delta only, so the per-candidate
-//     cost matches the in-memory store.
+//   - Each partition keeps a resident *delta* table (a keyedSet) holding
+//     the visited entries admitted since its last spill. Candidates are
+//     checked against the delta only, so the per-candidate cost matches
+//     the in-memory store.
 //
 //   - When the summed delta size exceeds the budget at a level barrier,
-//     every partition's delta is flushed to a new *sorted run* file of
-//     (fingerprint[, key]) entries and the delta is cleared. A
-//     configuration visited before the spill is no longer resident, so a
-//     later re-encounter is admitted *tentatively*.
+//     every partition's delta is flushed to a new *sorted run* file — an
+//     entry stream (entry.go), the layout a checkpoint's visited snapshot
+//     is written in — and the delta is cleared. A configuration visited
+//     before the spill is no longer resident, so a later re-encounter is
+//     admitted *tentatively*.
 //
 //   - EndLevel resolves the tentative admissions: each partition
 //     stream-merges its sorted level admissions against its sorted runs
@@ -53,20 +52,26 @@ import (
 //
 // Frontier queuing — spooled segments:
 //
-//   - Admitted nodes are immediately encoded (the compact Config binary
-//     encoding) into a per-partition segment file and their buffers
-//     recycled, so frontier memory is O(batch), not O(level). The next
-//     level streams nodes back, skipping entries revoked or truncated at
-//     the barrier. Per-slot canonical Values/States cannot be rebuilt
-//     from bytes alone (states are protocol-defined and opaque), so the
-//     store interns every slot encoding it spools in an exchange table —
-//     resident memory that grows with *distinct slot encodings*, the same
-//     asymptotics as the steppers' arenas, typically far below the
-//     configuration count.
+//   - Admitted nodes are immediately serialised as node records
+//     (noderec.go, the record a distributed run puts on the wire) into a
+//     per-partition segment file and their buffers recycled, so frontier
+//     memory is O(batch), not O(level). A segment is a sequence of blocks,
+//     uvarint length | records, each about artifactBlock bytes: the next
+//     level's workers claim a block at a time under the source's lock and
+//     decode it outside, skipping records revoked or truncated at the
+//     barrier. Per-slot canonical Values/States cannot be rebuilt from
+//     bytes alone, so the store interns every slot encoding it spools in
+//     the rematerialiser's exchange — resident memory that grows with
+//     *distinct slot encodings*, the same asymptotics as the steppers'
+//     arenas, typically far below the configuration count.
 //
 //   - Runs that must retain nodes in RAM (EngineOptions.Provenance: parent
 //     chains stay live for witness replay) keep the frontier resident and
 //     spill only the dedup state.
+//
+// Both files are artifacts (artifact.go): checksummed, published by
+// rename, and wiped by the next open of the directory — nothing outlives
+// the run that wrote it, which is what leaves their layouts free to change.
 //
 // Determinism: the admitted set, the budget-truncation survivors (chosen
 // by ascending (fingerprint, key), the engine's canonical order) and all
@@ -80,31 +85,23 @@ type spillStore struct {
 	budget  int64
 	seq     int // levels ended so far; names the level's segment files
 	parts   []spillPart
-	exch    *model.SlotExchange
+	remat   rematerialiser
 	source  *spillSource // last handed-out streaming source (for Close)
 
-	// bytesSpilled is atomic: the partition owners spool frontier nodes
-	// concurrently. The run counters move only at barriers and seeding.
-	bytesSpilled atomic.Int64
-	runsWritten  int
-	runsMerged   int
-	peak         int64
+	// stats moves only at barriers and seeding; the partitions' prefilter
+	// hits are summed into it when asked.
+	stats StoreStats
 
-	errMu sync.Mutex
-	err   error
+	// err is the first I/O or decode failure, boxed like engineRun's.
+	err atomic.Pointer[error]
 }
 
 // spillPart is one partition of the spill store.
 type spillPart struct {
 	id int
 
-	// Resident delta: entries admitted since the partition last spilled.
-	// Exactly one of deltaFP / deltaKeys is used, per the keying mode;
-	// deltaKeys maps key -> fingerprint because run entries and the
-	// truncation order need both.
-	deltaFP       *fpSet
-	deltaKeys     map[string]uint64
-	deltaKeyBytes int64
+	// delta holds the entries admitted since the partition last spilled.
+	delta keyedSet
 
 	// bloom summarizes every fingerprint this partition has spilled
 	// (created at the first spill); admissions it proves fresh skip the
@@ -121,26 +118,18 @@ type spillPart struct {
 
 	runs   []spillRun
 	runSeq int
-	spool  *spoolWriter
+	spool  *blockWriter // this level's segment; nil until a node is spooled
 
-	enc   []byte   // encode scratch (owner-goroutine exclusive)
-	spans [][]byte // slot-span scratch
+	spans [][]byte // slot-span scratch (owner-goroutine exclusive)
 }
 
-// spillEntry is one dedup entry: the fingerprint plus, in exact-key mode,
-// the full encoding key. fresh marks entries the Bloom prefilter proved
-// absent from every spilled run at admission time — they skip the
-// barrier merge (they cannot be delayed duplicates).
+// spillEntry is one of a level's admissions. fresh marks entries the Bloom
+// prefilter proved absent from every spilled run at admission time — they
+// skip the barrier merge (they cannot be delayed duplicates).
 type spillEntry struct {
-	fp    uint64
-	key   string
+	entry
 	fresh bool
 }
-
-// entryCompare is compareKeyed on two dedup entries.
-func entryCompare(a, b spillEntry) int { return compareKeyed(a.fp, a.key, b.fp, b.key) }
-
-func entryLess(a, b spillEntry) bool { return entryCompare(a, b) < 0 }
 
 // spillRun is one sorted run file. verified records that the file passed
 // a full checksum pass before a consumer that may stop reading early
@@ -175,54 +164,35 @@ func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) 
 		removeStaleArtifacts(dir, "run-", "seg-")
 	}
 	s := &spillStore{ctx: ctx, dir: dir, ownsDir: ownsDir, budget: budget,
-		parts: make([]spillPart, ctx.parts)}
-	s.exch = model.NewSlotExchange()
+		parts: make([]spillPart, ctx.parts), stats: StoreStats{Kind: StoreSpill},
+		remat: rematerialiser{ctx: ctx, exch: model.NewSlotExchange()}}
 	for i := range s.parts {
-		p := &s.parts[i]
-		p.id = i
-		if ctx.stringKeys {
-			p.deltaKeys = map[string]uint64{}
-		} else {
-			p.deltaFP = newFpSet(1024)
-		}
+		s.parts[i].id = i
+		s.parts[i].delta = newKeyedSet(ctx.stringKeys)
 	}
 	return s, nil
 }
 
-func (s *spillStore) fail(err error) {
-	s.errMu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.errMu.Unlock()
-}
+func (s *spillStore) fail(err error) { s.err.CompareAndSwap(nil, &err) }
 
 func (s *spillStore) takeErr() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
+	if p := s.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (s *spillStore) Admit(part int, n *Node) (added, retained bool) {
 	p := &s.parts[part]
+	if !p.delta.add(n.fp, n.key) {
+		return false, true
+	}
 	// Prefilter verdict: a fingerprint the bloom has never seen appears
 	// in no spilled run (the filter has no false negatives; in exact-key
 	// mode an absent fingerprint implies the (fp, key) pair is absent
 	// too), so the admission is final and skips the barrier merge.
 	fresh := p.bloom == nil || !p.bloom.has(n.fp)
-	if s.ctx.stringKeys {
-		if _, dup := p.deltaKeys[n.key]; dup {
-			return false, true
-		}
-		p.deltaKeys[n.key] = n.fp
-		p.deltaKeyBytes += int64(len(n.key)) + mapEntryOverhead
-		p.level = append(p.level, spillEntry{fp: n.fp, key: n.key, fresh: fresh})
-	} else {
-		if !p.deltaFP.Add(n.fp) {
-			return false, true
-		}
-		p.level = append(p.level, spillEntry{fp: n.fp, fresh: fresh})
-	}
+	p.level = append(p.level, spillEntry{entry{n.fp, n.key}, fresh})
 	if !fresh {
 		p.prefilterHits++
 	}
@@ -237,40 +207,30 @@ func (s *spillStore) Admit(part int, n *Node) (added, retained bool) {
 }
 
 func (s *spillStore) Has(part int, fp uint64, key string) bool {
-	p := &s.parts[part]
-	if s.ctx.stringKeys {
-		_, ok := p.deltaKeys[key]
-		return ok
-	}
-	return p.deltaFP.Has(fp)
+	return s.parts[part].delta.has(fp, key)
 }
 
-// spoolNode appends n's record to the partition's segment file, interning
-// every slot encoding in the exchange so the node can be rematerialized.
+// spoolNode appends n's record to the partition's segment, interning
+// every slot encoding in the exchange so the node can be rematerialised.
 func (s *spillStore) spoolNode(p *spillPart, n *Node) error {
 	if p.spool == nil {
-		w, err := newSpoolWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-p%d", s.seq, p.id)), n.Depth)
+		w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-p%d", s.seq, p.id)), artifactSegment, true)
 		if err != nil {
-			return err
+			return fmt.Errorf("spill store: %w", err)
 		}
 		p.spool = w
 	}
-	p.enc = n.Cfg.AppendEncoding(p.enc[:0])
-	spans, err := model.SlotSpans(p.enc, s.ctx.nObj, s.ctx.nProc, p.spans)
+	var enc []byte
+	p.spool.buf, enc = AppendNodeRecord(p.spool.buf, n)
+	spans, err := model.SlotSpans(enc, s.ctx.nObj, s.ctx.nProc, p.spans)
 	if err != nil {
 		return fmt.Errorf("spill store: %w", err)
 	}
 	p.spans = spans
-	s.exch.Intern(n.Cfg, spans, s.ctx.nObj)
-	var pth []byte
-	if s.ctx.paths {
-		pth = n.path
+	s.remat.exch.Intern(n.Cfg, spans, s.ctx.nObj)
+	if err := p.spool.flushFull(); err != nil {
+		return fmt.Errorf("spill store: segment write: %w", err)
 	}
-	written, err := p.spool.write(n.Pid, n.fp, n.slotFP, p.enc, pth)
-	if err != nil {
-		return err
-	}
-	s.bytesSpilled.Add(written)
 	return nil
 }
 
@@ -279,15 +239,19 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		return LevelResult{}, err
 	}
 
-	// Flush the level's segment files before anything can read them.
-	segs := make([]*spoolWriter, len(s.parts))
+	// Publish the level's segment files before anything can read them.
+	segs := make([]string, len(s.parts))
 	for i := range s.parts {
 		p := &s.parts[i]
 		if p.spool != nil {
-			if err := p.spool.finish(); err != nil {
-				return LevelResult{}, err
+			w := p.spool
+			p.spool = nil
+			written, err := w.finish()
+			if err != nil {
+				return LevelResult{}, fmt.Errorf("spill store: segment finish: %w", err)
 			}
-			segs[i], p.spool = p.spool, nil
+			s.stats.BytesSpilled += written
+			segs[i] = w.path
 		}
 	}
 
@@ -309,14 +273,14 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	// Entries are globally unique (dedup guarantees it), so the cutoff
 	// entry cleanly separates survivors from drops.
 	truncated := survivors > maxNext
-	var cutoff spillEntry
+	var cutoff entry
 	if truncated && maxNext > 0 {
-		all := make([]spillEntry, 0, survivors)
+		all := make([]entry, 0, survivors)
 		for i := range s.parts {
 			p := &s.parts[i]
 			for j, e := range p.level {
 				if !p.dead[j] {
-					all = append(all, e)
+					all = append(all, e.entry)
 				}
 			}
 		}
@@ -327,7 +291,7 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		if p.dead[j] {
 			return true
 		}
-		return truncated && (maxNext == 0 || entryLess(cutoff, p.level[j]))
+		return truncated && (maxNext == 0 || entryLess(cutoff, p.level[j].entry))
 	}
 	kept := survivors
 	if truncated {
@@ -354,43 +318,35 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		}
 		res.Frontier = &memSource{nodes: next}
 	} else {
-		src := &spillSource{store: s, size: kept,
-			readers: make([]*spoolReader, len(s.parts)),
-			dropFP:  make([]map[uint64]struct{}, len(s.parts)),
-			dropKey: make([]map[string]struct{}, len(s.parts)),
+		src := &spillSource{store: s, size: kept, segs: segs,
+			readers: make([]*artifactScanner, len(s.parts)),
+			drop:    make([]*keyedSet, len(s.parts)),
 		}
+		s.source = src
 		for i := range s.parts {
 			p := &s.parts[i]
 			for j := range p.level {
 				if !dropped(p, j) {
 					continue
 				}
-				if s.ctx.stringKeys {
-					if src.dropKey[i] == nil {
-						src.dropKey[i] = map[string]struct{}{}
-					}
-					src.dropKey[i][p.level[j].key] = struct{}{}
-				} else {
-					if src.dropFP[i] == nil {
-						src.dropFP[i] = map[uint64]struct{}{}
-					}
-					src.dropFP[i][p.level[j].fp] = struct{}{}
+				if src.drop[i] == nil {
+					d := newKeyedSet(s.ctx.stringKeys)
+					src.drop[i] = &d
 				}
+				src.drop[i].add(p.level[j].fp, p.level[j].key)
 			}
-			if segs[i] != nil {
-				r, err := newSpoolReader(segs[i].path)
+			if segs[i] != "" {
+				r, err := scanArtifact(segs[i], artifactSegment)
 				if err != nil {
-					return LevelResult{}, err
+					return LevelResult{}, fmt.Errorf("spill store: %w", err)
 				}
 				// Unlink immediately: the open descriptor keeps the data
 				// readable and the file is reclaimed even if the source
 				// is abandoned mid-level.
-				os.Remove(segs[i].path)
+				os.Remove(segs[i])
 				src.readers[i] = r
-				src.depth = segs[i].depth
 			}
 		}
-		s.source = src
 		res.Frontier = src
 	}
 
@@ -401,24 +357,15 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	// memory) but not toward the spill trigger: spilling cannot shrink a
 	// filter, so triggering on its constant footprint would only force a
 	// futile delta flush at every subsequent barrier.
-	var resident, bloomBytes int64
+	var deltas int64
 	for i := range s.parts {
 		p := &s.parts[i]
 		p.level = p.level[:0]
 		p.dead = p.dead[:0]
-		if s.ctx.stringKeys {
-			resident += p.deltaKeyBytes
-		} else {
-			resident += int64(len(p.deltaFP.slots)) * 8
-		}
-		if p.bloom != nil {
-			bloomBytes += p.bloom.bytes()
-		}
+		deltas += p.delta.bytes()
 	}
-	if resident+bloomBytes > s.peak {
-		s.peak = resident + bloomBytes
-	}
-	if resident > s.budget {
+	s.foldPeak()
+	if deltas > s.budget {
 		for i := range s.parts {
 			if err := s.spillDelta(&s.parts[i]); err != nil {
 				return LevelResult{}, err
@@ -452,7 +399,7 @@ func (s *spillStore) markDead(p *spillPart) (int, error) {
 	if len(order) == 0 {
 		return 0, nil
 	}
-	slices.SortFunc(order, func(i, j int) int { return entryCompare(p.level[i], p.level[j]) })
+	slices.SortFunc(order, func(i, j int) int { return entryCompare(p.level[i].entry, p.level[j].entry) })
 
 	for i := range p.runs {
 		if err := s.mergeMark(p, &p.runs[i], order); err != nil {
@@ -480,52 +427,61 @@ func (s *spillStore) mergeMark(p *spillPart, run *spillRun, order []int) error {
 		}
 		run.verified = true
 	}
-	r, err := newRunReader(run.path, s.ctx.stringKeys)
+	r, err := openEntries(run.path, artifactRun)
 	if err != nil {
-		return err
+		return fmt.Errorf("spill store: %w", err)
 	}
 	defer r.close()
-	idx := 0
-	for {
+	for idx := 0; idx < len(order); {
 		e, ok, err := r.next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		for idx < len(order) && entryLess(p.level[order[idx]], e) {
+		for idx < len(order) && entryLess(p.level[order[idx]].entry, e) {
 			idx++
 		}
-		if idx >= len(order) {
-			return nil // admissions exhausted; rest of the run is irrelevant
-		}
-		if cur := p.level[order[idx]]; cur.fp == e.fp && cur.key == e.key {
+		if idx < len(order) && p.level[order[idx]].entry == e {
 			p.dead[order[idx]] = true
 			idx++
 		}
 	}
+	return nil // admissions exhausted; rest of the run is irrelevant
+}
+
+// newRun opens the partition's next sorted-run file for writing.
+func (s *spillStore) newRun(p *spillPart) (*blockWriter, error) {
+	w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("run-p%d-%d", p.id, p.runSeq)), artifactRun, false)
+	if err != nil {
+		return nil, fmt.Errorf("spill store: %w", err)
+	}
+	p.runSeq++
+	return w, nil
+}
+
+// publishRun seals a fully written run; it replaces the partition's
+// runs when replaces is set (a compaction) and joins them otherwise.
+func (s *spillStore) publishRun(p *spillPart, w *blockWriter, replaces bool) error {
+	written, err := w.finish()
+	if err != nil {
+		return fmt.Errorf("spill store: run finish: %w", err)
+	}
+	if replaces {
+		for i := range p.runs {
+			os.Remove(p.runs[i].path)
+		}
+		s.stats.RunsMerged += len(p.runs)
+		p.runs = p.runs[:0]
+	}
+	s.stats.BytesSpilled += written
+	s.stats.RunsWritten++
+	p.runs = append(p.runs, spillRun{path: w.path})
+	return nil
 }
 
 // spillDelta flushes the partition's resident delta to a new sorted run
 // and clears it, then compacts when the partition holds runFanout runs.
 func (s *spillStore) spillDelta(p *spillPart) error {
-	var entries []spillEntry
-	if s.ctx.stringKeys {
-		entries = make([]spillEntry, 0, len(p.deltaKeys))
-		for k, fp := range p.deltaKeys {
-			entries = append(entries, spillEntry{fp: fp, key: k})
-		}
-		p.deltaKeys = map[string]uint64{}
-		p.deltaKeyBytes = 0
-	} else {
-		fps := p.deltaFP.appendAll(nil)
-		entries = make([]spillEntry, len(fps))
-		for i, fp := range fps {
-			entries[i].fp = fp
-		}
-		p.deltaFP = newFpSet(1024)
-	}
+	entries := p.delta.drain()
 	if len(entries) == 0 {
 		return nil
 	}
@@ -542,16 +498,22 @@ func (s *spillStore) spillDelta(p *spillPart) error {
 	}
 	slices.SortFunc(entries, entryCompare)
 
-	path := filepath.Join(s.dir, fmt.Sprintf("run-p%d-%d", p.id, p.runSeq))
-	p.runSeq++
-	written, err := writeRun(path, entries, s.ctx.stringKeys)
+	w, err := s.newRun(p)
 	if err != nil {
 		return err
 	}
-	s.bytesSpilled.Add(written)
-	s.runsWritten++
-	p.runs = append(p.runs, spillRun{path: path})
-
+	for _, e := range entries {
+		if err := w.addEntry(e.fp, e.key); err != nil {
+			w.abort()
+			return fmt.Errorf("spill store: run write: %w", err)
+		}
+	}
+	// Crash point: the sorted run is fully written but not yet renamed
+	// into place — the delta it snapshots dies with the process.
+	fault.Crash(fault.CrashSpillRunWrite)
+	if err := s.publishRun(p, w, false); err != nil {
+		return err
+	}
 	if len(p.runs) >= runFanout {
 		return s.compact(p)
 	}
@@ -562,8 +524,8 @@ func (s *spillStore) spillDelta(p *spillPart) error {
 // duplicate entries (a fingerprint re-admitted after a spill appears in
 // two runs until compaction unifies them).
 func (s *spillStore) compact(p *spillPart) error {
-	readers := make([]*runReader, len(p.runs))
-	heads := make([]spillEntry, len(p.runs))
+	readers := make([]*entryReader, len(p.runs))
+	heads := make([]entry, len(p.runs))
 	live := make([]bool, len(p.runs))
 	defer func() {
 		for _, r := range readers {
@@ -573,9 +535,9 @@ func (s *spillStore) compact(p *spillPart) error {
 		}
 	}()
 	for i, run := range p.runs {
-		r, err := newRunReader(run.path, s.ctx.stringKeys)
+		r, err := openEntries(run.path, artifactRun)
 		if err != nil {
-			return err
+			return fmt.Errorf("spill store: %w", err)
 		}
 		readers[i] = r
 		if heads[i], live[i], err = r.next(); err != nil {
@@ -583,14 +545,12 @@ func (s *spillStore) compact(p *spillPart) error {
 		}
 	}
 
-	path := filepath.Join(s.dir, fmt.Sprintf("run-p%d-%d", p.id, p.runSeq))
-	p.runSeq++
-	w, err := newRunWriter(path, s.ctx.stringKeys)
+	w, err := s.newRun(p)
 	if err != nil {
 		return err
 	}
 	haveLast := false
-	var last spillEntry
+	var last entry
 	for {
 		min, found := -1, false
 		for i := range heads {
@@ -606,76 +566,42 @@ func (s *spillStore) compact(p *spillPart) error {
 			w.abort()
 			return err
 		}
-		if haveLast && last.fp == e.fp && last.key == e.key {
+		if haveLast && last == e {
 			continue
 		}
-		if err := w.write(e); err != nil {
+		if err := w.addEntry(e.fp, e.key); err != nil {
 			w.abort()
-			return err
+			return fmt.Errorf("spill store: run write: %w", err)
 		}
 		last, haveLast = e, true
 	}
 	// Crash point: the merged run is complete but unpublished and the
 	// input runs are still in place.
 	fault.Crash(fault.CrashSpillRunMerge)
-	written, err := w.finish()
-	if err != nil {
-		return err
-	}
-	for i, r := range readers {
-		r.close()
-		readers[i] = nil
-	}
-	for i := range p.runs {
-		os.Remove(p.runs[i].path)
-	}
-	s.bytesSpilled.Add(written)
-	s.runsMerged += len(p.runs)
-	s.runsWritten++
-	p.runs = []spillRun{{path: path}}
-	return nil
+	return s.publishRun(p, w, true)
 }
 
-// residentBytes is the store's current resident footprint: every
-// partition's delta table plus its Bloom prefilter.
-func (s *spillStore) residentBytes() int64 {
+// foldPeak raises the resident high-water mark to the current footprint:
+// every partition's delta table plus its Bloom prefilter. It runs at
+// every barrier and around every flush of a checkpoint seed.
+func (s *spillStore) foldPeak() {
 	var resident int64
 	for i := range s.parts {
 		p := &s.parts[i]
-		if s.ctx.stringKeys {
-			resident += p.deltaKeyBytes
-		} else {
-			resident += int64(len(p.deltaFP.slots)) * 8
-		}
+		resident += p.delta.bytes()
 		if p.bloom != nil {
 			resident += p.bloom.bytes()
 		}
 	}
-	return resident
-}
-
-// foldPeak raises the resident high-water mark to the current footprint.
-// It runs where no barrier samples for it: around every flush of a
-// checkpoint seed.
-func (s *spillStore) foldPeak() {
-	if resident := s.residentBytes(); resident > s.peak {
-		s.peak = resident
-	}
+	s.stats.PeakResidentBytes = max(s.stats.PeakResidentBytes, resident)
 }
 
 func (s *spillStore) Stats() StoreStats {
-	var hits int64
+	out := s.stats
 	for i := range s.parts {
-		hits += s.parts[i].prefilterHits
+		out.PrefilterHits += s.parts[i].prefilterHits
 	}
-	return StoreStats{
-		Kind:              StoreSpill,
-		BytesSpilled:      s.bytesSpilled.Load(),
-		RunsWritten:       s.runsWritten,
-		RunsMerged:        s.runsMerged,
-		PeakResidentBytes: s.peak,
-		PrefilterHits:     hits,
-	}
+	return out
 }
 
 func (s *spillStore) Close() error {
@@ -712,370 +638,143 @@ func (s *spillStore) Close() error {
 	return cleanupErr
 }
 
-// The slot-encoding exchange the store interns into lives in
-// internal/model (model.SlotExchange) so the distributed-frontier peers
-// can reuse the same rematerialization path for wire records.
-
-// ---- segment (frontier spool) I/O ----
-
-// spoolWriter appends frontier records to one partition's segment file
-// (an artifactSegment: checksummed, published by rename in finish).
-// Record: uvarint(pid+1) | fp (8B LE) | slotFP (8B LE) | uvarint len |
-// encoding bytes | uvarint plen | path bytes (plen is 0 unless the
-// engine is checkpointing, in which case the node's root-to-here pid
-// path rides along so a resumed run can rebuild the node).
-type spoolWriter struct {
-	path string
-	// depth is the BFS depth of the level spooled here (records do not
-	// carry it: a level's nodes share one). It is the nodes' own, not a
-	// count of this store's levels, which starts over on a resumed run.
-	depth int
-	aw    *artifactWriter
-	hdr   []byte
-}
-
-func newSpoolWriter(path string, depth int) (*spoolWriter, error) {
-	aw, err := newArtifactWriter(path, artifactSegment)
-	if err != nil {
-		return nil, fmt.Errorf("spill store: %w", err)
-	}
-	return &spoolWriter{path: path, depth: depth, aw: aw}, nil
-}
-
-func (w *spoolWriter) write(pid int, fp, slotFP uint64, enc, path []byte) (int64, error) {
-	h := binary.AppendUvarint(w.hdr[:0], uint64(pid+1))
-	h = binary.LittleEndian.AppendUint64(h, fp)
-	h = binary.LittleEndian.AppendUint64(h, slotFP)
-	h = binary.AppendUvarint(h, uint64(len(enc)))
-	w.hdr = h
-	if _, err := w.aw.Write(h); err != nil {
-		return 0, fmt.Errorf("spill store: segment write: %w", err)
-	}
-	if _, err := w.aw.Write(enc); err != nil {
-		return 0, fmt.Errorf("spill store: segment write: %w", err)
-	}
-	t := binary.AppendUvarint(w.hdr[len(w.hdr):], uint64(len(path)))
-	if _, err := w.aw.Write(t); err != nil {
-		return 0, fmt.Errorf("spill store: segment write: %w", err)
-	}
-	if len(path) > 0 {
-		if _, err := w.aw.Write(path); err != nil {
-			return 0, fmt.Errorf("spill store: segment write: %w", err)
-		}
-	}
-	return int64(len(h) + len(enc) + len(t) + len(path)), nil
-}
-
-func (w *spoolWriter) finish() error {
-	if _, err := w.aw.finish(); err != nil {
-		return fmt.Errorf("spill store: segment finish: %w", err)
-	}
-	return nil
-}
-
-func (w *spoolWriter) abort() {
-	w.aw.abort()
-}
-
-// spoolReader streams one segment file back, verifying the payload
-// checksum as a side effect of reaching EOF.
-type spoolReader struct {
-	ar *artifactReader
-	br *bufio.Reader
-}
-
-func newSpoolReader(path string) (*spoolReader, error) {
-	ar, _, err := openArtifact(path, artifactSegment)
-	if err != nil {
-		return nil, fmt.Errorf("spill store: %w", err)
-	}
-	return &spoolReader{ar: ar, br: bufio.NewReaderSize(ar, 1<<18)}, nil
-}
-
-// rawRec is one un-decoded segment record; its encoding lives in the
-// batch buffer at [off:end] and its pid path (checkpoint runs only) at
-// [pathOff:pathEnd].
-type rawRec struct {
-	pid              int
-	fp               uint64
-	slotFP           uint64
-	off, end         int
-	pathOff, pathEnd int
-}
-
-// read appends the next record's encoding (and path) to *data and
-// returns the record, or ok == false at EOF.
-func (r *spoolReader) read(data *[]byte) (rec rawRec, ok bool, err error) {
-	pid1, err := binary.ReadUvarint(r.br)
-	if err == io.EOF {
-		return rawRec{}, false, nil
-	}
-	if err != nil {
-		return rawRec{}, false, fmt.Errorf("spill store: segment read: %w", err)
-	}
-	var fixed [16]byte
-	if _, err := io.ReadFull(r.br, fixed[:]); err != nil {
-		return rawRec{}, false, fmt.Errorf("spill store: segment read: %w", err)
-	}
-	n, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return rawRec{}, false, fmt.Errorf("spill store: segment read: %w", err)
-	}
-	off := len(*data)
-	if err := appendRead(r.br, data, int(n)); err != nil {
-		return rawRec{}, false, fmt.Errorf("spill store: segment read: %w", err)
-	}
-	end := len(*data)
-	pn, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return rawRec{}, false, fmt.Errorf("spill store: segment read: %w", err)
-	}
-	if err := appendRead(r.br, data, int(pn)); err != nil {
-		return rawRec{}, false, fmt.Errorf("spill store: segment read: %w", err)
-	}
-	return rawRec{
-		pid:    int(pid1) - 1,
-		fp:     binary.LittleEndian.Uint64(fixed[0:8]),
-		slotFP: binary.LittleEndian.Uint64(fixed[8:16]),
-		off:    off, end: end,
-		pathOff: end, pathEnd: len(*data),
-	}, true, nil
-}
-
-// appendRead grows *data by n bytes read from br.
-func appendRead(br *bufio.Reader, data *[]byte, n int) error {
-	off := len(*data)
-	need := off + n
-	if cap(*data) < need {
-		grown := make([]byte, need, 2*need+4096)
-		copy(grown, *data)
-		*data = grown
-	} else {
-		*data = (*data)[:need]
-	}
-	_, err := io.ReadFull(br, (*data)[off:])
-	return err
-}
-
-func (r *spoolReader) close() { r.ar.close() }
-
-// ---- sorted-run I/O ----
-
-// runWriter writes sorted dedup entries (an artifactRun: checksummed,
-// published by rename): fp (8B LE) plus, in exact-key mode, uvarint
-// len | key bytes.
-type runWriter struct {
-	path       string
-	aw         *artifactWriter
-	stringKeys bool
-	hdr        []byte
-	bytes      int64
-}
-
-func newRunWriter(path string, stringKeys bool) (*runWriter, error) {
-	aw, err := newArtifactWriter(path, artifactRun)
-	if err != nil {
-		return nil, fmt.Errorf("spill store: %w", err)
-	}
-	return &runWriter{path: path, aw: aw, stringKeys: stringKeys}, nil
-}
-
-func (w *runWriter) write(e spillEntry) error {
-	h := binary.LittleEndian.AppendUint64(w.hdr[:0], e.fp)
-	if w.stringKeys {
-		h = binary.AppendUvarint(h, uint64(len(e.key)))
-	}
-	w.hdr = h
-	if _, err := w.aw.Write(h); err != nil {
-		return fmt.Errorf("spill store: run write: %w", err)
-	}
-	w.bytes += int64(len(h))
-	if w.stringKeys {
-		if _, err := io.WriteString(w.aw, e.key); err != nil {
-			return fmt.Errorf("spill store: run write: %w", err)
-		}
-		w.bytes += int64(len(e.key))
-	}
-	return nil
-}
-
-func (w *runWriter) finish() (int64, error) {
-	if _, err := w.aw.finish(); err != nil {
-		return 0, fmt.Errorf("spill store: run finish: %w", err)
-	}
-	return w.bytes, nil
-}
-
-func (w *runWriter) abort() {
-	w.aw.abort()
-}
-
-func writeRun(path string, entries []spillEntry, stringKeys bool) (int64, error) {
-	w, err := newRunWriter(path, stringKeys)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range entries {
-		if err := w.write(e); err != nil {
-			w.abort()
-			return 0, err
-		}
-	}
-	// Crash point: the sorted run is fully written but not yet renamed
-	// into place — the delta it snapshots dies with the process.
-	fault.Crash(fault.CrashSpillRunWrite)
-	return w.finish()
-}
-
-// runReader streams a sorted run back; reaching EOF verifies the
-// payload checksum.
-type runReader struct {
-	ar         *artifactReader
-	br         *bufio.Reader
-	stringKeys bool
-	keyBuf     []byte
-}
-
-func newRunReader(path string, stringKeys bool) (*runReader, error) {
-	ar, _, err := openArtifact(path, artifactRun)
-	if err != nil {
-		return nil, fmt.Errorf("spill store: %w", err)
-	}
-	return &runReader{ar: ar, br: bufio.NewReaderSize(ar, 1<<18), stringKeys: stringKeys}, nil
-}
-
-func (r *runReader) next() (spillEntry, bool, error) {
-	var fixed [8]byte
-	if _, err := io.ReadFull(r.br, fixed[:]); err != nil {
-		if err == io.EOF {
-			return spillEntry{}, false, nil
-		}
-		return spillEntry{}, false, fmt.Errorf("spill store: run read: %w", err)
-	}
-	e := spillEntry{fp: binary.LittleEndian.Uint64(fixed[:])}
-	if r.stringKeys {
-		n, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return spillEntry{}, false, fmt.Errorf("spill store: run read: %w", err)
-		}
-		if uint64(cap(r.keyBuf)) < n {
-			r.keyBuf = make([]byte, n)
-		}
-		r.keyBuf = r.keyBuf[:n]
-		if _, err := io.ReadFull(r.br, r.keyBuf); err != nil {
-			return spillEntry{}, false, fmt.Errorf("spill store: run read: %w", err)
-		}
-		e.key = string(r.keyBuf)
-	}
-	return e, true, nil
-}
-
-func (r *runReader) close() { r.ar.close() }
-
 // ---- streaming frontier source ----
 
 // spillSource streams a level's spooled frontier back to the engine
-// workers: raw records are claimed under a short lock, decoding (exchange
-// lookups, slot-hash recomputation) happens outside it.
+// workers: a block of records is claimed under a short lock, decoding
+// (exchange lookups, slot-hash recomputation) happens outside it.
 type spillSource struct {
 	store *spillStore
 	size  int
-	depth int
+	segs  []string // the partitions' segment paths, for error reports
+	// drop holds, per partition, the admissions revoked or truncated at
+	// the barrier (nil: none); read-only once the source is handed out.
+	drop []*keyedSet
 
 	mu      sync.Mutex
 	cur     int
-	readers []*spoolReader
-	dropFP  []map[uint64]struct{}
-	dropKey []map[string]struct{}
+	readers []*artifactScanner
+	partial []*segBlock // claimed blocks handed back with records left
 
-	rawPool sync.Pool
+	pool sync.Pool
 }
 
-type rawBatch struct {
-	data []byte
-	recs []rawRec
+// segBlock is one claimed block of partition part's segment, decoded as
+// far as off.
+type segBlock struct {
+	part  int
+	data  []byte
+	off   int
+	spans [][]byte // slot-span scratch of whoever holds the block
+}
+
+// next decodes the block's next record. One that does not decode is
+// corruption the segment's checksum, verified only at its end, has yet to
+// report; the segment (seg) is unlinked once open, so there is nothing to
+// quarantine.
+func (b *segBlock) next(seg string) (NodeRecord, error) {
+	rec, rest, err := DecodeNodeRecord(b.data[b.off:])
+	if err != nil {
+		return rec, &CorruptArtifactError{Path: seg, Reason: err.Error()}
+	}
+	b.off = len(b.data) - len(rest)
+	return rec, nil
 }
 
 func (s *spillSource) Size() int { return s.size }
 
 func (s *spillSource) Next(buf []*Node) int {
+	n := 0
 	// After any read or decode failure the stream positions are not
 	// trustworthy; hand out nothing more and let the latched error
 	// surface at the next barrier (or at Close).
-	if s.store.takeErr() != nil {
-		return 0
-	}
-	rb, _ := s.rawPool.Get().(*rawBatch)
-	if rb == nil {
-		rb = &rawBatch{}
-	}
-	rb.data, rb.recs = rb.data[:0], rb.recs[:0]
-
-	s.mu.Lock()
-	for len(rb.recs) < len(buf) && s.cur < len(s.readers) {
-		r := s.readers[s.cur]
-		if r == nil {
-			s.cur++
-			continue
-		}
-		rec, ok, err := r.read(&rb.data)
-		if err != nil {
-			// Retire the reader: its stream position is misaligned, so
-			// another read could hand back garbage records.
-			s.store.fail(err)
-			r.close()
-			s.readers[s.cur] = nil
-			s.cur++
+	for n == 0 && s.store.takeErr() == nil {
+		b := s.claim()
+		if b == nil {
 			break
 		}
-		if !ok {
-			r.close()
-			s.readers[s.cur] = nil
-			s.cur++
+		for n < len(buf) && b.off < len(b.data) {
+			node, err := s.decode(b)
+			if err != nil {
+				s.store.fail(err)
+				b.off = len(b.data) // abandon the block
+			} else if node != nil {
+				buf[n] = node
+				n++
+			}
+		}
+		if b.off == len(b.data) {
+			s.pool.Put(b)
 			continue
 		}
-		if s.droppedLocked(rec, rb.data) {
-			rb.data = rb.data[:rec.off]
-			continue
-		}
-		rb.recs = append(rb.recs, rec)
+		s.mu.Lock()
+		s.partial = append(s.partial, b)
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-
-	n := 0
-	var spans [][]byte
-	for _, rec := range rb.recs {
-		node, sp, err := s.store.decode(rec, rb.data, s.depth, spans)
-		spans = sp
-		if err != nil {
-			s.store.fail(err)
-			break
-		}
-		buf[n] = node
-		n++
-	}
-	s.rawPool.Put(rb)
 	return n
 }
 
-// droppedLocked reports whether the record was revoked or truncated at
-// the barrier. Entries are unique per level, so the fingerprint (or, in
-// exact-key mode, the encoding) identifies the record.
-func (s *spillSource) droppedLocked(rec rawRec, data []byte) bool {
-	if s.store.ctx.stringKeys {
-		m := s.dropKey[s.cur]
-		if m == nil {
-			return false
+// claim hands out a block with records left to decode — one handed back
+// by a caller whose buffer filled first, else the next block of the
+// segments, read here under the lock — or nil when there is none.
+func (s *spillSource) claim() *segBlock {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.partial); k > 0 {
+		b := s.partial[k-1]
+		s.partial = s.partial[:k-1]
+		return b
+	}
+	for ; s.cur < len(s.readers); s.cur++ {
+		r := s.readers[s.cur]
+		if r == nil {
+			continue
 		}
-		_, ok := m[string(data[rec.off:rec.end])]
-		return ok
+		b, _ := s.pool.Get().(*segBlock)
+		if b == nil {
+			b = &segBlock{}
+		}
+		var err error
+		if b.data, err = r.blob(b.data); err == nil {
+			b.part, b.off = s.cur, 0
+			return b
+		}
+		// The segment is exhausted, or unreadable: then its stream position
+		// is misaligned and another read could hand back garbage records.
+		s.pool.Put(b)
+		r.close()
+		s.readers[s.cur] = nil
+		if err != io.EOF {
+			s.store.fail(fmt.Errorf("spill store: segment read: %w", err))
+			return nil
+		}
 	}
-	m := s.dropFP[s.cur]
-	if m == nil {
-		return false
+	return nil
+}
+
+// decode rebuilds the next record of b, or returns nil for one dropped at
+// the barrier. Entries are unique per level, so the fingerprint (or, under
+// exact keys, the encoding) identifies the record. Every span a spooled
+// node carries was interned when it was spooled, so a miss is corruption.
+func (s *spillSource) decode(b *segBlock) (*Node, error) {
+	rec, err := b.next(s.segs[b.part])
+	if err != nil {
+		return nil, err
 	}
-	_, ok := m[rec.fp]
-	return ok
+	key := ""
+	if s.store.ctx.stringKeys {
+		key = string(rec.Enc)
+	}
+	if d := s.drop[b.part]; d != nil && d.has(rec.FP, key) {
+		return nil, nil
+	}
+	n, spans, err := s.store.remat.node(rec, b.spans)
+	b.spans = spans
+	if err != nil {
+		return nil, &CorruptArtifactError{Path: s.segs[b.part], Reason: err.Error()}
+	}
+	n.key = key
+	return n, nil
 }
 
 func (s *spillSource) closeAll() {
@@ -1086,127 +785,69 @@ func (s *spillSource) closeAll() {
 			s.readers[i] = nil
 		}
 	}
-	s.cur = len(s.readers)
+	s.cur, s.partial = len(s.readers), nil
 	s.mu.Unlock()
-}
-
-// decode rematerializes one spooled node: canonical slots from the
-// exchange, slot hashes recomputed from the encoding spans. Every span a
-// spooled node carries was interned when it was spooled, so a miss is
-// corruption.
-func (s *spillStore) decode(rec rawRec, data []byte, depth int, spans [][]byte) (*Node, [][]byte, error) {
-	enc := data[rec.off:rec.end]
-	n := s.ctx.newNode()
-	spans, miss, err := fillFromExchange(n, s.exch, enc, s.ctx.nObj, s.ctx.nProc, spans)
-	if err == nil && miss >= 0 {
-		err = fmt.Errorf("slot %d encoding not interned", miss)
-	}
-	if err != nil {
-		s.ctx.recycle(n)
-		return nil, spans, fmt.Errorf("spill store: %w", err)
-	}
-	n.Depth = depth
-	n.Pid = rec.pid
-	n.parent = nil
-	n.fp, n.slotFP = rec.fp, rec.slotFP
-	n.path = append(n.path[:0], data[rec.pathOff:rec.pathEnd]...)
-	if s.ctx.stringKeys {
-		n.key = string(enc)
-	} else {
-		n.key = ""
-	}
-	return n, spans, nil
 }
 
 // ---- checkpoint support ----
 
-// DumpVisited streams every visited entry (resident deltas plus all
-// spilled runs) to emit, for checkpoint snapshots. Runs at a level
-// barrier only. Entries may repeat across delta and runs; seeding is
-// idempotent so duplicates are harmless.
+// DumpVisited emits the resident deltas and then every spilled run; an
+// entry spilled and re-admitted since comes twice.
 func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
 	for i := range s.parts {
 		p := &s.parts[i]
-		if s.ctx.stringKeys {
-			for k, fp := range p.deltaKeys {
-				if err := emit(fp, k); err != nil {
-					return err
-				}
-			}
-		} else if err := p.deltaFP.forEach(func(fp uint64) error { return emit(fp, "") }); err != nil {
+		if err := p.delta.forEach(emit); err != nil {
 			return err
 		}
 		for j := range p.runs {
-			r, err := newRunReader(p.runs[j].path, s.ctx.stringKeys)
+			r, err := openEntries(p.runs[j].path, artifactRun)
 			if err != nil {
 				return err
 			}
-			for {
-				e, ok, err := r.next()
-				if err != nil {
-					r.close()
-					return err
-				}
-				if !ok {
-					break
-				}
-				if err := emit(e.fp, e.key); err != nil {
-					r.close()
-					return err
-				}
-			}
+			err = r.each(emit)
 			r.close()
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// SeedVisited loads a checkpoint's visited snapshot under the byte budget
-// (checkpoint resume): a partition's delta takes entries up to its share
-// of the budget, is flushed to a sorted run like any over-budget delta,
-// and starts over, so a resumed run holds no more of the visited set
-// resident than the run that wrote the snapshot did. Every fresh delta
-// table is sized for what it will take before it takes it (fpSet.reserve:
-// a mem-store snapshot arrives in table order).
+// SeedVisited loads the snapshot under the byte budget: a partition's
+// delta takes entries up to its share of the budget, is flushed to a
+// sorted run like any over-budget delta, and starts over, so a resumed run
+// holds no more of the visited set resident than the run that wrote the
+// snapshot did. Every fresh delta table is sized for what it will take
+// before it takes it (a mem-store snapshot arrives in table order).
 func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
 	// A partition's share of the budget, floored at a delta table's
 	// initial footprint so tiny budgets batch flushes instead of spilling
-	// every entry. A delta table may have as many slots as that holds, and
-	// takes 70% of that many entries before it would grow.
+	// every entry.
 	partBudget := max(s.budget/int64(len(s.parts)), 8<<10)
-	slots := 1024
-	for int64(slots)*2*8 <= partBudget {
-		slots <<= 1
-	}
-	chunk := slots * 7 / 10
 	left := partCounts(fps, len(s.parts)) // entries still to come, per partition
 	room := make([]int, len(s.parts))     // entries the current delta table still takes
 	mask := uint64(len(s.parts) - 1)
 	for i, fp := range fps {
 		part := fp & mask
 		p := &s.parts[part]
-		var full bool // the partition's delta has reached its share of the budget
-		if s.ctx.stringKeys {
-			if _, dup := p.deltaKeys[keys[i]]; !dup {
-				p.deltaKeys[keys[i]] = fp
-				p.deltaKeyBytes += int64(len(keys[i])) + mapEntryOverhead
-			}
-			full = p.deltaKeyBytes > partBudget
-		} else {
-			if room[part] == 0 {
-				room[part] = min(left[part], chunk)
-				p.deltaFP.reserve(room[part])
-			}
-			p.deltaFP.Add(fp)
-			room[part]--
-			full = room[part] == 0
+		if room[part] == 0 {
+			room[part] = p.delta.reserve(left[part], partBudget)
 		}
+		key := ""
+		if keys != nil {
+			key = keys[i]
+		}
+		p.delta.add(fp, key)
+		room[part]--
 		left[part]--
-		if full && left[part] > 0 {
+		// The delta has reached its share of the budget.
+		if (room[part] == 0 || p.delta.bytes() > partBudget) && left[part] > 0 {
 			s.foldPeak()
 			if err := s.spillDelta(p); err != nil {
 				return err
 			}
+			room[part] = 0
 		}
 	}
 	s.foldPeak()

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-
-	"repro/internal/model"
 )
 
 // This file defines the pluggable state-store layer of the frontier
@@ -29,20 +27,8 @@ import (
 // level (Admit/Has), and EndLevel runs alone at the barrier. Stores
 // therefore need no per-candidate locking, mirroring the fpSet contract.
 
-// compareKeyed is the engine's canonical order on visited entries, by
-// (fingerprint, key): the order the budget cutoff keeps a prefix of and
-// the spill store's runs are sorted in. Entries of one visited set never
-// tie (that is what dedup means), so sorting by it is deterministic. Keys
-// are empty, and the order the fingerprints', outside exact-key runs.
-func compareKeyed(fpA uint64, keyA string, fpB uint64, keyB string) int {
-	if c := cmp.Compare(fpA, fpB); c != 0 {
-		return c
-	}
-	return strings.Compare(keyA, keyB)
-}
-
-// sortNodes sorts nodes into the canonical order. It sorts (fingerprint,
-// node) pairs, not the pointers: a level that overshoots the budget is
+// sortNodes sorts nodes into the canonical order, entryCompare's. It sorts
+// (fingerprint, node) pairs, not the pointers: a level that overshoots the budget is
 // hundreds of thousands of nodes scattered over the heap, and comparing
 // two of them through their pointers is two cache misses, where two
 // pairs lie side by side. A node is read only to break a fingerprint tie
@@ -147,26 +133,21 @@ type StateStore interface {
 	// Close releases all resources (spill files, directories). It is safe
 	// to call after an aborted level.
 	Close() error
-}
 
-// checkpointableStore is the optional capability checkpointing needs
-// from a store: dumping the visited set at a level barrier and loading a
-// snapshot back on resume. Both built-in stores implement it.
-//
-// DumpVisited may emit an entry more than once (the spill store's deltas
-// and runs can overlap) and emits resident tables in table order, which
-// costs no memory but is the one order that must never be inserted into a
-// table that is still growing (fpSet.reserve says why).
-//
-// SeedVisited therefore takes the snapshot whole, after its checksum has
-// verified: fps (and, under exact keys, the parallel keys; nil otherwise)
-// go to partition fp & (parts-1), the engine's routing, into tables sized
-// from the per-partition counts first, so seeding is linear in the
-// snapshot whatever order it arrives in and whichever store wrote it. It
-// runs once, on a fresh store, before the first level; repeats in the
-// snapshot are harmless.
-type checkpointableStore interface {
+	// DumpVisited streams every visited entry to emit, for a checkpoint
+	// snapshot; it runs at a level barrier only. It may emit an entry more
+	// than once (the spill store's deltas and runs can overlap) and emits
+	// resident tables in table order, which costs no memory but is the one
+	// order that must never be inserted into a table that is still growing
+	// (fpSet.reserve says why).
 	DumpVisited(emit func(fp uint64, key string) error) error
+	// SeedVisited therefore takes a snapshot whole, after its checksum has
+	// verified: fps (and, under exact keys, the parallel keys; nil
+	// otherwise) go to partition fp & (parts-1), the engine's routing, into
+	// tables sized from the per-partition counts first, so seeding is
+	// linear in the snapshot whatever order it arrives in and whichever
+	// store wrote it. It runs once, on a fresh store, before the first
+	// level; repeats in the snapshot are harmless.
 	SeedVisited(fps []uint64, keys []string) error
 }
 
@@ -204,44 +185,7 @@ type storeCtx struct {
 	// retain forces stores to keep admitted nodes in RAM (provenance
 	// runs: parent chains must stay live, so frontier spooling is off and
 	// only dedup state spills).
-	retain bool
-	// paths asks the spill store to round-trip each node's root-to-node
-	// pid path through the frontier spool (checkpointing runs only; the
-	// path is how a resumed process rebuilds protocol-opaque nodes).
-	paths   bool
+	retain  bool
 	newNode func() *Node
 	recycle func(*Node)
-}
-
-// fillFromExchange rebuilds n's configuration and slot hashes from enc, a
-// compact Config encoding, without stepping anything: the encoding is
-// split into its per-slot spans, each span's canonical value or state is
-// looked up in the exchange, and the slot hash is recomputed from the
-// span. It is how the spill store's frontier spool and a distributed
-// peer's inbound records both rematerialize nodes. miss is the first slot
-// (objects, then states) whose span the exchange has never interned, or
-// -1; n is only complete when miss < 0 and err == nil. spans is scratch,
-// returned for reuse.
-func fillFromExchange(n *Node, exch *model.SlotExchange, enc []byte, nObj, nProc int, spans [][]byte) (out [][]byte, miss int, err error) {
-	if spans, err = model.SlotSpans(enc, nObj, nProc, spans); err != nil {
-		return spans, -1, err
-	}
-	for i := 0; i < nObj; i++ {
-		v, ok := exch.Value(spans[i])
-		if !ok {
-			return spans, i, nil
-		}
-		n.Cfg.Objects[i] = v
-		n.slotH[i] = model.SlotContentHash(spans[i])
-	}
-	for p := 0; p < nProc; p++ {
-		span := spans[nObj+p]
-		st, ok := exch.State(span)
-		if !ok {
-			return spans, nObj + p, nil
-		}
-		n.Cfg.States[p] = st
-		n.slotH[nObj+p] = model.SlotContentHash(span)
-	}
-	return spans, -1, nil
 }

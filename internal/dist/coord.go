@@ -839,12 +839,18 @@ func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failSta
 		out.DecidedValues = append(out.DecidedValues, v)
 	}
 	sort.Ints(out.DecidedValues)
+	// Witnesses arrive as pid paths; replaying one validates every
+	// transition against the model.
+	start, err := model.NewConfig(p, spec.Inputs)
+	if err != nil {
+		return nil, fmt.Errorf("dist: rebuilding start configuration: %w", err)
+	}
 	for _, v := range out.DecidedValues {
 		w := bestWit[v]
 		if w == nil {
 			continue
 		}
-		if _, err := replayPath(p, spec.Inputs, w.Path); err != nil {
+		if _, err := model.Replay(p, start, w.Path); err != nil {
 			return nil, fmt.Errorf("dist: replaying witness for value %d: %w", v, err)
 		}
 		out.ValueWitnesses = append(out.ValueWitnesses, check.ValueWitness{
@@ -852,7 +858,7 @@ func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failSta
 		})
 	}
 	if viol != nil {
-		cfg, err := replayPath(p, spec.Inputs, viol.ViolPath)
+		cfg, err := model.Replay(p, start, viol.ViolPath)
 		if err != nil {
 			return nil, fmt.Errorf("dist: replaying violation witness: %w", err)
 		}
@@ -862,21 +868,6 @@ func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failSta
 		out.ViolationPath = append([]byte(nil), viol.ViolPath...)
 	}
 	return out, nil
-}
-
-// replayPath rebuilds the start configuration and applies a pid path,
-// validating every transition exists in the model.
-func replayPath(p model.Protocol, inputs []int, path []byte) (*model.Config, error) {
-	cfg, err := model.NewConfig(p, inputs)
-	if err != nil {
-		return nil, fmt.Errorf("rebuilding start configuration: %w", err)
-	}
-	for _, pb := range path {
-		if _, err := model.Apply(p, cfg, int(pb)); err != nil {
-			return nil, err
-		}
-	}
-	return cfg, nil
 }
 
 // withLimitDefaults mirrors check.ExploreLimits.withDefaults so the

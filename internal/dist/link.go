@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -23,7 +24,7 @@ const recordBatchSize = 256
 // leans on.
 type linkEvent struct {
 	kind  frameType
-	recs  []check.DistRecord
+	recs  []byte // a batch's records, checked whole (decodeBatch)
 	depth int
 	cont  contMsg
 	err   error
@@ -88,10 +89,11 @@ func (q *eventQueue) close() {
 	q.mu.Unlock()
 }
 
-// outBuf is one worker's pending records for one destination peer.
+// outBuf is one worker's pending batch for one destination peer: the
+// payload as it will be framed, its header's count filled in at flush.
 type outBuf struct {
 	count int
-	buf   []byte // appended record encodings (batch header prepended at flush)
+	buf   []byte
 }
 
 // peerLink implements check.DistLink over one connection to the
@@ -140,7 +142,7 @@ type peerLink struct {
 	// before our own CONT does. They belong to the next expand barrier,
 	// so they are stashed here and drained by the next BarrierExpand.
 	// Touched only by the barrier methods (engine control goroutine).
-	pending []check.DistRecord
+	pending [][]byte
 }
 
 // newPeerLink wraps conn (whose HELLO has already been consumed from r)
@@ -193,7 +195,8 @@ func (l *peerLink) readLoop(r io.Reader) {
 				l.evq.push(linkEvent{kind: frameError, err: &FrameError{Reason: fmt.Sprintf("batch for peer %d relayed to peer %d", dest, l.self)}})
 				return
 			}
-			l.evq.push(linkEvent{kind: frameBatch, recs: recs})
+			// The frame buffer is the reader's to reuse.
+			l.evq.push(linkEvent{kind: frameBatch, recs: append([]byte(nil), recs...)})
 		case frameBarrier, frameNeedFPs:
 			var m depthMsg
 			if derr := unmarshalCtrl(payload, &m); derr != nil {
@@ -257,9 +260,6 @@ func (l *peerLink) writeFrame(t frameType, payload []byte) error {
 
 // ---- check.DistLink ----
 
-func (l *peerLink) Peers() int { return l.n }
-func (l *peerLink) Self() int  { return l.self }
-
 func (l *peerLink) Owns(fp uint64) bool {
 	return check.DistPeerOf(check.DistPart(fp), l.n) == l.self
 }
@@ -271,31 +271,32 @@ func (l *peerLink) Start(workers int) {
 	}
 }
 
-func (l *peerLink) Send(worker int, rec check.DistRecord) error {
-	dest := check.DistPeerOf(check.DistPart(rec.FP), l.n)
+func (l *peerLink) Send(worker int, n *check.Node) error {
+	dest := check.DistPeerOf(check.DistPart(n.Fingerprint()), l.n)
 	b := &l.bufs[worker][dest]
-	b.buf = appendRecord(b.buf, rec)
+	if b.count == 0 {
+		b.buf = appendBatchHeader(b.buf[:0], dest, l.self, 0)
+	}
+	b.buf, _ = check.AppendNodeRecord(b.buf, n)
 	b.count++
 	if b.count >= recordBatchSize {
-		return l.flushBuf(dest, b)
+		return l.flushBuf(b)
 	}
 	return nil
 }
 
-func (l *peerLink) flushBuf(dest int, b *outBuf) error {
+func (l *peerLink) flushBuf(b *outBuf) error {
 	fault.Crash(fault.CrashDistBatchSend)
-	payload := appendBatchHeader(make([]byte, 0, batchHeaderLen+len(b.buf)), dest, l.self, b.count)
-	payload = append(payload, b.buf...)
-	b.buf = b.buf[:0]
+	binary.LittleEndian.PutUint32(b.buf[2:], uint32(b.count))
 	b.count = 0
 	l.batches.Add(1)
-	return l.writeFrame(frameBatch, payload)
+	return l.writeFrame(frameBatch, b.buf)
 }
 
 func (l *peerLink) FlushWorker(worker int) error {
 	for dest := range l.bufs[worker] {
 		if b := &l.bufs[worker][dest]; b.count > 0 {
-			if err := l.flushBuf(dest, b); err != nil {
+			if err := l.flushBuf(b); err != nil {
 				return err
 			}
 		}
@@ -303,20 +304,13 @@ func (l *peerLink) FlushWorker(worker int) error {
 	return nil
 }
 
-func (l *peerLink) flushAllWorkers() error {
-	for w := range l.bufs {
-		if err := l.FlushWorker(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (l *peerLink) BarrierExpand(depth int) ([]check.DistRecord, error) {
+func (l *peerLink) BarrierExpand(depth int) ([][]byte, error) {
 	// The engine's workers have joined; no concurrent Send can race the
 	// sweep.
-	if err := l.flushAllWorkers(); err != nil {
-		return nil, err
+	for w := range l.bufs {
+		if err := l.FlushWorker(w); err != nil {
+			return nil, err
+		}
 	}
 	if err := l.writeFrame(frameExpanded, marshalCtrl(depthMsg{Depth: depth})); err != nil {
 		return nil, err
@@ -331,7 +325,7 @@ func (l *peerLink) BarrierExpand(depth int) ([]check.DistRecord, error) {
 		}
 		switch ev.kind {
 		case frameBatch:
-			recs = append(recs, ev.recs...)
+			recs = append(recs, ev.recs)
 		case frameBarrier:
 			if ev.depth != depth {
 				return nil, &FrameError{Reason: fmt.Sprintf("barrier for depth %d while expanding depth %d", ev.depth, depth)}
@@ -378,7 +372,7 @@ func (l *peerLink) BarrierLevel(depth int, admitted int64, next int, stop bool, 
 			// Early records for the next level (a peer released from this
 			// barrier before us is already expanding); hold them for the
 			// next BarrierExpand.
-			l.pending = append(l.pending, ev.recs...)
+			l.pending = append(l.pending, ev.recs)
 		case frameCont:
 			if ev.cont.Depth != depth {
 				return check.DistBarrier{}, &FrameError{Reason: fmt.Sprintf("continue for depth %d at level barrier %d", ev.cont.Depth, depth)}

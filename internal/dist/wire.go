@@ -191,17 +191,8 @@ func readFrame(r io.Reader, buf []byte) (t frameType, payload, out []byte, err e
 //	dest  uint8   receiving peer index
 //	src   uint8   sending peer index
 //	count uint32  records
-//	recs  count × record
-//
-// Record (the spill store's spool layout plus the routing fields):
-//
-//	pid+1  uvarint
-//	depth  uvarint
-//	fp     uint64 LE
-//	slotFP uint64 LE
-//	sleep  uint64 LE
-//	elen   uvarint, enc [elen]byte   compact Config encoding
-//	plen   uvarint, path [plen]byte  root-to-node pid path
+//	recs  count × node record (check.AppendNodeRecord: the record the
+//	      spill store spools, one layout for both)
 const batchHeaderLen = 6
 
 func appendBatchHeader(buf []byte, dest, src, count int) []byte {
@@ -209,86 +200,31 @@ func appendBatchHeader(buf []byte, dest, src, count int) []byte {
 	return binary.LittleEndian.AppendUint32(buf, uint32(count))
 }
 
-func appendRecord(buf []byte, rec check.DistRecord) []byte {
-	buf = binary.AppendUvarint(buf, uint64(rec.Pid+1))
-	buf = binary.AppendUvarint(buf, uint64(rec.Depth))
-	buf = binary.LittleEndian.AppendUint64(buf, rec.FP)
-	buf = binary.LittleEndian.AppendUint64(buf, rec.SlotFP)
-	buf = binary.LittleEndian.AppendUint64(buf, rec.Sleep)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Enc)))
-	buf = append(buf, rec.Enc...)
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Path)))
-	return append(buf, rec.Path...)
-}
-
-// decodeBatch parses a batch payload. The records' Enc/Path are copies
-// (the frame buffer is reused by the reader).
-func decodeBatch(b []byte) (dest, src int, recs []check.DistRecord, err error) {
+// decodeBatch checks a batch payload — the header, and that what follows
+// is exactly count whole records — and returns the records, aliasing b,
+// for the engine to decode in place.
+func decodeBatch(b []byte) (dest, src int, recs []byte, err error) {
 	if len(b) < batchHeaderLen {
 		return 0, 0, nil, &FrameError{Reason: "batch payload shorter than its header"}
 	}
 	dest, src = int(b[0]), int(b[1])
 	count := binary.LittleEndian.Uint32(b[2:6])
-	b = b[batchHeaderLen:]
-	// A record is at least 28 bytes (two 1-byte uvarints, three u64
-	// fingerprints, two 1-byte empty blobs), so a count the payload
-	// cannot possibly hold is corruption — reject it before the record
-	// slice is sized from it.
-	if uint64(count)*28 > uint64(len(b)) {
+	recs = b[batchHeaderLen:]
+	// A count the payload cannot possibly hold is corruption — reject it
+	// before looping on its say-so.
+	if uint64(count)*check.NodeRecordMin > uint64(len(recs)) {
 		return 0, 0, nil, &FrameError{Reason: fmt.Sprintf("batch record count %d exceeds payload capacity", count)}
 	}
-	recs = make([]check.DistRecord, 0, count)
+	rest := recs
 	for i := uint32(0); i < count; i++ {
-		var rec check.DistRecord
-		rec, b, err = decodeRecord(b)
-		if err != nil {
-			return 0, 0, nil, err
+		if _, rest, err = check.DecodeNodeRecord(rest); err != nil {
+			return 0, 0, nil, &FrameError{Reason: fmt.Sprintf("batch record %d", i), Err: err}
 		}
-		recs = append(recs, rec)
 	}
-	if len(b) != 0 {
-		return 0, 0, nil, &FrameError{Reason: fmt.Sprintf("%d trailing bytes after batch records", len(b))}
+	if len(rest) != 0 {
+		return 0, 0, nil, &FrameError{Reason: fmt.Sprintf("%d trailing bytes after batch records", len(rest))}
 	}
 	return dest, src, recs, nil
-}
-
-func decodeRecord(b []byte) (check.DistRecord, []byte, error) {
-	var rec check.DistRecord
-	pid1, n := binary.Uvarint(b)
-	if n <= 0 {
-		return rec, nil, &FrameError{Reason: "record pid"}
-	}
-	rec.Pid = int(pid1) - 1
-	b = b[n:]
-	depth, n := binary.Uvarint(b)
-	if n <= 0 {
-		return rec, nil, &FrameError{Reason: "record depth"}
-	}
-	rec.Depth = int(depth)
-	b = b[n:]
-	if len(b) < 24 {
-		return rec, nil, &FrameError{Reason: "record fingerprints truncated"}
-	}
-	rec.FP = binary.LittleEndian.Uint64(b)
-	rec.SlotFP = binary.LittleEndian.Uint64(b[8:])
-	rec.Sleep = binary.LittleEndian.Uint64(b[16:])
-	b = b[24:]
-	var err error
-	if rec.Enc, b, err = readBlob(b, "record encoding"); err != nil {
-		return rec, nil, err
-	}
-	if rec.Path, b, err = readBlob(b, "record path"); err != nil {
-		return rec, nil, err
-	}
-	return rec, b, nil
-}
-
-func readBlob(b []byte, what string) (blob, rest []byte, err error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || l > uint64(len(b)-n) {
-		return nil, nil, &FrameError{Reason: what + " truncated"}
-	}
-	return append([]byte(nil), b[n:n+int(l)]...), b[n+int(l):], nil
 }
 
 // ---- fingerprint-chunk payloads (global budget truncation) ----

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -27,19 +29,31 @@ import (
 // decoder; the deterministic tests below pin the specific corruption
 // classes the issue names.
 
-func testRecords() []check.DistRecord {
-	return []check.DistRecord{
+// testRecords is what testRecordBytes must decode to.
+func testRecords() []check.NodeRecord {
+	return []check.NodeRecord{
 		{Pid: 0, Depth: 1, FP: 0xdeadbeefcafe, SlotFP: 7, Sleep: 0, Enc: []byte{1}, Path: []byte{0}},
 		{Pid: 3, Depth: 12, FP: ^uint64(0), SlotFP: ^uint64(1), Sleep: 0b1011, Enc: []byte("compact-config-encoding"), Path: []byte{0, 1, 2, 3, 2, 1}},
 		{Pid: 255, Depth: 0, FP: 1, SlotFP: 2, Sleep: 3, Enc: []byte{0}, Path: []byte{9}},
 	}
 }
 
-func seedFrames() [][]byte {
-	batch := appendBatchHeader(nil, 1, 0, len(testRecords()))
-	for _, rec := range testRecords() {
-		batch = appendRecord(batch, rec)
+// testRecordBytes is testRecords as the record encoder this package had
+// before the engine's took over (appendRecord, PR 22) wrote them: the
+// wire layout is pinned to these bytes, so a peer of either build reads
+// the other's batches.
+func testRecordBytes() []byte {
+	b, err := hex.DecodeString("0101fecaefbeadde000007000000000000000000000000000000010101000" +
+		"40cfffffffffffffffffeffffffffffffff0b0000000000000017636f6d706163742d636f6e6669672d656e636f64696e67060001020302" +
+		"0180020001000000000000000200000000000000030000000000000001000109")
+	if err != nil {
+		panic(err)
 	}
+	return b
+}
+
+func seedFrames() [][]byte {
+	batch := append(appendBatchHeader(nil, 1, 0, len(testRecords())), testRecordBytes()...)
 	return [][]byte{
 		appendFrame(nil, frameHello, marshalCtrl(helloMsg{Proto: "algorithm1", N: 4, K: 1, M: 2, Inputs: []int{0, 1, 1, 0}, PeerCount: 2})),
 		appendFrame(nil, frameHelloAck, marshalCtrl(helloAckMsg{PeerIndex: 1})),
@@ -222,22 +236,61 @@ func TestWireBatchCountOverflow(t *testing.T) {
 
 func TestWireBatchRoundTrip(t *testing.T) {
 	want := testRecords()
-	b := appendBatchHeader(nil, 2, 1, len(want))
-	for _, rec := range want {
-		b = appendRecord(b, rec)
-	}
-	dest, src, got, err := decodeBatch(b)
+	b := append(appendBatchHeader(nil, 2, 1, len(want)), testRecordBytes()...)
+	dest, src, recs, err := decodeBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dest != 2 || src != 1 {
 		t.Fatalf("dest/src = %d/%d, want 2/1", dest, src)
 	}
+	var got []check.NodeRecord
+	for len(recs) > 0 {
+		var rec check.NodeRecord
+		if rec, recs, err = check.DecodeNodeRecord(recs); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rec)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("records round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	if _, _, _, err := decodeBatch(append(b, 0)); err == nil {
 		t.Fatal("trailing byte after records went undetected")
+	}
+}
+
+// TestWireBatchCorruption holds the record block of a batch to the frame
+// layer's contract: decodeBatch is what stands between a payload and the
+// engine, so every truncation and every single-bit flip of a batch either
+// fails with a typed *FrameError or still is count whole records, never a
+// panic. (The frame CRC catches all of these first; this is the layer
+// under it.)
+func TestWireBatchCorruption(t *testing.T) {
+	b := append(appendBatchHeader(nil, 1, 0, len(testRecords())), testRecordBytes()...)
+	probe := func(what string, mut []byte) {
+		t.Helper()
+		_, _, recs, err := decodeBatch(mut)
+		var fe *FrameError
+		if err != nil && !errors.As(err, &fe) {
+			t.Fatalf("%s: error is %T (%v), want *FrameError", what, err, err)
+		}
+		if err == nil && len(recs) != len(mut)-batchHeaderLen {
+			t.Fatalf("%s: accepted %d record bytes of %d", what, len(recs), len(mut)-batchHeaderLen)
+		}
+	}
+	for n := 0; n < len(b); n++ {
+		if _, _, _, err := decodeBatch(b[:n]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte batch decoded", n, len(b))
+		}
+		probe(fmt.Sprintf("prefix %d", n), b[:n])
+	}
+	for i := range b {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), b...)
+			mut[i] ^= 1 << bit
+			probe(fmt.Sprintf("byte %d bit %d", i, bit), mut)
+		}
 	}
 }
 

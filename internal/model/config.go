@@ -247,6 +247,19 @@ func Apply(p Protocol, c *Config, pid int) (StepRecord, error) {
 	return StepRecord{Pid: pid, Op: op, Resp: resp}, nil
 }
 
+// Replay returns the configuration the pid path leads to from start: a
+// clone of start with Apply run for each pid in turn, every step checked
+// the way Apply checks it. start is not mutated.
+func Replay(p Protocol, start *Config, path []byte) (*Config, error) {
+	c := start.Clone()
+	for _, pid := range path {
+		if _, err := Apply(p, c, int(pid)); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
 // Execution is a finite execution from some configuration: the sequence of
 // steps taken. Together with the starting configuration it determines the
 // final configuration (Cα in the paper).
