@@ -1,0 +1,154 @@
+package check_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/model"
+)
+
+// admissionHash runs the engine at one worker and hashes every admitted
+// node's (depth, fingerprint, generator pid) in visit order — at one
+// worker a pure function of the instance, the limits and the store.
+func admissionHash(t *testing.T, p model.Protocol, inputs []int, limits check.ExploreLimits, eng check.EngineOptions) (uint64, int) {
+	t.Helper()
+	c := model.MustNewConfig(p, inputs)
+	pids := make([]int, p.NumProcesses())
+	for i := range pids {
+		pids[i] = i
+	}
+	eng.Workers = 1
+	if eng.Store == check.StoreSpill {
+		eng.MemBudget = 16 << 10 // the visited set really spills
+	}
+	h := fnv.New64a()
+	var rec [20]byte
+	stats, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node) error {
+		binary.LittleEndian.PutUint32(rec[0:], uint32(n.Depth))
+		binary.LittleEndian.PutUint64(rec[4:], n.Fingerprint())
+		binary.LittleEndian.PutUint64(rec[12:], uint64(int64(n.Pid)))
+		h.Write(rec[:])
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64(), stats.Processed
+}
+
+// TestGoldenAdmissionSequence pins the one-worker admission sequence —
+// which nodes are admitted, at what depth, generated by which pid, visited
+// in what order — to the values the parent of the claim-before-build
+// expansion (commit a525cd0) produced: admitting by (fp, key) before the
+// node exists must not move any of it. The two stores order a
+// budget-truncated last level differently (the in-memory store sorts it,
+// the spill store streams it back in admission order), so each has its own
+// golden on the capped instance.
+func TestGoldenAdmissionSequence(t *testing.T) {
+	toy, err := baseline.NewToyBitRace(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		p       model.Protocol
+		inputs  []int
+		limits  check.ExploreLimits
+		eng     check.EngineOptions
+		visited int
+		golden  map[string]uint64 // by store
+	}{
+		{"algorithm1 n=3 k=1 m=2 max=2000", core.MustNew(core.Params{N: 3, K: 1, M: 2}), []int{0, 1, 1},
+			check.ExploreLimits{MaxConfigs: 2000}, check.EngineOptions{}, 2000,
+			map[string]uint64{check.StoreMem: 0x723450c9bf0cc85e, check.StoreSpill: 0x43e4fdeb8a5c7b3e}},
+		{"toybit n=4 sym+sleep", toy, []int{0, 1, 0, 1},
+			check.ExploreLimits{MaxConfigs: 1000000}, check.EngineOptions{Reduction: check.ReduceSymSleep}, 17263,
+			map[string]uint64{check.StoreMem: 0xa9b7dce41e0b973f, check.StoreSpill: 0xa9b7dce41e0b973f}},
+	} {
+		for _, store := range []string{check.StoreMem, check.StoreSpill} {
+			eng := tc.eng
+			eng.Store = store
+			got, visited := admissionHash(t, tc.p, tc.inputs, tc.limits, eng)
+			if got != tc.golden[store] || visited != tc.visited {
+				t.Errorf("%s store=%s: admission hash %#x over %d nodes, want %#x over %d",
+					tc.name, store, got, visited, tc.golden[store], tc.visited)
+			}
+		}
+	}
+}
+
+// TestContendedClaims: eight workers claiming in the same 64 partitions —
+// more than the cores any CI cell has, so lock holders are preempted — lose
+// and duplicate nothing: the 90,488-state instance of
+// TestExhaustiveOrbitCount, whose sleep-mask intersections are folded under
+// the same locks, comes out whole.
+func TestContendedClaims(t *testing.T) {
+	p, err := baseline.NewToyBitRace(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := model.MustNewConfig(p, []int{0, 1, 0, 1, 0})
+	res, err := check.ExploreOpts(p, c, []int{0, 1, 2, 3, 4}, 0, check.ExploreOptions{
+		Limits: check.ExploreLimits{MaxConfigs: 1000000},
+		Engine: check.EngineOptions{Reduction: check.ReduceSymSleep, Workers: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Visited != 90488 || !res.Complete || !reflect.DeepEqual(res.DecidedValues, []int{0, 1}) {
+		t.Errorf("visited %d (complete %t) deciding %v, want 90488 (complete) deciding [0 1]", res.Visited, res.Complete, res.DecidedValues)
+	}
+}
+
+// TestSpillReloadEqualsOriginalParallel extends TestSpillReloadEqualsOriginal
+// past one worker: with several workers claiming into shared partitions and
+// spooling to their own segments, under a budget that spills the visited
+// set at every barrier, what the spill store hands back level by level is
+// the in-memory store's set — every configuration once, with the
+// fingerprint, depth and key it was admitted under. (Which generator's pid
+// a node carries is arrival order's choice past one worker, so it is not
+// compared.)
+func TestSpillReloadEqualsOriginalParallel(t *testing.T) {
+	p, err := baseline.NewToyBitRace(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := model.MustNewConfig(p, []int{0, 1, 0, 1})
+	for _, exact := range []bool{false, true} {
+		visit := func(store string, workers int) map[string]string {
+			var mu sync.Mutex
+			seen := map[string]string{}
+			_, err := check.RunFrontier(p, c, []int{0, 1, 2, 3}, check.ExploreLimits{MaxConfigs: 1000000, MaxDepth: 9},
+				check.EngineOptions{Workers: workers, StringKeys: exact, Store: store, MemBudget: 1},
+				func(_ int, n *check.Node) error {
+					mu.Lock()
+					defer mu.Unlock()
+					key := n.Cfg.Key()
+					if _, twice := seen[key]; twice {
+						t.Errorf("exact=%t %s w%d: configuration %q visited twice", exact, store, workers, key)
+					}
+					seen[key] = fmt.Sprintf("fp %#x depth %d", n.Fingerprint(), n.Depth)
+					return nil
+				}, nil)
+			if err != nil {
+				t.Fatalf("exact=%t %s w%d: %v", exact, store, workers, err)
+			}
+			return seen
+		}
+		want := visit(check.StoreMem, 1)
+		if len(want) < 2000 {
+			t.Fatalf("exact=%t: only %d configurations within the cap", exact, len(want))
+		}
+		for _, workers := range []int{2, 4} {
+			if got := visit(check.StoreSpill, workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("exact=%t w%d: spill store visited %d configurations, mem store %d, or admitted some differently", exact, workers, len(got), len(want))
+			}
+		}
+	}
+}

@@ -183,7 +183,7 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 	cfg := model.MustNewConfig(p, []int{0, 0})
 	dir := t.TempDir()
 	st, err := newSpillStore(storeCtx{
-		parts: 2, nObj: 1, nProc: 2,
+		parts: 2, workers: 1, nObj: 1, nProc: 2,
 		newNode: func() *Node { return &Node{} },
 		recycle: func(*Node) {},
 	}, 1, dir)
@@ -195,7 +195,9 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 		for i := uint64(0); i < 8; i++ {
 			n := &Node{Cfg: cfg}
 			n.fp = base + i*0x9e3779b97f4a7c15
-			st.Admit(int(i)&1, n)
+			if _, added := st.Claim(int(i)&1, n.fp, nil); added {
+				st.Queue(0, n)
+			}
 		}
 	}
 	// One full level (flushes runs under the 1-byte budget), then a

@@ -9,20 +9,20 @@ package check
 //     fixed 64-way global partition space (the top six fingerprint bits,
 //     so local partition routing — low bits — stays independent) is split
 //     into contiguous ranges, one per peer. Every configuration has
-//     exactly one owning peer, so the visited set stays single-owner all
-//     the way across the wire.
+//     exactly one owning peer, whose visited set alone decides on it.
 //
-//   - A successor owned by a remote peer is shipped instead of admitted,
-//     as the node record the spill store spools (noderec.go): workers
-//     append it straight into the link's per-peer batch, and the owning
-//     peer decodes the batches in place at the expand barrier and
-//     rematerialises each node through a model.SlotExchange, replaying
-//     the record's pid path through its own stepper for spans it has
-//     never seen.
+//   - A successor owned by a remote peer is built and shipped instead of
+//     claimed, as the node record the spill store spools (noderec.go):
+//     workers append it straight into the link's per-peer batch, and the
+//     owning peer decodes the batches in place at the expand barrier,
+//     claims each record on its fingerprint like a candidate of its own,
+//     and rematerialises the ones that were new through a
+//     model.SlotExchange, replaying the record's pid path through its own
+//     stepper for spans it has never seen.
 //
 //   - Level barriers are a two-phase gather run by the coordinator;
-//     remote admissions are applied single-threaded between the owner
-//     goroutines joining and EndLevel, so partitions remain single-owner.
+//     remote admissions are applied single-threaded between the workers
+//     joining and EndLevel, so they take no partition lock.
 //     Budget truncation stays globally deterministic: peers report their
 //     cumulative admissions, and on overshoot the coordinator gathers the
 //     per-peer sorted frontier fingerprints, computes the global

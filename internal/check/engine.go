@@ -18,16 +18,18 @@ import (
 //
 // Structure: one expansion core, two schedulers.
 //
-//   - The expander (expand.go) turns a node into keyed successors. Each
-//     worker owns one; successor generation is arena-backed and
-//     copy-on-write: the worker's model.Stepper canonicalizes object
-//     values and process states in an append-only intern arena, so a
-//     successor shares every unchanged slot with its parent and its
-//     fingerprint is maintained incrementally (model.Stepper.ApplyCOW
-//     re-hashes only the two slots a step touches). Node buffers — the
-//     Config slices and slot-hash vectors — are recycled through a
-//     sync.Pool, so expanding a state performs no per-successor heap
-//     allocation in the steady case.
+//   - The expander (expand.go) turns a chunk of frontier nodes into
+//     admitted successors in three phases. It keys every successor from its
+//     memoised transition without building it (model.Stepper.Plan: the
+//     worker's stepper canonicalizes object values and process states in an
+//     append-only intern arena and maintains the fingerprint incrementally,
+//     so a successor's fingerprint is its parent's XOR a constant of the
+//     transition); it claims the keys in the visited set; and it builds a
+//     node (model.Stepper.Install: copy-on-write, every unchanged slot
+//     shared with the parent) only for the claims that were new. Node
+//     buffers — the Config slices and slot-hash vectors — are recycled
+//     through a sync.Pool, so a duplicate costs a memo probe and a table
+//     probe and an admitted state no heap allocation in the steady case.
 //
 //   - The level-synchronized order (levelsync.go) explores one depth
 //     level at a time: workers drain the frontier concurrently, and a
@@ -39,16 +41,17 @@ import (
 //     cell and the Ctx watcher — and dispatches to one of them.
 //
 //   - Deduplication and frontier queuing are owned by a pluggable
-//     StateStore (store.go), partitioned by fingerprint. Each partition
-//     is touched by a single dedup goroutine; workers deliver successors
-//     in ~256-node batches over per-partition channels, amortizing all
-//     cross-goroutine synchronization over the batch. No mutex is taken
-//     per successor. The in-memory store (memstore.go) keeps
-//     open-addressing fpSet tables and in-RAM node slices; the
-//     disk-spilling store (spillstore.go) bounds resident memory by a
-//     byte budget, spilling visited fingerprints to sorted runs and
-//     frontier nodes to spooled segments, so the explorable space is
-//     bounded by disk.
+//     StateStore (store.go), partitioned by fingerprint: one partition for
+//     a one-worker run, engineParts otherwise. A worker claims a chunk's
+//     candidates partition by partition, holding that partition's lock
+//     once per chunk, so the lock is amortized over the candidates a chunk
+//     sends there and the table probes run back to back; a level or run
+//     drained by one worker takes no lock at all. The in-memory store
+//     (memstore.go) keeps open-addressing fpSet tables and in-RAM node
+//     slices; the disk-spilling store (spillstore.go) bounds resident
+//     memory by a byte budget, spilling visited fingerprints to sorted
+//     runs and frontier nodes to spooled segments, so the explorable space
+//     is bounded by disk.
 //
 //   - Results are deterministic regardless of worker interleaving and of
 //     the store backend: the set of configurations processed at each
@@ -69,7 +72,7 @@ import (
 //     certificate searches use so that a collision can never silently
 //     prune a witness. Exact keying has the same shortcuts made exact
 //     (transition memos keyed by encodings, successor keys spliced from
-//     the parent's: model.Stepper.ApplyKeyed); what it pays for is keeping
+//     the parent's: model.Stepper.AppendKey); what it pays for is keeping
 //     every visited configuration's whole key.
 //
 //   - EngineOptions.Reduction installs the state-space reduction layer
@@ -217,7 +220,7 @@ type Node struct {
 
 	parent *Node
 	fp     uint64   // dedup fingerprint (slot fp, or orbit-canonical under "sym")
-	slotFP uint64   // incremental slot fingerprint (ApplyCOW chain)
+	slotFP uint64   // incremental slot fingerprint (Step.Fingerprint chain)
 	slotH  []uint64 // per-slot content hashes, parallel to Cfg slots
 	key    string   // exact encoding, set only in string-key mode
 	sleep  uint64   // sleep-set pid bitmask, set only in sleep-reduction mode
@@ -283,14 +286,45 @@ type RunStats struct {
 	Net NetStats
 }
 
-// batchSize is the successor-batch granularity: workers hand nodes to the
-// dedup owners in chunks of up to this many, amortizing channel
-// synchronization over the batch.
-const batchSize = 256
+// chunkSize caps the frontier nodes a worker claims and expands at once
+// (expander.plan / commit): large enough to amortize a partition's lock
+// over the candidates one chunk sends there, small enough that a level's
+// tail stays balanced across workers and the chunk scratch stays in cache.
+const chunkSize = 256
 
-// maxOwners caps the number of visited-set partitions (a power of two,
-// so partition selection is a mask).
-const maxOwners = 64
+// engineParts is the number of visited-set partitions of a run with more
+// than one worker (a power of two, so partition selection is a mask); a
+// one-worker run has one. It is a constant, not a knob: 64 keeps two to
+// eight workers off each other's locks (a chunk's ~1,800 candidates hold
+// each lock once, for ~28 probes) and costs 64 small tables.
+const engineParts = 64
+
+// partition is the engine-side face of one visited-set partition: its lock
+// and the same-level folds that live with it. The tables and frontier
+// queues are the store's. During a level (or an async run) drained by
+// several workers every access is under mu; a single worker, and the
+// barrier, take no lock.
+type partition struct {
+	mu sync.Mutex
+	// pending holds this level's admissions by fingerprint (provenance runs
+	// only), for deterministic provenance claims; pendingExact the ones
+	// whose fingerprint an earlier pending node with a different key
+	// already took: under exact keys a shared fingerprint must not merge
+	// two configurations here either.
+	pending      map[uint64]*Node
+	pendingExact map[string]*Node
+	// sleep collects the level's admitted sleep masks by fingerprint
+	// (sleep-reduction mode only). Duplicate admissions intersect — a
+	// commutative fold, so the surviving mask is a pure function of the
+	// level's candidate set, not of arrival order — and the barrier hands
+	// the finished map to the next level's expansions as prevSleep
+	// (read-only during a level).
+	sleep, prevSleep map[uint64]uint64
+	// depth is the best-known depth per state (async MaxDepth runs only); a
+	// strictly smaller duplicate re-enqueues the state as a deepen item.
+	depth map[uint64]int
+	_     [16]byte // one cache line per partition
+}
 
 // engineRun carries the per-run state both exploration orders share: the
 // instance, the callbacks, the store, the per-worker expanders, the
@@ -321,18 +355,14 @@ type engineRun struct {
 	plan      *reductionPlan
 	expanders []*expander
 	store     StateStore
-	// ownerMask routes a fingerprint to its visited-set partition. The
+	// partMask routes a fingerprint to its visited-set partition. The
 	// partition count is fixed for the whole run (stores persist across
 	// levels, so the routing must not move).
-	ownerMask uint64
-	nodePool  *sync.Pool
-	batchPool *sync.Pool
-	// owners and prevSleep belong to the level-synchronized order
-	// (levelsync.go): the per-partition dedup state, and the previous
-	// level's finished per-partition sleep maps (read-only during a
-	// level; swapped at the barrier).
-	owners    []*dedupOwner
-	prevSleep []map[uint64]uint64
+	partMask uint64
+	parts    []partition
+	nodePool *sync.Pool
+	asyncOn  bool
+	spools   bool // the store spools the frontier to disk (see recycleAlways)
 
 	admitted  atomic.Int64
 	closed    atomic.Bool // no further admissions (budget exhausted)
@@ -379,9 +409,18 @@ func (r *engineRun) finish() {
 	}
 }
 
+// nodeTakenHook, when non-nil, is called for every node handed out — a
+// test seam for counting them (TestDuplicateTakesNoNode).
+var nodeTakenHook func()
+
 // newNode hands out a recycled (or fresh) node with correctly-shaped
 // buffers.
-func (r *engineRun) newNode() *Node { return r.nodePool.Get().(*Node) }
+func (r *engineRun) newNode() *Node {
+	if hook := nodeTakenHook; hook != nil {
+		hook()
+	}
+	return r.nodePool.Get().(*Node)
+}
 
 // recycle returns a visited frontier node's buffers to the pool — unless
 // the run tracks provenance, in which case every admitted node stays
@@ -394,10 +433,16 @@ func (r *engineRun) recycle(n *Node) {
 }
 
 // recycleAlways recycles a node that is provably unreferenced even in
-// provenance mode: rejected duplicate candidates (pending only ever
-// retains the first-admitted node) and budget-truncated admissions
-// (dropped before anything could point at them).
+// provenance mode: budget-truncated and revoked admissions (dropped before
+// anything could point at them) and nodes rebuilt only to be replaced.
 func (r *engineRun) recycleAlways(n *Node) {
+	if r.closed.Load() && !r.spools {
+		// A closed run builds no more nodes. One parked in the pool would
+		// outlive the run by two collections; left alone it is garbage now.
+		// (A spooled frontier is the exception: the closed run's last level
+		// is still to be rematerialised from disk, into pooled nodes.)
+		return
+	}
 	n.parent = nil
 	n.key = ""
 	n.reexpand = false
@@ -472,6 +517,8 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		began:     time.Now(),
 		sleepOn:   sleepOn,
 		pathsOn:   pathsOn,
+		asyncOn:   asyncOn,
+		spools:    opts.Store == StoreSpill && !opts.Provenance,
 		link:      opts.Dist,
 		expanders: make([]*expander, opts.Workers),
 		done:      make(chan struct{}),
@@ -489,10 +536,6 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 			b.n.slotH = make([]uint64, nObj+nProc)
 			return &b.n
 		}},
-		batchPool: &sync.Pool{New: func() any {
-			b := make([]*Node, 0, batchSize)
-			return &b
-		}},
 	}
 	for _, pid := range pids {
 		if pid >= 0 && pid < nProc {
@@ -500,15 +543,28 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		}
 	}
 
-	// Visited-set partitions: one single-owner store partition per owner,
-	// the power of two >= Workers, capped at maxOwners.
-	numOwners := 1
-	for numOwners < opts.Workers && numOwners < maxOwners {
-		numOwners <<= 1
+	// Visited-set partitions: one for a single worker, engineParts otherwise.
+	numParts := 1
+	if opts.Workers > 1 {
+		numParts = engineParts
 	}
-	run.ownerMask = uint64(numOwners - 1)
+	run.partMask = uint64(numParts - 1)
+	run.parts = make([]partition, numParts)
+	for i := range run.parts {
+		pt := &run.parts[i]
+		if opts.Provenance {
+			pt.pending, pt.pendingExact = map[uint64]*Node{}, map[string]*Node{}
+		}
+		if sleepOn {
+			pt.sleep = map[uint64]uint64{}
+		}
+		if asyncOn && limits.MaxDepth > 0 {
+			pt.depth = map[uint64]int{}
+		}
+	}
 	sctx := storeCtx{
-		parts:      numOwners,
+		parts:      numParts,
+		workers:    opts.Workers,
 		nObj:       nObj,
 		nProc:      nProc,
 		stringKeys: opts.StringKeys,

@@ -41,7 +41,8 @@ func entryLess(a, b entry) bool { return entryCompare(a, b) < 0 }
 const mapEntryOverhead = 48
 
 // keyedSet is a set of entries under one keying, fixed at creation. Like
-// the fpSet it wraps it serves a single owner goroutine; has alone may run
+// the fpSet it wraps it is not safe for concurrent use (the engine claims
+// in a partition under that partition's lock); has alone may run
 // concurrently, with itself.
 type keyedSet struct {
 	fps *fpSet
@@ -49,13 +50,20 @@ type keyedSet struct {
 	// truncation order need both); nil under fingerprint keying.
 	keys     map[string]uint64
 	keyBytes int64
+	parts    int
 }
 
-func newKeyedSet(exact bool) keyedSet {
+// newKeyedSet returns an empty set, one of parts (a power of two, at most
+// engineParts) that share a run's entries: a fingerprint table starts with
+// 1/parts of the slots a lone one starts with, so a run's 64 partitions
+// cost it — and count against a spill budget — what one used to.
+func newKeyedSet(exact bool, parts int) keyedSet {
 	if exact {
-		return keyedSet{keys: map[string]uint64{}}
+		return keyedSet{keys: map[string]uint64{}, parts: parts}
 	}
-	return keyedSet{fps: newFpSet(1024)}
+	s := keyedSet{fps: &fpSet{}, parts: parts}
+	s.fps.setSlots(make([]uint64, 2048/parts))
+	return s
 }
 
 // add inserts the entry and reports whether it was absent.
@@ -69,6 +77,21 @@ func (s *keyedSet) add(fp uint64, key string) bool {
 	s.keys[key] = fp
 	s.keyBytes += int64(len(key)) + mapEntryOverhead
 	return true
+}
+
+// claim is add for a key still in scratch: it becomes a string, the one
+// the set keeps and returns, only if the entry was absent.
+func (s *keyedSet) claim(fp uint64, key []byte) (stored string, added bool) {
+	if s.keys == nil {
+		return "", s.fps.Add(fp)
+	}
+	if _, dup := s.keys[string(key)]; dup {
+		return "", false
+	}
+	stored = string(key)
+	s.keys[stored] = fp
+	s.keyBytes += int64(len(stored)) + mapEntryOverhead
+	return stored, true
 }
 
 func (s *keyedSet) has(fp uint64, key string) bool {
@@ -87,24 +110,12 @@ func (s *keyedSet) bytes() int64 {
 	return s.keyBytes
 }
 
-// reserve readies the set for a bulk load of up to n more entries
-// (fpSet.reserve says why a load must) and returns how many it is ready
-// for: all n, or with a budget > 0 what fills, to the growth bound of 70%,
-// the largest fingerprint table budget bytes hold. Exact keys vary in
-// length, so a key map is bounded by watching bytes instead.
-func (s *keyedSet) reserve(n int, budget int64) int {
-	if s.keys != nil {
-		return n
+// reserve readies the set for a bulk load of n more entries (fpSet.reserve
+// says why a load must).
+func (s *keyedSet) reserve(n int) {
+	if s.keys == nil {
+		s.fps.reserve(n)
 	}
-	if budget > 0 {
-		slots := 1024
-		for int64(slots)*2*8 <= budget {
-			slots <<= 1
-		}
-		n = min(n, slots*7/10)
-	}
-	s.fps.reserve(n)
-	return n
 }
 
 // forEach calls fn on every member, in table order (load such a stream
@@ -132,7 +143,7 @@ func (s *keyedSet) drain() []entry {
 		out = append(out, entry{fp, key})
 		return nil
 	})
-	*s = newKeyedSet(s.keys != nil)
+	*s = newKeyedSet(s.keys != nil, s.parts)
 	return out
 }
 

@@ -11,32 +11,81 @@ import (
 	"repro/internal/model"
 )
 
-// This file is the expansion core both exploration orders run on. An
-// expander owns everything between "here is a node" and "here is a keyed
-// successor": whether the node is expanded at all (visitOnly: not at the
-// depth cap, and not once the run's admissions have closed), poised-pid
-// iteration over the allowed set, sleep-mask skips, the arena-backed
-// copy-on-write step, the depth/pid/parent/path bookkeeping, the run's
-// one keying decision (also applied to the root and to replayed
-// checkpoint nodes), the successor's sleep mask, and routing to the
-// owning peer of a distributed run. What is left to the orders
-// (levelsync.go, async.go) is scheduling: where nodes come from, when
-// they are visited, and how a local successor is admitted.
+// This file is the expansion core both exploration orders run on: what
+// lies between "here is a chunk of nodes" and "here are the nodes to queue".
+// A worker's expander takes the chunk through three phases.
+//
+//   - plan keys every successor of a node without building it: whether the
+//     node is expanded at all (visitOnly: not at the depth cap, and not once
+//     the run's admissions have closed), poised-pid iteration over the
+//     allowed set, sleep-mask skips, the memoised transition
+//     (model.Stepper.Plan), the run's one keying decision, the successor's
+//     sleep mask. What it leaves behind is a candidate — (fingerprint, key,
+//     sleep mask, parent, pid) and the transition by value — except for a
+//     successor another peer of a distributed run owns, which is built into
+//     a scratch node and shipped at once.
+//
+//   - commit claims the chunk's candidates in the visited set, partition
+//     by partition, one hold of a partition's lock per chunk, in generation
+//     order; the same-level folds that live with a partition (sleep-mask
+//     intersection, the provenance tie-break, async's depth relaxation) are
+//     part of the claim. A level or run drained by one worker takes no lock.
+//
+//   - commit then builds a node (model.Stepper.Install) for each candidate
+//     the claim reported new, and returns them. A duplicate never had one.
+//
+// What is left to the orders (levelsync.go, async.go) is scheduling: where
+// chunks come from, when their nodes are visited, and where the admitted
+// successors wait (the store's next-level queues, or the worker's deque).
+
+// A candidate's claim verdict.
+const (
+	candDup    = iota // already visited: nothing to build
+	candNew           // admitted
+	candDeepen        // visited, now reached at a smaller depth (async MaxDepth runs)
+)
+
+// cand is one keyed successor of the chunk under expansion.
+type cand struct {
+	step    model.Step
+	fp      uint64 // dedup fingerprint (slot fp, or orbit-canonical under "sym")
+	sleep   uint64
+	parent  int32 // index into expander.parents
+	pid     int32
+	keyOff  int32 // the exact key is expander.keys[keyOff:keyOff+keyLen] (exact-key runs)
+	keyLen  int32
+	verdict uint8
+	key     string // the admitted exact key, as the store holds it
+	node    *Node  // the admitted node of a provenance run, taken at the claim
+}
 
 // expander is one worker's expansion state. Like the stepper it wraps,
 // an instance serves one goroutine; it persists across levels so the
-// intern arena, transition memos and orbit memo stay warm.
+// intern arena, transition memos, orbit memo and chunk scratch stay warm.
 type expander struct {
 	run    *engineRun
 	worker int
 	st     *model.Stepper
 	sw     *symWorker // nil unless the symmetry quotient is active
 	objs   []int      // per-pid poised object (-1 = none); sleep mode only
+	hbuf   []uint64   // the planned node's slot hashes, patched per successor (sym only)
 	enc    []byte     // encoding scratch (exact keys)
 	// penc is the node under expansion's exact key split at its slots
 	// (exact-key runs only). It is rebuilt by one scan per expanded node
 	// instead of stored per node: provenance runs retain every node.
 	penc model.SlotEncoding
+	tmp  *Node // a successor on its way to another peer (distributed runs)
+
+	// The chunk under expansion: the planned nodes, their candidates in
+	// generation order, the candidates' exact keys, and what commit derives
+	// from them (the candidates bucketed by partition, the ones to build,
+	// the nodes built).
+	parents []*Node
+	cands   []cand
+	keys    []byte
+	order   []int32
+	fresh   []int32
+	out     []*Node
 
 	sleepSkips int64
 }
@@ -64,17 +113,17 @@ func (r *engineRun) expander(worker int) *expander {
 		// hashes the root before the reduction plan (refined against the
 		// root's slot hashes) exists.
 		x.sw = newSymWorker(r.plan, r.nObj)
+		x.hbuf = make([]uint64, r.nObj+r.nProc)
 	}
 	return x
 }
 
 // key sets n's dedup identity from its slot fingerprint: the exact
 // encoding in string-key mode, the orbit-canonical fingerprint under an
-// active symmetry quotient, the plain slot fingerprint otherwise. In
-// string-key mode only nodes without a keyed parent come here and are
-// encoded in full (the root, a node replayed from a checkpoint; the spill
-// store reloads a node's key with it): step splices every successor's
-// key, the same bytes, from its parent's.
+// active symmetry quotient, the plain slot fingerprint otherwise. Only
+// nodes without a planned step come here (the root, a node replayed from a
+// checkpoint; the spill store reloads a node's key with it): plan keys
+// every successor, to the same identity, before it exists.
 func (x *expander) key(n *Node) {
 	n.fp = n.slotFP
 	switch {
@@ -99,20 +148,33 @@ func (r *engineRun) visitOnly(depth int) bool {
 	return (r.limits.MaxDepth > 0 && depth >= r.limits.MaxDepth) || r.closed.Load()
 }
 
-// expand generates n's successors, none if n is visit-only. In sleep mode
-// n.sleep must hold the finished intersection the level barrier settled.
-// Successors owned by another peer are shipped over the link; every other
-// one is handed to emit, fully keyed. An error (an illegal poised
-// operation, a lost link) stops the expansion; the caller fails the run.
-func (x *expander) expand(n *Node, emit func(*Node)) error {
+// begin starts a new chunk.
+func (x *expander) begin() {
+	x.parents, x.cands, x.keys = x.parents[:0], x.cands[:0], x.keys[:0]
+}
+
+// plan keys n's successors into the chunk, none if n is visit-only. In
+// sleep mode n.sleep must hold the finished intersection the level barrier
+// settled. n must stay untouched until commit has run: a candidate is its
+// parent plus a transition. Successors owned by another peer are shipped
+// over the link here. An error (an illegal poised operation, a lost link)
+// stops the expansion; the caller fails the run.
+func (x *expander) plan(n *Node) error {
 	r := x.run
 	if r.visitOnly(n.Depth) {
 		return nil
 	}
+	parent := int32(len(x.parents))
+	x.parents = append(x.parents, n)
+	var penc *model.SlotEncoding
 	if r.opts.StringKeys {
 		if err := x.penc.Set(n.key, r.nObj, r.nProc); err != nil {
 			return fmt.Errorf("frontier engine: node key: %w", err)
 		}
+		penc = &x.penc
+	}
+	if x.sw != nil {
+		copy(x.hbuf, n.slotH)
 	}
 	var mask uint64
 	if r.sleepOn {
@@ -139,72 +201,244 @@ func (x *expander) expand(n *Node, emit func(*Node)) error {
 			x.sleepSkips++
 			continue
 		}
-		succ := r.newNode()
-		ok, err := x.step(n, pid, succ)
-		if err != nil {
-			r.recycleAlways(succ)
-			return fmt.Errorf("frontier engine: %w", err)
-		}
-		if !ok { // pid has decided; no step
-			r.recycleAlways(succ)
+		x.cands = append(x.cands, cand{parent: parent, pid: int32(pid)})
+		c := &x.cands[len(x.cands)-1]
+		ok, err := x.st.Plan(n.Cfg, n.slotH, pid, penc, &c.step)
+		if !ok { // pid has decided (no step), or the protocol is broken
+			x.cands = x.cands[:len(x.cands)-1]
+			if err != nil {
+				return fmt.Errorf("frontier engine: %w", err)
+			}
 			continue
 		}
-		succ.Depth = n.Depth + 1
-		succ.Pid = pid
-		succ.parent = nil
-		if r.opts.Provenance {
-			succ.parent = n
-		}
-		if r.pathsOn {
-			// Root-to-node pid path: the only protocol-independent
-			// serialization of a node (configs are opaque; a resumed or
-			// remote process replays the path through its own stepper).
-			succ.path = append(append(succ.path[:0], n.path...), byte(pid))
+		c.fp = c.step.Fingerprint(n.slotFP)
+		switch {
+		case penc != nil:
+			c.keyOff = int32(len(x.keys))
+			x.keys = x.st.AppendKey(x.keys, penc, pid, &c.step)
+			c.keyLen = int32(len(x.keys)) - c.keyOff
+		case x.sw != nil:
+			// The successor's slot hashes are the parent's with the two
+			// touched ones replaced; patch them in, canonicalise, restore.
+			obj := x.st.PatchHashes(x.hbuf, pid, &c.step)
+			c.fp = x.sw.canonFP(c.fp, x.hbuf)
+			x.hbuf[obj], x.hbuf[r.nObj+pid] = n.slotH[obj], n.slotH[r.nObj+pid]
 		}
 		if r.sleepOn {
 			// The successor sleeps every commuting smaller pid (its
 			// interleaving is covered by the ascending order) and every
 			// still-commuting pid it inherits from this node's sleep set.
 			var m uint64
-			for cand := (uint64(1)<<uint(pid) - 1) | mask; cand != 0; cand &= cand - 1 {
-				q := bits.TrailingZeros64(cand)
+			for rest := (uint64(1)<<uint(pid) - 1) | mask; rest != 0; rest &= rest - 1 {
+				q := bits.TrailingZeros64(rest)
 				if r.allowed[q] && x.objs[q] >= 0 && x.objs[q] != x.objs[pid] {
 					m |= 1 << uint(q)
 				}
 			}
-			succ.sleep = m
+			c.sleep = m
 		}
-		if r.link != nil && !r.link.Owns(succ.fp) {
-			// The owning peer dedups and (in sleep mode) intersects masks
-			// exactly as a local partition owner would.
-			err := r.link.Send(x.worker, succ)
-			r.recycleAlways(succ)
-			if err != nil {
+		if r.link != nil && !r.link.Owns(c.fp) {
+			// The owning peer claims it and (in sleep mode) intersects masks
+			// exactly as a local partition would. The link serialises the
+			// node before it returns, so one scratch node serves them all.
+			if x.tmp == nil {
+				x.tmp = r.newNode()
+			}
+			x.build(c, x.tmp)
+			x.cands = x.cands[:len(x.cands)-1]
+			if err := r.link.Send(x.worker, x.tmp); err != nil {
 				return err
 			}
-			continue
 		}
-		emit(succ)
 	}
 	return nil
 }
 
-// step applies pid's step from n into succ and keys succ; ok is false
-// when pid has decided. In string-key mode n's key must be loaded in
-// x.penc, and the successor's key is spliced from it.
-func (x *expander) step(n *Node, pid int, succ *Node) (ok bool, err error) {
-	if x.run.opts.StringKeys {
-		succ.slotFP, x.enc, ok, err = x.st.ApplyKeyed(n.Cfg, n.slotFP, n.slotH, &x.penc, pid, succ.Cfg, succ.slotH, x.enc[:0])
-		if ok {
-			succ.fp, succ.key = succ.slotFP, string(x.enc)
+// commit claims the chunk's candidates and returns a node for each one
+// the visited set admitted (and for each depth relaxation), in claim order;
+// the slice is the expander's and valid until its next commit. locked says
+// other workers may be claiming too. The admission counter moves once, by
+// the chunk's admissions; under the async order, whose budget is
+// admit-then-check, an overflow rolls the counter back to MaxConfigs,
+// closes admissions and drops the overflowing claims (their table entries
+// stay, phantoms that can only suppress states a closed run rejects
+// anyway).
+func (x *expander) commit(locked bool) []*Node {
+	r := x.run
+	x.fresh, x.out = x.fresh[:0], x.out[:0]
+	if len(x.cands) == 0 || r.closed.Load() {
+		return x.out
+	}
+	if !locked {
+		for i := range x.cands {
+			x.claim(int32(i))
 		}
-		return ok, err
+	} else {
+		// Bucket the candidates by partition, stably, and take each
+		// partition's lock once.
+		var start [engineParts + 1]int32
+		for i := range x.cands {
+			start[x.cands[i].fp&r.partMask+1]++
+		}
+		for p := 0; p < engineParts; p++ {
+			start[p+1] += start[p]
+		}
+		x.order = slices.Grow(x.order[:0], len(x.cands))[:len(x.cands)]
+		next := start
+		for i := range x.cands {
+			p := x.cands[i].fp & r.partMask
+			x.order[next[p]] = int32(i)
+			next[p]++
+		}
+		for p := 0; p < engineParts; p++ {
+			if lo, hi := start[p], start[p+1]; lo < hi {
+				pt := &r.parts[p]
+				pt.mu.Lock()
+				for _, i := range x.order[lo:hi] {
+					x.claim(i)
+				}
+				pt.mu.Unlock()
+			}
+		}
 	}
-	succ.slotFP, ok, err = x.st.ApplyCOW(n.Cfg, n.slotFP, n.slotH, pid, succ.Cfg, succ.slotH)
-	if ok {
-		x.key(succ)
+	admitted := 0
+	for _, i := range x.fresh {
+		if x.cands[i].verdict == candNew {
+			admitted++
+		}
 	}
-	return ok, err
+	if over := r.admitted.Add(int64(admitted)) - int64(r.limits.MaxConfigs); r.asyncOn && over > 0 {
+		over = min(over, int64(admitted))
+		r.admitted.Add(-over)
+		r.closed.Store(true)
+		r.truncated.Store(true)
+		for k := len(x.fresh) - 1; over > 0; k-- {
+			if c := &x.cands[x.fresh[k]]; c.verdict == candNew {
+				c.verdict = candDup
+				over--
+			}
+		}
+	}
+	for _, i := range x.fresh {
+		c := &x.cands[i]
+		if c.verdict == candDup {
+			continue
+		}
+		n := c.node
+		if n == nil {
+			n = r.newNode() // its parent is nil: the pool holds no other kind
+		}
+		x.build(c, n)
+		x.out = append(x.out, n)
+	}
+	return x.out
+}
+
+// claim applies the admission protocol to candidate i: the store's claim
+// on its (fingerprint, key) — the one visited-set probe — and the folds of
+// the partition it lands in. The caller holds that partition's lock
+// whenever another goroutine could be claiming.
+func (x *expander) claim(i int32) {
+	c := &x.cands[i]
+	if x.claimCand(c, x.keys[c.keyOff:c.keyOff+c.keyLen]) != candDup {
+		x.fresh = append(x.fresh, i)
+	}
+}
+
+// claimCand is claim on a candidate wherever it lives (a record another
+// peer sent is claimed before it has a parent, a step or a node).
+func (x *expander) claimCand(c *cand, key []byte) uint8 {
+	r := x.run
+	part := int(c.fp & r.partMask)
+	pt := &r.parts[part]
+	stored, added := r.store.Claim(part, c.fp, key)
+	if added {
+		c.verdict, c.key = candNew, stored
+		if r.opts.Provenance {
+			// The node is taken here, under the lock, because a later
+			// duplicate may have to rewrite its provenance before the
+			// claimant has built it.
+			n := r.newNode()
+			n.parent, n.Pid, n.fp, n.key = x.parents[c.parent], int(c.pid), c.fp, stored
+			c.node = n
+			if prev := pt.pending[c.fp]; prev != nil && prev.key != stored {
+				pt.pendingExact[stored] = n
+			} else {
+				pt.pending[c.fp] = n
+			}
+		}
+		if r.sleepOn {
+			pt.sleep[c.fp] = c.sleep
+		}
+		if pt.depth != nil {
+			pt.depth[c.fp] = x.parents[c.parent].Depth + 1
+		}
+		return candNew
+	}
+	c.verdict = candDup
+	if r.sleepOn {
+		// Same-level duplicate: only the pids every generator agrees are
+		// redundant may stay masked. A duplicate of an EARLIER level
+		// (absent from this level's map — the graph re-reaches a state at
+		// a different depth) contributes nothing and needs nothing: masks
+		// are built exclusively from a state's first-visit-level
+		// generators, and every skip they justify routes through the
+		// first visit's own sibling diamonds (see reduce.go), so a later
+		// path to the same state has no claim to reconcile.
+		if m, ok := pt.sleep[c.fp]; ok {
+			pt.sleep[c.fp] = m & c.sleep
+		}
+	}
+	if r.opts.Provenance {
+		// If the configuration was admitted this very level, claim
+		// provenance when ours is deterministically smaller — by the
+		// parent's (fingerprint, key), then pid — so witness schedules do
+		// not depend on discovery order. (Keys are empty, and so equal,
+		// outside exact-key runs.)
+		prev := pt.pending[c.fp]
+		if prev != nil && prev.key != string(key) {
+			prev = pt.pendingExact[string(key)]
+		}
+		if prev != nil {
+			a, b := x.parents[c.parent], prev.parent
+			if a.fp < b.fp || (a.fp == b.fp && (a.key < b.key || (a.key == b.key && int(c.pid) < prev.Pid))) {
+				prev.parent, prev.Pid = a, int(c.pid)
+			}
+		}
+	}
+	if pt.depth != nil {
+		// Without a barrier a duplicate can still owe work under a MaxDepth
+		// cap: a smaller depth re-relaxes the state.
+		if d := x.parents[c.parent].Depth + 1; d < pt.depth[c.fp] {
+			pt.depth[c.fp] = d
+			c.verdict = candDeepen
+		}
+	}
+	return c.verdict
+}
+
+// build writes candidate c's successor into n: the copy-on-write step from
+// its parent, and the depth/pid/path/key/sleep bookkeeping. A provenance
+// run's node already carries its identity, parent and generator pid, set —
+// and, those two, possibly since rewritten — under the partition's lock,
+// where other claimants read them.
+func (x *expander) build(c *cand, n *Node) {
+	r := x.run
+	p := x.parents[c.parent]
+	x.st.Install(p.Cfg, p.slotH, int(c.pid), &c.step, n.Cfg, n.slotH)
+	n.slotFP = c.step.Fingerprint(p.slotFP)
+	n.sleep = c.sleep
+	n.Depth = p.Depth + 1
+	n.reexpand = c.verdict == candDeepen
+	if c.node == nil {
+		n.Pid, n.fp, n.key = int(c.pid), c.fp, c.key
+	}
+	if r.pathsOn {
+		// Root-to-node pid path: the only protocol-independent
+		// serialization of a node (configs are opaque; a resumed or
+		// remote process replays the path through its own stepper).
+		n.path = append(append(n.path[:0], p.path...), byte(c.pid))
+	}
 }
 
 // replayStep applies pid's step to cur and returns the successor — one

@@ -2,14 +2,14 @@ package check
 
 // fpSet is an open-addressing (linear-probing) hash set of 64-bit
 // fingerprints — the visited-set table each dedup partition owns. It is
-// not safe for concurrent use; the engine gives every partition a single
-// owner goroutine, which is what lets the table drop per-probe locking
-// entirely.
+// not safe for concurrent use; the engine probes a partition's table only
+// under that partition's lock (held once per chunk of candidates, not per
+// probe), or from the one worker a run or level has.
 //
 // Every fingerprint in one partition's table shares its low
-// log2(numOwners) bits (that is how the engine routed it here), so probe
+// log2(partitions) bits (that is how the engine routed it here), so probe
 // starts must not come from the low bits or they would cluster on every
-// numOwners-th slot. probeStart therefore remixes multiplicatively and
+// partitions-th slot. probeStart therefore remixes multiplicatively and
 // takes the HIGH bits (Fibonacci hashing), which routing never touches.
 // The zero fingerprint is representable: it is tracked out of band so 0
 // can stay the empty-slot sentinel.

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,11 +8,12 @@ import (
 
 // This file is the level-synchronized (BSP) exploration order: what it
 // adds to the shared expansion core (expand.go) is frontier scheduling
-// and admission policy. Workers drain one depth level concurrently and
-// batch successors to single-owner dedup partitions; the barrier between
-// levels resolves delayed duplicates, applies the sorted-fingerprint
-// budget cutoff (StateStore.EndLevel), exchanges remote successors and
-// the global verdict on a distributed run, and snapshots a checkpoint.
+// and admission policy. Workers drain one depth level concurrently, a
+// chunk of nodes at a time, and queue what each chunk's claims admitted on
+// their own next-level lists; the barrier between levels resolves delayed
+// duplicates, applies the sorted-fingerprint budget cutoff
+// (StateStore.EndLevel), exchanges remote successors and the global
+// verdict on a distributed run, and snapshots a checkpoint.
 //
 // A budget-bound run ends in two levels that are not like the others. The
 // closing level is expanded in full although it overshoots MaxConfigs —
@@ -24,126 +24,16 @@ import (
 // and the barriers, the distributed lockstep, the final checkpoint and
 // Progress run over an empty next frontier.
 
-// dedupOwner is the engine-side face of one visited-set partition: its
-// per-level pending admissions (for deterministic provenance claims) and
-// its batch channel. The tables and frontier queues live in the store.
-// During a parallel level a partition is owned exclusively by one
-// goroutine consuming ch; during single-worker levels the worker calls
-// admit directly. Either way, no lock is ever taken.
-type dedupOwner struct {
-	part    int
-	pending map[uint64]*Node
-	// pendingExact holds the admissions whose fingerprint an earlier
-	// pending node with a different key already took: under exact keys a
-	// shared fingerprint must not merge two configurations here either.
-	pendingExact map[string]*Node
-	ch           chan []*Node
-	// sleep collects the level's admitted sleep masks by fingerprint
-	// (sleep-reduction mode only). Duplicate admissions intersect — a
-	// commutative fold, so the surviving mask is a pure function of the
-	// level's candidate set, not of arrival order — and the barrier hands
-	// the finished map to the next level's expansions.
-	sleep map[uint64]uint64
-}
-
-// admit applies the dedup/admission protocol to one candidate successor.
-// It runs on the owner's goroutine (or the sole worker), so the store
-// partition is touched without locking. In the common open-admissions
-// case the visited table is probed exactly once (StateStore.Admit reports
-// newly-added); only the rare sticky closed state needs a read-only Has.
-func (o *dedupOwner) admit(r *engineRun, nn *Node) {
-	if r.closed.Load() {
-		if !r.store.Has(o.part, nn.fp, nn.key) {
-			// Budget exhausted earlier: the space extends beyond what
-			// was admitted.
-			r.truncated.Store(true)
-			r.recycleAlways(nn)
-			return
-		}
-		o.claimProvenance(r, nn)
-		return
-	}
-	added, retained := r.store.Admit(o.part, nn)
-	if added {
-		if r.opts.Provenance {
-			if prev := o.pending[nn.fp]; prev != nil && prev.key != nn.key {
-				o.pendingExact[nn.key] = nn
-			} else {
-				o.pending[nn.fp] = nn
-			}
-		}
-		if r.sleepOn {
-			o.sleep[nn.fp] = nn.sleep
-		}
-		r.admitted.Add(1)
-		if !retained {
-			// The store externalized the node's content (spooled to
-			// disk); its buffers are free immediately.
-			r.recycleAlways(nn)
-		}
-		return
-	}
-	if r.sleepOn {
-		// Same-level duplicate: only the pids every generator agrees are
-		// redundant may stay masked. A duplicate of an EARLIER level
-		// (absent from this level's map — the graph re-reaches a state at
-		// a different depth) contributes nothing and needs nothing: masks
-		// are built exclusively from a state's first-visit-level
-		// generators, and every skip they justify routes through the
-		// first visit's own sibling diamonds (see reduce.go), so a later
-		// path to the same state has no claim to reconcile.
-		if m, ok := o.sleep[nn.fp]; ok {
-			o.sleep[nn.fp] = m & nn.sleep
-		}
-	}
-	o.claimProvenance(r, nn)
-}
-
-// claimProvenance handles a duplicate candidate: if its configuration was
-// admitted this very level, claim provenance when ours is
-// deterministically smaller — by the parent's (fingerprint, key), then
-// pid — so witness schedules do not depend on discovery order; then
-// recycle the candidate. (Keys are empty, and so equal, outside exact-key
-// runs.)
-func (o *dedupOwner) claimProvenance(r *engineRun, nn *Node) {
-	if r.opts.Provenance {
-		prev := o.pending[nn.fp]
-		if prev != nil && prev.key != nn.key {
-			prev = o.pendingExact[nn.key]
-		}
-		if prev != nil {
-			a, b := nn.parent, prev.parent
-			if a.fp < b.fp || (a.fp == b.fp && (a.key < b.key || (a.key == b.key && nn.Pid < prev.Pid))) {
-				prev.parent, prev.Pid = nn.parent, nn.Pid
-			}
-		}
-	}
-	r.recycleAlways(nn)
-}
-
 // finishedMask returns the sleep mask the previous barrier settled for
 // fp: the intersection over all of the state's generators.
 func (r *engineRun) finishedMask(fp uint64) uint64 {
-	if m := r.prevSleep[fp&r.ownerMask]; m != nil {
-		return m[fp]
-	}
-	return 0
+	return r.parts[fp&r.partMask].prevSleep[fp]
 }
 
 // runLevelSync is the level loop. root is fully keyed and not yet in the
 // store.
 func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 	stats := RunStats{Complete: true, Async: AsyncStats{Order: OrderLevelSync}}
-	run.owners = make([]*dedupOwner, run.ownerMask+1)
-	for i := range run.owners {
-		run.owners[i] = &dedupOwner{part: i, pending: map[uint64]*Node{}, pendingExact: map[string]*Node{}}
-		if run.sleepOn {
-			run.owners[i].sleep = map[uint64]uint64{}
-		}
-	}
-	if run.sleepOn {
-		run.prevSleep = make([]map[uint64]uint64, len(run.owners))
-	}
 
 	// Seed level 0 — from the checkpoint when resuming (the store's
 	// visited set is rebuilt wholesale and the frontier replayed from
@@ -168,7 +58,8 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			// level-0 frontier and joins the run at the first barrier.
 			run.recycleAlways(root)
 		} else {
-			if _, retained := run.store.Admit(int(root.fp&run.ownerMask), root); !retained {
+			run.store.Claim(int(root.fp&run.partMask), root.fp, []byte(root.key))
+			if !run.store.Queue(0, root) {
 				run.recycleAlways(root)
 			}
 			run.admitted.Store(1)
@@ -197,7 +88,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			}
 		}
 
-		expandLevel(run, frontier, run.visitOnly(depth))
+		expandLevel(run, frontier)
 		if err := run.err(); err != nil {
 			return stats, err
 		}
@@ -255,17 +146,16 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			run.closed.Store(true)
 			run.truncated.Store(true)
 		}
-		for _, o := range run.owners {
-			clear(o.pending)
-			clear(o.pendingExact)
-		}
-		if run.sleepOn {
-			// Hand the finished mask maps to the next level's expansions
-			// and start fresh ones; duplicate-intersection is complete at
-			// this point, so the maps are read-only from here on.
-			for i, o := range run.owners {
-				run.prevSleep[i] = o.sleep
-				o.sleep = make(map[uint64]uint64, len(o.sleep))
+		for i := range run.parts {
+			pt := &run.parts[i]
+			clear(pt.pending)
+			clear(pt.pendingExact)
+			if run.sleepOn {
+				// Hand the finished mask map to the next level's expansions
+				// and start a fresh one; duplicate-intersection is complete
+				// at this point, so the map is read-only from here on.
+				pt.prevSleep = pt.sleep
+				pt.sleep = make(map[uint64]uint64, len(pt.sleep))
 			}
 		}
 		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
@@ -299,16 +189,14 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 }
 
 // expandLevel visits and expands one level's frontier with up to Workers
-// goroutines and returns once every candidate successor has been admitted
-// (or shipped). A level drained by a single worker skips the goroutines
-// entirely and admits inline; otherwise successors are batched to the
-// partition owners. A visit-only level (engineRun.visitOnly: the depth
-// cap, or the level after the barrier that closed admissions) has no
-// successors to route, so it runs its visits on the workers and nothing
-// else: no owner goroutines, no batches, and a successor emitted there
-// all the same fails the run. A failure lands in run.fail; the caller
-// checks.
-func expandLevel(run *engineRun, frontier FrontierSource, visitOnly bool) {
+// goroutines, a chunk of nodes at a time, and returns once every candidate
+// successor has been claimed (or shipped) and the admitted ones queued. A
+// level drained by a single worker skips the goroutines, and the
+// partitions' locks, entirely. A visit-only level (engineRun.visitOnly:
+// the depth cap, or the level after the barrier that closed admissions)
+// plans no successors, so its workers only visit. A failure lands in
+// run.fail; the caller checks.
+func expandLevel(run *engineRun, frontier FrontierSource) {
 	levelSize := frontier.Size()
 	nw := run.opts.Workers
 	if nw > levelSize {
@@ -319,75 +207,49 @@ func expandLevel(run *engineRun, frontier FrontierSource, visitOnly bool) {
 		nw = 1 // empty local level on a distributed peer: one worker
 		// still runs (and immediately finishes) so the barriers fire
 	}
-	// routed: candidates are batched to owner goroutines; a single worker
-	// admits on its own goroutine instead. A visit-only level has no
-	// candidates (expand returns before stepping), so it starts no owners.
-	routed := nw > 1 && !visitOnly
-	// pull is the per-claim batch the workers draw from the frontier
-	// source: large enough to amortize the claim, small enough that
-	// the level's tail stays balanced across workers.
-	pull := levelSize/(4*nw) + 1
-	if pull > batchSize {
-		pull = batchSize
-	}
+	// pull is the chunk the workers draw from the frontier source: large
+	// enough to amortize the claim, small enough that the level's tail
+	// stays balanced across workers.
+	pull := min(levelSize/(4*nw)+1, chunkSize)
 
 	work := func(worker int) {
 		x := run.expander(worker)
-		var buckets [][]*Node
-		if routed {
-			buckets = make([][]*Node, len(run.owners))
-		}
-		nodeBuf := make([]*Node, pull)
-		deliver := func(nn *Node) {
-			oi := nn.fp & run.ownerMask
-			switch {
-			case visitOnly:
-				// expand judges each node by the same rule and emits
-				// nothing here; with no owners running, a disagreement
-				// must not reach the store from several workers.
-				run.fail(errors.New("frontier engine: successor emitted on a visit-only level"))
-				return
-			case !routed:
-				run.owners[oi].admit(run, nn)
-				return
-			}
-			if buckets[oi] == nil {
-				buckets[oi] = (*run.batchPool.Get().(*[]*Node))[:0]
-			}
-			buckets[oi] = append(buckets[oi], nn)
-			if len(buckets[oi]) == batchSize {
-				run.owners[oi].ch <- buckets[oi]
-				buckets[oi] = nil
-			}
-		}
-	pulling:
+		chunk := make([]*Node, pull)
 		for !run.doneFlag.Load() {
-			m := frontier.Next(nodeBuf)
+			m := frontier.Next(chunk)
 			if m == 0 {
 				break
 			}
-			for _, n := range nodeBuf[:m] {
+			x.begin()
+			for _, n := range chunk[:m] {
 				if run.doneFlag.Load() {
-					break pulling
-				}
-				if err := run.visit(worker, n); err != nil {
-					run.fail(err)
-					break pulling
+					break
 				}
 				if run.sleepOn {
 					n.sleep = run.finishedMask(n.fp)
 				}
-				if err := x.expand(n, deliver); err != nil {
-					run.fail(err) // stop expanding; fall through to the flush
+				err := run.visit(worker, n)
+				if err == nil {
+					err = x.plan(n)
 				}
-				run.recycle(n)
+				if err != nil {
+					run.fail(err)
+					break
+				}
 			}
-		}
-		// Flush partial batches so the owners see every candidate
-		// before their channels close.
-		for oi, b := range buckets {
-			if len(b) > 0 {
-				run.owners[oi].ch <- b
+			// A chunk cut short (a visit or step error, a cancel) is
+			// dropped whole: the run is over, and nothing of it was claimed.
+			if !run.doneFlag.Load() {
+				for _, nn := range x.commit(nw > 1) {
+					if !run.store.Queue(worker, nn) {
+						// The store externalized the node's content
+						// (spooled to disk); its buffers are free.
+						run.recycleAlways(nn)
+					}
+				}
+			}
+			for _, n := range chunk[:m] {
+				run.recycle(n)
 			}
 		}
 		if run.link != nil {
@@ -399,25 +261,6 @@ func expandLevel(run *engineRun, frontier FrontierSource, visitOnly bool) {
 		work(0)
 		return
 	}
-	var owners []*dedupOwner // the owners that get a goroutine this level
-	if routed {
-		owners = run.owners
-	}
-	var ownerWG sync.WaitGroup
-	for _, o := range owners {
-		o.ch = make(chan []*Node, 2*nw)
-		ownerWG.Add(1)
-		go func(o *dedupOwner) {
-			defer ownerWG.Done()
-			for batch := range o.ch {
-				for _, nn := range batch {
-					o.admit(run, nn)
-				}
-				batch = batch[:0]
-				run.batchPool.Put(&batch)
-			}
-		}(o)
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
@@ -427,37 +270,42 @@ func expandLevel(run *engineRun, frontier FrontierSource, visitOnly bool) {
 		}(w)
 	}
 	wg.Wait()
-	for _, o := range owners {
-		close(o.ch)
-	}
-	ownerWG.Wait()
 }
 
 // distExpandBarrier is the distributed expand barrier: flush, announce
 // this peer's level complete, wait for every peer to finish expanding,
-// then admit the remote successors addressed here. Admission is
-// single-threaded at this point (the owner goroutines have joined) and
-// sleep-mask intersection is commutative, so remote arrival order cannot
-// leak into the result.
+// then claim the remote successors addressed here — on the record alone,
+// so a duplicate is never rematerialised. Admission is single-threaded at
+// this point (the workers have joined) and sleep-mask intersection is
+// commutative, so remote arrival order cannot leak into the result.
 func distExpandBarrier(run *engineRun, depth int) error {
 	blocks, err := run.link.BarrierExpand(depth)
 	if err != nil {
 		return err
 	}
+	x := run.expander(0)
 	var spans [][]byte
+	admitted := int64(0)
 	for _, b := range blocks {
 		for len(b) > 0 {
 			var rec NodeRecord
 			if rec, b, err = DecodeNodeRecord(b); err != nil {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
+			if x.claimCand(&cand{fp: rec.FP, sleep: rec.Sleep}, nil) == candDup {
+				continue
+			}
 			var n *Node
 			if n, spans, err = run.remat.node(rec, spans); err != nil {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
-			run.owners[n.fp&run.ownerMask].admit(run, n)
+			admitted++
+			if !run.store.Queue(0, n) {
+				run.recycleAlways(n)
+			}
 		}
 	}
+	run.admitted.Add(admitted)
 	return nil
 }
 
@@ -631,12 +479,12 @@ func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) 
 	}
 	resumed.frontier = nil
 	if run.sleepOn {
-		for i := range run.prevSleep {
-			run.prevSleep[i] = map[uint64]uint64{}
+		for i := range run.parts {
+			run.parts[i].prevSleep = map[uint64]uint64{}
 		}
 		for _, n := range nodes {
 			if n.sleep != 0 {
-				run.prevSleep[n.fp&run.ownerMask][n.fp] = n.sleep
+				run.parts[n.fp&run.partMask].prevSleep[n.fp] = n.sleep
 			}
 		}
 	}
@@ -652,7 +500,7 @@ func drainFrontier(src FrontierSource) ([]*Node, error) {
 	}
 	want := src.Size()
 	nodes := make([]*Node, 0, want)
-	buf := make([]*Node, batchSize)
+	buf := make([]*Node, chunkSize)
 	for {
 		m := src.Next(buf)
 		if m == 0 {

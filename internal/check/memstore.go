@@ -2,50 +2,51 @@ package check
 
 import "sync/atomic"
 
-// memStore is the in-memory state store: the engine's original
-// per-partition visited tables and next-frontier slices, extracted behind
-// the StateStore interface with the hot path intact — one table probe per
-// candidate, no locking (single-owner partitions), nodes retained in RAM.
+// memStore is the in-memory state store: per-partition visited tables and
+// per-worker next-frontier lists — one table probe per candidate, nodes
+// retained in RAM, no lock of its own.
 type memStore struct {
-	ctx   storeCtx
-	parts []memPart
+	parts []keyedSet
+	next  []nodeQueue
 	peak  int64
 }
 
-// memPart is one partition: its visited table and its slice of the next
-// frontier.
-type memPart struct {
-	set  keyedSet
-	next []*Node
+// nodeQueue is one worker's slice of the next frontier, padded so that two
+// workers appending do not write the same cache line.
+type nodeQueue struct {
+	nodes []*Node
+	_     [40]byte
 }
 
 func newMemStore(ctx storeCtx) *memStore {
-	s := &memStore{ctx: ctx, parts: make([]memPart, ctx.parts)}
+	s := &memStore{parts: make([]keyedSet, ctx.parts), next: make([]nodeQueue, ctx.workers)}
 	for i := range s.parts {
-		s.parts[i].set = newKeyedSet(ctx.stringKeys)
+		s.parts[i] = newKeyedSet(ctx.stringKeys, ctx.parts)
 	}
 	return s
 }
 
-func (s *memStore) Admit(part int, n *Node) (added, retained bool) {
-	p := &s.parts[part]
-	if !p.set.add(n.fp, n.key) {
-		return false, true
-	}
-	p.next = append(p.next, n)
-	return true, true
+func (s *memStore) Claim(part int, fp uint64, key []byte) (string, bool) {
+	return s.parts[part].claim(fp, key)
 }
 
-func (s *memStore) Has(part int, fp uint64, key string) bool {
-	return s.parts[part].set.has(fp, key)
+func (s *memStore) Queue(worker int, n *Node) bool {
+	q := &s.next[worker]
+	q.nodes = append(q.nodes, n)
+	return true
 }
 
 func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
-	next := make([]*Node, 0)
-	for i := range s.parts {
-		p := &s.parts[i]
-		next = append(next, p.next...)
-		p.next = nil
+	total := 0
+	for i := range s.next {
+		total += len(s.next[i].nodes)
+	}
+	next := make([]*Node, 0, total)
+	for i := range s.next {
+		q := &s.next[i]
+		next = append(next, q.nodes...)
+		clear(q.nodes)
+		q.nodes = q.nodes[:0]
 	}
 	s.foldPeak()
 
@@ -57,9 +58,9 @@ func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
 	// deterministic regardless of arrival order.
 	if len(next) > maxNext {
 		sortNodes(next)
-		for _, dropped := range next[maxNext:] {
-			s.ctx.recycle(dropped)
-		}
+		// The engine closes admissions on a truncation, so the dropped
+		// nodes' buffers have no taker: they are left to the collector.
+		clear(next[maxNext:])
 		next = next[:maxNext]
 		res.Truncated = true
 	}
@@ -72,14 +73,14 @@ func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
 func (s *memStore) foldPeak() {
 	var resident int64
 	for i := range s.parts {
-		resident += s.parts[i].set.bytes()
+		resident += s.parts[i].bytes()
 	}
 	s.peak = max(s.peak, resident)
 }
 
 func (s *memStore) Stats() StoreStats {
 	// Async runs never reach EndLevel, so sample here too (Stats runs
-	// after the run ends, when no owner goroutine is live).
+	// after the run ends, when no worker is live).
 	s.foldPeak()
 	return StoreStats{Kind: StoreMem, PeakResidentBytes: s.peak}
 }
@@ -88,7 +89,7 @@ func (s *memStore) Close() error { return nil }
 
 func (s *memStore) DumpVisited(emit func(fp uint64, key string) error) error {
 	for i := range s.parts {
-		if err := s.parts[i].set.forEach(emit); err != nil {
+		if err := s.parts[i].forEach(emit); err != nil {
 			return err
 		}
 	}
@@ -97,7 +98,7 @@ func (s *memStore) DumpVisited(emit func(fp uint64, key string) error) error {
 
 func (s *memStore) SeedVisited(fps []uint64, keys []string) error {
 	for i, n := range partCounts(fps, len(s.parts)) {
-		s.parts[i].set.reserve(n, 0)
+		s.parts[i].reserve(n)
 	}
 	mask := uint64(len(s.parts) - 1)
 	for i, fp := range fps {
@@ -105,7 +106,7 @@ func (s *memStore) SeedVisited(fps []uint64, keys []string) error {
 		if keys != nil {
 			key = keys[i]
 		}
-		s.parts[fp&mask].set.add(fp, key)
+		s.parts[fp&mask].add(fp, key)
 	}
 	return nil
 }

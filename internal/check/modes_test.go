@@ -200,7 +200,13 @@ func TestModeMatrix(t *testing.T) {
 	if testing.Short() {
 		workerCounts = []int{2} // the routed path; resumed by 3 on the other store
 	}
-	for _, pc := range protos {
+	for pi, pc := range protos {
+		workerCounts := workerCounts
+		if pi == 0 {
+			// More workers than cores, and than most levels have nodes, on
+			// the smallest instance: contended partition locks, idle workers.
+			workerCounts = append(workerCounts[:len(workerCounts):len(workerCounts)], 8)
+		}
 		c := model.MustNewConfig(pc.p, pc.inputs)
 		pids := make([]int, pc.p.NumProcesses())
 		for i := range pids {

@@ -17,8 +17,9 @@
 // case. The level-synchronized order (levelsync.go) schedules it as a
 // parallel BFS with a barrier per depth level; the async order (async.go)
 // as barrier-free work stealing with quiescence detection. Deduplication
-// runs on single-owner open-addressing tables fed by batched channels
-// instead of a mutex-striped map. The engine knobs live in EngineOptions:
+// runs on partitioned open-addressing tables, a successor claimed by its
+// fingerprint before it is built and a partition's lock taken once per
+// chunk of nodes, not per successor. The engine knobs live in EngineOptions:
 //
 //   - Workers: goroutines expanding the frontier (default
 //     runtime.GOMAXPROCS(0)). Results never depend on it: per-level

@@ -20,46 +20,46 @@ import (
 // Deduplication — delayed duplicate detection over sorted runs:
 //
 //   - Each partition keeps a resident *delta* table (a keyedSet) holding
-//     the visited entries admitted since its last spill. Candidates are
+//     the visited entries admitted since the last spill. Candidates are
 //     checked against the delta only, so the per-candidate cost matches
-//     the in-memory store.
+//     the in-memory store. The partitions exist for the engine's locks;
+//     what is on disk is the store's, not a partition's.
 //
 //   - When the summed delta size exceeds the budget at a level barrier,
-//     every partition's delta is flushed to a new *sorted run* file — an
+//     the deltas are flushed together to one new *sorted run* file — an
 //     entry stream (entry.go), the layout a checkpoint's visited snapshot
-//     is written in — and the delta is cleared. A configuration visited
-//     before the spill is no longer resident, so a later re-encounter is
-//     admitted *tentatively*.
+//     is written in — and cleared. A configuration visited before the
+//     spill is no longer resident, so a later re-encounter is admitted
+//     *tentatively*.
 //
-//   - EndLevel resolves the tentative admissions: each partition
-//     stream-merges its sorted level admissions against its sorted runs
-//     (the k-way merge of external-memory model checking) and revokes the
-//     ones already on disk. The surviving set is exactly what the
-//     in-memory store admits, so results are store-independent.
+//   - EndLevel resolves the tentative admissions: it stream-merges the
+//     level's sorted admissions against the sorted runs (the k-way merge
+//     of external-memory model checking) and revokes the ones already on
+//     disk. The surviving set is exactly what the in-memory store admits,
+//     so results are store-independent.
 //
-//   - A compact per-partition Bloom prefilter (bloom.go) fronts those
-//     run-file probes: every spilled fingerprint is added to the filter,
-//     so an admission the filter rejects provably appears in no run and
+//   - A compact Bloom prefilter (bloom.go) fronts those run-file probes:
+//     every spilled fingerprint is added to the filter, so an admission the filter rejects provably appears in no run and
 //     skips the barrier merge outright. Only bloom-positive admissions —
 //     the probable duplicates, counted as prefilter_hits — pay for exact
 //     run probes. In the common mostly-fresh BFS level this removes
 //     nearly all merge traffic; a saturated filter only degrades back to
 //     probing everything, never to a wrong answer.
 //
-//   - When a partition accumulates runFanout runs, they are k-way merged
-//     into one (dropping duplicate entries), keeping per-level merge cost
+//   - When runFanout runs have accumulated, they are k-way merged into
+//     one (dropping duplicate entries), keeping per-level merge cost
 //     proportional to the spilled volume, not the run count.
 //
 // Frontier queuing — spooled segments:
 //
 //   - Admitted nodes are immediately serialised as node records
-//     (noderec.go, the record a distributed run puts on the wire) into a
-//     per-partition segment file and their buffers recycled, so frontier
-//     memory is O(batch), not O(level). A segment is a sequence of blocks,
-//     uvarint length | records, each about artifactBlock bytes: the next
-//     level's workers claim a block at a time under the source's lock and
-//     decode it outside, skipping records revoked or truncated at the
-//     barrier. Per-slot canonical Values/States cannot be rebuilt from
+//     (noderec.go, the record a distributed run puts on the wire) into the
+//     admitting worker's segment file and their buffers recycled, so
+//     frontier memory is O(chunk), not O(level). A segment is a sequence
+//     of blocks, uvarint length | records, each about artifactBlock bytes:
+//     the next level's workers claim a block at a time under the source's
+//     lock and decode it outside, skipping records revoked or truncated at
+//     the barrier. Per-slot canonical Values/States cannot be rebuilt from
 //     bytes alone, so the store interns every slot encoding it spools in
 //     the rematerialiser's exchange — resident memory that grows with
 //     *distinct slot encodings*, the same asymptotics as the steppers'
@@ -85,8 +85,17 @@ type spillStore struct {
 	budget  int64
 	seq     int // levels ended so far; names the level's segment files
 	parts   []spillPart
+	queues  []spillQueue // per worker
 	remat   rematerialiser
 	source  *spillSource // last handed-out streaming source (for Close)
+
+	// bloom summarizes every fingerprint spilled so far (created at the
+	// first spill); admissions it proves fresh skip the barrier's run-file
+	// merge. It and the runs change only at barriers and seeding, so
+	// claims read it without a lock.
+	bloom  *bloomFilter
+	runs   []spillRun
+	runSeq int
 
 	// stats moves only at barriers and seeding; the partitions' prefilter
 	// hits are summed into it when asked.
@@ -96,39 +105,35 @@ type spillStore struct {
 	err atomic.Pointer[error]
 }
 
-// spillPart is one partition of the spill store.
+// spillPart is one partition of the spill store: what a claim touches.
 type spillPart struct {
-	id int
-
-	// delta holds the entries admitted since the partition last spilled.
+	// delta holds the entries admitted since the last spill.
 	delta keyedSet
-
-	// bloom summarizes every fingerprint this partition has spilled
-	// (created at the first spill); admissions it proves fresh skip the
-	// barrier's run-file merge. prefilterHits counts the bloom-positive
-	// admissions — the probable duplicates routed to exact probes.
-	bloom         *bloomFilter
-	prefilterHits int64
-
-	// This level's tentative admissions, in arrival order; level[j]
-	// corresponds to next[j] (retain mode) and to the j-th spooled record.
+	// level is this level's tentative admissions, in claim order.
 	level []spillEntry
-	dead  []bool
-	next  []*Node // retain mode only
+	// prefilterHits counts the bloom-positive admissions — the probable
+	// duplicates routed to exact probes.
+	prefilterHits int64
+}
 
-	runs   []spillRun
-	runSeq int
-	spool  *blockWriter // this level's segment; nil until a node is spooled
-
-	spans [][]byte // slot-span scratch (owner-goroutine exclusive)
+// spillQueue is one worker's share of the next frontier: the nodes
+// themselves (retain mode), or the segment they are spooled to. Which
+// worker queued a node says nothing about its partition; what the barrier
+// revokes or truncates it therefore names by entry (spillSource.drop).
+type spillQueue struct {
+	next  []*Node      // retain mode only
+	spool *blockWriter // this level's segment; nil until a node is spooled
+	spans [][]byte     // slot-span scratch
+	_     [16]byte     // a cache line per worker
 }
 
 // spillEntry is one of a level's admissions. fresh marks entries the Bloom
 // prefilter proved absent from every spilled run at admission time — they
-// skip the barrier merge (they cannot be delayed duplicates).
+// skip the barrier merge (they cannot be delayed duplicates); dead the ones
+// the merge found on disk.
 type spillEntry struct {
 	entry
-	fresh bool
+	fresh, dead bool
 }
 
 // spillRun is one sorted run file. verified records that the file passed
@@ -139,8 +144,7 @@ type spillRun struct {
 	verified bool
 }
 
-// runFanout is the per-partition run-count threshold that triggers a
-// compaction merge.
+// runFanout is the run-count threshold that triggers a compaction merge.
 const runFanout = 8
 
 func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) {
@@ -164,11 +168,10 @@ func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) 
 		removeStaleArtifacts(dir, "run-", "seg-")
 	}
 	s := &spillStore{ctx: ctx, dir: dir, ownsDir: ownsDir, budget: budget,
-		parts: make([]spillPart, ctx.parts), stats: StoreStats{Kind: StoreSpill},
+		parts: make([]spillPart, ctx.parts), queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreSpill},
 		remat: rematerialiser{ctx: ctx, exch: model.NewSlotExchange()}}
 	for i := range s.parts {
-		s.parts[i].id = i
-		s.parts[i].delta = newKeyedSet(ctx.stringKeys)
+		s.parts[i].delta = newKeyedSet(ctx.stringKeys, ctx.parts)
 	}
 	return s, nil
 }
@@ -182,53 +185,56 @@ func (s *spillStore) takeErr() error {
 	return nil
 }
 
-func (s *spillStore) Admit(part int, n *Node) (added, retained bool) {
+func (s *spillStore) Claim(part int, fp uint64, key []byte) (string, bool) {
 	p := &s.parts[part]
-	if !p.delta.add(n.fp, n.key) {
-		return false, true
+	stored, added := p.delta.claim(fp, key)
+	if !added {
+		return "", false
 	}
 	// Prefilter verdict: a fingerprint the bloom has never seen appears
 	// in no spilled run (the filter has no false negatives; in exact-key
 	// mode an absent fingerprint implies the (fp, key) pair is absent
 	// too), so the admission is final and skips the barrier merge.
-	fresh := p.bloom == nil || !p.bloom.has(n.fp)
-	p.level = append(p.level, spillEntry{entry{n.fp, n.key}, fresh})
+	fresh := s.bloom == nil || !s.bloom.has(fp)
+	p.level = append(p.level, spillEntry{entry: entry{fp, stored}, fresh: fresh})
 	if !fresh {
 		p.prefilterHits++
 	}
+	return stored, true
+}
+
+func (s *spillStore) Queue(worker int, n *Node) bool {
+	q := &s.queues[worker]
 	if s.ctx.retain {
-		p.next = append(p.next, n)
-		return true, true
+		q.next = append(q.next, n)
+		return true
 	}
-	if err := s.spoolNode(p, n); err != nil {
+	if err := s.spoolNode(worker, n); err != nil {
 		s.fail(err)
 	}
-	return true, false
+	return false
 }
 
-func (s *spillStore) Has(part int, fp uint64, key string) bool {
-	return s.parts[part].delta.has(fp, key)
-}
-
-// spoolNode appends n's record to the partition's segment, interning
-// every slot encoding in the exchange so the node can be rematerialised.
-func (s *spillStore) spoolNode(p *spillPart, n *Node) error {
-	if p.spool == nil {
-		w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-p%d", s.seq, p.id)), artifactSegment, true)
+// spoolNode appends n's record to worker's segment, interning every slot
+// encoding in the exchange so the node can be rematerialised.
+func (s *spillStore) spoolNode(worker int, n *Node) error {
+	q := &s.queues[worker]
+	if q.spool == nil {
+		w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-w%d", s.seq, worker)), artifactSegment, true)
 		if err != nil {
 			return fmt.Errorf("spill store: %w", err)
 		}
-		p.spool = w
+		q.spool = w
 	}
 	var enc []byte
-	p.spool.buf, enc = AppendNodeRecord(p.spool.buf, n)
-	spans, err := model.SlotSpans(enc, s.ctx.nObj, s.ctx.nProc, p.spans)
+	q.spool.buf, enc = AppendNodeRecord(q.spool.buf, n)
+	spans, err := model.SlotSpans(enc, s.ctx.nObj, s.ctx.nProc, q.spans)
 	if err != nil {
 		return fmt.Errorf("spill store: %w", err)
 	}
-	p.spans = spans
+	q.spans = spans
 	s.remat.exch.Intern(n.Cfg, spans, s.ctx.nObj)
-	if err := p.spool.flushFull(); err != nil {
+	if err := q.spool.flushFull(); err != nil {
 		return fmt.Errorf("spill store: segment write: %w", err)
 	}
 	return nil
@@ -240,12 +246,12 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	}
 
 	// Publish the level's segment files before anything can read them.
-	segs := make([]string, len(s.parts))
-	for i := range s.parts {
-		p := &s.parts[i]
-		if p.spool != nil {
-			w := p.spool
-			p.spool = nil
+	segs := make([]string, len(s.queues))
+	for i := range s.queues {
+		q := &s.queues[i]
+		if q.spool != nil {
+			w := q.spool
+			q.spool = nil
 			written, err := w.finish()
 			if err != nil {
 				return LevelResult{}, fmt.Errorf("spill store: segment finish: %w", err)
@@ -255,18 +261,16 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		}
 	}
 
-	// Delayed duplicate detection: merge each partition's sorted level
-	// admissions against its sorted runs and revoke the ones already
-	// visited before the last spill.
-	revoked, survivors := 0, 0
+	// Delayed duplicate detection: merge the level's sorted admissions
+	// against the sorted runs and revoke the ones already visited before
+	// the last spill.
+	revoked, err := s.markDead()
+	if err != nil {
+		return LevelResult{}, err
+	}
+	survivors := -revoked
 	for i := range s.parts {
-		p := &s.parts[i]
-		dead, err := s.markDead(p)
-		if err != nil {
-			return LevelResult{}, err
-		}
-		revoked += dead
-		survivors += len(p.level) - dead
+		survivors += len(s.parts[i].level)
 	}
 
 	// Budget cutoff, by the engine's canonical (fingerprint, key) order.
@@ -277,9 +281,8 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	if truncated && maxNext > 0 {
 		all := make([]entry, 0, survivors)
 		for i := range s.parts {
-			p := &s.parts[i]
-			for j, e := range p.level {
-				if !p.dead[j] {
+			for _, e := range s.parts[i].level {
+				if !e.dead {
 					all = append(all, e.entry)
 				}
 			}
@@ -287,24 +290,34 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		slices.SortFunc(all, entryCompare)
 		cutoff = all[maxNext-1]
 	}
-	dropped := func(p *spillPart, j int) bool {
-		if p.dead[j] {
-			return true
-		}
-		return truncated && (maxNext == 0 || entryLess(cutoff, p.level[j].entry))
-	}
 	kept := survivors
 	if truncated {
 		kept = maxNext
 	}
 
+	// What the barrier revoked or truncated, per partition (nil: nothing).
+	drop := make([]*keyedSet, len(s.parts))
+	for i := range s.parts {
+		for _, e := range s.parts[i].level {
+			if !e.dead && !(truncated && (maxNext == 0 || entryLess(cutoff, e.entry))) {
+				continue
+			}
+			if drop[i] == nil {
+				d := newKeyedSet(s.ctx.stringKeys, len(s.parts))
+				drop[i] = &d
+			}
+			drop[i].add(e.fp, e.key)
+		}
+	}
+
 	res := LevelResult{Revoked: revoked, Truncated: truncated}
 	if s.ctx.retain {
 		next := make([]*Node, 0, kept)
-		for i := range s.parts {
-			p := &s.parts[i]
-			for j, n := range p.next {
-				if dropped(p, j) {
+		mask := uint64(len(s.parts) - 1)
+		for i := range s.queues {
+			q := &s.queues[i]
+			for _, n := range q.next {
+				if d := drop[n.fp&mask]; d != nil && d.has(n.fp, n.key) {
 					// Revoked and truncated nodes are unreferenced even
 					// in provenance runs (nothing expanded them, and
 					// pending claims only ever mutated them), so their
@@ -314,62 +327,52 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 				}
 				next = append(next, n)
 			}
-			p.next = nil
+			clear(q.next)
+			q.next = q.next[:0]
 		}
 		res.Frontier = &memSource{nodes: next}
 	} else {
-		src := &spillSource{store: s, size: kept, segs: segs,
-			readers: make([]*artifactScanner, len(s.parts)),
-			drop:    make([]*keyedSet, len(s.parts)),
-		}
+		src := &spillSource{store: s, size: kept, segs: segs, drop: drop,
+			readers: make([]*artifactScanner, len(segs))}
 		s.source = src
-		for i := range s.parts {
-			p := &s.parts[i]
-			for j := range p.level {
-				if !dropped(p, j) {
-					continue
-				}
-				if src.drop[i] == nil {
-					d := newKeyedSet(s.ctx.stringKeys)
-					src.drop[i] = &d
-				}
-				src.drop[i].add(p.level[j].fp, p.level[j].key)
+		for i, seg := range segs {
+			if seg == "" {
+				continue
 			}
-			if segs[i] != "" {
-				r, err := scanArtifact(segs[i], artifactSegment)
-				if err != nil {
-					return LevelResult{}, fmt.Errorf("spill store: %w", err)
-				}
-				// Unlink immediately: the open descriptor keeps the data
-				// readable and the file is reclaimed even if the source
-				// is abandoned mid-level.
-				os.Remove(segs[i])
-				src.readers[i] = r
+			r, err := scanArtifact(seg, artifactSegment)
+			if err != nil {
+				return LevelResult{}, fmt.Errorf("spill store: %w", err)
 			}
+			// Unlink immediately: the open descriptor keeps the data
+			// readable and the file is reclaimed even if the source
+			// is abandoned mid-level.
+			os.Remove(seg)
+			src.readers[i] = r
 		}
 		res.Frontier = src
 	}
 
 	// Reset per-level state and apply the byte budget: when the resident
-	// delta exceeds it, flush every partition's delta to a fresh sorted
-	// run and compact partitions that accumulated runFanout runs. The
-	// Bloom prefilters count toward the reported peak (they are resident
-	// memory) but not toward the spill trigger: spilling cannot shrink a
-	// filter, so triggering on its constant footprint would only force a
-	// futile delta flush at every subsequent barrier.
+	// deltas exceed it, flush them to a fresh sorted run and compact once
+	// runFanout runs have accumulated. The Bloom prefilter counts toward
+	// the reported peak (it is resident memory) but not toward the spill
+	// trigger: spilling cannot shrink a filter, so triggering on its
+	// constant footprint would only force a futile delta flush at every
+	// subsequent barrier.
 	var deltas int64
 	for i := range s.parts {
 		p := &s.parts[i]
 		p.level = p.level[:0]
-		p.dead = p.dead[:0]
 		deltas += p.delta.bytes()
 	}
 	s.foldPeak()
 	if deltas > s.budget {
+		var entries []entry
 		for i := range s.parts {
-			if err := s.spillDelta(&s.parts[i]); err != nil {
-				return LevelResult{}, err
-			}
+			entries = append(entries, s.parts[i].delta.drain()...)
+		}
+		if err := s.spillRun(entries); err != nil {
+			return LevelResult{}, err
 		}
 	}
 
@@ -377,45 +380,44 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	return res, nil
 }
 
-// markDead stream-merges the partition's sorted level admissions against
-// each sorted run, marking entries already present on disk. Admissions
-// the Bloom prefilter proved fresh are excluded up front — they cannot
-// appear in any run — so the merge (and the run I/O it drives) costs
-// only the bloom-positive suspects. It reads runs sequentially and stops
-// each as soon as the suspect list is exhausted.
-func (s *spillStore) markDead(p *spillPart) (int, error) {
-	for len(p.dead) < len(p.level) {
-		p.dead = append(p.dead, false)
-	}
-	if len(p.level) == 0 || len(p.runs) == 0 {
+// markDead stream-merges the level's sorted admissions against each sorted
+// run, marking entries already present on disk, and returns how many it
+// marked. Admissions the Bloom prefilter proved fresh are excluded up
+// front — they cannot appear in any run — so the merge (and the run I/O it
+// drives) costs only the bloom-positive suspects. It reads runs
+// sequentially and stops each as soon as the suspect list is exhausted.
+func (s *spillStore) markDead() (int, error) {
+	if len(s.runs) == 0 {
 		return 0, nil
 	}
-	order := make([]int, 0, len(p.level))
-	for i, e := range p.level {
-		if !e.fresh {
-			order = append(order, i)
+	var suspects []*spillEntry
+	for i := range s.parts {
+		level := s.parts[i].level
+		for j := range level {
+			if !level[j].fresh {
+				suspects = append(suspects, &level[j])
+			}
 		}
 	}
-	if len(order) == 0 {
+	if len(suspects) == 0 {
 		return 0, nil
 	}
-	slices.SortFunc(order, func(i, j int) int { return entryCompare(p.level[i].entry, p.level[j].entry) })
-
-	for i := range p.runs {
-		if err := s.mergeMark(p, &p.runs[i], order); err != nil {
+	slices.SortFunc(suspects, func(a, b *spillEntry) int { return entryCompare(a.entry, b.entry) })
+	for i := range s.runs {
+		if err := s.mergeMark(&s.runs[i], suspects); err != nil {
 			return 0, err
 		}
 	}
 	dead := 0
-	for _, d := range p.dead {
-		if d {
+	for _, e := range suspects {
+		if e.dead {
 			dead++
 		}
 	}
 	return dead, nil
 }
 
-func (s *spillStore) mergeMark(p *spillPart, run *spillRun, order []int) error {
+func (s *spillStore) mergeMark(run *spillRun, suspects []*spillEntry) error {
 	// The merge stops as soon as the suspect list is exhausted, so EOF's
 	// streaming checksum may never run; verify the whole file once at
 	// first open instead (a corrupt run must fail loudly — silently
@@ -432,56 +434,55 @@ func (s *spillStore) mergeMark(p *spillPart, run *spillRun, order []int) error {
 		return fmt.Errorf("spill store: %w", err)
 	}
 	defer r.close()
-	for idx := 0; idx < len(order); {
+	for idx := 0; idx < len(suspects); {
 		e, ok, err := r.next()
 		if err != nil || !ok {
 			return err
 		}
-		for idx < len(order) && entryLess(p.level[order[idx]].entry, e) {
+		for idx < len(suspects) && entryLess(suspects[idx].entry, e) {
 			idx++
 		}
-		if idx < len(order) && p.level[order[idx]].entry == e {
-			p.dead[order[idx]] = true
+		if idx < len(suspects) && suspects[idx].entry == e {
+			suspects[idx].dead = true
 			idx++
 		}
 	}
 	return nil // admissions exhausted; rest of the run is irrelevant
 }
 
-// newRun opens the partition's next sorted-run file for writing.
-func (s *spillStore) newRun(p *spillPart) (*blockWriter, error) {
-	w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("run-p%d-%d", p.id, p.runSeq)), artifactRun, false)
+// newRun opens the next sorted-run file for writing.
+func (s *spillStore) newRun() (*blockWriter, error) {
+	w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("run-%d", s.runSeq)), artifactRun, false)
 	if err != nil {
 		return nil, fmt.Errorf("spill store: %w", err)
 	}
-	p.runSeq++
+	s.runSeq++
 	return w, nil
 }
 
-// publishRun seals a fully written run; it replaces the partition's
-// runs when replaces is set (a compaction) and joins them otherwise.
-func (s *spillStore) publishRun(p *spillPart, w *blockWriter, replaces bool) error {
+// publishRun seals a fully written run; it replaces the runs there are
+// when replaces is set (a compaction) and joins them otherwise.
+func (s *spillStore) publishRun(w *blockWriter, replaces bool) error {
 	written, err := w.finish()
 	if err != nil {
 		return fmt.Errorf("spill store: run finish: %w", err)
 	}
 	if replaces {
-		for i := range p.runs {
-			os.Remove(p.runs[i].path)
+		for i := range s.runs {
+			os.Remove(s.runs[i].path)
 		}
-		s.stats.RunsMerged += len(p.runs)
-		p.runs = p.runs[:0]
+		s.stats.RunsMerged += len(s.runs)
+		s.runs = s.runs[:0]
 	}
 	s.stats.BytesSpilled += written
 	s.stats.RunsWritten++
-	p.runs = append(p.runs, spillRun{path: w.path})
+	s.runs = append(s.runs, spillRun{path: w.path})
 	return nil
 }
 
-// spillDelta flushes the partition's resident delta to a new sorted run
-// and clears it, then compacts when the partition holds runFanout runs.
-func (s *spillStore) spillDelta(p *spillPart) error {
-	entries := p.delta.drain()
+// spillRun writes entries, which leave RAM with it, as a new sorted run,
+// then compacts when runFanout runs have accumulated.
+func (s *spillStore) spillRun(entries []entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
@@ -490,15 +491,15 @@ func (s *spillStore) spillDelta(p *spillPart) error {
 	// it, ~1% false positives for the first few flushes); overfilling it
 	// only raises the false-positive rate — more barrier merge work,
 	// never a wrong verdict — so it is never rebuilt.
-	if p.bloom == nil {
-		p.bloom = newBloomFilter(s.budget / 5 / int64(len(s.parts)))
+	if s.bloom == nil {
+		s.bloom = newBloomFilter(s.budget / 5)
 	}
 	for _, e := range entries {
-		p.bloom.add(e.fp)
+		s.bloom.add(e.fp)
 	}
 	slices.SortFunc(entries, entryCompare)
 
-	w, err := s.newRun(p)
+	w, err := s.newRun()
 	if err != nil {
 		return err
 	}
@@ -509,24 +510,24 @@ func (s *spillStore) spillDelta(p *spillPart) error {
 		}
 	}
 	// Crash point: the sorted run is fully written but not yet renamed
-	// into place — the delta it snapshots dies with the process.
+	// into place — the deltas it snapshots die with the process.
 	fault.Crash(fault.CrashSpillRunWrite)
-	if err := s.publishRun(p, w, false); err != nil {
+	if err := s.publishRun(w, false); err != nil {
 		return err
 	}
-	if len(p.runs) >= runFanout {
-		return s.compact(p)
+	if len(s.runs) >= runFanout {
+		return s.compact()
 	}
 	return nil
 }
 
-// compact k-way merges all of the partition's runs into one, dropping
-// duplicate entries (a fingerprint re-admitted after a spill appears in
-// two runs until compaction unifies them).
-func (s *spillStore) compact(p *spillPart) error {
-	readers := make([]*entryReader, len(p.runs))
-	heads := make([]entry, len(p.runs))
-	live := make([]bool, len(p.runs))
+// compact k-way merges all the runs into one, dropping duplicate entries (a
+// fingerprint re-admitted after a spill appears in two runs until
+// compaction unifies them).
+func (s *spillStore) compact() error {
+	readers := make([]*entryReader, len(s.runs))
+	heads := make([]entry, len(s.runs))
+	live := make([]bool, len(s.runs))
 	defer func() {
 		for _, r := range readers {
 			if r != nil {
@@ -534,7 +535,7 @@ func (s *spillStore) compact(p *spillPart) error {
 			}
 		}
 	}()
-	for i, run := range p.runs {
+	for i, run := range s.runs {
 		r, err := openEntries(run.path, artifactRun)
 		if err != nil {
 			return fmt.Errorf("spill store: %w", err)
@@ -545,7 +546,7 @@ func (s *spillStore) compact(p *spillPart) error {
 		}
 	}
 
-	w, err := s.newRun(p)
+	w, err := s.newRun()
 	if err != nil {
 		return err
 	}
@@ -578,20 +579,19 @@ func (s *spillStore) compact(p *spillPart) error {
 	// Crash point: the merged run is complete but unpublished and the
 	// input runs are still in place.
 	fault.Crash(fault.CrashSpillRunMerge)
-	return s.publishRun(p, w, true)
+	return s.publishRun(w, true)
 }
 
 // foldPeak raises the resident high-water mark to the current footprint:
-// every partition's delta table plus its Bloom prefilter. It runs at
-// every barrier and around every flush of a checkpoint seed.
+// the delta tables plus the Bloom prefilter. It runs at every barrier and
+// around a checkpoint seed.
 func (s *spillStore) foldPeak() {
 	var resident int64
+	if s.bloom != nil {
+		resident = s.bloom.bytes()
+	}
 	for i := range s.parts {
-		p := &s.parts[i]
-		resident += p.delta.bytes()
-		if p.bloom != nil {
-			resident += p.bloom.bytes()
-		}
+		resident += s.parts[i].delta.bytes()
 	}
 	s.stats.PeakResidentBytes = max(s.stats.PeakResidentBytes, resident)
 }
@@ -605,10 +605,10 @@ func (s *spillStore) Stats() StoreStats {
 }
 
 func (s *spillStore) Close() error {
-	for i := range s.parts {
-		if w := s.parts[i].spool; w != nil {
+	for i := range s.queues {
+		if w := s.queues[i].spool; w != nil {
 			w.abort()
-			s.parts[i].spool = nil
+			s.queues[i].spool = nil
 		}
 	}
 	if s.source != nil {
@@ -620,12 +620,10 @@ func (s *spillStore) Close() error {
 		cleanupErr = os.RemoveAll(s.dir)
 	} else {
 		// Caller-provided directory: remove only our files.
-		for i := range s.parts {
-			for _, run := range s.parts[i].runs {
-				os.Remove(run.path)
-			}
-			s.parts[i].runs = nil
+		for _, run := range s.runs {
+			os.Remove(run.path)
 		}
+		s.runs = nil
 	}
 	// Surface any latched I/O error that never reached an EndLevel —
 	// e.g. a segment read failing during the run's final (depth-capped
@@ -646,7 +644,7 @@ func (s *spillStore) Close() error {
 type spillSource struct {
 	store *spillStore
 	size  int
-	segs  []string // the partitions' segment paths, for error reports
+	segs  []string // the workers' segment paths, for error reports
 	// drop holds, per partition, the admissions revoked or truncated at
 	// the barrier (nil: none); read-only once the source is handed out.
 	drop []*keyedSet
@@ -659,10 +657,9 @@ type spillSource struct {
 	pool sync.Pool
 }
 
-// segBlock is one claimed block of partition part's segment, decoded as
-// far as off.
+// segBlock is one claimed block of segment seg, decoded as far as off.
 type segBlock struct {
-	part  int
+	seg   int
 	data  []byte
 	off   int
 	spans [][]byte // slot-span scratch of whoever holds the block
@@ -736,7 +733,7 @@ func (s *spillSource) claim() *segBlock {
 		}
 		var err error
 		if b.data, err = r.blob(b.data); err == nil {
-			b.part, b.off = s.cur, 0
+			b.seg, b.off = s.cur, 0
 			return b
 		}
 		// The segment is exhausted, or unreadable: then its stream position
@@ -757,7 +754,7 @@ func (s *spillSource) claim() *segBlock {
 // exact keys, the encoding) identifies the record. Every span a spooled
 // node carries was interned when it was spooled, so a miss is corruption.
 func (s *spillSource) decode(b *segBlock) (*Node, error) {
-	rec, err := b.next(s.segs[b.part])
+	rec, err := b.next(s.segs[b.seg])
 	if err != nil {
 		return nil, err
 	}
@@ -765,13 +762,13 @@ func (s *spillSource) decode(b *segBlock) (*Node, error) {
 	if s.store.ctx.stringKeys {
 		key = string(rec.Enc)
 	}
-	if d := s.drop[b.part]; d != nil && d.has(rec.FP, key) {
+	if d := s.drop[rec.FP&uint64(len(s.drop)-1)]; d != nil && d.has(rec.FP, key) {
 		return nil, nil
 	}
 	n, spans, err := s.store.remat.node(rec, b.spans)
 	b.spans = spans
 	if err != nil {
-		return nil, &CorruptArtifactError{Path: s.segs[b.part], Reason: err.Error()}
+		return nil, &CorruptArtifactError{Path: s.segs[b.seg], Reason: err.Error()}
 	}
 	n.key = key
 	return n, nil
@@ -795,60 +792,68 @@ func (s *spillSource) closeAll() {
 // entry spilled and re-admitted since comes twice.
 func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
 	for i := range s.parts {
-		p := &s.parts[i]
-		if err := p.delta.forEach(emit); err != nil {
+		if err := s.parts[i].delta.forEach(emit); err != nil {
 			return err
 		}
-		for j := range p.runs {
-			r, err := openEntries(p.runs[j].path, artifactRun)
-			if err != nil {
-				return err
-			}
-			err = r.each(emit)
-			r.close()
-			if err != nil {
-				return err
-			}
+	}
+	for _, run := range s.runs {
+		r, err := openEntries(run.path, artifactRun)
+		if err != nil {
+			return err
+		}
+		err = r.each(emit)
+		r.close()
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// SeedVisited loads the snapshot under the byte budget: a partition's
-// delta takes entries up to its share of the budget, is flushed to a
-// sorted run like any over-budget delta, and starts over, so a resumed run
-// holds no more of the visited set resident than the run that wrote the
-// snapshot did. Every fresh delta table is sized for what it will take
-// before it takes it (a mem-store snapshot arrives in table order).
+// SeedVisited loads the snapshot under the byte budget: all of it but a
+// last stretch goes straight to sorted runs, a stretch of the snapshot the
+// size a budget's worth of deltas flushes to at a time, and that last
+// stretch into the deltas, so a resumed run holds no more of the visited
+// set resident than the run that wrote the snapshot did. The delta tables
+// are sized for what they will take before they take it (a mem-store
+// snapshot arrives in table order).
 func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
-	// A partition's share of the budget, floored at a delta table's
-	// initial footprint so tiny budgets batch flushes instead of spilling
-	// every entry.
-	partBudget := max(s.budget/int64(len(s.parts)), 8<<10)
-	left := partCounts(fps, len(s.parts)) // entries still to come, per partition
-	room := make([]int, len(s.parts))     // entries the current delta table still takes
+	keyOf := func(i int) string {
+		if keys == nil {
+			return ""
+		}
+		return keys[i]
+	}
+	// The stretch: what fingerprint tables of the budget's size between
+	// them hold (each within a doubling of its load, at a growth bound of
+	// 70%), or that many bytes of keys.
+	stretch := func(from int) int {
+		if keys == nil {
+			return min(len(fps), from+max(int(s.budget/16*7/10), 1))
+		}
+		to, size := from, int64(0)
+		for to < len(fps) && (to == from || size <= s.budget) {
+			size += int64(len(keys[to])) + mapEntryOverhead
+			to++
+		}
+		return to
+	}
+	from := 0
+	for to := stretch(0); to < len(fps); from, to = to, stretch(to) {
+		entries := make([]entry, 0, to-from)
+		for i := from; i < to; i++ {
+			entries = append(entries, entry{fps[i], keyOf(i)})
+		}
+		if err := s.spillRun(entries); err != nil {
+			return err
+		}
+	}
+	for i, n := range partCounts(fps[from:], len(s.parts)) {
+		s.parts[i].delta.reserve(n)
+	}
 	mask := uint64(len(s.parts) - 1)
-	for i, fp := range fps {
-		part := fp & mask
-		p := &s.parts[part]
-		if room[part] == 0 {
-			room[part] = p.delta.reserve(left[part], partBudget)
-		}
-		key := ""
-		if keys != nil {
-			key = keys[i]
-		}
-		p.delta.add(fp, key)
-		room[part]--
-		left[part]--
-		// The delta has reached its share of the budget.
-		if (room[part] == 0 || p.delta.bytes() > partBudget) && left[part] > 0 {
-			s.foldPeak()
-			if err := s.spillDelta(p); err != nil {
-				return err
-			}
-			room[part] = 0
-		}
+	for i := from; i < len(fps); i++ {
+		s.parts[fps[i]&mask].delta.add(fps[i], keyOf(i))
 	}
 	s.foldPeak()
 	return nil

@@ -22,10 +22,11 @@ import (
 //     frontier nodes spool to disk segments as their compact binary
 //     encodings, so the explorable space is bounded by disk, not RAM.
 //
-// The store is partitioned exactly like the engine's dedup ownership:
-// partition i is only ever touched by its single owner goroutine during a
-// level (Admit/Has), and EndLevel runs alone at the barrier. Stores
-// therefore need no per-candidate locking, mirroring the fpSet contract.
+// The store is partitioned exactly like the engine's claims: during a
+// level partition i is only ever touched under the engine's lock for it
+// (Claim), a worker's queue only by that worker (Queue), and EndLevel runs
+// alone at the barrier. Stores therefore take no lock of their own,
+// mirroring the fpSet contract.
 
 // sortNodes sorts nodes into the canonical order, entryCompare's. It sorts
 // (fingerprint, node) pairs, not the pointers: a level that overshoots the budget is
@@ -105,23 +106,25 @@ type LevelResult struct {
 }
 
 // StateStore owns deduplication and frontier queuing for one engine run.
-// Partition indices are engine-assigned (fp & ownerMask); during a level
-// each partition is called only from its single owner goroutine, and
-// EndLevel/Stats/Close only from the engine's level loop. (The async
-// order has no levels: it keeps its frontier in the workers' deques and
-// uses the in-memory store's visited tables alone, see async.go.)
+// Partition indices are engine-assigned (fp & partMask) and worker indices
+// are the engine's; EndLevel/Stats/Close are called only from the engine's
+// level loop. (The async order has no levels: it keeps its frontier in the
+// workers' deques and only ever claims, in the in-memory store, see
+// async.go.)
 type StateStore interface {
-	// Admit records n's (fingerprint, key) as visited in the partition and
-	// queues n for the next level, unless it is a known duplicate. added
-	// reports whether it was admitted; retained whether the store keeps
-	// the *Node (false means the node's content is externalized — spooled
-	// to disk — and the engine must recycle it).
-	Admit(part int, n *Node) (added, retained bool)
-	// Has reports whether the entry is known visited. For the spill store
-	// this consults only the resident delta table (entries present only in
-	// spilled runs may report false); the engine uses it solely on the
-	// post-truncation fast path, where the answer cannot change outcomes.
-	Has(part int, fp uint64, key string) bool
+	// Claim records the entry (fp, key) as visited in the partition and
+	// reports whether it was absent — the admission decision, taken on the
+	// entry alone, before any node for it exists. key is nil outside
+	// exact-key runs; it may be scratch, and stored is the copy the store
+	// keeps, for the admitted node to share. Calls on one partition must
+	// not overlap (the engine holds the partition's lock).
+	Claim(part int, fp uint64, key []byte) (stored string, added bool)
+	// Queue queues n, whose entry this level's Claim admitted, for the
+	// next level on worker's queue (calls for one worker must not overlap).
+	// retained reports whether the store keeps the *Node (false means the
+	// node's content is externalized — spooled to disk — and the engine
+	// must recycle it).
+	Queue(worker int, n *Node) (retained bool)
 	// EndLevel runs at the level barrier: it resolves delayed duplicates,
 	// enforces the budget cutoff (at most maxNext admissions survive,
 	// chosen by ascending (fingerprint, key) — the engine's deterministic
@@ -179,6 +182,7 @@ const DefaultMemBudget = 256 << 20
 // recycling stay engine-owned so both stores share one discipline).
 type storeCtx struct {
 	parts      int // partition count (power of two)
+	workers    int // queue count
 	nObj       int
 	nProc      int
 	stringKeys bool

@@ -43,9 +43,9 @@ import (
 //     value of the targeted object.
 //
 //   - Exact-key runs get the same shortcuts without trusting a hash
-//     (NewStepperExact, ApplyKeyed): the same table, whose entries then
-//     also hold the touched slots' encodings and match only when those
-//     compare equal byte for byte, and a successor's exact key is spliced
+//     (NewStepperExact, Plan with the parent's encoding): the same table,
+//     whose entries then also hold the touched slots' encodings and match
+//     only when those compare equal byte for byte, and a successor's exact key is spliced
 //     from its parent's (SlotEncoding, slots.go) instead of re-encoded.
 //     The slot hashes and the fingerprint are maintained there too — the
 //     stores order and partition by them, the memo probes by them — but
@@ -214,7 +214,7 @@ type poisedVal struct {
 // historyless objects, the successor (object value, process state) pair is
 // a pure function of (pid, the actor's state, the targeted object's
 // current value). It holds the canonical successor slots, their content
-// hashes, and the arena refs of their encodings, which ApplyKeyed splices
+// hashes, and the arena refs of their encodings, which AppendKey splices
 // into the successor's key.
 type transVal struct {
 	val           Value // canonical successor value of the targeted object
@@ -397,19 +397,19 @@ func (m *stepMemo) add(pid int, stH uint64, stEnc []byte, pe poisedVal) *memoEnt
 // and no Poised, Observe or encoding call happens on it. They differ in
 // what a hit rests on:
 //
-//   - NewStepper matches entries by slot content hash (ApplyCOW), and so
-//     inherits the fingerprint mode's ~2^-64 per-pair collision tolerance.
+//   - NewStepper matches entries by slot content hash (Plan, penc nil), and
+//     so inherits the fingerprint mode's ~2^-64 per-pair collision tolerance.
 //
 //   - NewStepperExact, which exact-keyed (certificate) searches use,
 //     matches them by the encodings themselves — (pid, the actor's state
 //     encoding) and, within the entry, the targeted value's encoding,
-//     compared byte for byte (ApplyKeyed). Equal encodings are equal Keys,
-//     and states with equal Keys are interchangeable by the State contract
+//     compared byte for byte (Plan with penc). Equal encodings are equal
+//     Keys, and states with equal Keys are interchangeable by the State contract
 //     interning already relies on, so a hit returns exactly what the
 //     protocol would. The encodings come from the parent's exact key, so
-//     nothing is re-encoded either. Its ApplyCOW stays memo-free: every
-//     call asks the protocol (checkpoint replay, and the reference the
-//     memoized step is tested against).
+//     nothing is re-encoded either. Its Plan without penc (and so its
+//     ApplyCOW) stays memo-free: every call asks the protocol (checkpoint
+//     replay, and the reference the memoized step is tested against).
 type Stepper struct {
 	p     Protocol
 	specs []ObjectSpec
@@ -424,8 +424,8 @@ func NewStepper(p Protocol) *Stepper {
 	return &Stepper{p: p, specs: p.Objects(), arena: NewArena(), memo: newStepMemo()}
 }
 
-// NewStepperExact returns the Stepper of exact-key runs: ApplyKeyed
-// memoizes on exact encodings and ApplyCOW not at all, so no hash
+// NewStepperExact returns the Stepper of exact-key runs: Plan memoizes on
+// the exact encodings it is handed and not at all without them, so no hash
 // collision can ever substitute a wrong transition.
 func NewStepperExact(p Protocol) *Stepper {
 	return &Stepper{p: p, specs: p.Objects(), arena: NewArena(), exact: true, memo: newStepMemo()}
@@ -527,48 +527,98 @@ func (st *Stepper) transition(pid int, op Op, parent *Config, parentH []uint64) 
 	}, nil
 }
 
-// install writes into dst the successor of parent in which pid's step put
-// tv into object obj and pid's state: every other slot is shared with the
-// parent (canonical interned objects), which is the copy-on-write
-// discipline. dstH receives parent's slot hashes with the two touched
-// slots updated, and the returned fingerprint is the successor's — one
-// XOR with the transition's delta, never a full re-encode.
-func (st *Stepper) install(parent *Config, parentFP uint64, parentH []uint64, pid, obj int, tv *transVal, dst *Config, dstH []uint64) uint64 {
-	stateSlot := len(st.specs) + pid
+// Step is one planned step: what Plan found process pid does from a parent
+// configuration, before any successor exists. It is held by value — a copy
+// of the memoised transition, not a pointer into the memo — so it stays
+// valid however many lookups, new transitions and memo growths follow it:
+// an expansion plans every successor of a chunk of nodes first and installs
+// only the ones the visited set had not seen.
+type Step struct {
+	obj int
+	tv  transVal
+}
+
+// Fingerprint returns the successor's slot fingerprint given the parent's:
+// one XOR with the transition's delta, never a re-encode.
+func (s *Step) Fingerprint(parentFP uint64) uint64 { return parentFP ^ s.tv.fpDelta }
+
+// Plan looks up the poised step of process pid from parent into s without
+// building the successor; ok is false when pid has decided (no step to
+// take). parentH is parent's slot-hash vector (length Slots()). penc is nil
+// for fingerprint-keyed steps — a NewStepper stepper answers those from its
+// hash-keyed memo, a NewStepperExact one asks the protocol every time — and
+// parent's own exact encoding for the step of exact-key runs (NewStepperExact
+// steppers only): the actor's state span and the targeted object's value
+// span are then what the memo matches on, byte for byte, so a hit skips
+// Poised, Type.Apply, Observe and both interns.
+func (st *Stepper) Plan(parent *Config, parentH []uint64, pid int, penc *SlotEncoding, s *Step) (ok bool, err error) {
+	if st.exact && penc == nil {
+		pe, err := st.poisedOf(pid, parent.States[pid])
+		if err != nil || pe.decided {
+			return false, err
+		}
+		s.obj = pe.op.Object
+		s.tv, err = st.transition(pid, pe.op, parent, parentH)
+		return err == nil, err
+	}
+	obj, tv, err := st.lookup(parent, parentH, pid, penc)
+	if tv == nil {
+		return false, err
+	}
+	s.obj, s.tv = obj, *tv
+	return true, nil
+}
+
+// PatchHashes overwrites, in a copy h of the parent's slot-hash vector, the
+// two slots pid's step s touches with the successor's content hashes, and
+// returns the object slot's index (the state slot is Slots()-NumProcesses+pid)
+// so the caller can restore it: how the reduction layer canonicalises a
+// successor's fingerprint without the successor.
+func (st *Stepper) PatchHashes(h []uint64, pid int, s *Step) (obj int) {
+	h[s.obj] = s.tv.vh
+	h[len(st.specs)+pid] = s.tv.sh
+	return s.obj
+}
+
+// Install writes into dst the successor of parent that pid's planned step s
+// leads to, without mutating parent: every slot the step did not touch is
+// shared with the parent (canonical interned objects), which is the
+// copy-on-write discipline, and dstH receives parent's slot hashes with the
+// two touched slots updated. dst's slices must already have the
+// configuration's shape (the engine pools them); parentH and dstH must both
+// have length Slots() and may not alias. The successor's fingerprint is
+// s.Fingerprint(parent's).
+func (st *Stepper) Install(parent *Config, parentH []uint64, pid int, s *Step, dst *Config, dstH []uint64) {
 	copy(dst.Objects, parent.Objects)
 	copy(dst.States, parent.States)
 	copy(dstH, parentH)
-	dst.Objects[obj] = tv.val
-	dst.States[pid] = tv.st
-	dstH[obj] = tv.vh
-	dstH[stateSlot] = tv.sh
-	return parentFP ^ tv.fpDelta
+	dst.Objects[s.obj] = s.tv.val
+	dst.States[pid] = s.tv.st
+	dstH[s.obj] = s.tv.vh
+	dstH[len(st.specs)+pid] = s.tv.sh
 }
 
-// ApplyCOW performs the poised step of process pid from parent, writing
-// the successor into dst without mutating parent. dst's slices must
-// already have the configuration's shape (the engine pools them); see
-// install for what dst, dstH and the returned fingerprint hold.
-//
-// ok is false when pid has decided (no step to take). parentH and dstH
-// must both have length Slots() and may not alias.
+// AppendKey appends the exact key of the successor pid's planned step s
+// leads to — byte for byte its Config.AppendEncoding — to key and returns
+// the extended slice. penc must hold the parent's exact encoding, the one s
+// was planned from: the successor's key is that with the two touched spans
+// replaced, so no slot is re-encoded.
+func (st *Stepper) AppendKey(key []byte, penc *SlotEncoding, pid int, s *Step) []byte {
+	a := st.arena
+	return penc.splice(key, s.obj, a.encoding(a.vals[s.tv.valRef]), len(st.specs)+pid, a.encoding(a.sts[s.tv.stRef]))
+}
+
+// ApplyCOW is Plan and Install in one call, for a caller that wants the
+// successor whatever it is (checkpoint replay, the benchmark's step probe):
+// it writes pid's successor from parent into dst and returns its slot
+// fingerprint. ok is false when pid has decided.
 func (st *Stepper) ApplyCOW(parent *Config, parentFP uint64, parentH []uint64, pid int, dst *Config, dstH []uint64) (fp uint64, ok bool, err error) {
-	if st.exact {
-		pe, err := st.poisedOf(pid, parent.States[pid])
-		if err != nil || pe.decided {
-			return 0, false, err
-		}
-		tv, err := st.transition(pid, pe.op, parent, parentH)
-		if err != nil {
-			return 0, false, err
-		}
-		return st.install(parent, parentFP, parentH, pid, pe.op.Object, &tv, dst, dstH), true, nil
-	}
-	obj, tv, err := st.lookup(parent, parentH, pid, nil)
-	if tv == nil {
+	var s Step
+	if ok, err = st.Plan(parent, parentH, pid, nil, &s); !ok {
 		return 0, false, err
 	}
-	return st.install(parent, parentFP, parentH, pid, obj, tv, dst, dstH), true, nil
+	st.Install(parent, parentH, pid, &s, dst, dstH)
+	return s.Fingerprint(parentFP), true, nil
 }
 
 // lookup is the memoized step both keyings share: the entry of (pid, the
@@ -577,8 +627,9 @@ func (st *Stepper) ApplyCOW(parent *Config, parentFP uint64, parentH []uint64, p
 // successor slots — a hit on both calls nothing in the protocol and
 // interns nothing. penc is nil for the hash-keyed step and parent's exact
 // encoding for the exact one, whose matches then rest on its spans. tv is
-// nil when pid has decided (or on an error), and otherwise valid until
-// the stepper's next lookup.
+// nil when pid has decided (or on an error), and otherwise points into the
+// memo: it is valid only until the stepper's next lookup, which may add a
+// transition to the same entry or grow the table, so Plan copies it out.
 func (st *Stepper) lookup(parent *Config, parentH []uint64, pid int, penc *SlotEncoding) (obj int, tv *transVal, err error) {
 	stateSlot := len(st.specs) + pid
 	stH := parentH[stateSlot]
@@ -609,24 +660,4 @@ func (st *Stepper) lookup(parent *Config, parentH []uint64, pid int, penc *SlotE
 		tv = e.addTransition(parentH[obj], valEnc, t)
 	}
 	return obj, tv, nil
-}
-
-// ApplyKeyed is the step of exact-key runs (NewStepperExact steppers
-// only): ApplyCOW, memoized on exact encodings, which also appends the
-// successor's exact key — byte for byte its Config.AppendEncoding — to
-// key and returns the extended slice. penc must hold parent's own exact
-// encoding: the actor's state span and the targeted object's value span
-// are what the memo matches on, so a hit skips Poised, Type.Apply, Observe
-// and both interns, and the successor's key is penc's with the two touched
-// spans replaced, so no slot is re-encoded either. On !ok or an error key
-// comes back unextended.
-func (st *Stepper) ApplyKeyed(parent *Config, parentFP uint64, parentH []uint64, penc *SlotEncoding, pid int, dst *Config, dstH []uint64, key []byte) (fp uint64, succKey []byte, ok bool, err error) {
-	obj, tv, err := st.lookup(parent, parentH, pid, penc)
-	if tv == nil {
-		return 0, key, false, err
-	}
-	fp = st.install(parent, parentFP, parentH, pid, obj, tv, dst, dstH)
-	a := st.arena
-	key = penc.splice(key, obj, a.encoding(a.vals[tv.valRef]), len(st.specs)+pid, a.encoding(a.sts[tv.stRef]))
-	return fp, key, true, nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // stepperHarness drives a plain Clone+Apply configuration, an arena/COW
-// configuration (hash-keyed memos) and an exact-keyed one (ApplyKeyed:
-// encoding-keyed memos, spliced keys) through the same schedule and
+// configuration (hash-keyed memos) and an exact-keyed one (Plan on the
+// parent's encoding, AppendKey, Install: encoding-keyed memos, spliced keys) through the same schedule and
 // cross-checks them after every step. It is shared by the unit test and
 // the fuzz target.
 type stepperHarness struct {
@@ -19,7 +19,7 @@ type stepperHarness struct {
 	p       model.Protocol
 	inputs  []int
 	stepper *model.Stepper
-	keyed   *model.Stepper // NewStepperExact, stepped with ApplyKeyed
+	keyed   *model.Stepper // NewStepperExact, stepped with Plan + AppendKey + Install
 	ref     *model.Stepper // NewStepperExact, stepped with its memo-free ApplyCOW
 
 	plain *model.Config
@@ -74,9 +74,17 @@ func (h *stepperHarness) stepKeyed(pid int) bool {
 		h.t.Fatalf("spliced key does not scan: %v", err)
 	}
 	dst, dstH := h.newDst()
-	fp, key, ok, err := h.keyed.ApplyKeyed(h.ex, h.exFP, h.exH, &h.penc, pid, dst, dstH, nil)
+	var s model.Step
+	ok, err := h.keyed.Plan(h.ex, h.exH, pid, &h.penc, &s)
 	if err != nil {
-		h.t.Fatalf("ApplyKeyed(p%d): %v", pid, err)
+		h.t.Fatalf("exact Plan(p%d): %v", pid, err)
+	}
+	var fp uint64
+	var key []byte
+	if ok {
+		fp = s.Fingerprint(h.exFP)
+		key = h.keyed.AppendKey(nil, &h.penc, pid, &s)
+		h.keyed.Install(h.ex, h.exH, pid, &s, dst, dstH)
 	}
 	rdst, rdstH := h.newDst()
 	rfp, rok, err := h.ref.ApplyCOW(h.ex, h.exFP, h.exH, pid, rdst, rdstH)
@@ -84,22 +92,19 @@ func (h *stepperHarness) stepKeyed(pid int) bool {
 		h.t.Fatalf("memo-free ApplyCOW(p%d): %v", pid, err)
 	}
 	if ok != rok {
-		h.t.Fatalf("ApplyKeyed(p%d) ok=%v, memo-free step ok=%v", pid, ok, rok)
+		h.t.Fatalf("exact Plan(p%d) ok=%v, memo-free step ok=%v", pid, ok, rok)
 	}
 	if !ok {
-		if len(key) != 0 {
-			h.t.Fatalf("ApplyKeyed(p%d) extended the key of a decided process", pid)
-		}
 		return false
 	}
 	if fp != rfp || !reflect.DeepEqual(dstH, rdstH) {
-		h.t.Fatalf("ApplyKeyed(p%d): fp %#x hashes %x, memo-free step fp %#x hashes %x", pid, fp, dstH, rfp, rdstH)
+		h.t.Fatalf("exact Plan+Install(p%d): fp %#x hashes %x, memo-free step fp %#x hashes %x", pid, fp, dstH, rfp, rdstH)
 	}
 	if want := rdst.AppendEncoding(nil); string(key) != string(want) {
-		h.t.Fatalf("ApplyKeyed(p%d): spliced key\n%q\nmemo-free successor encodes\n%q", pid, key, want)
+		h.t.Fatalf("AppendKey(p%d): spliced key\n%q\nmemo-free successor encodes\n%q", pid, key, want)
 	}
 	if dk, rk := dst.Key(), rdst.Key(); dk != rk {
-		h.t.Fatalf("ApplyKeyed(p%d): successor %q, memo-free successor %q", pid, dk, rk)
+		h.t.Fatalf("exact Plan+Install(p%d): successor %q, memo-free successor %q", pid, dk, rk)
 	}
 	h.ex, h.exFP, h.exH, h.exKey = dst, fp, dstH, string(key)
 	return true
@@ -118,7 +123,7 @@ func (h *stepperHarness) step(pid int) bool {
 		h.t.Fatalf("ApplyCOW(p%d) ok=%v but plain decided=%v", pid, ok, decided)
 	}
 	if kok := h.stepKeyed(pid); kok != ok {
-		h.t.Fatalf("ApplyKeyed(p%d) ok=%v but ApplyCOW ok=%v", pid, kok, ok)
+		h.t.Fatalf("exact Plan(p%d) ok=%v but ApplyCOW ok=%v", pid, kok, ok)
 	}
 	if !ok {
 		return false

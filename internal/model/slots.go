@@ -135,7 +135,7 @@ func SlotSpans(enc []byte, nObj, nProc int, spans [][]byte) ([][]byte, error) {
 func SlotContentHash(span []byte) uint64 { return hashEncoding(span) }
 
 // SlotEncoding is one configuration's exact encoding with its slot
-// boundaries found: what Stepper.ApplyKeyed steps from. A successor's
+// boundaries found: what an exact-key Stepper.Plan steps from. A successor's
 // encoding is its parent's with two slots replaced, so the parent is
 // scanned once (Set) and each successor's key is spliced from it. The
 // buffers are reused across Set calls; an expander keeps one.
