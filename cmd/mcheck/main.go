@@ -12,10 +12,9 @@
 //	       [-order levelsync|async] [-checkpoint dir [-checkpointevery N]]
 //
 // Exploration runs on the sharded frontier engine: -workers sets the
-// parallelism (0 = all cores; the visited set has one single-owner
-// partition per worker, rounded up to a power of two), -stringkeys
-// switches from 64-bit fingerprint dedup to exact string keys, and
-// -progress streams per-level throughput to stderr. -store
+// parallelism (0 = all cores), -stringkeys switches from 64-bit
+// fingerprint dedup to exact string keys, and -progress streams
+// per-level throughput to stderr. -store
 // selects the state-store backend: "mem" keeps the visited set and
 // frontier in RAM; "spill" bounds resident store memory by -membudget,
 // spilling visited fingerprints to sorted runs and frontier segments to

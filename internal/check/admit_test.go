@@ -84,11 +84,11 @@ func TestGoldenAdmissionSequence(t *testing.T) {
 	}
 }
 
-// TestContendedClaims: eight workers claiming in the same 64 partitions —
+// TestContendedClaims: eight workers claiming under the one claim lock —
 // more than the cores any CI cell has, so lock holders are preempted — lose
 // and duplicate nothing: the 90,488-state instance of
 // TestExhaustiveOrbitCount, whose sleep-mask intersections are folded under
-// the same locks, comes out whole.
+// the same lock, comes out whole.
 func TestContendedClaims(t *testing.T) {
 	p, err := baseline.NewToyBitRace(5, 2)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestContendedClaims(t *testing.T) {
 }
 
 // TestSpillReloadEqualsOriginalParallel extends TestSpillReloadEqualsOriginal
-// past one worker: with several workers claiming into shared partitions and
+// past one worker: with several workers claiming into the shared delta and
 // spooling to their own segments, under a budget that spills the visited
 // set at every barrier, what the spill store hands back level by level is
 // the in-memory store's set — every configuration once, with the

@@ -31,8 +31,7 @@ import (
 //     unreduced and under "sym").
 //
 //   - Admission is the level loop's: a worker claims its chunk's
-//     candidates partition by partition under the partitions' locks
-//     (expander.commit). What the claims admit it pushes on its own deque
+//     candidates under one hold of the claim lock (expander.commit). What the claims admit it pushes on its own deque
 //     — the Chase-Lev owner-only push — instead of a next-level queue.
 //
 //   - Termination is counter-based quiescence detection. A global
@@ -61,7 +60,7 @@ import (
 //     expanded — the expansion core's rule for a closed run
 //     (engineRun.visitOnly), the one the level engine's last level follows.
 //
-//   - MaxDepth is supported exactly by depth re-relaxation: the partitions
+//   - MaxDepth is supported exactly by depth re-relaxation: the claims
 //     track the best-known depth per fingerprint, and a duplicate arriving
 //     via a shorter path re-enqueues the state as a "deepen" item that is
 //     re-expanded (not re-visited) at the improved depth. Depths per
@@ -126,9 +125,9 @@ type AsyncStats struct {
 // It is far below the level loop's chunkSize because this order's value is
 // its depth-leaning shape: a worker that expands few nodes before it turns
 // to their successors keeps the frontier narrow and reaches deep (decided)
-// configurations early, and an uncontended partition lock is cheap enough
-// that 32 nodes amortise it as well as 256 do (row 3 at 1M, 2 workers:
-// 0.45 s and 44 MB at 32 against 0.46 s and 67 MB at 256).
+// configurations early, and the claim lock taken once per 32 nodes costs
+// no more than once per 256 (row 3 at 1M, 2 workers: 0.52 s and 51 MB at
+// 32 against 0.55 s and 57 MB at 256, 5 alternating pairs, 5/5).
 const asyncChunk = 32
 
 // asyncStallHook, when non-nil, is invoked by an idle worker right before
@@ -272,10 +271,9 @@ func runAsync(run *engineRun, root *Node) (RunStats, error) {
 	// Seed: the root is one published unit in worker 0's deque. (The mode
 	// table lets async run over the in-memory store only, and of that it
 	// uses the visited tables alone: nodes never queue in the store.)
-	part := int(root.fp & run.partMask)
-	run.store.Claim(part, root.fp, nil)
+	run.store.Claim(root.fp, nil)
 	run.admitted.Store(1)
-	if depth := run.parts[part].depth; depth != nil {
+	if depth := run.claims.depth; depth != nil {
 		depth[root.fp] = 0
 	}
 	a.outstanding.Store(1)
@@ -312,12 +310,10 @@ func runAsync(run *engineRun, root *Node) (RunStats, error) {
 		// true BFS depth (relaxation ran to fixpoint). A state sitting at
 		// the cap was visited but not expanded — the space extends beyond
 		// the cap, exactly the level engine's incompleteness condition.
-		for i := range run.parts {
-			for _, d := range run.parts[i].depth {
-				if d >= run.limits.MaxDepth {
-					stats.Complete = false
-					break
-				}
+		for _, d := range run.claims.depth {
+			if d >= run.limits.MaxDepth {
+				stats.Complete = false
+				break
 			}
 		}
 	}

@@ -3,8 +3,8 @@ package check
 import "math/bits"
 
 // bloomFilter is the spill store's in-memory prefilter over spilled
-// fingerprints: a fixed-size blocked Bloom filter each partition fills as
-// its resident delta flushes to sorted runs. It answers "was this
+// fingerprints: a fixed-size blocked Bloom filter the store fills as its
+// resident delta flushes to sorted runs. It answers "was this
 // fingerprint possibly spilled?" with no false negatives, which is what
 // lets the barrier's delayed-duplicate resolution skip the run-file merge
 // for every admission the filter proves fresh: a bloom-negative entry
@@ -30,9 +30,9 @@ const bloomBitsPerEntry = 10
 
 // newBloomFilter sizes a filter for roughly capacity entries (rounded up
 // to a power-of-two bit count). The floor is deliberately small — 512
-// bits, 64 bytes — so that per-partition filters under toy budgets and
-// high partition counts stay a rounding error next to the budget itself
-// (their bytes are reported in the peak but never trigger spills).
+// bits, 64 bytes — so that a filter under a toy budget stays a rounding
+// error next to the budget itself (its bytes are reported in the peak but
+// never trigger spills).
 func newBloomFilter(capacity int64) *bloomFilter {
 	bitsWanted := uint64(capacity) * bloomBitsPerEntry
 	if bitsWanted < 1<<9 {

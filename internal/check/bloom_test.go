@@ -44,8 +44,8 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 }
 
 // TestBloomMinimumSize: tiny capacities round up to the 64-byte floor —
-// functional under toy budgets, yet small enough that 64 partitions'
-// floors stay a rounding error next to any real budget.
+// functional under toy budgets, yet a rounding error next to any real
+// budget.
 func TestBloomMinimumSize(t *testing.T) {
 	b := newBloomFilter(1)
 	if b.bytes() < 64 || b.bytes() > 512 {

@@ -183,7 +183,7 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 	cfg := model.MustNewConfig(p, []int{0, 0})
 	dir := t.TempDir()
 	st, err := newSpillStore(storeCtx{
-		parts: 2, workers: 1, nObj: 1, nProc: 2,
+		workers: 1, nObj: 1, nProc: 2,
 		newNode: func() *Node { return &Node{} },
 		recycle: func(*Node) {},
 	}, 1, dir)
@@ -195,7 +195,7 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 		for i := uint64(0); i < 8; i++ {
 			n := &Node{Cfg: cfg}
 			n.fp = base + i*0x9e3779b97f4a7c15
-			if _, added := st.Claim(int(i)&1, n.fp, nil); added {
+			if _, added := st.Claim(n.fp, nil); added {
 				st.Queue(0, n)
 			}
 		}
@@ -224,6 +224,38 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 			names[i] = e.Name()
 		}
 		t.Fatalf("closed store left files in its directory: %v", names)
+	}
+}
+
+// TestSpillSeedTinyBudgetBatchesRuns: a snapshot seeded under a budget
+// smaller than a delta table batches its flushes by that table (1,433
+// fingerprints fill its 2,048 slots to the growth bound) instead of writing a run every few entries and
+// compacting them all every runFanout — which made resuming quadratic in
+// the snapshot.
+func TestSpillSeedTinyBudgetBatchesRuns(t *testing.T) {
+	st, err := newSpillStore(storeCtx{workers: 1, nObj: 1, nProc: 2}, 1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fps := make([]uint64, 20000)
+	for i := range fps {
+		fps[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+	}
+	if err := st.SeedVisited(fps, nil); err != nil {
+		t.Fatal(err)
+	}
+	// 13 delta flushes, and a compaction's merged run for every runFanout
+	// of them.
+	if got := st.Stats().RunsWritten; got > len(fps)/600 {
+		t.Errorf("seeding %d fingerprints wrote %d runs, want at most %d", len(fps), got, len(fps)/600)
+	}
+	seen := 0
+	if err := st.DumpVisited(func(uint64, string) error { seen++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(fps) {
+		t.Errorf("the seeded store dumps %d entries, want %d", seen, len(fps))
 	}
 }
 

@@ -140,9 +140,9 @@ func TestChunkSizedLevels(t *testing.T) {
 }
 
 // TestChunkCutShort: a visit error, and a cancel, in the middle of a chunk
-// end the run with that error; the chunk's successors are dropped with it
-// rather than claimed — nothing is visited after the failing node by its
-// worker, and no node is taken for a successor.
+// end the run with that error. A failed chunk's successors are dropped
+// with it rather than claimed — nothing is visited after the failing node
+// by its worker, and no node is taken for a successor.
 func TestChunkCutShort(t *testing.T) {
 	p := stepProto{n: 12, steps: 1} // levels of 1, 12, 66, 220, ... nodes
 	c := model.MustNewConfig(p, make([]int, p.n))
@@ -175,13 +175,24 @@ func TestChunkCutShort(t *testing.T) {
 			t.Errorf("levelsync: %d nodes taken, want 79 (no successor of the failed chunk)", taken)
 		}
 
+		// The Ctx watcher lands asynchronously, so how far the run gets
+		// past the cancel is not pinned; that it stops short of the 4,096
+		// states, with the cancel as its error and no state visited twice,
+		// is. Every visit after the cancel waits a millisecond, which gives
+		// the watcher seconds to land before the space could run out.
 		ctx, cancel := context.WithCancel(context.Background())
-		visits = 0
+		seen := map[uint64]bool{}
 		_, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: 100000}, EngineOptions{Order: order, Workers: 1, Ctx: ctx},
 			func(_ int, n *Node) error {
-				if visits++; visits == 20 {
+				if seen[n.Fingerprint()] {
+					t.Errorf("%s: state %x visited twice", order, n.Fingerprint())
+				}
+				seen[n.Fingerprint()] = true
+				if len(seen) == 20 {
 					cancel()
-					time.Sleep(20 * time.Millisecond) // the watcher lands asynchronously
+				}
+				if len(seen) >= 20 {
+					time.Sleep(time.Millisecond)
 				}
 				return nil
 			}, nil)
@@ -189,8 +200,8 @@ func TestChunkCutShort(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", order, err)
 		}
-		if visits != 20 {
-			t.Errorf("%s: %d visits, want the run to stop at the cancel, the 20th", order, visits)
+		if len(seen) < 20 || len(seen) >= 1<<p.n {
+			t.Errorf("%s: %d visits, want the run to stop after the cancel (the 20th) and before the space runs out", order, len(seen))
 		}
 	}
 }

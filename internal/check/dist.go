@@ -5,10 +5,9 @@ package check
 // fingerprint-to-peer routing. The design lifts the engine's
 // single-process invariants to process boundaries:
 //
-//   - Fingerprints hash to peers exactly as they hash to partitions: a
-//     fixed 64-way global partition space (the top six fingerprint bits,
-//     so local partition routing — low bits — stays independent) is split
-//     into contiguous ranges, one per peer. Every configuration has
+//   - Fingerprints hash to peers through a fixed 64-way global partition
+//     space (the top six fingerprint bits), split into contiguous ranges,
+//     one per peer. Every configuration has
 //     exactly one owning peer, whose visited set alone decides on it.
 //
 //   - A successor owned by a remote peer is built and shipped instead of
@@ -22,7 +21,7 @@ package check
 //
 //   - Level barriers are a two-phase gather run by the coordinator;
 //     remote admissions are applied single-threaded between the workers
-//     joining and EndLevel, so they take no partition lock.
+//     joining and EndLevel, so they take no lock.
 //     Budget truncation stays globally deterministic: peers report their
 //     cumulative admissions, and on overshoot the coordinator gathers the
 //     per-peer sorted frontier fingerprints, computes the global
@@ -39,9 +38,8 @@ package check
 
 // DistNumParts is the size of the global partition space fingerprints
 // hash into before peer assignment: fixed so the fp -> peer routing is
-// independent of local worker/shard settings, and taken from the TOP
-// bits of the fingerprint so local partition routing (low bits) stays
-// uniform within each peer's range.
+// independent of local worker settings, and taken from the top bits of
+// the fingerprint.
 const DistNumParts = 64
 
 // DistPart returns fp's global partition index in [0, DistNumParts).

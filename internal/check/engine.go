@@ -41,17 +41,15 @@ import (
 //     cell and the Ctx watcher — and dispatches to one of them.
 //
 //   - Deduplication and frontier queuing are owned by a pluggable
-//     StateStore (store.go), partitioned by fingerprint: one partition for
-//     a one-worker run, engineParts otherwise. A worker claims a chunk's
-//     candidates partition by partition, holding that partition's lock
-//     once per chunk, so the lock is amortized over the candidates a chunk
-//     sends there and the table probes run back to back; a level or run
-//     drained by one worker takes no lock at all. The in-memory store
-//     (memstore.go) keeps open-addressing fpSet tables and in-RAM node
-//     slices; the disk-spilling store (spillstore.go) bounds resident
-//     memory by a byte budget, spilling visited fingerprints to sorted
-//     runs and frontier nodes to spooled segments, so the explorable space
-//     is bounded by disk.
+//     StateStore (store.go). A worker claims a chunk's candidates in the
+//     visited set under one hold of the run's claim lock, so the lock is
+//     amortized over the chunk and the table probes run back to back; a
+//     level or run drained by one worker takes no lock at all. The
+//     in-memory store (memstore.go) keeps an open-addressing fpSet table
+//     and in-RAM node slices; the disk-spilling store (spillstore.go)
+//     bounds resident memory by a byte budget, spilling visited
+//     fingerprints to sorted runs and frontier nodes to spooled segments,
+//     so the explorable space is bounded by disk.
 //
 //   - Results are deterministic regardless of worker interleaving and of
 //     the store backend: the set of configurations processed at each
@@ -287,24 +285,20 @@ type RunStats struct {
 }
 
 // chunkSize caps the frontier nodes a worker claims and expands at once
-// (expander.plan / commit): large enough to amortize a partition's lock
-// over the candidates one chunk sends there, small enough that a level's
-// tail stays balanced across workers and the chunk scratch stays in cache.
+// (expander.plan / commit): large enough to amortize the claim lock over
+// the chunk's candidates, small enough that a level's tail stays balanced
+// across workers and the chunk scratch stays in cache.
 const chunkSize = 256
 
-// engineParts is the number of visited-set partitions of a run with more
-// than one worker (a power of two, so partition selection is a mask); a
-// one-worker run has one. It is a constant, not a knob: 64 keeps two to
-// eight workers off each other's locks (a chunk's ~1,800 candidates hold
-// each lock once, for ~28 probes) and costs 64 small tables.
-const engineParts = 64
-
-// partition is the engine-side face of one visited-set partition: its lock
-// and the same-level folds that live with it. The tables and frontier
-// queues are the store's. During a level (or an async run) drained by
+// claimState is the engine-side face of the visited set: the lock a claim
+// is made under and the same-level folds that are part of it. The table and
+// the frontier queues are the store's. The set is one table under one
+// lock, not partitioned: at two workers, all this repository's benchmark
+// runs, 8 and 64 lock-striped partitions measured no faster (README, "The
+// visited set has one lock"). During a level (or an async run) drained by
 // several workers every access is under mu; a single worker, and the
 // barrier, take no lock.
-type partition struct {
+type claimState struct {
 	mu sync.Mutex
 	// pending holds this level's admissions by fingerprint (provenance runs
 	// only), for deterministic provenance claims; pendingExact the ones
@@ -323,7 +317,6 @@ type partition struct {
 	// depth is the best-known depth per state (async MaxDepth runs only); a
 	// strictly smaller duplicate re-enqueues the state as a deepen item.
 	depth map[uint64]int
-	_     [16]byte // one cache line per partition
 }
 
 // engineRun carries the per-run state both exploration orders share: the
@@ -355,14 +348,10 @@ type engineRun struct {
 	plan      *reductionPlan
 	expanders []*expander
 	store     StateStore
-	// partMask routes a fingerprint to its visited-set partition. The
-	// partition count is fixed for the whole run (stores persist across
-	// levels, so the routing must not move).
-	partMask uint64
-	parts    []partition
-	nodePool *sync.Pool
-	asyncOn  bool
-	spools   bool // the store spools the frontier to disk (see recycleAlways)
+	claims    claimState
+	nodePool  *sync.Pool
+	asyncOn   bool
+	spools    bool // the store spools the frontier to disk (see recycleAlways)
 
 	admitted  atomic.Int64
 	closed    atomic.Bool // no further admissions (budget exhausted)
@@ -543,27 +532,16 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		}
 	}
 
-	// Visited-set partitions: one for a single worker, engineParts otherwise.
-	numParts := 1
-	if opts.Workers > 1 {
-		numParts = engineParts
+	if opts.Provenance {
+		run.claims.pending, run.claims.pendingExact = map[uint64]*Node{}, map[string]*Node{}
 	}
-	run.partMask = uint64(numParts - 1)
-	run.parts = make([]partition, numParts)
-	for i := range run.parts {
-		pt := &run.parts[i]
-		if opts.Provenance {
-			pt.pending, pt.pendingExact = map[uint64]*Node{}, map[string]*Node{}
-		}
-		if sleepOn {
-			pt.sleep = map[uint64]uint64{}
-		}
-		if asyncOn && limits.MaxDepth > 0 {
-			pt.depth = map[uint64]int{}
-		}
+	if sleepOn {
+		run.claims.sleep = map[uint64]uint64{}
+	}
+	if asyncOn && limits.MaxDepth > 0 {
+		run.claims.depth = map[uint64]int{}
 	}
 	sctx := storeCtx{
-		parts:      numParts,
 		workers:    opts.Workers,
 		nObj:       nObj,
 		nProc:      nProc,

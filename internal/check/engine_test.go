@@ -289,12 +289,11 @@ func TestEngineProgressCallback(t *testing.T) {
 	}
 }
 
-// TestFrontierBatchedDedupRace exercises the batched shard-dedup path
-// under maximal goroutine churn: many workers, few partitions (so every
-// partition owner consumes batches from several workers concurrently),
-// both keying modes, and a budget small enough to trigger the truncation
-// path. Run with -race (the CI engine race job does) it is the data-race
-// detector for the owner-goroutine handoff and node recycling.
+// TestFrontierBatchedDedupRace exercises the claim path under maximal
+// goroutine churn: many workers claiming under the one lock, both keying
+// modes, and a budget small enough to trigger the truncation path. Run
+// with -race (CI does) it is the data-race detector for the claim lock and
+// node recycling.
 func TestFrontierBatchedDedupRace(t *testing.T) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 3})
 	c := model.MustNewConfig(p, []int{0, 1, 2, 0})

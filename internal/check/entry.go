@@ -10,7 +10,7 @@ import (
 // This file is the one form of a visited entry, in memory and on disk.
 // An entry is a fingerprint plus, under exact keys, the full encoding key.
 // A keyedSet is a resident table of entries — the in-memory store's
-// partitions, the spill store's deltas and its per-level drop sets — and
+// visited set, the spill store's delta and its per-level drop set — and
 // the only code that knows whether such a table is a fingerprint set or an
 // exact-key map. An entry stream is the artifact payload both the spill
 // store's sorted runs and a checkpoint's visited snapshot are written in:
@@ -42,28 +42,20 @@ const mapEntryOverhead = 48
 
 // keyedSet is a set of entries under one keying, fixed at creation. Like
 // the fpSet it wraps it is not safe for concurrent use (the engine claims
-// in a partition under that partition's lock); has alone may run
-// concurrently, with itself.
+// under its claim lock); has alone may run concurrently, with itself.
 type keyedSet struct {
 	fps *fpSet
 	// keys maps exact key -> fingerprint (run entries, snapshots and the
 	// truncation order need both); nil under fingerprint keying.
 	keys     map[string]uint64
 	keyBytes int64
-	parts    int
 }
 
-// newKeyedSet returns an empty set, one of parts (a power of two, at most
-// engineParts) that share a run's entries: a fingerprint table starts with
-// 1/parts of the slots a lone one starts with, so a run's 64 partitions
-// cost it — and count against a spill budget — what one used to.
-func newKeyedSet(exact bool, parts int) keyedSet {
+func newKeyedSet(exact bool) keyedSet {
 	if exact {
-		return keyedSet{keys: map[string]uint64{}, parts: parts}
+		return keyedSet{keys: map[string]uint64{}}
 	}
-	s := keyedSet{fps: &fpSet{}, parts: parts}
-	s.fps.setSlots(make([]uint64, 2048/parts))
-	return s
+	return keyedSet{fps: newFpSet(1024)}
 }
 
 // add inserts the entry and reports whether it was absent.
@@ -110,12 +102,24 @@ func (s *keyedSet) bytes() int64 {
 	return s.keyBytes
 }
 
-// reserve readies the set for a bulk load of n more entries (fpSet.reserve
-// says why a load must).
-func (s *keyedSet) reserve(n int) {
-	if s.keys == nil {
-		s.fps.reserve(n)
+// reserve readies the set for a bulk load of up to n more entries
+// (fpSet.reserve says why a load must) and returns how many it is ready
+// for: all n, or with a budget > 0 what fills, to the growth bound of 70%,
+// the largest fingerprint table budget bytes hold. Exact keys vary in
+// length, so a key map is bounded by watching bytes instead.
+func (s *keyedSet) reserve(n int, budget int64) int {
+	if s.keys != nil {
+		return n
 	}
+	if budget > 0 {
+		slots := 1024
+		for int64(slots)*2*8 <= budget {
+			slots <<= 1
+		}
+		n = min(n, slots*7/10)
+	}
+	s.fps.reserve(n)
+	return n
 }
 
 // forEach calls fn on every member, in table order (load such a stream
@@ -143,7 +147,7 @@ func (s *keyedSet) drain() []entry {
 		out = append(out, entry{fp, key})
 		return nil
 	})
-	*s = newKeyedSet(s.keys != nil, s.parts)
+	*s = newKeyedSet(s.keys != nil)
 	return out
 }
 

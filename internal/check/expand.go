@@ -25,11 +25,11 @@ import (
 //     successor another peer of a distributed run owns, which is built into
 //     a scratch node and shipped at once.
 //
-//   - commit claims the chunk's candidates in the visited set, partition
-//     by partition, one hold of a partition's lock per chunk, in generation
-//     order; the same-level folds that live with a partition (sleep-mask
-//     intersection, the provenance tie-break, async's depth relaxation) are
-//     part of the claim. A level or run drained by one worker takes no lock.
+//   - commit claims the chunk's candidates in the visited set, in
+//     generation order, under one hold of the run's claim lock; the
+//     same-level folds (sleep-mask intersection, the provenance tie-break,
+//     async's depth relaxation) are part of the claim. A level or run
+//     drained by one worker takes no lock.
 //
 //   - commit then builds a node (model.Stepper.Install) for each candidate
 //     the claim reported new, and returns them. A duplicate never had one.
@@ -78,12 +78,10 @@ type expander struct {
 
 	// The chunk under expansion: the planned nodes, their candidates in
 	// generation order, the candidates' exact keys, and what commit derives
-	// from them (the candidates bucketed by partition, the ones to build,
-	// the nodes built).
+	// from them (the candidates to build, the nodes built).
 	parents []*Node
 	cands   []cand
 	keys    []byte
-	order   []int32
 	fresh   []int32
 	out     []*Node
 
@@ -269,37 +267,17 @@ func (x *expander) commit(locked bool) []*Node {
 	if len(x.cands) == 0 || r.closed.Load() {
 		return x.out
 	}
-	if !locked {
-		for i := range x.cands {
-			x.claim(int32(i))
+	if locked {
+		r.claims.mu.Lock()
+	}
+	for i := range x.cands {
+		c := &x.cands[i]
+		if x.claim(c, x.keys[c.keyOff:c.keyOff+c.keyLen]) != candDup {
+			x.fresh = append(x.fresh, int32(i))
 		}
-	} else {
-		// Bucket the candidates by partition, stably, and take each
-		// partition's lock once.
-		var start [engineParts + 1]int32
-		for i := range x.cands {
-			start[x.cands[i].fp&r.partMask+1]++
-		}
-		for p := 0; p < engineParts; p++ {
-			start[p+1] += start[p]
-		}
-		x.order = slices.Grow(x.order[:0], len(x.cands))[:len(x.cands)]
-		next := start
-		for i := range x.cands {
-			p := x.cands[i].fp & r.partMask
-			x.order[next[p]] = int32(i)
-			next[p]++
-		}
-		for p := 0; p < engineParts; p++ {
-			if lo, hi := start[p], start[p+1]; lo < hi {
-				pt := &r.parts[p]
-				pt.mu.Lock()
-				for _, i := range x.order[lo:hi] {
-					x.claim(i)
-				}
-				pt.mu.Unlock()
-			}
-		}
+	}
+	if locked {
+		r.claims.mu.Unlock()
 	}
 	admitted := 0
 	for _, i := range x.fresh {
@@ -334,24 +312,15 @@ func (x *expander) commit(locked bool) []*Node {
 	return x.out
 }
 
-// claim applies the admission protocol to candidate i: the store's claim
-// on its (fingerprint, key) — the one visited-set probe — and the folds of
-// the partition it lands in. The caller holds that partition's lock
+// claim applies the admission protocol to a candidate, wherever it lives (a
+// record another peer sent is claimed before it has a parent, a step or a
+// node): the store's claim on its (fingerprint, key) — the one visited-set
+// probe — and the same-level folds. The caller holds the claim lock
 // whenever another goroutine could be claiming.
-func (x *expander) claim(i int32) {
-	c := &x.cands[i]
-	if x.claimCand(c, x.keys[c.keyOff:c.keyOff+c.keyLen]) != candDup {
-		x.fresh = append(x.fresh, i)
-	}
-}
-
-// claimCand is claim on a candidate wherever it lives (a record another
-// peer sent is claimed before it has a parent, a step or a node).
-func (x *expander) claimCand(c *cand, key []byte) uint8 {
+func (x *expander) claim(c *cand, key []byte) uint8 {
 	r := x.run
-	part := int(c.fp & r.partMask)
-	pt := &r.parts[part]
-	stored, added := r.store.Claim(part, c.fp, key)
+	cl := &r.claims
+	stored, added := r.store.Claim(c.fp, key)
 	if added {
 		c.verdict, c.key = candNew, stored
 		if r.opts.Provenance {
@@ -361,17 +330,17 @@ func (x *expander) claimCand(c *cand, key []byte) uint8 {
 			n := r.newNode()
 			n.parent, n.Pid, n.fp, n.key = x.parents[c.parent], int(c.pid), c.fp, stored
 			c.node = n
-			if prev := pt.pending[c.fp]; prev != nil && prev.key != stored {
-				pt.pendingExact[stored] = n
+			if prev := cl.pending[c.fp]; prev != nil && prev.key != stored {
+				cl.pendingExact[stored] = n
 			} else {
-				pt.pending[c.fp] = n
+				cl.pending[c.fp] = n
 			}
 		}
 		if r.sleepOn {
-			pt.sleep[c.fp] = c.sleep
+			cl.sleep[c.fp] = c.sleep
 		}
-		if pt.depth != nil {
-			pt.depth[c.fp] = x.parents[c.parent].Depth + 1
+		if cl.depth != nil {
+			cl.depth[c.fp] = x.parents[c.parent].Depth + 1
 		}
 		return candNew
 	}
@@ -385,8 +354,8 @@ func (x *expander) claimCand(c *cand, key []byte) uint8 {
 		// generators, and every skip they justify routes through the
 		// first visit's own sibling diamonds (see reduce.go), so a later
 		// path to the same state has no claim to reconcile.
-		if m, ok := pt.sleep[c.fp]; ok {
-			pt.sleep[c.fp] = m & c.sleep
+		if m, ok := cl.sleep[c.fp]; ok {
+			cl.sleep[c.fp] = m & c.sleep
 		}
 	}
 	if r.opts.Provenance {
@@ -395,9 +364,9 @@ func (x *expander) claimCand(c *cand, key []byte) uint8 {
 		// parent's (fingerprint, key), then pid — so witness schedules do
 		// not depend on discovery order. (Keys are empty, and so equal,
 		// outside exact-key runs.)
-		prev := pt.pending[c.fp]
+		prev := cl.pending[c.fp]
 		if prev != nil && prev.key != string(key) {
-			prev = pt.pendingExact[string(key)]
+			prev = cl.pendingExact[string(key)]
 		}
 		if prev != nil {
 			a, b := x.parents[c.parent], prev.parent
@@ -406,11 +375,11 @@ func (x *expander) claimCand(c *cand, key []byte) uint8 {
 			}
 		}
 	}
-	if pt.depth != nil {
+	if cl.depth != nil {
 		// Without a barrier a duplicate can still owe work under a MaxDepth
 		// cap: a smaller depth re-relaxes the state.
-		if d := x.parents[c.parent].Depth + 1; d < pt.depth[c.fp] {
-			pt.depth[c.fp] = d
+		if d := x.parents[c.parent].Depth + 1; d < cl.depth[c.fp] {
+			cl.depth[c.fp] = d
 			c.verdict = candDeepen
 		}
 	}
@@ -420,8 +389,8 @@ func (x *expander) claimCand(c *cand, key []byte) uint8 {
 // build writes candidate c's successor into n: the copy-on-write step from
 // its parent, and the depth/pid/path/key/sleep bookkeeping. A provenance
 // run's node already carries its identity, parent and generator pid, set —
-// and, those two, possibly since rewritten — under the partition's lock,
-// where other claimants read them.
+// and, those two, possibly since rewritten — under the claim lock, where
+// other claimants read them.
 func (x *expander) build(c *cand, n *Node) {
 	r := x.run
 	p := x.parents[c.parent]

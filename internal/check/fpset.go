@@ -1,16 +1,15 @@
 package check
 
 // fpSet is an open-addressing (linear-probing) hash set of 64-bit
-// fingerprints — the visited-set table each dedup partition owns. It is
-// not safe for concurrent use; the engine probes a partition's table only
-// under that partition's lock (held once per chunk of candidates, not per
-// probe), or from the one worker a run or level has.
+// fingerprints — the visited-set table. It is not safe for concurrent use;
+// the engine probes it only under the run's claim lock (held once per
+// chunk of candidates, not per probe), or from the one worker a run or
+// level has.
 //
-// Every fingerprint in one partition's table shares its low
-// log2(partitions) bits (that is how the engine routed it here), so probe
-// starts must not come from the low bits or they would cluster on every
-// partitions-th slot. probeStart therefore remixes multiplicatively and
-// takes the HIGH bits (Fibonacci hashing), which routing never touches.
+// The fingerprints one table holds can share bits (a distributed peer owns
+// a range of the top six), so probe starts are not cut from the
+// fingerprint as it is: probeStart remixes multiplicatively and takes the
+// high bits of the product (Fibonacci hashing).
 // The zero fingerprint is representable: it is tracked out of band so 0
 // can stay the empty-slot sentinel.
 type fpSet struct {

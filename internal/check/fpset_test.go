@@ -205,11 +205,11 @@ func TestFpSetReservedBulkLoad(t *testing.T) {
 }
 
 // TestFpSetPartitionedLowBits inserts fingerprints that all share their
-// low bits — exactly the population a partition's table sees, since the
-// engine routes by fp & ownerMask — across several growths.
+// low bits — the population a table sees when its caller routes by them —
+// across several growths.
 func TestFpSetPartitionedLowBits(t *testing.T) {
 	s := newFpSet(16)
-	const low = 0x2a // partition 42 of 64
+	const low = 0x2a
 	for i := uint64(1); i <= 50000; i++ {
 		fp := i<<6 | low
 		if !s.Add(fp) {

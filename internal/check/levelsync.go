@@ -27,7 +27,7 @@ import (
 // finishedMask returns the sleep mask the previous barrier settled for
 // fp: the intersection over all of the state's generators.
 func (r *engineRun) finishedMask(fp uint64) uint64 {
-	return r.parts[fp&r.partMask].prevSleep[fp]
+	return r.claims.prevSleep[fp]
 }
 
 // runLevelSync is the level loop. root is fully keyed and not yet in the
@@ -58,7 +58,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			// level-0 frontier and joins the run at the first barrier.
 			run.recycleAlways(root)
 		} else {
-			run.store.Claim(int(root.fp&run.partMask), root.fp, []byte(root.key))
+			run.store.Claim(root.fp, []byte(root.key))
 			if !run.store.Queue(0, root) {
 				run.recycleAlways(root)
 			}
@@ -146,17 +146,15 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			run.closed.Store(true)
 			run.truncated.Store(true)
 		}
-		for i := range run.parts {
-			pt := &run.parts[i]
-			clear(pt.pending)
-			clear(pt.pendingExact)
-			if run.sleepOn {
-				// Hand the finished mask map to the next level's expansions
-				// and start a fresh one; duplicate-intersection is complete
-				// at this point, so the map is read-only from here on.
-				pt.prevSleep = pt.sleep
-				pt.sleep = make(map[uint64]uint64, len(pt.sleep))
-			}
+		cl := &run.claims
+		clear(cl.pending)
+		clear(cl.pendingExact)
+		if run.sleepOn {
+			// Hand the finished mask map to the next level's expansions
+			// and start a fresh one; duplicate-intersection is complete
+			// at this point, so the map is read-only from here on.
+			cl.prevSleep = cl.sleep
+			cl.sleep = make(map[uint64]uint64, len(cl.sleep))
 		}
 		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
 
@@ -191,8 +189,8 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 // expandLevel visits and expands one level's frontier with up to Workers
 // goroutines, a chunk of nodes at a time, and returns once every candidate
 // successor has been claimed (or shipped) and the admitted ones queued. A
-// level drained by a single worker skips the goroutines, and the
-// partitions' locks, entirely. A visit-only level (engineRun.visitOnly:
+// level drained by a single worker skips the goroutines, and the claim
+// lock, entirely. A visit-only level (engineRun.visitOnly:
 // the depth cap, or the level after the barrier that closed admissions)
 // plans no successors, so its workers only visit. A failure lands in
 // run.fail; the caller checks.
@@ -292,7 +290,7 @@ func distExpandBarrier(run *engineRun, depth int) error {
 			if rec, b, err = DecodeNodeRecord(b); err != nil {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
-			if x.claimCand(&cand{fp: rec.FP, sleep: rec.Sleep}, nil) == candDup {
+			if x.claim(&cand{fp: rec.FP, sleep: rec.Sleep}, nil) == candDup {
 				continue
 			}
 			var n *Node
@@ -479,12 +477,10 @@ func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) 
 	}
 	resumed.frontier = nil
 	if run.sleepOn {
-		for i := range run.parts {
-			run.parts[i].prevSleep = map[uint64]uint64{}
-		}
+		run.claims.prevSleep = map[uint64]uint64{}
 		for _, n := range nodes {
 			if n.sleep != 0 {
-				run.parts[n.fp&run.partMask].prevSleep[n.fp] = n.sleep
+				run.claims.prevSleep[n.fp] = n.sleep
 			}
 		}
 	}

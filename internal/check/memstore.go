@@ -2,13 +2,13 @@ package check
 
 import "sync/atomic"
 
-// memStore is the in-memory state store: per-partition visited tables and
-// per-worker next-frontier lists — one table probe per candidate, nodes
-// retained in RAM, no lock of its own.
+// memStore is the in-memory state store: the visited table and per-worker
+// next-frontier lists — one table probe per candidate, nodes retained in
+// RAM, no lock of its own.
 type memStore struct {
-	parts []keyedSet
-	next  []nodeQueue
-	peak  int64
+	visited keyedSet
+	next    []nodeQueue
+	peak    int64
 }
 
 // nodeQueue is one worker's slice of the next frontier, padded so that two
@@ -19,15 +19,11 @@ type nodeQueue struct {
 }
 
 func newMemStore(ctx storeCtx) *memStore {
-	s := &memStore{parts: make([]keyedSet, ctx.parts), next: make([]nodeQueue, ctx.workers)}
-	for i := range s.parts {
-		s.parts[i] = newKeyedSet(ctx.stringKeys, ctx.parts)
-	}
-	return s
+	return &memStore{visited: newKeyedSet(ctx.stringKeys), next: make([]nodeQueue, ctx.workers)}
 }
 
-func (s *memStore) Claim(part int, fp uint64, key []byte) (string, bool) {
-	return s.parts[part].claim(fp, key)
+func (s *memStore) Claim(fp uint64, key []byte) (string, bool) {
+	return s.visited.claim(fp, key)
 }
 
 func (s *memStore) Queue(worker int, n *Node) bool {
@@ -68,15 +64,9 @@ func (s *memStore) EndLevel(maxNext int) (LevelResult, error) {
 	return res, nil
 }
 
-// foldPeak raises the resident high-water mark to the visited tables'
+// foldPeak raises the resident high-water mark to the visited table's
 // current footprint.
-func (s *memStore) foldPeak() {
-	var resident int64
-	for i := range s.parts {
-		resident += s.parts[i].bytes()
-	}
-	s.peak = max(s.peak, resident)
-}
+func (s *memStore) foldPeak() { s.peak = max(s.peak, s.visited.bytes()) }
 
 func (s *memStore) Stats() StoreStats {
 	// Async runs never reach EndLevel, so sample here too (Stats runs
@@ -88,25 +78,17 @@ func (s *memStore) Stats() StoreStats {
 func (s *memStore) Close() error { return nil }
 
 func (s *memStore) DumpVisited(emit func(fp uint64, key string) error) error {
-	for i := range s.parts {
-		if err := s.parts[i].forEach(emit); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.visited.forEach(emit)
 }
 
 func (s *memStore) SeedVisited(fps []uint64, keys []string) error {
-	for i, n := range partCounts(fps, len(s.parts)) {
-		s.parts[i].reserve(n)
-	}
-	mask := uint64(len(s.parts) - 1)
+	s.visited.reserve(len(fps), 0)
 	for i, fp := range fps {
 		key := ""
 		if keys != nil {
 			key = keys[i]
 		}
-		s.parts[fp&mask].add(fp, key)
+		s.visited.add(fp, key)
 	}
 	return nil
 }

@@ -204,7 +204,7 @@ func TestModeMatrix(t *testing.T) {
 		workerCounts := workerCounts
 		if pi == 0 {
 			// More workers than cores, and than most levels have nodes, on
-			// the smallest instance: contended partition locks, idle workers.
+			// the smallest instance: a contended claim lock, idle workers.
 			workerCounts = append(workerCounts[:len(workerCounts):len(workerCounts)], 8)
 		}
 		c := model.MustNewConfig(pc.p, pc.inputs)

@@ -37,8 +37,8 @@ import (
 //     carries a sleep mask of the smaller commuting pids, and when that
 //     successor is expanded the masked pids are skipped — their
 //     successors are exactly the states the unmasked sibling order
-//     reaches. Masks of duplicate admissions are intersected in their
-//     partition, under its lock (a commutative fold, so the result is
+//     reaches. Masks of duplicate admissions are intersected at the
+//     claim, under its lock (a commutative fold, so the result is
 //     independent of arrival order), which is the classic condition for combining
 //     sleep sets with state matching; because BFS expands a level only
 //     after its barrier, the intersection is complete before any mask is

@@ -17,8 +17,8 @@
 // case. The level-synchronized order (levelsync.go) schedules it as a
 // parallel BFS with a barrier per depth level; the async order (async.go)
 // as barrier-free work stealing with quiescence detection. Deduplication
-// runs on partitioned open-addressing tables, a successor claimed by its
-// fingerprint before it is built and a partition's lock taken once per
+// runs on an open-addressing table, a successor claimed by its
+// fingerprint before it is built and the table's lock taken once per
 // chunk of nodes, not per successor. The engine knobs live in EngineOptions:
 //
 //   - Workers: goroutines expanding the frontier (default

@@ -19,18 +19,16 @@ import (
 //
 // Deduplication — delayed duplicate detection over sorted runs:
 //
-//   - Each partition keeps a resident *delta* table (a keyedSet) holding
-//     the visited entries admitted since the last spill. Candidates are
+//   - The store keeps a resident *delta* table (a keyedSet) holding the
+//     visited entries admitted since the last spill. Candidates are
 //     checked against the delta only, so the per-candidate cost matches
-//     the in-memory store. The partitions exist for the engine's locks;
-//     what is on disk is the store's, not a partition's.
+//     the in-memory store.
 //
-//   - When the summed delta size exceeds the budget at a level barrier,
-//     the deltas are flushed together to one new *sorted run* file — an
-//     entry stream (entry.go), the layout a checkpoint's visited snapshot
-//     is written in — and cleared. A configuration visited before the
-//     spill is no longer resident, so a later re-encounter is admitted
-//     *tentatively*.
+//   - When the delta's size exceeds the budget at a level barrier, it is
+//     flushed to a new *sorted run* file — an entry stream (entry.go), the
+//     layout a checkpoint's visited snapshot is written in — and cleared.
+//     A configuration visited before the spill is no longer resident, so a
+//     later re-encounter is admitted *tentatively*.
 //
 //   - EndLevel resolves the tentative admissions: it stream-merges the
 //     level's sorted admissions against the sorted runs (the k-way merge
@@ -39,12 +37,13 @@ import (
 //     so results are store-independent.
 //
 //   - A compact Bloom prefilter (bloom.go) fronts those run-file probes:
-//     every spilled fingerprint is added to the filter, so an admission the filter rejects provably appears in no run and
-//     skips the barrier merge outright. Only bloom-positive admissions —
-//     the probable duplicates, counted as prefilter_hits — pay for exact
-//     run probes. In the common mostly-fresh BFS level this removes
-//     nearly all merge traffic; a saturated filter only degrades back to
-//     probing everything, never to a wrong answer.
+//     every spilled fingerprint is added to the filter, so an admission
+//     the filter rejects provably appears in no run and skips the barrier
+//     merge outright. Only bloom-positive admissions — the probable
+//     duplicates, counted as prefilter_hits — pay for exact run probes. In
+//     the common mostly-fresh BFS level this removes nearly all merge
+//     traffic; a saturated filter only degrades back to probing
+//     everything, never to a wrong answer.
 //
 //   - When runFanout runs have accumulated, they are k-way merged into
 //     one (dropping duplicate entries), keeping per-level merge cost
@@ -83,43 +82,43 @@ type spillStore struct {
 	dir     string
 	ownsDir bool
 	budget  int64
-	seq     int // levels ended so far; names the level's segment files
-	parts   []spillPart
+	seq     int          // levels ended so far; names the level's segment files
 	queues  []spillQueue // per worker
 	remat   rematerialiser
 	source  *spillSource // last handed-out streaming source (for Close)
 
+	// delta holds the entries admitted since the last spill.
+	delta keyedSet
+
 	// bloom summarizes every fingerprint spilled so far (created at the
 	// first spill); admissions it proves fresh skip the barrier's run-file
 	// merge. It and the runs change only at barriers and seeding, so
-	// claims read it without a lock.
-	bloom  *bloomFilter
+	// claims read it without a lock of their own. prefilterHits counts the
+	// bloom-positive admissions — the probable duplicates routed to exact
+	// probes.
+	bloom         *bloomFilter
+	prefilterHits int64
+
+	// This level's tentative admissions, in claim order, and which of them
+	// the barrier merge found on disk.
+	level []spillEntry
+	dead  []bool
+
 	runs   []spillRun
 	runSeq int
 
-	// stats moves only at barriers and seeding; the partitions' prefilter
-	// hits are summed into it when asked.
+	// stats moves only at barriers and seeding.
 	stats StoreStats
 
 	// err is the first I/O or decode failure, boxed like engineRun's.
 	err atomic.Pointer[error]
 }
 
-// spillPart is one partition of the spill store: what a claim touches.
-type spillPart struct {
-	// delta holds the entries admitted since the last spill.
-	delta keyedSet
-	// level is this level's tentative admissions, in claim order.
-	level []spillEntry
-	// prefilterHits counts the bloom-positive admissions — the probable
-	// duplicates routed to exact probes.
-	prefilterHits int64
-}
-
 // spillQueue is one worker's share of the next frontier: the nodes
 // themselves (retain mode), or the segment they are spooled to. Which
-// worker queued a node says nothing about its partition; what the barrier
-// revokes or truncates it therefore names by entry (spillSource.drop).
+// worker queued a node says nothing about where its entry sits in the
+// level's admissions; what the barrier revokes or truncates it therefore
+// names by entry (spillSource.drop), as the spooled source always has.
 type spillQueue struct {
 	next  []*Node      // retain mode only
 	spool *blockWriter // this level's segment; nil until a node is spooled
@@ -129,11 +128,10 @@ type spillQueue struct {
 
 // spillEntry is one of a level's admissions. fresh marks entries the Bloom
 // prefilter proved absent from every spilled run at admission time — they
-// skip the barrier merge (they cannot be delayed duplicates); dead the ones
-// the merge found on disk.
+// skip the barrier merge (they cannot be delayed duplicates).
 type spillEntry struct {
 	entry
-	fresh, dead bool
+	fresh bool
 }
 
 // spillRun is one sorted run file. verified records that the file passed
@@ -168,11 +166,9 @@ func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) 
 		removeStaleArtifacts(dir, "run-", "seg-")
 	}
 	s := &spillStore{ctx: ctx, dir: dir, ownsDir: ownsDir, budget: budget,
-		parts: make([]spillPart, ctx.parts), queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreSpill},
+		queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreSpill},
+		delta: newKeyedSet(ctx.stringKeys),
 		remat: rematerialiser{ctx: ctx, exch: model.NewSlotExchange()}}
-	for i := range s.parts {
-		s.parts[i].delta = newKeyedSet(ctx.stringKeys, ctx.parts)
-	}
 	return s, nil
 }
 
@@ -185,9 +181,8 @@ func (s *spillStore) takeErr() error {
 	return nil
 }
 
-func (s *spillStore) Claim(part int, fp uint64, key []byte) (string, bool) {
-	p := &s.parts[part]
-	stored, added := p.delta.claim(fp, key)
+func (s *spillStore) Claim(fp uint64, key []byte) (string, bool) {
+	stored, added := s.delta.claim(fp, key)
 	if !added {
 		return "", false
 	}
@@ -196,20 +191,20 @@ func (s *spillStore) Claim(part int, fp uint64, key []byte) (string, bool) {
 	// mode an absent fingerprint implies the (fp, key) pair is absent
 	// too), so the admission is final and skips the barrier merge.
 	fresh := s.bloom == nil || !s.bloom.has(fp)
-	p.level = append(p.level, spillEntry{entry: entry{fp, stored}, fresh: fresh})
+	s.level = append(s.level, spillEntry{entry{fp, stored}, fresh})
 	if !fresh {
-		p.prefilterHits++
+		s.prefilterHits++
 	}
 	return stored, true
 }
 
 func (s *spillStore) Queue(worker int, n *Node) bool {
-	q := &s.queues[worker]
 	if s.ctx.retain {
+		q := &s.queues[worker]
 		q.next = append(q.next, n)
 		return true
 	}
-	if err := s.spoolNode(worker, n); err != nil {
+	if err := s.spoolNode(&s.queues[worker], worker, n); err != nil {
 		s.fail(err)
 	}
 	return false
@@ -217,8 +212,7 @@ func (s *spillStore) Queue(worker int, n *Node) bool {
 
 // spoolNode appends n's record to worker's segment, interning every slot
 // encoding in the exchange so the node can be rematerialised.
-func (s *spillStore) spoolNode(worker int, n *Node) error {
-	q := &s.queues[worker]
+func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 	if q.spool == nil {
 		w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-w%d", s.seq, worker)), artifactSegment, true)
 		if err != nil {
@@ -268,10 +262,7 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	if err != nil {
 		return LevelResult{}, err
 	}
-	survivors := -revoked
-	for i := range s.parts {
-		survivors += len(s.parts[i].level)
-	}
+	survivors := len(s.level) - revoked
 
 	// Budget cutoff, by the engine's canonical (fingerprint, key) order.
 	// Entries are globally unique (dedup guarantees it), so the cutoff
@@ -280,11 +271,9 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	var cutoff entry
 	if truncated && maxNext > 0 {
 		all := make([]entry, 0, survivors)
-		for i := range s.parts {
-			for _, e := range s.parts[i].level {
-				if !e.dead {
-					all = append(all, e.entry)
-				}
+		for j, e := range s.level {
+			if !s.dead[j] {
+				all = append(all, e.entry)
 			}
 		}
 		slices.SortFunc(all, entryCompare)
@@ -295,29 +284,26 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		kept = maxNext
 	}
 
-	// What the barrier revoked or truncated, per partition (nil: nothing).
-	drop := make([]*keyedSet, len(s.parts))
-	for i := range s.parts {
-		for _, e := range s.parts[i].level {
-			if !e.dead && !(truncated && (maxNext == 0 || entryLess(cutoff, e.entry))) {
-				continue
-			}
-			if drop[i] == nil {
-				d := newKeyedSet(s.ctx.stringKeys, len(s.parts))
-				drop[i] = &d
-			}
-			drop[i].add(e.fp, e.key)
+	// What the barrier revoked or truncated (nil: nothing).
+	var drop *keyedSet
+	for j, e := range s.level {
+		if !s.dead[j] && !(truncated && (maxNext == 0 || entryLess(cutoff, e.entry))) {
+			continue
 		}
+		if drop == nil {
+			d := newKeyedSet(s.ctx.stringKeys)
+			drop = &d
+		}
+		drop.add(e.fp, e.key)
 	}
 
 	res := LevelResult{Revoked: revoked, Truncated: truncated}
 	if s.ctx.retain {
 		next := make([]*Node, 0, kept)
-		mask := uint64(len(s.parts) - 1)
 		for i := range s.queues {
 			q := &s.queues[i]
 			for _, n := range q.next {
-				if d := drop[n.fp&mask]; d != nil && d.has(n.fp, n.key) {
+				if drop != nil && drop.has(n.fp, n.key) {
 					// Revoked and truncated nodes are unreferenced even
 					// in provenance runs (nothing expanded them, and
 					// pending claims only ever mutated them), so their
@@ -353,25 +339,17 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	}
 
 	// Reset per-level state and apply the byte budget: when the resident
-	// deltas exceed it, flush them to a fresh sorted run and compact once
+	// delta exceeds it, flush it to a fresh sorted run and compact once
 	// runFanout runs have accumulated. The Bloom prefilter counts toward
 	// the reported peak (it is resident memory) but not toward the spill
 	// trigger: spilling cannot shrink a filter, so triggering on its
 	// constant footprint would only force a futile delta flush at every
 	// subsequent barrier.
-	var deltas int64
-	for i := range s.parts {
-		p := &s.parts[i]
-		p.level = p.level[:0]
-		deltas += p.delta.bytes()
-	}
+	s.level = s.level[:0]
+	s.dead = s.dead[:0]
 	s.foldPeak()
-	if deltas > s.budget {
-		var entries []entry
-		for i := range s.parts {
-			entries = append(entries, s.parts[i].delta.drain()...)
-		}
-		if err := s.spillRun(entries); err != nil {
+	if s.delta.bytes() > s.budget {
+		if err := s.spillDelta(); err != nil {
 			return LevelResult{}, err
 		}
 	}
@@ -383,41 +361,42 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 // markDead stream-merges the level's sorted admissions against each sorted
 // run, marking entries already present on disk, and returns how many it
 // marked. Admissions the Bloom prefilter proved fresh are excluded up
-// front — they cannot appear in any run — so the merge (and the run I/O it
-// drives) costs only the bloom-positive suspects. It reads runs
+// front — they cannot appear in any run — so the merge (and the run I/O
+// it drives) costs only the bloom-positive suspects. It reads runs
 // sequentially and stops each as soon as the suspect list is exhausted.
 func (s *spillStore) markDead() (int, error) {
-	if len(s.runs) == 0 {
+	for len(s.dead) < len(s.level) {
+		s.dead = append(s.dead, false)
+	}
+	if len(s.level) == 0 || len(s.runs) == 0 {
 		return 0, nil
 	}
-	var suspects []*spillEntry
-	for i := range s.parts {
-		level := s.parts[i].level
-		for j := range level {
-			if !level[j].fresh {
-				suspects = append(suspects, &level[j])
-			}
+	order := make([]int, 0, len(s.level))
+	for i, e := range s.level {
+		if !e.fresh {
+			order = append(order, i)
 		}
 	}
-	if len(suspects) == 0 {
+	if len(order) == 0 {
 		return 0, nil
 	}
-	slices.SortFunc(suspects, func(a, b *spillEntry) int { return entryCompare(a.entry, b.entry) })
+	slices.SortFunc(order, func(i, j int) int { return entryCompare(s.level[i].entry, s.level[j].entry) })
+
 	for i := range s.runs {
-		if err := s.mergeMark(&s.runs[i], suspects); err != nil {
+		if err := s.mergeMark(&s.runs[i], order); err != nil {
 			return 0, err
 		}
 	}
 	dead := 0
-	for _, e := range suspects {
-		if e.dead {
+	for _, d := range s.dead {
+		if d {
 			dead++
 		}
 	}
 	return dead, nil
 }
 
-func (s *spillStore) mergeMark(run *spillRun, suspects []*spillEntry) error {
+func (s *spillStore) mergeMark(run *spillRun, order []int) error {
 	// The merge stops as soon as the suspect list is exhausted, so EOF's
 	// streaming checksum may never run; verify the whole file once at
 	// first open instead (a corrupt run must fail loudly — silently
@@ -434,16 +413,16 @@ func (s *spillStore) mergeMark(run *spillRun, suspects []*spillEntry) error {
 		return fmt.Errorf("spill store: %w", err)
 	}
 	defer r.close()
-	for idx := 0; idx < len(suspects); {
+	for idx := 0; idx < len(order); {
 		e, ok, err := r.next()
 		if err != nil || !ok {
 			return err
 		}
-		for idx < len(suspects) && entryLess(suspects[idx].entry, e) {
+		for idx < len(order) && entryLess(s.level[order[idx]].entry, e) {
 			idx++
 		}
-		if idx < len(suspects) && suspects[idx].entry == e {
-			suspects[idx].dead = true
+		if idx < len(order) && s.level[order[idx]].entry == e {
+			s.dead[order[idx]] = true
 			idx++
 		}
 	}
@@ -480,9 +459,10 @@ func (s *spillStore) publishRun(w *blockWriter, replaces bool) error {
 	return nil
 }
 
-// spillRun writes entries, which leave RAM with it, as a new sorted run,
+// spillDelta flushes the resident delta to a new sorted run and clears it,
 // then compacts when runFanout runs have accumulated.
-func (s *spillStore) spillRun(entries []entry) error {
+func (s *spillStore) spillDelta() error {
+	entries := s.delta.drain()
 	if len(entries) == 0 {
 		return nil
 	}
@@ -510,7 +490,7 @@ func (s *spillStore) spillRun(entries []entry) error {
 		}
 	}
 	// Crash point: the sorted run is fully written but not yet renamed
-	// into place — the deltas it snapshots die with the process.
+	// into place — the delta it snapshots dies with the process.
 	fault.Crash(fault.CrashSpillRunWrite)
 	if err := s.publishRun(w, false); err != nil {
 		return err
@@ -583,24 +563,19 @@ func (s *spillStore) compact() error {
 }
 
 // foldPeak raises the resident high-water mark to the current footprint:
-// the delta tables plus the Bloom prefilter. It runs at every barrier and
-// around a checkpoint seed.
+// the delta table plus the Bloom prefilter. It runs at every barrier and
+// around every flush of a checkpoint seed.
 func (s *spillStore) foldPeak() {
-	var resident int64
+	resident := s.delta.bytes()
 	if s.bloom != nil {
-		resident = s.bloom.bytes()
-	}
-	for i := range s.parts {
-		resident += s.parts[i].delta.bytes()
+		resident += s.bloom.bytes()
 	}
 	s.stats.PeakResidentBytes = max(s.stats.PeakResidentBytes, resident)
 }
 
 func (s *spillStore) Stats() StoreStats {
 	out := s.stats
-	for i := range s.parts {
-		out.PrefilterHits += s.parts[i].prefilterHits
-	}
+	out.PrefilterHits = s.prefilterHits
 	return out
 }
 
@@ -645,9 +620,9 @@ type spillSource struct {
 	store *spillStore
 	size  int
 	segs  []string // the workers' segment paths, for error reports
-	// drop holds, per partition, the admissions revoked or truncated at
-	// the barrier (nil: none); read-only once the source is handed out.
-	drop []*keyedSet
+	// drop holds the admissions revoked or truncated at the barrier (nil:
+	// none); read-only once the source is handed out.
+	drop *keyedSet
 
 	mu      sync.Mutex
 	cur     int
@@ -762,7 +737,7 @@ func (s *spillSource) decode(b *segBlock) (*Node, error) {
 	if s.store.ctx.stringKeys {
 		key = string(rec.Enc)
 	}
-	if d := s.drop[rec.FP&uint64(len(s.drop)-1)]; d != nil && d.has(rec.FP, key) {
+	if s.drop != nil && s.drop.has(rec.FP, key) {
 		return nil, nil
 	}
 	n, spans, err := s.store.remat.node(rec, b.spans)
@@ -788,13 +763,11 @@ func (s *spillSource) closeAll() {
 
 // ---- checkpoint support ----
 
-// DumpVisited emits the resident deltas and then every spilled run; an
+// DumpVisited emits the resident delta and then every spilled run; an
 // entry spilled and re-admitted since comes twice.
 func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
-	for i := range s.parts {
-		if err := s.parts[i].delta.forEach(emit); err != nil {
-			return err
-		}
+	if err := s.delta.forEach(emit); err != nil {
+		return err
 	}
 	for _, run := range s.runs {
 		r, err := openEntries(run.path, artifactRun)
@@ -810,50 +783,36 @@ func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
 	return nil
 }
 
-// SeedVisited loads the snapshot under the byte budget: all of it but a
-// last stretch goes straight to sorted runs, a stretch of the snapshot the
-// size a budget's worth of deltas flushes to at a time, and that last
-// stretch into the deltas, so a resumed run holds no more of the visited
-// set resident than the run that wrote the snapshot did. The delta tables
-// are sized for what they will take before they take it (a mem-store
+// SeedVisited loads the snapshot under the byte budget: the delta takes
+// entries up to the budget, is flushed to a sorted run like any over-budget
+// delta, and starts over, so a resumed run holds no more of the visited
+// set resident than the run that wrote the snapshot did. Every fresh delta
+// table is sized for what it will take before it takes it (a mem-store
 // snapshot arrives in table order).
 func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
-	keyOf := func(i int) string {
-		if keys == nil {
-			return ""
+	// The budget, floored at a delta table's initial footprint (2,048
+	// slots) so tiny budgets batch flushes instead of spilling every entry.
+	budget := max(s.budget, 16<<10)
+	room := 0 // entries the current delta table still takes
+	for i, fp := range fps {
+		left := len(fps) - i // entries still to come, this one included
+		if room == 0 {
+			room = s.delta.reserve(left, budget)
 		}
-		return keys[i]
-	}
-	// The stretch: what fingerprint tables of the budget's size between
-	// them hold (each within a doubling of its load, at a growth bound of
-	// 70%), or that many bytes of keys.
-	stretch := func(from int) int {
-		if keys == nil {
-			return min(len(fps), from+max(int(s.budget/16*7/10), 1))
+		key := ""
+		if keys != nil {
+			key = keys[i]
 		}
-		to, size := from, int64(0)
-		for to < len(fps) && (to == from || size <= s.budget) {
-			size += int64(len(keys[to])) + mapEntryOverhead
-			to++
+		s.delta.add(fp, key)
+		room--
+		// The delta has reached the budget.
+		if (room == 0 || s.delta.bytes() > budget) && left > 1 {
+			s.foldPeak()
+			if err := s.spillDelta(); err != nil {
+				return err
+			}
+			room = 0
 		}
-		return to
-	}
-	from := 0
-	for to := stretch(0); to < len(fps); from, to = to, stretch(to) {
-		entries := make([]entry, 0, to-from)
-		for i := from; i < to; i++ {
-			entries = append(entries, entry{fps[i], keyOf(i)})
-		}
-		if err := s.spillRun(entries); err != nil {
-			return err
-		}
-	}
-	for i, n := range partCounts(fps[from:], len(s.parts)) {
-		s.parts[i].delta.reserve(n)
-	}
-	mask := uint64(len(s.parts) - 1)
-	for i := from; i < len(fps); i++ {
-		s.parts[fps[i]&mask].delta.add(fps[i], keyOf(i))
 	}
 	s.foldPeak()
 	return nil

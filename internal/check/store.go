@@ -12,8 +12,8 @@ import (
 // node queue) — behind one interface, so the engine's level loop is
 // storage-agnostic:
 //
-//   - memStore (store.go's sibling memstore.go) keeps per-partition
-//     open-addressing fingerprint tables (or exact-key maps) and in-RAM
+//   - memStore (store.go's sibling memstore.go) keeps an
+//     open-addressing fingerprint table (or exact-key map) and in-RAM
 //     node slices: the original engine behavior, extracted verbatim.
 //
 //   - spillStore (spillstore.go) bounds resident memory by a byte budget:
@@ -22,11 +22,10 @@ import (
 //     frontier nodes spool to disk segments as their compact binary
 //     encodings, so the explorable space is bounded by disk, not RAM.
 //
-// The store is partitioned exactly like the engine's claims: during a
-// level partition i is only ever touched under the engine's lock for it
-// (Claim), a worker's queue only by that worker (Queue), and EndLevel runs
-// alone at the barrier. Stores therefore take no lock of their own,
-// mirroring the fpSet contract.
+// During a level the visited set is only ever touched under the engine's
+// claim lock (Claim), a worker's queue only by that worker (Queue), and
+// EndLevel runs alone at the barrier. Stores therefore take no lock of
+// their own, mirroring the fpSet contract.
 
 // sortNodes sorts nodes into the canonical order, entryCompare's. It sorts
 // (fingerprint, node) pairs, not the pointers: a level that overshoots the budget is
@@ -106,19 +105,18 @@ type LevelResult struct {
 }
 
 // StateStore owns deduplication and frontier queuing for one engine run.
-// Partition indices are engine-assigned (fp & partMask) and worker indices
-// are the engine's; EndLevel/Stats/Close are called only from the engine's
-// level loop. (The async order has no levels: it keeps its frontier in the
-// workers' deques and only ever claims, in the in-memory store, see
-// async.go.)
+// Worker indices are the engine's; EndLevel/Stats/Close are called only
+// from the engine's level loop. (The async order has no levels: it keeps
+// its frontier in the workers' deques and only ever claims, in the
+// in-memory store, see async.go.)
 type StateStore interface {
-	// Claim records the entry (fp, key) as visited in the partition and
-	// reports whether it was absent — the admission decision, taken on the
-	// entry alone, before any node for it exists. key is nil outside
-	// exact-key runs; it may be scratch, and stored is the copy the store
-	// keeps, for the admitted node to share. Calls on one partition must
-	// not overlap (the engine holds the partition's lock).
-	Claim(part int, fp uint64, key []byte) (stored string, added bool)
+	// Claim records the entry (fp, key) as visited and reports whether it
+	// was absent — the admission decision, taken on the entry alone,
+	// before any node for it exists. key is nil outside exact-key runs; it
+	// may be scratch, and stored is the copy the store keeps, for the
+	// admitted node to share. Calls must not overlap (the engine holds the
+	// claim lock).
+	Claim(fp uint64, key []byte) (stored string, added bool)
 	// Queue queues n, whose entry this level's Claim admitted, for the
 	// next level on worker's queue (calls for one worker must not overlap).
 	// retained reports whether the store keeps the *Node (false means the
@@ -146,23 +144,11 @@ type StateStore interface {
 	DumpVisited(emit func(fp uint64, key string) error) error
 	// SeedVisited therefore takes a snapshot whole, after its checksum has
 	// verified: fps (and, under exact keys, the parallel keys; nil
-	// otherwise) go to partition fp & (parts-1), the engine's routing, into
-	// tables sized from the per-partition counts first, so seeding is
+	// otherwise) go into a table sized for them first, so seeding is
 	// linear in the snapshot whatever order it arrives in and whichever
 	// store wrote it. It runs once, on a fresh store, before the first
 	// level; repeats in the snapshot are harmless.
 	SeedVisited(fps []uint64, keys []string) error
-}
-
-// partCounts is how many of fps the engine's routing sends to each of
-// parts partitions (parts is a power of two).
-func partCounts(fps []uint64, parts int) []int {
-	counts := make([]int, parts)
-	mask := uint64(parts - 1)
-	for _, fp := range fps {
-		counts[fp&mask]++
-	}
-	return counts
 }
 
 // Store backend names accepted by EngineOptions.Store.
@@ -181,7 +167,6 @@ const DefaultMemBudget = 256 << 20
 // keying mode, and the node lifecycle hooks (pooled allocation and
 // recycling stay engine-owned so both stores share one discipline).
 type storeCtx struct {
-	parts      int // partition count (power of two)
 	workers    int // queue count
 	nObj       int
 	nProc      int

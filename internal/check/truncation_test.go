@@ -213,10 +213,10 @@ func TestTruncationClosedRunStepsNothing(t *testing.T) {
 	})
 
 	t.Run("async", func(t *testing.T) {
-		// One worker, one partition, and a budget the root's own successors
-		// overflow: they reach the partition owner as one batch, which
-		// admits budget-1 of them and closes before handing any back, so
-		// every configuration but the root is visited after the close.
+		// One worker and a budget the root's own successors overflow: they
+		// are claimed as one chunk, which admits budget-1 of them and
+		// closes before handing any back, so every configuration but the
+		// root is visited after the close.
 		const wide, small = 8, 5
 		cp := &countingProto{Protocol: clockProto{wide}, late: func(st model.State) bool { return st.(clockSt).seen >= 0 }}
 		all := make([]int, wide)
