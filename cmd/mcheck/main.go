@@ -8,7 +8,7 @@
 //
 //	mcheck -proto algorithm1 -n 3 -k 1 -m 2 [-inputs 0,1,1] [-max 200000]
 //	       [-workers 0] [-stringkeys] [-progress]
-//	       [-store mem|spill] [-membudget 64MB] [-reduce none|sym|sym+sleep]
+//	       [-store mem|spill] [-membudget 64MB] [-reduce none|sym]
 //	       [-order levelsync|async] [-checkpoint dir [-checkpointevery N]]
 //
 // Exploration runs on the sharded frontier engine: -workers sets the
@@ -22,11 +22,10 @@
 // Results are identical for every -workers/-store setting.
 // -reduce selects the state-space reduction layer: "sym" explores one
 // representative per process-symmetry orbit (for protocols that declare
-// symmetry — toybit, pair, pairing; others run unreduced), "sym+sleep"
-// additionally skips redundant interleavings of commuting steps. Both
-// preserve decided-value sets, valency and violation existence; visited
-// counts legitimately shrink. -order selects the exploration order:
-// "levelsync" (the default) processes the frontier in BFS levels with a
+// symmetry — toybit, pair, pairing; others run unreduced), and preserves
+// decided-value sets, valency and violation existence; visited counts
+// legitimately shrink. "sym+sleep" is a deprecated synonym of "sym".
+// -order selects the exploration order: "levelsync" (the default) processes the frontier in BFS levels with a
 // barrier between them, "async" replaces the barrier with per-worker
 // work-stealing deques — the same visited set and verdicts, but no
 // per-level progress and no witness provenance (so -order async composes
@@ -224,9 +223,8 @@ func run(args []string, out io.Writer) error {
 			res.Store.PrefilterHits)
 	}
 	if res.Reduction.Reduce != "" {
-		fmt.Fprintf(prose, "reduction: %s — %d states pruned (%d orbit-memo hits, %d sleep skips)\n",
-			res.Reduction.Reduce, res.Reduction.StatesPruned,
-			res.Reduction.OrbitHits, res.Reduction.SleepSkipped)
+		fmt.Fprintf(prose, "reduction: %s — %d states pruned (%d orbit-memo hits)\n",
+			res.Reduction.Reduce, res.Reduction.StatesPruned, res.Reduction.OrbitHits)
 	}
 	if res.Async.Order == check.OrderAsync {
 		fmt.Fprintf(prose, "order: async — %d steals, %d quiescence scans\n",

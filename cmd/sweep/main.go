@@ -8,7 +8,7 @@
 //	sweep [-grid default|small|engine] [-spec grid.json]
 //	      [-n 8] [-k 2] [-rows a,b,c] [-schedules N] [-seed S]
 //	      [-max N] [-depth N] [-store mem|spill] [-membudget 64MB]
-//	      [-reduce none|sym|sym+sleep] [-order levelsync|async]
+//	      [-reduce none|sym] [-order levelsync|async]
 //	      [-par N] [-timeout SECONDS] [-daemon URL]
 //	      [-out sweep.json] [-checkpointdir DIR] [-json] [-progress]
 //
@@ -19,7 +19,8 @@
 // runs_written, runs_merged, peak_resident_bytes, prefilter_hits).
 // Results are identical across stores. -reduce selects the state-space
 // reduction for the exploration rows (records carry reduce,
-// states_pruned, orbit_hits, sleep_skipped); certificate searches always
+// states_pruned, orbit_hits; "sym+sleep" is a deprecated synonym of
+// "sym"); certificate searches always
 // run unreduced, and reduced exploration legitimately visits fewer
 // states. -order selects the exploration order for the exploration rows
 // (records carry order, steals, quiescence_scans); "async" replaces the

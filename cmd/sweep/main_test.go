@@ -173,7 +173,6 @@ func TestRejectsBadFlags(t *testing.T) {
 		t.Error("-membudget without -store spill must be rejected, not silently unenforced")
 	}
 	for _, args := range [][]string{
-		{"-order", "async", "-reduce", "sym+sleep"},
 		{"-order", "async", "-store", "spill"},
 	} {
 		if err := run(args, &out); !errors.Is(err, check.ErrIncompatibleModes) {
@@ -183,10 +182,9 @@ func TestRejectsBadFlags(t *testing.T) {
 }
 
 // TestOrderOverrideKeepsIllegalSpecsLevelsync: -order async moves every
-// engine spec of the small grid it legally can — the unreduced and the
-// sym one — and leaves the sym+sleep spec, which async cannot run, on
-// its own order, so the grid still runs and gates clean. The same holds
-// for a spec with peers.
+// engine spec of the small grid — the unreduced and the sym one, both
+// legal under async — and leaves a spec async cannot run, one with peers,
+// on its own order, so the grid still runs and gates clean.
 func TestOrderOverrideKeepsIllegalSpecsLevelsync(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-grid", "small", "-rows", "explore-anon", "-order", "async", "-json"}, &out); err != nil {
@@ -200,7 +198,7 @@ func TestOrderOverrideKeepsIllegalSpecsLevelsync(t *testing.T) {
 		}
 		orderOf[rec.Reduce] = rec.Order
 	}
-	want := map[string]string{"": check.OrderAsync, check.ReduceSym: check.OrderAsync, check.ReduceSymSleep: check.OrderLevelSync}
+	want := map[string]string{"": check.OrderAsync, check.ReduceSym: check.OrderAsync}
 	if !reflect.DeepEqual(orderOf, want) {
 		t.Errorf("orders by reduction = %v, want %v", orderOf, want)
 	}
@@ -254,7 +252,7 @@ func TestHelpListsModeConflicts(t *testing.T) {
 		}
 		usage[name] += line + "\n"
 	}
-	flagOf := map[check.Mode]string{check.ModeAsync: "order", check.ModeReduce: "reduce", check.ModeSleep: "reduce", check.ModeSpill: "store"}
+	flagOf := map[check.Mode]string{check.ModeAsync: "order", check.ModeReduce: "reduce", check.ModeSpill: "store"}
 	for _, c := range check.ModeConflicts {
 		for _, side := range [][2]check.Mode{{c.A, c.B}, {c.B, c.A}} {
 			if name, ok := flagOf[side[0]]; ok && !strings.Contains(usage[name], side[1].String()) {

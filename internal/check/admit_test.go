@@ -71,6 +71,11 @@ func TestGoldenAdmissionSequence(t *testing.T) {
 		{"toybit n=4 sym+sleep", toy, []int{0, 1, 0, 1},
 			check.ExploreLimits{MaxConfigs: 1000000}, check.EngineOptions{Reduction: check.ReduceSymSleep}, 17263,
 			map[string]uint64{check.StoreMem: 0xa9b7dce41e0b973f, check.StoreSpill: 0xa9b7dce41e0b973f}},
+		// sym+sleep is sym's synonym now, and sleep sets only ever changed
+		// which successors were generated, not which were admitted.
+		{"toybit n=4 sym", toy, []int{0, 1, 0, 1},
+			check.ExploreLimits{MaxConfigs: 1000000}, check.EngineOptions{Reduction: check.ReduceSym}, 17263,
+			map[string]uint64{check.StoreMem: 0xa9b7dce41e0b973f, check.StoreSpill: 0xa9b7dce41e0b973f}},
 	} {
 		for _, store := range []string{check.StoreMem, check.StoreSpill} {
 			eng := tc.eng
@@ -87,8 +92,7 @@ func TestGoldenAdmissionSequence(t *testing.T) {
 // TestContendedClaims: eight workers claiming under the one claim lock —
 // more than the cores any CI cell has, so lock holders are preempted — lose
 // and duplicate nothing: the 90,488-state instance of
-// TestExhaustiveOrbitCount, whose sleep-mask intersections are folded under
-// the same lock, comes out whole.
+// TestExhaustiveOrbitCount comes out whole.
 func TestContendedClaims(t *testing.T) {
 	p, err := baseline.NewToyBitRace(5, 2)
 	if err != nil {
@@ -97,7 +101,7 @@ func TestContendedClaims(t *testing.T) {
 	c := model.MustNewConfig(p, []int{0, 1, 0, 1, 0})
 	res, err := check.ExploreOpts(p, c, []int{0, 1, 2, 3, 4}, 0, check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: 1000000},
-		Engine: check.EngineOptions{Reduction: check.ReduceSymSleep, Workers: 8}})
+		Engine: check.EngineOptions{Reduction: check.ReduceSym, Workers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

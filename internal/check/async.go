@@ -71,9 +71,8 @@ import (
 //
 // What async gives up: provenance (witness schedules need the
 // deterministic level order), exact string keys (admission order would
-// pick timing-dependent representatives among colliding encodings),
-// sleep sets (their masks are settled at the level barrier), the spill
-// store (the frontier lives in the deques, so a store budget bounds
+// pick timing-dependent representatives among colliding encodings), the
+// spill store (the frontier lives in the deques, so a store budget bounds
 // nothing) and distribution (the admit-then-check budget above is one
 // shared counter; across peers it would be one counter each, and a capped
 // run would visit up to peers x MaxConfigs) — all rejected loudly through

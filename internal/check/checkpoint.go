@@ -50,6 +50,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/fault"
 )
@@ -98,13 +99,6 @@ func ckptGenPath(dir, kind string, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%d", kind, gen))
 }
 
-// ckptFrontNode is one frontier node in a snapshot: its pid path from
-// the root and its finished sleep mask.
-type ckptFrontNode struct {
-	path  []byte
-	sleep uint64
-}
-
 // ckptLoaded is a fully-read and checksum-verified checkpoint, ready for
 // the engine to seed.
 type ckptLoaded struct {
@@ -113,7 +107,7 @@ type ckptLoaded struct {
 	// parallel keys.
 	visitedFP   []uint64
 	visitedKeys []string
-	frontier    []ckptFrontNode
+	frontier    [][]byte // the frontier nodes' pid paths from the root
 	aux         []byte
 }
 
@@ -140,6 +134,9 @@ func loadCheckpoint(dir string, profile ckptProfile) (*ckptLoaded, error) {
 		quarantine(ckptManifestPath(dir), "manifest checksum/version mismatch")
 		return nil, nil
 	}
+	// An earlier build's sleep-set run visited exactly its "sym" twin's
+	// states, level by level, so its snapshot is that twin's.
+	man.Profile.Reduction = strings.Replace(man.Profile.Reduction, "sleep=true", "sleep=false", 1)
 	if man.Profile != profile {
 		return nil, fmt.Errorf("checkpoint: %s holds a checkpoint for a different run (profile %+v, want %+v); use a fresh directory", dir, man.Profile, profile)
 	}
@@ -218,7 +215,8 @@ func (l *ckptLoaded) readVisited(dir string) error {
 }
 
 // readFrontier decodes the frontier snapshot: uvarint plen | path bytes
-// | sleep (8B LE). Every path lives in one arena the size of the payload
+// | 8 reserved bytes (a sleep mask in earlier builds; written 0, read
+// and ignored). Every path lives in one arena the size of the payload
 // (which the paths cannot outgrow), so loading allocates per snapshot,
 // not per node.
 func (l *ckptLoaded) readFrontier(dir string) error {
@@ -232,8 +230,8 @@ func (l *ckptLoaded) readFrontier(dir string) error {
 	arena := make([]byte, 0, payload)
 	// Every node of a level has a path of NextDepth steps, which gives the
 	// record count up front.
-	l.frontier = make([]ckptFrontNode, 0, payload/int64(9+l.man.NextDepth)+1)
-	var fixed [8]byte
+	l.frontier = make([][]byte, 0, payload/int64(9+l.man.NextDepth)+1)
+	var reserved [8]byte
 	for {
 		plen, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -250,10 +248,10 @@ func (l *ckptLoaded) readFrontier(dir string) error {
 		if _, err := io.ReadFull(br, arena[off:]); err != nil {
 			return err
 		}
-		if _, err := io.ReadFull(br, fixed[:]); err != nil {
+		if _, err := io.ReadFull(br, reserved[:]); err != nil {
 			return err
 		}
-		l.frontier = append(l.frontier, ckptFrontNode{path: arena[off:len(arena):len(arena)], sleep: binary.LittleEndian.Uint64(fixed[:])})
+		l.frontier = append(l.frontier, arena[off:len(arena):len(arena)])
 	}
 }
 
@@ -298,9 +296,8 @@ func writeBlocks(path string, kind byte, fill func(bw *blockWriter) error) error
 }
 
 // write commits one checkpoint generation. nodes is the next level's
-// frontier (with finished sleep masks already swapped into prevSleep);
-// sleepOf returns a node's mask.
-func (w *ckptWriter) write(man ckptManifest, nodes []*Node, sleepOf func(*Node) uint64, aux []byte) error {
+// frontier.
+func (w *ckptWriter) write(man ckptManifest, nodes []*Node, aux []byte) error {
 	gen := w.gen
 	man.Version = ckptManifestVersion
 	man.Profile = w.profile
@@ -317,7 +314,7 @@ func (w *ckptWriter) write(man ckptManifest, nodes []*Node, sleepOf func(*Node) 
 		for _, n := range nodes {
 			bw.buf = binary.AppendUvarint(bw.buf, uint64(len(n.path)))
 			bw.buf = append(bw.buf, n.path...)
-			bw.buf = binary.LittleEndian.AppendUint64(bw.buf, sleepOf(n))
+			bw.buf = binary.LittleEndian.AppendUint64(bw.buf, 0) // reserved
 			if err := bw.flushFull(); err != nil {
 				return err
 			}

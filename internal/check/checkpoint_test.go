@@ -70,6 +70,7 @@ func ckptCases() []ckptCase {
 	return []ckptCase{
 		{"mem/fp", sym, symIn, symPids, 2, check.StoreMem, false, ""},
 		{"mem/stringkeys", sym, symIn, symPids, 2, check.StoreMem, true, ""},
+		// The deprecated synonym of sym checkpoints and resumes as sym does.
 		{"mem/sym+sleep", sym, symIn, symPids, 2, check.StoreMem, false, check.ReduceSymSleep},
 		{"spill/fp", sym, symIn, symPids, 2, check.StoreSpill, false, ""},
 		{"spill/stringkeys", sym, symIn, symPids, 2, check.StoreSpill, true, ""},
@@ -158,8 +159,8 @@ func recordLevels(into *[]levelRec, killAt int, cancel context.CancelFunc) func(
 // and the same result, whatever worker counts wrote and resumed the
 // snapshot and although the resume runs on the other store. The replay
 // reorders the frontier records and splits them across the resuming
-// run's workers; sym+sleep shows the sleep masks still land on the nodes
-// they were saved with (a misplaced mask changes the next level's size).
+// run's workers. (The toybit case names the quotient by its deprecated
+// synonym, sym+sleep.)
 //
 // Row 3 at 200k states is the scale cell — snapshots of several I/O
 // blocks, tables of 2^17 slots and more, replay chunks of tens of
@@ -310,7 +311,7 @@ func TestCheckpointSpillResumeHonoursBudget(t *testing.T) {
 	const budget = 1 << 16
 	const killAt = 30
 	options := func(dir string) check.ExploreOptions {
-		return check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: check.ReduceSymSleep,
+		return check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: check.ReduceSym,
 			Store: check.StoreSpill, MemBudget: budget, Checkpoint: dir, CheckpointEvery: killAt + 1}}
 	}
 	clean := exploreT(t, p, c, pids, 1, options(""))
@@ -452,18 +453,31 @@ func TestCheckpointProfileMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumesEarlierManifest: manifests written before the
-// Canonical hook was removed carry "canonical":false in their profile.
-// Such a checkpoint must still verify and resume (not be quarantined as
-// corrupt and restarted) to the same verdict.
+// TestCheckpointResumesEarlierManifest: manifests written by earlier
+// builds must still verify and resume (not be quarantined as corrupt and
+// restarted, nor refused as another run's) to the same verdict: those
+// written before the Canonical hook was removed carry "canonical":false in
+// their profile, and those of a sym+sleep run, before sleep-set pruning
+// was deleted, "sleep=true" in its reduction.
 func TestCheckpointResumesEarlierManifest(t *testing.T) {
+	for _, tc := range []struct{ name, reduce, old, earlier string }{
+		{"canonical", "", `"max_configs":`, `"canonical":false,"max_configs":`},
+		{"sym+sleep", check.ReduceSym, `sleep=false`, `sleep=true`},
+	} {
+		t.Run(tc.name, func(t *testing.T) { resumeEarlierManifest(t, tc.reduce, tc.old, tc.earlier) })
+	}
+}
+
+// resumeEarlierManifest kills a run under reduction reduce, rewrites its
+// manifest by replacing old with earlier (re-summing it), and resumes.
+func resumeEarlierManifest(t *testing.T, reduce, old, earlier string) {
 	p := symRace{n: 4}
 	c := model.MustNewConfig(p, []int{0, 0, 1, 1})
 	pids := []int{0, 1, 2, 3}
-	clean := exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2}})
+	clean := exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: reduce}})
 
 	dir := t.TempDir()
-	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Checkpoint: dir}}
+	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: reduce, Checkpoint: dir}}
 	ctx, cancel := context.WithCancel(context.Background())
 	opts.Engine.Ctx = ctx
 	opts.Engine.Progress = func(pr check.Progress) {
@@ -475,17 +489,17 @@ func TestCheckpointResumesEarlierManifest(t *testing.T) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
 
-	// Rewrite the manifest the way the earlier build serialized it: the
-	// extra profile field, and the checksum (over the JSON with sum 0).
+	// Rewrite the manifest the way the earlier build serialized it, and the
+	// checksum (over the JSON with sum 0).
 	sub := filepath.Join(dir, "explore")
 	mp := filepath.Join(sub, "MANIFEST.json")
 	raw, err := os.ReadFile(mp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = bytes.Replace(raw, []byte(`"max_configs":`), []byte(`"canonical":false,"max_configs":`), 1)
+	raw = bytes.Replace(raw, []byte(old), []byte(earlier), 1)
 	i := bytes.LastIndex(raw, []byte(`"sum":`))
-	if i < 0 || !bytes.Contains(raw, []byte(`"canonical":false`)) {
+	if i < 0 || !bytes.Contains(raw, []byte(earlier)) {
 		t.Fatalf("manifest layout changed: %s", raw)
 	}
 	zeroed := append(append([]byte(nil), raw[:i]...), `"sum":0}`...)
@@ -505,7 +519,7 @@ func TestCheckpointResumesEarlierManifest(t *testing.T) {
 		t.Error("the earlier-format manifest was quarantined instead of resumed")
 	}
 	cleanLevels := 0
-	exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2,
+	exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: reduce,
 		Progress: func(check.Progress) { cleanLevels++ }}})
 	if levels >= cleanLevels {
 		t.Errorf("resume ran %d levels, a fresh run %d: the checkpoint was not used", levels, cleanLevels)

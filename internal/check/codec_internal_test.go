@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -16,8 +17,8 @@ import (
 )
 
 // codecNodes explores a few levels of the toy-bit race with paths on and
-// returns copies of the visited nodes: real configurations, fingerprints,
-// sleep masks and paths for the codecs to carry.
+// returns copies of the visited nodes: real configurations, fingerprints
+// and paths for the codecs to carry.
 func codecNodes(t *testing.T) []*Node {
 	t.Helper()
 	p, err := baseline.NewToyBitRace(3, 2)
@@ -26,7 +27,7 @@ func codecNodes(t *testing.T) []*Node {
 	}
 	var nodes []*Node
 	_, err = RunFrontier(p, model.MustNewConfig(p, []int{0, 1, 0}), []int{0, 1, 2},
-		ExploreLimits{MaxDepth: 3}, EngineOptions{Workers: 1, Reduction: ReduceSymSleep, Checkpoint: t.TempDir()},
+		ExploreLimits{MaxDepth: 3}, EngineOptions{Workers: 1, Reduction: ReduceSym, Checkpoint: t.TempDir()},
 		func(_ int, n *Node) error {
 			c := *n
 			c.Cfg = n.Cfg.Clone()
@@ -45,25 +46,27 @@ func codecNodes(t *testing.T) []*Node {
 
 // refNodeRecord is the record layout written out longhand, field by field
 // as dist/wire.go's appendRecord wrote it before the codec moved here: the
-// wire promise is that AppendNodeRecord's bytes are these.
-func refNodeRecord(n *Node) []byte {
+// wire promise is that AppendNodeRecord's bytes are these, with a reserved
+// word of 0 (it was the sleep mask).
+func refNodeRecord(n *Node, reserved uint64) []byte {
 	enc := n.Cfg.AppendEncoding(nil)
 	b := binary.AppendUvarint(nil, uint64(n.Pid+1))
 	b = binary.AppendUvarint(b, uint64(n.Depth))
 	b = binary.LittleEndian.AppendUint64(b, n.fp)
 	b = binary.LittleEndian.AppendUint64(b, n.slotFP)
-	b = binary.LittleEndian.AppendUint64(b, n.sleep)
+	b = binary.LittleEndian.AppendUint64(b, reserved)
 	b = append(binary.AppendUvarint(b, uint64(len(enc))), enc...)
 	return append(binary.AppendUvarint(b, uint64(len(n.path))), n.path...)
 }
 
 // TestNodeRecordLayout: a record is byte for byte the pinned layout, its
 // returned encoding is the node's, also when the encoding is long enough
-// for a two-byte length, and it decodes to the node's fields.
+// for a two-byte length, and it decodes to the node's fields — also from
+// an earlier build's record, whose reserved word held a sleep mask.
 func TestNodeRecordLayout(t *testing.T) {
 	nodes := codecNodes(t)
 	wide := stepProto{n: 40, steps: 2} // 40 states: an encoding past 127 bytes
-	wn := &Node{Cfg: model.MustNewConfig(wide, make([]int, 40)), Pid: 7, Depth: 300, fp: 1, slotFP: 2, sleep: 3, path: []byte{7}}
+	wn := &Node{Cfg: model.MustNewConfig(wide, make([]int, 40)), Pid: 7, Depth: 300, fp: 1, slotFP: 2, path: []byte{7}}
 	if len(wn.Cfg.AppendEncoding(nil)) < 0x80 {
 		t.Fatal("the wide node's encoding fits a one-byte length")
 	}
@@ -72,7 +75,7 @@ func TestNodeRecordLayout(t *testing.T) {
 		at := len(buf)
 		var enc []byte
 		buf, enc = AppendNodeRecord(buf, n)
-		if want := refNodeRecord(n); !bytes.Equal(buf[at:], want) {
+		if want := refNodeRecord(n, 0); !bytes.Equal(buf[at:], want) {
 			t.Fatalf("depth %d pid %d: record\n%x\nwant\n%x", n.Depth, n.Pid, buf[at:], want)
 		}
 		if want := n.Cfg.AppendEncoding(nil); !bytes.Equal(enc, want) {
@@ -82,10 +85,37 @@ func TestNodeRecordLayout(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
 		}
-		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.SlotFP != n.slotFP || rec.Sleep != n.sleep ||
+		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.SlotFP != n.slotFP ||
 			!bytes.Equal(rec.Enc, enc) || !bytes.Equal(rec.Path, n.path) {
 			t.Fatalf("decoded %+v from node %+v", rec, n)
 		}
+		if old, _, err := DecodeNodeRecord(refNodeRecord(n, 0b1011)); err != nil || !reflect.DeepEqual(old, rec) {
+			t.Fatalf("a record with a sleep mask decodes to %+v (%v), without one to %+v", old, err, rec)
+		}
+	}
+}
+
+// TestFrontierReservedWord: a checkpoint frontier record's reserved word —
+// a sleep mask in earlier builds' snapshots — is read and ignored.
+func TestFrontierReservedWord(t *testing.T) {
+	paths := [][]byte{{0, 1}, {2, 0}}
+	read := func(reserved uint64) [][]byte {
+		dir := t.TempDir()
+		err := writeBlocks(ckptGenPath(dir, "frontier", 1), artifactFrontier, func(bw *blockWriter) error {
+			for _, p := range paths {
+				bw.buf = append(binary.AppendUvarint(bw.buf, uint64(len(p))), p...)
+				bw.buf = binary.LittleEndian.AppendUint64(bw.buf, reserved)
+			}
+			return nil
+		})
+		l := &ckptLoaded{man: ckptManifest{Gen: 1, NextDepth: 2}}
+		if err != nil || l.readFrontier(dir) != nil {
+			t.Fatalf("writing or reading the frontier: %v", err)
+		}
+		return l.frontier
+	}
+	if got, zero := read(0b1011), read(0); !reflect.DeepEqual(got, paths) || !reflect.DeepEqual(zero, paths) {
+		t.Errorf("frontier paths %v with a sleep mask, %v without, wrote %v", got, zero, paths)
 	}
 }
 
@@ -240,7 +270,7 @@ func TestSharedCodecCorruption(t *testing.T) {
 func recordStrings(nodes []*Node) []string {
 	var out []string
 	for _, n := range nodes {
-		rec, _, _ := DecodeNodeRecord(refNodeRecord(n))
+		rec, _, _ := DecodeNodeRecord(refNodeRecord(n, 0))
 		out = append(out, fmt.Sprintf("%+v", rec))
 	}
 	return out

@@ -31,8 +31,7 @@ package check
 // Distribution runs the level-synchronized order only, which is what
 // makes every cell of it deterministic: the one budget test is the
 // coordinator's, at a barrier. It composes with the reduction stack
-// (canonical fingerprints and sleep masks are computed peer-side and
-// intersected at the owning peer, both commutative) and with either store
+// (canonical fingerprints are computed peer-side) and with either store
 // backend. It is rejected together with the async order, Provenance,
 // StringKeys and Checkpoint (modes.go says why).
 

@@ -75,9 +75,8 @@ import (
 //
 //   - EngineOptions.Reduction installs the state-space reduction layer
 //     (reduce.go): orbit-canonical fingerprints for declared
-//     process-symmetric protocols, and sleep-set masks that skip
-//     redundant interleavings of commuting steps. Reductions preserve
-//     reachability verdicts, not schedules.
+//     process-symmetric protocols. The quotient preserves reachability
+//     verdicts, not schedules.
 //
 //   - Which modes combine is declared once, in modes.go.
 
@@ -100,13 +99,12 @@ type EngineOptions struct {
 	// visited configuration keeps its whole key).
 	StringKeys bool
 	// Reduction selects the state-space reduction layer (reduce.go):
-	// "" or "none" (no reduction), "sym" (incremental process-symmetry
+	// "" or "none" (no reduction), or "sym" (incremental process-symmetry
 	// quotienting over the classes the protocol declares via
-	// model.ProcessSymmetric), or "sym+sleep" (symmetry plus sleep-set
-	// pruning of commuting successor pairs). Reductions preserve
-	// decided-value sets, valency classes and violation existence but
-	// not schedules, so they are rejected together with Provenance or
-	// StringKeys (modes.go).
+	// model.ProcessSymmetric); "sym+sleep" is a deprecated synonym of
+	// "sym" (ReduceSymSleep). The quotient preserves decided-value sets,
+	// valency classes and violation existence but not schedules, so it
+	// is rejected together with Provenance or StringKeys (modes.go).
 	Reduction string
 	// Order selects the exploration order: "" or "levelsync" for the
 	// deterministic level-synchronized loop above, "async" for the
@@ -116,8 +114,7 @@ type EngineOptions struct {
 	// and the visited-set size but not schedules or level structure, so
 	// it is rejected together with Provenance or StringKeys. It runs in
 	// one process over the in-memory store, unreduced or under "sym"
-	// (modes.go says why sleep sets, the spill store and Dist are rejected
-	// with it).
+	// (modes.go says why the spill store and Dist are rejected with it).
 	Order string
 	// Provenance retains every node's parent chain and configuration so
 	// that Node.Parent and Node.Schedule work after the run — required
@@ -221,7 +218,6 @@ type Node struct {
 	slotFP uint64   // incremental slot fingerprint (Step.Fingerprint chain)
 	slotH  []uint64 // per-slot content hashes, parallel to Cfg slots
 	key    string   // exact encoding, set only in string-key mode
-	sleep  uint64   // sleep-set pid bitmask, set only in sleep-reduction mode
 	path   []byte   // root-to-node pid bytes, set only in checkpointing runs
 
 	// reexpand marks an async-order depth-relaxation item (MaxDepth runs
@@ -273,8 +269,8 @@ type RunStats struct {
 	// Store reports the state store's activity (spill volume, peak
 	// resident bytes).
 	Store StoreStats
-	// Reduction reports the reduction layer's activity (orbit folds,
-	// sleep skips); zero-valued when no reduction ran.
+	// Reduction reports the reduction layer's activity (orbit folds);
+	// zero-valued when no reduction ran.
 	Reduction ReductionStats
 	// Async reports the exploration order that ran and, for async runs,
 	// the work-stealing and quiescence-detection activity.
@@ -307,13 +303,6 @@ type claimState struct {
 	// two configurations here either.
 	pending      map[uint64]*Node
 	pendingExact map[string]*Node
-	// sleep collects the level's admitted sleep masks by fingerprint
-	// (sleep-reduction mode only). Duplicate admissions intersect — a
-	// commutative fold, so the surviving mask is a pure function of the
-	// level's candidate set, not of arrival order — and the barrier hands
-	// the finished map to the next level's expansions as prevSleep
-	// (read-only during a level).
-	sleep, prevSleep map[uint64]uint64
 	// depth is the best-known depth per state (async MaxDepth runs only); a
 	// strictly smaller duplicate re-enqueues the state as a deepen item.
 	depth map[uint64]int
@@ -334,7 +323,6 @@ type engineRun struct {
 	afterLevel func(depth, processed int) (stop bool)
 	began      time.Time
 
-	sleepOn bool
 	// pathsOn maintains every node's root-to-node pid path: set for
 	// checkpointing runs (paths are how frontiers persist) and for
 	// distributed runs (paths are the wire records' replay fallback and
@@ -474,7 +462,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 ) (rstats RunStats, rerr error) {
 	limits = limits.withDefaults()
 	opts = opts.withDefaults()
-	asyncOn, symOn, sleepOn, err := Modes{Order: opts.Order, Reduction: opts.Reduction, Store: opts.Store, StringKeys: opts.StringKeys,
+	asyncOn, symOn, err := Modes{Order: opts.Order, Reduction: opts.Reduction, Store: opts.Store, StringKeys: opts.StringKeys,
 		Provenance: opts.Provenance, Checkpoint: opts.Checkpoint != "", Dist: opts.Dist != nil}.resolve()
 	if err != nil {
 		return RunStats{}, err
@@ -482,11 +470,6 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 
 	nObj := len(p.Objects())
 	nProc := p.NumProcesses()
-	if sleepOn && nProc > 64 {
-		// Sleep masks are uint64 pid bitsets; beyond that the quotient
-		// still applies but sleep pruning quietly stands down.
-		sleepOn = false
-	}
 	if len(start.Objects) != nObj || len(start.States) != nProc {
 		return RunStats{}, fmt.Errorf("frontier engine: start configuration has %d objects and %d states, protocol declares %d and %d",
 			len(start.Objects), len(start.States), nObj, nProc)
@@ -504,7 +487,6 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		allowed: make([]bool, nProc),
 		opts:    opts, limits: limits, visit: visit, afterLevel: afterLevel,
 		began:     time.Now(),
-		sleepOn:   sleepOn,
 		pathsOn:   pathsOn,
 		asyncOn:   asyncOn,
 		spools:    opts.Store == StoreSpill && !opts.Provenance,
@@ -535,9 +517,6 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	if opts.Provenance {
 		run.claims.pending, run.claims.pendingExact = map[uint64]*Node{}, map[string]*Node{}
 	}
-	if sleepOn {
-		run.claims.sleep = map[uint64]uint64{}
-	}
 	if asyncOn && limits.MaxDepth > 0 {
 		run.claims.depth = map[uint64]int{}
 	}
@@ -561,23 +540,15 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		if rerr != nil {
 			rstats.Complete = false
 		}
-		switch {
-		case symOn && sleepOn:
-			rstats.Reduction.Reduce = ReduceSymSleep
-		case symOn:
+		if symOn {
 			rstats.Reduction.Reduce = ReduceSym
 		}
 		for _, x := range run.expanders {
-			if x == nil {
-				continue
-			}
-			if x.sw != nil {
+			if x != nil && x.sw != nil {
 				rstats.Reduction.StatesPruned += x.sw.statesPruned
 				rstats.Reduction.OrbitHits += x.sw.orbitHits
 			}
-			rstats.Reduction.SleepSkipped += x.sleepSkips
 		}
-		rstats.Reduction.StatesPruned += rstats.Reduction.SleepSkipped
 		if run.link != nil {
 			rstats.Net = run.link.NetStats()
 		}
@@ -588,7 +559,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	// between hashing the root and keying it.
 	root := run.rootNode(run.expander(0).st)
 	if symOn {
-		run.plan = planReduction(p, run.allowed, nObj, root.slotH, sleepOn)
+		run.plan = planReduction(p, run.allowed, nObj, root.slotH)
 	}
 	run.expander(0).key(root)
 

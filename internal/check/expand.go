@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -18,18 +17,17 @@ import (
 //   - plan keys every successor of a node without building it: whether the
 //     node is expanded at all (visitOnly: not at the depth cap, and not once
 //     the run's admissions have closed), poised-pid iteration over the
-//     allowed set, sleep-mask skips, the memoised transition
-//     (model.Stepper.Plan), the run's one keying decision, the successor's
-//     sleep mask. What it leaves behind is a candidate — (fingerprint, key,
-//     sleep mask, parent, pid) and the transition by value — except for a
-//     successor another peer of a distributed run owns, which is built into
-//     a scratch node and shipped at once.
+//     allowed set, the memoised transition (model.Stepper.Plan), the run's
+//     one keying decision. What it leaves behind is a candidate —
+//     (fingerprint, key, parent, pid) and the transition by value — except
+//     for a successor another peer of a distributed run owns, which is
+//     built into a scratch node and shipped at once.
 //
 //   - commit claims the chunk's candidates in the visited set, in
 //     generation order, under one hold of the run's claim lock; the
-//     same-level folds (sleep-mask intersection, the provenance tie-break,
-//     async's depth relaxation) are part of the claim. A level or run
-//     drained by one worker takes no lock.
+//     same-level folds (the provenance tie-break, async's depth
+//     relaxation) are part of the claim. A level or run drained by one
+//     worker takes no lock.
 //
 //   - commit then builds a node (model.Stepper.Install) for each candidate
 //     the claim reported new, and returns them. A duplicate never had one.
@@ -49,8 +47,7 @@ const (
 type cand struct {
 	step    model.Step
 	fp      uint64 // dedup fingerprint (slot fp, or orbit-canonical under "sym")
-	sleep   uint64
-	parent  int32 // index into expander.parents
+	parent  int32  // index into expander.parents
 	pid     int32
 	keyOff  int32 // the exact key is expander.keys[keyOff:keyOff+keyLen] (exact-key runs)
 	keyLen  int32
@@ -67,7 +64,6 @@ type expander struct {
 	worker int
 	st     *model.Stepper
 	sw     *symWorker // nil unless the symmetry quotient is active
-	objs   []int      // per-pid poised object (-1 = none); sleep mode only
 	hbuf   []uint64   // the planned node's slot hashes, patched per successor (sym only)
 	enc    []byte     // encoding scratch (exact keys)
 	// penc is the node under expansion's exact key split at its slots
@@ -84,8 +80,6 @@ type expander struct {
 	keys    []byte
 	fresh   []int32
 	out     []*Node
-
-	sleepSkips int64
 }
 
 // expander returns worker's expander, creating it on first use. Exact-key
@@ -100,9 +94,6 @@ func (r *engineRun) expander(worker int) *expander {
 			x.st = model.NewStepperExact(r.p)
 		} else {
 			x.st = model.NewStepper(r.p)
-		}
-		if r.sleepOn {
-			x.objs = make([]int, r.nProc)
 		}
 		r.expanders[worker] = x
 	}
@@ -151,11 +142,10 @@ func (x *expander) begin() {
 	x.parents, x.cands, x.keys = x.parents[:0], x.cands[:0], x.keys[:0]
 }
 
-// plan keys n's successors into the chunk, none if n is visit-only. In
-// sleep mode n.sleep must hold the finished intersection the level barrier
-// settled. n must stay untouched until commit has run: a candidate is its
-// parent plus a transition. Successors owned by another peer are shipped
-// over the link here. An error (an illegal poised operation, a lost link)
+// plan keys n's successors into the chunk, none if n is visit-only. n must
+// stay untouched until commit has run: a candidate is its parent plus a
+// transition. Successors owned by another peer are shipped over the link
+// here. An error (an illegal poised operation, a lost link)
 // stops the expansion; the caller fails the run.
 func (x *expander) plan(n *Node) error {
 	r := x.run
@@ -174,29 +164,8 @@ func (x *expander) plan(n *Node) error {
 	if x.sw != nil {
 		copy(x.hbuf, n.slotH)
 	}
-	var mask uint64
-	if r.sleepOn {
-		// The poised-object vector feeds the commutation test below; both
-		// it and the mask are memo-backed lookups.
-		mask = n.sleep
-		for pid := range x.objs {
-			x.objs[pid] = -1
-			if r.allowed[pid] {
-				if obj, ok := x.st.PoisedObject(n.Cfg, pid, n.slotH[r.nObj+pid]); ok {
-					x.objs[pid] = obj
-				}
-			}
-		}
-	}
 	for pid := 0; pid < r.nProc; pid++ {
 		if !r.allowed[pid] {
-			continue
-		}
-		if mask&(uint64(1)<<uint(pid)) != 0 {
-			// Asleep: every generator of this node agreed the step commutes
-			// with its own last step, so the successor is exactly the state
-			// the ascending-pid sibling order reaches.
-			x.sleepSkips++
 			continue
 		}
 		x.cands = append(x.cands, cand{parent: parent, pid: int32(pid)})
@@ -222,23 +191,10 @@ func (x *expander) plan(n *Node) error {
 			c.fp = x.sw.canonFP(c.fp, x.hbuf)
 			x.hbuf[obj], x.hbuf[r.nObj+pid] = n.slotH[obj], n.slotH[r.nObj+pid]
 		}
-		if r.sleepOn {
-			// The successor sleeps every commuting smaller pid (its
-			// interleaving is covered by the ascending order) and every
-			// still-commuting pid it inherits from this node's sleep set.
-			var m uint64
-			for rest := (uint64(1)<<uint(pid) - 1) | mask; rest != 0; rest &= rest - 1 {
-				q := bits.TrailingZeros64(rest)
-				if r.allowed[q] && x.objs[q] >= 0 && x.objs[q] != x.objs[pid] {
-					m |= 1 << uint(q)
-				}
-			}
-			c.sleep = m
-		}
 		if r.link != nil && !r.link.Owns(c.fp) {
-			// The owning peer claims it and (in sleep mode) intersects masks
-			// exactly as a local partition would. The link serialises the
-			// node before it returns, so one scratch node serves them all.
+			// The owning peer claims it exactly as a local partition would.
+			// The link serialises the node before it returns, so one
+			// scratch node serves them all.
 			if x.tmp == nil {
 				x.tmp = r.newNode()
 			}
@@ -336,28 +292,12 @@ func (x *expander) claim(c *cand, key []byte) uint8 {
 				cl.pending[c.fp] = n
 			}
 		}
-		if r.sleepOn {
-			cl.sleep[c.fp] = c.sleep
-		}
 		if cl.depth != nil {
 			cl.depth[c.fp] = x.parents[c.parent].Depth + 1
 		}
 		return candNew
 	}
 	c.verdict = candDup
-	if r.sleepOn {
-		// Same-level duplicate: only the pids every generator agrees are
-		// redundant may stay masked. A duplicate of an EARLIER level
-		// (absent from this level's map — the graph re-reaches a state at
-		// a different depth) contributes nothing and needs nothing: masks
-		// are built exclusively from a state's first-visit-level
-		// generators, and every skip they justify routes through the
-		// first visit's own sibling diamonds (see reduce.go), so a later
-		// path to the same state has no claim to reconcile.
-		if m, ok := cl.sleep[c.fp]; ok {
-			cl.sleep[c.fp] = m & c.sleep
-		}
-	}
 	if r.opts.Provenance {
 		// If the configuration was admitted this very level, claim
 		// provenance when ours is deterministically smaller — by the
@@ -387,7 +327,7 @@ func (x *expander) claim(c *cand, key []byte) uint8 {
 }
 
 // build writes candidate c's successor into n: the copy-on-write step from
-// its parent, and the depth/pid/path/key/sleep bookkeeping. A provenance
+// its parent, and the depth/pid/path/key bookkeeping. A provenance
 // run's node already carries its identity, parent and generator pid, set —
 // and, those two, possibly since rewritten — under the claim lock, where
 // other claimants read them.
@@ -396,7 +336,6 @@ func (x *expander) build(c *cand, n *Node) {
 	p := x.parents[c.parent]
 	x.st.Install(p.Cfg, p.slotH, int(c.pid), &c.step, n.Cfg, n.slotH)
 	n.slotFP = c.step.Fingerprint(p.slotFP)
-	n.sleep = c.sleep
 	n.Depth = p.Depth + 1
 	n.reexpand = c.verdict == candDeepen
 	if c.node == nil {
@@ -449,21 +388,21 @@ func replayPath(run *engineRun, st *model.Stepper, path []byte) (*Node, error) {
 	return cur, nil
 }
 
-// replayFrontier rebuilds a checkpointed frontier: nodes[i] is the node
-// recs[i] describes, keyed by the run's keying and carrying its sleep
-// mask, so the resumed level is the one the lost process held, in its
-// order. The records are walked in path order, where consecutive paths
-// share their longest prefixes, and the order is cut into one contiguous
-// chunk per worker, each replayed on that worker's own expander.
-func replayFrontier(run *engineRun, recs []ckptFrontNode) ([]*Node, error) {
-	order := make([]int, len(recs))
+// replayFrontier rebuilds a checkpointed frontier: nodes[i] is the node at
+// the end of pid path paths[i], keyed by the run's keying, so the resumed
+// level is the one the lost process held, in its order. The paths are
+// walked in path order, where consecutive paths share their longest
+// prefixes, and the order is cut into one contiguous chunk per worker,
+// each replayed on that worker's own expander.
+func replayFrontier(run *engineRun, paths [][]byte) ([]*Node, error) {
+	order := make([]int, len(paths))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(recs[a].path, recs[b].path) })
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(paths[a], paths[b]) })
 
-	nodes := make([]*Node, len(recs))
-	nw := max(1, min(run.opts.Workers, len(recs)))
+	nodes := make([]*Node, len(paths))
+	nw := max(1, min(run.opts.Workers, len(paths)))
 	errs := make([]error, nw)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
@@ -471,22 +410,22 @@ func replayFrontier(run *engineRun, recs []ckptFrontNode) ([]*Node, error) {
 		go func(w int) {
 			defer wg.Done()
 			chunk := order[w*len(order)/nw : (w+1)*len(order)/nw]
-			errs[w] = run.expander(w).replayChunk(recs, chunk, nodes)
+			errs[w] = run.expander(w).replayChunk(paths, chunk, nodes)
 		}(w)
 	}
 	wg.Wait()
 	return nodes, errors.Join(errs...)
 }
 
-// replayChunk rebuilds the records order lists, which must be in path
-// order, into nodes (at each record's own index). It keeps the nodes
+// replayChunk rebuilds the paths order lists, which must be in path
+// order, into nodes (at each path's own index). It keeps the nodes
 // along the current path on a stack — stack[d] is the configuration d
-// steps in — so moving to the next record pops back to the prefix the two
+// steps in — so moving to the next path pops back to the prefix the two
 // paths share and applies only the steps beyond it: every distinct prefix
 // in the chunk is applied once.
-func (x *expander) replayChunk(recs []ckptFrontNode, order []int, nodes []*Node) error {
+func (x *expander) replayChunk(paths [][]byte, order []int, nodes []*Node) error {
 	r := x.run
-	// A node handed out as a record's result belongs to the frontier from
+	// A node handed out as a path's result belongs to the frontier from
 	// then on (kept); only the others go back to the pool when popped.
 	type frame struct {
 		n    *Node
@@ -504,7 +443,7 @@ func (x *expander) replayChunk(recs []ckptFrontNode, order []int, nodes []*Node)
 	defer func() { pop(0) }()
 	var prev []byte
 	for i, idx := range order {
-		path := recs[idx].path
+		path := paths[idx]
 		shared := 0
 		for shared < len(prev) && shared < len(path) && prev[shared] == path[shared] {
 			shared++
@@ -527,7 +466,6 @@ func (x *expander) replayChunk(recs []ckptFrontNode, order []int, nodes []*Node)
 		n := top.n
 		n.path = append(n.path[:0], path...)
 		x.key(n) // the rebuilt node must carry the same (fp, key) the lost one did
-		n.sleep = recs[idx].sleep
 		nodes[idx] = n
 		prev = path
 	}

@@ -87,7 +87,7 @@ type ExploreResult struct {
 	// (backend kind, bytes spilled, peak resident bytes).
 	Store StoreStats
 	// Reduction reports the state-space reduction layer's activity
-	// (orbit folds, sleep skips); zero-valued on unreduced runs.
+	// (orbit folds); zero-valued on unreduced runs.
 	Reduction ReductionStats
 	// Async reports the exploration order that ran and, for async-order
 	// runs, the work-stealing and quiescence-detection activity. The

@@ -24,12 +24,6 @@ import (
 // and the barriers, the distributed lockstep, the final checkpoint and
 // Progress run over an empty next frontier.
 
-// finishedMask returns the sleep mask the previous barrier settled for
-// fp: the intersection over all of the state's generators.
-func (r *engineRun) finishedMask(fp uint64) uint64 {
-	return r.claims.prevSleep[fp]
-}
-
 // runLevelSync is the level loop. root is fully keyed and not yet in the
 // store.
 func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
@@ -149,13 +143,6 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		cl := &run.claims
 		clear(cl.pending)
 		clear(cl.pendingExact)
-		if run.sleepOn {
-			// Hand the finished mask map to the next level's expansions
-			// and start a fresh one; duplicate-intersection is complete
-			// at this point, so the map is read-only from here on.
-			cl.prevSleep = cl.sleep
-			cl.sleep = make(map[uint64]uint64, len(cl.sleep))
-		}
 		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
 
 		distDone := false
@@ -223,9 +210,6 @@ func expandLevel(run *engineRun, frontier FrontierSource) {
 				if run.doneFlag.Load() {
 					break
 				}
-				if run.sleepOn {
-					n.sleep = run.finishedMask(n.fp)
-				}
 				err := run.visit(worker, n)
 				if err == nil {
 					err = x.plan(n)
@@ -274,8 +258,8 @@ func expandLevel(run *engineRun, frontier FrontierSource) {
 // this peer's level complete, wait for every peer to finish expanding,
 // then claim the remote successors addressed here — on the record alone,
 // so a duplicate is never rematerialised. Admission is single-threaded at
-// this point (the workers have joined) and sleep-mask intersection is
-// commutative, so remote arrival order cannot leak into the result.
+// this point (the workers have joined), so remote arrival order cannot
+// leak into the result.
 func distExpandBarrier(run *engineRun, depth int) error {
 	blocks, err := run.link.BarrierExpand(depth)
 	if err != nil {
@@ -290,7 +274,7 @@ func distExpandBarrier(run *engineRun, depth int) error {
 			if rec, b, err = DecodeNodeRecord(b); err != nil {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
-			if x.claim(&cand{fp: rec.FP, sleep: rec.Sleep}, nil) == candDup {
+			if x.claim(&cand{fp: rec.FP}, nil) == candDup {
 				continue
 			}
 			var n *Node
@@ -381,7 +365,9 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 		StartFP:    startFP,
 		StringKeys: run.opts.StringKeys,
 		// plan is non-nil exactly when a symmetry reduction was requested.
-		Reduction:  fmt.Sprintf("sym=%t,sleep=%t", run.plan != nil, run.sleepOn),
+		// The sleep term keeps the string earlier builds wrote, so their
+		// snapshots and this build's resume each other.
+		Reduction:  fmt.Sprintf("sym=%t,sleep=false", run.plan != nil),
 		MaxConfigs: run.limits.MaxConfigs,
 		MaxDepth:   run.limits.MaxDepth,
 	}
@@ -417,10 +403,6 @@ func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelRe
 			return fmt.Errorf("checkpoint: serializing search state: %w", err)
 		}
 	}
-	sleepOf := func(n *Node) uint64 { return 0 }
-	if run.sleepOn {
-		sleepOf = func(n *Node) uint64 { return run.finishedMask(n.fp) }
-	}
 	man := ckptManifest{
 		NextDepth: depth + 1,
 		Processed: stats.Processed,
@@ -431,7 +413,7 @@ func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelRe
 		Finished:  stop || len(nodes) == 0,
 		HasAux:    len(aux) > 0,
 	}
-	if err := ckpt.write(man, nodes, sleepOf, aux); err != nil {
+	if err := ckpt.write(man, nodes, aux); err != nil {
 		return err
 	}
 	lvl.Frontier = &memSource{nodes: nodes}
@@ -476,14 +458,6 @@ func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) 
 		return nil, err
 	}
 	resumed.frontier = nil
-	if run.sleepOn {
-		run.claims.prevSleep = map[uint64]uint64{}
-		for _, n := range nodes {
-			if n.sleep != 0 {
-				run.claims.prevSleep[n.fp] = n.sleep
-			}
-		}
-	}
 	return &memSource{nodes: nodes}, nil
 }
 

@@ -21,7 +21,8 @@ type Mode uint8
 const (
 	// ModeAsync is EngineOptions.Order "async".
 	ModeAsync Mode = 1 << iota
-	// ModeReduce is EngineOptions.Reduction "sym" or "sym+sleep".
+	// ModeReduce is EngineOptions.Reduction "sym" (or its synonym
+	// "sym+sleep").
 	ModeReduce
 	// ModeStringKeys is EngineOptions.StringKeys.
 	ModeStringKeys
@@ -31,9 +32,6 @@ const (
 	ModeCheckpoint
 	// ModeDist is a non-nil EngineOptions.Dist.
 	ModeDist
-	// ModeSleep is EngineOptions.Reduction "sym+sleep" (ModeReduce is set
-	// along with it).
-	ModeSleep
 	// ModeSpill is EngineOptions.Store "spill".
 	ModeSpill
 )
@@ -52,8 +50,6 @@ func (m Mode) String() string {
 		return "checkpointing"
 	case ModeDist:
 		return "a distributed run"
-	case ModeSleep:
-		return "sleep-set pruning"
 	case ModeSpill:
 		return "store " + StoreSpill
 	default:
@@ -79,7 +75,6 @@ var ModeConflicts = []struct {
 }{
 	{ModeAsync, ModeProvenance, "async admission order is timing-dependent, so the deterministic first-reached parent chains that witness schedules replay do not exist"},
 	{ModeAsync, ModeStringKeys, "without the level barrier, exact keys pick a timing-dependent representative among colliding encodings"},
-	{ModeAsync, ModeSleep, "sleep masks are only settled (every generator's mask intersected) at a level barrier; expanding under an unsettled mask loses states"},
 	{ModeAsync, ModeSpill, "async keeps its frontier in the workers' deques, so a store budget bounds nothing; levelsync with the spill store is faster and smaller"},
 	{ModeAsync, ModeDist, "each peer would test the global budget against its own admission count, so a capped run visits up to peers x MaxConfigs; levelsync over peers is exact and no slower"},
 	{ModeCheckpoint, ModeProvenance, "parent chains are in-RAM pointers that cannot be persisted across a crash"},
@@ -106,19 +101,19 @@ type Modes struct {
 // in ModeConflicts with an error wrapping ErrIncompatibleModes. (Store
 // names are checked where the store is built.)
 func (m Modes) Validate() error {
-	_, _, _, err := m.resolve()
+	_, _, err := m.resolve()
 	return err
 }
 
 // resolve is Validate that also returns the parsed order and reduction.
-func (m Modes) resolve() (async, sym, sleep bool, err error) {
+func (m Modes) resolve() (async, sym bool, err error) {
 	if async, err = parseOrder(m.Order); err != nil {
 		return
 	}
-	if sym, sleep, err = parseReduction(m.Reduction); err != nil {
+	if sym, err = parseReduction(m.Reduction); err != nil {
 		return
 	}
-	set := ModeAsync.when(async) | ModeReduce.when(sym) | ModeSleep.when(sleep) | ModeSpill.when(m.Store == StoreSpill) |
+	set := ModeAsync.when(async) | ModeReduce.when(sym) | ModeSpill.when(m.Store == StoreSpill) |
 		ModeStringKeys.when(m.StringKeys) | ModeProvenance.when(m.Provenance) | ModeCheckpoint.when(m.Checkpoint) | ModeDist.when(m.Dist)
 	for _, c := range ModeConflicts {
 		if set&c.A != 0 && set&c.B != 0 {

@@ -37,9 +37,6 @@ func modeEngine(set check.Mode, dir string) check.EngineOptions {
 	if set&check.ModeReduce != 0 {
 		o.Reduction = check.ReduceSym
 	}
-	if set&check.ModeSleep != 0 {
-		o.Reduction = check.ReduceSymSleep
-	}
 	if set&check.ModeSpill != 0 {
 		o.Store = check.StoreSpill
 	}
@@ -69,9 +66,6 @@ func modeSpec(set check.Mode) (spec sweep.EngineSpec, ok bool) {
 	if set&check.ModeReduce != 0 {
 		spec.Reduce = check.ReduceSym
 	}
-	if set&check.ModeSleep != 0 {
-		spec.Reduce = check.ReduceSymSleep
-	}
 	if set&check.ModeSpill != 0 {
 		spec.Store = check.StoreSpill
 	}
@@ -96,9 +90,7 @@ func modeFlags(set check.Mode, dir string) error {
 	if set&check.ModeAsync != 0 {
 		args = append(args, "-order", check.OrderAsync)
 	}
-	if set&check.ModeSleep != 0 {
-		args = append(args, "-reduce", check.ReduceSymSleep)
-	} else if set&check.ModeReduce != 0 {
+	if set&check.ModeReduce != 0 {
 		args = append(args, "-reduce", check.ReduceSym)
 	}
 	if set&check.ModeSpill != 0 {
@@ -222,7 +214,7 @@ func TestModeMatrix(t *testing.T) {
 		truncatedDecided := map[string][]int{}
 		for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
 			for _, store := range []string{check.StoreMem, check.StoreSpill} {
-				for _, reduce := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
+				for _, reduce := range []string{check.ReduceNone, check.ReduceSym} {
 					for _, stringKeys := range []bool{false, true} {
 						var set check.Mode
 						spec := sweep.EngineSpec{Order: order, Store: store, Reduce: reduce}
@@ -231,9 +223,6 @@ func TestModeMatrix(t *testing.T) {
 						}
 						if reduce != check.ReduceNone {
 							set |= check.ModeReduce
-						}
-						if reduce == check.ReduceSymSleep {
-							set |= check.ModeSleep
 						}
 						if store == check.StoreSpill {
 							set |= check.ModeSpill
@@ -366,7 +355,6 @@ func TestReadmeModeMatrix(t *testing.T) {
 	modeOf := map[string]check.Mode{
 		"`-order async`":                check.ModeAsync,
 		"`-reduce sym`":                 check.ModeReduce,
-		"`-reduce sym+sleep`":           check.ModeReduce | check.ModeSleep,
 		"`-store spill`":                check.ModeSpill,
 		"exact string keys":             check.ModeStringKeys,
 		"provenance":                    check.ModeProvenance,
@@ -400,14 +388,14 @@ func TestReadmeModeMatrix(t *testing.T) {
 		rows++
 		for i, cell := range cells[1:] {
 			if cell == "" {
-				continue // the diagonal, and sym against sym+sleep
+				continue // the diagonal
 			}
 			if got, want := strings.HasPrefix(cell, "✗"), conflicting(row|cols[i]); got != want {
 				t.Errorf("README matrix, row %s column %d: %q, but ModeConflicts says conflict = %t", cells[0], i+1, cell, want)
 			}
 		}
 	}
-	if rows != len(cols) || rows != 8 {
-		t.Fatalf("found %d matrix rows under %d columns, want 8 of each", rows, len(cols))
+	if rows != len(cols) || rows != 7 {
+		t.Fatalf("found %d matrix rows under %d columns, want 7 of each", rows, len(cols))
 	}
 }

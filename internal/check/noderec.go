@@ -20,7 +20,7 @@ import (
 //	depth  uvarint
 //	fp     uint64 LE   dedup fingerprint, canonical under the run's reduction
 //	slotFP uint64 LE
-//	sleep  uint64 LE   the generator's sleep mask
+//	rsvd   uint64 LE   reserved (a sleep mask in earlier builds): written 0, ignored on read
 //	elen   uvarint, enc [elen]byte   compact Config encoding
 //	plen   uvarint, path [plen]byte  root-to-node pid path (empty unless the run keeps paths)
 
@@ -31,13 +31,12 @@ type NodeRecord struct {
 	Depth  int
 	FP     uint64
 	SlotFP uint64
-	Sleep  uint64
 	Enc    []byte
 	Path   []byte
 }
 
 // NodeRecordMin is the length of the shortest record: two one-byte
-// uvarints, three fingerprints, two empty blobs.
+// uvarints, two fingerprints and the reserved word, two empty blobs.
 const NodeRecordMin = 28
 
 // AppendNodeRecord appends n's record to buf. enc is n's encoding as it
@@ -47,7 +46,7 @@ func AppendNodeRecord(buf []byte, n *Node) (out, enc []byte) {
 	buf = binary.AppendUvarint(buf, uint64(n.Depth))
 	buf = binary.LittleEndian.AppendUint64(buf, n.fp)
 	buf = binary.LittleEndian.AppendUint64(buf, n.slotFP)
-	buf = binary.LittleEndian.AppendUint64(buf, n.sleep)
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // reserved
 	// The encoding's length is known only once it is written: write it
 	// where it will lie behind a one-byte length, and move it up if the
 	// length turns out wider.
@@ -85,7 +84,6 @@ func DecodeNodeRecord(b []byte) (rec NodeRecord, rest []byte, err error) {
 	rec.Pid, rec.Depth = int(pid1)-1, int(depth)
 	rec.FP = binary.LittleEndian.Uint64(b)
 	rec.SlotFP = binary.LittleEndian.Uint64(b[8:])
-	rec.Sleep = binary.LittleEndian.Uint64(b[16:])
 	var ok bool
 	if rec.Enc, b, ok = cutBlob(b[24:]); ok {
 		rec.Path, b, ok = cutBlob(b)
@@ -173,7 +171,7 @@ func (m *rematerialiser) node(rec NodeRecord, spans [][]byte) (*Node, [][]byte, 
 	}
 	n.Depth, n.Pid = rec.Depth, rec.Pid
 	n.parent = nil
-	n.fp, n.sleep = rec.FP, rec.Sleep
+	n.fp = rec.FP
 	n.key = ""
 	return n, spans, nil
 }

@@ -53,13 +53,7 @@ func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOption
 	// The obstruction verdict quantifies over solo runs from every
 	// reachable configuration. Symmetry maps orbits to orbits (a solo run
 	// by pid from C mirrors the run by π(pid) from π(C), step for step),
-	// so quotienting is sound; sleep-set pruning skips successor
-	// *generation* work the visit path here depends on being complete per
-	// representative, and witness (pid, depth) reporting must see every
-	// schedule — it is explicitly disabled.
-	if opts.Engine.Reduction == ReduceSymSleep {
-		return nil, fmt.Errorf("check: sleep-set reduction is disabled for obstruction checking (every schedule matters); use %q", ReduceSym)
-	}
+	// so quotienting is sound.
 	start, err := model.NewConfig(p, inputs)
 	if err != nil {
 		return nil, err

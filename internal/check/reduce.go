@@ -7,79 +7,34 @@ import (
 	"repro/internal/model"
 )
 
-// This file is the engine's pluggable state-space reduction layer: the
-// admission-time transformations that make an exploration visit *fewer*
-// configurations (or generate fewer successors) while preserving the
-// verdicts the callers ask for. Two reductions are implemented:
+// This file is the engine's state-space reduction layer: incremental
+// process-symmetry quotienting ("sym"), the admission-time transformation
+// that makes an exploration visit fewer configurations while preserving
+// the verdicts the callers ask for.
 //
-//   - Incremental process-symmetry quotienting ("sym"). Protocols that
-//     declare process symmetry (model.ProcessSymmetric) are explored one
-//     orbit representative at a time: a successor's dedup fingerprint is
-//     the orbit-canonical fingerprint — class state-slot hashes sorted
-//     before position mixing — so all pid-permuted variants of a
-//     configuration collapse into one visited entry. The canonical
-//     fingerprint is assembled from the per-slot content hashes ApplyCOW
-//     already maintains, not from a re-encoding: removing a
-//     class's raw contribution and adding its sorted contribution is a
-//     handful of XORs, and an orbit-memo table keyed by the class's
-//     hash multiset answers repeated orbits in O(class) with no sort.
-//     Soundness is the protocol's declaration (see
-//     model.ProcessSymmetric); classes are refined against the start
-//     configuration and the explored pid set, so only processes that are
-//     genuinely interchangeable *in this run* are quotiented. Protocols
-//     declaring no symmetry run unreduced (states_pruned stays 0).
+// Protocols that declare process symmetry (model.ProcessSymmetric) are
+// explored one orbit representative at a time: a successor's dedup
+// fingerprint is the orbit-canonical fingerprint — class state-slot hashes
+// sorted before position mixing — so all pid-permuted variants of a
+// configuration collapse into one visited entry. The canonical fingerprint
+// is assembled from the per-slot content hashes ApplyCOW already
+// maintains, not from a re-encoding: removing a class's raw contribution
+// and adding its sorted contribution is a handful of XORs, and an
+// orbit-memo table keyed by the class's hash multiset answers repeated
+// orbits in O(class) with no sort. Soundness is the protocol's declaration
+// (see model.ProcessSymmetric); classes are refined against the start
+// configuration and the explored pid set, so only processes that are
+// genuinely interchangeable *in this run* are quotiented. Protocols
+// declaring no symmetry run unreduced (states_pruned stays 0).
 //
-//   - Sleep-set pruning ("sym+sleep"). Two poised operations on
-//     different objects by different processes commute: the two
-//     interleavings from a configuration land in the same grandchild.
-//     The engine therefore generates only the ascending-pid interleaving
-//     of each commuting pair: when pid q's successor is admitted it
-//     carries a sleep mask of the smaller commuting pids, and when that
-//     successor is expanded the masked pids are skipped — their
-//     successors are exactly the states the unmasked sibling order
-//     reaches. Masks of duplicate admissions are intersected at the
-//     claim, under its lock (a commutative fold, so the result is
-//     independent of arrival order), which is the classic condition for combining
-//     sleep sets with state matching; because BFS expands a level only
-//     after its barrier, the intersection is complete before any mask is
-//     consulted. Sleep sets prune redundant *transitions* (successor
-//     generation, hashing, admission traffic) rather than reachable
-//     states, so the visited set — and every verdict derived from it —
-//     is unchanged; the differential suite pins this down per scenario.
-//
-//     Why state matching needs no mask reconciliation here (the classic
-//     sleep-set-with-state-matching hazard): a state's mask is built
-//     exclusively from its FIRST-visit-level generators, and a skip
-//     (z, m) it justifies is covered through one of those generators'
-//     own sibling diamonds — z+m equals w+m+q for a first-level
-//     generator step (w, q), where w sits one level shallower. If m is
-//     masked at w, or w+m deduplicates into a shallower first visit,
-//     the same argument applies there; each appeal strictly decreases
-//     (first-visit depth, pid), so the descent bottoms out at the
-//     mask-free root. A later path re-reaching z (the graph need not be
-//     leveled; cycles and uneven diamonds occur in toybit and the
-//     Algorithm 1 k-set instances) therefore has no claim to
-//     reconcile: everything it could reach through z's masked pids is
-//     already reachable through the first visit's unmasked routes. The
-//     cross-level differential cases (loopProto, toybit, kset-swap)
-//     exercise exactly this.
-//
-//     The argument leans on the barrier twice — "the intersection is
-//     complete before any mask is consulted" and "first-visit level" —
-//     so sleep sets run under the level-synchronized order only; the
-//     async order rejects them (ModeConflicts).
-//
-// Both reductions are quotients of *reachability*, not of schedules:
-// they are sound for the questions Explore and ClassifyValency answer
-// (decided-value sets, valency classes, violation existence — all
-// orbit-invariant) and are rejected for witness-producing runs
+// The quotient is one of *reachability*, not of schedules: it is sound
+// for the questions Explore, ClassifyValency and CheckObstructionFree
+// answer (decided-value sets, valency classes, violation existence — all
+// orbit-invariant) and is rejected for witness-producing runs
 // (EngineOptions.Provenance: lowerbound schedule searches, certificate
 // ledgers) where the specific interleaving matters, and for exact
-// string-keyed runs, whose whole point is that no hash-level shortcut
-// can stand in for a configuration. CheckObstructionFree additionally
-// rejects sleep: its verdict quantifies over solo runs *from every
-// reachable configuration*, which symmetry maps orbit-to-orbit but
-// sleep's transition pruning does not enumerate.
+// string-keyed runs, whose whole point is that no hash-level shortcut can
+// stand in for a configuration.
 
 // Reduction mode names accepted by EngineOptions.Reduction.
 const (
@@ -88,8 +43,10 @@ const (
 	ReduceNone = "none"
 	// ReduceSym enables incremental process-symmetry quotienting.
 	ReduceSym = "sym"
-	// ReduceSymSleep enables symmetry quotienting plus sleep-set pruning
-	// of commuting successor pairs.
+	// ReduceSymSleep is a deprecated synonym of ReduceSym, accepted so
+	// that callers naming it keep running; a run started with it reports
+	// Reduce "sym". (It selected sleep-set pruning on top of the quotient,
+	// which visited the same states and never paid for itself.)
 	ReduceSymSleep = "sym+sleep"
 )
 
@@ -104,42 +61,39 @@ const (
 // verdict are exactly worker-independent. Single-worker runs (and all
 // unquotiented runs) have fully deterministic counters.
 type ReductionStats struct {
-	// Reduce is the mode that ran ("none", "sym", "sym+sleep").
+	// Reduce is the mode that ran ("" or "sym").
 	Reduce string `json:"reduce,omitempty"`
 	// StatesPruned counts reduction hits: successors folded into an
 	// already-represented orbit cell (their class hashes were not in
-	// canonical order — some permuted sibling represents them) plus
-	// sleep-skipped expansions. A symmetric instance explored with "sym"
+	// canonical order — some permuted sibling represents them). A
+	// symmetric instance explored with "sym"
 	// must show a nonzero count; an asymmetric one legitimately shows 0.
 	StatesPruned int64 `json:"states_pruned,omitempty"`
 	// OrbitHits counts orbit-memo hits: canonicalizations answered from
 	// the memo without sorting.
 	OrbitHits int64 `json:"orbit_hits,omitempty"`
-	// SleepSkipped counts expansions skipped by sleep masks (also
-	// included in StatesPruned).
+	// SleepSkipped is always 0.
+	//
+	// Deprecated: sleep-set pruning is gone; the field stays for callers
+	// that still read it.
 	SleepSkipped int64 `json:"sleep_skipped,omitempty"`
 }
 
 // parseReduction validates a Reduction mode string.
-func parseReduction(mode string) (sym, sleep bool, err error) {
+func parseReduction(mode string) (sym bool, err error) {
 	switch mode {
 	case "", ReduceNone:
-		return false, false, nil
-	case ReduceSym:
-		return true, false, nil
-	case ReduceSymSleep:
-		return true, true, nil
+		return false, nil
+	case ReduceSym, ReduceSymSleep:
+		return true, nil
 	default:
-		return false, false, fmt.Errorf("frontier engine: unknown reduction %q (have %q, %q, %q)",
-			mode, ReduceNone, ReduceSym, ReduceSymSleep)
+		return false, fmt.Errorf("frontier engine: unknown reduction %q (have %q, %q)", mode, ReduceNone, ReduceSym)
 	}
 }
 
 // reductionPlan is the per-run reduction configuration shared by all
-// workers: the refined symmetry classes (possibly none) and the sleep
-// toggle.
+// workers: the refined symmetry classes (possibly none).
 type reductionPlan struct {
-	sleep bool
 	// classes are the refined symmetry classes: each is an ascending
 	// slice of pids, length >= 2. Empty means the quotient is inactive
 	// (no declaration, or refinement dissolved every class).
@@ -153,8 +107,8 @@ type reductionPlan struct {
 // run's space to a different run's, and permuting an explored process
 // with a quiesced one would not preserve the schedule restriction.
 // Classes that refine below two members are dropped.
-func planReduction(p model.Protocol, allowed []bool, nObj int, rootH []uint64, sleep bool) *reductionPlan {
-	plan := &reductionPlan{sleep: sleep}
+func planReduction(p model.Protocol, allowed []bool, nObj int, rootH []uint64) *reductionPlan {
+	plan := &reductionPlan{}
 	for _, class := range model.SymmetryClasses(p) {
 		byInit := map[uint64][]int{}
 		for _, pid := range class {

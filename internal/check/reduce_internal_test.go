@@ -26,7 +26,7 @@ func TestSymWorkerMatchesReference(t *testing.T) {
 	fp := st.InitSlots(c, slotH)
 
 	allowed := []bool{true, true, true, true}
-	plan := planReduction(p, allowed, nObj, slotH, false)
+	plan := planReduction(p, allowed, nObj, slotH)
 	if !plan.active() {
 		t.Fatal("no active symmetry classes on toybit")
 	}
@@ -82,7 +82,7 @@ func TestPlanReductionRefinement(t *testing.T) {
 	// Equal inputs: one class of all four.
 	c := model.MustNewConfig(p, []int{1, 1, 1, 1})
 	st.InitSlots(c, slotH)
-	plan := planReduction(p, []bool{true, true, true, true}, nObj, slotH, false)
+	plan := planReduction(p, []bool{true, true, true, true}, nObj, slotH)
 	if len(plan.classes) != 1 || len(plan.classes[0]) != 4 {
 		t.Errorf("equal inputs: classes = %v, want one class of 4", plan.classes)
 	}
@@ -90,7 +90,7 @@ func TestPlanReductionRefinement(t *testing.T) {
 	// Restricting the explored pids must split the class: permuting an
 	// explored process with a quiesced one is not an automorphism of the
 	// restricted schedule space.
-	plan = planReduction(p, []bool{true, true, true, false}, nObj, slotH, false)
+	plan = planReduction(p, []bool{true, true, true, false}, nObj, slotH)
 	if len(plan.classes) != 1 || len(plan.classes[0]) != 3 {
 		t.Errorf("restricted pids: classes = %v, want one class of 3", plan.classes)
 	}
@@ -99,7 +99,7 @@ func TestPlanReductionRefinement(t *testing.T) {
 	st2 := model.NewStepper(p)
 	c = model.MustNewConfig(p, []int{0, 1, 1, 1})
 	st2.InitSlots(c, slotH)
-	plan = planReduction(p, []bool{true, false, false, true}, nObj, slotH, false)
+	plan = planReduction(p, []bool{true, false, false, true}, nObj, slotH)
 	if plan.active() {
 		t.Errorf("no two explored processes share an initial state, yet classes = %v", plan.classes)
 	}

@@ -65,7 +65,7 @@ func reduceCases(t *testing.T) []reduceCase {
 		// Table 1 row 1: Consensus / Registers.
 		{"consensus-registers", racing, []int{0, 1, 0}, 1, 6},
 		// Row 2: Consensus / Swap (Algorithm 1; declares no symmetry, so
-		// sym must be a sound no-op and sleep must still agree).
+		// sym must be a sound no-op).
 		{"consensus-swap", core.MustNew(core.Params{N: 4, K: 1, M: 2}), []int{0, 1, 1, 0}, 1, 5},
 		// Row 5: Consensus / Readable swap, unbounded.
 		{"consensus-readable-unbounded", readable, []int{0, 1, 1}, 1, 6},
@@ -82,9 +82,9 @@ func reduceCases(t *testing.T) []reduceCase {
 	}
 }
 
-// TestReduceDifferentialExplore: none vs sym vs sym+sleep × {mem, spill}
-// agree on decided values, violation existence and completeness; sym
-// never visits more than none, and sleep never changes the visited set.
+// TestReduceDifferentialExplore: none vs sym × {mem, spill} agree on
+// decided values, violation existence and completeness; sym never visits
+// more than none.
 func TestReduceDifferentialExplore(t *testing.T) {
 	const budget = 300000
 	for _, tc := range reduceCases(t) {
@@ -98,7 +98,7 @@ func TestReduceDifferentialExplore(t *testing.T) {
 
 			type key struct{ mode, store string }
 			results := map[key]*check.ExploreResult{}
-			for _, mode := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
+			for _, mode := range []string{check.ReduceNone, check.ReduceSym} {
 				for _, store := range []string{check.StoreMem, check.StoreSpill} {
 					res, err := check.ExploreOpts(tc.p, c, pids, tc.k, check.ExploreOptions{
 						Limits: limits,
@@ -132,15 +132,8 @@ func TestReduceDifferentialExplore(t *testing.T) {
 					t.Errorf("%v: visited %d > unreduced %d", k, res.Visited, base.Visited)
 				}
 			}
-			// Sleep prunes transitions, never states: its visited set is
-			// the quotient's, exactly.
-			symV := results[key{check.ReduceSym, check.StoreMem}].Visited
-			sleepV := results[key{check.ReduceSymSleep, check.StoreMem}].Visited
-			if symV != sleepV {
-				t.Errorf("sym visited %d but sym+sleep visited %d; sleep must not change the visited set", symV, sleepV)
-			}
 			// Stores agree per mode.
-			for _, mode := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
+			for _, mode := range []string{check.ReduceNone, check.ReduceSym} {
 				if m, s := results[key{mode, check.StoreMem}], results[key{mode, check.StoreSpill}]; m.Visited != s.Visited {
 					t.Errorf("%s: mem visited %d, spill visited %d", mode, m.Visited, s.Visited)
 				}
@@ -168,7 +161,7 @@ func TestReduceDifferentialValency(t *testing.T) {
 			limits := check.ExploreLimits{MaxConfigs: 300000, MaxDepth: tc.maxDepth}
 
 			var base *check.ValencyResult
-			for _, mode := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
+			for _, mode := range []string{check.ReduceNone, check.ReduceSym} {
 				for _, store := range []string{check.StoreMem, check.StoreSpill} {
 					res, err := check.ClassifyValencyOpts(tc.p, c, pids, check.ExploreOptions{
 						Limits: limits,
@@ -191,8 +184,7 @@ func TestReduceDifferentialValency(t *testing.T) {
 }
 
 // TestReduceDifferentialObstruction: the obstruction-freedom verdict
-// agrees between none and sym (sleep is rejected there, separately
-// tested); the solo-run structure is orbit-invariant.
+// agrees between none and sym; the solo-run structure is orbit-invariant.
 func TestReduceDifferentialObstruction(t *testing.T) {
 	toybit, err := baseline.NewToyBitRace(3, 2)
 	if err != nil {
@@ -244,9 +236,7 @@ func TestReduceDifferentialObstruction(t *testing.T) {
 // counts, decided sets and completeness. The pruning counters are
 // diagnostics over the concrete orbit representatives (admission-order
 // dependent under parallelism, see ReductionStats), so the quotiented
-// instance only asserts they stay nonzero; the unquotiented sleep run on
-// Algorithm 1 pins them exactly, since without orbit merging the
-// representatives — and therefore the counters — are unique.
+// instance only asserts they stay nonzero.
 func TestReduceDeterministicAcrossWorkers(t *testing.T) {
 	p, err := baseline.NewToyBitRace(4, 2)
 	if err != nil {
@@ -254,7 +244,7 @@ func TestReduceDeterministicAcrossWorkers(t *testing.T) {
 	}
 	c := model.MustNewConfig(p, []int{0, 1, 0, 1})
 	pids := []int{0, 1, 2, 3}
-	for _, mode := range []string{check.ReduceSym, check.ReduceSymSleep} {
+	for _, mode := range []string{check.ReduceSym} {
 		var base *check.ExploreResult
 		for _, workers := range []int{1, 2, 4} {
 			res, err := check.ExploreOpts(p, c, pids, 0, check.ExploreOptions{
@@ -277,27 +267,6 @@ func TestReduceDeterministicAcrossWorkers(t *testing.T) {
 					mode, workers, res.Visited, res.DecidedValues, res.Complete,
 					base.Visited, base.DecidedValues, base.Complete)
 			}
-		}
-	}
-
-	// Sleep without a quotient: exact counter determinism.
-	alg1 := core.MustNew(core.Params{N: 4, K: 1, M: 3})
-	c1 := model.MustNewConfig(alg1, []int{0, 1, 2, 0})
-	var skips int64 = -1
-	for _, workers := range []int{1, 2, 4} {
-		res, err := check.ExploreOpts(alg1, c1, []int{0, 1, 2, 3}, 1, check.ExploreOptions{
-			Limits: check.ExploreLimits{MaxConfigs: 20000},
-			Engine: check.EngineOptions{Reduction: check.ReduceSymSleep, Workers: workers},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if skips < 0 {
-			skips = res.Reduction.SleepSkipped
-			continue
-		}
-		if res.Reduction.SleepSkipped != skips {
-			t.Errorf("unquotiented sleep skips vary with workers: %d vs %d", res.Reduction.SleepSkipped, skips)
 		}
 	}
 }
@@ -336,27 +305,30 @@ func TestReducePrefilterOnSpilledRun(t *testing.T) {
 	}
 }
 
-// TestReduceObstructionModes: the obstruction check quantifies over every
-// schedule, so it takes the symmetry quotient but not sleep-set pruning.
-// (The engine-level mode conflicts are walked by TestModeMatrix.)
+// TestReduceObstructionModes: the obstruction check takes the symmetry
+// quotient, and "sym+sleep" — once rejected there — as its synonym, to the
+// same report. (The engine-level mode conflicts are walked by
+// TestModeMatrix.)
 func TestReduceObstructionModes(t *testing.T) {
 	p := baseline.NewPairConsensus(2)
-	if _, err := check.CheckObstructionFreeOpts(p, []int{0, 1}, check.ExploreOptions{
-		Engine: check.EngineOptions{Reduction: check.ReduceSymSleep}}, 4); err == nil {
-		t.Error("obstruction check accepted sleep-set reduction")
+	report := func(mode string) *check.ObstructionFreeReport {
+		r, err := check.CheckObstructionFreeOpts(p, []int{0, 1}, check.ExploreOptions{
+			Engine: check.EngineOptions{Reduction: mode}}, 4)
+		if err != nil {
+			t.Fatalf("obstruction check rejected reduction %q: %v", mode, err)
+		}
+		return r
 	}
-	if _, err := check.CheckObstructionFreeOpts(p, []int{0, 1}, check.ExploreOptions{
-		Engine: check.EngineOptions{Reduction: check.ReduceSym}}, 4); err != nil {
-		t.Errorf("obstruction check rejected the symmetry quotient: %v", err)
+	if sym, syn := report(check.ReduceSym), report(check.ReduceSymSleep); !reflect.DeepEqual(sym, syn) {
+		t.Errorf("sym+sleep reports %+v, sym %+v", syn, sym)
 	}
 }
 
 // loopProto is a deliberately cyclic, maximally duplicate-heavy
 // protocol: each process alternates between swapping a 1 and a 0 into
 // the shared object, so configurations recur at many different depths —
-// the cross-level duplicate path (a re-reached state whose stored sleep
-// mask is never reconciled, by design; see reduce.go) is exercised on
-// every level rather than incidentally.
+// the cross-level duplicate path is exercised on every level rather than
+// incidentally.
 type loopProto struct{ n int }
 
 type loopSt struct{ bit int }
@@ -382,13 +354,13 @@ func (p loopProto) Observe(pid int, st model.State, resp model.Value) model.Stat
 func (p loopProto) Decision(st model.State) (int, bool) { return 0, false }
 
 // SymmetryClasses: the protocol is anonymous (nothing branches on pid),
-// so the quotient applies too — sym+sleep runs with both mechanisms hot.
+// so the quotient applies too.
 func (p loopProto) SymmetryClasses() [][]int { return model.SingleClass(p.n) }
 
 // TestReduceSleepOnCyclicGraph: on a space where states recur at many
-// depths, sleep pruning must still visit exactly the quotient's states
-// at every depth cap — the first-visit justification of reduce.go, pinned
-// empirically on the worst-case graph shape.
+// depths, the quotient never visits more than the unreduced run at any
+// depth cap. (The name is historical: the test once also held sleep-set
+// pruning, since deleted, to the quotient's count.)
 func TestReduceSleepOnCyclicGraph(t *testing.T) {
 	p := loopProto{n: 3}
 	c := model.MustNewConfig(p, []int{0, 1, 0})
@@ -404,14 +376,6 @@ func TestReduceSleepOnCyclicGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sleep, err := check.ExploreOpts(p, c, pids, 0, check.ExploreOptions{
-			Limits: limits, Engine: check.EngineOptions{Reduction: check.ReduceSymSleep}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sleep.Visited != sym.Visited {
-			t.Errorf("depth %d: sym+sleep visited %d, sym visited %d; sleep must not change the visited set", depth, sleep.Visited, sym.Visited)
-		}
 		if sym.Visited > base.Visited {
 			t.Errorf("depth %d: quotient visited %d > unreduced %d", depth, sym.Visited, base.Visited)
 		}
@@ -423,10 +387,11 @@ func TestReduceSleepOnCyclicGraph(t *testing.T) {
 // bits, inputs i mod 2, has 90,488 orbit states, all of which every legal
 // order × reduction × store × workers cell must visit, reporting the
 // space complete and both values decided. (The n <= 4 instances of the
-// differential suites, 17,263 states, never showed the async × sym+sleep
-// pairing visiting 90,481–90,486 of these and calling that complete.) The
-// two pairings check.ModeConflicts took from the async order must answer
-// this instance with ErrIncompatibleModes, not with a count.
+// differential suites, 17,263 states, never showed the since-deleted
+// async × sleep-set pairing visiting 90,481–90,486 of these and calling
+// that complete.) The pairing check.ModeConflicts took from the async order
+// here must answer this instance with ErrIncompatibleModes, not with a
+// count.
 func TestExhaustiveOrbitCount(t *testing.T) {
 	const orbitStates = 90488
 	p, err := baseline.NewToyBitRace(5, 2)
@@ -443,10 +408,8 @@ func TestExhaustiveOrbitCount(t *testing.T) {
 			Limits: check.ExploreLimits{MaxConfigs: 1000000}, Engine: eng})
 	}
 	cells := []check.EngineOptions{{Order: check.OrderAsync, Reduction: check.ReduceSym}}
-	for _, reduce := range []string{check.ReduceSym, check.ReduceSymSleep} {
-		for _, store := range []string{check.StoreMem, check.StoreSpill} {
-			cells = append(cells, check.EngineOptions{Reduction: reduce, Store: store})
-		}
+	for _, store := range []string{check.StoreMem, check.StoreSpill} {
+		cells = append(cells, check.EngineOptions{Reduction: check.ReduceSym, Store: store})
 	}
 	workerCounts := []int{1, 2, 4}
 	if testing.Short() {
@@ -466,12 +429,8 @@ func TestExhaustiveOrbitCount(t *testing.T) {
 			}
 		}
 	}
-	for _, cell := range []check.EngineOptions{
-		{Order: check.OrderAsync, Reduction: check.ReduceSymSleep},
-		{Order: check.OrderAsync, Reduction: check.ReduceSym, Store: check.StoreSpill},
-	} {
-		if res, err := explore(cell); !errors.Is(err, check.ErrIncompatibleModes) {
-			t.Errorf("order=%q reduce=%s store=%q: result %+v, err = %v, want ErrIncompatibleModes", cell.Order, cell.Reduction, cell.Store, res, err)
-		}
+	cell := check.EngineOptions{Order: check.OrderAsync, Reduction: check.ReduceSym, Store: check.StoreSpill}
+	if res, err := explore(cell); !errors.Is(err, check.ErrIncompatibleModes) {
+		t.Errorf("order=%q reduce=%s store=%q: result %+v, err = %v, want ErrIncompatibleModes", cell.Order, cell.Reduction, cell.Store, res, err)
 	}
 }

@@ -12,8 +12,8 @@
 // schedulers over it. The per-worker expander (expand.go) turns a node
 // into keyed successors — arena-backed copy-on-write steps with
 // incrementally-maintained fingerprints (model.Stepper), node buffers
-// recycled through sync.Pool, one keying decision, sleep masks, routing
-// to the owning peer of a distributed run — allocation-free in the steady
+// recycled through sync.Pool, one keying decision, routing to the owning
+// peer of a distributed run — allocation-free in the steady
 // case. The level-synchronized order (levelsync.go) schedules it as a
 // parallel BFS with a barrier per depth level; the async order (async.go)
 // as barrier-free work stealing with quiescence detection. Deduplication
@@ -36,9 +36,8 @@
 //     transition memos by exact encodings instead of slot hashes.
 //   - Reduction: the state-space reduction layer (reduce.go) —
 //     incremental process-symmetry quotienting over the classes the
-//     protocol declares (model.ProcessSymmetric) and sleep-set pruning
-//     of commuting successor pairs. Sound for reachability/valency
-//     questions, not for schedules.
+//     protocol declares (model.ProcessSymmetric). Sound for
+//     reachability/valency questions, not for schedules.
 //
 // Which of these (and Provenance, Checkpoint, Dist) combine is declared
 // once, in ModeConflicts (modes.go); a rejected combination wraps

@@ -818,7 +818,6 @@ func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failSta
 		out.Reduction.Reduce = r.Reduction.Reduce
 		out.Reduction.StatesPruned += r.Reduction.StatesPruned
 		out.Reduction.OrbitHits += r.Reduction.OrbitHits
-		out.Reduction.SleepSkipped += r.Reduction.SleepSkipped
 
 		out.Async.Order = r.Async.Order
 

@@ -100,7 +100,7 @@ func verdictOf(res *check.ExploreResult) verdict {
 func legalEngines(keep func(check.EngineOptions) bool) []check.EngineOptions {
 	var cells []check.EngineOptions
 	for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
-		for _, reduce := range []string{check.ReduceNone, check.ReduceSym, check.ReduceSymSleep} {
+		for _, reduce := range []string{check.ReduceNone, check.ReduceSym} {
 			for _, store := range []string{check.StoreMem, check.StoreSpill} {
 				if (check.Modes{Order: order, Reduction: reduce, Store: store, Dist: true}).Validate() != nil {
 					continue
@@ -189,7 +189,6 @@ func TestLoopbackRejectsModeConflicts(t *testing.T) {
 	for _, eng := range []check.EngineOptions{
 		{Order: check.OrderAsync},
 		{Order: check.OrderAsync, Reduction: check.ReduceSym},
-		{Order: check.OrderAsync, Reduction: check.ReduceSymSleep},
 		{Order: check.OrderAsync, Store: check.StoreSpill},
 	} {
 		_, err := dist.LoopbackExplore(context.Background(), tc.p, tc.inputs, tc.k, check.ExploreOptions{Engine: eng}, 2)

@@ -32,9 +32,9 @@ import (
 // testRecords is what testRecordBytes must decode to.
 func testRecords() []check.NodeRecord {
 	return []check.NodeRecord{
-		{Pid: 0, Depth: 1, FP: 0xdeadbeefcafe, SlotFP: 7, Sleep: 0, Enc: []byte{1}, Path: []byte{0}},
-		{Pid: 3, Depth: 12, FP: ^uint64(0), SlotFP: ^uint64(1), Sleep: 0b1011, Enc: []byte("compact-config-encoding"), Path: []byte{0, 1, 2, 3, 2, 1}},
-		{Pid: 255, Depth: 0, FP: 1, SlotFP: 2, Sleep: 3, Enc: []byte{0}, Path: []byte{9}},
+		{Pid: 0, Depth: 1, FP: 0xdeadbeefcafe, SlotFP: 7, Enc: []byte{1}, Path: []byte{0}},
+		{Pid: 3, Depth: 12, FP: ^uint64(0), SlotFP: ^uint64(1), Enc: []byte("compact-config-encoding"), Path: []byte{0, 1, 2, 3, 2, 1}},
+		{Pid: 255, Depth: 0, FP: 1, SlotFP: 2, Enc: []byte{0}, Path: []byte{9}},
 	}
 }
 

@@ -162,7 +162,7 @@ func RegisterEngineFlags(fs *flag.FlagSet, exactKeysDefault bool) *EngineFlags {
 		fs:           fs,
 		exactDefault: exactKeysDefault,
 		workers:      fs.Int("workers", 0, "engine worker goroutines (0 = all cores); results never depend on it"),
-		reduce:       fs.String("reduce", "", "state-space reduction: none (default), sym (process-symmetry quotient over classes the protocol declares), or sym+sleep (plus sleep-set pruning); sound for exploration/valency questions; "+conflictHelp(check.ModeReduce)+"; "+conflictHelp(check.ModeSleep)),
+		reduce:       fs.String("reduce", "", "state-space reduction: none (default) or sym (process-symmetry quotient over classes the protocol declares); sound for exploration/valency questions; sym+sleep is a deprecated synonym of sym; "+conflictHelp(check.ModeReduce)),
 		order:        fs.String("order", "", "exploration order: levelsync (BFS level barriers, the default) or async (barrier-free work stealing: same visited set and verdicts, no depth metadata); "+conflictHelp(check.ModeAsync)),
 		progress:     fs.Bool("progress", false, "report per-level engine throughput to stderr"),
 		checkpoint:   fs.String("checkpoint", "", "checkpoint directory: snapshot exploration state at level barriers and resume a killed run from it with the identical final verdict (levelsync order only); "+conflictHelp(check.ModeCheckpoint)),

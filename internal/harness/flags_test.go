@@ -208,7 +208,7 @@ func TestHelpListsModeConflicts(t *testing.T) {
 			keys = "fingerprints"
 		}
 		flagOf := map[check.Mode]string{
-			check.ModeAsync: "order", check.ModeReduce: "reduce", check.ModeSleep: "reduce", check.ModeSpill: "store",
+			check.ModeAsync: "order", check.ModeReduce: "reduce", check.ModeSpill: "store",
 			check.ModeStringKeys: keys, check.ModeCheckpoint: "checkpoint", check.ModeDist: "distributed",
 		}
 		for _, c := range check.ModeConflicts {

@@ -40,8 +40,8 @@ type SearchLimits struct {
 	// MemBudget is the spill store's resident-byte budget
 	// (0 = check.DefaultMemBudget).
 	MemBudget int64
-	// Reduction requests a state-space reduction ("", "none", "sym",
-	// "sym+sleep") for the underlying engine run. It is off by default
+	// Reduction requests a state-space reduction ("", "none", "sym")
+	// for the underlying engine run. It is off by default
 	// and the witness-producing searches in this package REJECT any
 	// other value: every search here extracts a replayable schedule
 	// from provenance chains, and a reduction merges schedules (orbit

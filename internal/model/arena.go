@@ -460,34 +460,6 @@ func (st *Stepper) InitSlots(c *Config, slotH []uint64) uint64 {
 	return fp
 }
 
-// PoisedObject returns the index of the object process pid's poised
-// operation targets in c, or ok == false when pid has decided. It shares
-// ApplyCOW's memo (stH must be pid's state slot hash, the probe key), so
-// on warm paths it costs one probe and no protocol call — what lets the
-// sleep-set reducer ask "which object would pid touch?" for every process
-// of a node without re-deriving operations. A process that is neither
-// poised nor decided reads as not poised here; ApplyCOW reports it.
-func (st *Stepper) PoisedObject(c *Config, pid int, stH uint64) (int, bool) {
-	if st.exact { // no encoding at hand to match on: ask the protocol
-		if op, ok := st.p.Poised(pid, c.States[pid]); ok {
-			return op.Object, true
-		}
-		return 0, false
-	}
-	e := st.memo.find(pid, stH, nil)
-	if e == nil {
-		pe, err := st.poisedOf(pid, c.States[pid])
-		if err != nil {
-			return 0, false
-		}
-		e = st.memo.add(pid, stH, nil, pe)
-	}
-	if e.poised.decided {
-		return 0, false
-	}
-	return e.poised.op.Object, true
-}
-
 // poisedOf asks the protocol what pid does next from state s: its poised
 // operation, or that it has decided (no step to take).
 func (st *Stepper) poisedOf(pid int, s State) (poisedVal, error) {

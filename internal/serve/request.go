@@ -143,10 +143,11 @@ func (r Request) CacheKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	eng := r.Engine.Canonical()
 	var b strings.Builder
 	fmt.Fprintf(&b, "row=%s n=%d k=%d", r.Row, r.N, r.K)
 	fmt.Fprintf(&b, " keys=%s store=%s membudget=%s reduce=%s order=%s",
-		r.Engine.Keys, r.Engine.Store, r.Engine.MemBudget, r.Engine.Reduce, r.Engine.Order)
+		eng.Keys, eng.Store, eng.MemBudget, eng.Reduce, eng.Order)
 	fmt.Fprintf(&b, " sched=%d seed=%d maxconfigs=%d maxdepth=%d",
 		r.Schedules, r.Seed, r.MaxConfigs, r.MaxDepth)
 	if hasInstance {

@@ -97,9 +97,9 @@ func TestEngineSpecOrderLabel(t *testing.T) {
 	}
 	// A whole cell ID as sweep resume files and mcheckd journals written
 	// before the partition-count axis was retired hold it: the "s0"
-	// segment stays.
+	// segment stays. The deprecated sym+sleep names the sym cell.
 	cell := Cell{Row: "explore", N: 4, K: 2, Engine: EngineSpec{Workers: 2, Store: check.StoreSpill, MemBudget: "64KB", Reduce: check.ReduceSymSleep}}
-	if got, want := cell.ID(), "explore/n=4/k=2/w2-s0-default-spill@64KB-sym+sleep"; got != want {
+	if got, want := cell.ID(), "explore/n=4/k=2/w2-s0-default-spill@64KB-sym"; got != want {
 		t.Errorf("cell ID = %q, want %q", got, want)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // counters and the store statistics — not just the verdict. Stats must
 // never be an ok-rows-only privilege.
 func TestReduceAxisOnViolationRows(t *testing.T) {
-	for _, mode := range []string{check.ReduceSym, check.ReduceSymSleep} {
+	for _, mode := range []string{check.ReduceSym} {
 		rec := RunCellRecord(Cell{
 			Row: "explore-anon", N: 4, K: 1,
 			Engine:     EngineSpec{Reduce: mode},
@@ -35,9 +35,6 @@ func TestReduceAxisOnViolationRows(t *testing.T) {
 		}
 		if rec.Store == "" {
 			t.Errorf("reduce=%s: store stats missing from violation record", mode)
-		}
-		if mode == check.ReduceSymSleep && rec.SleepSkipped == 0 {
-			t.Errorf("sleep mode skipped no expansions")
 		}
 	}
 }
@@ -66,7 +63,7 @@ func TestReduceAxisShrinksExploreAnon(t *testing.T) {
 func TestReduceAxisIgnoredByCertificateRows(t *testing.T) {
 	rec := RunCellRecord(Cell{
 		Row: "theorem10", N: 4, K: 2,
-		Engine: EngineSpec{Reduce: check.ReduceSymSleep},
+		Engine: EngineSpec{Reduce: check.ReduceSym},
 	})
 	if rec.Status != StatusOK {
 		t.Fatalf("theorem10 with reduce axis: status %q (%s), want ok", rec.Status, rec.Error)

@@ -46,7 +46,7 @@ type Outcome struct {
 	// resident bytes) for the JSONL record.
 	Store *check.StoreStats
 	// Reduction, when the scenario ran the explorer, reports the
-	// reduction layer's activity (orbit folds, sleep skips). It is set
+	// reduction layer's activity (orbit folds). It is set
 	// unconditionally — violation rows included — so a reduced run that
 	// finds a violation is just as auditable as a clean one.
 	Reduction *check.ReductionStats

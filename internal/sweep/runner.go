@@ -78,7 +78,6 @@ type Result struct {
 	Reduce       string `json:"reduce,omitempty"`
 	StatesPruned int64  `json:"states_pruned,omitempty"`
 	OrbitHits    int64  `json:"orbit_hits,omitempty"`
-	SleepSkipped int64  `json:"sleep_skipped,omitempty"`
 
 	// Order and the async counters record the exploration order that ran
 	// the cell. Order is set on every explorer record ("levelsync" or
@@ -378,7 +377,6 @@ func RunCellRecordCtx(ctx context.Context, cell Cell) Result {
 		rec.Reduce = out.Reduction.Reduce
 		rec.StatesPruned = out.Reduction.StatesPruned
 		rec.OrbitHits = out.Reduction.OrbitHits
-		rec.SleepSkipped = out.Reduction.SleepSkipped
 	}
 	if out.Async != nil {
 		rec.Order = out.Async.Order

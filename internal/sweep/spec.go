@@ -42,10 +42,10 @@ type EngineSpec struct {
 	// byte size ("64MB", "1GiB"; "" = the 256MiB default).
 	MemBudget string `json:"mem_budget,omitempty"`
 	// Reduce selects the state-space reduction for exploration scenarios:
-	// "" or "none", "sym" (process-symmetry quotient), "sym+sleep"
-	// (plus sleep-set pruning). Certificate searches always run
-	// unreduced — reductions merge schedules, so witness extraction
-	// rejects them — and ignore this axis.
+	// "" or "none", or "sym" (process-symmetry quotient); "sym+sleep" is
+	// a deprecated synonym of "sym" (see Canonical). Certificate searches
+	// always run unreduced — reductions merge schedules, so witness
+	// extraction rejects them — and ignore this axis.
 	Reduce string `json:"reduce,omitempty"`
 	// Order selects the exploration order for exploration scenarios:
 	// "" or "levelsync" (the BFS level barrier), "async" (barrier-free
@@ -62,11 +62,25 @@ type EngineSpec struct {
 	Peers int `json:"peers,omitempty"`
 }
 
+// Canonical returns e with its deprecated spellings replaced: Reduce
+// "sym+sleep" (check.ReduceSymSleep) becomes "sym", the run it has always
+// been equal to. Cell IDs and the serving layer's cache keys are taken
+// from the canonical spec, so the two spellings name one cell and one
+// cache slot, and no slot written under the retired spelling is looked up
+// again.
+func (e EngineSpec) Canonical() EngineSpec {
+	if e.Reduce == check.ReduceSymSleep {
+		e.Reduce = check.ReduceSym
+	}
+	return e
+}
+
 // label is the engine's contribution to a cell ID. Cells on the default
 // store keep the historical three-part label — the literal "s0" is where
 // a partition-count axis once sat, always at its default — so cell IDs in
 // existing sweep resume files and cache journals stay valid.
 func (e EngineSpec) label() string {
+	e = e.Canonical()
 	keys := e.Keys
 	if keys == "" {
 		keys = "default"
@@ -205,7 +219,7 @@ func NamedGrid(name string) (Grid, error) {
 			// rows are the ones the axis is for, and the symmetric
 			// explore-anon control must show states_pruned > 0 under
 			// sym — the CI sanity gate).
-			Engines:   []EngineSpec{{}, {Reduce: check.ReduceSym}, {Reduce: check.ReduceSymSleep}},
+			Engines:   []EngineSpec{{}, {Reduce: check.ReduceSym}},
 			Schedules: 2, Seed: 1,
 			MaxConfigs: 20000, TimeoutSec: 120,
 		}, nil
