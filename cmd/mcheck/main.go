@@ -30,8 +30,9 @@
 // work-stealing deques — the same visited set and verdicts, but no
 // per-level progress and no witness provenance (so -order async composes
 // with exploration, not with the certificate searches), and it runs in
-// one process over the in-memory store, unreduced or under -reduce sym:
-// -help lists, from check.ModeConflicts, what each flag cannot be
+// one process over the in-memory store, unreduced or under -reduce sym,
+// without -checkpoint: -help lists, from check.ModeConflicts, what each
+// flag cannot be
 // combined with. -checkpoint names a directory to snapshot
 // exploration state into at level barriers; re-running the same command
 // after a crash or kill resumes from the last committed snapshot and

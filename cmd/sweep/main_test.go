@@ -184,10 +184,13 @@ func TestRejectsBadFlags(t *testing.T) {
 // TestOrderOverrideKeepsIllegalSpecsLevelsync: -order async moves every
 // engine spec of the small grid — the unreduced and the sym one, both
 // legal under async — and leaves a spec async cannot run, one with peers,
-// on its own order, so the grid still runs and gates clean.
+// on its own order, so the grid still runs and gates clean. A
+// -checkpointdir does not stop the async cells either: they run without
+// snapshots.
 func TestOrderOverrideKeepsIllegalSpecsLevelsync(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-grid", "small", "-rows", "explore-anon", "-order", "async", "-json"}, &out); err != nil {
+	if err := run([]string{"-grid", "small", "-rows", "explore-anon", "-order", "async", "-json",
+		"-checkpointdir", t.TempDir()}, &out); err != nil {
 		t.Fatal(err)
 	}
 	orderOf := map[string]string{} // reduction -> order that ran

@@ -11,8 +11,8 @@ import (
 
 // Internal tests for the async order's termination machinery: quiescence
 // edge cases that need either the stall hook (unexported) or direct
-// access to the Chase-Lev deque. The differential suite proper lives in
-// async_test.go (package check_test).
+// access to the work-stealing deque. The differential suite proper lives
+// in async_test.go (package check_test).
 
 // stepSt / stepProto: a minimal n-process protocol that takes `steps`
 // steps per process and then decides — its space is tiny and finite, so
@@ -124,12 +124,13 @@ func TestAsyncQuiesceStalledWorkerMidSteal(t *testing.T) {
 	}
 }
 
-// TestWSDequeOwnerOps: single-threaded push/pop LIFO behavior across a
-// growth boundary (initial capacity 256).
+// TestWSDequeOwnerOps: single-threaded push/take LIFO behavior, a node at
+// a time and half the deque at once.
 func TestWSDequeOwnerOps(t *testing.T) {
-	d := newWSDeque()
-	if d.pop() != nil {
-		t.Fatal("pop on empty deque returned a node")
+	d := &wsDeque{}
+	one := make([]*Node, 1)
+	if d.take(one) != 0 {
+		t.Fatal("take on empty deque returned a node")
 	}
 	nodes := make([]*Node, 1000)
 	for i := range nodes {
@@ -137,23 +138,30 @@ func TestWSDequeOwnerOps(t *testing.T) {
 		d.push(nodes[i])
 	}
 	for i := len(nodes) - 1; i >= 0; i-- {
-		n := d.pop()
-		if n == nil || n.Depth != i {
-			t.Fatalf("pop %d: got %v", i, n)
+		if d.take(one) != 1 || one[0].Depth != i {
+			t.Fatalf("take %d: got %v", i, one[0])
 		}
 	}
-	if d.pop() != nil || !d.empty() {
+	if d.take(one) != 0 || !d.empty() {
 		t.Fatal("deque not empty after draining")
+	}
+	// Nine nodes: a chunk takes the newest five, a thief the oldest.
+	d.push(nodes[:9]...)
+	chunk := make([]*Node, asyncChunk)
+	if m := d.take(chunk); m != 5 || chunk[0].Depth != 8 || chunk[4].Depth != 4 {
+		t.Fatalf("half take: %d nodes, first %v, last %v; want 5, depths 8 down to 4", m, chunk[0], chunk[m-1])
+	}
+	if n := d.steal(); n == nil || n.Depth != 0 {
+		t.Fatalf("steal: got %v, want the oldest node", n)
 	}
 }
 
-// TestWSDequeConcurrentSteals: one owner pushes and pops while thieves
-// steal; every node must be taken exactly once (the last-element CAS
-// race must never duplicate or drop). Run under -race this also checks
-// the algorithm is atomics-clean.
+// TestWSDequeConcurrentSteals: one owner pushes and takes while thieves
+// steal; every node must be taken exactly once. Run under -race this also
+// checks that every access is under the lock.
 func TestWSDequeConcurrentSteals(t *testing.T) {
 	const total = 20000
-	d := newWSDeque()
+	d := &wsDeque{}
 	var taken sync.Map
 	var count atomic.Int64
 	record := func(n *Node, by string) {
@@ -170,51 +178,38 @@ func TestWSDequeConcurrentSteals(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				n, retry := d.steal()
-				if n != nil {
+				if n := d.steal(); n != nil {
 					record(n, "thief")
 					continue
 				}
-				if !retry {
-					select {
-					case <-done:
-						return
-					default:
-					}
+				select {
+				case <-done:
+					return
+				default:
 				}
 			}
 		}()
 	}
+	chunk := make([]*Node, 4)
+	ownerTake := func() int {
+		m := d.take(chunk)
+		for _, n := range chunk[:m] {
+			record(n, "owner")
+		}
+		return m
+	}
 	for i := 0; i < total; i++ {
 		d.push(&Node{Depth: i})
 		if i%3 == 0 {
-			if n := d.pop(); n != nil {
-				record(n, "owner")
-			}
+			ownerTake()
 		}
 	}
-	for {
-		n := d.pop()
-		if n == nil {
-			if d.empty() {
-				break
-			}
-			continue
-		}
-		record(n, "owner")
+	for ownerTake() > 0 {
 	}
 	close(done)
 	wg.Wait()
-	// Drain any nodes a thief lost a race on but that stayed queued.
-	for {
-		n, retry := d.steal()
-		if n != nil {
-			record(n, "sweep")
-			continue
-		}
-		if !retry {
-			break
-		}
+	if !d.empty() {
+		t.Fatal("deque not empty after the owner drained it")
 	}
 	if got := count.Load(); got != total {
 		t.Fatalf("took %d nodes, pushed %d", got, total)

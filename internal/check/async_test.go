@@ -20,8 +20,8 @@ import (
 // quotient — the cells check.ModeConflicts leaves async — async must
 // reproduce the oracle's visited-set size, decided-value sets, violation
 // existence and completeness. Run under
-// -race this also exercises the Chase-Lev deques, the quiescence
-// counter and the continuous-admission owners under the detector.
+// -race this also exercises the work-stealing deques and the quiescence
+// counter under the detector.
 
 // TestAsyncDifferentialExplore: async × {none, sym} at 4 workers agrees
 // with the levelsync oracle per mode.

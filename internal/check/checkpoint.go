@@ -34,10 +34,7 @@ package check
 // frontier × depth — by the run's workers in parallel (replayFrontier).
 //
 // Scope: level-synchronized order only. The async order has no barrier
-// at which the invariant above holds; it accepts the option as a no-op,
-// which is still crash-safe by a different argument — an async rerun
-// from scratch is deterministic, so "resume" and "restart" produce the
-// same verdict, just without salvaging partial work.
+// at which the invariant above holds, so ModeConflicts rejects the pair.
 
 import (
 	"bufio"

@@ -16,7 +16,7 @@ import (
 // ClassifyValency, CheckObstructionFree and the lowerbound schedule
 // searches — run on it.
 //
-// Structure: one expansion core, two schedulers.
+// Structure: one expansion core, one worker loop, two orders.
 //
 //   - The expander (expand.go) turns a chunk of frontier nodes into
 //     admitted successors in three phases. It keys every successor from its
@@ -31,14 +31,17 @@ import (
 //     through a sync.Pool, so a duplicate costs a memo probe and a table
 //     probe and an admitted state no heap allocation in the steady case.
 //
-//   - The level-synchronized order (levelsync.go) explores one depth
-//     level at a time: workers drain the frontier concurrently, and a
-//     barrier between levels settles dedup, budget truncation, the
-//     distributed exchange and checkpoints. The async order (async.go)
-//     replaces the barrier with work-stealing deques, continuous
-//     admission and a quiescence counter. RunFrontier below builds what
-//     they share — the run state, the store, the root, the first-error
-//     cell and the Ctx watcher — and dispatches to one of them.
+//   - Both exploration orders run one worker loop (workerLoop below):
+//     take a chunk, visit it, claim and build its successors, hand the new
+//     ones on. An order is where the chunks come from. The
+//     level-synchronized order (levelsync.go) serves one depth level at a
+//     time, and a barrier once it is drained settles dedup, budget
+//     truncation, the distributed exchange and checkpoints. The async
+//     order (async.go) serves each worker from its own work-stealing
+//     deque, with no barrier, and ends on a quiescence counter. RunFrontier
+//     below builds what they share — the run state, the store, the root,
+//     the first-error cell and the Ctx watcher — and dispatches to one of
+//     them.
 //
 //   - Deduplication and frontier queuing are owned by a pluggable
 //     StateStore (store.go). A worker claims a chunk's candidates in the
@@ -107,14 +110,14 @@ type EngineOptions struct {
 	// is rejected together with Provenance or StringKeys (modes.go).
 	Reduction string
 	// Order selects the exploration order: "" or "levelsync" for the
-	// deterministic level-synchronized loop above, "async" for the
-	// barrier-free work-stealing order (async.go): per-worker Chase-Lev
-	// deques, continuous admission with no EndLevel barrier, and
-	// counter-based quiescence termination. Async preserves every verdict
-	// and the visited-set size but not schedules or level structure, so
-	// it is rejected together with Provenance or StringKeys. It runs in
-	// one process over the in-memory store, unreduced or under "sym"
-	// (modes.go says why the spill store and Dist are rejected with it).
+	// deterministic level-synchronized order, "async" for the
+	// barrier-free work-stealing order (async.go): per-worker deques,
+	// continuous admission with no EndLevel barrier, and counter-based
+	// quiescence termination. Async preserves every verdict and the
+	// visited-set size but not schedules or level structure, so it is
+	// rejected together with Provenance or StringKeys. It runs in one
+	// process over the in-memory store, unreduced or under "sym", without
+	// checkpoints (modes.go says why the rest is rejected with it).
 	Order string
 	// Provenance retains every node's parent chain and configuration so
 	// that Node.Parent and Node.Schedule work after the run — required
@@ -142,8 +145,7 @@ type EngineOptions struct {
 	// the search-layer accumulators there (write-then-rename manifests),
 	// and a new run pointed at the same directory resumes from the last
 	// committed generation with an identical final verdict. Levelsync
-	// order only — the async order accepts the option as a no-op (an
-	// async rerun from scratch is deterministic, so restart == resume).
+	// order only: the async order has no barrier to snapshot at.
 	// Incompatible with Provenance, and limited to 255 processes
 	// (checkpoint.go explains both). Empty disables checkpointing.
 	Checkpoint string
@@ -386,6 +388,88 @@ func (r *engineRun) finish() {
 	}
 }
 
+// workSource is what the worker loop runs on: where a worker's chunks come
+// from and where the nodes their claims admit go — a level and the store's
+// next-level queues (levelsync.go), or the workers' deques (async.go).
+type workSource interface {
+	// take fills buf with worker w's next chunk and returns its size; 0
+	// means w is done: the level is drained, or the run is over.
+	take(w int, buf []*Node) int
+	// put hands on what the claims of w's chunk of m nodes admitted.
+	put(w int, admitted []*Node, m int)
+}
+
+// workerLoop is worker w under either order: take a chunk of at most
+// chunkLen nodes, visit it and plan every node's successors (a reexpand
+// item is planned, not visited again), claim them and build the new ones
+// (expander.commit; locked says other workers claim too) and put those.
+// A chunk cut short — a visit or step error, a cancel, an early stop — is
+// dropped whole: the run is over, and nothing of it is claimed.
+func (r *engineRun) workerLoop(w int, src workSource, chunkLen int, locked bool) {
+	x := r.expander(w)
+	chunk := make([]*Node, chunkLen)
+	for !r.doneFlag.Load() {
+		m := src.take(w, chunk)
+		if m == 0 {
+			return
+		}
+		x.begin()
+		visited := int64(0)
+		for _, n := range chunk[:m] {
+			if r.doneFlag.Load() {
+				break
+			}
+			var err error
+			if !n.reexpand {
+				if err = r.visit(w, n); err == nil {
+					visited++
+				}
+			}
+			if err == nil {
+				err = x.plan(n)
+			}
+			if err != nil {
+				r.fail(err)
+				break
+			}
+		}
+		x.visited.Add(visited)
+		if !r.doneFlag.Load() {
+			src.put(w, x.commit(locked), m)
+		}
+		for _, n := range chunk[:m] {
+			r.recycle(n)
+		}
+	}
+}
+
+// runWorkers runs work(w) for every w in [0, nw) and returns once all
+// have; a single worker runs on the calling goroutine.
+func runWorkers(nw int, work func(w int)) {
+	if nw <= 1 {
+		work(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := range nw {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// report sends p, with the admission count and the elapsed time filled
+// in, to the Progress callback, if there is one.
+func (r *engineRun) report(p Progress) {
+	if r.opts.Progress != nil {
+		p.Admitted, p.Elapsed = int(r.admitted.Load()), time.Since(r.began)
+		r.opts.Progress(p)
+	}
+}
+
 // nodeTakenHook, when non-nil, is called for every node handed out — a
 // test seam for counting them (TestDuplicateTakesNoNode).
 var nodeTakenHook func()
@@ -474,10 +558,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		return RunStats{}, fmt.Errorf("frontier engine: start configuration has %d objects and %d states, protocol declares %d and %d",
 			len(start.Objects), len(start.States), nObj, nProc)
 	}
-	// Checkpointing is a levelsync-barrier feature; the async order
-	// accepts the option as a documented no-op (restart == resume for a
-	// deterministic from-scratch rerun).
-	pathsOn := (opts.Checkpoint != "" && !asyncOn) || opts.Dist != nil
+	pathsOn := opts.Checkpoint != "" || opts.Dist != nil
 	if pathsOn && nProc > 255 {
 		return RunStats{}, fmt.Errorf("frontier engine: checkpointed and distributed runs support at most 255 processes (root-to-node paths store one pid byte per step), protocol declares %d", nProc)
 	}

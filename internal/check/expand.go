@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -32,9 +33,10 @@ import (
 //   - commit then builds a node (model.Stepper.Install) for each candidate
 //     the claim reported new, and returns them. A duplicate never had one.
 //
-// What is left to the orders (levelsync.go, async.go) is scheduling: where
-// chunks come from, when their nodes are visited, and where the admitted
-// successors wait (the store's next-level queues, or the worker's deque).
+// The loop around the phases is one for both orders (engineRun.workerLoop);
+// what is left to the orders (levelsync.go, async.go) is where chunks come
+// from and where the admitted successors wait (the store's next-level
+// queues, or the worker's deque).
 
 // A candidate's claim verdict.
 const (
@@ -71,6 +73,8 @@ type expander struct {
 	// instead of stored per node: provenance runs retain every node.
 	penc model.SlotEncoding
 	tmp  *Node // a successor on its way to another peer (distributed runs)
+	// visited counts the nodes this worker has visited (engineRun.processed).
+	visited atomic.Int64
 
 	// The chunk under expansion: the planned nodes, their candidates in
 	// generation order, the candidates' exact keys, and what commit derives

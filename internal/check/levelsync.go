@@ -1,19 +1,15 @@
 package check
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
 
-// This file is the level-synchronized (BSP) exploration order: what it
-// adds to the shared expansion core (expand.go) is frontier scheduling
-// and admission policy. Workers drain one depth level concurrently, a
-// chunk of nodes at a time, and queue what each chunk's claims admitted on
-// their own next-level lists; the barrier between levels resolves delayed
-// duplicates, applies the sorted-fingerprint budget cutoff
-// (StateStore.EndLevel), exchanges remote successors and the global
-// verdict on a distributed run, and snapshots a checkpoint.
+// This file is the level-synchronized (BSP) exploration order: the worker
+// loop (engine.go) served one depth level at a time. Workers drain the
+// level concurrently, a chunk of nodes at a time, and queue what each
+// chunk's claims admitted on their own next-level lists; the barrier once
+// the level is drained resolves delayed duplicates, applies the
+// sorted-fingerprint budget cutoff (StateStore.EndLevel), exchanges remote
+// successors and the global verdict on a distributed run, and snapshots a
+// checkpoint. The barrier, and with it all of that, is this order's alone.
 //
 // A budget-bound run ends in two levels that are not like the others. The
 // closing level is expanded in full although it overshoots MaxConfigs —
@@ -75,11 +71,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		admittedBefore := int(run.admitted.Load())
 		atDepthCap := run.limits.MaxDepth > 0 && depth >= run.limits.MaxDepth
 		progress := func() {
-			if run.opts.Progress != nil {
-				run.opts.Progress(Progress{Depth: depth, FrontierSize: levelSize,
-					Processed: stats.Processed, Admitted: int(run.admitted.Load()),
-					Elapsed: time.Since(run.began)})
-			}
+			run.report(Progress{Depth: depth, FrontierSize: levelSize, Processed: stats.Processed})
 		}
 
 		expandLevel(run, frontier)
@@ -173,85 +165,48 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 	return stats, nil
 }
 
-// expandLevel visits and expands one level's frontier with up to Workers
-// goroutines, a chunk of nodes at a time, and returns once every candidate
-// successor has been claimed (or shipped) and the admitted ones queued. A
-// level drained by a single worker skips the goroutines, and the claim
-// lock, entirely. A visit-only level (engineRun.visitOnly:
-// the depth cap, or the level after the barrier that closed admissions)
-// plans no successors, so its workers only visit. A failure lands in
-// run.fail; the caller checks.
+// expandLevel runs the worker loop over one level's frontier with up to
+// Workers goroutines and returns once every candidate successor has been
+// claimed (or shipped) and the admitted ones queued. A level drained by a
+// single worker skips the goroutines, and the claim lock, entirely. A
+// visit-only level (engineRun.visitOnly: the depth cap, or the level after
+// the barrier that closed admissions) plans no successors, so its workers
+// only visit. A failure lands in run.fail; the caller checks.
 func expandLevel(run *engineRun, frontier FrontierSource) {
 	levelSize := frontier.Size()
-	nw := run.opts.Workers
-	if nw > levelSize {
-		nw = levelSize // never more goroutines than nodes; visits
-		// may be expensive (solo runs), so do not serialize further
-	}
-	if nw < 1 {
-		nw = 1 // empty local level on a distributed peer: one worker
-		// still runs (and immediately finishes) so the barriers fire
-	}
-	// pull is the chunk the workers draw from the frontier source: large
-	// enough to amortize the claim, small enough that the level's tail
-	// stays balanced across workers.
+	// Never more goroutines than nodes (visits may be expensive, so no
+	// fewer either), and one on a distributed peer's empty level, so that
+	// its barriers fire.
+	nw := max(1, min(run.opts.Workers, levelSize))
+	// A chunk large enough to amortize the claim, small enough that the
+	// level's tail stays balanced across workers.
 	pull := min(levelSize/(4*nw)+1, chunkSize)
-
-	work := func(worker int) {
-		x := run.expander(worker)
-		chunk := make([]*Node, pull)
-		for !run.doneFlag.Load() {
-			m := frontier.Next(chunk)
-			if m == 0 {
-				break
-			}
-			x.begin()
-			for _, n := range chunk[:m] {
-				if run.doneFlag.Load() {
-					break
-				}
-				err := run.visit(worker, n)
-				if err == nil {
-					err = x.plan(n)
-				}
-				if err != nil {
-					run.fail(err)
-					break
-				}
-			}
-			// A chunk cut short (a visit or step error, a cancel) is
-			// dropped whole: the run is over, and nothing of it was claimed.
-			if !run.doneFlag.Load() {
-				for _, nn := range x.commit(nw > 1) {
-					if !run.store.Queue(worker, nn) {
-						// The store externalized the node's content
-						// (spooled to disk); its buffers are free.
-						run.recycleAlways(nn)
-					}
-				}
-			}
-			for _, n := range chunk[:m] {
-				run.recycle(n)
-			}
-		}
+	src := levelSource{run, frontier}
+	runWorkers(nw, func(w int) {
+		run.workerLoop(w, src, pull, nw > 1)
 		if run.link != nil {
-			run.fail(run.link.FlushWorker(worker))
+			run.fail(run.link.FlushWorker(w))
+		}
+	})
+}
+
+// levelSource is the level order's workSource: chunks from the level's
+// frontier, admissions queued in the store for the next level.
+type levelSource struct {
+	run *engineRun
+	FrontierSource
+}
+
+func (l levelSource) take(_ int, buf []*Node) int { return l.Next(buf) }
+
+func (l levelSource) put(w int, admitted []*Node, _ int) {
+	for _, n := range admitted {
+		if !l.run.store.Queue(w, n) {
+			// The store externalized the node's content (spooled to
+			// disk); its buffers are free.
+			l.run.recycleAlways(n)
 		}
 	}
-
-	if nw <= 1 {
-		work(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			work(w)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // distExpandBarrier is the distributed expand barrier: flush, announce

@@ -66,9 +66,7 @@ func (m Mode) when(on bool) Mode {
 }
 
 // ModeConflicts lists every pair of modes that cannot run together and
-// why; any combination containing no listed pair is legal. (Checkpoint
-// under the async order is not a conflict: the option is accepted as a
-// no-op, see EngineOptions.Checkpoint.)
+// why; any combination containing no listed pair is legal.
 var ModeConflicts = []struct {
 	A, B Mode
 	Why  string
@@ -77,6 +75,7 @@ var ModeConflicts = []struct {
 	{ModeAsync, ModeStringKeys, "without the level barrier, exact keys pick a timing-dependent representative among colliding encodings"},
 	{ModeAsync, ModeSpill, "async keeps its frontier in the workers' deques, so a store budget bounds nothing; levelsync with the spill store is faster and smaller"},
 	{ModeAsync, ModeDist, "each peer would test the global budget against its own admission count, so a capped run visits up to peers x MaxConfigs; levelsync over peers is exact and no slower"},
+	{ModeAsync, ModeCheckpoint, "a snapshot is the visited set and the next frontier at a level barrier, and the async order has no barrier (rerun from scratch instead: restart == resume for its verdict)"},
 	{ModeCheckpoint, ModeProvenance, "parent chains are in-RAM pointers that cannot be persisted across a crash"},
 	{ModeReduce, ModeProvenance, "a quotient merges schedules, so parent chains replayed through it are not valid executions"},
 	{ModeReduce, ModeStringKeys, "exact keys dedup on full encodings, which orbit members do not share"},

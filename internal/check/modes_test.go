@@ -306,9 +306,8 @@ func TestModeMatrix(t *testing.T) {
 
 							// The checkpoint axis: the same cell killed at a level
 							// barrier and resumed from its snapshot by a different
-							// number of workers on the other store. (Under async the
-							// option is a no-op; the axis is levelsync's.)
-							if order != check.OrderLevelSync || conflicting(set|check.ModeCheckpoint) {
+							// number of workers on the other store.
+							if conflicting(set | check.ModeCheckpoint) {
 								continue
 							}
 							// A snapshot at every third barrier: the kill's and few

@@ -8,15 +8,16 @@
 //
 // All exhaustive searches (Explore, ClassifyValency, CheckObstructionFree
 // and, via the lowerbound package, the schedule searches) run on the
-// sharded frontier engine (RunFrontier): one expansion core and two
-// schedulers over it. The per-worker expander (expand.go) turns a node
-// into keyed successors — arena-backed copy-on-write steps with
-// incrementally-maintained fingerprints (model.Stepper), node buffers
-// recycled through sync.Pool, one keying decision, routing to the owning
-// peer of a distributed run — allocation-free in the steady
-// case. The level-synchronized order (levelsync.go) schedules it as a
-// parallel BFS with a barrier per depth level; the async order (async.go)
-// as barrier-free work stealing with quiescence detection. Deduplication
+// sharded frontier engine (RunFrontier): one expansion core and one
+// worker loop over it, fed in one of two orders. The per-worker expander
+// (expand.go) turns a node into keyed successors — arena-backed
+// copy-on-write steps with incrementally-maintained fingerprints
+// (model.Stepper), node buffers recycled through sync.Pool, one keying
+// decision, routing to the owning peer of a distributed run —
+// allocation-free in the steady case. The level-synchronized order
+// (levelsync.go) feeds the workers a level at a time, a parallel BFS with
+// a barrier per depth level; the async order (async.go) from per-worker
+// work-stealing deques, with quiescence detection. Deduplication
 // runs on an open-addressing table, a successor claimed by its
 // fingerprint before it is built and the table's lock taken once per
 // chunk of nodes, not per successor. The engine knobs live in EngineOptions:
@@ -27,7 +28,8 @@
 //     truncation make every aggregate deterministic.
 //   - Order: "levelsync" (the default) or "async". Same visited set and
 //     verdicts; async gives up level structure and schedule determinism,
-//     and runs unreduced or under "sym" over the in-memory store only.
+//     and runs unreduced or under "sym" over the in-memory store only,
+//     without checkpoints.
 //   - StringKeys: dedup on the exact compact binary encoding instead of
 //     the default 64-bit incremental slot fingerprint. Fingerprints are
 //     faster and ~10x smaller but admit a ~2^-64 per-pair collision risk

@@ -165,7 +165,7 @@ func RegisterEngineFlags(fs *flag.FlagSet, exactKeysDefault bool) *EngineFlags {
 		reduce:       fs.String("reduce", "", "state-space reduction: none (default) or sym (process-symmetry quotient over classes the protocol declares); sound for exploration/valency questions; sym+sleep is a deprecated synonym of sym; "+conflictHelp(check.ModeReduce)),
 		order:        fs.String("order", "", "exploration order: levelsync (BFS level barriers, the default) or async (barrier-free work stealing: same visited set and verdicts, no depth metadata); "+conflictHelp(check.ModeAsync)),
 		progress:     fs.Bool("progress", false, "report per-level engine throughput to stderr"),
-		checkpoint:   fs.String("checkpoint", "", "checkpoint directory: snapshot exploration state at level barriers and resume a killed run from it with the identical final verdict (levelsync order only); "+conflictHelp(check.ModeCheckpoint)),
+		checkpoint:   fs.String("checkpoint", "", "checkpoint directory: snapshot exploration state at level barriers and resume a killed run from it with the identical final verdict; "+conflictHelp(check.ModeCheckpoint)),
 		ckptEvery:    fs.Int("checkpointevery", 0, "checkpoint every N-th level barrier (0 = every barrier; meaningful with -checkpoint)"),
 	}
 	if exactKeysDefault {

@@ -277,7 +277,7 @@ type Cell struct {
 	// derives it from RunOptions.CheckpointDir), never identity — the
 	// same cell with or without a checkpoint directory is the same
 	// experiment. Certificate searches ignore it (their provenance
-	// chains are in-RAM only).
+	// chains are in-RAM only), and so do async-order explorations.
 	CheckpointDir string
 }
 
@@ -330,8 +330,15 @@ func (c Cell) SearchLimits(defConfigs, defDepth int) lowerbound.SearchLimits {
 }
 
 // ExploreOptions translates the cell into explorer options. Exploration
-// defaults to fingerprint dedup; Keys "string" opts into exact keys.
+// defaults to fingerprint dedup; Keys "string" opts into exact keys. An
+// async-order cell runs without its CheckpointDir: the order has no
+// barrier to snapshot at (check.ModeConflicts), and a rerun from scratch
+// reaches the same verdict.
 func (c Cell) ExploreOptions() check.ExploreOptions {
+	ckpt := c.CheckpointDir
+	if c.Engine.Order == check.OrderAsync {
+		ckpt = ""
+	}
 	return check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: c.MaxConfigs, MaxDepth: c.MaxDepth},
 		Engine: check.EngineOptions{
@@ -341,7 +348,7 @@ func (c Cell) ExploreOptions() check.ExploreOptions {
 			Store:      c.Engine.Store, MemBudget: c.Engine.memBudgetBytes(),
 			Reduction: c.Engine.Reduce, Order: c.Engine.Order,
 			Progress:   c.Progress,
-			Checkpoint: c.CheckpointDir,
+			Checkpoint: ckpt,
 		},
 	}
 }
