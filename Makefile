@@ -47,5 +47,5 @@ bench-pairs:
 	go run ./cmd/benchpairs -parent $(PARENT) -workload $(W) -n $(N) -seed $(S) -out BENCH_$(PR).json
 
 lint:
-	gofmt -l .
+	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; }
 	go vet ./...

@@ -211,7 +211,7 @@ func (s *dequeSource) quiescent() bool {
 func runAsync(run *engineRun, root *Node) (RunStats, error) {
 	nw := run.opts.Workers
 	s := &dequeSource{run: run, deques: make([]wsDeque, nw)}
-	// The mode table keeps async on the in-memory store, and of that it
+	// The mode table keeps async on the unbudgeted store, and of that it
 	// uses the visited table alone: nodes never queue in the store.
 	run.store.Claim(root.fp, nil)
 	run.admitted.Store(1)

@@ -28,7 +28,7 @@ package check
 // all paths) and nothing decoded reaches the run until the artifact's
 // CRC trailer has verified, so a corrupt generation still restarts from
 // an empty store. The visited set is then bulk-loaded into tables sized
-// first (StateStore.SeedVisited), and the frontier is replayed
+// first (spillStore.SeedVisited), and the frontier is replayed
 // in path order with a stack of live nodes, so a prefix shared by many
 // paths is applied once — at most the BFS-tree size in applies, not
 // frontier × depth — by the run's workers in parallel (replayFrontier).
@@ -53,7 +53,7 @@ import (
 )
 
 // ckptProfile pins the run parameters a checkpoint is only valid for.
-// Workers and the store backend are deliberately absent: the
+// Workers and the store's budget are deliberately absent: the
 // visited snapshot is store-agnostic and partition routing is recomputed
 // from fingerprints at seed time, so a run may resume with a different
 // parallelism or store.

@@ -31,8 +31,8 @@ package check
 // Distribution runs the level-synchronized order only, which is what
 // makes every cell of it deterministic: the one budget test is the
 // coordinator's, at a barrier. It composes with the reduction stack
-// (canonical fingerprints are computed peer-side) and with either store
-// backend. It is rejected together with the async order, Provenance,
+// (canonical fingerprints are computed peer-side) and with the store
+// with or without a budget. It is rejected together with the async order, Provenance,
 // StringKeys and Checkpoint (modes.go says why).
 
 // DistNumParts is the size of the global partition space fingerprints
@@ -83,6 +83,19 @@ type NetStats struct {
 	// Retries counts reconnect attempts made while establishing
 	// replacement sessions (successful and not).
 	Retries int64 `json:"retries,omitempty"`
+}
+
+// Add folds o, another peer's share of one run, into s: every counter
+// sums. Peers and the fail-over counters are the coordinator's to set
+// afterwards (a peer reports them as 0).
+func (s *NetStats) Add(o NetStats) {
+	s.Peers += o.Peers
+	s.BatchesSent += o.BatchesSent
+	s.BytesSent += o.BytesSent
+	s.PeerStalls += o.PeerStalls
+	s.PeersLost += o.PeersLost
+	s.ReseededPartitions += o.ReseededPartitions
+	s.Retries += o.Retries
 }
 
 // DistBarrier is the coordinator's verdict at one level barrier.

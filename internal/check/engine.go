@@ -43,19 +43,18 @@ import (
 //     the first-error cell and the Ctx watcher — and dispatches to one of
 //     them.
 //
-//   - Deduplication and frontier queuing are owned by a pluggable
-//     StateStore (store.go). A worker claims a chunk's candidates in the
-//     visited set under one hold of the run's claim lock, so the lock is
-//     amortized over the chunk and the table probes run back to back; a
-//     level or run drained by one worker takes no lock at all. The
-//     in-memory store (memstore.go) keeps an open-addressing fpSet table
-//     and in-RAM node slices; the disk-spilling store (spillstore.go)
-//     bounds resident memory by a byte budget, spilling visited
-//     fingerprints to sorted runs and frontier nodes to spooled segments,
-//     so the explorable space is bounded by disk.
+//   - Deduplication and frontier queuing are owned by the state store
+//     (store.go, spillstore.go). A worker claims a chunk's candidates in
+//     the visited set under one hold of the run's claim lock, so the lock
+//     is amortized over the chunk and the table probes run back to back; a
+//     level or run drained by one worker takes no lock at all. Without a
+//     byte budget the store is an open-addressing fpSet table and in-RAM
+//     node slices; under one it spills visited fingerprints to sorted runs
+//     and frontier nodes to spooled segments, so the explorable space is
+//     bounded by disk.
 //
 //   - Results are deterministic regardless of worker interleaving and of
-//     the store backend: the set of configurations processed at each
+//     the store's budget: the set of configurations processed at each
 //     level is a pure function of the protocol and limits (budget
 //     truncation picks survivors by sorted fingerprint, not arrival
 //     order), per-worker accumulators are merged with commutative
@@ -116,7 +115,7 @@ type EngineOptions struct {
 	// quiescence termination. Async preserves every verdict and the
 	// visited-set size but not schedules or level structure, so it is
 	// rejected together with Provenance or StringKeys. It runs in one
-	// process over the in-memory store, unreduced or under "sym", without
+	// process over the unbudgeted store, unreduced or under "sym", without
 	// checkpoints (modes.go says why the rest is rejected with it).
 	Order string
 	// Provenance retains every node's parent chain and configuration so
@@ -127,18 +126,20 @@ type EngineOptions struct {
 	// intern arenas and transition memos still grow with the number of
 	// distinct slot encodings and transitions seen — typically far
 	// smaller than the configuration count, but not frontier-bounded.)
-	// With the spill store, provenance keeps the frontier resident (the
+	// Under a spill budget, provenance keeps the frontier resident (the
 	// chains must stay live) and only the dedup state spills.
 	Provenance bool
-	// Store selects the state-store backend: "" or "mem" for the
-	// in-memory store, "spill" for the disk-spilling store that bounds
-	// resident memory by MemBudget. Results do not depend on it.
+	// Store sets the state store's budget: "" or "mem" runs it in RAM
+	// with none, "spill" bounds its resident memory by MemBudget and
+	// spills the rest to disk. Results do not depend on it.
 	Store string
-	// MemBudget is the spill store's resident-byte budget (0 selects
-	// DefaultMemBudget). Ignored by the in-memory store.
+	// MemBudget is the resident-byte budget of Store "spill" (0 selects
+	// DefaultMemBudget). Ignored by Store "mem".
 	MemBudget int64
-	// SpillDir is where the spill store keeps its run and segment files
-	// ("" = a fresh directory under os.TempDir, removed on completion).
+	// SpillDir is where a budgeted store keeps its run and segment files
+	// ("" = a fresh directory under os.TempDir, removed on completion). It
+	// is created with the first file, so a run that never spills leaves
+	// no trace of it.
 	SpillDir string
 	// Checkpoint is a directory for crash-safe snapshots: at level
 	// barriers the engine writes the visited set, the next frontier and
@@ -337,11 +338,10 @@ type engineRun struct {
 	// plan is the refined symmetry plan (nil or inactive: no quotient).
 	plan      *reductionPlan
 	expanders []*expander
-	store     StateStore
+	store     *spillStore
 	claims    claimState
 	nodePool  *sync.Pool
 	asyncOn   bool
-	spools    bool // the store spools the frontier to disk (see recycleAlways)
 
 	admitted  atomic.Int64
 	closed    atomic.Bool // no further admissions (budget exhausted)
@@ -497,7 +497,7 @@ func (r *engineRun) recycle(n *Node) {
 // provenance mode: budget-truncated and revoked admissions (dropped before
 // anything could point at them) and nodes rebuilt only to be replaced.
 func (r *engineRun) recycleAlways(n *Node) {
-	if r.closed.Load() && !r.spools {
+	if r.closed.Load() && !r.store.spools {
 		// A closed run builds no more nodes. One parked in the pool would
 		// outlive the run by two collections; left alone it is garbage now.
 		// (A spooled frontier is the exception: the closed run's last level
@@ -520,18 +520,6 @@ func (r *engineRun) rootNode(st *model.Stepper) *Node {
 	n.path = n.path[:0]
 	n.slotFP = st.InitSlots(n.Cfg, n.slotH)
 	return n
-}
-
-// newStateStore builds the backend selected by the options.
-func newStateStore(opts EngineOptions, ctx storeCtx) (StateStore, error) {
-	switch opts.Store {
-	case StoreMem:
-		return newMemStore(ctx), nil
-	case StoreSpill:
-		return newSpillStore(ctx, opts.MemBudget, opts.SpillDir)
-	default:
-		return nil, fmt.Errorf("frontier engine: unknown store %q (have %q, %q)", opts.Store, StoreMem, StoreSpill)
-	}
 }
 
 // RunFrontier explores the pids-only reachable space of p from start with
@@ -570,7 +558,6 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		began:     time.Now(),
 		pathsOn:   pathsOn,
 		asyncOn:   asyncOn,
-		spools:    opts.Store == StoreSpill && !opts.Provenance,
 		link:      opts.Dist,
 		expanders: make([]*expander, opts.Workers),
 		done:      make(chan struct{}),
@@ -610,7 +597,17 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		newNode:    run.newNode,
 		recycle:    run.recycleAlways,
 	}
-	if run.store, err = newStateStore(opts, sctx); err != nil {
+	budget := int64(0) // StoreMem: none
+	switch opts.Store {
+	case StoreMem:
+	case StoreSpill:
+		if budget = opts.MemBudget; budget <= 0 {
+			budget = DefaultMemBudget
+		}
+	default:
+		return RunStats{}, fmt.Errorf("frontier engine: unknown store %q (have %q, %q)", opts.Store, StoreMem, StoreSpill)
+	}
+	if run.store, err = newSpillStore(sctx, budget, opts.SpillDir); err != nil {
 		return RunStats{}, err
 	}
 	defer func() {

@@ -9,9 +9,9 @@ import (
 
 // This file is the one form of a visited entry, in memory and on disk.
 // An entry is a fingerprint plus, under exact keys, the full encoding key.
-// A keyedSet is a resident table of entries — the in-memory store's
-// visited set, the spill store's delta and its per-level drop set — and
-// the only code that knows whether such a table is a fingerprint set or an
+// A keyedSet is a resident table of entries — the store's visited set
+// (its delta since the last spill, under a budget) and its per-level drop
+// set — and the only code that knows whether such a table is a fingerprint set or an
 // exact-key map. An entry stream is the artifact payload both the spill
 // store's sorted runs and a checkpoint's visited snapshot are written in:
 //

@@ -84,7 +84,8 @@ type ExploreResult struct {
 	// then classify valency without re-exploring locally.
 	ValueWitnesses []ValueWitness
 	// Store reports the state store's activity over the exploration
-	// (backend kind, bytes spilled, peak resident bytes).
+	// (kind: "mem" without a budget, "spill" under one; bytes spilled;
+	// peak resident bytes).
 	Store StoreStats
 	// Reduction reports the state-space reduction layer's activity
 	// (orbit folds); zero-valued on unreduced runs.
@@ -114,15 +115,16 @@ type ValueWitness struct {
 type ExploreOptions struct {
 	// Limits bounds the exploration.
 	Limits ExploreLimits
-	// Engine configures parallelism, sharding and visited-set keying.
+	// Engine configures parallelism, visited-set keying, the
+	// exploration order, reduction and the state store's budget.
 	Engine EngineOptions
 }
 
 // Explore performs a breadth-first exploration of all P-only executions
 // of p from c, visiting each distinct configuration once, using the
 // sharded frontier engine with default options (all cores, fingerprint
-// dedup, in-memory store). If k > 0 it tracks k-agreement violations.
-// c is not mutated. With the in-memory store an engine error can only
+// dedup, no store budget). If k > 0 it tracks k-agreement violations.
+// c is not mutated. With the store in RAM an engine error can only
 // mean an illegal poised operation — a protocol bug — so Explore panics
 // on it, as the sequential explorer always has.
 func Explore(p model.Protocol, c *model.Config, pids []int, k int, limits ExploreLimits) *ExploreResult {
@@ -431,7 +433,7 @@ type ValencyResult struct {
 // ClassifyValency explores the P-only space from c and classifies it.
 // Bivalence is certified by witnesses and is sound even when incomplete;
 // univalence requires a complete exploration. Like Explore it runs on
-// the default in-memory store, where an engine error can only be a
+// the default unbudgeted store, where an engine error can only be a
 // protocol bug, and panics on one.
 func ClassifyValency(p model.Protocol, c *model.Config, pids []int, limits ExploreLimits) *ValencyResult {
 	res, err := ClassifyValencyOpts(p, c, pids, ExploreOptions{Limits: limits})

@@ -7,7 +7,7 @@ import "fmt"
 // level concurrently, a chunk of nodes at a time, and queue what each
 // chunk's claims admitted on their own next-level lists; the barrier once
 // the level is drained resolves delayed duplicates, applies the
-// sorted-fingerprint budget cutoff (StateStore.EndLevel), exchanges remote
+// sorted-fingerprint budget cutoff (spillStore.EndLevel), exchanges remote
 // successors and the global verdict on a distributed run, and snapshots a
 // checkpoint. The barrier, and with it all of that, is this order's alone.
 //
@@ -49,9 +49,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			run.recycleAlways(root)
 		} else {
 			run.store.Claim(root.fp, []byte(root.key))
-			if !run.store.Queue(0, root) {
-				run.recycleAlways(root)
-			}
+			run.store.Queue(0, root)
 			run.admitted.Store(1)
 		}
 		seed, err := run.store.EndLevel(run.limits.MaxConfigs)
@@ -201,11 +199,7 @@ func (l levelSource) take(_ int, buf []*Node) int { return l.Next(buf) }
 
 func (l levelSource) put(w int, admitted []*Node, _ int) {
 	for _, n := range admitted {
-		if !l.run.store.Queue(w, n) {
-			// The store externalized the node's content (spooled to
-			// disk); its buffers are free.
-			l.run.recycleAlways(n)
-		}
+		l.run.store.Queue(w, n)
 	}
 }
 
@@ -237,9 +231,7 @@ func distExpandBarrier(run *engineRun, depth int) error {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
 			admitted++
-			if !run.store.Queue(0, n) {
-				run.recycleAlways(n)
-			}
+			run.store.Queue(0, n)
 		}
 	}
 	run.admitted.Add(admitted)

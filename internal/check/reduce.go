@@ -79,6 +79,14 @@ type ReductionStats struct {
 	SleepSkipped int64 `json:"sleep_skipped,omitempty"`
 }
 
+// Add folds o, another process's share of one run, into s: the counters
+// sum, and Reduce is o's (every share ran the same mode).
+func (s *ReductionStats) Add(o ReductionStats) {
+	s.Reduce = o.Reduce
+	s.StatesPruned += o.StatesPruned
+	s.OrbitHits += o.OrbitHits
+}
+
 // parseReduction validates a Reduction mode string.
 func parseReduction(mode string) (sym bool, err error) {
 	switch mode {

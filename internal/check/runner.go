@@ -28,7 +28,7 @@
 //     truncation make every aggregate deterministic.
 //   - Order: "levelsync" (the default) or "async". Same visited set and
 //     verdicts; async gives up level structure and schedule determinism,
-//     and runs unreduced or under "sym" over the in-memory store only,
+//     and runs unreduced or under "sym" over the unbudgeted store only,
 //     without checkpoints.
 //   - StringKeys: dedup on the exact compact binary encoding instead of
 //     the default 64-bit incremental slot fingerprint. Fingerprints are
@@ -40,6 +40,12 @@
 //     incremental process-symmetry quotienting over the classes the
 //     protocol declares (model.ProcessSymmetric). Sound for
 //     reachability/valency questions, not for schedules.
+//   - Store, MemBudget (and SpillDir): the state store's resident-byte
+//     budget. "mem" (the default) keeps the visited set and the frontier
+//     in RAM and touches no disk; "spill" holds MemBudget (default
+//     DefaultMemBudget) resident, spooling the frontier to segment files
+//     and spilling the visited set to sorted runs. Same results either
+//     way; the explorable space is then bounded by disk, not RAM.
 //
 // Which of these (and Provenance, Checkpoint, Dist) combine is declared
 // once, in ModeConflicts (modes.go); a rejected combination wraps

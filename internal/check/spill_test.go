@@ -2,7 +2,10 @@ package check_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -166,6 +169,48 @@ func TestUnknownStoreRejected(t *testing.T) {
 		func(int, *check.Node) error { return nil }, nil)
 	if err == nil {
 		t.Fatal("unknown store accepted")
+	}
+}
+
+// TestUnbudgetedStoreTouchesNoDisk: without a byte budget the store lives
+// in RAM. A budget-bound row-3 run (Algorithm 1, N=4 K=1 M=3), whose
+// closing level is truncated, creates no temporary directory, never
+// creates the SpillDir it is handed, and reports itself as "mem" with
+// nothing spilled and a nonzero resident peak, under either order.
+func TestUnbudgetedStoreTouchesNoDisk(t *testing.T) {
+	p := core.MustNew(core.Params{N: 4, K: 1, M: 3})
+	c := model.MustNewConfig(p, []int{0, 1, 2, 0})
+	const budget = 20000
+	for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		spillDir := filepath.Join(t.TempDir(), "never")
+		var levels []int
+		res := exploreT(t, p, c, []int{0, 1, 2, 3}, 1, check.ExploreOptions{
+			Limits: check.ExploreLimits{MaxConfigs: budget},
+			Engine: check.EngineOptions{Workers: 2, Order: order, SpillDir: spillDir,
+				Progress: func(pr check.Progress) { levels = append(levels, pr.Admitted) }},
+		})
+		if res.Visited != budget || res.Complete {
+			t.Errorf("%s: visited %d (complete %v), want the budget %d, incomplete", order, res.Visited, res.Complete, budget)
+		}
+		if order == check.OrderLevelSync {
+			// The same levels without the budget overshoot it somewhere;
+			// that level is the one the budget cut back.
+			free := levelAdmissions(t, p, []int{0, 1, 2, 0}, []int{0, 1, 2, 3}, len(levels))
+			if j := slices.IndexFunc(free, func(a int) bool { return a > budget }); j < 0 || levels[j] != budget {
+				t.Errorf("%s: admissions per level %v, unbudgeted %v: no level was truncated", order, levels, free)
+			}
+		}
+		if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+			t.Errorf("%s: TMPDIR holds %v (err %v), want nothing", order, ents, err)
+		}
+		if _, err := os.Stat(spillDir); !os.IsNotExist(err) {
+			t.Errorf("%s: SpillDir exists after the run (stat err %v)", order, err)
+		}
+		if st := res.Store; st.Kind != check.StoreMem || st.BytesSpilled != 0 || st.PeakResidentBytes <= 0 {
+			t.Errorf("%s: store stats %+v, want kind mem, 0 bytes spilled, a resident peak", order, st)
+		}
 	}
 }
 

@@ -13,16 +13,24 @@ import (
 	"repro/internal/model"
 )
 
-// spillStore is the disk-spilling state store: it bounds the resident
-// memory of an exploration by a byte budget and lets the reachable space
-// be limited by disk (and time) instead of RAM.
+// spillStore is the frontier engine's one state store (store.go): the
+// visited set and the next level's queue, resident in RAM until a byte
+// budget says otherwise, so the reachable space can be bounded by disk (and
+// time) instead of RAM.
+//
+// Without a budget (Store "" or "mem") it never leaves RAM: the delta
+// table below is the whole visited set, a claim is one probe of it, a
+// queued node one append to its worker's slice, and a barrier concatenates
+// the slices and cuts them back to the level's budget by sortNodes. It
+// records no admission list, creates no directory and writes no file.
+//
+// Under a budget (Store "spill") two things leave RAM.
 //
 // Deduplication — delayed duplicate detection over sorted runs:
 //
-//   - The store keeps a resident *delta* table (a keyedSet) holding the
-//     visited entries admitted since the last spill. Candidates are
-//     checked against the delta only, so the per-candidate cost matches
-//     the in-memory store.
+//   - The resident *delta* table (a keyedSet) holds the visited entries
+//     admitted since the last spill. Candidates are checked against the
+//     delta only, so a claim costs what it costs without a budget.
 //
 //   - When the delta's size exceeds the budget at a level barrier, it is
 //     flushed to a new *sorted run* file — an entry stream (entry.go), the
@@ -30,11 +38,12 @@ import (
 //     A configuration visited before the spill is no longer resident, so a
 //     later re-encounter is admitted *tentatively*.
 //
-//   - EndLevel resolves the tentative admissions: it stream-merges the
-//     level's sorted admissions against the sorted runs (the k-way merge
-//     of external-memory model checking) and revokes the ones already on
-//     disk. The surviving set is exactly what the in-memory store admits,
-//     so results are store-independent.
+//   - From the first run on, the store records each level's admissions and
+//     EndLevel resolves the tentative ones: it stream-merges them, sorted,
+//     against the sorted runs (the k-way merge of external-memory model
+//     checking) and revokes the ones already on disk. The surviving set is
+//     exactly what an unbudgeted run admits, so results are
+//     budget-independent.
 //
 //   - A compact Bloom prefilter (bloom.go) fronts those run-file probes:
 //     every spilled fingerprint is added to the filter, so an admission
@@ -65,23 +74,25 @@ import (
 //     arenas, typically far below the configuration count.
 //
 //   - Runs that must retain nodes in RAM (EngineOptions.Provenance: parent
-//     chains stay live for witness replay) keep the frontier resident and
-//     spill only the dedup state.
+//     chains stay live for witness replay) keep the frontier resident, as
+//     an unbudgeted run does, and spill only the dedup state.
 //
 // Both files are artifacts (artifact.go): checksummed, published by
 // rename, and wiped by the next open of the directory — nothing outlives
 // the run that wrote it, which is what leaves their layouts free to change.
+// The directory is opened with the first of them.
 //
 // Determinism: the admitted set, the budget-truncation survivors (chosen
 // by ascending (fingerprint, key), the engine's canonical order) and all
-// level barriers are pure functions of the protocol and limits — the
-// existing seq-vs-parallel and determinism suites run against this store
-// unchanged.
+// level barriers are pure functions of the protocol and limits, whatever
+// the budget.
 type spillStore struct {
 	ctx     storeCtx
+	budget  int64 // resident-byte budget; 0: none
+	spools  bool  // the frontier goes to disk (a budget, no provenance)
 	dir     string
+	opened  bool // dir exists and is wiped of stale artifacts
 	ownsDir bool
-	budget  int64
 	seq     int          // levels ended so far; names the level's segment files
 	queues  []spillQueue // per worker
 	remat   rematerialiser
@@ -93,21 +104,20 @@ type spillStore struct {
 	// bloom summarizes every fingerprint spilled so far (created at the
 	// first spill); admissions it proves fresh skip the barrier's run-file
 	// merge. It and the runs change only at barriers and seeding, so
-	// claims read it without a lock of their own. prefilterHits counts the
-	// bloom-positive admissions — the probable duplicates routed to exact
-	// probes.
-	bloom         *bloomFilter
-	prefilterHits int64
+	// claims read it without a lock of their own.
+	bloom *bloomFilter
 
 	// This level's tentative admissions, in claim order, and which of them
-	// the barrier merge found on disk.
+	// the barrier merge found on disk. Recorded only while the frontier
+	// spools or a run exists.
 	level []spillEntry
 	dead  []bool
 
 	runs   []spillRun
 	runSeq int
 
-	// stats moves only at barriers and seeding.
+	// stats moves at barriers and seeding, and PrefilterHits under the
+	// claim lock.
 	stats StoreStats
 
 	// err is the first I/O or decode failure, boxed like engineRun's.
@@ -115,12 +125,12 @@ type spillStore struct {
 }
 
 // spillQueue is one worker's share of the next frontier: the nodes
-// themselves (retain mode), or the segment they are spooled to. Which
+// themselves (resident), or the segment they are spooled to. Which
 // worker queued a node says nothing about where its entry sits in the
 // level's admissions; what the barrier revokes or truncates it therefore
 // names by entry (spillSource.drop), as the spooled source always has.
 type spillQueue struct {
-	next  []*Node      // retain mode only
+	next  []*Node      // resident frontier only
 	spool *blockWriter // this level's segment; nil until a node is spooled
 	spans [][]byte     // slot-span scratch
 	_     [16]byte     // a cache line per worker
@@ -145,31 +155,49 @@ type spillRun struct {
 // runFanout is the run-count threshold that triggers a compaction merge.
 const runFanout = 8
 
+// newSpillStore opens a store under a resident-byte budget (<= 0: none),
+// keeping its files in dir ("" = a fresh directory under os.TempDir,
+// removed by Close).
 func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) {
-	if budget <= 0 {
-		budget = DefaultMemBudget
+	s := &spillStore{ctx: ctx, budget: max(budget, 0), spools: budget > 0 && !ctx.retain, dir: dir,
+		queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreMem},
+		delta: newKeyedSet(ctx.stringKeys)}
+	if s.budget > 0 {
+		s.stats.Kind = StoreSpill
 	}
-	ownsDir := false
-	if dir == "" {
+	if s.spools {
+		// Workers spool concurrently, so the directory is opened before
+		// the first of them (the root, queued at once) needs it.
+		s.remat = rematerialiser{ctx: ctx, exch: model.NewSlotExchange()}
+		if err := s.openDir(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// openDir readies the store's directory, once, before its first file.
+func (s *spillStore) openDir() error {
+	if s.opened {
+		return nil
+	}
+	if s.dir == "" {
 		d, err := os.MkdirTemp("", "repro-spill-*")
 		if err != nil {
-			return nil, fmt.Errorf("spill store: %w", err)
+			return fmt.Errorf("spill store: %w", err)
 		}
-		dir, ownsDir = d, true
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("spill store: %w", err)
+		s.dir, s.ownsDir = d, true
+	} else if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return fmt.Errorf("spill store: %w", err)
 	} else {
 		// A previous process may have died here: unpublished *.tmp files
 		// and published runs/segments from the dead run are garbage (the
 		// visited set is rebuilt from scratch or from a checkpoint, never
 		// from a dead process's spill files).
-		removeStaleArtifacts(dir, "run-", "seg-")
+		removeStaleArtifacts(s.dir, "run-", "seg-")
 	}
-	s := &spillStore{ctx: ctx, dir: dir, ownsDir: ownsDir, budget: budget,
-		queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreSpill},
-		delta: newKeyedSet(ctx.stringKeys),
-		remat: rematerialiser{ctx: ctx, exch: model.NewSlotExchange()}}
-	return s, nil
+	s.opened = true
+	return nil
 }
 
 func (s *spillStore) fail(err error) { s.err.CompareAndSwap(nil, &err) }
@@ -181,10 +209,15 @@ func (s *spillStore) takeErr() error {
 	return nil
 }
 
+// Claim records the entry (fp, key) as visited and reports whether it was
+// absent — the admission decision, taken on the entry alone, before any
+// node for it exists. key is nil outside exact-key runs; it may be
+// scratch, and stored is the copy the store keeps, for the admitted node
+// to share. Calls must not overlap (the engine holds the claim lock).
 func (s *spillStore) Claim(fp uint64, key []byte) (string, bool) {
 	stored, added := s.delta.claim(fp, key)
-	if !added {
-		return "", false
+	if !added || !s.spools && s.bloom == nil {
+		return stored, added
 	}
 	// Prefilter verdict: a fingerprint the bloom has never seen appears
 	// in no spilled run (the filter has no false negatives; in exact-key
@@ -193,21 +226,24 @@ func (s *spillStore) Claim(fp uint64, key []byte) (string, bool) {
 	fresh := s.bloom == nil || !s.bloom.has(fp)
 	s.level = append(s.level, spillEntry{entry{fp, stored}, fresh})
 	if !fresh {
-		s.prefilterHits++
+		s.stats.PrefilterHits++
 	}
 	return stored, true
 }
 
-func (s *spillStore) Queue(worker int, n *Node) bool {
-	if s.ctx.retain {
+// Queue queues n, whose entry this level's Claim admitted, for the next
+// level on worker's queue (calls for one worker must not overlap). A node
+// spooled to disk is recycled at once: its content is in the segment.
+func (s *spillStore) Queue(worker int, n *Node) {
+	if !s.spools {
 		q := &s.queues[worker]
 		q.next = append(q.next, n)
-		return true
+		return
 	}
 	if err := s.spoolNode(&s.queues[worker], worker, n); err != nil {
 		s.fail(err)
 	}
-	return false
+	s.ctx.recycle(n)
 }
 
 // spoolNode appends n's record to worker's segment, interning every slot
@@ -234,11 +270,103 @@ func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 	return nil
 }
 
+// EndLevel runs at the level barrier: it resolves delayed duplicates,
+// enforces the budget cutoff (at most maxNext admissions survive, chosen by
+// ascending (fingerprint, key) — the engine's deterministic truncation
+// order), spills the delta if it is over budget, and returns the next
+// level's frontier.
 func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	if err := s.takeErr(); err != nil {
 		return LevelResult{}, err
 	}
+	var res LevelResult
+	var err error
+	if s.spools {
+		res, err = s.endSpooled(maxNext)
+	} else {
+		res, err = s.endResident(maxNext)
+	}
+	if err != nil {
+		return LevelResult{}, err
+	}
 
+	// Reset per-level state and apply the byte budget: when the resident
+	// delta exceeds it, flush it to a fresh sorted run and compact once
+	// runFanout runs have accumulated. The Bloom prefilter counts toward
+	// the reported peak (it is resident memory) but not toward the spill
+	// trigger: spilling cannot shrink a filter, so triggering on its
+	// constant footprint would only force a futile delta flush at every
+	// subsequent barrier.
+	s.level = s.level[:0]
+	s.dead = s.dead[:0]
+	s.foldPeak()
+	if s.budget > 0 && s.delta.bytes() > s.budget {
+		if err := s.spillDelta(); err != nil {
+			return LevelResult{}, err
+		}
+	}
+
+	s.seq++
+	return res, nil
+}
+
+// endResident ends a level whose nodes stayed in RAM: it drops the delayed
+// duplicates (there are none before a first run), concatenates the
+// workers' queues and cuts them back to maxNext by sortNodes.
+func (s *spillStore) endResident(maxNext int) (LevelResult, error) {
+	revoked, err := s.markDead()
+	if err != nil {
+		return LevelResult{}, err
+	}
+	drop := s.dropSet(func(j int) bool { return s.dead[j] })
+	total := 0
+	for i := range s.queues {
+		total += len(s.queues[i].next)
+	}
+	next := make([]*Node, 0, total-revoked)
+	for i := range s.queues {
+		q := &s.queues[i]
+		if drop == nil {
+			next = append(next, q.next...)
+		} else {
+			for _, n := range q.next {
+				if drop.has(n.fp, n.key) {
+					// Revoked nodes are unreferenced even in provenance
+					// runs (nothing expanded them, and pending claims only
+					// ever mutated them), so their buffers go straight
+					// back to the pool.
+					s.ctx.recycle(n)
+					continue
+				}
+				next = append(next, n)
+			}
+		}
+		clear(q.next)
+		q.next = q.next[:0]
+	}
+
+	res := LevelResult{Revoked: revoked}
+	// Budget cutoff: this level may have overshot (admission is
+	// unthrottled within a level so the admitted set stays a pure function
+	// of the space, not of thread timing). Truncate back to exactly maxNext
+	// survivors by ascending (fingerprint, key) — deterministic regardless
+	// of arrival order.
+	if len(next) > maxNext {
+		sortNodes(next)
+		// The engine closes admissions on a truncation, so the dropped
+		// nodes' buffers have no taker: they are left to the collector.
+		clear(next[maxNext:])
+		next = next[:maxNext]
+		res.Truncated = true
+	}
+	res.Frontier = &memSource{nodes: next}
+	return res, nil
+}
+
+// endSpooled ends a level spooled to segments: it publishes them, resolves
+// the delayed duplicates and the budget cutoff on the level's admissions,
+// and streams the survivors back in admission order.
+func (s *spillStore) endSpooled(maxNext int) (LevelResult, error) {
 	// Publish the level's segment files before anything can read them.
 	segs := make([]string, len(s.queues))
 	for i := range s.queues {
@@ -255,9 +383,6 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		}
 	}
 
-	// Delayed duplicate detection: merge the level's sorted admissions
-	// against the sorted runs and revoke the ones already visited before
-	// the last spill.
 	revoked, err := s.markDead()
 	if err != nil {
 		return LevelResult{}, err
@@ -283,11 +408,36 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	if truncated {
 		kept = maxNext
 	}
+	drop := s.dropSet(func(j int) bool {
+		return s.dead[j] || truncated && (maxNext == 0 || entryLess(cutoff, s.level[j].entry))
+	})
 
-	// What the barrier revoked or truncated (nil: nothing).
+	src := &spillSource{store: s, size: kept, segs: segs, drop: drop,
+		readers: make([]*artifactScanner, len(segs))}
+	s.source = src
+	for i, seg := range segs {
+		if seg == "" {
+			continue
+		}
+		r, err := scanArtifact(seg, artifactSegment)
+		if err != nil {
+			return LevelResult{}, fmt.Errorf("spill store: %w", err)
+		}
+		// Unlink immediately: the open descriptor keeps the data
+		// readable and the file is reclaimed even if the source
+		// is abandoned mid-level.
+		os.Remove(seg)
+		src.readers[i] = r
+	}
+	return LevelResult{Frontier: src, Revoked: revoked, Truncated: truncated}, nil
+}
+
+// dropSet collects the level's admissions j for which dropped(j) holds, or
+// returns nil when there are none.
+func (s *spillStore) dropSet(dropped func(j int) bool) *keyedSet {
 	var drop *keyedSet
 	for j, e := range s.level {
-		if !s.dead[j] && !(truncated && (maxNext == 0 || entryLess(cutoff, e.entry))) {
+		if !dropped(j) {
 			continue
 		}
 		if drop == nil {
@@ -296,66 +446,7 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 		}
 		drop.add(e.fp, e.key)
 	}
-
-	res := LevelResult{Revoked: revoked, Truncated: truncated}
-	if s.ctx.retain {
-		next := make([]*Node, 0, kept)
-		for i := range s.queues {
-			q := &s.queues[i]
-			for _, n := range q.next {
-				if drop != nil && drop.has(n.fp, n.key) {
-					// Revoked and truncated nodes are unreferenced even
-					// in provenance runs (nothing expanded them, and
-					// pending claims only ever mutated them), so their
-					// buffers go straight back to the pool.
-					s.ctx.recycle(n)
-					continue
-				}
-				next = append(next, n)
-			}
-			clear(q.next)
-			q.next = q.next[:0]
-		}
-		res.Frontier = &memSource{nodes: next}
-	} else {
-		src := &spillSource{store: s, size: kept, segs: segs, drop: drop,
-			readers: make([]*artifactScanner, len(segs))}
-		s.source = src
-		for i, seg := range segs {
-			if seg == "" {
-				continue
-			}
-			r, err := scanArtifact(seg, artifactSegment)
-			if err != nil {
-				return LevelResult{}, fmt.Errorf("spill store: %w", err)
-			}
-			// Unlink immediately: the open descriptor keeps the data
-			// readable and the file is reclaimed even if the source
-			// is abandoned mid-level.
-			os.Remove(seg)
-			src.readers[i] = r
-		}
-		res.Frontier = src
-	}
-
-	// Reset per-level state and apply the byte budget: when the resident
-	// delta exceeds it, flush it to a fresh sorted run and compact once
-	// runFanout runs have accumulated. The Bloom prefilter counts toward
-	// the reported peak (it is resident memory) but not toward the spill
-	// trigger: spilling cannot shrink a filter, so triggering on its
-	// constant footprint would only force a futile delta flush at every
-	// subsequent barrier.
-	s.level = s.level[:0]
-	s.dead = s.dead[:0]
-	s.foldPeak()
-	if s.delta.bytes() > s.budget {
-		if err := s.spillDelta(); err != nil {
-			return LevelResult{}, err
-		}
-	}
-
-	s.seq++
-	return res, nil
+	return drop
 }
 
 // markDead stream-merges the level's sorted admissions against each sorted
@@ -431,6 +522,9 @@ func (s *spillStore) mergeMark(run *spillRun, order []int) error {
 
 // newRun opens the next sorted-run file for writing.
 func (s *spillStore) newRun() (*blockWriter, error) {
+	if err := s.openDir(); err != nil {
+		return nil, err
+	}
 	w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("run-%d", s.runSeq)), artifactRun, false)
 	if err != nil {
 		return nil, fmt.Errorf("spill store: %w", err)
@@ -573,12 +667,16 @@ func (s *spillStore) foldPeak() {
 	s.stats.PeakResidentBytes = max(s.stats.PeakResidentBytes, resident)
 }
 
+// Stats reports cumulative store statistics. It samples the peak too:
+// async runs never reach EndLevel (it runs after the run ends, when no
+// worker is live).
 func (s *spillStore) Stats() StoreStats {
-	out := s.stats
-	out.PrefilterHits = s.prefilterHits
-	return out
+	s.foldPeak()
+	return s.stats
 }
 
+// Close releases the store's files and directory. It is safe to call after
+// an aborted level, and twice.
 func (s *spillStore) Close() error {
 	for i := range s.queues {
 		if w := s.queues[i].spool; w != nil {
@@ -763,8 +861,12 @@ func (s *spillSource) closeAll() {
 
 // ---- checkpoint support ----
 
-// DumpVisited emits the resident delta and then every spilled run; an
-// entry spilled and re-admitted since comes twice.
+// DumpVisited streams every visited entry to emit, for a checkpoint
+// snapshot; it runs at a level barrier only. It emits the resident delta,
+// in table order, and then every spilled run, so an entry spilled and
+// re-admitted since comes twice. Table order costs no memory but is the
+// one order that must never be inserted into a table that is still
+// growing (fpSet.reserve says why), hence SeedVisited's shape.
 func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
 	if err := s.delta.forEach(emit); err != nil {
 		return err
@@ -783,16 +885,22 @@ func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
 	return nil
 }
 
-// SeedVisited loads the snapshot under the byte budget: the delta takes
-// entries up to the budget, is flushed to a sorted run like any over-budget
-// delta, and starts over, so a resumed run holds no more of the visited
-// set resident than the run that wrote the snapshot did. Every fresh delta
-// table is sized for what it will take before it takes it (a mem-store
-// snapshot arrives in table order).
+// SeedVisited takes a snapshot whole, after its checksum has verified: fps
+// (and, under exact keys, the parallel keys; nil otherwise) go into a
+// delta table sized for what it will take before it takes it, so seeding
+// is linear in the snapshot whatever order it arrives in. It runs once, on
+// a fresh store, before the first level; repeats are harmless. Under a
+// budget the delta takes entries up to the budget, is flushed to a sorted
+// run like any over-budget delta, and starts over, so a resumed run holds
+// no more of the visited set resident than the run that wrote the
+// snapshot did.
 func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
 	// The budget, floored at a delta table's initial footprint (2,048
 	// slots) so tiny budgets batch flushes instead of spilling every entry.
-	budget := max(s.budget, 16<<10)
+	budget := s.budget
+	if budget > 0 {
+		budget = max(budget, 16<<10)
+	}
 	room := 0 // entries the current delta table still takes
 	for i, fp := range fps {
 		left := len(fps) - i // entries still to come, this one included
@@ -806,7 +914,7 @@ func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
 		s.delta.add(fp, key)
 		room--
 		// The delta has reached the budget.
-		if (room == 0 || s.delta.bytes() > budget) && left > 1 {
+		if budget > 0 && (room == 0 || s.delta.bytes() > budget) && left > 1 {
 			s.foldPeak()
 			if err := s.spillDelta(); err != nil {
 				return err

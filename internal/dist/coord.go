@@ -808,25 +808,13 @@ func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failSta
 			}
 		}
 
-		out.Store.Kind = r.Store.Kind
-		out.Store.BytesSpilled += r.Store.BytesSpilled
-		out.Store.RunsWritten += r.Store.RunsWritten
-		out.Store.RunsMerged += r.Store.RunsMerged
-		out.Store.PeakResidentBytes += r.Store.PeakResidentBytes
-		out.Store.PrefilterHits += r.Store.PrefilterHits
-
-		out.Reduction.Reduce = r.Reduction.Reduce
-		out.Reduction.StatesPruned += r.Reduction.StatesPruned
-		out.Reduction.OrbitHits += r.Reduction.OrbitHits
-
+		out.Store.Add(r.Store)
+		out.Reduction.Add(r.Reduction)
 		out.Async.Order = r.Async.Order
-
 		// Each relayed record is counted once, at its sender. Traffic
 		// counters reflect the verdict-producing epoch; aborted epochs'
 		// traffic is not part of the result it reports.
-		out.Net.BatchesSent += r.Net.BatchesSent
-		out.Net.BytesSent += r.Net.BytesSent
-		out.Net.PeerStalls += r.Net.PeerStalls
+		out.Net.Add(r.Net)
 	}
 	out.Net.Peers = len(results)
 	if st != nil {

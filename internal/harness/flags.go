@@ -245,7 +245,9 @@ func (f *EngineFlags) options(provenance bool, progressW io.Writer) (check.Engin
 }
 
 // SearchLimits threads the engine flags into lower-bound search limits
-// with the given budget.
+// with the given budget. It validates them with provenance first, so a
+// reduction or the async order is an error here (ErrIncompatibleModes),
+// never a limit the search would carry.
 func (f *EngineFlags) SearchLimits(maxConfigs, maxDepth int, progressW io.Writer) (lowerbound.SearchLimits, error) {
 	o, err := f.options(true, progressW)
 	if err != nil {
@@ -254,7 +256,7 @@ func (f *EngineFlags) SearchLimits(maxConfigs, maxDepth int, progressW io.Writer
 	return lowerbound.SearchLimits{
 		MaxConfigs: maxConfigs, MaxDepth: maxDepth,
 		Workers: o.Workers, Fingerprints: !o.StringKeys, Store: o.Store, MemBudget: o.MemBudget,
-		Reduction: o.Reduction, Order: o.Order, Progress: o.Progress,
+		Progress: o.Progress,
 	}, nil
 }
 

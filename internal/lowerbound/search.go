@@ -32,7 +32,7 @@ type SearchLimits struct {
 	// witness or substitute a wrong transition, so certificate searches
 	// default to exact.
 	Fingerprints bool
-	// Store selects the engine's state-store backend ("", "mem" or
+	// Store sets the engine's state-store budget ("", "mem" or
 	// "spill"). Provenance runs keep their nodes resident either way;
 	// "spill" additionally bounds the visited set's resident memory by
 	// MemBudget, spilling dedup entries to sorted runs on disk.
@@ -40,24 +40,6 @@ type SearchLimits struct {
 	// MemBudget is the spill store's resident-byte budget
 	// (0 = check.DefaultMemBudget).
 	MemBudget int64
-	// Reduction requests a state-space reduction ("", "none", "sym")
-	// for the underlying engine run. It is off by default
-	// and the witness-producing searches in this package REJECT any
-	// other value: every search here extracts a replayable schedule
-	// from provenance chains, and a reduction merges schedules (orbit
-	// members share a visited entry), so a reduced run cannot certify
-	// anything. The field exists so limit plumbing (flags, sweep cells)
-	// can carry the axis uniformly and fail loudly here rather than
-	// silently dropping it.
-	Reduction string
-	// Order selects the engine's exploration order ("", "levelsync",
-	// "async"). Like Reduction it exists so limit plumbing can carry the
-	// axis uniformly: the witness-producing searches here require
-	// provenance chains, which the async order cannot maintain (admission
-	// order is nondeterministic, so parent pointers would race), and the
-	// engine rejects the combination loudly rather than this package
-	// silently dropping the axis.
-	Order string
 	// Progress, if non-nil, receives per-level engine throughput (the
 	// CLIs stream it to stderr so stdout stays parseable).
 	Progress func(check.Progress)
@@ -70,16 +52,18 @@ func (l SearchLimits) withDefaults() SearchLimits {
 	return l
 }
 
-// engineOptions translates the limits into frontier-engine options.
-// Reduction and Order are passed through verbatim: the engine rejects
-// either a reduction or the async order together with Provenance, which
-// is exactly the "explicitly disabled for witness-producing searches"
-// contract.
+// engineOptions translates the limits into frontier-engine options. There
+// is no reduction or order to pass: every search here extracts a
+// replayable schedule from provenance chains, which a reduction merges
+// (orbit members share a visited entry) and the async order cannot keep
+// (parent pointers would race), so the engine rejects either together
+// with Provenance (check.ModeConflicts), and the callers that parse them
+// (harness.EngineFlags.SearchLimits) validate with provenance first.
 func (l SearchLimits) engineOptions() (check.ExploreLimits, check.EngineOptions) {
 	l = l.withDefaults()
 	return check.ExploreLimits{MaxConfigs: l.MaxConfigs, MaxDepth: l.MaxDepth},
 		check.EngineOptions{Ctx: l.Ctx, Workers: l.Workers, StringKeys: !l.Fingerprints,
-			Store: l.Store, MemBudget: l.MemBudget, Reduction: l.Reduction, Order: l.Order,
+			Store: l.Store, MemBudget: l.MemBudget,
 			// Witness extraction replays parent chains after the run.
 			Provenance: true, Progress: l.Progress}
 }

@@ -77,9 +77,6 @@ func TestOrderAxisIgnoredByCertificateRows(t *testing.T) {
 	if rec.Order != "" {
 		t.Errorf("certificate record carries order=%q; the axis must be dropped", rec.Order)
 	}
-	if limits := (Cell{Engine: EngineSpec{Order: check.OrderAsync}}).SearchLimits(100, 10); limits.Order != "" {
-		t.Errorf("SearchLimits carried Order %q; certificate searches run level-synchronized", limits.Order)
-	}
 }
 
 // TestEngineSpecOrderLabel: the order axis lands in the cell ID (so

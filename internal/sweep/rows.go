@@ -496,7 +496,7 @@ func exploreOutcome(p model.Protocol, inputs []int, k int, cell Cell) (*Outcome,
 		// Re-derive a replayable witness schedule for the record; the
 		// explorer itself only keeps the violating configuration. The
 		// search can come back empty within its budget — Violated keeps
-		// the status honest regardless. (SearchLimits drops the reduce
+		// the status honest regardless. (SearchLimits has no reduce
 		// axis: witness extraction must run unreduced.)
 		w, werr := lowerbound.FindAgreementViolation(p, inputs, k, cell.SearchLimits(check.DefaultMaxConfigs, 0))
 		if werr != nil {

@@ -306,12 +306,11 @@ func (c Cell) ValidateOptions() harness.ValidateOptions {
 // SearchLimits translates the cell into lower-bound search limits, using
 // the scenario's default budget where the cell does not override it.
 // Certificate searches default to exact string keys; Keys "fingerprint"
-// opts into fingerprint dedup. The Reduce and Order axes are
-// deliberately NOT carried over: the searches behind these limits
-// extract witness schedules from provenance chains, which every
-// reduction is unsound for and the async order cannot maintain (both
-// rejected by the engine), so a grid may sweep either axis without
-// breaking its certificate rows.
+// opts into fingerprint dedup. The Reduce and Order axes have no
+// counterpart in the limits: the searches behind them extract witness
+// schedules from provenance chains, which every reduction is unsound for
+// and the async order cannot maintain, so a grid may sweep either axis
+// without breaking its certificate rows.
 func (c Cell) SearchLimits(defConfigs, defDepth int) lowerbound.SearchLimits {
 	if c.MaxConfigs > 0 {
 		defConfigs = c.MaxConfigs
