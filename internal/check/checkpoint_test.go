@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -640,8 +641,9 @@ func TestCheckpointEveryThinsSnapshots(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsProvenance: checkpointing composes with neither
-// provenance (in-RAM parent chains) nor >255-process protocols.
+// TestCheckpointRejectsProvenance: checkpointing does not compose with
+// provenance (a snapshot has no place for a level's settled provenance
+// paths). The 255-process cap is TestPathRunsCapProcesses'.
 func TestCheckpointRejectsProvenance(t *testing.T) {
 	p := symRace{n: 2}
 	c := model.MustNewConfig(p, []int{0, 1})
@@ -650,5 +652,21 @@ func TestCheckpointRejectsProvenance(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected Checkpoint+Provenance to be rejected")
+	}
+}
+
+// TestPathRunsCapProcesses: a root-to-node path stores one pid byte per
+// step, so a run that keeps paths — checkpointed or provenance — rejects a
+// 256-process protocol before it starts, with an error naming the cap.
+func TestPathRunsCapProcesses(t *testing.T) {
+	p := symRace{n: 256}
+	c := model.MustNewConfig(p, make([]int, 256))
+	for _, opts := range []check.EngineOptions{{Checkpoint: t.TempDir()}, {Provenance: true}} {
+		_, err := check.RunFrontier(p, c, []int{0, 1}, check.ExploreLimits{MaxConfigs: 10}, opts,
+			func(int, *check.Node) error { return nil }, nil)
+		if err == nil || !strings.Contains(err.Error(), "at most 255 processes") {
+			t.Errorf("checkpoint %t, provenance %t: err = %v, want the 255-process cap",
+				opts.Checkpoint != "", opts.Provenance, err)
+		}
 	}
 }

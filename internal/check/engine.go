@@ -118,16 +118,14 @@ type EngineOptions struct {
 	// process over the unbudgeted store, unreduced or under "sym", without
 	// checkpoints (modes.go says why the rest is rejected with it).
 	Order string
-	// Provenance retains every node's parent chain and configuration so
-	// that Node.Parent and Node.Schedule work after the run — required
-	// by the witness-extracting searches. Off by default: node buffers
-	// are recycled once visited and expanded, keeping live *node* memory
-	// at O(frontier) instead of O(visited) configurations. (Per-worker
-	// intern arenas and transition memos still grow with the number of
-	// distinct slot encodings and transitions seen — typically far
-	// smaller than the configuration count, but not frontier-bounded.)
-	// Under a spill budget, provenance keeps the frontier resident (the
-	// chains must stay live) and only the dedup state spills.
+	// Provenance gives every node its deterministic first-reached
+	// schedule as its root-to-node pid path (Node.Schedule): among one
+	// level's claims of a configuration, the one with the smallest
+	// (parent fingerprint, parent key, pid) wins, whatever the discovery
+	// order — required by the witness-extracting searches. It costs a
+	// pending-table insert per admission and a path per node; nodes are
+	// recycled once visited and expanded, and a budgeted store spools the
+	// frontier, as in any run. Limited to 255 processes, like Checkpoint.
 	Provenance bool
 	// Store sets the state store's budget: "" or "mem" runs it in RAM
 	// with none, "spill" bounds its resident memory by MemBudget and
@@ -147,8 +145,8 @@ type EngineOptions struct {
 	// and a new run pointed at the same directory resumes from the last
 	// committed generation with an identical final verdict. Levelsync
 	// order only: the async order has no barrier to snapshot at.
-	// Incompatible with Provenance, and limited to 255 processes
-	// (checkpoint.go explains both). Empty disables checkpointing.
+	// Incompatible with Provenance (modes.go says why), and limited to
+	// 255 processes (checkpoint.go). Empty disables checkpointing.
 	Checkpoint string
 	// CheckpointEvery writes a snapshot at every Nth level barrier
 	// (<= 0 means every barrier). The run's final barrier always
@@ -202,13 +200,12 @@ type Progress struct {
 	Elapsed time.Duration
 }
 
-// Node is one admitted configuration in an engine run, with the
-// provenance needed to replay a schedule reaching it.
+// Node is one admitted configuration in an engine run, with, in runs that
+// keep paths, the pid path that replays a schedule reaching it.
 type Node struct {
 	// Cfg is the configuration. Visitors must not mutate it, and must
-	// not retain it beyond the visit unless EngineOptions.Provenance is
-	// set (without it the engine recycles each node's buffers after the
-	// node has been visited and expanded).
+	// not keep it beyond the visit: the engine recycles each node's
+	// buffers once the node has been visited and expanded.
 	Cfg *model.Config
 	// Depth is the BFS depth (root = 0).
 	Depth int
@@ -216,44 +213,35 @@ type Node struct {
 	// (-1 at the root).
 	Pid int
 
-	parent *Node
 	fp     uint64   // dedup fingerprint (slot fp, or orbit-canonical under "sym")
 	slotFP uint64   // incremental slot fingerprint (Step.Fingerprint chain)
 	slotH  []uint64 // per-slot content hashes, parallel to Cfg slots
 	key    string   // exact encoding, set only in string-key mode
-	path   []byte   // root-to-node pid bytes, set only in checkpointing runs
+	path   []byte   // root-to-node pid bytes, set only in runs that keep paths
 
 	// reexpand marks an async-order depth-relaxation item (MaxDepth runs
 	// only): a state already visited, re-expanded at an improved depth.
 	reexpand bool
 }
 
-// Parent returns the node this one was first (deterministically) reached
-// from, or nil at the root. It is always nil unless the run used
-// EngineOptions.Provenance.
-func (n *Node) Parent() *Node { return n.parent }
-
 // Fingerprint returns the dedup key of the node's configuration under the
 // engine's keying mode.
 func (n *Node) Fingerprint() uint64 { return n.fp }
 
 // Path returns the pid sequence from the root to n as one byte per
-// step. It is populated only in checkpointing runs (where it is how the
-// search layer persists replayable witnesses without provenance); the
-// returned slice is the node's own buffer and must be copied if
+// step. It is populated only in runs that keep paths: provenance runs
+// (where it is the deterministic first-reached schedule), checkpointing
+// runs (where it is how frontiers and witnesses persist) and distributed
+// runs. The returned slice is the node's own buffer and must be copied if
 // retained beyond the visit.
 func (n *Node) Path() []byte { return n.path }
 
-// Schedule returns the pid sequence leading from the root to n. It
-// requires a run with EngineOptions.Provenance (otherwise parent chains
-// are not retained and the schedule is truncated at n itself).
+// Schedule returns n's Path as pids (nil at the root, and in a run that
+// keeps no paths).
 func (n *Node) Schedule() []int {
 	var out []int
-	for m := n; m.parent != nil; m = m.parent {
-		out = append(out, m.Pid)
-	}
-	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-		out[l], out[r] = out[r], out[l]
+	for _, pid := range n.path {
+		out = append(out, int(pid))
 	}
 	return out
 }
@@ -290,8 +278,9 @@ type RunStats struct {
 const chunkSize = 256
 
 // claimState is the engine-side face of the visited set: the lock a claim
-// is made under and the same-level folds that are part of it. The table and
-// the frontier queues are the store's. The set is one table under one
+// is made under and the same-level folds that are part of it (the
+// provenance tie-break, async's depth relaxation). The table and the
+// frontier queues are the store's. The set is one table under one
 // lock, not partitioned: at two workers, all this repository's benchmark
 // runs, 8 and 64 lock-striped partitions measured no faster (README, "The
 // visited set has one lock"). During a level (or an async run) drained by
@@ -299,16 +288,29 @@ const chunkSize = 256
 // barrier, take no lock.
 type claimState struct {
 	mu sync.Mutex
-	// pending holds this level's admissions by fingerprint (provenance runs
-	// only), for deterministic provenance claims; pendingExact the ones
-	// whose fingerprint an earlier pending node with a different key
-	// already took: under exact keys a shared fingerprint must not merge
-	// two configurations here either.
-	pending      map[uint64]*Node
-	pendingExact map[string]*Node
+	// pending holds the claim each of this level's admissions is credited
+	// to, by fingerprint (provenance runs only); pendingExact the ones whose
+	// fingerprint an earlier admission with a different key already took:
+	// under exact keys a shared fingerprint must not merge two
+	// configurations here either.
+	pending      map[uint64]claimant
+	pendingExact map[string]claimant
+	// overrides holds the root-to-node path of every admission of this
+	// level a later, smaller claim took over; at the barrier it becomes
+	// settled, whose paths levelSource.take writes into the nodes before
+	// they are visited or expanded.
+	overrides, settled map[entry][]byte
 	// depth is the best-known depth per state (async MaxDepth runs only); a
 	// strictly smaller duplicate re-enqueues the state as a deepen item.
 	depth map[uint64]int
+}
+
+// claimant is the claim a provenance run credits an admission to: the
+// parent's entry and the pid that stepped it, and the admitted entry's key.
+type claimant struct {
+	key    string
+	parent entry
+	pid    int32
 }
 
 // engineRun carries the per-run state both exploration orders share: the
@@ -327,9 +329,10 @@ type engineRun struct {
 	began      time.Time
 
 	// pathsOn maintains every node's root-to-node pid path: set for
-	// checkpointing runs (paths are how frontiers persist) and for
-	// distributed runs (paths are the wire records' replay fallback and
-	// how peers ship replayable violation witnesses to the coordinator).
+	// provenance runs (the path is the witness schedule), checkpointing
+	// runs (paths are how frontiers persist) and distributed runs (paths
+	// are the wire records' replay fallback and how peers ship replayable
+	// violation witnesses to the coordinator).
 	pathsOn bool
 	// link is the distributed peer link (nil for single-process runs) and
 	// remat what rebuilds the nodes of the records it delivers.
@@ -483,28 +486,17 @@ func (r *engineRun) newNode() *Node {
 	return r.nodePool.Get().(*Node)
 }
 
-// recycle returns a visited frontier node's buffers to the pool — unless
-// the run tracks provenance, in which case every admitted node stays
-// live (parent chains may reference it).
+// recycle returns the buffers of a node nothing refers to any more — a
+// visited and expanded frontier node, a spooled, revoked or truncated
+// admission, a node rebuilt only to be replaced — to the pool.
 func (r *engineRun) recycle(n *Node) {
-	if r.opts.Provenance {
-		return
-	}
-	r.recycleAlways(n)
-}
-
-// recycleAlways recycles a node that is provably unreferenced even in
-// provenance mode: budget-truncated and revoked admissions (dropped before
-// anything could point at them) and nodes rebuilt only to be replaced.
-func (r *engineRun) recycleAlways(n *Node) {
-	if r.closed.Load() && !r.store.spools {
+	if r.closed.Load() && r.store.budget == 0 {
 		// A closed run builds no more nodes. One parked in the pool would
 		// outlive the run by two collections; left alone it is garbage now.
 		// (A spooled frontier is the exception: the closed run's last level
 		// is still to be rematerialised from disk, into pooled nodes.)
 		return
 	}
-	n.parent = nil
 	n.key = ""
 	n.reexpand = false
 	r.nodePool.Put(n)
@@ -516,7 +508,6 @@ func (r *engineRun) rootNode(st *model.Stepper) *Node {
 	n := r.newNode()
 	n.Cfg.CopyFrom(r.start)
 	n.Depth, n.Pid = 0, -1
-	n.parent = nil
 	n.path = n.path[:0]
 	n.slotFP = st.InitSlots(n.Cfg, n.slotH)
 	return n
@@ -546,9 +537,9 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		return RunStats{}, fmt.Errorf("frontier engine: start configuration has %d objects and %d states, protocol declares %d and %d",
 			len(start.Objects), len(start.States), nObj, nProc)
 	}
-	pathsOn := opts.Checkpoint != "" || opts.Dist != nil
+	pathsOn := opts.Provenance || opts.Checkpoint != "" || opts.Dist != nil
 	if pathsOn && nProc > 255 {
-		return RunStats{}, fmt.Errorf("frontier engine: checkpointed and distributed runs support at most 255 processes (root-to-node paths store one pid byte per step), protocol declares %d", nProc)
+		return RunStats{}, fmt.Errorf("frontier engine: provenance, checkpointed and distributed runs support at most 255 processes (root-to-node paths store one pid byte per step), protocol declares %d", nProc)
 	}
 
 	run := &engineRun{
@@ -583,7 +574,9 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	}
 
 	if opts.Provenance {
-		run.claims.pending, run.claims.pendingExact = map[uint64]*Node{}, map[string]*Node{}
+		cl := &run.claims
+		cl.pending, cl.pendingExact = map[uint64]claimant{}, map[string]claimant{}
+		cl.overrides, cl.settled = map[entry][]byte{}, map[entry][]byte{}
 	}
 	if asyncOn && limits.MaxDepth > 0 {
 		run.claims.depth = map[uint64]int{}
@@ -593,9 +586,10 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		nObj:       nObj,
 		nProc:      nProc,
 		stringKeys: opts.StringKeys,
-		retain:     opts.Provenance,
 		newNode:    run.newNode,
-		recycle:    run.recycleAlways,
+		recycle:    run.recycle,
+		fail:       run.fail,
+		stopped:    run.doneFlag.Load,
 	}
 	budget := int64(0) // StoreMem: none
 	switch opts.Store {

@@ -55,7 +55,6 @@ type cand struct {
 	keyLen  int32
 	verdict uint8
 	key     string // the admitted exact key, as the store holds it
-	node    *Node  // the admitted node of a provenance run, taken at the claim
 }
 
 // expander is one worker's expansion state. Like the stepper it wraps,
@@ -70,7 +69,7 @@ type expander struct {
 	enc    []byte     // encoding scratch (exact keys)
 	// penc is the node under expansion's exact key split at its slots
 	// (exact-key runs only). It is rebuilt by one scan per expanded node
-	// instead of stored per node: provenance runs retain every node.
+	// instead of stored per node.
 	penc model.SlotEncoding
 	tmp  *Node // a successor on its way to another peer (distributed runs)
 	// visited counts the nodes this worker has visited (engineRun.processed).
@@ -262,10 +261,7 @@ func (x *expander) commit(locked bool) []*Node {
 		if c.verdict == candDup {
 			continue
 		}
-		n := c.node
-		if n == nil {
-			n = r.newNode() // its parent is nil: the pool holds no other kind
-		}
+		n := r.newNode()
 		x.build(c, n)
 		x.out = append(x.out, n)
 	}
@@ -283,17 +279,13 @@ func (x *expander) claim(c *cand, key []byte) uint8 {
 	stored, added := r.store.Claim(c.fp, key)
 	if added {
 		c.verdict, c.key = candNew, stored
-		if r.opts.Provenance {
-			// The node is taken here, under the lock, because a later
-			// duplicate may have to rewrite its provenance before the
-			// claimant has built it.
-			n := r.newNode()
-			n.parent, n.Pid, n.fp, n.key = x.parents[c.parent], int(c.pid), c.fp, stored
-			c.node = n
-			if prev := cl.pending[c.fp]; prev != nil && prev.key != stored {
-				cl.pendingExact[stored] = n
+		if cl.pending != nil {
+			a := x.parents[c.parent]
+			credit := claimant{key: stored, parent: entry{a.fp, a.key}, pid: c.pid}
+			if prev, ok := cl.pending[c.fp]; ok && prev.key != stored {
+				cl.pendingExact[stored] = credit
 			} else {
-				cl.pending[c.fp] = n
+				cl.pending[c.fp] = credit
 			}
 		}
 		if cl.depth != nil {
@@ -302,22 +294,8 @@ func (x *expander) claim(c *cand, key []byte) uint8 {
 		return candNew
 	}
 	c.verdict = candDup
-	if r.opts.Provenance {
-		// If the configuration was admitted this very level, claim
-		// provenance when ours is deterministically smaller — by the
-		// parent's (fingerprint, key), then pid — so witness schedules do
-		// not depend on discovery order. (Keys are empty, and so equal,
-		// outside exact-key runs.)
-		prev := cl.pending[c.fp]
-		if prev != nil && prev.key != string(key) {
-			prev = cl.pendingExact[string(key)]
-		}
-		if prev != nil {
-			a, b := x.parents[c.parent], prev.parent
-			if a.fp < b.fp || (a.fp == b.fp && (a.key < b.key || (a.key == b.key && int(c.pid) < prev.Pid))) {
-				prev.parent, prev.Pid = a, int(c.pid)
-			}
-		}
+	if cl.pending != nil {
+		x.reclaim(c, key)
 	}
 	if cl.depth != nil {
 		// Without a barrier a duplicate can still owe work under a MaxDepth
@@ -330,11 +308,40 @@ func (x *expander) claim(c *cand, key []byte) uint8 {
 	return c.verdict
 }
 
+// reclaim is a provenance run's same-level fold for a duplicate claim c of
+// an entry (c.fp, key): if the configuration was admitted this very level,
+// c takes its provenance when c is deterministically smaller than the claim
+// credited so far — by the parent's (fingerprint, key), then pid — so
+// witness schedules do not depend on discovery order. (Keys are empty, and
+// so equal, outside exact-key runs.) The winner's path goes into overrides
+// now, while its parent is live; the node gets it when it is taken.
+func (x *expander) reclaim(c *cand, key []byte) {
+	cl := &x.run.claims
+	prev, ok := cl.pending[c.fp]
+	exact := ok && prev.key != string(key)
+	if exact {
+		prev, ok = cl.pendingExact[string(key)]
+	}
+	if !ok {
+		return
+	}
+	a := x.parents[c.parent]
+	parent := entry{a.fp, a.key}
+	if d := entryCompare(parent, prev.parent); d > 0 || d == 0 && c.pid >= prev.pid {
+		return
+	}
+	prev.parent, prev.pid = parent, c.pid
+	if exact {
+		cl.pendingExact[prev.key] = prev
+	} else {
+		cl.pending[c.fp] = prev
+	}
+	e := entry{c.fp, prev.key}
+	cl.overrides[e] = append(append(cl.overrides[e][:0], a.path...), byte(c.pid))
+}
+
 // build writes candidate c's successor into n: the copy-on-write step from
-// its parent, and the depth/pid/path/key bookkeeping. A provenance
-// run's node already carries its identity, parent and generator pid, set —
-// and, those two, possibly since rewritten — under the claim lock, where
-// other claimants read them.
+// its parent, and the depth/pid/path/key bookkeeping.
 func (x *expander) build(c *cand, n *Node) {
 	r := x.run
 	p := x.parents[c.parent]
@@ -342,9 +349,7 @@ func (x *expander) build(c *cand, n *Node) {
 	n.slotFP = c.step.Fingerprint(p.slotFP)
 	n.Depth = p.Depth + 1
 	n.reexpand = c.verdict == candDeepen
-	if c.node == nil {
-		n.Pid, n.fp, n.key = int(c.pid), c.fp, c.key
-	}
+	n.Pid, n.fp, n.key = int(c.pid), c.fp, c.key
 	if r.pathsOn {
 		// Root-to-node pid path: the only protocol-independent
 		// serialization of a node (configs are opaque; a resumed or
@@ -365,13 +370,12 @@ func replayStep(run *engineRun, st *model.Stepper, cur *Node, pid byte) (*Node, 
 		err = fmt.Errorf("pid %d has no step at depth %d", pid, cur.Depth)
 	}
 	if err != nil {
-		run.recycleAlways(succ)
+		run.recycle(succ)
 		return nil, fmt.Errorf("checkpoint: frontier path does not replay (%v); was the checkpoint written by a different protocol build?", err)
 	}
 	succ.slotFP = fp
 	succ.Depth = cur.Depth + 1
 	succ.Pid = int(pid)
-	succ.parent = nil
 	return succ, nil
 }
 
@@ -382,7 +386,7 @@ func replayPath(run *engineRun, st *model.Stepper, path []byte) (*Node, error) {
 	cur := run.rootNode(st)
 	for _, pid := range path {
 		succ, err := replayStep(run, st, cur, pid)
-		run.recycleAlways(cur)
+		run.recycle(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -439,7 +443,7 @@ func (x *expander) replayChunk(paths [][]byte, order []int, nodes []*Node) error
 	pop := func(to int) {
 		for _, f := range stack[to:] {
 			if !f.kept {
-				r.recycleAlways(f.n)
+				r.recycle(f.n)
 			}
 		}
 		stack = stack[:to]

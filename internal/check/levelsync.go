@@ -37,7 +37,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 	var frontier FrontierSource
 	startDepth := 0
 	if resumed != nil {
-		run.recycleAlways(root)
+		run.recycle(root)
 		if frontier, err = resumeFromCheckpoint(run, resumed, &stats); err != nil {
 			return stats, err
 		}
@@ -46,7 +46,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		if run.link != nil && !run.link.Owns(root.fp) {
 			// Another peer owns the root; this peer starts with an empty
 			// level-0 frontier and joins the run at the first barrier.
-			run.recycleAlways(root)
+			run.recycle(root)
 		} else {
 			run.store.Claim(root.fp, []byte(root.key))
 			run.store.Queue(0, root)
@@ -130,9 +130,13 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			run.closed.Store(true)
 			run.truncated.Store(true)
 		}
+		// This level's provenance overrides settle: the next level's nodes
+		// take them as they are handed out.
 		cl := &run.claims
 		clear(cl.pending)
 		clear(cl.pendingExact)
+		cl.settled, cl.overrides = cl.overrides, cl.settled
+		clear(cl.overrides)
 		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
 
 		distDone := false
@@ -189,13 +193,26 @@ func expandLevel(run *engineRun, frontier FrontierSource) {
 }
 
 // levelSource is the level order's workSource: chunks from the level's
-// frontier, admissions queued in the store for the next level.
+// frontier, admissions queued in the store for the next level. take hands
+// a provenance run's node out with the path of the claim that won it at
+// the last barrier, whether the node waited in RAM or in a segment.
 type levelSource struct {
 	run *engineRun
 	FrontierSource
 }
 
-func (l levelSource) take(_ int, buf []*Node) int { return l.Next(buf) }
+func (l levelSource) take(_ int, buf []*Node) int {
+	m := l.Next(buf)
+	if settled := l.run.claims.settled; len(settled) > 0 {
+		for _, n := range buf[:m] {
+			if path, ok := settled[entry{n.fp, n.key}]; ok {
+				n.path = append(n.path[:0], path...)
+				n.Pid = int(path[len(path)-1])
+			}
+		}
+	}
+	return m
+}
 
 func (l levelSource) put(w int, admitted []*Node, _ int) {
 	for _, n := range admitted {
@@ -252,7 +269,7 @@ func distLevelBarrier(run *engineRun, depth int, lvl *LevelResult, stop bool) (d
 		if drained != nil {
 			return drained, nil
 		}
-		nodes, err := drainFrontier(lvl.Frontier)
+		nodes, err := run.drainFrontier(lvl.Frontier)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +302,7 @@ func distLevelBarrier(run *engineRun, depth int, lvl *LevelResult, stop bool) (d
 			return false, fmt.Errorf("dist: coordinator keep count %d outside [0, %d]", db.Keep, len(nodes))
 		}
 		for _, n := range nodes[db.Keep:] {
-			run.recycleAlways(n)
+			run.recycle(n)
 		}
 		run.admitted.Add(int64(-(len(nodes) - db.Keep)))
 		run.closed.Store(true)
@@ -340,7 +357,7 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 // verdict without re-exploring). The drained frontier replaces
 // lvl.Frontier.
 func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelResult, stop bool, stats RunStats) error {
-	nodes, err := drainFrontier(lvl.Frontier)
+	nodes, err := run.drainFrontier(lvl.Frontier)
 	if err != nil {
 		return err
 	}
@@ -410,8 +427,10 @@ func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) 
 
 // drainFrontier materializes a level's frontier into a slice. Memory
 // cost is one level resident, paid only at checkpoint barriers; the
-// level is then served to the workers from the slice.
-func drainFrontier(src FrontierSource) ([]*Node, error) {
+// level is then served to the workers from the slice. A spooled frontier
+// stops handing out nodes once the run has stopped (a failed segment read,
+// a cancel), so a short drain returns the run's error.
+func (r *engineRun) drainFrontier(src FrontierSource) ([]*Node, error) {
 	if ms, ok := src.(*memSource); ok {
 		return ms.nodes, nil
 	}
@@ -426,7 +445,10 @@ func drainFrontier(src FrontierSource) ([]*Node, error) {
 		nodes = append(nodes, buf[:m]...)
 	}
 	if len(nodes) != want {
-		return nil, fmt.Errorf("checkpoint: frontier drain came up short (%d of %d nodes): the store hit an I/O error reading its spooled segments", len(nodes), want)
+		if err := r.err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("frontier engine: frontier drain came up short (%d of %d nodes)", len(nodes), want)
 	}
 	return nodes, nil
 }

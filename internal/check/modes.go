@@ -71,15 +71,15 @@ var ModeConflicts = []struct {
 	A, B Mode
 	Why  string
 }{
-	{ModeAsync, ModeProvenance, "async admission order is timing-dependent, so the deterministic first-reached parent chains that witness schedules replay do not exist"},
+	{ModeAsync, ModeProvenance, "async has no level whose claims the provenance tie-break could settle, so the first-reached path a witness schedule replays would depend on timing"},
 	{ModeAsync, ModeStringKeys, "without the level barrier, exact keys pick a timing-dependent representative among colliding encodings"},
 	{ModeAsync, ModeSpill, "async keeps its frontier in the workers' deques, so a store budget bounds nothing; levelsync with the spill store is faster and smaller"},
 	{ModeAsync, ModeDist, "each peer would test the global budget against its own admission count, so a capped run visits up to peers x MaxConfigs; levelsync over peers is exact and no slower"},
 	{ModeAsync, ModeCheckpoint, "a snapshot is the visited set and the next frontier at a level barrier, and the async order has no barrier (rerun from scratch instead: restart == resume for its verdict)"},
-	{ModeCheckpoint, ModeProvenance, "parent chains are in-RAM pointers that cannot be persisted across a crash"},
-	{ModeReduce, ModeProvenance, "a quotient merges schedules, so parent chains replayed through it are not valid executions"},
+	{ModeCheckpoint, ModeProvenance, "a snapshot would have to persist the level's settled provenance paths with its frontier, and its layout has no place for them"},
+	{ModeReduce, ModeProvenance, "a quotient merges schedules, so a path recorded through it is not a valid execution"},
 	{ModeReduce, ModeStringKeys, "exact keys dedup on full encodings, which orbit members do not share"},
-	{ModeDist, ModeProvenance, "parent chains are in-RAM pointers that cannot cross the wire"},
+	{ModeDist, ModeProvenance, "a remote record carries no parent fingerprint or key, so the owning peer cannot settle the provenance tie-break among claims from other peers"},
 	{ModeDist, ModeStringKeys, "exact keys would ship full encodings on every admission probe"},
 	{ModeDist, ModeCheckpoint, "a multi-process snapshot needs coordinator-side generations (rerun from scratch instead: restart == resume for a deterministic run)"},
 }

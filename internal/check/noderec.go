@@ -170,7 +170,6 @@ func (m *rematerialiser) node(rec NodeRecord, spans [][]byte) (*Node, [][]byte, 
 		return nil, spans, err
 	}
 	n.Depth, n.Pid = rec.Depth, rec.Pid
-	n.parent = nil
 	n.fp = rec.FP
 	n.key = ""
 	return n, spans, nil

@@ -132,8 +132,10 @@ func TestSpillDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSpillProvenanceSchedules: with Provenance (the witness searches'
-// mode) the spill store keeps nodes resident, so parent chains replay to
-// the node's own configuration while the dedup state still spills.
+// mode) under a budget the frontier is spooled like any run's, and every
+// node's schedule — its provenance path, read back from a segment and
+// patched at take — replays to the node's own configuration while the
+// dedup state spills too.
 func TestSpillProvenanceSchedules(t *testing.T) {
 	p := baseline.NewPairConsensus(2).WithProcesses(3)
 	start := model.MustNewConfig(p, []int{0, 1, 1})

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/model"
@@ -71,16 +70,17 @@ import (
 //     bytes alone, so the store interns every slot encoding it spools in
 //     the rematerialiser's exchange — resident memory that grows with
 //     *distinct slot encodings*, the same asymptotics as the steppers'
-//     arenas, typically far below the configuration count.
-//
-//   - Runs that must retain nodes in RAM (EngineOptions.Provenance: parent
-//     chains stay live for witness replay) keep the frontier resident, as
-//     an unbudgeted run does, and spill only the dedup state.
+//     arenas, typically far below the configuration count. A provenance
+//     run's records carry each node's path as admitted; the engine patches
+//     in the path of the claim that won the node as it hands the node out.
 //
 // Both files are artifacts (artifact.go): checksummed, published by
 // rename, and wiped by the next open of the directory — nothing outlives
 // the run that wrote it, which is what leaves their layouts free to change.
-// The directory is opened with the first of them.
+// A budgeted store opens the directory when it is created.
+//
+// An I/O or decode failure goes to the run's one error cell
+// (storeCtx.fail), which stops the workers at their next node boundary.
 //
 // Determinism: the admitted set, the budget-truncation survivors (chosen
 // by ascending (fingerprint, key), the engine's canonical order) and all
@@ -88,10 +88,8 @@ import (
 // the budget.
 type spillStore struct {
 	ctx     storeCtx
-	budget  int64 // resident-byte budget; 0: none
-	spools  bool  // the frontier goes to disk (a budget, no provenance)
+	budget  int64 // resident-byte budget; 0: none, and nothing leaves RAM
 	dir     string
-	opened  bool // dir exists and is wiped of stale artifacts
 	ownsDir bool
 	seq     int          // levels ended so far; names the level's segment files
 	queues  []spillQueue // per worker
@@ -108,8 +106,7 @@ type spillStore struct {
 	bloom *bloomFilter
 
 	// This level's tentative admissions, in claim order, and which of them
-	// the barrier merge found on disk. Recorded only while the frontier
-	// spools or a run exists.
+	// the barrier merge found on disk. Recorded only under a budget.
 	level []spillEntry
 	dead  []bool
 
@@ -119,18 +116,15 @@ type spillStore struct {
 	// stats moves at barriers and seeding, and PrefilterHits under the
 	// claim lock.
 	stats StoreStats
-
-	// err is the first I/O or decode failure, boxed like engineRun's.
-	err atomic.Pointer[error]
 }
 
 // spillQueue is one worker's share of the next frontier: the nodes
-// themselves (resident), or the segment they are spooled to. Which
+// themselves (no budget), or the segment they are spooled to. Which
 // worker queued a node says nothing about where its entry sits in the
 // level's admissions; what the barrier revokes or truncates it therefore
-// names by entry (spillSource.drop), as the spooled source always has.
+// names by entry (spillSource.drop).
 type spillQueue struct {
-	next  []*Node      // resident frontier only
+	next  []*Node      // unbudgeted store only
 	spool *blockWriter // this level's segment; nil until a node is spooled
 	spans [][]byte     // slot-span scratch
 	_     [16]byte     // a cache line per worker
@@ -157,38 +151,26 @@ const runFanout = 8
 
 // newSpillStore opens a store under a resident-byte budget (<= 0: none),
 // keeping its files in dir ("" = a fresh directory under os.TempDir,
-// removed by Close).
+// removed by Close). Without a budget it touches no disk.
 func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) {
-	s := &spillStore{ctx: ctx, budget: max(budget, 0), spools: budget > 0 && !ctx.retain, dir: dir,
+	s := &spillStore{ctx: ctx, budget: max(budget, 0), dir: dir,
 		queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreMem},
 		delta: newKeyedSet(ctx.stringKeys)}
-	if s.budget > 0 {
-		s.stats.Kind = StoreSpill
+	if s.budget == 0 {
+		return s, nil
 	}
-	if s.spools {
-		// Workers spool concurrently, so the directory is opened before
-		// the first of them (the root, queued at once) needs it.
-		s.remat = rematerialiser{ctx: ctx, exch: model.NewSlotExchange()}
-		if err := s.openDir(); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// openDir readies the store's directory, once, before its first file.
-func (s *spillStore) openDir() error {
-	if s.opened {
-		return nil
-	}
+	s.stats.Kind = StoreSpill
+	s.remat = rematerialiser{ctx: ctx, exch: model.NewSlotExchange()}
+	// Workers spool concurrently, so the directory is opened before the
+	// first of them (the root, queued at once) needs it.
 	if s.dir == "" {
 		d, err := os.MkdirTemp("", "repro-spill-*")
 		if err != nil {
-			return fmt.Errorf("spill store: %w", err)
+			return nil, fmt.Errorf("spill store: %w", err)
 		}
 		s.dir, s.ownsDir = d, true
 	} else if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return fmt.Errorf("spill store: %w", err)
+		return nil, fmt.Errorf("spill store: %w", err)
 	} else {
 		// A previous process may have died here: unpublished *.tmp files
 		// and published runs/segments from the dead run are garbage (the
@@ -196,17 +178,7 @@ func (s *spillStore) openDir() error {
 		// from a dead process's spill files).
 		removeStaleArtifacts(s.dir, "run-", "seg-")
 	}
-	s.opened = true
-	return nil
-}
-
-func (s *spillStore) fail(err error) { s.err.CompareAndSwap(nil, &err) }
-
-func (s *spillStore) takeErr() error {
-	if p := s.err.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return s, nil
 }
 
 // Claim records the entry (fp, key) as visited and reports whether it was
@@ -216,7 +188,7 @@ func (s *spillStore) takeErr() error {
 // to share. Calls must not overlap (the engine holds the claim lock).
 func (s *spillStore) Claim(fp uint64, key []byte) (string, bool) {
 	stored, added := s.delta.claim(fp, key)
-	if !added || !s.spools && s.bloom == nil {
+	if !added || s.budget == 0 {
 		return stored, added
 	}
 	// Prefilter verdict: a fingerprint the bloom has never seen appears
@@ -235,13 +207,13 @@ func (s *spillStore) Claim(fp uint64, key []byte) (string, bool) {
 // level on worker's queue (calls for one worker must not overlap). A node
 // spooled to disk is recycled at once: its content is in the segment.
 func (s *spillStore) Queue(worker int, n *Node) {
-	if !s.spools {
+	if s.budget == 0 {
 		q := &s.queues[worker]
 		q.next = append(q.next, n)
 		return
 	}
 	if err := s.spoolNode(&s.queues[worker], worker, n); err != nil {
-		s.fail(err)
+		s.ctx.fail(err)
 	}
 	s.ctx.recycle(n)
 }
@@ -276,16 +248,10 @@ func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 // order), spills the delta if it is over budget, and returns the next
 // level's frontier.
 func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
-	if err := s.takeErr(); err != nil {
-		return LevelResult{}, err
+	if s.budget == 0 {
+		return s.endResident(maxNext), nil
 	}
-	var res LevelResult
-	var err error
-	if s.spools {
-		res, err = s.endSpooled(maxNext)
-	} else {
-		res, err = s.endResident(maxNext)
-	}
+	res, err := s.endSpooled(maxNext)
 	if err != nil {
 		return LevelResult{}, err
 	}
@@ -300,7 +266,7 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	s.level = s.level[:0]
 	s.dead = s.dead[:0]
 	s.foldPeak()
-	if s.budget > 0 && s.delta.bytes() > s.budget {
+	if s.delta.bytes() > s.budget {
 		if err := s.spillDelta(); err != nil {
 			return LevelResult{}, err
 		}
@@ -310,42 +276,24 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	return res, nil
 }
 
-// endResident ends a level whose nodes stayed in RAM: it drops the delayed
-// duplicates (there are none before a first run), concatenates the
-// workers' queues and cuts them back to maxNext by sortNodes.
-func (s *spillStore) endResident(maxNext int) (LevelResult, error) {
-	revoked, err := s.markDead()
-	if err != nil {
-		return LevelResult{}, err
-	}
-	drop := s.dropSet(func(j int) bool { return s.dead[j] })
+// endResident ends a level of the unbudgeted store, which never writes a
+// run and so has no delayed duplicate to revoke: it concatenates the
+// workers' queues and cuts them back to maxNext by sortNodes. The store
+// has nothing else to do at the barrier.
+func (s *spillStore) endResident(maxNext int) LevelResult {
 	total := 0
 	for i := range s.queues {
 		total += len(s.queues[i].next)
 	}
-	next := make([]*Node, 0, total-revoked)
+	next := make([]*Node, 0, total)
 	for i := range s.queues {
 		q := &s.queues[i]
-		if drop == nil {
-			next = append(next, q.next...)
-		} else {
-			for _, n := range q.next {
-				if drop.has(n.fp, n.key) {
-					// Revoked nodes are unreferenced even in provenance
-					// runs (nothing expanded them, and pending claims only
-					// ever mutated them), so their buffers go straight
-					// back to the pool.
-					s.ctx.recycle(n)
-					continue
-				}
-				next = append(next, n)
-			}
-		}
+		next = append(next, q.next...)
 		clear(q.next)
 		q.next = q.next[:0]
 	}
 
-	res := LevelResult{Revoked: revoked}
+	var res LevelResult
 	// Budget cutoff: this level may have overshot (admission is
 	// unthrottled within a level so the admitted set stays a pure function
 	// of the space, not of thread timing). Truncate back to exactly maxNext
@@ -360,7 +308,7 @@ func (s *spillStore) endResident(maxNext int) (LevelResult, error) {
 		res.Truncated = true
 	}
 	res.Frontier = &memSource{nodes: next}
-	return res, nil
+	return res
 }
 
 // endSpooled ends a level spooled to segments: it publishes them, resolves
@@ -408,9 +356,18 @@ func (s *spillStore) endSpooled(maxNext int) (LevelResult, error) {
 	if truncated {
 		kept = maxNext
 	}
-	drop := s.dropSet(func(j int) bool {
-		return s.dead[j] || truncated && (maxNext == 0 || entryLess(cutoff, s.level[j].entry))
-	})
+	// The admissions revoked or cut, by entry; nil when there are none.
+	var drop *keyedSet
+	for j, e := range s.level {
+		if !s.dead[j] && !(truncated && (maxNext == 0 || entryLess(cutoff, e.entry))) {
+			continue
+		}
+		if drop == nil {
+			d := newKeyedSet(s.ctx.stringKeys)
+			drop = &d
+		}
+		drop.add(e.fp, e.key)
+	}
 
 	src := &spillSource{store: s, size: kept, segs: segs, drop: drop,
 		readers: make([]*artifactScanner, len(segs))}
@@ -430,23 +387,6 @@ func (s *spillStore) endSpooled(maxNext int) (LevelResult, error) {
 		src.readers[i] = r
 	}
 	return LevelResult{Frontier: src, Revoked: revoked, Truncated: truncated}, nil
-}
-
-// dropSet collects the level's admissions j for which dropped(j) holds, or
-// returns nil when there are none.
-func (s *spillStore) dropSet(dropped func(j int) bool) *keyedSet {
-	var drop *keyedSet
-	for j, e := range s.level {
-		if !dropped(j) {
-			continue
-		}
-		if drop == nil {
-			d := newKeyedSet(s.ctx.stringKeys)
-			drop = &d
-		}
-		drop.add(e.fp, e.key)
-	}
-	return drop
 }
 
 // markDead stream-merges the level's sorted admissions against each sorted
@@ -522,9 +462,6 @@ func (s *spillStore) mergeMark(run *spillRun, order []int) error {
 
 // newRun opens the next sorted-run file for writing.
 func (s *spillStore) newRun() (*blockWriter, error) {
-	if err := s.openDir(); err != nil {
-		return nil, err
-	}
 	w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("run-%d", s.runSeq)), artifactRun, false)
 	if err != nil {
 		return nil, fmt.Errorf("spill store: %w", err)
@@ -657,8 +594,8 @@ func (s *spillStore) compact() error {
 }
 
 // foldPeak raises the resident high-water mark to the current footprint:
-// the delta table plus the Bloom prefilter. It runs at every barrier and
-// around every flush of a checkpoint seed.
+// the delta table plus the Bloom prefilter. It runs at every barrier of a
+// budgeted store and around every flush of a checkpoint seed.
 func (s *spillStore) foldPeak() {
 	resident := s.delta.bytes()
 	if s.bloom != nil {
@@ -668,8 +605,9 @@ func (s *spillStore) foldPeak() {
 }
 
 // Stats reports cumulative store statistics. It samples the peak too:
-// async runs never reach EndLevel (it runs after the run ends, when no
-// worker is live).
+// without a budget the visited table only grows and EndLevel leaves the
+// peak alone, and async runs never reach EndLevel (Stats runs after the
+// run ends, when no worker is live).
 func (s *spillStore) Stats() StoreStats {
 	s.foldPeak()
 	return s.stats
@@ -697,14 +635,6 @@ func (s *spillStore) Close() error {
 			os.Remove(run.path)
 		}
 		s.runs = nil
-	}
-	// Surface any latched I/O error that never reached an EndLevel —
-	// e.g. a segment read failing during the run's final (depth-capped
-	// or early-stopped) level, after the last barrier. The engine's
-	// deferred Close turns it into the run error, so a short read can
-	// never masquerade as a clean, complete result.
-	if err := s.takeErr(); err != nil {
-		return err
 	}
 	return cleanupErr
 }
@@ -755,10 +685,9 @@ func (s *spillSource) Size() int { return s.size }
 
 func (s *spillSource) Next(buf []*Node) int {
 	n := 0
-	// After any read or decode failure the stream positions are not
-	// trustworthy; hand out nothing more and let the latched error
-	// surface at the next barrier (or at Close).
-	for n == 0 && s.store.takeErr() == nil {
+	// Once the run has stopped — after a read or decode failure the stream
+	// positions are not trustworthy — hand out nothing more.
+	for n == 0 && !s.store.ctx.stopped() {
 		b := s.claim()
 		if b == nil {
 			break
@@ -766,7 +695,7 @@ func (s *spillSource) Next(buf []*Node) int {
 		for n < len(buf) && b.off < len(b.data) {
 			node, err := s.decode(b)
 			if err != nil {
-				s.store.fail(err)
+				s.store.ctx.fail(err)
 				b.off = len(b.data) // abandon the block
 			} else if node != nil {
 				buf[n] = node
@@ -815,7 +744,7 @@ func (s *spillSource) claim() *segBlock {
 		r.close()
 		s.readers[s.cur] = nil
 		if err != io.EOF {
-			s.store.fail(fmt.Errorf("spill store: segment read: %w", err))
+			s.store.ctx.fail(fmt.Errorf("spill store: segment read: %w", err))
 			return nil
 		}
 	}

@@ -19,11 +19,11 @@ import (
 //     disk.
 //
 //   - With one (Store "spill") it spools the frontier to disk segments as
-//     node records, unless provenance keeps the nodes resident, and once
-//     the visited table outgrows the budget at a barrier it spills it to a
-//     sorted run, resolving later re-admissions against the runs at each
-//     barrier (delayed duplicate detection). The explorable space is then
-//     bounded by disk, not RAM.
+//     node records, provenance runs' included (their paths travel in the
+//     records), and once the visited table outgrows the budget at a barrier
+//     it spills it to a sorted run, resolving later re-admissions against
+//     the runs at each barrier (delayed duplicate detection). The
+//     explorable space is then bounded by disk, not RAM.
 //
 // During a level the visited set is only ever touched under the engine's
 // claim lock (Claim), a worker's queue only by that worker (Queue), and
@@ -155,18 +155,17 @@ const (
 const DefaultMemBudget = 256 << 20
 
 // storeCtx carries the engine-side context the store needs: the run shape,
-// keying mode, and the node lifecycle hooks (pooled allocation and
-// recycling stay engine-owned, so the store's nodes and the engine's share
-// one discipline).
+// keying mode, the node lifecycle hooks (pooled allocation and recycling
+// stay engine-owned, so the store's nodes and the engine's share one
+// discipline) and the run's one error cell: fail records an I/O or decode
+// failure and stops the run, stopped reports that the run has stopped.
 type storeCtx struct {
 	workers    int // queue count
 	nObj       int
 	nProc      int
 	stringKeys bool
-	// retain keeps admitted nodes in RAM under a budget too (provenance
-	// runs: parent chains must stay live, so frontier spooling is off and
-	// only dedup state spills).
-	retain  bool
-	newNode func() *Node
-	recycle func(*Node)
+	newNode    func() *Node
+	recycle    func(*Node)
+	fail       func(error)
+	stopped    func() bool
 }

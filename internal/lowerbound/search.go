@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/check"
@@ -33,9 +32,9 @@ type SearchLimits struct {
 	// default to exact.
 	Fingerprints bool
 	// Store sets the engine's state-store budget ("", "mem" or
-	// "spill"). Provenance runs keep their nodes resident either way;
-	// "spill" additionally bounds the visited set's resident memory by
-	// MemBudget, spilling dedup entries to sorted runs on disk.
+	// "spill"). "spill" bounds the store's resident memory by MemBudget:
+	// the frontier is spooled to disk, each node's provenance path in its
+	// record, and dedup entries spill to sorted runs.
 	Store string
 	// MemBudget is the spill store's resident-byte budget
 	// (0 = check.DefaultMemBudget).
@@ -53,18 +52,18 @@ func (l SearchLimits) withDefaults() SearchLimits {
 }
 
 // engineOptions translates the limits into frontier-engine options. There
-// is no reduction or order to pass: every search here extracts a
-// replayable schedule from provenance chains, which a reduction merges
-// (orbit members share a visited entry) and the async order cannot keep
-// (parent pointers would race), so the engine rejects either together
-// with Provenance (check.ModeConflicts), and the callers that parse them
+// is no reduction or order to pass: every search here reads a replayable
+// schedule off a node's provenance path, which a reduction merges (orbit
+// members share a visited entry) and the async order cannot settle (it
+// has no level barrier), so the engine rejects either together with
+// Provenance (check.ModeConflicts), and the callers that parse them
 // (harness.EngineFlags.SearchLimits) validate with provenance first.
 func (l SearchLimits) engineOptions() (check.ExploreLimits, check.EngineOptions) {
 	l = l.withDefaults()
 	return check.ExploreLimits{MaxConfigs: l.MaxConfigs, MaxDepth: l.MaxDepth},
 		check.EngineOptions{Ctx: l.Ctx, Workers: l.Workers, StringKeys: !l.Fingerprints,
 			Store: l.Store, MemBudget: l.MemBudget,
-			// Witness extraction replays parent chains after the run.
+			// A witness is a node's provenance path, copied at its visit.
 			Provenance: true, Progress: l.Progress}
 }
 
@@ -96,8 +95,8 @@ func FindKDistinctDecisions(p model.Protocol, inputs []int, restrict []int, k in
 	return searchDecisions(p, inputs, restrict, limits, func(distinct int) bool { return distinct >= k })
 }
 
-// searchDecisions is a breadth-first search over schedules with parent
-// tracking, stopping at a configuration whose number of distinct decided
+// searchDecisions is a breadth-first search over schedules with
+// provenance paths, stopping at a configuration whose number of distinct decided
 // values satisfies goal. It runs on the check package's sharded frontier
 // engine: goal configurations are detected during parallel level
 // processing, the run stops at the first level containing one, and the
@@ -119,8 +118,8 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 
 	var (
 		mu                sync.Mutex
-		best              *check.Node
-		bestDec           []int
+		best              *Witness // nil until a goal is visited
+		bestFP            uint64
 		bestKey           string
 		exLimits, engOpts = limits.engineOptions()
 	)
@@ -141,10 +140,9 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 		mu.Lock()
 		// Goal nodes all sit in the first level containing one (the run
 		// stops at its barrier), so depth never differs here.
-		if best == nil || n.Fingerprint() < best.Fingerprint() ||
-			(n.Fingerprint() == best.Fingerprint() && key < bestKey) {
-			best, bestKey = n, key
-			bestDec = append([]int(nil), dec...)
+		if best == nil || n.Fingerprint() < bestFP || (n.Fingerprint() == bestFP && key < bestKey) {
+			best = &Witness{Schedule: n.Schedule(), Decided: slices.Sorted(slices.Values(dec))}
+			bestFP, bestKey = n.Fingerprint(), key
 		}
 		mu.Unlock()
 		return nil
@@ -162,8 +160,8 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 	if best == nil {
 		return nil, nil // space or budget exhausted, no witness
 	}
-	sort.Ints(bestDec)
-	return &Witness{Schedule: best.Schedule(), Decided: bestDec, Visited: stats.Processed}, nil
+	best.Visited = stats.Processed
+	return best, nil
 }
 
 // Theorem10Step records one level of the Theorem 10 induction.
