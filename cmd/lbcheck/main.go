@@ -20,18 +20,17 @@
 // -workers sets its parallelism (results are identical for every
 // setting), -fingerprints switches deduplication from exact string
 // keys to 64-bit fingerprints (leaner, with a ~2^-64 per-pair collision
-// risk), -store/-membudget select the disk-spilling state store (the
-// searches retain provenance, so their frontiers stay resident and the
-// visited-set dedup state spills), and -progress streams engine
-// throughput to stderr, keeping stdout parseable — per completed level
-// for the level-synchronized order, per wall-clock tick (cumulative
-// states admitted/visited) under -order async. Note that every search
-// here extracts witness schedules from provenance chains, which the
-// async order cannot maintain: passing -order async (or -reduce, or
-// -checkpoint) to a search mode is a usage error, never a silent
-// fallback. The covering scans of -covering and the -forbidden
-// ledger run still use their original sequential passes and ignore the
-// engine flags. -max and -depth override any mode's default budget.
+// risk), -store/-membudget select the disk-spilling state store (frontier
+// and visited-set dedup state both spill; a witness's provenance path
+// travels with its node), and -progress streams per-level engine
+// throughput to stderr, keeping stdout parseable. Every search here reads
+// witness schedules off provenance paths, which only the
+// level-synchronized order settles: passing -order async (or -reduce, or
+// -checkpoint) to a search mode is an error, never a silent fallback.
+// -figure1, the covering scans of -covering and the -forbidden ledger run
+// use their own sequential passes; given only those modes, an engine flag
+// is a usage error naming it. -max and -depth override any mode's default
+// budget.
 package main
 
 import (
@@ -42,6 +41,7 @@ import (
 	"maps"
 	"os"
 	"slices"
+	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/lowerbound"
@@ -51,13 +51,21 @@ import (
 	"repro/internal/trace"
 )
 
-// errUsage reports that no mode flag was given.
-var errUsage = errors.New("no mode selected; pass one of -figure1 -theorem10 -counterexample -covering -forbidden -lemma16")
+var (
+	// errUsage reports that no mode flag was given.
+	errUsage = errors.New("no mode selected; pass one of -figure1 -theorem10 -counterexample -covering -forbidden -lemma16")
+	// errEngineFlag reports an engine flag given only to modes that run no
+	// frontier engine.
+	errEngineFlag = errors.New("-figure1, -covering and -forbidden run no frontier engine")
+)
+
+// engineFlags names the flags of the engine block (harness.EngineFlags).
+var engineFlags = []string{"workers", "fingerprints", "store", "membudget", "progress", "order", "reduce", "checkpoint", "checkpointevery"}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lbcheck:", err)
-		if errors.Is(err, errUsage) {
+		if errors.Is(err, errUsage) || errors.Is(err, errEngineFlag) {
 			os.Exit(2)
 		}
 		os.Exit(1)
@@ -81,6 +89,17 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	maxConfigs, maxDepth := limitFlags.Max, limitFlags.Depth
+	if (*figure1 || *covering || *forbidden) && !*theorem10 && !*counter && !*lemma16 {
+		var given []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(engineFlags, f.Name) {
+				given = append(given, "-"+f.Name)
+			}
+		})
+		if len(given) > 0 {
+			return fmt.Errorf("%w: %s would be ignored", errEngineFlag, strings.Join(given, " "))
+		}
+	}
 
 	stopProf, err := profFlags.Start()
 	if err != nil {
