@@ -15,22 +15,22 @@
 // Each mode's default search budget and protocol instance are defined
 // once in internal/sweep's mode registry, shared with the sweep runner.
 //
-// The schedule and valency searches (-theorem10, -counterexample, the
-// Lemma 16 valency certifications) run on the sharded frontier engine:
-// -workers sets its parallelism (results are identical for every
-// setting), -fingerprints switches deduplication from exact string
-// keys to 64-bit fingerprints (leaner, with a ~2^-64 per-pair collision
-// risk), -store/-membudget select the disk-spilling state store (frontier
-// and visited-set dedup state both spill; a witness's provenance path
+// Every search here — the -theorem10 and -counterexample witness
+// searches, the -covering scan and its Lemma 13 γ search, the Lemma 16
+// valency certifications — runs on the frontier engine: -workers sets
+// its parallelism (results are identical for every setting),
+// -fingerprints switches deduplication from exact string keys to 64-bit
+// fingerprints (leaner, with a ~2^-64 per-pair collision risk),
+// -store/-membudget select the disk-spilling state store (frontier and
+// visited-set dedup state both spill; a witness's provenance path
 // travels with its node), and -progress streams per-level engine
-// throughput to stderr, keeping stdout parseable. Every search here reads
-// witness schedules off provenance paths, which only the
+// throughput to stderr, keeping stdout parseable. The witness searches
+// read schedules off provenance paths, which only the
 // level-synchronized order settles: passing -order async (or -reduce, or
 // -checkpoint) to a search mode is an error, never a silent fallback.
-// -figure1, the covering scans of -covering and the -forbidden ledger run
-// use their own sequential passes; given only those modes, an engine flag
-// is a usage error naming it. -max and -depth override any mode's default
-// budget.
+// -figure1 and the -forbidden ledger run use their own sequential
+// passes; given only those modes, an engine flag is a usage error naming
+// it. -max and -depth override any mode's default budget.
 package main
 
 import (
@@ -56,7 +56,7 @@ var (
 	errUsage = errors.New("no mode selected; pass one of -figure1 -theorem10 -counterexample -covering -forbidden -lemma16")
 	// errEngineFlag reports an engine flag given only to modes that run no
 	// frontier engine.
-	errEngineFlag = errors.New("-figure1, -covering and -forbidden run no frontier engine")
+	errEngineFlag = errors.New("-figure1 and -forbidden run no frontier engine")
 )
 
 // engineFlags names the flags of the engine block (harness.EngineFlags).
@@ -89,7 +89,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	maxConfigs, maxDepth := limitFlags.Max, limitFlags.Depth
-	if (*figure1 || *covering || *forbidden) && !*theorem10 && !*counter && !*lemma16 {
+	if (*figure1 || *forbidden) && !*theorem10 && !*counter && !*covering && !*lemma16 {
 		var given []string
 		fs.Visit(func(f *flag.Flag) {
 			if slices.Contains(engineFlags, f.Name) {

@@ -98,20 +98,20 @@ func TestRunNoModeIsUsageError(t *testing.T) {
 	}
 }
 
-// TestRunEngineFlagWithoutEngineIsUsageError: -figure1, -covering and
-// -forbidden run no frontier engine, so an engine flag given to them alone
-// is a usage error that names it instead of a flag silently ignored;
-// -max and -depth stay honoured, and a search mode alongside takes the
-// engine flags as before.
+// TestRunEngineFlagWithoutEngineIsUsageError: -figure1 and -forbidden run
+// no frontier engine, so an engine flag given to them alone is a usage
+// error that names it instead of a flag silently ignored; -max and -depth
+// stay honoured, and a search mode alongside — -covering included — takes
+// the engine flags.
 func TestRunEngineFlagWithoutEngineIsUsageError(t *testing.T) {
 	for _, tc := range []struct {
 		args  []string
 		named []string
 	}{
 		{[]string{"-figure1", "-n", "4", "-workers", "2"}, []string{"-workers"}},
-		{[]string{"-covering", "-n", "3", "-fingerprints"}, []string{"-fingerprints"}},
+		{[]string{"-figure1", "-n", "4", "-fingerprints"}, []string{"-fingerprints"}},
 		{[]string{"-forbidden", "-store", "spill", "-membudget", "1MB"}, []string{"-store", "-membudget"}},
-		{[]string{"-covering", "-forbidden", "-progress"}, []string{"-progress"}},
+		{[]string{"-figure1", "-forbidden", "-progress"}, []string{"-progress"}},
 	} {
 		var out strings.Builder
 		err := run(tc.args, &out)
@@ -126,8 +126,11 @@ func TestRunEngineFlagWithoutEngineIsUsageError(t *testing.T) {
 		}
 	}
 	var out strings.Builder
-	if err := run([]string{"-covering", "-n", "3", "-max", "5000", "-depth", "12"}, &out); err != nil {
-		t.Errorf("-covering with -max/-depth: %v", err)
+	if err := run([]string{"-figure1", "-n", "4", "-max", "5000", "-depth", "12"}, &out); err != nil {
+		t.Errorf("-figure1 with -max/-depth: %v", err)
+	}
+	if err := run([]string{"-covering", "-n", "3", "-workers", "2", "-fingerprints"}, &out); err != nil {
+		t.Errorf("-covering with -workers and -fingerprints: %v", err)
 	}
 	if err := run([]string{"-figure1", "-theorem10", "-n", "4", "-k", "2", "-workers", "2"}, &out); err != nil {
 		t.Errorf("-figure1 with a search mode and -workers: %v", err)

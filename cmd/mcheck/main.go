@@ -11,10 +11,10 @@
 //	       [-store mem|spill] [-membudget 64MB] [-reduce none|sym]
 //	       [-order levelsync|async] [-checkpoint dir [-checkpointevery N]]
 //
-// Exploration runs on the sharded frontier engine: -workers sets the
-// parallelism (0 = all cores), -stringkeys switches from 64-bit
-// fingerprint dedup to exact string keys, and -progress streams
-// per-level throughput to stderr. -store
+// Exploration runs on the frontier engine: -workers sets the parallelism
+// (0 = all cores), -stringkeys switches from 64-bit fingerprint dedup to
+// exact string keys, and -progress streams per-level throughput to
+// stderr. -store
 // selects the state-store backend: "mem" keeps the visited set and
 // frontier in RAM; "spill" bounds resident store memory by -membudget,
 // spilling visited fingerprints to sorted runs and frontier segments to

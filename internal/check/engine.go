@@ -11,10 +11,10 @@ import (
 	"repro/internal/model"
 )
 
-// This file is the sharded frontier engine's set-up and shared run
-// state. All exhaustive searches in the repository — Explore,
-// ClassifyValency, CheckObstructionFree and the lowerbound schedule
-// searches — run on it.
+// This file is the frontier engine's set-up and shared run state. All
+// exhaustive searches in the repository — Explore, ClassifyValency,
+// CheckObstructionFree and every lowerbound search, the witness,
+// bivalence, Lemma 13 and covering searches — run on it.
 //
 // Structure: one expansion core, one worker loop, two orders.
 //
@@ -82,7 +82,7 @@ import (
 //
 //   - Which modes combine is declared once, in modes.go.
 
-// EngineOptions configures the sharded frontier engine.
+// EngineOptions configures the frontier engine.
 type EngineOptions struct {
 	// Ctx, when non-nil, cancels the run in-process: once it is done the
 	// workers stop pulling and expanding at the next node boundary and
@@ -514,7 +514,7 @@ func (r *engineRun) rootNode(st *model.Stepper) *Node {
 }
 
 // RunFrontier explores the pids-only reachable space of p from start with
-// the sharded frontier engine. visit is called exactly once per distinct
+// the frontier engine. visit is called exactly once per distinct
 // admitted configuration, concurrently from workers (worker indices are
 // 0..Workers-1, for per-worker accumulators); afterLevel, if non-nil, is
 // called at each level barrier and may stop the run early. start is not

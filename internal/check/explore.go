@@ -122,8 +122,8 @@ type ExploreOptions struct {
 
 // Explore performs a breadth-first exploration of all P-only executions
 // of p from c, visiting each distinct configuration once, using the
-// sharded frontier engine with default options (all cores, fingerprint
-// dedup, no store budget). If k > 0 it tracks k-agreement violations.
+// frontier engine with default options (all cores, fingerprint dedup,
+// no store budget). If k > 0 it tracks k-agreement violations.
 // c is not mutated. With the store in RAM an engine error can only
 // mean an illegal poised operation — a protocol bug — so Explore panics
 // on it, as the sequential explorer always has.

@@ -7,8 +7,8 @@
 // # The frontier engine
 //
 // All exhaustive searches (Explore, ClassifyValency, CheckObstructionFree
-// and, via the lowerbound package, the schedule searches) run on the
-// sharded frontier engine (RunFrontier): one expansion core and one
+// and, via the lowerbound package, the schedule, bivalence and covering
+// searches) run on the frontier engine (RunFrontier): one expansion core and one
 // worker loop over it, fed in one of two orders. The per-worker expander
 // (expand.go) turns a node into keyed successors — arena-backed
 // copy-on-write steps with incrementally-maintained fingerprints

@@ -13,9 +13,16 @@
 //   - FindAgreementViolation: schedule search demonstrating why a protocol
 //     with too few objects fails outright (e.g. 2-process swap consensus
 //     run with 3 processes).
-//   - Lemma13Gamma and the covering explorer: the bivalence-preserving
-//     block-swap machinery of Section 5.
+//   - ProveBivalent, Lemma13Gamma and CoveringScan: the
+//     bivalence-preserving block-swap machinery of Section 5.
+//   - Lemma16Run: the X/Y covering induction of Section 5.1.
 //   - Ledger: the forbidden-value accounting (f, g, S) of Lemma 20.
+//
+// Every search here reaches configurations only through the frontier
+// engine (check.RunFrontier): the witness, bivalence, Lemma 13 and
+// covering searches are one provenance search (search.go) under
+// different classifiers, and Lemma 16 certifies valency with
+// check.ClassifyValencyOpts.
 //
 // A lower bound quantifies over all algorithms and is not itself
 // executable; what these tools certify is the constructive content of the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/check"
 	"repro/internal/model"
 )
 
@@ -212,45 +211,35 @@ func Lemma9(in Lemma9Input) (*Lemma9Result, error) {
 }
 
 // ConsensusCertificate runs the Theorem 10 base case (k = 1) against a
-// consensus protocol: process 0 gets input 0, everyone else input 1;
-// process 0 runs solo to decision (α), and Lemma 9 with Q = {1, ..., n-1}
-// certifies n-1 distinct swap objects.
+// consensus protocol over every process: process 0 gets input 0, everyone
+// else input 1; process 0 runs solo to decision (α), and Lemma 9 with
+// Q = {1, ..., n-1} certifies n-1 distinct swap objects.
 func ConsensusCertificate(p model.Protocol, soloBound int) (*Lemma9Result, error) {
-	n := p.NumProcesses()
-	if n < 2 {
+	if p.NumProcesses() < 2 {
 		return nil, fmt.Errorf("lowerbound: consensus certificate needs n >= 2")
 	}
-	inputs := make([]int, n)
-	for i := 1; i < n; i++ {
+	return consensusBase(p, allPids(p), soloBound)
+}
+
+// consensusBase is the k = 1 base case of the induction restricted to a
+// subset of processes: processes[0] runs solo with input 0 (α), the rest
+// of the subset forms Q with input 1, and processes outside the subset
+// have input 1 too.
+func consensusBase(p model.Protocol, processes []int, soloBound int) (*Lemma9Result, error) {
+	inputs := make([]int, p.NumProcesses())
+	for i := range inputs {
 		inputs[i] = 1
 	}
-	c, err := model.NewConfig(p, inputs)
+	inputs[processes[0]] = 0
+	alpha, err := soloSchedule(p, inputs, processes[0], 0, soloBound)
 	if err != nil {
-		return nil, err
-	}
-	if soloBound <= 0 {
-		soloBound = 10 * n * (len(p.Objects()) + 1)
-	}
-	r, err := check.SoloRun(p, c, 0, soloBound)
-	if err != nil {
-		return nil, fmt.Errorf("lowerbound: α (solo run of p0): %w", err)
-	}
-	if v, ok := r.Decisions[0]; !ok || v != 0 {
-		return nil, fmt.Errorf("lowerbound: p0 decided %v solo, want 0 (validity)", r.Decisions)
-	}
-	alpha := make([]int, len(r.Execution))
-	for i, s := range r.Execution {
-		alpha[i] = s.Pid
-	}
-	q := make([]int, 0, n-1)
-	for pid := 1; pid < n; pid++ {
-		q = append(q, pid)
+		return nil, fmt.Errorf("lowerbound: base case: %w", err)
 	}
 	return Lemma9(Lemma9Input{
 		Protocol:  p,
 		Inputs:    inputs,
 		Alpha:     alpha,
-		Q:         q,
+		Q:         processes[1:],
 		V:         1,
 		SoloBound: soloBound,
 	})

@@ -10,7 +10,7 @@ import (
 	"repro/internal/model"
 )
 
-// SearchLimits bounds the schedule searches in this file and carries the
+// SearchLimits bounds the searches of this package and carries the
 // frontier-engine knobs through to them.
 type SearchLimits struct {
 	// Ctx, when non-nil, cancels the underlying engine run in-process
@@ -95,73 +95,126 @@ func FindKDistinctDecisions(p model.Protocol, inputs []int, restrict []int, k in
 	return searchDecisions(p, inputs, restrict, limits, func(distinct int) bool { return distinct >= k })
 }
 
-// searchDecisions is a breadth-first search over schedules with
-// provenance paths, stopping at a configuration whose number of distinct decided
-// values satisfies goal. It runs on the check package's sharded frontier
-// engine: goal configurations are detected during parallel level
-// processing, the run stops at the first level containing one, and the
-// reported witness is the deterministically smallest goal node of that
-// level (by fingerprint, then key), so the schedule does not depend on
-// worker count or interleaving.
+// searchDecisions is the provenance search for a configuration whose
+// number of distinct decided values satisfies goal: every goal node is
+// class 0, and the run stops at the first level holding one.
 func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits SearchLimits, goal func(distinct int) bool) (*Witness, error) {
 	start, err := model.NewConfig(p, inputs)
 	if err != nil {
 		return nil, err
 	}
-	pids := restrict
-	if pids == nil {
-		pids = make([]int, p.NumProcesses())
-		for i := range pids {
-			pids[i] = i
-		}
+	if restrict == nil {
+		restrict = allPids(p)
 	}
-
-	var (
-		mu                sync.Mutex
-		best              *Witness // nil until a goal is visited
-		bestFP            uint64
-		bestKey           string
-		exLimits, engOpts = limits.engineOptions()
-	)
-	visit := func(_ int, n *check.Node) error {
-		// Runs once per visited node: the distinct decided values (a k-set
-		// protocol decides at most k+1 of them) are collected on the stack.
+	found, stats, err := provenance(p, start, restrict, limits, 1, func(cfg *model.Config, classes []int) ([]int, error) {
+		// The distinct decided values (a k-set protocol decides at most
+		// k+1 of them) are collected on the stack.
 		var buf [8]int
 		dec := buf[:0]
-		for pid := range n.Cfg.States {
-			if v, ok := n.Cfg.Decided(p, pid); ok && !slices.Contains(dec, v) {
+		for pid := range cfg.States {
+			if v, ok := cfg.Decided(p, pid); ok && !slices.Contains(dec, v) {
 				dec = append(dec, v)
 			}
 		}
-		if !goal(len(dec)) {
-			return nil
+		if goal(len(dec)) {
+			classes = append(classes, 0)
 		}
-		key := n.Cfg.Key()
+		return classes, nil
+	})
+	schedule, ok := found[0]
+	if err != nil || !ok {
+		return nil, err // nil, nil: space or budget exhausted, no witness
+	}
+	end, err := replay(p, start, schedule)
+	if err != nil {
+		return nil, err
+	}
+	return &Witness{Schedule: schedule, Decided: end.DecidedValues(p), Visited: stats.Processed}, nil
+}
+
+// provenance is the search behind every schedule this package returns:
+// a breadth-first walk of the pids-only space from start on
+// check.RunFrontier, with provenance paths. classify, run concurrently
+// on the engine's workers, appends the int classes (zero or more) of
+// each visited configuration to its second argument; for each class the
+// search keeps the schedule of the smallest node by (depth, fingerprint,
+// key), so what it returns depends neither on the worker count nor on
+// the store. At every level barrier the run stops once stopAt classes
+// are met (0: never). found maps each class met to its schedule.
+func provenance(p model.Protocol, start *model.Config, pids []int, limits SearchLimits, stopAt int,
+	classify func(cfg *model.Config, classes []int) ([]int, error),
+) (found map[int][]int, stats check.RunStats, err error) {
+	type best struct {
+		depth    int
+		fp       uint64
+		schedule []int
+	}
+	var (
+		mu                sync.Mutex
+		bests             = map[int]best{}
+		exLimits, engOpts = limits.engineOptions()
+	)
+	visit := func(_ int, n *check.Node) error {
+		var buf [4]int
+		classes, err := classify(n.Cfg, buf[:0])
+		if err != nil || len(classes) == 0 {
+			return err
+		}
 		mu.Lock()
-		// Goal nodes all sit in the first level containing one (the run
-		// stops at its barrier), so depth never differs here.
-		if best == nil || n.Fingerprint() < bestFP || (n.Fingerprint() == bestFP && key < bestKey) {
-			best = &Witness{Schedule: n.Schedule(), Decided: slices.Sorted(slices.Values(dec))}
-			bestFP, bestKey = n.Fingerprint(), key
+		defer mu.Unlock()
+		for _, c := range classes {
+			b, ok := bests[c]
+			if ok && (b.depth < n.Depth || b.depth == n.Depth && b.fp < n.Fingerprint()) {
+				continue
+			}
+			if ok && b.depth == n.Depth && b.fp == n.Fingerprint() {
+				// Only exact keys admit two configurations with one
+				// fingerprint; the key decides, the incumbent's replayed.
+				old, err := replay(p, start, b.schedule)
+				if err != nil {
+					return err
+				}
+				if old.Key() < n.Cfg.Key() {
+					continue
+				}
+			}
+			bests[c] = best{n.Depth, n.Fingerprint(), n.Schedule()}
 		}
-		mu.Unlock()
 		return nil
 	}
 	afterLevel := func(_, _ int) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return best != nil
+		return stopAt > 0 && len(bests) >= stopAt
 	}
+	if stats, err = check.RunFrontier(p, start, pids, exLimits, engOpts, visit, afterLevel); err != nil {
+		return nil, stats, fmt.Errorf("lowerbound: search: %w", err)
+	}
+	found = make(map[int][]int, len(bests))
+	for c, b := range bests {
+		found[c] = b.schedule
+	}
+	return found, stats, nil
+}
 
-	stats, err := check.RunFrontier(p, start, pids, exLimits, engOpts, visit, afterLevel)
-	if err != nil {
-		return nil, fmt.Errorf("lowerbound: search: %w", err)
+// replay applies schedule to a clone of start.
+func replay(p model.Protocol, start *model.Config, schedule []int) (*model.Config, error) {
+	c := start.Clone()
+	for _, pid := range schedule {
+		if _, err := model.Apply(p, c, pid); err != nil {
+			return nil, err
+		}
 	}
-	if best == nil {
-		return nil, nil // space or budget exhausted, no witness
+	return c, nil
+}
+
+// allPids returns 0..n-1 for p's n processes.
+func allPids(p model.Protocol) []int {
+	pids := make([]int, p.NumProcesses())
+	for i := range pids {
+		pids[i] = i
 	}
-	best.Visited = stats.Processed
-	return best, nil
+	return pids
 }
 
 // Theorem10Step records one level of the Theorem 10 induction.
@@ -266,53 +319,4 @@ func Theorem10Driver(p model.Protocol, k int, limits SearchLimits, soloBound int
 		processes = r
 		level--
 	}
-}
-
-// consensusBase is the k = 1 base case of the induction restricted to a
-// subset of processes: processes[0] runs solo with input 0, the remaining
-// members of the subset form Q with input 1.
-func consensusBase(p model.Protocol, processes []int, soloBound int) (*Lemma9Result, error) {
-	n := p.NumProcesses()
-	if soloBound <= 0 {
-		soloBound = 10 * n * (len(p.Objects()) + 1)
-	}
-	inputs := make([]int, n)
-	for i := range inputs {
-		inputs[i] = 1
-	}
-	solo := processes[0]
-	inputs[solo] = 0
-
-	c, err := model.NewConfig(p, inputs)
-	if err != nil {
-		return nil, err
-	}
-	var alpha []int
-	for step := 0; ; step++ {
-		if step > soloBound {
-			return nil, fmt.Errorf("lowerbound: base case: p%d exceeded solo bound", solo)
-		}
-		if _, ok := c.Decided(p, solo); ok {
-			break
-		}
-		if _, err := model.Apply(p, c, solo); err != nil {
-			return nil, err
-		}
-		alpha = append(alpha, solo)
-	}
-	if v, _ := c.Decided(p, solo); v != 0 {
-		return nil, fmt.Errorf("lowerbound: base case: p%d decided %d solo, want 0", solo, v)
-	}
-	q := make([]int, 0, len(processes)-1)
-	for _, pid := range processes[1:] {
-		q = append(q, pid)
-	}
-	return Lemma9(Lemma9Input{
-		Protocol:  p,
-		Inputs:    inputs,
-		Alpha:     alpha,
-		Q:         q,
-		V:         1,
-		SoloBound: soloBound,
-	})
 }

@@ -5,7 +5,7 @@ import "sync"
 // This file implements a compact binary encoding of configurations and a
 // 64-bit FNV-1a fingerprint over that encoding. The string Key() encoding
 // remains the canonical, human-readable identity; the fingerprint is the
-// fast path used by the sharded explorer in internal/check, where keying
+// fast path used by the frontier engine in internal/check, where keying
 // the visited set by 8-byte hashes instead of full key strings cuts both
 // memory and hashing cost.
 //
