@@ -72,7 +72,7 @@ func ProveBivalent(p model.Protocol, c *model.Config, q []int, limits SearchLimi
 	}
 	vals := slices.Sorted(maps.Keys(found))
 	return &BivalenceCertificate{
-		Schedules: [2][]int{found[vals[0]], found[vals[1]]},
+		Schedules: [2][]int{found[vals[0]].schedule, found[vals[1]].schedule},
 		Values:    [2]int{vals[0], vals[1]},
 	}, nil
 }
@@ -167,15 +167,11 @@ func Lemma13Gamma(p model.Protocol, c *model.Config, q, s []int, limits SearchLi
 		return nil, fmt.Errorf("lowerbound: lemma 13: no γ found within limits (%d prefixes tried)", stats.Processed)
 	}
 	// The certificate is not kept per node; γ's is found again.
-	end, err := replay(p, c, gamma)
+	cert, err := afterBeta(gamma.end)
 	if err != nil {
 		return nil, err
 	}
-	cert, err := afterBeta(end)
-	if err != nil {
-		return nil, err
-	}
-	return &Lemma13Result{Gamma: gamma, Bivalence: cert, Tried: stats.Processed}, nil
+	return &Lemma13Result{Gamma: gamma.schedule, Bivalence: cert, Tried: stats.Processed}, nil
 }
 
 // CoveringScanResult reports the strongest covering structure found in a
@@ -211,12 +207,11 @@ func CoveringScan(p model.Protocol, inputs []int, limits SearchLimits) (*Coverin
 	if err != nil {
 		return nil, err
 	}
-	res := &CoveringScanResult{MaxCovered: slices.Max(slices.Collect(maps.Keys(found))), Visited: stats.Processed}
-	res.Schedule = found[res.MaxCovered]
-	end, err := replay(p, start, res.Schedule)
-	if err != nil {
-		return nil, err
-	}
-	res.CoverMap = CoveredObjects(p, end, all)
-	return res, nil
+	maxCovered := slices.Max(slices.Collect(maps.Keys(found)))
+	return &CoveringScanResult{
+		MaxCovered: maxCovered,
+		Schedule:   found[maxCovered].schedule,
+		CoverMap:   CoveredObjects(p, found[maxCovered].end, all),
+		Visited:    stats.Processed,
+	}, nil
 }

@@ -121,15 +121,18 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 		}
 		return classes, nil
 	})
-	schedule, ok := found[0]
+	w, ok := found[0]
 	if err != nil || !ok {
 		return nil, err // nil, nil: space or budget exhausted, no witness
 	}
-	end, err := replay(p, start, schedule)
-	if err != nil {
-		return nil, err
-	}
-	return &Witness{Schedule: schedule, Decided: end.DecidedValues(p), Visited: stats.Processed}, nil
+	return &Witness{Schedule: w.schedule, Decided: w.end.DecidedValues(p), Visited: stats.Processed}, nil
+}
+
+// classBest is the smallest node of a provenance class: its schedule
+// from the search's start, and the configuration that schedule ends in.
+type classBest struct {
+	schedule []int
+	end      *model.Config
 }
 
 // provenance is the search behind every schedule this package returns:
@@ -137,17 +140,17 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 // check.RunFrontier, with provenance paths. classify, run concurrently
 // on the engine's workers, appends the int classes (zero or more) of
 // each visited configuration to its second argument; for each class the
-// search keeps the schedule of the smallest node by (depth, fingerprint,
-// key), so what it returns depends neither on the worker count nor on
-// the store. At every level barrier the run stops once stopAt classes
-// are met (0: never). found maps each class met to its schedule.
+// search keeps the smallest node by (depth, fingerprint, key), so what
+// it returns depends neither on the worker count nor on the store. At
+// every level barrier the run stops once stopAt classes are met (0:
+// never). found maps each class met to its smallest node.
 func provenance(p model.Protocol, start *model.Config, pids []int, limits SearchLimits, stopAt int,
 	classify func(cfg *model.Config, classes []int) ([]int, error),
-) (found map[int][]int, stats check.RunStats, err error) {
+) (found map[int]classBest, stats check.RunStats, err error) {
 	type best struct {
-		depth    int
-		fp       uint64
-		schedule []int
+		depth int
+		fp    uint64
+		path  []byte
 	}
 	var (
 		mu                sync.Mutex
@@ -170,7 +173,7 @@ func provenance(p model.Protocol, start *model.Config, pids []int, limits Search
 			if ok && b.depth == n.Depth && b.fp == n.Fingerprint() {
 				// Only exact keys admit two configurations with one
 				// fingerprint; the key decides, the incumbent's replayed.
-				old, err := replay(p, start, b.schedule)
+				old, err := model.Replay(p, start, b.path)
 				if err != nil {
 					return err
 				}
@@ -178,7 +181,7 @@ func provenance(p model.Protocol, start *model.Config, pids []int, limits Search
 					continue
 				}
 			}
-			bests[c] = best{n.Depth, n.Fingerprint(), n.Schedule()}
+			bests[c] = best{n.Depth, n.Fingerprint(), slices.Clone(n.Path())}
 		}
 		return nil
 	}
@@ -190,22 +193,19 @@ func provenance(p model.Protocol, start *model.Config, pids []int, limits Search
 	if stats, err = check.RunFrontier(p, start, pids, exLimits, engOpts, visit, afterLevel); err != nil {
 		return nil, stats, fmt.Errorf("lowerbound: search: %w", err)
 	}
-	found = make(map[int][]int, len(bests))
+	found = make(map[int]classBest, len(bests))
 	for c, b := range bests {
-		found[c] = b.schedule
+		end, err := model.Replay(p, start, b.path)
+		if err != nil {
+			return nil, stats, err
+		}
+		var schedule []int
+		for _, pid := range b.path {
+			schedule = append(schedule, int(pid))
+		}
+		found[c] = classBest{schedule, end}
 	}
 	return found, stats, nil
-}
-
-// replay applies schedule to a clone of start.
-func replay(p model.Protocol, start *model.Config, schedule []int) (*model.Config, error) {
-	c := start.Clone()
-	for _, pid := range schedule {
-		if _, err := model.Apply(p, c, pid); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
 }
 
 // allPids returns 0..n-1 for p's n processes.

@@ -50,7 +50,8 @@ func TestWitnessDeterministicAcrossWorkers(t *testing.T) {
 		{"pair consensus, 3 processes", violation(baseline.NewPairConsensus(2).WithProcesses(3), []int{0, 1, 1}), nil},
 		{"toy-bit race n=4", violation(toyBit, []int{0, 1, 0, 1}),
 			&lowerbound.Witness{Schedule: []int{0, 0, 0, 1, 0, 1, 1, 1}, Decided: []int{0, 1}, Visited: 1917}},
-		{"pair consensus, 4 processes", violation(baseline.NewPairConsensus(2).WithProcesses(4), []int{0, 1, 1, 0}), nil},
+		{"pair consensus, 4 processes", violation(baseline.NewPairConsensus(2).WithProcesses(4), []int{0, 1, 1, 0}),
+			&lowerbound.Witness{Schedule: []int{2, 3, 0}, Decided: []int{0, 1}, Visited: 35}},
 		{"ProveBivalent", func(l lowerbound.SearchLimits) (any, error) {
 			return lowerbound.ProveBivalent(toyBit, model.MustNewConfig(toyBit, []int{0, 1, 1, 0}), []int{0, 1}, l)
 		}, &lowerbound.BivalenceCertificate{Schedules: [2][]int{{0, 0, 0, 0}, {1, 1, 1, 1}}, Values: [2]int{0, 1}}},
