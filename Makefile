@@ -46,6 +46,19 @@ PR := $(shell sed -n '1s/^\# ISSUE \([0-9]*\).*/\1/p' ISSUE.md)
 bench-pairs:
 	go run ./cmd/benchpairs -parent $(PARENT) -workload $(W) -n $(N) -seed $(S) -out BENCH_$(PR).json
 
+# loc prints non-blank, non-comment Go lines (a comment line starts with
+# //) per package under internal/ and cmd/, non-test and test apart, then
+# a total for each tree. benchmark/ is a module of its own and not counted.
+.PHONY: loc
+loc:
+	@printf '%-28s %8s %8s\n' package non-test test
+	@for d in $$(find internal cmd -name '*.go' -exec dirname {} \; | sort -u); do \
+		awk -v d=$$d 'FNR == 1 { t = FILENAME ~ /_test\.go$$/ } \
+			!/^[ \t]*(\/\/|$$)/ { c[t]++ } \
+			END { printf "%-28s %8d %8d\n", d, c[0], c[1] }' $$d/*.go; \
+	done | awk '{ print; split($$1, p, "/"); s[p[1]] += $$2; t[p[1]] += $$3 } \
+		END { for (k in s) printf "%-28s %8d %8d\n", k "/ (total)", s[k], t[k] }' | sort -s -k1,1
+
 lint:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; }
 	go vet ./...

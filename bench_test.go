@@ -1,5 +1,5 @@
 // Package repro_test holds the benchmark harness that regenerates the
-// paper's evaluation artifacts (see DESIGN.md's experiment index):
+// paper's evaluation artifacts; this header is its experiment index:
 //
 //	Table 1 rows  -> BenchmarkTable1*           (one benchmark per row)
 //	Figure 1      -> BenchmarkLemma9Construction
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +33,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/lowerbound"
 	"repro/internal/model"
-	"repro/internal/object"
 	"repro/internal/sched"
 	"repro/internal/simulate"
 	"repro/internal/sweep"
@@ -110,8 +110,8 @@ func BenchmarkTable1ConsensusSwap(b *testing.B) {
 // BenchmarkTable1ReadableBinarySwap regenerates the lower-bound side of
 // the row "Consensus / Readable swap, domain 2: LB n-2 [Thm 18],
 // UB 2n-1 [7]": covering scan plus the Lemma 20 ledger on a binary-domain
-// protocol. (The upper-bound algorithm is cited prior work; see DESIGN.md
-// substitutions.)
+// protocol. (The upper bound is cited from [7]; only its object count,
+// 2n-1, is reported.)
 func BenchmarkTable1ReadableBinarySwap(b *testing.B) {
 	for _, n := range []int{3, 4, 5} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -435,7 +435,7 @@ func BenchmarkRuntimeKSet(b *testing.B) {
 // atomic-exchange throughput on one cell under all contending goroutines,
 // the hardware primitive every swap object compiles to.
 func BenchmarkRuntimeSwapContention(b *testing.B) {
-	sw := object.NewIntSwap(0)
+	var sw atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		x := int64(0)
 		for pb.Next() {
@@ -551,8 +551,8 @@ func BenchmarkRuntimeObjectFamilies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMargin measures the design-choice ablation from
-// DESIGN.md: how quickly the counterexample search refutes Algorithm 1
+// BenchmarkAblationMargin measures the line 16 margin ablation of
+// internal/ablation: how quickly the counterexample search refutes Algorithm 1
 // with the line 16 margin weakened to 1, versus exhausting its budget on
 // the faithful margin-2 algorithm.
 func BenchmarkAblationMargin(b *testing.B) {

@@ -39,13 +39,22 @@ func TestRunCounterexample(t *testing.T) {
 	}
 }
 
+// TestRunCovering pins -covering -n 3 literally. Every search keeps the
+// smallest node of a class by (depth, fingerprint, key), so the witness
+// is the depth-1 [2], which leaves S = {2} for Lemma 13.
 func TestRunCovering(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-covering", "-n", "3"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "covering scan") {
-		t.Errorf("scan missing:\n%s", out.String())
+	const want = `protocol: toy-bit-race(n=3,L=2)
+covering scan: max 2 objects simultaneously covered (3841 configurations visited)
+  witness schedule: [2]
+  cover: B0←p0 B1←p2
+Lemma 13: γ = [] (tried 1 prefixes); Q bivalent after block swap, witnesses decide [0 1]
+`
+	if out.String() != want {
+		t.Errorf("-covering -n 3 printed\n%s\nwant\n%s", out.String(), want)
 	}
 }
 

@@ -259,6 +259,28 @@ func TestTheorem10DriverOnPairing(t *testing.T) {
 	}
 }
 
+// TestTheorem10StepComplete checks that a level's step says whether its
+// R-only search was conclusive: the wait-free pairing's finite space is
+// exhausted at the default budget, and a tiny budget cuts it short.
+func TestTheorem10StepComplete(t *testing.T) {
+	p, err := baseline.NewPairing(4, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		max  int
+		want bool
+	}{{60000, true}, {4, false}} {
+		cert, err := Theorem10Driver(p, 2, SearchLimits{MaxConfigs: tt.max, MaxDepth: 48}, 0)
+		if err != nil {
+			t.Fatalf("max %d: %v", tt.max, err)
+		}
+		if s := cert.Steps[0]; s.K != 2 || s.Complete != tt.want {
+			t.Errorf("max %d: level k=%d Complete = %v, want %v", tt.max, s.K, s.Complete, tt.want)
+		}
+	}
+}
+
 func TestTheorem10DriverRejectsBadParams(t *testing.T) {
 	p := core.MustNew(core.Params{N: 4, K: 2, M: 3})
 	if _, err := Theorem10Driver(p, 4, SearchLimits{}, 0); err == nil {

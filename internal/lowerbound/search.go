@@ -84,7 +84,8 @@ type Witness struct {
 // protocols fail — e.g. the 2-process single-swap consensus run with three
 // processes (Section 1's motivation for needing more objects).
 func FindAgreementViolation(p model.Protocol, inputs []int, k int, limits SearchLimits) (*Witness, error) {
-	return searchDecisions(p, inputs, nil, limits, func(distinct int) bool { return distinct > k })
+	w, _, err := searchDecisions(p, inputs, nil, limits, func(distinct int) bool { return distinct > k })
+	return w, err
 }
 
 // FindKDistinctDecisions searches for an execution by the processes in
@@ -92,16 +93,18 @@ func FindAgreementViolation(p model.Protocol, inputs []int, k int, limits Search
 // the "R-only execution in which all k values are decided" case of
 // Theorem 10's induction. Returns nil if none is found within limits.
 func FindKDistinctDecisions(p model.Protocol, inputs []int, restrict []int, k int, limits SearchLimits) (*Witness, error) {
-	return searchDecisions(p, inputs, restrict, limits, func(distinct int) bool { return distinct >= k })
+	w, _, err := searchDecisions(p, inputs, restrict, limits, func(distinct int) bool { return distinct >= k })
+	return w, err
 }
 
 // searchDecisions is the provenance search for a configuration whose
 // number of distinct decided values satisfies goal: every goal node is
-// class 0, and the run stops at the first level holding one.
-func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits SearchLimits, goal func(distinct int) bool) (*Witness, error) {
+// class 0, and the run stops at the first level holding one. complete
+// is false when the limits cut the search short of a witness.
+func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits SearchLimits, goal func(distinct int) bool) (w *Witness, complete bool, err error) {
 	start, err := model.NewConfig(p, inputs)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if restrict == nil {
 		restrict = allPids(p)
@@ -121,11 +124,11 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 		}
 		return classes, nil
 	})
-	w, ok := found[0]
+	best, ok := found[0]
 	if err != nil || !ok {
-		return nil, err // nil, nil: space or budget exhausted, no witness
+		return nil, stats.Complete, err // no witness: the space or the budget ran out
 	}
-	return &Witness{Schedule: w.schedule, Decided: w.end.DecidedValues(p), Visited: stats.Processed}, nil
+	return &Witness{Schedule: best.schedule, Decided: best.end.DecidedValues(p), Visited: stats.Processed}, true, nil
 }
 
 // classBest is the smallest node of a provenance class: its schedule
@@ -228,6 +231,11 @@ type Theorem10Step struct {
 	// FoundKValues reports whether an R-only execution deciding k values
 	// was found (Lemma 9 branch) or not (recursion branch).
 	FoundKValues bool
+	// Complete reports whether the level's search is conclusive: a
+	// witness was found or the R-only space was exhausted. A recursion
+	// on an incomplete search rests on the budget, not on the proof.
+	// The base case runs no search and is complete.
+	Complete bool
 }
 
 // Theorem10Certificate is the outcome of the full Theorem 10 induction.
@@ -278,7 +286,7 @@ func Theorem10Driver(p model.Protocol, k int, limits SearchLimits, soloBound int
 			}
 			cert.Lemma9 = res
 			cert.Objects = len(res.Objects)
-			cert.Steps = append(cert.Steps, Theorem10Step{K: 1, Processes: processes})
+			cert.Steps = append(cert.Steps, Theorem10Step{K: 1, Processes: processes, Complete: true})
 			return cert, nil
 		}
 		rSize := ceilDiv(len(processes)*(level-1), level)
@@ -293,11 +301,11 @@ func Theorem10Driver(p model.Protocol, k int, limits SearchLimits, soloBound int
 		for i, pid := range r {
 			inputs[pid] = i % level
 		}
-		w, err := FindKDistinctDecisions(p, inputs, r, level, limits)
+		w, complete, err := searchDecisions(p, inputs, r, limits, func(distinct int) bool { return distinct >= level })
 		if err != nil {
 			return nil, err
 		}
-		step := Theorem10Step{K: level, Processes: processes, RSize: rSize, FoundKValues: w != nil}
+		step := Theorem10Step{K: level, Processes: processes, RSize: rSize, FoundKValues: w != nil, Complete: complete}
 		cert.Steps = append(cert.Steps, step)
 		if w != nil {
 			res, err := Lemma9(Lemma9Input{

@@ -46,6 +46,9 @@ func Theorem10(cert *lowerbound.Theorem10Certificate) string {
 			continue
 		}
 		branch := "no k-value execution found → recurse on (R, k-1)"
+		if !s.Complete {
+			branch = "no k-value execution found within budget → recurse on (R, k-1)"
+		}
 		if s.FoundKValues {
 			branch = "R-only execution deciding k values found → Lemma 9 with Q = P−R"
 		}

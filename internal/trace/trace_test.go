@@ -44,6 +44,23 @@ func TestTheorem10Renders(t *testing.T) {
 	}
 }
 
+// TestTheorem10LabelsBudgetBoundRecursion checks that only a recursion
+// on an incomplete search carries the budget label.
+func TestTheorem10LabelsBudgetBoundRecursion(t *testing.T) {
+	for _, complete := range []bool{true, false} {
+		out := trace.Theorem10(&lowerbound.Theorem10Certificate{Steps: []lowerbound.Theorem10Step{
+			{K: 2, Processes: []int{0, 1, 2, 3}, RSize: 2, Complete: complete},
+		}})
+		want := "  level k=2: |P|=4, |R|=2, no k-value execution found → recurse on (R, k-1)\n"
+		if !complete {
+			want = "  level k=2: |P|=4, |R|=2, no k-value execution found within budget → recurse on (R, k-1)\n"
+		}
+		if !strings.Contains(out, want) {
+			t.Errorf("Complete=%v: output lacks %q:\n%s", complete, want, out)
+		}
+	}
+}
+
 func TestLedgerRenders(t *testing.T) {
 	tb, err := baseline.NewToyBitRace(4, 3)
 	if err != nil {
