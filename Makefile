@@ -62,3 +62,4 @@ loc:
 lint:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; }
 	go vet ./...
+	cd benchmark && go vet .

@@ -26,7 +26,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ablation"
 	"repro/internal/baseline"
 	"repro/internal/check"
 	"repro/internal/core"
@@ -551,10 +550,10 @@ func BenchmarkRuntimeObjectFamilies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMargin measures the line 16 margin ablation of
-// internal/ablation: how quickly the counterexample search refutes Algorithm 1
-// with the line 16 margin weakened to 1, versus exhausting its budget on
-// the faithful margin-2 algorithm.
+// BenchmarkAblationMargin measures the line 16 margin ablation
+// (core.Ablation.Margin): how quickly the counterexample search refutes
+// Algorithm 1 with the margin weakened to 1, versus exhausting its budget
+// on the faithful margin-2 algorithm.
 func BenchmarkAblationMargin(b *testing.B) {
 	for _, tt := range []struct {
 		name   string
@@ -562,7 +561,7 @@ func BenchmarkAblationMargin(b *testing.B) {
 		broken bool
 	}{{"margin=1-broken", 1, true}, {"margin=2-safe", 2, false}} {
 		b.Run(tt.name, func(b *testing.B) {
-			v := ablation.MustNew(3, 1, 2, ablation.Options{Margin: tt.margin})
+			v := core.MustNew(core.Params{N: 3, K: 1, M: 2, Ablation: core.Ablation{Margin: tt.margin}})
 			limits := lowerbound.SearchLimits{MaxConfigs: 30000, MaxDepth: 30}
 			var found bool
 			b.ResetTimer()
@@ -589,7 +588,7 @@ func BenchmarkAblationObjects(b *testing.B) {
 		broken  bool
 	}{{"objects=1-broken", 1, true}, {"objects=2-safe", 2, false}} {
 		b.Run(tt.name, func(b *testing.B) {
-			v := ablation.MustNew(3, 1, 2, ablation.Options{Objects: tt.objects})
+			v := core.MustNew(core.Params{N: 3, K: 1, M: 2, Ablation: core.Ablation{Objects: tt.objects}})
 			limits := lowerbound.SearchLimits{MaxConfigs: 30000, MaxDepth: 30}
 			var found bool
 			b.ResetTimer()

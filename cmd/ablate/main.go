@@ -1,8 +1,8 @@
 // Command ablate runs the design-choice ablations of Algorithm 1: it
-// builds a variant with one ingredient weakened and either exhibits an
-// agreement-violating schedule (for the load-bearing ingredients) or
-// validates the variant under adversarial schedules (for the inessential
-// ones).
+// builds the algorithm with one ingredient weakened (a core.Ablation) and
+// either exhibits an agreement-violating schedule (for the load-bearing
+// ingredients) or validates the variant under adversarial schedules (for
+// the inessential ones).
 //
 //	ablate -margin 1              weaken the line 16 threshold (breaks)
 //	ablate -objects 1 -n 3        drop below n-k objects (breaks)
@@ -17,7 +17,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/ablation"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/lowerbound"
 	"repro/internal/trace"
@@ -42,22 +42,25 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *margin < 1 {
+		return fmt.Errorf("-margin %d: need a margin >= 1", *margin)
+	}
 
-	opts := ablation.Options{
+	abl := core.Ablation{
 		Margin:               *margin,
 		Objects:              *objects,
 		DisableConflictReset: *noconflict,
 	}
 	switch *tiebreak {
 	case "lowest":
-		opts.TieBreak = ablation.TieBreakLowest
+		abl.TieBreak = core.TieBreakLowest
 	case "highest":
-		opts.TieBreak = ablation.TieBreakHighest
+		abl.TieBreak = core.TieBreakHighest
 	default:
 		return fmt.Errorf("unknown tie-break %q", *tiebreak)
 	}
 
-	v, err := ablation.New(*n, *k, *m, opts)
+	v, err := core.New(core.Params{N: *n, K: *k, M: *m, Ablation: abl})
 	if err != nil {
 		return err
 	}

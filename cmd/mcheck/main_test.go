@@ -42,9 +42,20 @@ func TestRunDetectsViolation(t *testing.T) {
 
 func TestRunAblationMargin1Violates(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-proto", "ablation-margin1", "-n", "3", "-max", "400000"}, &out)
+	err := run([]string{"-proto", "ablation-margin1", "-n", "3", "-k", "1", "-m", "2", "-max", "20000"}, &out)
 	if !errors.Is(err, errViolation) {
 		t.Fatalf("err = %v, want errViolation for margin-1 variant", err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"protocol: ablation(n=3,k=1,m=2,margin=1,objs=2,conflict=true,tie=lowest), 2 objects, inputs [0 1 0]\n",
+		"explored 7213 configurations in ",
+		"decided values reachable: [0 1]; max distinct decided together: 2\n",
+		"AGREEMENT VIOLATION: configuration with decided [0 1]\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
 	}
 }
 

@@ -103,11 +103,12 @@ type ExploreResult struct {
 // ValueWitness is a replayable decided-value witness: applying Path
 // from the start configuration reaches a configuration of depth Depth
 // and fingerprint FP in which some explored process has decided Value.
+// A distributed peer ships its witnesses in this JSON form.
 type ValueWitness struct {
-	Value int
-	Depth int
-	FP    uint64
-	Path  []byte
+	Value int    `json:"value"`
+	Depth int    `json:"depth"`
+	FP    uint64 `json:"fp"`
+	Path  []byte `json:"path,omitempty"`
 }
 
 // ExploreOptions bundles the limits with the engine knobs for the

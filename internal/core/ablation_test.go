@@ -1,9 +1,8 @@
-package ablation_test
+package core_test
 
 import (
 	"testing"
 
-	"repro/internal/ablation"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -12,81 +11,65 @@ import (
 	"repro/internal/sched"
 )
 
-func TestNewValidation(t *testing.T) {
-	if _, err := ablation.New(2, 2, 2, ablation.Options{}); err == nil {
-		t.Error("n <= k must be rejected")
+// ablated builds an n-process, m-valued k-set agreement instance of
+// Algorithm 1 with the given ablation.
+func ablated(n, k, m int, abl core.Ablation) *core.Protocol {
+	return core.MustNew(core.Params{N: n, K: k, M: m, Ablation: abl})
+}
+
+func TestAblationValidation(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		params core.Params
+	}{
+		{"n <= k", core.Params{N: 2, K: 2, M: 2, Ablation: core.Ablation{Margin: 1}}},
+		{"m < 2", core.Params{N: 3, K: 1, M: 1, Ablation: core.Ablation{Margin: 1}}},
+		{"readable", core.Params{N: 3, K: 1, M: 2, Readable: true, Ablation: core.Ablation{Margin: 1}}},
+		{"negative margin", core.Params{N: 3, K: 1, M: 2, Ablation: core.Ablation{Margin: -1}}},
+		{"negative object count", core.Params{N: 3, K: 1, M: 2, Ablation: core.Ablation{Objects: -2}}},
+		{"unknown tie break", core.Params{N: 3, K: 1, M: 2, Ablation: core.Ablation{TieBreak: core.TieBreak(9)}}},
+	} {
+		if _, err := core.New(tt.params); err == nil {
+			t.Errorf("%s must be rejected", tt.name)
+		}
 	}
-	if _, err := ablation.New(3, 1, 1, ablation.Options{}); err == nil {
-		t.Error("m < 2 must be rejected")
-	}
-	if _, err := ablation.New(3, 1, 2, ablation.Options{Margin: -1}); err == nil {
-		t.Error("negative margin must be rejected")
-	}
-	if _, err := ablation.New(3, 1, 2, ablation.Options{Objects: -2}); err == nil {
-		t.Error("negative object count must be rejected")
-	}
-	if _, err := ablation.New(3, 1, 2, ablation.Options{TieBreak: ablation.TieBreak(9)}); err == nil {
-		t.Error("unknown tie break must be rejected")
+	if _, err := core.NewSetAgreement(core.Params{N: 3, K: 1, M: 2, Ablation: core.Ablation{Margin: 3}}, core.Options{}); err == nil {
+		t.Error("the runtime must reject an ablated instance")
 	}
 }
 
+// TestDefaultsReproduceAlgorithm1: the zero Ablation, and one that spells
+// out the paper's choices, both run Algorithm 1; only the second is named
+// as an ablation.
 func TestDefaultsReproduceAlgorithm1(t *testing.T) {
-	v := ablation.MustNew(4, 1, 2, ablation.Options{})
-	if !v.Faithful() {
-		t.Fatal("zero options must reproduce the paper's Algorithm 1")
-	}
-	if got := v.Options(); got.Margin != 2 || got.Objects != 3 || got.TieBreak != ablation.TieBreakLowest {
-		t.Fatalf("normalized options %+v", got)
-	}
-	if len(v.Objects()) != 3 {
-		t.Fatalf("%d objects, want n-k = 3", len(v.Objects()))
-	}
-	if !model.SwapOnly(v) {
-		t.Fatal("variant must be swap-only")
-	}
-}
-
-// TestFaithfulVariantMatchesCoreLockstep drives the faithful variant and
-// the core implementation through identical schedules and checks they
-// reach the same decisions — the ablation harness really is Algorithm 1
-// when nothing is ablated.
-func TestFaithfulVariantMatchesCoreLockstep(t *testing.T) {
-	const n = 3
-	v := ablation.MustNew(n, 1, 2, ablation.Options{})
-	c := core.MustNew(core.Params{N: n, K: 1, M: 2})
-	for seed := int64(0); seed < 25; seed++ {
-		inputs := []int{int(seed) % 2, int(seed>>1) % 2, 1}
-		run := func(p model.Protocol) map[int]int {
-			t.Helper()
-			cfg := model.MustNewConfig(p, inputs)
-			_, _ = check.Run(p, cfg, sched.NewRandom(seed), 60)
-			for pid := 0; pid < n; pid++ {
-				if _, ok := cfg.Decided(p, pid); !ok {
-					if _, err := check.SoloRun(p, cfg, pid, 4096); err != nil {
-						t.Fatalf("seed %d: solo pid %d: %v", seed, pid, err)
-					}
-				}
-			}
-			out := map[int]int{}
-			for pid := 0; pid < n; pid++ {
-				val, _ := cfg.Decided(p, pid)
-				out[pid] = val
-			}
-			return out
+	plain := ablated(4, 1, 2, core.Ablation{})
+	spelled := ablated(4, 1, 2, core.Ablation{Margin: 2, Objects: 3, TieBreak: core.TieBreakLowest})
+	for _, p := range []*core.Protocol{plain, spelled} {
+		if !p.Faithful() {
+			t.Errorf("%s: not faithful", p.Name())
 		}
-		dv, dc := run(v), run(c)
-		for pid := range dv {
-			if dv[pid] != dc[pid] {
-				t.Fatalf("seed %d: variant decisions %v, core %v", seed, dv, dc)
-			}
+		if len(p.Objects()) != 3 {
+			t.Errorf("%s: %d objects, want n-k = 3", p.Name(), len(p.Objects()))
 		}
+		if !model.SwapOnly(p) {
+			t.Errorf("%s: not swap-only", p.Name())
+		}
+	}
+	if got, want := plain.Name(), "algorithm1(n=4,k=1,m=2,swap)"; got != want {
+		t.Errorf("Name = %q, want %q", got, want)
+	}
+	if got, want := spelled.Name(), "ablation(n=4,k=1,m=2,margin=2,objs=3,conflict=true,tie=lowest)"; got != want {
+		t.Errorf("Name = %q, want %q", got, want)
+	}
+	if ablated(4, 1, 2, core.Ablation{Margin: 1}).Faithful() {
+		t.Error("margin 1 reported faithful")
 	}
 }
 
 // TestMarginTwoIsSafe: the paper's margin survives the adversarial
 // validator (control arm for the margin ablation).
 func TestMarginTwoIsSafe(t *testing.T) {
-	v := ablation.MustNew(3, 1, 2, ablation.Options{Margin: 2})
+	v := ablated(3, 1, 2, core.Ablation{Margin: 2})
 	if err := harness.ValidateProtocol(v, 1, harness.ValidateOptions{Schedules: 20, Seed: 1}); err != nil {
 		t.Fatalf("margin 2 should be safe: %v", err)
 	}
@@ -95,7 +78,7 @@ func TestMarginTwoIsSafe(t *testing.T) {
 // TestMarginThreeIsSafe: raising the margin only delays decisions; safety
 // is unaffected.
 func TestMarginThreeIsSafe(t *testing.T) {
-	v := ablation.MustNew(3, 1, 2, ablation.Options{Margin: 3})
+	v := ablated(3, 1, 2, core.Ablation{Margin: 3})
 	if err := harness.ValidateProtocol(v, 1, harness.ValidateOptions{Schedules: 15, Seed: 2}); err != nil {
 		t.Fatalf("margin 3 should be safe: %v", err)
 	}
@@ -106,7 +89,7 @@ func TestMarginThreeIsSafe(t *testing.T) {
 // exhibited as a replayable schedule. This is exactly the slack Lemma 6's
 // contradiction chains consume.
 func TestMarginOneBreaksAgreement(t *testing.T) {
-	v := ablation.MustNew(3, 1, 2, ablation.Options{Margin: 1})
+	v := ablated(3, 1, 2, core.Ablation{Margin: 1})
 	w, err := lowerbound.FindAgreementViolation(v, []int{0, 1, 1}, 1,
 		lowerbound.SearchLimits{MaxConfigs: 400000})
 	if err != nil {
@@ -130,7 +113,7 @@ func TestMarginOneBreaksAgreement(t *testing.T) {
 // (one below the paper's n-1) admits an agreement violation.
 func TestFewerObjectsBreaksAgreement(t *testing.T) {
 	// n=3, k=1: the paper needs 2 objects; give it 1.
-	v := ablation.MustNew(3, 1, 2, ablation.Options{Objects: 1})
+	v := ablated(3, 1, 2, core.Ablation{Objects: 1})
 	w, err := lowerbound.FindAgreementViolation(v, []int{0, 1, 1}, 1,
 		lowerbound.SearchLimits{MaxConfigs: 400000})
 	if err != nil {
@@ -141,11 +124,11 @@ func TestFewerObjectsBreaksAgreement(t *testing.T) {
 	}
 }
 
-// TestNoConflictCheckBreaksAgreement ablates lines 5/8-9/13: counting
-// every pass as a lap regardless of responses destroys the
-// ⟨V,p⟩-totality structure (Observation 2) and admits a violation.
+// TestNoConflictCheckBreaksAgreement ablates lines 4-5: counting every
+// pass as a lap regardless of responses destroys the ⟨V,p⟩-totality
+// structure (Observation 2) and admits a violation.
 func TestNoConflictCheckBreaksAgreement(t *testing.T) {
-	v := ablation.MustNew(3, 1, 2, ablation.Options{DisableConflictReset: true})
+	v := ablated(3, 1, 2, core.Ablation{DisableConflictReset: true})
 	w, err := lowerbound.FindAgreementViolation(v, []int{0, 1, 1}, 1,
 		lowerbound.SearchLimits{MaxConfigs: 400000})
 	if err != nil {
@@ -159,7 +142,7 @@ func TestNoConflictCheckBreaksAgreement(t *testing.T) {
 // TestTieBreakHighestIsSafe: the proof does not depend on which leading
 // value line 15 picks; the opposite tie-break still validates.
 func TestTieBreakHighestIsSafe(t *testing.T) {
-	v := ablation.MustNew(3, 1, 3, ablation.Options{TieBreak: ablation.TieBreakHighest})
+	v := ablated(3, 1, 3, core.Ablation{TieBreak: core.TieBreakHighest})
 	if err := harness.ValidateProtocol(v, 1, harness.ValidateOptions{Schedules: 20, Seed: 3}); err != nil {
 		t.Fatalf("highest tie-break should be safe: %v", err)
 	}
@@ -169,8 +152,8 @@ func TestTieBreakHighestIsSafe(t *testing.T) {
 // pick different winners (so the ablation is real), yet both satisfy
 // agreement.
 func TestTieBreakAffectsOutcomeNotSafety(t *testing.T) {
-	low := ablation.MustNew(2, 1, 2, ablation.Options{TieBreak: ablation.TieBreakLowest})
-	high := ablation.MustNew(2, 1, 2, ablation.Options{TieBreak: ablation.TieBreakHighest})
+	low := ablated(2, 1, 2, core.Ablation{TieBreak: core.TieBreakLowest})
+	high := ablated(2, 1, 2, core.Ablation{TieBreak: core.TieBreakHighest})
 	// A schedule on which the surviving counter is tied: p0 and p1 swap
 	// alternately so both merge to [1,1] before any clean lap.
 	differs := false
@@ -204,7 +187,7 @@ func TestTieBreakAffectsOutcomeNotSafety(t *testing.T) {
 // TestMarginOneSoloStillDecides: the margin ablation breaks safety, not
 // liveness — solo runs still terminate (faster, in fact).
 func TestMarginOneSoloStillDecides(t *testing.T) {
-	v := ablation.MustNew(4, 1, 2, ablation.Options{Margin: 1})
+	v := ablated(4, 1, 2, core.Ablation{Margin: 1})
 	c := model.MustNewConfig(v, []int{0, 1, 0, 1})
 	res, err := check.SoloRun(v, c, 0, 64)
 	if err != nil {
@@ -223,14 +206,14 @@ func TestLemma9CertifiesAblatedObjectCounts(t *testing.T) {
 	// construction needs |Q| = 3 distinct objects but only 2 exist, so it
 	// must fail — and that failure is precisely an execution witnessing
 	// that the protocol cannot be a correct consensus algorithm.
-	v := ablation.MustNew(4, 1, 2, ablation.Options{Objects: 2})
+	v := ablated(4, 1, 2, core.Ablation{Objects: 2})
 	if _, err := lowerbound.ConsensusCertificate(v, 0); err == nil {
 		t.Fatal("Lemma 9 cannot certify 3 objects on a 2-object protocol; expected failure")
 	}
 }
 
 func TestTieBreakString(t *testing.T) {
-	if ablation.TieBreakLowest.String() != "lowest" || ablation.TieBreakHighest.String() != "highest" {
+	if core.TieBreakLowest.String() != "lowest" || core.TieBreakHighest.String() != "highest" {
 		t.Fatal("tie break strings")
 	}
 }

@@ -9,7 +9,10 @@
 //   - Protocol: a deterministic state machine over internal/model objects,
 //     driven by schedulers, the model checker, and the lower-bound
 //     adversaries (internal/lowerbound). This is the form the paper's
-//     proofs quantify over.
+//     proofs quantify over. Its Params.Ablation field weakens one design
+//     choice at a time (the line 16 margin, the line 15 tie-break, the
+//     conflict reset of lines 4-5, the n-k object count) for the ablation
+//     experiments of cmd/ablate; the zero value is the paper's algorithm.
 //
 //   - SetAgreement: a runtime implementation for real goroutines backed by
 //     sync/atomic (atomic.Pointer.Swap is a genuine hardware swap), with
@@ -45,10 +48,75 @@ type Params struct {
 	// Read, so it runs unchanged; this realizes the Table 1 row
 	// "k-set agreement from readable swap objects, upper bound n-k".
 	Readable bool
+	// Ablation weakens design choices of the algorithm for the ablation
+	// experiments. The zero value is the paper's Algorithm 1.
+	Ablation Ablation
+}
+
+// Ablation selects variants of Algorithm 1 that weaken its design choices
+// one at a time, turning the proof's load-bearing ingredients into
+// executable experiments. A zero field keeps the paper's choice.
+type Ablation struct {
+	// Margin is the decision threshold of line 16: decide v when
+	// U[v] >= U[j] + Margin for all j != v. The paper's 2 is exactly what
+	// Lemma 6's contradiction chains consume; 1 breaks agreement, and
+	// larger margins only delay decisions.
+	Margin int
+	// Objects is the number of swap objects in place of the paper's n-k.
+	// Below n-k the consensus instance breaks, which shows Theorem 10's
+	// bound from the algorithm's side.
+	Objects int
+	// DisableConflictReset counts every completed pass as a lap whatever
+	// its swaps returned (ablates lines 4-5). That destroys the
+	// ⟨V,p⟩-totality behind Observation 2, and with it agreement.
+	DisableConflictReset bool
+	// TieBreak is line 15's rule among leading values. The proof only
+	// uses "a component with maximal value is incremented", so any
+	// deterministic rule is safe.
+	TieBreak TieBreak
+}
+
+// TieBreak selects among multiple leading values on line 15.
+type TieBreak int
+
+const (
+	// TieBreakLowest is the paper's choice: the smallest leading value.
+	TieBreakLowest TieBreak = iota + 1
+	// TieBreakHighest picks the largest leading value instead.
+	TieBreakHighest
+)
+
+// String implements fmt.Stringer.
+func (t TieBreak) String() string {
+	switch t {
+	case TieBreakLowest:
+		return "lowest"
+	case TieBreakHighest:
+		return "highest"
+	default:
+		return fmt.Sprintf("TieBreak(%d)", int(t))
+	}
+}
+
+// withDefaults fills the zero fields of a with the paper's choices for an
+// n-process k-set agreement instance.
+func (a Ablation) withDefaults(n, k int) Ablation {
+	if a.Margin == 0 {
+		a.Margin = 2
+	}
+	if a.Objects == 0 {
+		a.Objects = n - k
+	}
+	if a.TieBreak == 0 {
+		a.TieBreak = TieBreakLowest
+	}
+	return a
 }
 
 // Validate checks the parameter ranges required by the paper's theorem
-// statements (n > k >= 1, m >= 1).
+// statements (n > k >= 1, m >= 1), and those of an ablated instance
+// (m >= 2, plain swap objects, margin >= 1, objects >= 1, a known
+// tie-break).
 func (p Params) Validate() error {
 	if p.K < 1 {
 		return fmt.Errorf("core: k = %d, need k >= 1", p.K)
@@ -59,11 +127,28 @@ func (p Params) Validate() error {
 	if p.M < 1 {
 		return fmt.Errorf("core: m = %d, need m >= 1", p.M)
 	}
+	if p.Ablation == (Ablation{}) {
+		return nil
+	}
+	a := p.Ablation.withDefaults(p.N, p.K)
+	switch {
+	case p.M < 2:
+		return fmt.Errorf("core: ablation needs m >= 2, got %d", p.M)
+	case p.Readable:
+		return fmt.Errorf("core: ablations run on plain swap objects, not readable ones")
+	case a.Margin < 1:
+		return fmt.Errorf("core: ablation margin %d < 1", a.Margin)
+	case a.Objects < 1:
+		return fmt.Errorf("core: ablation objects %d < 1", a.Objects)
+	case a.TieBreak != TieBreakLowest && a.TieBreak != TieBreakHighest:
+		return fmt.Errorf("core: unknown ablation tie break %d", int(a.TieBreak))
+	}
 	return nil
 }
 
-// NumObjects returns the algorithm's space complexity, n-k.
-func (p Params) NumObjects() int { return p.N - p.K }
+// NumObjects returns the algorithm's space complexity: n-k, or the
+// ablated object count.
+func (p Params) NumObjects() int { return p.Ablation.withDefaults(p.N, p.K).Objects }
 
 // SoloStepBound returns the paper's Lemma 8 bound: a solo execution from
 // any configuration contains at most 8(n-k) swap operations before the

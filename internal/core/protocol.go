@@ -14,7 +14,9 @@ import (
 // response, and a finite amount of local computation".
 type Protocol struct {
 	params Params
-	specs  []model.ObjectSpec
+	// abl is params.Ablation with the paper's choices filled in.
+	abl   Ablation
+	specs []model.ObjectSpec
 }
 
 var (
@@ -36,7 +38,7 @@ func New(p Params) (*Protocol, error) {
 	for i := range specs {
 		specs[i] = model.ObjectSpec{Type: typ, Init: init}
 	}
-	return &Protocol{params: p, specs: specs}, nil
+	return &Protocol{params: p, abl: p.Ablation.withDefaults(p.N, p.K), specs: specs}, nil
 }
 
 // MustNew is New that panics on invalid parameters, for tests and examples.
@@ -48,8 +50,14 @@ func MustNew(p Params) *Protocol {
 	return proto
 }
 
-// Name implements model.Protocol.
+// Name implements model.Protocol. An instance built with an Ablation is
+// named by its ablation settings, even when they are the paper's.
 func (a *Protocol) Name() string {
+	if a.params.Ablation != (Ablation{}) {
+		return fmt.Sprintf("ablation(n=%d,k=%d,m=%d,margin=%d,objs=%d,conflict=%t,tie=%s)",
+			a.params.N, a.params.K, a.params.M, a.abl.Margin, a.abl.Objects,
+			!a.abl.DisableConflictReset, a.abl.TieBreak)
+	}
 	kind := "swap"
 	if a.params.Readable {
 		kind = "readable-swap"
@@ -59,6 +67,12 @@ func (a *Protocol) Name() string {
 
 // Params returns the instance parameters.
 func (a *Protocol) Params() Params { return a.params }
+
+// Faithful reports whether the instance runs the paper's Algorithm 1:
+// no ablation, or one that sets every field to the paper's choice.
+func (a *Protocol) Faithful() bool {
+	return a.abl == Ablation{}.withDefaults(a.params.N, a.params.K)
+}
 
 // NumProcesses implements model.Protocol.
 func (a *Protocol) NumProcesses() int { return a.params.N }
@@ -138,7 +152,8 @@ func (a *Protocol) Poised(pid int, st model.State) (model.Op, bool) {
 }
 
 // Observe implements model.Protocol: lines 8-12 for every swap, and lines
-// 13-20 when the swap completed the pass (idx reached n-k-1).
+// 13-20 when the swap completed the pass (idx reached n-k-1), with the
+// instance's ablations applied.
 func (a *Protocol) Observe(pid int, st model.State, resp model.Value) model.State {
 	s := st.(state)
 	if s.decided >= 0 {
@@ -160,7 +175,7 @@ func (a *Protocol) Observe(pid int, st model.State, resp model.Value) model.Stat
 		}
 	}
 
-	if s.idx+1 < a.params.NumObjects() {
+	if s.idx+1 < len(a.specs) {
 		next.idx = s.idx + 1
 		return next
 	}
@@ -170,17 +185,27 @@ func (a *Protocol) Observe(pid int, st model.State, resp model.Value) model.Stat
 	next.idx = 0
 	if next.conflict {
 		next.conflict = false
-		return next
+		if !a.abl.DisableConflictReset {
+			return next
+		}
 	}
 	// Lap completed: choose the leading value (lines 14-15).
 	next.laps = s.laps + 1
 	u := next.u
 	c := u.Max()
 	v := u.ArgMax()
-	// Line 16: decide if v is at least 2 laps ahead of everything else.
+	if a.abl.TieBreak == TieBreakHighest { // the largest leader instead
+		for j := range u {
+			if u[j] == c {
+				v = j
+			}
+		}
+	}
+	// Line 16: decide if v is at least the margin (the paper's 2 laps)
+	// ahead of everything else.
 	ahead := true
 	for j := range u {
-		if j != v && u[v] < u[j]+2 {
+		if j != v && u[v] < u[j]+a.abl.Margin {
 			ahead = false
 			break
 		}

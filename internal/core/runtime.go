@@ -89,6 +89,9 @@ func NewSetAgreement(p Params, opts Options) (*SetAgreement, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if p.Ablation != (Ablation{}) {
+		return nil, fmt.Errorf("core: the runtime runs the paper's algorithm; ablations are model-only")
+	}
 	s := &SetAgreement{
 		params: p,
 		opts:   opts.withDefaults(),

@@ -783,7 +783,7 @@ func runLevelControl(cps []*coordPeer, spec Spec, st *failState, next func() (ct
 func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failState) (*check.ExploreResult, error) {
 	out := &check.ExploreResult{Complete: true}
 	decided := map[int]bool{}
-	bestWit := map[int]*valWitnessMsg{}
+	bestWit := map[int]*check.ValueWitness{}
 	var viol *resultMsg
 	for _, r := range results {
 		out.Visited += r.Visited
@@ -840,9 +840,7 @@ func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failSta
 		if _, err := model.Replay(p, start, w.Path); err != nil {
 			return nil, fmt.Errorf("dist: replaying witness for value %d: %w", v, err)
 		}
-		out.ValueWitnesses = append(out.ValueWitnesses, check.ValueWitness{
-			Value: w.Value, Depth: w.Depth, FP: w.FP, Path: append([]byte(nil), w.Path...),
-		})
+		out.ValueWitnesses = append(out.ValueWitnesses, *w)
 	}
 	if viol != nil {
 		cfg, err := model.Replay(p, start, viol.ViolPath)

@@ -133,10 +133,6 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 		sendErr(err)
 		return
 	}
-	wits := make([]valWitnessMsg, 0, len(res.ValueWitnesses))
-	for _, w := range res.ValueWitnesses {
-		wits = append(wits, valWitnessMsg{Value: w.Value, Depth: w.Depth, FP: w.FP, Path: w.Path})
-	}
 	link.writeFrame(frameResult, marshalCtrl(resultMsg{
 		Visited:     res.Visited,
 		Complete:    res.Complete,
@@ -146,7 +142,7 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 		ViolDepth:   res.ViolationDepth,
 		ViolFP:      res.ViolationFP,
 		ViolPath:    res.ViolationPath,
-		ValWits:     wits,
+		ValWits:     res.ValueWitnesses,
 		Store:       res.Store,
 		Reduction:   res.Reduction,
 		Async:       res.Async,

@@ -352,21 +352,12 @@ type resultMsg struct {
 	// ValWits carries one replayable witness per decided value (the
 	// peer's local minimum by depth then fingerprint) — the provenance
 	// the coordinator needs to classify valency without re-exploring.
-	ValWits []valWitnessMsg `json:"val_wits,omitempty"`
+	ValWits []check.ValueWitness `json:"val_wits,omitempty"`
 
 	Store     check.StoreStats     `json:"store"`
 	Reduction check.ReductionStats `json:"reduction"`
 	Async     check.AsyncStats     `json:"async"`
 	Net       check.NetStats       `json:"net"`
-}
-
-// valWitnessMsg is the wire form of check.ValueWitness: a replayable
-// minimal path deciding the named value.
-type valWitnessMsg struct {
-	Value int    `json:"value"`
-	Depth int    `json:"depth"`
-	FP    uint64 `json:"fp"`
-	Path  []byte `json:"path,omitempty"`
 }
 
 type errorMsg struct {

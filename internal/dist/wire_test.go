@@ -70,7 +70,7 @@ func seedFrames() [][]byte {
 		appendFrame(nil, frameReseed, marshalCtrl(reseedMsg{Epoch: 1, Depth: 4})),
 		appendFrame(nil, frameRange, marshalCtrl(rangeMsg{Epoch: 1, Peer: 2, Depth: 4})),
 		appendFrame(nil, frameResult, marshalCtrl(resultMsg{Visited: 99, Complete: true, Decided: []int{0, 1},
-			ValWits: []valWitnessMsg{{Value: 0, Depth: 2, FP: 0xbeef, Path: []byte{0, 1}}, {Value: 1, Depth: 3, FP: 0xcafe, Path: []byte{1, 0, 1}}}})),
+			ValWits: []check.ValueWitness{{Value: 0, Depth: 2, FP: 0xbeef, Path: []byte{0, 1}}, {Value: 1, Depth: 3, FP: 0xcafe, Path: []byte{1, 0, 1}}}})),
 	}
 }
 

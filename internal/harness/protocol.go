@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/ablation"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/model"
@@ -37,7 +36,7 @@ func BuildProtocol(name string, n, k, m int) (model.Protocol, error) {
 	case "toybit":
 		return baseline.NewToyBitRace(n, n)
 	case "ablation-margin1":
-		return ablation.New(n, k, m, ablation.Options{Margin: 1})
+		return core.New(core.Params{N: n, K: k, M: m, Ablation: core.Ablation{Margin: 1}})
 	default:
 		return nil, fmt.Errorf("unknown protocol %q", name)
 	}
