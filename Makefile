@@ -62,4 +62,5 @@ loc:
 lint:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; }
 	go vet ./...
+	go vet -tags chaos ./internal/fault/chaostest/
 	cd benchmark && go vet .

@@ -480,76 +480,6 @@ func BenchmarkModelStep(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeObjectFamilies compares the three implemented consensus
-// algorithms end to end on real goroutines — one per Table 1 object
-// family with an implemented upper bound:
-//
-//	swap          Algorithm 1, n-1 plain swap objects
-//	readable-swap EGSZ readable race, n-1 readable swap objects
-//	registers     racing counters, n registers
-func BenchmarkRuntimeObjectFamilies(b *testing.B) {
-	const n = 8
-	families := []struct {
-		name    string
-		propose func(i int) (func(pid, v int) (int, error), int, error)
-	}{
-		{"swap", func(i int) (func(pid, v int) (int, error), int, error) {
-			s, err := core.NewSetAgreement(core.Params{N: n, K: 1, M: 2}, core.Options{Backoff: true, Seed: int64(i + 1)})
-			if err != nil {
-				return nil, 0, err
-			}
-			return s.Propose, n - 1, nil
-		}},
-		{"readable-swap", func(i int) (func(pid, v int) (int, error), int, error) {
-			s, err := baseline.NewReadableRaceRuntime(n, 2, int64(i+1))
-			if err != nil {
-				return nil, 0, err
-			}
-			return s.Propose, s.Objects(), nil
-		}},
-		{"registers", func(i int) (func(pid, v int) (int, error), int, error) {
-			s, err := baseline.NewRacingCountersRuntime(n, 2, int64(i+1))
-			if err != nil {
-				return nil, 0, err
-			}
-			return s.Propose, s.Objects(), nil
-		}},
-	}
-	for _, fam := range families {
-		b.Run(fam.name, func(b *testing.B) {
-			var objects int
-			for i := 0; i < b.N; i++ {
-				propose, objs, err := fam.propose(i)
-				if err != nil {
-					b.Fatal(err)
-				}
-				objects = objs
-				var wg sync.WaitGroup
-				decided := make([]int, n)
-				for pid := 0; pid < n; pid++ {
-					wg.Add(1)
-					go func(pid int) {
-						defer wg.Done()
-						v, err := propose(pid, pid%2)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						decided[pid] = v
-					}(pid)
-				}
-				wg.Wait()
-				for _, d := range decided[1:] {
-					if d != decided[0] {
-						b.Fatalf("agreement violated: %v", decided)
-					}
-				}
-			}
-			b.ReportMetric(float64(objects), "objects")
-		})
-	}
-}
-
 // BenchmarkAblationMargin measures the line 16 margin ablation
 // (core.Ablation.Margin): how quickly the counterexample search refutes
 // Algorithm 1 with the margin weakened to 1, versus exhausting its budget

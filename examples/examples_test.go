@@ -27,7 +27,6 @@ func TestExamplesBuildAndRun(t *testing.T) {
 		want string
 	}{
 		{"faults", "survivor"},
-		{"kvstore", "replicas agreed"},
 		{"leader", "elected leader"},
 		{"quickstart", "decided:"},
 		{"setagree", "workers converged"},

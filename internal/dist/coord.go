@@ -150,8 +150,8 @@ type ctrlMsg struct {
 
 // slotInfo tracks one peer slot across re-seeds: its dial address and
 // the peer index it held in the original (epoch-0) session set, which
-// is how the loopback harness and RANGE announcements name it even
-// after surviving slots have been re-indexed.
+// is how the loopback harness names it even after surviving slots have
+// been re-indexed.
 type slotInfo struct {
 	addr string
 	orig int
@@ -159,12 +159,10 @@ type slotInfo struct {
 
 // failState accumulates fail-over bookkeeping across epochs.
 type failState struct {
-	rounds      int   // completed fail-over rounds
-	peersLost   int64 // slots dropped for good
-	reseeded    int64 // partitions re-seeded (whole map per round)
-	retries     int64 // re-seed connection attempts beyond the first
-	lastDepth   int64 // deepest level the aborted epoch had entered
-	droppedLast []int // original indexes dropped in the latest round
+	rounds    int   // completed fail-over rounds
+	peersLost int64 // slots dropped for good
+	reseeded  int64 // partitions re-seeded (whole map per round)
+	retries   int64 // re-seed connection attempts beyond the first
 }
 
 // Dial connects to each peer address and runs spec across them,
@@ -295,11 +293,12 @@ func Run(ctx context.Context, p model.Protocol, conns []net.Conn, addrs []string
 		st.rounds++
 		spec.logf("%v; re-seeding (round %d)", pl, st.rounds)
 		fault.Crash(fault.CrashDistReseed)
+		before := len(slots)
 		conns, slots, err = reseed(ctx, spec, slots, st)
 		if err != nil {
 			return nil, fmt.Errorf("dist: fail-over after %v: %w", pl, err)
 		}
-		spec.logf("dist: re-seeded onto %d peers (%d dropped)", len(conns), len(st.droppedLast))
+		spec.logf("dist: re-seeded onto %d peers (%d dropped)", len(conns), before-len(slots))
 	}
 }
 
@@ -314,7 +313,6 @@ func reseed(ctx context.Context, spec Spec, slots []slotInfo, st *failState) ([]
 		conns []net.Conn
 		kept  []slotInfo
 	)
-	st.droppedLast = st.droppedLast[:0]
 	for _, sl := range slots {
 		var (
 			conn net.Conn
@@ -338,7 +336,6 @@ func reseed(ctx context.Context, spec Spec, slots []slotInfo, st *failState) ([]
 		}
 		if err != nil || conn == nil {
 			st.peersLost++
-			st.droppedLast = append(st.droppedLast, sl.orig)
 			continue
 		}
 		conns = append(conns, conn)
@@ -408,23 +405,6 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: fmt.Errorf("peer rejected spec: %s", m.Msg)}
 		default:
 			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: &FrameError{Reason: fmt.Sprintf("expected hello ack, got frame type %d", t)}}
-		}
-	}
-
-	// Re-seeded epochs announce themselves: RESEED tags the session set
-	// with the fail-over round, RANGE names each slot whose partition
-	// range was re-spread. Both are observability — exploration restarts
-	// from the initial configuration, so no state is grafted.
-	if st.rounds > 0 {
-		for i, cp := range cps {
-			if err := cp.writeFrame(frameReseed, marshalCtrl(reseedMsg{Epoch: st.rounds, Depth: int(st.lastDepth)})); err != nil {
-				return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: err}
-			}
-			for _, orig := range st.droppedLast {
-				if err := cp.writeFrame(frameRange, marshalCtrl(rangeMsg{Epoch: st.rounds, Peer: orig, Depth: int(st.lastDepth)})); err != nil {
-					return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: err}
-				}
-			}
 		}
 	}
 
@@ -563,7 +543,7 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 		}
 	}
 
-	if err := runLevelControl(cps, spec, st, next); err != nil {
+	if err := runLevelControl(cps, spec, next); err != nil {
 		shutdown()
 		return nil, err
 	}
@@ -638,7 +618,7 @@ func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]
 // runLevelControl is the coordinator's barrier state machine: per depth,
 // gather EXPANDED from every peer, broadcast BARRIER, gather LEVEL
 // reports, apply the global budget, broadcast CONT.
-func runLevelControl(cps []*coordPeer, spec Spec, st *failState, next func() (ctrlMsg, error)) error {
+func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) error {
 	peers := len(cps)
 	broadcast := func(t frameType, payload []byte) error {
 		for i, cp := range cps {
@@ -650,9 +630,6 @@ func runLevelControl(cps []*coordPeer, spec Spec, st *failState, next func() (ct
 	}
 	truncated := false
 	for depth := 0; ; depth++ {
-		if st != nil {
-			st.lastDepth = int64(depth)
-		}
 		// Phase 1: every peer finished expanding the level (its batches
 		// are already relayed — conn FIFO order guarantees that).
 		for seen := 0; seen < peers; {

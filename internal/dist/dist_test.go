@@ -190,10 +190,13 @@ func TestLoopbackRejectsModeConflicts(t *testing.T) {
 		{Order: check.OrderAsync},
 		{Order: check.OrderAsync, Reduction: check.ReduceSym},
 		{Order: check.OrderAsync, Store: check.StoreSpill},
+		{StringKeys: true},
+		{Provenance: true},
+		{Checkpoint: t.TempDir()},
 	} {
 		_, err := dist.LoopbackExplore(context.Background(), tc.p, tc.inputs, tc.k, check.ExploreOptions{Engine: eng}, 2)
 		if !errors.Is(err, check.ErrIncompatibleModes) {
-			t.Errorf("%s: err = %v, want ErrIncompatibleModes", engineName(eng), err)
+			t.Errorf("%+v: err = %v, want ErrIncompatibleModes", eng, err)
 		}
 	}
 }

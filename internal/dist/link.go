@@ -118,11 +118,6 @@ type peerLink struct {
 	bytes   atomic.Int64
 	stalls  atomic.Int64
 
-	// Fail-over observability: the re-seed epoch this session was
-	// established under (0 = original run) and RANGE announcements seen.
-	reseedEpoch atomic.Int64
-	rangesSeen  atomic.Int64
-
 	evq      *eventQueue
 	readerWG sync.WaitGroup
 
@@ -220,20 +215,6 @@ func (l *peerLink) readLoop(r io.Reader) {
 			case l.pongCh <- struct{}{}:
 			default:
 			}
-		case frameReseed:
-			var m reseedMsg
-			if derr := unmarshalCtrl(payload, &m); derr != nil {
-				l.evq.push(linkEvent{kind: frameError, err: derr})
-				return
-			}
-			l.reseedEpoch.Store(int64(m.Epoch))
-		case frameRange:
-			var m rangeMsg
-			if derr := unmarshalCtrl(payload, &m); derr != nil {
-				l.evq.push(linkEvent{kind: frameError, err: derr})
-				return
-			}
-			l.rangesSeen.Add(1)
 		default:
 			l.evq.push(linkEvent{kind: frameError, err: &FrameError{Reason: fmt.Sprintf("unexpected frame type %d on peer link", t)}})
 			return

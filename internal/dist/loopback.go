@@ -79,10 +79,18 @@ func (k *killConn) Write(b []byte) (int, error) {
 }
 
 // LoopbackExploreOpts is LoopbackExplore with fail-over scripting.
+// Engine options a distributed run cannot honour (StringKeys,
+// Provenance, Checkpoint) are rejected with check.ErrIncompatibleModes,
+// not dropped.
 func LoopbackExploreOpts(ctx context.Context, p model.Protocol, inputs []int, agreeK int, opts check.ExploreOptions, lo LoopbackOptions) (*check.ExploreResult, error) {
 	peers := lo.Peers
 	if peers < 1 {
 		return nil, fmt.Errorf("dist: loopback peer count %d", peers)
+	}
+	eng := opts.Engine
+	if err := (check.Modes{Order: eng.Order, Reduction: eng.Reduction, Store: eng.Store,
+		StringKeys: eng.StringKeys, Provenance: eng.Provenance, Checkpoint: eng.Checkpoint != "", Dist: true}).Validate(); err != nil {
+		return nil, err
 	}
 	var wg sync.WaitGroup
 	builder := func(string, int, int, int) (model.Protocol, error) { return p, nil }

@@ -68,18 +68,21 @@ const (
 	frameError  frameType = 15 // peer -> coordinator: run failed (JSON errorMsg)
 	framePing   frameType = 16 // coordinator -> peer: liveness probe (empty)
 	framePong   frameType = 17 // peer -> coordinator: liveness answer (empty)
-	frameReseed frameType = 18 // coordinator -> peer: this session re-seeds a lost index (JSON reseedMsg)
-	frameRange  frameType = 19 // coordinator -> peer: a partition range is being re-seeded (JSON rangeMsg)
+	// 18 and 19 are retired, not reusable: they were RESEED and RANGE,
+	// which announced a fail-over's new epoch to peers that recorded
+	// the announcement and never read it.
 )
 
-const frameTypeMax = frameRange
+// frameTypeMax is the highest type number ever assigned, retired ones
+// included.
+const frameTypeMax = 19
 
 // checkFrameType rejects type bytes no frame of this protocol carries.
 func checkFrameType(b byte) error {
 	switch t := frameType(b); {
 	case t == 0 || t > frameTypeMax:
 		return &FrameError{Reason: fmt.Sprintf("unknown frame type %d", b)}
-	case t > frameCont && t < frameResult:
+	case t > frameCont && t < frameResult, t > framePong:
 		return &FrameError{Reason: fmt.Sprintf("retired frame type %d", b)}
 	}
 	return nil
@@ -312,29 +315,6 @@ type contMsg struct {
 	Keep      int  `json:"keep,omitempty"`
 	Truncated bool `json:"truncated,omitempty"`
 	Done      bool `json:"done,omitempty"`
-}
-
-// reseedMsg tags a freshly-helloed session as part of a re-seeded
-// epoch: a fail-over aborted the previous session set and the run is
-// restarting from the initial configuration on this one. Observability
-// only — no state is grafted across epochs, which is exactly why the
-// recovery is sound (the engine's verdict and visited set are
-// invariant under peer count, so the restarted run reproduces the
-// uninterrupted one).
-type reseedMsg struct {
-	Epoch int `json:"epoch"` // fail-over round (1 = first re-seed)
-	Depth int `json:"depth"` // deepest level the aborted epoch had entered
-}
-
-// rangeMsg announces, per lost peer, that its contiguous partition
-// range was re-spread over the surviving sessions: the pinned
-// fingerprint->peer map applied at the new peer count re-seeds every
-// partition the dead peer owned. Broadcast alongside reseedMsg, one
-// per dropped slot; observability only.
-type rangeMsg struct {
-	Epoch int `json:"epoch"`
-	Peer  int `json:"peer"`  // the lost slot's original peer index
-	Depth int `json:"depth"` // deepest level the aborted epoch had entered
 }
 
 // resultMsg is a peer's final ExploreResult share.

@@ -67,8 +67,6 @@ func seedFrames() [][]byte {
 		appendFrame(nil, frameError, marshalCtrl(errorMsg{Msg: "boom"})),
 		appendFrame(nil, framePing, nil),
 		appendFrame(nil, framePong, nil),
-		appendFrame(nil, frameReseed, marshalCtrl(reseedMsg{Epoch: 1, Depth: 4})),
-		appendFrame(nil, frameRange, marshalCtrl(rangeMsg{Epoch: 1, Peer: 2, Depth: 4})),
 		appendFrame(nil, frameResult, marshalCtrl(resultMsg{Visited: 99, Complete: true, Decided: []int{0, 1},
 			ValWits: []check.ValueWitness{{Value: 0, Depth: 2, FP: 0xbeef, Path: []byte{0, 1}}, {Value: 1, Depth: 3, FP: 0xcafe, Path: []byte{1, 0, 1}}}})),
 	}
@@ -201,12 +199,13 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 
 // TestWireRetiredFrameTypes: types 10-13 carried the async order's
 // quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE) until the mode
-// table took async x distributed away. The numbers stay reserved: a
-// well-formed frame of one of them, from a build that still speaks that
-// protocol, is refused typed by both decoders instead of being read as
-// something else.
+// table took async x distributed away; 18-19 carried fail-over's
+// RESEED/RANGE announcements, which no peer acted on. The numbers stay
+// reserved: a well-formed frame of one of them, from a build that still
+// speaks that protocol, is refused typed by both decoders instead of
+// being read as something else.
 func TestWireRetiredFrameTypes(t *testing.T) {
-	for typ := frameCont + 1; typ < frameResult; typ++ {
+	for _, typ := range []frameType{10, 11, 12, 13, 18, 19} {
 		fr := appendFrame(nil, typ, []byte(`{"seq":1}`))
 		_, _, _, derr := decodeFrame(fr)
 		_, _, _, rerr := readFrame(bytes.NewReader(fr), nil)
@@ -217,8 +216,8 @@ func TestWireRetiredFrameTypes(t *testing.T) {
 			}
 		}
 	}
-	if frameCont != 9 || frameResult != 14 {
-		t.Errorf("live frame types moved: CONT = %d, RESULT = %d; wire numbers are never reassigned", frameCont, frameResult)
+	if frameCont != 9 || frameResult != 14 || framePong != 17 {
+		t.Errorf("live frame types moved: CONT = %d, RESULT = %d, PONG = %d; wire numbers are never reassigned", frameCont, frameResult, framePong)
 	}
 }
 

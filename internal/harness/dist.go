@@ -94,10 +94,10 @@ func (f *DistFlags) Validate() error {
 		}
 	}
 	if *f.heartbeat < 0 {
-		return fmt.Errorf("-heartbeat must be positive")
+		return fmt.Errorf("-heartbeat must not be negative")
 	}
 	if *f.peerRetries < 0 {
-		return fmt.Errorf("-peer-retries must be positive")
+		return fmt.Errorf("-peer-retries must not be negative")
 	}
 	return nil
 }

@@ -229,3 +229,38 @@ func TestHelpListsModeConflicts(t *testing.T) {
 		}
 	}
 }
+
+// TestDistFlagsValidate: each rejection of the distributed-mode flags,
+// by the message it gives, and the selections it accepts (0 selects a
+// default for -heartbeat and -peer-retries, so only a negative value is
+// refused).
+func TestDistFlagsValidate(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-peer"}, ""},
+		{[]string{"-distributed", "-peers", "a:1", "-heartbeat", "0", "-peer-retries", "0"}, ""},
+		{[]string{"-peer", "-distributed", "-peers", "a:1"}, "mutually exclusive"},
+		{[]string{"-distributed"}, "-distributed requires -peers"},
+		{[]string{"-distributed", "-peers", " , "}, "-distributed requires -peers"},
+		{[]string{"-peers", "a:1"}, "-peers requires -distributed"},
+		{[]string{"-failover"}, "-failover requires -distributed"},
+		{[]string{"-heartbeat", "1s"}, "-heartbeat requires -distributed"},
+		{[]string{"-peer-retries", "2"}, "-peer-retries requires -distributed"},
+		{[]string{"-distributed", "-peers", "a:1", "-heartbeat", "-1s"}, "-heartbeat must not be negative"},
+		{[]string{"-distributed", "-peers", "a:1", "-peer-retries", "-1"}, "-peer-retries must not be negative"},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		f := RegisterDistFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		err := f.Validate()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%q: Validate() = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

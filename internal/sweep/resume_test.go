@@ -144,3 +144,17 @@ func TestRunCheckpointDirCleanup(t *testing.T) {
 		t.Fatalf("daemon mode wrote into the checkpoint root: %v", entries)
 	}
 }
+
+// A distributed cell, like an async one, runs without its checkpoint
+// directory: the mode table forbids checkpointing a distributed run,
+// and a rerun from scratch reaches the same verdict.
+func TestRunCheckpointDirSkipsDistributedCells(t *testing.T) {
+	cell := Cell{Row: "explore", N: 3, K: 1, MaxConfigs: 2000, Engine: EngineSpec{Peers: 2}}
+	recs, err := Run([]Cell{cell}, RunOptions{CheckpointDir: t.TempDir(), Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean := RunCellRecord(cell); recs[0].Status != StatusOK || recs[0].States != clean.States {
+		t.Fatalf("checkpointed distributed cell: %+v, clean run: %+v", recs[0], clean)
+	}
+}

@@ -330,12 +330,13 @@ func (c Cell) SearchLimits(defConfigs, defDepth int) lowerbound.SearchLimits {
 
 // ExploreOptions translates the cell into explorer options. Exploration
 // defaults to fingerprint dedup; Keys "string" opts into exact keys. An
-// async-order cell runs without its CheckpointDir: the order has no
-// barrier to snapshot at (check.ModeConflicts), and a rerun from scratch
-// reaches the same verdict.
+// async-order or distributed cell runs without its CheckpointDir: the
+// async order has no barrier to snapshot at and a multi-process snapshot
+// has no coordinator-side generations (check.ModeConflicts), and a rerun
+// from scratch reaches the same verdict.
 func (c Cell) ExploreOptions() check.ExploreOptions {
 	ckpt := c.CheckpointDir
-	if c.Engine.Order == check.OrderAsync {
+	if c.Engine.Order == check.OrderAsync || c.Engine.Peers > 0 {
 		ckpt = ""
 	}
 	return check.ExploreOptions{
