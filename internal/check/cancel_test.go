@@ -203,7 +203,10 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 	// One full level (flushes runs under the 1-byte budget), then a
 	// second level abandoned before its barrier (open spools).
 	admit(1)
-	if _, err := st.EndLevel(1 << 20); err != nil {
+	if _, err := st.EndLevel(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.CutLevel(1 << 20); err != nil {
 		t.Fatal(err)
 	}
 	admit(1 << 40)

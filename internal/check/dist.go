@@ -22,11 +22,13 @@ package check
 //   - Level barriers are a two-phase gather run by the coordinator;
 //     remote admissions are applied single-threaded between the workers
 //     joining and EndLevel, so they take no lock.
-//     Budget truncation stays globally deterministic: peers report their
-//     cumulative admissions, and on overshoot the coordinator gathers the
-//     per-peer sorted frontier fingerprints, computes the global
-//     sorted-fingerprint cutoff (the same order the store's EndLevel
-//     uses) and hands each peer its keep count.
+//     Budget truncation stays globally deterministic without moving a
+//     fingerprint: peers own contiguous, ascending partition ranges, so
+//     the global sorted-fingerprint order is peer 0's survivors, then
+//     peer 1's, and so on. Peers report their survivor counts, the
+//     coordinator cuts that concatenation at the budget by a prefix sum,
+//     and each peer's store keeps its share with its own CutLevel (the
+//     same cut a single process makes).
 //
 // Distribution runs the level-synchronized order only, which is what
 // makes every cell of it deterministic: the one budget test is the
@@ -102,7 +104,8 @@ func (s *NetStats) Add(o NetStats) {
 type DistBarrier struct {
 	// Keep, valid when Truncated, is how many of this peer's next-level
 	// nodes survive the global budget cutoff (the peer keeps its Keep
-	// smallest fingerprints — the global sorted order restricted to it).
+	// smallest fingerprints — the global sorted order restricted to it);
+	// it lies in [0, next].
 	Keep int
 	// Truncated reports that the global budget bound this level; every
 	// peer closes admissions in response.
@@ -135,11 +138,9 @@ type DistLink interface {
 	// this peer for the level, as blocks of whole node records.
 	BarrierExpand(depth int) ([][]byte, error)
 	// BarrierLevel reports the post-EndLevel state (cumulative local
-	// admissions, next-frontier size, local early-stop request) and
-	// blocks for the coordinator's verdict. fps is called only if the
-	// global budget bound: it must return the next frontier's
-	// fingerprints in ascending order.
-	BarrierLevel(depth int, admitted int64, next int, stop bool, fps func() ([]uint64, error)) (DistBarrier, error)
+	// admissions, surviving next-level admissions, local early-stop
+	// request) and blocks for the coordinator's verdict.
+	BarrierLevel(depth int, admitted int64, next int, stop bool) (DistBarrier, error)
 
 	// NetStats reports the link's cumulative wire activity.
 	NetStats() NetStats

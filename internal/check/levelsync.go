@@ -6,10 +6,11 @@ import "fmt"
 // loop (engine.go) served one depth level at a time. Workers drain the
 // level concurrently, a chunk of nodes at a time, and queue what each
 // chunk's claims admitted on their own next-level lists; the barrier once
-// the level is drained resolves delayed duplicates, applies the
-// sorted-fingerprint budget cutoff (spillStore.EndLevel), exchanges remote
-// successors and the global verdict on a distributed run, and snapshots a
-// checkpoint. The barrier, and with it all of that, is this order's alone.
+// the level is drained resolves delayed duplicates (spillStore.EndLevel),
+// applies the sorted-fingerprint budget cutoff (spillStore.CutLevel) —
+// on a distributed run after exchanging remote successors and taking the
+// cut's size from the coordinator — and snapshots a checkpoint. The
+// barrier, and with it all of that, is this order's alone.
 //
 // A budget-bound run ends in two levels that are not like the others. The
 // closing level is expanded in full although it overshoots MaxConfigs —
@@ -52,7 +53,10 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			run.store.Queue(0, root)
 			run.admitted.Store(1)
 		}
-		seed, err := run.store.EndLevel(run.limits.MaxConfigs)
+		if _, err := run.store.EndLevel(); err != nil {
+			return stats, err
+		}
+		seed, err := run.store.CutLevel(run.limits.MaxConfigs)
 		if err != nil {
 			return stats, err
 		}
@@ -94,41 +98,13 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			}
 		}
 
-		// Barrier: the store resolves delayed duplicates, applies the
-		// budget cutoff and hands back the next frontier. This level may
-		// have overshot MaxConfigs (admission is unthrottled within a
-		// level so that the admitted set stays a pure function of the
-		// space, not of thread timing); at most maxNext admissions
-		// survive, chosen by sorted (fingerprint, key) — deterministic —
-		// and admissions close.
-		maxNext := run.limits.MaxConfigs - admittedBefore
-		if maxNext < 0 {
-			// Defensive: the previous barrier caps admissions at exactly
-			// MaxConfigs and closes the run when it binds, so the budget
-			// remainder cannot go negative — but a zero remainder is
-			// reachable (a level boundary landing exactly on MaxConfigs),
-			// and the clamp keeps the store contract ("at most maxNext")
-			// meaningful under any future admission-accounting change.
-			maxNext = 0
-		}
-		if run.link != nil {
-			// Budget truncation is a global decision in a distributed run:
-			// the store never truncates locally; the coordinator compares
-			// the summed per-peer admissions against MaxConfigs at the
-			// level barrier below and hands back per-peer keep counts.
-			maxNext = int(^uint(0) >> 1)
-		}
-		lvl, err := run.store.EndLevel(maxNext)
+		// Barrier: the store resolves delayed duplicates and reports the
+		// surviving admissions. This level may have overshot MaxConfigs
+		// (admission is unthrottled within a level so that the admitted set
+		// stays a pure function of the space, not of thread timing).
+		survivors, err := run.store.EndLevel()
 		if err != nil {
 			return stats, err
-		}
-		if lvl.Revoked > 0 {
-			run.admitted.Add(int64(-lvl.Revoked))
-		}
-		if lvl.Truncated {
-			run.admitted.Store(int64(run.limits.MaxConfigs))
-			run.closed.Store(true)
-			run.truncated.Store(true)
 		}
 		// This level's provenance overrides settle: the next level's nodes
 		// take them as they are handed out.
@@ -139,11 +115,35 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		clear(cl.overrides)
 		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
 
-		distDone := false
+		// The budget cut keeps at most maxNext survivors, chosen by sorted
+		// (fingerprint, key) — deterministic — and closes admissions. In
+		// one process maxNext is the budget's remainder (zero when a level
+		// boundary lands exactly on MaxConfigs). On a peer the cut is the
+		// coordinator's: peers own ascending fingerprint ranges, so the
+		// global sorted order is peer 0's survivors, then peer 1's, and
+		// the global cut keeps a prefix of each peer's.
+		maxNext := max(run.limits.MaxConfigs-admittedBefore, 0)
+		var db DistBarrier
 		if run.link != nil {
-			if distDone, err = distLevelBarrier(run, depth, &lvl, stop); err != nil {
+			if db, err = run.link.BarrierLevel(depth, int64(admittedBefore+survivors), survivors, stop); err != nil {
 				return stats, err
 			}
+			maxNext = survivors
+			if db.Truncated {
+				if db.Keep < 0 || db.Keep > survivors {
+					return stats, fmt.Errorf("dist: coordinator keep count %d outside [0, %d]", db.Keep, survivors)
+				}
+				maxNext = db.Keep
+			}
+		}
+		lvl, err := run.store.CutLevel(maxNext)
+		if err != nil {
+			return stats, err
+		}
+		run.admitted.Store(int64(admittedBefore + lvl.Frontier.Size()))
+		if lvl.Truncated || db.Truncated {
+			run.closed.Store(true)
+			run.truncated.Store(true)
 		}
 		if run.truncated.Load() {
 			stats.Complete = false
@@ -160,7 +160,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			return stats, nil
 		}
 		frontier = lvl.Frontier
-		if distDone {
+		if db.Done {
 			break
 		}
 	}
@@ -253,63 +253,6 @@ func distExpandBarrier(run *engineRun, depth int) error {
 	}
 	run.admitted.Add(admitted)
 	return nil
-}
-
-// distLevelBarrier is the distributed level barrier: report cumulative
-// admissions and the next local frontier, and receive the global verdict
-// — a keep count when the summed admissions overshot MaxConfigs (the
-// coordinator merges the per-peer sorted fingerprints and cuts at the
-// same global sorted order the store's own truncation uses, so the
-// surviving set is peer-count-independent), and done when the global next
-// frontier is empty or a peer stopped early. lvl.Frontier is replaced
-// when the cutoff had to materialize it.
-func distLevelBarrier(run *engineRun, depth int, lvl *LevelResult, stop bool) (done bool, err error) {
-	var drained []*Node
-	sortedNext := func() ([]*Node, error) {
-		if drained != nil {
-			return drained, nil
-		}
-		nodes, err := run.drainFrontier(lvl.Frontier)
-		if err != nil {
-			return nil, err
-		}
-		sortNodes(nodes) // by fingerprint: a distributed run has no keys
-		drained = nodes
-		lvl.Frontier = &memSource{nodes: nodes}
-		return nodes, nil
-	}
-	fps := func() ([]uint64, error) {
-		nodes, err := sortedNext()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]uint64, len(nodes))
-		for i, n := range nodes {
-			out[i] = n.fp
-		}
-		return out, nil
-	}
-	db, err := run.link.BarrierLevel(depth, run.admitted.Load(), lvl.Frontier.Size(), stop, fps)
-	if err != nil {
-		return false, err
-	}
-	if db.Truncated {
-		nodes, err := sortedNext()
-		if err != nil {
-			return false, err
-		}
-		if db.Keep < 0 || db.Keep > len(nodes) {
-			return false, fmt.Errorf("dist: coordinator keep count %d outside [0, %d]", db.Keep, len(nodes))
-		}
-		for _, n := range nodes[db.Keep:] {
-			run.recycle(n)
-		}
-		run.admitted.Add(int64(-(len(nodes) - db.Keep)))
-		run.closed.Store(true)
-		run.truncated.Store(true)
-		lvl.Frontier = &memSource{nodes: nodes[:db.Keep]}
-	}
-	return db.Done, nil
 }
 
 // openCheckpoint wires checkpointing for a run that asked for it: it

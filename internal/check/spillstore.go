@@ -109,6 +109,10 @@ type spillStore struct {
 	// the barrier merge found on disk. Recorded only under a budget.
 	level []spillEntry
 	dead  []bool
+	// The level EndLevel settled for CutLevel: its published segments
+	// (one slot per worker, "" for none) and its surviving admissions.
+	segs      []string
+	survivors int
 
 	runs   []spillRun
 	runSeq int
@@ -242,16 +246,54 @@ func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 	return nil
 }
 
-// EndLevel runs at the level barrier: it resolves delayed duplicates,
-// enforces the budget cutoff (at most maxNext admissions survive, chosen by
-// ascending (fingerprint, key) — the engine's deterministic truncation
-// order), spills the delta if it is over budget, and returns the next
-// level's frontier.
-func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
+// EndLevel runs at the level barrier and settles the level's admissions:
+// it publishes the level's segments, resolves delayed duplicates and
+// returns how many admissions survive. CutLevel then cuts them to the
+// budget and hands out the next frontier; nothing may be queued between
+// the two.
+func (s *spillStore) EndLevel() (int, error) {
 	if s.budget == 0 {
-		return s.endResident(maxNext), nil
+		// The unbudgeted store never writes a run and so has no delayed
+		// duplicate to revoke: every queued node survives.
+		n := 0
+		for i := range s.queues {
+			n += len(s.queues[i].next)
+		}
+		return n, nil
 	}
-	res, err := s.endSpooled(maxNext)
+	// Publish the level's segment files before anything can read them.
+	s.segs = make([]string, len(s.queues))
+	for i := range s.queues {
+		q := &s.queues[i]
+		if q.spool != nil {
+			w := q.spool
+			q.spool = nil
+			written, err := w.finish()
+			if err != nil {
+				return 0, fmt.Errorf("spill store: segment finish: %w", err)
+			}
+			s.stats.BytesSpilled += written
+			s.segs[i] = w.path
+		}
+	}
+	revoked, err := s.markDead()
+	if err != nil {
+		return 0, err
+	}
+	s.survivors = len(s.level) - revoked
+	return s.survivors, nil
+}
+
+// CutLevel ends the level EndLevel settled: it enforces the budget cutoff
+// (at most maxNext of the survivors are kept, chosen by ascending
+// (fingerprint, key) — the engine's deterministic truncation order),
+// spills the delta if it is over budget, and returns the next level's
+// frontier.
+func (s *spillStore) CutLevel(maxNext int) (LevelResult, error) {
+	if s.budget == 0 {
+		return s.cutResident(maxNext), nil
+	}
+	res, err := s.cutSpooled(maxNext)
 	if err != nil {
 		return LevelResult{}, err
 	}
@@ -276,11 +318,10 @@ func (s *spillStore) EndLevel(maxNext int) (LevelResult, error) {
 	return res, nil
 }
 
-// endResident ends a level of the unbudgeted store, which never writes a
-// run and so has no delayed duplicate to revoke: it concatenates the
+// cutResident cuts a level of the unbudgeted store: it concatenates the
 // workers' queues and cuts them back to maxNext by sortNodes. The store
 // has nothing else to do at the barrier.
-func (s *spillStore) endResident(maxNext int) LevelResult {
+func (s *spillStore) cutResident(maxNext int) LevelResult {
 	total := 0
 	for i := range s.queues {
 		total += len(s.queues[i].next)
@@ -311,32 +352,12 @@ func (s *spillStore) endResident(maxNext int) LevelResult {
 	return res
 }
 
-// endSpooled ends a level spooled to segments: it publishes them, resolves
-// the delayed duplicates and the budget cutoff on the level's admissions,
-// and streams the survivors back in admission order.
-func (s *spillStore) endSpooled(maxNext int) (LevelResult, error) {
-	// Publish the level's segment files before anything can read them.
-	segs := make([]string, len(s.queues))
-	for i := range s.queues {
-		q := &s.queues[i]
-		if q.spool != nil {
-			w := q.spool
-			q.spool = nil
-			written, err := w.finish()
-			if err != nil {
-				return LevelResult{}, fmt.Errorf("spill store: segment finish: %w", err)
-			}
-			s.stats.BytesSpilled += written
-			segs[i] = w.path
-		}
-	}
-
-	revoked, err := s.markDead()
-	if err != nil {
-		return LevelResult{}, err
-	}
-	survivors := len(s.level) - revoked
-
+// cutSpooled cuts a level spooled to segments: it resolves the budget
+// cutoff on the survivors EndLevel left and streams the kept ones back in
+// admission order.
+func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
+	segs, survivors := s.segs, s.survivors
+	s.segs = nil
 	// Budget cutoff, by the engine's canonical (fingerprint, key) order.
 	// Entries are globally unique (dedup guarantees it), so the cutoff
 	// entry cleanly separates survivors from drops.
@@ -386,7 +407,7 @@ func (s *spillStore) endSpooled(maxNext int) (LevelResult, error) {
 		os.Remove(seg)
 		src.readers[i] = r
 	}
-	return LevelResult{Frontier: src, Revoked: revoked, Truncated: truncated}, nil
+	return LevelResult{Frontier: src, Truncated: truncated}, nil
 }
 
 // markDead stream-merges the level's sorted admissions against each sorted
@@ -605,8 +626,8 @@ func (s *spillStore) foldPeak() {
 }
 
 // Stats reports cumulative store statistics. It samples the peak too:
-// without a budget the visited table only grows and EndLevel leaves the
-// peak alone, and async runs never reach EndLevel (Stats runs after the
+// without a budget the visited table only grows and CutLevel leaves the
+// peak alone, and async runs never reach a barrier (Stats runs after the
 // run ends, when no worker is live).
 func (s *spillStore) Stats() StoreStats {
 	s.foldPeak()
@@ -626,6 +647,12 @@ func (s *spillStore) Close() error {
 		s.source.closeAll()
 		s.source = nil
 	}
+	for _, seg := range s.segs { // a level settled and never cut
+		if seg != "" {
+			os.Remove(seg)
+		}
+	}
+	s.segs = nil
 	var cleanupErr error
 	if s.ownsDir {
 		cleanupErr = os.RemoveAll(s.dir)

@@ -27,10 +27,10 @@ import (
 //
 // During a level the visited set is only ever touched under the engine's
 // claim lock (Claim), a worker's queue only by that worker (Queue), and
-// EndLevel runs alone at the barrier. The store therefore takes no lock of
-// its own, mirroring the fpSet contract. (The async order has no levels: it
-// keeps its frontier in the workers' deques and only ever claims, see
-// async.go.)
+// EndLevel and CutLevel run alone at the barrier. The store therefore
+// takes no lock of its own, mirroring the fpSet contract. (The async order
+// has no levels: it keeps its frontier in the workers' deques and only
+// ever claims, see async.go.)
 
 // sortNodes sorts nodes into the canonical order, entryCompare's. It sorts
 // (fingerprint, node) pairs, not the pointers: a level that overshoots the budget is
@@ -127,18 +127,13 @@ func (s *memSource) Next(buf []*Node) int {
 	return int(end - start)
 }
 
-// LevelResult is what EndLevel returns at a level barrier. The number of
-// surviving admissions is Frontier.Size().
+// LevelResult is what CutLevel returns at a level barrier. The number of
+// kept admissions is Frontier.Size().
 type LevelResult struct {
 	// Frontier is the next level's node source (Size 0 ends the run).
 	Frontier FrontierSource
-	// Revoked is the number of this level's admissions revoked as delayed
-	// duplicates: entries the store tentatively admitted because their
-	// fingerprints were only present in on-disk runs, resolved at the
-	// barrier merge. Always 0 until a first run is written.
-	Revoked int
 	// Truncated reports that the budget cutoff dropped admissions (the
-	// level overshot maxNext); the engine closes admissions in response.
+	// level's survivors overshot maxNext).
 	Truncated bool
 }
 

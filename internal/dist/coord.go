@@ -172,7 +172,7 @@ func Dial(ctx context.Context, p model.Protocol, addrs []string, spec Spec) (*ch
 	pol := retry.Policy{MaxAttempts: spec.peerAttempts()}
 	conns := make([]net.Conn, len(addrs))
 	for i, addr := range addrs {
-		conn, err := dialRetry(ctx, addr, pol, nil)
+		conn, err := dialRetry(ctx, tcpSession(addr), pol, nil)
 		if err != nil {
 			for _, c := range conns[:i] {
 				if c != nil {
@@ -186,11 +186,11 @@ func Dial(ctx context.Context, p model.Protocol, addrs []string, spec Spec) (*ch
 	return Run(ctx, p, conns, addrs, spec)
 }
 
-// dialRetry dials addr up to pol.Attempts() times, waiting out the
-// policy's backoff between attempts. retries, when non-nil, counts the
-// attempts beyond the first.
-func dialRetry(ctx context.Context, addr string, pol retry.Policy, retries *int64) (net.Conn, error) {
-	var d net.Dialer
+// dialRetry acquires a session with connect up to pol.Attempts() times,
+// waiting out the policy's backoff between attempts. A done ctx ends the
+// loop with ctx's error. retries, when non-nil, counts the attempts
+// beyond the first.
+func dialRetry(ctx context.Context, connect func(context.Context) (net.Conn, error), pol retry.Policy, retries *int64) (net.Conn, error) {
 	var lastErr error
 	for a := 0; a < pol.Attempts(); a++ {
 		if a > 0 {
@@ -201,13 +201,24 @@ func dialRetry(ctx context.Context, addr string, pol retry.Policy, retries *int6
 				return nil, err
 			}
 		}
-		conn, err := d.DialContext(ctx, "tcp", addr)
+		conn, err := connect(ctx)
 		if err == nil {
 			return conn, nil
+		}
+		if ctx != nil && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
 		lastErr = err
 	}
 	return nil, lastErr
+}
+
+// tcpSession connects to addr over TCP.
+func tcpSession(addr string) func(context.Context) (net.Conn, error) {
+	return func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -306,7 +317,9 @@ func Run(ctx context.Context, p model.Protocol, conns []net.Conn, addrs []string
 // set, else by redialing the slot's address — with the shared backoff
 // policy. Slots that stay unreachable are dropped (their partitions
 // re-spread over the survivors by the pinned fingerprint->peer map at
-// the new peer count). At least one slot must survive.
+// the new peer count). At least one slot must survive. A cancelled ctx
+// drops no slot: it aborts the re-seed, closing the sessions acquired so
+// far.
 func reseed(ctx context.Context, spec Spec, slots []slotInfo, st *failState) ([]net.Conn, []slotInfo, error) {
 	pol := retry.Policy{MaxAttempts: spec.peerAttempts()}
 	var (
@@ -314,25 +327,13 @@ func reseed(ctx context.Context, spec Spec, slots []slotInfo, st *failState) ([]
 		kept  []slotInfo
 	)
 	for _, sl := range slots {
-		var (
-			conn net.Conn
-			err  error
-		)
+		connect := tcpSession(sl.addr)
 		if spec.NewSession != nil {
-			for a := 0; a < pol.Attempts(); a++ {
-				if a > 0 {
-					st.retries++
-					if serr := sleepCtx(ctx, pol.Backoff(a-1)); serr != nil {
-						return closeAll(conns, serr)
-					}
-				}
-				conn, err = spec.NewSession(ctx, sl.orig)
-				if err == nil {
-					break
-				}
-			}
-		} else {
-			conn, err = dialRetry(ctx, sl.addr, pol, &st.retries)
+			connect = func(ctx context.Context) (net.Conn, error) { return spec.NewSession(ctx, sl.orig) }
+		}
+		conn, err := dialRetry(ctx, connect, pol, &st.retries)
+		if err != nil && ctx != nil && ctx.Err() != nil {
+			return closeAll(conns, err)
 		}
 		if err != nil || conn == nil {
 			st.peersLost++
@@ -479,7 +480,7 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 					}
 				case framePong:
 					cp.lastPong.Store(time.Now().UnixNano())
-				case frameExpanded, frameLevel, frameFPs, frameResult, frameError:
+				case frameExpanded, frameLevel, frameResult, frameError:
 					ctrl <- ctrlMsg{peer: i, kind: t, payload: append([]byte(nil), payload...)}
 				default:
 					fail(&FrameError{Reason: fmt.Sprintf("unexpected frame type %d from peer", t)})
@@ -617,7 +618,7 @@ func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]
 
 // runLevelControl is the coordinator's barrier state machine: per depth,
 // gather EXPANDED from every peer, broadcast BARRIER, gather LEVEL
-// reports, apply the global budget, broadcast CONT.
+// reports, cut the global budget from their counts, send CONT.
 func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) error {
 	peers := len(cps)
 	broadcast := func(t frameType, payload []byte) error {
@@ -672,6 +673,9 @@ func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) 
 			if err := unmarshalCtrl(m.payload, &lm); err != nil {
 				return err
 			}
+			if lm.Admitted < 0 || lm.Next < 0 {
+				return &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("level report counts negative (admitted %d, next %d)", lm.Admitted, lm.Next)}}
+			}
 			totalAdmitted += lm.Admitted
 			totalNext += lm.Next
 			nextSize[m.peer] = lm.Next
@@ -679,63 +683,17 @@ func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) 
 			seen++
 		}
 
-		// Global budget: when the summed admissions overshoot, gather the
-		// per-peer sorted next-frontier fingerprints and keep the globally
-		// smallest keepTotal — the same sorted-fingerprint cutoff the
-		// store's own EndLevel applies, so the surviving set (and hence
-		// every later verdict) is independent of the peer count.
+		// Global budget: when the summed admissions overshoot, keep the
+		// globally smallest keepTotal fingerprints — the same
+		// sorted-fingerprint cutoff a single process's store applies, so
+		// the surviving set (and hence every later verdict) is independent
+		// of the peer count.
 		keep := make([]int, peers)
 		willTruncate := !truncated && int(totalAdmitted) > spec.Limits.MaxConfigs
 		if willTruncate {
 			truncated = true
-			keepTotal := totalNext - (int(totalAdmitted) - spec.Limits.MaxConfigs)
-			if keepTotal < 0 {
-				keepTotal = 0
-			}
-			if err := broadcast(frameNeedFPs, marshalCtrl(depthMsg{Depth: depth})); err != nil {
-				return err
-			}
-			peerFPs := make([][]uint64, peers)
-			for done := 0; done < peers; {
-				m, err := next()
-				if err != nil {
-					return err
-				}
-				if m.kind != frameFPs {
-					return &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("expected fingerprints, got frame type %d", m.kind)}}
-				}
-				fps, last, err := decodeFPChunk(m.payload)
-				if err != nil {
-					return &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: err}
-				}
-				peerFPs[m.peer] = append(peerFPs[m.peer], fps...)
-				if last {
-					done++
-				}
-			}
-			var merged []uint64
-			for i, fps := range peerFPs {
-				if len(fps) != nextSize[i] {
-					return &PeerLostError{Peer: i, Addr: cps[i].addr, Err: &FrameError{Reason: fmt.Sprintf("peer reported %d next nodes but sent %d fingerprints", nextSize[i], len(fps))}}
-				}
-				merged = append(merged, fps...)
-			}
-			sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-			if keepTotal > len(merged) {
-				keepTotal = len(merged)
-			}
-			if keepTotal == 0 {
-				// Everything next is cut.
-			} else {
-				// Fingerprints are globally distinct (one owning peer per
-				// fingerprint, deduped there), so the cutoff is exact: peer
-				// i keeps its fingerprints <= the keepTotal-th smallest.
-				threshold := merged[keepTotal-1]
-				for i, fps := range peerFPs {
-					keep[i] = sort.Search(len(fps), func(j int) bool { return fps[j] > threshold })
-				}
-			}
-			totalNext = keepTotal
+			totalNext = max(totalNext-(int(totalAdmitted)-spec.Limits.MaxConfigs), 0)
+			keep = budgetKeep(nextSize, totalNext)
 		}
 
 		done := totalNext == 0 || stop
@@ -749,6 +707,21 @@ func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) 
 			return nil
 		}
 	}
+}
+
+// budgetKeep cuts the global next frontier to its first keepTotal
+// configurations and returns how many of each peer's survive. next holds
+// the peers' survivor counts in peer order, which is the global
+// sorted-fingerprint order: peers own contiguous, ascending partition
+// ranges (check.DistPeerOf), so every fingerprint of peer i is below
+// every fingerprint of peer j > i, and the cut keeps a prefix of it.
+func budgetKeep(next []int, keepTotal int) []int {
+	keep := make([]int, len(next))
+	for i, n := range next {
+		keep[i] = min(max(keepTotal, 0), n)
+		keepTotal -= keep[i]
+	}
+	return keep
 }
 
 // mergeResults folds the per-peer shares into one ExploreResult: counts

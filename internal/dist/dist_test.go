@@ -204,27 +204,44 @@ func TestLoopbackRejectsModeConflicts(t *testing.T) {
 // TestLoopbackTruncationParity: when the global configuration budget
 // bites, a distributed run visits exactly the budget — what
 // ExploreLimits.MaxConfigs promises of any capped run — and the
-// coordinator's merged-fingerprint cutoff keeps exactly the set the
-// single-process store's sorted truncation keeps, so the whole verdict
-// stays peer-count-invariant, in every cell the mode table leaves a
-// distributed run.
+// coordinator's prefix-sum cut over the peers' ascending ranges keeps
+// exactly the set the single-process store's sorted truncation keeps, so
+// the whole verdict stays peer-count-invariant, in every cell the mode
+// table leaves a distributed run. Algorithm 1 decides nothing before
+// its budgets cut it, so any kept set gives its verdict; the toy-bit
+// race's budgets cut the level where its first decisions appear (89,
+// depth 4) and the level where its first violation appears (1513, depth
+// 8), so a different kept set changes the decided values, maxTogether
+// or the violation's fingerprint.
 func TestLoopbackTruncationParity(t *testing.T) {
-	p := core.MustNew(core.Params{N: 4, K: 1, M: 2})
-	inputs := []int{0, 1, 1, 0}
-	for _, eng := range legalEngines(nil) {
-		for _, budget := range []int{50, 400, 2000} {
-			opts := check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: budget}, Engine: eng}
-			matches := parityOracle(t, p, inputs, 1, opts)
-			for peers := 1; peers <= 3; peers++ {
-				name := fmt.Sprintf("%s/budget %d/%d peers", engineName(eng), budget, peers)
-				res, err := dist.LoopbackExplore(context.Background(), p, inputs, 1, opts, peers)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+	toybit, err := baseline.NewToyBitRace(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		p       model.Protocol
+		inputs  []int
+		budgets []int
+	}{
+		{"algorithm1", core.MustNew(core.Params{N: 4, K: 1, M: 2}), []int{0, 1, 1, 0}, []int{50, 400, 2000}},
+		{"toybit", toybit, []int{0, 1, 0, 1}, []int{89, 1513}},
+	} {
+		for _, eng := range legalEngines(nil) {
+			for _, budget := range tc.budgets {
+				opts := check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: budget}, Engine: eng}
+				matches := parityOracle(t, tc.p, tc.inputs, 1, opts)
+				for peers := 1; peers <= 3; peers++ {
+					name := fmt.Sprintf("%s/%s/budget %d/%d peers", tc.name, engineName(eng), budget, peers)
+					res, err := dist.LoopbackExplore(context.Background(), tc.p, tc.inputs, 1, opts, peers)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.Visited != budget || res.Complete {
+						t.Errorf("%s: visited %d (complete %v), want exactly the budget and incomplete", name, res.Visited, res.Complete)
+					}
+					matches(name, res)
 				}
-				if res.Visited != budget || res.Complete {
-					t.Errorf("%s: visited %d (complete %v), want exactly the budget and incomplete", name, res.Visited, res.Complete)
-				}
-				matches(name, res)
 			}
 		}
 	}

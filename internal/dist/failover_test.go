@@ -23,8 +23,9 @@ import (
 // respawned) must reproduce the single-process verdict exactly — no
 // partial state crosses epochs. These tests script the loss at exact
 // protocol positions (the Nth coordinator write to the victim) and sweep
-// that position across the whole frame flow: handshake, level barriers,
-// budget gathers, result delivery, and the never-trips tail.
+// that position across the whole frame flow: handshake, expand and level
+// barriers (the budget cut's included), result delivery, and the
+// never-trips tail.
 
 // TestFailoverKillSweep kills each peer at every write position 0..16 in
 // each exploration order the quotient runs under and demands the

@@ -192,7 +192,7 @@ func (l *peerLink) readLoop(r io.Reader) {
 			}
 			// The frame buffer is the reader's to reuse.
 			l.evq.push(linkEvent{kind: frameBatch, recs: append([]byte(nil), recs...)})
-		case frameBarrier, frameNeedFPs:
+		case frameBarrier:
 			var m depthMsg
 			if derr := unmarshalCtrl(payload, &m); derr != nil {
 				l.evq.push(linkEvent{kind: frameError, err: derr})
@@ -320,7 +320,7 @@ func (l *peerLink) BarrierExpand(depth int) ([][]byte, error) {
 	}
 }
 
-func (l *peerLink) BarrierLevel(depth int, admitted int64, next int, stop bool, fps func() ([]uint64, error)) (check.DistBarrier, error) {
+func (l *peerLink) BarrierLevel(depth int, admitted int64, next int, stop bool) (check.DistBarrier, error) {
 	if err := l.writeFrame(frameLevel, marshalCtrl(levelMsg{Depth: depth, Admitted: admitted, Next: next, Stop: stop})); err != nil {
 		return check.DistBarrier{}, err
 	}
@@ -331,24 +331,6 @@ func (l *peerLink) BarrierLevel(depth int, admitted int64, next int, stop bool, 
 			return check.DistBarrier{}, &FrameError{Reason: "link detached during level barrier"}
 		}
 		switch ev.kind {
-		case frameNeedFPs:
-			all, err := fps()
-			if err != nil {
-				return check.DistBarrier{}, err
-			}
-			for off := 0; ; off += fpChunkMax {
-				end := off + fpChunkMax
-				last := end >= len(all)
-				if last {
-					end = len(all)
-				}
-				if err := l.writeFrame(frameFPs, appendFPChunk(nil, all[off:end], last)); err != nil {
-					return check.DistBarrier{}, err
-				}
-				if last {
-					break
-				}
-			}
 		case frameBatch:
 			// Early records for the next level (a peer released from this
 			// barrier before us is already expanding); hold them for the

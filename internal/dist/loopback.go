@@ -26,7 +26,8 @@ func LoopbackExplore(ctx context.Context, p model.Protocol, inputs []int, agreeK
 // death: the coordinator-side connection to KillPeer is severed after
 // KillAfterWrites coordinator frame writes to it, which lands the loss
 // at an exact protocol position — sweeping the count covers handshake,
-// expand barriers, budget gathers and result delivery. With Failover
+// expand barriers, level barriers (the budget cut among them) and result
+// delivery. With Failover
 // set the run must recover; Respawn decides whether the killed slot
 // comes back (a restarted process) or stays dead (degraded mode on the
 // survivors).

@@ -8,7 +8,8 @@
 // owned elsewhere travel as batched wire records framed with a CRC32
 // per frame. The coordinator is a star hub: it relays successor batches
 // between peers, runs the level barriers as a two-phase gather, and
-// applies the global budget by merging per-peer sorted fingerprints.
+// cuts the global budget from the per-peer survivor counts alone (peers
+// own ascending fingerprint ranges, so the cut is a prefix sum).
 // The level-synchronized order is the only one that runs here (the mode
 // table rejects async with a distributed run), so that barrier is the
 // whole protocol. coord.go and peer.go state its two sides; this file
@@ -58,9 +59,10 @@ const (
 	frameExpanded frameType = 4 // peer -> coordinator: level expansion finished (JSON depthMsg)
 	frameBarrier  frameType = 5 // coordinator -> peer: all peers expanded (JSON depthMsg)
 	frameLevel    frameType = 6 // peer -> coordinator: post-EndLevel report (JSON levelMsg)
-	frameNeedFPs  frameType = 7 // coordinator -> peer: budget bound; send frontier fps (JSON depthMsg)
-	frameFPs      frameType = 8 // peer -> coordinator: sorted fingerprint chunk (binary)
-	frameCont     frameType = 9 // coordinator -> peer: barrier verdict (JSON contMsg)
+	// 7 and 8 are retired, not reusable: they were NEEDFPS and FPS, a
+	// gather of every peer's sorted next-frontier fingerprints that the
+	// LEVEL reports' counts make redundant.
+	frameCont frameType = 9 // coordinator -> peer: barrier verdict (JSON contMsg)
 	// 10-13 are retired, not reusable: they were the async order's
 	// quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE), and a build
 	// that still speaks it must get a typed error, not a misparse.
@@ -82,7 +84,7 @@ func checkFrameType(b byte) error {
 	switch t := frameType(b); {
 	case t == 0 || t > frameTypeMax:
 		return &FrameError{Reason: fmt.Sprintf("unknown frame type %d", b)}
-	case t > frameCont && t < frameResult, t > framePong:
+	case t > frameLevel && t < frameCont, t > frameCont && t < frameResult, t > framePong:
 		return &FrameError{Reason: fmt.Sprintf("retired frame type %d", b)}
 	}
 	return nil
@@ -230,43 +232,6 @@ func decodeBatch(b []byte) (dest, src int, recs []byte, err error) {
 	return dest, src, recs, nil
 }
 
-// ---- fingerprint-chunk payloads (global budget truncation) ----
-
-// FPs payload: last uint8 (1 on the final chunk) | count uint32 |
-// count × uint64. Chunked so one huge frontier never exceeds the frame
-// cap.
-const fpChunkMax = 1 << 20 // fingerprints per chunk (8 MiB payload)
-
-func appendFPChunk(buf []byte, fps []uint64, last bool) []byte {
-	var l byte
-	if last {
-		l = 1
-	}
-	buf = append(buf, l)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fps)))
-	for _, fp := range fps {
-		buf = binary.LittleEndian.AppendUint64(buf, fp)
-	}
-	return buf
-}
-
-func decodeFPChunk(b []byte) (fps []uint64, last bool, err error) {
-	if len(b) < 5 {
-		return nil, false, &FrameError{Reason: "fingerprint chunk header truncated"}
-	}
-	last = b[0] == 1
-	count := binary.LittleEndian.Uint32(b[1:5])
-	b = b[5:]
-	if uint64(len(b)) != uint64(count)*8 {
-		return nil, false, &FrameError{Reason: fmt.Sprintf("fingerprint chunk declares %d entries, carries %d bytes", count, len(b))}
-	}
-	fps = make([]uint64, count)
-	for i := range fps {
-		fps[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return fps, last, nil
-}
-
 // ---- control payloads (JSON) ----
 
 // helloMsg is the run spec the coordinator hands each peer. One HELLO
@@ -305,7 +270,7 @@ type depthMsg struct {
 type levelMsg struct {
 	Depth    int   `json:"depth"`
 	Admitted int64 `json:"admitted"` // cumulative local admissions
-	Next     int   `json:"next"`     // local next-frontier size
+	Next     int   `json:"next"`     // surviving next-level admissions
 	Stop     bool  `json:"stop,omitempty"`
 }
 

@@ -60,10 +60,10 @@ func seedFrames() [][]byte {
 		appendFrame(nil, frameBatch, batch),
 		appendFrame(nil, frameExpanded, marshalCtrl(depthMsg{Depth: 3})),
 		appendFrame(nil, frameLevel, marshalCtrl(levelMsg{Depth: 3, Admitted: 512, Next: 40})),
-		appendFrame(nil, frameFPs, appendFPChunk(nil, []uint64{1, 2, 3, ^uint64(0)}, true)),
+		appendFrame(nil, frameLevel, marshalCtrl(levelMsg{Depth: 4, Admitted: 512, Stop: true})),
 		appendFrame(nil, frameCont, marshalCtrl(contMsg{Depth: 3, Keep: 17, Truncated: true})),
 		appendFrame(nil, frameBarrier, marshalCtrl(depthMsg{Depth: 3})),
-		appendFrame(nil, frameNeedFPs, marshalCtrl(depthMsg{Depth: 3})),
+		appendFrame(nil, frameCont, marshalCtrl(contMsg{Depth: 4, Done: true})),
 		appendFrame(nil, frameError, marshalCtrl(errorMsg{Msg: "boom"})),
 		appendFrame(nil, framePing, nil),
 		appendFrame(nil, framePong, nil),
@@ -75,8 +75,8 @@ func seedFrames() [][]byte {
 // FuzzWireFrame: arbitrary bytes through decodeFrame never panic; a
 // failure is always a typed *FrameError; a success re-encodes to a
 // frame that decodes to the identical type and payload. When the frame
-// carries a binary sub-payload (batch, fingerprint chunk), that decoder
-// is held to the same contract.
+// carries a binary sub-payload (a batch), that decoder is held to the
+// same contract.
 func FuzzWireFrame(f *testing.F) {
 	for _, fr := range seedFrames() {
 		f.Add(fr)
@@ -118,13 +118,6 @@ func FuzzWireFrame(f *testing.F) {
 				var fe *FrameError
 				if !errors.As(berr, &fe) {
 					t.Fatalf("decodeBatch error is %T, want *FrameError", berr)
-				}
-			}
-		case frameFPs:
-			if _, _, cerr := decodeFPChunk(payload); cerr != nil {
-				var fe *FrameError
-				if !errors.As(cerr, &fe) {
-					t.Fatalf("decodeFPChunk error is %T, want *FrameError", cerr)
 				}
 			}
 		}
@@ -197,7 +190,9 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 	}
 }
 
-// TestWireRetiredFrameTypes: types 10-13 carried the async order's
+// TestWireRetiredFrameTypes: types 7-8 carried the budget cut's
+// fingerprint gather (NEEDFPS, FPS) until the cut became a prefix sum
+// over the LEVEL reports' counts; 10-13 carried the async order's
 // quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE) until the mode
 // table took async x distributed away; 18-19 carried fail-over's
 // RESEED/RANGE announcements, which no peer acted on. The numbers stay
@@ -205,7 +200,7 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 // speaks that protocol, is refused typed by both decoders instead of
 // being read as something else.
 func TestWireRetiredFrameTypes(t *testing.T) {
-	for _, typ := range []frameType{10, 11, 12, 13, 18, 19} {
+	for _, typ := range []frameType{7, 8, 10, 11, 12, 13, 18, 19} {
 		fr := appendFrame(nil, typ, []byte(`{"seq":1}`))
 		_, _, _, derr := decodeFrame(fr)
 		_, _, _, rerr := readFrame(bytes.NewReader(fr), nil)
@@ -216,8 +211,8 @@ func TestWireRetiredFrameTypes(t *testing.T) {
 			}
 		}
 	}
-	if frameCont != 9 || frameResult != 14 || framePong != 17 {
-		t.Errorf("live frame types moved: CONT = %d, RESULT = %d, PONG = %d; wire numbers are never reassigned", frameCont, frameResult, framePong)
+	if frameLevel != 6 || frameCont != 9 || frameResult != 14 || framePong != 17 {
+		t.Errorf("live frame types moved: LEVEL = %d, CONT = %d, RESULT = %d, PONG = %d; wire numbers are never reassigned", frameLevel, frameCont, frameResult, framePong)
 	}
 }
 
@@ -289,23 +284,6 @@ func TestWireBatchCorruption(t *testing.T) {
 			mut := append([]byte(nil), b...)
 			mut[i] ^= 1 << bit
 			probe(fmt.Sprintf("byte %d bit %d", i, bit), mut)
-		}
-	}
-}
-
-func TestWireFPChunkRoundTrip(t *testing.T) {
-	want := []uint64{0, 1, 0xdead, ^uint64(0)}
-	for _, last := range []bool{false, true} {
-		b := appendFPChunk(nil, want, last)
-		got, gl, err := decodeFPChunk(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gl != last || !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunk round trip: last %v/%v, fps %v/%v", gl, last, got, want)
-		}
-		if _, _, err := decodeFPChunk(b[:len(b)-1]); err == nil {
-			t.Fatal("short fingerprint chunk went undetected")
 		}
 	}
 }
