@@ -90,13 +90,22 @@ func TestRunForbidden(t *testing.T) {
 	}
 }
 
+// TestRunLemma16 pins -lemma16 -n 4 literally: on the toy-bit race p2's
+// first solo step already decides while Q = {p0, p1} is still bivalent,
+// so the induction stops at stage p2 with an agreement violation.
 func TestRunLemma16(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-lemma16", "-n", "4"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "Lemma 16 covering induction") {
-		t.Errorf("induction missing:\n%s", out.String())
+	const want = `protocol: toy-bit-race(n=4,L=3)
+Lemma 16 covering induction (Figures 2-5):
+stage  process  |γ|    |δ_j|    object   classified
+X = [], Y = [], |X ∪ Y| = 0, completed = false
+AGREEMENT VIOLATION: p2 decided 0 while Q was still bivalent
+`
+	if out.String() != want {
+		t.Errorf("-lemma16 -n 4 printed\n%s\nwant\n%s", out.String(), want)
 	}
 }
 

@@ -83,11 +83,8 @@ func TestAsyncDifferentialExplore(t *testing.T) {
 	}
 }
 
-// TestAsyncDifferentialValency: the valency CLASS agrees with the oracle
-// on every instance. (Values can legitimately differ: the oracle's
-// early-exit stops at a level barrier, async's at a wall-clock poll, so
-// incomplete runs may witness different value supersets — the class is
-// what both orders certify.)
+// TestAsyncDifferentialValency: the valency CLASS read off an async
+// exploration agrees with the levelsync oracle's on every instance.
 func TestAsyncDifferentialValency(t *testing.T) {
 	for _, tc := range reduceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,17 +95,11 @@ func TestAsyncDifferentialValency(t *testing.T) {
 			c := model.MustNewConfig(tc.p, tc.inputs)
 			limits := check.ExploreLimits{MaxConfigs: 300000, MaxDepth: tc.maxDepth}
 
-			oracle, err := check.ClassifyValencyOpts(tc.p, c, pids, check.ExploreOptions{Limits: limits})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := check.ClassifyValencyOpts(tc.p, c, pids, check.ExploreOptions{
+			oracle := classifyT(t, tc.p, c, pids, check.ExploreOptions{Limits: limits})
+			res := classifyT(t, tc.p, c, pids, check.ExploreOptions{
 				Limits: limits,
 				Engine: check.EngineOptions{Order: check.OrderAsync, Workers: 4},
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if res.Class != oracle.Class {
 				t.Errorf("async valency %v, levelsync %v", res.Class, oracle.Class)
 			}

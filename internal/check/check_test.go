@@ -198,7 +198,7 @@ func TestExploreDepthLimit(t *testing.T) {
 func TestValencyInitialSplitIsBivalent(t *testing.T) {
 	p := baseline.NewPairConsensus(2)
 	c := model.MustNewConfig(p, []int{0, 1})
-	res := check.ClassifyValency(p, c, []int{0, 1}, check.ExploreLimits{})
+	res := check.ValencyFromResult(check.Explore(p, c, []int{0, 1}, 0, check.ExploreLimits{}))
 	if res.Class != check.Bivalent {
 		t.Fatalf("initial split configuration is %v, want bivalent", res.Class)
 	}
@@ -213,7 +213,7 @@ func TestValencyAfterFirstSwapIsUnivalent(t *testing.T) {
 	if _, err := model.Apply(p, c, 0); err != nil {
 		t.Fatal(err)
 	}
-	res := check.ClassifyValency(p, c, []int{0, 1}, check.ExploreLimits{})
+	res := check.ValencyFromResult(check.Explore(p, c, []int{0, 1}, 0, check.ExploreLimits{}))
 	if res.Class != check.Univalent {
 		t.Fatalf("after p0's swap: %v, want univalent", res.Class)
 	}
@@ -225,7 +225,7 @@ func TestValencyAfterFirstSwapIsUnivalent(t *testing.T) {
 func TestValencyUnanimousInputsUnivalent(t *testing.T) {
 	p := baseline.NewPairConsensus(2)
 	c := model.MustNewConfig(p, []int{1, 1})
-	res := check.ClassifyValency(p, c, []int{0, 1}, check.ExploreLimits{})
+	res := check.ValencyFromResult(check.Explore(p, c, []int{0, 1}, 0, check.ExploreLimits{}))
 	if res.Class != check.Univalent {
 		t.Fatalf("unanimous inputs: %v, want univalent (validity forces 1)", res.Class)
 	}
@@ -254,7 +254,7 @@ func (neverDecide) Decision(st model.State) (int, bool)                         
 func TestValencyUndecidable(t *testing.T) {
 	p := neverDecide{}
 	c := model.MustNewConfig(p, []int{0})
-	res := check.ClassifyValency(p, c, []int{0}, check.ExploreLimits{})
+	res := check.ValencyFromResult(check.Explore(p, c, []int{0}, 0, check.ExploreLimits{}))
 	if res.Class != check.Undecidable {
 		t.Fatalf("never-deciding protocol: %v, want undecidable", res.Class)
 	}
@@ -266,7 +266,7 @@ func TestValencyUnknownOnBudget(t *testing.T) {
 	// Unanimous inputs: only 0 is decidable, but the space is too large
 	// to exhaust with a 20-config budget, so the classifier must answer
 	// Unknown rather than claim univalence.
-	res := check.ClassifyValency(a1, c, []int{0, 1, 2, 3}, check.ExploreLimits{MaxConfigs: 20})
+	res := check.ValencyFromResult(check.Explore(a1, c, []int{0, 1, 2, 3}, 0, check.ExploreLimits{MaxConfigs: 20}))
 	if res.Class != check.Unknown {
 		t.Fatalf("tiny budget: %v, want unknown", res.Class)
 	}
@@ -339,13 +339,30 @@ func TestObstructionFreeRejectsBadBound(t *testing.T) {
 	}
 }
 
+// TestObstructionFreeRejectsCheckpoint: a snapshot does not keep the
+// violation an obstruction check found, so a second run resumed from the
+// first one's directory would report none. Checkpointing is rejected,
+// on the first run as on any later one.
+func TestObstructionFreeRejectsCheckpoint(t *testing.T) {
+	toybit, err := baseline.NewToyBitRace(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Checkpoint: t.TempDir()}}
+	for run := 0; run < 2; run++ {
+		if _, err := check.CheckObstructionFreeOpts(toybit, []int{0, 1, 0}, opts, 4); !errors.Is(err, check.ErrIncompatibleModes) {
+			t.Errorf("run %d: err = %v, want one wrapping ErrIncompatibleModes", run, err)
+		}
+	}
+}
+
 // TestValencyBivalentAlgorithm1 checks the paper's setting directly: an
 // initial configuration of Algorithm 1 (consensus instance) with split
 // inputs is bivalent for the full process set.
 func TestValencyBivalentAlgorithm1(t *testing.T) {
 	a1 := core.MustNew(core.Params{N: 3, K: 1, M: 2})
 	c := model.MustNewConfig(a1, []int{0, 1, 1})
-	res := check.ClassifyValency(a1, c, []int{0, 1, 2}, check.ExploreLimits{MaxConfigs: 50000})
+	res := check.ValencyFromResult(check.Explore(a1, c, []int{0, 1, 2}, 0, check.ExploreLimits{MaxConfigs: 50000}))
 	if res.Class != check.Bivalent {
 		t.Fatalf("split-input Algorithm 1: %v (values %v), want bivalent", res.Class, res.Values)
 	}

@@ -418,26 +418,6 @@ func TestCheckpointFinishedShortCircuit(t *testing.T) {
 	}
 }
 
-// TestCheckpointValencyResume: the valency phase checkpoints its decided
-// set under its own subdirectory and classifies identically on resume.
-func TestCheckpointValencyResume(t *testing.T) {
-	p := symRace{n: 3}
-	c := model.MustNewConfig(p, []int{0, 1, 1})
-	pids := []int{0, 1, 2}
-	dir := t.TempDir()
-	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Checkpoint: dir}}
-
-	first := classifyT(t, p, c, pids, opts)
-	second := classifyT(t, p, c, pids, opts)
-	if first.Class != second.Class || !reflect.DeepEqual(first.Values, second.Values) {
-		t.Errorf("resumed valency = %s %v, want %s %v", second.Class, second.Values, first.Class, first.Values)
-	}
-	// The two phases must not have shared a directory.
-	if _, err := os.Stat(filepath.Join(dir, "valency", "MANIFEST.json")); err != nil {
-		t.Errorf("valency manifest: %v", err)
-	}
-}
-
 // TestCheckpointProfileMismatch: a checkpoint taken under different run
 // parameters is an explicit error, not a silent fresh start.
 func TestCheckpointProfileMismatch(t *testing.T) {

@@ -1,0 +1,169 @@
+package check
+
+import (
+	"cmp"
+	"fmt"
+	"maps"
+	"sync"
+
+	"repro/internal/model"
+)
+
+// This file is the one class search. Every positive fact the checkers
+// report has the form "some P-only execution reaches a configuration of
+// class X": an agreement violation, a decided value, a stuck solo run, a
+// bivalence witness, a Lemma 13 γ, a covering. A classifier puts each
+// visited configuration in zero or more int classes, and each class is
+// represented by one witness, picked by one rule.
+
+// Witness represents a class of a class search: its smallest visited
+// node by (depth, fingerprint) — WitnessCmp — with a tie, which only
+// exact keys admit (two configurations sharing a fingerprint), broken by
+// the smaller Config.Key(). What a search returns therefore depends
+// neither on the worker count nor on the store.
+type Witness struct {
+	// Depth and FP are the node's BFS depth and dedup fingerprint.
+	Depth int
+	FP    uint64
+	// Cfg is a copy of the node's configuration.
+	Cfg *model.Config
+	// Path is the node's root-to-node pid path in a run that keeps paths
+	// (nil otherwise); the search has replayed it to Cfg.
+	Path []byte
+}
+
+// Schedule returns w's Path as pids.
+func (w *Witness) Schedule() []int {
+	var out []int
+	for _, pid := range w.Path {
+		out = append(out, int(pid))
+	}
+	return out
+}
+
+// WitnessCmp is the witness order: by depth, then fingerprint. It is 0
+// only for two nodes of one depth sharing a fingerprint, which under
+// exact keys can be two configurations; SearchClasses then compares
+// their Config.Key(). A distributed run has no exact keys, so its merge
+// picks by this order alone.
+func WitnessCmp(aDepth int, aFP uint64, bDepth int, bFP uint64) int {
+	if c := cmp.Compare(aDepth, bDepth); c != 0 {
+		return c
+	}
+	return cmp.Compare(aFP, bFP)
+}
+
+// classTable is a class search's running result: each class met, with
+// its witness so far. A class seeded from a checkpoint without a witness
+// maps to nil.
+type classTable struct {
+	mu   sync.Mutex
+	best map[int]*Witness
+}
+
+func newClassTable() *classTable { return &classTable{best: map[int]*Witness{}} }
+
+// offer enters the visited node n in each of classes where it precedes
+// the class's witness.
+func (t *classTable) offer(n *Node, classes []int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var won *Witness // n's witness, built once for all the classes it wins
+	var key string   // n's Config.Key(), computed at its first tie
+	for _, c := range classes {
+		if w, met := t.best[c]; met {
+			if w == nil {
+				continue // met before a snapshot, at a smaller depth than n's
+			}
+			switch WitnessCmp(n.Depth, n.fp, w.Depth, w.FP) {
+			case 1:
+				continue
+			case 0:
+				if key == "" {
+					key = n.Cfg.Key()
+				}
+				if key >= w.Cfg.Key() {
+					continue
+				}
+			}
+		}
+		if won == nil {
+			won = &Witness{Depth: n.Depth, FP: n.fp, Cfg: n.Cfg.Clone(), Path: append([]byte(nil), n.path...)}
+		}
+		t.best[c] = won
+	}
+}
+
+// snapshot returns a copy of the table.
+func (t *classTable) snapshot() map[int]*Witness {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return maps.Clone(t.best)
+}
+
+// seed enters class c as met before a snapshot, with witness w (nil if
+// the snapshot kept none).
+func (t *classTable) seed(c int, w *Witness) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.best[c] = w
+}
+
+// SearchClasses is the class search: a breadth-first walk of the
+// pids-only space of p from start on RunFrontier. classify, run
+// concurrently on the engine's workers, appends the int classes (zero or
+// more) of each visited configuration to its second argument. For each
+// class met the search returns its Witness; at every level barrier it
+// stops once stopAt classes are met (0: never). Callers that need
+// witness paths set opts.Engine.Provenance themselves; in a run that
+// keeps paths every witness's path is replayed at the end, and the
+// search fails if it does not reach the witness's configuration.
+func SearchClasses(p model.Protocol, start *model.Config, pids []int, opts ExploreOptions, stopAt int,
+	classify func(cfg *model.Config, classes []int) ([]int, error),
+) (map[int]*Witness, RunStats, error) {
+	return searchClasses(p, start, pids, opts, stopAt, classify, newClassTable())
+}
+
+// searchClasses is SearchClasses on a given table, which a checkpointing
+// caller snapshots and seeds through its aux hooks.
+func searchClasses(p model.Protocol, start *model.Config, pids []int, opts ExploreOptions, stopAt int,
+	classify func(cfg *model.Config, classes []int) ([]int, error), t *classTable,
+) (map[int]*Witness, RunStats, error) {
+	// One class buffer per worker: handed to an unknown function, a
+	// buffer on the visit's stack would escape to the heap at every visit.
+	bufs := make([][8]int, opts.Engine.withDefaults().Workers)
+	visit := func(w int, n *Node) error {
+		classes, err := classify(n.Cfg, bufs[w][:0])
+		if err == nil && len(classes) > 0 {
+			t.offer(n, classes)
+		}
+		return err
+	}
+	var afterLevel func(_, _ int) bool
+	if stopAt > 0 {
+		afterLevel = func(_, _ int) bool {
+			t.mu.Lock()
+			defer t.mu.Unlock()
+			return len(t.best) >= stopAt
+		}
+	}
+	stats, err := RunFrontier(p, start, pids, opts.Limits, opts.Engine, visit, afterLevel)
+	if err != nil {
+		return nil, stats, err
+	}
+	if opts.Engine.keepsPaths() {
+		for c, w := range t.best {
+			if w == nil {
+				continue
+			}
+			end, err := model.Replay(p, start, w.Path)
+			if err != nil {
+				return nil, stats, fmt.Errorf("check: replaying the witness of class %d: %w", c, err)
+			}
+			if end.Key() != w.Cfg.Key() {
+				return nil, stats, fmt.Errorf("check: the witness path of class %d does not replay to its configuration", c)
+			}
+		}
+	}
+	return t.best, stats, nil
+}

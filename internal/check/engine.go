@@ -12,9 +12,10 @@ import (
 )
 
 // This file is the frontier engine's set-up and shared run state. All
-// exhaustive searches in the repository — Explore, ClassifyValency,
-// CheckObstructionFree and every lowerbound search, the witness,
-// bivalence, Lemma 13 and covering searches — run on it.
+// exhaustive searches in the repository run on it, all but the
+// sequential oracle through the one class search (classes.go): Explore,
+// CheckObstructionFree, Lemma 16's bivalence test and every lowerbound
+// search — the witness, bivalence, Lemma 13 and covering searches.
 //
 // Structure: one expansion core, one worker loop, two orders.
 //
@@ -119,7 +120,7 @@ type EngineOptions struct {
 	// checkpoints (modes.go says why the rest is rejected with it).
 	Order string
 	// Provenance gives every node its deterministic first-reached
-	// schedule as its root-to-node pid path (Node.Schedule): among one
+	// schedule as its root-to-node pid path (Node.Path): among one
 	// level's claims of a configuration, the one with the smallest
 	// (parent fingerprint, parent key, pid) wins, whatever the discovery
 	// order — required by the witness-extracting searches. It costs a
@@ -153,9 +154,10 @@ type EngineOptions struct {
 	// snapshots, so a finished run resumes to its verdict instantly.
 	CheckpointEvery int
 	// CheckpointAux, if non-nil, serializes the search layer's
-	// accumulators (decided values, witness state) into each snapshot;
-	// CheckpointRestore rehydrates them on resume. Installed by
-	// ExploreOpts/ClassifyValencyOpts, not by end callers.
+	// accumulators (ExploreOpts' class table: decided values, the
+	// violation's witness) into each snapshot; CheckpointRestore
+	// rehydrates them on resume. Installed by ExploreOpts, not by end
+	// callers.
 	CheckpointAux     func() ([]byte, error)
 	CheckpointRestore func([]byte) error
 	// Progress, if non-nil, is invoked after every completed level with
@@ -180,6 +182,12 @@ func (o EngineOptions) withDefaults() EngineOptions {
 		o.Store = StoreMem
 	}
 	return o
+}
+
+// keepsPaths reports whether a run gives its nodes root-to-node paths:
+// provenance, checkpointing and distributed runs do.
+func (o EngineOptions) keepsPaths() bool {
+	return o.Provenance || o.Checkpoint != "" || o.Dist != nil
 }
 
 // Progress reports cumulative engine throughput: after every completed
@@ -235,16 +243,6 @@ func (n *Node) Fingerprint() uint64 { return n.fp }
 // runs. The returned slice is the node's own buffer and must be copied if
 // retained beyond the visit.
 func (n *Node) Path() []byte { return n.path }
-
-// Schedule returns n's Path as pids (nil at the root, and in a run that
-// keeps no paths).
-func (n *Node) Schedule() []int {
-	var out []int
-	for _, pid := range n.path {
-		out = append(out, int(pid))
-	}
-	return out
-}
 
 // RunStats summarizes an engine run.
 type RunStats struct {
@@ -537,7 +535,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		return RunStats{}, fmt.Errorf("frontier engine: start configuration has %d objects and %d states, protocol declares %d and %d",
 			len(start.Objects), len(start.States), nObj, nProc)
 	}
-	pathsOn := opts.Provenance || opts.Checkpoint != "" || opts.Dist != nil
+	pathsOn := opts.keepsPaths()
 	if pathsOn && nProc > 255 {
 		return RunStats{}, fmt.Errorf("frontier engine: provenance, checkpointed and distributed runs support at most 255 processes (root-to-node paths store one pid byte per step), protocol declares %d", nProc)
 	}

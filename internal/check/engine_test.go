@@ -67,14 +67,10 @@ func exploreT(t *testing.T, p model.Protocol, c *model.Config, pids []int, k int
 	return res
 }
 
-// classifyT is exploreT for ClassifyValencyOpts.
+// classifyT is exploreT's valency class.
 func classifyT(t *testing.T, p model.Protocol, c *model.Config, pids []int, opts check.ExploreOptions) *check.ValencyResult {
 	t.Helper()
-	res, err := check.ClassifyValencyOpts(p, c, pids, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return check.ValencyFromResult(exploreT(t, p, c, pids, 0, opts))
 }
 
 // exploreCase is one instance of the sequential-vs-parallel differential
@@ -197,8 +193,8 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestValencyDeterministicAcrossWorkers: the ported valency classifier
-// agrees with itself for every worker count on both bivalent and
+// TestValencyDeterministicAcrossWorkers: the valency class read off an
+// exploration agrees with itself for every worker count on both bivalent and
 // univalent instances.
 func TestValencyDeterministicAcrossWorkers(t *testing.T) {
 	p := baseline.NewPairConsensus(2)
@@ -324,7 +320,7 @@ func TestFrontierBatchedDedupRace(t *testing.T) {
 	}
 }
 
-// TestRunFrontierSchedules: Node.Schedule replays to the node's own
+// TestRunFrontierSchedules: Node.Path replays to the node's own
 // configuration — the provenance chains the engine maintains are real
 // executions.
 func TestRunFrontierSchedules(t *testing.T) {
@@ -333,14 +329,12 @@ func TestRunFrontierSchedules(t *testing.T) {
 	err := error(nil)
 	_, err = check.RunFrontier(p, start, []int{0, 1, 2}, check.ExploreLimits{}, check.EngineOptions{Workers: 2, Provenance: true},
 		func(_ int, n *check.Node) error {
-			replay := start.Clone()
-			for _, pid := range n.Schedule() {
-				if _, err := model.Apply(p, replay, pid); err != nil {
-					return fmt.Errorf("replaying schedule %v: %w", n.Schedule(), err)
-				}
+			replay, err := model.Replay(p, start, n.Path())
+			if err != nil {
+				return fmt.Errorf("replaying path %v: %w", n.Path(), err)
 			}
 			if replay.Key() != n.Cfg.Key() {
-				return fmt.Errorf("schedule %v replays to %q, node holds %q", n.Schedule(), replay.Key(), n.Cfg.Key())
+				return fmt.Errorf("path %v replays to %q, node holds %q", n.Path(), replay.Key(), n.Cfg.Key())
 			}
 			return nil
 		}, nil)

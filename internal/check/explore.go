@@ -3,9 +3,11 @@ package check
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
-	"sync"
+	"sort"
+	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -59,9 +61,9 @@ type ExploreResult struct {
 	DecidedValues []int
 	// AgreementViolation, if non-nil, is a configuration whose decided
 	// value set exceeds k (set only when a k was supplied). Among all
-	// violating configurations visited it is the deterministically
-	// smallest one (minimum BFS depth, then fingerprint), so parallel
-	// runs report the same witness as sequential ones.
+	// violating configurations visited it is the class search's witness
+	// (minimum BFS depth, then fingerprint, then key: see Witness), so
+	// parallel runs report the same witness as sequential ones.
 	AgreementViolation *model.Config
 	// ViolationDepth and ViolationFP identify the witness when
 	// AgreementViolation is set: its BFS depth and dedup fingerprint (the
@@ -78,10 +80,11 @@ type ExploreResult struct {
 	MaxDecidedTogether int
 	// ValueWitnesses, populated only on distributed runs (which maintain
 	// root-to-node paths anyway), carries one replayable witness schedule
-	// per decided value: the deterministically smallest configuration
-	// (minimum BFS depth, then fingerprint) observed deciding it. It is
-	// how a peer ships valency evidence to the coordinator, which can
-	// then classify valency without re-exploring locally.
+	// per decided value: the class search's witness for it, the smallest
+	// configuration (minimum BFS depth, then fingerprint) observed
+	// deciding it. It is how a peer ships valency evidence to the
+	// coordinator, which can then classify valency without re-exploring
+	// locally.
 	ValueWitnesses []ValueWitness
 	// Store reports the state store's activity over the exploration
 	// (kind: "mem" without a budget, "spill" under one; bytes spilled;
@@ -148,88 +151,31 @@ func Explore(p model.Protocol, c *model.Config, pids []int, k int, limits Explor
 // returns engine errors instead of panicking: the disk-spilling store
 // makes I/O failures (a full disk, an unreadable segment) an expected
 // failure mode, not a protocol bug.
+//
+// It is a class search (SearchClasses): the classes are the values
+// decided by members of P — a process outside P that is decided in c
+// decided before the exploration began and is background state — and,
+// when more than k of them are decided together, violationClass.
 func ExploreOpts(p model.Protocol, c *model.Config, pids []int, k int, opts ExploreOptions) (*ExploreResult, error) {
-	res := &ExploreResult{}
-
-	// witness is a violation candidate snapshotted during its visit (the
-	// engine releases node configurations afterwards). path is recorded
-	// on checkpointing runs so the witness survives a crash: a restored
-	// witness has cfg == nil and is rebuilt by replaying the path.
-	type witness struct {
-		depth int
-		fp    uint64
-		key   string
-		path  []byte
-		cfg   *model.Config
-	}
-	lessWitness := func(a, b *witness) bool {
-		if b == nil {
-			return true
-		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		if a.fp != b.fp {
-			return a.fp < b.fp
-		}
-		return a.key < b.key
-	}
-
-	var (
-		mu        sync.Mutex
-		decided   = map[int]bool{}
-		violation *witness
-		// valWits (distributed runs only): minimal witness per decided
-		// value, shipped to the coordinator for valency classification.
-		valWits map[int]*witness
-	)
-	if opts.Engine.Dist != nil {
-		valWits = map[int]*witness{}
-	}
-	visit := func(_ int, n *Node) error {
-		// Only count decisions by members of P; a process outside P that
-		// is decided in c decided before the exploration began and is
-		// background state. This runs once per visited configuration, so
-		// the distinct values are collected on the stack.
-		var buf [8]int
-		distinct := buf[:0]
+	var maxTogether atomic.Int64 // a plain maximum beside the search
+	classify := func(cfg *model.Config, classes []int) ([]int, error) {
 		for _, pid := range pids {
-			if v, ok := n.Cfg.Decided(p, pid); ok && !slices.Contains(distinct, v) {
-				distinct = append(distinct, v)
+			if v, ok := cfg.Decided(p, pid); ok && !slices.Contains(classes, v) {
+				classes = append(classes, v)
 			}
 		}
-		if len(distinct) == 0 {
-			return nil
+		storeMax(&maxTogether, len(classes))
+		if k > 0 && len(classes) > k {
+			classes = append(classes, violationClass)
 		}
-		mu.Lock()
-		for _, v := range distinct {
-			decided[v] = true
-			if valWits != nil {
-				w := &witness{depth: n.Depth, fp: n.Fingerprint(), key: n.Cfg.Key()}
-				if lessWitness(w, valWits[v]) {
-					w.path = append([]byte(nil), n.Path()...)
-					valWits[v] = w
-				}
-			}
-		}
-		if len(distinct) > res.MaxDecidedTogether {
-			res.MaxDecidedTogether = len(distinct)
-		}
-		if k > 0 && len(distinct) > k {
-			w := &witness{depth: n.Depth, fp: n.Fingerprint(), key: n.Cfg.Key()}
-			if lessWitness(w, violation) {
-				w.cfg = n.Cfg.Clone()
-				w.path = append([]byte(nil), n.Path()...)
-				violation = w
-			}
-		}
-		mu.Unlock()
-		return nil
+		return classes, nil
 	}
 
-	// Checkpointing: the search-layer accumulators (decided set, witness)
-	// ride along in the aux artifact, under an "explore" subdirectory so
-	// the exploration and valency phases of one run never share state.
+	// Checkpointing: the class table (decided values, the violation's
+	// witness) and the maximum ride along in the aux artifact, under an
+	// "explore" subdirectory. A decided value restored from it has no
+	// witness; the violation's is rebuilt by replaying its path.
+	t := newClassTable()
 	eng := opts.Engine
 	if eng.Checkpoint != "" {
 		type auxWitness struct {
@@ -245,12 +191,10 @@ func ExploreOpts(p model.Protocol, c *model.Config, pids []int, k int, opts Expl
 		}
 		eng.Checkpoint = filepath.Join(eng.Checkpoint, "explore")
 		eng.CheckpointAux = func() ([]byte, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			aux := exploreAux{Decided: sortedValueSet(decided), MaxTogether: res.MaxDecidedTogether}
-			if violation != nil {
-				aux.Violation = &auxWitness{Depth: violation.depth, FP: violation.fp,
-					Key: []byte(violation.key), Path: violation.path}
+			found := t.snapshot()
+			aux := exploreAux{Decided: decidedValues(found), MaxTogether: int(maxTogether.Load())}
+			if w := found[violationClass]; w != nil {
+				aux.Violation = &auxWitness{Depth: w.Depth, FP: w.FP, Key: []byte(w.Cfg.Key()), Path: w.Path}
 			}
 			return json.Marshal(aux)
 		}
@@ -259,51 +203,64 @@ func ExploreOpts(p model.Protocol, c *model.Config, pids []int, k int, opts Expl
 			if err := json.Unmarshal(b, &aux); err != nil {
 				return fmt.Errorf("explore checkpoint aux: %w", err)
 			}
-			mu.Lock()
-			defer mu.Unlock()
 			for _, v := range aux.Decided {
-				decided[v] = true
+				t.seed(v, nil)
 			}
-			res.MaxDecidedTogether = aux.MaxTogether
+			maxTogether.Store(int64(aux.MaxTogether))
 			if w := aux.Violation; w != nil {
-				violation = &witness{depth: w.Depth, fp: w.FP, key: string(w.Key), path: w.Path}
+				cfg, err := model.Replay(p, c, w.Path)
+				if err != nil {
+					return fmt.Errorf("explore checkpoint: replaying violation witness: %w", err)
+				}
+				t.seed(violationClass, &Witness{Depth: w.Depth, FP: w.FP, Cfg: cfg, Path: w.Path})
 			}
 			return nil
 		}
 	}
 
-	stats, err := RunFrontier(p, c, pids, opts.Limits, eng, visit, nil)
+	found, stats, err := searchClasses(p, c, pids, ExploreOptions{Limits: opts.Limits, Engine: eng}, 0, classify, t)
 	if err != nil {
 		return nil, err
 	}
-	res.Visited = stats.Processed
-	res.Complete = stats.Complete
-	res.Store = stats.Store
-	res.Reduction = stats.Reduction
-	res.Async = stats.Async
-	res.Net = stats.Net
-	res.DecidedValues = sortedValueSet(decided)
-	for _, v := range res.DecidedValues {
-		if w := valWits[v]; w != nil {
-			res.ValueWitnesses = append(res.ValueWitnesses, ValueWitness{
-				Value: v, Depth: w.depth, FP: w.fp, Path: w.path,
-			})
+	res := &ExploreResult{
+		Visited: stats.Processed, Complete: stats.Complete,
+		Store: stats.Store, Reduction: stats.Reduction, Async: stats.Async, Net: stats.Net,
+		DecidedValues:      decidedValues(found),
+		MaxDecidedTogether: int(maxTogether.Load()),
+	}
+	if eng.Dist != nil {
+		for _, v := range res.DecidedValues {
+			w := found[v]
+			res.ValueWitnesses = append(res.ValueWitnesses, ValueWitness{Value: v, Depth: w.Depth, FP: w.FP, Path: w.Path})
 		}
 	}
-	if violation != nil {
-		if violation.cfg == nil {
-			// Restored from a checkpoint: rebuild the witness configuration
-			// by replaying its recorded schedule from the start.
-			if violation.cfg, err = model.Replay(p, c, violation.path); err != nil {
-				return nil, fmt.Errorf("explore checkpoint: replaying violation witness: %w", err)
-			}
-		}
-		res.AgreementViolation = violation.cfg
-		res.ViolationDepth = violation.depth
-		res.ViolationFP = violation.fp
-		res.ViolationPath = violation.path
+	if w := found[violationClass]; w != nil {
+		res.AgreementViolation, res.ViolationDepth, res.ViolationFP, res.ViolationPath = w.Cfg, w.Depth, w.FP, w.Path
 	}
 	return res, nil
+}
+
+// violationClass is ExploreOpts' class of configurations in which more
+// than k values are decided: an id no decided value uses.
+const violationClass = math.MinInt
+
+// decidedValues returns the decided values among ExploreOpts' classes,
+// ascending.
+func decidedValues(found map[int]*Witness) []int {
+	out := make([]int, 0, len(found))
+	for c := range found {
+		if c != violationClass {
+			out = append(out, c)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// storeMax raises m to v if v is larger.
+func storeMax(m *atomic.Int64, v int) {
+	for old := m.Load(); int64(v) > old && !m.CompareAndSwap(old, int64(v)); old = m.Load() {
+	}
 }
 
 // ExploreSequential is the single-threaded, string-keyed reference
@@ -431,77 +388,6 @@ type ValencyResult struct {
 	Complete bool
 }
 
-// ClassifyValency explores the P-only space from c and classifies it.
-// Bivalence is certified by witnesses and is sound even when incomplete;
-// univalence requires a complete exploration. Like Explore it runs on
-// the default unbudgeted store, where an engine error can only be a
-// protocol bug, and panics on one.
-func ClassifyValency(p model.Protocol, c *model.Config, pids []int, limits ExploreLimits) *ValencyResult {
-	res, err := ClassifyValencyOpts(p, c, pids, ExploreOptions{Limits: limits})
-	if err != nil {
-		panic(fmt.Sprintf("check: explore: %v", err))
-	}
-	return res
-}
-
-// ClassifyValencyOpts is ClassifyValency with explicit engine options. It
-// runs on the frontier engine with an early exit at the first level
-// barrier after two decided values have been witnessed — bivalence is
-// then certain and the rest of the space is irrelevant. Engine errors
-// (e.g. spill-store I/O failures) are returned, not panicked.
-func ClassifyValencyOpts(p model.Protocol, c *model.Config, pids []int, opts ExploreOptions) (*ValencyResult, error) {
-	var (
-		mu      sync.Mutex
-		decided = map[int]bool{}
-	)
-	visit := func(_ int, n *Node) error {
-		for _, pid := range pids {
-			if v, ok := n.Cfg.Decided(p, pid); ok {
-				mu.Lock()
-				decided[v] = true
-				mu.Unlock()
-			}
-		}
-		return nil
-	}
-	afterLevel := func(_, _ int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(decided) >= 2 // bivalence certified; stopping early is sound
-	}
-	// Checkpointing: the decided-value set is the only search-layer state;
-	// it lives in a "valency" subdirectory, disjoint from ExploreOpts's.
-	eng := opts.Engine
-	if eng.Checkpoint != "" {
-		eng.Checkpoint = filepath.Join(eng.Checkpoint, "valency")
-		eng.CheckpointAux = func() ([]byte, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return json.Marshal(sortedValueSet(decided))
-		}
-		eng.CheckpointRestore = func(b []byte) error {
-			var vals []int
-			if err := json.Unmarshal(b, &vals); err != nil {
-				return fmt.Errorf("valency checkpoint aux: %w", err)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, v := range vals {
-				decided[v] = true
-			}
-			return nil
-		}
-	}
-	stats, err := RunFrontier(p, c, pids, opts.Limits, eng, visit, afterLevel)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &ValencyResult{Values: sortedValueSet(decided), Complete: stats.Complete}
-	out.Class = classifyValency(out.Values, out.Complete)
-	return out, nil
-}
-
 // classifyValency is the classification switch shared by the local
 // explorer and the distributed merge path.
 func classifyValency(values []int, complete bool) Valency {
@@ -517,15 +403,14 @@ func classifyValency(values []int, complete bool) Valency {
 	}
 }
 
-// ValencyFromResult classifies the initial configuration's valency from
-// a finished exploration over the full process set — mcheck's path, single
-// process or distributed, where the result (a coordinator's merged one:
-// decided-value union with replay-validated witnesses, ANDed completeness)
-// carries exactly the evidence ClassifyValencyOpts would gather by
-// exploring the same space again. The class is the one that would find:
-// bivalence needs two decided values (each backed by a ValueWitness),
-// univalence and undecidability additionally need completeness, and
-// anything else is Unknown.
+// ValencyFromResult classifies the valency of the exploration's start
+// configuration for its process set from a finished exploration — mcheck's
+// path, single process or distributed, where the result (a coordinator's
+// merged one: decided-value union with replay-validated witnesses, ANDed
+// completeness) carries the decided values and completeness the class
+// rests on: bivalence needs two decided values (each backed by a class
+// witness), univalence and undecidability additionally need
+// completeness, and anything else is Unknown.
 func ValencyFromResult(res *ExploreResult) *ValencyResult {
 	return &ValencyResult{
 		Class:    classifyValency(res.DecidedValues, res.Complete),

@@ -41,14 +41,19 @@ func CheckObstructionFree(p model.Protocol, inputs []int, limits ExploreLimits, 
 // options. The solo runs from distinct configurations are independent, so
 // they parallelize across the engine's workers for free.
 //
-// A violation does not abort mid-level: the whole level finishes so that
-// the report's counts stay deterministic, and among all violations found
-// at that level the deterministically smallest (by configuration
-// fingerprint, then exact key where the run has one, then pid) is
-// reported — identical for every worker count.
+// It is a class search (SearchClasses) with one class, "an undecided
+// process is stuck", that stops at the first level holding one: the
+// whole level finishes so that the report's counts stay deterministic,
+// and the violation reported is the class's witness (by depth,
+// fingerprint, then Config.Key) with its smallest stuck pid — identical
+// for every worker count. A snapshot could not carry the violation, so
+// Checkpoint is rejected.
 func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOptions, soloBound int) (*ObstructionFreeReport, error) {
 	if soloBound <= 0 {
 		return nil, fmt.Errorf("check: solo bound %d must be positive", soloBound)
+	}
+	if opts.Engine.Checkpoint != "" {
+		return nil, fmt.Errorf("check: obstruction-freedom: %w: checkpointing is not supported (a snapshot does not keep the violation found)", ErrIncompatibleModes)
 	}
 	// The obstruction verdict quantifies over solo runs from every
 	// reachable configuration. Symmetry maps orbits to orbits (a solo run
@@ -63,19 +68,7 @@ func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOption
 		all[i] = i
 	}
 
-	// violation is the smallest failing (configuration, pid) pair seen.
-	type violation struct {
-		fp    uint64
-		key   string // "" unless the run uses exact keys
-		pid   int
-		depth int
-		err   error
-	}
-	var (
-		mu                     sync.Mutex
-		failed                 *violation
-		soloRuns, maxSoloSteps atomic.Int64
-	)
+	var soloRuns, maxSoloSteps atomic.Int64
 	// Solo runs mutate a scratch configuration refreshed from each visited
 	// node; the scratches are pooled so the inner loop — one run per
 	// (configuration, undecided process) pair, by far the dominant cost —
@@ -87,41 +80,39 @@ func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOption
 			States:  make([]model.State, p.NumProcesses()),
 		}
 	}}
-	visit := func(_ int, n *Node) error {
+	// firstStuck runs every undecided process of cfg solo and returns the
+	// smallest one that does not decide within soloBound steps, with the
+	// run's error (-1 if none); count adds the runs that decide to the
+	// report.
+	firstStuck := func(cfg *model.Config, count bool) (stuck int, stuckErr error) {
 		solo := scratchPool.Get().(*model.Config)
 		defer scratchPool.Put(solo)
-		for pid := range n.Cfg.States {
-			if _, decided := n.Cfg.Decided(p, pid); decided {
+		stuck = -1
+		for pid := range cfg.States {
+			if _, decided := cfg.Decided(p, pid); decided {
 				continue
 			}
-			solo.CopyFrom(n.Cfg)
+			solo.CopyFrom(cfg)
 			steps, err := SoloSteps(p, solo, pid, soloBound)
 			if err != nil {
-				mu.Lock()
-				if failed == nil || n.fp < failed.fp || (n.fp == failed.fp &&
-					(n.key < failed.key || (n.key == failed.key && pid < failed.pid))) {
-					failed = &violation{fp: n.fp, key: n.key, pid: pid, depth: n.Depth, err: err}
+				if stuck < 0 {
+					stuck, stuckErr = pid, err
 				}
-				mu.Unlock()
 				continue
 			}
-			soloRuns.Add(1)
-			for {
-				old := maxSoloSteps.Load()
-				if int64(steps) <= old || maxSoloSteps.CompareAndSwap(old, int64(steps)) {
-					break
-				}
+			if count {
+				soloRuns.Add(1)
+				storeMax(&maxSoloSteps, steps)
 			}
 		}
-		return nil
+		return stuck, stuckErr
 	}
-	afterLevel := func(_, _ int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return failed != nil
-	}
-
-	stats, err := RunFrontier(p, start, all, opts.Limits, opts.Engine, visit, afterLevel)
+	found, stats, err := SearchClasses(p, start, all, opts, 1, func(cfg *model.Config, classes []int) ([]int, error) {
+		if stuck, _ := firstStuck(cfg, true); stuck >= 0 {
+			classes = append(classes, 0)
+		}
+		return classes, nil
+	})
 	report := &ObstructionFreeReport{
 		Configurations: stats.Processed,
 		SoloRuns:       int(soloRuns.Load()),
@@ -131,10 +122,11 @@ func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOption
 	if err != nil {
 		return report, err
 	}
-	if failed != nil {
+	if w := found[0]; w != nil {
+		stuck, stuckErr := firstStuck(w.Cfg, false)
 		return report, fmt.Errorf(
 			"check: obstruction-freedom violated: p%d does not decide within %d solo steps from a configuration at depth %d: %w",
-			failed.pid, soloBound, failed.depth, failed.err)
+			stuck, soloBound, w.Depth, stuckErr)
 	}
 	return report, nil
 }

@@ -28,8 +28,8 @@ import (
 // declaring no symmetry run unreduced (states_pruned stays 0).
 //
 // The quotient is one of *reachability*, not of schedules: it is sound
-// for the questions Explore, ClassifyValency and CheckObstructionFree
-// answer (decided-value sets, valency classes, violation existence — all
+// for the questions Explore and CheckObstructionFree answer
+// (decided-value sets, valency classes, violation existence — all
 // orbit-invariant) and is rejected for witness-producing runs
 // (EngineOptions.Provenance: lowerbound schedule searches, certificate
 // ledgers) where the specific interleaving matters, and for exact

@@ -163,13 +163,10 @@ func TestReduceDifferentialValency(t *testing.T) {
 			var base *check.ValencyResult
 			for _, mode := range []string{check.ReduceNone, check.ReduceSym} {
 				for _, store := range []string{check.StoreMem, check.StoreSpill} {
-					res, err := check.ClassifyValencyOpts(tc.p, c, pids, check.ExploreOptions{
+					res := classifyT(t, tc.p, c, pids, check.ExploreOptions{
 						Limits: limits,
 						Engine: check.EngineOptions{Reduction: mode, Store: store},
 					})
-					if err != nil {
-						t.Fatalf("%s/%s: %v", mode, store, err)
-					}
 					if base == nil {
 						base = res
 						continue

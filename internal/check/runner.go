@@ -6,10 +6,12 @@
 //
 // # The frontier engine
 //
-// All exhaustive searches (Explore, ClassifyValency, CheckObstructionFree
-// and, via the lowerbound package, the schedule, bivalence and covering
-// searches) run on the frontier engine (RunFrontier): one expansion core and one
-// worker loop over it, fed in one of two orders. The per-worker expander
+// All exhaustive searches (Explore, CheckObstructionFree and, via the
+// lowerbound package, the schedule, bivalence and covering searches) are
+// one class search (SearchClasses: per class of configurations, the
+// smallest visited node by depth, fingerprint and key) on the frontier
+// engine (RunFrontier): one expansion core and one worker loop over it,
+// fed in one of two orders. The per-worker expander
 // (expand.go) turns a node into keyed successors — arena-backed
 // copy-on-write steps with incrementally-maintained fingerprints
 // (model.Stepper), node buffers recycled through sync.Pool, one keying

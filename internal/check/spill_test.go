@@ -142,14 +142,12 @@ func TestSpillProvenanceSchedules(t *testing.T) {
 	stats, err := check.RunFrontier(p, start, []int{0, 1, 2}, check.ExploreLimits{},
 		check.EngineOptions{Workers: 2, Provenance: true, Store: check.StoreSpill, MemBudget: 1},
 		func(_ int, n *check.Node) error {
-			replay := start.Clone()
-			for _, pid := range n.Schedule() {
-				if _, err := model.Apply(p, replay, pid); err != nil {
-					return fmt.Errorf("replaying schedule %v: %w", n.Schedule(), err)
-				}
+			replay, err := model.Replay(p, start, n.Path())
+			if err != nil {
+				return fmt.Errorf("replaying path %v: %w", n.Path(), err)
 			}
 			if replay.Key() != n.Cfg.Key() {
-				return fmt.Errorf("schedule %v replays to %q, node holds %q", n.Schedule(), replay.Key(), n.Cfg.Key())
+				return fmt.Errorf("path %v replays to %q, node holds %q", n.Path(), replay.Key(), n.Cfg.Key())
 			}
 			return nil
 		}, nil)

@@ -229,7 +229,7 @@ func TestAlternateAdversaryStallsButSoloFinishes(t *testing.T) {
 func TestInitialBivalence(t *testing.T) {
 	p := core.MustNew(core.Params{N: 3, K: 1, M: 2})
 	c := model.MustNewConfig(p, []int{0, 1, 1})
-	v := check.ClassifyValency(p, c, []int{0, 1, 2}, check.ExploreLimits{MaxConfigs: 20000})
+	v := check.ValencyFromResult(check.Explore(p, c, []int{0, 1, 2}, 0, check.ExploreLimits{MaxConfigs: 20000}))
 	if v.Class != check.Bivalent {
 		t.Fatalf("initial configuration classified %v (values %v), want bivalent", v.Class, v.Values)
 	}
@@ -245,7 +245,7 @@ func TestDecidedConfigurationIsUnivalent(t *testing.T) {
 	if _, err := check.Run(p, c, &sched.RoundRobin{Quantum: params.SoloStepBound()}, 100000); err != nil {
 		t.Fatal(err)
 	}
-	v := check.ClassifyValency(p, c, []int{0, 1}, check.ExploreLimits{})
+	v := check.ValencyFromResult(check.Explore(p, c, []int{0, 1}, 0, check.ExploreLimits{}))
 	if v.Class != check.Univalent {
 		t.Fatalf("fully decided configuration classified %v, want univalent", v.Class)
 	}

@@ -726,10 +726,12 @@ func budgetKeep(next []int, keepTotal int) []int {
 
 // mergeResults folds the per-peer shares into one ExploreResult: counts
 // sum, completeness ANDs, decided values union, and the violation
-// witness is the global (depth, fingerprint) minimum replayed from its
-// pid path — the same representative the single-process engine reports.
-// Per-value witnesses merge the same way (global minimum per value),
-// each validated by replaying its path from the start configuration.
+// witness is the global minimum in the witness order (check.WitnessCmp),
+// replayed from its pid path — the same representative the
+// single-process engine reports. Peers own disjoint fingerprints, so the
+// order never ties here. Per-value witnesses merge the same way (global
+// minimum per value), each validated by replaying its path from the start
+// configuration.
 func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failState) (*check.ExploreResult, error) {
 	out := &check.ExploreResult{Complete: true}
 	decided := map[int]bool{}
@@ -744,16 +746,12 @@ func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failSta
 		if r.MaxTogether > out.MaxDecidedTogether {
 			out.MaxDecidedTogether = r.MaxTogether
 		}
-		if r.HasViol {
-			if viol == nil || r.ViolDepth < viol.ViolDepth ||
-				(r.ViolDepth == viol.ViolDepth && r.ViolFP < viol.ViolFP) {
-				viol = r
-			}
+		if r.HasViol && (viol == nil || check.WitnessCmp(r.ViolDepth, r.ViolFP, viol.ViolDepth, viol.ViolFP) < 0) {
+			viol = r
 		}
 		for i := range r.ValWits {
 			w := &r.ValWits[i]
-			b := bestWit[w.Value]
-			if b == nil || w.Depth < b.Depth || (w.Depth == b.Depth && w.FP < b.FP) {
+			if b := bestWit[w.Value]; b == nil || check.WitnessCmp(w.Depth, w.FP, b.Depth, b.FP) < 0 {
 				bestWit[w.Value] = w
 			}
 		}

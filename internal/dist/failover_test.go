@@ -214,8 +214,7 @@ func TestHeartbeatFalsePositive(t *testing.T) {
 
 // TestFailoverValencyParity: the distributed valency classification
 // (merged decided values + replay-validated witnesses) matches the
-// single-process ClassifyValencyOpts class, including across a
-// fail-over.
+// single-process exploration's class, including across a fail-over.
 func TestFailoverValencyParity(t *testing.T) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 2})
 	inputs := []int{0, 1, 1, 0}
@@ -226,10 +225,11 @@ func TestFailoverValencyParity(t *testing.T) {
 		Limits: check.ExploreLimits{MaxConfigs: 200000},
 		Engine: check.EngineOptions{Workers: 2},
 	}
-	oracleVal, err := check.ClassifyValencyOpts(p, c, pidsOf(p), opts)
+	oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracleVal := check.ValencyFromResult(oracle)
 	res, err := dist.LoopbackExploreOpts(context.Background(), p, inputs, 1, opts, dist.LoopbackOptions{
 		Peers: 2, Failover: true, PeerRetries: 2,
 		Kill: true, KillPeer: 1, KillAfterWrites: 4,

@@ -20,9 +20,8 @@
 //
 // Every search here reaches configurations only through the frontier
 // engine (check.RunFrontier): the witness, bivalence, Lemma 13 and
-// covering searches are one provenance search (search.go) under
-// different classifiers, and Lemma 16 certifies valency with
-// check.ClassifyValencyOpts.
+// covering searches and Lemma 16's bivalence test are the one class
+// search, check.SearchClasses, under different classifiers.
 //
 // A lower bound quantifies over all algorithms and is not itself
 // executable; what these tools certify is the constructive content of the

@@ -54,25 +54,18 @@ type BivalenceCertificate struct {
 }
 
 // ProveBivalent searches for a bivalence certificate for Q in c: two
-// Q-only executions deciding different values. It is the provenance
-// search whose classes are the values Q's processes have decided,
-// stopping once two are met. Returns nil if none found within limits
-// (which proves nothing — univalence needs exhaustion).
+// Q-only executions deciding different values. It is the class search
+// whose classes are the values Q's processes have decided, stopping once
+// two are met. Returns nil if none found within limits (which proves
+// nothing — univalence needs exhaustion).
 func ProveBivalent(p model.Protocol, c *model.Config, q []int, limits SearchLimits) (*BivalenceCertificate, error) {
-	found, _, err := provenance(p, c, q, limits, 2, func(cfg *model.Config, classes []int) ([]int, error) {
-		for _, pid := range q {
-			if v, ok := cfg.Decided(p, pid); ok && !slices.Contains(classes, v) {
-				classes = append(classes, v)
-			}
-		}
-		return classes, nil
-	})
+	found, _, err := check.SearchClasses(p, c, q, limits.engineOptions(), 2, decidedBy(p, q))
 	if err != nil || len(found) < 2 {
 		return nil, err
 	}
 	vals := slices.Sorted(maps.Keys(found))
 	return &BivalenceCertificate{
-		Schedules: [2][]int{found[vals[0]].schedule, found[vals[1]].schedule},
+		Schedules: [2][]int{found[vals[0]].Schedule(), found[vals[1]].Schedule()},
 		Values:    [2]int{vals[0], vals[1]},
 	}, nil
 }
@@ -137,7 +130,7 @@ type Lemma13Result struct {
 // Lemma13Gamma searches for the γ guaranteed by Lemma 13: given a
 // configuration c in which Q is bivalent and S ⊆ P covers a set of
 // objects, find a Q-only execution γ from c such that Q is bivalent in
-// Cγβ, where β is the block swap by S. It is the provenance search over
+// Cγβ, where β is the block swap by S. It is the class search over
 // Q-only schedules whose one class, 0, holds the configurations in which
 // ProveBivalent (within bivLimits) certifies Q after β, applied on a
 // clone; it stops at the first level holding one.
@@ -149,7 +142,7 @@ func Lemma13Gamma(p model.Protocol, c *model.Config, q, s []int, limits SearchLi
 		}
 		return ProveBivalent(p, withBeta, q, bivLimits)
 	}
-	found, stats, err := provenance(p, c, q, limits, 1, func(cfg *model.Config, classes []int) ([]int, error) {
+	found, stats, err := check.SearchClasses(p, c, q, limits.engineOptions(), 1, func(cfg *model.Config, classes []int) ([]int, error) {
 		cert, err := afterBeta(cfg)
 		if cert != nil {
 			classes = append(classes, 0)
@@ -159,19 +152,19 @@ func Lemma13Gamma(p model.Protocol, c *model.Config, q, s []int, limits SearchLi
 	if err != nil {
 		return nil, err
 	}
-	gamma, ok := found[0]
-	if !ok {
+	gamma := found[0]
+	if gamma == nil {
 		if !stats.Complete {
 			return nil, fmt.Errorf("lowerbound: lemma 13 search budget exhausted after %d prefixes", stats.Processed)
 		}
 		return nil, fmt.Errorf("lowerbound: lemma 13: no γ found within limits (%d prefixes tried)", stats.Processed)
 	}
 	// The certificate is not kept per node; γ's is found again.
-	cert, err := afterBeta(gamma.end)
+	cert, err := afterBeta(gamma.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Lemma13Result{Gamma: gamma.schedule, Bivalence: cert, Tried: stats.Processed}, nil
+	return &Lemma13Result{Gamma: gamma.Schedule(), Bivalence: cert, Tried: stats.Processed}, nil
 }
 
 // CoveringScanResult reports the strongest covering structure found in a
@@ -193,15 +186,15 @@ type CoveringScanResult struct {
 // inputs and reports the maximum simultaneous covering found — the
 // empirical analogue of the covering structures that Lemma 16 accumulates
 // (its X_i ∪ Y_i sets grow to n-2 covered-or-frozen objects). It is the
-// provenance search whose class is the number of covered objects; it
-// never stops early and reports the largest class.
+// class search whose class is the number of covered objects; it never
+// stops early and reports the largest class.
 func CoveringScan(p model.Protocol, inputs []int, limits SearchLimits) (*CoveringScanResult, error) {
 	start, err := model.NewConfig(p, inputs)
 	if err != nil {
 		return nil, err
 	}
 	all := allPids(p)
-	found, stats, err := provenance(p, start, all, limits, 0, func(cfg *model.Config, classes []int) ([]int, error) {
+	found, stats, err := check.SearchClasses(p, start, all, limits.engineOptions(), 0, func(cfg *model.Config, classes []int) ([]int, error) {
 		return append(classes, len(CoveredObjects(p, cfg, all))), nil
 	})
 	if err != nil {
@@ -210,8 +203,8 @@ func CoveringScan(p model.Protocol, inputs []int, limits SearchLimits) (*Coverin
 	maxCovered := slices.Max(slices.Collect(maps.Keys(found)))
 	return &CoveringScanResult{
 		MaxCovered: maxCovered,
-		Schedule:   found[maxCovered].schedule,
-		CoverMap:   CoveredObjects(p, found[maxCovered].end, all),
+		Schedule:   found[maxCovered].Schedule(),
+		CoverMap:   CoveredObjects(p, found[maxCovered].Cfg, all),
 		Visited:    stats.Processed,
 	}, nil
 }

@@ -99,9 +99,11 @@ func (r *Lemma16Result) Size() int { return len(r.X) + len(r.Y) }
 // completed stages classify to Y (covered) in practice; the X branch is
 // kept for structural fidelity and defensively exercised by tests.
 //
-// Valency is certified by exhaustive exploration (check.ClassifyValency);
-// limits bound that exploration, and an Unknown classification stops the
-// run (soundness over progress).
+// Q's bivalence is certified by a class search over Q-only executions
+// (check.SearchClasses) whose classes are the values Q decides: two met
+// classes prove bivalence, and only a complete search proves its absence.
+// limits.MaxConfigs bounds that search, and a search the budget cuts
+// short of two classes stops the run (soundness over progress).
 func Lemma16Run(p model.Protocol, limits SearchLimits) (*Lemma16Result, error) {
 	n := p.NumProcesses()
 	if n < 3 {
@@ -113,9 +115,9 @@ func Lemma16Run(p model.Protocol, limits SearchLimits) (*Lemma16Result, error) {
 		}
 	}
 	limits = limits.withDefaults()
-	exploreLimits := check.ExploreLimits{MaxConfigs: limits.MaxConfigs}
-	_, engOpts := limits.engineOptions()
-	engOpts.Provenance = false // valency needs no witness schedules
+	valencyOpts := limits.engineOptions()
+	valencyOpts.Limits.MaxDepth = 0       // the budget alone bounds a valency search
+	valencyOpts.Engine.Provenance = false // and it needs no witness schedules
 
 	// Initial configuration: q0 input 0, q1 input 1, P input split.
 	inputs := make([]int, n)
@@ -132,14 +134,13 @@ func Lemma16Run(p model.Protocol, limits SearchLimits) (*Lemma16Result, error) {
 	inXY := map[int]bool{}
 
 	bivalent := func(c *model.Config) (bool, error) {
-		v, err := check.ClassifyValencyOpts(p, c, q, check.ExploreOptions{Limits: exploreLimits, Engine: engOpts})
-		if err != nil {
+		found, stats, err := check.SearchClasses(p, c, q, valencyOpts, 2, decidedBy(p, q))
+		switch {
+		case err != nil:
 			return false, fmt.Errorf("lowerbound: lemma 16: %w", err)
-		}
-		switch v.Class {
-		case check.Bivalent:
+		case len(found) >= 2:
 			return true, nil
-		case check.Univalent, check.Undecidable:
+		case stats.Complete:
 			return false, nil
 		default:
 			return false, fmt.Errorf("lowerbound: lemma 16: valency unknown within budget")

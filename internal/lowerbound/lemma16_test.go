@@ -2,6 +2,8 @@ package lowerbound
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -183,11 +185,11 @@ var (
 	_ model.InputDomainer = refereeProto{}
 )
 
-// TestLemma16PositiveStageOnReferee drives the induction's progress path:
-// the first P process's flag swap forces Q univalent, so stage 1
-// completes with the flag object joining Y under p2's cover; later stages
-// stop at Lemma 13 (no γ keeps Q bivalent across p2's pending flag swap —
-// the flag is decisive by construction).
+// TestLemma16PositiveStageOnReferee drives the induction's progress path
+// and pins its whole result: the first P process's flag swap forces Q
+// univalent, so stage 1 completes with the flag object joining Y under
+// p2's cover. Stage 2 finds a Lemma 13 γ, and p3's solo run keeps Q
+// bivalent at every step, so its prefix outgrows the depth bound.
 func TestLemma16PositiveStageOnReferee(t *testing.T) {
 	res, err := Lemma16Run(refereeProto{n: 4}, SearchLimits{MaxConfigs: 50000, MaxDepth: 32})
 	if err != nil {
@@ -196,21 +198,20 @@ func TestLemma16PositiveStageOnReferee(t *testing.T) {
 	if res.Violation != nil {
 		t.Fatalf("referee keeps Q sound; no violation expected: %+v", res.Violation)
 	}
-	if len(res.Stages) < 1 {
-		t.Fatalf("no stage completed; stop=%q", res.StopReason)
+	wantStages := []Lemma16Stage{{Pid: 2, GammaLen: 0, PrefixLen: 0, Object: 1, ToX: false}}
+	if !slices.Equal(res.Stages, wantStages) {
+		t.Errorf("stages = %+v, want %+v", res.Stages, wantStages)
 	}
-	st := res.Stages[0]
-	if st.Pid != 2 || st.Object != 1 || st.ToX {
-		t.Fatalf("stage 1 = %+v, want p2 covering B1 (Y)", st)
+	if len(res.X) != 0 || !slices.Equal(res.Y, []int{1}) {
+		t.Errorf("X = %v, Y = %v, want [] and [1]", res.X, res.Y)
 	}
-	if res.S[2] != 1 {
-		t.Fatalf("S = %v, want p2 → B1", res.S)
+	if !maps.Equal(res.S, map[int]int{2: 1}) {
+		t.Errorf("S = %v, want map[2:1]", res.S)
 	}
-	if len(res.Y) != 1 || res.Y[0] != 1 {
-		t.Fatalf("Y = %v, want [1]", res.Y)
+	if res.Completed || res.StopReason != "stage p3: solo prefix exceeded depth 32" {
+		t.Errorf("completed = %t, stop = %q, want false and %q",
+			res.Completed, res.StopReason, "stage p3: solo prefix exceeded depth 32")
 	}
-	t.Logf("referee: stages=%d X=%v Y=%v completed=%t stop=%q",
-		len(res.Stages), res.X, res.Y, res.Completed, res.StopReason)
 }
 
 // TestLemma16RejectsUnboundedDomains: valency certification needs a

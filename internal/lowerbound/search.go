@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/check"
 	"repro/internal/model"
@@ -58,13 +57,15 @@ func (l SearchLimits) withDefaults() SearchLimits {
 // has no level barrier), so the engine rejects either together with
 // Provenance (check.ModeConflicts), and the callers that parse them
 // (harness.EngineFlags.SearchLimits) validate with provenance first.
-func (l SearchLimits) engineOptions() (check.ExploreLimits, check.EngineOptions) {
+func (l SearchLimits) engineOptions() check.ExploreOptions {
 	l = l.withDefaults()
-	return check.ExploreLimits{MaxConfigs: l.MaxConfigs, MaxDepth: l.MaxDepth},
-		check.EngineOptions{Ctx: l.Ctx, Workers: l.Workers, StringKeys: !l.Fingerprints,
+	return check.ExploreOptions{
+		Limits: check.ExploreLimits{MaxConfigs: l.MaxConfigs, MaxDepth: l.MaxDepth},
+		Engine: check.EngineOptions{Ctx: l.Ctx, Workers: l.Workers, StringKeys: !l.Fingerprints,
 			Store: l.Store, MemBudget: l.MemBudget,
-			// A witness is a node's provenance path, copied at its visit.
-			Provenance: true, Progress: l.Progress}
+			// A witness's schedule is its node's provenance path.
+			Provenance: true, Progress: l.Progress},
+	}
 }
 
 // Witness is a found schedule together with what it demonstrates.
@@ -97,10 +98,10 @@ func FindKDistinctDecisions(p model.Protocol, inputs []int, restrict []int, k in
 	return w, err
 }
 
-// searchDecisions is the provenance search for a configuration whose
-// number of distinct decided values satisfies goal: every goal node is
-// class 0, and the run stops at the first level holding one. complete
-// is false when the limits cut the search short of a witness.
+// searchDecisions is the class search for a configuration whose number
+// of distinct decided values satisfies goal: every goal node is class 0,
+// and the run stops at the first level holding one. complete is false
+// when the limits cut the search short of a witness.
 func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits SearchLimits, goal func(distinct int) bool) (w *Witness, complete bool, err error) {
 	start, err := model.NewConfig(p, inputs)
 	if err != nil {
@@ -109,7 +110,7 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 	if restrict == nil {
 		restrict = allPids(p)
 	}
-	found, stats, err := provenance(p, start, restrict, limits, 1, func(cfg *model.Config, classes []int) ([]int, error) {
+	found, stats, err := check.SearchClasses(p, start, restrict, limits.engineOptions(), 1, func(cfg *model.Config, classes []int) ([]int, error) {
 		// The distinct decided values (a k-set protocol decides at most
 		// k+1 of them) are collected on the stack.
 		var buf [8]int
@@ -124,91 +125,24 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 		}
 		return classes, nil
 	})
-	best, ok := found[0]
-	if err != nil || !ok {
+	best := found[0]
+	if err != nil || best == nil {
 		return nil, stats.Complete, err // no witness: the space or the budget ran out
 	}
-	return &Witness{Schedule: best.schedule, Decided: best.end.DecidedValues(p), Visited: stats.Processed}, true, nil
+	return &Witness{Schedule: best.Schedule(), Decided: best.Cfg.DecidedValues(p), Visited: stats.Processed}, true, nil
 }
 
-// classBest is the smallest node of a provenance class: its schedule
-// from the search's start, and the configuration that schedule ends in.
-type classBest struct {
-	schedule []int
-	end      *model.Config
-}
-
-// provenance is the search behind every schedule this package returns:
-// a breadth-first walk of the pids-only space from start on
-// check.RunFrontier, with provenance paths. classify, run concurrently
-// on the engine's workers, appends the int classes (zero or more) of
-// each visited configuration to its second argument; for each class the
-// search keeps the smallest node by (depth, fingerprint, key), so what
-// it returns depends neither on the worker count nor on the store. At
-// every level barrier the run stops once stopAt classes are met (0:
-// never). found maps each class met to its smallest node.
-func provenance(p model.Protocol, start *model.Config, pids []int, limits SearchLimits, stopAt int,
-	classify func(cfg *model.Config, classes []int) ([]int, error),
-) (found map[int]classBest, stats check.RunStats, err error) {
-	type best struct {
-		depth int
-		fp    uint64
-		path  []byte
-	}
-	var (
-		mu                sync.Mutex
-		bests             = map[int]best{}
-		exLimits, engOpts = limits.engineOptions()
-	)
-	visit := func(_ int, n *check.Node) error {
-		var buf [4]int
-		classes, err := classify(n.Cfg, buf[:0])
-		if err != nil || len(classes) == 0 {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for _, c := range classes {
-			b, ok := bests[c]
-			if ok && (b.depth < n.Depth || b.depth == n.Depth && b.fp < n.Fingerprint()) {
-				continue
+// decidedBy is the classifier whose classes are the values the processes
+// of q have decided.
+func decidedBy(p model.Protocol, q []int) func(cfg *model.Config, classes []int) ([]int, error) {
+	return func(cfg *model.Config, classes []int) ([]int, error) {
+		for _, pid := range q {
+			if v, ok := cfg.Decided(p, pid); ok && !slices.Contains(classes, v) {
+				classes = append(classes, v)
 			}
-			if ok && b.depth == n.Depth && b.fp == n.Fingerprint() {
-				// Only exact keys admit two configurations with one
-				// fingerprint; the key decides, the incumbent's replayed.
-				old, err := model.Replay(p, start, b.path)
-				if err != nil {
-					return err
-				}
-				if old.Key() < n.Cfg.Key() {
-					continue
-				}
-			}
-			bests[c] = best{n.Depth, n.Fingerprint(), slices.Clone(n.Path())}
 		}
-		return nil
+		return classes, nil
 	}
-	afterLevel := func(_, _ int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return stopAt > 0 && len(bests) >= stopAt
-	}
-	if stats, err = check.RunFrontier(p, start, pids, exLimits, engOpts, visit, afterLevel); err != nil {
-		return nil, stats, fmt.Errorf("lowerbound: search: %w", err)
-	}
-	found = make(map[int]classBest, len(bests))
-	for c, b := range bests {
-		end, err := model.Replay(p, start, b.path)
-		if err != nil {
-			return nil, stats, err
-		}
-		var schedule []int
-		for _, pid := range b.path {
-			schedule = append(schedule, int(pid))
-		}
-		found[c] = classBest{schedule, end}
-	}
-	return found, stats, nil
 }
 
 // allPids returns 0..n-1 for p's n processes.
@@ -268,10 +202,7 @@ func Theorem10Driver(p model.Protocol, k int, limits SearchLimits, soloBound int
 	}
 	cert := &Theorem10Certificate{Bound: Theorem10Bound(n, k)}
 
-	processes := make([]int, n)
-	for i := range processes {
-		processes[i] = i
-	}
+	processes := allPids(p)
 	level := k
 	for {
 		if level == 1 {

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/lowerbound"
 	"repro/internal/model"
 )
@@ -160,6 +162,69 @@ func TestCoveringScanBudgetBoundVisitsMaxConfigs(t *testing.T) {
 		}
 		if res.Visited != max {
 			t.Errorf("MaxConfigs %d: Visited = %d, want %d", max, res.Visited, max)
+		}
+	}
+}
+
+// TestExploreViolationIsSearchWitness: ExploreOpts' agreement violation
+// and FindAgreementViolation's witness are picked by one rule, the
+// smallest violating node by (depth, fingerprint, key), so the schedule
+// the search returns replays to the configuration the explorer reports,
+// at every worker count.
+func TestExploreViolationIsSearchWitness(t *testing.T) {
+	toyBit3, err := baseline.NewToyBitRace(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toyBit4, err := baseline.NewToyBitRace(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 20000
+	for _, tc := range []struct {
+		name   string
+		p      model.Protocol
+		inputs []int
+	}{
+		{"pair consensus, 3 processes", baseline.NewPairConsensus(2).WithProcesses(3), []int{0, 1, 1}},
+		{"toy-bit race n=3", toyBit3, []int{0, 1, 0}},
+		{"toy-bit race n=4", toyBit4, []int{0, 1, 0, 1}},
+		{"ablation margin=1 n=3", core.MustNew(core.Params{N: 3, K: 1, M: 2, Ablation: core.Ablation{Margin: 1}}), []int{0, 1, 0}},
+	} {
+		for _, workers := range []int{1, 4} {
+			start := model.MustNewConfig(tc.p, tc.inputs)
+			pids := make([]int, len(tc.inputs))
+			for i := range pids {
+				pids[i] = i
+			}
+			res, err := check.ExploreOpts(tc.p, start, pids, 1, check.ExploreOptions{
+				Limits: check.ExploreLimits{MaxConfigs: budget},
+				Engine: check.EngineOptions{Workers: workers},
+			})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", tc.name, workers, err)
+			}
+			w, err := lowerbound.FindAgreementViolation(tc.p, tc.inputs, 1,
+				lowerbound.SearchLimits{MaxConfigs: budget, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", tc.name, workers, err)
+			}
+			if res.AgreementViolation == nil || w == nil {
+				t.Fatalf("%s, %d workers: explorer violation %v, search witness %v; want both", tc.name, workers,
+					res.AgreementViolation, w)
+			}
+			path := make([]byte, len(w.Schedule))
+			for i, pid := range w.Schedule {
+				path[i] = byte(pid)
+			}
+			end, err := model.Replay(tc.p, start, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if end.Key() != res.AgreementViolation.Key() {
+				t.Errorf("%s, %d workers: schedule %v replays to\n%s\nexplorer reports\n%s", tc.name, workers,
+					w.Schedule, end.Key(), res.AgreementViolation.Key())
+			}
 		}
 	}
 }

@@ -135,10 +135,10 @@ func TestDegenerateHashExactRuns(t *testing.T) {
 	// The obstruction cell. Under a solo bound the instance cannot meet,
 	// the check fails at the first level holding a stuck (configuration,
 	// pid) pair and reports the smallest; exact-key runs order those by
-	// (fingerprint, key, pid), so with every fingerprint equal the report
-	// is the pair degenerateStuck derives from the keys alone — in this
-	// instance not the level's smallest stuck pid, which is what ordering
-	// by fingerprint alone reports.
+	// (fingerprint, Config.Key, pid), so with every fingerprint equal the
+	// report is the pair degenerateStuck derives from the keys alone — in
+	// this instance not the level's smallest stuck pid, which is what
+	// ordering by fingerprint alone reports.
 	const soloBound = 4
 	obsInputs := []int{0, 1, 0}
 	pid, depth, smallestPid := degenerateStuck(t, toybit, model.MustNewConfig(toybit, obsInputs), soloBound)
@@ -166,7 +166,7 @@ func TestDegenerateHashExactRuns(t *testing.T) {
 // under soloBound must report when fingerprints carry no information:
 // breadth-first by levels, the first level holding a process that does
 // not decide solo within the bound from one of its configurations, and
-// there the smallest (configuration encoding, pid). smallestPid is the
+// there the smallest (Config.Key, pid). smallestPid is the
 // smallest stuck pid anywhere in that level.
 func degenerateStuck(t *testing.T, p model.Protocol, start *model.Config, soloBound int) (pid, depth, smallestPid int) {
 	t.Helper()
@@ -178,7 +178,7 @@ func degenerateStuck(t *testing.T, p model.Protocol, start *model.Config, soloBo
 			encs = append(encs, enc)
 			seen[enc] = true
 		}
-		sort.Strings(encs)
+		sort.Slice(encs, func(i, j int) bool { return level[encs[i]].Key() < level[encs[j]].Key() })
 		pid, smallestPid = -1, -1
 		next := map[string]*model.Config{}
 		for _, enc := range encs {

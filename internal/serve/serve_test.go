@@ -334,6 +334,8 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		"stray inputs":  `{"row":"theorem10","n":3,"k":1,"inputs":[0,1,0]}`,
 		"bad inputs":    `{"row":"explore","n":4,"k":2,"inputs":[0,1]}`,
 		"bad engine":    `{"row":"explore","n":4,"k":2,"engine":{"store":"floppy"}}`,
+		"bad keys":      `{"row":"explore","n":4,"k":2,"engine":{"keys":"exact"}}`,
+		"bad workers":   `{"row":"explore","n":4,"k":2,"engine":{"workers":-2}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -108,6 +108,14 @@ func (e EngineSpec) label() string {
 // axis combinations (the engine's check.ModeConflicts table owns every
 // cross-axis rule) so a typo'd spec fails before any cell runs.
 func (e EngineSpec) validate() error {
+	switch e.Keys {
+	case "", "fingerprint", "string":
+	default:
+		return fmt.Errorf("sweep: unknown keys %q (have %q, %q)", e.Keys, "fingerprint", "string")
+	}
+	if e.Workers < 0 {
+		return fmt.Errorf("sweep: workers %d must not be negative", e.Workers)
+	}
 	switch e.Store {
 	case "", check.StoreMem, check.StoreSpill:
 	default:

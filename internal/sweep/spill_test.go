@@ -24,8 +24,8 @@ func TestEngineSpecStoreLabel(t *testing.T) {
 	}
 }
 
-// TestEngineSpecValidation: unknown stores and bad budgets fail at grid
-// expansion, before any cell runs.
+// TestEngineSpecValidation: unknown stores and keyings, bad budgets and
+// negative worker counts fail at grid expansion, before any cell runs.
 func TestEngineSpecValidation(t *testing.T) {
 	g := Grid{Rows: []string{"explore"}, Ns: []int{3}, Ks: []int{1},
 		Engines: []EngineSpec{{Store: "floppy"}}}
@@ -42,6 +42,12 @@ func TestEngineSpecValidation(t *testing.T) {
 	}
 	if _, err := ParseGrid([]byte(`{"engines":[{"store":"floppy"}]}`)); err == nil {
 		t.Error("unknown store accepted by ParseGrid")
+	}
+	if _, err := ParseGrid([]byte(`{"engines":[{"keys":"exact"}]}`)); err == nil {
+		t.Error("unknown keys accepted by ParseGrid")
+	}
+	if _, err := ParseGrid([]byte(`{"engines":[{"workers":-2}]}`)); err == nil {
+		t.Error("negative workers accepted by ParseGrid")
 	}
 }
 
