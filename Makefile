@@ -24,6 +24,13 @@ race:
 race-short:
 	go test -short -race ./...
 
+# chaos is the crash-and-restart suite behind its build tag, run exactly
+# as CI's chaos-smoke job runs it: the kill-and-restart matrix and the
+# injected I/O faults, under the race detector.
+.PHONY: chaos
+chaos:
+	go test -race -tags chaos ./internal/fault/chaostest/
+
 # spill-smoke forces real disk spills: a 64KB budget against a ~240KB
 # visited set, race-enabled — the local twin of the CI spill-smoke job.
 .PHONY: spill-smoke

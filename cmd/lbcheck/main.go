@@ -62,14 +62,26 @@ var (
 // engineFlags names the flags of the engine block (harness.EngineFlags).
 var engineFlags = []string{"workers", "fingerprints", "store", "membudget", "progress", "order", "reduce", "checkpoint", "checkpointevery"}
 
+// usageError marks an error as the command line's: a flag that does not
+// parse or an engine flag block that does not validate.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lbcheck:", err)
-		if errors.Is(err, errUsage) || errors.Is(err, errEngineFlag) {
-			os.Exit(2)
-		}
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// exitCode is the status lbcheck exits with on err: 2 for a usage error,
+// 1 for a run that failed.
+func exitCode(err error) int {
+	if errors.Is(err, errUsage) || errors.Is(err, errEngineFlag) || errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
 }
 
 func run(args []string, out io.Writer) error {
@@ -86,7 +98,7 @@ func run(args []string, out io.Writer) error {
 	engFlags := harness.RegisterEngineFlags(fs, true)
 	profFlags := prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	maxConfigs, maxDepth := limitFlags.Max, limitFlags.Depth
 	if (*figure1 || *forbidden) && !*theorem10 && !*counter && !*covering && !*lemma16 {
@@ -130,7 +142,7 @@ func run(args []string, out io.Writer) error {
 	// searches cannot honor (-order async, -reduce, -checkpoint), as a
 	// usage error before any search runs.
 	if _, err := engFlags.SearchLimits(0, 0, nil); err != nil {
-		return err
+		return usageError{err}
 	}
 	// limits resolves a mode's default budget from the shared sweep
 	// registry and applies the overrides.

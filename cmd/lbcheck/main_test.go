@@ -154,3 +154,33 @@ func TestRunEngineFlagWithoutEngineIsUsageError(t *testing.T) {
 		t.Errorf("-figure1 with a search mode and -workers: %v", err)
 	}
 }
+
+// TestExitCodes: every usage error exits 2 — no mode, a flag that does not
+// parse, an engine flag for a mode without an engine, and an engine flag
+// block that does not validate (a negative -workers or -checkpointevery,
+// -checkpointevery without -checkpoint, a mode the searches reject) — as
+// mcheck's do; a run exits 0.
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 2},
+		{[]string{"-nosuchflag"}, 2},
+		{[]string{"-figure1", "-n", "4", "-workers", "2"}, 2},
+		{[]string{"-counterexample", "-workers", "-2"}, 2},
+		{[]string{"-counterexample", "-checkpointevery", "-3"}, 2},
+		{[]string{"-counterexample", "-checkpointevery", "3"}, 2},
+		{[]string{"-counterexample", "-order", "async"}, 2},
+		{[]string{"-counterexample", "-workers", "2"}, 0},
+	} {
+		var out strings.Builder
+		got := 0
+		if err := run(tc.args, &out); err != nil {
+			got = exitCode(err)
+		}
+		if got != tc.want {
+			t.Errorf("%v: exit %d, want %d", tc.args, got, tc.want)
+		}
+	}
+}

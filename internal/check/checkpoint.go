@@ -3,12 +3,21 @@ package check
 // Exploration checkpointing: at a level barrier the engine's state is a
 // pure function of (visited set, next frontier, counters, search-layer
 // accumulators) — no goroutine is live and no node is half-expanded —
-// so a crash-consistent snapshot is three artifacts plus a manifest:
+// so a crash-consistent snapshot is a manifest over a few artifacts:
 //
-//	visited-<gen>   every visited (fingerprint, key) entry
+//	visited-<g>     generation g's visited delta: every entry the level
+//	                cuts kept since generation g-1 (visited-1 starts at
+//	                the root), each exactly once
 //	frontier-<gen>  the next level's nodes as root-to-node pid paths
 //	aux-<gen>       opaque search-layer accumulators (Explore/valency)
-//	MANIFEST.json   counters + profile + generation, renamed LAST
+//	MANIFEST.json   counters + profile + generation + frontier checksum,
+//	                renamed LAST
+//
+// Generation gen's visited set is the union of visited-1 … visited-gen,
+// which together hold exactly the manifest's Admitted entries: a snapshot
+// writes what its barriers added, not the set again. The deltas stay on
+// disk as long as the manifest names them; the frontier and aux of a
+// generation are reclaimed once the next one commits.
 //
 // The manifest rename is the commit point: everything else is written
 // (checksummed, tmp+renamed) before it, so a crash at any instant
@@ -23,22 +32,27 @@ package check
 // lost ones. Paths store one byte per step, which caps checkpointable
 // protocols at 255 processes.
 //
-// Resume costs time linear in the snapshot. Both artifacts are decoded
-// block-wise into flat arrays (8 bytes per fingerprint, one arena for
-// all paths) and nothing decoded reaches the run until the artifact's
-// CRC trailer has verified, so a corrupt generation still restarts from
-// an empty store. The visited set is then bulk-loaded into tables sized
-// first (spillStore.SeedVisited), and the frontier is replayed
-// in path order with a stack of live nodes, so a prefix shared by many
-// paths is applied once — at most the BFS-tree size in applies, not
-// frontier × depth — by the run's workers in parallel (replayFrontier).
+// Resume costs the visited set's load plus the first resumed level. Every
+// delta is decoded block-wise into flat arrays (8 bytes per fingerprint)
+// and the frontier into one path arena, and nothing decoded reaches the
+// run until every artifact's CRC trailer has verified, so a corrupt
+// generation still restarts from an empty store. The visited set is then
+// bulk-loaded into tables sized first (spillStore.SeedVisited). The
+// frontier is never materialised: the path arena is the first resumed
+// level's FrontierSource (replaySource), each worker replaying the chunk
+// it takes — sorted, so a prefix the chunk's paths share is applied once —
+// and expanding it like any other. The manifest's frontier node count and
+// order-free sum of the nodes' mixed entries are recomputed by the
+// replaying workers and checked before the first resumed barrier commits
+// anything: a damaged or foreign frontier, or a protocol build whose
+// paths replay to other configurations, fails the run.
 //
 // Scope: level-synchronized order only. The async order has no barrier
 // at which the invariant above holds, so ModeConflicts rejects the pair.
+// A due barrier still drains its whole next level into RAM to write the
+// frontier (drainFrontier).
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -47,14 +61,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/fault"
 )
 
 // ckptProfile pins the run parameters a checkpoint is only valid for.
 // Workers and the store's budget are deliberately absent: the
-// visited snapshot is store-agnostic and partition routing is recomputed
+// visited deltas are store-agnostic and partition routing is recomputed
 // from fingerprints at seed time, so a run may resume with a different
 // parallelism or store.
 type ckptProfile struct {
@@ -84,11 +97,18 @@ type ckptManifest struct {
 	// verdict without re-entering the level loop.
 	Finished bool `json:"finished"`
 	HasAux   bool `json:"has_aux"`
+	// FrontierNodes and FrontierSum are the frontier's node count and the
+	// sum of its nodes' frontierMix terms, which the replay recomputes.
+	FrontierNodes int64  `json:"frontier_nodes"`
+	FrontierSum   uint64 `json:"frontier_sum"`
 	// Sum is the CRC32-IEEE of the manifest JSON serialized with Sum=0.
 	Sum uint32 `json:"sum"`
 }
 
-const ckptManifestVersion = 1
+// ckptManifestVersion is the layout the manifest and its artifacts are
+// in. A manifest of another version is quarantined like a corrupt one,
+// and the run starts over.
+const ckptManifestVersion = 2
 
 func ckptManifestPath(dir string) string { return filepath.Join(dir, "MANIFEST.json") }
 
@@ -96,24 +116,37 @@ func ckptGenPath(dir, kind string, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%d", kind, gen))
 }
 
+// frontierMix is a frontier node's term in the manifest's order-free
+// frontier checksum: its dedup entry — the fingerprint, with an exact key
+// folded in by FNV-1a — remixed, so that a node replaced by another moves
+// the sum even where their fingerprints are alike.
+func frontierMix(n *Node) uint64 {
+	h := n.fp
+	for i := 0; i < len(n.key); i++ {
+		h = (h ^ uint64(n.key[i])) * 1099511628211
+	}
+	return mix2(h)
+}
+
 // ckptLoaded is a fully-read and checksum-verified checkpoint, ready for
 // the engine to seed.
 type ckptLoaded struct {
+	dir string
 	man ckptManifest
-	// The visited snapshot: fingerprints and, under exact keys only, the
-	// parallel keys.
-	visitedFP   []uint64
-	visitedKeys []string
-	frontier    [][]byte // the frontier nodes' pid paths from the root
-	aux         []byte
+	// visited is the union of the deltas.
+	visited entryList
+	// paths is the frontier: FrontierNodes pid paths from the root of
+	// NextDepth bytes each, back to back.
+	paths []byte
+	aux   []byte
 }
 
 // loadCheckpoint reads the latest committed checkpoint under dir.
 // Returns (nil, nil) when there is none, or when the one found is
-// corrupt — corrupt generations are quarantined and the run restarts
-// fresh (losing progress, never correctness). A manifest whose profile
-// does not match the current run is an error: silently ignoring it
-// would discard the user's checkpoint without telling them why.
+// corrupt or in another layout — such generations are quarantined and
+// the run restarts fresh (losing progress, never correctness). A manifest
+// whose profile does not match the current run is an error: silently
+// ignoring it would discard the user's checkpoint without telling them why.
 func loadCheckpoint(dir string, profile ckptProfile) (*ckptLoaded, error) {
 	raw, err := os.ReadFile(ckptManifestPath(dir))
 	if os.IsNotExist(err) {
@@ -123,132 +156,100 @@ func loadCheckpoint(dir string, profile ckptProfile) (*ckptLoaded, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	var man ckptManifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		quarantine(ckptManifestPath(dir), "manifest not parseable")
+	if err := json.Unmarshal(raw, &man); err != nil || man.Version != ckptManifestVersion || man.checksum() != man.Sum {
+		quarantine(ckptManifestPath(dir), "manifest unparseable, of another layout version or corrupt")
 		return nil, nil
 	}
-	if crc32.ChecksumIEEE(manifestSummed(raw)) != man.Sum || man.Version != ckptManifestVersion {
-		quarantine(ckptManifestPath(dir), "manifest checksum/version mismatch")
-		return nil, nil
-	}
-	// An earlier build's sleep-set run visited exactly its "sym" twin's
-	// states, level by level, so its snapshot is that twin's.
-	man.Profile.Reduction = strings.Replace(man.Profile.Reduction, "sleep=true", "sleep=false", 1)
 	if man.Profile != profile {
 		return nil, fmt.Errorf("checkpoint: %s holds a checkpoint for a different run (profile %+v, want %+v); use a fresh directory", dir, man.Profile, profile)
 	}
 
-	loaded := &ckptLoaded{man: man}
-	if err := loaded.readVisited(dir); err != nil {
-		return ckptDiscard(dir, man, err)
+	loaded := &ckptLoaded{dir: dir, man: man}
+	err = loaded.readVisited()
+	if err == nil {
+		err = loaded.readFrontier()
 	}
-	if err := loaded.readFrontier(dir); err != nil {
-		return ckptDiscard(dir, man, err)
+	if err == nil && man.HasAux {
+		loaded.aux, err = readArtifactFile(ckptGenPath(dir, "aux", man.Gen), artifactAux)
 	}
-	if man.HasAux {
-		aux, err := readArtifactFile(ckptGenPath(dir, "aux", man.Gen), artifactAux)
-		if err != nil {
-			return ckptDiscard(dir, man, err)
-		}
-		loaded.aux = aux
+	if err != nil {
+		return ckptDiscard(dir, err)
 	}
 	return loaded, nil
 }
 
-// manifestSummed returns the bytes a manifest's checksum covers: the JSON
-// as written with its trailing sum field zeroed. It works on the raw
-// bytes instead of re-marshalling the decoded struct so that a manifest
-// whose profile carries a field this build no longer has (earlier builds
-// wrote "canonical":false) still verifies and resumes.
-func manifestSummed(raw []byte) []byte {
-	i := bytes.LastIndex(raw, []byte(`"sum":`))
-	if i < 0 {
-		return nil
-	}
-	return append(raw[:i:i], `"sum":0}`...)
+// checksum is the manifest's Sum: the CRC32-IEEE of its JSON with Sum 0.
+func (m ckptManifest) checksum() uint32 {
+	m.Sum = 0
+	clean, _ := json.Marshal(m) // plain fields: it cannot fail
+	return crc32.ChecksumIEEE(clean)
 }
 
 // ckptDiscard handles a manifest that committed but whose artifacts are
-// unreadable or corrupt: quarantine the generation and restart fresh.
+// unreadable or corrupt: quarantine the manifest (the corrupt artifact is
+// already) and restart fresh, which clears the rest of the generation.
 // I/O errors other than corruption are surfaced (retrying fresh would
 // likely hit them too).
-func ckptDiscard(dir string, man ckptManifest, err error) (*ckptLoaded, error) {
+func ckptDiscard(dir string, err error) (*ckptLoaded, error) {
 	var corrupt *CorruptArtifactError
 	if !errors.As(err, &corrupt) && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	quarantine(ckptManifestPath(dir), "references unreadable artifacts")
-	quarantine(ckptGenPath(dir, "visited", man.Gen), "generation discarded")
-	quarantine(ckptGenPath(dir, "frontier", man.Gen), "generation discarded")
-	if man.HasAux {
-		quarantine(ckptGenPath(dir, "aux", man.Gen), "generation discarded")
-	}
 	return nil, nil
 }
 
-// readVisited decodes the visited snapshot, an entry stream (entry.go).
-// The arrays are sized from what the snapshot already says: a fingerprint
-// entry is 9 bytes, and an exact-key run holds the manifest's Admitted
-// entries (plus whatever the spill store repeated).
-func (l *ckptLoaded) readVisited(dir string) error {
-	r, err := openEntries(ckptGenPath(dir, "visited", l.man.Gen), artifactVisited)
-	if err != nil {
-		return err
-	}
-	defer r.close()
-	if l.man.Profile.StringKeys {
-		l.visitedFP = make([]uint64, 0, l.man.Admitted)
-		l.visitedKeys = make([]string, 0, l.man.Admitted)
-	} else {
-		l.visitedFP = make([]uint64, 0, r.payload/9)
-	}
-	return r.each(func(fp uint64, key string) error {
-		l.visitedFP = append(l.visitedFP, fp)
-		if l.visitedKeys != nil {
-			l.visitedKeys = append(l.visitedKeys, key)
+// readVisited decodes the visited deltas, entry streams (entry.go), into
+// arrays the size of the manifest's Admitted, which is what they hold
+// between them: more or fewer entries is corruption.
+func (l *ckptLoaded) readVisited() error {
+	want := l.man.Admitted
+	l.visited.fps = make([]uint64, 0, want)
+	for g := 1; g <= l.man.Gen; g++ {
+		r, err := openEntries(ckptGenPath(l.dir, "visited", g), artifactVisited)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+		err = r.each(func(fp uint64, key string) error {
+			l.visited.add(fp, key)
+			return nil
+		})
+		r.close()
+		if err != nil {
+			return err
+		}
+	}
+	if n := int64(len(l.visited.fps)); n != want {
+		return &CorruptArtifactError{Path: ckptManifestPath(l.dir),
+			Reason: fmt.Sprintf("the visited deltas hold %d entries, the manifest admits %d", n, want)}
+	}
+	return nil
 }
 
-// readFrontier decodes the frontier snapshot: uvarint plen | path bytes
-// | 8 reserved bytes (a sleep mask in earlier builds; written 0, read
-// and ignored). Every path lives in one arena the size of the payload
-// (which the paths cannot outgrow), so loading allocates per snapshot,
-// not per node.
-func (l *ckptLoaded) readFrontier(dir string) error {
-	path := ckptGenPath(dir, "frontier", l.man.Gen)
-	r, payload, err := openArtifact(path, artifactFrontier)
+// readFrontier decodes the frontier snapshot, records of uvarint plen |
+// path bytes, into one arena. Every node of a level has a path of
+// NextDepth steps, so a record of another length is corruption.
+func (l *ckptLoaded) readFrontier() error {
+	path := ckptGenPath(l.dir, "frontier", l.man.Gen)
+	r, err := scanArtifact(path, artifactFrontier)
 	if err != nil {
 		return err
 	}
 	defer r.close()
-	br := bufio.NewReaderSize(r, 1<<18)
-	arena := make([]byte, 0, payload)
-	// Every node of a level has a path of NextDepth steps, which gives the
-	// record count up front.
-	l.frontier = make([][]byte, 0, payload/int64(9+l.man.NextDepth)+1)
-	var reserved [8]byte
+	depth := l.man.NextDepth
+	l.paths = make([]byte, 0, r.payload/int64(depth+1)*int64(depth))
+	var rec []byte
 	for {
-		plen, err := binary.ReadUvarint(br)
-		if err != nil {
+		if rec, err = r.blob(rec); err != nil {
 			if err == io.EOF {
 				return nil
 			}
 			return err
 		}
-		if plen > uint64(cap(arena)-len(arena)) {
-			return quarantine(path, "path longer than the payload")
+		if len(rec) != depth {
+			return quarantine(path, "a path of another length than the level's depth")
 		}
-		off := len(arena)
-		arena = arena[:off+int(plen)]
-		if _, err := io.ReadFull(br, arena[off:]); err != nil {
-			return err
-		}
-		if _, err := io.ReadFull(br, reserved[:]); err != nil {
-			return err
-		}
-		l.frontier = append(l.frontier, arena[off:len(arena):len(arena)])
+		l.paths = append(l.paths, rec...)
 	}
 }
 
@@ -258,19 +259,21 @@ type ckptWriter struct {
 	profile ckptProfile
 	every   int // write at every N-th barrier (>=1)
 	gen     int // next generation to write
-	// dump is the store's DumpVisited, installed by the engine.
-	dump func(emit func(fp uint64, key string) error) error
 }
 
+// newCkptWriter arms the directory for generations startGen on. A run
+// that starts over (startGen 1) first removes every generation artifact a
+// previous run left: none of them is named by a manifest any more.
 func newCkptWriter(dir string, profile ckptProfile, every, startGen int) (*ckptWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	removeStaleArtifacts(dir)
-	if every < 1 {
-		every = 1
+	if startGen == 1 {
+		removeStaleArtifacts(dir, "visited-", "frontier-", "aux-")
+	} else {
+		removeStaleArtifacts(dir)
 	}
-	return &ckptWriter{dir: dir, profile: profile, every: every, gen: startGen}, nil
+	return &ckptWriter{dir: dir, profile: profile, every: max(every, 1), gen: startGen}, nil
 }
 
 // due reports whether the barrier completing depth should checkpoint.
@@ -292,92 +295,90 @@ func writeBlocks(path string, kind byte, fill func(bw *blockWriter) error) error
 	return err
 }
 
-// write commits one checkpoint generation. nodes is the next level's
-// frontier.
-func (w *ckptWriter) write(man ckptManifest, nodes []*Node, aux []byte) error {
+// write commits one checkpoint generation: added is the visited delta
+// since the previous one, nodes the next level's frontier.
+func (w *ckptWriter) write(man ckptManifest, added entryList, nodes []*Node, aux []byte) error {
 	gen := w.gen
 	man.Version = ckptManifestVersion
 	man.Profile = w.profile
 	man.Gen = gen
 	man.HasAux = len(aux) > 0
+	man.FrontierNodes = int64(len(nodes))
 
 	err := writeBlocks(ckptGenPath(w.dir, "visited", gen), artifactVisited, func(bw *blockWriter) error {
-		return w.dump(bw.addEntry)
-	})
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	err = writeBlocks(ckptGenPath(w.dir, "frontier", gen), artifactFrontier, func(bw *blockWriter) error {
-		for _, n := range nodes {
-			bw.buf = binary.AppendUvarint(bw.buf, uint64(len(n.path)))
-			bw.buf = append(bw.buf, n.path...)
-			bw.buf = binary.LittleEndian.AppendUint64(bw.buf, 0) // reserved
-			if err := bw.flushFull(); err != nil {
+		for i, fp := range added.fps {
+			if err := bw.addEntry(fp, added.key(i)); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err == nil {
+		err = writeBlocks(ckptGenPath(w.dir, "frontier", gen), artifactFrontier, func(bw *blockWriter) error {
+			for _, n := range nodes {
+				man.FrontierSum += frontierMix(n)
+				bw.buf = binary.AppendUvarint(bw.buf, uint64(len(n.path)))
+				bw.buf = append(bw.buf, n.path...)
+				if err := bw.flushFull(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
-
-	if man.HasAux {
-		err := writeBlocks(ckptGenPath(w.dir, "aux", gen), artifactAux, func(bw *blockWriter) error {
+	if err == nil && man.HasAux {
+		err = writeBlocks(ckptGenPath(w.dir, "aux", gen), artifactAux, func(bw *blockWriter) error {
 			bw.buf = aux // one block
 			return nil
 		})
-		if err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
 	}
-
-	// Commit: the manifest rename publishes the generation. A crash
-	// before the rename leaves the previous manifest pointing at its
-	// intact generation; the new generation's files are stale artifacts
-	// a later open cleans up.
-	man.Sum = 0
-	clean, err := json.Marshal(man)
+	if err == nil {
+		err = w.publish(man)
+	}
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	man.Sum = crc32.ChecksumIEEE(clean)
-	final, err := json.Marshal(man)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	mp := ckptManifestPath(w.dir)
-	f, err := fault.Create(mp + ".tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := f.Write(final); err != nil {
-		f.File.Close()
-		os.Remove(mp + ".tmp")
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.File.Close()
-		os.Remove(mp + ".tmp")
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.File.Close(); err != nil {
-		os.Remove(mp + ".tmp")
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	// Crash point: the full generation is on disk but unpublished.
-	fault.Crash(fault.CrashCheckpointManifest)
-	if err := fault.Rename(mp+".tmp", mp); err != nil {
-		os.Remove(mp + ".tmp")
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 
-	// The previous generation is now unreachable; reclaim it.
+	// The previous generation's frontier and aux are now unreachable;
+	// reclaim them. Its visited delta is part of this generation's set.
 	if gen > 1 {
-		os.Remove(ckptGenPath(w.dir, "visited", gen-1))
 		os.Remove(ckptGenPath(w.dir, "frontier", gen-1))
 		os.Remove(ckptGenPath(w.dir, "aux", gen-1))
 	}
 	w.gen++
 	return nil
+}
+
+// publish commits a generation whose artifacts are written: the manifest
+// rename is the commit point. A crash before the rename leaves the
+// previous manifest pointing at its intact generation; the new
+// generation's files are stale artifacts a later open cleans up or
+// overwrites.
+func (w *ckptWriter) publish(man ckptManifest) error {
+	man.Sum = man.checksum()
+	final, err := json.Marshal(man)
+	if err != nil {
+		return err
+	}
+	mp := ckptManifestPath(w.dir)
+	f, err := fault.Create(mp + ".tmp")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(final)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.File.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		// Crash point: the full generation is on disk but unpublished.
+		fault.Crash(fault.CrashCheckpointManifest)
+		err = fault.Rename(mp+".tmp", mp)
+	}
+	if err != nil {
+		os.Remove(mp + ".tmp")
+	}
+	return err
 }

@@ -8,6 +8,7 @@ package check_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -434,28 +435,32 @@ func TestCheckpointProfileMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumesEarlierManifest: manifests written by earlier
-// builds must still verify and resume (not be quarantined as corrupt and
-// restarted, nor refused as another run's) to the same verdict: those
-// written before the Canonical hook was removed carry "canonical":false in
-// their profile, and those of a sym+sleep run, before sleep-set pruning
-// was deleted, "sleep=true" in its reduction.
-func TestCheckpointResumesEarlierManifest(t *testing.T) {
+// TestCheckpointEarlierLayoutRestartsFresh: a manifest of layout version
+// 1 (a whole visited snapshot per generation, a reserved word per frontier
+// record) is not resumed. It is quarantined like a corrupt one and the run
+// starts over to the clean verdict, however the earlier build wrote its
+// profile: with "canonical":false from before the Canonical hook was
+// removed, or with "sleep=true" in a sym+sleep run's reduction from before
+// sleep sets were deleted.
+func TestCheckpointEarlierLayoutRestartsFresh(t *testing.T) {
 	for _, tc := range []struct{ name, reduce, old, earlier string }{
 		{"canonical", "", `"max_configs":`, `"canonical":false,"max_configs":`},
-		{"sym+sleep", check.ReduceSym, `sleep=false`, `sleep=true`},
+		{"sym+sleep", check.ReduceSym, `sym=true`, `sym=true,sleep=true`},
 	} {
-		t.Run(tc.name, func(t *testing.T) { resumeEarlierManifest(t, tc.reduce, tc.old, tc.earlier) })
+		t.Run(tc.name, func(t *testing.T) { restartEarlierLayout(t, tc.reduce, tc.old, tc.earlier) })
 	}
 }
 
-// resumeEarlierManifest kills a run under reduction reduce, rewrites its
-// manifest by replacing old with earlier (re-summing it), and resumes.
-func resumeEarlierManifest(t *testing.T, reduce, old, earlier string) {
+// restartEarlierLayout kills a run under reduction reduce, rewrites its
+// manifest as version 1, replacing old with earlier (re-summing it), and
+// runs again on the directory.
+func restartEarlierLayout(t *testing.T, reduce, old, earlier string) {
 	p := symRace{n: 4}
 	c := model.MustNewConfig(p, []int{0, 0, 1, 1})
 	pids := []int{0, 1, 2, 3}
-	clean := exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: reduce}})
+	cleanLevels := 0
+	clean := exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: reduce,
+		Progress: func(check.Progress) { cleanLevels++ }}})
 
 	dir := t.TempDir()
 	opts := check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: reduce, Checkpoint: dir}}
@@ -479,8 +484,9 @@ func resumeEarlierManifest(t *testing.T, reduce, old, earlier string) {
 		t.Fatal(err)
 	}
 	raw = bytes.Replace(raw, []byte(old), []byte(earlier), 1)
+	raw = bytes.Replace(raw, []byte(`"version":2`), []byte(`"version":1`), 1)
 	i := bytes.LastIndex(raw, []byte(`"sum":`))
-	if i < 0 || !bytes.Contains(raw, []byte(earlier)) {
+	if i < 0 || !bytes.Contains(raw, []byte(earlier)) || !bytes.Contains(raw, []byte(`"version":1`)) {
 		t.Fatalf("manifest layout changed: %s", raw)
 	}
 	zeroed := append(append([]byte(nil), raw[:i]...), `"sum":0}`...)
@@ -494,16 +500,13 @@ func resumeEarlierManifest(t *testing.T, reduce, old, earlier string) {
 	opts.Engine.Progress = func(check.Progress) { levels++ }
 	got := exploreT(t, p, c, pids, 2, opts)
 	if !reflect.DeepEqual(verdictOf(p, got), verdictOf(p, clean)) {
-		t.Errorf("resumed verdict = %+v, want %+v", verdictOf(p, got), verdictOf(p, clean))
+		t.Errorf("verdict after the earlier layout = %+v, want %+v", verdictOf(p, got), verdictOf(p, clean))
 	}
-	if _, err := os.Stat(filepath.Join(sub, "quarantine")); err == nil {
-		t.Error("the earlier-format manifest was quarantined instead of resumed")
+	if _, err := os.Stat(filepath.Join(sub, "quarantine", "MANIFEST.json")); err != nil {
+		t.Errorf("the earlier-layout manifest was not quarantined: %v", err)
 	}
-	cleanLevels := 0
-	exploreT(t, p, c, pids, 2, check.ExploreOptions{Engine: check.EngineOptions{Workers: 2, Reduction: reduce,
-		Progress: func(check.Progress) { cleanLevels++ }}})
-	if levels >= cleanLevels {
-		t.Errorf("resume ran %d levels, a fresh run %d: the checkpoint was not used", levels, cleanLevels)
+	if levels != cleanLevels {
+		t.Errorf("the run after the earlier layout ran %d levels, a fresh run %d: it did not start over", levels, cleanLevels)
 	}
 }
 
@@ -648,5 +651,107 @@ func TestPathRunsCapProcesses(t *testing.T) {
 			t.Errorf("checkpoint %t, provenance %t: err = %v, want the 255-process cap",
 				opts.Checkpoint != "", opts.Provenance, err)
 		}
+	}
+}
+
+// TestCheckpointFrontierChecksum: the manifest's frontier count and
+// order-free checksum catch a frontier that replays — every path steps, to
+// the right depth — but not to the nodes the run wrote: one record
+// overwritten by a copy of another (a node twice, one lost), or another
+// instance's frontier at the same depth: the inputs handed to other
+// processes, an isomorphic instance with a frontier of the same size,
+// whose paths reach other configurations from these inputs. (Relabelled
+// values would not do: they keep every path's class, so their paths
+// replay to this frontier exactly.) Both artifacts carry
+// a valid CRC. Resume must fail with an error naming the checkpoint, and
+// commit nothing: the manifest and the generations on disk stay as they
+// were.
+func TestCheckpointFrontierChecksum(t *testing.T) {
+	p := symRace{n: 6}
+	pids := []int{0, 1, 2, 3, 4, 5}
+	inputs := []int{0, 0, 0, 1, 1, 1}
+	permuted := []int{0, 1, 0, 1, 0, 1}
+	// killed leaves dir with one generation, at the barrier of depth 2:
+	// the run fails visiting its first configuration at depth 3.
+	killed := func(dir string, inputs []int) {
+		t.Helper()
+		c := model.MustNewConfig(p, inputs)
+		_, err := check.RunFrontier(p, c, pids, check.ExploreLimits{}, check.EngineOptions{Workers: 2, Checkpoint: dir, CheckpointEvery: 3},
+			func(_ int, n *check.Node) error {
+				if n.Depth == 3 {
+					return errors.New("killed")
+				}
+				return nil
+			}, nil)
+		if err == nil || err.Error() != "killed" {
+			t.Fatalf("run to kill: err = %v", err)
+		}
+	}
+	// reseal rewrites an artifact's CRC trailer over its payload.
+	reseal := func(raw []byte) {
+		payload := raw[8 : len(raw)-8]
+		binary.LittleEndian.PutUint32(raw[len(raw)-8:], crc32.ChecksumIEEE(payload))
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+	}{
+		{"duplicated-record", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "frontier-1")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Records are a one-byte length (3) and three path bytes.
+			first, second := raw[8:12], raw[12:16]
+			if first[0] != 3 || bytes.Equal(first, second) {
+				t.Fatalf("frontier records %x, %x: the layout changed", first, second)
+			}
+			copy(second, first)
+			reseal(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"foreign-frontier", func(t *testing.T, dir string) {
+			other := t.TempDir()
+			killed(other, permuted)
+			raw, err := os.ReadFile(filepath.Join(other, "frontier-1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "frontier-1"), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			killed(dir, inputs)
+			tc.damage(t, dir)
+			listing := func() string {
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, e := range ents {
+					names = append(names, e.Name())
+				}
+				manifest, _ := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
+				return fmt.Sprintf("%v %s", names, manifest)
+			}
+			before := listing()
+
+			c := model.MustNewConfig(p, inputs)
+			_, err := check.RunFrontier(p, c, pids, check.ExploreLimits{}, check.EngineOptions{Workers: 2, Checkpoint: dir, CheckpointEvery: 3},
+				func(int, *check.Node) error { return nil }, nil)
+			if err == nil || !strings.Contains(err.Error(), dir) {
+				t.Fatalf("resume over a frontier that is not the one written: err = %v, want an error naming %s", err, dir)
+			}
+			if after := listing(); after != before {
+				t.Errorf("the failed resume changed the checkpoint:\nbefore %s\nafter  %s", before, after)
+			}
+		})
 	}
 }

@@ -95,27 +95,36 @@ func TestNodeRecordLayout(t *testing.T) {
 	}
 }
 
-// TestFrontierReservedWord: a checkpoint frontier record's reserved word —
-// a sleep mask in earlier builds' snapshots — is read and ignored.
+// TestFrontierReservedWord: a checkpoint frontier record is uvarint
+// length | path, nothing more. The reserved word version 1 appended to
+// every record (a sleep mask in still earlier builds) is gone, so a record
+// that carries one is corruption, quarantined, not a path.
 func TestFrontierReservedWord(t *testing.T) {
 	paths := [][]byte{{0, 1}, {2, 0}}
-	read := func(reserved uint64) [][]byte {
+	read := func(reserved bool) ([]byte, error) {
 		dir := t.TempDir()
 		err := writeBlocks(ckptGenPath(dir, "frontier", 1), artifactFrontier, func(bw *blockWriter) error {
 			for _, p := range paths {
 				bw.buf = append(binary.AppendUvarint(bw.buf, uint64(len(p))), p...)
-				bw.buf = binary.LittleEndian.AppendUint64(bw.buf, reserved)
+				if reserved {
+					bw.buf = binary.LittleEndian.AppendUint64(bw.buf, 0)
+				}
 			}
 			return nil
 		})
-		l := &ckptLoaded{man: ckptManifest{Gen: 1, NextDepth: 2}}
-		if err != nil || l.readFrontier(dir) != nil {
-			t.Fatalf("writing or reading the frontier: %v", err)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return l.frontier
+		l := &ckptLoaded{dir: dir, man: ckptManifest{Gen: 1, NextDepth: 2, FrontierNodes: int64(len(paths))}}
+		err = l.readFrontier()
+		return l.paths, err
 	}
-	if got, zero := read(0b1011), read(0); !reflect.DeepEqual(got, paths) || !reflect.DeepEqual(zero, paths) {
-		t.Errorf("frontier paths %v with a sleep mask, %v without, wrote %v", got, zero, paths)
+	if got, err := read(false); err != nil || !bytes.Equal(got, bytes.Join(paths, nil)) {
+		t.Errorf("frontier paths %v (%v), wrote %v", got, err, paths)
+	}
+	var corrupt *CorruptArtifactError
+	if _, err := read(true); !errors.As(err, &corrupt) {
+		t.Errorf("a record with a reserved word reads as %v, want a *CorruptArtifactError", err)
 	}
 }
 

@@ -141,17 +141,21 @@ type EngineOptions struct {
 	// no trace of it.
 	SpillDir string
 	// Checkpoint is a directory for crash-safe snapshots: at level
-	// barriers the engine writes the visited set, the next frontier and
-	// the search-layer accumulators there (write-then-rename manifests),
-	// and a new run pointed at the same directory resumes from the last
-	// committed generation with an identical final verdict. Levelsync
-	// order only: the async order has no barrier to snapshot at.
-	// Incompatible with Provenance (modes.go says why), and limited to
-	// 255 processes (checkpoint.go). Empty disables checkpointing.
+	// barriers the engine writes the visited entries admitted since the
+	// previous snapshot (a delta; the deltas stay while the manifest
+	// names them), the next frontier and the search-layer accumulators
+	// there (write-then-rename manifests), and a new run pointed at the
+	// same directory resumes from the last committed generation with an
+	// identical final verdict, replaying the frontier a chunk at a time
+	// as its first level is expanded. Levelsync order only: the async
+	// order has no barrier to snapshot at. Incompatible with Provenance
+	// (modes.go says why), and limited to 255 processes (checkpoint.go).
+	// Empty disables checkpointing.
 	Checkpoint string
 	// CheckpointEvery writes a snapshot at every Nth level barrier
-	// (<= 0 means every barrier). The run's final barrier always
-	// snapshots, so a finished run resumes to its verdict instantly.
+	// (<= 0 means every barrier); its delta spans the barriers since the
+	// last one. The run's final barrier always snapshots, so a finished
+	// run resumes to its verdict instantly.
 	CheckpointEvery int
 	// CheckpointAux, if non-nil, serializes the search layer's
 	// accumulators (ExploreOpts' class table: decided values, the

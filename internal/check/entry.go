@@ -13,7 +13,7 @@ import (
 // (its delta since the last spill, under a budget) and its per-level drop
 // set — and the only code that knows whether such a table is a fingerprint set or an
 // exact-key map. An entry stream is the artifact payload both the spill
-// store's sorted runs and a checkpoint's visited snapshot are written in:
+// store's sorted runs and a checkpoint's visited deltas are written in:
 //
 //	fp (8B LE) | uvarint klen | key bytes      (klen 0 outside exact-key runs)
 

@@ -2,10 +2,8 @@ package check
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/model"
@@ -83,6 +81,12 @@ type expander struct {
 	keys    []byte
 	fresh   []int32
 	out     []*Node
+
+	// The replay's stack (replaySource): stack[d] is the node d steps
+	// along prefix, the path it was last replayed to. The nodes are the
+	// worker's own, rewritten in place, and kept from chunk to chunk.
+	stack  []*Node
+	prefix []byte
 }
 
 // expander returns worker's expander, creating it on first use. Exact-key
@@ -358,25 +362,23 @@ func (x *expander) build(c *cand, n *Node) {
 	}
 }
 
-// replayStep applies pid's step to cur and returns the successor — one
-// link of a replayed path: a different job from expand (one path, no
-// fan-out, nothing keyed). Failure means the path does not belong to this
-// protocol (the checkpoint profile check guards the common cases; this is
-// the backstop for a changed implementation).
-func replayStep(run *engineRun, st *model.Stepper, cur *Node, pid byte) (*Node, error) {
-	succ := run.newNode()
+// replayStep writes pid's step from cur into succ — one link of a
+// replayed path: a different job from expand (one path, no fan-out,
+// nothing keyed). Failure means the path does not belong to this protocol
+// (the checkpoint profile check guards the common cases; this is the
+// backstop for a changed implementation).
+func replayStep(st *model.Stepper, cur, succ *Node, pid byte) error {
 	fp, ok, err := st.ApplyCOW(cur.Cfg, cur.slotFP, cur.slotH, int(pid), succ.Cfg, succ.slotH)
 	if err == nil && !ok {
 		err = fmt.Errorf("pid %d has no step at depth %d", pid, cur.Depth)
 	}
 	if err != nil {
-		run.recycle(succ)
-		return nil, fmt.Errorf("checkpoint: frontier path does not replay (%v); was the checkpoint written by a different protocol build?", err)
+		return fmt.Errorf("pid path does not replay (%v)", err)
 	}
 	succ.slotFP = fp
 	succ.Depth = cur.Depth + 1
 	succ.Pid = int(pid)
-	return succ, nil
+	return nil
 }
 
 // replayPath rebuilds a single node by applying its root-to-node pid path
@@ -385,9 +387,11 @@ func replayStep(run *engineRun, st *model.Stepper, cur *Node, pid byte) (*Node, 
 func replayPath(run *engineRun, st *model.Stepper, path []byte) (*Node, error) {
 	cur := run.rootNode(st)
 	for _, pid := range path {
-		succ, err := replayStep(run, st, cur, pid)
+		succ := run.newNode()
+		err := replayStep(st, cur, succ, pid)
 		run.recycle(cur)
 		if err != nil {
+			run.recycle(succ)
 			return nil, err
 		}
 		cur = succ
@@ -396,86 +400,94 @@ func replayPath(run *engineRun, st *model.Stepper, path []byte) (*Node, error) {
 	return cur, nil
 }
 
-// replayFrontier rebuilds a checkpointed frontier: nodes[i] is the node at
-// the end of pid path paths[i], keyed by the run's keying, so the resumed
-// level is the one the lost process held, in its order. The paths are
-// walked in path order, where consecutive paths share their longest
-// prefixes, and the order is cut into one contiguous chunk per worker,
-// each replayed on that worker's own expander.
-func replayFrontier(run *engineRun, paths [][]byte) ([]*Node, error) {
-	order := make([]int, len(paths))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(paths[a], paths[b]) })
-
-	nodes := make([]*Node, len(paths))
-	nw := max(1, min(run.opts.Workers, len(paths)))
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			chunk := order[w*len(order)/nw : (w+1)*len(order)/nw]
-			errs[w] = run.expander(w).replayChunk(paths, chunk, nodes)
-		}(w)
-	}
-	wg.Wait()
-	return nodes, errors.Join(errs...)
+// replaySource is a resumed run's first level: the checkpoint's verified
+// path arena, served as a FrontierSource. A worker takes the next chunk of
+// paths, replays them on its own stepper and keys the nodes by the run's
+// keying, so the level holds the nodes the lost process held, bit for bit;
+// no more of it is ever built than the chunks in flight. The chunk is
+// replayed in path order on the worker's stack of the nodes along the
+// last path, so moving to the next path keeps the prefix the two share
+// and applies only the steps beyond it: every distinct prefix in the
+// chunk is applied once, and only a path's own node is a new one. The
+// workers count and sum the nodes they build (frontierMix) for verify.
+type replaySource struct {
+	*ckptLoaded
+	run    *engineRun
+	cursor atomic.Int64
+	nodes  atomic.Int64
+	sum    atomic.Uint64
 }
 
-// replayChunk rebuilds the paths order lists, which must be in path
-// order, into nodes (at each path's own index). It keeps the nodes
-// along the current path on a stack — stack[d] is the configuration d
-// steps in — so moving to the next path pops back to the prefix the two
-// paths share and applies only the steps beyond it: every distinct prefix
-// in the chunk is applied once.
-func (x *expander) replayChunk(paths [][]byte, order []int, nodes []*Node) error {
-	r := x.run
-	// A node handed out as a path's result belongs to the frontier from
-	// then on (kept); only the others go back to the pool when popped.
-	type frame struct {
-		n    *Node
-		kept bool
+func (s *replaySource) Size() int { return len(s.paths) / s.man.NextDepth }
+
+// Next replays the next len(buf) paths into buf on worker w's stepper. A
+// path that does not replay fails the run.
+func (s *replaySource) Next(w int, buf []*Node) int {
+	hi := int(s.cursor.Add(int64(len(buf))))
+	lo := hi - len(buf)
+	if lo >= s.Size() {
+		return 0
 	}
-	stack := []frame{{n: r.rootNode(x.st)}}
-	pop := func(to int) {
-		for _, f := range stack[to:] {
-			if !f.kept {
-				r.recycle(f.n)
-			}
-		}
-		stack = stack[:to]
+	m, err := s.run.expander(w).replay(s, lo, min(hi, s.Size()), buf)
+	if err != nil {
+		s.run.fail(fmt.Errorf("checkpoint %s: %w; was the checkpoint written by a different protocol build?", s.dir, err))
 	}
-	defer func() { pop(0) }()
-	var prev []byte
-	for i, idx := range order {
-		path := paths[idx]
-		shared := 0
-		for shared < len(prev) && shared < len(path) && prev[shared] == path[shared] {
-			shared++
-		}
-		if i > 0 && shared == len(path) {
-			// Path order puts a path right after the one it repeats; its
-			// node would enter the frontier twice.
-			return fmt.Errorf("checkpoint: frontier path %v appears twice; was the checkpoint written by a different protocol build?", path)
-		}
-		pop(shared + 1)
-		for _, pid := range path[shared:] {
-			succ, err := replayStep(r, x.st, stack[len(stack)-1].n, pid)
-			if err != nil {
-				return err
-			}
-			stack = append(stack, frame{n: succ})
-		}
-		top := &stack[len(stack)-1]
-		top.kept = true
-		n := top.n
-		n.path = append(n.path[:0], path...)
-		x.key(n) // the rebuilt node must carry the same (fp, key) the lost one did
-		nodes[idx] = n
-		prev = path
+	return m
+}
+
+// verify checks, once the level is drained, that the replayed nodes are
+// the ones the manifest counted and summed.
+func (s *replaySource) verify() error {
+	if n, sum := s.nodes.Load(), s.sum.Load(); n != s.man.FrontierNodes || sum != s.man.FrontierSum {
+		return fmt.Errorf("checkpoint %s: the frontier replays to %d nodes summing to %#x, the manifest says %d summing to %#x; was the checkpoint written by a different protocol build?",
+			s.dir, n, sum, s.man.FrontierNodes, s.man.FrontierSum)
 	}
 	return nil
+}
+
+// replay rebuilds paths [lo, hi) of s into buf, in path order. On an
+// error the nodes built so far are left to the collector: the run is over.
+func (x *expander) replay(s *replaySource, lo, hi int, buf []*Node) (int, error) {
+	r, depth := x.run, s.man.NextDepth
+	path := func(i int32) []byte { return s.paths[int(i)*depth : (int(i)+1)*depth] }
+	order := make([]int32, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(path(a), path(b)) })
+
+	if len(x.stack) == 0 {
+		x.stack = append(x.stack, r.rootNode(x.st))
+	}
+	var sum uint64
+	for m, i := range order {
+		p := path(i)
+		shared := 0
+		for shared < len(x.prefix) && x.prefix[shared] == p[shared] {
+			shared++
+		}
+		// Rebuild the prefix beyond what the two paths share, then step
+		// to the path's own node, a fresh one.
+		x.prefix = x.prefix[:shared]
+		for d := shared; d < depth-1; d++ {
+			if d+1 == len(x.stack) {
+				x.stack = append(x.stack, r.newNode())
+			}
+			if err := replayStep(x.st, x.stack[d], x.stack[d+1], p[d]); err != nil {
+				return 0, err
+			}
+			x.prefix = append(x.prefix, p[d])
+		}
+		n := r.newNode()
+		if err := replayStep(x.st, x.stack[depth-1], n, p[depth-1]); err != nil {
+			return 0, err
+		}
+		n.path = append(n.path[:0], p...)
+		x.key(n) // the rebuilt node must carry the same (fp, key) the lost one did
+		sum += frontierMix(n)
+		buf[m] = n
+	}
+	s.nodes.Add(int64(len(order)))
+	s.sum.Add(sum)
+	return len(order), nil
 }

@@ -80,6 +80,11 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		if err := run.err(); err != nil {
 			return stats, err
 		}
+		if replay, ok := frontier.(*replaySource); ok {
+			if err := replay.verify(); err != nil {
+				return stats, err
+			}
+		}
 		stats.Processed += levelSize
 		if atDepthCap {
 			stats.Complete = false
@@ -201,8 +206,8 @@ type levelSource struct {
 	FrontierSource
 }
 
-func (l levelSource) take(_ int, buf []*Node) int {
-	m := l.Next(buf)
+func (l levelSource) take(w int, buf []*Node) int {
+	m := l.Next(w, buf)
 	if settled := l.run.claims.settled; len(settled) > 0 {
 		for _, n := range buf[:m] {
 			if path, ok := settled[entry{n.fp, n.key}]; ok {
@@ -257,10 +262,10 @@ func distExpandBarrier(run *engineRun, depth int) error {
 
 // openCheckpoint wires checkpointing for a run that asked for it: it
 // loads any previous generation (nil when absent or quarantined-corrupt —
-// a fresh start) and arms the writer for this run's barrier snapshots.
-// The manifest profile pins everything that shapes the explored space;
-// Workers/Store deliberately stay out of it, so a resume may
-// change parallelism and storage freely.
+// a fresh start), arms the writer for this run's barrier snapshots and has
+// the store record the visited deltas. The manifest profile pins
+// everything that shapes the explored space; Workers/Store deliberately
+// stay out of it, so a resume may change parallelism and storage freely.
 func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, error) {
 	if run.opts.Checkpoint == "" {
 		return nil, nil, nil
@@ -272,9 +277,7 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 		StartFP:    startFP,
 		StringKeys: run.opts.StringKeys,
 		// plan is non-nil exactly when a symmetry reduction was requested.
-		// The sleep term keeps the string earlier builds wrote, so their
-		// snapshots and this build's resume each other.
-		Reduction:  fmt.Sprintf("sym=%t,sleep=false", run.plan != nil),
+		Reduction:  fmt.Sprintf("sym=%t", run.plan != nil),
 		MaxConfigs: run.limits.MaxConfigs,
 		MaxDepth:   run.limits.MaxDepth,
 	}
@@ -290,11 +293,11 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 	if err != nil {
 		return nil, nil, err
 	}
-	ckpt.dump = run.store.DumpVisited
+	run.store.keep = true
 	return ckpt, resumed, nil
 }
 
-// checkpointBarrier snapshots visited + frontier + search-layer
+// checkpointBarrier snapshots the visited delta + frontier + search-layer
 // accumulators when a generation is due or the run is ending (early stop
 // or empty frontier — a Finished manifest lets a resume return the
 // verdict without re-exploring). The drained frontier replaces
@@ -318,9 +321,8 @@ func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelRe
 		Closed:    run.closed.Load(),
 		Truncated: run.truncated.Load(),
 		Finished:  stop || len(nodes) == 0,
-		HasAux:    len(aux) > 0,
 	}
-	if err := ckpt.write(man, nodes, aux); err != nil {
+	if err := ckpt.write(man, run.store.takeAdded(), nodes, aux); err != nil {
 		return err
 	}
 	lvl.Frontier = &memSource{nodes: nodes}
@@ -330,16 +332,17 @@ func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelRe
 // resumeFromCheckpoint seeds the engine from a loaded (and verified)
 // checkpoint: the visited set is bulk-loaded into the store (bypassing
 // admission — delayed-duplicate accounting already ran before the
-// snapshot), the frontier is rebuilt by replaying the nodes' pid paths
-// from the start configuration and re-keying them, and the run counters
-// are restored so the resumed process behaves as if it had explored the
-// prefix itself.
+// snapshot), the run counters are restored so the resumed process
+// behaves as if it had explored the prefix itself, and the frontier's
+// paths become the first level's source, replayed as the workers take
+// them (none for a finished run, which skips the level loop and returns
+// the restored verdict directly).
 func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) (FrontierSource, error) {
 	man := resumed.man
-	if err := run.store.SeedVisited(resumed.visitedFP, resumed.visitedKeys); err != nil {
+	if err := run.store.SeedVisited(resumed.visited); err != nil {
 		return nil, fmt.Errorf("checkpoint: seeding the visited set: %w", err)
 	}
-	resumed.visitedFP, resumed.visitedKeys = nil, nil // the run outlives them by hours
+	resumed.visited = entryList{} // the run outlives it by hours
 	run.admitted.Store(man.Admitted)
 	if man.Closed {
 		run.closed.Store(true)
@@ -356,16 +359,9 @@ func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) 
 		}
 	}
 	if man.Finished {
-		// The run ended at the snapshot barrier; an empty frontier skips
-		// the level loop and returns the restored verdict directly.
-		return &memSource{}, nil
+		resumed.paths = nil
 	}
-	nodes, err := replayFrontier(run, resumed.frontier)
-	if err != nil {
-		return nil, err
-	}
-	resumed.frontier = nil
-	return &memSource{nodes: nodes}, nil
+	return &replaySource{ckptLoaded: resumed, run: run}, nil
 }
 
 // drainFrontier materializes a level's frontier into a slice. Memory
@@ -381,7 +377,7 @@ func (r *engineRun) drainFrontier(src FrontierSource) ([]*Node, error) {
 	nodes := make([]*Node, 0, want)
 	buf := make([]*Node, chunkSize)
 	for {
-		m := src.Next(buf)
+		m := src.Next(0, buf)
 		if m == 0 {
 			break
 		}

@@ -33,7 +33,7 @@ import (
 //
 //   - When the delta's size exceeds the budget at a level barrier, it is
 //     flushed to a new *sorted run* file — an entry stream (entry.go), the
-//     layout a checkpoint's visited snapshot is written in — and cleared.
+//     layout a checkpoint's visited deltas are written in — and cleared.
 //     A configuration visited before the spill is no longer resident, so a
 //     later re-encounter is admitted *tentatively*.
 //
@@ -116,6 +116,11 @@ type spillStore struct {
 
 	runs   []spillRun
 	runSeq int
+
+	// added is every entry the level cuts kept since the last takeAdded,
+	// recorded only when keep is set (checkpointing runs set it).
+	keep  bool
+	added entryList
 
 	// stats moves at barriers and seeding, and PrefilterHits under the
 	// claim lock.
@@ -348,6 +353,12 @@ func (s *spillStore) cutResident(maxNext int) LevelResult {
 		next = next[:maxNext]
 		res.Truncated = true
 	}
+	if s.keep {
+		s.added.fps = slices.Grow(s.added.fps, len(next))
+		for _, n := range next {
+			s.added.add(n.fp, n.key)
+		}
+	}
 	res.Frontier = &memSource{nodes: next}
 	return res
 }
@@ -381,6 +392,9 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 	var drop *keyedSet
 	for j, e := range s.level {
 		if !s.dead[j] && !(truncated && (maxNext == 0 || entryLess(cutoff, e.entry))) {
+			if s.keep {
+				s.added.add(e.fp, e.key)
+			}
 			continue
 		}
 		if drop == nil {
@@ -710,7 +724,7 @@ func (b *segBlock) next(seg string) (NodeRecord, error) {
 
 func (s *spillSource) Size() int { return s.size }
 
-func (s *spillSource) Next(buf []*Node) int {
+func (s *spillSource) Next(_ int, buf []*Node) int {
 	n := 0
 	// Once the run has stopped — after a read or decode failure the stream
 	// positions are not trustworthy — hand out nothing more.
@@ -817,40 +831,51 @@ func (s *spillSource) closeAll() {
 
 // ---- checkpoint support ----
 
-// DumpVisited streams every visited entry to emit, for a checkpoint
-// snapshot; it runs at a level barrier only. It emits the resident delta,
-// in table order, and then every spilled run, so an entry spilled and
-// re-admitted since comes twice. Table order costs no memory but is the
-// one order that must never be inserted into a table that is still
-// growing (fpSet.reserve says why), hence SeedVisited's shape.
-func (s *spillStore) DumpVisited(emit func(fp uint64, key string) error) error {
-	if err := s.delta.forEach(emit); err != nil {
-		return err
-	}
-	for _, run := range s.runs {
-		r, err := openEntries(run.path, artifactRun)
-		if err != nil {
-			return err
-		}
-		err = r.each(emit)
-		r.close()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// entryList is a list of visited entries as parallel arrays: 8 bytes an
+// entry under fingerprint keying, where keys stays nil. An exact key is a
+// configuration's encoding, never empty, so under exact keys every entry
+// has its key.
+type entryList struct {
+	fps  []uint64
+	keys []string
 }
 
-// SeedVisited takes a snapshot whole, after its checksum has verified: fps
-// (and, under exact keys, the parallel keys; nil otherwise) go into a
-// delta table sized for what it will take before it takes it, so seeding
-// is linear in the snapshot whatever order it arrives in. It runs once, on
-// a fresh store, before the first level; repeats are harmless. Under a
-// budget the delta takes entries up to the budget, is flushed to a sorted
-// run like any over-budget delta, and starts over, so a resumed run holds
-// no more of the visited set resident than the run that wrote the
-// snapshot did.
-func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
+func (l *entryList) add(fp uint64, key string) {
+	l.fps = append(l.fps, fp)
+	if key != "" {
+		l.keys = append(l.keys, key)
+	}
+}
+
+// key is the i-th entry's key ("" under fingerprint keying).
+func (l *entryList) key(i int) string {
+	if l.keys == nil {
+		return ""
+	}
+	return l.keys[i]
+}
+
+// takeAdded returns the entries the level cuts kept since the last call
+// (since the store opened, the first time) and starts a new record: a
+// checkpoint's visited delta. It holds each admission exactly once,
+// whatever spilled, was revoked or was cut. It runs at a level barrier
+// only, and the store records the entries only once keep is set.
+func (s *spillStore) takeAdded() entryList {
+	added := s.added
+	s.added = entryList{}
+	return added
+}
+
+// SeedVisited takes a checkpoint's visited set whole, after every delta's
+// checksum has verified: the entries go into a delta table sized for what
+// it will take before it takes it, so seeding is linear in the set
+// whatever order it arrives in. It runs once, on a fresh store, before the
+// first level; repeats are harmless. Under a budget the delta takes
+// entries up to the budget, is flushed to a sorted run like any
+// over-budget delta, and starts over, so a resumed run holds no more of
+// the visited set resident than the run that wrote the snapshot did.
+func (s *spillStore) SeedVisited(visited entryList) error {
+	fps := visited.fps
 	// The budget, floored at a delta table's initial footprint (2,048
 	// slots) so tiny budgets batch flushes instead of spilling every entry.
 	budget := s.budget
@@ -863,11 +888,7 @@ func (s *spillStore) SeedVisited(fps []uint64, keys []string) error {
 		if room == 0 {
 			room = s.delta.reserve(left, budget)
 		}
-		key := ""
-		if keys != nil {
-			key = keys[i]
-		}
-		s.delta.add(fp, key)
+		s.delta.add(fp, visited.key(i))
 		room--
 		// The delta has reached the budget.
 		if budget > 0 && (room == 0 || s.delta.bytes() > budget) && left > 1 {

@@ -99,9 +99,10 @@ func (s *StoreStats) Add(o StoreStats) {
 type FrontierSource interface {
 	// Size is the number of nodes in the level.
 	Size() int
-	// Next fills buf with up to len(buf) nodes and returns how many; 0
-	// means the level is exhausted.
-	Next(buf []*Node) int
+	// Next fills buf with up to len(buf) nodes for worker w and returns
+	// how many; 0 means the level is exhausted. Only a source that builds
+	// its nodes (replaySource) builds them with w's expander.
+	Next(w int, buf []*Node) int
 }
 
 // memSource serves an in-RAM frontier slice: workers claim disjoint
@@ -113,7 +114,7 @@ type memSource struct {
 
 func (s *memSource) Size() int { return len(s.nodes) }
 
-func (s *memSource) Next(buf []*Node) int {
+func (s *memSource) Next(_ int, buf []*Node) int {
 	n := int64(len(buf))
 	end := s.cursor.Add(n)
 	start := end - n

@@ -54,18 +54,21 @@ type chaosVerdict struct {
 
 // exploreEngine is the scenario's engine configuration: spill store
 // under a 1-byte budget (runs written and merged at every level) with
-// level-barrier checkpoints — the layout that exercises the
-// spill.run.write, spill.run.merge and checkpoint.manifest sites.
-func exploreEngine(dir string) check.EngineOptions {
+// checkpoints at every every-th level barrier — the layout that exercises
+// the spill.run.write, spill.run.merge and checkpoint.manifest sites.
+func exploreEngine(dir string, every int) check.EngineOptions {
 	return check.EngineOptions{
 		Workers: 4,
 		Store:   check.StoreSpill, MemBudget: 1,
-		SpillDir:   filepath.Join(dir, "spill"),
-		Checkpoint: filepath.Join(dir, "ckpt"),
+		SpillDir:        filepath.Join(dir, "spill"),
+		Checkpoint:      filepath.Join(dir, "ckpt"),
+		CheckpointEvery: every,
 	}
 }
 
-func runExploreScenario(dir string) (chaosVerdict, error) {
+// runExploreScenario explores with a checkpoint at every every-th barrier.
+// At every 2 a generation's visited delta spans a barrier that wrote none.
+func runExploreScenario(dir string, every int) (chaosVerdict, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "spill"), 0o755); err != nil {
 		return chaosVerdict{}, err
 	}
@@ -73,7 +76,7 @@ func runExploreScenario(dir string) (chaosVerdict, error) {
 	c := model.MustNewConfig(p, []int{0, 1, 2, 0})
 	res, err := check.ExploreOpts(p, c, []int{0, 1, 2, 3}, 1, check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: 20000},
-		Engine: exploreEngine(dir),
+		Engine: exploreEngine(dir, every),
 	})
 	if err != nil {
 		return chaosVerdict{}, err
@@ -174,7 +177,9 @@ func runDistScenario(string) (chaosVerdict, error) {
 func runScenario(name, dir string) (chaosVerdict, error) {
 	switch name {
 	case "explore":
-		return runExploreScenario(dir)
+		return runExploreScenario(dir, 1)
+	case "explore-every2":
+		return runExploreScenario(dir, 2)
 	case "cache":
 		return runCacheScenario(dir)
 	case "serve":
@@ -309,6 +314,7 @@ func TestChaosKillRestartMatrix(t *testing.T) {
 		{fault.CrashSpillRunMerge, "explore"},
 		{fault.CrashCheckpointManifest, "explore"},
 		{fault.CrashCheckpointManifest + ":3", "explore"},
+		{fault.CrashCheckpointManifest + ":2", "explore-every2"},
 		{fault.CrashCacheStore, "cache"},
 		{fault.CrashJournalAppend, "serve"},
 		{fault.CrashJournalAppend + ":2", "serve"},
@@ -330,7 +336,7 @@ func TestChaosKillRestartMatrix(t *testing.T) {
 	}
 
 	clean := map[string]chaosVerdict{}
-	for _, scenario := range []string{"explore", "cache", "serve", "dist"} {
+	for _, scenario := range []string{"explore", "explore-every2", "cache", "serve", "dist"} {
 		clean[scenario] = cleanVerdict(t, scenario)
 	}
 
@@ -370,7 +376,7 @@ func TestChaosKillRestartMatrix(t *testing.T) {
 // verdict, a leaked goroutine, or a stray temp file.
 func TestChaosInjectedIO(t *testing.T) {
 	cleanDir := t.TempDir()
-	want, err := runExploreScenario(filepath.Join(cleanDir, "state"))
+	want, err := runExploreScenario(filepath.Join(cleanDir, "state"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +398,7 @@ func TestChaosInjectedIO(t *testing.T) {
 			before := runtime.NumGoroutine()
 			dir := filepath.Join(t.TempDir(), "state")
 			fault.Inject(tc.rule)
-			got, err := runExploreScenario(dir)
+			got, err := runExploreScenario(dir, 1)
 			injected := fault.Injected()
 			fault.Reset()
 

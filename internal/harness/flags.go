@@ -196,6 +196,12 @@ func (f *EngineFlags) validate(provenance bool) error {
 	if err := f.StoreFlags.Validate(); err != nil {
 		return err
 	}
+	if *f.workers < 0 {
+		return fmt.Errorf("-workers %d must not be negative", *f.workers)
+	}
+	if *f.ckptEvery < 0 {
+		return fmt.Errorf("-checkpointevery %d must not be negative", *f.ckptEvery)
+	}
 	// -distributed is DistFlags', declared on the same set by the commands
 	// that can coordinate a distributed run; it is a mode like the others,
 	// so it is read here and the table is consulted once.

@@ -121,6 +121,36 @@ func TestEngineFlagsBadBudget(t *testing.T) {
 	}
 }
 
+// TestEngineFlagsRejectNegative: a negative -workers or -checkpointevery
+// is a usage error naming the flag, not a run as if it were 0; zero and
+// positive values, and -checkpointevery with its -checkpoint, pass.
+func TestEngineFlagsRejectNegative(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // the error names this; "" for none
+	}{
+		{[]string{"-workers", "-2"}, "-workers -2"},
+		{[]string{"-checkpointevery", "-3", "-checkpoint", "d"}, "-checkpointevery -3"},
+		{[]string{"-checkpointevery", "-3", "-workers", "-2"}, "must not be negative"},
+		{[]string{"-checkpointevery", "3"}, "-checkpointevery requires -checkpoint"},
+		{[]string{"-workers", "0", "-checkpointevery", "0"}, ""},
+		{[]string{"-workers", "2", "-checkpointevery", "3", "-checkpoint", "d"}, ""},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		f := RegisterEngineFlags(fs, false)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		_, err := f.Options(nil)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 // TestMemBudgetRequiresSpillStore: a budget on the in-memory store would
 // be silently unenforced, so the flag pair rejects it.
 func TestMemBudgetRequiresSpillStore(t *testing.T) {

@@ -1,8 +1,11 @@
 package model_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -25,8 +28,11 @@ import (
 // of several equally short witnesses is reported is a (fingerprint, key)
 // tie-break, so real hashes legitimately pick another one; with all
 // fingerprints equal it is the one degenerateWitness derives from the
-// keys alone.) The last cell holds the obstruction check's choice of
-// which failure to report to the same standard.
+// keys alone.) A checkpoint row per instance kills the exploration at a
+// barrier and resumes it, on both stores: neither the visited deltas nor
+// the replayed frontier may decide anything on a hash. The last cell
+// holds the obstruction check's choice of which failure to report to the
+// same standard.
 func TestDegenerateHashExactRuns(t *testing.T) {
 	toybit, err := baseline.NewToyBitRace(3, 2)
 	if err != nil {
@@ -127,6 +133,41 @@ func TestDegenerateHashExactRuns(t *testing.T) {
 					if !reflect.DeepEqual(got.witness.Schedule, want) {
 						t.Errorf("%s: witness %v; with no hash to break ties it is %v", name, got.witness.Schedule, want)
 					}
+				}
+			}
+			// The checkpoint row: a run killed at a barrier and resumed —
+			// its visited set loaded from the deltas, its frontier replayed
+			// a chunk at a time — must reach the uninterrupted counts and
+			// decided values too.
+			for _, store := range []string{check.StoreMem, check.StoreSpill} {
+				name := fmt.Sprintf("%s/%s/w2/checkpoint", in.p.Name(), store)
+				eng := check.EngineOptions{StringKeys: true, Workers: 2, Store: store, Checkpoint: t.TempDir()}
+				if store == check.StoreSpill {
+					eng.MemBudget = 4 << 10
+				}
+				opts := check.ExploreOptions{Limits: check.ExploreLimits{MaxDepth: in.depth}, Engine: eng}
+				ctx, cancel := context.WithCancel(context.Background())
+				opts.Engine.Ctx = ctx
+				opts.Engine.Progress = func(pr check.Progress) {
+					if pr.Depth == 2 {
+						cancel()
+						runtime.Gosched() // let the cancellation land before the next level
+					}
+				}
+				if _, err := check.ExploreOpts(in.p, start, pids, in.k-1, opts); !errors.Is(err, context.Canceled) {
+					t.Logf("%s: the run to kill ended with %v; the resume restores its verdict", name, err)
+				}
+				cancel()
+				opts.Engine.Ctx, opts.Engine.Progress = nil, nil
+				got, err := check.ExploreOpts(in.p, start, pids, in.k-1, opts)
+				if err != nil {
+					t.Fatalf("%s: resume: %v", name, err)
+				}
+				if got.Visited != normal.explored.Visited || got.Complete != normal.explored.Complete ||
+					!reflect.DeepEqual(got.DecidedValues, normal.explored.DecidedValues) {
+					t.Errorf("%s: resumed to %d (complete %t) deciding %v; uninterrupted %d (complete %t) deciding %v", name,
+						got.Visited, got.Complete, got.DecidedValues,
+						normal.explored.Visited, normal.explored.Complete, normal.explored.DecidedValues)
 				}
 			}
 		}()
