@@ -36,7 +36,6 @@ const (
 	artifactSegment  byte = 2 // spooled frontier segment
 	artifactVisited  byte = 3 // checkpoint visited-set snapshot
 	artifactFrontier byte = 4 // checkpoint frontier snapshot
-	artifactAux      byte = 5 // checkpoint search-layer accumulators
 )
 
 const (
@@ -384,16 +383,6 @@ func (s *artifactScanner) blob(buf []byte) ([]byte, error) {
 		return buf, s.short(err)
 	}
 	return buf, nil
-}
-
-// readArtifactFile reads and verifies a whole-buffer artifact.
-func readArtifactFile(path string, kind byte) ([]byte, error) {
-	s, err := scanArtifact(path, kind)
-	if err != nil {
-		return nil, err
-	}
-	defer s.close()
-	return io.ReadAll(s) // to the end of the payload, where the CRC is checked
 }
 
 // removeStaleArtifacts deletes leftover *.tmp files (and, when prefixes

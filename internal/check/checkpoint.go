@@ -9,15 +9,14 @@ package check
 //	                cuts kept since generation g-1 (visited-1 starts at
 //	                the root), each exactly once
 //	frontier-<gen>  the next level's nodes as root-to-node pid paths
-//	aux-<gen>       opaque search-layer accumulators (Explore/valency)
-//	MANIFEST.json   counters + profile + generation + frontier checksum,
-//	                renamed LAST
+//	MANIFEST.json   counters + profile + generation + frontier checksum +
+//	                the search layer's opaque accumulators, renamed LAST
 //
 // Generation gen's visited set is the union of visited-1 … visited-gen,
 // which together hold exactly the manifest's Admitted entries: a snapshot
 // writes what its barriers added, not the set again. The deltas stay on
-// disk as long as the manifest names them; the frontier and aux of a
-// generation are reclaimed once the next one commits.
+// disk as long as the manifest names them; a generation's frontier is
+// reclaimed once the next one commits.
 //
 // The manifest rename is the commit point: everything else is written
 // (checksummed, tmp+renamed) before it, so a crash at any instant
@@ -96,7 +95,8 @@ type ckptManifest struct {
 	// (empty next frontier or an early stop): resume restores the
 	// verdict without re-entering the level loop.
 	Finished bool `json:"finished"`
-	HasAux   bool `json:"has_aux"`
+	// Aux is the search layer's accumulators (EngineOptions.CheckpointAux).
+	Aux []byte `json:"aux,omitempty"`
 	// FrontierNodes and FrontierSum are the frontier's node count and the
 	// sum of its nodes' frontierMix terms, which the replay recomputes.
 	FrontierNodes int64  `json:"frontier_nodes"`
@@ -138,7 +138,6 @@ type ckptLoaded struct {
 	// paths is the frontier: FrontierNodes pid paths from the root of
 	// NextDepth bytes each, back to back.
 	paths []byte
-	aux   []byte
 }
 
 // loadCheckpoint reads the latest committed checkpoint under dir.
@@ -168,9 +167,6 @@ func loadCheckpoint(dir string, profile ckptProfile) (*ckptLoaded, error) {
 	err = loaded.readVisited()
 	if err == nil {
 		err = loaded.readFrontier()
-	}
-	if err == nil && man.HasAux {
-		loaded.aux, err = readArtifactFile(ckptGenPath(dir, "aux", man.Gen), artifactAux)
 	}
 	if err != nil {
 		return ckptDiscard(dir, err)
@@ -297,12 +293,11 @@ func writeBlocks(path string, kind byte, fill func(bw *blockWriter) error) error
 
 // write commits one checkpoint generation: added is the visited delta
 // since the previous one, nodes the next level's frontier.
-func (w *ckptWriter) write(man ckptManifest, added entryList, nodes []*Node, aux []byte) error {
+func (w *ckptWriter) write(man ckptManifest, added entryList, nodes []*Node) error {
 	gen := w.gen
 	man.Version = ckptManifestVersion
 	man.Profile = w.profile
 	man.Gen = gen
-	man.HasAux = len(aux) > 0
 	man.FrontierNodes = int64(len(nodes))
 
 	err := writeBlocks(ckptGenPath(w.dir, "visited", gen), artifactVisited, func(bw *blockWriter) error {
@@ -326,12 +321,6 @@ func (w *ckptWriter) write(man ckptManifest, added entryList, nodes []*Node, aux
 			return nil
 		})
 	}
-	if err == nil && man.HasAux {
-		err = writeBlocks(ckptGenPath(w.dir, "aux", gen), artifactAux, func(bw *blockWriter) error {
-			bw.buf = aux // one block
-			return nil
-		})
-	}
 	if err == nil {
 		err = w.publish(man)
 	}
@@ -339,11 +328,10 @@ func (w *ckptWriter) write(man ckptManifest, added entryList, nodes []*Node, aux
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 
-	// The previous generation's frontier and aux are now unreachable;
-	// reclaim them. Its visited delta is part of this generation's set.
+	// The previous generation's frontier is now unreachable; reclaim it.
+	// Its visited delta is part of this generation's set.
 	if gen > 1 {
 		os.Remove(ckptGenPath(w.dir, "frontier", gen-1))
-		os.Remove(ckptGenPath(w.dir, "aux", gen-1))
 	}
 	w.gen++
 	return nil

@@ -159,7 +159,7 @@ type EngineOptions struct {
 	CheckpointEvery int
 	// CheckpointAux, if non-nil, serializes the search layer's
 	// accumulators (ExploreOpts' class table: decided values, the
-	// violation's witness) into each snapshot; CheckpointRestore
+	// violation's witness) into each snapshot's manifest; CheckpointRestore
 	// rehydrates them on resume. Installed by ExploreOpts, not by end
 	// callers.
 	CheckpointAux     func() ([]byte, error)

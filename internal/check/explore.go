@@ -172,7 +172,7 @@ func ExploreOpts(p model.Protocol, c *model.Config, pids []int, k int, opts Expl
 	}
 
 	// Checkpointing: the class table (decided values, the violation's
-	// witness) and the maximum ride along in the aux artifact, under an
+	// witness) and the maximum ride along in the manifest's aux, under an
 	// "explore" subdirectory. A decided value restored from it has no
 	// witness; the violation's is rebuilt by replaying its path.
 	t := newClassTable()

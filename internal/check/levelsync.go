@@ -321,8 +321,9 @@ func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelRe
 		Closed:    run.closed.Load(),
 		Truncated: run.truncated.Load(),
 		Finished:  stop || len(nodes) == 0,
+		Aux:       aux,
 	}
-	if err := ckpt.write(man, run.store.takeAdded(), nodes, aux); err != nil {
+	if err := ckpt.write(man, run.store.takeAdded(), nodes); err != nil {
 		return err
 	}
 	lvl.Frontier = &memSource{nodes: nodes}
@@ -353,8 +354,8 @@ func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) 
 	}
 	stats.Processed = man.Processed
 	stats.Levels = man.Levels
-	if run.opts.CheckpointRestore != nil && len(resumed.aux) > 0 {
-		if err := run.opts.CheckpointRestore(resumed.aux); err != nil {
+	if run.opts.CheckpointRestore != nil && len(man.Aux) > 0 {
+		if err := run.opts.CheckpointRestore(man.Aux); err != nil {
 			return nil, fmt.Errorf("checkpoint: restoring search state: %w", err)
 		}
 	}
