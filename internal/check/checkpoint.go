@@ -10,7 +10,14 @@ package check
 //	                the root), each exactly once
 //	frontier-<gen>  the next level's nodes as root-to-node pid paths
 //	MANIFEST.json   counters + profile + generation + frontier checksum +
-//	                the search layer's opaque accumulators, renamed LAST
+//	                the search layer's accumulators, renamed LAST
+//
+// ExploreOpts' accumulators are its ClassRecord (classes.go): each class
+// met with its witness's depth, fingerprint and path, and the largest
+// number of values decided together. Resume restores it as the
+// distributed merge restores a peer's: every witness path is replayed and
+// must reach a configuration of its class, or the run fails with an error
+// naming the checkpoint directory, before anything is written.
 //
 // Generation gen's visited set is the union of visited-1 … visited-gen,
 // which together hold exactly the manifest's Admitted entries: a snapshot
@@ -95,7 +102,8 @@ type ckptManifest struct {
 	// (empty next frontier or an early stop): resume restores the
 	// verdict without re-entering the level loop.
 	Finished bool `json:"finished"`
-	// Aux is the search layer's accumulators (EngineOptions.CheckpointAux).
+	// Aux is the search layer's accumulators (EngineOptions.checkpointAux:
+	// ExploreOpts' ClassRecord, as JSON).
 	Aux []byte `json:"aux,omitempty"`
 	// FrontierNodes and FrontierSum are the frontier's node count and the
 	// sum of its nodes' frontierMix terms, which the replay recomputes.
@@ -106,9 +114,10 @@ type ckptManifest struct {
 }
 
 // ckptManifestVersion is the layout the manifest and its artifacts are
-// in. A manifest of another version is quarantined like a corrupt one,
-// and the run starts over.
-const ckptManifestVersion = 2
+// in: 3 since the manifest's aux became a ClassRecord, whose decided
+// values keep their witnesses. A manifest of another version is
+// quarantined like a corrupt one, and the run starts over.
+const ckptManifestVersion = 3
 
 func ckptManifestPath(dir string) string { return filepath.Join(dir, "MANIFEST.json") }
 

@@ -435,26 +435,31 @@ func TestCheckpointProfileMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointEarlierLayoutRestartsFresh: a manifest of layout version
-// 1 (a whole visited snapshot per generation, a reserved word per frontier
-// record) is not resumed. It is quarantined like a corrupt one and the run
-// starts over to the clean verdict, however the earlier build wrote its
-// profile: with "canonical":false from before the Canonical hook was
-// removed, or with "sleep=true" in a sym+sleep run's reduction from before
-// sleep sets were deleted.
+// TestCheckpointEarlierLayoutRestartsFresh: a manifest of an earlier
+// layout version is not resumed: version 1 (a whole visited snapshot per
+// generation, a reserved word per frontier record) or version 2 (an aux
+// whose decided values had no witnesses). It is quarantined like a corrupt
+// one and the run starts over to the clean verdict, however the earlier
+// build wrote its profile: with "canonical":false from before the
+// Canonical hook was removed, or with "sleep=true" in a sym+sleep run's
+// reduction from before sleep sets were deleted.
 func TestCheckpointEarlierLayoutRestartsFresh(t *testing.T) {
-	for _, tc := range []struct{ name, reduce, old, earlier string }{
-		{"canonical", "", `"max_configs":`, `"canonical":false,"max_configs":`},
-		{"sym+sleep", check.ReduceSym, `sym=true`, `sym=true,sleep=true`},
+	for _, tc := range []struct {
+		name, reduce, old, earlier string
+		version                    int
+	}{
+		{"canonical", "", `"max_configs":`, `"canonical":false,"max_configs":`, 1},
+		{"sym+sleep", check.ReduceSym, `sym=true`, `sym=true,sleep=true`, 1},
+		{"layout-2", "", "", "", 2},
 	} {
-		t.Run(tc.name, func(t *testing.T) { restartEarlierLayout(t, tc.reduce, tc.old, tc.earlier) })
+		t.Run(tc.name, func(t *testing.T) { restartEarlierLayout(t, tc.reduce, tc.old, tc.earlier, tc.version) })
 	}
 }
 
 // restartEarlierLayout kills a run under reduction reduce, rewrites its
-// manifest as version 1, replacing old with earlier (re-summing it), and
-// runs again on the directory.
-func restartEarlierLayout(t *testing.T, reduce, old, earlier string) {
+// manifest as the given version, replacing old with earlier (re-summing
+// it), and runs again on the directory.
+func restartEarlierLayout(t *testing.T, reduce, old, earlier string, version int) {
 	p := symRace{n: 4}
 	c := model.MustNewConfig(p, []int{0, 0, 1, 1})
 	pids := []int{0, 1, 2, 3}
@@ -484,9 +489,10 @@ func restartEarlierLayout(t *testing.T, reduce, old, earlier string) {
 		t.Fatal(err)
 	}
 	raw = bytes.Replace(raw, []byte(old), []byte(earlier), 1)
-	raw = bytes.Replace(raw, []byte(`"version":2`), []byte(`"version":1`), 1)
+	was := fmt.Sprintf(`"version":%d`, version)
+	raw = bytes.Replace(raw, []byte(`"version":3`), []byte(was), 1)
 	i := bytes.LastIndex(raw, []byte(`"sum":`))
-	if i < 0 || !bytes.Contains(raw, []byte(earlier)) || !bytes.Contains(raw, []byte(`"version":1`)) {
+	if i < 0 || !bytes.Contains(raw, []byte(earlier)) || !bytes.Contains(raw, []byte(was)) {
 		t.Fatalf("manifest layout changed: %s", raw)
 	}
 	zeroed := append(append([]byte(nil), raw[:i]...), `"sum":0}`...)

@@ -3,7 +3,6 @@ package check
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"sync"
 
 	"repro/internal/model"
@@ -54,8 +53,7 @@ func WitnessCmp(aDepth int, aFP uint64, bDepth int, bFP uint64) int {
 }
 
 // classTable is a class search's running result: each class met, with
-// its witness so far. A class seeded from a checkpoint without a witness
-// maps to nil.
+// its witness so far.
 type classTable struct {
 	mu   sync.Mutex
 	best map[int]*Witness
@@ -63,24 +61,22 @@ type classTable struct {
 
 func newClassTable() *classTable { return &classTable{best: map[int]*Witness{}} }
 
-// offer enters the visited node n in each of classes where it precedes
-// the class's witness.
-func (t *classTable) offer(n *Node, classes []int) {
+// offer enters the configuration cfg, reached at depth by path with
+// fingerprint fp, in each of classes where it precedes the class's
+// witness. cfg and path are copied.
+func (t *classTable) offer(depth int, fp uint64, cfg *model.Config, path []byte, classes []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var won *Witness // n's witness, built once for all the classes it wins
-	var key string   // n's Config.Key(), computed at its first tie
+	var won *Witness // the witness, built once for all the classes it wins
+	var key string   // cfg.Key(), computed at its first tie
 	for _, c := range classes {
 		if w, met := t.best[c]; met {
-			if w == nil {
-				continue // met before a snapshot, at a smaller depth than n's
-			}
-			switch WitnessCmp(n.Depth, n.fp, w.Depth, w.FP) {
+			switch WitnessCmp(depth, fp, w.Depth, w.FP) {
 			case 1:
 				continue
 			case 0:
 				if key == "" {
-					key = n.Cfg.Key()
+					key = cfg.Key()
 				}
 				if key >= w.Cfg.Key() {
 					continue
@@ -88,25 +84,10 @@ func (t *classTable) offer(n *Node, classes []int) {
 			}
 		}
 		if won == nil {
-			won = &Witness{Depth: n.Depth, FP: n.fp, Cfg: n.Cfg.Clone(), Path: append([]byte(nil), n.path...)}
+			won = &Witness{Depth: depth, FP: fp, Cfg: cfg.Clone(), Path: append([]byte(nil), path...)}
 		}
 		t.best[c] = won
 	}
-}
-
-// snapshot returns a copy of the table.
-func (t *classTable) snapshot() map[int]*Witness {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return maps.Clone(t.best)
-}
-
-// seed enters class c as met before a snapshot, with witness w (nil if
-// the snapshot kept none).
-func (t *classTable) seed(c int, w *Witness) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.best[c] = w
 }
 
 // SearchClasses is the class search: a breadth-first walk of the
@@ -125,7 +106,7 @@ func SearchClasses(p model.Protocol, start *model.Config, pids []int, opts Explo
 }
 
 // searchClasses is SearchClasses on a given table, which a checkpointing
-// caller snapshots and seeds through its aux hooks.
+// caller records and restores through its aux hooks.
 func searchClasses(p model.Protocol, start *model.Config, pids []int, opts ExploreOptions, stopAt int,
 	classify func(cfg *model.Config, classes []int) ([]int, error), t *classTable,
 ) (map[int]*Witness, RunStats, error) {
@@ -135,7 +116,7 @@ func searchClasses(p model.Protocol, start *model.Config, pids []int, opts Explo
 	visit := func(w int, n *Node) error {
 		classes, err := classify(n.Cfg, bufs[w][:0])
 		if err == nil && len(classes) > 0 {
-			t.offer(n, classes)
+			t.offer(n.Depth, n.fp, n.Cfg, n.path, classes)
 		}
 		return err
 	}
@@ -153,9 +134,6 @@ func searchClasses(p model.Protocol, start *model.Config, pids []int, opts Explo
 	}
 	if opts.Engine.keepsPaths() {
 		for c, w := range t.best {
-			if w == nil {
-				continue
-			}
 			end, err := model.Replay(p, start, w.Path)
 			if err != nil {
 				return nil, stats, fmt.Errorf("check: replaying the witness of class %d: %w", c, err)

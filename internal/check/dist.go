@@ -30,12 +30,20 @@ package check
 //     and each peer's store keeps its share with its own CutLevel (the
 //     same cut a single process makes).
 //
+//   - A peer's result is its ExploreShare: its counts, its stats and its
+//     ClassRecord. The coordinator merges the shares with ExploreMerge,
+//     which restores each record as a checkpoint resume does — every
+//     witness path replayed from the start configuration and classified
+//     again — and builds the result with ExploreOpts' own builder.
+//
 // Distribution runs the level-synchronized order only, which is what
 // makes every cell of it deterministic: the one budget test is the
 // coordinator's, at a barrier. It composes with the reduction stack
 // (canonical fingerprints are computed peer-side) and with the store
 // with or without a budget. It is rejected together with the async order, Provenance,
 // StringKeys and Checkpoint (modes.go says why).
+
+import "repro/internal/model"
 
 // DistNumParts is the size of the global partition space fingerprints
 // hash into before peer assignment: fixed so the fp -> peer routing is
@@ -87,10 +95,10 @@ type NetStats struct {
 	Retries int64 `json:"retries,omitempty"`
 }
 
-// Add folds o, another peer's share of one run, into s: every counter
+// add folds o, another peer's share of one run, into s: every counter
 // sums. Peers and the fail-over counters are the coordinator's to set
-// afterwards (a peer reports them as 0).
-func (s *NetStats) Add(o NetStats) {
+// afterwards.
+func (s *NetStats) add(o NetStats) {
 	s.Peers += o.Peers
 	s.BatchesSent += o.BatchesSent
 	s.BytesSent += o.BytesSent
@@ -99,6 +107,67 @@ func (s *NetStats) Add(o NetStats) {
 	s.ReseededPartitions += o.ReseededPartitions
 	s.Retries += o.Retries
 }
+
+// ExploreShare is one peer's share of a distributed ExploreOpts run, as
+// its RESULT frame carries it: its counts, its stats and its class record.
+type ExploreShare struct {
+	Visited   int            `json:"visited"`
+	Complete  bool           `json:"complete"`
+	Record    ClassRecord    `json:"record"`
+	Store     StoreStats     `json:"store"`
+	Reduction ReductionStats `json:"reduction"`
+	Async     AsyncStats     `json:"async"`
+	Net       NetStats       `json:"net"`
+}
+
+// ExploreOptsShare is ExploreOpts for a peer of a distributed run: it
+// returns the peer's share instead of a result. The engine's Dist link
+// keeps paths, so every witness in the record has one.
+func ExploreOptsShare(p model.Protocol, c *model.Config, pids []int, k int, opts ExploreOptions) (*ExploreShare, error) {
+	s, stats, err := exploreOpts(p, c, pids, k, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &ExploreShare{Visited: stats.Processed, Complete: stats.Complete, Record: s.record(),
+		Store: stats.Store, Reduction: stats.Reduction, Async: stats.Async, Net: stats.Net}, nil
+}
+
+// ExploreMerge merges the shares of one distributed ExploreOpts run into
+// its result. Counts and stats sum and completeness ANDs; each share's
+// record is restored into one class table by the restore a checkpoint
+// resume runs (each path replayed from the start configuration and
+// classified, each witness entered by the witness rule), and the result
+// comes from ExploreOpts' own builder. Peers own disjoint fingerprints,
+// so the witness order does not tie across shares.
+type ExploreMerge struct {
+	s     *exploreSearch
+	stats RunStats
+}
+
+// NewExploreMerge starts the merge of an ExploreOpts(p, start, pids, k)
+// run.
+func NewExploreMerge(p model.Protocol, start *model.Config, pids []int, k int) *ExploreMerge {
+	return &ExploreMerge{s: newExploreSearch(p, start, pids, k), stats: RunStats{Complete: true}}
+}
+
+// Add merges one share. A record whose witness does not replay into its
+// class is an error: the share is not evidence of anything, and the merge
+// must not be used.
+func (m *ExploreMerge) Add(sh *ExploreShare) error {
+	if err := m.s.restore(sh.Record); err != nil {
+		return err
+	}
+	m.stats.Processed += sh.Visited
+	m.stats.Complete = m.stats.Complete && sh.Complete
+	m.stats.Store.add(sh.Store)
+	m.stats.Reduction.add(sh.Reduction)
+	m.stats.Async.Order = sh.Async.Order
+	m.stats.Net.add(sh.Net)
+	return nil
+}
+
+// Result returns the merged result.
+func (m *ExploreMerge) Result() *ExploreResult { return m.s.result(m.stats) }
 
 // DistBarrier is the coordinator's verdict at one level barrier.
 type DistBarrier struct {

@@ -143,8 +143,9 @@ type EngineOptions struct {
 	// Checkpoint is a directory for crash-safe snapshots: at level
 	// barriers the engine writes the visited entries admitted since the
 	// previous snapshot (a delta; the deltas stay while the manifest
-	// names them), the next frontier and the search-layer accumulators
-	// there (write-then-rename manifests), and a new run pointed at the
+	// names them), the next frontier and, for ExploreOpts, its
+	// ClassRecord there (write-then-rename manifests; resume replays and
+	// re-classifies every witness path), and a new run pointed at the
 	// same directory resumes from the last committed generation with an
 	// identical final verdict, replaying the frontier a chunk at a time
 	// as its first level is expanded. Levelsync order only: the async
@@ -157,13 +158,6 @@ type EngineOptions struct {
 	// last one. The run's final barrier always snapshots, so a finished
 	// run resumes to its verdict instantly.
 	CheckpointEvery int
-	// CheckpointAux, if non-nil, serializes the search layer's
-	// accumulators (ExploreOpts' class table: decided values, the
-	// violation's witness) into each snapshot's manifest; CheckpointRestore
-	// rehydrates them on resume. Installed by ExploreOpts, not by end
-	// callers.
-	CheckpointAux     func() ([]byte, error)
-	CheckpointRestore func([]byte) error
 	// Progress, if non-nil, is invoked after every completed level with
 	// cumulative throughput statistics.
 	Progress func(Progress)
@@ -176,6 +170,13 @@ type EngineOptions struct {
 	// Levelsync order only; incompatible with Provenance, StringKeys and
 	// Checkpoint.
 	Dist DistLink
+
+	// checkpointAux serializes the search layer's accumulators
+	// (ExploreOpts' ClassRecord) into each snapshot's manifest, and
+	// checkpointRestore restores them on resume; ExploreOpts is their only
+	// setter.
+	checkpointAux     func() ([]byte, error)
+	checkpointRestore func([]byte) error
 }
 
 func (o EngineOptions) withDefaults() EngineOptions {
@@ -332,9 +333,9 @@ type engineRun struct {
 
 	// pathsOn maintains every node's root-to-node pid path: set for
 	// provenance runs (the path is the witness schedule), checkpointing
-	// runs (paths are how frontiers persist) and distributed runs (paths
-	// are the wire records' replay fallback and how peers ship replayable
-	// violation witnesses to the coordinator).
+	// runs (paths are how frontiers and class witnesses persist) and
+	// distributed runs (paths are the wire records' replay fallback and
+	// how peers ship their class witnesses to the coordinator).
 	pathsOn bool
 	// link is the distributed peer link (nil for single-process runs) and
 	// remat what rebuilds the nodes of the records it delivers.
@@ -525,7 +526,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	visit func(worker int, n *Node) error,
 	afterLevel func(depth, processed int) (stop bool),
 ) (rstats RunStats, rerr error) {
-	limits = limits.withDefaults()
+	limits = limits.WithDefaults()
 	opts = opts.withDefaults()
 	asyncOn, symOn, err := Modes{Order: opts.Order, Reduction: opts.Reduction, Store: opts.Store, StringKeys: opts.StringKeys,
 		Provenance: opts.Provenance, Checkpoint: opts.Checkpoint != "", Dist: opts.Dist != nil}.resolve()

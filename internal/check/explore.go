@@ -3,6 +3,7 @@ package check
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"path/filepath"
 	"slices"
@@ -36,7 +37,9 @@ type ExploreLimits struct {
 	MaxDepth int
 }
 
-func (l ExploreLimits) withDefaults() ExploreLimits {
+// WithDefaults returns l with its defaults filled in: the budget a run
+// of l spends, which a distributed coordinator cuts at.
+func (l ExploreLimits) WithDefaults() ExploreLimits {
 	if l.MaxConfigs <= 0 {
 		l.MaxConfigs = DefaultMaxConfigs
 	}
@@ -70,22 +73,9 @@ type ExploreResult struct {
 	// ordering key parallel runs agree on).
 	ViolationDepth int
 	ViolationFP    uint64
-	// ViolationPath is the witness's root-to-node pid schedule, populated
-	// only on runs that maintain paths (checkpointing or distributed) —
-	// it is how a distributed peer ships a replayable witness to the
-	// coordinator.
-	ViolationPath []byte
 	// MaxDecidedTogether is the largest number of distinct values decided
 	// within a single visited configuration.
 	MaxDecidedTogether int
-	// ValueWitnesses, populated only on distributed runs (which maintain
-	// root-to-node paths anyway), carries one replayable witness schedule
-	// per decided value: the class search's witness for it, the smallest
-	// configuration (minimum BFS depth, then fingerprint) observed
-	// deciding it. It is how a peer ships valency evidence to the
-	// coordinator, which can then classify valency without re-exploring
-	// locally.
-	ValueWitnesses []ValueWitness
 	// Store reports the state store's activity over the exploration
 	// (kind: "mem" without a budget, "spill" under one; bytes spilled;
 	// peak resident bytes).
@@ -101,17 +91,6 @@ type ExploreResult struct {
 	// peer's link; coordinator side: the peers summed). Zero-valued for
 	// single-process runs.
 	Net NetStats
-}
-
-// ValueWitness is a replayable decided-value witness: applying Path
-// from the start configuration reaches a configuration of depth Depth
-// and fingerprint FP in which some explored process has decided Value.
-// A distributed peer ships its witnesses in this JSON form.
-type ValueWitness struct {
-	Value int    `json:"value"`
-	Depth int    `json:"depth"`
-	FP    uint64 `json:"fp"`
-	Path  []byte `json:"path,omitempty"`
 }
 
 // ExploreOptions bundles the limits with the engine knobs for the
@@ -157,104 +136,144 @@ func Explore(p model.Protocol, c *model.Config, pids []int, k int, limits Explor
 // decided before the exploration began and is background state — and,
 // when more than k of them are decided together, violationClass.
 func ExploreOpts(p model.Protocol, c *model.Config, pids []int, k int, opts ExploreOptions) (*ExploreResult, error) {
-	var maxTogether atomic.Int64 // a plain maximum beside the search
-	classify := func(cfg *model.Config, classes []int) ([]int, error) {
-		for _, pid := range pids {
-			if v, ok := cfg.Decided(p, pid); ok && !slices.Contains(classes, v) {
-				classes = append(classes, v)
-			}
-		}
-		storeMax(&maxTogether, len(classes))
-		if k > 0 && len(classes) > k {
-			classes = append(classes, violationClass)
-		}
-		return classes, nil
-	}
-
-	// Checkpointing: the class table (decided values, the violation's
-	// witness) and the maximum ride along in the manifest's aux, under an
-	// "explore" subdirectory. A decided value restored from it has no
-	// witness; the violation's is rebuilt by replaying its path.
-	t := newClassTable()
-	eng := opts.Engine
-	if eng.Checkpoint != "" {
-		type auxWitness struct {
-			Depth int    `json:"depth"`
-			FP    uint64 `json:"fp"`
-			Key   []byte `json:"key,omitempty"`
-			Path  []byte `json:"path"`
-		}
-		type exploreAux struct {
-			Decided     []int       `json:"decided"`
-			MaxTogether int         `json:"max_together"`
-			Violation   *auxWitness `json:"violation,omitempty"`
-		}
-		eng.Checkpoint = filepath.Join(eng.Checkpoint, "explore")
-		eng.CheckpointAux = func() ([]byte, error) {
-			found := t.snapshot()
-			aux := exploreAux{Decided: decidedValues(found), MaxTogether: int(maxTogether.Load())}
-			if w := found[violationClass]; w != nil {
-				aux.Violation = &auxWitness{Depth: w.Depth, FP: w.FP, Key: []byte(w.Cfg.Key()), Path: w.Path}
-			}
-			return json.Marshal(aux)
-		}
-		eng.CheckpointRestore = func(b []byte) error {
-			var aux exploreAux
-			if err := json.Unmarshal(b, &aux); err != nil {
-				return fmt.Errorf("explore checkpoint aux: %w", err)
-			}
-			for _, v := range aux.Decided {
-				t.seed(v, nil)
-			}
-			maxTogether.Store(int64(aux.MaxTogether))
-			if w := aux.Violation; w != nil {
-				cfg, err := model.Replay(p, c, w.Path)
-				if err != nil {
-					return fmt.Errorf("explore checkpoint: replaying violation witness: %w", err)
-				}
-				t.seed(violationClass, &Witness{Depth: w.Depth, FP: w.FP, Cfg: cfg, Path: w.Path})
-			}
-			return nil
-		}
-	}
-
-	found, stats, err := searchClasses(p, c, pids, ExploreOptions{Limits: opts.Limits, Engine: eng}, 0, classify, t)
+	s, stats, err := exploreOpts(p, c, pids, k, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &ExploreResult{
-		Visited: stats.Processed, Complete: stats.Complete,
-		Store: stats.Store, Reduction: stats.Reduction, Async: stats.Async, Net: stats.Net,
-		DecidedValues:      decidedValues(found),
-		MaxDecidedTogether: int(maxTogether.Load()),
-	}
-	if eng.Dist != nil {
-		for _, v := range res.DecidedValues {
-			w := found[v]
-			res.ValueWitnesses = append(res.ValueWitnesses, ValueWitness{Value: v, Depth: w.Depth, FP: w.FP, Path: w.Path})
+	return s.result(stats), nil
+}
+
+// exploreOpts runs ExploreOpts' class search and returns it with the
+// engine's stats. A checkpointing run keeps the search's ClassRecord in
+// each manifest, under an "explore" subdirectory, and a resume restores
+// it.
+func exploreOpts(p model.Protocol, c *model.Config, pids []int, k int, opts ExploreOptions) (*exploreSearch, RunStats, error) {
+	s := newExploreSearch(p, c, pids, k)
+	eng := opts.Engine
+	if eng.Checkpoint != "" {
+		eng.Checkpoint = filepath.Join(eng.Checkpoint, "explore")
+		eng.checkpointAux = func() ([]byte, error) { return json.Marshal(s.record()) }
+		eng.checkpointRestore = func(b []byte) error {
+			var rec ClassRecord
+			if err := json.Unmarshal(b, &rec); err != nil {
+				return fmt.Errorf("explore checkpoint record: %w", err)
+			}
+			return s.restore(rec)
 		}
 	}
-	if w := found[violationClass]; w != nil {
-		res.AgreementViolation, res.ViolationDepth, res.ViolationFP, res.ViolationPath = w.Cfg, w.Depth, w.FP, w.Path
+	_, stats, err := searchClasses(p, c, pids, ExploreOptions{Limits: opts.Limits, Engine: eng}, 0, s.classify, s.t)
+	return s, stats, err
+}
+
+// exploreSearch is ExploreOpts' class search on one instance: its
+// classifier, its class table and the maximum kept beside it. A run, a
+// checkpoint resume and the distributed merge (ExploreMerge) all build
+// their result from one.
+type exploreSearch struct {
+	p           model.Protocol
+	start       *model.Config
+	pids        []int
+	k           int
+	t           *classTable
+	maxTogether atomic.Int64 // a plain maximum beside the search
+}
+
+func newExploreSearch(p model.Protocol, start *model.Config, pids []int, k int) *exploreSearch {
+	return &exploreSearch{p: p, start: start, pids: pids, k: k, t: newClassTable()}
+}
+
+// classify puts cfg in the class of each value a member of P decided in
+// it and, when more than k are decided together, in violationClass.
+func (s *exploreSearch) classify(cfg *model.Config, classes []int) ([]int, error) {
+	for _, pid := range s.pids {
+		if v, ok := cfg.Decided(s.p, pid); ok && !slices.Contains(classes, v) {
+			classes = append(classes, v)
+		}
 	}
-	return res, nil
+	storeMax(&s.maxTogether, len(classes))
+	if s.k > 0 && len(classes) > s.k {
+		classes = append(classes, violationClass)
+	}
+	return classes, nil
 }
 
 // violationClass is ExploreOpts' class of configurations in which more
 // than k values are decided: an id no decided value uses.
 const violationClass = math.MinInt
 
-// decidedValues returns the decided values among ExploreOpts' classes,
-// ascending.
-func decidedValues(found map[int]*Witness) []int {
-	out := make([]int, 0, len(found))
-	for c := range found {
-		if c != violationClass {
-			out = append(out, c)
+// ClassRecord is ExploreOpts' class table as it crosses a process
+// boundary — in a checkpoint's manifest and in a distributed peer's RESULT
+// frame: each class met, with its witness's depth, fingerprint and
+// root-to-node path, ascending by class, and the largest number of values
+// decided together. A record is only as good as its paths: restore
+// replays every one of them before it enters a witness.
+type ClassRecord struct {
+	Classes     []ClassWitness `json:"classes"`
+	MaxTogether int            `json:"max_together"`
+}
+
+// ClassWitness is one class of a ClassRecord with its witness.
+type ClassWitness struct {
+	Class int    `json:"class"`
+	Depth int    `json:"depth"`
+	FP    uint64 `json:"fp"`
+	Path  []byte `json:"path"`
+}
+
+// record returns the search's ClassRecord.
+func (s *exploreSearch) record() ClassRecord {
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	rec := ClassRecord{MaxTogether: int(s.maxTogether.Load())}
+	for _, c := range slices.Sorted(maps.Keys(s.t.best)) {
+		w := s.t.best[c]
+		rec.Classes = append(rec.Classes, ClassWitness{Class: c, Depth: w.Depth, FP: w.FP, Path: w.Path})
+	}
+	return rec
+}
+
+// restore enters rec in the search, its maximum as a maximum and each
+// witness by the witness rule once its path is replayed from the start
+// configuration. A path that does not replay, whose length is not its
+// witness's depth, or that reaches a configuration outside the witness's
+// class is an error, and nothing later in rec is entered. Checkpoint
+// resume and the distributed merge both restore through it.
+func (s *exploreSearch) restore(rec ClassRecord) error {
+	storeMax(&s.maxTogether, rec.MaxTogether)
+	var buf [8]int
+	for _, w := range rec.Classes {
+		if len(w.Path) != w.Depth {
+			return fmt.Errorf("check: the witness of class %d claims depth %d on a path of %d steps", w.Class, w.Depth, len(w.Path))
+		}
+		cfg, err := model.Replay(s.p, s.start, w.Path)
+		if err != nil {
+			return fmt.Errorf("check: replaying the witness of class %d: %w", w.Class, err)
+		}
+		if classes, _ := s.classify(cfg, buf[:0]); !slices.Contains(classes, w.Class) { // classify never fails
+			return fmt.Errorf("check: the witness path of class %d reaches a configuration outside it (classes %v)", w.Class, classes)
+		}
+		s.t.offer(w.Depth, w.FP, cfg, w.Path, []int{w.Class})
+	}
+	return nil
+}
+
+// result builds the search's ExploreResult from the run's stats.
+func (s *exploreSearch) result(stats RunStats) *ExploreResult {
+	res := &ExploreResult{
+		Visited: stats.Processed, Complete: stats.Complete,
+		Store: stats.Store, Reduction: stats.Reduction, Async: stats.Async, Net: stats.Net,
+		DecidedValues:      make([]int, 0, len(s.t.best)),
+		MaxDecidedTogether: int(s.maxTogether.Load()),
+	}
+	for c, w := range s.t.best {
+		if c == violationClass {
+			res.AgreementViolation, res.ViolationDepth, res.ViolationFP = w.Cfg, w.Depth, w.FP
+		} else {
+			res.DecidedValues = append(res.DecidedValues, c)
 		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(res.DecidedValues)
+	return res
 }
 
 // storeMax raises m to v if v is larger.
@@ -274,7 +293,7 @@ func storeMax(m *atomic.Int64, v int) {
 // both visit exactly MaxConfigs configurations but may pick different
 // representatives.
 func ExploreSequential(p model.Protocol, c *model.Config, pids []int, k int, limits ExploreLimits) *ExploreResult {
-	limits = limits.withDefaults()
+	limits = limits.WithDefaults()
 	res := &ExploreResult{Complete: true}
 	allowed := map[int]bool{}
 	for _, pid := range pids {
@@ -388,33 +407,23 @@ type ValencyResult struct {
 	Complete bool
 }
 
-// classifyValency is the classification switch shared by the local
-// explorer and the distributed merge path.
-func classifyValency(values []int, complete bool) Valency {
-	switch {
-	case len(values) >= 2:
-		return Bivalent
-	case complete && len(values) == 1:
-		return Univalent
-	case complete:
-		return Undecidable
-	default:
-		return Unknown
-	}
-}
-
 // ValencyFromResult classifies the valency of the exploration's start
 // configuration for its process set from a finished exploration — mcheck's
 // path, single process or distributed, where the result (a coordinator's
-// merged one: decided-value union with replay-validated witnesses, ANDed
-// completeness) carries the decided values and completeness the class
+// merged one: every peer's class witnesses replayed and re-classified,
+// ANDed completeness) carries the decided values and completeness the class
 // rests on: bivalence needs two decided values (each backed by a class
 // witness), univalence and undecidability additionally need
 // completeness, and anything else is Unknown.
 func ValencyFromResult(res *ExploreResult) *ValencyResult {
-	return &ValencyResult{
-		Class:    classifyValency(res.DecidedValues, res.Complete),
-		Values:   append([]int(nil), res.DecidedValues...),
-		Complete: res.Complete,
+	v := &ValencyResult{Class: Unknown, Values: append([]int(nil), res.DecidedValues...), Complete: res.Complete}
+	switch {
+	case len(v.Values) >= 2:
+		v.Class = Bivalent
+	case res.Complete && len(v.Values) == 1:
+		v.Class = Univalent
+	case res.Complete:
+		v.Class = Undecidable
 	}
+	return v
 }

@@ -308,8 +308,8 @@ func checkpointBarrier(run *engineRun, ckpt *ckptWriter, depth int, lvl *LevelRe
 		return err
 	}
 	var aux []byte
-	if run.opts.CheckpointAux != nil {
-		if aux, err = run.opts.CheckpointAux(); err != nil {
+	if run.opts.checkpointAux != nil {
+		if aux, err = run.opts.checkpointAux(); err != nil {
 			return fmt.Errorf("checkpoint: serializing search state: %w", err)
 		}
 	}
@@ -354,9 +354,9 @@ func resumeFromCheckpoint(run *engineRun, resumed *ckptLoaded, stats *RunStats) 
 	}
 	stats.Processed = man.Processed
 	stats.Levels = man.Levels
-	if run.opts.CheckpointRestore != nil && len(man.Aux) > 0 {
-		if err := run.opts.CheckpointRestore(man.Aux); err != nil {
-			return nil, fmt.Errorf("checkpoint: restoring search state: %w", err)
+	if run.opts.checkpointRestore != nil && len(man.Aux) > 0 {
+		if err := run.opts.checkpointRestore(man.Aux); err != nil {
+			return nil, fmt.Errorf("checkpoint %s: restoring search state: %w", run.opts.Checkpoint, err)
 		}
 	}
 	if man.Finished {

@@ -79,9 +79,9 @@ type ReductionStats struct {
 	SleepSkipped int64 `json:"sleep_skipped,omitempty"`
 }
 
-// Add folds o, another process's share of one run, into s: the counters
+// add folds o, another process's share of one run, into s: the counters
 // sum, and Reduce is o's (every share ran the same mode).
-func (s *ReductionStats) Add(o ReductionStats) {
+func (s *ReductionStats) add(o ReductionStats) {
 	s.Reduce = o.Reduce
 	s.StatesPruned += o.StatesPruned
 	s.OrbitHits += o.OrbitHits

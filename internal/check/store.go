@@ -82,9 +82,9 @@ type StoreStats struct {
 	PrefilterHits int64 `json:"prefilter_hits,omitempty"`
 }
 
-// Add folds o, another process's share of one run, into s: the counters
+// add folds o, another process's share of one run, into s: the counters
 // sum, and Kind is o's (every share ran the same store).
-func (s *StoreStats) Add(o StoreStats) {
+func (s *StoreStats) add(o StoreStats) {
 	s.Kind = o.Kind
 	s.BytesSpilled += o.BytesSpilled
 	s.RunsWritten += o.RunsWritten

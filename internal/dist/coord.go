@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,8 +238,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Run drives one distributed exploration over established peer
 // connections (one per peer, in peer-index order; addrs are labels for
 // errors). It owns the conns and closes them before returning. p is
-// used coordinator-side only to replay the merged violation and value
-// witnesses.
+// used coordinator-side only to replay and classify the witness paths of
+// the peers' class records (check.ExploreMerge).
 //
 // The verdict contract is the heart of the protocol: for any peer
 // count, Run's result has the same Visited count, Complete flag,
@@ -268,7 +267,7 @@ func Run(ctx context.Context, p model.Protocol, conns []net.Conn, addrs []string
 		}
 		return nil, err
 	}
-	spec.Limits = withLimitDefaults(spec.Limits)
+	spec.Limits = spec.Limits.WithDefaults()
 
 	slots := make([]slotInfo, peers)
 	for i, conn := range conns {
@@ -401,9 +400,7 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 		switch t {
 		case frameHelloAck:
 		case frameError:
-			var m errorMsg
-			unmarshalCtrl(payload, &m)
-			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: fmt.Errorf("peer rejected spec: %s", m.Msg)}
+			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: peerError("peer rejected spec", payload)}
 		default:
 			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: &FrameError{Reason: fmt.Sprintf("expected hello ack, got frame type %d", t)}}
 		}
@@ -549,11 +546,11 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 		return nil, err
 	}
 
-	results, err := gatherResults(ctrl, errc, slots[:peers])
+	shares, err := gatherResults(ctrl, errc, slots[:peers])
 	if err != nil {
 		return nil, err
 	}
-	return mergeResults(p, spec, results, st)
+	return mergeShares(p, spec, shares, slots, st)
 }
 
 // gatherResults collects one RESULT per peer from the readers' channels.
@@ -566,9 +563,9 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 // a peer still owing its result is therefore held (owed) while the
 // control frames already queued are read, and is a loss only if the
 // result is not among them.
-func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]*resultMsg, error) {
+func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]*check.ExploreShare, error) {
 	peers := len(slots)
-	results := make([]*resultMsg, peers)
+	results := make([]*check.ExploreShare, peers)
 	var owed *PeerLostError
 	for got := 0; got < peers; {
 		var m ctrlMsg
@@ -594,7 +591,7 @@ func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]
 		}
 		switch m.kind {
 		case frameResult:
-			var r resultMsg
+			var r check.ExploreShare
 			if err := unmarshalCtrl(m.payload, &r); err != nil {
 				return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: err}
 			}
@@ -606,14 +603,22 @@ func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]
 				owed = nil
 			}
 		case frameError:
-			var em errorMsg
-			unmarshalCtrl(m.payload, &em)
-			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: fmt.Errorf("peer run failed: %s", em.Msg)}
+			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: peerError("peer run failed", m.payload)}
 		default:
 			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("expected result, got frame type %d", m.kind)}}
 		}
 	}
 	return results, nil
+}
+
+// peerError is the failure a peer's ERROR frame reports: its message
+// after what, or the *FrameError of a payload that does not decode.
+func peerError(what string, payload []byte) error {
+	var m errorMsg
+	if err := unmarshalCtrl(payload, &m); err != nil {
+		return err
+	}
+	return fmt.Errorf("%s: %s", what, m.Msg)
 }
 
 // runLevelControl is the coordinator's barrier state machine: per depth,
@@ -724,90 +729,25 @@ func budgetKeep(next []int, keepTotal int) []int {
 	return keep
 }
 
-// mergeResults folds the per-peer shares into one ExploreResult: counts
-// sum, completeness ANDs, decided values union, and the violation
-// witness is the global minimum in the witness order (check.WitnessCmp),
-// replayed from its pid path — the same representative the
-// single-process engine reports. Peers own disjoint fingerprints, so the
-// order never ties here. Per-value witnesses merge the same way (global
-// minimum per value), each validated by replaying its path from the start
-// configuration.
-func mergeResults(p model.Protocol, spec Spec, results []*resultMsg, st *failState) (*check.ExploreResult, error) {
-	out := &check.ExploreResult{Complete: true}
-	decided := map[int]bool{}
-	bestWit := map[int]*check.ValueWitness{}
-	var viol *resultMsg
-	for _, r := range results {
-		out.Visited += r.Visited
-		out.Complete = out.Complete && r.Complete
-		for _, v := range r.Decided {
-			decided[v] = true
-		}
-		if r.MaxTogether > out.MaxDecidedTogether {
-			out.MaxDecidedTogether = r.MaxTogether
-		}
-		if r.HasViol && (viol == nil || check.WitnessCmp(r.ViolDepth, r.ViolFP, viol.ViolDepth, viol.ViolFP) < 0) {
-			viol = r
-		}
-		for i := range r.ValWits {
-			w := &r.ValWits[i]
-			if b := bestWit[w.Value]; b == nil || check.WitnessCmp(w.Depth, w.FP, b.Depth, b.FP) < 0 {
-				bestWit[w.Value] = w
-			}
-		}
-
-		out.Store.Add(r.Store)
-		out.Reduction.Add(r.Reduction)
-		out.Async.Order = r.Async.Order
-		// Each relayed record is counted once, at its sender. Traffic
-		// counters reflect the verdict-producing epoch; aborted epochs'
-		// traffic is not part of the result it reports.
-		out.Net.Add(r.Net)
-	}
-	out.Net.Peers = len(results)
-	if st != nil {
-		out.Net.PeersLost = st.peersLost
-		out.Net.ReseededPartitions = st.reseeded
-		out.Net.Retries = st.retries
-	}
-	for v := range decided {
-		out.DecidedValues = append(out.DecidedValues, v)
-	}
-	sort.Ints(out.DecidedValues)
-	// Witnesses arrive as pid paths; replaying one validates every
-	// transition against the model.
+// mergeShares merges the peers' shares into the run's result with
+// check.ExploreMerge, which replays every witness path from the start
+// configuration and checks its class. A share whose record does not
+// restore fails the run as a loss of the peer that sent it. Traffic
+// counters are the verdict-producing epoch's; the peer count and the
+// fail-over counters are the coordinator's own.
+func mergeShares(p model.Protocol, spec Spec, shares []*check.ExploreShare, slots []slotInfo, st *failState) (*check.ExploreResult, error) {
 	start, err := model.NewConfig(p, spec.Inputs)
 	if err != nil {
 		return nil, fmt.Errorf("dist: rebuilding start configuration: %w", err)
 	}
-	for _, v := range out.DecidedValues {
-		w := bestWit[v]
-		if w == nil {
-			continue
+	m := check.NewExploreMerge(p, start, allPids(p), spec.AgreeK)
+	for i, sh := range shares {
+		if err := m.Add(sh); err != nil {
+			return nil, &PeerLostError{Peer: i, Addr: slots[i].addr, Err: err}
 		}
-		if _, err := model.Replay(p, start, w.Path); err != nil {
-			return nil, fmt.Errorf("dist: replaying witness for value %d: %w", v, err)
-		}
-		out.ValueWitnesses = append(out.ValueWitnesses, *w)
 	}
-	if viol != nil {
-		cfg, err := model.Replay(p, start, viol.ViolPath)
-		if err != nil {
-			return nil, fmt.Errorf("dist: replaying violation witness: %w", err)
-		}
-		out.AgreementViolation = cfg
-		out.ViolationDepth = viol.ViolDepth
-		out.ViolationFP = viol.ViolFP
-		out.ViolationPath = append([]byte(nil), viol.ViolPath...)
-	}
+	out := m.Result()
+	out.Net.Peers = len(shares)
+	out.Net.PeersLost, out.Net.ReseededPartitions, out.Net.Retries = st.peersLost, st.reseeded, st.retries
 	return out, nil
-}
-
-// withLimitDefaults mirrors check.ExploreLimits.withDefaults so the
-// coordinator's budget math and the peers' agree on MaxConfigs.
-func withLimitDefaults(l check.ExploreLimits) check.ExploreLimits {
-	if l.MaxConfigs <= 0 {
-		l.MaxConfigs = check.DefaultMaxConfigs
-	}
-	return l
 }

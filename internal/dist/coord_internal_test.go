@@ -1,16 +1,21 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/check"
+	"repro/internal/model"
 )
 
 // TestGatherResultBeforeEOF: a peer's reader queues its RESULT on the
@@ -24,7 +29,7 @@ func TestGatherResultBeforeEOF(t *testing.T) {
 		ctrl := make(chan ctrlMsg, 4)
 		errc := make(chan error, 4)
 		for peer := range slots {
-			ctrl <- ctrlMsg{peer: peer, kind: frameResult, payload: marshalCtrl(resultMsg{Visited: 10 + peer})}
+			ctrl <- ctrlMsg{peer: peer, kind: frameResult, payload: marshalCtrl(check.ExploreShare{Visited: 10 + peer})}
 			errc <- &PeerLostError{Peer: peer, Addr: slots[peer].addr, Err: io.EOF}
 		}
 		results, err := gatherResults(ctrl, errc, slots)
@@ -47,7 +52,7 @@ func TestGatherLossWithoutResult(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ctrl := make(chan ctrlMsg, 4)
 		errc := make(chan error, 4)
-		ctrl <- ctrlMsg{peer: 0, kind: frameResult, payload: marshalCtrl(resultMsg{})}
+		ctrl <- ctrlMsg{peer: 0, kind: frameResult, payload: marshalCtrl(check.ExploreShare{})}
 		errc <- &PeerLostError{Peer: 1, Addr: "b", Err: io.EOF}
 		_, err := gatherResults(ctrl, errc, slots)
 		var pl *PeerLostError
@@ -192,5 +197,130 @@ func TestReseedCancelled(t *testing.T) {
 	}
 	if _, err := far.Read(make([]byte, 1)); err != io.EOF {
 		t.Errorf("slot 0's session still open after the aborted re-seed: read err = %v", err)
+	}
+}
+
+// fakePeer plays one peer of a run over conn: it answers the HELLO with
+// hello, a whole frame, and if that is a HELLOACK it reports one level
+// that admits nothing new and answers the verdict with final, a whole
+// frame.
+func fakePeer(conn net.Conn, hello, final []byte) {
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	read := func() bool { _, _, _, err := readFrame(br, nil); return err == nil }
+	write := func(b []byte) bool { _, err := conn.Write(b); return err == nil }
+	_ = read() && write(hello) && frameType(hello[4]) == frameHelloAck && // HELLO, answered
+		write(appendFrame(nil, frameExpanded, marshalCtrl(depthMsg{}))) && read() && // BARRIER
+		write(appendFrame(nil, frameLevel, marshalCtrl(levelMsg{Admitted: 1}))) && read() && // CONT
+		write(final)
+}
+
+// runFakePeers drives a coordinator over one fakePeer per final frame, on
+// the pair-consensus instance below, every peer acknowledging the HELLO
+// unless hello0 replaces peer 0's answer.
+func runFakePeers(hello0 []byte, finals ...[]byte) (*check.ExploreResult, error) {
+	conns := make([]net.Conn, len(finals))
+	for i, final := range finals {
+		near, far := net.Pipe()
+		conns[i] = near
+		hello := appendFrame(nil, frameHelloAck, marshalCtrl(helloAckMsg{PeerIndex: i}))
+		if i == 0 && hello0 != nil {
+			hello = hello0
+		}
+		go fakePeer(far, hello, final)
+	}
+	p, inputs := pairInstance()
+	return Run(context.Background(), p, conns, nil, Spec{Inputs: inputs, AgreeK: 1, Limits: check.ExploreLimits{MaxConfigs: 100}})
+}
+
+// pairInstance is a 3-process pair consensus with a violation at k = 1.
+func pairInstance() (model.Protocol, []int) {
+	return baseline.NewPairConsensus(2).WithProcesses(3), []int{0, 1, 1}
+}
+
+// TestMergeRefusesWitnessOutsideClass: a CRC-valid RESULT whose record
+// names a witness path that reaches a configuration outside its class —
+// a value's path to a configuration that does not decide the value, the
+// violation's path to one deciding no more than k values — fails the run
+// as a loss of the peer that sent it. The whole record, from either peer,
+// is the verdict's evidence. A checkpoint resume refuses the same records
+// (check's TestCheckpointRecordOutsideClass).
+func TestMergeRefusesWitnessOutsideClass(t *testing.T) {
+	p, inputs := pairInstance()
+	start := model.MustNewConfig(p, inputs)
+	whole, err := check.ExploreOptsShare(p, start, []int{0, 1, 2}, 1, check.ExploreOptions{Engine: check.EngineOptions{Workers: 1, Provenance: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := func(rec check.ClassRecord) []byte {
+		return appendFrame(nil, frameResult, marshalCtrl(check.ExploreShare{Visited: 7, Complete: true, Record: rec}))
+	}
+	res, err := runFakePeers(nil, result(check.ClassRecord{}), result(whole.Record))
+	if err != nil {
+		t.Fatalf("the whole record: %v", err)
+	}
+	if !reflect.DeepEqual(res.DecidedValues, []int{0, 1}) || res.AgreementViolation == nil || res.Visited != 14 {
+		t.Fatalf("the whole record merged to %+v", res)
+	}
+
+	at := func(class int) int {
+		i := slices.IndexFunc(whole.Record.Classes, func(w check.ClassWitness) bool { return w.Class == class })
+		if i < 0 {
+			t.Fatalf("record %+v has no class %d", whole.Record, class)
+		}
+		return i
+	}
+	decides := func(class int) []int {
+		cfg, err := model.Replay(p, start, whole.Record.Classes[at(class)].Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.DecidedValues(p)
+	}
+	if d := decides(1); slices.Contains(d, 0) {
+		t.Fatalf("value 1's witness decides %v", d)
+	}
+	if d := decides(0); len(d) > 1 {
+		t.Fatalf("value 0's witness decides %v", d)
+	}
+	// edit gives class's witness the path of from's.
+	edit := func(class, from int) check.ClassRecord {
+		rec := whole.Record
+		rec.Classes = slices.Clone(rec.Classes)
+		w := rec.Classes[at(from)]
+		w.Class = class
+		rec.Classes[at(class)] = w
+		return rec
+	}
+	for name, bad := range map[string]check.ClassRecord{
+		"value-outside-class": edit(0, 1),
+		"violation-within-k":  edit(math.MinInt, 0),
+	} {
+		_, err := runFakePeers(nil, result(check.ClassRecord{}), result(bad))
+		var pl *PeerLostError
+		if !errors.As(err, &pl) || pl.Peer != 1 || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("%s: err = %v, want peer 1 lost to a witness outside its class", name, err)
+		}
+	}
+}
+
+// TestPeerErrorUndecodable: an ERROR frame whose payload does not decode
+// fails the run as a loss of its peer carrying the payload's *FrameError,
+// at the handshake and after the last barrier alike.
+func TestPeerErrorUndecodable(t *testing.T) {
+	garbled := appendFrame(nil, frameError, []byte("{not json"))
+	for _, tc := range []struct {
+		name          string
+		hello0, final []byte
+	}{
+		{"handshake", garbled, nil},
+		{"result", nil, garbled},
+	} {
+		_, err := runFakePeers(tc.hello0, tc.final)
+		var pl *PeerLostError
+		var fe *FrameError
+		if !errors.As(err, &pl) || pl.Peer != 0 || !errors.As(err, &fe) {
+			t.Errorf("%s: err = %v, want peer 0 lost to a *FrameError", tc.name, err)
+		}
 	}
 }

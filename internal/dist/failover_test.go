@@ -213,8 +213,9 @@ func TestHeartbeatFalsePositive(t *testing.T) {
 }
 
 // TestFailoverValencyParity: the distributed valency classification
-// (merged decided values + replay-validated witnesses) matches the
-// single-process exploration's class, including across a fail-over.
+// (merged decided values, each a replayed and re-classified witness)
+// matches the single-process exploration's class, including across a
+// fail-over.
 func TestFailoverValencyParity(t *testing.T) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 2})
 	inputs := []int{0, 1, 1, 0}
@@ -242,12 +243,8 @@ func TestFailoverValencyParity(t *testing.T) {
 	if val.Class != oracleVal.Class {
 		t.Errorf("distributed valency %v, single-process %v", val.Class, oracleVal.Class)
 	}
-	// A swap of two input values is the canonical bivalent instance; the
-	// merged result must carry a replay-validated witness per value.
+	// A swap of two input values is the canonical bivalent instance.
 	if val.Class != check.Bivalent {
 		t.Errorf("valency = %v, want Bivalent for a 0/1 input swap", val.Class)
-	}
-	if len(res.ValueWitnesses) != len(res.DecidedValues) {
-		t.Errorf("merged %d value witnesses for %d decided values", len(res.ValueWitnesses), len(res.DecidedValues))
 	}
 }

@@ -106,18 +106,13 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 		sendErr(fmt.Errorf("dist peer: start configuration: %w", err))
 		return
 	}
-	pids := make([]int, p.NumProcesses())
-	for i := range pids {
-		pids[i] = i
-	}
-
 	link := newPeerLink(conn, br, h.PeerIndex, h.PeerCount)
 	defer link.close()
 	if err := link.writeFrame(frameHelloAck, marshalCtrl(helloAckMsg{PeerIndex: h.PeerIndex})); err != nil {
 		return
 	}
 
-	res, err := check.ExploreOpts(p, cfg, pids, h.AgreeK, check.ExploreOptions{
+	share, err := check.ExploreOptsShare(p, cfg, allPids(p), h.AgreeK, check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: h.MaxConfigs, MaxDepth: h.MaxDepth},
 		Engine: check.EngineOptions{
 			Ctx:       ctx,
@@ -133,19 +128,14 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 		sendErr(err)
 		return
 	}
-	link.writeFrame(frameResult, marshalCtrl(resultMsg{
-		Visited:     res.Visited,
-		Complete:    res.Complete,
-		Decided:     res.DecidedValues,
-		MaxTogether: res.MaxDecidedTogether,
-		HasViol:     res.AgreementViolation != nil,
-		ViolDepth:   res.ViolationDepth,
-		ViolFP:      res.ViolationFP,
-		ViolPath:    res.ViolationPath,
-		ValWits:     res.ValueWitnesses,
-		Store:       res.Store,
-		Reduction:   res.Reduction,
-		Async:       res.Async,
-		Net:         res.Net,
-	}))
+	link.writeFrame(frameResult, marshalCtrl(share))
+}
+
+// allPids is every process of p: a distributed run explores them all.
+func allPids(p model.Protocol) []int {
+	pids := make([]int, p.NumProcesses())
+	for i := range pids {
+		pids[i] = i
+	}
+	return pids
 }

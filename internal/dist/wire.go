@@ -9,7 +9,10 @@
 // per frame. The coordinator is a star hub: it relays successor batches
 // between peers, runs the level barriers as a two-phase gather, and
 // cuts the global budget from the per-peer survivor counts alone (peers
-// own ascending fingerprint ranges, so the cut is a prefix sum).
+// own ascending fingerprint ranges, so the cut is a prefix sum). At the
+// end each peer sends its share of the result (check.ExploreShare), and
+// the coordinator merges the shares with check.ExploreMerge, which
+// replays and re-classifies every witness path a share carries.
 // The level-synchronized order is the only one that runs here (the mode
 // table rejects async with a distributed run), so that barrier is the
 // whole protocol. coord.go and peer.go state its two sides; this file
@@ -65,26 +68,28 @@ const (
 	frameCont frameType = 9 // coordinator -> peer: barrier verdict (JSON contMsg)
 	// 10-13 are retired, not reusable: they were the async order's
 	// quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE), and a build
-	// that still speaks it must get a typed error, not a misparse.
-	frameResult frameType = 14 // peer -> coordinator: final result (JSON resultMsg)
-	frameError  frameType = 15 // peer -> coordinator: run failed (JSON errorMsg)
-	framePing   frameType = 16 // coordinator -> peer: liveness probe (empty)
-	framePong   frameType = 17 // peer -> coordinator: liveness answer (empty)
+	// that still speaks it must get a typed error, not a misparse. 14 is
+	// retired too: it was a RESULT of hand-listed fields, with a witness
+	// path per decided value and one for the violation.
+	frameError frameType = 15 // peer -> coordinator: run failed (JSON errorMsg)
+	framePing  frameType = 16 // coordinator -> peer: liveness probe (empty)
+	framePong  frameType = 17 // peer -> coordinator: liveness answer (empty)
 	// 18 and 19 are retired, not reusable: they were RESEED and RANGE,
 	// which announced a fail-over's new epoch to peers that recorded
 	// the announcement and never read it.
+	frameResult frameType = 20 // peer -> coordinator: final share (JSON check.ExploreShare)
 )
 
 // frameTypeMax is the highest type number ever assigned, retired ones
 // included.
-const frameTypeMax = 19
+const frameTypeMax = frameResult
 
 // checkFrameType rejects type bytes no frame of this protocol carries.
 func checkFrameType(b byte) error {
 	switch t := frameType(b); {
 	case t == 0 || t > frameTypeMax:
 		return &FrameError{Reason: fmt.Sprintf("unknown frame type %d", b)}
-	case t > frameLevel && t < frameCont, t > frameCont && t < frameResult, t > framePong:
+	case t > frameLevel && t < frameCont, t > frameCont && t < frameError, t > framePong && t < frameResult:
 		return &FrameError{Reason: fmt.Sprintf("retired frame type %d", b)}
 	}
 	return nil
@@ -280,29 +285,6 @@ type contMsg struct {
 	Keep      int  `json:"keep,omitempty"`
 	Truncated bool `json:"truncated,omitempty"`
 	Done      bool `json:"done,omitempty"`
-}
-
-// resultMsg is a peer's final ExploreResult share.
-type resultMsg struct {
-	Visited     int   `json:"visited"`
-	Complete    bool  `json:"complete"`
-	Decided     []int `json:"decided,omitempty"`
-	MaxTogether int   `json:"max_together,omitempty"`
-
-	HasViol   bool   `json:"has_viol,omitempty"`
-	ViolDepth int    `json:"viol_depth,omitempty"`
-	ViolFP    uint64 `json:"viol_fp,omitempty"`
-	ViolPath  []byte `json:"viol_path,omitempty"`
-
-	// ValWits carries one replayable witness per decided value (the
-	// peer's local minimum by depth then fingerprint) — the provenance
-	// the coordinator needs to classify valency without re-exploring.
-	ValWits []check.ValueWitness `json:"val_wits,omitempty"`
-
-	Store     check.StoreStats     `json:"store"`
-	Reduction check.ReductionStats `json:"reduction"`
-	Async     check.AsyncStats     `json:"async"`
-	Net       check.NetStats       `json:"net"`
 }
 
 type errorMsg struct {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -67,8 +68,10 @@ func seedFrames() [][]byte {
 		appendFrame(nil, frameError, marshalCtrl(errorMsg{Msg: "boom"})),
 		appendFrame(nil, framePing, nil),
 		appendFrame(nil, framePong, nil),
-		appendFrame(nil, frameResult, marshalCtrl(resultMsg{Visited: 99, Complete: true, Decided: []int{0, 1},
-			ValWits: []check.ValueWitness{{Value: 0, Depth: 2, FP: 0xbeef, Path: []byte{0, 1}}, {Value: 1, Depth: 3, FP: 0xcafe, Path: []byte{1, 0, 1}}}})),
+		appendFrame(nil, frameResult, marshalCtrl(check.ExploreShare{Visited: 99, Complete: true, Record: check.ClassRecord{
+			Classes: []check.ClassWitness{{Class: math.MinInt, Depth: 4, FP: 0xf00d, Path: []byte{1, 0, 2, 1}}, {Class: 0, Depth: 2, FP: 0xbeef, Path: []byte{0, 1}},
+				{Class: 1, Depth: 3, FP: 0xcafe, Path: []byte{1, 0, 1}}},
+			MaxTogether: 2}})),
 	}
 }
 
@@ -194,13 +197,14 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 // fingerprint gather (NEEDFPS, FPS) until the cut became a prefix sum
 // over the LEVEL reports' counts; 10-13 carried the async order's
 // quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE) until the mode
-// table took async x distributed away; 18-19 carried fail-over's
-// RESEED/RANGE announcements, which no peer acted on. The numbers stay
-// reserved: a well-formed frame of one of them, from a build that still
-// speaks that protocol, is refused typed by both decoders instead of
-// being read as something else.
+// table took async x distributed away; 14 carried a RESULT of
+// hand-listed fields until the share became check's class record (type
+// 20); 18-19 carried fail-over's RESEED/RANGE announcements, which no
+// peer acted on. The numbers stay reserved: a well-formed frame of one
+// of them, from a build that still speaks that protocol, is refused
+// typed by both decoders instead of being read as something else.
 func TestWireRetiredFrameTypes(t *testing.T) {
-	for _, typ := range []frameType{7, 8, 10, 11, 12, 13, 18, 19} {
+	for _, typ := range []frameType{7, 8, 10, 11, 12, 13, 14, 18, 19} {
 		fr := appendFrame(nil, typ, []byte(`{"seq":1}`))
 		_, _, _, derr := decodeFrame(fr)
 		_, _, _, rerr := readFrame(bytes.NewReader(fr), nil)
@@ -211,7 +215,7 @@ func TestWireRetiredFrameTypes(t *testing.T) {
 			}
 		}
 	}
-	if frameLevel != 6 || frameCont != 9 || frameResult != 14 || framePong != 17 {
+	if frameLevel != 6 || frameCont != 9 || frameResult != 20 || framePong != 17 {
 		t.Errorf("live frame types moved: LEVEL = %d, CONT = %d, RESULT = %d, PONG = %d; wire numbers are never reassigned", frameLevel, frameCont, frameResult, framePong)
 	}
 }

@@ -164,7 +164,7 @@ func RegisterEngineFlags(fs *flag.FlagSet, exactKeysDefault bool) *EngineFlags {
 		workers:      fs.Int("workers", 0, "engine worker goroutines (0 = all cores); results never depend on it"),
 		reduce:       fs.String("reduce", "", "state-space reduction: none (default) or sym (process-symmetry quotient over classes the protocol declares); sound for exploration/valency questions; sym+sleep is a deprecated synonym of sym; "+conflictHelp(check.ModeReduce)),
 		order:        fs.String("order", "", "exploration order: levelsync (BFS level barriers, the default) or async (barrier-free work stealing: same visited set and verdicts, no depth metadata); "+conflictHelp(check.ModeAsync)),
-		progress:     fs.Bool("progress", false, "report per-level engine throughput to stderr"),
+		progress:     fs.Bool("progress", false, "report per-level engine throughput to stderr (not with -distributed)"),
 		checkpoint:   fs.String("checkpoint", "", "checkpoint directory: snapshot exploration state at level barriers and resume a killed run from it with the identical final verdict; "+conflictHelp(check.ModeCheckpoint)),
 		ckptEvery:    fs.Int("checkpointevery", 0, "checkpoint every N-th level barrier (0 = every barrier; meaningful with -checkpoint)"),
 	}
@@ -213,6 +213,9 @@ func (f *EngineFlags) validate(provenance bool) error {
 		Provenance: provenance, Checkpoint: *f.checkpoint != "", Dist: distributed}
 	if err := modes.Validate(); err != nil {
 		return err
+	}
+	if distributed && *f.progress {
+		return fmt.Errorf("-progress cannot be combined with -distributed: the coordinator runs no engine, so it has no level to report")
 	}
 	if *f.ckptEvery > 0 && *f.checkpoint == "" {
 		return fmt.Errorf("-checkpointevery requires -checkpoint")

@@ -151,6 +151,34 @@ func TestEngineFlagsRejectNegative(t *testing.T) {
 	}
 }
 
+// TestEngineFlagsRejectDistributedProgress: -progress reports the
+// engine's levels, and a -distributed coordinator runs no engine, so the
+// pair is a usage error rather than a run that prints nothing.
+func TestEngineFlagsRejectDistributedProgress(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // the error names this; "" for none
+	}{
+		{[]string{"-distributed", "-peers", "a:1", "-progress"}, "-progress cannot be combined with -distributed"},
+		{[]string{"-distributed", "-peers", "a:1"}, ""},
+		{[]string{"-progress"}, ""},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		f := RegisterEngineFlags(fs, false)
+		RegisterDistFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		_, err := f.Options(nil)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 // TestMemBudgetRequiresSpillStore: a budget on the in-memory store would
 // be silently unenforced, so the flag pair rejects it.
 func TestMemBudgetRequiresSpillStore(t *testing.T) {
