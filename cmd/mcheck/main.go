@@ -197,10 +197,7 @@ func run(args []string, out io.Writer) error {
 		res, err = dist.Dial(context.Background(), p, distFlags.PeerAddrs(), dist.Spec{
 			Proto: *proto, N: *inst.N, K: *inst.K, M: *inst.M,
 			AgreeK: *inst.K, Inputs: inputs,
-			Limits:  limitFlags.ExploreLimits(),
-			Workers: engine.Workers,
-			Store:   engine.Store, MemBudget: engine.MemBudget,
-			Reduce: engine.Reduction, Order: engine.Order,
+			Explore:     opts,
 			Failover:    distFlags.Failover(),
 			Heartbeat:   distFlags.Heartbeat(),
 			PeerRetries: distFlags.PeerRetries(),

@@ -190,6 +190,25 @@ func TestRunDistributedModeConflicts(t *testing.T) {
 	}
 }
 
+// TestRunUnknownStore: a store name the engine does not know is a usage
+// error naming it before anything is printed, alone and as a
+// distributed coordinator, where it fails before any dial (127.0.0.1:1
+// has no peer, so a dial would report a connection error instead).
+func TestRunUnknownStore(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-distributed", "-peers", "127.0.0.1:1"}} {
+		args := append([]string{"-proto", "pair", "-n", "2", "-store", "bogus"}, extra...)
+		var out strings.Builder
+		err := run(args, &out)
+		var nerr *net.OpError
+		if err == nil || !strings.Contains(err.Error(), `unknown store "bogus"`) || errors.As(err, &nerr) || errors.Is(err, errViolation) {
+			t.Errorf("%v: err = %v, want the unknown-store usage error", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %q before failing", args, out.String())
+		}
+	}
+}
+
 func TestBuildProtocolAllNames(t *testing.T) {
 	for _, name := range []string{
 		"algorithm1", "algorithm1-readable", "racing", "readable",

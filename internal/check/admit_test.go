@@ -129,7 +129,7 @@ func TestSpillReloadEqualsOriginalParallel(t *testing.T) {
 			var mu sync.Mutex
 			seen := map[string]string{}
 			_, err := check.RunFrontier(p, c, []int{0, 1, 2, 3}, check.ExploreLimits{MaxConfigs: 1000000, MaxDepth: 9},
-				check.EngineOptions{Workers: workers, StringKeys: exact, Store: store, MemBudget: 1},
+				check.EngineOptions{Workers: workers, StringKeys: exact, Store: store, MemBudget: spillBudget(store, 1)},
 				func(_ int, n *check.Node) error {
 					mu.Lock()
 					defer mu.Unlock()

@@ -300,8 +300,11 @@ func TestSpillReloadEqualsOriginal(t *testing.T) {
 		visit := func(store string) map[string]string {
 			var mu sync.Mutex
 			seen := map[string]string{}
-			_, err := RunFrontier(p, start, []int{0, 1, 2}, ExploreLimits{MaxDepth: 6},
-				EngineOptions{Workers: 1, StringKeys: exact, Store: store, MemBudget: 1, Checkpoint: t.TempDir()},
+			opts := EngineOptions{Workers: 1, StringKeys: exact, Store: store, Checkpoint: t.TempDir()}
+			if store == StoreSpill {
+				opts.MemBudget = 1
+			}
+			_, err := RunFrontier(p, start, []int{0, 1, 2}, ExploreLimits{MaxDepth: 6}, opts,
 				func(_ int, n *Node) error {
 					mu.Lock()
 					defer mu.Unlock()

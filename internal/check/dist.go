@@ -30,7 +30,9 @@ package check
 //     and each peer's store keeps its share with its own CutLevel (the
 //     same cut a single process makes).
 //
-//   - A peer's result is its ExploreShare: its counts, its stats and its
+//   - A peer's run is the coordinator's ExploreOptions, checked by
+//     EngineOptions.Validate on both sides, plus the peer's own context
+//     and link. Its result is its ExploreShare: its RunStats and its
 //     ClassRecord. The coordinator merges the shares with ExploreMerge,
 //     which restores each record as a checkpoint resume does — every
 //     witness path replayed from the start configuration and classified
@@ -109,15 +111,11 @@ func (s *NetStats) add(o NetStats) {
 }
 
 // ExploreShare is one peer's share of a distributed ExploreOpts run, as
-// its RESULT frame carries it: its counts, its stats and its class record.
+// its RESULT frame carries it: its engine run's stats, flat, and its
+// class record.
 type ExploreShare struct {
-	Visited   int            `json:"visited"`
-	Complete  bool           `json:"complete"`
-	Record    ClassRecord    `json:"record"`
-	Store     StoreStats     `json:"store"`
-	Reduction ReductionStats `json:"reduction"`
-	Async     AsyncStats     `json:"async"`
-	Net       NetStats       `json:"net"`
+	RunStats
+	Record ClassRecord `json:"record"`
 }
 
 // ExploreOptsShare is ExploreOpts for a peer of a distributed run: it
@@ -128,8 +126,7 @@ func ExploreOptsShare(p model.Protocol, c *model.Config, pids []int, k int, opts
 	if err != nil {
 		return nil, err
 	}
-	return &ExploreShare{Visited: stats.Processed, Complete: stats.Complete, Record: s.record(),
-		Store: stats.Store, Reduction: stats.Reduction, Async: stats.Async, Net: stats.Net}, nil
+	return &ExploreShare{RunStats: stats, Record: s.record()}, nil
 }
 
 // ExploreMerge merges the shares of one distributed ExploreOpts run into
@@ -157,12 +154,7 @@ func (m *ExploreMerge) Add(sh *ExploreShare) error {
 	if err := m.s.restore(sh.Record); err != nil {
 		return err
 	}
-	m.stats.Processed += sh.Visited
-	m.stats.Complete = m.stats.Complete && sh.Complete
-	m.stats.Store.add(sh.Store)
-	m.stats.Reduction.add(sh.Reduction)
-	m.stats.Async.Order = sh.Async.Order
-	m.stats.Net.add(sh.Net)
+	m.stats.add(sh.RunStats)
 	return nil
 }
 

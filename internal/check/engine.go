@@ -83,7 +83,9 @@ import (
 //
 //   - Which modes combine is declared once, in modes.go.
 
-// EngineOptions configures the frontier engine.
+// EngineOptions configures the frontier engine; Validate (modes.go)
+// checks it. Its JSON form is what a distributed run's HELLO carries to
+// each peer: every field but the process-local ones tagged "-".
 type EngineOptions struct {
 	// Ctx, when non-nil, cancels the run in-process: once it is done the
 	// workers stop pulling and expanding at the next node boundary and
@@ -91,16 +93,17 @@ type EngineOptions struct {
 	// layer kill a hung or over-budget check without killing the process
 	// — both exploration orders honor it. A nil Ctx means "never
 	// cancelled", preserving every existing call site.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
 	// Workers is the number of goroutines draining each frontier level
-	// (default runtime.GOMAXPROCS(0)). Results do not depend on it.
-	Workers int
+	// (0 = runtime.GOMAXPROCS(0); negative is rejected). Results do not
+	// depend on it.
+	Workers int `json:"workers,omitempty"`
 	// StringKeys keys the visited set by the exact binary encoding of
 	// each configuration instead of the 64-bit fingerprint: immune to
 	// hash collisions — no dedup, memo or ordering decision rests on a
 	// hash comparison alone — at higher memory and hashing cost (every
 	// visited configuration keeps its whole key).
-	StringKeys bool
+	StringKeys bool `json:"string_keys,omitempty"`
 	// Reduction selects the state-space reduction layer (reduce.go):
 	// "" or "none" (no reduction), or "sym" (incremental process-symmetry
 	// quotienting over the classes the protocol declares via
@@ -108,7 +111,7 @@ type EngineOptions struct {
 	// "sym" (ReduceSymSleep). The quotient preserves decided-value sets,
 	// valency classes and violation existence but not schedules, so it
 	// is rejected together with Provenance or StringKeys (modes.go).
-	Reduction string
+	Reduction string `json:"reduce,omitempty"`
 	// Order selects the exploration order: "" or "levelsync" for the
 	// deterministic level-synchronized order, "async" for the
 	// barrier-free work-stealing order (async.go): per-worker deques,
@@ -118,7 +121,7 @@ type EngineOptions struct {
 	// rejected together with Provenance or StringKeys. It runs in one
 	// process over the unbudgeted store, unreduced or under "sym", without
 	// checkpoints (modes.go says why the rest is rejected with it).
-	Order string
+	Order string `json:"order,omitempty"`
 	// Provenance gives every node its deterministic first-reached
 	// schedule as its root-to-node pid path (Node.Path): among one
 	// level's claims of a configuration, the one with the smallest
@@ -127,19 +130,19 @@ type EngineOptions struct {
 	// pending-table insert per admission and a path per node; nodes are
 	// recycled once visited and expanded, and a budgeted store spools the
 	// frontier, as in any run. Limited to 255 processes, like Checkpoint.
-	Provenance bool
+	Provenance bool `json:"provenance,omitempty"`
 	// Store sets the state store's budget: "" or "mem" runs it in RAM
 	// with none, "spill" bounds its resident memory by MemBudget and
 	// spills the rest to disk. Results do not depend on it.
-	Store string
+	Store string `json:"store,omitempty"`
 	// MemBudget is the resident-byte budget of Store "spill" (0 selects
-	// DefaultMemBudget). Ignored by Store "mem".
-	MemBudget int64
+	// DefaultMemBudget). Any other store rejects a non-zero one.
+	MemBudget int64 `json:"mem_budget,omitempty"`
 	// SpillDir is where a budgeted store keeps its run and segment files
 	// ("" = a fresh directory under os.TempDir, removed on completion). It
 	// is created with the first file, so a run that never spills leaves
 	// no trace of it.
-	SpillDir string
+	SpillDir string `json:"-"`
 	// Checkpoint is a directory for crash-safe snapshots: at level
 	// barriers the engine writes the visited entries admitted since the
 	// previous snapshot (a delta; the deltas stay while the manifest
@@ -152,15 +155,15 @@ type EngineOptions struct {
 	// order has no barrier to snapshot at. Incompatible with Provenance
 	// (modes.go says why), and limited to 255 processes (checkpoint.go).
 	// Empty disables checkpointing.
-	Checkpoint string
-	// CheckpointEvery writes a snapshot at every Nth level barrier
-	// (<= 0 means every barrier); its delta spans the barriers since the
-	// last one. The run's final barrier always snapshots, so a finished
-	// run resumes to its verdict instantly.
-	CheckpointEvery int
+	Checkpoint string `json:"checkpoint,omitempty"`
+	// CheckpointEvery writes a snapshot at every Nth level barrier (0
+	// means every barrier; negative is rejected); its delta spans the
+	// barriers since the last one. The run's final barrier always
+	// snapshots, so a finished run resumes to its verdict instantly.
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Progress, if non-nil, is invoked after every completed level with
 	// cumulative throughput statistics.
-	Progress func(Progress)
+	Progress func(Progress) `json:"-"`
 	// Dist, if non-nil, attaches this engine to a distributed run as one
 	// peer: successors whose fingerprints hash to another peer's
 	// partition range are shipped over the link instead of admitted
@@ -169,7 +172,7 @@ type EngineOptions struct {
 	// wire. dist.go states the routing and determinism contract.
 	// Levelsync order only; incompatible with Provenance, StringKeys and
 	// Checkpoint.
-	Dist DistLink
+	Dist DistLink `json:"-"`
 
 	// checkpointAux serializes the search layer's accumulators
 	// (ExploreOpts' ClassRecord) into each snapshot's manifest, and
@@ -249,29 +252,43 @@ func (n *Node) Fingerprint() uint64 { return n.fp }
 // retained beyond the visit.
 func (n *Node) Path() []byte { return n.path }
 
-// RunStats summarizes an engine run.
+// RunStats summarizes an engine run. Its JSON form is the stats half of a
+// distributed peer's RESULT (ExploreShare).
 type RunStats struct {
 	// Processed is the number of distinct configurations visited.
-	Processed int
+	Processed int `json:"visited"`
 	// Complete reports whether the restricted reachable space was
 	// exhausted within the limits (early stop via afterLevel does not
 	// clear it, mirroring the sequential explorers).
-	Complete bool
+	Complete bool `json:"complete"`
 	// Levels is the number of frontier levels processed (0 for async
 	// order, which has no level structure).
-	Levels int
+	Levels int `json:"levels,omitempty"`
 	// Store reports the state store's activity (spill volume, peak
 	// resident bytes).
-	Store StoreStats
+	Store StoreStats `json:"store"`
 	// Reduction reports the reduction layer's activity (orbit folds);
 	// zero-valued when no reduction ran.
-	Reduction ReductionStats
+	Reduction ReductionStats `json:"reduction"`
 	// Async reports the exploration order that ran and, for async runs,
 	// the work-stealing and quiescence-detection activity.
-	Async AsyncStats
+	Async AsyncStats `json:"async"`
 	// Net reports the distributed link's wire activity; zero-valued for
 	// single-process runs.
-	Net NetStats
+	Net NetStats `json:"net"`
+}
+
+// add folds o, another process's share of one run, into s: counts and
+// stats sum, completeness ANDs, Levels is the deepest share's, and the
+// order is o's (every share ran the same mode).
+func (s *RunStats) add(o RunStats) {
+	s.Processed += o.Processed
+	s.Complete = s.Complete && o.Complete
+	s.Levels = max(s.Levels, o.Levels)
+	s.Store.add(o.Store)
+	s.Reduction.add(o.Reduction)
+	s.Async.Order = o.Async.Order
+	s.Net.add(o.Net)
 }
 
 // chunkSize caps the frontier nodes a worker claims and expands at once
@@ -526,13 +543,12 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	visit func(worker int, n *Node) error,
 	afterLevel func(depth, processed int) (stop bool),
 ) (rstats RunStats, rerr error) {
-	limits = limits.WithDefaults()
-	opts = opts.withDefaults()
-	asyncOn, symOn, err := Modes{Order: opts.Order, Reduction: opts.Reduction, Store: opts.Store, StringKeys: opts.StringKeys,
-		Provenance: opts.Provenance, Checkpoint: opts.Checkpoint != "", Dist: opts.Dist != nil}.resolve()
+	asyncOn, symOn, err := opts.resolve(opts.Dist != nil)
 	if err != nil {
 		return RunStats{}, err
 	}
+	limits = limits.WithDefaults()
+	opts = opts.withDefaults()
 
 	nObj := len(p.Objects())
 	nProc := p.NumProcesses()
@@ -594,15 +610,9 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		fail:       run.fail,
 		stopped:    run.doneFlag.Load,
 	}
-	budget := int64(0) // StoreMem: none
-	switch opts.Store {
-	case StoreMem:
-	case StoreSpill:
-		if budget = opts.MemBudget; budget <= 0 {
-			budget = DefaultMemBudget
-		}
-	default:
-		return RunStats{}, fmt.Errorf("frontier engine: unknown store %q (have %q, %q)", opts.Store, StoreMem, StoreSpill)
+	budget := opts.MemBudget // 0 on StoreMem (Validate): no budget
+	if opts.Store == StoreSpill && budget <= 0 {
+		budget = DefaultMemBudget
 	}
 	if run.store, err = newSpillStore(sctx, budget, opts.SpillDir); err != nil {
 		return RunStats{}, err

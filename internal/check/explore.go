@@ -30,11 +30,11 @@ type ExploreLimits struct {
 	// still had queued — are visited but not stepped: a protocol error
 	// (an illegal poised operation, an undecided process that is not
 	// poised) that only stepping one of them would hit is not reported.
-	MaxConfigs int
+	MaxConfigs int `json:"max_configs"`
 	// MaxDepth caps the BFS depth: configurations at depth MaxDepth are
 	// still visited but not expanded, and the result is marked
 	// incomplete. <= 0 means unlimited depth (until MaxConfigs).
-	MaxDepth int
+	MaxDepth int `json:"max_depth,omitempty"`
 }
 
 // WithDefaults returns l with its defaults filled in: the budget a run

@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// This file is the one place engine-mode compatibility is declared. The
-// engine, sweep.EngineSpec.Validate and harness.EngineFlags.Validate all
-// call Modes.Validate; the README matrix and the mode-matrix test
-// (modes_test.go) are read off ModeConflicts.
+// This file is the one place engine settings are checked: every entry
+// point that accepts them calls EngineOptions.Validate, and the README
+// matrix and the mode-matrix test (modes_test.go) are read off
+// ModeConflicts.
 
 // ErrIncompatibleModes is wrapped by every rejection of a combination of
 // engine modes, so callers classify it with errors.Is (mcheckd answers
@@ -84,36 +84,43 @@ var ModeConflicts = []struct {
 	{ModeDist, ModeCheckpoint, "a multi-process snapshot needs coordinator-side generations (rerun from scratch instead: restart == resume for a deterministic run)"},
 }
 
-// Modes is the part of a run's configuration the compatibility rules
-// range over, in the vocabulary of EngineOptions.
-type Modes struct {
-	Order      string
-	Reduction  string
-	Store      string
-	StringKeys bool
-	Provenance bool
-	Checkpoint bool
-	Dist       bool
-}
-
-// Validate rejects unknown Order and Reduction names, and any pair listed
-// in ModeConflicts with an error wrapping ErrIncompatibleModes. (Store
-// names are checked where the store is built.)
-func (m Modes) Validate() error {
-	_, _, err := m.resolve()
+// Validate checks o on entry to a run, as the engine, the command-line
+// flag blocks, sweep's engine specs, a distributed coordinator (before any
+// HELLO) and its peers (before HELLOACK) all do: the worker count and
+// CheckpointEvery must not be negative, the store, order and reduction
+// names must be known, a MemBudget needs the spill store, and no pair
+// listed in ModeConflicts may be set together (an error wrapping
+// ErrIncompatibleModes). distributed says whether the run is distributed,
+// which a coordinator knows before any peer has a link; the engine passes
+// o.Dist != nil. Messages name each option by its command-line flag.
+func (o EngineOptions) Validate(distributed bool) error {
+	_, _, err := o.resolve(distributed)
 	return err
 }
 
 // resolve is Validate that also returns the parsed order and reduction.
-func (m Modes) resolve() (async, sym bool, err error) {
-	if async, err = parseOrder(m.Order); err != nil {
+func (o EngineOptions) resolve(distributed bool) (async, sym bool, err error) {
+	switch {
+	case o.Workers < 0:
+		err = fmt.Errorf("frontier engine: -workers %d must not be negative", o.Workers)
+	case o.CheckpointEvery < 0:
+		err = fmt.Errorf("frontier engine: -checkpointevery %d must not be negative", o.CheckpointEvery)
+	case o.Store != "" && o.Store != StoreMem && o.Store != StoreSpill:
+		err = fmt.Errorf("frontier engine: unknown store %q (have %q, %q)", o.Store, StoreMem, StoreSpill)
+	case o.MemBudget != 0 && o.Store != StoreSpill:
+		err = fmt.Errorf("frontier engine: -membudget requires -store %s (the in-memory store is unbudgeted)", StoreSpill)
+	}
+	if err != nil {
 		return
 	}
-	if sym, err = parseReduction(m.Reduction); err != nil {
+	if async, err = parseOrder(o.Order); err != nil {
 		return
 	}
-	set := ModeAsync.when(async) | ModeReduce.when(sym) | ModeSpill.when(m.Store == StoreSpill) |
-		ModeStringKeys.when(m.StringKeys) | ModeProvenance.when(m.Provenance) | ModeCheckpoint.when(m.Checkpoint) | ModeDist.when(m.Dist)
+	if sym, err = parseReduction(o.Reduction); err != nil {
+		return
+	}
+	set := ModeAsync.when(async) | ModeReduce.when(sym) | ModeSpill.when(o.Store == StoreSpill) |
+		ModeStringKeys.when(o.StringKeys) | ModeProvenance.when(o.Provenance) | ModeCheckpoint.when(o.Checkpoint != "") | ModeDist.when(distributed)
 	for _, c := range ModeConflicts {
 		if set&c.A != 0 && set&c.B != 0 {
 			err = fmt.Errorf("frontier engine: %w: %s cannot be combined with %s: %s", ErrIncompatibleModes, c.A, c.B, c.Why)

@@ -119,7 +119,7 @@ func TestSpillDeterministicAcrossWorkers(t *testing.T) {
 		c := model.MustNewConfig(p, inputs)
 		res := exploreT(t, p, c, pids, 1, check.ExploreOptions{
 			Limits: limits,
-			Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: 1},
+			Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: spillBudget(store, 1)},
 		})
 		return snapshot{res.Visited, res.Complete, res.DecidedValues}
 	}
@@ -157,6 +157,15 @@ func TestSpillProvenanceSchedules(t *testing.T) {
 	if stats.Store.BytesSpilled == 0 {
 		t.Errorf("dedup state never spilled under a 1-byte budget: %+v", stats.Store)
 	}
+}
+
+// spillBudget is the resident-byte budget b on the spill store and none
+// on any other, which rejects a budget.
+func spillBudget(store string, b int64) int64 {
+	if store != check.StoreSpill {
+		return 0
+	}
+	return b
 }
 
 // TestUnknownStoreRejected: a typo'd backend fails loudly, not silently
@@ -261,7 +270,7 @@ func TestBudgetTruncationExactLevelBoundary(t *testing.T) {
 				c := model.MustNewConfig(p, inputs)
 				res := exploreT(t, p, c, pids, 1, check.ExploreOptions{
 					Limits: check.ExploreLimits{MaxConfigs: maxConfigs},
-					Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: 1},
+					Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: spillBudget(store, 1)},
 				})
 				tag := fmt.Sprintf("workers=%d store=%s max=%d", workers, store, maxConfigs)
 				if res.Visited != maxConfigs {
@@ -294,7 +303,7 @@ func TestTruncationStraddleDeterministicAcrossWorkers(t *testing.T) {
 		c := model.MustNewConfig(p, inputs)
 		res := exploreT(t, p, c, pids, 1, check.ExploreOptions{
 			Limits: check.ExploreLimits{MaxConfigs: maxConfigs},
-			Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: 4 << 10},
+			Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: spillBudget(store, 4<<10)},
 		})
 		return snapshot{res.Visited, res.Complete, res.DecidedValues, res.MaxDecidedTogether}
 	}

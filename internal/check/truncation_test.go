@@ -160,7 +160,7 @@ func TestTruncationClosedRunStepsNothing(t *testing.T) {
 				cp := newCounting()
 				res, err := check.ExploreOpts(cp, start(cp), pids, 0, check.ExploreOptions{
 					Limits: limits,
-					Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: 1 << 12,
+					Engine: check.EngineOptions{Workers: workers, Store: store, MemBudget: spillBudget(store, 1<<12),
 						Progress: func(pr check.Progress) {
 							if pr.Depth == closing {
 								cp.armed.Store(true)

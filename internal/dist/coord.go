@@ -35,21 +35,19 @@ func (e *PeerLostError) Unwrap() error { return e.Err }
 
 // Spec is the run a coordinator drives: the protocol instance (by
 // registry name plus parameters, so every peer builds the same one),
-// the start configuration's inputs, and the engine knobs each peer
-// applies locally.
+// the start configuration's inputs, and the limits and engine options
+// every peer runs.
 type Spec struct {
 	Proto   string
 	N, K, M int
 	AgreeK  int
 	Inputs  []int
 
-	Limits check.ExploreLimits
-
-	Workers   int
-	Store     string
-	MemBudget int64
-	Reduce    string
-	Order     string
+	// Explore is what each peer runs: Run checks it with
+	// check.EngineOptions.Validate (as a distributed run) before any
+	// HELLO, and the HELLO carries it whole, less the process-local
+	// fields (Ctx, Progress, Dist, SpillDir), which stay here.
+	Explore check.ExploreOptions
 
 	// Failover enables degraded-mode recovery: on confirmed peer death
 	// the coordinator re-seeds the run onto fresh sessions (redialing
@@ -90,6 +88,15 @@ type Spec struct {
 func (s Spec) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
+	}
+}
+
+// hello is the HELLO for peer i of peers.
+func (s Spec) hello(i, peers int) helloMsg {
+	return helloMsg{
+		Proto: s.Proto, N: s.N, K: s.K, M: s.M, AgreeK: s.AgreeK, Inputs: s.Inputs,
+		ExploreLimits: s.Explore.Limits, EngineOptions: s.Explore.Engine,
+		PeerIndex: i, PeerCount: peers,
 	}
 }
 
@@ -257,7 +264,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // uninterrupted run with a smaller peer count.
 func Run(ctx context.Context, p model.Protocol, conns []net.Conn, addrs []string, spec Spec) (*check.ExploreResult, error) {
 	peers := len(conns)
-	err := check.Modes{Order: spec.Order, Reduction: spec.Reduce, Store: spec.Store, Dist: true}.Validate()
+	err := spec.Explore.Engine.Validate(true)
 	if err == nil && (peers < 1 || peers > check.DistNumParts) {
 		err = fmt.Errorf("dist: peer count %d outside [1, %d]", peers, check.DistNumParts)
 	}
@@ -267,7 +274,7 @@ func Run(ctx context.Context, p model.Protocol, conns []net.Conn, addrs []string
 		}
 		return nil, err
 	}
-	spec.Limits = spec.Limits.WithDefaults()
+	spec.Explore.Limits = spec.Explore.Limits.WithDefaults()
 
 	slots := make([]slotInfo, peers)
 	for i, conn := range conns {
@@ -291,7 +298,7 @@ func Run(ctx context.Context, p model.Protocol, conns []net.Conn, addrs []string
 			return res, nil
 		}
 		var pl *PeerLostError
-		if !spec.Failover || !errors.As(err, &pl) {
+		if !spec.Failover || !errors.As(err, &pl) || errors.Is(err, ErrPeerRefused) {
 			return nil, err
 		}
 		if ctx != nil && ctx.Err() != nil {
@@ -380,15 +387,7 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 	// Handshake: HELLO out, HELLOACK back, synchronously per peer. After
 	// this every peer is running its engine against the same pinned spec.
 	for i, cp := range cps {
-		hello := helloMsg{
-			Proto: spec.Proto, N: spec.N, K: spec.K, M: spec.M,
-			AgreeK: spec.AgreeK, Inputs: spec.Inputs,
-			MaxConfigs: spec.Limits.MaxConfigs, MaxDepth: spec.Limits.MaxDepth,
-			Workers: spec.Workers, Store: spec.Store, MemBudget: spec.MemBudget,
-			Reduce: spec.Reduce, Order: spec.Order,
-			PeerIndex: i, PeerCount: peers,
-		}
-		if err := cp.writeFrame(frameHello, marshalCtrl(hello)); err != nil {
+		if err := cp.writeFrame(frameHello, marshalCtrl(spec.hello(i, peers))); err != nil {
 			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: err}
 		}
 	}
@@ -400,7 +399,7 @@ func runEpoch(ctx context.Context, p model.Protocol, conns []net.Conn, slots []s
 		switch t {
 		case frameHelloAck:
 		case frameError:
-			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: peerError("peer rejected spec", payload)}
+			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: peerError(ErrPeerRefused, payload)}
 		default:
 			return nil, &PeerLostError{Peer: i, Addr: cp.addr, Err: &FrameError{Reason: fmt.Sprintf("expected hello ack, got frame type %d", t)}}
 		}
@@ -603,7 +602,7 @@ func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]
 				owed = nil
 			}
 		case frameError:
-			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: peerError("peer run failed", m.payload)}
+			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: peerError(errPeerFailed, m.payload)}
 		default:
 			return nil, &PeerLostError{Peer: m.peer, Addr: slots[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("expected result, got frame type %d", m.kind)}}
 		}
@@ -611,14 +610,25 @@ func gatherResults(ctrl <-chan ctrlMsg, errc <-chan error, slots []slotInfo) ([]
 	return results, nil
 }
 
-// peerError is the failure a peer's ERROR frame reports: its message
-// after what, or the *FrameError of a payload that does not decode.
-func peerError(what string, payload []byte) error {
+// ErrPeerRefused is wrapped, inside the *PeerLostError, by a peer's ERROR
+// in reply to HELLO: the peer is alive and will not run the spec (a
+// protocol it cannot build, options its build rejects), so Run reports it
+// instead of re-seeding the run onto the same refusal.
+var ErrPeerRefused = errors.New("peer rejected spec")
+
+// errPeerFailed is wrapped by a peer's ERROR after its HELLOACK: its run
+// failed.
+var errPeerFailed = errors.New("peer run failed")
+
+// peerError is the failure a peer's ERROR frame reports: kind with the
+// peer's message, or with the *FrameError of a payload that does not
+// decode.
+func peerError(kind error, payload []byte) error {
 	var m errorMsg
 	if err := unmarshalCtrl(payload, &m); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", kind, err)
 	}
-	return fmt.Errorf("%s: %s", what, m.Msg)
+	return fmt.Errorf("%w: %s", kind, m.Msg)
 }
 
 // runLevelControl is the coordinator's barrier state machine: per depth,
@@ -634,6 +644,15 @@ func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) 
 		}
 		return nil
 	}
+	// unexpected is the loss of m's peer for sending m where a frame of
+	// kind want was due; an ERROR carries the peer's own message.
+	unexpected := func(m ctrlMsg, want string) error {
+		err := error(&FrameError{Reason: fmt.Sprintf("expected %s, got frame type %d", want, m.kind)})
+		if m.kind == frameError {
+			err = peerError(errPeerFailed, m.payload)
+		}
+		return &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: err}
+	}
 	truncated := false
 	for depth := 0; ; depth++ {
 		// Phase 1: every peer finished expanding the level (its batches
@@ -644,7 +663,7 @@ func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) 
 				return err
 			}
 			if m.kind != frameExpanded {
-				return &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("expected expanded, got frame type %d", m.kind)}}
+				return unexpected(m, "expanded")
 			}
 			var dm depthMsg
 			if err := unmarshalCtrl(m.payload, &dm); err != nil {
@@ -672,7 +691,7 @@ func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) 
 				return err
 			}
 			if m.kind != frameLevel {
-				return &PeerLostError{Peer: m.peer, Addr: cps[m.peer].addr, Err: &FrameError{Reason: fmt.Sprintf("expected level report, got frame type %d", m.kind)}}
+				return unexpected(m, "level report")
 			}
 			var lm levelMsg
 			if err := unmarshalCtrl(m.payload, &lm); err != nil {
@@ -694,10 +713,10 @@ func runLevelControl(cps []*coordPeer, spec Spec, next func() (ctrlMsg, error)) 
 		// the surviving set (and hence every later verdict) is independent
 		// of the peer count.
 		keep := make([]int, peers)
-		willTruncate := !truncated && int(totalAdmitted) > spec.Limits.MaxConfigs
+		willTruncate := !truncated && int(totalAdmitted) > spec.Explore.Limits.MaxConfigs
 		if willTruncate {
 			truncated = true
-			totalNext = max(totalNext-(int(totalAdmitted)-spec.Limits.MaxConfigs), 0)
+			totalNext = max(totalNext-(int(totalAdmitted)-spec.Explore.Limits.MaxConfigs), 0)
 			keep = budgetKeep(nextSize, totalNext)
 		}
 

@@ -29,7 +29,7 @@ func TestGatherResultBeforeEOF(t *testing.T) {
 		ctrl := make(chan ctrlMsg, 4)
 		errc := make(chan error, 4)
 		for peer := range slots {
-			ctrl <- ctrlMsg{peer: peer, kind: frameResult, payload: marshalCtrl(check.ExploreShare{Visited: 10 + peer})}
+			ctrl <- ctrlMsg{peer: peer, kind: frameResult, payload: marshalCtrl(check.ExploreShare{RunStats: check.RunStats{Processed: 10 + peer}})}
 			errc <- &PeerLostError{Peer: peer, Addr: slots[peer].addr, Err: io.EOF}
 		}
 		results, err := gatherResults(ctrl, errc, slots)
@@ -37,7 +37,7 @@ func TestGatherResultBeforeEOF(t *testing.T) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		for peer, r := range results {
-			if r == nil || r.Visited != 10+peer {
+			if r == nil || r.Processed != 10+peer {
 				t.Fatalf("iteration %d: peer %d result = %+v", i, peer, r)
 			}
 		}
@@ -129,6 +129,19 @@ type discardConn struct{ net.Conn }
 
 func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
 
+// scripted is runLevelControl's next over a fixed script of control
+// frames.
+func scripted(script []ctrlMsg) func() (ctrlMsg, error) {
+	return func() (ctrlMsg, error) {
+		if len(script) == 0 {
+			return ctrlMsg{}, errors.New("script exhausted")
+		}
+		m := script[0]
+		script = script[1:]
+		return m, nil
+	}
+}
+
 // TestLevelReportRejectsNegativeCounts: nothing cross-checks a peer's
 // LEVEL report against its frontier any more, so a report with a negative
 // count fails the run as a typed loss of that peer.
@@ -141,20 +154,70 @@ func TestLevelReportRejectsNegativeCounts(t *testing.T) {
 			{peer: 0, kind: frameLevel, payload: marshalCtrl(levelMsg{Admitted: 3, Next: 2})},
 			{peer: 1, kind: frameLevel, payload: marshalCtrl(bad)},
 		}
-		next := func() (ctrlMsg, error) {
-			if len(script) == 0 {
-				return ctrlMsg{}, errors.New("script exhausted")
-			}
-			m := script[0]
-			script = script[1:]
-			return m, nil
-		}
-		err := runLevelControl(cps, Spec{Limits: check.ExploreLimits{MaxConfigs: 100}}, next)
+		err := runLevelControl(cps, Spec{Explore: check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: 100}}}, scripted(script))
 		var pl *PeerLostError
 		var fe *FrameError
 		if !errors.As(err, &pl) || pl.Peer != 1 || !errors.As(err, &fe) {
 			t.Errorf("report %+v: err = %v, want peer 1 lost to a *FrameError", bad, err)
 		}
+	}
+}
+
+// TestLevelControlPeerError: a peer's ERROR at the expand barrier or at
+// the level barrier fails the run as a loss of that peer carrying the
+// peer's own message, not as a frame out of place; an ERROR whose
+// payload does not decode still surfaces its *FrameError.
+func TestLevelControlPeerError(t *testing.T) {
+	boom := marshalCtrl(errorMsg{Msg: "peer 1 store: disk full"})
+	expanded := ctrlMsg{peer: 0, kind: frameExpanded, payload: marshalCtrl(depthMsg{})}
+	level := ctrlMsg{peer: 0, kind: frameLevel, payload: marshalCtrl(levelMsg{Admitted: 3, Next: 2})}
+	for _, tc := range []struct {
+		name   string
+		script []ctrlMsg
+	}{
+		{"expand", []ctrlMsg{expanded, {peer: 1, kind: frameError, payload: boom}}},
+		{"level", []ctrlMsg{expanded, {peer: 1, kind: frameExpanded, payload: marshalCtrl(depthMsg{})}, level, {peer: 1, kind: frameError, payload: boom}}},
+		{"undecodable", []ctrlMsg{expanded, {peer: 1, kind: frameError, payload: []byte("{not json")}}},
+	} {
+		cps := []*coordPeer{{conn: discardConn{}, addr: "a"}, {conn: discardConn{}, addr: "b"}}
+		err := runLevelControl(cps, Spec{Explore: check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: 100}}}, scripted(tc.script))
+		var pl *PeerLostError
+		if !errors.As(err, &pl) || pl.Peer != 1 {
+			t.Errorf("%s: err = %v, want peer 1 lost", tc.name, err)
+			continue
+		}
+		var fe *FrameError
+		if tc.name == "undecodable" {
+			if !errors.As(err, &fe) {
+				t.Errorf("%s: err = %v, want the payload's *FrameError", tc.name, err)
+			}
+		} else if !strings.Contains(err.Error(), "disk full") || errors.As(err, &fe) {
+			t.Errorf("%s: err = %v, want the peer's own message", tc.name, err)
+		}
+	}
+}
+
+// TestRefusalIsNotFailedOver: a peer that answers the HELLO with ERROR
+// is alive and refusing the spec, so a fail-over run reports the refusal
+// at once instead of re-seeding onto it.
+func TestRefusalIsNotFailedOver(t *testing.T) {
+	p, inputs := pairInstance()
+	refuse := func(string, int, int, int) (model.Protocol, error) { return nil, errors.New("no such protocol here") }
+	serve := func() net.Conn {
+		c, s := net.Pipe()
+		go ServePeerConn(context.Background(), s, refuse)
+		return c
+	}
+	sessions := 0
+	spec := Spec{Proto: p.Name(), AgreeK: 1, Inputs: inputs, Failover: true,
+		NewSession: func(context.Context, int) (net.Conn, error) { sessions++; return serve(), nil }}
+	_, err := Run(context.Background(), p, []net.Conn{serve(), serve()}, nil, spec)
+	var pl *PeerLostError
+	if !errors.As(err, &pl) || !errors.Is(err, ErrPeerRefused) || !strings.Contains(err.Error(), "no such protocol here") {
+		t.Fatalf("err = %v, want the peer's refusal", err)
+	}
+	if sessions != 0 {
+		t.Errorf("%d NewSession calls, want none: a refusal is not a death", sessions)
 	}
 }
 
@@ -230,7 +293,7 @@ func runFakePeers(hello0 []byte, finals ...[]byte) (*check.ExploreResult, error)
 		go fakePeer(far, hello, final)
 	}
 	p, inputs := pairInstance()
-	return Run(context.Background(), p, conns, nil, Spec{Inputs: inputs, AgreeK: 1, Limits: check.ExploreLimits{MaxConfigs: 100}})
+	return Run(context.Background(), p, conns, nil, Spec{Inputs: inputs, AgreeK: 1, Explore: check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: 100}}})
 }
 
 // pairInstance is a 3-process pair consensus with a violation at k = 1.
@@ -253,7 +316,7 @@ func TestMergeRefusesWitnessOutsideClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	result := func(rec check.ClassRecord) []byte {
-		return appendFrame(nil, frameResult, marshalCtrl(check.ExploreShare{Visited: 7, Complete: true, Record: rec}))
+		return appendFrame(nil, frameResult, marshalCtrl(check.ExploreShare{RunStats: check.RunStats{Processed: 7, Complete: true}, Record: rec}))
 	}
 	res, err := runFakePeers(nil, result(check.ClassRecord{}), result(whole.Record))
 	if err != nil {

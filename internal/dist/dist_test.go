@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,7 +95,7 @@ func verdictOf(res *check.ExploreResult) verdict {
 
 // legalEngines lists, at 2 workers, every order × reduction × store cell
 // the mode table accepts for a distributed run that keep also accepts
-// (nil = all of them). It is read off check.Modes.Validate, so the
+// (nil = all of them). It is read off check.EngineOptions.Validate, so the
 // suites here follow check.ModeConflicts instead of a hand-kept list:
 // the table leaves a distributed run the levelsync order only, so every
 // cell is a deterministic one.
@@ -102,7 +104,7 @@ func legalEngines(keep func(check.EngineOptions) bool) []check.EngineOptions {
 	for _, order := range []string{check.OrderLevelSync, check.OrderAsync} {
 		for _, reduce := range []string{check.ReduceNone, check.ReduceSym} {
 			for _, store := range []string{check.StoreMem, check.StoreSpill} {
-				if (check.Modes{Order: order, Reduction: reduce, Store: store, Dist: true}).Validate() != nil {
+				if (check.EngineOptions{Order: order, Reduction: reduce, Store: store}).Validate(true) != nil {
 					continue
 				}
 				eng := check.EngineOptions{Order: order, Reduction: reduce, Store: store, Workers: 2}
@@ -198,6 +200,25 @@ func TestLoopbackRejectsModeConflicts(t *testing.T) {
 		if !errors.Is(err, check.ErrIncompatibleModes) {
 			t.Errorf("%+v: err = %v, want ErrIncompatibleModes", eng, err)
 		}
+	}
+}
+
+// TestLoopbackRejectsUnknownStore: options no peer would run are the
+// coordinator's error before any HELLO, so a fail-over run reports them
+// without re-seeding: no peer beyond the first set is ever spawned.
+func TestLoopbackRejectsUnknownStore(t *testing.T) {
+	tc := distCases(t)[0]
+	var spawned atomic.Int64
+	lo := dist.LoopbackOptions{Peers: 2, Failover: true, Respawn: true,
+		WrapPeerConn: func(_ int, c net.Conn) net.Conn { spawned.Add(1); return c }}
+	opts := check.ExploreOptions{Engine: check.EngineOptions{Store: "bogus"}}
+	_, err := dist.LoopbackExploreOpts(context.Background(), tc.p, tc.inputs, tc.k, opts, lo)
+	var pl *dist.PeerLostError
+	if err == nil || !strings.Contains(err.Error(), `unknown store "bogus"`) || errors.As(err, &pl) {
+		t.Errorf("err = %v, want the engine's unknown-store error", err)
+	}
+	if n := spawned.Load(); n != 2 {
+		t.Errorf("%d peers spawned, want the first 2 and no re-seed", n)
 	}
 }
 
@@ -307,7 +328,7 @@ func TestTCPSmoke(t *testing.T) {
 
 	res, err := dist.Dial(ctx, p, addrs, dist.Spec{
 		Proto: p.Name(), N: 4, K: 1, M: 2, AgreeK: 1, Inputs: inputs,
-		Limits: opts.Limits,
+		Explore: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +386,7 @@ func TestPeerLost(t *testing.T) {
 		defer close(done)
 		res, err = dist.Run(context.Background(), p, []net.Conn{c0, c1}, []string{"pipe-0", "pipe-1"}, dist.Spec{
 			Proto: p.Name(), AgreeK: 1, Inputs: inputs,
-			Limits: check.ExploreLimits{MaxConfigs: 300000, MaxDepth: 5},
+			Explore: check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: 300000, MaxDepth: 5}},
 		})
 	}()
 	select {

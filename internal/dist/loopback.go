@@ -79,19 +79,15 @@ func (k *killConn) Write(b []byte) (int, error) {
 	return k.Conn.Write(b)
 }
 
-// LoopbackExploreOpts is LoopbackExplore with fail-over scripting.
-// Engine options a distributed run cannot honour (StringKeys,
+// LoopbackExploreOpts is LoopbackExplore with fail-over scripting. opts
+// is the run's Spec.Explore, so Run checks it before any peer is asked
+// to run it: engine options a distributed run cannot honour (StringKeys,
 // Provenance, Checkpoint) are rejected with check.ErrIncompatibleModes,
 // not dropped.
 func LoopbackExploreOpts(ctx context.Context, p model.Protocol, inputs []int, agreeK int, opts check.ExploreOptions, lo LoopbackOptions) (*check.ExploreResult, error) {
 	peers := lo.Peers
 	if peers < 1 {
 		return nil, fmt.Errorf("dist: loopback peer count %d", peers)
-	}
-	eng := opts.Engine
-	if err := (check.Modes{Order: eng.Order, Reduction: eng.Reduction, Store: eng.Store,
-		StringKeys: eng.StringKeys, Provenance: eng.Provenance, Checkpoint: eng.Checkpoint != "", Dist: true}).Validate(); err != nil {
-		return nil, err
 	}
 	var wg sync.WaitGroup
 	builder := func(string, int, int, int) (model.Protocol, error) { return p, nil }
@@ -118,15 +114,10 @@ func LoopbackExploreOpts(ctx context.Context, p model.Protocol, inputs []int, ag
 		}
 	}
 	spec := Spec{
-		Proto:     p.Name(),
-		AgreeK:    agreeK,
-		Inputs:    inputs,
-		Limits:    opts.Limits,
-		Workers:   opts.Engine.Workers,
-		Store:     opts.Engine.Store,
-		MemBudget: opts.Engine.MemBudget,
-		Reduce:    opts.Engine.Reduction,
-		Order:     opts.Engine.Order,
+		Proto:   p.Name(),
+		AgreeK:  agreeK,
+		Inputs:  inputs,
+		Explore: opts,
 
 		Failover:    lo.Failover,
 		Heartbeat:   lo.Heartbeat,

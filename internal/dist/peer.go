@@ -89,10 +89,11 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 		sendErr(fmt.Errorf("dist peer: bad peer assignment %d/%d", h.PeerIndex, h.PeerCount))
 		return
 	}
-	// The mode table is checked here, before HELLOACK, so a coordinator
-	// asking for a pairing this build does not run (an older one's
+	// The options are checked here, before HELLOACK, so a coordinator
+	// asking for a setting this build does not run (an older one's
 	// "order":"async", say) is refused at the handshake.
-	if err := (check.Modes{Order: h.Order, Reduction: h.Reduce, Store: h.Store, Dist: true}).Validate(); err != nil {
+	opts := h.explore()
+	if err := opts.Engine.Validate(true); err != nil {
 		sendErr(err)
 		return
 	}
@@ -112,18 +113,8 @@ func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 		return
 	}
 
-	share, err := check.ExploreOptsShare(p, cfg, allPids(p), h.AgreeK, check.ExploreOptions{
-		Limits: check.ExploreLimits{MaxConfigs: h.MaxConfigs, MaxDepth: h.MaxDepth},
-		Engine: check.EngineOptions{
-			Ctx:       ctx,
-			Workers:   h.Workers,
-			Store:     h.Store,
-			MemBudget: h.MemBudget,
-			Reduction: h.Reduce,
-			Order:     h.Order,
-			Dist:      link,
-		},
-	})
+	opts.Engine.Ctx, opts.Engine.Dist = ctx, link
+	share, err := check.ExploreOptsShare(p, cfg, allPids(p), h.AgreeK, opts)
 	if err != nil {
 		sendErr(err)
 		return

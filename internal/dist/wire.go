@@ -241,7 +241,14 @@ func decodeBatch(b []byte) (dest, src int, recs []byte, err error) {
 
 // helloMsg is the run spec the coordinator hands each peer. One HELLO
 // per connection; everything that shapes the explored space is pinned
-// here so every peer provably checks the same instance.
+// here so every peer provably checks the same instance. The limits and
+// engine options are Spec.Explore itself, flattened into the frame by
+// their own JSON tags (so a new EngineOptions field travels with no edit
+// here, and the keys older builds send — max_configs, workers, store,
+// mem_budget, reduce, order — stay put); the process-local fields (Ctx,
+// Progress, Dist, SpillDir) do not travel. The peer runs the options as
+// received, plus its own context and link, after checking them with
+// check.EngineOptions.Validate before its HELLOACK.
 type helloMsg struct {
 	Proto  string `json:"proto"`
 	N      int    `json:"n"`
@@ -250,17 +257,16 @@ type helloMsg struct {
 	AgreeK int    `json:"agree_k"`
 	Inputs []int  `json:"inputs"`
 
-	MaxConfigs int `json:"max_configs"`
-	MaxDepth   int `json:"max_depth,omitempty"`
-
-	Workers   int    `json:"workers,omitempty"`
-	Store     string `json:"store,omitempty"`
-	MemBudget int64  `json:"mem_budget,omitempty"`
-	Reduce    string `json:"reduce,omitempty"`
-	Order     string `json:"order,omitempty"`
+	check.ExploreLimits
+	check.EngineOptions
 
 	PeerIndex int `json:"peer_index"`
 	PeerCount int `json:"peer_count"`
+}
+
+// explore is the options the HELLO carries.
+func (h helloMsg) explore() check.ExploreOptions {
+	return check.ExploreOptions{Limits: h.ExploreLimits, Engine: h.EngineOptions}
 }
 
 type helloAckMsg struct {

@@ -68,7 +68,7 @@ func seedFrames() [][]byte {
 		appendFrame(nil, frameError, marshalCtrl(errorMsg{Msg: "boom"})),
 		appendFrame(nil, framePing, nil),
 		appendFrame(nil, framePong, nil),
-		appendFrame(nil, frameResult, marshalCtrl(check.ExploreShare{Visited: 99, Complete: true, Record: check.ClassRecord{
+		appendFrame(nil, frameResult, marshalCtrl(check.ExploreShare{RunStats: check.RunStats{Processed: 99, Complete: true}, Record: check.ClassRecord{
 			Classes: []check.ClassWitness{{Class: math.MinInt, Depth: 4, FP: 0xf00d, Path: []byte{1, 0, 2, 1}}, {Class: 0, Depth: 2, FP: 0xbeef, Path: []byte{0, 1}},
 				{Class: 1, Depth: 3, FP: 0xcafe, Path: []byte{1, 0, 1}}},
 			MaxTogether: 2}})),
@@ -336,6 +336,54 @@ func TestHelloFromOlderCoordinator(t *testing.T) {
 	}
 }
 
+// TestHelloCarriesExploreOptions: every exported field of
+// check.ExploreOptions that is not process-local (json:"-"), set to a
+// non-zero value on the coordinator, reaches the options a peer decodes
+// from its HELLO unchanged. The fields are found by reflection, so a new
+// one needs no edit here or in the codec. The keys older builds send
+// and read stay those of the flat HELLO.
+func TestHelloCarriesExploreOptions(t *testing.T) {
+	var want check.ExploreOptions
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, sf := v.Field(i), v.Type().Field(i)
+			if !sf.IsExported() || sf.Tag.Get("json") == "-" {
+				continue
+			}
+			n++
+			switch f.Kind() {
+			case reflect.Struct:
+				fill(f)
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				f.SetInt(int64(n))
+			case reflect.String:
+				f.SetString(fmt.Sprintf("%s-%d", sf.Name, n))
+			default:
+				t.Fatalf("field %s of kind %s: teach this test a non-zero value for it", sf.Name, f.Kind())
+			}
+		}
+	}
+	fill(reflect.ValueOf(&want).Elem())
+
+	payload := marshalCtrl(Spec{Explore: want}.hello(0, 1))
+	var h helloMsg
+	if err := unmarshalCtrl(payload, &h); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.explore(); !reflect.DeepEqual(got, want) {
+		t.Errorf("peer options %+v, coordinator sent %+v", got, want)
+	}
+	for _, key := range []string{"max_configs", "max_depth", "workers", "store", "mem_budget", "reduce", "order"} {
+		if !bytes.Contains(payload, []byte(`"`+key+`":`)) {
+			t.Errorf("HELLO %s has no %q key", payload, key)
+		}
+	}
+}
+
 // TestAsyncHelloRefusedAtHandshake: a coordinator built before async x
 // distributed became a mode conflict can still ask for it. The peer
 // answers the HELLO with a typed ERROR carrying the mode-table message,
@@ -365,8 +413,8 @@ func TestAsyncHelloRefusedAtHandshake(t *testing.T) {
 
 	// runEpoch is Run past its own Validate call: what an older
 	// coordinator, whose table lacks the row, goes on to do.
-	spec := Spec{Proto: p.Name(), AgreeK: 1, Inputs: []int{0, 1, 1, 0}, Order: check.OrderAsync,
-		Limits: check.ExploreLimits{MaxConfigs: 1000}}
+	spec := Spec{Proto: p.Name(), AgreeK: 1, Inputs: []int{0, 1, 1, 0}, Explore: check.ExploreOptions{
+		Limits: check.ExploreLimits{MaxConfigs: 1000}, Engine: check.EngineOptions{Order: check.OrderAsync}}}
 	_, err = runEpoch(context.Background(), p, []net.Conn{serve()}, []slotInfo{{addr: "pipe-0"}}, spec, &failState{})
 	var pl *PeerLostError
 	if !errors.As(err, &pl) || !strings.Contains(err.Error(), "peer rejected spec") || !strings.Contains(err.Error(), check.ErrIncompatibleModes.Error()) {

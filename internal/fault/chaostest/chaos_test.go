@@ -484,7 +484,7 @@ func TestChaosDistPeerKillFailover(t *testing.T) {
 
 	res, err := dist.Dial(context.Background(), p, []string{addrA, addrB}, dist.Spec{
 		Proto: p.Name(), N: 4, K: 1, M: 3, AgreeK: 1, Inputs: inputs,
-		Limits:   limits,
+		Explore:  check.ExploreOptions{Limits: limits},
 		Failover: true, PeerRetries: 2, Heartbeat: 200 * time.Millisecond,
 	})
 	if err != nil {

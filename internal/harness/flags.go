@@ -109,8 +109,7 @@ func RegisterStoreFlags(fs *flag.FlagSet) *StoreFlags {
 // Store returns the selected backend ("" = the default, mem).
 func (f *StoreFlags) Store() string { return *f.store }
 
-// MemBudgetText returns the raw -membudget value (validated by
-// ParseByteSize).
+// MemBudgetText returns the raw -membudget value (parsed by MemBudget).
 func (f *StoreFlags) MemBudgetText() string { return *f.memBudget }
 
 // MemBudget parses -membudget into bytes (0 when unset).
@@ -120,20 +119,6 @@ func (f *StoreFlags) MemBudget() (int64, error) {
 		return 0, fmt.Errorf("-membudget: %w", err)
 	}
 	return b, nil
-}
-
-// Validate checks the flag pair as a whole: the budget must parse, and a
-// budget without the spill store is rejected rather than silently
-// ignored (the in-memory store has no memory cap, and a user who set a
-// budget believes one is in force).
-func (f *StoreFlags) Validate() error {
-	if _, err := f.MemBudget(); err != nil {
-		return err
-	}
-	if *f.memBudget != "" && f.Store() != check.StoreSpill {
-		return fmt.Errorf("-membudget requires -store %s (the in-memory store is unbudgeted)", check.StoreSpill)
-	}
-	return nil
 }
 
 // EngineFlags bundles the full frontier-engine flag block shared by
@@ -184,59 +169,23 @@ func (f *EngineFlags) StringKeys() bool {
 	return *f.flip
 }
 
-// Validate extends the store validation (which it shadows) with the
-// engine's mode names and its compatibility table (check.ModeConflicts,
-// which owns every cross-flag rule), so a bad combination is a usage
-// error before anything runs.
-func (f *EngineFlags) Validate() error { return f.validate(false) }
-
-// validate is Validate for an exploration (provenance false) or for the
-// witness-producing searches, which always run with provenance.
-func (f *EngineFlags) validate(provenance bool) error {
-	if err := f.StoreFlags.Validate(); err != nil {
-		return err
-	}
-	if *f.workers < 0 {
-		return fmt.Errorf("-workers %d must not be negative", *f.workers)
-	}
-	if *f.ckptEvery < 0 {
-		return fmt.Errorf("-checkpointevery %d must not be negative", *f.ckptEvery)
-	}
-	// -distributed is DistFlags', declared on the same set by the commands
-	// that can coordinate a distributed run; it is a mode like the others,
-	// so it is read here and the table is consulted once.
-	distributed := false
-	if fl := f.fs.Lookup("distributed"); fl != nil {
-		distributed = fl.Value.String() == "true"
-	}
-	modes := check.Modes{Order: *f.order, Reduction: *f.reduce, Store: f.Store(), StringKeys: f.StringKeys(),
-		Provenance: provenance, Checkpoint: *f.checkpoint != "", Dist: distributed}
-	if err := modes.Validate(); err != nil {
-		return err
-	}
-	if distributed && *f.progress {
-		return fmt.Errorf("-progress cannot be combined with -distributed: the coordinator runs no engine, so it has no level to report")
-	}
-	if *f.ckptEvery > 0 && *f.checkpoint == "" {
-		return fmt.Errorf("-checkpointevery requires -checkpoint")
-	}
-	return nil
-}
-
-// Options assembles check.EngineOptions. progressW receives per-level
-// throughput when -progress was set (pass stderr so stdout stays
-// parseable); nil disables it regardless.
+// Options assembles check.EngineOptions and checks them with
+// check.EngineOptions.Validate (which owns every rule of the engine's
+// own: negative counts, unknown names, a budget without the spill store,
+// the mode conflicts), so a bad setting is a usage error before anything
+// runs. progressW receives per-level throughput when -progress was set
+// (pass stderr so stdout stays parseable); nil disables it regardless.
 func (f *EngineFlags) Options(progressW io.Writer) (check.EngineOptions, error) {
 	return f.options(false, progressW)
 }
 
-// options is Options for an exploration or for a witness-producing
-// search (provenance), which differ in what validation lets through.
+// options is Options for an exploration or for the witness-producing
+// searches, which always run with provenance.
 func (f *EngineFlags) options(provenance bool, progressW io.Writer) (check.EngineOptions, error) {
-	if err := f.validate(provenance); err != nil {
+	budget, err := f.MemBudget()
+	if err != nil {
 		return check.EngineOptions{}, err
 	}
-	budget, _ := f.MemBudget()
 	opts := check.EngineOptions{
 		Workers:         *f.workers,
 		StringKeys:      f.StringKeys(),
@@ -244,8 +193,25 @@ func (f *EngineFlags) options(provenance bool, progressW io.Writer) (check.Engin
 		MemBudget:       budget,
 		Reduction:       *f.reduce,
 		Order:           *f.order,
+		Provenance:      provenance,
 		Checkpoint:      *f.checkpoint,
 		CheckpointEvery: *f.ckptEvery,
+	}
+	// -distributed is DistFlags', declared on the same set by the commands
+	// that can coordinate a distributed run; it is a mode like the others.
+	distributed := false
+	if fl := f.fs.Lookup("distributed"); fl != nil {
+		distributed = fl.Value.String() == "true"
+	}
+	if err := opts.Validate(distributed); err != nil {
+		return check.EngineOptions{}, err
+	}
+	// What is left are the rules of the command line alone.
+	if distributed && *f.progress {
+		return check.EngineOptions{}, fmt.Errorf("-progress cannot be combined with -distributed: the coordinator runs no engine, so it has no level to report")
+	}
+	if *f.ckptEvery > 0 && *f.checkpoint == "" {
+		return check.EngineOptions{}, fmt.Errorf("-checkpointevery requires -checkpoint")
 	}
 	if *f.progress && progressW != nil {
 		opts.Progress = check.ProgressPrinter(progressW)

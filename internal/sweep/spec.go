@@ -104,34 +104,24 @@ func (e EngineSpec) label() string {
 	return l
 }
 
-// validate rejects unknown backends, unparsable budgets and incompatible
-// axis combinations (the engine's check.ModeConflicts table owns every
-// cross-axis rule) so a typo'd spec fails before any cell runs.
+// validate parses the spec's text forms (the keys word, the budget) and
+// checks the peer range, then checks the engine options it selects with
+// check.EngineOptions.Validate (which owns every other rule, the
+// check.ModeConflicts table among them), so a typo'd spec fails before
+// any cell runs.
 func (e EngineSpec) validate() error {
 	switch e.Keys {
 	case "", "fingerprint", "string":
 	default:
 		return fmt.Errorf("sweep: unknown keys %q (have %q, %q)", e.Keys, "fingerprint", "string")
 	}
-	if e.Workers < 0 {
-		return fmt.Errorf("sweep: workers %d must not be negative", e.Workers)
-	}
-	switch e.Store {
-	case "", check.StoreMem, check.StoreSpill:
-	default:
-		return fmt.Errorf("sweep: unknown store %q (have %q, %q)", e.Store, check.StoreMem, check.StoreSpill)
-	}
 	if _, err := harness.ParseByteSize(e.MemBudget); err != nil {
 		return fmt.Errorf("sweep: mem_budget: %w", err)
-	}
-	if e.MemBudget != "" && e.Store != check.StoreSpill {
-		return fmt.Errorf("sweep: mem_budget %q requires store %q (the in-memory store is unbudgeted)", e.MemBudget, check.StoreSpill)
 	}
 	if e.Peers < 0 || e.Peers > check.DistNumParts {
 		return fmt.Errorf("sweep: peers %d outside [0, %d]", e.Peers, check.DistNumParts)
 	}
-	modes := check.Modes{Order: e.Order, Reduction: e.Reduce, Store: e.Store, StringKeys: e.Keys == "string", Dist: e.Peers > 0}
-	if err := modes.Validate(); err != nil {
+	if err := e.engine().Validate(e.Peers > 0); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
 	return nil
@@ -144,13 +134,20 @@ func (e EngineSpec) Validate() error { return e.validate() }
 
 // MemBudgetBytes returns the parsed resident-memory budget in bytes
 // (0 when unset). Validate first; an unparsable budget reads as 0 here.
-func (e EngineSpec) MemBudgetBytes() int64 { return e.memBudgetBytes() }
-
-// memBudgetBytes returns the parsed budget; specs are validated when the
-// grid expands, so a parse failure here cannot occur.
-func (e EngineSpec) memBudgetBytes() int64 {
+func (e EngineSpec) MemBudgetBytes() int64 {
 	b, _ := harness.ParseByteSize(e.MemBudget)
 	return b
+}
+
+// engine returns the exploration engine options e selects. Exploration
+// defaults to fingerprint dedup; Keys "string" opts into exact keys.
+func (e EngineSpec) engine() check.EngineOptions {
+	return check.EngineOptions{
+		Workers:    e.Workers,
+		StringKeys: e.Keys == "string",
+		Store:      e.Store, MemBudget: e.MemBudgetBytes(),
+		Reduction: e.Reduce, Order: e.Order,
+	}
 }
 
 // Grid is a declarative experiment matrix. Expanding it yields one cell
@@ -331,33 +328,26 @@ func (c Cell) SearchLimits(defConfigs, defDepth int) lowerbound.SearchLimits {
 		MaxConfigs: defConfigs, MaxDepth: defDepth,
 		Workers:      c.Engine.Workers,
 		Fingerprints: c.Engine.Keys == "fingerprint",
-		Store:        c.Engine.Store, MemBudget: c.Engine.memBudgetBytes(),
+		Store:        c.Engine.Store, MemBudget: c.Engine.MemBudgetBytes(),
 		Progress: c.Progress,
 	}
 }
 
-// ExploreOptions translates the cell into explorer options. Exploration
-// defaults to fingerprint dedup; Keys "string" opts into exact keys. An
-// async-order or distributed cell runs without its CheckpointDir: the
-// async order has no barrier to snapshot at and a multi-process snapshot
-// has no coordinator-side generations (check.ModeConflicts), and a rerun
-// from scratch reaches the same verdict.
+// ExploreOptions translates the cell into explorer options: its spec's
+// engine options plus the cell's plumbing. An async-order or distributed
+// cell runs without its CheckpointDir: the async order has no barrier to
+// snapshot at and a multi-process snapshot has no coordinator-side
+// generations (check.ModeConflicts), and a rerun from scratch reaches
+// the same verdict.
 func (c Cell) ExploreOptions() check.ExploreOptions {
-	ckpt := c.CheckpointDir
-	if c.Engine.Order == check.OrderAsync || c.Engine.Peers > 0 {
-		ckpt = ""
+	eng := c.Engine.engine()
+	eng.Ctx, eng.Progress = c.Ctx, c.Progress
+	if c.Engine.Order != check.OrderAsync && c.Engine.Peers == 0 {
+		eng.Checkpoint = c.CheckpointDir
 	}
 	return check.ExploreOptions{
 		Limits: check.ExploreLimits{MaxConfigs: c.MaxConfigs, MaxDepth: c.MaxDepth},
-		Engine: check.EngineOptions{
-			Ctx:        c.Ctx,
-			Workers:    c.Engine.Workers,
-			StringKeys: c.Engine.Keys == "string",
-			Store:      c.Engine.Store, MemBudget: c.Engine.memBudgetBytes(),
-			Reduction: c.Engine.Reduce, Order: c.Engine.Order,
-			Progress:   c.Progress,
-			Checkpoint: ckpt,
-		},
+		Engine: eng,
 	}
 }
 
