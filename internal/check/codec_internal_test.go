@@ -3,16 +3,18 @@ package check
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -31,6 +33,7 @@ func codecNodes(t *testing.T) []*Node {
 		func(_ int, n *Node) error {
 			c := *n
 			c.Cfg = n.Cfg.Clone()
+			c.slotH = slices.Clone(n.slotH)
 			c.path = bytes.Clone(n.path)
 			nodes = append(nodes, &c)
 			return nil
@@ -44,53 +47,203 @@ func codecNodes(t *testing.T) []*Node {
 	return nodes
 }
 
-// refNodeRecord is the record layout written out longhand, field by field
-// as dist/wire.go's appendRecord wrote it before the codec moved here: the
-// wire promise is that AppendNodeRecord's bytes are these, with a reserved
-// word of 0 (it was the sleep mask).
-func refNodeRecord(n *Node, reserved uint64) []byte {
-	enc := n.Cfg.AppendEncoding(nil)
+// refNodeRecord is the record layout written out longhand, field by
+// field: pid+1, depth, fingerprint, the slot-hash vector, the exact key
+// and the path.
+func refNodeRecord(n *Node) []byte {
 	b := binary.AppendUvarint(nil, uint64(n.Pid+1))
 	b = binary.AppendUvarint(b, uint64(n.Depth))
 	b = binary.LittleEndian.AppendUint64(b, n.fp)
-	b = binary.LittleEndian.AppendUint64(b, n.slotFP)
-	b = binary.LittleEndian.AppendUint64(b, reserved)
-	b = append(binary.AppendUvarint(b, uint64(len(enc))), enc...)
+	b = binary.AppendUvarint(b, uint64(len(n.slotH)))
+	for _, h := range n.slotH {
+		b = binary.LittleEndian.AppendUint64(b, h)
+	}
+	b = append(binary.AppendUvarint(b, uint64(len(n.key))), n.key...)
 	return append(binary.AppendUvarint(b, uint64(len(n.path))), n.path...)
 }
 
-// TestNodeRecordLayout: a record is byte for byte the pinned layout, its
-// returned encoding is the node's, also when the encoding is long enough
-// for a two-byte length, and it decodes to the node's fields — also from
-// an earlier build's record, whose reserved word held a sleep mask.
+// TestNodeRecordLayout: a record is byte for byte the pinned layout, also
+// when the exact key is long enough for a two-byte length, and it decodes
+// to the node's fields.
 func TestNodeRecordLayout(t *testing.T) {
+	pinned := &Node{Pid: 2, Depth: 300, fp: 0x0102030405060708, slotH: []uint64{1, ^uint64(0)}, key: "k", path: []byte{2, 0}}
+	const want = "03" + "ac02" + "0807060504030201" + "02" + "0100000000000000" + "ffffffffffffffff" + "016b" + "020200"
+	if got := hex.EncodeToString(AppendNodeRecord(nil, pinned)); got != want {
+		t.Fatalf("pinned record %s, want %s", got, want)
+	}
 	nodes := codecNodes(t)
-	wide := stepProto{n: 40, steps: 2} // 40 states: an encoding past 127 bytes
-	wn := &Node{Cfg: model.MustNewConfig(wide, make([]int, 40)), Pid: 7, Depth: 300, fp: 1, slotFP: 2, path: []byte{7}}
-	if len(wn.Cfg.AppendEncoding(nil)) < 0x80 {
-		t.Fatal("the wide node's encoding fits a one-byte length")
+	wide := stepProto{n: 40, steps: 2} // 40 states: a key past 127 bytes
+	wc := model.MustNewConfig(wide, make([]int, 40))
+	wn := &Node{Cfg: wc, Pid: 7, Depth: 300, fp: 1, slotFP: 2, slotH: make([]uint64, len(wc.Objects)+40),
+		key: string(wc.AppendEncoding(nil)), path: []byte{7}}
+	if len(wn.key) < 0x80 {
+		t.Fatal("the wide node's key fits a one-byte length")
 	}
 	var buf []byte
 	for _, n := range append(nodes, wn) {
 		at := len(buf)
-		var enc []byte
-		buf, enc = AppendNodeRecord(buf, n)
-		if want := refNodeRecord(n, 0); !bytes.Equal(buf[at:], want) {
+		buf = AppendNodeRecord(buf, n)
+		if want := refNodeRecord(n); !bytes.Equal(buf[at:], want) {
 			t.Fatalf("depth %d pid %d: record\n%x\nwant\n%x", n.Depth, n.Pid, buf[at:], want)
-		}
-		if want := n.Cfg.AppendEncoding(nil); !bytes.Equal(enc, want) {
-			t.Fatalf("returned encoding %x, node encodes %x", enc, want)
 		}
 		rec, rest, err := DecodeNodeRecord(buf[at:])
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
 		}
-		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.SlotFP != n.slotFP ||
-			!bytes.Equal(rec.Enc, enc) || !bytes.Equal(rec.Path, n.path) {
+		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.NumSlots() != len(n.slotH) ||
+			string(rec.Key) != n.key || !bytes.Equal(rec.Path, n.path) {
 			t.Fatalf("decoded %+v from node %+v", rec, n)
 		}
-		if old, _, err := DecodeNodeRecord(refNodeRecord(n, 0b1011)); err != nil || !reflect.DeepEqual(old, rec) {
-			t.Fatalf("a record with a sleep mask decodes to %+v (%v), without one to %+v", old, err, rec)
+		for i, h := range n.slotH {
+			if rec.SlotHash(i) != h {
+				t.Fatalf("slot %d decoded as %#x, node holds %#x", i, rec.SlotHash(i), h)
+			}
+		}
+	}
+}
+
+// testStoreCtx is a store context for nObj objects and nProc processes
+// whose nodes come fresh and are never recycled.
+func testStoreCtx(t *testing.T, nObj, nProc int, stringKeys bool) storeCtx {
+	return storeCtx{workers: 1, nObj: nObj, nProc: nProc, stringKeys: stringKeys,
+		newNode: func() *Node {
+			cfg := &model.Config{Objects: make([]model.Value, nObj), States: make([]model.State, nProc)}
+			return &Node{Cfg: cfg, slotH: make([]uint64, nObj+nProc)}
+		},
+		recycle: func(*Node) {},
+		fail:    func(err error) { t.Error(err) },
+		stopped: func() bool { return false },
+	}
+}
+
+// TestNodeRecordRoundTrip: every node of Table 1's row 3 (Algorithm 1,
+// n=4, k=1, m=3) at depths 0-6, under both keyings, and of the toy-bit race
+// at n=4 under the symmetry reduction, spooled to a budgeted store's
+// segment and rematerialised, is the node it was: configuration, slot
+// hashes, slot fingerprint, fingerprint, depth, pid, path and exact key. A
+// fingerprint-keyed record is exactly its header, eight bytes a slot and
+// the path.
+func TestNodeRecordRoundTrip(t *testing.T) {
+	row3 := core.MustNew(core.Params{N: 4, K: 1, M: 3})
+	toybit, err := baseline.NewToyBitRace(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		p      model.Protocol
+		inputs []int
+		depth  int
+		exact  bool
+		reduce string
+	}{
+		{"row3", row3, []int{0, 1, 1, 0}, 6, false, ReduceNone},
+		{"row3/exact", row3, []int{0, 1, 1, 0}, 6, true, ReduceNone},
+		{"toybit/sym", toybit, []int{0, 1, 0, 1}, 0, false, ReduceSym},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := model.MustNewConfig(tc.p, tc.inputs)
+			nObj, nProc := len(start.Objects), len(start.States)
+			var nodes []*Node
+			opts := EngineOptions{Workers: 1, StringKeys: tc.exact, Reduction: tc.reduce, Checkpoint: t.TempDir()}
+			_, err := RunFrontier(tc.p, start, []int{0, 1, 2, 3}, ExploreLimits{MaxDepth: tc.depth}, opts,
+				func(_ int, n *Node) error {
+					c := *n
+					c.Cfg = n.Cfg.Clone()
+					c.slotH = slices.Clone(n.slotH)
+					c.path = bytes.Clone(n.path)
+					nodes = append(nodes, &c)
+					return nil
+				}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nodes) < 1000 {
+				t.Fatalf("only %d nodes to spool", len(nodes))
+			}
+			s, err := newSpillStore(testStoreCtx(t, nObj, nProc, tc.exact), 1, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			want := map[uint64]*Node{}
+			for _, n := range nodes {
+				if !tc.exact {
+					header := uvarintLen(n.Pid+1) + uvarintLen(n.Depth) + 8 + uvarintLen(len(n.slotH)) + 1 + uvarintLen(len(n.path))
+					if got, want := len(AppendNodeRecord(nil, n)), header+8*len(n.slotH)+len(n.path); got != want {
+						t.Fatalf("record of %d bytes, want %d", got, want)
+					}
+				}
+				want[n.fp] = n
+				s.Claim(n.fp, []byte(n.key))
+				s.Queue(0, n)
+			}
+			if _, err := s.EndLevel(); err != nil {
+				t.Fatal(err)
+			}
+			lvl, err := s.CutLevel(len(nodes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.stats.BytesSpilled == 0 {
+				t.Fatal("nothing was spooled")
+			}
+			describe := func(n *Node) string {
+				return fmt.Sprintf("cfg %s slotH %x slotFP %#x fp %#x depth %d pid %d path %v key %q",
+					n.Cfg.Key(), n.slotH, n.slotFP, n.fp, n.Depth, n.Pid, n.path, n.key)
+			}
+			buf, got := make([]*Node, 64), 0
+			for m := lvl.Frontier.Next(0, buf); m > 0; m = lvl.Frontier.Next(0, buf) {
+				for _, n := range buf[:m] {
+					w := want[n.fp]
+					if w == nil {
+						t.Fatalf("rematerialised a node never spooled: %s", describe(n))
+					}
+					if describe(n) != describe(w) {
+						t.Fatalf("rematerialised\n%s\nspooled\n%s", describe(n), describe(w))
+					}
+					delete(want, n.fp)
+					got++
+				}
+			}
+			if len(want) != 0 {
+				t.Fatalf("%d of %d spooled nodes never came back", len(want), len(nodes))
+			}
+		})
+	}
+}
+
+func uvarintLen(x int) int { return len(binary.AppendUvarint(nil, uint64(x))) }
+
+// TestRematerialiseReplayMismatch: a record whose slots the exchange has
+// never seen is rebuilt by replaying its path, and the replayed node must
+// hold the record's slot-hash vector: one whose hash differs in one slot
+// is an error, not a node.
+func TestRematerialiseReplayMismatch(t *testing.T) {
+	nodes := codecNodes(t)
+	orig := nodes[len(nodes)-1]
+	rec, _, err := DecodeNodeRecord(AppendNodeRecord(nil, orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testStoreCtx(t, len(orig.Cfg.Objects), len(orig.Cfg.States), false)
+	for _, flip := range []bool{false, true} {
+		m := rematerialiser{ctx: ctx, exch: model.NewSlotExchange(), replay: func(path []byte) (*Node, error) {
+			n := ctx.newNode()
+			n.Cfg.CopyFrom(orig.Cfg)
+			copy(n.slotH, orig.slotH)
+			if flip {
+				n.slotH[len(n.slotH)-1] ^= 1
+			}
+			n.path = append(n.path[:0], path...)
+			return n, nil
+		}}
+		n, _, err := m.node(&rec, nil)
+		switch {
+		case flip && (err == nil || n != nil):
+			t.Errorf("a replay one slot hash off gave node %v, error %v", n, err)
+		case !flip && (err != nil || n.Cfg.Key() != orig.Cfg.Key()):
+			t.Errorf("a faithful replay gave error %v", err)
 		}
 	}
 }
@@ -198,7 +351,7 @@ func TestSharedCodecCorruption(t *testing.T) {
 					return err
 				}
 				for i, n := range nodes {
-					w.buf, _ = AppendNodeRecord(w.buf, n)
+					w.buf = AppendNodeRecord(w.buf, n)
 					if i%2 == 1 { // several blocks, of two records
 						if err := w.flush(); err != nil {
 							return err
@@ -279,7 +432,7 @@ func TestSharedCodecCorruption(t *testing.T) {
 func recordStrings(nodes []*Node) []string {
 	var out []string
 	for _, n := range nodes {
-		rec, _, _ := DecodeNodeRecord(refNodeRecord(n, 0))
+		rec, _, _ := DecodeNodeRecord(refNodeRecord(n))
 		out = append(out, fmt.Sprintf("%+v", rec))
 	}
 	return out

@@ -11,13 +11,15 @@ package check
 //     exactly one owning peer, whose visited set alone decides on it.
 //
 //   - A successor owned by a remote peer is built and shipped instead of
-//     claimed, as the node record the spill store spools (noderec.go):
-//     workers append it straight into the link's per-peer batch, and the
-//     owning peer decodes the batches in place at the expand barrier,
-//     claims each record on its fingerprint like a candidate of its own,
-//     and rematerialises the ones that were new through a
-//     model.SlotExchange, replaying the record's pid path through its own
-//     stepper for spans it has never seen.
+//     claimed, as the node record the spill store spools (noderec.go): its
+//     slot-hash vector and pid path, no configuration encoding. Workers
+//     append it straight into the link's per-peer batch, and the owning
+//     peer decodes the batches in place at the expand barrier, claims each
+//     record on its fingerprint like a candidate of its own, and
+//     rematerialises the ones that were new by resolving their slot hashes
+//     through a model.SlotExchange. For a slot it has never seen it
+//     replays the record's pid path through its own stepper instead, and
+//     the replayed node's whole slot-hash vector must be the record's.
 //
 //   - Level barriers are a two-phase gather run by the coordinator;
 //     remote admissions are applied single-threaded between the workers

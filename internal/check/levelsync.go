@@ -161,6 +161,12 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			}
 		}
 		progress()
+		// A cancel issued from Progress reaches the run only through
+		// context.AfterFunc, asynchronously: look now, so that no further
+		// level starts after it.
+		if ctx := run.opts.Ctx; ctx != nil && ctx.Err() != nil {
+			return stats, fmt.Errorf("frontier engine: %w", ctx.Err())
+		}
 		if stop {
 			return stats, nil
 		}
@@ -249,7 +255,7 @@ func distExpandBarrier(run *engineRun, depth int) error {
 				continue
 			}
 			var n *Node
-			if n, spans, err = run.remat.node(rec, spans); err != nil {
+			if n, spans, err = run.remat.node(&rec, spans); err != nil {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
 			admitted++

@@ -14,58 +14,52 @@ import (
 // both hold node records; the CRC that guards the bytes is the
 // container's — the artifact's or the frame's — not the record's.
 //
-// Record layout, byte for byte what the wire has always carried:
+// Record layout:
 //
 //	pid+1  uvarint
 //	depth  uvarint
 //	fp     uint64 LE   dedup fingerprint, canonical under the run's reduction
-//	slotFP uint64 LE
-//	rsvd   uint64 LE   reserved (a sleep mask in earlier builds): written 0, ignored on read
-//	elen   uvarint, enc [elen]byte   compact Config encoding
-//	plen   uvarint, path [plen]byte  root-to-node pid path (empty unless the run keeps paths)
+//	count  uvarint, count × uint64 LE   the slot-hash vector (objects, then states)
+//	klen   uvarint, key [klen]byte      exact key (empty unless the run uses exact keys)
+//	plen   uvarint, path [plen]byte     root-to-node pid path (empty unless the run keeps paths)
+//
+// A record carries what the node already holds and nothing is encoded to
+// write it: the slot hashes stand for the configuration, which the reader
+// resolves through a model.SlotExchange, and the slot fingerprint is not
+// carried at all — it is the XOR of model.MixSlotHash over the vector.
 
-// NodeRecord is a decoded record. Enc and Path alias the buffer it was
-// decoded from.
+// NodeRecord is a decoded record. Slots, Key and Path alias the buffer it
+// was decoded from.
 type NodeRecord struct {
-	Pid    int
-	Depth  int
-	FP     uint64
-	SlotFP uint64
-	Enc    []byte
-	Path   []byte
+	Pid   int
+	Depth int
+	FP    uint64
+	Slots []byte // the slot-hash vector as it lies in the record; see SlotHash
+	Key   []byte
+	Path  []byte
 }
 
-// NodeRecordMin is the length of the shortest record: two one-byte
-// uvarints, two fingerprints and the reserved word, two empty blobs.
-const NodeRecordMin = 28
+// NumSlots is the length of the record's slot-hash vector.
+func (r NodeRecord) NumSlots() int { return len(r.Slots) / 8 }
 
-// AppendNodeRecord appends n's record to buf. enc is n's encoding as it
-// lies in the returned buffer, for a caller that interns its slots.
-func AppendNodeRecord(buf []byte, n *Node) (out, enc []byte) {
+// SlotHash is the content hash of slot i.
+func (r NodeRecord) SlotHash(i int) uint64 { return binary.LittleEndian.Uint64(r.Slots[8*i:]) }
+
+// NodeRecordMin is the length of the shortest record: two one-byte
+// uvarints, the fingerprint, an empty slot vector and two empty blobs.
+const NodeRecordMin = 13
+
+// AppendNodeRecord appends n's record to buf.
+func AppendNodeRecord(buf []byte, n *Node) []byte {
 	buf = binary.AppendUvarint(buf, uint64(n.Pid+1))
 	buf = binary.AppendUvarint(buf, uint64(n.Depth))
 	buf = binary.LittleEndian.AppendUint64(buf, n.fp)
-	buf = binary.LittleEndian.AppendUint64(buf, n.slotFP)
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // reserved
-	// The encoding's length is known only once it is written: write it
-	// where it will lie behind a one-byte length, and move it up if the
-	// length turns out wider.
-	at := len(buf) + 1
-	buf = n.Cfg.AppendEncoding(append(buf, 0))
-	elen := len(buf) - at
-	if elen < 0x80 {
-		buf[at-1] = byte(elen)
-	} else {
-		var l [binary.MaxVarintLen64]byte
-		w := binary.PutUvarint(l[:], uint64(elen))
-		buf = append(buf, l[1:w]...)
-		copy(buf[at-1+w:], buf[at:at+elen])
-		copy(buf[at-1:], l[:w])
-		at += w - 1
+	buf = binary.AppendUvarint(buf, uint64(len(n.slotH)))
+	for _, h := range n.slotH {
+		buf = binary.LittleEndian.AppendUint64(buf, h)
 	}
-	enc = buf[at : at+elen : at+elen]
-	buf = binary.AppendUvarint(buf, uint64(len(n.path)))
-	return append(buf, n.path...), enc
+	buf = append(binary.AppendUvarint(buf, uint64(len(n.key))), n.key...)
+	return append(binary.AppendUvarint(buf, uint64(len(n.path))), n.path...)
 }
 
 // DecodeNodeRecord parses one record from the front of b and returns the
@@ -77,19 +71,25 @@ func DecodeNodeRecord(b []byte) (rec NodeRecord, rest []byte, err error) {
 		return rec, nil, errors.New("node record: pid truncated")
 	}
 	depth, m := binary.Uvarint(b[n:])
-	if m <= 0 || len(b)-n-m < 24 {
-		return rec, nil, errors.New("node record: depth or fingerprints truncated")
+	if m <= 0 || len(b)-n-m < 8 {
+		return rec, nil, errors.New("node record: depth or fingerprint truncated")
 	}
 	b = b[n+m:]
 	rec.Pid, rec.Depth = int(pid1)-1, int(depth)
 	rec.FP = binary.LittleEndian.Uint64(b)
-	rec.SlotFP = binary.LittleEndian.Uint64(b[8:])
+	b = b[8:]
+	count, c := binary.Uvarint(b)
+	if c <= 0 || count > uint64(len(b)-c)/8 {
+		return rec, nil, errors.New("node record: slot hashes truncated")
+	}
+	end := c + 8*int(count)
+	rec.Slots, b = b[c:end:end], b[end:]
 	var ok bool
-	if rec.Enc, b, ok = cutBlob(b[24:]); ok {
+	if rec.Key, b, ok = cutBlob(b); ok {
 		rec.Path, b, ok = cutBlob(b)
 	}
 	if !ok {
-		return rec, nil, errors.New("node record: encoding or path truncated")
+		return rec, nil, errors.New("node record: key or path truncated")
 	}
 	return rec, b, nil
 }
@@ -105,11 +105,12 @@ func cutBlob(b []byte) (blob, rest []byte, ok bool) {
 
 // rematerialiser rebuilds nodes from records. Canonical Values and States
 // cannot be decoded from bytes alone (states are protocol-defined and
-// opaque), so each slot's span of the encoding is looked up in an
-// exchange: the spill store interns every slot it spools, which makes a
-// miss corruption; a distributed peer meets spans first seen on another
-// process, replays the record's path through its own stepper instead and
-// interns the result, so the exchange warms up to the hot slot population.
+// opaque), so each slot's hash is resolved through an exchange: the spill
+// store interns every slot it spools, which makes a miss corruption; a
+// distributed peer meets slots first seen on another process, replays the
+// record's path through its own stepper instead and interns the result,
+// so the exchange warms up to the hot slot population. Under exact keys a
+// slot must also match its span of the record's key byte for byte.
 type rematerialiser struct {
 	ctx  storeCtx
 	exch *model.SlotExchange
@@ -121,48 +122,52 @@ type rematerialiser struct {
 // node rebuilds rec's node, admission-ready except for its exact key,
 // which is the caller's to set. spans is scratch, returned for reuse. It
 // is safe for concurrent use when replay is nil.
-func (m *rematerialiser) node(rec NodeRecord, spans [][]byte) (*Node, [][]byte, error) {
-	nObj := m.ctx.nObj
-	spans, err := model.SlotSpans(rec.Enc, nObj, m.ctx.nProc, spans)
-	if err != nil {
-		return nil, spans, err
+func (m *rematerialiser) node(rec *NodeRecord, spans [][]byte) (*Node, [][]byte, error) {
+	if got, want := rec.NumSlots(), m.ctx.nObj+m.ctx.nProc; got != want {
+		return nil, spans, fmt.Errorf("record carries %d slot hashes, the run's configurations have %d slots", got, want)
 	}
-	// Nothing is stepped: each slot's canonical value or state comes from
-	// the exchange and its hash is recomputed from the span. miss is the
-	// first slot (objects, then states) the exchange has never interned.
-	n, miss := m.ctx.newNode(), -1
-	for i, span := range spans {
-		var ok bool
-		if i < nObj {
-			n.Cfg.Objects[i], ok = m.exch.Value(span)
-		} else {
-			n.Cfg.States[i-nObj], ok = m.exch.State(span)
+	var encs [][]byte // nil: slots match on their hashes alone
+	if m.ctx.stringKeys {
+		var err error
+		if spans, err = model.SlotSpans(rec.Key, m.ctx.nObj, m.ctx.nProc, spans); err != nil {
+			return nil, spans, err
 		}
-		if !ok {
-			miss = i
-			break
-		}
-		n.slotH[i] = model.SlotContentHash(span)
+		encs = spans
 	}
-	switch {
+	// Nothing is stepped or encoded: the vector is the record's, each slot's
+	// canonical value or state comes from the exchange, and the slot
+	// fingerprint is recomputed from the vector.
+	n := m.ctx.newNode()
+	var slotFP uint64
+	for i := range n.slotH {
+		n.slotH[i] = rec.SlotHash(i)
+		slotFP ^= model.MixSlotHash(i, n.slotH[i])
+	}
+	var err error
+	switch miss := m.exch.Resolve(n.Cfg, n.slotH, encs); {
 	case miss < 0:
-		n.slotFP = rec.SlotFP
+		n.slotFP = slotFP
 		n.path = append(n.path[:0], rec.Path...)
 	case m.replay == nil:
-		err = fmt.Errorf("slot %d encoding not interned", miss)
+		err = fmt.Errorf("slot %d not interned", miss)
 	default:
 		m.ctx.recycle(n)
 		if n, err = m.replay(rec.Path); err != nil {
 			return nil, spans, fmt.Errorf("record does not replay: %w", err)
 		}
-		// The replayed configuration's slot fingerprint must match the
-		// sender's — a mismatch means the record does not belong to this
-		// run (wrong protocol build, or a corrupted frame whose CRC
-		// collided).
-		if n.slotFP != rec.SlotFP {
-			err = fmt.Errorf("record replays to fingerprint %#x, sender advertised %#x", n.slotFP, rec.SlotFP)
-		} else {
-			m.exch.Intern(n.Cfg, spans, nObj)
+		// The replayed configuration's slot hashes must be the sender's —
+		// a mismatch means the record does not belong to this run (wrong
+		// protocol build, or a corrupted frame whose CRC collided). Only a
+		// distributed run replays, and it is fingerprint-keyed (modes.go),
+		// so the hashes are the whole match.
+		for i, h := range n.slotH {
+			if h != rec.SlotHash(i) {
+				err = fmt.Errorf("record replays to slot %d hash %#x, sender advertised %#x", i, h, rec.SlotHash(i))
+				break
+			}
+		}
+		if err == nil {
+			m.exch.Intern(n.Cfg, n.slotH, encs)
 		}
 	}
 	if err != nil {

@@ -66,11 +66,14 @@ import (
 //     of blocks, uvarint length | records, each about artifactBlock bytes:
 //     the next level's workers claim a block at a time under the source's
 //     lock and decode it outside, skipping records revoked or truncated at
-//     the barrier. Per-slot canonical Values/States cannot be rebuilt from
-//     bytes alone, so the store interns every slot encoding it spools in
+//     the barrier. A record carries the node's slot-hash vector, not its
+//     configuration: per-slot canonical Values/States cannot be rebuilt
+//     from bytes alone, so the store interns every slot it spools, by
+//     content hash (and, under exact keys, by its span of the key too), in
 //     the rematerialiser's exchange — resident memory that grows with
-//     *distinct slot encodings*, the same asymptotics as the steppers'
-//     arenas, typically far below the configuration count. A provenance
+//     *distinct slots*, the same asymptotics as the steppers' arenas,
+//     typically far below the configuration count. Nothing is encoded to
+//     spool a node and nothing is hashed to reload it. A provenance
 //     run's records carry each node's path as admitted; the engine patches
 //     in the path of the claim that won the node as it hands the node out.
 //
@@ -135,6 +138,7 @@ type spillStore struct {
 type spillQueue struct {
 	next  []*Node      // unbudgeted store only
 	spool *blockWriter // this level's segment; nil until a node is spooled
+	key   []byte       // exact-key scratch, split into spans
 	spans [][]byte     // slot-span scratch
 	_     [16]byte     // a cache line per worker
 }
@@ -228,7 +232,7 @@ func (s *spillStore) Queue(worker int, n *Node) {
 }
 
 // spoolNode appends n's record to worker's segment, interning every slot
-// encoding in the exchange so the node can be rematerialised.
+// in the exchange so the node can be rematerialised.
 func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 	if q.spool == nil {
 		w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-w%d", s.seq, worker)), artifactSegment, true)
@@ -237,14 +241,17 @@ func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 		}
 		q.spool = w
 	}
-	var enc []byte
-	q.spool.buf, enc = AppendNodeRecord(q.spool.buf, n)
-	spans, err := model.SlotSpans(enc, s.ctx.nObj, s.ctx.nProc, q.spans)
-	if err != nil {
-		return fmt.Errorf("spill store: %w", err)
+	q.spool.buf = AppendNodeRecord(q.spool.buf, n)
+	var encs [][]byte // nil: slots are interned by hash alone
+	if s.ctx.stringKeys {
+		q.key = append(q.key[:0], n.key...)
+		spans, err := model.SlotSpans(q.key, s.ctx.nObj, s.ctx.nProc, q.spans)
+		if err != nil {
+			return fmt.Errorf("spill store: %w", err)
+		}
+		q.spans, encs = spans, spans
 	}
-	q.spans = spans
-	s.remat.exch.Intern(n.Cfg, spans, s.ctx.nObj)
+	s.remat.exch.Intern(n.Cfg, n.slotH, encs)
 	if err := q.spool.flushFull(); err != nil {
 		return fmt.Errorf("spill store: segment write: %w", err)
 	}
@@ -533,8 +540,8 @@ func (s *spillStore) spillDelta() error {
 		return nil
 	}
 	// Summarize the flushed fingerprints in the prefilter before they
-	// leave RAM. The filter is sized once from the byte budget (~1/4 of
-	// it, ~1% false positives for the first few flushes); overfilling it
+	// leave RAM. The filter is sized once from the byte budget (a fifth
+	// of it, ~1% false positives for the first few flushes); overfilling it
 	// only raises the false-positive rate — more barrier merge work,
 	// never a wrong verdict — so it is never rebuilt.
 	if s.bloom == nil {
@@ -794,8 +801,8 @@ func (s *spillSource) claim() *segBlock {
 
 // decode rebuilds the next record of b, or returns nil for one dropped at
 // the barrier. Entries are unique per level, so the fingerprint (or, under
-// exact keys, the encoding) identifies the record. Every span a spooled
-// node carries was interned when it was spooled, so a miss is corruption.
+// exact keys, the key) identifies the record. Every slot a spooled node
+// holds was interned when it was spooled, so a miss is corruption.
 func (s *spillSource) decode(b *segBlock) (*Node, error) {
 	rec, err := b.next(s.segs[b.seg])
 	if err != nil {
@@ -803,12 +810,12 @@ func (s *spillSource) decode(b *segBlock) (*Node, error) {
 	}
 	key := ""
 	if s.store.ctx.stringKeys {
-		key = string(rec.Enc)
+		key = string(rec.Key)
 	}
 	if s.drop != nil && s.drop.has(rec.FP, key) {
 		return nil, nil
 	}
-	n, spans, err := s.store.remat.node(rec, b.spans)
+	n, spans, err := s.store.remat.node(&rec, b.spans)
 	b.spans = spans
 	if err != nil {
 		return nil, &CorruptArtifactError{Path: s.segs[b.seg], Reason: err.Error()}

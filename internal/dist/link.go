@@ -258,7 +258,7 @@ func (l *peerLink) Send(worker int, n *check.Node) error {
 	if b.count == 0 {
 		b.buf = appendBatchHeader(b.buf[:0], dest, l.self, 0)
 	}
-	b.buf, _ = check.AppendNodeRecord(b.buf, n)
+	b.buf = check.AppendNodeRecord(b.buf, n)
 	b.count++
 	if b.count >= recordBatchSize {
 		return l.flushBuf(b)

@@ -58,7 +58,8 @@ type frameType uint8
 const (
 	frameHello    frameType = 1 // coordinator -> peer: run spec (JSON helloMsg)
 	frameHelloAck frameType = 2 // peer -> coordinator: ready (JSON helloAckMsg)
-	frameBatch    frameType = 3 // peer -> coordinator -> peer: successor records
+	// 3 is retired, not reusable: it was the successor batch whose records
+	// carried each configuration's encoding instead of its slot hashes.
 	frameExpanded frameType = 4 // peer -> coordinator: level expansion finished (JSON depthMsg)
 	frameBarrier  frameType = 5 // coordinator -> peer: all peers expanded (JSON depthMsg)
 	frameLevel    frameType = 6 // peer -> coordinator: post-EndLevel report (JSON levelMsg)
@@ -78,18 +79,19 @@ const (
 	// which announced a fail-over's new epoch to peers that recorded
 	// the announcement and never read it.
 	frameResult frameType = 20 // peer -> coordinator: final share (JSON check.ExploreShare)
+	frameBatch  frameType = 21 // peer -> coordinator -> peer: successor records
 )
 
 // frameTypeMax is the highest type number ever assigned, retired ones
 // included.
-const frameTypeMax = frameResult
+const frameTypeMax = frameBatch
 
 // checkFrameType rejects type bytes no frame of this protocol carries.
 func checkFrameType(b byte) error {
 	switch t := frameType(b); {
 	case t == 0 || t > frameTypeMax:
 		return &FrameError{Reason: fmt.Sprintf("unknown frame type %d", b)}
-	case t > frameLevel && t < frameCont, t > frameCont && t < frameError, t > framePong && t < frameResult:
+	case t == 3, t > frameLevel && t < frameCont, t > frameCont && t < frameError, t > framePong && t < frameResult:
 		return &FrameError{Reason: fmt.Sprintf("retired frame type %d", b)}
 	}
 	return nil
@@ -202,7 +204,9 @@ func readFrame(r io.Reader, buf []byte) (t frameType, payload, out []byte, err e
 //	src   uint8   sending peer index
 //	count uint32  records
 //	recs  count × node record (check.AppendNodeRecord: the record the
-//	      spill store spools, one layout for both)
+//	      spill store spools, one layout for both — pid, depth,
+//	      fingerprint, slot-hash vector, an empty key and the pid path;
+//	      no configuration encoding)
 const batchHeaderLen = 6
 
 func appendBatchHeader(buf []byte, dest, src, count int) []byte {

@@ -33,20 +33,27 @@ import (
 // testRecords is what testRecordBytes must decode to.
 func testRecords() []check.NodeRecord {
 	return []check.NodeRecord{
-		{Pid: 0, Depth: 1, FP: 0xdeadbeefcafe, SlotFP: 7, Enc: []byte{1}, Path: []byte{0}},
-		{Pid: 3, Depth: 12, FP: ^uint64(0), SlotFP: ^uint64(1), Enc: []byte("compact-config-encoding"), Path: []byte{0, 1, 2, 3, 2, 1}},
-		{Pid: 255, Depth: 0, FP: 1, SlotFP: 2, Enc: []byte{0}, Path: []byte{9}},
+		{Pid: 0, Depth: 1, FP: 0xdeadbeefcafe, Slots: slotBytes(7, 0x0123456789abcdef), Key: []byte{}, Path: []byte{0}},
+		{Pid: 3, Depth: 12, FP: ^uint64(0), Slots: slotBytes(^uint64(1), 0, 1<<63), Key: []byte("exact-key"), Path: []byte{0, 1, 2, 3, 2, 1}},
+		{Pid: 255, Depth: 0, FP: 1, Slots: slotBytes(), Key: []byte{}, Path: []byte{9}},
 	}
 }
 
-// testRecordBytes is testRecords as the record encoder this package had
-// before the engine's took over (appendRecord, PR 22) wrote them: the
-// wire layout is pinned to these bytes, so a peer of either build reads
-// the other's batches.
+// slotBytes is a slot-hash vector as a record holds it.
+func slotBytes(hs ...uint64) []byte {
+	b := []byte{}
+	for _, h := range hs {
+		b = binary.LittleEndian.AppendUint64(b, h)
+	}
+	return b
+}
+
+// testRecordBytes is testRecords in the record layout, written out: the
+// wire layout is pinned to these bytes.
 func testRecordBytes() []byte {
-	b, err := hex.DecodeString("0101fecaefbeadde000007000000000000000000000000000000010101000" +
-		"40cfffffffffffffffffeffffffffffffff0b0000000000000017636f6d706163742d636f6e6669672d656e636f64696e67060001020302" +
-		"0180020001000000000000000200000000000000030000000000000001000109")
+	b, err := hex.DecodeString("0101fecaefbeadde0000020700000000000000efcdab8967452301000100" +
+		"040cffffffffffffffff03feffffffffffffff000000000000000000000000000000800965786163742d6b657906000102030201" +
+		"800200010000000000000000000109")
 	if err != nil {
 		panic(err)
 	}
@@ -193,7 +200,9 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 	}
 }
 
-// TestWireRetiredFrameTypes: types 7-8 carried the budget cut's
+// TestWireRetiredFrameTypes: type 3 carried successor batches whose
+// records held each configuration's encoding, until records carried slot
+// hashes instead (type 21); types 7-8 carried the budget cut's
 // fingerprint gather (NEEDFPS, FPS) until the cut became a prefix sum
 // over the LEVEL reports' counts; 10-13 carried the async order's
 // quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE) until the mode
@@ -204,7 +213,7 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 // of them, from a build that still speaks that protocol, is refused
 // typed by both decoders instead of being read as something else.
 func TestWireRetiredFrameTypes(t *testing.T) {
-	for _, typ := range []frameType{7, 8, 10, 11, 12, 13, 14, 18, 19} {
+	for _, typ := range []frameType{3, 7, 8, 10, 11, 12, 13, 14, 18, 19} {
 		fr := appendFrame(nil, typ, []byte(`{"seq":1}`))
 		_, _, _, derr := decodeFrame(fr)
 		_, _, _, rerr := readFrame(bytes.NewReader(fr), nil)
@@ -215,8 +224,9 @@ func TestWireRetiredFrameTypes(t *testing.T) {
 			}
 		}
 	}
-	if frameLevel != 6 || frameCont != 9 || frameResult != 20 || framePong != 17 {
-		t.Errorf("live frame types moved: LEVEL = %d, CONT = %d, RESULT = %d, PONG = %d; wire numbers are never reassigned", frameLevel, frameCont, frameResult, framePong)
+	if frameLevel != 6 || frameCont != 9 || frameResult != 20 || framePong != 17 || frameBatch != 21 {
+		t.Errorf("live frame types moved: LEVEL = %d, CONT = %d, RESULT = %d, PONG = %d, BATCH = %d; wire numbers are never reassigned",
+			frameLevel, frameCont, frameResult, framePong, frameBatch)
 	}
 }
 

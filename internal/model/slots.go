@@ -4,13 +4,12 @@ import "fmt"
 
 // This file is the read side of the compact binary encoding: given an
 // AppendEncoding result, SlotSpans recovers the per-slot encodings without
-// decoding any values. The disk-spilling state store in internal/check
-// spools frontier configurations as their compact encodings and needs, on
-// reload, (a) each slot's encoding bytes — to look the canonical
-// Value/State back up in its intern exchange — and (b) each slot's content
-// hash, the quantity Stepper.InitSlots and ApplyCOW maintain. The encoding
-// is tag-prefixed and therefore self-delimiting, so splitting it is a
-// linear scan that never inspects payloads beyond their lengths.
+// decoding any values. Exact-key runs need them twice: a successor's key is
+// spliced from its parent's (SlotEncoding, below), and a node record's key
+// is split so that the slot exchange (exchange.go) can match each slot's
+// encoding byte for byte. The encoding is tag-prefixed and therefore
+// self-delimiting, so splitting it is a linear scan that never inspects
+// payloads beyond their lengths.
 
 // errEncoding is the malformed-encoding diagnosis prefix.
 func errEncoding(pos int, format string, args ...any) error {
@@ -126,13 +125,6 @@ func SlotSpans(enc []byte, nObj, nProc int, spans [][]byte) ([][]byte, error) {
 	}
 	return spans, nil
 }
-
-// SlotContentHash returns the content hash of one slot's compact encoding
-// (a SlotSpans span): the per-slot quantity Stepper.InitSlots fills slotH
-// with and ApplyCOW maintains incrementally. Equal encodings hash equally
-// in every arena and process, which is what lets spilled configurations
-// rejoin an exploration with their slot-hash vectors rebuilt from disk.
-func SlotContentHash(span []byte) uint64 { return hashEncoding(span) }
 
 // SlotEncoding is one configuration's exact encoding with its slot
 // boundaries found: what an exact-key Stepper.Plan steps from. A successor's

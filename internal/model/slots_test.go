@@ -33,8 +33,8 @@ func (p slotsTestProto) Decision(st State) (int, bool)               { return 0,
 // TestSlotSpansRoundTrip: splitting an AppendEncoding result yields one
 // span per slot, re-concatenating the spans (with separators) rebuilds
 // the encoding, and each span's content hash equals the per-slot hash
-// Stepper.InitSlots computes — the invariant the spill store's decode
-// path depends on.
+// Stepper.InitSlots computes — the pairing of a record's slot hashes with
+// its key's spans that the slot exchange matches exact-key slots on.
 func TestSlotSpansRoundTrip(t *testing.T) {
 	p := slotsTestProto{n: 3}
 	c := MustNewConfig(p, []int{0, 1, 0})
@@ -71,8 +71,8 @@ func TestSlotSpansRoundTrip(t *testing.T) {
 	slotH := make([]uint64, st.Slots())
 	st.InitSlots(ref, slotH)
 	for i, sp := range spans {
-		if got := SlotContentHash(sp); got != slotH[i] {
-			t.Errorf("slot %d: SlotContentHash = %#x, InitSlots hash = %#x", i, got, slotH[i])
+		if got := hashEncoding(sp); got != slotH[i] {
+			t.Errorf("slot %d: span hashes to %#x, InitSlots hash = %#x", i, got, slotH[i])
 		}
 	}
 }
