@@ -48,28 +48,46 @@ func codecNodes(t *testing.T) []*Node {
 }
 
 // refNodeRecord is the record layout written out longhand, field by
-// field: pid+1, depth, fingerprint, the slot-hash vector, the exact key
-// and the path.
+// field: pid+1, depth, fingerprint, the slot-hash vector (empty when the
+// node has an exact key), the exact key and the path.
 func refNodeRecord(n *Node) []byte {
 	b := binary.AppendUvarint(nil, uint64(n.Pid+1))
 	b = binary.AppendUvarint(b, uint64(n.Depth))
 	b = binary.LittleEndian.AppendUint64(b, n.fp)
-	b = binary.AppendUvarint(b, uint64(len(n.slotH)))
-	for _, h := range n.slotH {
+	slotH := recordSlots(n)
+	b = binary.AppendUvarint(b, uint64(len(slotH)))
+	for _, h := range slotH {
 		b = binary.LittleEndian.AppendUint64(b, h)
 	}
 	b = append(binary.AppendUvarint(b, uint64(len(n.key))), n.key...)
 	return append(binary.AppendUvarint(b, uint64(len(n.path))), n.path...)
 }
 
-// TestNodeRecordLayout: a record is byte for byte the pinned layout, also
-// when the exact key is long enough for a two-byte length, and it decodes
-// to the node's fields.
+// recordSlots is the slot-hash vector n's record carries: none under an
+// exact key, which determines every slot.
+func recordSlots(n *Node) []uint64 {
+	if n.key != "" {
+		return nil
+	}
+	return n.slotH
+}
+
+// TestNodeRecordLayout: a record is byte for byte the pinned layout — a
+// fingerprint-keyed one with its slot-hash vector, an exact-key one with
+// its key and no vector — also when the exact key is long enough for a
+// two-byte length, and it decodes to the node's fields.
 func TestNodeRecordLayout(t *testing.T) {
-	pinned := &Node{Pid: 2, Depth: 300, fp: 0x0102030405060708, slotH: []uint64{1, ^uint64(0)}, key: "k", path: []byte{2, 0}}
-	const want = "03" + "ac02" + "0807060504030201" + "02" + "0100000000000000" + "ffffffffffffffff" + "016b" + "020200"
-	if got := hex.EncodeToString(AppendNodeRecord(nil, pinned)); got != want {
-		t.Fatalf("pinned record %s, want %s", got, want)
+	pinned := &Node{Pid: 2, Depth: 300, fp: 0x0102030405060708, slotH: []uint64{1, ^uint64(0)}, path: []byte{2, 0}}
+	for _, tc := range []struct {
+		key, want string
+	}{
+		{"", "03" + "ac02" + "0807060504030201" + "02" + "0100000000000000" + "ffffffffffffffff" + "00" + "020200"},
+		{"k", "03" + "ac02" + "0807060504030201" + "00" + "016b" + "020200"},
+	} {
+		pinned.key = tc.key
+		if got := hex.EncodeToString(AppendNodeRecord(nil, pinned)); got != tc.want {
+			t.Fatalf("pinned record with key %q: %s, want %s", tc.key, got, tc.want)
+		}
 	}
 	nodes := codecNodes(t)
 	wide := stepProto{n: 40, steps: 2} // 40 states: a key past 127 bytes
@@ -90,11 +108,11 @@ func TestNodeRecordLayout(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
 		}
-		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.NumSlots() != len(n.slotH) ||
+		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.NumSlots() != len(recordSlots(n)) ||
 			string(rec.Key) != n.key || !bytes.Equal(rec.Path, n.path) {
 			t.Fatalf("decoded %+v from node %+v", rec, n)
 		}
-		for i, h := range n.slotH {
+		for i, h := range recordSlots(n) {
 			if rec.SlotHash(i) != h {
 				t.Fatalf("slot %d decoded as %#x, node holds %#x", i, rec.SlotHash(i), h)
 			}
@@ -122,7 +140,8 @@ func testStoreCtx(t *testing.T, nObj, nProc int, stringKeys bool) storeCtx {
 // segment and rematerialised, is the node it was: configuration, slot
 // hashes, slot fingerprint, fingerprint, depth, pid, path and exact key. A
 // fingerprint-keyed record is exactly its header, eight bytes a slot and
-// the path.
+// the path; an exact-key one its header, the key and the path, with no
+// slot hashes (the reader hashes the key's slot spans).
 func TestNodeRecordRoundTrip(t *testing.T) {
 	row3 := core.MustNew(core.Params{N: 4, K: 1, M: 3})
 	toybit, err := baseline.NewToyBitRace(4, 2)
@@ -168,11 +187,13 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 			defer s.Close()
 			want := map[uint64]*Node{}
 			for _, n := range nodes {
-				if !tc.exact {
-					header := uvarintLen(n.Pid+1) + uvarintLen(n.Depth) + 8 + uvarintLen(len(n.slotH)) + 1 + uvarintLen(len(n.path))
-					if got, want := len(AppendNodeRecord(nil, n)), header+8*len(n.slotH)+len(n.path); got != want {
-						t.Fatalf("record of %d bytes, want %d", got, want)
-					}
+				header := uvarintLen(n.Pid+1) + uvarintLen(n.Depth) + 8 + uvarintLen(len(n.key)) + uvarintLen(len(n.path))
+				size := header + uvarintLen(len(n.slotH)) + 8*len(n.slotH) + len(n.path)
+				if tc.exact {
+					size = header + 1 + len(n.key) + len(n.path)
+				}
+				if got := len(AppendNodeRecord(nil, n)); got != size {
+					t.Fatalf("record of %d bytes, want %d", got, size)
 				}
 				want[n.fp] = n
 				s.Claim(n.fp, []byte(n.key))
@@ -238,7 +259,7 @@ func TestRematerialiseReplayMismatch(t *testing.T) {
 			n.path = append(n.path[:0], path...)
 			return n, nil
 		}}
-		n, _, err := m.node(&rec, nil)
+		n, err := m.node(&rec, &recScratch{})
 		switch {
 		case flip && (err == nil || n != nil):
 			t.Errorf("a replay one slot hash off gave node %v, error %v", n, err)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -26,7 +27,9 @@ type entry struct {
 // (fingerprint, key): the order the budget cutoff keeps a prefix of and
 // the spill store's runs are sorted in. Entries of one visited set never
 // tie (that is what dedup means), so sorting by it is deterministic. Keys
-// are empty, and the order the fingerprints', outside exact-key runs.
+// are empty, and the order the fingerprints', outside exact-key runs, so
+// there the store sorts packed fingerprints as integers
+// (sortFingerprints) and compares entries only under exact keys.
 func entryCompare(a, b entry) int {
 	if c := cmp.Compare(a.fp, b.fp); c != 0 {
 		return c
@@ -35,6 +38,34 @@ func entryCompare(a, b entry) int {
 }
 
 func entryLess(a, b entry) bool { return entryCompare(a, b) < 0 }
+
+// entryList is a list of visited entries as parallel arrays — a spill
+// store level's admissions, a checkpoint's visited delta: 8 bytes an
+// entry under fingerprint keying, where keys stays nil. An exact key is a
+// configuration's encoding, never empty, so under exact keys every entry
+// has its key.
+type entryList struct {
+	fps  []uint64
+	keys []string
+}
+
+func (l *entryList) add(fp uint64, key string) {
+	l.fps = append(l.fps, fp)
+	if key != "" {
+		l.keys = append(l.keys, key)
+	}
+}
+
+// key is the i-th entry's key ("" under fingerprint keying).
+func (l *entryList) key(i int) string {
+	if l.keys == nil {
+		return ""
+	}
+	return l.keys[i]
+}
+
+// at is the i-th entry.
+func (l *entryList) at(i int) entry { return entry{l.fps[i], l.key(i)} }
 
 // mapEntryOverhead is the per-entry bookkeeping estimate (header, bucket
 // slot, string header) added to key bytes in resident-memory accounting.
@@ -136,19 +167,40 @@ func (s *keyedSet) forEach(fn func(fp uint64, key string) error) error {
 	return nil
 }
 
-// drain empties the set and returns what it held.
-func (s *keyedSet) drain() []entry {
-	n := len(s.keys)
+// len is the number of entries in the set.
+func (s *keyedSet) len() int {
 	if s.keys == nil {
-		n = s.fps.Len()
+		return s.fps.Len()
 	}
-	out := make([]entry, 0, n)
-	s.forEach(func(fp uint64, key string) error {
-		out = append(out, entry{fp, key})
+	return len(s.keys)
+}
+
+// drainSorted empties the set and calls fn on what it held in entry order
+// (entryCompare), stopping at fn's first error. A fingerprint table is
+// sorted where it lies (fpSet.drainSorted); only exact-key entries are
+// gathered and compared as (fingerprint, key) pairs.
+func (s *keyedSet) drainSorted(fn func(fp uint64, key string) error) error {
+	exact := s.keys != nil
+	defer func() { *s = newKeyedSet(exact) }()
+	if !exact {
+		for _, fp := range s.fps.drainSorted() {
+			if err := fn(fp, ""); err != nil {
+				return err
+			}
+		}
 		return nil
-	})
-	*s = newKeyedSet(s.keys != nil)
-	return out
+	}
+	entries := make([]entry, 0, len(s.keys))
+	for k, fp := range s.keys {
+		entries = append(entries, entry{fp, k})
+	}
+	slices.SortFunc(entries, entryCompare)
+	for _, e := range entries {
+		if err := fn(e.fp, e.key); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // addEntry appends one entry to an entry-stream artifact.

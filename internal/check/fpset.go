@@ -1,5 +1,7 @@
 package check
 
+import "slices"
+
 // fpSet is an open-addressing (linear-probing) hash set of 64-bit
 // fingerprints — the visited-set table. It is not safe for concurrent use;
 // the engine probes it only under the run's claim lock (held once per
@@ -141,5 +143,71 @@ func (s *fpSet) resize(size int) {
 				break
 			}
 		}
+	}
+}
+
+// drainSorted returns the set's members in ascending order, the zero
+// fingerprint included, sorted where they lie: the slots are compacted in
+// place and radix-sorted. The set is spent; the caller drops it.
+func (s *fpSet) drainSorted() []uint64 {
+	n := 0
+	for _, fp := range s.slots {
+		if fp != 0 {
+			s.slots[n] = fp
+			n++
+		}
+	}
+	out := s.slots[:n]
+	if s.hasZero {
+		out = append(out, 0) // in place: the table is never full
+	}
+	s.slots, s.n, s.hasZero = nil, 0, false
+	sortFingerprints(out)
+	return out
+}
+
+// radixMin is the length below which sortFingerprints leaves the work to
+// slices.Sort: clearing and summing four 65,536-entry histograms costs
+// more than comparison-sorting a slice this short.
+const radixMin = 1 << 12
+
+// sortFingerprints sorts a ascending. A long slice is LSD radix-sorted in
+// four 16-bit passes through one scratch slice, skipping any pass whose
+// digit every element shares; on 700k fingerprints that is several times
+// faster than slices.Sort.
+func sortFingerprints(a []uint64) {
+	if len(a) < radixMin {
+		slices.Sort(a)
+		return
+	}
+	const digits, radix = 4, 1 << 16
+	var counts [digits][]uint32
+	for d := range counts {
+		counts[d] = make([]uint32, radix)
+	}
+	for _, x := range a {
+		for d := range counts {
+			counts[d][uint16(x>>(16*d))]++
+		}
+	}
+	src, dst := a, make([]uint64, len(a))
+	for d, count := range counts {
+		if count[uint16(a[0]>>(16*d))] == uint32(len(a)) {
+			continue // one digit throughout: the pass would move nothing
+		}
+		sum := uint32(0)
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, x := range src {
+			k := uint16(x >> (16 * d))
+			dst[count[k]] = x
+			count[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
 	}
 }

@@ -2,6 +2,7 @@ package check
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -224,5 +225,68 @@ func TestFpSetPartitionedLowBits(t *testing.T) {
 	}
 	if s.Has(1<<6 | 0x2b) {
 		t.Fatal("Has reported a fingerprint from another partition")
+	}
+}
+
+// TestFpSetDrainSorted: a drained table returns every member once, in
+// ascending order, the out-of-band zero fingerprint included, on both
+// sides of the radix sort's cutover.
+func TestFpSetDrainSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 100, radixMin - 1, radixMin, 50000} {
+		for _, zero := range []bool{false, true} {
+			s := newFpSet(16)
+			var want []uint64
+			if zero {
+				s.Add(0)
+				want = append(want, 0)
+			}
+			for len(want) < n+btoi(zero) {
+				if fp := rng.Uint64(); s.Add(fp) {
+					want = append(want, fp)
+				}
+			}
+			slices.Sort(want)
+			if got := s.drainSorted(); !slices.Equal(got, want) {
+				t.Errorf("n=%d zero=%t: drained %d members (sorted %t), want %d", n, zero, len(got), slices.IsSorted(got), len(want))
+			}
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestSortFingerprints: the radix sort orders like slices.Sort on random
+// input and on inputs that stress its passes: every element one value
+// (each pass skipped), one digit varying (three skipped), already sorted,
+// reversed, duplicates, and lengths either side of radixMin.
+func TestSortFingerprints(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gen := map[string]func(i int) uint64{
+		"random":     func(int) uint64 { return rng.Uint64() },
+		"one-value":  func(int) uint64 { return 0xdeadbeefcafef00d },
+		"low-digit":  func(int) uint64 { return 0x1234_5678_9abc_0000 | uint64(rng.Intn(1<<16)) },
+		"high-digit": func(int) uint64 { return uint64(rng.Intn(1<<16))<<48 | 0x5555 },
+		"ascending":  func(i int) uint64 { return uint64(i)<<24 | 0xabc },
+		"descending": func(i int) uint64 { return ^(uint64(i) << 20) },
+		"duplicates": func(int) uint64 { return uint64(rng.Intn(7)) << 33 },
+	}
+	for name, g := range gen {
+		for _, n := range []int{0, 1, radixMin - 1, radixMin, 3*radixMin + 7, 100000} {
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = g(i)
+			}
+			want := slices.Clone(a)
+			slices.Sort(want)
+			if sortFingerprints(a); !slices.Equal(a, want) {
+				t.Errorf("%s n=%d: differs from slices.Sort", name, n)
+			}
+		}
 	}
 }

@@ -243,7 +243,7 @@ func distExpandBarrier(run *engineRun, depth int) error {
 		return err
 	}
 	x := run.expander(0)
-	var spans [][]byte
+	var sc recScratch
 	admitted := int64(0)
 	for _, b := range blocks {
 		for len(b) > 0 {
@@ -255,7 +255,7 @@ func distExpandBarrier(run *engineRun, depth int) error {
 				continue
 			}
 			var n *Node
-			if n, spans, err = run.remat.node(&rec, spans); err != nil {
+			if n, err = run.remat.node(&rec, &sc); err != nil {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
 			admitted++

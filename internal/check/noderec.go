@@ -19,7 +19,7 @@ import (
 //	pid+1  uvarint
 //	depth  uvarint
 //	fp     uint64 LE   dedup fingerprint, canonical under the run's reduction
-//	count  uvarint, count × uint64 LE   the slot-hash vector (objects, then states)
+//	count  uvarint, count × uint64 LE   the slot-hash vector (objects, then states); count 0 under exact keys
 //	klen   uvarint, key [klen]byte      exact key (empty unless the run uses exact keys)
 //	plen   uvarint, path [plen]byte     root-to-node pid path (empty unless the run keeps paths)
 //
@@ -27,6 +27,9 @@ import (
 // write it: the slot hashes stand for the configuration, which the reader
 // resolves through a model.SlotExchange, and the slot fingerprint is not
 // carried at all — it is the XOR of model.MixSlotHash over the vector.
+// An exact key already determines every slot, so an exact-key record
+// carries no vector: the reader hashes the key's slot spans
+// (model.SlotHash), as the stepper did.
 
 // NodeRecord is a decoded record. Slots, Key and Path alias the buffer it
 // was decoded from.
@@ -34,7 +37,7 @@ type NodeRecord struct {
 	Pid   int
 	Depth int
 	FP    uint64
-	Slots []byte // the slot-hash vector as it lies in the record; see SlotHash
+	Slots []byte // the slot-hash vector as it lies in the record (empty under exact keys); see SlotHash
 	Key   []byte
 	Path  []byte
 }
@@ -49,14 +52,19 @@ func (r NodeRecord) SlotHash(i int) uint64 { return binary.LittleEndian.Uint64(r
 // uvarints, the fingerprint, an empty slot vector and two empty blobs.
 const NodeRecordMin = 13
 
-// AppendNodeRecord appends n's record to buf.
+// AppendNodeRecord appends n's record to buf: its slot-hash vector, or
+// under exact keys (n carries a key) none.
 func AppendNodeRecord(buf []byte, n *Node) []byte {
 	buf = binary.AppendUvarint(buf, uint64(n.Pid+1))
 	buf = binary.AppendUvarint(buf, uint64(n.Depth))
 	buf = binary.LittleEndian.AppendUint64(buf, n.fp)
-	buf = binary.AppendUvarint(buf, uint64(len(n.slotH)))
-	for _, h := range n.slotH {
-		buf = binary.LittleEndian.AppendUint64(buf, h)
+	if n.key != "" {
+		buf = binary.AppendUvarint(buf, 0)
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(len(n.slotH)))
+		for _, h := range n.slotH {
+			buf = binary.LittleEndian.AppendUint64(buf, h)
+		}
 	}
 	buf = append(binary.AppendUvarint(buf, uint64(len(n.key))), n.key...)
 	return append(binary.AppendUvarint(buf, uint64(len(n.path))), n.path...)
@@ -119,32 +127,46 @@ type rematerialiser struct {
 	replay func(path []byte) (*Node, error)
 }
 
+// recScratch is one sequential reader's scratch: the key's slot spans,
+// and the slots of the records it resolved last, which the next record,
+// most often a sibling, shares but for one or two.
+type recScratch struct {
+	spans [][]byte
+	slots model.SlotCache
+}
+
 // node rebuilds rec's node, admission-ready except for its exact key,
-// which is the caller's to set. spans is scratch, returned for reuse. It
-// is safe for concurrent use when replay is nil.
-func (m *rematerialiser) node(rec *NodeRecord, spans [][]byte) (*Node, [][]byte, error) {
-	if got, want := rec.NumSlots(), m.ctx.nObj+m.ctx.nProc; got != want {
-		return nil, spans, fmt.Errorf("record carries %d slot hashes, the run's configurations have %d slots", got, want)
-	}
+// which is the caller's to set. It is safe for concurrent use when replay
+// is nil and no two callers share sc.
+func (m *rematerialiser) node(rec *NodeRecord, sc *recScratch) (*Node, error) {
+	nSlots := m.ctx.nObj + m.ctx.nProc
 	var encs [][]byte // nil: slots match on their hashes alone
 	if m.ctx.stringKeys {
 		var err error
-		if spans, err = model.SlotSpans(rec.Key, m.ctx.nObj, m.ctx.nProc, spans); err != nil {
-			return nil, spans, err
+		if sc.spans, err = model.SlotSpans(rec.Key, m.ctx.nObj, m.ctx.nProc, sc.spans); err != nil {
+			return nil, err
 		}
-		encs = spans
+		encs = sc.spans
+		nSlots = 0
 	}
-	// Nothing is stepped or encoded: the vector is the record's, each slot's
-	// canonical value or state comes from the exchange, and the slot
-	// fingerprint is recomputed from the vector.
+	if got := rec.NumSlots(); got != nSlots {
+		return nil, fmt.Errorf("record carries %d slot hashes, want %d", got, nSlots)
+	}
+	// Nothing is stepped or encoded: the vector is the record's (or the
+	// key's spans' hashes), each slot's canonical value or state comes from
+	// the exchange, and the slot fingerprint is recomputed from the vector.
 	n := m.ctx.newNode()
 	var slotFP uint64
 	for i := range n.slotH {
-		n.slotH[i] = rec.SlotHash(i)
+		if encs != nil {
+			n.slotH[i] = model.SlotHash(encs[i])
+		} else {
+			n.slotH[i] = rec.SlotHash(i)
+		}
 		slotFP ^= model.MixSlotHash(i, n.slotH[i])
 	}
 	var err error
-	switch miss := m.exch.Resolve(n.Cfg, n.slotH, encs); {
+	switch miss := m.exch.Resolve(n.Cfg, n.slotH, encs, &sc.slots); {
 	case miss < 0:
 		n.slotFP = slotFP
 		n.path = append(n.path[:0], rec.Path...)
@@ -153,7 +175,7 @@ func (m *rematerialiser) node(rec *NodeRecord, spans [][]byte) (*Node, [][]byte,
 	default:
 		m.ctx.recycle(n)
 		if n, err = m.replay(rec.Path); err != nil {
-			return nil, spans, fmt.Errorf("record does not replay: %w", err)
+			return nil, fmt.Errorf("record does not replay: %w", err)
 		}
 		// The replayed configuration's slot hashes must be the sender's —
 		// a mismatch means the record does not belong to this run (wrong
@@ -167,15 +189,15 @@ func (m *rematerialiser) node(rec *NodeRecord, spans [][]byte) (*Node, [][]byte,
 			}
 		}
 		if err == nil {
-			m.exch.Intern(n.Cfg, n.slotH, encs)
+			m.exch.Intern(n.Cfg, n.slotH, encs, nil)
 		}
 	}
 	if err != nil {
 		m.ctx.recycle(n)
-		return nil, spans, err
+		return nil, err
 	}
 	n.Depth, n.Pid = rec.Depth, rec.Pid
 	n.fp = rec.FP
 	n.key = ""
-	return n, spans, nil
+	return n, nil
 }

@@ -2,10 +2,12 @@ package check_test
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/baseline"
@@ -318,6 +320,62 @@ func TestTruncationStraddleDeterministicAcrossWorkers(t *testing.T) {
 					t.Errorf("max=%d workers=%d store=%s: %+v != %+v", maxConfigs, workers, store, got, base)
 				}
 			}
+		}
+	}
+}
+
+// TestSpillCompactionMatchesResident: at a budget small enough that every
+// barrier flushes a sorted run, so runs are compacted and re-encountered
+// configurations pass the Bloom prefilter to the barrier merge, the spill
+// store visits what the resident store visits under both keyings, on a run
+// whose budget cuts its last level: the same count, decided values and
+// most decided together, and the same configurations at the cut level.
+func TestSpillCompactionMatchesResident(t *testing.T) {
+	p := core.MustNew(core.Params{N: 4, K: 1, M: 3})
+	c := model.MustNewConfig(p, []int{0, 1, 2, 0})
+	pids := []int{0, 1, 2, 3}
+	limits := check.ExploreLimits{MaxConfigs: 30011}
+
+	type outcome struct {
+		visited  int
+		complete bool
+		decided  []int
+		maxTog   int
+		lastCut  []string // the cut level's configurations, sorted
+	}
+	run := func(eng check.EngineOptions) (outcome, check.StoreStats) {
+		res := exploreT(t, p, c, pids, 1, check.ExploreOptions{Limits: limits, Engine: eng})
+		var mu sync.Mutex
+		byDepth := map[int][]string{}
+		_, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node) error {
+			mu.Lock()
+			byDepth[n.Depth] = append(byDepth[n.Depth], n.Cfg.Key())
+			mu.Unlock()
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := slices.Max(slices.Collect(maps.Keys(byDepth)))
+		slices.Sort(byDepth[last])
+		return outcome{res.Visited, res.Complete, res.DecidedValues, res.MaxDecidedTogether, byDepth[last]}, res.Store
+	}
+	for _, exact := range []bool{false, true} {
+		want, _ := run(check.EngineOptions{Workers: 1, StringKeys: exact})
+		if want.complete || want.visited != limits.MaxConfigs {
+			t.Fatalf("exact=%t: resident run visited %d (complete %t), want a cut run", exact, want.visited, want.complete)
+		}
+		got, st := run(check.EngineOptions{Workers: 2, StringKeys: exact, Store: check.StoreSpill, MemBudget: 1 << 10})
+		if st.RunsMerged == 0 || st.PrefilterHits == 0 {
+			t.Errorf("exact=%t: runs merged %d, prefilter hits %d: the run exercises no compaction or barrier merge",
+				exact, st.RunsMerged, st.PrefilterHits)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("exact=%t: spill visited %d (complete %t) deciding %v, %d together, %d at the cut level;"+
+				" resident %d (complete %t) deciding %v, %d together, %d at the cut level (same set: %t)", exact,
+				got.visited, got.complete, got.decided, got.maxTog, len(got.lastCut),
+				want.visited, want.complete, want.decided, want.maxTog, len(want.lastCut),
+				slices.Equal(got.lastCut, want.lastCut))
 		}
 	}
 }

@@ -37,6 +37,13 @@ import (
 //     A configuration visited before the spill is no longer resident, so a
 //     later re-encounter is admitted *tentatively*.
 //
+//   - Under fingerprint keys every key is empty, so the store orders
+//     packed fingerprints as integers wherever it orders entries: a
+//     flushed delta's slot array is compacted and radix-sorted where it
+//     lies (fpSet.drainSorted), and a level's suspects and its budget
+//     cutoff are sorted as []uint64 too. Only exact-key entries are
+//     compared as (fingerprint, key) pairs.
+//
 //   - From the first run on, the store records each level's admissions and
 //     EndLevel resolves the tentative ones: it stream-merges them, sorted,
 //     against the sorted runs (the k-way merge of external-memory model
@@ -66,16 +73,22 @@ import (
 //     of blocks, uvarint length | records, each about artifactBlock bytes:
 //     the next level's workers claim a block at a time under the source's
 //     lock and decode it outside, skipping records revoked or truncated at
-//     the barrier. A record carries the node's slot-hash vector, not its
+//     the barrier. A record carries the node's slot-hash vector (under
+//     exact keys its key, whose slot spans the reader hashes), not its
 //     configuration: per-slot canonical Values/States cannot be rebuilt
 //     from bytes alone, so the store interns every slot it spools, by
 //     content hash (and, under exact keys, by its span of the key too), in
 //     the rematerialiser's exchange — resident memory that grows with
 //     *distinct slots*, the same asymptotics as the steppers' arenas,
-//     typically far below the configuration count. Nothing is encoded to
-//     spool a node and nothing is hashed to reload it. A provenance
-//     run's records carry each node's path as admitted; the engine patches
-//     in the path of the claim that won the node as it hands the node out.
+//     typically far below the configuration count. Consecutive records of
+//     a segment are mostly siblings, so each worker's queue remembers the
+//     slots it interned last and each claimed block the slots it resolved
+//     last (model.SlotCache, a few per slot index): a node looks up only
+//     the slots those do not hold, and under exact keys a slot is held
+//     only if its span is byte-equal too. Nothing is encoded to spool a
+//     node. A provenance run's records carry each node's path as
+//     admitted; the engine patches in the path of the claim that won the
+//     node as it hands the node out.
 //
 // Both files are artifacts (artifact.go): checksummed, published by
 // rename, and wiped by the next open of the directory — nothing outlives
@@ -108,10 +121,13 @@ type spillStore struct {
 	// claims read it without a lock of their own.
 	bloom *bloomFilter
 
-	// This level's tentative admissions, in claim order, and which of them
-	// the barrier merge found on disk. Recorded only under a budget.
-	level []spillEntry
-	dead  []bool
+	// This level's tentative admissions, in claim order; which of them the
+	// Bloom prefilter could not prove fresh (indices into level), the
+	// only ones the barrier merge probes the runs for; and which of those
+	// it found on disk. Recorded only under a budget.
+	level    entryList
+	suspects []int
+	dead     []bool
 	// The level EndLevel settled for CutLevel: its published segments
 	// (one slot per worker, "" for none) and its surviving admissions.
 	segs      []string
@@ -140,15 +156,10 @@ type spillQueue struct {
 	spool *blockWriter // this level's segment; nil until a node is spooled
 	key   []byte       // exact-key scratch, split into spans
 	spans [][]byte     // slot-span scratch
-	_     [16]byte     // a cache line per worker
-}
-
-// spillEntry is one of a level's admissions. fresh marks entries the Bloom
-// prefilter proved absent from every spilled run at admission time — they
-// skip the barrier merge (they cannot be delayed duplicates).
-type spillEntry struct {
-	entry
-	fresh bool
+	// slots are the slots this queue spooled last: a node interns only
+	// those it does not hold.
+	slots model.SlotCache
+	_     [16]byte // a cache line per worker
 }
 
 // spillRun is one sorted run file. verified records that the file passed
@@ -208,9 +219,9 @@ func (s *spillStore) Claim(fp uint64, key []byte) (string, bool) {
 	// in no spilled run (the filter has no false negatives; in exact-key
 	// mode an absent fingerprint implies the (fp, key) pair is absent
 	// too), so the admission is final and skips the barrier merge.
-	fresh := s.bloom == nil || !s.bloom.has(fp)
-	s.level = append(s.level, spillEntry{entry{fp, stored}, fresh})
-	if !fresh {
+	s.level.add(fp, stored)
+	if s.bloom != nil && s.bloom.has(fp) {
+		s.suspects = append(s.suspects, len(s.level.fps)-1)
 		s.stats.PrefilterHits++
 	}
 	return stored, true
@@ -251,7 +262,7 @@ func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 		}
 		q.spans, encs = spans, spans
 	}
-	s.remat.exch.Intern(n.Cfg, n.slotH, encs)
+	s.remat.exch.Intern(n.Cfg, n.slotH, encs, &q.slots)
 	if err := q.spool.flushFull(); err != nil {
 		return fmt.Errorf("spill store: segment write: %w", err)
 	}
@@ -292,7 +303,7 @@ func (s *spillStore) EndLevel() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.survivors = len(s.level) - revoked
+	s.survivors = len(s.level.fps) - revoked
 	return s.survivors, nil
 }
 
@@ -317,8 +328,8 @@ func (s *spillStore) CutLevel(maxNext int) (LevelResult, error) {
 	// trigger: spilling cannot shrink a filter, so triggering on its
 	// constant footprint would only force a futile delta flush at every
 	// subsequent barrier.
-	s.level = s.level[:0]
-	s.dead = s.dead[:0]
+	s.level.fps, s.level.keys = s.level.fps[:0], s.level.keys[:0]
+	s.suspects, s.dead = s.suspects[:0], s.dead[:0]
 	s.foldPeak()
 	if s.delta.bytes() > s.budget {
 		if err := s.spillDelta(); err != nil {
@@ -382,14 +393,7 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 	truncated := survivors > maxNext
 	var cutoff entry
 	if truncated && maxNext > 0 {
-		all := make([]entry, 0, survivors)
-		for j, e := range s.level {
-			if !s.dead[j] {
-				all = append(all, e.entry)
-			}
-		}
-		slices.SortFunc(all, entryCompare)
-		cutoff = all[maxNext-1]
+		cutoff = s.nthSurvivor(survivors, maxNext-1)
 	}
 	kept := survivors
 	if truncated {
@@ -397,8 +401,9 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 	}
 	// The admissions revoked or cut, by entry; nil when there are none.
 	var drop *keyedSet
-	for j, e := range s.level {
-		if !s.dead[j] && !(truncated && (maxNext == 0 || entryLess(cutoff, e.entry))) {
+	for j := range s.level.fps {
+		e := s.level.at(j)
+		if !s.dead[j] && !(truncated && (maxNext == 0 || entryLess(cutoff, e))) {
 			if s.keep {
 				s.added.add(e.fp, e.key)
 			}
@@ -431,6 +436,30 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 	return LevelResult{Frontier: src, Truncated: truncated}, nil
 }
 
+// nthSurvivor returns the level's k-th smallest surviving admission in
+// entry order. Under fingerprint keys that is the k-th of the survivors'
+// fingerprints sorted as integers.
+func (s *spillStore) nthSurvivor(survivors, k int) entry {
+	if s.ctx.stringKeys {
+		all := make([]entry, 0, survivors)
+		for j := range s.level.fps {
+			if !s.dead[j] {
+				all = append(all, s.level.at(j))
+			}
+		}
+		slices.SortFunc(all, entryCompare)
+		return all[k]
+	}
+	fps := make([]uint64, 0, survivors)
+	for j, fp := range s.level.fps {
+		if !s.dead[j] {
+			fps = append(fps, fp)
+		}
+	}
+	sortFingerprints(fps)
+	return entry{fp: fps[k]}
+}
+
 // markDead stream-merges the level's sorted admissions against each sorted
 // run, marking entries already present on disk, and returns how many it
 // marked. Admissions the Bloom prefilter proved fresh are excluded up
@@ -438,23 +467,13 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 // it drives) costs only the bloom-positive suspects. It reads runs
 // sequentially and stops each as soon as the suspect list is exhausted.
 func (s *spillStore) markDead() (int, error) {
-	for len(s.dead) < len(s.level) {
+	for len(s.dead) < len(s.level.fps) {
 		s.dead = append(s.dead, false)
 	}
-	if len(s.level) == 0 || len(s.runs) == 0 {
+	if len(s.suspects) == 0 || len(s.runs) == 0 {
 		return 0, nil
 	}
-	order := make([]int, 0, len(s.level))
-	for i, e := range s.level {
-		if !e.fresh {
-			order = append(order, i)
-		}
-	}
-	if len(order) == 0 {
-		return 0, nil
-	}
-	slices.SortFunc(order, func(i, j int) int { return entryCompare(s.level[i].entry, s.level[j].entry) })
-
+	order := s.sortSuspects()
 	for i := range s.runs {
 		if err := s.mergeMark(&s.runs[i], order); err != nil {
 			return 0, err
@@ -467,6 +486,29 @@ func (s *spillStore) markDead() (int, error) {
 		}
 	}
 	return dead, nil
+}
+
+// sortSuspects sorts the level's suspects into entry order. Under
+// fingerprint keys it sorts their fingerprints as integers and finds each
+// suspect's place by binary search (a level's fingerprints are distinct);
+// only exact keys compare (fingerprint, key) pairs.
+func (s *spillStore) sortSuspects() []int {
+	order := s.suspects
+	if s.ctx.stringKeys {
+		slices.SortFunc(order, func(i, j int) int { return entryCompare(s.level.at(i), s.level.at(j)) })
+		return order
+	}
+	fps := make([]uint64, len(order))
+	for j, i := range order {
+		fps[j] = s.level.fps[i]
+	}
+	sortFingerprints(fps)
+	sorted := make([]int, len(order))
+	for _, i := range order {
+		j, _ := slices.BinarySearch(fps, s.level.fps[i])
+		sorted[j] = i
+	}
+	return sorted
 }
 
 func (s *spillStore) mergeMark(run *spillRun, order []int) error {
@@ -491,10 +533,10 @@ func (s *spillStore) mergeMark(run *spillRun, order []int) error {
 		if err != nil || !ok {
 			return err
 		}
-		for idx < len(order) && entryLess(s.level[order[idx]].entry, e) {
+		for idx < len(order) && entryLess(s.level.at(order[idx]), e) {
 			idx++
 		}
-		if idx < len(order) && s.level[order[idx]].entry == e {
+		if idx < len(order) && s.level.at(order[idx]) == e {
 			s.dead[order[idx]] = true
 			idx++
 		}
@@ -535,32 +577,28 @@ func (s *spillStore) publishRun(w *blockWriter, replaces bool) error {
 // spillDelta flushes the resident delta to a new sorted run and clears it,
 // then compacts when runFanout runs have accumulated.
 func (s *spillStore) spillDelta() error {
-	entries := s.delta.drain()
-	if len(entries) == 0 {
+	if s.delta.len() == 0 {
 		return nil
 	}
-	// Summarize the flushed fingerprints in the prefilter before they
-	// leave RAM. The filter is sized once from the byte budget (a fifth
-	// of it, ~1% false positives for the first few flushes); overfilling it
-	// only raises the false-positive rate — more barrier merge work,
-	// never a wrong verdict — so it is never rebuilt.
-	if s.bloom == nil {
-		s.bloom = newBloomFilter(s.budget / 5)
-	}
-	for _, e := range entries {
-		s.bloom.add(e.fp)
-	}
-	slices.SortFunc(entries, entryCompare)
-
 	w, err := s.newRun()
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if err := w.addEntry(e.fp, e.key); err != nil {
-			w.abort()
-			return fmt.Errorf("spill store: run write: %w", err)
-		}
+	// Summarize the flushed fingerprints in the prefilter as they leave
+	// RAM. The filter is sized once from the byte budget (a fifth of it,
+	// ~1% false positives for the first few flushes); overfilling it only
+	// raises the false-positive rate — more barrier merge work, never a
+	// wrong verdict — so it is never rebuilt.
+	if s.bloom == nil {
+		s.bloom = newBloomFilter(s.budget / 5)
+	}
+	err = s.delta.drainSorted(func(fp uint64, key string) error {
+		s.bloom.add(fp)
+		return w.addEntry(fp, key)
+	})
+	if err != nil {
+		w.abort()
+		return fmt.Errorf("spill store: run write: %w", err)
 	}
 	// Crash point: the sorted run is fully written but not yet renamed
 	// into place — the delta it snapshots dies with the process.
@@ -710,10 +748,10 @@ type spillSource struct {
 
 // segBlock is one claimed block of segment seg, decoded as far as off.
 type segBlock struct {
-	seg   int
-	data  []byte
-	off   int
-	spans [][]byte // slot-span scratch of whoever holds the block
+	seg     int
+	data    []byte
+	off     int
+	scratch recScratch // of whoever holds the block
 }
 
 // next decodes the block's next record. One that does not decode is
@@ -815,8 +853,7 @@ func (s *spillSource) decode(b *segBlock) (*Node, error) {
 	if s.drop != nil && s.drop.has(rec.FP, key) {
 		return nil, nil
 	}
-	n, spans, err := s.store.remat.node(&rec, b.spans)
-	b.spans = spans
+	n, err := s.store.remat.node(&rec, &b.scratch)
 	if err != nil {
 		return nil, &CorruptArtifactError{Path: s.segs[b.seg], Reason: err.Error()}
 	}
@@ -837,30 +874,6 @@ func (s *spillSource) closeAll() {
 }
 
 // ---- checkpoint support ----
-
-// entryList is a list of visited entries as parallel arrays: 8 bytes an
-// entry under fingerprint keying, where keys stays nil. An exact key is a
-// configuration's encoding, never empty, so under exact keys every entry
-// has its key.
-type entryList struct {
-	fps  []uint64
-	keys []string
-}
-
-func (l *entryList) add(fp uint64, key string) {
-	l.fps = append(l.fps, fp)
-	if key != "" {
-		l.keys = append(l.keys, key)
-	}
-}
-
-// key is the i-th entry's key ("" under fingerprint keying).
-func (l *entryList) key(i int) string {
-	if l.keys == nil {
-		return ""
-	}
-	return l.keys[i]
-}
 
 // takeAdded returns the entries the level cuts kept since the last call
 // (since the store opened, the first time) and starts a new record: a

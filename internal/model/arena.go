@@ -79,6 +79,12 @@ func hashEncoding(enc []byte) uint64 {
 	return fnv1a(fnvOffset64, enc)
 }
 
+// SlotHash is the content hash of the slot whose encoding is enc (a
+// SlotSpans span): the entry a slot-hash vector holds for that slot. An
+// exact-key node record carries no vector, and its reader rebuilds it
+// from the key's spans with this.
+func SlotHash(enc []byte) uint64 { return hashEncoding(enc) }
+
 // MixSlotHash exposes the slot-fingerprint combine — mixSlot(slot, h) —
 // to the explorer's reduction layer, which reassigns class slot hashes
 // to canonical positions without re-encoding any slot. XORing a slot's
