@@ -43,10 +43,10 @@ type NodeRecord struct {
 }
 
 // NumSlots is the length of the record's slot-hash vector.
-func (r NodeRecord) NumSlots() int { return len(r.Slots) / 8 }
+func (r *NodeRecord) NumSlots() int { return len(r.Slots) / 8 }
 
 // SlotHash is the content hash of slot i.
-func (r NodeRecord) SlotHash(i int) uint64 { return binary.LittleEndian.Uint64(r.Slots[8*i:]) }
+func (r *NodeRecord) SlotHash(i int) uint64 { return binary.LittleEndian.Uint64(r.Slots[8*i:]) }
 
 // NodeRecordMin is the length of the shortest record: two one-byte
 // uvarints, the fingerprint, an empty slot vector and two empty blobs.
