@@ -237,14 +237,14 @@ func TestFpSetDrainSorted(t *testing.T) {
 		for _, zero := range []bool{false, true} {
 			s := newFpSet(16)
 			var want []uint64
+			for len(want) < n {
+				if fp := rng.Uint64(); fp != 0 && s.Add(fp) {
+					want = append(want, fp)
+				}
+			}
 			if zero {
 				s.Add(0)
 				want = append(want, 0)
-			}
-			for len(want) < n+btoi(zero) {
-				if fp := rng.Uint64(); s.Add(fp) {
-					want = append(want, fp)
-				}
 			}
 			slices.Sort(want)
 			if got := s.drainSorted(); !slices.Equal(got, want) {
@@ -252,13 +252,6 @@ func TestFpSetDrainSorted(t *testing.T) {
 			}
 		}
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestSortFingerprints: the radix sort orders like slices.Sort on random

@@ -74,12 +74,13 @@ func spanAt(spans [][]byte, i int) []byte {
 // Consecutive configurations of a frontier are mostly siblings and
 // cousins, which share all but a slot or two and draw those from a few
 // values, so Intern and Resolve given a cache look up in the exchange
-// only the slots it does not hold — on the benchmark's row-3 spill run
-// about one in ten, where the last vector alone holds under half. Where
-// there are encodings a slot is held only if its encoding is byte-equal
-// too, never on a hash match alone. A cache serves one side, interning or
-// resolving, and one caller at a time; the zero value is empty, and a nil
-// *SlotCache is no cache at all.
+// only the slots it does not hold: on Table 1's row 3 (1M states
+// spilled, one worker) about one slot in nine, where remembering only
+// the last vector leaves more than half. Where there are encodings a
+// slot is held only if its encoding is byte-equal too, never on a hash
+// match alone. A cache serves one side, interning or resolving, and one
+// caller at a time; the zero value is empty, and a nil *SlotCache is no
+// cache at all.
 type SlotCache struct {
 	nObj  int
 	lines []slotLine // slotCacheWays per slot index
