@@ -150,7 +150,7 @@ type spillStore struct {
 // themselves (no budget), or the segment they are spooled to. Which
 // worker queued a node says nothing about where its entry sits in the
 // level's admissions; what the barrier revokes or truncates it therefore
-// names by entry (spillSource.drop).
+// names by entry (spillSource.revoked and cut).
 type spillQueue struct {
 	next  []*Node      // unbudgeted store only
 	spool *blockWriter // this level's segment; nil until a node is spooled
@@ -389,38 +389,41 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 	s.segs = nil
 	// Budget cutoff, by the engine's canonical (fingerprint, key) order.
 	// Entries are globally unique (dedup guarantees it), so the cutoff
-	// entry cleanly separates survivors from drops.
+	// entry cleanly separates survivors from drops: the source drops the
+	// records past it by that comparison alone.
 	truncated := survivors > maxNext
-	var cutoff entry
+	kept := min(survivors, maxNext)
+	var cut *entry
 	if truncated && maxNext > 0 {
-		cutoff = s.nthSurvivor(survivors, maxNext-1)
+		e := s.nthSurvivor(survivors, maxNext-1)
+		cut = &e
 	}
-	kept := survivors
-	if truncated {
-		kept = maxNext
-	}
-	// The admissions revoked or cut, by entry; nil when there are none.
-	var drop *keyedSet
+	// The admissions revoked at the barrier, by entry; nil when there are
+	// none.
+	var revoked *keyedSet
 	for j := range s.level.fps {
 		e := s.level.at(j)
-		if !s.dead[j] && !(truncated && (maxNext == 0 || entryLess(cutoff, e))) {
-			if s.keep {
-				s.added.add(e.fp, e.key)
+		switch {
+		case s.dead[j]:
+			if revoked == nil {
+				d := newKeyedSet(s.ctx.stringKeys)
+				revoked = &d
 			}
-			continue
+			revoked.add(e.fp, e.key)
+		case s.keep && kept > 0 && (cut == nil || !entryLess(*cut, e)):
+			s.added.add(e.fp, e.key)
 		}
-		if drop == nil {
-			d := newKeyedSet(s.ctx.stringKeys)
-			drop = &d
-		}
-		drop.add(e.fp, e.key)
 	}
 
-	src := &spillSource{store: s, size: kept, segs: segs, drop: drop,
+	src := &spillSource{store: s, size: kept, segs: segs, revoked: revoked, cut: cut,
 		readers: make([]*artifactScanner, len(segs))}
 	s.source = src
 	for i, seg := range segs {
 		if seg == "" {
+			continue
+		}
+		if kept == 0 { // nothing to hand out
+			os.Remove(seg)
 			continue
 		}
 		r, err := scanArtifact(seg, artifactSegment)
@@ -734,9 +737,11 @@ type spillSource struct {
 	store *spillStore
 	size  int
 	segs  []string // the workers' segment paths, for error reports
-	// drop holds the admissions revoked or truncated at the barrier (nil:
-	// none); read-only once the source is handed out.
-	drop *keyedSet
+	// revoked holds the admissions revoked at the barrier (nil: none), and
+	// the budget cut drops every record past cut (nil: no cut); both are
+	// read-only once the source is handed out.
+	revoked *keyedSet
+	cut     *entry
 
 	mu      sync.Mutex
 	cur     int
@@ -846,18 +851,18 @@ func (s *spillSource) decode(b *segBlock) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := ""
+	e := entry{fp: rec.FP}
 	if s.store.ctx.stringKeys {
-		key = string(rec.Key)
+		e.key = string(rec.Key)
 	}
-	if s.drop != nil && s.drop.has(rec.FP, key) {
+	if s.cut != nil && entryLess(*s.cut, e) || s.revoked != nil && s.revoked.has(e.fp, e.key) {
 		return nil, nil
 	}
 	n, err := s.store.remat.node(&rec, &b.scratch)
 	if err != nil {
 		return nil, &CorruptArtifactError{Path: s.segs[b.seg], Reason: err.Error()}
 	}
-	n.key = key
+	n.key = e.key
 	return n, nil
 }
 
