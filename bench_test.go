@@ -610,6 +610,23 @@ func BenchmarkExploreEngineMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreColdCell is a cache-missing mcheckd request on the
+// path the serve-mix workload's cold requests take: one sweep cell of the
+// `explore` row at n=4 k=2 under a budget of 40,001 configurations, whose
+// closing level reaches about three times what its cut keeps.
+func BenchmarkExploreColdCell(b *testing.B) {
+	cell := sweep.Cell{Grid: "bench", Row: "explore", N: 4, K: 2, MaxConfigs: 40001}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rec sweep.Result
+	for i := 0; i < b.N; i++ {
+		if rec = sweep.RunCellRecord(cell); rec.Status != sweep.StatusOK {
+			b.Fatalf("cell: %+v", rec)
+		}
+	}
+	b.ReportMetric(float64(rec.States), "configs")
+}
+
 // BenchmarkTheorem10Certificate is the exact-key engine where the paper
 // needs it: the Theorem 10 certificate for Algorithm 1 at n=12, k=3 — the
 // sweep's theorem10 scenario, as certify-grid runs it — whose R-only

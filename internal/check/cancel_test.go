@@ -184,8 +184,8 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newSpillStore(storeCtx{
 		workers: 1, nObj: 1, nProc: 2,
-		newNode: func() *Node { return &Node{} },
-		recycle: func(*Node) {},
+		newNode: func(int) *Node { return &Node{} },
+		recycle: func(int, *Node) {},
 	}, 1, dir)
 	if err != nil {
 		t.Fatal(err)

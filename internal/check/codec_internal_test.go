@@ -124,11 +124,11 @@ func TestNodeRecordLayout(t *testing.T) {
 // whose nodes come fresh and are never recycled.
 func testStoreCtx(t *testing.T, nObj, nProc int, stringKeys bool) storeCtx {
 	return storeCtx{workers: 1, nObj: nObj, nProc: nProc, stringKeys: stringKeys,
-		newNode: func() *Node {
+		newNode: func(int) *Node {
 			cfg := &model.Config{Objects: make([]model.Value, nObj), States: make([]model.State, nProc)}
 			return &Node{Cfg: cfg, slotH: make([]uint64, nObj+nProc)}
 		},
-		recycle: func(*Node) {},
+		recycle: func(int, *Node) {},
 		fail:    func(err error) { t.Error(err) },
 		stopped: func() bool { return false },
 	}
@@ -249,8 +249,8 @@ func TestRematerialiseReplayMismatch(t *testing.T) {
 	}
 	ctx := testStoreCtx(t, len(orig.Cfg.Objects), len(orig.Cfg.States), false)
 	for _, flip := range []bool{false, true} {
-		m := rematerialiser{ctx: ctx, exch: model.NewSlotExchange(), replay: func(path []byte) (*Node, error) {
-			n := ctx.newNode()
+		m := rematerialiser{ctx: ctx, exch: model.NewSlotExchange(), replay: func(_ int, path []byte) (*Node, error) {
+			n := ctx.newNode(0)
 			n.Cfg.CopyFrom(orig.Cfg)
 			copy(n.slotH, orig.slotH)
 			if flip {
@@ -259,7 +259,7 @@ func TestRematerialiseReplayMismatch(t *testing.T) {
 			n.path = append(n.path[:0], path...)
 			return n, nil
 		}}
-		n, err := m.node(&rec, &recScratch{})
+		n, err := m.node(0, &rec, &recScratch{})
 		switch {
 		case flip && (err == nil || n != nil):
 			t.Errorf("a replay one slot hash off gave node %v, error %v", n, err)

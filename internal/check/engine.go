@@ -27,10 +27,11 @@ import (
 //     so a successor's fingerprint is its parent's XOR a constant of the
 //     transition); it claims the keys in the visited set; and it builds a
 //     node (model.Stepper.Install: copy-on-write, every unchanged slot
-//     shared with the parent) only for the claims that were new. Node
-//     buffers — the Config slices and slot-hash vectors — are recycled
-//     through a sync.Pool, so a duplicate costs a memo probe and a table
-//     probe and an admitted state no heap allocation in the steady case.
+//     shared with the parent) only for the claims that were new. Nodes are
+//     carved from per-worker slabs and recycled through per-worker free
+//     lists (nodeSupply), so a duplicate costs a memo probe and a table
+//     probe, and an admitted state a free-list pop or a slab's share of
+//     four allocations.
 //
 //   - Both exploration orders run one worker loop (workerLoop below):
 //     take a chunk, visit it, claim and build its successors, hand the new
@@ -363,7 +364,8 @@ type engineRun struct {
 	expanders []*expander
 	store     *spillStore
 	claims    claimState
-	nodePool  *sync.Pool
+	nodes     []nodeSupply // per worker
+	bound     levelBound
 	asyncOn   bool
 
 	admitted  atomic.Int64
@@ -461,7 +463,7 @@ func (r *engineRun) workerLoop(w int, src workSource, chunkLen int, locked bool)
 			src.put(w, x.commit(locked), m)
 		}
 		for _, n := range chunk[:m] {
-			r.recycle(n)
+			r.recycle(w, n)
 		}
 	}
 }
@@ -497,35 +499,80 @@ func (r *engineRun) report(p Progress) {
 // test seam for counting them (TestDuplicateTakesNoNode).
 var nodeTakenHook func()
 
-// newNode hands out a recycled (or fresh) node with correctly-shaped
-// buffers.
-func (r *engineRun) newNode() *Node {
+// Slab sizes, in nodes: a worker's first slab holds firstSlab, and each
+// next one twice its predecessor's, up to maxSlab. A small run carves few
+// nodes it never uses; a large one pays four allocations per maxSlab nodes.
+const (
+	firstSlab = 8
+	maxSlab   = 256
+)
+
+// nodeSupply is one worker's nodes: the free list its newNode pops and
+// its recycle pushes, and the size of its next slab. Only worker w, or
+// the barrier while no worker runs, touches supply w, so it takes no
+// lock. A node may be recycled on another worker's supply than the one
+// that carved it; it is the same shape either way.
+type nodeSupply struct {
+	free []*Node
+	slab int
+	_    [32]byte // a cache line per worker
+}
+
+// newNode hands worker w a node with correctly-shaped buffers: a recycled
+// one, or one of a fresh slab.
+func (r *engineRun) newNode(w int) *Node {
 	if hook := nodeTakenHook; hook != nil {
 		hook()
 	}
-	return r.nodePool.Get().(*Node)
+	s := &r.nodes[w]
+	if len(s.free) == 0 {
+		r.carveSlab(s)
+	}
+	n := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	return n
 }
 
-// recycle returns the buffers of a node nothing refers to any more — a
-// visited and expanded frontier node, a spooled, revoked or truncated
-// admission, a node rebuilt only to be replaced — to the pool.
-func (r *engineRun) recycle(n *Node) {
-	if r.closed.Load() && r.store.budget == 0 {
-		// A closed run builds no more nodes. One parked in the pool would
-		// outlive the run by two collections; left alone it is garbage now.
-		// (A spooled frontier is the exception: the closed run's last level
-		// is still to be rematerialised from disk, into pooled nodes.)
-		return
+// carveSlab fills s's free list with the nodes of one new slab: one
+// allocation each for the nodes and their configuration headers, the
+// objects, the states and the slot hashes, every node's slices cut to
+// capacity so that none can grow into its neighbour's.
+func (r *engineRun) carveSlab(s *nodeSupply) {
+	k := max(s.slab, firstSlab)
+	s.slab = min(2*k, maxSlab)
+	nObj, nProc := r.nObj, r.nProc
+	nSlot := nObj + nProc
+	// The node and its configuration header are handed out, recycled and
+	// collected together.
+	hdrs := make([]struct {
+		n   Node
+		cfg model.Config
+	}, k)
+	objs := make([]model.Value, k*nObj)
+	states := make([]model.State, k*nProc)
+	hashes := make([]uint64, k*nSlot)
+	for i := k - 1; i >= 0; i-- { // the slab goes out in address order
+		h := &hdrs[i]
+		h.cfg.Objects = objs[i*nObj : (i+1)*nObj : (i+1)*nObj]
+		h.cfg.States = states[i*nProc : (i+1)*nProc : (i+1)*nProc]
+		h.n.Cfg = &h.cfg
+		h.n.slotH = hashes[i*nSlot : (i+1)*nSlot : (i+1)*nSlot]
+		s.free = append(s.free, &h.n)
 	}
+}
+
+// recycle puts a node nothing refers to any more — a visited and expanded
+// frontier node, a spooled or replaced one — on worker w's free list.
+func (r *engineRun) recycle(w int, n *Node) {
 	n.key = ""
 	n.reexpand = false
-	r.nodePool.Put(n)
+	r.nodes[w].free = append(r.nodes[w].free, n)
 }
 
-// rootNode returns a depth-0 node holding the start configuration,
-// slot-hashed through st and not yet keyed.
-func (r *engineRun) rootNode(st *model.Stepper) *Node {
-	n := r.newNode()
+// rootNode returns worker w's depth-0 node holding the start
+// configuration, slot-hashed through st and not yet keyed.
+func (r *engineRun) rootNode(w int, st *model.Stepper) *Node {
+	n := r.newNode(w)
 	n.Cfg.CopyFrom(r.start)
 	n.Depth, n.Pid = 0, -1
 	n.path = n.path[:0]
@@ -571,20 +618,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		link:      opts.Dist,
 		expanders: make([]*expander, opts.Workers),
 		done:      make(chan struct{}),
-		nodePool: &sync.Pool{New: func() any {
-			// The node and its configuration header are one allocation:
-			// they are handed out, recycled and collected together.
-			b := &struct {
-				n   Node
-				cfg model.Config
-			}{cfg: model.Config{
-				Objects: make([]model.Value, nObj),
-				States:  make([]model.State, nProc),
-			}}
-			b.n.Cfg = &b.cfg
-			b.n.slotH = make([]uint64, nObj+nProc)
-			return &b.n
-		}},
+		nodes:     make([]nodeSupply, opts.Workers),
 	}
 	for _, pid := range pids {
 		if pid >= 0 && pid < nProc {
@@ -642,7 +676,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	// Root node. The reduction plan refines the declared symmetry classes
 	// against the root's slot hashes and the explored pid set, so it sits
 	// between hashing the root and keying it.
-	root := run.rootNode(run.expander(0).st)
+	root := run.rootNode(0, run.expander(0).st)
 	if symOn {
 		run.plan = planReduction(p, run.allowed, nObj, root.slotH)
 	}
@@ -652,7 +686,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		run.link.Start(opts.Workers)
 		st := model.NewStepper(p)
 		run.remat = &rematerialiser{ctx: sctx, exch: model.NewSlotExchange(),
-			replay: func(path []byte) (*Node, error) { return replayPath(run, st, path) }}
+			replay: func(w int, path []byte) (*Node, error) { return replayPath(run, w, st, path) }}
 	}
 	// In-process cancellation: Ctx's done signal takes the same fail path
 	// a visit error takes, under either order.

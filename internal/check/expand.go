@@ -203,7 +203,7 @@ func (x *expander) plan(n *Node) error {
 			// The link serialises the node before it returns, so one
 			// scratch node serves them all.
 			if x.tmp == nil {
-				x.tmp = r.newNode()
+				x.tmp = r.newNode(x.worker)
 			}
 			x.build(c, x.tmp)
 			x.cands = x.cands[:len(x.cands)-1]
@@ -265,7 +265,7 @@ func (x *expander) commit(locked bool) []*Node {
 		if c.verdict == candDup {
 			continue
 		}
-		n := r.newNode()
+		n := r.newNode(x.worker)
 		x.build(c, n)
 		x.out = append(x.out, n)
 	}
@@ -281,6 +281,11 @@ func (x *expander) claim(c *cand, key []byte) uint8 {
 	r := x.run
 	cl := &r.claims
 	stored, added := r.store.Claim(c.fp, key)
+	if added && r.bound.on && !r.bound.admit(c.fp) {
+		// Claimed, but past the closing level's cut: never built.
+		c.verdict = candDup
+		return candDup
+	}
 	if added {
 		c.verdict, c.key = candNew, stored
 		if cl.pending != nil {
@@ -381,17 +386,18 @@ func replayStep(st *model.Stepper, cur, succ *Node, pid byte) error {
 	return nil
 }
 
-// replayPath rebuilds a single node by applying its root-to-node pid path
-// from the start configuration (a distributed peer's fallback for a wire
-// record it cannot rematerialize). The result is not keyed.
-func replayPath(run *engineRun, st *model.Stepper, path []byte) (*Node, error) {
-	cur := run.rootNode(st)
+// replayPath rebuilds a single node from worker w's supply by applying its
+// root-to-node pid path from the start configuration (a distributed peer's
+// fallback for a wire record it cannot rematerialize). The result is not
+// keyed.
+func replayPath(run *engineRun, w int, st *model.Stepper, path []byte) (*Node, error) {
+	cur := run.rootNode(w, st)
 	for _, pid := range path {
-		succ := run.newNode()
+		succ := run.newNode(w)
 		err := replayStep(st, cur, succ, pid)
-		run.recycle(cur)
+		run.recycle(w, cur)
 		if err != nil {
-			run.recycle(succ)
+			run.recycle(w, succ)
 			return nil, err
 		}
 		cur = succ
@@ -457,7 +463,7 @@ func (x *expander) replay(s *replaySource, lo, hi int, buf []*Node) (int, error)
 	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(path(a), path(b)) })
 
 	if len(x.stack) == 0 {
-		x.stack = append(x.stack, r.rootNode(x.st))
+		x.stack = append(x.stack, r.rootNode(x.worker, x.st))
 	}
 	var sum uint64
 	for m, i := range order {
@@ -471,14 +477,14 @@ func (x *expander) replay(s *replaySource, lo, hi int, buf []*Node) (int, error)
 		x.prefix = x.prefix[:shared]
 		for d := shared; d < depth-1; d++ {
 			if d+1 == len(x.stack) {
-				x.stack = append(x.stack, r.newNode())
+				x.stack = append(x.stack, r.newNode(x.worker))
 			}
 			if err := replayStep(x.st, x.stack[d], x.stack[d+1], p[d]); err != nil {
 				return 0, err
 			}
 			x.prefix = append(x.prefix, p[d])
 		}
-		n := r.newNode()
+		n := r.newNode(x.worker)
 		if err := replayStep(x.st, x.stack[depth-1], n, p[depth-1]); err != nil {
 			return 0, err
 		}

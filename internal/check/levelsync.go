@@ -13,13 +13,71 @@ import "fmt"
 // barrier, and with it all of that, is this order's alone.
 //
 // A budget-bound run ends in two levels that are not like the others. The
-// closing level is expanded in full although it overshoots MaxConfigs —
-// which of its successors survive must not depend on arrival order — and
-// its barrier cuts the admissions back to the budget and closes the run.
-// The level the cut kept is then visit-only (the expansion core's rule,
-// engineRun.visitOnly): its configurations are visited, none is stepped,
-// and the barriers, the distributed lockstep, the final checkpoint and
-// Progress run over an empty next frontier.
+// closing level overshoots MaxConfigs: every successor it reaches is
+// claimed — which of them survive must not depend on arrival order — and
+// its barrier cuts the admissions back to the budget, the smallest by
+// (fingerprint, key), and closes the run. On the resident store of a
+// single process the level builds only the claims that can still be among
+// those smallest (levelBound). The level the cut kept is then visit-only
+// (the expansion core's rule, engineRun.visitOnly): its configurations are
+// visited, none is stepped, and the barriers, the distributed lockstep,
+// the final checkpoint and Progress run over an empty next frontier.
+
+// boundBits is how many top bits of a fingerprint pick its levelBound
+// bucket.
+const boundBits = 10
+
+// levelBound is the in-level cut bound: a closing level's claims can tell,
+// as they come, which admissions the barrier's cut will drop. The level
+// counts its admissions per bucket of fingerprints (their top boundBits
+// bits); once buckets 0..top hold keep of them, an admission in a bucket
+// above top has at least keep smaller ones, so the cut cannot keep it.
+// Such a claim stays in the visited set, but no node is built or queued
+// for it. It runs on a single process's resident store only: the spilled
+// frontier and a distributed peer's (whose cut is the coordinator's) keep
+// every admission to the barrier. The claims update it under the claim
+// lock.
+type levelBound struct {
+	on   bool
+	keep int      // the budget's remainder: how many admissions the cut keeps
+	hist []uint32 // admissions per bucket; allocated when a level first arms it
+	// top is the smallest bucket b with hist[0..b] holding keep
+	// admissions, the last bucket while there is none; below is
+	// hist[0..top] summed.
+	top, below int
+	// dropped records that an admission was not built: the level is
+	// truncated, whatever the built count.
+	dropped bool
+}
+
+// arm starts the bound over a level whose cut keeps keep admissions.
+func (b *levelBound) arm(keep int) {
+	if b.hist == nil {
+		b.hist = make([]uint32, 1<<boundBits)
+	} else {
+		clear(b.hist)
+	}
+	b.on, b.keep, b.top, b.below, b.dropped = true, keep, len(b.hist)-1, 0, false
+	if keep == 0 {
+		b.top = -1
+	}
+}
+
+// admit counts an admission of fp and reports whether the cut can keep it.
+func (b *levelBound) admit(fp uint64) bool {
+	k := int(fp >> (64 - boundBits))
+	if k > b.top {
+		b.dropped = true
+		return false
+	}
+	b.hist[k]++
+	b.below++
+	for b.top >= 0 && b.below-int(b.hist[b.top]) >= b.keep {
+		b.below -= int(b.hist[b.top])
+		b.top--
+	}
+	return true
+}
 
 // runLevelSync is the level loop. root is fully keyed and not yet in the
 // store.
@@ -38,7 +96,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 	var frontier FrontierSource
 	startDepth := 0
 	if resumed != nil {
-		run.recycle(root)
+		run.recycle(0, root)
 		if frontier, err = resumeFromCheckpoint(run, resumed, &stats); err != nil {
 			return stats, err
 		}
@@ -47,7 +105,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		if run.link != nil && !run.link.Owns(root.fp) {
 			// Another peer owns the root; this peer starts with an empty
 			// level-0 frontier and joins the run at the first barrier.
-			run.recycle(root)
+			run.recycle(0, root)
 		} else {
 			run.store.Claim(root.fp, []byte(root.key))
 			run.store.Queue(0, root)
@@ -63,6 +121,17 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		frontier = seed.Frontier
 	}
 
+	// growth is the admissions per node of the last level expanded, to
+	// judge whether the next can overshoot its cut; before any, a node's
+	// allowed pids bound it.
+	growth := 0.0
+	for _, ok := range run.allowed {
+		if ok {
+			growth++
+		}
+	}
+	bounded := run.link == nil && run.store.budget == 0
+
 	// A distributed peer enters every level in lockstep with its peers —
 	// even with an empty local frontier it must run the expand and level
 	// barriers — and leaves when the coordinator declares the global
@@ -76,7 +145,16 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			run.report(Progress{Depth: depth, FrontierSize: levelSize, Processed: stats.Processed})
 		}
 
+		// A level whose admissions, predicted from the previous level's
+		// growth, reach half the budget's remainder is built under the cut
+		// bound: it may overshoot, since growth can double from a level to
+		// the next.
+		remainder := max(run.limits.MaxConfigs-admittedBefore, 0)
+		if bounded && !atDepthCap && !run.closed.Load() && 2*float64(levelSize)*growth > float64(remainder) {
+			run.bound.arm(remainder)
+		}
 		expandLevel(run, frontier)
+		run.bound.on = false
 		if err := run.err(); err != nil {
 			return stats, err
 		}
@@ -111,6 +189,9 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		if err != nil {
 			return stats, err
 		}
+		if levelSize > 0 {
+			growth = float64(survivors) / float64(levelSize)
+		}
 		// This level's provenance overrides settle: the next level's nodes
 		// take them as they are handed out.
 		cl := &run.claims
@@ -127,7 +208,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		// coordinator's: peers own ascending fingerprint ranges, so the
 		// global sorted order is peer 0's survivors, then peer 1's, and
 		// the global cut keeps a prefix of each peer's.
-		maxNext := max(run.limits.MaxConfigs-admittedBefore, 0)
+		maxNext := remainder
 		var db DistBarrier
 		if run.link != nil {
 			if db, err = run.link.BarrierLevel(depth, int64(admittedBefore+survivors), survivors, stop); err != nil {
@@ -146,7 +227,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			return stats, err
 		}
 		run.admitted.Store(int64(admittedBefore + lvl.Frontier.Size()))
-		if lvl.Truncated || db.Truncated {
+		if lvl.Truncated || db.Truncated || run.bound.dropped {
 			run.closed.Store(true)
 			run.truncated.Store(true)
 		}
@@ -255,7 +336,7 @@ func distExpandBarrier(run *engineRun, depth int) error {
 				continue
 			}
 			var n *Node
-			if n, err = run.remat.node(&rec, &sc); err != nil {
+			if n, err = run.remat.node(0, &rec, &sc); err != nil {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
 			admitted++

@@ -122,9 +122,9 @@ func cutBlob(b []byte) (blob, rest []byte, ok bool) {
 type rematerialiser struct {
 	ctx  storeCtx
 	exch *model.SlotExchange
-	// replay rebuilds the (unkeyed) node at the end of a pid path; nil
-	// where a miss cannot legitimately occur.
-	replay func(path []byte) (*Node, error)
+	// replay rebuilds the (unkeyed) node at the end of a pid path from
+	// worker w's supply; nil where a miss cannot legitimately occur.
+	replay func(w int, path []byte) (*Node, error)
 }
 
 // recScratch is one sequential reader's scratch: the key's slot spans,
@@ -135,10 +135,10 @@ type recScratch struct {
 	slots model.SlotCache
 }
 
-// node rebuilds rec's node, admission-ready except for its exact key,
-// which is the caller's to set. It is safe for concurrent use when replay
+// node rebuilds rec's node from worker w's supply, admission-ready except
+// for its exact key, which is the caller's to set. It is safe for concurrent use when replay
 // is nil and no two callers share sc.
-func (m *rematerialiser) node(rec *NodeRecord, sc *recScratch) (*Node, error) {
+func (m *rematerialiser) node(w int, rec *NodeRecord, sc *recScratch) (*Node, error) {
 	nSlots := m.ctx.nObj + m.ctx.nProc
 	var encs [][]byte // nil: slots match on their hashes alone
 	if m.ctx.stringKeys {
@@ -155,7 +155,7 @@ func (m *rematerialiser) node(rec *NodeRecord, sc *recScratch) (*Node, error) {
 	// Nothing is stepped or encoded: the vector is the record's (or the
 	// key's spans' hashes), each slot's canonical value or state comes from
 	// the exchange, and the slot fingerprint is recomputed from the vector.
-	n := m.ctx.newNode()
+	n := m.ctx.newNode(w)
 	var slotFP uint64
 	for i := range n.slotH {
 		if encs != nil {
@@ -173,8 +173,8 @@ func (m *rematerialiser) node(rec *NodeRecord, sc *recScratch) (*Node, error) {
 	case m.replay == nil:
 		err = fmt.Errorf("slot %d not interned", miss)
 	default:
-		m.ctx.recycle(n)
-		if n, err = m.replay(rec.Path); err != nil {
+		m.ctx.recycle(w, n)
+		if n, err = m.replay(w, rec.Path); err != nil {
 			return nil, fmt.Errorf("record does not replay: %w", err)
 		}
 		// The replayed configuration's slot hashes must be the sender's —
@@ -193,7 +193,7 @@ func (m *rematerialiser) node(rec *NodeRecord, sc *recScratch) (*Node, error) {
 		}
 	}
 	if err != nil {
-		m.ctx.recycle(n)
+		m.ctx.recycle(w, n)
 		return nil, err
 	}
 	n.Depth, n.Pid = rec.Depth, rec.Pid

@@ -14,9 +14,9 @@
 // fed in one of two orders. The per-worker expander
 // (expand.go) turns a node into keyed successors — arena-backed
 // copy-on-write steps with incrementally-maintained fingerprints
-// (model.Stepper), node buffers recycled through sync.Pool, one keying
-// decision, routing to the owning peer of a distributed run —
-// allocation-free in the steady case. The level-synchronized order
+// (model.Stepper), nodes carved from per-worker slabs and recycled
+// through per-worker free lists, one keying decision, routing to the
+// owning peer of a distributed run. The level-synchronized order
 // (levelsync.go) feeds the workers a level at a time, a parallel BFS with
 // a barrier per depth level; the async order (async.go) from per-worker
 // work-stealing deques, with quiescence detection. Deduplication

@@ -20,8 +20,9 @@ import (
 // Without a budget (Store "" or "mem") it never leaves RAM: the delta
 // table below is the whole visited set, a claim is one probe of it, a
 // queued node one append to its worker's slice, and a barrier concatenates
-// the slices and cuts them back to the level's budget by sortNodes. It
-// records no admission list, creates no directory and writes no file.
+// the slices and cuts them back to the level's budget by the rule the
+// spooled frontier is cut by (kthEntry). It records no admission list,
+// creates no directory and writes no file.
 //
 // Under a budget (Store "spill") two things leave RAM.
 //
@@ -239,7 +240,7 @@ func (s *spillStore) Queue(worker int, n *Node) {
 	if err := s.spoolNode(&s.queues[worker], worker, n); err != nil {
 		s.ctx.fail(err)
 	}
-	s.ctx.recycle(n)
+	s.ctx.recycle(worker, n)
 }
 
 // spoolNode appends n's record to worker's segment, interning every slot
@@ -342,8 +343,10 @@ func (s *spillStore) CutLevel(maxNext int) (LevelResult, error) {
 }
 
 // cutResident cuts a level of the unbudgeted store: it concatenates the
-// workers' queues and cuts them back to maxNext by sortNodes. The store
-// has nothing else to do at the barrier.
+// workers' queues and keeps, in that admission order, the maxNext
+// smallest nodes by (fingerprint, key) — the cut cutSpooled makes, so both
+// stores hand the next level over in the same order. The store has
+// nothing else to do at the barrier.
 func (s *spillStore) cutResident(maxNext int) LevelResult {
 	total := 0
 	for i := range s.queues {
@@ -360,15 +363,30 @@ func (s *spillStore) cutResident(maxNext int) LevelResult {
 	var res LevelResult
 	// Budget cutoff: this level may have overshot (admission is
 	// unthrottled within a level so the admitted set stays a pure function
-	// of the space, not of thread timing). Truncate back to exactly maxNext
-	// survivors by ascending (fingerprint, key) — deterministic regardless
-	// of arrival order.
+	// of the space, not of thread timing). Entries are unique, so the
+	// maxNext-th smallest separates the kept nodes from the dropped ones
+	// whatever their arrival order.
 	if len(next) > maxNext {
-		sortNodes(next)
+		kept := 0
+		if maxNext > 0 {
+			cut := kthEntry(s.ctx.stringKeys, len(next), maxNext-1, func(yield func(entry) bool) {
+				for _, n := range next {
+					if !yield(entry{n.fp, n.key}) {
+						return
+					}
+				}
+			})
+			for _, n := range next {
+				if !entryLess(cut, entry{n.fp, n.key}) {
+					next[kept] = n
+					kept++
+				}
+			}
+		}
 		// The engine closes admissions on a truncation, so the dropped
-		// nodes' buffers have no taker: they are left to the collector.
-		clear(next[maxNext:])
-		next = next[:maxNext]
+		// nodes have no taker: they are left to the collector.
+		clear(next[kept:])
+		next = next[:kept]
 		res.Truncated = true
 	}
 	if s.keep {
@@ -395,7 +413,13 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 	kept := min(survivors, maxNext)
 	var cut *entry
 	if truncated && maxNext > 0 {
-		e := s.nthSurvivor(survivors, maxNext-1)
+		e := kthEntry(s.ctx.stringKeys, survivors, maxNext-1, func(yield func(entry) bool) {
+			for j := range s.level.fps {
+				if !s.dead[j] && !yield(s.level.at(j)) {
+					return
+				}
+			}
+		})
 		cut = &e
 	}
 	// The admissions revoked at the barrier, by entry; nil when there are
@@ -437,30 +461,6 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 		src.readers[i] = r
 	}
 	return LevelResult{Frontier: src, Truncated: truncated}, nil
-}
-
-// nthSurvivor returns the level's k-th smallest surviving admission in
-// entry order. Under fingerprint keys that is the k-th of the survivors'
-// fingerprints sorted as integers.
-func (s *spillStore) nthSurvivor(survivors, k int) entry {
-	if s.ctx.stringKeys {
-		all := make([]entry, 0, survivors)
-		for j := range s.level.fps {
-			if !s.dead[j] {
-				all = append(all, s.level.at(j))
-			}
-		}
-		slices.SortFunc(all, entryCompare)
-		return all[k]
-	}
-	fps := make([]uint64, 0, survivors)
-	for j, fp := range s.level.fps {
-		if !s.dead[j] {
-			fps = append(fps, fp)
-		}
-	}
-	sortFingerprints(fps)
-	return entry{fp: fps[k]}
 }
 
 // markDead stream-merges the level's sorted admissions against each sorted
@@ -774,7 +774,7 @@ func (b *segBlock) next(seg string) (NodeRecord, error) {
 
 func (s *spillSource) Size() int { return s.size }
 
-func (s *spillSource) Next(_ int, buf []*Node) int {
+func (s *spillSource) Next(w int, buf []*Node) int {
 	n := 0
 	// Once the run has stopped — after a read or decode failure the stream
 	// positions are not trustworthy — hand out nothing more.
@@ -784,7 +784,7 @@ func (s *spillSource) Next(_ int, buf []*Node) int {
 			break
 		}
 		for n < len(buf) && b.off < len(b.data) {
-			node, err := s.decode(b)
+			node, err := s.decode(w, b)
 			if err != nil {
 				s.store.ctx.fail(err)
 				b.off = len(b.data) // abandon the block
@@ -842,11 +842,11 @@ func (s *spillSource) claim() *segBlock {
 	return nil
 }
 
-// decode rebuilds the next record of b, or returns nil for one dropped at
-// the barrier. Entries are unique per level, so the fingerprint (or, under
+// decode rebuilds the next record of b from worker w's supply, or returns
+// nil for one dropped at the barrier. Entries are unique per level, so the fingerprint (or, under
 // exact keys, the key) identifies the record. Every slot a spooled node
 // holds was interned when it was spooled, so a miss is corruption.
-func (s *spillSource) decode(b *segBlock) (*Node, error) {
+func (s *spillSource) decode(w int, b *segBlock) (*Node, error) {
 	rec, err := b.next(s.segs[b.seg])
 	if err != nil {
 		return nil, err
@@ -858,7 +858,7 @@ func (s *spillSource) decode(b *segBlock) (*Node, error) {
 	if s.cut != nil && entryLess(*s.cut, e) || s.revoked != nil && s.revoked.has(e.fp, e.key) {
 		return nil, nil
 	}
-	n, err := s.store.remat.node(&rec, &b.scratch)
+	n, err := s.store.remat.node(w, &rec, &b.scratch)
 	if err != nil {
 		return nil, &CorruptArtifactError{Path: s.segs[b.seg], Reason: err.Error()}
 	}

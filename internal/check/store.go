@@ -1,9 +1,8 @@
 package check
 
 import (
-	"cmp"
+	"iter"
 	"slices"
-	"strings"
 	"sync/atomic"
 )
 
@@ -15,8 +14,8 @@ import (
 //   - Without one (Store "" or "mem") it is an open-addressing fingerprint
 //     table (or exact-key map) and per-worker node slices: a claim is one
 //     table probe, a queued node one append, and a barrier concatenates the
-//     slices and cuts them back to the budget by sortNodes. It touches no
-//     disk.
+//     slices and cuts them back to the budget (kthEntry), keeping the
+//     survivors in admission order. It touches no disk.
 //
 //   - With one (Store "spill") it spools the frontier to disk segments as
 //     node records, provenance runs' included (their paths travel in the
@@ -32,30 +31,25 @@ import (
 // has no levels: it keeps its frontier in the workers' deques and only
 // ever claims, see async.go.)
 
-// sortNodes sorts nodes into the canonical order, entryCompare's. It sorts
-// (fingerprint, node) pairs, not the pointers: a level that overshoots the budget is
-// hundreds of thousands of nodes scattered over the heap, and comparing
-// two of them through their pointers is two cache misses, where two
-// pairs lie side by side. A node is read only to break a fingerprint tie
-// by key, which fingerprint-keyed runs never have.
-func sortNodes(nodes []*Node) {
-	type keyed struct {
-		fp uint64
-		n  *Node
-	}
-	ks := make([]keyed, len(nodes))
-	for i, n := range nodes {
-		ks[i] = keyed{n.fp, n}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := cmp.Compare(a.fp, b.fp); c != 0 {
-			return c
+// kthEntry returns the k-th smallest (from 0) of the n entries all
+// yields, in entry order: the budget cut's last kept entry, for either
+// store. Under fingerprint keys it is the k-th of their fingerprints
+// sorted as integers (sortFingerprints); only exact keys sort entries.
+func kthEntry(stringKeys bool, n, k int, all iter.Seq[entry]) entry {
+	if stringKeys {
+		es := make([]entry, 0, n)
+		for e := range all {
+			es = append(es, e)
 		}
-		return strings.Compare(a.n.key, b.n.key)
-	})
-	for i, k := range ks {
-		nodes[i] = k.n
+		slices.SortFunc(es, entryCompare)
+		return es[k]
 	}
+	fps := make([]uint64, 0, n)
+	for e := range all {
+		fps = append(fps, e.fp)
+	}
+	sortFingerprints(fps)
+	return entry{fp: fps[k]}
 }
 
 // StoreStats summarizes a store's activity over one engine run. The
@@ -100,8 +94,9 @@ type FrontierSource interface {
 	// Size is the number of nodes in the level.
 	Size() int
 	// Next fills buf with up to len(buf) nodes for worker w and returns
-	// how many; 0 means the level is exhausted. Only a source that builds
-	// its nodes (replaySource) builds them with w's expander.
+	// how many; 0 means the level is exhausted. A source that builds its
+	// nodes (replaySource, spillSource) takes them from w's supply, and
+	// replaySource builds them with w's expander.
 	Next(w int, buf []*Node) int
 }
 
@@ -151,8 +146,8 @@ const (
 const DefaultMemBudget = 256 << 20
 
 // storeCtx carries the engine-side context the store needs: the run shape,
-// keying mode, the node lifecycle hooks (pooled allocation and recycling
-// stay engine-owned, so the store's nodes and the engine's share one
+// keying mode, the node lifecycle hooks (the per-worker slab supplies stay
+// engine-owned, so the store's nodes and the engine's share one
 // discipline) and the run's one error cell: fail records an I/O or decode
 // failure and stops the run, stopped reports that the run has stopped.
 type storeCtx struct {
@@ -160,8 +155,8 @@ type storeCtx struct {
 	nObj       int
 	nProc      int
 	stringKeys bool
-	newNode    func() *Node
-	recycle    func(*Node)
+	newNode    func(worker int) *Node
+	recycle    func(worker int, n *Node)
 	fail       func(error)
 	stopped    func() bool
 }

@@ -136,11 +136,12 @@ type Arena struct {
 	scratch []byte
 }
 
-// NewArena returns an empty intern arena.
+// NewArena returns an empty intern arena. Its indexes start empty and grow
+// with what is interned: a small search pays for what it visits.
 func NewArena() *Arena {
 	return &Arena{
-		valIdx:  make(map[uint64][]uint32, 256),
-		stIdx:   make(map[uint64][]uint32, 1024),
+		valIdx:  map[uint64][]uint32{},
+		stIdx:   map[uint64][]uint32{},
 		scratch: make([]byte, 0, 128),
 	}
 }
@@ -328,11 +329,12 @@ type stepMemo struct {
 	n     int
 }
 
-// newStepMemo returns an empty memo sized for the usual run, a few
-// hundred (pid, state) pairs.
+// newStepMemo returns an empty memo of 64 slots; it doubles as it fills,
+// so a small search pays for the pairs it meets and the usual run, a few
+// hundred (pid, state) pairs, for a few doublings.
 func newStepMemo() *stepMemo {
 	m := &stepMemo{}
-	m.resize(1024)
+	m.resize(64)
 	return m
 }
 

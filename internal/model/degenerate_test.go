@@ -203,6 +203,42 @@ func TestDegenerateHashExactRuns(t *testing.T) {
 	}
 }
 
+// TestDegenerateHashClosingLevel is the degenerate-hash cell of the
+// check package's TestClosingLevelBuildsUnderBound: Algorithm 1 at n=4
+// k=2 m=3 under a budget of 40,001, whose closing level overshoots its
+// cut threefold. With every fingerprint equal the resident store's
+// in-level cut bound sees every admission in one bucket, so it can drop
+// none, and the cut keeps the smallest keys; the verdict must be the
+// spill store's (which keeps every admission to the barrier) at every
+// worker count.
+func TestDegenerateHashClosingLevel(t *testing.T) {
+	p := core.MustNew(core.Params{N: 4, K: 2, M: 3})
+	start := model.MustNewConfig(p, []int{0, 1, 2, 0})
+	pids := []int{0, 1, 2, 3}
+	model.SetDegenerateSlotHashes(true)
+	defer model.SetDegenerateSlotHashes(false)
+	verdict := func(workers int, store string) string {
+		t.Helper()
+		res, err := check.ExploreOpts(p, start, pids, 2, check.ExploreOptions{
+			Limits: check.ExploreLimits{MaxConfigs: 40001},
+			Engine: check.EngineOptions{StringKeys: true, Workers: workers, Store: store}})
+		if err != nil {
+			t.Fatalf("%s w%d: %v", store, workers, err)
+		}
+		return fmt.Sprintf("visited %d complete %t decided %v together %d violation %t",
+			res.Visited, res.Complete, res.DecidedValues, res.MaxDecidedTogether, res.AgreementViolation != nil)
+	}
+	want := verdict(1, check.StoreSpill)
+	if !strings.HasPrefix(want, "visited 40001 complete false") {
+		t.Fatalf("spill store: %s; the instance is not budget-bound", want)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		if got := verdict(workers, check.StoreMem); got != want {
+			t.Errorf("mem w%d: %s; the spill store: %s", workers, got, want)
+		}
+	}
+}
+
 // degenerateStuck derives from first principles what an obstruction check
 // under soloBound must report when fingerprints carry no information:
 // breadth-first by levels, the first level holding a process that does
