@@ -109,7 +109,11 @@ func (r *engineRun) expander(worker int) *expander {
 		// hashes the root before the reduction plan (refined against the
 		// root's slot hashes) exists.
 		x.sw = newSymWorker(r.plan, r.nObj)
-		x.hbuf = make([]uint64, r.nObj+r.nProc)
+		// plan writes hbuf for every successor, and the workers' buffers
+		// are allocated back to back: a cache line of padding on each side
+		// keeps them off each other's lines.
+		n := r.nObj + r.nProc
+		x.hbuf = make([]uint64, n+16)[8 : 8+n : 8+n]
 	}
 	return x
 }
