@@ -122,14 +122,9 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 	}
 
 	// growth is the admissions per node of the last level expanded, to
-	// judge whether the next can overshoot its cut; before any, a node's
-	// allowed pids bound it.
-	growth := 0.0
-	for _, ok := range run.allowed {
-		if ok {
-			growth++
-		}
-	}
+	// judge whether the next can overshoot its cut; before any, the
+	// process count bounds it (a node has a successor per process at most).
+	growth := float64(run.nProc)
 	bounded := run.link == nil && run.store.budget == 0
 
 	// A distributed peer enters every level in lockstep with its peers —
