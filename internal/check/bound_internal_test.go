@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -27,10 +28,10 @@ const (
 	boundKept    = 10144 // what its cut keeps
 )
 
-// levelNodes runs the engine at one worker over the bound instance and
-// returns the nodes taken while each level was expanded, by depth, and the
+// levelNodes runs the engine over the bound instance and returns the
+// nodes taken while each level was expanded, by depth, and the
 // fingerprints visited at each depth.
-func levelNodes(t *testing.T, limits ExploreLimits) (built map[int]int64, fps map[int][]uint64, stats RunStats) {
+func levelNodes(t *testing.T, limits ExploreLimits, workers int) (built map[int]int64, fps map[int][]uint64, stats RunStats) {
 	t.Helper()
 	p, c, pids := boundInstance()
 	var taken atomic.Int64
@@ -38,10 +39,13 @@ func levelNodes(t *testing.T, limits ExploreLimits) (built map[int]int64, fps ma
 	defer func() { nodeTakenHook = nil }()
 	built, fps = map[int]int64{}, map[int][]uint64{}
 	last := int64(0)
-	stats, err := RunFrontier(p, c, pids, limits, EngineOptions{Workers: 1, Progress: func(pr Progress) {
+	var mu sync.Mutex
+	stats, err := RunFrontier(p, c, pids, limits, EngineOptions{Workers: workers, Progress: func(pr Progress) {
 		now := taken.Load()
 		built[pr.Depth], last = now-last, now
 	}}, func(_ int, n *Node) error {
+		mu.Lock()
+		defer mu.Unlock()
 		fps[n.Depth] = append(fps[n.Depth], n.fp)
 		return nil
 	}, nil)
@@ -61,7 +65,7 @@ func levelNodes(t *testing.T, limits ExploreLimits) (built map[int]int64, fps ma
 // hashes, where every admission falls in one bucket, is checked in the
 // model package's TestDegenerateHashClosingLevel, which owns that seam.)
 func TestClosingLevelBuildsUnderBound(t *testing.T) {
-	built, fps, stats := levelNodes(t, ExploreLimits{MaxConfigs: boundBudget})
+	built, fps, stats := levelNodes(t, ExploreLimits{MaxConfigs: boundBudget}, 1)
 	if stats.Processed != boundBudget || stats.Complete || stats.Levels != boundClosing+2 {
 		t.Fatalf("visited %d over %d levels (complete %t), want %d over %d, incomplete",
 			stats.Processed, stats.Levels, stats.Complete, boundBudget, boundClosing+2)
@@ -76,7 +80,7 @@ func TestClosingLevelBuildsUnderBound(t *testing.T) {
 
 	// The kept level is the 10,144 smallest fingerprints of the whole
 	// level a run capped at its depth reaches.
-	_, whole, _ := levelNodes(t, ExploreLimits{MaxConfigs: 1 << 30, MaxDepth: boundClosing + 1})
+	_, whole, _ := levelNodes(t, ExploreLimits{MaxConfigs: 1 << 30, MaxDepth: boundClosing + 1}, 1)
 	all := slices.Clone(whole[boundClosing+1])
 	if len(all) != 31707 {
 		t.Fatalf("the untruncated level holds %d configurations, want 31,707", len(all))
@@ -143,20 +147,7 @@ func TestClosingLevelBuildsUnderBound(t *testing.T) {
 func TestBoundCutOnExactRemainder(t *testing.T) {
 	const throughLevel8 = 12809 // levels 0..8 of the bound instance
 	for _, workers := range []int{1, 2} {
-		p, c, pids := boundInstance()
-		var taken atomic.Int64
-		built := map[int]int64{}
-		last := int64(0)
-		nodeTakenHook = func() { taken.Add(1) }
-		stats, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: throughLevel8},
-			EngineOptions{Workers: workers, Progress: func(pr Progress) {
-				now := taken.Load()
-				built[pr.Depth], last = now-last, now
-			}}, func(int, *Node) error { return nil }, nil)
-		nodeTakenHook = nil
-		if err != nil {
-			t.Fatal(err)
-		}
+		built, _, stats := levelNodes(t, ExploreLimits{MaxConfigs: throughLevel8}, workers)
 		if stats.Processed != throughLevel8 || stats.Levels != 9 {
 			t.Fatalf("w%d: visited %d over %d levels, want %d over 9", workers, stats.Processed, stats.Levels, throughLevel8)
 		}
