@@ -320,10 +320,56 @@ type claimState struct {
 	// level a later, smaller claim took over; at the barrier it becomes
 	// settled, whose paths levelSource.take writes into the nodes before
 	// they are visited or expanded.
-	overrides, settled map[entry][]byte
+	overrides, settled pathTable
 	// depth is the best-known depth per state (async MaxDepth runs only); a
 	// strictly smaller duplicate re-enqueues the state as a deepen item.
 	depth map[uint64]int
+}
+
+// pathTable maps entries to root-to-node paths the way pending does: by
+// fingerprint, with the key checked byte for byte, and an exact map only
+// for an entry whose fingerprint a different key already holds. A lookup
+// hashes 8 bytes, not a whole exact key.
+type pathTable struct {
+	byFP  map[uint64]keyedPath
+	exact map[string][]byte
+}
+
+type keyedPath struct {
+	key  string
+	path []byte
+}
+
+func newPathTable() pathTable {
+	return pathTable{byFP: map[uint64]keyedPath{}, exact: map[string][]byte{}}
+}
+
+// set records path+pid as the path of (fp, key), reusing the buffer of
+// the path it replaces.
+func (t *pathTable) set(fp uint64, key string, path []byte, pid byte) {
+	if p, ok := t.byFP[fp]; !ok || p.key == key {
+		p.key, p.path = key, append(append(p.path[:0], path...), pid)
+		t.byFP[fp] = p
+		return
+	}
+	t.exact[key] = append(append(t.exact[key][:0], path...), pid)
+}
+
+// get returns the path of (fp, key), if it has one.
+func (t *pathTable) get(fp uint64, key string) ([]byte, bool) {
+	p, ok := t.byFP[fp]
+	if !ok || p.key == key {
+		return p.path, ok
+	}
+	path, ok := t.exact[key]
+	return path, ok
+}
+
+func (t *pathTable) len() int { return len(t.byFP) + len(t.exact) }
+
+func (t *pathTable) clear() {
+	clear(t.byFP)
+	clear(t.exact)
 }
 
 // claimant is the claim a provenance run credits an admission to: the
@@ -629,7 +675,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	if opts.Provenance {
 		cl := &run.claims
 		cl.pending, cl.pendingExact = map[uint64]claimant{}, map[string]claimant{}
-		cl.overrides, cl.settled = map[entry][]byte{}, map[entry][]byte{}
+		cl.overrides, cl.settled = newPathTable(), newPathTable()
 	}
 	if asyncOn && limits.MaxDepth > 0 {
 		run.claims.depth = map[uint64]int{}

@@ -12,8 +12,10 @@ import (
 // An entry is a fingerprint plus, under exact keys, the full encoding key.
 // A keyedSet is a resident table of entries — the store's visited set
 // (its delta since the last spill, under a budget) and its per-level drop
-// set — and the only code that knows whether such a table is a fingerprint set or an
-// exact-key map. An entry stream is the artifact payload both the spill
+// set — and the only code that knows whether such a table is a
+// fingerprint set (fpSet) or an exact-key table (keyTable, keytable.go:
+// probed by fingerprint, decided by key bytes, keys in an append-only
+// arena). An entry stream is the artifact payload both the spill
 // store's sorted runs and a checkpoint's visited deltas are written in:
 //
 //	fp (8B LE) | uvarint klen | key bytes      (klen 0 outside exact-key runs)
@@ -67,24 +69,29 @@ func (l *entryList) key(i int) string {
 // at is the i-th entry.
 func (l *entryList) at(i int) entry { return entry{l.fps[i], l.key(i)} }
 
-// mapEntryOverhead is the per-entry bookkeeping estimate (header, bucket
-// slot, string header) added to key bytes in resident-memory accounting.
+// mapEntryOverhead is the per-entry bookkeeping an exact-key entry is
+// charged, on top of its key bytes, in resident-memory accounting
+// (keyedSet.bytes: the spill trigger, peak_resident_bytes). It is an
+// accounting constant, kept at what a Go map entry with its string header
+// cost so that budgets cut where they always did, not the keyTable's
+// cost: a slot is 16 bytes at 35-70% load plus a key's 1-2 length bytes.
 const mapEntryOverhead = 48
 
-// keyedSet is a set of entries under one keying, fixed at creation. Like
-// the fpSet it wraps it is not safe for concurrent use (the engine claims
-// under its claim lock); has alone may run concurrently, with itself.
+// keyedSet is a set of entries under one keying, fixed at creation: a
+// fingerprint table (fpSet) or an exact-key table (keyTable). Like those
+// it is not safe for concurrent use (the engine claims under its claim
+// lock); has alone may run concurrently, with itself.
 type keyedSet struct {
 	fps *fpSet
-	// keys maps exact key -> fingerprint (run entries, snapshots and the
-	// truncation order need both); nil under fingerprint keying.
-	keys     map[string]uint64
+	// keys holds (fingerprint, key) entries (run entries, snapshots and
+	// the truncation order need both); nil under fingerprint keying.
+	keys     *keyTable
 	keyBytes int64
 }
 
 func newKeyedSet(exact bool) keyedSet {
 	if exact {
-		return keyedSet{keys: map[string]uint64{}}
+		return keyedSet{keys: newKeyTable()}
 	}
 	return keyedSet{fps: newFpSet(1024)}
 }
@@ -94,38 +101,33 @@ func (s *keyedSet) add(fp uint64, key string) bool {
 	if s.keys == nil {
 		return s.fps.Add(fp)
 	}
-	if _, dup := s.keys[key]; dup {
-		return false
-	}
-	s.keys[key] = fp
-	s.keyBytes += int64(len(key)) + mapEntryOverhead
-	return true
+	_, added := s.claim(fp, keyView(key))
+	return added
 }
 
-// claim is add for a key still in scratch: it becomes a string, the one
-// the set keeps and returns, only if the entry was absent.
+// claim is add for a key still in scratch: the set copies it only if the
+// entry was absent, and stored, the copy it keeps, is the string the
+// admitted node shares (it aliases the table's arena; see keyTable).
 func (s *keyedSet) claim(fp uint64, key []byte) (stored string, added bool) {
 	if s.keys == nil {
 		return "", s.fps.Add(fp)
 	}
-	if _, dup := s.keys[string(key)]; dup {
-		return "", false
+	if stored, added = s.keys.claim(fp, key); added {
+		s.keyBytes += int64(len(key)) + mapEntryOverhead
 	}
-	stored = string(key)
-	s.keys[stored] = fp
-	s.keyBytes += int64(len(stored)) + mapEntryOverhead
-	return stored, true
+	return stored, added
 }
 
 func (s *keyedSet) has(fp uint64, key string) bool {
 	if s.keys == nil {
 		return s.fps.Has(fp)
 	}
-	_, ok := s.keys[key]
-	return ok
+	return s.keys.has(fp, key)
 }
 
-// bytes is the table's resident footprint.
+// bytes is the table's resident footprint as accounted: 8 bytes a slot
+// under fingerprint keys, key bytes plus mapEntryOverhead an entry under
+// exact keys.
 func (s *keyedSet) bytes() int64 {
 	if s.keys == nil {
 		return int64(len(s.fps.slots)) * 8
@@ -135,11 +137,18 @@ func (s *keyedSet) bytes() int64 {
 
 // reserve readies the set for a bulk load of up to n more entries
 // (fpSet.reserve says why a load must) and returns how many it is ready
-// for: all n, or with a budget > 0 what fills, to the growth bound of 70%,
-// the largest fingerprint table budget bytes hold. Exact keys vary in
-// length, so a key map is bounded by watching bytes instead.
+// for: all n, or with a budget > 0 no more than the budget can take. For
+// a fingerprint table that is what fills, to the growth bound of 70%, the
+// largest table budget bytes hold. An exact entry is charged at least
+// mapEntryOverhead+1 bytes, so bytes passes the budget by the
+// budget/mapEntryOverhead+1-th: the slots are sized for no more, and the
+// caller's watch on bytes stops the load first.
 func (s *keyedSet) reserve(n int, budget int64) int {
 	if s.keys != nil {
+		if budget > 0 {
+			n = min(n, int(budget/mapEntryOverhead)+1)
+		}
+		s.keys.reserve(n)
 		return n
 	}
 	if budget > 0 {
@@ -159,12 +168,7 @@ func (s *keyedSet) forEach(fn func(fp uint64, key string) error) error {
 	if s.keys == nil {
 		return s.fps.forEach(func(fp uint64) error { return fn(fp, "") })
 	}
-	for k, fp := range s.keys {
-		if err := fn(fp, k); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.keys.forEach(fn)
 }
 
 // len is the number of entries in the set.
@@ -172,13 +176,14 @@ func (s *keyedSet) len() int {
 	if s.keys == nil {
 		return s.fps.Len()
 	}
-	return len(s.keys)
+	return s.keys.len()
 }
 
 // drainSorted empties the set and calls fn on what it held in entry order
 // (entryCompare), stopping at fn's first error. A fingerprint table is
 // sorted where it lies (fpSet.drainSorted); only exact-key entries are
-// gathered and compared as (fingerprint, key) pairs.
+// gathered and compared as (fingerprint, key) pairs. The set starts over
+// on a new table, whose arena shares nothing with the drained one.
 func (s *keyedSet) drainSorted(fn func(fp uint64, key string) error) error {
 	exact := s.keys != nil
 	defer func() { *s = newKeyedSet(exact) }()
@@ -190,10 +195,7 @@ func (s *keyedSet) drainSorted(fn func(fp uint64, key string) error) error {
 		}
 		return nil
 	}
-	entries := make([]entry, 0, len(s.keys))
-	for k, fp := range s.keys {
-		entries = append(entries, entry{fp, k})
-	}
+	entries := s.keys.entries()
 	slices.SortFunc(entries, entryCompare)
 	for _, e := range entries {
 		if err := fn(e.fp, e.key); err != nil {

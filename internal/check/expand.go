@@ -349,8 +349,7 @@ func (x *expander) reclaim(c *cand, key []byte) {
 	} else {
 		cl.pending[c.fp] = prev
 	}
-	e := entry{c.fp, prev.key}
-	cl.overrides[e] = append(append(cl.overrides[e][:0], a.path...), byte(c.pid))
+	cl.overrides.set(c.fp, prev.key, a.path, byte(c.pid))
 }
 
 // build writes candidate c's successor into n: the copy-on-write step from

@@ -193,7 +193,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		clear(cl.pending)
 		clear(cl.pendingExact)
 		cl.settled, cl.overrides = cl.overrides, cl.settled
-		clear(cl.overrides)
+		cl.overrides.clear()
 		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
 
 		// The budget cut keeps at most maxNext survivors, chosen by sorted
@@ -290,9 +290,9 @@ type levelSource struct {
 
 func (l levelSource) take(w int, buf []*Node) int {
 	m := l.Next(w, buf)
-	if settled := l.run.claims.settled; len(settled) > 0 {
+	if settled := &l.run.claims.settled; settled.len() > 0 {
 		for _, n := range buf[:m] {
-			if path, ok := settled[entry{n.fp, n.key}]; ok {
+			if path, ok := settled.get(n.fp, n.key); ok {
 				n.path = append(n.path[:0], path...)
 				n.Pid = int(path[len(path)-1])
 			}

@@ -328,7 +328,9 @@ func (s *spillStore) CutLevel(maxNext int) (LevelResult, error) {
 	// the reported peak (it is resident memory) but not toward the spill
 	// trigger: spilling cannot shrink a filter, so triggering on its
 	// constant footprint would only force a futile delta flush at every
-	// subsequent barrier.
+	// subsequent barrier. The level's keys are cleared, not just cut: a
+	// stale one would keep a spilled delta's arena chunk alive.
+	clear(s.level.keys)
 	s.level.fps, s.level.keys = s.level.fps[:0], s.level.keys[:0]
 	s.suspects, s.dead = s.suspects[:0], s.dead[:0]
 	s.foldPeak()

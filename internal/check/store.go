@@ -12,7 +12,8 @@ import (
 // next level's nodes). How far it leaves RAM is set by its byte budget:
 //
 //   - Without one (Store "" or "mem") it is an open-addressing fingerprint
-//     table (or exact-key map) and per-worker node slices: a claim is one
+//     table (under exact keys, one probed by fingerprint whose keys live in
+//     an arena) and per-worker node slices: a claim is one
 //     table probe, a queued node one append, and a barrier concatenates the
 //     slices and cuts them back to the budget (kthEntry), keeping the
 //     survivors in admission order. It touches no disk.
