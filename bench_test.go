@@ -610,6 +610,36 @@ func BenchmarkExploreEngineMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreSym is the symmetry quotient's hot path, the one the
+// explore-reduce workload times at n=7: an exhaustive toy-bit race at
+// n=6 with alternating inputs, explored under -reduce sym at two workers.
+// Every successor's fingerprint is orbit-canonical; pruned/state is how
+// many of its classes were out of order, per visited state.
+func BenchmarkExploreSym(b *testing.B) {
+	p, err := baseline.NewToyBitRace(6, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := model.MustNewConfig(p, []int{0, 1, 0, 1, 0, 1})
+	opts := check.ExploreOptions{
+		Limits: check.ExploreLimits{MaxConfigs: 100_000_000},
+		Engine: check.EngineOptions{Workers: 2, Reduction: check.ReduceSym},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *check.ExploreResult
+	for i := 0; i < b.N; i++ {
+		if res, err = check.ExploreOpts(p, c, []int{0, 1, 2, 3, 4, 5}, 0, opts); err != nil {
+			b.Fatal(err)
+		}
+		if !res.Complete {
+			b.Fatalf("incomplete after %d configurations", res.Visited)
+		}
+	}
+	b.ReportMetric(float64(res.Visited), "configs")
+	b.ReportMetric(float64(res.Reduction.StatesPruned)/float64(res.Visited), "pruned/state")
+}
+
 // BenchmarkExploreColdCell is a cache-missing mcheckd request on the
 // path the serve-mix workload's cold requests take: one sweep cell of the
 // `explore` row at n=4 k=2 under a budget of 40,001 configurations, whose

@@ -221,8 +221,7 @@ func run(args []string, out io.Writer) error {
 			res.Store.PrefilterHits)
 	}
 	if res.Reduction.Reduce != "" {
-		fmt.Fprintf(prose, "reduction: %s — %d states pruned (%d orbit-memo hits)\n",
-			res.Reduction.Reduce, res.Reduction.StatesPruned, res.Reduction.OrbitHits)
+		fmt.Fprintf(prose, "reduction: %s — %d states pruned\n", res.Reduction.Reduce, res.Reduction.StatesPruned)
 	}
 	if res.Async.Order == check.OrderAsync {
 		fmt.Fprintf(prose, "order: async — %d steals, %d quiescence scans\n",

@@ -18,8 +18,8 @@
 // the cell's JSONL record carries the spill statistics (bytes_spilled,
 // runs_written, runs_merged, peak_resident_bytes, prefilter_hits).
 // Results are identical across stores. -reduce selects the state-space
-// reduction for the exploration rows (records carry reduce,
-// states_pruned, orbit_hits; "sym+sleep" is a deprecated synonym of
+// reduction for the exploration rows (records carry reduce and
+// states_pruned; "sym+sleep" is a deprecated synonym of
 // "sym"); certificate searches always
 // run unreduced, and reduced exploration legitimately visits fewer
 // states. -order selects the exploration order for the exploration rows

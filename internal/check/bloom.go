@@ -1,6 +1,10 @@
 package check
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/model"
+)
 
 // bloomFilter is the spill store's in-memory prefilter over spilled
 // fingerprints: a fixed-size blocked Bloom filter the store fills as its
@@ -43,12 +47,12 @@ func newBloomFilter(capacity int64) *bloomFilter {
 }
 
 // probes derives the filter's four bit indices from a fingerprint: two
-// independent halves of a splitmix64 remix (reduce.go's mix2) drive
+// independent halves of a splitmix64 remix (model.Mix64) drive
 // double hashing. The fingerprints are already well-mixed 64-bit hashes,
 // but remixing keeps the filter honest even for adversarially aligned
 // inputs.
 func (b *bloomFilter) probes(fp uint64) (h1, h2 uint64) {
-	x := mix2(fp ^ 0x9E3779B97F4A7C15)
+	x := model.Mix64(fp ^ 0x9E3779B97F4A7C15)
 	return x, x>>32 | x<<32 | 1 // odd step so double hashing cycles all bits
 }
 

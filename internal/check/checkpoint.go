@@ -69,6 +69,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/fault"
+	"repro/internal/model"
 )
 
 // ckptProfile pins the run parameters a checkpoint is only valid for.
@@ -114,10 +115,13 @@ type ckptManifest struct {
 }
 
 // ckptManifestVersion is the layout the manifest and its artifacts are
-// in: 3 since the manifest's aux became a ClassRecord, whose decided
-// values keep their witnesses. A manifest of another version is
-// quarantined like a corrupt one, and the run starts over.
-const ckptManifestVersion = 3
+// in: 4 since a symmetry-quotiented run's fingerprints are class-sum
+// hashes (model.Config.CanonicalSlotFingerprint), so its visited deltas,
+// class record and frontier sum differ from version 3's (3: the manifest's
+// aux became a ClassRecord, whose decided values keep their witnesses). A
+// manifest of another version is quarantined like a corrupt one, and the
+// run starts over.
+const ckptManifestVersion = 4
 
 func ckptManifestPath(dir string) string { return filepath.Join(dir, "MANIFEST.json") }
 
@@ -134,7 +138,7 @@ func frontierMix(n *Node) uint64 {
 	for i := 0; i < len(n.key); i++ {
 		h = (h ^ uint64(n.key[i])) * 1099511628211
 	}
-	return mix2(h)
+	return model.Mix64(h)
 }
 
 // ckptLoaded is a fully-read and checksum-verified checkpoint, ready for

@@ -437,12 +437,14 @@ func TestCheckpointProfileMismatch(t *testing.T) {
 
 // TestCheckpointEarlierLayoutRestartsFresh: a manifest of an earlier
 // layout version is not resumed: version 1 (a whole visited snapshot per
-// generation, a reserved word per frontier record) or version 2 (an aux
-// whose decided values had no witnesses). It is quarantined like a corrupt
-// one and the run starts over to the clean verdict, however the earlier
-// build wrote its profile: with "canonical":false from before the
-// Canonical hook was removed, or with "sleep=true" in a sym+sleep run's
-// reduction from before sleep sets were deleted.
+// generation, a reserved word per frontier record), version 2 (an aux
+// whose decided values had no witnesses) or version 3 (a sym run's
+// fingerprints sorted class hashes, so its frontier would replay to
+// another sum). It is quarantined like a corrupt one and the run starts
+// over to the clean verdict, however the earlier build wrote its profile:
+// with "canonical":false from before the Canonical hook was removed, or
+// with "sleep=true" in a sym+sleep run's reduction from before sleep sets
+// were deleted.
 func TestCheckpointEarlierLayoutRestartsFresh(t *testing.T) {
 	for _, tc := range []struct {
 		name, reduce, old, earlier string
@@ -451,6 +453,7 @@ func TestCheckpointEarlierLayoutRestartsFresh(t *testing.T) {
 		{"canonical", "", `"max_configs":`, `"canonical":false,"max_configs":`, 1},
 		{"sym+sleep", check.ReduceSym, `sym=true`, `sym=true,sleep=true`, 1},
 		{"layout-2", "", "", "", 2},
+		{"layout-3", check.ReduceSym, "", "", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) { restartEarlierLayout(t, tc.reduce, tc.old, tc.earlier, tc.version) })
 	}
@@ -490,7 +493,7 @@ func restartEarlierLayout(t *testing.T, reduce, old, earlier string, version int
 	}
 	raw = bytes.Replace(raw, []byte(old), []byte(earlier), 1)
 	was := fmt.Sprintf(`"version":%d`, version)
-	raw = bytes.Replace(raw, []byte(`"version":3`), []byte(was), 1)
+	raw = bytes.Replace(raw, []byte(`"version":4`), []byte(was), 1)
 	i := bytes.LastIndex(raw, []byte(`"sum":`))
 	if i < 0 || !bytes.Contains(raw, []byte(earlier)) || !bytes.Contains(raw, []byte(was)) {
 		t.Fatalf("manifest layout changed: %s", raw)

@@ -405,14 +405,15 @@ type engineRun struct {
 	// remat what rebuilds the nodes of the records it delivers.
 	link  DistLink
 	remat *rematerialiser
-	// plan is the refined symmetry plan (nil or inactive: no quotient).
-	plan      *reductionPlan
-	expanders []*expander
-	store     *spillStore
-	claims    claimState
-	nodes     []nodeSupply // per worker
-	bound     levelBound
-	asyncOn   bool
+	// symClasses are the symmetry classes the run refined (none: the
+	// quotient is inactive).
+	symClasses [][]int
+	expanders  []*expander
+	store      *spillStore
+	claims     claimState
+	nodes      []nodeSupply // per worker
+	bound      levelBound
+	asyncOn    bool
 
 	admitted  atomic.Int64
 	closed    atomic.Bool // no further admissions (budget exhausted)
@@ -711,7 +712,6 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		for _, x := range run.expanders {
 			if x != nil && x.sw != nil {
 				rstats.Reduction.StatesPruned += x.sw.statesPruned
-				rstats.Reduction.OrbitHits += x.sw.orbitHits
 			}
 		}
 		if run.link != nil {
@@ -724,7 +724,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	// between hashing the root and keying it.
 	root := run.rootNode(0, run.expander(0).st)
 	if symOn {
-		run.plan = planReduction(p, run.allowed, nObj, root.slotH)
+		run.symClasses = planReduction(p, run.allowed, nObj, root.slotH)
 	}
 	run.expander(0).key(root)
 

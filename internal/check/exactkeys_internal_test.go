@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -114,5 +117,77 @@ func TestExactKeysSplicedFromParents(t *testing.T) {
 	}
 	if replayed == 0 {
 		t.Error("no kill landed mid-run: checkpoint replay went unchecked")
+	}
+}
+
+// TestKthEntryMatchesSort: the budget cut's entry, found by sorting
+// fingerprints and comparing keys only among the entries tied at the k-th
+// one, is the k-th of a full (fingerprint, key) sort, for every k — with
+// most keys forced onto a few shared fingerprints, fingerprint 0 among
+// them, and the rest on fingerprints of their own. Under fingerprint keys
+// the entries have no keys and distinct fingerprints. Past radixMin, where
+// every cut pays four histograms, k strides through the range instead.
+func TestKthEntryMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{1, 2, 7, 300, 1500, radixMin + 500} {
+		ks := func(m int) iter.Seq[int] {
+			return func(yield func(int) bool) {
+				stride := 1
+				if m > radixMin {
+					stride = 97
+				}
+				for k := 0; k < m; k += stride {
+					if !yield(k) {
+						return
+					}
+				}
+				if m > 0 {
+					yield(m - 1)
+				}
+			}
+		}
+		var es []entry
+		seen := map[uint64]bool{}
+		for i := 0; i < n; i++ {
+			fp := uint64(rng.Intn(4))
+			if rng.Intn(3) == 0 {
+				fp = rng.Uint64()
+			}
+			es = append(es, entry{fp, fmt.Sprintf("key-%d-%d", rng.Intn(1000), i)})
+			seen[fp] = true
+		}
+		all := func(yield func(entry) bool) {
+			for _, e := range es {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+		want := slices.Clone(es)
+		slices.SortFunc(want, entryCompare)
+		for k := range ks(len(want)) {
+			if got := kthEntry(true, n, k, all); got != want[k] {
+				t.Fatalf("n=%d exact k=%d: got %+v, want %+v", n, k, got, want[k])
+			}
+		}
+
+		fps := make([]entry, 0, len(seen))
+		for fp := range seen {
+			fps = append(fps, entry{fp: fp})
+		}
+		allFPs := func(yield func(entry) bool) {
+			for _, e := range fps {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+		want = slices.Clone(fps)
+		slices.SortFunc(want, entryCompare)
+		for k := range ks(len(want)) {
+			if got := kthEntry(false, len(fps), k, allFPs); got != want[k] {
+				t.Fatalf("n=%d fingerprint k=%d: got %+v, want %+v", n, k, got, want[k])
+			}
+		}
 	}
 }

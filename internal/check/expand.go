@@ -57,13 +57,12 @@ type cand struct {
 
 // expander is one worker's expansion state. Like the stepper it wraps,
 // an instance serves one goroutine; it persists across levels so the
-// intern arena, transition memos, orbit memo and chunk scratch stay warm.
+// intern arena, transition memos and chunk scratch stay warm.
 type expander struct {
 	run    *engineRun
 	worker int
 	st     *model.Stepper
 	sw     *symWorker // nil unless the symmetry quotient is active
-	hbuf   []uint64   // the planned node's slot hashes, patched per successor (sym only)
 	enc    []byte     // encoding scratch (exact keys)
 	// penc is the node under expansion's exact key split at its slots
 	// (exact-key runs only). It is rebuilt by one scan per expanded node
@@ -104,16 +103,11 @@ func (r *engineRun) expander(worker int) *expander {
 		}
 		r.expanders[worker] = x
 	}
-	if x.sw == nil && r.plan.active() {
+	if x.sw == nil && len(r.symClasses) > 0 {
 		// Checked on every call, not only at creation: worker 0's expander
 		// hashes the root before the reduction plan (refined against the
 		// root's slot hashes) exists.
-		x.sw = newSymWorker(r.plan, r.nObj)
-		// plan writes hbuf for every successor, and the workers' buffers
-		// are allocated back to back: a cache line of padding on each side
-		// keeps them off each other's lines.
-		n := r.nObj + r.nProc
-		x.hbuf = make([]uint64, n+16)[8 : 8+n : 8+n]
+		x.sw = newSymWorker(r.symClasses, r.nObj, r.nProc)
 	}
 	return x
 }
@@ -131,7 +125,9 @@ func (x *expander) key(n *Node) {
 		x.enc = n.Cfg.AppendEncoding(x.enc[:0])
 		n.key = string(x.enc)
 	case x.sw != nil:
-		n.fp = x.sw.canonFP(n.slotFP, n.slotH)
+		x.sw.load(n.slotFP, n.slotH)
+		x.sw.statesPruned += x.sw.unsorted
+		n.fp = x.sw.fp
 	}
 }
 
@@ -173,7 +169,7 @@ func (x *expander) plan(n *Node) error {
 		penc = &x.penc
 	}
 	if x.sw != nil {
-		copy(x.hbuf, n.slotH)
+		x.sw.load(n.slotFP, n.slotH)
 	}
 	for pid := 0; pid < r.nProc; pid++ {
 		if !r.allowed[pid] {
@@ -196,11 +192,7 @@ func (x *expander) plan(n *Node) error {
 			x.keys = x.st.AppendKey(x.keys, penc, pid, &c.step)
 			c.keyLen = int32(len(x.keys)) - c.keyOff
 		case x.sw != nil:
-			// The successor's slot hashes are the parent's with the two
-			// touched ones replaced; patch them in, canonicalise, restore.
-			obj := x.st.PatchHashes(x.hbuf, pid, &c.step)
-			c.fp = x.sw.canonFP(c.fp, x.hbuf)
-			x.hbuf[obj], x.hbuf[r.nObj+pid] = n.slotH[obj], n.slotH[r.nObj+pid]
+			c.fp = x.sw.successor(pid, &c.step)
 		}
 		if r.link != nil && !r.link.Owns(c.fp) {
 			// The owning peer claims it exactly as a local partition would.

@@ -358,8 +358,10 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 		NProc:      run.nProc,
 		StartFP:    startFP,
 		StringKeys: run.opts.StringKeys,
-		// plan is non-nil exactly when a symmetry reduction was requested.
-		Reduction:  fmt.Sprintf("sym=%t", run.plan != nil),
+		// Whether the quotient is active, not whether it was asked for: a
+		// run whose refinement dissolved every class visits what an
+		// unreduced one does.
+		Reduction:  fmt.Sprintf("sym=%t", len(run.symClasses) > 0),
 		MaxConfigs: run.limits.MaxConfigs,
 		MaxDepth:   run.limits.MaxDepth,
 	}

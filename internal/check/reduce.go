@@ -14,18 +14,20 @@ import (
 //
 // Protocols that declare process symmetry (model.ProcessSymmetric) are
 // explored one orbit representative at a time: a successor's dedup
-// fingerprint is the orbit-canonical fingerprint — class state-slot hashes
-// sorted before position mixing — so all pid-permuted variants of a
-// configuration collapse into one visited entry. The canonical fingerprint
-// is assembled from the per-slot content hashes ApplyCOW already
-// maintains, not from a re-encoding: removing a class's raw contribution
-// and adding its sorted contribution is a handful of XORs, and an
-// orbit-memo table keyed by the class's hash multiset answers repeated
-// orbits in O(class) with no sort. Soundness is the protocol's declaration
-// (see model.ProcessSymmetric); classes are refined against the start
-// configuration and the explored pid set, so only processes that are
-// genuinely interchangeable *in this run* are quotiented. Protocols
-// declaring no symmetry run unreduced (states_pruned stays 0).
+// fingerprint is the orbit-canonical fingerprint
+// (model.Config.CanonicalSlotFingerprint), in which each class's state
+// slots contribute one term of the wrapping sum of their hashes instead of
+// one term per position, so all pid-permuted variants of a configuration
+// collapse into one visited entry. Nothing is re-encoded or sorted: an
+// expanded node's class sums and terms are computed once from the slot
+// hashes ApplyCOW already maintains, and since a step changes only the
+// actor's state slot, each successor's fingerprint is its parent's with
+// the actor's share of one class sum swapped — O(1) per successor.
+// Soundness is the protocol's declaration (see model.ProcessSymmetric);
+// classes are refined against the start configuration and the explored
+// pid set, so only processes that are genuinely interchangeable *in this
+// run* are quotiented. Protocols declaring no symmetry run unreduced
+// (states_pruned stays 0).
 //
 // The quotient is one of *reachability*, not of schedules: it is sound
 // for the questions Explore and CheckObstructionFree answer
@@ -69,8 +71,11 @@ type ReductionStats struct {
 	// symmetric instance explored with "sym"
 	// must show a nonzero count; an asymmetric one legitimately shows 0.
 	StatesPruned int64 `json:"states_pruned,omitempty"`
-	// OrbitHits counts orbit-memo hits: canonicalizations answered from
-	// the memo without sorting.
+	// OrbitHits is always 0.
+	//
+	// Deprecated: the orbit memo is gone (canonical fingerprints are
+	// updated per successor in O(1)); the field stays for callers that
+	// still read it.
 	OrbitHits int64 `json:"orbit_hits,omitempty"`
 	// SleepSkipped is always 0.
 	//
@@ -84,7 +89,6 @@ type ReductionStats struct {
 func (s *ReductionStats) add(o ReductionStats) {
 	s.Reduce = o.Reduce
 	s.StatesPruned += o.StatesPruned
-	s.OrbitHits += o.OrbitHits
 }
 
 // parseReduction validates a Reduction mode string.
@@ -99,24 +103,17 @@ func parseReduction(mode string) (sym bool, err error) {
 	}
 }
 
-// reductionPlan is the per-run reduction configuration shared by all
-// workers: the refined symmetry classes (possibly none).
-type reductionPlan struct {
-	// classes are the refined symmetry classes: each is an ascending
-	// slice of pids, length >= 2. Empty means the quotient is inactive
-	// (no declaration, or refinement dissolved every class).
-	classes [][]int
-}
-
 // planReduction refines the protocol's declared symmetry classes against
 // the run: a class member survives only if it is explored (in allowed)
 // and shares its initial state slot hash with the rest of its subclass —
 // permuting processes with different initial states would relate this
 // run's space to a different run's, and permuting an explored process
 // with a quiesced one would not preserve the schedule restriction.
-// Classes that refine below two members are dropped.
-func planReduction(p model.Protocol, allowed []bool, nObj int, rootH []uint64) *reductionPlan {
-	plan := &reductionPlan{}
+// Classes that refine below two members are dropped. Each class returned
+// is an ascending slice of pids; none means the quotient is inactive (no
+// declaration, or refinement dissolved every class).
+func planReduction(p model.Protocol, allowed []bool, nObj int, rootH []uint64) [][]int {
+	var classes [][]int
 	for _, class := range model.SymmetryClasses(p) {
 		byInit := map[uint64][]int{}
 		for _, pid := range class {
@@ -131,107 +128,119 @@ func planReduction(p model.Protocol, allowed []bool, nObj int, rootH []uint64) *
 				continue
 			}
 			sort.Ints(sub)
-			plan.classes = append(plan.classes, sub)
+			classes = append(classes, sub)
 		}
 	}
 	// Deterministic class order (map iteration above is not): sort by
-	// first member. Orbit keys are salted by class index, so the order
+	// first member. Class terms are salted by class index, so the order
 	// must be a pure function of the run.
-	sort.Slice(plan.classes, func(i, j int) bool { return plan.classes[i][0] < plan.classes[j][0] })
-	return plan
+	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
+	return classes
 }
-
-// active reports whether the symmetry quotient does anything.
-func (r *reductionPlan) active() bool { return r != nil && len(r.classes) > 0 }
 
 // symWorker is one worker's incremental canonicalizer. Like the
-// steppers, one instance serves one goroutine; the orbit memo and the
-// counters are touched without locking and the counters are summed after
-// the run.
+// steppers, one instance serves one goroutine; nothing in it is locked, and
+// the counter is summed after the run.
 type symWorker struct {
-	plan    *reductionPlan
+	classes [][]int
 	nObj    int
-	memo    map[uint64]uint64 // orbit key -> canonical class contribution
-	scratch []uint64
+	// slots holds, per pid, what load derived from the planned node for
+	// the successors pid's steps lead to.
+	slots []symSlot
+	// fp is the planned node's canonical fingerprint, unsorted the number
+	// of its classes whose hashes are not ascending.
+	fp       uint64
+	unsorted int64
 
 	statesPruned int64
-	orbitHits    int64
+	_            [48]byte // 128 bytes: two cache lines no other worker's data shares
 }
 
-func newSymWorker(plan *reductionPlan, nObj int) *symWorker {
-	return &symWorker{plan: plan, nObj: nObj, memo: make(map[uint64]uint64, 1024)}
+// symSlot is one pid's share of the planned node's canonical fingerprint,
+// as load sets it for a pid in class ci:
+//   - class is ci+1 (0, the zero value, for a pid outside every class,
+//     which load never touches);
+//   - desc counts the class's descents (a member hash below its
+//     predecessor's) that do not involve the pid, and own is 1 when the
+//     class has any descent at all;
+//   - base is the class's term XOR the pid's positional slot contribution,
+//     what turns the node's canonical fingerprint into the plain form a
+//     step's delta applies to, and sum is the class sum without the pid's
+//     share;
+//   - prev and next are the hashes of the pid's neighbours in class order:
+//     0 before the first member, ^0 after the last.
+type symSlot struct {
+	class, desc, own      int32
+	base, sum, prev, next uint64
 }
 
-// mix2 is a splitmix64-style finalizer used to build order-invariant
-// orbit keys from slot hashes.
-func mix2(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+func newSymWorker(classes [][]int, nObj, nProc int) *symWorker {
+	// Two unused slots (96 bytes) on each side keep other workers' data
+	// off the slots' cache lines: load rewrites them for every node.
+	return &symWorker{classes: classes, nObj: nObj, slots: make([]symSlot, nProc+4)[2 : nProc+2 : nProc+2]}
 }
 
-// canonFP converts a successor's incremental slot fingerprint into its
-// orbit-canonical fingerprint using the per-slot content hashes. For
-// each refined class it removes the class's positional contribution and
-// adds the sorted (canonical) one. Configurations whose class hashes are
-// already ascending are their own representatives and cost one scan;
-// everything else is answered by the orbit memo (keyed by an
-// order-invariant hash of the class multiset) or, on a miss, by one
-// sort whose result is memoized.
-func (w *symWorker) canonFP(slotFP uint64, slotH []uint64) uint64 {
-	fp := slotFP
-	for ci, class := range w.plan.classes {
-		// Sortedness scan first — comparisons only. Already-ascending
-		// class hashes are the common case (the orbit's own
-		// representative), and it must stay as close to free as the
-		// unreduced path as possible; the orbit-key mixing below is paid
-		// only by non-canonical members.
-		sorted := true
-		prev := slotH[w.nObj+class[0]]
-		for _, pid := range class[1:] {
-			h := slotH[w.nObj+pid]
+// load computes, from scratch, the canonical fingerprint (fp) and the
+// unsorted classes (unsorted) of the node whose slot fingerprint and slot
+// hashes are slotFP and slotH, and sets every class member's slot for
+// successor: two passes over the class members, once per expanded node
+// (and for the root and a replayed node, which have no parent to step
+// from).
+func (w *symWorker) load(slotFP uint64, slotH []uint64) {
+	fp, unsorted := slotFP, int64(0)
+	for ci, class := range w.classes {
+		sum, desc, prev := uint64(0), int32(0), uint64(0)
+		for _, pid := range class {
+			h, sl := slotH[w.nObj+pid], &w.slots[pid]
+			sl.base, sl.sum, sl.prev = model.MixSlotHash(w.nObj+pid, h), model.Mix64(h), prev
 			if h < prev {
-				sorted = false
-				break
+				desc++
 			}
-			prev = h
+			fp, sum, prev = fp^sl.base, sum+sl.sum, h
 		}
-		if sorted {
-			// Identity orbit member: the positional contribution already
-			// is the canonical one.
-			continue
+		term, own := model.ClassTerm(ci, sum), min(desc, 1)
+		fp, unsorted = fp^term, unsorted+int64(own)
+		next := ^uint64(0)
+		for j := len(class) - 1; j >= 0; j-- {
+			h, sl := slotH[w.nObj+class[j]], &w.slots[class[j]]
+			sl.class, sl.own, sl.base, sl.sum, sl.desc = int32(ci)+1, own, sl.base^term, sum-sl.sum, desc
+			sl.next, next = next, h
+			if h < sl.prev {
+				sl.desc--
+			}
+			if sl.next < h {
+				sl.desc--
+			}
 		}
-		var sum, xor uint64
-		for _, pid := range class {
-			m := mix2(slotH[w.nObj+pid])
-			sum += m
-			xor ^= m
-		}
-		w.statesPruned++
-		// Remove the raw positional contribution of the class slots.
-		for _, pid := range class {
-			fp ^= model.MixSlotHash(w.nObj+pid, slotH[w.nObj+pid])
-		}
-		key := mix2(sum ^ mix2(xor) ^ uint64(ci)*0x9E3779B97F4A7C15)
-		if contrib, ok := w.memo[key]; ok {
-			w.orbitHits++
-			fp ^= contrib
-			continue
-		}
-		w.scratch = w.scratch[:0]
-		for _, pid := range class {
-			w.scratch = append(w.scratch, slotH[w.nObj+pid])
-		}
-		sort.Slice(w.scratch, func(i, j int) bool { return w.scratch[i] < w.scratch[j] })
-		var contrib uint64
-		for j, h := range w.scratch {
-			contrib ^= model.MixSlotHash(w.nObj+class[j], h)
-		}
-		w.memo[key] = contrib
-		fp ^= contrib
 	}
-	return fp
+	w.fp, w.unsorted = fp, unsorted
+}
+
+// successor returns the canonical fingerprint of the successor pid's
+// planned step s leads to from the node load last saw, and counts its
+// unsorted classes (StatesPruned). Only the actor's state slot changes
+// among the class slots, so it is the node's fingerprint with the actor's
+// share of its class sum swapped and the object slot's delta applied.
+func (w *symWorker) successor(pid int, s *model.Step) uint64 {
+	sl := &w.slots[pid]
+	if sl.class == 0 {
+		// Positional like the objects: the step's delta is all there is.
+		w.statesPruned += w.unsorted
+		return s.Fingerprint(w.fp)
+	}
+	// The class stays ascending when no other pair descends and h fits
+	// between its neighbours. Counting, not ||, keeps the comparisons of
+	// a hash with no order to predict free of branches.
+	h, desc, unsorted := s.StateHash(), sl.desc, w.unsorted-int64(sl.own)
+	if h < sl.prev {
+		desc++
+	}
+	if sl.next < h {
+		desc++
+	}
+	if desc > 0 {
+		unsorted++
+	}
+	w.statesPruned += unsorted
+	return s.Fingerprint(w.fp^sl.base) ^ model.MixSlotHash(w.nObj+pid, h) ^ model.ClassTerm(int(sl.class)-1, sl.sum+model.Mix64(h))
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline"
@@ -8,63 +9,94 @@ import (
 )
 
 // TestSymWorkerMatchesReference: the incremental canonical fingerprint
-// (slot-hash surgery + orbit memo) must equal the from-scratch reference
-// model.Config.CanonicalSlotFingerprint on every configuration of a
-// random walk — including repeated orbits, so the memo path is hit and
-// verified too.
+// (load once per node, successor per step) must equal the from-scratch
+// reference model.Config.CanonicalSlotFingerprint on every successor of
+// every node of an exhaustive toy-bit n=5 quotient run, and the pruning it
+// counts must be what load counts from scratch on each successor: the
+// number of classes whose hashes are not ascending. The cases cover two
+// classes, a pid left out of the explored set (outside every class and
+// never stepping), and an explored pid outside every class (a positional
+// actor).
 func TestSymWorkerMatchesReference(t *testing.T) {
-	p, err := baseline.NewToyBitRace(4, 2)
+	p, err := baseline.NewToyBitRace(5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := model.MustNewConfig(p, []int{0, 1, 0, 1})
-	st := model.NewStepper(p)
-	slots := st.Slots()
-	nObj := len(p.Objects())
+	for _, tc := range []struct {
+		name    string
+		inputs  []int
+		allowed []bool
+		classes [][]int
+	}{
+		{"two classes", []int{0, 1, 0, 1, 0}, []bool{true, true, true, true, true}, [][]int{{0, 2, 4}, {1, 3}}},
+		{"pid 4 unexplored", []int{0, 1, 0, 1, 0}, []bool{true, true, true, true, false}, [][]int{{0, 2}, {1, 3}}},
+		{"pid 4 positional", []int{0, 0, 0, 0, 1}, []bool{true, true, true, true, true}, [][]int{{0, 1, 2, 3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := model.NewStepper(p)
+			nObj, nProc := len(p.Objects()), p.NumProcesses()
+			c := model.MustNewConfig(p, tc.inputs)
+			slotH := make([]uint64, st.Slots())
+			slotFP := st.InitSlots(c, slotH)
+			classes := planReduction(p, tc.allowed, nObj, slotH)
+			if !reflect.DeepEqual(classes, tc.classes) {
+				t.Fatalf("classes = %v, want %v", classes, tc.classes)
+			}
+			sw, ref := newSymWorker(classes, nObj, nProc), newSymWorker(classes, nObj, nProc)
 
-	slotH := make([]uint64, slots)
-	fp := st.InitSlots(c, slotH)
-
-	allowed := []bool{true, true, true, true}
-	plan := planReduction(p, allowed, nObj, slotH)
-	if !plan.active() {
-		t.Fatal("no active symmetry classes on toybit")
-	}
-	// Mixed inputs refine the full class into {0,2} and {1,3}.
-	if len(plan.classes) != 2 {
-		t.Fatalf("classes = %v, want two refined two-process classes", plan.classes)
-	}
-	sw := newSymWorker(plan, nObj)
-
-	check := func(cfg *model.Config, slotFP uint64, h []uint64) {
-		t.Helper()
-		got := sw.canonFP(slotFP, h)
-		if want := cfg.CanonicalSlotFingerprint(plan.classes); got != want {
-			t.Fatalf("incremental canonical %#x != reference %#x for %s", got, want, cfg.Key())
-		}
-	}
-	check(c, fp, slotH)
-
-	dst := &model.Config{Objects: make([]model.Value, nObj), States: make([]model.State, 4)}
-	dstH := make([]uint64, slots)
-	// A pseudo-random but fixed schedule; revisited orbits exercise the
-	// memo-hit path against the reference.
-	schedule := []int{0, 1, 2, 3, 2, 0, 1, 3, 3, 2, 1, 0, 0, 2, 1, 3, 1, 1, 2, 2, 0, 3, 3, 0}
-	for _, pid := range schedule {
-		nfp, ok, err := st.ApplyCOW(c, fp, slotH, pid, dst, dstH)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			continue
-		}
-		c.CopyFrom(dst)
-		copy(slotH, dstH)
-		fp = nfp
-		check(c, fp, slotH)
-	}
-	if sw.orbitHits == 0 && sw.statesPruned > 0 {
-		t.Log("no orbit-memo hits on this schedule (all canonicalizations were sorts); lengthen the schedule if this persists")
+			type node struct {
+				cfg    *model.Config
+				slotFP uint64
+				slotH  []uint64
+			}
+			ref.load(slotFP, slotH)
+			seen := map[uint64]bool{ref.fp: true}
+			level := []node{{c, slotFP, slotH}}
+			successors := 0
+			for len(level) > 0 {
+				var next []node
+				for _, n := range level {
+					sw.load(n.slotFP, n.slotH)
+					for pid := 0; pid < nProc; pid++ {
+						if !tc.allowed[pid] {
+							continue
+						}
+						var s model.Step
+						ok, err := st.Plan(n.cfg, n.slotH, pid, nil, &s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							continue
+						}
+						pruned := sw.statesPruned
+						got := sw.successor(pid, &s)
+						pruned = sw.statesPruned - pruned
+						succ := &model.Config{Objects: make([]model.Value, nObj), States: make([]model.State, nProc)}
+						succH := make([]uint64, len(n.slotH))
+						st.Install(n.cfg, n.slotH, pid, &s, succ, succH)
+						succFP := s.Fingerprint(n.slotFP)
+						if want := succ.CanonicalSlotFingerprint(classes); got != want {
+							t.Fatalf("pid %d from %s: incremental canonical %#x != reference %#x", pid, n.cfg.Key(), got, want)
+						}
+						if ref.load(succFP, succH); ref.fp != got || ref.unsorted != pruned {
+							t.Fatalf("pid %d from %s: from scratch %#x with %d unsorted classes, incrementally %#x with %d",
+								pid, n.cfg.Key(), ref.fp, ref.unsorted, got, pruned)
+						}
+						successors++
+						if !seen[got] {
+							seen[got] = true
+							next = append(next, node{succ, succFP, succH})
+						}
+					}
+				}
+				level = next
+			}
+			if len(seen) < 1000 || sw.statesPruned == 0 {
+				t.Fatalf("%d orbits over %d successors, %d pruned: too small a run to show anything", len(seen), successors, sw.statesPruned)
+			}
+			t.Logf("%d orbits, %d successors checked, %d pruned", len(seen), successors, sw.statesPruned)
+		})
 	}
 }
 
@@ -82,25 +114,25 @@ func TestPlanReductionRefinement(t *testing.T) {
 	// Equal inputs: one class of all four.
 	c := model.MustNewConfig(p, []int{1, 1, 1, 1})
 	st.InitSlots(c, slotH)
-	plan := planReduction(p, []bool{true, true, true, true}, nObj, slotH)
-	if len(plan.classes) != 1 || len(plan.classes[0]) != 4 {
-		t.Errorf("equal inputs: classes = %v, want one class of 4", plan.classes)
+	classes := planReduction(p, []bool{true, true, true, true}, nObj, slotH)
+	if len(classes) != 1 || len(classes[0]) != 4 {
+		t.Errorf("equal inputs: classes = %v, want one class of 4", classes)
 	}
 
 	// Restricting the explored pids must split the class: permuting an
 	// explored process with a quiesced one is not an automorphism of the
 	// restricted schedule space.
-	plan = planReduction(p, []bool{true, true, true, false}, nObj, slotH)
-	if len(plan.classes) != 1 || len(plan.classes[0]) != 3 {
-		t.Errorf("restricted pids: classes = %v, want one class of 3", plan.classes)
+	classes = planReduction(p, []bool{true, true, true, false}, nObj, slotH)
+	if len(classes) != 1 || len(classes[0]) != 3 {
+		t.Errorf("restricted pids: classes = %v, want one class of 3", classes)
 	}
 
 	// Distinct inputs everywhere: nothing left to permute.
 	st2 := model.NewStepper(p)
 	c = model.MustNewConfig(p, []int{0, 1, 1, 1})
 	st2.InitSlots(c, slotH)
-	plan = planReduction(p, []bool{true, false, false, true}, nObj, slotH)
-	if plan.active() {
-		t.Errorf("no two explored processes share an initial state, yet classes = %v", plan.classes)
+	classes = planReduction(p, []bool{true, false, false, true}, nObj, slotH)
+	if len(classes) > 0 {
+		t.Errorf("no two explored processes share an initial state, yet classes = %v", classes)
 	}
 }

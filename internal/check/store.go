@@ -34,23 +34,29 @@ import (
 
 // kthEntry returns the k-th smallest (from 0) of the n entries all
 // yields, in entry order: the budget cut's last kept entry, for either
-// store. Under fingerprint keys it is the k-th of their fingerprints
-// sorted as integers (sortFingerprints); only exact keys sort entries.
+// store. It is the k-th of their fingerprints sorted as integers
+// (sortFingerprints); under exact keys, where entries may share a
+// fingerprint, all is ranged over a second time for the keys of the
+// entries tied at that fingerprint, and only those are compared.
 func kthEntry(stringKeys bool, n, k int, all iter.Seq[entry]) entry {
-	if stringKeys {
-		es := make([]entry, 0, n)
-		for e := range all {
-			es = append(es, e)
-		}
-		slices.SortFunc(es, entryCompare)
-		return es[k]
-	}
 	fps := make([]uint64, 0, n)
 	for e := range all {
 		fps = append(fps, e.fp)
 	}
 	sortFingerprints(fps)
-	return entry{fp: fps[k]}
+	fp := fps[k]
+	if !stringKeys {
+		return entry{fp: fp}
+	}
+	lo, _ := slices.BinarySearch(fps, fp) // the first entry at fp
+	var keys []string
+	for e := range all {
+		if e.fp == fp {
+			keys = append(keys, e.key)
+		}
+	}
+	slices.Sort(keys)
+	return entry{fp, keys[k-lo]}
 }
 
 // StoreStats summarizes a store's activity over one engine run. The

@@ -79,7 +79,11 @@ const (
 	// which announced a fail-over's new epoch to peers that recorded
 	// the announcement and never read it.
 	frameResult frameType = 20 // peer -> coordinator: final share (JSON check.ExploreShare)
-	frameBatch  frameType = 21 // peer -> coordinator -> peer: successor records
+	// 21 is retired, not reusable: it was the successor batch of builds
+	// whose symmetry-quotiented fingerprints sorted class hashes, so a
+	// peer of either build would claim the other's records under another
+	// fingerprint.
+	frameBatch frameType = 22 // peer -> coordinator -> peer: successor records
 )
 
 // frameTypeMax is the highest type number ever assigned, retired ones
@@ -91,7 +95,7 @@ func checkFrameType(b byte) error {
 	switch t := frameType(b); {
 	case t == 0 || t > frameTypeMax:
 		return &FrameError{Reason: fmt.Sprintf("unknown frame type %d", b)}
-	case t == 3, t > frameLevel && t < frameCont, t > frameCont && t < frameError, t > framePong && t < frameResult:
+	case t == 3, t > frameLevel && t < frameCont, t > frameCont && t < frameError, t > framePong && t < frameResult, t > frameResult && t < frameBatch:
 		return &FrameError{Reason: fmt.Sprintf("retired frame type %d", b)}
 	}
 	return nil

@@ -202,7 +202,8 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 
 // TestWireRetiredFrameTypes: type 3 carried successor batches whose
 // records held each configuration's encoding, until records carried slot
-// hashes instead (type 21); types 7-8 carried the budget cut's
+// hashes instead (type 21), and 21 carried them until symmetry-quotiented
+// fingerprints became class-sum hashes (type 22); types 7-8 carried the budget cut's
 // fingerprint gather (NEEDFPS, FPS) until the cut became a prefix sum
 // over the LEVEL reports' counts; 10-13 carried the async order's
 // quiescence protocol (PROBE, PROBEREPLY, CLOSE, DONE) until the mode
@@ -213,7 +214,7 @@ func TestWireFrameLengthOverflow(t *testing.T) {
 // of them, from a build that still speaks that protocol, is refused
 // typed by both decoders instead of being read as something else.
 func TestWireRetiredFrameTypes(t *testing.T) {
-	for _, typ := range []frameType{3, 7, 8, 10, 11, 12, 13, 14, 18, 19} {
+	for _, typ := range []frameType{3, 7, 8, 10, 11, 12, 13, 14, 18, 19, 21} {
 		fr := appendFrame(nil, typ, []byte(`{"seq":1}`))
 		_, _, _, derr := decodeFrame(fr)
 		_, _, _, rerr := readFrame(bytes.NewReader(fr), nil)
@@ -224,7 +225,7 @@ func TestWireRetiredFrameTypes(t *testing.T) {
 			}
 		}
 	}
-	if frameLevel != 6 || frameCont != 9 || frameResult != 20 || framePong != 17 || frameBatch != 21 {
+	if frameLevel != 6 || frameCont != 9 || frameResult != 20 || framePong != 17 || frameBatch != 22 {
 		t.Errorf("live frame types moved: LEVEL = %d, CONT = %d, RESULT = %d, PONG = %d, BATCH = %d; wire numbers are never reassigned",
 			frameLevel, frameCont, frameResult, framePong, frameBatch)
 	}

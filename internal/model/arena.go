@@ -51,11 +51,10 @@ import (
 //     stores order and partition by them, the memo probes by them — but
 //     nothing is decided by them alone.
 
-// mixSlot combines a slot index with the content hash of the value stored
-// there into that slot's fingerprint contribution (splitmix64-style
-// finalizer over a position-salted hash).
-func mixSlot(slot int, h uint64) uint64 {
-	x := h ^ (uint64(slot)+1)*0x9E3779B97F4A7C15
+// Mix64 is the splitmix64 finalizer every fingerprint combine is built
+// on: the slot mix below, a symmetry class's shares of its sum
+// (CanonicalSlotFingerprint), and the stores' remixes of fingerprints.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -63,6 +62,11 @@ func mixSlot(slot int, h uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
+
+// mixSlot combines a slot index with the content hash of the value stored
+// there into that slot's fingerprint contribution (the finalizer over a
+// position-salted hash).
+func mixSlot(slot int, h uint64) uint64 { return Mix64(h ^ (uint64(slot)+1)*0x9E3779B97F4A7C15) }
 
 // degenerateSlotHash, when set, gives every slot the same content hash,
 // so every configuration has the same fingerprint: the test seam
@@ -522,6 +526,11 @@ type Step struct {
 // one XOR with the transition's delta, never a re-encode.
 func (s *Step) Fingerprint(parentFP uint64) uint64 { return parentFP ^ s.tv.fpDelta }
 
+// StateHash returns the content hash of the actor's state in the
+// successor: all the reduction layer needs to update its orbit-canonical
+// fingerprint (CanonicalSlotFingerprint) without the successor.
+func (s *Step) StateHash() uint64 { return s.tv.sh }
+
 // Plan looks up the poised step of process pid from parent into s without
 // building the successor; ok is false when pid has decided (no step to
 // take). parentH is parent's slot-hash vector (length Slots()). penc is nil
@@ -547,17 +556,6 @@ func (st *Stepper) Plan(parent *Config, parentH []uint64, pid int, penc *SlotEnc
 	}
 	s.obj, s.tv = obj, *tv
 	return true, nil
-}
-
-// PatchHashes overwrites, in a copy h of the parent's slot-hash vector, the
-// two slots pid's step s touches with the successor's content hashes, and
-// returns the object slot's index (the state slot is Slots()-NumProcesses+pid)
-// so the caller can restore it: how the reduction layer canonicalises a
-// successor's fingerprint without the successor.
-func (st *Stepper) PatchHashes(h []uint64, pid int, s *Step) (obj int) {
-	h[s.obj] = s.tv.vh
-	h[len(st.specs)+pid] = s.tv.sh
-	return s.obj
 }
 
 // Install writes into dst the successor of parent that pid's planned step s

@@ -1,7 +1,5 @@
 package model
 
-import "sort"
-
 // This file is the model-side half of process-symmetry quotienting: the
 // opt-in declaration interface a protocol uses to state which processes
 // are interchangeable, and the reference canonical fingerprint the
@@ -72,26 +70,31 @@ func PermuteStates(c *Config, perm []int) *Config {
 // CanonicalSlotFingerprint returns the orbit-canonical variant of
 // SlotFingerprint under the given process classes: object slots and
 // out-of-class state slots contribute positionally exactly as in
-// SlotFingerprint, while each class's state-slot content hashes are
-// sorted before being assigned to the class's slots in ascending slot
-// order. Two configurations related by a permutation within the classes
-// therefore fingerprint identically, and a configuration whose class
-// states are already sorted fingerprints exactly as SlotFingerprint
-// would after the same reassignment.
+// SlotFingerprint, while the state slots of class ci contribute only
+// through ClassTerm(ci, sum), sum being the wrapping sum of Mix64 over
+// the class members' state-slot content hashes (the finalizer keeps sums
+// of a few shares well spread). A sum forgets which
+// member holds which state, so two configurations related by a
+// permutation within the classes fingerprint identically; and since a
+// step changes one state slot, a successor's fingerprint is its parent's
+// with one class sum adjusted by two terms — O(1) per successor, which is
+// what the incremental reducer in internal/check does.
 //
-// This is the from-scratch reference the incremental reducer in
-// internal/check maintains from per-slot hashes; FuzzCanonicalize pins
-// the permutation invariance down. Like every 64-bit fingerprint in the
-// repository, distinct orbits may collide with probability ~2^-64 per
-// pair.
+// This is the from-scratch reference that reducer must agree with;
+// FuzzCanonicalize pins the permutation invariance down. Like every
+// 64-bit fingerprint in the repository, distinct orbits may collide with
+// probability ~2^-64 per pair.
 func (c *Config) CanonicalSlotFingerprint(classes [][]int) uint64 {
 	bp := keyBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	nObj := len(c.Objects)
-	inClass := make(map[int]bool)
-	for _, class := range classes {
-		for _, pid := range class {
-			inClass[pid] = true
+	class := make([]int, len(c.States))
+	for i := range class {
+		class[i] = -1
+	}
+	for ci, members := range classes {
+		for _, pid := range members {
+			class[pid] = ci
 		}
 	}
 
@@ -100,27 +103,26 @@ func (c *Config) CanonicalSlotFingerprint(classes [][]int) uint64 {
 		buf = appendValue(buf[:0], v)
 		fp ^= mixSlot(i, hashEncoding(buf))
 	}
+	sums := make([]uint64, len(classes))
 	for pid, s := range c.States {
-		if inClass[pid] {
-			continue
-		}
 		buf = appendState(buf[:0], s)
-		fp ^= mixSlot(nObj+pid, hashEncoding(buf))
+		h := hashEncoding(buf)
+		if ci := class[pid]; ci >= 0 {
+			sums[ci] += Mix64(h)
+		} else {
+			fp ^= mixSlot(nObj+pid, h)
+		}
 	}
-	for _, class := range classes {
-		slots := append([]int(nil), class...)
-		sort.Ints(slots)
-		hashes := make([]uint64, 0, len(slots))
-		for _, pid := range slots {
-			buf = appendState(buf[:0], c.States[pid])
-			hashes = append(hashes, hashEncoding(buf))
-		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		for j, h := range hashes {
-			fp ^= mixSlot(nObj+slots[j], h)
-		}
+	for ci, sum := range sums {
+		fp ^= ClassTerm(ci, sum)
 	}
 	*bp = buf
 	keyBufPool.Put(bp)
 	return fp
 }
+
+// ClassTerm is class ci's contribution to CanonicalSlotFingerprint, given
+// the wrapping sum of Mix64 over its members' state-slot hashes. The
+// class index salts it, so two classes holding the same states do not
+// cancel.
+func ClassTerm(ci int, sum uint64) uint64 { return Mix64(sum ^ (uint64(ci)+1)*0xD6E8FEB86659FD93) }

@@ -34,9 +34,7 @@ func permFromBytes(n int, raw []byte) []int {
 }
 
 // TestCanonicalSlotFingerprintInvariance: permuting process states within
-// the declared class never changes the canonical fingerprint, and the
-// canonical fingerprint of an already-sorted configuration matches the
-// sorted reassignment of its plain slot hashes.
+// the declared class never changes the canonical fingerprint.
 func TestCanonicalSlotFingerprintInvariance(t *testing.T) {
 	p := mustToyBit(t, 4, 2)
 	classes := model.SymmetryClasses(p)

@@ -15,8 +15,11 @@ import (
 
 // CacheSchema versions the on-disk entry layout. Entries live under
 // <dir>/<CacheSchema>/, so a future format change starts a fresh
-// subdirectory instead of misreading old entries.
-const CacheSchema = "v2"
+// subdirectory instead of misreading old entries. v3: a symmetric
+// instance's fingerprint (sweep.Cell.InstanceFingerprint, part of every
+// key) became a class-sum hash, so v2 keys name instances by another
+// function.
+const CacheSchema = "v3"
 
 // cacheEntry is one persisted verdict: the full key (verified on read,
 // so filename hash collisions degrade to misses), the sweep record, and

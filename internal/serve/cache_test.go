@@ -301,3 +301,31 @@ func TestCacheSchemaDirectory(t *testing.T) {
 		t.Fatalf("unexpected schema dir contents: %v", entries)
 	}
 }
+
+// TestCacheEarlierSchemaNotRead: entries of an earlier schema stay where
+// they are and are never served: a v2 directory holding a valid entry for
+// a key is a miss for that key under v3.
+func TestCacheEarlierSchemaNotRead(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put("k", okRecord("cell"))
+	if err := os.Rename(filepath.Join(dir, CacheSchema), filepath.Join(dir, "v2")); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c2.Get("k"); ok {
+		t.Fatal("a v2 entry was served")
+	}
+	if st := c2.Stats(); st.Entries != 0 || st.Quarantined != 0 {
+		t.Fatalf("stats after opening over a v2 directory = %+v, want no entries and nothing quarantined", st)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "v2")); err != nil || len(ents) != 1 {
+		t.Fatalf("the v2 directory was touched: %v, %v", ents, err)
+	}
+}

@@ -77,7 +77,6 @@ type Result struct {
 	// auditable whatever the verdict.
 	Reduce       string `json:"reduce,omitempty"`
 	StatesPruned int64  `json:"states_pruned,omitempty"`
-	OrbitHits    int64  `json:"orbit_hits,omitempty"`
 
 	// Order and the async counters record the exploration order that ran
 	// the cell. Order is set on every explorer record ("levelsync" or
@@ -376,7 +375,6 @@ func RunCellRecordCtx(ctx context.Context, cell Cell) Result {
 	if out.Reduction != nil {
 		rec.Reduce = out.Reduction.Reduce
 		rec.StatesPruned = out.Reduction.StatesPruned
-		rec.OrbitHits = out.Reduction.OrbitHits
 	}
 	if out.Async != nil {
 		rec.Order = out.Async.Order
