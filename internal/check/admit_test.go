@@ -33,7 +33,7 @@ func admissionHash(t *testing.T, p model.Protocol, inputs []int, limits check.Ex
 	}
 	h, hp := fnv.New64a(), fnv.New64a()
 	var rec [20]byte
-	stats, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node) error {
+	stats, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node, _ *model.Config) error {
 		binary.LittleEndian.PutUint32(rec[0:], uint32(n.Depth))
 		binary.LittleEndian.PutUint64(rec[4:], n.Fingerprint())
 		binary.LittleEndian.PutUint64(rec[12:], uint64(int64(n.Pid)))
@@ -135,10 +135,10 @@ func TestSpillReloadEqualsOriginalParallel(t *testing.T) {
 			seen := map[string]string{}
 			_, err := check.RunFrontier(p, c, []int{0, 1, 2, 3}, check.ExploreLimits{MaxConfigs: 1000000, MaxDepth: 9},
 				check.EngineOptions{Workers: workers, StringKeys: exact, Store: store, MemBudget: spillBudget(store, 1)},
-				func(_ int, n *check.Node) error {
+				func(_ int, n *check.Node, cfg *model.Config) error {
 					mu.Lock()
 					defer mu.Unlock()
-					key := n.Cfg.Key()
+					key := cfg.Key()
 					if _, twice := seen[key]; twice {
 						t.Errorf("exact=%t %s w%d: configuration %q visited twice", exact, store, workers, key)
 					}

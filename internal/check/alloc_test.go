@@ -1,0 +1,44 @@
+package check_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/model"
+)
+
+// allocBytesPerState bounds what one visited state of the guard's run
+// allocates, in bytes: nodes, the visited table, the frontier queues and
+// everything else the run allocates, divided by the states visited. It is
+// the 209 bytes measured with nodes that hold ref vectors into the run's
+// slot dictionary (132 bytes a node) plus 25%; nodes that held their
+// configuration as interface slots (328 bytes a node) measured 343.
+const allocBytesPerState = 261
+
+// TestAllocBytesPerState: Table 1's row 3 (Algorithm 1, n=4, k=1, m=3) at
+// 100,000 states on one worker allocates at most allocBytesPerState bytes
+// per visited state (runtime.MemStats.TotalAlloc, which counts every heap
+// allocation, freed or not). The race detector does not change the count.
+func TestAllocBytesPerState(t *testing.T) {
+	p := core.MustNew(core.Params{N: 4, K: 1, M: 3})
+	c := model.MustNewConfig(p, []int{0, 1, 2, 0})
+	opts := check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: 100_000}, Engine: check.EngineOptions{Workers: 1}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := check.ExploreOpts(p, c, []int{0, 1, 2, 3}, 1, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Visited != 100_000 {
+		t.Fatalf("visited %d states, want 100000", res.Visited)
+	}
+	perState := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Visited)
+	t.Logf("%.1f bytes allocated per visited state", perState)
+	if perState > allocBytesPerState {
+		t.Errorf("%.1f bytes allocated per visited state, bound %d", perState, allocBytesPerState)
+	}
+}

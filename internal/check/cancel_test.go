@@ -180,10 +180,12 @@ func TestCancelSpillLeavesNoFiles(t *testing.T) {
 // caller's explicit cleanup under error paths.
 func TestSpillStoreCloseIdempotent(t *testing.T) {
 	p := stepProto{n: 2, steps: 3}
-	cfg := model.MustNewConfig(p, []int{0, 0})
+	dict := model.NewDict(p)
+	refs := make([]uint32, 3)
+	dict.Intern(model.MustNewConfig(p, []int{0, 0}), refs)
 	dir := t.TempDir()
 	st, err := newSpillStore(storeCtx{
-		workers: 1, nObj: 1, nProc: 2,
+		workers: 1, nObj: 1, nProc: 2, dict: dict,
 		newNode: func(int) *Node { return &Node{} },
 		recycle: func(int, *Node) {},
 	}, 1, dir)
@@ -193,7 +195,7 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 	admit := func(base uint64) {
 		t.Helper()
 		for i := uint64(0); i < 8; i++ {
-			n := &Node{Cfg: cfg}
+			n := &Node{refs: refs}
 			n.fp = base + i*0x9e3779b97f4a7c15
 			if _, added := st.Claim(n.fp, nil); added {
 				st.Queue(0, n)
@@ -318,7 +320,7 @@ func TestFrontierConcurrentFailuresOfDifferentTypes(t *testing.T) {
 		var once sync.Once
 		_, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: 5_000_000},
 			EngineOptions{Ctx: ctx, Workers: 2, Order: order},
-			func(_ int, n *Node) error {
+			func(_ int, n *Node, _ *model.Config) error {
 				if n.Depth < 3 {
 					return nil
 				}

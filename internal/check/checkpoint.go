@@ -31,9 +31,9 @@ package check
 //
 // Frontier nodes are persisted as pid paths rather than configuration
 // encodings because canonical Values/States are protocol-opaque (they
-// cannot be decoded from bytes without the in-process intern exchange,
+// cannot be decoded from bytes without the in-process slot dictionary,
 // which dies with the process). Resume replays the paths from the start
-// configuration through Stepper.ApplyCOW and then re-applies the run's
+// configuration through the stepper and then re-applies the run's
 // keying (expander.key), so the rebuilt nodes are bit-identical to the
 // lost ones. Paths store one byte per step, which caps checkpointable
 // protocols at 255 processes.

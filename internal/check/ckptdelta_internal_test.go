@@ -73,7 +73,7 @@ func TestCheckpointDeltasHoldEachEntryOnce(t *testing.T) {
 					}
 					var mu sync.Mutex
 					depthOf := map[entry]int{}
-					stats, err := RunFrontier(p, c, pids, limits, opts, func(_ int, n *Node) error {
+					stats, err := RunFrontier(p, c, pids, limits, opts, func(_ int, n *Node, _ *model.Config) error {
 						mu.Lock()
 						defer mu.Unlock()
 						depthOf[entry{n.fp, n.key}] = n.Depth

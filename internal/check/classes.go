@@ -113,10 +113,10 @@ func searchClasses(p model.Protocol, start *model.Config, pids []int, opts Explo
 	// One class buffer per worker: handed to an unknown function, a
 	// buffer on the visit's stack would escape to the heap at every visit.
 	bufs := make([][8]int, opts.Engine.withDefaults().Workers)
-	visit := func(w int, n *Node) error {
-		classes, err := classify(n.Cfg, bufs[w][:0])
+	visit := func(w int, n *Node, cfg *model.Config) error {
+		classes, err := classify(cfg, bufs[w][:0])
 		if err == nil && len(classes) > 0 {
-			t.offer(n.Depth, n.fp, n.Cfg, n.path, classes)
+			t.offer(n.Depth, n.fp, cfg, n.path, classes)
 		}
 		return err
 	}

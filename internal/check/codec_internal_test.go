@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 
@@ -18,43 +17,72 @@ import (
 	"repro/internal/model"
 )
 
+// captured holds copies of a run's visited nodes, their refs re-interned
+// in a dictionary of the test's own: a run's nodes hold refs into its
+// dictionary, which does not outlive it.
+type captured struct {
+	dict  *model.Dict
+	nodes []*Node
+}
+
+// visit is a RunFrontier visitor that copies each node into c.
+func (c *captured) visit(_ int, n *Node, cfg *model.Config) error {
+	m := *n
+	m.refs = make([]uint32, len(n.refs))
+	c.dict.Intern(cfg, m.refs)
+	m.path = bytes.Clone(n.path)
+	c.nodes = append(c.nodes, &m)
+	return nil
+}
+
+// hashes is n's slot-hash vector, read through its refs.
+func (c *captured) hashes(n *Node) []uint64 {
+	out := make([]uint64, len(n.refs))
+	for i, ref := range n.refs {
+		out[i] = c.dict.SlotHash(i, ref)
+	}
+	return out
+}
+
+// config is n's configuration, materialised from its refs.
+func (c *captured) config(n *Node, nObj, nProc int) *model.Config {
+	cfg := &model.Config{Objects: make([]model.Value, nObj), States: make([]model.State, nProc)}
+	c.dict.Materialise(n.refs, cfg)
+	return cfg
+}
+
 // codecNodes explores a few levels of the toy-bit race with paths on and
 // returns copies of the visited nodes: real configurations, fingerprints
 // and paths for the codecs to carry.
-func codecNodes(t *testing.T) []*Node {
+func codecNodes(t *testing.T) *captured {
 	t.Helper()
 	p, err := baseline.NewToyBitRace(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nodes []*Node
+	c := &captured{dict: model.NewDict(p)}
 	_, err = RunFrontier(p, model.MustNewConfig(p, []int{0, 1, 0}), []int{0, 1, 2},
 		ExploreLimits{MaxDepth: 3}, EngineOptions{Workers: 1, Reduction: ReduceSym, Checkpoint: t.TempDir()},
-		func(_ int, n *Node) error {
-			c := *n
-			c.Cfg = n.Cfg.Clone()
-			c.slotH = slices.Clone(n.slotH)
-			c.path = bytes.Clone(n.path)
-			nodes = append(nodes, &c)
-			return nil
-		}, nil)
+		c.visit, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) < 8 {
-		t.Fatalf("only %d nodes to encode", len(nodes))
+	if len(c.nodes) < 8 {
+		t.Fatalf("only %d nodes to encode", len(c.nodes))
 	}
-	return nodes
+	return c
 }
 
 // refNodeRecord is the record layout written out longhand, field by
 // field: pid+1, depth, fingerprint, the slot-hash vector (empty when the
 // node has an exact key), the exact key and the path.
-func refNodeRecord(n *Node) []byte {
+func refNodeRecord(n *Node, slotH []uint64) []byte {
 	b := binary.AppendUvarint(nil, uint64(n.Pid+1))
 	b = binary.AppendUvarint(b, uint64(n.Depth))
 	b = binary.LittleEndian.AppendUint64(b, n.fp)
-	slotH := recordSlots(n)
+	if n.key != "" {
+		slotH = nil
+	}
 	b = binary.AppendUvarint(b, uint64(len(slotH)))
 	for _, h := range slotH {
 		b = binary.LittleEndian.AppendUint64(b, h)
@@ -63,56 +91,66 @@ func refNodeRecord(n *Node) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(n.path))), n.path...)
 }
 
-// recordSlots is the slot-hash vector n's record carries: none under an
-// exact key, which determines every slot.
-func recordSlots(n *Node) []uint64 {
-	if n.key != "" {
-		return nil
-	}
-	return n.slotH
-}
-
 // TestNodeRecordLayout: a record is byte for byte the pinned layout — a
-// fingerprint-keyed one with its slot-hash vector, an exact-key one with
-// its key and no vector — also when the exact key is long enough for a
-// two-byte length, and it decodes to the node's fields.
+// fingerprint-keyed one with its slot-hash vector, read from the
+// dictionary through the node's refs, an exact-key one with its key and no
+// vector — also when the exact key is long enough for a two-byte length,
+// and it decodes to the node's fields.
 func TestNodeRecordLayout(t *testing.T) {
-	pinned := &Node{Pid: 2, Depth: 300, fp: 0x0102030405060708, slotH: []uint64{1, ^uint64(0)}, path: []byte{2, 0}}
+	two := stepProto{n: 1, steps: 2} // one object and one state
+	d := model.NewDict(two)
+	pinned := &Node{Pid: 2, Depth: 300, fp: 0x0102030405060708, refs: make([]uint32, 2), path: []byte{2, 0}}
+	d.Intern(model.MustNewConfig(two, []int{0}), pinned.refs)
+	le := func(h uint64) string { return hex.EncodeToString(binary.LittleEndian.AppendUint64(nil, h)) }
 	for _, tc := range []struct {
 		key, want string
 	}{
-		{"", "03" + "ac02" + "0807060504030201" + "02" + "0100000000000000" + "ffffffffffffffff" + "00" + "020200"},
+		{"", "03" + "ac02" + "0807060504030201" + "02" + le(d.SlotHash(0, pinned.refs[0])) + le(d.SlotHash(1, pinned.refs[1])) + "00" + "020200"},
 		{"k", "03" + "ac02" + "0807060504030201" + "00" + "016b" + "020200"},
 	} {
 		pinned.key = tc.key
-		if got := hex.EncodeToString(AppendNodeRecord(nil, pinned)); got != tc.want {
+		if got := hex.EncodeToString(appendNodeRecord(nil, pinned, d)); got != tc.want {
 			t.Fatalf("pinned record with key %q: %s, want %s", tc.key, got, tc.want)
 		}
 	}
-	nodes := codecNodes(t)
+	c := codecNodes(t)
 	wide := stepProto{n: 40, steps: 2} // 40 states: a key past 127 bytes
 	wc := model.MustNewConfig(wide, make([]int, 40))
-	wn := &Node{Cfg: wc, Pid: 7, Depth: 300, fp: 1, slotFP: 2, slotH: make([]uint64, len(wc.Objects)+40),
+	wd := model.NewDict(wide)
+	wn := &Node{Pid: 7, Depth: 300, fp: 1, slotFP: 2, refs: make([]uint32, len(wc.Objects)+40),
 		key: string(wc.AppendEncoding(nil)), path: []byte{7}}
+	wd.Intern(wc, wn.refs)
 	if len(wn.key) < 0x80 {
 		t.Fatal("the wide node's key fits a one-byte length")
 	}
 	var buf []byte
-	for _, n := range append(nodes, wn) {
+	type dictNode struct {
+		d *model.Dict
+		n *Node
+	}
+	var all []dictNode
+	for _, n := range c.nodes {
+		all = append(all, dictNode{c.dict, n})
+	}
+	for _, dn := range append(all, dictNode{wd, wn}) {
+		n, slotH := dn.n, (&captured{dict: dn.d}).hashes(dn.n)
 		at := len(buf)
-		buf = AppendNodeRecord(buf, n)
-		if want := refNodeRecord(n); !bytes.Equal(buf[at:], want) {
+		buf = appendNodeRecord(buf, n, dn.d)
+		if want := refNodeRecord(n, slotH); !bytes.Equal(buf[at:], want) {
 			t.Fatalf("depth %d pid %d: record\n%x\nwant\n%x", n.Depth, n.Pid, buf[at:], want)
 		}
 		rec, rest, err := DecodeNodeRecord(buf[at:])
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
 		}
-		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.NumSlots() != len(recordSlots(n)) ||
+		if n.key != "" {
+			slotH = nil
+		}
+		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.NumSlots() != len(slotH) ||
 			string(rec.Key) != n.key || !bytes.Equal(rec.Path, n.path) {
 			t.Fatalf("decoded %+v from node %+v", rec, n)
 		}
-		for i, h := range recordSlots(n) {
+		for i, h := range slotH {
 			if rec.SlotHash(i) != h {
 				t.Fatalf("slot %d decoded as %#x, node holds %#x", i, rec.SlotHash(i), h)
 			}
@@ -121,13 +159,10 @@ func TestNodeRecordLayout(t *testing.T) {
 }
 
 // testStoreCtx is a store context for nObj objects and nProc processes
-// whose nodes come fresh and are never recycled.
-func testStoreCtx(t *testing.T, nObj, nProc int, stringKeys bool) storeCtx {
-	return storeCtx{workers: 1, nObj: nObj, nProc: nProc, stringKeys: stringKeys,
-		newNode: func(int) *Node {
-			cfg := &model.Config{Objects: make([]model.Value, nObj), States: make([]model.State, nProc)}
-			return &Node{Cfg: cfg, slotH: make([]uint64, nObj+nProc)}
-		},
+// over dict whose nodes come fresh and are never recycled.
+func testStoreCtx(t *testing.T, nObj, nProc int, stringKeys bool, dict *model.Dict) storeCtx {
+	return storeCtx{workers: 1, nObj: nObj, nProc: nProc, stringKeys: stringKeys, dict: dict,
+		newNode: func(int) *Node { return &Node{refs: make([]uint32, nObj+nProc)} },
 		recycle: func(int, *Node) {},
 		fail:    func(err error) { t.Error(err) },
 		stopped: func() bool { return false },
@@ -137,11 +172,12 @@ func testStoreCtx(t *testing.T, nObj, nProc int, stringKeys bool) storeCtx {
 // TestNodeRecordRoundTrip: every node of Table 1's row 3 (Algorithm 1,
 // n=4, k=1, m=3) at depths 0-6, under both keyings, and of the toy-bit race
 // at n=4 under the symmetry reduction, spooled to a budgeted store's
-// segment and rematerialised, is the node it was: configuration, slot
-// hashes, slot fingerprint, fingerprint, depth, pid, path and exact key. A
-// fingerprint-keyed record is exactly its header, eight bytes a slot and
-// the path; an exact-key one its header, the key and the path, with no
-// slot hashes (the reader hashes the key's slot spans).
+// segment and rematerialised, is the node it was: its materialised
+// configuration, the slot hashes read through its refs, slot fingerprint,
+// fingerprint, depth, pid, path and exact key. A fingerprint-keyed record
+// is exactly its header, eight bytes a slot and the path; an exact-key one
+// its header, the key and the path, with no slot hashes (the reader hashes
+// the key's slot spans).
 func TestNodeRecordRoundTrip(t *testing.T) {
 	row3 := core.MustNew(core.Params{N: 4, K: 1, M: 3})
 	toybit, err := baseline.NewToyBitRace(4, 2)
@@ -163,36 +199,28 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			start := model.MustNewConfig(tc.p, tc.inputs)
 			nObj, nProc := len(start.Objects), len(start.States)
-			var nodes []*Node
+			c := &captured{dict: model.NewDict(tc.p)}
 			opts := EngineOptions{Workers: 1, StringKeys: tc.exact, Reduction: tc.reduce, Checkpoint: t.TempDir()}
-			_, err := RunFrontier(tc.p, start, []int{0, 1, 2, 3}, ExploreLimits{MaxDepth: tc.depth}, opts,
-				func(_ int, n *Node) error {
-					c := *n
-					c.Cfg = n.Cfg.Clone()
-					c.slotH = slices.Clone(n.slotH)
-					c.path = bytes.Clone(n.path)
-					nodes = append(nodes, &c)
-					return nil
-				}, nil)
+			_, err := RunFrontier(tc.p, start, []int{0, 1, 2, 3}, ExploreLimits{MaxDepth: tc.depth}, opts, c.visit, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(nodes) < 1000 {
-				t.Fatalf("only %d nodes to spool", len(nodes))
+			if len(c.nodes) < 1000 {
+				t.Fatalf("only %d nodes to spool", len(c.nodes))
 			}
-			s, err := newSpillStore(testStoreCtx(t, nObj, nProc, tc.exact), 1, t.TempDir())
+			s, err := newSpillStore(testStoreCtx(t, nObj, nProc, tc.exact, c.dict), 1, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
 			want := map[uint64]*Node{}
-			for _, n := range nodes {
+			for _, n := range c.nodes {
 				header := uvarintLen(n.Pid+1) + uvarintLen(n.Depth) + 8 + uvarintLen(len(n.key)) + uvarintLen(len(n.path))
-				size := header + uvarintLen(len(n.slotH)) + 8*len(n.slotH) + len(n.path)
+				size := header + uvarintLen(len(n.refs)) + 8*len(n.refs) + len(n.path)
 				if tc.exact {
 					size = header + 1 + len(n.key) + len(n.path)
 				}
-				if got := len(AppendNodeRecord(nil, n)); got != size {
+				if got := len(appendNodeRecord(nil, n, c.dict)); got != size {
 					t.Fatalf("record of %d bytes, want %d", got, size)
 				}
 				want[n.fp] = n
@@ -202,7 +230,7 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 			if _, err := s.EndLevel(); err != nil {
 				t.Fatal(err)
 			}
-			lvl, err := s.CutLevel(len(nodes))
+			lvl, err := s.CutLevel(len(c.nodes))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,8 +238,8 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 				t.Fatal("nothing was spooled")
 			}
 			describe := func(n *Node) string {
-				return fmt.Sprintf("cfg %s slotH %x slotFP %#x fp %#x depth %d pid %d path %v key %q",
-					n.Cfg.Key(), n.slotH, n.slotFP, n.fp, n.Depth, n.Pid, n.path, n.key)
+				return fmt.Sprintf("cfg %s slot hashes %x slotFP %#x fp %#x depth %d pid %d path %v key %q",
+					c.config(n, nObj, nProc).Key(), c.hashes(n), n.slotFP, n.fp, n.Depth, n.Pid, n.path, n.key)
 			}
 			buf, got := make([]*Node, 64), 0
 			for m := lvl.Frontier.Next(0, buf); m > 0; m = lvl.Frontier.Next(0, buf) {
@@ -228,7 +256,7 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 				}
 			}
 			if len(want) != 0 {
-				t.Fatalf("%d of %d spooled nodes never came back", len(want), len(nodes))
+				t.Fatalf("%d of %d spooled nodes never came back", len(want), len(c.nodes))
 			}
 		})
 	}
@@ -236,26 +264,43 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 
 func uvarintLen(x int) int { return len(binary.AppendUvarint(nil, uint64(x))) }
 
-// TestRematerialiseReplayMismatch: a record whose slots the exchange has
-// never seen is rebuilt by replaying its path, and the replayed node must
-// hold the record's slot-hash vector: one whose hash differs in one slot
-// is an error, not a node.
+// TestRematerialiseReplayMismatch: a record whose slots the dictionary
+// has never seen is rebuilt by replaying its path, and the replayed node
+// must hold the record's slot-hash vector: one whose hash differs in one
+// slot is an error, not a node.
 func TestRematerialiseReplayMismatch(t *testing.T) {
-	nodes := codecNodes(t)
-	orig := nodes[len(nodes)-1]
-	rec, _, err := DecodeNodeRecord(AppendNodeRecord(nil, orig))
+	c := codecNodes(t)
+	orig := c.nodes[len(c.nodes)-1]
+	rec, _, err := DecodeNodeRecord(appendNodeRecord(nil, orig, c.dict))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := testStoreCtx(t, len(orig.Cfg.Objects), len(orig.Cfg.States), false)
+	nSlots := len(orig.refs)
+	// other is a node whose last slot (a state) differs from orig's.
+	var other *Node
+	for _, n := range c.nodes {
+		if n.refs[nSlots-1] != orig.refs[nSlots-1] {
+			other = n
+		}
+	}
+	if other == nil {
+		t.Fatal("no node differs from the last in its last slot")
+	}
+	p, err := baseline.NewToyBitRace(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := len(p.Objects())
 	for _, flip := range []bool{false, true} {
-		m := rematerialiser{ctx: ctx, exch: model.NewSlotExchange(), replay: func(_ int, path []byte) (*Node, error) {
-			n := ctx.newNode(0)
-			n.Cfg.CopyFrom(orig.Cfg)
-			copy(n.slotH, orig.slotH)
+		d := model.NewDict(p) // empty: every slot misses
+		ctx := testStoreCtx(t, objs, nSlots-objs, false, d)
+		m := rematerialiser{ctx: ctx, replay: func(_ int, path []byte) (*Node, error) {
+			cfg := c.config(orig, objs, nSlots-objs)
 			if flip {
-				n.slotH[len(n.slotH)-1] ^= 1
+				cfg.States[len(cfg.States)-1] = c.config(other, objs, nSlots-objs).States[len(cfg.States)-1]
 			}
+			n := ctx.newNode(0)
+			n.slotFP = d.Intern(cfg, n.refs)
 			n.path = append(n.path[:0], path...)
 			return n, nil
 		}}
@@ -263,7 +308,7 @@ func TestRematerialiseReplayMismatch(t *testing.T) {
 		switch {
 		case flip && (err == nil || n != nil):
 			t.Errorf("a replay one slot hash off gave node %v, error %v", n, err)
-		case !flip && (err != nil || n.Cfg.Key() != orig.Cfg.Key()):
+		case !flip && (err != nil || (&captured{dict: d}).config(n, objs, nSlots-objs).Key() != c.config(orig, objs, nSlots-objs).Key()):
 			t.Errorf("a faithful replay gave error %v", err)
 		}
 	}
@@ -310,13 +355,14 @@ func TestFrontierReservedWord(t *testing.T) {
 // *dist.FrameError) is internal/dist's TestWireFrameBitFlips,
 // TestWireFrameTruncation and TestWireBatchCorruption.
 func TestSharedCodecCorruption(t *testing.T) {
-	nodes := codecNodes(t)[:5]
+	c := codecNodes(t)
+	nodes := c.nodes[:5]
 	entries := func(exact bool) []entry {
 		var es []entry
 		for _, n := range nodes {
 			e := entry{fp: n.fp}
 			if exact {
-				e.key = n.Cfg.Key()
+				e.key = string(c.dict.AppendEncoding(nil, n.refs))
 			}
 			es = append(es, e)
 		}
@@ -365,14 +411,14 @@ func TestSharedCodecCorruption(t *testing.T) {
 		write func(path string) error
 		read  func(path string) (string, error)
 	}{
-		{"segment", fmt.Sprint(recordStrings(nodes)),
+		{"segment", fmt.Sprint(recordStrings(c, nodes)),
 			func(path string) error {
 				w, err := newBlockWriter(path, artifactSegment, true)
 				if err != nil {
 					return err
 				}
 				for i, n := range nodes {
-					w.buf = AppendNodeRecord(w.buf, n)
+					w.buf = appendNodeRecord(w.buf, n, c.dict)
 					if i%2 == 1 { // several blocks, of two records
 						if err := w.flush(); err != nil {
 							return err
@@ -450,10 +496,10 @@ func TestSharedCodecCorruption(t *testing.T) {
 	}
 }
 
-func recordStrings(nodes []*Node) []string {
+func recordStrings(c *captured, nodes []*Node) []string {
 	var out []string
 	for _, n := range nodes {
-		rec, _, _ := DecodeNodeRecord(refNodeRecord(n))
+		rec, _, _ := DecodeNodeRecord(refNodeRecord(n, c.hashes(n)))
 		out = append(out, fmt.Sprintf("%+v", rec))
 	}
 	return out
@@ -461,8 +507,9 @@ func recordStrings(nodes []*Node) []string {
 
 // TestSpillReloadEqualsOriginal: a node spooled to a segment and streamed
 // back is the node the in-memory store hands the next level, field for
-// field — fingerprint, slot fingerprint, depth, pid, path, exact key and
-// configuration — under both keyings. The spill run's budget is one byte,
+// field — fingerprint, slot fingerprint (the configuration's from-scratch
+// one too), depth, pid, path, exact key and configuration — under both
+// keyings. The spill run's budget is one byte,
 // so every level goes through the disk.
 func TestSpillReloadEqualsOriginal(t *testing.T) {
 	p, err := baseline.NewToyBitRace(3, 2)
@@ -479,11 +526,11 @@ func TestSpillReloadEqualsOriginal(t *testing.T) {
 				opts.MemBudget = 1
 			}
 			_, err := RunFrontier(p, start, []int{0, 1, 2}, ExploreLimits{MaxDepth: 6}, opts,
-				func(_ int, n *Node) error {
+				func(_ int, n *Node, cfg *model.Config) error {
 					mu.Lock()
 					defer mu.Unlock()
-					seen[n.Cfg.Key()] = fmt.Sprintf("fp %#x slotFP %#x depth %d pid %d path %v key %q slotH %v",
-						n.fp, n.slotFP, n.Depth, n.Pid, n.path, n.key, n.slotH)
+					seen[cfg.Key()] = fmt.Sprintf("fp %#x slotFP %#x (%#x) depth %d pid %d path %v key %q",
+						n.fp, n.slotFP, cfg.SlotFingerprint(), n.Depth, n.Pid, n.path, n.key)
 					return nil
 				}, nil)
 			if err != nil {

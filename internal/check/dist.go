@@ -17,9 +17,10 @@ package check
 //     peer decodes the batches in place at the expand barrier, claims each
 //     record on its fingerprint like a candidate of its own, and
 //     rematerialises the ones that were new by resolving their slot hashes
-//     through a model.SlotExchange. For a slot it has never seen it
-//     replays the record's pid path through its own stepper instead, and
-//     the replayed node's whole slot-hash vector must be the record's.
+//     through its run's slot dictionary (model.Dict). For a slot it has
+//     never seen it replays the record's pid path through its own stepper
+//     instead, and the replayed node's whole slot-hash vector must be the
+//     record's.
 //
 //   - Level barriers are a two-phase gather run by the coordinator;
 //     remote admissions are applied single-threaded between the workers
@@ -188,10 +189,11 @@ type DistLink interface {
 	Start(workers int)
 	// Owns reports whether this peer owns fp's global partition.
 	Owns(fp uint64) bool
-	// Send buffers n's record (AppendNodeRecord) for its owning peer,
-	// batched per peer like the engine's in-process successor batches. n
-	// is the caller's again when Send returns.
-	Send(worker int, n *Node) error
+	// Send buffers rec, the node record of a successor with fingerprint
+	// fp, for its owning peer, batched per peer like the engine's
+	// in-process successor batches. rec is the caller's again when Send
+	// returns.
+	Send(worker int, fp uint64, rec []byte) error
 	// FlushWorker sends the worker's partial batches.
 	FlushWorker(worker int) error
 

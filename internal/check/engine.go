@@ -19,19 +19,26 @@ import (
 //
 // Structure: one expansion core, one worker loop, two orders.
 //
+//   - A node holds no configuration. Every object value and process state
+//     the run meets is interned once in the run's slot dictionary
+//     (model.Dict: its encoding, content hash and canonical object under a
+//     dense ref), and a node holds its configuration as a vector of refs,
+//     one per slot, cut from a pointer-free slab the collector does not
+//     scan. A model.Config is materialised from the refs only for the
+//     visitor, into its worker's scratch.
+//
 //   - The expander (expand.go) turns a chunk of frontier nodes into
 //     admitted successors in three phases. It keys every successor from its
-//     memoised transition without building it (model.Stepper.Plan: the
-//     worker's stepper canonicalizes object values and process states in an
-//     append-only intern arena and maintains the fingerprint incrementally,
-//     so a successor's fingerprint is its parent's XOR a constant of the
+//     memoised transition without building it (model.Stepper.Plan: each
+//     worker's stepper memoises on (pid, state ref) and value ref over the
+//     shared dictionary and maintains the fingerprint incrementally, so a
+//     successor's fingerprint is its parent's XOR a constant of the
 //     transition); it claims the keys in the visited set; and it builds a
-//     node (model.Stepper.Install: copy-on-write, every unchanged slot
-//     shared with the parent) only for the claims that were new. Nodes are
-//     carved from per-worker slabs and recycled through per-worker free
-//     lists (nodeSupply), so a duplicate costs a memo probe and a table
-//     probe, and an admitted state a free-list pop or a slab's share of
-//     four allocations.
+//     node (model.Stepper.Install: the parent's refs with two replaced)
+//     only for the claims that were new. Nodes are carved from per-worker
+//     slabs and recycled through per-worker free lists (nodeSupply), so a
+//     duplicate costs a memo probe and a table probe, and an admitted
+//     state a free-list pop or a slab's share of two allocations.
 //
 //   - Both exploration orders run one worker loop (workerLoop below):
 //     take a chunk, visit it, claim and build its successors, hand the new
@@ -72,10 +79,11 @@ import (
 //     EngineOptions.StringKeys selects exact binary-encoding
 //     deduplication instead — the exact-encoding fallback the lowerbound
 //     certificate searches use so that a collision can never silently
-//     prune a witness. Exact keying has the same shortcuts made exact
-//     (transition memos keyed by encodings, successor keys spliced from
-//     the parent's: model.Stepper.AppendKey); what it pays for is keeping
-//     every visited configuration's whole key.
+//     prune a witness. Exact keying has the same shortcuts — the memo is
+//     keyed by refs, which the dictionary assigns by encoding, and a
+//     successor's key is its slots' stored encodings laid end to end
+//     (model.Stepper.AppendKey); what it pays for is keeping every visited
+//     configuration's whole key.
 //
 //   - EngineOptions.Reduction installs the state-space reduction layer
 //     (reduce.go): orbit-canonical fingerprints for declared
@@ -218,12 +226,13 @@ type Progress struct {
 }
 
 // Node is one admitted configuration in an engine run, with, in runs that
-// keep paths, the pid path that replays a schedule reaching it.
+// keep paths, the pid path that replays a schedule reaching it. The
+// configuration is its refs into the run's slot dictionary, one per slot
+// (objects, then states), which the engine materialises into a
+// model.Config for the visit; a slot's content hash is the dictionary's
+// too. The engine recycles a node once it has been visited and expanded,
+// so a visitor must not keep it.
 type Node struct {
-	// Cfg is the configuration. Visitors must not mutate it, and must
-	// not keep it beyond the visit: the engine recycles each node's
-	// buffers once the node has been visited and expanded.
-	Cfg *model.Config
 	// Depth is the BFS depth (root = 0).
 	Depth int
 	// Pid is the process whose step produced this node from its parent
@@ -232,7 +241,7 @@ type Node struct {
 
 	fp     uint64   // dedup fingerprint (slot fp, or orbit-canonical under "sym")
 	slotFP uint64   // incremental slot fingerprint (Step.Fingerprint chain)
-	slotH  []uint64 // per-slot content hashes, parallel to Cfg slots
+	refs   []uint32 // slot refs into the run's model.Dict, from a pointer-free slab
 	key    string   // exact encoding, set only in string-key mode
 	path   []byte   // root-to-node pid bytes, set only in runs that keep paths
 
@@ -389,9 +398,10 @@ type engineRun struct {
 	allowed    []bool // allowed[pid]: pid is in the explored set
 	nObj       int
 	nProc      int
+	dict       *model.Dict // every slot the run meets; nodes hold refs into it
 	opts       EngineOptions
 	limits     ExploreLimits
-	visit      func(worker int, n *Node) error
+	visit      func(worker int, n *Node, cfg *model.Config) error
 	afterLevel func(depth, processed int) (stop bool)
 	began      time.Time
 
@@ -493,7 +503,7 @@ func (r *engineRun) workerLoop(w int, src workSource, chunkLen int, locked bool)
 			}
 			var err error
 			if !n.reexpand {
-				if err = r.visit(w, n); err == nil {
+				if err = r.visit(w, n, x.config(n)); err == nil {
 					visited++
 				}
 			}
@@ -565,8 +575,8 @@ type nodeSupply struct {
 	_    [32]byte // a cache line per worker
 }
 
-// newNode hands worker w a node with correctly-shaped buffers: a recycled
-// one, or one of a fresh slab.
+// newNode hands worker w a node with a correctly-shaped ref vector: a
+// recycled one, or one of a fresh slab.
 func (r *engineRun) newNode(w int) *Node {
 	if hook := nodeTakenHook; hook != nil {
 		hook()
@@ -581,30 +591,18 @@ func (r *engineRun) newNode(w int) *Node {
 }
 
 // carveSlab fills s's free list with the nodes of one new slab: one
-// allocation each for the nodes and their configuration headers, the
-// objects, the states and the slot hashes, every node's slices cut to
+// allocation for the node headers and one, pointer-free and so never
+// scanned by the collector, for their slot refs, every node's refs cut to
 // capacity so that none can grow into its neighbour's.
 func (r *engineRun) carveSlab(s *nodeSupply) {
 	k := max(s.slab, firstSlab)
 	s.slab = min(2*k, maxSlab)
-	nObj, nProc := r.nObj, r.nProc
-	nSlot := nObj + nProc
-	// The node and its configuration header are handed out, recycled and
-	// collected together.
-	hdrs := make([]struct {
-		n   Node
-		cfg model.Config
-	}, k)
-	objs := make([]model.Value, k*nObj)
-	states := make([]model.State, k*nProc)
-	hashes := make([]uint64, k*nSlot)
+	nSlot := r.nObj + r.nProc
+	nodes := make([]Node, k)
+	refs := make([]uint32, k*nSlot)
 	for i := k - 1; i >= 0; i-- { // the slab goes out in address order
-		h := &hdrs[i]
-		h.cfg.Objects = objs[i*nObj : (i+1)*nObj : (i+1)*nObj]
-		h.cfg.States = states[i*nProc : (i+1)*nProc : (i+1)*nProc]
-		h.n.Cfg = &h.cfg
-		h.n.slotH = hashes[i*nSlot : (i+1)*nSlot : (i+1)*nSlot]
-		s.free = append(s.free, &h.n)
+		nodes[i].refs = refs[i*nSlot : (i+1)*nSlot : (i+1)*nSlot]
+		s.free = append(s.free, &nodes[i])
 	}
 }
 
@@ -617,24 +615,25 @@ func (r *engineRun) recycle(w int, n *Node) {
 }
 
 // rootNode returns worker w's depth-0 node holding the start
-// configuration, slot-hashed through st and not yet keyed.
-func (r *engineRun) rootNode(w int, st *model.Stepper) *Node {
+// configuration, interned in the run's dictionary and not yet keyed.
+func (r *engineRun) rootNode(w int) *Node {
 	n := r.newNode(w)
-	n.Cfg.CopyFrom(r.start)
 	n.Depth, n.Pid = 0, -1
 	n.path = n.path[:0]
-	n.slotFP = st.InitSlots(n.Cfg, n.slotH)
+	n.slotFP = r.dict.Intern(r.start, n.refs)
 	return n
 }
 
 // RunFrontier explores the pids-only reachable space of p from start with
 // the frontier engine. visit is called exactly once per distinct
 // admitted configuration, concurrently from workers (worker indices are
-// 0..Workers-1, for per-worker accumulators); afterLevel, if non-nil, is
+// 0..Workers-1, for per-worker accumulators), with the node and its
+// configuration materialised into the worker's scratch: valid only during
+// the call, and not to be mutated. afterLevel, if non-nil, is
 // called at each level barrier and may stop the run early. start is not
 // mutated. A visit error or an illegal poised operation aborts the run.
 func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits ExploreLimits, opts EngineOptions,
-	visit func(worker int, n *Node) error,
+	visit func(worker int, n *Node, cfg *model.Config) error,
 	afterLevel func(depth, processed int) (stop bool),
 ) (rstats RunStats, rerr error) {
 	asyncOn, symOn, err := opts.resolve(opts.Dist != nil)
@@ -656,7 +655,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 	}
 
 	run := &engineRun{
-		p: p, start: start, nObj: nObj, nProc: nProc,
+		p: p, start: start, nObj: nObj, nProc: nProc, dict: model.NewDict(p),
 		allowed: make([]bool, nProc),
 		opts:    opts, limits: limits, visit: visit, afterLevel: afterLevel,
 		began:     time.Now(),
@@ -685,6 +684,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		workers:    opts.Workers,
 		nObj:       nObj,
 		nProc:      nProc,
+		dict:       run.dict,
 		stringKeys: opts.StringKeys,
 		newNode:    run.newNode,
 		recycle:    run.recycle,
@@ -721,18 +721,21 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 
 	// Root node. The reduction plan refines the declared symmetry classes
 	// against the root's slot hashes and the explored pid set, so it sits
-	// between hashing the root and keying it.
-	root := run.rootNode(0, run.expander(0).st)
+	// between interning the root and keying it.
+	root := run.rootNode(0)
 	if symOn {
-		run.symClasses = planReduction(p, run.allowed, nObj, root.slotH)
+		rootH := make([]uint64, len(root.refs))
+		for i, ref := range root.refs {
+			rootH[i] = run.dict.SlotHash(i, ref)
+		}
+		run.symClasses = planReduction(p, run.allowed, nObj, rootH)
 	}
 	run.expander(0).key(root)
 
 	if run.link != nil {
 		run.link.Start(opts.Workers)
-		st := model.NewStepper(p)
-		run.remat = &rematerialiser{ctx: sctx, exch: model.NewSlotExchange(),
-			replay: func(w int, path []byte) (*Node, error) { return replayPath(run, w, st, path) }}
+		run.remat = &rematerialiser{ctx: sctx,
+			replay: func(w int, path []byte) (*Node, error) { return replayPath(run, w, path) }}
 	}
 	// In-process cancellation: Ctx's done signal takes the same fail path
 	// a visit error takes, under either order.

@@ -328,13 +328,13 @@ func TestRunFrontierSchedules(t *testing.T) {
 	start := model.MustNewConfig(p, []int{0, 1, 1})
 	err := error(nil)
 	_, err = check.RunFrontier(p, start, []int{0, 1, 2}, check.ExploreLimits{}, check.EngineOptions{Workers: 2, Provenance: true},
-		func(_ int, n *check.Node) error {
+		func(_ int, n *check.Node, cfg *model.Config) error {
 			replay, err := model.Replay(p, start, n.Path())
 			if err != nil {
 				return fmt.Errorf("replaying path %v: %w", n.Path(), err)
 			}
-			if replay.Key() != n.Cfg.Key() {
-				return fmt.Errorf("path %v replays to %q, node holds %q", n.Path(), replay.Key(), n.Cfg.Key())
+			if replay.Key() != cfg.Key() {
+				return fmt.Errorf("path %v replays to %q, node holds %q", n.Path(), replay.Key(), cfg.Key())
 			}
 			return nil
 		}, nil)

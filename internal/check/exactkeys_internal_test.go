@@ -49,9 +49,9 @@ func TestExactKeysSplicedFromParents(t *testing.T) {
 		// how many it visited in this process.
 		walk := func(name string, opts EngineOptions) (int, error) {
 			var visited atomic.Int64
-			_, err := RunFrontier(pc.p, start, pids, limits, opts, func(_ int, n *Node) error {
+			_, err := RunFrontier(pc.p, start, pids, limits, opts, func(_ int, n *Node, cfg *model.Config) error {
 				visited.Add(1)
-				if want := string(n.Cfg.AppendEncoding(nil)); n.key != want {
+				if want := string(cfg.AppendEncoding(nil)); n.key != want {
 					t.Errorf("%s: depth %d pid %d: key\n%q\nconfiguration encodes\n%q", name, n.Depth, n.Pid, n.key, want)
 				}
 				return nil

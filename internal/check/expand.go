@@ -28,8 +28,9 @@ import (
 //     relaxation) are part of the claim. A level or run drained by one
 //     worker takes no lock.
 //
-//   - commit then builds a node (model.Stepper.Install) for each candidate
-//     the claim reported new, and returns them. A duplicate never had one.
+//   - commit then builds a node (model.Stepper.Install: the parent's slot
+//     refs with the two the step touched replaced) for each candidate the
+//     claim reported new, and returns them. A duplicate never had one.
 //
 // The loop around the phases is one for both orders (engineRun.workerLoop);
 // what is left to the orders (levelsync.go, async.go) is where chunks come
@@ -57,18 +58,18 @@ type cand struct {
 
 // expander is one worker's expansion state. Like the stepper it wraps,
 // an instance serves one goroutine; it persists across levels so the
-// intern arena, transition memos and chunk scratch stay warm.
+// transition memo and chunk scratch stay warm.
 type expander struct {
 	run    *engineRun
 	worker int
 	st     *model.Stepper
 	sw     *symWorker // nil unless the symmetry quotient is active
 	enc    []byte     // encoding scratch (exact keys)
-	// penc is the node under expansion's exact key split at its slots
-	// (exact-key runs only). It is rebuilt by one scan per expanded node
-	// instead of stored per node.
-	penc model.SlotEncoding
-	tmp  *Node // a successor on its way to another peer (distributed runs)
+	// cfg is the configuration of the node being visited, materialised
+	// from its refs for the visitor.
+	cfg model.Config
+	tmp *Node  // a successor on its way to another peer (distributed runs)
+	rec []byte // tmp's node record
 	// visited counts the nodes this worker has visited (engineRun.processed).
 	visited atomic.Int64
 
@@ -88,26 +89,22 @@ type expander struct {
 	prefix []byte
 }
 
-// expander returns worker's expander, creating it on first use. Exact-key
-// runs use exact steppers: their guarantee is that no hash shortcut can
-// substitute a wrong configuration, so what those memoize, they memoize
-// on the encodings themselves.
+// expander returns worker's expander, creating it on first use. Its
+// stepper memoizes on refs into the run's dictionary, which matches
+// encodings byte for byte, so exact-key runs use the same stepper: no
+// hash shortcut can substitute a wrong configuration.
 func (r *engineRun) expander(worker int) *expander {
 	x := r.expanders[worker]
 	if x == nil {
-		x = &expander{run: r, worker: worker}
-		if r.opts.StringKeys {
-			x.st = model.NewStepperExact(r.p)
-		} else {
-			x.st = model.NewStepper(r.p)
-		}
+		x = &expander{run: r, worker: worker, st: model.NewStepperOn(r.p, r.dict),
+			cfg: model.Config{Objects: make([]model.Value, r.nObj), States: make([]model.State, r.nProc)}}
 		r.expanders[worker] = x
 	}
 	if x.sw == nil && len(r.symClasses) > 0 {
 		// Checked on every call, not only at creation: worker 0's expander
 		// hashes the root before the reduction plan (refined against the
 		// root's slot hashes) exists.
-		x.sw = newSymWorker(r.symClasses, r.nObj, r.nProc)
+		x.sw = newSymWorker(r.dict, r.symClasses, r.nObj, r.nProc)
 	}
 	return x
 }
@@ -122,13 +119,20 @@ func (x *expander) key(n *Node) {
 	n.fp = n.slotFP
 	switch {
 	case x.run.opts.StringKeys:
-		x.enc = n.Cfg.AppendEncoding(x.enc[:0])
+		x.enc = x.run.dict.AppendEncoding(x.enc[:0], n.refs)
 		n.key = string(x.enc)
 	case x.sw != nil:
-		x.sw.load(n.slotFP, n.slotH)
+		x.sw.load(n.slotFP, n.refs)
 		x.sw.statesPruned += x.sw.unsorted
 		n.fp = x.sw.fp
 	}
+}
+
+// config materialises n's configuration into the expander's scratch, for
+// the visitor: valid until the next call.
+func (x *expander) config(n *Node) *model.Config {
+	x.run.dict.Materialise(n.refs, &x.cfg)
+	return &x.cfg
 }
 
 // visitOnly reports whether a node at depth is visited but not expanded,
@@ -161,15 +165,8 @@ func (x *expander) plan(n *Node) error {
 	}
 	parent := int32(len(x.parents))
 	x.parents = append(x.parents, n)
-	var penc *model.SlotEncoding
-	if r.opts.StringKeys {
-		if err := x.penc.Set(n.key, r.nObj, r.nProc); err != nil {
-			return fmt.Errorf("frontier engine: node key: %w", err)
-		}
-		penc = &x.penc
-	}
 	if x.sw != nil {
-		x.sw.load(n.slotFP, n.slotH)
+		x.sw.load(n.slotFP, n.refs)
 	}
 	for pid := 0; pid < r.nProc; pid++ {
 		if !r.allowed[pid] {
@@ -177,7 +174,7 @@ func (x *expander) plan(n *Node) error {
 		}
 		x.cands = append(x.cands, cand{parent: parent, pid: int32(pid)})
 		c := &x.cands[len(x.cands)-1]
-		ok, err := x.st.Plan(n.Cfg, n.slotH, pid, penc, &c.step)
+		ok, err := x.st.Plan(n.refs, pid, &c.step)
 		if !ok { // pid has decided (no step), or the protocol is broken
 			x.cands = x.cands[:len(x.cands)-1]
 			if err != nil {
@@ -187,23 +184,23 @@ func (x *expander) plan(n *Node) error {
 		}
 		c.fp = c.step.Fingerprint(n.slotFP)
 		switch {
-		case penc != nil:
+		case r.opts.StringKeys:
 			c.keyOff = int32(len(x.keys))
-			x.keys = x.st.AppendKey(x.keys, penc, pid, &c.step)
+			x.keys = x.st.AppendKey(x.keys, n.refs, pid, &c.step)
 			c.keyLen = int32(len(x.keys)) - c.keyOff
 		case x.sw != nil:
 			c.fp = x.sw.successor(pid, &c.step)
 		}
 		if r.link != nil && !r.link.Owns(c.fp) {
 			// The owning peer claims it exactly as a local partition would.
-			// The link serialises the node before it returns, so one
-			// scratch node serves them all.
+			// It gets the node's record, so one scratch node serves them all.
 			if x.tmp == nil {
 				x.tmp = r.newNode(x.worker)
 			}
 			x.build(c, x.tmp)
 			x.cands = x.cands[:len(x.cands)-1]
-			if err := r.link.Send(x.worker, x.tmp); err != nil {
+			x.rec = appendNodeRecord(x.rec[:0], x.tmp, r.dict)
+			if err := r.link.Send(x.worker, c.fp, x.rec); err != nil {
 				return err
 			}
 		}
@@ -344,12 +341,12 @@ func (x *expander) reclaim(c *cand, key []byte) {
 	cl.overrides.set(c.fp, prev.key, a.path, byte(c.pid))
 }
 
-// build writes candidate c's successor into n: the copy-on-write step from
-// its parent, and the depth/pid/path/key bookkeeping.
+// build writes candidate c's successor into n: its parent's refs with the
+// step's two installed, and the depth/pid/path/key bookkeeping.
 func (x *expander) build(c *cand, n *Node) {
 	r := x.run
 	p := x.parents[c.parent]
-	x.st.Install(p.Cfg, p.slotH, int(c.pid), &c.step, n.Cfg, n.slotH)
+	x.st.Install(p.refs, int(c.pid), &c.step, n.refs)
 	n.slotFP = c.step.Fingerprint(p.slotFP)
 	n.Depth = p.Depth + 1
 	n.reexpand = c.verdict == candDeepen
@@ -368,25 +365,28 @@ func (x *expander) build(c *cand, n *Node) {
 // (the checkpoint profile check guards the common cases; this is the
 // backstop for a changed implementation).
 func replayStep(st *model.Stepper, cur, succ *Node, pid byte) error {
-	fp, ok, err := st.ApplyCOW(cur.Cfg, cur.slotFP, cur.slotH, int(pid), succ.Cfg, succ.slotH)
+	var s model.Step
+	ok, err := st.Plan(cur.refs, int(pid), &s)
 	if err == nil && !ok {
 		err = fmt.Errorf("pid %d has no step at depth %d", pid, cur.Depth)
 	}
 	if err != nil {
 		return fmt.Errorf("pid path does not replay (%v)", err)
 	}
-	succ.slotFP = fp
+	st.Install(cur.refs, int(pid), &s, succ.refs)
+	succ.slotFP = s.Fingerprint(cur.slotFP)
 	succ.Depth = cur.Depth + 1
 	succ.Pid = int(pid)
 	return nil
 }
 
 // replayPath rebuilds a single node from worker w's supply by applying its
-// root-to-node pid path from the start configuration (a distributed peer's
-// fallback for a wire record it cannot rematerialize). The result is not
-// keyed.
-func replayPath(run *engineRun, w int, st *model.Stepper, path []byte) (*Node, error) {
-	cur := run.rootNode(w, st)
+// root-to-node pid path from the start configuration on w's stepper (a
+// distributed peer's fallback for a wire record it cannot rematerialize).
+// The result is not keyed.
+func replayPath(run *engineRun, w int, path []byte) (*Node, error) {
+	st := run.expander(w).st
+	cur := run.rootNode(w)
 	for _, pid := range path {
 		succ := run.newNode(w)
 		err := replayStep(st, cur, succ, pid)
@@ -458,7 +458,7 @@ func (x *expander) replay(s *replaySource, lo, hi int, buf []*Node) (int, error)
 	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(path(a), path(b)) })
 
 	if len(x.stack) == 0 {
-		x.stack = append(x.stack, r.rootNode(x.worker, x.st))
+		x.stack = append(x.stack, r.rootNode(x.worker))
 	}
 	var sum uint64
 	for m, i := range order {

@@ -23,13 +23,15 @@ import (
 //	klen   uvarint, key [klen]byte      exact key (empty unless the run uses exact keys)
 //	plen   uvarint, path [plen]byte     root-to-node pid path (empty unless the run keeps paths)
 //
-// A record carries what the node already holds and nothing is encoded to
-// write it: the slot hashes stand for the configuration, which the reader
-// resolves through a model.SlotExchange, and the slot fingerprint is not
-// carried at all — it is the XOR of model.MixSlotHash over the vector.
-// An exact key already determines every slot, so an exact-key record
-// carries no vector: the reader hashes the key's slot spans
-// (model.SlotHash), as the stepper did.
+// Nothing is encoded to write a record: the slot hashes, read from the
+// run's slot dictionary through the node's refs, stand for the
+// configuration, which the reader resolves back to refs through its own
+// run's dictionary; and the slot fingerprint is not carried at all — it is
+// the XOR of model.MixSlotHash over the vector. Refs never leave the
+// process: they are assigned in timing order. An exact key already
+// determines every slot, so an exact-key record carries no vector: the
+// reader hashes the key's slot spans (model.SlotHash), as the dictionary
+// did.
 
 // NodeRecord is a decoded record. Slots, Key and Path alias the buffer it
 // was decoded from.
@@ -52,18 +54,18 @@ func (r *NodeRecord) SlotHash(i int) uint64 { return binary.LittleEndian.Uint64(
 // uvarints, the fingerprint, an empty slot vector and two empty blobs.
 const NodeRecordMin = 13
 
-// AppendNodeRecord appends n's record to buf: its slot-hash vector, or
-// under exact keys (n carries a key) none.
-func AppendNodeRecord(buf []byte, n *Node) []byte {
+// appendNodeRecord appends n's record to buf: the slot-hash vector of its
+// refs into d, or under exact keys (n carries a key) none.
+func appendNodeRecord(buf []byte, n *Node, d *model.Dict) []byte {
 	buf = binary.AppendUvarint(buf, uint64(n.Pid+1))
 	buf = binary.AppendUvarint(buf, uint64(n.Depth))
 	buf = binary.LittleEndian.AppendUint64(buf, n.fp)
 	if n.key != "" {
 		buf = binary.AppendUvarint(buf, 0)
 	} else {
-		buf = binary.AppendUvarint(buf, uint64(len(n.slotH)))
-		for _, h := range n.slotH {
-			buf = binary.LittleEndian.AppendUint64(buf, h)
+		buf = binary.AppendUvarint(buf, uint64(len(n.refs)))
+		for i, ref := range n.refs {
+			buf = binary.LittleEndian.AppendUint64(buf, d.SlotHash(i, ref))
 		}
 	}
 	buf = append(binary.AppendUvarint(buf, uint64(len(n.key))), n.key...)
@@ -113,31 +115,33 @@ func cutBlob(b []byte) (blob, rest []byte, ok bool) {
 
 // rematerialiser rebuilds nodes from records. Canonical Values and States
 // cannot be decoded from bytes alone (states are protocol-defined and
-// opaque), so each slot's hash is resolved through an exchange: the spill
-// store interns every slot it spools, which makes a miss corruption; a
-// distributed peer meets slots first seen on another process, replays the
-// record's path through its own stepper instead and interns the result,
-// so the exchange warms up to the hot slot population. Under exact keys a
-// slot must also match its span of the record's key byte for byte.
+// opaque), so each slot's hash is resolved to a ref through the run's slot
+// dictionary: the spill store spools only nodes whose slots are in it,
+// which makes a miss corruption; a distributed peer meets slots first seen
+// on another process, and replays the record's path through its own
+// stepper instead, which interns them, so the dictionary warms up to the
+// hot slot population. Under exact keys a slot must also match its span
+// of the record's key byte for byte.
 type rematerialiser struct {
-	ctx  storeCtx
-	exch *model.SlotExchange
+	ctx storeCtx
 	// replay rebuilds the (unkeyed) node at the end of a pid path from
 	// worker w's supply; nil where a miss cannot legitimately occur.
 	replay func(w int, path []byte) (*Node, error)
 }
 
 // recScratch is one sequential reader's scratch: the key's slot spans,
-// and the slots of the records it resolved last, which the next record,
-// most often a sibling, shares but for one or two.
+// the record's slot hashes, and the slots of the records it resolved
+// last, which the next record, most often a sibling, shares but for one
+// or two.
 type recScratch struct {
-	spans [][]byte
-	slots model.SlotCache
+	spans  [][]byte
+	hashes []uint64
+	slots  model.SlotCache
 }
 
 // node rebuilds rec's node from worker w's supply, admission-ready except
-// for its exact key, which is the caller's to set. It is safe for concurrent use when replay
-// is nil and no two callers share sc.
+// for its exact key, which is the caller's to set. It is safe for
+// concurrent use when replay is nil and no two callers share sc.
 func (m *rematerialiser) node(w int, rec *NodeRecord, sc *recScratch) (*Node, error) {
 	nSlots := m.ctx.nObj + m.ctx.nProc
 	var encs [][]byte // nil: slots match on their hashes alone
@@ -147,26 +151,30 @@ func (m *rematerialiser) node(w int, rec *NodeRecord, sc *recScratch) (*Node, er
 			return nil, err
 		}
 		encs = sc.spans
-		nSlots = 0
-	}
-	if got := rec.NumSlots(); got != nSlots {
+		if got := rec.NumSlots(); got != 0 {
+			return nil, fmt.Errorf("exact-key record carries %d slot hashes", got)
+		}
+	} else if got := rec.NumSlots(); got != nSlots {
 		return nil, fmt.Errorf("record carries %d slot hashes, want %d", got, nSlots)
 	}
 	// Nothing is stepped or encoded: the vector is the record's (or the
-	// key's spans' hashes), each slot's canonical value or state comes from
-	// the exchange, and the slot fingerprint is recomputed from the vector.
-	n := m.ctx.newNode(w)
+	// key's spans' hashes), each slot's ref comes from the dictionary, and
+	// the slot fingerprint is recomputed from the vector.
+	sc.hashes = sc.hashes[:0]
 	var slotFP uint64
-	for i := range n.slotH {
+	for i := range nSlots {
+		var h uint64
 		if encs != nil {
-			n.slotH[i] = model.SlotHash(encs[i])
+			h = model.SlotHash(encs[i])
 		} else {
-			n.slotH[i] = rec.SlotHash(i)
+			h = rec.SlotHash(i)
 		}
-		slotFP ^= model.MixSlotHash(i, n.slotH[i])
+		sc.hashes = append(sc.hashes, h)
+		slotFP ^= model.MixSlotHash(i, h)
 	}
+	n := m.ctx.newNode(w)
 	var err error
-	switch miss := m.exch.Resolve(n.Cfg, n.slotH, encs, &sc.slots); {
+	switch miss := m.ctx.dict.Resolve(n.refs, sc.hashes, encs, &sc.slots); {
 	case miss < 0:
 		n.slotFP = slotFP
 		n.path = append(n.path[:0], rec.Path...)
@@ -182,14 +190,11 @@ func (m *rematerialiser) node(w int, rec *NodeRecord, sc *recScratch) (*Node, er
 		// protocol build, or a corrupted frame whose CRC collided). Only a
 		// distributed run replays, and it is fingerprint-keyed (modes.go),
 		// so the hashes are the whole match.
-		for i, h := range n.slotH {
-			if h != rec.SlotHash(i) {
-				err = fmt.Errorf("record replays to slot %d hash %#x, sender advertised %#x", i, h, rec.SlotHash(i))
+		for i, ref := range n.refs {
+			if h := m.ctx.dict.SlotHash(i, ref); h != sc.hashes[i] {
+				err = fmt.Errorf("record replays to slot %d hash %#x, sender advertised %#x", i, h, sc.hashes[i])
 				break
 			}
-		}
-		if err == nil {
-			m.exch.Intern(n.Cfg, n.slotH, encs, nil)
 		}
 	}
 	if err != nil {

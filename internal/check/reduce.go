@@ -19,8 +19,8 @@ import (
 // slots contribute one term of the wrapping sum of their hashes instead of
 // one term per position, so all pid-permuted variants of a configuration
 // collapse into one visited entry. Nothing is re-encoded or sorted: an
-// expanded node's class sums and terms are computed once from the slot
-// hashes ApplyCOW already maintains, and since a step changes only the
+// expanded node's class sums and terms are computed once from its slots'
+// content hashes, read from the run's dictionary, and since a step changes only the
 // actor's state slot, each successor's fingerprint is its parent's with
 // the actor's share of one class sum swapped — O(1) per successor.
 // Soundness is the protocol's declaration (see model.ProcessSymmetric);
@@ -142,6 +142,7 @@ func planReduction(p model.Protocol, allowed []bool, nObj int, rootH []uint64) [
 // steppers, one instance serves one goroutine; nothing in it is locked, and
 // the counter is summed after the run.
 type symWorker struct {
+	dict    *model.Dict // the run's, which holds the slot hashes
 	classes [][]int
 	nObj    int
 	// slots holds, per pid, what load derived from the planned node for
@@ -153,7 +154,7 @@ type symWorker struct {
 	unsorted int64
 
 	statesPruned int64
-	_            [48]byte // 128 bytes: two cache lines no other worker's data shares
+	_            [40]byte // 128 bytes: two cache lines no other worker's data shares
 }
 
 // symSlot is one pid's share of the planned node's canonical fingerprint,
@@ -174,24 +175,24 @@ type symSlot struct {
 	base, sum, prev, next uint64
 }
 
-func newSymWorker(classes [][]int, nObj, nProc int) *symWorker {
+func newSymWorker(dict *model.Dict, classes [][]int, nObj, nProc int) *symWorker {
 	// Two unused slots (96 bytes) on each side keep other workers' data
 	// off the slots' cache lines: load rewrites them for every node.
-	return &symWorker{classes: classes, nObj: nObj, slots: make([]symSlot, nProc+4)[2 : nProc+2 : nProc+2]}
+	return &symWorker{dict: dict, classes: classes, nObj: nObj, slots: make([]symSlot, nProc+4)[2 : nProc+2 : nProc+2]}
 }
 
 // load computes, from scratch, the canonical fingerprint (fp) and the
 // unsorted classes (unsorted) of the node whose slot fingerprint and slot
-// hashes are slotFP and slotH, and sets every class member's slot for
+// refs are slotFP and refs, and sets every class member's slot for
 // successor: two passes over the class members, once per expanded node
 // (and for the root and a replayed node, which have no parent to step
 // from).
-func (w *symWorker) load(slotFP uint64, slotH []uint64) {
+func (w *symWorker) load(slotFP uint64, refs []uint32) {
 	fp, unsorted := slotFP, int64(0)
 	for ci, class := range w.classes {
 		sum, desc, prev := uint64(0), int32(0), uint64(0)
 		for _, pid := range class {
-			h, sl := slotH[w.nObj+pid], &w.slots[pid]
+			h, sl := w.dict.SlotHash(w.nObj+pid, refs[w.nObj+pid]), &w.slots[pid]
 			sl.base, sl.sum, sl.prev = model.MixSlotHash(w.nObj+pid, h), model.Mix64(h), prev
 			if h < prev {
 				desc++
@@ -202,7 +203,7 @@ func (w *symWorker) load(slotFP uint64, slotH []uint64) {
 		fp, unsorted = fp^term, unsorted+int64(own)
 		next := ^uint64(0)
 		for j := len(class) - 1; j >= 0; j-- {
-			h, sl := slotH[w.nObj+class[j]], &w.slots[class[j]]
+			h, sl := w.dict.SlotHash(w.nObj+class[j], refs[w.nObj+class[j]]), &w.slots[class[j]]
 			sl.class, sl.own, sl.base, sl.sum, sl.desc = int32(ci)+1, own, sl.base^term, sum-sl.sum, desc
 			sl.next, next = next, h
 			if h < sl.prev {

@@ -33,36 +33,44 @@ func TestSymWorkerMatchesReference(t *testing.T) {
 		{"pid 4 positional", []int{0, 0, 0, 0, 1}, []bool{true, true, true, true, true}, [][]int{{0, 1, 2, 3}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := model.NewStepper(p)
+			d := model.NewDict(p)
+			st := model.NewStepperOn(p, d)
 			nObj, nProc := len(p.Objects()), p.NumProcesses()
-			c := model.MustNewConfig(p, tc.inputs)
-			slotH := make([]uint64, st.Slots())
-			slotFP := st.InitSlots(c, slotH)
+			rootRefs := make([]uint32, st.Slots())
+			slotFP := d.Intern(model.MustNewConfig(p, tc.inputs), rootRefs)
+			slotH := make([]uint64, len(rootRefs))
+			for i, ref := range rootRefs {
+				slotH[i] = d.SlotHash(i, ref)
+			}
 			classes := planReduction(p, tc.allowed, nObj, slotH)
 			if !reflect.DeepEqual(classes, tc.classes) {
 				t.Fatalf("classes = %v, want %v", classes, tc.classes)
 			}
-			sw, ref := newSymWorker(classes, nObj, nProc), newSymWorker(classes, nObj, nProc)
+			sw, ref := newSymWorker(d, classes, nObj, nProc), newSymWorker(d, classes, nObj, nProc)
+			config := func(refs []uint32) *model.Config {
+				c := &model.Config{Objects: make([]model.Value, nObj), States: make([]model.State, nProc)}
+				d.Materialise(refs, c)
+				return c
+			}
 
 			type node struct {
-				cfg    *model.Config
+				refs   []uint32
 				slotFP uint64
-				slotH  []uint64
 			}
-			ref.load(slotFP, slotH)
+			ref.load(slotFP, rootRefs)
 			seen := map[uint64]bool{ref.fp: true}
-			level := []node{{c, slotFP, slotH}}
+			level := []node{{rootRefs, slotFP}}
 			successors := 0
 			for len(level) > 0 {
 				var next []node
 				for _, n := range level {
-					sw.load(n.slotFP, n.slotH)
+					sw.load(n.slotFP, n.refs)
 					for pid := 0; pid < nProc; pid++ {
 						if !tc.allowed[pid] {
 							continue
 						}
 						var s model.Step
-						ok, err := st.Plan(n.cfg, n.slotH, pid, nil, &s)
+						ok, err := st.Plan(n.refs, pid, &s)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -72,21 +80,20 @@ func TestSymWorkerMatchesReference(t *testing.T) {
 						pruned := sw.statesPruned
 						got := sw.successor(pid, &s)
 						pruned = sw.statesPruned - pruned
-						succ := &model.Config{Objects: make([]model.Value, nObj), States: make([]model.State, nProc)}
-						succH := make([]uint64, len(n.slotH))
-						st.Install(n.cfg, n.slotH, pid, &s, succ, succH)
+						succ := make([]uint32, len(n.refs))
+						st.Install(n.refs, pid, &s, succ)
 						succFP := s.Fingerprint(n.slotFP)
-						if want := succ.CanonicalSlotFingerprint(classes); got != want {
-							t.Fatalf("pid %d from %s: incremental canonical %#x != reference %#x", pid, n.cfg.Key(), got, want)
+						if want := config(succ).CanonicalSlotFingerprint(classes); got != want {
+							t.Fatalf("pid %d from %s: incremental canonical %#x != reference %#x", pid, config(n.refs).Key(), got, want)
 						}
-						if ref.load(succFP, succH); ref.fp != got || ref.unsorted != pruned {
+						if ref.load(succFP, succ); ref.fp != got || ref.unsorted != pruned {
 							t.Fatalf("pid %d from %s: from scratch %#x with %d unsorted classes, incrementally %#x with %d",
-								pid, n.cfg.Key(), ref.fp, ref.unsorted, got, pruned)
+								pid, config(n.refs).Key(), ref.fp, ref.unsorted, got, pruned)
 						}
 						successors++
 						if !seen[got] {
 							seen[got] = true
-							next = append(next, node{succ, succFP, succH})
+							next = append(next, node{succ, succFP})
 						}
 					}
 				}

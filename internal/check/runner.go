@@ -12,9 +12,9 @@
 // smallest visited node by depth, fingerprint and key) on the frontier
 // engine (RunFrontier): one expansion core and one worker loop over it,
 // fed in one of two orders. The per-worker expander
-// (expand.go) turns a node into keyed successors — arena-backed
-// copy-on-write steps with incrementally-maintained fingerprints
-// (model.Stepper), nodes carved from per-worker slabs and recycled
+// (expand.go) turns a node into keyed successors — memoised steps on
+// ref vectors into the run's slot dictionary with incrementally-maintained
+// fingerprints (model.Stepper), nodes carved from per-worker slabs and recycled
 // through per-worker free lists, one keying decision, routing to the
 // owning peer of a distributed run. The level-synchronized order
 // (levelsync.go) feeds the workers a level at a time, a parallel BFS with

@@ -143,13 +143,13 @@ func TestSpillProvenanceSchedules(t *testing.T) {
 	start := model.MustNewConfig(p, []int{0, 1, 1})
 	stats, err := check.RunFrontier(p, start, []int{0, 1, 2}, check.ExploreLimits{},
 		check.EngineOptions{Workers: 2, Provenance: true, Store: check.StoreSpill, MemBudget: 1},
-		func(_ int, n *check.Node) error {
+		func(_ int, n *check.Node, cfg *model.Config) error {
 			replay, err := model.Replay(p, start, n.Path())
 			if err != nil {
 				return fmt.Errorf("replaying path %v: %w", n.Path(), err)
 			}
-			if replay.Key() != n.Cfg.Key() {
-				return fmt.Errorf("path %v replays to %q, node holds %q", n.Path(), replay.Key(), n.Cfg.Key())
+			if replay.Key() != cfg.Key() {
+				return fmt.Errorf("path %v replays to %q, node holds %q", n.Path(), replay.Key(), cfg.Key())
 			}
 			return nil
 		}, nil)
@@ -177,7 +177,7 @@ func TestUnknownStoreRejected(t *testing.T) {
 	c := model.MustNewConfig(p, []int{0, 1})
 	_, err := check.RunFrontier(p, c, []int{0, 1}, check.ExploreLimits{},
 		check.EngineOptions{Store: "floppy"},
-		func(int, *check.Node) error { return nil }, nil)
+		func(int, *check.Node, *model.Config) error { return nil }, nil)
 	if err == nil {
 		t.Fatal("unknown store accepted")
 	}
@@ -347,9 +347,9 @@ func TestSpillCompactionMatchesResident(t *testing.T) {
 		res := exploreT(t, p, c, pids, 1, check.ExploreOptions{Limits: limits, Engine: eng})
 		var mu sync.Mutex
 		byDepth := map[int][]string{}
-		_, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node) error {
+		_, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node, cfg *model.Config) error {
 			mu.Lock()
-			byDepth[n.Depth] = append(byDepth[n.Depth], n.Cfg.Key())
+			byDepth[n.Depth] = append(byDepth[n.Depth], cfg.Key())
 			mu.Unlock()
 			return nil
 		}, nil)

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/fault"
-	"repro/internal/model"
 )
 
 // spillStore is the frontier engine's one state store (store.go): the
@@ -76,20 +75,18 @@ import (
 //     lock and decode it outside, skipping records revoked or truncated at
 //     the barrier. A record carries the node's slot-hash vector (under
 //     exact keys its key, whose slot spans the reader hashes), not its
-//     configuration: per-slot canonical Values/States cannot be rebuilt
-//     from bytes alone, so the store interns every slot it spools, by
-//     content hash (and, under exact keys, by its span of the key too), in
-//     the rematerialiser's exchange — resident memory that grows with
-//     *distinct slots*, the same asymptotics as the steppers' arenas,
-//     typically far below the configuration count. Consecutive records of
-//     a segment are mostly siblings, so each worker's queue remembers the
-//     slots it interned last and each claimed block the slots it resolved
-//     last (model.SlotCache, a few per slot index): a node looks up only
-//     the slots those do not hold, and under exact keys a slot is held
-//     only if its span is byte-equal too. Nothing is encoded to spool a
-//     node. A provenance run's records carry each node's path as
-//     admitted; the engine patches in the path of the claim that won the
-//     node as it hands the node out.
+//     refs, which are the process's own: the reader resolves each hash
+//     (under exact keys, each span) back to a ref through the run's slot
+//     dictionary, which already holds every slot a node can hold — resident
+//     memory that grows with *distinct slots*, typically far below the
+//     configuration count. Consecutive records of a segment are mostly
+//     siblings, so each claimed block remembers the slots it resolved last
+//     (model.SlotCache, a few per slot index): a node looks up only the
+//     slots it does not hold, and under exact keys a slot is held only if
+//     its span is byte-equal too. Nothing is encoded to spool a node. A
+//     provenance run's records carry each node's path as admitted; the
+//     engine patches in the path of the claim that won the node as it
+//     hands the node out.
 //
 // Both files are artifacts (artifact.go): checksummed, published by
 // rename, and wiped by the next open of the directory — nothing outlives
@@ -155,12 +152,7 @@ type spillStore struct {
 type spillQueue struct {
 	next  []*Node      // unbudgeted store only
 	spool *blockWriter // this level's segment; nil until a node is spooled
-	key   []byte       // exact-key scratch, split into spans
-	spans [][]byte     // slot-span scratch
-	// slots are the slots this queue spooled last: a node interns only
-	// those it does not hold.
-	slots model.SlotCache
-	_     [16]byte // a cache line per worker
+	_     [32]byte     // a cache line per worker
 }
 
 // spillRun is one sorted run file. verified records that the file passed
@@ -185,7 +177,7 @@ func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) 
 		return s, nil
 	}
 	s.stats.Kind = StoreSpill
-	s.remat = rematerialiser{ctx: ctx, exch: model.NewSlotExchange()}
+	s.remat = rematerialiser{ctx: ctx}
 	// Workers spool concurrently, so the directory is opened before the
 	// first of them (the root, queued at once) needs it.
 	if s.dir == "" {
@@ -243,8 +235,7 @@ func (s *spillStore) Queue(worker int, n *Node) {
 	s.ctx.recycle(worker, n)
 }
 
-// spoolNode appends n's record to worker's segment, interning every slot
-// in the exchange so the node can be rematerialised.
+// spoolNode appends n's record to worker's segment.
 func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 	if q.spool == nil {
 		w, err := newBlockWriter(filepath.Join(s.dir, fmt.Sprintf("seg-%d-w%d", s.seq, worker)), artifactSegment, true)
@@ -253,17 +244,7 @@ func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 		}
 		q.spool = w
 	}
-	q.spool.buf = AppendNodeRecord(q.spool.buf, n)
-	var encs [][]byte // nil: slots are interned by hash alone
-	if s.ctx.stringKeys {
-		q.key = append(q.key[:0], n.key...)
-		spans, err := model.SlotSpans(q.key, s.ctx.nObj, s.ctx.nProc, q.spans)
-		if err != nil {
-			return fmt.Errorf("spill store: %w", err)
-		}
-		q.spans, encs = spans, spans
-	}
-	s.remat.exch.Intern(n.Cfg, n.slotH, encs, &q.slots)
+	q.spool.buf = appendNodeRecord(q.spool.buf, n, s.ctx.dict)
 	if err := q.spool.flushFull(); err != nil {
 		return fmt.Errorf("spill store: segment write: %w", err)
 	}
@@ -734,7 +715,7 @@ func (s *spillStore) Close() error {
 
 // spillSource streams a level's spooled frontier back to the engine
 // workers: a block of records is claimed under a short lock, decoding
-// (exchange lookups, slot-hash recomputation) happens outside it.
+// (dictionary lookups, slot-hash recomputation) happens outside it.
 type spillSource struct {
 	store *spillStore
 	size  int
@@ -847,7 +828,7 @@ func (s *spillSource) claim() *segBlock {
 // decode rebuilds the next record of b from worker w's supply, or returns
 // nil for one dropped at the barrier. Entries are unique per level, so the fingerprint (or, under
 // exact keys, the key) identifies the record. Every slot a spooled node
-// holds was interned when it was spooled, so a miss is corruption.
+// holds is in the run's dictionary, so a miss is corruption.
 func (s *spillSource) decode(w int, b *segBlock) (*Node, error) {
 	rec, err := b.next(s.segs[b.seg])
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"iter"
 	"slices"
 	"sync/atomic"
+
+	"repro/internal/model"
 )
 
 // This file holds the vocabulary of the frontier engine's state store
@@ -152,8 +154,8 @@ const (
 // EngineOptions.MemBudget is unset: 256 MiB.
 const DefaultMemBudget = 256 << 20
 
-// storeCtx carries the engine-side context the store needs: the run shape,
-// keying mode, the node lifecycle hooks (the per-worker slab supplies stay
+// storeCtx carries the engine-side context the store needs: the run shape
+// and slot dictionary, keying mode, the node lifecycle hooks (the per-worker slab supplies stay
 // engine-owned, so the store's nodes and the engine's share one
 // discipline) and the run's one error cell: fail records an I/O or decode
 // failure and stops the run, stopped reports that the run has stopped.
@@ -161,6 +163,7 @@ type storeCtx struct {
 	workers    int // queue count
 	nObj       int
 	nProc      int
+	dict       *model.Dict // the run's slot dictionary
 	stringKeys bool
 	newNode    func(worker int) *Node
 	recycle    func(worker int, n *Node)

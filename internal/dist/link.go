@@ -252,13 +252,13 @@ func (l *peerLink) Start(workers int) {
 	}
 }
 
-func (l *peerLink) Send(worker int, n *check.Node) error {
-	dest := check.DistPeerOf(check.DistPart(n.Fingerprint()), l.n)
+func (l *peerLink) Send(worker int, fp uint64, rec []byte) error {
+	dest := check.DistPeerOf(check.DistPart(fp), l.n)
 	b := &l.bufs[worker][dest]
 	if b.count == 0 {
 		b.buf = appendBatchHeader(b.buf[:0], dest, l.self, 0)
 	}
-	b.buf = check.AppendNodeRecord(b.buf, n)
+	b.buf = append(b.buf, rec...)
 	b.count++
 	if b.count >= recordBatchSize {
 		return l.flushBuf(b)

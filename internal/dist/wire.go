@@ -207,7 +207,7 @@ func readFrame(r io.Reader, buf []byte) (t frameType, payload, out []byte, err e
 //	dest  uint8   receiving peer index
 //	src   uint8   sending peer index
 //	count uint32  records
-//	recs  count × node record (check.AppendNodeRecord: the record the
+//	recs  count × node record (check.DecodeNodeRecord: the record the
 //	      spill store spools, one layout for both — pid, depth,
 //	      fingerprint, slot-hash vector, an empty key and the pid path;
 //	      no configuration encoding)

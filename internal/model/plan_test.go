@@ -35,25 +35,16 @@ func (counterProto) Observe(pid int, st model.State, resp model.Value) model.Sta
 }
 func (counterProto) Decision(st model.State) (int, bool) { return 0, false }
 
-// planned is a configuration with everything a stepper steps from.
-type planned struct {
-	cfg   *model.Config
-	fp    uint64
-	slotH []uint64
-	penc  *model.SlotEncoding // nil for a hash-keyed step
-}
-
-func newPlanned(t *testing.T, st *model.Stepper, cfg *model.Config, exact bool) planned {
-	t.Helper()
-	p := planned{cfg: cfg, slotH: make([]uint64, st.Slots())}
-	p.fp = st.InitSlots(cfg, p.slotH)
-	if exact {
-		p.penc = new(model.SlotEncoding)
-		if err := p.penc.Set(string(cfg.AppendEncoding(nil)), len(cfg.Objects), len(cfg.States)); err != nil {
-			t.Fatal(err)
-		}
+// config materialises the configuration refs stands for in st's
+// dictionary, with its slot hashes.
+func config(st *model.Stepper, shape *model.Config, refs []uint32) (*model.Config, []uint64) {
+	c := &model.Config{Objects: make([]model.Value, len(shape.Objects)), States: make([]model.State, len(shape.States))}
+	st.Arena().Materialise(refs, c)
+	hashes := make([]uint64, len(refs))
+	for i, ref := range refs {
+		hashes[i] = st.Arena().SlotHash(i, ref)
 	}
-	return p
+	return c, hashes
 }
 
 func shapeOf(c *model.Config) (*model.Config, []uint64) {
@@ -68,62 +59,62 @@ func shapeOf(c *model.Config) (*model.Config, []uint64) {
 // several times) and 1,000 further entries to the memo table (other
 // states: the table is rehashed twice).
 func TestPlannedStepSurvivesMemoGrowth(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		newStepper := model.NewStepper
-		if exact {
-			newStepper = model.NewStepperExact
-		}
-		st := newStepper(counterProto{})
-		at := func(value, state int) planned {
-			return newPlanned(t, st, &model.Config{
-				Objects: []model.Value{model.Int(value)},
-				States:  []model.State{model.Int(state), model.Int(0)},
-			}, exact)
-		}
-		first := at(-1, 7)
-		var step model.Step
-		if ok, err := st.Plan(first.cfg, first.slotH, 0, first.penc, &step); !ok || err != nil {
-			t.Fatalf("exact=%t: Plan: ok=%t err=%v", exact, ok, err)
-		}
-		var scratch model.Step
-		for i := 0; i < 1000; i++ {
-			for _, p := range []planned{at(i, 7), at(-1, 100+i)} {
-				if ok, err := st.Plan(p.cfg, p.slotH, 0, p.penc, &scratch); !ok || err != nil {
-					t.Fatalf("exact=%t: Plan %d: ok=%t err=%v", exact, i, ok, err)
-				}
+	st := model.NewStepper(counterProto{})
+	at := func(value, state int) []uint32 {
+		refs := make([]uint32, st.Slots())
+		st.Arena().Intern(&model.Config{
+			Objects: []model.Value{model.Int(value)},
+			States:  []model.State{model.Int(state), model.Int(0)},
+		}, refs)
+		return refs
+	}
+	first := at(-1, 7)
+	shape, _ := config(st, &model.Config{Objects: make([]model.Value, 1), States: make([]model.State, 2)}, first)
+	firstFP := shape.SlotFingerprint()
+	var step model.Step
+	if ok, err := st.Plan(first, 0, &step); !ok || err != nil {
+		t.Fatalf("Plan: ok=%t err=%v", ok, err)
+	}
+	var scratch model.Step
+	for i := 0; i < 1000; i++ {
+		for _, refs := range [][]uint32{at(i, 7), at(-1, 100+i)} {
+			if ok, err := st.Plan(refs, 0, &scratch); !ok || err != nil {
+				t.Fatalf("Plan %d: ok=%t err=%v", i, ok, err)
 			}
 		}
+	}
 
-		dst, dstH := shapeOf(first.cfg)
-		st.Install(first.cfg, first.slotH, 0, &step, dst, dstH)
-		fresh := newStepper(counterProto{})
-		ref := newPlanned(t, fresh, &model.Config{
-			Objects: []model.Value{model.Int(-1)},
-			States:  []model.State{model.Int(7), model.Int(0)},
-		}, false)
-		want, wantH := shapeOf(ref.cfg)
-		wantFP, ok, err := fresh.ApplyCOW(ref.cfg, ref.fp, ref.slotH, 0, want, wantH)
-		if !ok || err != nil {
-			t.Fatalf("exact=%t: fresh ApplyCOW: ok=%t err=%v", exact, ok, err)
-		}
-		if got := step.Fingerprint(first.fp); got != wantFP || !reflect.DeepEqual(dstH, wantH) ||
-			string(dst.AppendEncoding(nil)) != string(want.AppendEncoding(nil)) {
-			t.Errorf("exact=%t: the step planned before the memo grew installs %q (fp %#x, hashes %x); a fresh stepper steps to %q (fp %#x, hashes %x)",
-				exact, dst.AppendEncoding(nil), got, dstH, want.AppendEncoding(nil), wantFP, wantH)
-		}
-		if exact {
-			if key := st.AppendKey(nil, first.penc, 0, &step); string(key) != string(want.AppendEncoding(nil)) {
-				t.Errorf("spliced key %q, the successor encodes %q", key, want.AppendEncoding(nil))
-			}
-		}
+	dstRefs := make([]uint32, len(first))
+	st.Install(first, 0, &step, dstRefs)
+	dst, dstH := config(st, shape, dstRefs)
+	fresh := model.NewStepperExact(counterProto{})
+	ref := &model.Config{
+		Objects: []model.Value{model.Int(-1)},
+		States:  []model.State{model.Int(7), model.Int(0)},
+	}
+	refH := make([]uint64, fresh.Slots())
+	refFP := fresh.InitSlots(ref, refH)
+	want, wantH := shapeOf(ref)
+	wantFP, ok, err := fresh.ApplyCOW(ref, refFP, refH, 0, want, wantH)
+	if !ok || err != nil {
+		t.Fatalf("fresh ApplyCOW: ok=%t err=%v", ok, err)
+	}
+	if got := step.Fingerprint(firstFP); got != wantFP || !reflect.DeepEqual(dstH, wantH) ||
+		string(dst.AppendEncoding(nil)) != string(want.AppendEncoding(nil)) {
+		t.Errorf("the step planned before the memo grew installs %q (fp %#x, hashes %x); a fresh stepper steps to %q (fp %#x, hashes %x)",
+			dst.AppendEncoding(nil), got, dstH, want.AppendEncoding(nil), wantFP, wantH)
+	}
+	if key := st.AppendKey(nil, first, 0, &step); string(key) != string(want.AppendEncoding(nil)) {
+		t.Errorf("appended key %q, the successor encodes %q", key, want.AppendEncoding(nil))
 	}
 }
 
 // TestPlanThenInstallMatchesApply: on random walks, planning the step of
 // every process first and installing one of them afterwards yields the
 // successor a memo-free step through the protocol yields — slots, slot
-// hashes, fingerprint and, for the exact stepper, the spliced key — under
-// both steppers, with cold and with warm memos.
+// hashes, fingerprint and key — with cold and with warm memos; and the
+// memoising stepper's ApplyCOW, which resolves the parent's slots by hash,
+// yields it too.
 func TestPlanThenInstallMatchesApply(t *testing.T) {
 	toybit, err := baseline.NewToyBitRace(4, 2)
 	if err != nil {
@@ -137,59 +128,56 @@ func TestPlanThenInstallMatchesApply(t *testing.T) {
 		{"algorithm1", core.MustNew(core.Params{N: 4, K: 2, M: 3}), []int{0, 1, 2, 0}},
 		{"toybit", toybit, []int{0, 1, 0, 1}},
 	} {
-		for _, exact := range []bool{false, true} {
-			st := model.NewStepper(tc.p)
-			if exact {
-				st = model.NewStepperExact(tc.p)
-			}
-			ref := model.NewStepperExact(tc.p) // its ApplyCOW asks the protocol every time
-			rng := rand.New(rand.NewSource(24))
-			n := tc.p.NumProcesses()
-			for walk := 0; walk < 20; walk++ {
-				cur := newPlanned(t, st, model.MustNewConfig(tc.p, tc.inputs), exact)
-				for depth := 0; depth < 60; depth++ {
-					steps := make([]model.Step, n)
-					var live []int
-					for pid := range steps {
-						ok, err := st.Plan(cur.cfg, cur.slotH, pid, cur.penc, &steps[pid])
-						if err != nil {
-							t.Fatal(err)
-						}
-						if ok {
-							live = append(live, pid)
-						}
+		st := model.NewStepper(tc.p)
+		ref := model.NewStepperExact(tc.p) // its ApplyCOW asks the protocol every time
+		rng := rand.New(rand.NewSource(24))
+		n := tc.p.NumProcesses()
+		start := model.MustNewConfig(tc.p, tc.inputs)
+		for walk := 0; walk < 20; walk++ {
+			cur := make([]uint32, st.Slots())
+			curFP := st.Arena().Intern(start, cur)
+			for depth := 0; depth < 60; depth++ {
+				steps := make([]model.Step, n)
+				var live []int
+				for pid := range steps {
+					ok, err := st.Plan(cur, pid, &steps[pid])
+					if err != nil {
+						t.Fatal(err)
 					}
-					if len(live) == 0 {
-						break
+					if ok {
+						live = append(live, pid)
 					}
-					pid := live[rng.Intn(len(live))]
-					dst, dstH := shapeOf(cur.cfg)
-					st.Install(cur.cfg, cur.slotH, pid, &steps[pid], dst, dstH)
-					fp := steps[pid].Fingerprint(cur.fp)
-
-					want, wantH := shapeOf(cur.cfg)
-					wantFP, ok, err := ref.ApplyCOW(cur.cfg, cur.fp, cur.slotH, pid, want, wantH)
-					if !ok || err != nil {
-						t.Fatalf("%s exact=%t: reference step of a live pid: ok=%t err=%v", tc.name, exact, ok, err)
-					}
-					wantEnc := string(want.AppendEncoding(nil))
-					if fp != wantFP || !reflect.DeepEqual(dstH, wantH) || string(dst.AppendEncoding(nil)) != wantEnc || dst.Key() != want.Key() {
-						t.Fatalf("%s exact=%t walk %d depth %d p%d: installed %q (fp %#x), the protocol steps to %q (fp %#x)",
-							tc.name, exact, walk, depth, pid, dst.AppendEncoding(nil), fp, wantEnc, wantFP)
-					}
-					next := planned{cfg: dst, fp: fp, slotH: dstH}
-					if exact {
-						key := st.AppendKey(nil, cur.penc, pid, &steps[pid])
-						if string(key) != wantEnc {
-							t.Fatalf("%s walk %d depth %d p%d: spliced key %q, the successor encodes %q", tc.name, walk, depth, pid, key, wantEnc)
-						}
-						next.penc = new(model.SlotEncoding)
-						if err := next.penc.Set(string(key), len(dst.Objects), len(dst.States)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					cur = next
 				}
+				if len(live) == 0 {
+					break
+				}
+				pid := live[rng.Intn(len(live))]
+				next := make([]uint32, len(cur))
+				st.Install(cur, pid, &steps[pid], next)
+				fp := steps[pid].Fingerprint(curFP)
+				dst, dstH := config(st, start, next)
+
+				parent, parentH := config(st, start, cur)
+				want, wantH := shapeOf(start)
+				wantFP, ok, err := ref.ApplyCOW(parent, curFP, parentH, pid, want, wantH)
+				if !ok || err != nil {
+					t.Fatalf("%s: reference step of a live pid: ok=%t err=%v", tc.name, ok, err)
+				}
+				wantEnc := string(want.AppendEncoding(nil))
+				if fp != wantFP || !reflect.DeepEqual(dstH, wantH) || string(dst.AppendEncoding(nil)) != wantEnc || dst.Key() != want.Key() {
+					t.Fatalf("%s walk %d depth %d p%d: installed %q (fp %#x), the protocol steps to %q (fp %#x)",
+						tc.name, walk, depth, pid, dst.AppendEncoding(nil), fp, wantEnc, wantFP)
+				}
+				if key := st.AppendKey(nil, cur, pid, &steps[pid]); string(key) != wantEnc {
+					t.Fatalf("%s walk %d depth %d p%d: appended key %q, the successor encodes %q", tc.name, walk, depth, pid, key, wantEnc)
+				}
+				cow, cowH := shapeOf(start)
+				if cowFP, ok, err := st.ApplyCOW(parent, curFP, parentH, pid, cow, cowH); !ok || err != nil || cowFP != wantFP ||
+					!reflect.DeepEqual(cowH, wantH) || cow.Key() != want.Key() {
+					t.Fatalf("%s walk %d depth %d p%d: ApplyCOW gives %q (fp %#x, %t, %v), the protocol steps to %q (fp %#x)",
+						tc.name, walk, depth, pid, cow.Key(), cowFP, ok, err, want.Key(), wantFP)
+				}
+				cur, curFP = next, fp
 			}
 		}
 	}

@@ -4,12 +4,11 @@ import "fmt"
 
 // This file is the read side of the compact binary encoding: given an
 // AppendEncoding result, SlotSpans recovers the per-slot encodings without
-// decoding any values. Exact-key runs need them twice: a successor's key is
-// spliced from its parent's (SlotEncoding, below), and a node record's key
-// is split so that the slot exchange (exchange.go) can match each slot's
-// encoding byte for byte. The encoding is tag-prefixed and therefore
-// self-delimiting, so splitting it is a linear scan that never inspects
-// payloads beyond their lengths.
+// decoding any values. An exact-key node record carries its key, not its
+// slot hashes, and its reader splits the key so that the slot dictionary
+// (dict.go) can match each slot's encoding byte for byte. The encoding is
+// tag-prefixed and therefore self-delimiting, so splitting it is a linear
+// scan that never inspects payloads beyond their lengths.
 
 // errEncoding is the malformed-encoding diagnosis prefix.
 func errEncoding(pos int, format string, args ...any) error {
@@ -124,52 +123,4 @@ func SlotSpans(enc []byte, nObj, nProc int, spans [][]byte) ([][]byte, error) {
 		return nil, errEncoding(i, "%d trailing bytes", len(enc)-i)
 	}
 	return spans, nil
-}
-
-// SlotEncoding is one configuration's exact encoding with its slot
-// boundaries found: what an exact-key Stepper.Plan steps from. A successor's
-// encoding is its parent's with two slots replaced, so the parent is
-// scanned once (Set) and each successor's key is spliced from it. The
-// buffers are reused across Set calls; an expander keeps one.
-type SlotEncoding struct {
-	enc   []byte
-	spans [][]byte // SlotSpans of enc
-	offs  []int    // offs[i] is where spans[i] starts in enc
-}
-
-// Set loads key, the Config.AppendEncoding bytes of a configuration with
-// nObj objects and nProc processes.
-func (s *SlotEncoding) Set(key string, nObj, nProc int) error {
-	s.enc = append(s.enc[:0], key...)
-	spans, err := SlotSpans(s.enc, nObj, nProc, s.spans)
-	if err != nil {
-		return err
-	}
-	s.spans = spans
-	s.offs = s.offs[:0]
-	off := 0
-	for i, sp := range spans {
-		if i == nObj {
-			off++ // encObjsDone
-		}
-		s.offs = append(s.offs, off)
-		off += len(sp)
-		if i >= nObj {
-			off++ // encStateDone
-		}
-	}
-	return nil
-}
-
-// splice appends to buf the held encoding with the span of object slot
-// obj replaced by val and that of state slot state (obj < state: objects
-// are encoded first) by st, and returns the extended slice.
-func (s *SlotEncoding) splice(buf []byte, obj int, val []byte, state int, st []byte) []byte {
-	objEnd := s.offs[obj] + len(s.spans[obj])
-	stEnd := s.offs[state] + len(s.spans[state])
-	buf = append(buf, s.enc[:s.offs[obj]]...)
-	buf = append(buf, val...)
-	buf = append(buf, s.enc[objEnd:s.offs[state]]...)
-	buf = append(buf, st...)
-	return append(buf, s.enc[stEnd:]...)
 }

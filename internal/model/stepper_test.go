@@ -9,17 +9,17 @@ import (
 	"repro/internal/model"
 )
 
-// stepperHarness drives a plain Clone+Apply configuration, an arena/COW
-// configuration (hash-keyed memos) and an exact-keyed one (Plan on the
-// parent's encoding, AppendKey, Install: encoding-keyed memos, spliced keys) through the same schedule and
-// cross-checks them after every step. It is shared by the unit test and
-// the fuzz target.
+// stepperHarness drives a plain Clone+Apply configuration, a COW
+// configuration (ApplyCOW over the memoising stepper) and a ref vector
+// (Plan, AppendKey, Install over a dictionary) through the same schedule
+// and cross-checks them after every step. It is shared by the unit test
+// and the fuzz target.
 type stepperHarness struct {
 	t       *testing.T
 	p       model.Protocol
 	inputs  []int
 	stepper *model.Stepper
-	keyed   *model.Stepper // NewStepperExact, stepped with Plan + AppendKey + Install
+	keyed   *model.Stepper // stepped on refs with Plan + AppendKey + Install
 	ref     *model.Stepper // NewStepperExact, stepped with its memo-free ApplyCOW
 
 	plain *model.Config
@@ -27,19 +27,27 @@ type stepperHarness struct {
 	cowFP uint64
 	cowH  []uint64
 
-	ex    *model.Config
+	refs  []uint32 // the keyed representation, in keyed's dictionary
 	exFP  uint64
-	exH   []uint64
-	exKey string // maintained by splicing alone, after the start
-	penc  model.SlotEncoding
+	exKey string // maintained by AppendKey alone, after the start
 }
 
 func newStepperHarness(t *testing.T, p model.Protocol, inputs []int) *stepperHarness {
 	t.Helper()
 	h := &stepperHarness{t: t, p: p, inputs: inputs,
-		stepper: model.NewStepper(p), keyed: model.NewStepperExact(p), ref: model.NewStepperExact(p)}
+		stepper: model.NewStepper(p), keyed: model.NewStepperOn(p, model.NewDict(p)), ref: model.NewStepperExact(p)}
 	h.restart()
 	return h
+}
+
+// exConfig materialises the keyed representation's configuration.
+func (h *stepperHarness) exConfig(refs []uint32) (*model.Config, []uint64) {
+	c, hashes := h.newDst()
+	h.keyed.Arena().Materialise(refs, c)
+	for i, ref := range refs {
+		hashes[i] = h.keyed.Arena().SlotHash(i, ref)
+	}
+	return c, hashes
 }
 
 // restart returns every representation to the initial configuration and
@@ -51,10 +59,9 @@ func (h *stepperHarness) restart() {
 	h.cow = model.MustNewConfig(h.p, h.inputs)
 	h.cowH = make([]uint64, h.stepper.Slots())
 	h.cowFP = h.stepper.InitSlots(h.cow, h.cowH)
-	h.ex = model.MustNewConfig(h.p, h.inputs)
-	h.exH = make([]uint64, h.keyed.Slots())
-	h.exFP = h.keyed.InitSlots(h.ex, h.exH)
-	h.exKey = string(h.ex.AppendEncoding(nil))
+	h.refs = make([]uint32, h.keyed.Slots())
+	h.exFP = h.keyed.Arena().Intern(model.MustNewConfig(h.p, h.inputs), h.refs)
+	h.exKey = string(h.keyed.Arena().AppendEncoding(nil, h.refs))
 	h.check("initial")
 }
 
@@ -65,48 +72,47 @@ func (h *stepperHarness) newDst() (*model.Config, []uint64) {
 	}, make([]uint64, len(h.cowH))
 }
 
-// stepKeyed takes pid's step in the exact-keyed representation and holds
-// the memoized step to the memo-free one taken from the same parent:
-// same outcome, fingerprint, slot hashes and successor.
+// stepKeyed takes pid's step in the ref representation and holds the
+// memoized step to the memo-free one taken from the same parent: same
+// outcome, fingerprint, slot hashes and successor.
 func (h *stepperHarness) stepKeyed(pid int) bool {
 	h.t.Helper()
-	if err := h.penc.Set(h.exKey, len(h.ex.Objects), len(h.ex.States)); err != nil {
-		h.t.Fatalf("spliced key does not scan: %v", err)
-	}
-	dst, dstH := h.newDst()
+	dstRefs := make([]uint32, len(h.refs))
 	var s model.Step
-	ok, err := h.keyed.Plan(h.ex, h.exH, pid, &h.penc, &s)
+	ok, err := h.keyed.Plan(h.refs, pid, &s)
 	if err != nil {
-		h.t.Fatalf("exact Plan(p%d): %v", pid, err)
+		h.t.Fatalf("Plan(p%d): %v", pid, err)
 	}
 	var fp uint64
 	var key []byte
 	if ok {
 		fp = s.Fingerprint(h.exFP)
-		key = h.keyed.AppendKey(nil, &h.penc, pid, &s)
-		h.keyed.Install(h.ex, h.exH, pid, &s, dst, dstH)
+		key = h.keyed.AppendKey(nil, h.refs, pid, &s)
+		h.keyed.Install(h.refs, pid, &s, dstRefs)
 	}
+	ex, exH := h.exConfig(h.refs)
 	rdst, rdstH := h.newDst()
-	rfp, rok, err := h.ref.ApplyCOW(h.ex, h.exFP, h.exH, pid, rdst, rdstH)
+	rfp, rok, err := h.ref.ApplyCOW(ex, h.exFP, exH, pid, rdst, rdstH)
 	if err != nil {
 		h.t.Fatalf("memo-free ApplyCOW(p%d): %v", pid, err)
 	}
 	if ok != rok {
-		h.t.Fatalf("exact Plan(p%d) ok=%v, memo-free step ok=%v", pid, ok, rok)
+		h.t.Fatalf("Plan(p%d) ok=%v, memo-free step ok=%v", pid, ok, rok)
 	}
 	if !ok {
 		return false
 	}
+	dst, dstH := h.exConfig(dstRefs)
 	if fp != rfp || !reflect.DeepEqual(dstH, rdstH) {
-		h.t.Fatalf("exact Plan+Install(p%d): fp %#x hashes %x, memo-free step fp %#x hashes %x", pid, fp, dstH, rfp, rdstH)
+		h.t.Fatalf("Plan+Install(p%d): fp %#x hashes %x, memo-free step fp %#x hashes %x", pid, fp, dstH, rfp, rdstH)
 	}
 	if want := rdst.AppendEncoding(nil); string(key) != string(want) {
-		h.t.Fatalf("AppendKey(p%d): spliced key\n%q\nmemo-free successor encodes\n%q", pid, key, want)
+		h.t.Fatalf("AppendKey(p%d): key\n%q\nmemo-free successor encodes\n%q", pid, key, want)
 	}
 	if dk, rk := dst.Key(), rdst.Key(); dk != rk {
-		h.t.Fatalf("exact Plan+Install(p%d): successor %q, memo-free successor %q", pid, dk, rk)
+		h.t.Fatalf("Plan+Install(p%d): successor %q, memo-free successor %q", pid, dk, rk)
 	}
-	h.ex, h.exFP, h.exH, h.exKey = dst, fp, dstH, string(key)
+	h.refs, h.exFP, h.exKey = dstRefs, fp, string(key)
 	return true
 }
 
@@ -145,25 +151,26 @@ func (h *stepperHarness) check(when string) {
 	plainEnc := h.plain.AppendEncoding(nil)
 	cowEnc := h.cow.AppendEncoding(nil)
 	if string(plainEnc) != string(cowEnc) {
-		h.t.Fatalf("%s: encodings diverge:\nplain %q\narena %q", when, plainEnc, cowEnc)
+		h.t.Fatalf("%s: encodings diverge:\nplain %q\ncow   %q", when, plainEnc, cowEnc)
 	}
 	if pk, ck := h.plain.Key(), h.cow.Key(); pk != ck {
-		h.t.Fatalf("%s: keys diverge:\nplain %q\narena %q", when, pk, ck)
+		h.t.Fatalf("%s: keys diverge:\nplain %q\ncow   %q", when, pk, ck)
 	}
 	if want := h.plain.SlotFingerprint(); h.cowFP != want {
 		h.t.Fatalf("%s: incremental fingerprint %#x != from-scratch %#x", when, h.cowFP, want)
 	}
 	if got, want := h.cow.SlotFingerprint(), h.cowFP; got != want {
-		h.t.Fatalf("%s: arena config re-hash %#x != maintained %#x", when, got, want)
+		h.t.Fatalf("%s: COW config re-hash %#x != maintained %#x", when, got, want)
 	}
 	if h.exKey != string(plainEnc) {
-		h.t.Fatalf("%s: spliced key diverges:\nplain   %q\nspliced %q", when, plainEnc, h.exKey)
+		h.t.Fatalf("%s: appended key diverges:\nplain    %q\nappended %q", when, plainEnc, h.exKey)
 	}
-	if exEnc := h.ex.AppendEncoding(nil); h.exKey != string(exEnc) {
-		h.t.Fatalf("%s: spliced key is not its own configuration's encoding:\nconfig  %q\nspliced %q", when, exEnc, h.exKey)
+	ex, exH := h.exConfig(h.refs)
+	if exEnc := ex.AppendEncoding(nil); h.exKey != string(exEnc) {
+		h.t.Fatalf("%s: appended key is not its own configuration's encoding:\nconfig   %q\nappended %q", when, exEnc, h.exKey)
 	}
-	if h.exFP != h.cowFP || !reflect.DeepEqual(h.exH, h.cowH) {
-		h.t.Fatalf("%s: exact-keyed fp %#x hashes %x != hash-keyed fp %#x hashes %x", when, h.exFP, h.exH, h.cowFP, h.cowH)
+	if h.exFP != h.cowFP || !reflect.DeepEqual(exH, h.cowH) {
+		h.t.Fatalf("%s: ref-vector fp %#x hashes %x != COW fp %#x hashes %x", when, h.exFP, exH, h.cowFP, h.cowH)
 	}
 	if got, want := h.cow.DecidedValues(h.p), h.plain.DecidedValues(h.p); !reflect.DeepEqual(got, want) {
 		h.t.Fatalf("%s: decided values %v != %v", when, got, want)
@@ -223,9 +230,9 @@ func TestStepperMatchesApply(t *testing.T) {
 	}
 }
 
-// FuzzStepperCOW is the arena/COW differential fuzz target: a random
+// FuzzStepperCOW is the stepper's differential fuzz target: a random
 // schedule (one byte per step: pid and protocol choice) applied to the
-// plain, the arena-backed and the exact-keyed representation must agree
+// plain, the COW and the ref-vector representation must agree
 // on encoding, fingerprint, decided values and poised ops after every
 // step — and again on a second pass over the same schedule, where every
 // transition is a memo hit.
@@ -253,32 +260,42 @@ func FuzzStepperCOW(f *testing.F) {
 	})
 }
 
-// TestArenaInterning: equal values and states collapse to one canonical
-// representative with one stored encoding; distinct ones do not.
+// TestArenaInterning: in a slot dictionary equal values and states
+// collapse to one ref, one canonical representative and one stored
+// encoding; distinct ones do not.
 func TestArenaInterning(t *testing.T) {
-	a := model.NewArena()
-
-	v1, h1 := a.InternValue(model.Pair{First: model.Int(1), Second: model.Int(3)})
-	v2, h2 := a.InternValue(model.Pair{First: model.Int(1), Second: model.Int(3)})
-	if h1 != h2 {
-		t.Fatalf("equal values hashed %#x and %#x", h1, h2)
-	}
-	if v1 != v2 {
-		t.Fatal("equal values did not intern to one canonical representative")
-	}
-	_, h3 := a.InternValue(model.Pair{First: model.Int(1), Second: model.Int(4)})
-	if h3 == h1 {
-		t.Fatal("distinct values interned to the same hash entry")
+	p := cowProbe{} // two objects, two processes
+	d := model.NewDict(p)
+	config := func(refs []uint32) *model.Config {
+		c := &model.Config{Objects: make([]model.Value, 2), States: make([]model.State, 2)}
+		d.Materialise(refs, c)
+		return c
 	}
 
-	s1, sh1 := a.InternState(model.Int(7)) // any Value doubles as a keyed State here
-	s2, sh2 := a.InternState(model.Int(7))
-	if s1 != s2 || sh1 != sh2 {
-		t.Fatal("equal states did not intern to one canonical representative")
+	v1 := d.InternValue(model.Pair{First: model.Int(1), Second: model.Int(3)})
+	v2 := d.InternValue(model.Pair{First: model.Int(1), Second: model.Int(3)})
+	v3 := d.InternValue(model.Pair{First: model.Int(1), Second: model.Int(4)})
+	if v1 != v2 || d.SlotHash(0, v1) != d.SlotHash(0, v2) {
+		t.Fatalf("equal values interned as refs %d and %d", v1, v2)
 	}
-	vals, states := a.Len()
+	if v3 == v1 || d.SlotHash(0, v3) == d.SlotHash(0, v1) {
+		t.Fatal("distinct values interned to the same entry")
+	}
+	s1 := d.InternState(model.Int(7)) // any Value doubles as a keyed State here
+	s2 := d.InternState(model.Int(7))
+	if s1 != s2 {
+		t.Fatal("equal states did not intern to one ref")
+	}
+	a, b := config([]uint32{v1, v3, s1, s1}), config([]uint32{v2, v3, s2, s2})
+	if a.Objects[0] != b.Objects[0] || a.States[0] != b.States[1] {
+		t.Fatal("equal refs materialised to different canonical representatives")
+	}
+	if got, want := string(d.AppendEncoding(nil, []uint32{v1, v3, s1, s1})), string(a.AppendEncoding(nil)); got != want {
+		t.Fatalf("stored encodings %q, the configuration encodes %q", got, want)
+	}
+	vals, states := d.Len()
 	if vals != 2 || states != 1 {
-		t.Fatalf("arena has %d values and %d states, want 2 and 1", vals, states)
+		t.Fatalf("dictionary has %d values and %d states, want 2 and 1", vals, states)
 	}
 }
 
