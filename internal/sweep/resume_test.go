@@ -66,9 +66,12 @@ func TestRunCheckpointDirResumesMidCell(t *testing.T) {
 	sub := CellCheckpointDir(ckpt, cell.ID())
 
 	// Phase 1: the cell dies mid-exploration (timeout stands in for the
-	// kill — both cancel between level barriers).
+	// kill — both cancel between level barriers). The first snapshot is
+	// written within milliseconds and the whole checkpointed run takes
+	// about 0.2 s on two vCPUs, so 50 ms lands between them; at 300 ms a
+	// quiet machine finished the cell first and the test skipped.
 	interrupted := cell
-	interrupted.Timeout = 300 * time.Millisecond
+	interrupted.Timeout = 50 * time.Millisecond
 	recs, err := Run([]Cell{interrupted}, RunOptions{CheckpointDir: ckpt, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
