@@ -66,6 +66,14 @@ loc:
 	done | awk '{ print; split($$1, p, "/"); s[p[1]] += $$2; t[p[1]] += $$3 } \
 		END { for (k in s) printf "%-28s %8d %8d\n", k "/ (total)", s[k], t[k] }' | sort -s -k1,1
 
+# golden rewrites the golden files that every command's TestGolden
+# compares against (cmd/<cmd>/testdata/golden/<case>.out), from this
+# build's output with its timing scrubbed. A change that rewrites one
+# names the file and the reason in CHANGES.md.
+.PHONY: golden
+golden:
+	go test ./cmd/... -run TestGolden -update
+
 lint:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; }
 	go vet ./...

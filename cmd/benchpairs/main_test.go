@@ -1,10 +1,15 @@
 package main
 
 import (
+	"flag"
 	"math"
 	"strings"
 	"testing"
 )
+
+// update is accepted so that `go test ./cmd/... -update` runs here too;
+// this command has no golden files.
+var _ = flag.Bool("update", false, "rewrite testdata/golden (none here)")
 
 // TestQuartilesMatchPython pins the quantile method to Python's
 // statistics.quantiles(n=4) (exclusive), which the benchmark driver uses.

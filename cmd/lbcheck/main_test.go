@@ -2,110 +2,71 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
-func TestRunFigure1(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-figure1", "-n", "4"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"Lemma 9 construction (Figure 1)", "at least 3 swap objects"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q:\n%s", want, got)
+var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output")
+
+type cell struct {
+	name string
+	args []string
+}
+
+// engineCells are the engine settings every search case runs under: one
+// worker; four over the spill store, whose 16KB budget spools every
+// frontier to disk, provenance paths included; and fingerprint keys, in
+// RAM and spilled. Each prints the case's one golden file, because every
+// class search picks its witness by one order. The first cell writes the
+// file under -update.
+var engineCells = []cell{
+	{"w1", []string{"-workers", "1"}},
+	{"w4-spill16k", []string{"-workers", "4", "-store", "spill", "-membudget", "16KB"}},
+	{"w4-fingerprints", []string{"-workers", "4", "-fingerprints"}},
+	{"w2-fingerprints-spill16k", []string{"-workers", "2", "-fingerprints", "-store", "spill", "-membudget", "16KB"}},
+}
+
+// TestGolden pins each mode's whole output: Theorem 10's certificates,
+// the counterexample's schedule, the covering scan with its cover map and
+// Lemma 13 γ, the Lemma 16 induction, Figure 1 and the Lemma 20 ledger.
+// A case with engine set runs a search, so under every engine cell.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		engine bool
+	}{
+		{"counterexample", []string{"-counterexample"}, true},
+		{"theorem10-n4-k2", []string{"-theorem10", "-n", "4", "-k", "2"}, true},
+		{"theorem10-n6-k2", []string{"-theorem10", "-n", "6", "-k", "2"}, true},
+		{"theorem10-n12-k3", []string{"-theorem10", "-n", "12", "-k", "3"}, true},
+		{"covering-n3", []string{"-covering", "-n", "3"}, true},
+		{"covering-n4", []string{"-covering", "-n", "4"}, true},
+		{"lemma16-n4", []string{"-lemma16", "-n", "4"}, true},
+		{"figure1-n4", []string{"-figure1", "-n", "4"}, false},
+		{"forbidden-n4", []string{"-forbidden", "-n", "4"}, false},
+	} {
+		cells := engineCells
+		if !tc.engine {
+			cells = []cell{{name: "no-engine"}}
 		}
-	}
-}
-
-func TestRunTheorem10(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-theorem10", "-n", "4", "-k", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "certified objects: 1 (bound ⌈n/k⌉−1 = 1)") {
-		t.Errorf("certificate missing:\n%s", out.String())
-	}
-}
-
-func TestRunCounterexample(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-counterexample"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "agreement violation with 3 processes") {
-		t.Errorf("witness missing:\n%s", out.String())
-	}
-}
-
-// TestRunCovering pins -covering -n 3 literally. Every search keeps the
-// smallest node of a class by (depth, fingerprint, key), so the witness
-// is the depth-1 [2], which leaves S = {2} for Lemma 13.
-func TestRunCovering(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-covering", "-n", "3"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	const want = `protocol: toy-bit-race(n=3,L=2)
-covering scan: max 2 objects simultaneously covered (3841 configurations visited)
-  witness schedule: [2]
-  cover: B0←p0 B1←p2
-Lemma 13: γ = [] (tried 1 prefixes); Q bivalent after block swap, witnesses decide [0 1]
-`
-	if out.String() != want {
-		t.Errorf("-covering -n 3 printed\n%s\nwant\n%s", out.String(), want)
-	}
-}
-
-// TestRunCoveringDeterministic: -covering prints the same bytes on every
-// run. The cover map is a Go map; both its rendering and the process set
-// S that Lemma 13's search is given were once read off it in map order,
-// so the cover line and the γ found changed from run to run.
-func TestRunCoveringDeterministic(t *testing.T) {
-	var first string
-	for i := 0; i < 5; i++ {
-		var out strings.Builder
-		if err := run([]string{"-covering", "-n", "4"}, &out); err != nil {
-			t.Fatal(err)
+		for i, c := range cells {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				var out strings.Builder
+				if err := run(append(slices.Clone(tc.args), c.args...), &out); err != nil {
+					t.Fatal(err)
+				}
+				golden := filepath.Join("testdata", "golden", tc.name+".out")
+				if err := harness.Golden(golden, out.String(), *update && i == 0); err != nil {
+					t.Error(err)
+				}
+			})
 		}
-		if i == 0 {
-			first = out.String()
-			if !strings.Contains(first, "cover:") {
-				t.Fatalf("no cover line to compare:\n%s", first)
-			}
-		} else if out.String() != first {
-			t.Fatalf("run %d differs from run 0:\n%s\n--- run 0 ---\n%s", i, out.String(), first)
-		}
-	}
-}
-
-func TestRunForbidden(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-forbidden", "-n", "4"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "Lemma 20 ledger evolution") {
-		t.Errorf("ledger missing:\n%s", out.String())
-	}
-}
-
-// TestRunLemma16 pins -lemma16 -n 4 literally: on the toy-bit race p2's
-// first solo step already decides while Q = {p0, p1} is still bivalent,
-// so the induction stops at stage p2 with an agreement violation.
-func TestRunLemma16(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-lemma16", "-n", "4"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	const want = `protocol: toy-bit-race(n=4,L=3)
-Lemma 16 covering induction (Figures 2-5):
-stage  process  |γ|    |δ_j|    object   classified
-X = [], Y = [], |X ∪ Y| = 0, completed = false
-AGREEMENT VIOLATION: p2 decided 0 while Q was still bivalent
-`
-	if out.String() != want {
-		t.Errorf("-lemma16 -n 4 printed\n%s\nwant\n%s", out.String(), want)
 	}
 }
 

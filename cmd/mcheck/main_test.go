@@ -1,10 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"flag"
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,96 +18,95 @@ import (
 	"repro/internal/harness"
 )
 
-func TestRunPairConsensusComplete(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-proto", "pair", "-n", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"pair-consensus", "complete: true",
-		"k-agreement (k=1) holds", "bivalent",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
+var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output")
+
+type cell struct {
+	name string
+	args []string
 }
 
-func TestRunDetectsViolation(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-proto", "pair", "-n", "3"}, &out)
-	if !errors.Is(err, errViolation) {
-		t.Fatalf("err = %v, want errViolation", err)
+// engineCells are the engine settings every case runs under, as lbcheck's
+// are, with -stringkeys for the other keying; spill8kCells add the spill
+// store at a budget small enough to compact its sorted runs. A case
+// prints one golden file under all of its cells; the first writes it
+// under -update.
+var (
+	engineCells = []cell{
+		{"w1", []string{"-workers", "1"}},
+		{"w4-spill16k", []string{"-workers", "4", "-store", "spill", "-membudget", "16KB"}},
+		{"w4-stringkeys", []string{"-workers", "4", "-stringkeys"}},
+		{"w2-stringkeys-spill16k", []string{"-workers", "2", "-stringkeys", "-store", "spill", "-membudget", "16KB"}},
 	}
-	if !strings.Contains(out.String(), "AGREEMENT VIOLATION") {
-		t.Error("violation not reported")
+	spill8kCells = []cell{
+		{"w2-spill8k", []string{"-workers", "2", "-store", "spill", "-membudget", "8KB"}},
+		{"w2-stringkeys-spill8k", []string{"-workers", "2", "-stringkeys", "-store", "spill", "-membudget", "8KB"}},
 	}
-}
+)
 
-func TestRunAblationMargin1Violates(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-proto", "ablation-margin1", "-n", "3", "-k", "1", "-m", "2", "-max", "20000"}, &out)
-	if !errors.Is(err, errViolation) {
-		t.Fatalf("err = %v, want errViolation for margin-1 variant", err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"protocol: ablation(n=3,k=1,m=2,margin=1,objs=2,conflict=true,tie=lowest), 2 objects, inputs [0 1 0]\n",
-		"explored 7213 configurations in ",
-		"decided values reachable: [0 1]; max distinct decided together: 2\n",
-		"AGREEMENT VIOLATION: configuration with decided [0 1]\n",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
+// storeReport matches mcheck's store report: the prose line, printed for
+// a spill store only, or the -json object.
+var storeReport = regexp.MustCompile(`(?m)^store: spill — (\S+) spilled \(\d+ runs written, (\d+) merged\).*\n|"store":(\{[^}]*\}),`)
 
-func TestRunExplicitInputs(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-proto", "pair", "-n", "2", "-inputs", "1,1"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "inputs [1 1]") {
-		t.Errorf("inputs not echoed:\n%s", got)
-	}
-	if !strings.Contains(got, "univalent") {
-		t.Errorf("unanimous inputs should be univalent:\n%s", got)
-	}
-}
-
-// TestRunEngineFlagsDoNotChangeResults: the -workers/-stringkeys/-store
-// knobs tune the engine, never the answer; every combination prints the
-// same exploration counts and verdicts.
-func TestRunEngineFlagsDoNotChangeResults(t *testing.T) {
-	extract := func(args ...string) (string, string) {
-		t.Helper()
-		var out strings.Builder
-		if err := run(args, &out); err != nil {
+// cutStore removes the store report from out, since it describes the
+// cell rather than the verdict, and returns whether the store spilled
+// any bytes and how many sorted runs it merged.
+func cutStore(t *testing.T, out string) (rest string, spilled bool, merged int) {
+	t.Helper()
+	m := storeReport.FindStringSubmatch(out)
+	switch {
+	case m == nil:
+	case m[3] != "":
+		var st check.StoreStats
+		if err := json.Unmarshal([]byte(m[3]), &st); err != nil {
 			t.Fatal(err)
 		}
-		var explored, decided string
-		for _, line := range strings.Split(out.String(), "\n") {
-			if strings.HasPrefix(line, "explored ") {
-				explored = strings.Fields(line)[1] // the configuration count
-			}
-			if strings.HasPrefix(line, "decided values") {
-				decided = line
-			}
-		}
-		return explored, decided
+		spilled, merged = st.BytesSpilled > 0, st.RunsMerged
+	default:
+		spilled = m[1] != "0B"
+		merged, _ = strconv.Atoi(m[2])
 	}
-	baseExplored, baseDecided := extract("-proto", "pair", "-n", "2", "-workers", "1")
-	for _, args := range [][]string{
-		{"-proto", "pair", "-n", "2", "-workers", "4"},
-		{"-proto", "pair", "-n", "2", "-workers", "4", "-store", "spill"},
-		{"-proto", "pair", "-n", "2", "-workers", "2", "-stringkeys"},
+	return storeReport.ReplaceAllString(out, ""), spilled, merged
+}
+
+// TestGolden pins each case's whole report — visited count, decided
+// values, verdict, valency — and its error: a violation is errViolation
+// (exit 1). Every spill cell must really spill, and every 8KB cell must
+// merge runs. Row 3 at 200k is budget-bound; the n=4 k=2 instance at
+// 40,001 states closes on a level about three times what its cut keeps.
+func TestGolden(t *testing.T) {
+	row3 := []string{"-json", "-proto", "algorithm1", "-n", "4", "-k", "1", "-m", "3", "-max", "200000"}
+	cut := []string{"-json", "-proto", "algorithm1", "-n", "4", "-k", "2", "-m", "3", "-max", "40001"}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		err   error
+		cells []cell
+	}{
+		{"pair-n2", []string{"-proto", "pair", "-n", "2"}, nil, engineCells},
+		{"pair-n2-inputs-1-1", []string{"-proto", "pair", "-n", "2", "-inputs", "1,1"}, nil, engineCells},
+		{"pair-n3", []string{"-proto", "pair", "-n", "3"}, errViolation, engineCells},
+		{"ablation-margin1", []string{"-proto", "ablation-margin1", "-n", "3", "-k", "1", "-m", "2", "-max", "20000"}, errViolation, engineCells},
+		{"row3-200k", row3, nil, append(slices.Clone(engineCells), spill8kCells...)},
+		{"cut-n4-k2-40001", cut, nil, append(slices.Clone(engineCells), spill8kCells...)},
 	} {
-		explored, decided := extract(args...)
-		if explored != baseExplored || decided != baseDecided {
-			t.Errorf("%v: explored %s / %q, want %s / %q", args, explored, decided, baseExplored, baseDecided)
+		for i, c := range tc.cells {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				var out strings.Builder
+				if err := run(append(slices.Clone(tc.args), c.args...), &out); !errors.Is(err, tc.err) {
+					t.Fatalf("err = %v, want %v", err, tc.err)
+				}
+				rest, spilled, merged := cutStore(t, out.String())
+				if slices.Contains(c.args, "spill") && !spilled {
+					t.Errorf("spill cell spilled no bytes:\n%s", out.String())
+				}
+				if slices.Contains(c.args, "8KB") && merged == 0 {
+					t.Errorf("8KB cell merged no runs:\n%s", out.String())
+				}
+				golden := filepath.Join("testdata", "golden", tc.name+".out")
+				if err := harness.Golden(golden, rest, *update && i == 0); err != nil {
+					t.Error(err)
+				}
+			})
 		}
 	}
 }

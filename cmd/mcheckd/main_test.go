@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"regexp"
 	"strings"
 	"sync"
@@ -11,6 +12,10 @@ import (
 
 	"repro/internal/serve"
 )
+
+// update is accepted so that `go test ./cmd/... -update` runs here too;
+// this command has no golden files.
+var _ = flag.Bool("update", false, "rewrite testdata/golden (none here)")
 
 // lockedBuffer lets the test read the daemon's stdout while run() is
 // still writing to it from another goroutine.

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
+
+// update is accepted so that `go test ./cmd/... -update` runs here too;
+// this command has no golden files.
+var _ = flag.Bool("update", false, "rewrite testdata/golden (none here)")
 
 func TestRunSmallRace(t *testing.T) {
 	var out strings.Builder

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,6 +20,26 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output")
+
+// TestGolden pins the small grid's records, timing aside. At -par 1 and
+// GOMAXPROCS=1 every cell runs its engine on one worker, the only setting
+// at which a reduced cell's states_pruned is fixed; the records are sorted
+// because they stream in completion order.
+func TestGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var out strings.Builder
+	if err := run([]string{"-grid", "small", "-par", "1", "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	records := nonEmptyLines(out.String())
+	slices.Sort(records)
+	golden := filepath.Join("testdata", "golden", "grid-small.out")
+	if err := harness.Golden(golden, strings.Join(records, "\n")+"\n", *update); err != nil {
+		t.Error(err)
+	}
+}
 
 // TestDefaultGridReproducesTable1 is the contract with cmd/table1: on the
 // default grid (shrunk to n=4, k=2 with 2 schedules to keep the test

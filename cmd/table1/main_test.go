@@ -1,26 +1,37 @@
 package main
 
 import (
+	"flag"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
-func TestRunRendersTable(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-n", "4", "-k", "2", "-schedules", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"Table 1 (Ovens, PODC 2022) regenerated for n=4, k=2",
-		"Consensus", "Swap objects", "2-set agreement",
+var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output")
+
+// TestGolden pins the regenerated Table 1 whole: every row's paper bound,
+// measured object count, certificate and validation status, at the
+// default n=8 k=2 and at n=4 k=2.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"default", nil},
+		{"n4-k2-schedules2", []string{"-n", "4", "-k", "2", "-schedules", "2"}},
 	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	if strings.Contains(got, "FAILED") {
-		t.Errorf("table reports a failure:\n%s", got)
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			if err := run(tc.args, &out); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", "golden", tc.name+".out")
+			if err := harness.Golden(golden, out.String(), *update); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
