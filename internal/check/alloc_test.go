@@ -17,14 +17,29 @@ import (
 // configuration as interface slots (328 bytes a node) measured 343.
 const allocBytesPerState = 261
 
+// exactAllocBytesPerState is allocBytesPerState for the same run under
+// exact keys: the 270 bytes measured with ref-tuple keys plus 25%; keys
+// encoded whole into a byte arena measured 391.
+const exactAllocBytesPerState = 337
+
 // TestAllocBytesPerState: Table 1's row 3 (Algorithm 1, n=4, k=1, m=3) at
 // 100,000 states on one worker allocates at most allocBytesPerState bytes
 // per visited state (runtime.MemStats.TotalAlloc, which counts every heap
 // allocation, freed or not). The race detector does not change the count.
 func TestAllocBytesPerState(t *testing.T) {
+	allocPerState(t, check.EngineOptions{Workers: 1}, allocBytesPerState)
+}
+
+// TestExactAllocBytesPerState is TestAllocBytesPerState under exact keys
+// (StringKeys), bounded by exactAllocBytesPerState.
+func TestExactAllocBytesPerState(t *testing.T) {
+	allocPerState(t, check.EngineOptions{Workers: 1, StringKeys: true}, exactAllocBytesPerState)
+}
+
+func allocPerState(t *testing.T, eng check.EngineOptions, bound float64) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 3})
 	c := model.MustNewConfig(p, []int{0, 1, 2, 0})
-	opts := check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: 100_000}, Engine: check.EngineOptions{Workers: 1}}
+	opts := check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: 100_000}, Engine: eng}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -38,7 +53,7 @@ func TestAllocBytesPerState(t *testing.T) {
 	}
 	perState := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Visited)
 	t.Logf("%.1f bytes allocated per visited state", perState)
-	if perState > allocBytesPerState {
-		t.Errorf("%.1f bytes allocated per visited state, bound %d", perState, allocBytesPerState)
+	if perState > bound {
+		t.Errorf("%.1f bytes allocated per visited state, bound %.0f", perState, bound)
 	}
 }

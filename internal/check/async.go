@@ -213,7 +213,7 @@ func runAsync(run *engineRun, root *Node) (RunStats, error) {
 	s := &dequeSource{run: run, deques: make([]wsDeque, nw)}
 	// The mode table keeps async on the unbudgeted store, and of that it
 	// uses the visited table alone: nodes never queue in the store.
-	run.store.Claim(root.fp, nil)
+	run.store.Claim(root.fp, "")
 	run.admitted.Store(1)
 	if depth := run.claims.depth; depth != nil {
 		depth[root.fp] = 0

@@ -197,7 +197,7 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 		for i := uint64(0); i < 8; i++ {
 			n := &Node{refs: refs}
 			n.fp = base + i*0x9e3779b97f4a7c15
-			if _, added := st.Claim(n.fp, nil); added {
+			if _, added := st.Claim(n.fp, ""); added {
 				st.Queue(0, n)
 			}
 		}

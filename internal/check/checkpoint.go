@@ -7,7 +7,8 @@ package check
 //
 //	visited-<g>     generation g's visited delta: every entry the level
 //	                cuts kept since generation g-1 (visited-1 starts at
-//	                the root), each exactly once
+//	                the root), each exactly once; an exact key as its
+//	                configuration's encoding, not its ref tuple
 //	frontier-<gen>  the next level's nodes as root-to-node pid paths
 //	MANIFEST.json   counters + profile + generation + frontier checksum +
 //	                the search layer's accumulators, renamed LAST
@@ -38,11 +39,25 @@ package check
 // lost ones. Paths store one byte per step, which caps checkpointable
 // protocols at 255 processes.
 //
+// An exact key is written as its configuration's encoding, which the
+// dictionary lays out from its refs, for the same reason: refs are the
+// process's own. A resume splits each encoding into its slots and interns
+// them into its own dictionary (model.Dict.InternEncodings), as entries
+// without objects until its stepper meets them, so the visited set holds
+// ref tuples again. Writing the dictionary itself, in ref order, would let
+// a resume keep the refs and the deltas hold tuples; encodings keep the
+// layout (version 4) and a delta readable without the dictionary it was
+// written with, at the price of splitting and interning every key on
+// resume.
+//
 // Resume costs the visited set's load plus the first resumed level. Every
 // delta is decoded block-wise into flat arrays (8 bytes per fingerprint)
 // and the frontier into one path arena, and nothing decoded reaches the
 // run until every artifact's CRC trailer has verified, so a corrupt
-// generation still restarts from an empty store. The visited set is then
+// generation still restarts from an empty store (an exact-key delta's
+// keys are interned into the dictionary as they are read, but as bare
+// entries, which nothing reads unless a stepper meets the same encoding
+// and attaches its object). The visited set is then
 // bulk-loaded into tables sized first (spillStore.SeedVisited). The
 // frontier is never materialised: the path arena is the first resumed
 // level's FrontierSource (replaySource), each worker replaying the chunk
@@ -130,15 +145,15 @@ func ckptGenPath(dir, kind string, gen int) string {
 }
 
 // frontierMix is a frontier node's term in the manifest's order-free
-// frontier checksum: its dedup entry — the fingerprint, with an exact key
-// folded in by FNV-1a — remixed, so that a node replaced by another moves
-// the sum even where their fingerprints are alike.
-func frontierMix(n *Node) uint64 {
-	h := n.fp
-	for i := 0; i < len(n.key); i++ {
-		h = (h ^ uint64(n.key[i])) * 1099511628211
+// frontier checksum: its dedup fingerprint, with its configuration's
+// encoding enc folded in by FNV-1a under exact keys (nil otherwise; never
+// its refs, which are timing), remixed, so that a node replaced by another
+// moves the sum even where their fingerprints are alike.
+func frontierMix(fp uint64, enc []byte) uint64 {
+	for _, b := range enc {
+		fp = (fp ^ uint64(b)) * 1099511628211
 	}
-	return model.Mix64(h)
+	return model.Mix64(fp)
 }
 
 // ckptLoaded is a fully-read and checksum-verified checkpoint, ready for
@@ -153,13 +168,15 @@ type ckptLoaded struct {
 	paths []byte
 }
 
-// loadCheckpoint reads the latest committed checkpoint under dir.
-// Returns (nil, nil) when there is none, or when the one found is
-// corrupt or in another layout — such generations are quarantined and
-// the run restarts fresh (losing progress, never correctness). A manifest
-// whose profile does not match the current run is an error: silently
-// ignoring it would discard the user's checkpoint without telling them why.
-func loadCheckpoint(dir string, profile ckptProfile) (*ckptLoaded, error) {
+// loadCheckpoint reads the latest committed checkpoint under dir; under
+// exact keys its visited keys are interned into d. Returns (nil, nil)
+// when there is none, or when the one found is corrupt or in another
+// layout — such generations are quarantined and the run restarts fresh
+// (losing progress, never correctness; what a failed load interned stays
+// in d, unread). A manifest whose profile does not match the current run
+// is an error: silently ignoring it would discard the user's checkpoint
+// without telling them why.
+func loadCheckpoint(dir string, profile ckptProfile, d *model.Dict) (*ckptLoaded, error) {
 	raw, err := os.ReadFile(ckptManifestPath(dir))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -177,7 +194,7 @@ func loadCheckpoint(dir string, profile ckptProfile) (*ckptLoaded, error) {
 	}
 
 	loaded := &ckptLoaded{dir: dir, man: man}
-	err = loaded.readVisited()
+	err = loaded.readVisited(d)
 	if err == nil {
 		err = loaded.readFrontier()
 	}
@@ -210,16 +227,40 @@ func ckptDiscard(dir string, err error) (*ckptLoaded, error) {
 
 // readVisited decodes the visited deltas, entry streams (entry.go), into
 // arrays the size of the manifest's Admitted, which is what they hold
-// between them: more or fewer entries is corruption.
-func (l *ckptLoaded) readVisited() error {
+// between them: more or fewer entries is corruption. Under exact keys
+// each encoded key is interned into d and becomes a key of the run's
+// own, a view of one tuple arena.
+func (l *ckptLoaded) readVisited(d *model.Dict) error {
 	want := l.man.Admitted
 	l.visited.fps = make([]uint64, 0, want)
+	nObj, nProc := l.man.Profile.NObj, l.man.Profile.NProc
+	var (
+		tuples []uint32
+		spans  [][]byte
+		cache  model.SlotCache
+	)
+	if l.man.Profile.StringKeys {
+		tuples = make([]uint32, 0, want*int64(nObj+nProc))
+	}
 	for g := 1; g <= l.man.Gen; g++ {
 		r, err := openEntries(ckptGenPath(l.dir, "visited", g), artifactVisited)
 		if err != nil {
 			return err
 		}
 		err = r.each(func(fp uint64, key string) error {
+			if tuples != nil {
+				if int64(len(l.visited.fps)) == want {
+					return &CorruptArtifactError{Path: ckptManifestPath(l.dir), Reason: fmt.Sprintf("the visited deltas hold more than the %d entries the manifest admits", want)}
+				}
+				var err error
+				if spans, err = model.SlotSpans(keyView(key), nObj, nProc, spans); err != nil {
+					return &CorruptArtifactError{Path: ckptGenPath(l.dir, "visited", g), Reason: err.Error()}
+				}
+				off := len(tuples)
+				tuples = tuples[:off+len(spans)]
+				d.InternEncodings(tuples[off:], spans, &cache)
+				key = tupleKey(tuples[off:])
+			}
 			l.visited.add(fp, key)
 			return nil
 		})
@@ -268,12 +309,18 @@ type ckptWriter struct {
 	profile ckptProfile
 	every   int // write at every N-th barrier (>=1)
 	gen     int // next generation to write
+	// dict lays out exact keys' encodings (nil under fingerprint keys),
+	// into enc, through refs.
+	dict *model.Dict
+	enc  []byte
+	refs []uint32
 }
 
 // newCkptWriter arms the directory for generations startGen on. A run
 // that starts over (startGen 1) first removes every generation artifact a
-// previous run left: none of them is named by a manifest any more.
-func newCkptWriter(dir string, profile ckptProfile, every, startGen int) (*ckptWriter, error) {
+// previous run left: none of them is named by a manifest any more. d is
+// the run's dictionary under exact keys, nil under fingerprint keys.
+func newCkptWriter(dir string, profile ckptProfile, every, startGen int, d *model.Dict) (*ckptWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -282,7 +329,8 @@ func newCkptWriter(dir string, profile ckptProfile, every, startGen int) (*ckptW
 	} else {
 		removeStaleArtifacts(dir)
 	}
-	return &ckptWriter{dir: dir, profile: profile, every: max(every, 1), gen: startGen}, nil
+	return &ckptWriter{dir: dir, profile: profile, every: max(every, 1), gen: startGen, dict: d,
+		refs: make([]uint32, profile.NObj+profile.NProc)}, nil
 }
 
 // due reports whether the barrier completing depth should checkpoint.
@@ -315,7 +363,7 @@ func (w *ckptWriter) write(man ckptManifest, added entryList, nodes []*Node) err
 
 	err := writeBlocks(ckptGenPath(w.dir, "visited", gen), artifactVisited, func(bw *blockWriter) error {
 		for i, fp := range added.fps {
-			if err := bw.addEntry(fp, added.key(i)); err != nil {
+			if err := bw.addEntry(fp, bytesView(w.encoding(keyTuple(w.refs, added.key(i))))); err != nil {
 				return err
 			}
 		}
@@ -324,7 +372,7 @@ func (w *ckptWriter) write(man ckptManifest, added entryList, nodes []*Node) err
 	if err == nil {
 		err = writeBlocks(ckptGenPath(w.dir, "frontier", gen), artifactFrontier, func(bw *blockWriter) error {
 			for _, n := range nodes {
-				man.FrontierSum += frontierMix(n)
+				man.FrontierSum += frontierMix(n.fp, w.encoding(n.refs))
 				bw.buf = binary.AppendUvarint(bw.buf, uint64(len(n.path)))
 				bw.buf = append(bw.buf, n.path...)
 				if err := bw.flushFull(); err != nil {
@@ -348,6 +396,16 @@ func (w *ckptWriter) write(man ckptManifest, added entryList, nodes []*Node) err
 	}
 	w.gen++
 	return nil
+}
+
+// encoding is the encoding of the configuration refs stands for under
+// exact keys, valid until the next call, and nil under fingerprint keys.
+func (w *ckptWriter) encoding(refs []uint32) []byte {
+	if w.dict == nil {
+		return nil
+	}
+	w.enc = w.dict.AppendEncoding(w.enc[:0], refs)
+	return w.enc
 }
 
 // publish commits a generation whose artifacts are written: the manifest

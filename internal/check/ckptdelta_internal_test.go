@@ -73,10 +73,14 @@ func TestCheckpointDeltasHoldEachEntryOnce(t *testing.T) {
 					}
 					var mu sync.Mutex
 					depthOf := map[entry]int{}
-					stats, err := RunFrontier(p, c, pids, limits, opts, func(_ int, n *Node, _ *model.Config) error {
+					stats, err := RunFrontier(p, c, pids, limits, opts, func(_ int, n *Node, cfg *model.Config) error {
+						e := entry{fp: n.fp}
+						if exact { // a delta's exact key is the configuration's encoding
+							e.key = string(cfg.AppendEncoding(nil))
+						}
 						mu.Lock()
 						defer mu.Unlock()
-						depthOf[entry{n.fp, n.key}] = n.Depth
+						depthOf[e] = n.Depth
 						return nil
 					}, nil)
 					if err != nil {

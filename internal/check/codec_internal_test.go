@@ -74,53 +74,61 @@ func codecNodes(t *testing.T) *captured {
 }
 
 // refNodeRecord is the record layout written out longhand, field by
-// field: pid+1, depth, fingerprint, the slot-hash vector (empty when the
-// node has an exact key), the exact key and the path.
-func refNodeRecord(n *Node, slotH []uint64) []byte {
+// field: pid+1, depth, fingerprint, the slot-hash vector (empty under
+// exact keys), the exact key (the ref tuple, empty under fingerprint
+// keys) and the path.
+func refNodeRecord(n *Node, slotH []uint64, exact bool) []byte {
 	b := binary.AppendUvarint(nil, uint64(n.Pid+1))
 	b = binary.AppendUvarint(b, uint64(n.Depth))
 	b = binary.LittleEndian.AppendUint64(b, n.fp)
-	if n.key != "" {
+	var key []byte
+	if exact {
 		slotH = nil
+		for _, ref := range n.refs {
+			key = binary.NativeEndian.AppendUint32(key, ref)
+		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(slotH)))
 	for _, h := range slotH {
 		b = binary.LittleEndian.AppendUint64(b, h)
 	}
-	b = append(binary.AppendUvarint(b, uint64(len(n.key))), n.key...)
+	b = append(binary.AppendUvarint(b, uint64(len(key))), key...)
 	return append(binary.AppendUvarint(b, uint64(len(n.path))), n.path...)
 }
 
 // TestNodeRecordLayout: a record is byte for byte the pinned layout — a
 // fingerprint-keyed one with its slot-hash vector, read from the
-// dictionary through the node's refs, an exact-key one with its key and no
-// vector — also when the exact key is long enough for a two-byte length,
-// and it decodes to the node's fields.
+// dictionary through the node's refs, an exact-key one with its ref tuple
+// as the key and no vector — also when the exact key is long enough for a
+// two-byte length, and it decodes to the node's fields.
 func TestNodeRecordLayout(t *testing.T) {
 	two := stepProto{n: 1, steps: 2} // one object and one state
 	d := model.NewDict(two)
 	pinned := &Node{Pid: 2, Depth: 300, fp: 0x0102030405060708, refs: make([]uint32, 2), path: []byte{2, 0}}
-	d.Intern(model.MustNewConfig(two, []int{0}), pinned.refs)
+	d.Intern(model.MustNewConfig(two, []int{0}), make([]uint32, 2))
+	second := model.MustNewConfig(two, []int{0})
+	second.Objects[0] = model.Int(7)
+	d.Intern(second, pinned.refs) // refs 1 and 0
 	le := func(h uint64) string { return hex.EncodeToString(binary.LittleEndian.AppendUint64(nil, h)) }
+	tuple := hex.EncodeToString(binary.NativeEndian.AppendUint32(binary.NativeEndian.AppendUint32(nil, pinned.refs[0]), pinned.refs[1]))
 	for _, tc := range []struct {
-		key, want string
+		exact bool
+		want  string
 	}{
-		{"", "03" + "ac02" + "0807060504030201" + "02" + le(d.SlotHash(0, pinned.refs[0])) + le(d.SlotHash(1, pinned.refs[1])) + "00" + "020200"},
-		{"k", "03" + "ac02" + "0807060504030201" + "00" + "016b" + "020200"},
+		{false, "03" + "ac02" + "0807060504030201" + "02" + le(d.SlotHash(0, pinned.refs[0])) + le(d.SlotHash(1, pinned.refs[1])) + "00" + "020200"},
+		{true, "03" + "ac02" + "0807060504030201" + "00" + "08" + tuple + "020200"},
 	} {
-		pinned.key = tc.key
-		if got := hex.EncodeToString(appendNodeRecord(nil, pinned, d)); got != tc.want {
-			t.Fatalf("pinned record with key %q: %s, want %s", tc.key, got, tc.want)
+		if got := hex.EncodeToString(appendNodeRecord(nil, pinned, d, tc.exact)); got != tc.want {
+			t.Fatalf("pinned record (exact %t): %s, want %s", tc.exact, got, tc.want)
 		}
 	}
 	c := codecNodes(t)
 	wide := stepProto{n: 40, steps: 2} // 40 states: a key past 127 bytes
 	wc := model.MustNewConfig(wide, make([]int, 40))
 	wd := model.NewDict(wide)
-	wn := &Node{Pid: 7, Depth: 300, fp: 1, slotFP: 2, refs: make([]uint32, len(wc.Objects)+40),
-		key: string(wc.AppendEncoding(nil)), path: []byte{7}}
+	wn := &Node{Pid: 7, Depth: 300, fp: 1, slotFP: 2, refs: make([]uint32, len(wc.Objects)+40), path: []byte{7}}
 	wd.Intern(wc, wn.refs)
-	if len(wn.key) < 0x80 {
+	if 4*len(wn.refs) < 0x80 {
 		t.Fatal("the wide node's key fits a one-byte length")
 	}
 	var buf []byte
@@ -133,26 +141,29 @@ func TestNodeRecordLayout(t *testing.T) {
 		all = append(all, dictNode{c.dict, n})
 	}
 	for _, dn := range append(all, dictNode{wd, wn}) {
-		n, slotH := dn.n, (&captured{dict: dn.d}).hashes(dn.n)
-		at := len(buf)
-		buf = appendNodeRecord(buf, n, dn.d)
-		if want := refNodeRecord(n, slotH); !bytes.Equal(buf[at:], want) {
-			t.Fatalf("depth %d pid %d: record\n%x\nwant\n%x", n.Depth, n.Pid, buf[at:], want)
-		}
-		rec, rest, err := DecodeNodeRecord(buf[at:])
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
-		}
-		if n.key != "" {
-			slotH = nil
-		}
-		if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.NumSlots() != len(slotH) ||
-			string(rec.Key) != n.key || !bytes.Equal(rec.Path, n.path) {
-			t.Fatalf("decoded %+v from node %+v", rec, n)
-		}
-		for i, h := range slotH {
-			if rec.SlotHash(i) != h {
-				t.Fatalf("slot %d decoded as %#x, node holds %#x", i, rec.SlotHash(i), h)
+		for _, exact := range []bool{false, true} {
+			n, slotH := dn.n, (&captured{dict: dn.d}).hashes(dn.n)
+			at := len(buf)
+			buf = appendNodeRecord(buf, n, dn.d, exact)
+			if want := refNodeRecord(n, slotH, exact); !bytes.Equal(buf[at:], want) {
+				t.Fatalf("depth %d pid %d exact %t: record\n%x\nwant\n%x", n.Depth, n.Pid, exact, buf[at:], want)
+			}
+			rec, rest, err := DecodeNodeRecord(buf[at:])
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("decode: %v, %d bytes left", err, len(rest))
+			}
+			key := ""
+			if exact {
+				slotH, key = nil, tupleKey(n.refs)
+			}
+			if rec.Pid != n.Pid || rec.Depth != n.Depth || rec.FP != n.fp || rec.NumSlots() != len(slotH) ||
+				string(rec.Key) != key || !bytes.Equal(rec.Path, n.path) {
+				t.Fatalf("decoded %+v from node %+v", rec, n)
+			}
+			for i, h := range slotH {
+				if rec.SlotHash(i) != h {
+					t.Fatalf("slot %d decoded as %#x, node holds %#x", i, rec.SlotHash(i), h)
+				}
 			}
 		}
 	}
@@ -173,11 +184,11 @@ func testStoreCtx(t *testing.T, nObj, nProc int, stringKeys bool, dict *model.Di
 // n=4, k=1, m=3) at depths 0-6, under both keyings, and of the toy-bit race
 // at n=4 under the symmetry reduction, spooled to a budgeted store's
 // segment and rematerialised, is the node it was: its materialised
-// configuration, the slot hashes read through its refs, slot fingerprint,
-// fingerprint, depth, pid, path and exact key. A fingerprint-keyed record
-// is exactly its header, eight bytes a slot and the path; an exact-key one
-// its header, the key and the path, with no slot hashes (the reader hashes
-// the key's slot spans).
+// configuration, its refs and the slot hashes read through them, slot
+// fingerprint, fingerprint, depth, pid and path. A fingerprint-keyed
+// record is exactly its header, eight bytes a slot and the path; an
+// exact-key one its header, the ref tuple (four bytes a slot) and the
+// path, with no slot hashes.
 func TestNodeRecordRoundTrip(t *testing.T) {
 	row3 := core.MustNew(core.Params{N: 4, K: 1, M: 3})
 	toybit, err := baseline.NewToyBitRace(4, 2)
@@ -215,16 +226,20 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 			defer s.Close()
 			want := map[uint64]*Node{}
 			for _, n := range c.nodes {
-				header := uvarintLen(n.Pid+1) + uvarintLen(n.Depth) + 8 + uvarintLen(len(n.key)) + uvarintLen(len(n.path))
+				key := ""
+				if tc.exact {
+					key = tupleKey(n.refs)
+				}
+				header := uvarintLen(n.Pid+1) + uvarintLen(n.Depth) + 8 + uvarintLen(len(key)) + uvarintLen(len(n.path))
 				size := header + uvarintLen(len(n.refs)) + 8*len(n.refs) + len(n.path)
 				if tc.exact {
-					size = header + 1 + len(n.key) + len(n.path)
+					size = header + 1 + 4*len(n.refs) + len(n.path)
 				}
-				if got := len(appendNodeRecord(nil, n, c.dict)); got != size {
+				if got := len(appendNodeRecord(nil, n, c.dict, tc.exact)); got != size {
 					t.Fatalf("record of %d bytes, want %d", got, size)
 				}
 				want[n.fp] = n
-				s.Claim(n.fp, []byte(n.key))
+				s.Claim(n.fp, key)
 				s.Queue(0, n)
 			}
 			if _, err := s.EndLevel(); err != nil {
@@ -238,8 +253,8 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 				t.Fatal("nothing was spooled")
 			}
 			describe := func(n *Node) string {
-				return fmt.Sprintf("cfg %s slot hashes %x slotFP %#x fp %#x depth %d pid %d path %v key %q",
-					c.config(n, nObj, nProc).Key(), c.hashes(n), n.slotFP, n.fp, n.Depth, n.Pid, n.path, n.key)
+				return fmt.Sprintf("cfg %s refs %v slot hashes %x slotFP %#x fp %#x depth %d pid %d path %v",
+					c.config(n, nObj, nProc).Key(), n.refs, c.hashes(n), n.slotFP, n.fp, n.Depth, n.Pid, n.path)
 			}
 			buf, got := make([]*Node, 64), 0
 			for m := lvl.Frontier.Next(0, buf); m > 0; m = lvl.Frontier.Next(0, buf) {
@@ -271,7 +286,7 @@ func uvarintLen(x int) int { return len(binary.AppendUvarint(nil, uint64(x))) }
 func TestRematerialiseReplayMismatch(t *testing.T) {
 	c := codecNodes(t)
 	orig := c.nodes[len(c.nodes)-1]
-	rec, _, err := DecodeNodeRecord(appendNodeRecord(nil, orig, c.dict))
+	rec, _, err := DecodeNodeRecord(appendNodeRecord(nil, orig, c.dict, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,16 +372,33 @@ func TestFrontierReservedWord(t *testing.T) {
 func TestSharedCodecCorruption(t *testing.T) {
 	c := codecNodes(t)
 	nodes := c.nodes[:5]
-	entries := func(exact bool) []entry {
+	// A run's exact key is a ref tuple, a delta's an encoding.
+	entries := func(key func(n *Node) string) []entry {
 		var es []entry
 		for _, n := range nodes {
-			e := entry{fp: n.fp}
-			if exact {
-				e.key = string(c.dict.AppendEncoding(nil, n.refs))
-			}
-			es = append(es, e)
+			es = append(es, entry{n.fp, key(n)})
 		}
 		return es
+	}
+	none := func(*Node) string { return "" }
+	encoding := func(n *Node) string { return string(c.dict.AppendEncoding(nil, n.refs)) }
+	segment := func(exact bool) func(string) error {
+		return func(path string) error {
+			w, err := newBlockWriter(path, artifactSegment, true)
+			if err != nil {
+				return err
+			}
+			for i, n := range nodes {
+				w.buf = appendNodeRecord(w.buf, n, c.dict, exact)
+				if i%2 == 1 { // several blocks, of two records
+					if err := w.flush(); err != nil {
+						return err
+					}
+				}
+			}
+			_, err = w.finish()
+			return err
+		}
 	}
 	writeEntries := func(kind byte, es []entry) func(string) error {
 		return func(path string) error {
@@ -405,56 +437,42 @@ func TestSharedCodecCorruption(t *testing.T) {
 			}
 		}
 	}
+	readRecords := func(path string) (string, error) {
+		r, err := scanArtifact(path, artifactSegment)
+		if err != nil {
+			return "", err
+		}
+		defer r.close()
+		var got []string
+		b := &segBlock{}
+		for {
+			if b.data, err = r.blob(b.data); err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				return fmt.Sprint(got), err
+			}
+			for b.off = 0; b.off < len(b.data); {
+				rec, err := b.next(path)
+				if err != nil {
+					return "", err
+				}
+				got = append(got, fmt.Sprintf("%+v", rec))
+			}
+		}
+	}
+	nodeKeyOf := func(n *Node) string { return tupleKey(n.refs) }
 	for _, tc := range []struct {
 		name  string
 		want  string
 		write func(path string) error
 		read  func(path string) (string, error)
 	}{
-		{"segment", fmt.Sprint(recordStrings(c, nodes)),
-			func(path string) error {
-				w, err := newBlockWriter(path, artifactSegment, true)
-				if err != nil {
-					return err
-				}
-				for i, n := range nodes {
-					w.buf = appendNodeRecord(w.buf, n, c.dict)
-					if i%2 == 1 { // several blocks, of two records
-						if err := w.flush(); err != nil {
-							return err
-						}
-					}
-				}
-				_, err = w.finish()
-				return err
-			},
-			func(path string) (string, error) {
-				r, err := scanArtifact(path, artifactSegment)
-				if err != nil {
-					return "", err
-				}
-				defer r.close()
-				var got []string
-				b := &segBlock{}
-				for {
-					if b.data, err = r.blob(b.data); err != nil {
-						if err == io.EOF {
-							err = nil
-						}
-						return fmt.Sprint(got), err
-					}
-					for b.off = 0; b.off < len(b.data); {
-						rec, err := b.next(path)
-						if err != nil {
-							return "", err
-						}
-						got = append(got, fmt.Sprintf("%+v", rec))
-					}
-				}
-			}},
-		{"run/fingerprints", fmt.Sprint(entries(false)), writeEntries(artifactRun, entries(false)), readEntries(artifactRun)},
-		{"run/exact-keys", fmt.Sprint(entries(true)), writeEntries(artifactRun, entries(true)), readEntries(artifactRun)},
-		{"visited/exact-keys", fmt.Sprint(entries(true)), writeEntries(artifactVisited, entries(true)), readEntries(artifactVisited)},
+		{"segment", fmt.Sprint(recordStrings(c, nodes, false)), segment(false), readRecords},
+		{"segment/exact-keys", fmt.Sprint(recordStrings(c, nodes, true)), segment(true), readRecords},
+		{"run/fingerprints", fmt.Sprint(entries(none)), writeEntries(artifactRun, entries(none)), readEntries(artifactRun)},
+		{"run/exact-keys", fmt.Sprint(entries(nodeKeyOf)), writeEntries(artifactRun, entries(nodeKeyOf)), readEntries(artifactRun)},
+		{"visited/exact-keys", fmt.Sprint(entries(encoding)), writeEntries(artifactVisited, entries(encoding)), readEntries(artifactVisited)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "artifact")
@@ -496,10 +514,10 @@ func TestSharedCodecCorruption(t *testing.T) {
 	}
 }
 
-func recordStrings(c *captured, nodes []*Node) []string {
+func recordStrings(c *captured, nodes []*Node, exact bool) []string {
 	var out []string
 	for _, n := range nodes {
-		rec, _, _ := DecodeNodeRecord(refNodeRecord(n, c.hashes(n)))
+		rec, _, _ := DecodeNodeRecord(refNodeRecord(n, c.hashes(n), exact))
 		out = append(out, fmt.Sprintf("%+v", rec))
 	}
 	return out
@@ -508,9 +526,9 @@ func recordStrings(c *captured, nodes []*Node) []string {
 // TestSpillReloadEqualsOriginal: a node spooled to a segment and streamed
 // back is the node the in-memory store hands the next level, field for
 // field — fingerprint, slot fingerprint (the configuration's from-scratch
-// one too), depth, pid, path, exact key and configuration — under both
-// keyings. The spill run's budget is one byte,
-// so every level goes through the disk.
+// one too), depth, pid, path and configuration (under exact keys, what its
+// key stands for) — under both keyings. The spill run's budget is one
+// byte, so every level goes through the disk.
 func TestSpillReloadEqualsOriginal(t *testing.T) {
 	p, err := baseline.NewToyBitRace(3, 2)
 	if err != nil {
@@ -529,8 +547,8 @@ func TestSpillReloadEqualsOriginal(t *testing.T) {
 				func(_ int, n *Node, cfg *model.Config) error {
 					mu.Lock()
 					defer mu.Unlock()
-					seen[cfg.Key()] = fmt.Sprintf("fp %#x slotFP %#x (%#x) depth %d pid %d path %v key %q",
-						n.fp, n.slotFP, cfg.SlotFingerprint(), n.Depth, n.Pid, n.path, n.key)
+					seen[cfg.Key()] = fmt.Sprintf("fp %#x slotFP %#x (%#x) depth %d pid %d path %v",
+						n.fp, n.slotFP, cfg.SlotFingerprint(), n.Depth, n.Pid, n.path)
 					return nil
 				}, nil)
 			if err != nil {

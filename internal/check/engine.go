@@ -76,14 +76,15 @@ import (
 //     fingerprint (model.Config.SlotFingerprint). Distinct configurations
 //     colliding on a fingerprint would be conflated (probability ~2^-64
 //     per pair, the classic bitstate-hashing trade-off);
-//     EngineOptions.StringKeys selects exact binary-encoding
-//     deduplication instead — the exact-encoding fallback the lowerbound
-//     certificate searches use so that a collision can never silently
-//     prune a witness. Exact keying has the same shortcuts — the memo is
-//     keyed by refs, which the dictionary assigns by encoding, and a
-//     successor's key is its slots' stored encodings laid end to end
-//     (model.Stepper.AppendKey); what it pays for is keeping every visited
-//     configuration's whole key.
+//     EngineOptions.StringKeys selects exact deduplication instead — the
+//     fallback the lowerbound certificate searches use so that a collision
+//     can never silently prune a witness. Exact keying has the same
+//     shortcuts: the dictionary interns by encoding, byte for byte, so a
+//     node's ref vector is its exact key (keytable.go), a successor's is
+//     its parent's with two refs replaced, and the visited table compares
+//     tuples; an encoding is read from the dictionary only where two
+//     entries of one fingerprint must be ordered. What it pays for is
+//     keeping every visited configuration's tuple.
 //
 //   - EngineOptions.Reduction installs the state-space reduction layer
 //     (reduce.go): orbit-canonical fingerprints for declared
@@ -107,11 +108,12 @@ type EngineOptions struct {
 	// (0 = runtime.GOMAXPROCS(0); negative is rejected). Results do not
 	// depend on it.
 	Workers int `json:"workers,omitempty"`
-	// StringKeys keys the visited set by the exact binary encoding of
-	// each configuration instead of the 64-bit fingerprint: immune to
-	// hash collisions — no dedup, memo or ordering decision rests on a
-	// hash comparison alone — at higher memory and hashing cost (every
-	// visited configuration keeps its whole key).
+	// StringKeys keys the visited set by each configuration's exact
+	// identity — its slot refs into the run's dictionary, which interns by
+	// encoding — instead of the 64-bit fingerprint: immune to hash
+	// collisions — no dedup, memo or ordering decision rests on a hash
+	// comparison alone — at higher memory cost (every visited
+	// configuration keeps its ref tuple).
 	StringKeys bool `json:"string_keys,omitempty"`
 	// Reduction selects the state-space reduction layer (reduce.go):
 	// "" or "none" (no reduction), or "sym" (incremental process-symmetry
@@ -241,8 +243,7 @@ type Node struct {
 
 	fp     uint64   // dedup fingerprint (slot fp, or orbit-canonical under "sym")
 	slotFP uint64   // incremental slot fingerprint (Step.Fingerprint chain)
-	refs   []uint32 // slot refs into the run's model.Dict, from a pointer-free slab
-	key    string   // exact encoding, set only in string-key mode
+	refs   []uint32 // slot refs into the run's model.Dict, from a pointer-free slab; the exact key too
 	path   []byte   // root-to-node pid bytes, set only in runs that keep paths
 
 	// reexpand marks an async-order depth-relaxation item (MaxDepth runs
@@ -322,9 +323,12 @@ type claimState struct {
 	// to, by fingerprint (provenance runs only); pendingExact the ones whose
 	// fingerprint an earlier admission with a different key already took:
 	// under exact keys a shared fingerprint must not merge two
-	// configurations here either.
+	// configurations here either. parentKeys holds the exact keys of the
+	// parents the claims are credited to, copied out of the nodes, which
+	// are recycled before the level ends.
 	pending      map[uint64]claimant
 	pendingExact map[string]claimant
+	parentKeys   tupleArena
 	// overrides holds the root-to-node path of every admission of this
 	// level a later, smaller claim took over; at the barrier it becomes
 	// settled, whose paths levelSource.take writes into the nodes before
@@ -556,6 +560,11 @@ func (r *engineRun) report(p Progress) {
 // test seam for counting them (TestDuplicateTakesNoNode).
 var nodeTakenHook func()
 
+// runDictHook, when non-nil, is called with every run's dictionary before
+// the run interns anything — a test seam for numbering refs otherwise
+// (TestOrderIgnoresRefNumbering).
+var runDictHook func(*model.Dict)
+
 // Slab sizes, in nodes: a worker's first slab holds firstSlab, and each
 // next one twice its predecessor's, up to maxSlab. A small run carves few
 // nodes it never uses; a large one pays four allocations per maxSlab nodes.
@@ -609,7 +618,6 @@ func (r *engineRun) carveSlab(s *nodeSupply) {
 // recycle puts a node nothing refers to any more — a visited and expanded
 // frontier node, a spooled or replaced one — on worker w's free list.
 func (r *engineRun) recycle(w int, n *Node) {
-	n.key = ""
 	n.reexpand = false
 	r.nodes[w].free = append(r.nodes[w].free, n)
 }
@@ -671,10 +679,14 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 			run.allowed[pid] = true
 		}
 	}
+	if hook := runDictHook; hook != nil {
+		hook(run.dict)
+	}
 
 	if opts.Provenance {
 		cl := &run.claims
 		cl.pending, cl.pendingExact = map[uint64]claimant{}, map[string]claimant{}
+		cl.parentKeys = newTupleArena(nObj + nProc)
 		cl.overrides, cl.settled = newPathTable(), newPathTable()
 	}
 	if asyncOn && limits.MaxDepth > 0 {

@@ -5,20 +5,24 @@ import (
 	"encoding/binary"
 	"io"
 	"slices"
-	"strings"
+
+	"repro/internal/model"
 )
 
 // This file is the one form of a visited entry, in memory and on disk.
-// An entry is a fingerprint plus, under exact keys, the full encoding key.
-// A keyedSet is a resident table of entries — the store's visited set
-// (its delta since the last spill, under a budget) and its per-level drop
-// set — and the only code that knows whether such a table is a
-// fingerprint set (fpSet) or an exact-key table (keyTable, keytable.go:
-// probed by fingerprint, decided by key bytes, keys in an append-only
-// arena). An entry stream is the artifact payload both the spill
+// An entry is a fingerprint plus, under exact keys, the configuration's
+// exact key: its ref tuple (keytable.go). A keyedSet is a resident table
+// of entries — the store's visited set (its delta since the last spill,
+// under a budget) and its per-level drop set — and the only code that
+// knows whether such a table is a fingerprint set (fpSet) or an exact-key
+// table (keyTable: probed by fingerprint, decided by tuple, tuples in an
+// append-only arena). An entry stream is the artifact payload the spill
 // store's sorted runs and a checkpoint's visited deltas are written in:
 //
 //	fp (8B LE) | uvarint klen | key bytes      (klen 0 outside exact-key runs)
+//
+// A sorted run's key is the ref tuple, readable only by the run that wrote
+// it; a checkpoint's is the configuration's encoding (checkpoint.go).
 
 type entry struct {
 	fp  uint64
@@ -26,26 +30,40 @@ type entry struct {
 }
 
 // entryCompare is the engine's canonical order on visited entries, by
-// (fingerprint, key): the order the budget cutoff keeps a prefix of and
-// the spill store's runs are sorted in. Entries of one visited set never
-// tie (that is what dedup means), so sorting by it is deterministic. Keys
-// are empty, and the order the fingerprints', outside exact-key runs, so
-// there the store sorts packed fingerprints as integers
-// (sortFingerprints) and compares entries only under exact keys.
-func entryCompare(a, b entry) int {
+// fingerprint and then, under exact keys, by the encodings of the
+// configurations the keys stand for, read from the run's dictionary d:
+// the order the budget cutoff keeps a prefix of and the spill store's
+// runs are sorted in. It never rests on a ref's value, which is timing.
+// Entries of one visited set never tie (that is what dedup means), so
+// sorting by it is deterministic. Keys are empty, and the order the
+// fingerprints', outside exact-key runs, so there the store sorts packed
+// fingerprints as integers (sortFingerprints) and compares entries only
+// under exact keys, where d may not be nil.
+func entryCompare(d *model.Dict, a, b entry) int {
 	if c := cmp.Compare(a.fp, b.fp); c != 0 {
 		return c
 	}
-	return strings.Compare(a.key, b.key)
+	return compareKeys(d, a.key, b.key)
 }
 
-func entryLess(a, b entry) bool { return entryCompare(a, b) < 0 }
+func entryLess(d *model.Dict, a, b entry) bool { return entryCompare(d, a, b) < 0 }
+
+// compareKeys orders two exact keys of one run as their configurations'
+// encodings are ordered: by the first slot whose refs differ
+// (model.Dict.CompareSlot says why that slot decides).
+func compareKeys(d *model.Dict, a, b string) int {
+	for i := range len(a) / 4 {
+		if ra, rb := keyRef(a, i), keyRef(b, i); ra != rb {
+			return d.CompareSlot(i, ra, rb)
+		}
+	}
+	return 0
+}
 
 // entryList is a list of visited entries as parallel arrays — a spill
 // store level's admissions, a checkpoint's visited delta: 8 bytes an
-// entry under fingerprint keying, where keys stays nil. An exact key is a
-// configuration's encoding, never empty, so under exact keys every entry
-// has its key.
+// entry under fingerprint keying, where keys stays nil. An exact key is
+// never empty, so under exact keys every entry has its key.
 type entryList struct {
 	fps  []uint64
 	keys []string
@@ -69,84 +87,74 @@ func (l *entryList) key(i int) string {
 // at is the i-th entry.
 func (l *entryList) at(i int) entry { return entry{l.fps[i], l.key(i)} }
 
-// mapEntryOverhead is the per-entry bookkeeping an exact-key entry is
-// charged, on top of its key bytes, in resident-memory accounting
-// (keyedSet.bytes: the spill trigger, peak_resident_bytes). It is an
-// accounting constant, kept at what a Go map entry with its string header
-// cost so that budgets cut where they always did, not the keyTable's
-// cost: a slot is 16 bytes at 35-70% load plus a key's 1-2 length bytes.
-const mapEntryOverhead = 48
-
 // keyedSet is a set of entries under one keying, fixed at creation: a
 // fingerprint table (fpSet) or an exact-key table (keyTable). Like those
 // it is not safe for concurrent use (the engine claims under its claim
-// lock); has alone may run concurrently, with itself.
+// lock); has and lookup alone may run concurrently, with themselves.
 type keyedSet struct {
 	fps *fpSet
 	// keys holds (fingerprint, key) entries (run entries, snapshots and
 	// the truncation order need both); nil under fingerprint keying.
-	keys     *keyTable
-	keyBytes int64
+	keys *keyTable
 }
 
-func newKeyedSet(exact bool) keyedSet {
-	if exact {
-		return keyedSet{keys: newKeyTable()}
+// newKeyedSet returns an empty set: an exact-key table for keys of
+// stride refs, or with stride 0 a fingerprint table.
+func newKeyedSet(stride int) keyedSet {
+	if stride > 0 {
+		return keyedSet{keys: newKeyTable(stride)}
 	}
 	return keyedSet{fps: newFpSet(1024)}
 }
 
 // add inserts the entry and reports whether it was absent.
 func (s *keyedSet) add(fp uint64, key string) bool {
-	if s.keys == nil {
-		return s.fps.Add(fp)
-	}
-	_, added := s.claim(fp, keyView(key))
+	_, added := s.claim(fp, key)
 	return added
 }
 
-// claim is add for a key still in scratch: the set copies it only if the
-// entry was absent, and stored, the copy it keeps, is the string the
-// admitted node shares (it aliases the table's arena; see keyTable).
-func (s *keyedSet) claim(fp uint64, key []byte) (stored string, added bool) {
+// claim is add for a key that may still be a view of scratch: the set
+// copies it only if the entry was absent, and stored is the copy it keeps
+// (a view of the table's arena; see keyTable), "" under fingerprint keys.
+func (s *keyedSet) claim(fp uint64, key string) (stored string, added bool) {
 	if s.keys == nil {
 		return "", s.fps.Add(fp)
 	}
-	if stored, added = s.keys.claim(fp, key); added {
-		s.keyBytes += int64(len(key)) + mapEntryOverhead
-	}
-	return stored, added
+	return s.keys.claim(fp, key)
 }
 
 func (s *keyedSet) has(fp uint64, key string) bool {
 	if s.keys == nil {
 		return s.fps.Has(fp)
 	}
-	return s.keys.has(fp, key)
+	_, ok := s.keys.lookup(fp, key)
+	return ok
 }
 
 // bytes is the table's resident footprint as accounted: 8 bytes a slot
-// under fingerprint keys, key bytes plus mapEntryOverhead an entry under
-// exact keys.
+// under fingerprint keys; under exact keys 12 bytes a slot, the tuples,
+// and the shared-fingerprint entries.
 func (s *keyedSet) bytes() int64 {
 	if s.keys == nil {
 		return int64(len(s.fps.slots)) * 8
 	}
-	return s.keyBytes
+	return s.keys.bytes()
 }
 
 // reserve readies the set for a bulk load of up to n more entries
 // (fpSet.reserve says why a load must) and returns how many it is ready
-// for: all n, or with a budget > 0 no more than the budget can take. For
-// a fingerprint table that is what fills, to the growth bound of 70%, the
-// largest table budget bytes hold. An exact entry is charged at least
-// mapEntryOverhead+1 bytes, so bytes passes the budget by the
-// budget/mapEntryOverhead+1-th: the slots are sized for no more, and the
-// caller's watch on bytes stops the load first.
+// for: all n, or with a budget > 0 no more than the budget can take — for
+// either table, what fills, to the growth bound of 70%, the largest table
+// budget bytes hold (at least one entry).
 func (s *keyedSet) reserve(n int, budget int64) int {
 	if s.keys != nil {
 		if budget > 0 {
-			n = min(n, int(budget/mapEntryOverhead)+1)
+			tuple := int64(4 * s.keys.arena.stride)
+			fit := 1
+			for slots := int64(keyTableSlots); 12*slots+tuple <= budget; slots <<= 1 {
+				fit = max(fit, int(min(slots*7/10, (budget-12*slots)/tuple)))
+			}
+			n = min(n, fit)
 		}
 		s.keys.reserve(n)
 		return n
@@ -180,14 +188,13 @@ func (s *keyedSet) len() int {
 }
 
 // drainSorted empties the set and calls fn on what it held in entry order
-// (entryCompare), stopping at fn's first error. A fingerprint table is
-// sorted where it lies (fpSet.drainSorted); only exact-key entries are
+// (entryCompare over d), stopping at fn's first error. A fingerprint table
+// is sorted where it lies (fpSet.drainSorted); only exact-key entries are
 // gathered and compared as (fingerprint, key) pairs. The set starts over
 // on a new table, whose arena shares nothing with the drained one.
-func (s *keyedSet) drainSorted(fn func(fp uint64, key string) error) error {
-	exact := s.keys != nil
-	defer func() { *s = newKeyedSet(exact) }()
-	if !exact {
+func (s *keyedSet) drainSorted(d *model.Dict, fn func(fp uint64, key string) error) error {
+	if s.keys == nil {
+		defer func() { *s = newKeyedSet(0) }()
 		for _, fp := range s.fps.drainSorted() {
 			if err := fn(fp, ""); err != nil {
 				return err
@@ -195,8 +202,9 @@ func (s *keyedSet) drainSorted(fn func(fp uint64, key string) error) error {
 		}
 		return nil
 	}
+	defer func(stride int) { *s = newKeyedSet(stride) }(s.keys.arena.stride)
 	entries := s.keys.entries()
-	slices.SortFunc(entries, entryCompare)
+	slices.SortFunc(entries, func(a, b entry) int { return entryCompare(d, a, b) })
 	for _, e := range entries {
 		if err := fn(e.fp, e.key); err != nil {
 			return err

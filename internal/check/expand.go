@@ -17,7 +17,8 @@ import (
 //     node is expanded at all (visitOnly: not at the depth cap, and not once
 //     the run's admissions have closed), poised-pid iteration over the
 //     allowed set, the memoised transition (model.Stepper.Plan), the run's
-//     one keying decision. What it leaves behind is a candidate —
+//     one keying decision (under exact keys the successor's ref tuple,
+//     written to chunk scratch). What it leaves behind is a candidate —
 //     (fingerprint, key, parent, pid) and the transition by value — except
 //     for a successor another peer of a distributed run owns, which is
 //     built into a scratch node and shipped at once.
@@ -50,10 +51,8 @@ type cand struct {
 	fp      uint64 // dedup fingerprint (slot fp, or orbit-canonical under "sym")
 	parent  int32  // index into expander.parents
 	pid     int32
-	keyOff  int32 // the exact key is expander.keys[keyOff:keyOff+keyLen] (exact-key runs)
-	keyLen  int32
+	keyOff  int32 // the exact key's tuple starts at expander.keys[keyOff] (exact-key runs)
 	verdict uint8
-	key     string // the admitted exact key, as the store holds it
 }
 
 // expander is one worker's expansion state. Like the stepper it wraps,
@@ -64,7 +63,7 @@ type expander struct {
 	worker int
 	st     *model.Stepper
 	sw     *symWorker // nil unless the symmetry quotient is active
-	enc    []byte     // encoding scratch (exact keys)
+	enc    []byte     // encoding scratch (exact-key frontier checksums)
 	// cfg is the configuration of the node being visited, materialised
 	// from its refs for the visitor.
 	cfg model.Config
@@ -73,14 +72,17 @@ type expander struct {
 	// visited counts the nodes this worker has visited (engineRun.processed).
 	visited atomic.Int64
 
-	// The chunk under expansion: the planned nodes, their candidates in
-	// generation order, the candidates' exact keys, and what commit derives
-	// from them (the candidates to build, the nodes built).
-	parents []*Node
-	cands   []cand
-	keys    []byte
-	fresh   []int32
-	out     []*Node
+	// The chunk under expansion: the planned nodes (and, in a provenance
+	// run under exact keys, each one's key once a claim has copied it), their
+	// candidates in generation order, the candidates' ref tuples under
+	// exact keys, and what commit derives from them (the candidates to
+	// build, the nodes built).
+	parents    []*Node
+	parentKeys []string
+	cands      []cand
+	keys       []uint32
+	fresh      []int32
+	out        []*Node
 
 	// The replay's stack (replaySource): stack[d] is the node d steps
 	// along prefix, the path it was last replayed to. The nodes are the
@@ -109,23 +111,31 @@ func (r *engineRun) expander(worker int) *expander {
 	return x
 }
 
-// key sets n's dedup identity from its slot fingerprint: the exact
-// encoding in string-key mode, the orbit-canonical fingerprint under an
-// active symmetry quotient, the plain slot fingerprint otherwise. Only
-// nodes without a planned step come here (the root, a node replayed from a
-// checkpoint; the spill store reloads a node's key with it): plan keys
-// every successor, to the same identity, before it exists.
+// key sets n's dedup fingerprint from its slot fingerprint: the
+// orbit-canonical fingerprint under an active symmetry quotient, the plain
+// slot fingerprint otherwise (an exact key is the node's refs, which it
+// has). Only nodes without a planned step come here (the root, a node
+// replayed from a checkpoint; the spill store records the fingerprint):
+// plan keys every successor, to the same identity, before it exists.
 func (x *expander) key(n *Node) {
 	n.fp = n.slotFP
-	switch {
-	case x.run.opts.StringKeys:
-		x.enc = x.run.dict.AppendEncoding(x.enc[:0], n.refs)
-		n.key = string(x.enc)
-	case x.sw != nil:
+	if x.sw != nil {
 		x.sw.load(n.slotFP, n.refs)
 		x.sw.statesPruned += x.sw.unsorted
 		n.fp = x.sw.fp
 	}
+}
+
+// frontierMix is n's term in a checkpoint's frontier checksum
+// (checkpoint.go): under exact keys its encoding is folded in, which the
+// expander lays out from the dictionary.
+func (x *expander) frontierMix(n *Node) uint64 {
+	var enc []byte
+	if x.run.opts.StringKeys {
+		x.enc = x.run.dict.AppendEncoding(x.enc[:0], n.refs)
+		enc = x.enc
+	}
+	return frontierMix(n.fp, enc)
 }
 
 // config materialises n's configuration into the expander's scratch, for
@@ -150,7 +160,7 @@ func (r *engineRun) visitOnly(depth int) bool {
 
 // begin starts a new chunk.
 func (x *expander) begin() {
-	x.parents, x.cands, x.keys = x.parents[:0], x.cands[:0], x.keys[:0]
+	x.parents, x.parentKeys, x.cands, x.keys = x.parents[:0], x.parentKeys[:0], x.cands[:0], x.keys[:0]
 }
 
 // plan keys n's successors into the chunk, none if n is visit-only. n must
@@ -164,7 +174,7 @@ func (x *expander) plan(n *Node) error {
 		return nil
 	}
 	parent := int32(len(x.parents))
-	x.parents = append(x.parents, n)
+	x.parents, x.parentKeys = append(x.parents, n), append(x.parentKeys, "")
 	if x.sw != nil {
 		x.sw.load(n.slotFP, n.refs)
 	}
@@ -185,9 +195,10 @@ func (x *expander) plan(n *Node) error {
 		c.fp = c.step.Fingerprint(n.slotFP)
 		switch {
 		case r.opts.StringKeys:
-			c.keyOff = int32(len(x.keys))
-			x.keys = x.st.AppendKey(x.keys, n.refs, pid, &c.step)
-			c.keyLen = int32(len(x.keys)) - c.keyOff
+			off := len(x.keys)
+			c.keyOff = int32(off)
+			x.keys = slices.Grow(x.keys, len(n.refs))[:off+len(n.refs)]
+			x.st.Install(n.refs, pid, &c.step, x.keys[off:])
 		case x.sw != nil:
 			c.fp = x.sw.successor(pid, &c.step)
 		}
@@ -199,7 +210,7 @@ func (x *expander) plan(n *Node) error {
 			}
 			x.build(c, x.tmp)
 			x.cands = x.cands[:len(x.cands)-1]
-			x.rec = appendNodeRecord(x.rec[:0], x.tmp, r.dict)
+			x.rec = appendNodeRecord(x.rec[:0], x.tmp, r.dict, r.opts.StringKeys)
 			if err := r.link.Send(x.worker, c.fp, x.rec); err != nil {
 				return err
 			}
@@ -228,7 +239,7 @@ func (x *expander) commit(locked bool) []*Node {
 	}
 	for i := range x.cands {
 		c := &x.cands[i]
-		if x.claim(c, x.keys[c.keyOff:c.keyOff+c.keyLen]) != candDup {
+		if x.claim(c, x.candKey(c)) != candDup {
 			x.fresh = append(x.fresh, int32(i))
 		}
 	}
@@ -265,12 +276,34 @@ func (x *expander) commit(locked bool) []*Node {
 	return x.out
 }
 
+// candKey is c's exact key, a view of the chunk scratch, or "" outside
+// exact-key runs.
+func (x *expander) candKey(c *cand) string {
+	if !x.run.opts.StringKeys {
+		return ""
+	}
+	return tupleKey(x.keys[c.keyOff : int(c.keyOff)+x.run.nObj+x.run.nProc])
+}
+
+// parentEntry is the entry of the chunk's parent i, its key copied out of
+// the node (which is recycled once its chunk is done) into the level's
+// parent arena the first time a claim needs it. The caller holds the claim
+// lock whenever another goroutine could be claiming.
+func (x *expander) parentEntry(i int32) entry {
+	a := x.parents[i]
+	if x.run.opts.StringKeys && x.parentKeys[i] == "" {
+		x.parentKeys[i], _ = x.run.claims.parentKeys.add(tupleKey(a.refs))
+	}
+	return entry{a.fp, x.parentKeys[i]}
+}
+
 // claim applies the admission protocol to a candidate, wherever it lives (a
 // record another peer sent is claimed before it has a parent, a step or a
 // node): the store's claim on its (fingerprint, key) — the one visited-set
-// probe — and the same-level folds. The caller holds the claim lock
-// whenever another goroutine could be claiming.
-func (x *expander) claim(c *cand, key []byte) uint8 {
+// probe — and the same-level folds. key may be a view of scratch. The
+// caller holds the claim lock whenever another goroutine could be
+// claiming.
+func (x *expander) claim(c *cand, key string) uint8 {
 	r := x.run
 	cl := &r.claims
 	stored, added := r.store.Claim(c.fp, key)
@@ -280,10 +313,9 @@ func (x *expander) claim(c *cand, key []byte) uint8 {
 		return candDup
 	}
 	if added {
-		c.verdict, c.key = candNew, stored
+		c.verdict = candNew
 		if cl.pending != nil {
-			a := x.parents[c.parent]
-			credit := claimant{key: stored, parent: entry{a.fp, a.key}, pid: c.pid}
+			credit := claimant{key: stored, parent: x.parentEntry(c.parent), pid: c.pid}
 			if prev, ok := cl.pending[c.fp]; ok && prev.key != stored {
 				cl.pendingExact[stored] = credit
 			} else {
@@ -313,26 +345,27 @@ func (x *expander) claim(c *cand, key []byte) uint8 {
 // reclaim is a provenance run's same-level fold for a duplicate claim c of
 // an entry (c.fp, key): if the configuration was admitted this very level,
 // c takes its provenance when c is deterministically smaller than the claim
-// credited so far — by the parent's (fingerprint, key), then pid — so
-// witness schedules do not depend on discovery order. (Keys are empty, and
-// so equal, outside exact-key runs.) The winner's path goes into overrides
-// now, while its parent is live; the node gets it when it is taken.
-func (x *expander) reclaim(c *cand, key []byte) {
+// credited so far — by the parent's entry (fingerprint, then encoding),
+// then pid — so witness schedules do not depend on discovery order. (Keys
+// are empty, and so equal, outside exact-key runs.) The winner's path goes
+// into overrides now, while its parent is live; the node gets it when it
+// is taken.
+func (x *expander) reclaim(c *cand, key string) {
 	cl := &x.run.claims
 	prev, ok := cl.pending[c.fp]
-	exact := ok && prev.key != string(key)
+	exact := ok && prev.key != key
 	if exact {
-		prev, ok = cl.pendingExact[string(key)]
+		prev, ok = cl.pendingExact[key]
 	}
 	if !ok {
 		return
 	}
 	a := x.parents[c.parent]
-	parent := entry{a.fp, a.key}
-	if d := entryCompare(parent, prev.parent); d > 0 || d == 0 && c.pid >= prev.pid {
+	parent := entry{a.fp, x.run.store.ctx.nodeKey(a)}
+	if d := entryCompare(x.run.dict, parent, prev.parent); d > 0 || d == 0 && c.pid >= prev.pid {
 		return
 	}
-	prev.parent, prev.pid = parent, c.pid
+	prev.parent, prev.pid = x.parentEntry(c.parent), c.pid
 	if exact {
 		cl.pendingExact[prev.key] = prev
 	} else {
@@ -350,7 +383,7 @@ func (x *expander) build(c *cand, n *Node) {
 	n.slotFP = c.step.Fingerprint(p.slotFP)
 	n.Depth = p.Depth + 1
 	n.reexpand = c.verdict == candDeepen
-	n.Pid, n.fp, n.key = int(c.pid), c.fp, c.key
+	n.Pid, n.fp = int(c.pid), c.fp
 	if r.pathsOn {
 		// Root-to-node pid path: the only protocol-independent
 		// serialization of a node (configs are opaque; a resumed or
@@ -484,8 +517,8 @@ func (x *expander) replay(s *replaySource, lo, hi int, buf []*Node) (int, error)
 			return 0, err
 		}
 		n.path = append(n.path[:0], p...)
-		x.key(n) // the rebuilt node must carry the same (fp, key) the lost one did
-		sum += frontierMix(n)
+		x.key(n) // the rebuilt node must carry the same fingerprint the lost one did
+		sum += x.frontierMix(n)
 		buf[m] = n
 	}
 	s.nodes.Add(int64(len(order)))

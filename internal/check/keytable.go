@@ -1,71 +1,124 @@
 package check
 
 import (
-	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"unsafe"
 )
 
-// keyTable is the exact-key visited table: a set of (fingerprint, key)
-// entries in which the key bytes alone decide equality and the
-// fingerprint only says where to look. It never hashes a key and copies
-// each admitted key once, into an append-only arena.
+// An exact key is a configuration's ref tuple: its slot refs into the
+// run's dictionary (model.Dict), one per slot, objects then states. The
+// dictionary interns every slot by its encoding, byte for byte, so within
+// one run two tuples are equal exactly when their configurations are, and
+// the tuple decides dedup without an encoding. Refs are numbered in timing
+// order, though, so a tuple never decides an order: entryCompare orders
+// two tuples of one fingerprint by their configurations' encodings, read
+// from the dictionary, and nothing written outside the run carries a ref.
 //
-//   - slots is an open-addressing (linear-probing) table probed from the
-//     fingerprint, as fpSet is. A slot is pointer-free — the fingerprint
-//     and where its key lies in the arena — so the collector never scans
-//     the table, and growth rehashes fingerprints, not keys.
+// A key travels as a string: the tuple's words in native byte order, a
+// view of the words with no copy (tupleKey), so that maps, entry lists,
+// sorted runs and spill records handle it as they handle any string. A
+// view of scratch is valid until the scratch is rewritten; the keys the
+// visited table returns are views of its arena, which is never rewritten.
+
+// tupleKey is the exact key of refs: a string view of its words.
+func tupleKey(refs []uint32) string {
+	if len(refs) == 0 {
+		return ""
+	}
+	return unsafe.String((*byte)(unsafe.Pointer(&refs[0])), 4*len(refs))
+}
+
+// tupleBytes views refs' words as bytes, to be written.
+func tupleBytes(refs []uint32) []byte {
+	if len(refs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&refs[0])), 4*len(refs))
+}
+
+// keyRef is slot i's ref in key.
+func keyRef(key string, i int) uint32 { return binary.NativeEndian.Uint32(keyView(key)[4*i:]) }
+
+// keyTuple writes the refs of key into dst (which must hold them) and
+// returns them.
+func keyTuple(dst []uint32, key string) []uint32 {
+	dst = dst[:len(key)/4]
+	copy(tupleBytes(dst), key)
+	return dst
+}
+
+// keyView views key as bytes, which must not be written.
+func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len(key)) }
+
+// bytesView views b as a string, valid while b is not written.
+func bytesView(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// keyTable is the exact-key visited table: a set of (fingerprint, key)
+// entries in which the key — a ref tuple of stride words — alone decides
+// equality and the fingerprint only says where to look. It never hashes a
+// key and copies each admitted one once, into an append-only arena.
+//
+//   - The slots are two parallel arrays probed from the fingerprint
+//     (linear probing, as fpSet): fps, and tuples, the arena index of the
+//     slot's tuple plus one (0: the slot is empty). A slot is 12 bytes and
+//     pointer-free, so the collector never scans the table, and growth
+//     rehashes fingerprints, not tuples.
 //   - The first key a fingerprint is claimed with takes its slot. A
 //     different key with the same fingerprint goes to shared, an exact
 //     map, so a colliding pair is two entries, never one; under the
 //     degenerate slot hash every key but the first takes that path.
-//     A key has one fingerprint (the hash of the configuration it
-//     encodes), so shared is keyed by the key alone.
+//     A key has one fingerprint (the hash of its configuration), so
+//     shared is keyed by the key alone.
 //
-// Aliasing invariant. The strings claim returns — the keys nodes and
-// entry lists keep — alias the arena (unsafe.String), so they stay
-// immutable only because arena bytes are never rewritten or reused: a
-// chunk is appended to within its capacity and never truncated, cleared
-// or recycled, and a drained or replaced table starts on new chunks. A
-// chunk lives as long as any string into it (TestKeyTableMatchesMap).
+// Aliasing invariant. The keys claim returns — the keys entry lists and
+// the provenance tables keep — are views of the arena (tupleKey), so they
+// stay immutable only because arena words are never rewritten or reused:
+// a chunk is written once per tuple and never cleared or recycled, and a
+// drained or replaced table starts on new chunks. A chunk lives as long
+// as any key into it (TestKeyTableMatchesMap).
 type keyTable struct {
-	slots []keySlot
-	mask  uint64
-	shift uint // 64 - log2(len(slots)), for probeStart
-	n     int  // entries in slots
-	grows int  // doublings under load (a reserve is not one)
+	fps    []uint64
+	tuples []uint32
+	mask   uint64
+	shift  uint // 64 - log2(len(fps)), for probeStart
+	n      int  // entries in the slots
+	grows  int  // doublings under load (a reserve is not one)
 	// shared maps each key whose fingerprint a different key holds in
-	// slots to its fingerprint; nil until the first.
-	shared map[string]uint64
-	arena  keyArena
+	// the slots to its fingerprint and tuple; nil until the first.
+	shared map[string]sharedKey
+	arena  tupleArena
 }
 
-// keySlot is one table slot: a fingerprint and the arena location of its
-// key, chunk index plus one (0: the slot is empty) and offset.
-type keySlot struct {
-	fp    uint64
-	chunk uint32
-	off   uint32
+type sharedKey struct {
+	fp uint64
+	at uint32
 }
 
 // keyTableSlots is a new table's size: small, since many searches are
-// (a Lemma 13 bivalence test), and growth rehashes 16-byte slots, never
-// keys.
+// (a Lemma 13 bivalence test), and growth rehashes 12-byte slots, never
+// tuples.
 const keyTableSlots = 64
 
-func newKeyTable() *keyTable {
-	t := &keyTable{}
-	t.setSlots(make([]keySlot, keyTableSlots))
+// sharedEntryBytes is what resident accounting charges a shared entry on
+// top of its tuple: a Go map slot with its string header and value.
+const sharedEntryBytes = 48
+
+func newKeyTable(stride int) *keyTable {
+	t := &keyTable{arena: newTupleArena(stride)}
+	t.setSlots(keyTableSlots)
 	return t
 }
 
-func (t *keyTable) setSlots(slots []keySlot) {
-	t.slots = slots
-	t.mask = uint64(len(slots) - 1)
-	t.shift = 64
-	for size := len(slots); size > 1; size >>= 1 {
-		t.shift--
-	}
+func (t *keyTable) setSlots(size int) {
+	t.fps, t.tuples = make([]uint64, size), make([]uint32, size)
+	t.mask = uint64(size - 1)
+	t.shift = uint(64 - bits.Len(uint(size)) + 1)
 }
 
 func (t *keyTable) probeStart(fp uint64) uint64 {
@@ -75,55 +128,65 @@ func (t *keyTable) probeStart(fp uint64) uint64 {
 // len is the number of entries.
 func (t *keyTable) len() int { return t.n + len(t.shared) }
 
+// bytes is the table's resident footprint: its slots, its arena's chunks
+// and its shared entries.
+func (t *keyTable) bytes() int64 {
+	return int64(len(t.fps))*12 + 4*int64(t.arena.words) + int64(len(t.shared))*sharedEntryBytes
+}
+
 // claim inserts (fp, key) and reports whether it was absent; stored is
-// the arena copy of key, "" for a duplicate. key may be scratch.
-func (t *keyTable) claim(fp uint64, key []byte) (stored string, added bool) {
+// the arena copy of key, "" for a duplicate. key may be a view of
+// scratch.
+func (t *keyTable) claim(fp uint64, key string) (stored string, added bool) {
 	for i := t.probeStart(fp); ; i = (i + 1) & t.mask {
-		sl := &t.slots[i]
-		if sl.chunk == 0 {
-			sl.fp = fp
-			stored, sl.chunk, sl.off = t.arena.add(key)
+		if t.tuples[i] == 0 {
+			var at uint32
+			stored, at = t.arena.add(key)
+			t.fps[i], t.tuples[i] = fp, at+1
 			t.n++
 			// Grow at 70% load so probe chains stay short.
-			if uint64(t.n)*10 > uint64(len(t.slots))*7 {
-				t.resize(len(t.slots) * 2)
+			if uint64(t.n)*10 > uint64(len(t.fps))*7 {
+				t.resize(len(t.fps) * 2)
 				t.grows++
 			}
 			return stored, true
 		}
-		if sl.fp != fp {
+		if t.fps[i] != fp {
 			continue
 		}
-		if bytes.Equal(t.arena.at(sl.chunk, sl.off), key) {
+		if t.arena.key(t.tuples[i]-1) == key {
 			return "", false
 		}
-		if _, dup := t.shared[string(key)]; dup {
+		if _, dup := t.shared[key]; dup {
 			return "", false
 		}
 		if t.shared == nil {
-			t.shared = map[string]uint64{}
+			t.shared = map[string]sharedKey{}
 		}
-		stored, _, _ = t.arena.add(key)
-		t.shared[stored] = fp
+		var at uint32
+		stored, at = t.arena.add(key)
+		t.shared[stored] = sharedKey{fp, at}
 		return stored, true
 	}
 }
 
-// has reports membership. It only reads, so calls may overlap one
-// another (not a claim).
-func (t *keyTable) has(fp uint64, key string) bool {
+// lookup returns the stored copy of (fp, key), if the table has it. It
+// only reads, so calls may overlap one another (not a claim).
+func (t *keyTable) lookup(fp uint64, key string) (string, bool) {
 	for i := t.probeStart(fp); ; i = (i + 1) & t.mask {
-		sl := &t.slots[i]
 		switch {
-		case sl.chunk == 0:
-			return false
-		case sl.fp != fp:
+		case t.tuples[i] == 0:
+			return "", false
+		case t.fps[i] != fp:
 			continue
-		case string(t.arena.at(sl.chunk, sl.off)) == key:
-			return true
 		}
-		_, ok := t.shared[key]
-		return ok
+		if stored := t.arena.key(t.tuples[i] - 1); stored == key {
+			return stored, true
+		}
+		if sh, ok := t.shared[key]; ok {
+			return t.arena.key(sh.at), true
+		}
+		return "", false
 	}
 }
 
@@ -131,26 +194,26 @@ func (t *keyTable) has(fp uint64, key string) bool {
 // bound, rehashing at most once (fpSet.reserve says why a bulk load
 // must).
 func (t *keyTable) reserve(n int) {
-	size := len(t.slots)
+	size := len(t.fps)
 	for uint64(t.n+n)*10 > uint64(size)*7 {
 		size <<= 1
 	}
-	if size > len(t.slots) {
+	if size > len(t.fps) {
 		t.resize(size)
 	}
 }
 
 // resize rehashes the slots into a table of size slots, by fingerprint.
 func (t *keyTable) resize(size int) {
-	old := t.slots
-	t.setSlots(make([]keySlot, size))
-	for _, sl := range old {
-		if sl.chunk == 0 {
+	fps, tuples := t.fps, t.tuples
+	t.setSlots(size)
+	for j, at := range tuples {
+		if at == 0 {
 			continue
 		}
-		for i := t.probeStart(sl.fp); ; i = (i + 1) & t.mask {
-			if t.slots[i].chunk == 0 {
-				t.slots[i] = sl
+		for i := t.probeStart(fps[j]); ; i = (i + 1) & t.mask {
+			if t.tuples[i] == 0 {
+				t.fps[i], t.tuples[i] = fps[j], at
 				break
 			}
 		}
@@ -160,15 +223,15 @@ func (t *keyTable) resize(size int) {
 // forEach calls fn on every entry — the slots in table order, then the
 // shared keys — and stops at fn's first error.
 func (t *keyTable) forEach(fn func(fp uint64, key string) error) error {
-	for _, sl := range t.slots {
-		if sl.chunk != 0 {
-			if err := fn(sl.fp, t.arena.str(sl.chunk, sl.off)); err != nil {
+	for i, at := range t.tuples {
+		if at != 0 {
+			if err := fn(t.fps[i], t.arena.key(at-1)); err != nil {
 				return err
 			}
 		}
 	}
-	for k, fp := range t.shared {
-		if err := fn(fp, k); err != nil {
+	for k, sh := range t.shared {
+		if err := fn(sh.fp, k); err != nil {
 			return err
 		}
 	}
@@ -185,62 +248,63 @@ func (t *keyTable) entries() []entry {
 	return out
 }
 
-// keyView views key as bytes, for a claim, which only reads them.
-func keyView(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len(key)) }
-
-// keyArena is append-only storage for exact keys: chunks that start at
-// keyChunkMin bytes and double up to keyChunkMax (a key longer than the
-// next chunk gets a chunk of its own size), each key stored as uvarint
-// length | bytes. A large first chunk would cost every small search the
-// chunk; a small last one, an allocation per few keys.
-type keyArena struct {
-	chunks [][]byte
+// tupleArena is append-only storage for ref tuples of stride words each,
+// indexed by their order of arrival. Chunk k holds tupleFirst<<k tuples
+// until a chunk reaches about tupleChunkBytes; every later chunk holds
+// that many. A large first chunk would cost every small search the chunk;
+// small late ones, an allocation per few tuples.
+type tupleArena struct {
+	stride  int
+	capBits int    // log2 of the tuples a full-size chunk holds
+	growing uint64 // tuples in the doubling chunks before the first full-size one
+	chunks  [][]uint32
+	n       int // tuples stored
+	words   int // the chunks' words, stored or not
 }
 
 const (
-	keyChunkMin = 512
-	keyChunkMax = 1 << 20
+	tupleFirstBits  = 6
+	tupleFirst      = 1 << tupleFirstBits
+	tupleChunkBytes = 1 << 20
 )
 
-// add appends key and returns the string aliasing the copy and its
-// location.
-func (a *keyArena) add(key []byte) (stored string, chunk, off uint32) {
-	need := binary.MaxVarintLen64 + len(key)
-	last := len(a.chunks) - 1
-	if last < 0 || cap(a.chunks[last])-len(a.chunks[last]) < need {
-		size := keyChunkMin
-		if last >= 0 {
-			size = min(2*cap(a.chunks[last]), keyChunkMax)
+func newTupleArena(stride int) tupleArena {
+	cb := max(tupleFirstBits, bits.Len(uint(tupleChunkBytes/(4*max(stride, 1))))-1)
+	return tupleArena{stride: stride, capBits: cb, growing: 1<<cb - tupleFirst}
+}
+
+// locate is the chunk and tuple offset within it of tuple at.
+func (a *tupleArena) locate(at uint32) (int, int) {
+	if x := uint64(at); x < a.growing {
+		x += tupleFirst
+		k := bits.Len64(x) - 1 - tupleFirstBits
+		return k, int(x - tupleFirst<<k)
+	}
+	x := uint64(at) - a.growing
+	return a.capBits - tupleFirstBits + int(x>>a.capBits), int(x & (1<<a.capBits - 1))
+}
+
+// add appends key's tuple and returns the key aliasing the copy and its
+// index.
+func (a *tupleArena) add(key string) (stored string, at uint32) {
+	at = uint32(a.n)
+	k, i := a.locate(at)
+	if k == len(a.chunks) {
+		size := 1 << a.capBits
+		if k < a.capBits-tupleFirstBits {
+			size = tupleFirst << k
 		}
-		a.chunks = append(a.chunks, make([]byte, 0, max(size, need)))
-		last++
+		a.chunks = append(a.chunks, make([]uint32, size*a.stride))
+		a.words += size * a.stride
 	}
-	c := a.chunks[last]
-	off = uint32(len(c))
-	c = binary.AppendUvarint(c, uint64(len(key)))
-	start := len(c)
-	c = append(c, key...) // within capacity: the chunk never moves
-	a.chunks[last] = c
-	chunk = uint32(last + 1)
-	if len(key) > 0 {
-		stored = unsafe.String(&c[start], len(key))
-	}
-	return stored, chunk, off
+	dst := a.chunks[k][i*a.stride : (i+1)*a.stride]
+	copy(tupleBytes(dst), key)
+	a.n++
+	return tupleKey(dst), at
 }
 
-// at returns the bytes of the key at (chunk, off); they must not be
-// written.
-func (a *keyArena) at(chunk, off uint32) []byte {
-	c := a.chunks[chunk-1][off:]
-	n, w := binary.Uvarint(c)
-	return c[w : w+int(n) : w+int(n)]
-}
-
-// str returns the key at (chunk, off) as a string aliasing the arena.
-func (a *keyArena) str(chunk, off uint32) string {
-	b := a.at(chunk, off)
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
+// key is tuple at's key, a view of the arena.
+func (a *tupleArena) key(at uint32) string {
+	k, i := a.locate(at)
+	return tupleKey(a.chunks[k][i*a.stride : (i+1)*a.stride])
 }

@@ -1,6 +1,10 @@
 package check
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/model"
+)
 
 // This file is the level-synchronized (BSP) exploration order: the worker
 // loop (engine.go) served one depth level at a time. Workers drain the
@@ -107,7 +111,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 			// level-0 frontier and joins the run at the first barrier.
 			run.recycle(0, root)
 		} else {
-			run.store.Claim(root.fp, []byte(root.key))
+			run.store.Claim(root.fp, run.store.ctx.nodeKey(root))
 			run.store.Queue(0, root)
 			run.admitted.Store(1)
 		}
@@ -192,6 +196,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		cl := &run.claims
 		clear(cl.pending)
 		clear(cl.pendingExact)
+		cl.parentKeys = newTupleArena(cl.parentKeys.stride)
 		cl.settled, cl.overrides = cl.overrides, cl.settled
 		cl.overrides.clear()
 		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
@@ -292,7 +297,7 @@ func (l levelSource) take(w int, buf []*Node) int {
 	m := l.Next(w, buf)
 	if settled := &l.run.claims.settled; settled.len() > 0 {
 		for _, n := range buf[:m] {
-			if path, ok := settled.get(n.fp, n.key); ok {
+			if path, ok := settled.get(n.fp, l.run.store.ctx.nodeKey(n)); ok {
 				n.path = append(n.path[:0], path...)
 				n.Pid = int(path[len(path)-1])
 			}
@@ -327,7 +332,7 @@ func distExpandBarrier(run *engineRun, depth int) error {
 			if rec, b, err = DecodeNodeRecord(b); err != nil {
 				return fmt.Errorf("dist: remote successor: %w", err)
 			}
-			if x.claim(&cand{fp: rec.FP}, nil) == candDup {
+			if x.claim(&cand{fp: rec.FP}, "") == candDup {
 				continue
 			}
 			var n *Node
@@ -365,7 +370,7 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 		MaxConfigs: run.limits.MaxConfigs,
 		MaxDepth:   run.limits.MaxDepth,
 	}
-	resumed, err := loadCheckpoint(run.opts.Checkpoint, profile)
+	resumed, err := loadCheckpoint(run.opts.Checkpoint, profile, run.dict)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -373,7 +378,11 @@ func openCheckpoint(run *engineRun, startFP uint64) (*ckptWriter, *ckptLoaded, e
 	if resumed != nil {
 		startGen = resumed.man.Gen + 1
 	}
-	ckpt, err := newCkptWriter(run.opts.Checkpoint, profile, run.opts.CheckpointEvery, startGen)
+	var exact *model.Dict // lays out exact keys' encodings
+	if run.opts.StringKeys {
+		exact = run.dict
+	}
+	ckpt, err := newCkptWriter(run.opts.Checkpoint, profile, run.opts.CheckpointEvery, startGen, exact)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -78,9 +78,9 @@ var ModeConflicts = []struct {
 	{ModeAsync, ModeCheckpoint, "a snapshot is the visited set and the next frontier at a level barrier, and the async order has no barrier (rerun from scratch instead: restart == resume for its verdict)"},
 	{ModeCheckpoint, ModeProvenance, "a snapshot would have to persist the level's settled provenance paths with its frontier, and its layout has no place for them"},
 	{ModeReduce, ModeProvenance, "a quotient merges schedules, so a path recorded through it is not a valid execution"},
-	{ModeReduce, ModeStringKeys, "exact keys dedup on full encodings, which orbit members do not share"},
+	{ModeReduce, ModeStringKeys, "exact keys dedup on ref tuples, which orbit members do not share"},
 	{ModeDist, ModeProvenance, "a remote record carries no parent fingerprint or key, so the owning peer cannot settle the provenance tie-break among claims from other peers"},
-	{ModeDist, ModeStringKeys, "exact keys would ship full encodings on every admission probe"},
+	{ModeDist, ModeStringKeys, "exact keys are refs into one process's dictionary, which no other peer can read"},
 	{ModeDist, ModeCheckpoint, "a multi-process snapshot needs coordinator-side generations (rerun from scratch instead: restart == resume for a deterministic run)"},
 }
 

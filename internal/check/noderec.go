@@ -20,18 +20,19 @@ import (
 //	depth  uvarint
 //	fp     uint64 LE   dedup fingerprint, canonical under the run's reduction
 //	count  uvarint, count × uint64 LE   the slot-hash vector (objects, then states); count 0 under exact keys
-//	klen   uvarint, key [klen]byte      exact key (empty unless the run uses exact keys)
+//	klen   uvarint, key [klen]byte      exact key: the ref tuple (empty unless the run uses exact keys)
 //	plen   uvarint, path [plen]byte     root-to-node pid path (empty unless the run keeps paths)
 //
 // Nothing is encoded to write a record: the slot hashes, read from the
 // run's slot dictionary through the node's refs, stand for the
 // configuration, which the reader resolves back to refs through its own
 // run's dictionary; and the slot fingerprint is not carried at all — it is
-// the XOR of model.MixSlotHash over the vector. Refs never leave the
-// process: they are assigned in timing order. An exact key already
-// determines every slot, so an exact-key record carries no vector: the
-// reader hashes the key's slot spans (model.SlotHash), as the dictionary
-// did.
+// the XOR of model.MixSlotHash over the vector. Refs are assigned in
+// timing order, so they never leave the process that assigned them. An
+// exact-key record is the one exception, since only the spill store writes
+// it (a distributed run is fingerprint-keyed) and reads it back in the
+// same run: its key is the node's ref tuple (keytable.go), which already
+// determines every slot, and it carries no vector.
 
 // NodeRecord is a decoded record. Slots, Key and Path alias the buffer it
 // was decoded from.
@@ -55,20 +56,22 @@ func (r *NodeRecord) SlotHash(i int) uint64 { return binary.LittleEndian.Uint64(
 const NodeRecordMin = 13
 
 // appendNodeRecord appends n's record to buf: the slot-hash vector of its
-// refs into d, or under exact keys (n carries a key) none.
-func appendNodeRecord(buf []byte, n *Node, d *model.Dict) []byte {
+// refs into d, or under exact keys none and its ref tuple as the key.
+func appendNodeRecord(buf []byte, n *Node, d *model.Dict, exact bool) []byte {
 	buf = binary.AppendUvarint(buf, uint64(n.Pid+1))
 	buf = binary.AppendUvarint(buf, uint64(n.Depth))
 	buf = binary.LittleEndian.AppendUint64(buf, n.fp)
-	if n.key != "" {
+	if exact {
 		buf = binary.AppendUvarint(buf, 0)
+		key := tupleKey(n.refs)
+		buf = append(binary.AppendUvarint(buf, uint64(len(key))), key...)
 	} else {
 		buf = binary.AppendUvarint(buf, uint64(len(n.refs)))
 		for i, ref := range n.refs {
 			buf = binary.LittleEndian.AppendUint64(buf, d.SlotHash(i, ref))
 		}
+		buf = binary.AppendUvarint(buf, 0)
 	}
-	buf = append(binary.AppendUvarint(buf, uint64(len(n.key))), n.key...)
 	return append(binary.AppendUvarint(buf, uint64(len(n.path))), n.path...)
 }
 
@@ -120,61 +123,50 @@ func cutBlob(b []byte) (blob, rest []byte, ok bool) {
 // which makes a miss corruption; a distributed peer meets slots first seen
 // on another process, and replays the record's path through its own
 // stepper instead, which interns them, so the dictionary warms up to the
-// hot slot population. Under exact keys a slot must also match its span
-// of the record's key byte for byte.
+// hot slot population. An exact-key record's refs are the run's own
+// already (the spill store wrote them), checked against the dictionary's
+// size.
 type rematerialiser struct {
 	ctx storeCtx
 	// replay rebuilds the (unkeyed) node at the end of a pid path from
 	// worker w's supply; nil where a miss cannot legitimately occur.
 	replay func(w int, path []byte) (*Node, error)
+	// values and states bound an exact-key record's refs: the
+	// dictionary's size when the records' level was settled.
+	values, states int
 }
 
-// recScratch is one sequential reader's scratch: the key's slot spans,
-// the record's slot hashes, and the slots of the records it resolved
-// last, which the next record, most often a sibling, shares but for one
-// or two.
+// recScratch is one sequential reader's scratch: the record's slot
+// hashes, and the slots of the records it resolved last, which the next
+// record, most often a sibling, shares but for one or two.
 type recScratch struct {
-	spans  [][]byte
 	hashes []uint64
 	slots  model.SlotCache
 }
 
-// node rebuilds rec's node from worker w's supply, admission-ready except
-// for its exact key, which is the caller's to set. It is safe for
-// concurrent use when replay is nil and no two callers share sc.
+// node rebuilds rec's node from worker w's supply, admission-ready. It is
+// safe for concurrent use when replay is nil and no two callers share sc.
 func (m *rematerialiser) node(w int, rec *NodeRecord, sc *recScratch) (*Node, error) {
-	nSlots := m.ctx.nObj + m.ctx.nProc
-	var encs [][]byte // nil: slots match on their hashes alone
 	if m.ctx.stringKeys {
-		var err error
-		if sc.spans, err = model.SlotSpans(rec.Key, m.ctx.nObj, m.ctx.nProc, sc.spans); err != nil {
-			return nil, err
-		}
-		encs = sc.spans
-		if got := rec.NumSlots(); got != 0 {
-			return nil, fmt.Errorf("exact-key record carries %d slot hashes", got)
-		}
-	} else if got := rec.NumSlots(); got != nSlots {
+		return m.exactNode(w, rec)
+	}
+	nSlots := m.ctx.nObj + m.ctx.nProc
+	if got := rec.NumSlots(); got != nSlots {
 		return nil, fmt.Errorf("record carries %d slot hashes, want %d", got, nSlots)
 	}
-	// Nothing is stepped or encoded: the vector is the record's (or the
-	// key's spans' hashes), each slot's ref comes from the dictionary, and
-	// the slot fingerprint is recomputed from the vector.
+	// Nothing is stepped or encoded: the vector is the record's, each
+	// slot's ref comes from the dictionary, and the slot fingerprint is
+	// recomputed from the vector.
 	sc.hashes = sc.hashes[:0]
 	var slotFP uint64
 	for i := range nSlots {
-		var h uint64
-		if encs != nil {
-			h = model.SlotHash(encs[i])
-		} else {
-			h = rec.SlotHash(i)
-		}
+		h := rec.SlotHash(i)
 		sc.hashes = append(sc.hashes, h)
 		slotFP ^= model.MixSlotHash(i, h)
 	}
 	n := m.ctx.newNode(w)
 	var err error
-	switch miss := m.ctx.dict.Resolve(n.refs, sc.hashes, encs, &sc.slots); {
+	switch miss := m.ctx.dict.Resolve(n.refs, sc.hashes, &sc.slots); {
 	case miss < 0:
 		n.slotFP = slotFP
 		n.path = append(n.path[:0], rec.Path...)
@@ -203,6 +195,34 @@ func (m *rematerialiser) node(w int, rec *NodeRecord, sc *recScratch) (*Node, er
 	}
 	n.Depth, n.Pid = rec.Depth, rec.Pid
 	n.fp = rec.FP
-	n.key = ""
+	return n, nil
+}
+
+// exactNode is node for an exact-key record: its key is the node's refs.
+// An exact-key run has no reduction (modes.go), so its dedup fingerprint
+// is the slot fingerprint.
+func (m *rematerialiser) exactNode(w int, rec *NodeRecord) (*Node, error) {
+	nSlots := m.ctx.nObj + m.ctx.nProc
+	if got := rec.NumSlots(); got != 0 {
+		return nil, fmt.Errorf("exact-key record carries %d slot hashes", got)
+	}
+	if len(rec.Key) != 4*nSlots {
+		return nil, fmt.Errorf("exact-key record's key has %d bytes, want %d", len(rec.Key), 4*nSlots)
+	}
+	n := m.ctx.newNode(w)
+	copy(tupleBytes(n.refs), rec.Key)
+	for i, ref := range n.refs {
+		bound := m.values
+		if i >= m.ctx.nObj {
+			bound = m.states
+		}
+		if int(ref) >= bound {
+			m.ctx.recycle(w, n)
+			return nil, fmt.Errorf("slot %d holds ref %d, not interned", i, ref)
+		}
+	}
+	n.Depth, n.Pid = rec.Depth, rec.Pid
+	n.fp, n.slotFP = rec.FP, rec.FP
+	n.path = append(n.path[:0], rec.Path...)
 	return n, nil
 }

@@ -32,12 +32,13 @@
 //     verdicts; async gives up level structure and schedule determinism,
 //     and runs unreduced or under "sym" over the unbudgeted store only,
 //     without checkpoints.
-//   - StringKeys: dedup on the exact compact binary encoding instead of
-//     the default 64-bit incremental slot fingerprint. Fingerprints are
-//     faster and ~10x smaller but admit a ~2^-64 per-pair collision risk
+//   - StringKeys: dedup on each configuration's exact identity, its slot
+//     refs into the run's dictionary (which interns by encoding), instead
+//     of the default 64-bit incremental slot fingerprint. Fingerprints are
+//     smaller (8 bytes an entry against a 12-byte slot and 4 bytes a slot
+//     of ref tuple) but admit a ~2^-64 per-pair collision risk
 //     (bitstate-hashing trade-off); certificate searches that must never
-//     silently prune a witness use StringKeys, which also keys the
-//     transition memos by exact encodings instead of slot hashes.
+//     silently prune a witness use StringKeys.
 //   - Reduction: the state-space reduction layer (reduce.go) —
 //     incremental process-symmetry quotienting over the classes the
 //     protocol declares (model.ProcessSymmetric). Sound for

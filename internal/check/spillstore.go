@@ -42,7 +42,10 @@ import (
 //     flushed delta's slot array is compacted and radix-sorted where it
 //     lies (fpSet.drainSorted), and a level's suspects and its budget
 //     cutoff are sorted as []uint64 too. Only exact-key entries are
-//     compared as (fingerprint, key) pairs.
+//     compared as (fingerprint, key) pairs, a tie by the encodings the
+//     run's dictionary holds for the keys' refs. A run's exact keys are
+//     ref tuples: the dictionary lives as long as the run, and so do the
+//     runs.
 //
 //   - From the first run on, the store records each level's admissions and
 //     EndLevel resolves the tentative ones: it stream-merges them, sorted,
@@ -73,17 +76,18 @@ import (
 //     of blocks, uvarint length | records, each about artifactBlock bytes:
 //     the next level's workers claim a block at a time under the source's
 //     lock and decode it outside, skipping records revoked or truncated at
-//     the barrier. A record carries the node's slot-hash vector (under
-//     exact keys its key, whose slot spans the reader hashes), not its
-//     refs, which are the process's own: the reader resolves each hash
-//     (under exact keys, each span) back to a ref through the run's slot
+//     the barrier. A record carries the node's slot-hash vector, not its
+//     refs, which a distributed run's other processes could not read: the
+//     reader resolves each hash back to a ref through the run's slot
 //     dictionary, which already holds every slot a node can hold — resident
 //     memory that grows with *distinct slots*, typically far below the
 //     configuration count. Consecutive records of a segment are mostly
 //     siblings, so each claimed block remembers the slots it resolved last
 //     (model.SlotCache, a few per slot index): a node looks up only the
-//     slots it does not hold, and under exact keys a slot is held only if
-//     its span is byte-equal too. Nothing is encoded to spool a node. A
+//     slots it does not hold. Under exact keys the record carries the
+//     node's key, its ref tuple, instead, and the reader copies the refs
+//     back: segments never outlive the run. Nothing is encoded to spool a
+//     node. A
 //     provenance run's records carry each node's path as admitted; the
 //     engine patches in the path of the claim that won the node as it
 //     hands the node out.
@@ -172,7 +176,7 @@ const runFanout = 8
 func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) {
 	s := &spillStore{ctx: ctx, budget: max(budget, 0), dir: dir,
 		queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreMem},
-		delta: newKeyedSet(ctx.stringKeys)}
+		delta: newKeyedSet(ctx.keyStride())}
 	if s.budget == 0 {
 		return s, nil
 	}
@@ -200,10 +204,11 @@ func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) 
 
 // Claim records the entry (fp, key) as visited and reports whether it was
 // absent — the admission decision, taken on the entry alone, before any
-// node for it exists. key is nil outside exact-key runs; it may be
-// scratch, and stored is the copy the store keeps, for the admitted node
-// to share. Calls must not overlap (the engine holds the claim lock).
-func (s *spillStore) Claim(fp uint64, key []byte) (string, bool) {
+// node for it exists. key is "" outside exact-key runs; it may be a view
+// of scratch, and stored is the copy the store keeps, for the provenance
+// tables to share. Calls must not overlap (the engine holds the claim
+// lock).
+func (s *spillStore) Claim(fp uint64, key string) (string, bool) {
 	stored, added := s.delta.claim(fp, key)
 	if !added || s.budget == 0 {
 		return stored, added
@@ -244,7 +249,7 @@ func (s *spillStore) spoolNode(q *spillQueue, worker int, n *Node) error {
 		}
 		q.spool = w
 	}
-	q.spool.buf = appendNodeRecord(q.spool.buf, n, s.ctx.dict)
+	q.spool.buf = appendNodeRecord(q.spool.buf, n, s.ctx.dict, s.ctx.stringKeys)
 	if err := q.spool.flushFull(); err != nil {
 		return fmt.Errorf("spill store: segment write: %w", err)
 	}
@@ -349,18 +354,19 @@ func (s *spillStore) cutResident(maxNext int) LevelResult {
 	// of the space, not of thread timing). Entries are unique, so the
 	// maxNext-th smallest separates the kept nodes from the dropped ones
 	// whatever their arrival order.
+	d := s.ctx.dict
 	if len(next) > maxNext {
 		kept := 0
 		if maxNext > 0 {
-			cut := kthEntry(s.ctx.stringKeys, len(next), maxNext-1, func(yield func(entry) bool) {
+			cut := kthEntry(d, s.ctx.stringKeys, len(next), maxNext-1, func(yield func(entry) bool) {
 				for _, n := range next {
-					if !yield(entry{n.fp, n.key}) {
+					if !yield(entry{n.fp, s.ctx.nodeKey(n)}) {
 						return
 					}
 				}
 			})
 			for _, n := range next {
-				if !entryLess(cut, entry{n.fp, n.key}) {
+				if !entryLess(d, cut, entry{n.fp, s.ctx.nodeKey(n)}) {
 					next[kept] = n
 					kept++
 				}
@@ -375,7 +381,13 @@ func (s *spillStore) cutResident(maxNext int) LevelResult {
 	if s.keep {
 		s.added.fps = slices.Grow(s.added.fps, len(next))
 		for _, n := range next {
-			s.added.add(n.fp, n.key)
+			// The entry keeps the visited table's copy of the key: the
+			// node's refs are rewritten once it is recycled.
+			key := s.ctx.nodeKey(n)
+			if key != "" {
+				key, _ = s.delta.keys.lookup(n.fp, key)
+			}
+			s.added.add(n.fp, key)
 		}
 	}
 	res.Frontier = &memSource{nodes: next}
@@ -395,8 +407,9 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 	truncated := survivors > maxNext
 	kept := min(survivors, maxNext)
 	var cut *entry
+	d := s.ctx.dict
 	if truncated && maxNext > 0 {
-		e := kthEntry(s.ctx.stringKeys, survivors, maxNext-1, func(yield func(entry) bool) {
+		e := kthEntry(d, s.ctx.stringKeys, survivors, maxNext-1, func(yield func(entry) bool) {
 			for j := range s.level.fps {
 				if !s.dead[j] && !yield(s.level.at(j)) {
 					return
@@ -413,15 +426,18 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 		switch {
 		case s.dead[j]:
 			if revoked == nil {
-				d := newKeyedSet(s.ctx.stringKeys)
-				revoked = &d
+				r := newKeyedSet(s.ctx.keyStride())
+				revoked = &r
 			}
 			revoked.add(e.fp, e.key)
-		case s.keep && kept > 0 && (cut == nil || !entryLess(*cut, e)):
+		case s.keep && kept > 0 && (cut == nil || !entryLess(d, *cut, e)):
 			s.added.add(e.fp, e.key)
 		}
 	}
 
+	// Every ref a record of the level holds was interned before this
+	// barrier: the reader checks refs against these counts.
+	s.remat.values, s.remat.states = d.Len()
 	src := &spillSource{store: s, size: kept, segs: segs, revoked: revoked, cut: cut,
 		readers: make([]*artifactScanner, len(segs))}
 	s.source = src
@@ -481,7 +497,7 @@ func (s *spillStore) markDead() (int, error) {
 func (s *spillStore) sortSuspects() []int {
 	order := s.suspects
 	if s.ctx.stringKeys {
-		slices.SortFunc(order, func(i, j int) int { return entryCompare(s.level.at(i), s.level.at(j)) })
+		slices.SortFunc(order, func(i, j int) int { return entryCompare(s.ctx.dict, s.level.at(i), s.level.at(j)) })
 		return order
 	}
 	fps := make([]uint64, len(order))
@@ -519,7 +535,7 @@ func (s *spillStore) mergeMark(run *spillRun, order []int) error {
 		if err != nil || !ok {
 			return err
 		}
-		for idx < len(order) && entryLess(s.level.at(order[idx]), e) {
+		for idx < len(order) && entryLess(s.ctx.dict, s.level.at(order[idx]), e) {
 			idx++
 		}
 		if idx < len(order) && s.level.at(order[idx]) == e {
@@ -578,7 +594,7 @@ func (s *spillStore) spillDelta() error {
 	if s.bloom == nil {
 		s.bloom = newBloomFilter(s.budget / 5)
 	}
-	err = s.delta.drainSorted(func(fp uint64, key string) error {
+	err = s.delta.drainSorted(s.ctx.dict, func(fp uint64, key string) error {
 		s.bloom.add(fp)
 		return w.addEntry(fp, key)
 	})
@@ -632,7 +648,7 @@ func (s *spillStore) compact() error {
 	for {
 		min, found := -1, false
 		for i := range heads {
-			if live[i] && (!found || entryLess(heads[i], heads[min])) {
+			if live[i] && (!found || entryLess(s.ctx.dict, heads[i], heads[min])) {
 				min, found = i, true
 			}
 		}
@@ -826,26 +842,24 @@ func (s *spillSource) claim() *segBlock {
 }
 
 // decode rebuilds the next record of b from worker w's supply, or returns
-// nil for one dropped at the barrier. Entries are unique per level, so the fingerprint (or, under
-// exact keys, the key) identifies the record. Every slot a spooled node
-// holds is in the run's dictionary, so a miss is corruption.
+// nil for one dropped at the barrier. Entries are unique per level, so the
+// fingerprint (or, under exact keys, the key) identifies the record. Every
+// slot a spooled node holds is in the run's dictionary, so a miss is
+// corruption.
 func (s *spillSource) decode(w int, b *segBlock) (*Node, error) {
 	rec, err := b.next(s.segs[b.seg])
 	if err != nil {
 		return nil, err
 	}
-	e := entry{fp: rec.FP}
-	if s.store.ctx.stringKeys {
-		e.key = string(rec.Key)
-	}
-	if s.cut != nil && entryLess(*s.cut, e) || s.revoked != nil && s.revoked.has(e.fp, e.key) {
+	// The key is compared, not kept: a view of the block will do.
+	e := entry{fp: rec.FP, key: bytesView(rec.Key)}
+	if s.cut != nil && entryLess(s.store.ctx.dict, *s.cut, e) || s.revoked != nil && s.revoked.has(e.fp, e.key) {
 		return nil, nil
 	}
 	n, err := s.store.remat.node(w, &rec, &b.scratch)
 	if err != nil {
 		return nil, &CorruptArtifactError{Path: s.segs[b.seg], Reason: err.Error()}
 	}
-	n.key = e.key
 	return n, nil
 }
 

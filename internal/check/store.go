@@ -14,8 +14,8 @@ import (
 // next level's nodes). How far it leaves RAM is set by its byte budget:
 //
 //   - Without one (Store "" or "mem") it is an open-addressing fingerprint
-//     table (under exact keys, one probed by fingerprint whose keys live in
-//     an arena) and per-worker node slices: a claim is one
+//     table (under exact keys, one probed by fingerprint whose ref tuples
+//     live in an arena) and per-worker node slices: a claim is one
 //     table probe, a queued node one append, and a barrier concatenates the
 //     slices and cuts them back to the budget (kthEntry), keeping the
 //     survivors in admission order. It touches no disk.
@@ -35,12 +35,13 @@ import (
 // ever claims, see async.go.)
 
 // kthEntry returns the k-th smallest (from 0) of the n entries all
-// yields, in entry order: the budget cut's last kept entry, for either
-// store. It is the k-th of their fingerprints sorted as integers
-// (sortFingerprints); under exact keys, where entries may share a
-// fingerprint, all is ranged over a second time for the keys of the
-// entries tied at that fingerprint, and only those are compared.
-func kthEntry(stringKeys bool, n, k int, all iter.Seq[entry]) entry {
+// yields, in entry order over the run's dictionary d: the budget cut's
+// last kept entry, for either store. It is the k-th of their fingerprints
+// sorted as integers (sortFingerprints); under exact keys, where entries
+// may share a fingerprint, all is ranged over a second time for the keys
+// of the entries tied at that fingerprint, and only those are compared,
+// by their encodings.
+func kthEntry(d *model.Dict, stringKeys bool, n, k int, all iter.Seq[entry]) entry {
 	fps := make([]uint64, 0, n)
 	for e := range all {
 		fps = append(fps, e.fp)
@@ -57,7 +58,7 @@ func kthEntry(stringKeys bool, n, k int, all iter.Seq[entry]) entry {
 			keys = append(keys, e.key)
 		}
 	}
-	slices.Sort(keys)
+	slices.SortFunc(keys, func(a, b string) int { return compareKeys(d, a, b) })
 	return entry{fp, keys[k-lo]}
 }
 
@@ -169,4 +170,22 @@ type storeCtx struct {
 	recycle    func(worker int, n *Node)
 	fail       func(error)
 	stopped    func() bool
+}
+
+// nodeKey is n's exact key — a view of its refs, valid until n is
+// recycled — or "" under fingerprint keys.
+func (c *storeCtx) nodeKey(n *Node) string {
+	if c.stringKeys {
+		return tupleKey(n.refs)
+	}
+	return ""
+}
+
+// keyStride is the length in refs of an exact key: a slot each, under
+// exact keys; 0 (no key) under fingerprint keys.
+func (c *storeCtx) keyStride() int {
+	if c.stringKeys {
+		return c.nObj + c.nProc
+	}
+	return 0
 }

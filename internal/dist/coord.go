@@ -321,21 +321,36 @@ func Run(ctx context.Context, p model.Protocol, conns []net.Conn, addrs []string
 
 // reseed acquires a fresh session per slot — via spec.NewSession when
 // set, else by redialing the slot's address — with the shared backoff
-// policy. Slots that stay unreachable are dropped (their partitions
-// re-spread over the survivors by the pinned fingerprint->peer map at
-// the new peer count). At least one slot must survive. A cancelled ctx
-// drops no slot: it aborts the re-seed, closing the sessions acquired so
-// far.
+// policy. A session counts only once it answers a PING (probeSession):
+// the listener of a peer that is dying can still complete a dial. Slots
+// that stay unreachable are dropped (their partitions re-spread over the
+// survivors by the pinned fingerprint->peer map at the new peer count).
+// At least one slot must survive. A cancelled ctx drops no slot: it
+// aborts the re-seed, closing the sessions acquired so far.
 func reseed(ctx context.Context, spec Spec, slots []slotInfo, st *failState) ([]net.Conn, []slotInfo, error) {
 	pol := retry.Policy{MaxAttempts: spec.peerAttempts()}
+	window := hbDeadlineFactor * spec.heartbeatEvery()
+	if window == 0 {
+		window = hbDeadlineFactor * time.Second
+	}
 	var (
 		conns []net.Conn
 		kept  []slotInfo
 	)
 	for _, sl := range slots {
-		connect := tcpSession(sl.addr)
+		acquire := tcpSession(sl.addr)
 		if spec.NewSession != nil {
-			connect = func(ctx context.Context) (net.Conn, error) { return spec.NewSession(ctx, sl.orig) }
+			acquire = func(ctx context.Context) (net.Conn, error) { return spec.NewSession(ctx, sl.orig) }
+		}
+		connect := func(ctx context.Context) (net.Conn, error) {
+			conn, err := acquire(ctx)
+			if err == nil && conn != nil {
+				if err = probeSession(conn, window); err != nil {
+					conn.Close()
+					conn = nil
+				}
+			}
+			return conn, err
 		}
 		conn, err := dialRetry(ctx, connect, pol, &st.retries)
 		if err != nil && ctx != nil && ctx.Err() != nil {
@@ -354,6 +369,24 @@ func reseed(ctx context.Context, spec Spec, slots []slotInfo, st *failState) ([]
 	// The whole partition map lands on fresh sessions each round.
 	st.reseeded += int64(check.DistNumParts)
 	return conns, kept, nil
+}
+
+// probeSession sends a fresh session a PING, before its HELLO, and waits
+// up to window for the PONG a live peer answers with.
+func probeSession(conn net.Conn, window time.Duration) error {
+	conn.SetDeadline(time.Now().Add(window))
+	defer conn.SetDeadline(time.Time{})
+	if _, err := conn.Write(appendFrame(nil, framePing, nil)); err != nil {
+		return fmt.Errorf("dist: probing a fresh session: %w", err)
+	}
+	t, _, _, err := readFrame(conn, nil)
+	if err != nil {
+		return fmt.Errorf("dist: no answer to a fresh session's probe within %v: %w", window, err)
+	}
+	if t != framePong {
+		return &FrameError{Reason: fmt.Sprintf("a fresh session answered its probe with frame type %d", t)}
+	}
+	return nil
 }
 
 func closeAll(conns []net.Conn, err error) ([]net.Conn, []slotInfo, error) {

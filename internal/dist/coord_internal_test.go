@@ -249,6 +249,11 @@ func TestReseedCancelled(t *testing.T) {
 		if orig == 0 {
 			near, f := net.Pipe()
 			far = f
+			go func() { // answer the session probe, as a peer does
+				if _, _, _, err := readFrame(f, nil); err == nil {
+					f.Write(appendFrame(nil, framePong, nil))
+				}
+			}()
 			return near, nil
 		}
 		cancel()

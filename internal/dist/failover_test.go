@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,6 +128,79 @@ func TestFailoverDegraded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFailoverDropsHalfOpenPeer: after a loss, a slot whose address still
+// completes a dial but closes every connection at once — the listener of a
+// peer being killed — is dropped in the first re-seed round, not counted
+// alive on the dial: the run re-seeds once (the whole partition map, one
+// round), loses that one peer and returns the single-process verdict from
+// the survivor.
+func TestFailoverDropsHalfOpenPeer(t *testing.T) {
+	p := core.MustNew(core.Params{N: 4, K: 1, M: 2})
+	inputs := []int{0, 1, 1, 0}
+	c := model.MustNewConfig(p, inputs)
+	opts := check.ExploreOptions{Limits: check.ExploreLimits{MaxConfigs: 300000, MaxDepth: 4}}
+	oracle, err := check.ExploreOpts(p, c, pidsOf(p), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	live, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	halfOpen, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer halfOpen.Close()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		dist.ServePeer(ctx, live, func(_ string, n, k, m int) (model.Protocol, error) {
+			return core.New(core.Params{N: n, K: k, M: m})
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := halfOpen.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+
+	addrs := []string{live.Addr().String(), halfOpen.Addr().String()}
+	conns := make([]net.Conn, len(addrs))
+	for i, addr := range addrs {
+		if conns[i], err = net.Dial("tcp", addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := dist.Run(ctx, p, conns, addrs, dist.Spec{
+		Proto: p.Name(), N: 4, K: 1, M: 2, AgreeK: 1, Inputs: inputs,
+		Explore: opts, Failover: true, PeerRetries: 2,
+	})
+	if err != nil {
+		t.Fatalf("fail-over onto the live peer: %v", err)
+	}
+	if got, want := verdictOf(res), verdictOf(oracle); !reflect.DeepEqual(got, want) {
+		t.Errorf("verdict %+v, single-process %+v", got, want)
+	}
+	if res.Net.PeersLost != 1 || res.Net.ReseededPartitions != int64(check.DistNumParts) || res.Net.Peers != 1 {
+		t.Errorf("peers_lost %d, reseeded_partitions %d, verdict epoch on %d peers; want 1, %d, 1",
+			res.Net.PeersLost, res.Net.ReseededPartitions, res.Net.Peers, check.DistNumParts)
+	}
+	halfOpen.Close()
+	cancel()
+	waitOrFatal(t, &wg, "listeners did not shut down")
 }
 
 // TestFailoverTruncationParity: the deterministic budget cutoff and the

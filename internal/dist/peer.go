@@ -67,13 +67,21 @@ func ServePeer(ctx context.Context, ln net.Listener, build ProtocolBuilder) erro
 
 // ServePeerConn runs one exploration over an established coordinator
 // connection: HELLO -> HELLOACK (or ERROR, for a spec this peer will not
-// run) -> engine run with the link installed -> RESULT (or ERROR). It
+// run) -> engine run with the link installed -> RESULT (or ERROR), the
+// HELLO preceded by any number of PINGs, each answered with a PONG. It
 // always closes conn.
 func ServePeerConn(ctx context.Context, conn net.Conn, build ProtocolBuilder) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
 
 	t, payload, _, err := readFrame(br, nil)
+	// A coordinator re-seeding after a peer loss probes a fresh session
+	// before its HELLO: each PING is answered with a PONG.
+	for err == nil && t == framePing {
+		if _, err = conn.Write(appendFrame(nil, framePong, nil)); err == nil {
+			t, payload, _, err = readFrame(br, nil)
+		}
+	}
 	if err != nil || t != frameHello {
 		return // nothing sensible to answer on a connection that cannot even say hello
 	}

@@ -23,12 +23,11 @@ type SearchLimits struct {
 	// Workers is the engine worker count (default all cores). Search
 	// results, including witness schedules, do not depend on it.
 	Workers int
-	// Fingerprints switches deduplication, and the engine's transition
-	// memos with it, from exact encodings to 64-bit incremental slot
-	// fingerprints: leaner (an 8-byte visited entry instead of the whole
-	// key) and faster, but a hash collision could silently prune a
-	// witness or substitute a wrong transition, so certificate searches
-	// default to exact.
+	// Fingerprints switches deduplication from exact keys (each
+	// configuration's slot-ref tuple) to 64-bit incremental slot
+	// fingerprints: leaner (an 8-byte visited entry instead of a table
+	// slot and the tuple), but a hash collision could silently prune a
+	// witness, so certificate searches default to exact.
 	Fingerprints bool
 	// Store sets the engine's state-store budget ("", "mem" or
 	// "spill"). "spill" bounds the store's resident memory by MemBudget:

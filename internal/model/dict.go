@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/bits"
+	"strings"
 	"sync"
 )
 
@@ -26,13 +27,21 @@ import (
 //
 //   - A content hash resolves to a ref through the hash index, under the
 //     same mutex (Resolve): how a node record, which carries slot hashes,
-//     finds its slots again. Without encodings the first entry of the hash
-//     is taken, the trust a fingerprint-keyed run places in a slot hash;
-//     with them an entry must be byte-equal.
+//     finds its slots again. The first entry of the hash is taken, the
+//     trust a fingerprint-keyed run places in a slot hash.
+//
+//   - An encoding can be interned without its object (InternEncodings):
+//     how a resumed exact-key run turns its checkpoint's encoded keys into
+//     refs. Such an entry has its encoding and hash but no canonical
+//     object until the first InternValue or InternState of that encoding
+//     attaches one; only its encoding and hash may be read before then.
 //
 // Refs are assigned in the order interns happen, which across workers is
 // timing: nothing may be ordered by a ref's value. Hashes are content
-// hashes, equal for equal encodings in every dictionary and process.
+// hashes, equal for equal encodings in every dictionary and process. Within
+// one dictionary, equal ref vectors are equal configurations, and the
+// order of two configurations' encodings is decided by their first slot
+// whose refs differ (CompareSlot).
 type Dict struct {
 	nObj int
 	mu   sync.Mutex
@@ -59,6 +68,9 @@ type dictEntry[T any] struct {
 	h   uint64
 	enc string
 	obj T
+	// bare marks an entry interned by its encoding alone, whose obj is
+	// still to be attached (InternEncodings).
+	bare bool
 }
 
 // NewDict returns an empty dictionary for configurations of p.
@@ -92,10 +104,14 @@ func (p *dictPool[T]) find(h uint64, enc []byte) (uint32, bool) {
 }
 
 // intern returns the ref of enc, adding it with obj as its canonical
-// object if it is new. The caller holds the lock.
-func (p *dictPool[T]) intern(enc []byte, obj T) uint32 {
+// object if it is new, and attaching obj to a bare entry of enc; bare
+// interns enc without an object. The caller holds the lock.
+func (p *dictPool[T]) intern(enc []byte, obj T, bare bool) uint32 {
 	h := hashEncoding(enc)
 	if ref, ok := p.find(h, enc); ok {
+		if e := p.at(ref); e.bare && !bare {
+			e.obj, e.bare = obj, false
+		}
 		return ref
 	}
 	ref := uint32(p.n)
@@ -103,7 +119,7 @@ func (p *dictPool[T]) intern(enc []byte, obj T) uint32 {
 	if p.chunks[k] == nil {
 		p.chunks[k] = make([]dictEntry[T], dictFirst<<k)
 	}
-	p.chunks[k][i] = dictEntry[T]{h: h, enc: string(enc), obj: obj}
+	p.chunks[k][i] = dictEntry[T]{h: h, enc: string(enc), obj: obj, bare: bare}
 	p.n++
 	p.idx[h] = append(p.idx[h], ref)
 	return ref
@@ -122,7 +138,7 @@ func (d *Dict) InternValue(v Value) uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.enc = appendValue(d.enc[:0], v)
-	return d.vals.intern(d.enc, v)
+	return d.vals.intern(d.enc, v, false)
 }
 
 // InternState is InternValue for process states. States with equal Keys
@@ -135,7 +151,7 @@ func (d *Dict) InternState(s State) uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.enc = appendState(d.enc[:0], s)
-	return d.sts.intern(d.enc, s)
+	return d.sts.intern(d.enc, s, false)
 }
 
 func (d *Dict) value(ref uint32) Value { return d.vals.at(ref).obj }
@@ -188,7 +204,7 @@ func (d *Dict) Materialise(refs []uint32, c *Config) {
 
 // AppendEncoding appends the compact encoding of the configuration refs
 // stands for — byte for byte its Config.AppendEncoding — from the stored
-// slot encodings, encoding nothing.
+// slot encodings, encoding nothing. Bare entries have their encodings.
 func (d *Dict) AppendEncoding(buf []byte, refs []uint32) []byte {
 	for _, ref := range refs[:d.nObj] {
 		buf = append(buf, d.vals.at(ref).enc...)
@@ -198,6 +214,16 @@ func (d *Dict) AppendEncoding(buf []byte, refs []uint32) []byte {
 		buf = append(append(buf, d.sts.at(ref).enc...), encStateDone)
 	}
 	return buf
+}
+
+// CompareSlot compares the encodings of slot i holding ref a and holding
+// ref b, as bytes.Compare would. Encodings are prefix-free (every value
+// starts with its tag and carries its own length), so two configurations'
+// encodings compare as the encodings of the first slot whose refs differ:
+// the bytes before that slot are equal, and that slot's two encodings
+// differ at a byte both have. It reads no lock, like any read by ref.
+func (d *Dict) CompareSlot(i int, a, b uint32) int {
+	return strings.Compare(d.slotEnc(i, a), d.slotEnc(i, b))
 }
 
 // resolve returns the ref of slot i's content (h, enc); enc nil matches
@@ -212,25 +238,45 @@ func (d *Dict) resolve(i int, h uint64, enc []byte) (uint32, bool) {
 }
 
 // Resolve fills refs with the entries of the slots whose content hashes
-// are hashes (and, where encs is non-nil, whose encodings are encs, byte
-// for byte), and returns the first slot the dictionary has never
+// are hashes and returns the first slot the dictionary has never
 // interned, or -1 when every slot resolved; slots past a miss are not
 // filled. Slots the cache holds are taken from it without a lookup, and
 // the cache then holds these.
-func (d *Dict) Resolve(refs []uint32, hashes []uint64, encs [][]byte, cache *SlotCache) int {
+func (d *Dict) Resolve(refs []uint32, hashes []uint64, cache *SlotCache) int {
 	cache.fit(len(hashes))
 	for i, h := range hashes {
-		var enc []byte
-		if encs != nil {
-			enc = encs[i]
-		}
-		ref, ok := d.resolveCached(i, h, enc, cache)
+		ref, ok := d.resolveCached(i, h, nil, cache)
 		if !ok {
 			return i
 		}
 		refs[i] = ref
 	}
 	return -1
+}
+
+// InternEncodings fills refs with the entries whose encodings are encs
+// (one per slot, SlotSpans of a configuration's encoding), byte for byte,
+// interning each encoding the dictionary does not hold as a bare entry:
+// its object is attached by the first InternValue or InternState of that
+// encoding. Slots the cache holds are taken from it, and the cache then
+// holds these.
+func (d *Dict) InternEncodings(refs []uint32, encs [][]byte, cache *SlotCache) {
+	cache.fit(len(encs))
+	for i, enc := range encs {
+		h := hashEncoding(enc)
+		ref, ok := d.resolveCached(i, h, enc, cache)
+		if !ok {
+			d.mu.Lock()
+			if i < d.nObj {
+				ref = d.vals.intern(enc, nil, true)
+			} else {
+				ref = d.sts.intern(enc, nil, true)
+			}
+			d.mu.Unlock()
+			*cache.line(i, h) = slotLine{known: true, h: h, ref: ref}
+		}
+		refs[i] = ref
+	}
 }
 
 // resolveCached is resolve through cache, which must be fitted.
@@ -252,8 +298,9 @@ func (d *Dict) resolveCached(i int, h uint64, enc []byte, cache *SlotCache) (uin
 // two and draw those from a few values, so Resolve given a cache looks up
 // in the dictionary only the slots it does not hold: on Table 1's row 3
 // (1M states spilled, one worker) about one slot in nine. Where there are
-// encodings a slot is held only if the held ref's encoding is byte-equal
-// too, never on a hash match alone. The zero value is empty.
+// encodings (InternEncodings) a slot is held only if the held ref's
+// encoding is byte-equal too, never on a hash match alone. The zero value
+// is empty.
 type SlotCache struct {
 	lines []slotLine // slotCacheWays per slot index
 }

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -117,12 +119,14 @@ func TestDictConcurrentInterning(t *testing.T) {
 }
 
 // TestDictResolveDegenerateHashes: with every slot content hash forced
-// equal, resolving with encodings still finds each configuration's slots
-// under its own encodings, never another's that shares the hash, and a
-// hash nothing was interned under is a miss. The same holds through a
-// SlotCache, which skips the slots it holds: resolving a, b, a, b through
-// one cache must give each its own, as a hash match alone never counts as
-// a slot held.
+// equal, interning a configuration's slot encodings (InternEncodings, how a
+// resumed exact-key run reads its checkpoint's keys) finds each
+// configuration's slots under its own encodings, never another's that
+// shares the hash. The same holds through a SlotCache, which skips the
+// slots it holds: interning a, b, a, b through one cache must give each its
+// own, as a hash match alone never counts as a slot held. Encodings the
+// dictionary has never met become bare entries, and the first real intern
+// of such an encoding attaches its object under the same ref.
 func TestDictResolveDegenerateHashes(t *testing.T) {
 	degenerateSlotHash = true
 	defer func() { degenerateSlotHash = false }()
@@ -133,49 +137,112 @@ func TestDictResolveDegenerateHashes(t *testing.T) {
 	b.Objects[1] = Int(5)
 	b.States[0] = slotsSt{tag: "other"}
 	d := NewDict(p)
-	split := func(c *Config) ([]uint64, [][]byte) {
-		slotH := make([]uint64, len(c.Objects)+len(c.States))
-		refs := make([]uint32, len(slotH))
+	split := func(c *Config) ([]uint32, [][]byte) {
+		refs := make([]uint32, len(c.Objects)+len(c.States))
 		d.Intern(c, refs)
-		for i, ref := range refs {
-			slotH[i] = d.SlotHash(i, ref)
-		}
 		spans, err := SlotSpans(c.AppendEncoding(nil), len(c.Objects), len(c.States), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return slotH, spans
+		return refs, spans
 	}
-	ah, as := split(a)
-	bh, _ := split(b)
-	if !slices.Equal(ah, bh) {
-		t.Fatalf("the seam left distinct slot hashes %v and %v", ah, bh)
+	ar, _ := split(a)
+	br, _ := split(b)
+	for i := range ar {
+		if d.SlotHash(i, ar[i]) != d.SlotHash(i, br[i]) {
+			t.Fatalf("the seam left distinct slot hashes at slot %d", i)
+		}
 	}
 	blank := func() *Config {
 		return &Config{Objects: make([]Value, len(a.Objects)), States: make([]State, len(a.States))}
 	}
 
+	values, states := d.Len()
 	for _, viaCache := range []bool{false, true} {
 		var out SlotCache
 		for _, c := range []*Config{a, b, a, b} {
-			slotH, spans := split(c)
-			refs := make([]uint32, len(slotH))
+			want, spans := split(c)
 			if !viaCache {
 				out = SlotCache{}
 			}
+			refs := make([]uint32, len(want))
+			d.InternEncodings(refs, spans, &out)
 			got := blank()
-			miss := d.Resolve(refs, slotH, spans, &out)
-			if miss == -1 {
-				d.Materialise(refs, got)
-			}
-			if miss != -1 || got.Key() != c.Key() {
-				t.Errorf("cache %t: resolved %q (miss %d), interned %q", viaCache, got.Key(), miss, c.Key())
+			d.Materialise(refs, got)
+			if !slices.Equal(refs, want) || got.Key() != c.Key() {
+				t.Errorf("cache %t: encodings intern to %v (%q), the configuration to %v (%q)", viaCache, refs, got.Key(), want, c.Key())
 			}
 		}
+	}
+	if v, s := d.Len(); v != values || s != states {
+		t.Fatalf("interning known encodings grew the dictionary from %d/%d to %d/%d entries", values, states, v, s)
+	}
 
-		other := slices.Repeat([]uint64{1}, len(ah))
-		if miss := d.Resolve(make([]uint32, len(ah)), other, as, &out); miss != 0 {
-			t.Errorf("cache %t: an un-interned hash resolves with miss %d, want 0", viaCache, miss)
+	// A configuration met only as encodings: bare entries, attached by the
+	// first real intern.
+	e := a.Clone()
+	e.Objects[0] = Int(9)
+	e.States[1] = slotsSt{tag: "fresh"}
+	spans, err := SlotSpans(e.AppendEncoding(nil), len(e.Objects), len(e.States), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := make([]uint32, len(spans))
+	d.InternEncodings(bare, spans, &SlotCache{})
+	if v, s := d.Len(); v != values+1 || s != states+1 {
+		t.Fatalf("two new encodings took %d values and %d states, want one each", v-values, s-states)
+	}
+	if !d.vals.at(bare[0]).bare || !d.sts.at(bare[len(bare)-1]).bare {
+		t.Fatal("an encoding interned alone has an object")
+	}
+	if enc := d.AppendEncoding(nil, bare); string(enc) != string(e.AppendEncoding(nil)) {
+		t.Fatalf("bare entries encode %q, want %q", enc, e.AppendEncoding(nil))
+	}
+	real := make([]uint32, len(bare))
+	d.Intern(e, real)
+	got := blank()
+	d.Materialise(real, got)
+	if !slices.Equal(real, bare) || got.Key() != e.Key() || d.vals.at(bare[0]).bare || d.sts.at(bare[len(bare)-1]).bare {
+		t.Fatalf("interning the configuration gave %v (%q), the bare entries were %v", real, got.Key(), bare)
+	}
+}
+
+// TestCompareSlotIsEncodingOrder: ordering two configurations by the
+// encodings of their first slot whose refs differ is bytes.Compare of their
+// whole encodings, on random configurations whose slots share most values
+// (so the first difference falls anywhere) and whose values and states have
+// encodings of different lengths, one a prefix of another's payload.
+func TestCompareSlotIsEncodingOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	p := slotsTestProto{n: 3}
+	d := NewDict(p)
+	values := []Value{Int(0), Int(1), Int(-1), Int(300), Nil{}, Pair{First: Int(1), Second: Int(2)}, Pair{First: Int(1), Second: Nil{}}, Vec{1}, Vec{1, 2}}
+	states := []State{slotsSt{tag: "a"}, slotsSt{tag: "ab"}, slotsSt{tag: "b"}, slotsSt{tag: ""}}
+	random := func() *Config {
+		c := MustNewConfig(p, []int{0, 0, 0})
+		for i := range c.Objects {
+			c.Objects[i] = values[rng.Intn(len(values))]
+		}
+		for i := range c.States {
+			c.States[i] = states[rng.Intn(len(states))]
+		}
+		return c
+	}
+	compare := func(a, b []uint32) int {
+		for i := range a {
+			if a[i] != b[i] {
+				return d.CompareSlot(i, a[i], b[i])
+			}
+		}
+		return 0
+	}
+	for range 5000 {
+		x, y := random(), random()
+		xr, yr := make([]uint32, len(x.Objects)+len(x.States)), make([]uint32, len(y.Objects)+len(y.States))
+		d.Intern(x, xr)
+		d.Intern(y, yr)
+		if got, want := compare(xr, yr), bytes.Compare(x.AppendEncoding(nil), y.AppendEncoding(nil)); got != want {
+			t.Fatalf("%q vs %q: slot order %d, encoding order %d", x.Key(), y.Key(), got, want)
 		}
 	}
 }
@@ -197,24 +264,24 @@ func TestSlotCacheSkipsHeldSlots(t *testing.T) {
 
 	var out SlotCache
 	got := make([]uint32, len(refs))
-	if miss := d.Resolve(got, slotH, nil, &out); miss != -1 || !slices.Equal(got, refs) {
+	if miss := d.Resolve(got, slotH, &out); miss != -1 || !slices.Equal(got, refs) {
 		t.Fatalf("resolved %v (miss %d), want %v", got, miss, refs)
 	}
 	empty := NewDict(p)
-	if miss := empty.Resolve(make([]uint32, len(refs)), slotH, nil, &SlotCache{}); miss != 0 {
+	if miss := empty.Resolve(make([]uint32, len(refs)), slotH, &SlotCache{}); miss != 0 {
 		t.Fatalf("an empty dictionary resolved a's slots without a cache: miss %d", miss)
 	}
 	// Every slot comes from the cache, which the empty dictionary cannot
 	// have answered.
 	got = make([]uint32, len(refs))
-	if miss := empty.Resolve(got, slotH, nil, &out); miss != -1 || !slices.Equal(got, refs) {
+	if miss := empty.Resolve(got, slotH, &out); miss != -1 || !slices.Equal(got, refs) {
 		t.Fatalf("through the cache: %v (miss %d), want %v", got, miss, refs)
 	}
 	// Only the last slot's hash changes, to one nothing was interned
 	// under: every slot before it comes from the cache, the last misses.
 	next := slices.Clone(slotH)
 	next[len(next)-1] ^= 1
-	if miss := empty.Resolve(make([]uint32, len(refs)), next, nil, &out); miss != len(next)-1 {
+	if miss := empty.Resolve(make([]uint32, len(refs)), next, &out); miss != len(next)-1 {
 		t.Fatalf("miss %d, want %d", miss, len(next)-1)
 	}
 }

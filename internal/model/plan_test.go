@@ -104,8 +104,8 @@ func TestPlannedStepSurvivesMemoGrowth(t *testing.T) {
 		t.Errorf("the step planned before the memo grew installs %q (fp %#x, hashes %x); a fresh stepper steps to %q (fp %#x, hashes %x)",
 			dst.AppendEncoding(nil), got, dstH, want.AppendEncoding(nil), wantFP, wantH)
 	}
-	if key := st.AppendKey(nil, first, 0, &step); string(key) != string(want.AppendEncoding(nil)) {
-		t.Errorf("appended key %q, the successor encodes %q", key, want.AppendEncoding(nil))
+	if enc := st.Arena().AppendEncoding(nil, dstRefs); string(enc) != string(want.AppendEncoding(nil)) {
+		t.Errorf("the installed refs encode %q, the successor encodes %q", enc, want.AppendEncoding(nil))
 	}
 }
 
@@ -168,8 +168,8 @@ func TestPlanThenInstallMatchesApply(t *testing.T) {
 					t.Fatalf("%s walk %d depth %d p%d: installed %q (fp %#x), the protocol steps to %q (fp %#x)",
 						tc.name, walk, depth, pid, dst.AppendEncoding(nil), fp, wantEnc, wantFP)
 				}
-				if key := st.AppendKey(nil, cur, pid, &steps[pid]); string(key) != wantEnc {
-					t.Fatalf("%s walk %d depth %d p%d: appended key %q, the successor encodes %q", tc.name, walk, depth, pid, key, wantEnc)
+				if enc := st.Arena().AppendEncoding(nil, next); string(enc) != wantEnc {
+					t.Fatalf("%s walk %d depth %d p%d: the installed refs encode %q, the successor encodes %q", tc.name, walk, depth, pid, enc, wantEnc)
 				}
 				cow, cowH := shapeOf(start)
 				if cowFP, ok, err := st.ApplyCOW(parent, curFP, parentH, pid, cow, cowH); !ok || err != nil || cowFP != wantFP ||

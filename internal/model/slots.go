@@ -4,9 +4,10 @@ import "fmt"
 
 // This file is the read side of the compact binary encoding: given an
 // AppendEncoding result, SlotSpans recovers the per-slot encodings without
-// decoding any values. An exact-key node record carries its key, not its
-// slot hashes, and its reader splits the key so that the slot dictionary
-// (dict.go) can match each slot's encoding byte for byte. The encoding is
+// decoding any values. An exact-key checkpoint's visited deltas carry
+// configuration encodings, and a resumed run splits each so that the slot
+// dictionary (dict.go, InternEncodings) can match each slot's encoding
+// byte for byte. The encoding is
 // tag-prefixed and therefore self-delimiting, so splitting it is a linear
 // scan that never inspects payloads beyond their lengths.
 

@@ -36,9 +36,9 @@ import (
 //     keying: no hash decides a hit.
 //
 //   - A successor is its parent's ref vector with two refs replaced
-//     (Install): a copy of a few pointer-free words. Its exact key, where
-//     a run needs one, is the stored encodings of its slots laid end to
-//     end (AppendKey).
+//     (Install): a copy of a few pointer-free words. Within one
+//     dictionary the vector is also the successor's exact identity, so an
+//     exact-key run keys it by the vector, encoding nothing.
 //
 //   - InitSlots and ApplyCOW are the same steps for a caller holding a
 //     Config and a slot-hash vector rather than refs (the repository
@@ -63,10 +63,15 @@ func Mix64(x uint64) uint64 {
 func mixSlot(slot int, h uint64) uint64 { return Mix64(h ^ (uint64(slot)+1)*0x9E3779B97F4A7C15) }
 
 // degenerateSlotHash, when set, gives every slot the same content hash,
-// so every configuration has the same fingerprint: the test seam
-// (export_test.go) behind the proof that exact-key runs rest no decision
-// on a hash. Only tests set it, and never while a stepper is in use.
+// so every configuration has the same fingerprint: the test seam behind
+// the proof that exact-key runs rest no decision on a hash. Only tests set
+// it, and never while a stepper is in use.
 var degenerateSlotHash bool
+
+// SetDegenerateSlotHashes turns the degenerate-hash seam on or off. It is
+// for tests, here and in the packages built on this one; a test that turns
+// it on must not run in parallel with others and must turn it off again.
+func SetDegenerateSlotHashes(on bool) { degenerateSlotHash = on }
 
 // hashEncoding is the slot-content hash: FNV-1a over the compact
 // encoding bytes.
@@ -76,12 +81,6 @@ func hashEncoding(enc []byte) uint64 {
 	}
 	return fnv1a(fnvOffset64, enc)
 }
-
-// SlotHash is the content hash of the slot whose encoding is enc (a
-// SlotSpans span): the entry a slot-hash vector holds for that slot. An
-// exact-key node record carries no vector, and its reader rebuilds it
-// from the key's spans with this.
-func SlotHash(enc []byte) uint64 { return hashEncoding(enc) }
 
 // MixSlotHash exposes the slot-fingerprint combine — mixSlot(slot, h) —
 // to the explorer's reduction layer, which reassigns class slot hashes
@@ -299,9 +298,7 @@ type Stepper struct {
 	// memoFree makes ApplyCOW ask the protocol on every call
 	// (NewStepperExact).
 	memoFree bool
-	// refs is AppendKey's successor scratch; cache remembers the slots
-	// ApplyCOW resolved last.
-	refs  []uint32
+	// cache remembers the slots ApplyCOW resolved last.
 	cache SlotCache
 }
 
@@ -442,18 +439,6 @@ func (st *Stepper) Install(parent []uint32, pid int, s *Step, dst []uint32) {
 	copy(dst, parent)
 	dst[s.obj] = s.tv.valRef
 	dst[len(st.specs)+pid] = s.tv.stRef
-}
-
-// AppendKey appends the exact key of the successor pid's planned step s
-// leads to from parent — byte for byte its Config.AppendEncoding — to key
-// and returns the extended slice: the stored encodings of its slots, so
-// no slot is encoded.
-func (st *Stepper) AppendKey(key []byte, parent []uint32, pid int, s *Step) []byte {
-	if len(st.refs) != len(parent) {
-		st.refs = make([]uint32, len(parent))
-	}
-	st.Install(parent, pid, s, st.refs)
-	return st.dict.AppendEncoding(key, st.refs)
 }
 
 // InitSlots interns every slot of c in place (rewriting c's slots to

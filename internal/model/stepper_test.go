@@ -11,7 +11,7 @@ import (
 
 // stepperHarness drives a plain Clone+Apply configuration, a COW
 // configuration (ApplyCOW over the memoising stepper) and a ref vector
-// (Plan, AppendKey, Install over a dictionary) through the same schedule
+// (Plan, Install over a dictionary) through the same schedule
 // and cross-checks them after every step. It is shared by the unit test
 // and the fuzz target.
 type stepperHarness struct {
@@ -19,7 +19,7 @@ type stepperHarness struct {
 	p       model.Protocol
 	inputs  []int
 	stepper *model.Stepper
-	keyed   *model.Stepper // stepped on refs with Plan + AppendKey + Install
+	keyed   *model.Stepper // stepped on refs with Plan + Install
 	ref     *model.Stepper // NewStepperExact, stepped with its memo-free ApplyCOW
 
 	plain *model.Config
@@ -27,9 +27,8 @@ type stepperHarness struct {
 	cowFP uint64
 	cowH  []uint64
 
-	refs  []uint32 // the keyed representation, in keyed's dictionary
-	exFP  uint64
-	exKey string // maintained by AppendKey alone, after the start
+	refs []uint32 // the keyed representation, in keyed's dictionary
+	exFP uint64
 }
 
 func newStepperHarness(t *testing.T, p model.Protocol, inputs []int) *stepperHarness {
@@ -61,7 +60,6 @@ func (h *stepperHarness) restart() {
 	h.cowFP = h.stepper.InitSlots(h.cow, h.cowH)
 	h.refs = make([]uint32, h.keyed.Slots())
 	h.exFP = h.keyed.Arena().Intern(model.MustNewConfig(h.p, h.inputs), h.refs)
-	h.exKey = string(h.keyed.Arena().AppendEncoding(nil, h.refs))
 	h.check("initial")
 }
 
@@ -84,10 +82,8 @@ func (h *stepperHarness) stepKeyed(pid int) bool {
 		h.t.Fatalf("Plan(p%d): %v", pid, err)
 	}
 	var fp uint64
-	var key []byte
 	if ok {
 		fp = s.Fingerprint(h.exFP)
-		key = h.keyed.AppendKey(nil, h.refs, pid, &s)
 		h.keyed.Install(h.refs, pid, &s, dstRefs)
 	}
 	ex, exH := h.exConfig(h.refs)
@@ -106,13 +102,13 @@ func (h *stepperHarness) stepKeyed(pid int) bool {
 	if fp != rfp || !reflect.DeepEqual(dstH, rdstH) {
 		h.t.Fatalf("Plan+Install(p%d): fp %#x hashes %x, memo-free step fp %#x hashes %x", pid, fp, dstH, rfp, rdstH)
 	}
-	if want := rdst.AppendEncoding(nil); string(key) != string(want) {
-		h.t.Fatalf("AppendKey(p%d): key\n%q\nmemo-free successor encodes\n%q", pid, key, want)
+	if enc, want := h.keyed.Arena().AppendEncoding(nil, dstRefs), rdst.AppendEncoding(nil); string(enc) != string(want) {
+		h.t.Fatalf("Plan+Install(p%d): refs encode\n%q\nmemo-free successor encodes\n%q", pid, enc, want)
 	}
 	if dk, rk := dst.Key(), rdst.Key(); dk != rk {
 		h.t.Fatalf("Plan+Install(p%d): successor %q, memo-free successor %q", pid, dk, rk)
 	}
-	h.refs, h.exFP, h.exKey = dstRefs, fp, string(key)
+	h.refs, h.exFP = dstRefs, fp
 	return true
 }
 
@@ -162,12 +158,12 @@ func (h *stepperHarness) check(when string) {
 	if got, want := h.cow.SlotFingerprint(), h.cowFP; got != want {
 		h.t.Fatalf("%s: COW config re-hash %#x != maintained %#x", when, got, want)
 	}
-	if h.exKey != string(plainEnc) {
-		h.t.Fatalf("%s: appended key diverges:\nplain    %q\nappended %q", when, plainEnc, h.exKey)
+	if refEnc := h.keyed.Arena().AppendEncoding(nil, h.refs); string(refEnc) != string(plainEnc) {
+		h.t.Fatalf("%s: ref vector encodes differently:\nplain %q\nrefs  %q", when, plainEnc, refEnc)
 	}
 	ex, exH := h.exConfig(h.refs)
-	if exEnc := ex.AppendEncoding(nil); h.exKey != string(exEnc) {
-		h.t.Fatalf("%s: appended key is not its own configuration's encoding:\nconfig   %q\nappended %q", when, exEnc, h.exKey)
+	if exEnc := ex.AppendEncoding(nil); string(exEnc) != string(plainEnc) {
+		h.t.Fatalf("%s: ref vector materialises differently:\nplain  %q\nconfig %q", when, plainEnc, exEnc)
 	}
 	if h.exFP != h.cowFP || !reflect.DeepEqual(exH, h.cowH) {
 		h.t.Fatalf("%s: ref-vector fp %#x hashes %x != COW fp %#x hashes %x", when, h.exFP, exH, h.cowFP, h.cowH)
