@@ -57,7 +57,7 @@ import (
 //     the visited set under one hold of the run's claim lock, so the lock
 //     is amortized over the chunk and the table probes run back to back; a
 //     level or run drained by one worker takes no lock at all. Without a
-//     byte budget the store is an open-addressing fpSet table and in-RAM
+//     byte budget the store is an open-addressing keyTable and in-RAM
 //     node slices; under one it spills visited fingerprints to sorted runs
 //     and frontier nodes to spooled segments, so the explorable space is
 //     bounded by disk.
@@ -320,75 +320,78 @@ const chunkSize = 256
 type claimState struct {
 	mu sync.Mutex
 	// pending holds the claim each of this level's admissions is credited
-	// to, by fingerprint (provenance runs only); pendingExact the ones whose
-	// fingerprint an earlier admission with a different key already took:
-	// under exact keys a shared fingerprint must not merge two
-	// configurations here either. parentKeys holds the exact keys of the
+	// to (provenance runs only). parentKeys holds the exact keys of the
 	// parents the claims are credited to, copied out of the nodes, which
 	// are recycled before the level ends.
-	pending      map[uint64]claimant
-	pendingExact map[string]claimant
-	parentKeys   tupleArena
+	pending    entryMap[claimant]
+	parentKeys tupleArena
 	// overrides holds the root-to-node path of every admission of this
 	// level a later, smaller claim took over; at the barrier it becomes
 	// settled, whose paths levelSource.take writes into the nodes before
 	// they are visited or expanded.
-	overrides, settled pathTable
+	overrides, settled entryMap[[]byte]
 	// depth is the best-known depth per state (async MaxDepth runs only); a
 	// strictly smaller duplicate re-enqueues the state as a deepen item.
 	depth map[uint64]int
 }
 
-// pathTable maps entries to root-to-node paths the way pending does: by
-// fingerprint, with the key checked byte for byte, and an exact map only
-// for an entry whose fingerprint a different key already holds. A lookup
-// hashes 8 bytes, not a whole exact key.
-type pathTable struct {
-	byFP  map[uint64]keyedPath
-	exact map[string][]byte
+// entryMap maps visited entries to values the way the visited table
+// keys them: by fingerprint, with the key checked byte for byte, and an
+// exact map only for an entry whose fingerprint a different key already
+// holds, so that under exact keys a shared fingerprint never merges two
+// configurations. A lookup hashes 8 bytes, not a whole exact key. An
+// entry keeps the key it was first set with, which must be the visited
+// table's copy (keyTable.claim's stored key), never a view of scratch.
+type entryMap[V any] struct {
+	byFP  map[uint64]keyed[V]
+	exact map[string]keyed[V]
 }
 
-type keyedPath struct {
-	key  string
-	path []byte
+type keyed[V any] struct {
+	key string
+	v   V
 }
 
-func newPathTable() pathTable {
-	return pathTable{byFP: map[uint64]keyedPath{}, exact: map[string][]byte{}}
+func newEntryMap[V any]() entryMap[V] {
+	return entryMap[V]{byFP: map[uint64]keyed[V]{}, exact: map[string]keyed[V]{}}
 }
 
-// set records path+pid as the path of (fp, key), reusing the buffer of
-// the path it replaces.
-func (t *pathTable) set(fp uint64, key string, path []byte, pid byte) {
-	if p, ok := t.byFP[fp]; !ok || p.key == key {
-		p.key, p.path = key, append(append(p.path[:0], path...), pid)
-		t.byFP[fp] = p
-		return
+// get returns the value of (fp, key) and the key the map holds for it.
+func (m *entryMap[V]) get(fp uint64, key string) (v V, stored string, ok bool) {
+	e, ok := m.byFP[fp]
+	if ok && e.key != key {
+		e, ok = m.exact[key]
 	}
-	t.exact[key] = append(append(t.exact[key][:0], path...), pid)
+	return e.v, e.key, ok
 }
 
-// get returns the path of (fp, key), if it has one.
-func (t *pathTable) get(fp uint64, key string) ([]byte, bool) {
-	p, ok := t.byFP[fp]
-	if !ok || p.key == key {
-		return p.path, ok
+// set sets the value of (fp, key). An entry the map holds keeps its
+// stored key, so only a new entry's key must be the table's copy.
+func (m *entryMap[V]) set(fp uint64, key string, v V) {
+	e, ok := m.byFP[fp]
+	switch {
+	case !ok:
+		m.byFP[fp] = keyed[V]{key, v}
+	case e.key == key:
+		m.byFP[fp] = keyed[V]{e.key, v}
+	default:
+		if e, ok := m.exact[key]; ok {
+			key = e.key
+		}
+		m.exact[key] = keyed[V]{key, v}
 	}
-	path, ok := t.exact[key]
-	return path, ok
 }
 
-func (t *pathTable) len() int { return len(t.byFP) + len(t.exact) }
+func (m *entryMap[V]) len() int { return len(m.byFP) + len(m.exact) }
 
-func (t *pathTable) clear() {
-	clear(t.byFP)
-	clear(t.exact)
+func (m *entryMap[V]) clear() {
+	clear(m.byFP)
+	clear(m.exact)
 }
 
 // claimant is the claim a provenance run credits an admission to: the
-// parent's entry and the pid that stepped it, and the admitted entry's key.
+// parent's entry and the pid that stepped it.
 type claimant struct {
-	key    string
 	parent entry
 	pid    int32
 }
@@ -685,9 +688,9 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 
 	if opts.Provenance {
 		cl := &run.claims
-		cl.pending, cl.pendingExact = map[uint64]claimant{}, map[string]claimant{}
+		cl.pending = newEntryMap[claimant]()
 		cl.parentKeys = newTupleArena(nObj + nProc)
-		cl.overrides, cl.settled = newPathTable(), newPathTable()
+		cl.overrides, cl.settled = newEntryMap[[]byte](), newEntryMap[[]byte]()
 	}
 	if asyncOn && limits.MaxDepth > 0 {
 		run.claims.depth = map[uint64]int{}

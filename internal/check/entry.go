@@ -4,20 +4,17 @@ import (
 	"cmp"
 	"encoding/binary"
 	"io"
-	"slices"
 
 	"repro/internal/model"
 )
 
 // This file is the one form of a visited entry, in memory and on disk.
 // An entry is a fingerprint plus, under exact keys, the configuration's
-// exact key: its ref tuple (keytable.go). A keyedSet is a resident table
-// of entries — the store's visited set (its delta since the last spill,
-// under a budget) and its per-level drop set — and the only code that
-// knows whether such a table is a fingerprint set (fpSet) or an exact-key
-// table (keyTable: probed by fingerprint, decided by tuple, tuples in an
-// append-only arena). An entry stream is the artifact payload the spill
-// store's sorted runs and a checkpoint's visited deltas are written in:
+// exact key: its ref tuple. A keyTable (keytable.go) is a resident table
+// of entries under either keying — probed by fingerprint, decided under
+// exact keys by tuple, tuples in an append-only arena. An entry stream is
+// the artifact payload the spill store's sorted runs and a checkpoint's
+// visited deltas are written in:
 //
 //	fp (8B LE) | uvarint klen | key bytes      (klen 0 outside exact-key runs)
 //
@@ -86,132 +83,6 @@ func (l *entryList) key(i int) string {
 
 // at is the i-th entry.
 func (l *entryList) at(i int) entry { return entry{l.fps[i], l.key(i)} }
-
-// keyedSet is a set of entries under one keying, fixed at creation: a
-// fingerprint table (fpSet) or an exact-key table (keyTable). Like those
-// it is not safe for concurrent use (the engine claims under its claim
-// lock); has and lookup alone may run concurrently, with themselves.
-type keyedSet struct {
-	fps *fpSet
-	// keys holds (fingerprint, key) entries (run entries, snapshots and
-	// the truncation order need both); nil under fingerprint keying.
-	keys *keyTable
-}
-
-// newKeyedSet returns an empty set: an exact-key table for keys of
-// stride refs, or with stride 0 a fingerprint table.
-func newKeyedSet(stride int) keyedSet {
-	if stride > 0 {
-		return keyedSet{keys: newKeyTable(stride)}
-	}
-	return keyedSet{fps: newFpSet(1024)}
-}
-
-// add inserts the entry and reports whether it was absent.
-func (s *keyedSet) add(fp uint64, key string) bool {
-	_, added := s.claim(fp, key)
-	return added
-}
-
-// claim is add for a key that may still be a view of scratch: the set
-// copies it only if the entry was absent, and stored is the copy it keeps
-// (a view of the table's arena; see keyTable), "" under fingerprint keys.
-func (s *keyedSet) claim(fp uint64, key string) (stored string, added bool) {
-	if s.keys == nil {
-		return "", s.fps.Add(fp)
-	}
-	return s.keys.claim(fp, key)
-}
-
-func (s *keyedSet) has(fp uint64, key string) bool {
-	if s.keys == nil {
-		return s.fps.Has(fp)
-	}
-	_, ok := s.keys.lookup(fp, key)
-	return ok
-}
-
-// bytes is the table's resident footprint as accounted: 8 bytes a slot
-// under fingerprint keys; under exact keys 12 bytes a slot, the tuples,
-// and the shared-fingerprint entries.
-func (s *keyedSet) bytes() int64 {
-	if s.keys == nil {
-		return int64(len(s.fps.slots)) * 8
-	}
-	return s.keys.bytes()
-}
-
-// reserve readies the set for a bulk load of up to n more entries
-// (fpSet.reserve says why a load must) and returns how many it is ready
-// for: all n, or with a budget > 0 no more than the budget can take — for
-// either table, what fills, to the growth bound of 70%, the largest table
-// budget bytes hold (at least one entry).
-func (s *keyedSet) reserve(n int, budget int64) int {
-	if s.keys != nil {
-		if budget > 0 {
-			tuple := int64(4 * s.keys.arena.stride)
-			fit := 1
-			for slots := int64(keyTableSlots); 12*slots+tuple <= budget; slots <<= 1 {
-				fit = max(fit, int(min(slots*7/10, (budget-12*slots)/tuple)))
-			}
-			n = min(n, fit)
-		}
-		s.keys.reserve(n)
-		return n
-	}
-	if budget > 0 {
-		slots := 1024
-		for int64(slots)*2*8 <= budget {
-			slots <<= 1
-		}
-		n = min(n, slots*7/10)
-	}
-	s.fps.reserve(n)
-	return n
-}
-
-// forEach calls fn on every member, in table order (load such a stream
-// only into a reserved set), and stops at fn's first error.
-func (s *keyedSet) forEach(fn func(fp uint64, key string) error) error {
-	if s.keys == nil {
-		return s.fps.forEach(func(fp uint64) error { return fn(fp, "") })
-	}
-	return s.keys.forEach(fn)
-}
-
-// len is the number of entries in the set.
-func (s *keyedSet) len() int {
-	if s.keys == nil {
-		return s.fps.Len()
-	}
-	return s.keys.len()
-}
-
-// drainSorted empties the set and calls fn on what it held in entry order
-// (entryCompare over d), stopping at fn's first error. A fingerprint table
-// is sorted where it lies (fpSet.drainSorted); only exact-key entries are
-// gathered and compared as (fingerprint, key) pairs. The set starts over
-// on a new table, whose arena shares nothing with the drained one.
-func (s *keyedSet) drainSorted(d *model.Dict, fn func(fp uint64, key string) error) error {
-	if s.keys == nil {
-		defer func() { *s = newKeyedSet(0) }()
-		for _, fp := range s.fps.drainSorted() {
-			if err := fn(fp, ""); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	defer func(stride int) { *s = newKeyedSet(stride) }(s.keys.arena.stride)
-	entries := s.keys.entries()
-	slices.SortFunc(entries, func(a, b entry) int { return entryCompare(d, a, b) })
-	for _, e := range entries {
-		if err := fn(e.fp, e.key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // addEntry appends one entry to an entry-stream artifact.
 func (w *blockWriter) addEntry(fp uint64, key string) error {

@@ -314,13 +314,8 @@ func (x *expander) claim(c *cand, key string) uint8 {
 	}
 	if added {
 		c.verdict = candNew
-		if cl.pending != nil {
-			credit := claimant{key: stored, parent: x.parentEntry(c.parent), pid: c.pid}
-			if prev, ok := cl.pending[c.fp]; ok && prev.key != stored {
-				cl.pendingExact[stored] = credit
-			} else {
-				cl.pending[c.fp] = credit
-			}
+		if r.opts.Provenance {
+			cl.pending.set(c.fp, stored, claimant{x.parentEntry(c.parent), c.pid})
 		}
 		if cl.depth != nil {
 			cl.depth[c.fp] = x.parents[c.parent].Depth + 1
@@ -328,7 +323,7 @@ func (x *expander) claim(c *cand, key string) uint8 {
 		return candNew
 	}
 	c.verdict = candDup
-	if cl.pending != nil {
+	if r.opts.Provenance {
 		x.reclaim(c, key)
 	}
 	if cl.depth != nil {
@@ -352,11 +347,7 @@ func (x *expander) claim(c *cand, key string) uint8 {
 // is taken.
 func (x *expander) reclaim(c *cand, key string) {
 	cl := &x.run.claims
-	prev, ok := cl.pending[c.fp]
-	exact := ok && prev.key != key
-	if exact {
-		prev, ok = cl.pendingExact[key]
-	}
+	prev, stored, ok := cl.pending.get(c.fp, key)
 	if !ok {
 		return
 	}
@@ -366,12 +357,9 @@ func (x *expander) reclaim(c *cand, key string) {
 		return
 	}
 	prev.parent, prev.pid = x.parentEntry(c.parent), c.pid
-	if exact {
-		cl.pendingExact[prev.key] = prev
-	} else {
-		cl.pending[c.fp] = prev
-	}
-	cl.overrides.set(c.fp, prev.key, a.path, byte(c.pid))
+	cl.pending.set(c.fp, stored, prev)
+	path, _, _ := cl.overrides.get(c.fp, stored)
+	cl.overrides.set(c.fp, stored, append(append(path[:0], a.path...), byte(c.pid)))
 }
 
 // build writes candidate c's successor into n: its parent's refs with the

@@ -3,7 +3,10 @@ package check
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"unsafe"
+
+	"repro/internal/model"
 )
 
 // An exact key is a configuration's ref tuple: its slot refs into the
@@ -59,38 +62,52 @@ func bytesView(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// keyTable is the exact-key visited table: a set of (fingerprint, key)
-// entries in which the key — a ref tuple of stride words — alone decides
-// equality and the fingerprint only says where to look. It never hashes a
-// key and copies each admitted one once, into an append-only arena.
+// keyTable is the visited table, the one resident set of visited entries
+// (entry.go) under either keying, fixed at creation: the store's visited
+// set (its delta since the last spill, under a budget) and its per-level
+// drop set. Under fingerprint keys (stride 0) every key is "" and the
+// fingerprint is the entry. Under exact keys the key — a ref tuple of
+// stride words — alone decides equality and the fingerprint only says
+// where to look: the table never hashes a key and copies each admitted
+// one once, into an append-only arena. It is not safe for concurrent use
+// (the engine claims under its claim lock, or from the one worker a run
+// or level has); lookup and has alone may run concurrently, with
+// themselves.
 //
-//   - The slots are two parallel arrays probed from the fingerprint
-//     (linear probing, as fpSet): fps, and tuples, the arena index of the
-//     slot's tuple plus one (0: the slot is empty). A slot is 12 bytes and
-//     pointer-free, so the collector never scans the table, and growth
-//     rehashes fingerprints, not tuples.
+//   - The slots are parallel arrays probed from the fingerprint (linear
+//     probing): fps, 0 marking an empty slot, and under exact keys
+//     tuples, the arena index of the slot's tuple. A slot is 8 bytes
+//     under fingerprint keys and 12 under exact keys, pointer-free, so
+//     the collector never scans the table, and growth rehashes
+//     fingerprints, not tuples. The fingerprints one table holds can
+//     share bits (a distributed peer owns a range of the top six), so
+//     probe starts are not cut from the fingerprint as it is: probeStart
+//     remixes multiplicatively and takes the high bits of the product
+//     (Fibonacci hashing).
 //   - The first key a fingerprint is claimed with takes its slot. A
 //     different key with the same fingerprint goes to shared, an exact
 //     map, so a colliding pair is two entries, never one; under the
 //     degenerate slot hash every key but the first takes that path.
 //     A key has one fingerprint (the hash of its configuration), so
-//     shared is keyed by the key alone.
+//     shared is keyed by the key alone. The zero fingerprint, which
+//     cannot take a slot, goes there too (under fingerprint keys as the
+//     one entry of key "").
 //
 // Aliasing invariant. The keys claim returns — the keys entry lists and
-// the provenance tables keep — are views of the arena (tupleKey), so they
+// the provenance maps keep — are views of the arena (tupleKey), so they
 // stay immutable only because arena words are never rewritten or reused:
 // a chunk is written once per tuple and never cleared or recycled, and a
 // drained or replaced table starts on new chunks. A chunk lives as long
 // as any key into it (TestKeyTableMatchesMap).
 type keyTable struct {
 	fps    []uint64
-	tuples []uint32
+	tuples []uint32 // nil under fingerprint keys
 	mask   uint64
 	shift  uint // 64 - log2(len(fps)), for probeStart
 	n      int  // entries in the slots
 	grows  int  // doublings under load (a reserve is not one)
-	// shared maps each key whose fingerprint a different key holds in
-	// the slots to its fingerprint and tuple; nil until the first.
+	// shared maps each key the slots cannot hold to its fingerprint and
+	// tuple; nil until the first.
 	shared map[string]sharedKey
 	arena  tupleArena
 }
@@ -100,23 +117,48 @@ type sharedKey struct {
 	at uint32
 }
 
-// keyTableSlots is a new table's size: small, since many searches are
-// (a Lemma 13 bivalence test), and growth rehashes 12-byte slots, never
-// tuples.
-const keyTableSlots = 64
+// A new table's size. Under exact keys it is small, since many searches
+// are (a Lemma 13 bivalence test), and growth rehashes 12-byte slots,
+// never tuples. Under fingerprint keys it is 16 KB, the floor
+// SeedVisited puts under a spill budget.
+const (
+	fpTableSlots  = 2048
+	keyTableSlots = 64
+)
 
 // sharedEntryBytes is what resident accounting charges a shared entry on
 // top of its tuple: a Go map slot with its string header and value.
 const sharedEntryBytes = 48
 
+// newKeyTable returns an empty table for exact keys of stride refs, or
+// with stride 0 for fingerprint keys.
 func newKeyTable(stride int) *keyTable {
 	t := &keyTable{arena: newTupleArena(stride)}
-	t.setSlots(keyTableSlots)
+	t.setSlots(t.startSlots())
 	return t
 }
 
+func (t *keyTable) startSlots() int {
+	if t.arena.stride == 0 {
+		return fpTableSlots
+	}
+	return keyTableSlots
+}
+
+// slotBytes is what a slot costs: its fingerprint, and its tuple index
+// under exact keys.
+func (t *keyTable) slotBytes() int64 {
+	if t.arena.stride == 0 {
+		return 8
+	}
+	return 12
+}
+
 func (t *keyTable) setSlots(size int) {
-	t.fps, t.tuples = make([]uint64, size), make([]uint32, size)
+	t.fps = make([]uint64, size)
+	if t.arena.stride > 0 {
+		t.tuples = make([]uint32, size)
+	}
 	t.mask = uint64(size - 1)
 	t.shift = uint(64 - bits.Len(uint(size)) + 1)
 }
@@ -128,21 +170,26 @@ func (t *keyTable) probeStart(fp uint64) uint64 {
 // len is the number of entries.
 func (t *keyTable) len() int { return t.n + len(t.shared) }
 
-// bytes is the table's resident footprint: its slots, its arena's chunks
-// and its shared entries.
+// bytes is the table's resident footprint as accounted: its slots, its
+// arena's chunks and its shared entries.
 func (t *keyTable) bytes() int64 {
-	return int64(len(t.fps))*12 + 4*int64(t.arena.words) + int64(len(t.shared))*sharedEntryBytes
+	return int64(len(t.fps))*t.slotBytes() + 4*int64(t.arena.words) + int64(len(t.shared))*sharedEntryBytes
 }
 
 // claim inserts (fp, key) and reports whether it was absent; stored is
-// the arena copy of key, "" for a duplicate. key may be a view of
-// scratch.
+// the arena copy of key, "" for a duplicate and under fingerprint keys.
+// key may be a view of scratch.
 func (t *keyTable) claim(fp uint64, key string) (stored string, added bool) {
+	if fp == 0 {
+		return t.claimShared(fp, key)
+	}
 	for i := t.probeStart(fp); ; i = (i + 1) & t.mask {
-		if t.tuples[i] == 0 {
-			var at uint32
-			stored, at = t.arena.add(key)
-			t.fps[i], t.tuples[i] = fp, at+1
+		switch t.fps[i] {
+		case 0:
+			t.fps[i] = fp
+			if t.tuples != nil {
+				stored, t.tuples[i] = t.arena.add(key)
+			}
 			t.n++
 			// Grow at 70% load so probe chains stay short.
 			if uint64(t.n)*10 > uint64(len(t.fps))*7 {
@@ -150,50 +197,87 @@ func (t *keyTable) claim(fp uint64, key string) (stored string, added bool) {
 				t.grows++
 			}
 			return stored, true
+		case fp:
+			if t.tuples == nil || t.arena.key(t.tuples[i]) == key {
+				return "", false
+			}
+			return t.claimShared(fp, key)
+		}
+	}
+}
+
+// claimShared is claim for an entry the slots cannot hold.
+func (t *keyTable) claimShared(fp uint64, key string) (stored string, added bool) {
+	if _, dup := t.shared[key]; dup {
+		return "", false
+	}
+	if t.shared == nil {
+		t.shared = map[string]sharedKey{}
+	}
+	var at uint32
+	if t.tuples != nil {
+		stored, at = t.arena.add(key)
+	}
+	t.shared[stored] = sharedKey{fp, at}
+	return stored, true
+}
+
+// lookup returns the stored copy of (fp, key), if the table has it ("",
+// under fingerprint keys). It only reads, so calls may overlap one
+// another (not a claim).
+func (t *keyTable) lookup(fp uint64, key string) (string, bool) {
+	for i := t.probeStart(fp); fp != 0; i = (i + 1) & t.mask {
+		if t.fps[i] == 0 {
+			return "", false
 		}
 		if t.fps[i] != fp {
 			continue
 		}
-		if t.arena.key(t.tuples[i]-1) == key {
-			return "", false
+		if t.tuples == nil {
+			return "", true
 		}
-		if _, dup := t.shared[key]; dup {
-			return "", false
-		}
-		if t.shared == nil {
-			t.shared = map[string]sharedKey{}
-		}
-		var at uint32
-		stored, at = t.arena.add(key)
-		t.shared[stored] = sharedKey{fp, at}
-		return stored, true
-	}
-}
-
-// lookup returns the stored copy of (fp, key), if the table has it. It
-// only reads, so calls may overlap one another (not a claim).
-func (t *keyTable) lookup(fp uint64, key string) (string, bool) {
-	for i := t.probeStart(fp); ; i = (i + 1) & t.mask {
-		switch {
-		case t.tuples[i] == 0:
-			return "", false
-		case t.fps[i] != fp:
-			continue
-		}
-		if stored := t.arena.key(t.tuples[i] - 1); stored == key {
+		if stored := t.arena.key(t.tuples[i]); stored == key {
 			return stored, true
 		}
-		if sh, ok := t.shared[key]; ok {
-			return t.arena.key(sh.at), true
-		}
-		return "", false
+		break
 	}
+	sh, ok := t.shared[key]
+	if !ok || t.tuples == nil {
+		return "", ok
+	}
+	return t.arena.key(sh.at), true
 }
 
-// reserve sizes the slots so that n more entries fit under the growth
-// bound, rehashing at most once (fpSet.reserve says why a bulk load
-// must).
-func (t *keyTable) reserve(n int) {
+func (t *keyTable) has(fp uint64, key string) bool {
+	_, ok := t.lookup(fp, key)
+	return ok
+}
+
+// reserve readies the table for a bulk load of up to n more entries and
+// returns how many it is ready for: all n, or with a budget > 0 no more
+// than the budget can take — what fills, to the growth bound of 70%, the
+// largest table budget bytes hold with its tuples (at least one entry).
+// The slots are sized so that the entries fit under the growth bound,
+// rehashing at most once: a bulk load that reserves first never grows.
+// That is what keeps a table-order stream (forEach) linear to load: such
+// a stream is sorted by probe start, so fed to a table still doubling up
+// from small it lands every entry at the end of one contiguous cluster —
+// quadratic, 33.8 s for a million entries — whereas in a table already at
+// its final size each entry probes exactly as far as it did in the table
+// it was dumped from.
+func (t *keyTable) reserve(n int, budget int64) int {
+	if budget > 0 {
+		slot, tuple := t.slotBytes(), int64(4*t.arena.stride)
+		fit := 1
+		for slots := int64(t.startSlots()); slot*slots+tuple <= budget; slots <<= 1 {
+			room := slots * 7 / 10
+			if tuple > 0 {
+				room = min(room, (budget-slot*slots)/tuple)
+			}
+			fit = max(fit, int(room))
+		}
+		n = min(n, fit)
+	}
 	size := len(t.fps)
 	for uint64(t.n+n)*10 > uint64(size)*7 {
 		size <<= 1
@@ -201,33 +285,43 @@ func (t *keyTable) reserve(n int) {
 	if size > len(t.fps) {
 		t.resize(size)
 	}
+	return n
 }
 
 // resize rehashes the slots into a table of size slots, by fingerprint.
 func (t *keyTable) resize(size int) {
 	fps, tuples := t.fps, t.tuples
 	t.setSlots(size)
-	for j, at := range tuples {
-		if at == 0 {
+	for j, fp := range fps {
+		if fp == 0 {
 			continue
 		}
-		for i := t.probeStart(fps[j]); ; i = (i + 1) & t.mask {
-			if t.tuples[i] == 0 {
-				t.fps[i], t.tuples[i] = fps[j], at
+		for i := t.probeStart(fp); ; i = (i + 1) & t.mask {
+			if t.fps[i] == 0 {
+				t.fps[i] = fp
+				if tuples != nil {
+					t.tuples[i] = tuples[j]
+				}
 				break
 			}
 		}
 	}
 }
 
-// forEach calls fn on every entry — the slots in table order, then the
+// forEach calls fn on every entry — the slots in table order (sorted by
+// probe start: load such a stream only into a reserved table), then the
 // shared keys — and stops at fn's first error.
 func (t *keyTable) forEach(fn func(fp uint64, key string) error) error {
-	for i, at := range t.tuples {
-		if at != 0 {
-			if err := fn(t.fps[i], t.arena.key(at-1)); err != nil {
-				return err
-			}
+	for i, fp := range t.fps {
+		if fp == 0 {
+			continue
+		}
+		key := ""
+		if t.tuples != nil {
+			key = t.arena.key(t.tuples[i])
+		}
+		if err := fn(fp, key); err != nil {
+			return err
 		}
 	}
 	for k, sh := range t.shared {
@@ -238,14 +332,44 @@ func (t *keyTable) forEach(fn func(fp uint64, key string) error) error {
 	return nil
 }
 
-// entries returns every entry, in no order; the keys alias the arena.
-func (t *keyTable) entries() []entry {
-	out := make([]entry, 0, t.len())
+// drainSorted empties the table and calls fn on what it held in entry
+// order (entryCompare over d), stopping at fn's first error. Under
+// fingerprint keys the slots are compacted and radix-sorted where they
+// lie; only exact-key entries are gathered and compared as (fingerprint,
+// key) pairs. The table starts over, empty, on an arena that shares
+// nothing with the drained one.
+func (t *keyTable) drainSorted(d *model.Dict, fn func(fp uint64, key string) error) error {
+	defer func(stride int) { *t = *newKeyTable(stride) }(t.arena.stride)
+	if t.tuples == nil {
+		fps := t.fps[:0]
+		for _, fp := range t.fps {
+			if fp != 0 {
+				fps = append(fps, fp)
+			}
+		}
+		if len(t.shared) > 0 {
+			fps = append(fps, 0) // in place: the table is never full
+		}
+		sortFingerprints(fps)
+		for _, fp := range fps {
+			if err := fn(fp, ""); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	entries := make([]entry, 0, t.len())
 	t.forEach(func(fp uint64, key string) error {
-		out = append(out, entry{fp, key})
+		entries = append(entries, entry{fp, key})
 		return nil
 	})
-	return out
+	slices.SortFunc(entries, func(a, b entry) int { return entryCompare(d, a, b) })
+	for _, e := range entries {
+		if err := fn(e.fp, e.key); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // tupleArena is append-only storage for ref tuples of stride words each,
@@ -307,4 +431,50 @@ func (a *tupleArena) add(key string) (stored string, at uint32) {
 func (a *tupleArena) key(at uint32) string {
 	k, i := a.locate(at)
 	return tupleKey(a.chunks[k][i*a.stride : (i+1)*a.stride])
+}
+
+// radixMin is the length below which sortFingerprints leaves the work to
+// slices.Sort: clearing and summing four 65,536-entry histograms costs
+// more than comparison-sorting a slice this short.
+const radixMin = 1 << 12
+
+// sortFingerprints sorts a ascending. A long slice is LSD radix-sorted in
+// four 16-bit passes through one scratch slice, skipping any pass whose
+// digit every element shares; on 700k fingerprints that is several times
+// faster than slices.Sort.
+func sortFingerprints(a []uint64) {
+	if len(a) < radixMin {
+		slices.Sort(a)
+		return
+	}
+	const digits, radix = 4, 1 << 16
+	var counts [digits][]uint32
+	for d := range counts {
+		counts[d] = make([]uint32, radix)
+	}
+	for _, x := range a {
+		for d := range counts {
+			counts[d][uint16(x>>(16*d))]++
+		}
+	}
+	src, dst := a, make([]uint64, len(a))
+	for d, count := range counts {
+		if count[uint16(a[0]>>(16*d))] == uint32(len(a)) {
+			continue // one digit throughout: the pass would move nothing
+		}
+		sum := uint32(0)
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, x := range src {
+			k := uint16(x >> (16 * d))
+			dst[count[k]] = x
+			count[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
 }

@@ -51,16 +51,19 @@ func (p *keyPool) byEncoding(a, b entry) int {
 	return bytes.Compare([]byte(p.encs[a.key]), []byte(p.encs[b.key]))
 }
 
-// TestKeyTableMatchesMap drives the exact-key set against a
-// map[string]uint64 reference on random (fingerprint, ref tuple) streams in
-// which many keys share a fingerprint, the zero fingerprint included, so
-// both the slots and the shared-fingerprint map are exercised. claim, has,
-// len and drainSorted must agree with the reference, drainSorted in the
-// order of the configurations' encodings on a fingerprint tie. It also
-// pins the aliasing invariant: every key a claim returned is a copy in the
-// arena, not the scratch the claim was given, and must read the same
-// bytes after 100k more claims, after the set is drained, and after the
-// drained set is refilled.
+// TestKeyTableMatchesMap drives the visited table under exact keys
+// against a map[string]uint64 reference on random (fingerprint, ref tuple)
+// streams in which many keys share a fingerprint, the zero fingerprint
+// included, so both the slots and the shared-fingerprint map are
+// exercised. claim, has, len and drainSorted must agree with the
+// reference, drainSorted in the order of the configurations' encodings on
+// a fingerprint tie. It also pins the aliasing invariant: every key a
+// claim returned is a copy in the arena, not the scratch the claim was
+// given, and must read the same bytes after 100k more claims, after the
+// set is drained, and after the drained set is refilled. Under
+// fingerprint keys (stride 0) the same table must agree with a
+// map[uint64]bool reference, the zero fingerprint included, and hold no
+// tuple.
 func TestKeyTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pool := newKeyPool()
@@ -85,7 +88,7 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		}
 	}
 
-	s := newKeyedSet(4)
+	s := newKeyTable(4)
 	ref := map[string]uint64{}
 	var returned, want []string // what claims returned, and the keys
 	scratch := make([]uint32, 4)
@@ -127,15 +130,21 @@ func TestKeyTableMatchesMap(t *testing.T) {
 	if s.len() != len(ref) {
 		t.Fatalf("len = %d, reference %d", s.len(), len(ref))
 	}
-	if len(s.keys.shared) == 0 {
-		t.Fatal("no key went to the shared-fingerprint map: the stream forces several keys onto one fingerprint")
+	zeros := 0
+	for _, sh := range s.shared {
+		if sh.fp == 0 {
+			zeros++
+		}
+	}
+	if len(s.shared) == zeros || zeros == 0 {
+		t.Fatalf("%d keys went to the shared-fingerprint map, %d of them at fingerprint 0: the stream forces several keys onto fingerprints 0 to 3", len(s.shared), zeros)
 	}
 	for i, k := range keys {
 		_, in := ref[k]
 		if got := s.has(fps[i], k); got != in {
 			t.Fatalf("has(%#x, %x) = %v, reference %v", fps[i], k, got, in)
 		}
-		if stored, ok := s.keys.lookup(fps[i], k); ok != in || in && stored != k {
+		if stored, ok := s.lookup(fps[i], k); ok != in || in && stored != k {
 			t.Fatalf("lookup(%#x, %x) = %x, %v; reference %v", fps[i], k, stored, ok, in)
 		}
 	}
@@ -176,17 +185,53 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		claim(fps[i], k)
 	}
 	checkReturned("after the drained set was refilled")
-	s = newKeyedSet(4)
+	s = newKeyTable(4)
 	clear(ref)
 	for i := range 5000 {
 		claim(0, pool.key(-100-i, [3]int{}))
 	}
 	checkReturned("after the set was replaced")
+
+	// Fingerprint keys: every key is "", the fingerprint is the entry.
+	fp := newKeyTable(0)
+	fpRef := map[uint64]bool{}
+	for range 50000 {
+		x := uint64(rng.Intn(4)) // 0 to 3 often, 0 among them
+		if rng.Intn(2) == 0 {
+			x = rng.Uint64() >> uint(rng.Intn(48))
+		}
+		stored, added := fp.claim(x, "")
+		if added == fpRef[x] || stored != "" {
+			t.Fatalf("claim(%#x) = %q, %v; reference had it: %v", x, stored, added, fpRef[x])
+		}
+		fpRef[x] = true
+	}
+	if !fpRef[0] || fp.len() != len(fpRef) || fp.tuples != nil || fp.arena.words != 0 {
+		t.Fatalf("len = %d, reference %d (zero drawn: %t); %d arena words", fp.len(), len(fpRef), fpRef[0], fp.arena.words)
+	}
+	for x := range uint64(100) {
+		if stored, ok := fp.lookup(x, ""); ok != fpRef[x] || stored != "" {
+			t.Fatalf("lookup(%#x) = %q, %v; reference %v", x, stored, ok, fpRef[x])
+		}
+	}
+	var drained []uint64
+	if err := fp.drainSorted(nil, func(x uint64, key string) error {
+		if key != "" {
+			t.Fatalf("drained %#x with key %q", x, key)
+		}
+		drained = append(drained, x)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(drained) != len(fpRef) || !slices.IsSorted(drained) || drained[0] != 0 {
+		t.Fatalf("drained %d fingerprints (sorted %t), reference %d", len(drained), slices.IsSorted(drained), len(fpRef))
+	}
 }
 
 // TestKeyedSetExactReservePresizes: seeding a checkpoint's exact entries
 // (SeedVisited) sizes the delta's slots once, before the load, as it does
-// a fingerprint table, so the load never grows the table and stays linear
+// one under fingerprint keys, so the load never grows the table and stays linear
 // whatever order the entries arrive in. Under a budget the table is sized
 // only for what the budget can take before a flush, its slots and tuples
 // charged at what they cost.
@@ -205,7 +250,7 @@ func TestKeyedSetExactReservePresizes(t *testing.T) {
 	if err := st.SeedVisited(visited); err != nil {
 		t.Fatal(err)
 	}
-	tab := st.delta.keys
+	tab := st.delta
 	if tab.grows != 0 {
 		t.Errorf("seeding %d exact entries grew the table %d times, want a single presize", n, tab.grows)
 	}
@@ -215,27 +260,29 @@ func TestKeyedSetExactReservePresizes(t *testing.T) {
 	if want := 1 << 17; len(tab.fps) != want { // 50k entries fill 2^17 slots to 38%
 		t.Errorf("seeded table has %d slots, want %d", len(tab.fps), want)
 	}
-	if got, want := st.delta.bytes(), int64(12<<17+4*tab.arena.words); got != want || tab.arena.words < 3*n {
+	// Entry 0's fingerprint is 0, which no slot holds: it is the one
+	// shared entry.
+	if got, want := st.delta.bytes(), int64(12<<17+4*tab.arena.words+sharedEntryBytes); got != want || tab.arena.words < 3*n {
 		t.Errorf("seeded table charged %d bytes for %d arena words, want %d", got, tab.arena.words, want)
 	}
 
 	// The same load claimed without a reservation grows the table from
 	// its initial size: the counter does see growth.
-	plain := newKeyedSet(3)
+	plain := newKeyTable(3)
 	for i := range visited.fps {
-		plain.add(visited.fps[i], visited.key(i))
+		plain.claim(visited.fps[i], visited.key(i))
 	}
-	if plain.keys.grows == 0 {
+	if plain.grows == 0 {
 		t.Fatal("an unreserved load of 50k entries never grew the table")
 	}
 
 	// Under a budget the table is sized for no more entries than its
 	// slots and tuples take within the budget.
 	const budget = 64 << 10
-	d := newKeyedSet(3)
+	d := newKeyTable(3)
 	fit := d.reserve(n, budget)
-	if fit < 1 || fit >= n || int64(12*len(d.keys.fps)+12*fit) > budget || fit*10 > len(d.keys.fps)*7 {
-		t.Errorf("reserve(%d, %d) = %d entries on %d slots", n, budget, fit, len(d.keys.fps))
+	if fit < 1 || fit >= n || int64(12*len(d.fps)+12*fit) > budget || fit*10 > len(d.fps)*7 {
+		t.Errorf("reserve(%d, %d) = %d entries on %d slots", n, budget, fit, len(d.fps))
 	}
 	if fit < budget/(12+12)/2 {
 		t.Errorf("reserve(%d, %d) = %d: a %d-byte budget holds more 12-byte tuples than that", n, budget, fit, budget)
@@ -279,6 +326,314 @@ func TestTupleArenaChunks(t *testing.T) {
 		}
 		if words := 4 * (1 << a.capBits) * stride; stride < 1000 && words > 2*tupleChunkBytes {
 			t.Fatalf("stride %d: a full-size chunk is %d bytes", stride, words)
+		}
+	}
+}
+
+// The visited table under fingerprint keys (stride 0) is a set of
+// fingerprints: fpAdd and fpHas are its claim and has.
+
+func fpAdd(s *keyTable, fp uint64) bool {
+	_, added := s.claim(fp, "")
+	return added
+}
+
+func fpHas(s *keyTable, fp uint64) bool { return s.has(fp, "") }
+
+// TestFpSet drives the visited table at stride 0 against a reference map,
+// covering the zero-fingerprint sentinel and growth across several
+// doublings.
+func TestFpSet(t *testing.T) {
+	s := newKeyTable(0)
+	ref := map[uint64]bool{}
+	rng := rand.New(rand.NewSource(1))
+
+	insert := func(fp uint64) {
+		t.Helper()
+		added := fpAdd(s, fp)
+		if added == ref[fp] {
+			t.Fatalf("claim(%#x) = %v with ref present=%v", fp, added, ref[fp])
+		}
+		ref[fp] = true
+	}
+
+	insert(0) // zero is a representable fingerprint, not the empty sentinel
+	if !fpHas(s, 0) {
+		t.Fatal("has(0) = false after claim(0)")
+	}
+	if fpAdd(s, 0) {
+		t.Fatal("claim(0) reported newly-added twice")
+	}
+
+	for i := 0; i < 20000; i++ {
+		fp := rng.Uint64() >> uint(rng.Intn(40)) // skewed: force probe collisions
+		insert(fp)
+		insert(fp) // immediate duplicate must report already-present
+	}
+	if s.len() != len(ref) {
+		t.Fatalf("len = %d, want %d", s.len(), len(ref))
+	}
+	for fp := range ref {
+		if !fpHas(s, fp) {
+			t.Fatalf("has(%#x) = false for inserted fingerprint", fp)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		fp := rng.Uint64()
+		if !ref[fp] && fpHas(s, fp) {
+			t.Fatalf("has(%#x) = true for absent fingerprint", fp)
+		}
+	}
+}
+
+// TestFpSetGrowthBoundary pins the rehash trigger exactly: the table
+// doubles when the load passes 70%, not at, and every member survives
+// each rehash — including the out-of-band zero fingerprint, which must
+// never occupy (or be counted against) a slot.
+func TestFpSetGrowthBoundary(t *testing.T) {
+	s := newKeyTable(0)
+	if got := len(s.fps); got != fpTableSlots {
+		t.Fatalf("initial slots = %d, want %d", got, fpTableSlots)
+	}
+	threshold := len(s.fps) * 7 / 10 // last count that does NOT grow
+
+	fpAdd(s, 0) // tracked out of band: contributes to len, never to load
+	for i := 1; i <= threshold; i++ {
+		fpAdd(s, uint64(i)*0x9E3779B97F4A7C15)
+	}
+	if got := len(s.fps); got != fpTableSlots {
+		t.Fatalf("slots = %d after %d inserts (70%% load), want no growth yet", got, threshold)
+	}
+	if s.len() != threshold+1 {
+		t.Fatalf("len = %d, want %d", s.len(), threshold+1)
+	}
+
+	fpAdd(s, uint64(threshold+1)*0x9E3779B97F4A7C15) // crosses 70%
+	if got := len(s.fps); got != 2*fpTableSlots {
+		t.Fatalf("slots = %d after crossing the load threshold, want %d", got, 2*fpTableSlots)
+	}
+	// Everything must survive the rehash, zero included.
+	if !fpHas(s, 0) {
+		t.Fatal("zero fingerprint lost across grow")
+	}
+	for i := 1; i <= threshold+1; i++ {
+		if !fpHas(s, uint64(i)*0x9E3779B97F4A7C15) {
+			t.Fatalf("fingerprint %d lost across grow", i)
+		}
+	}
+	if s.len() != threshold+2 {
+		t.Fatalf("len = %d after grow, want %d", s.len(), threshold+2)
+	}
+	// A slot costs 8 bytes and holds no tuple; the zero fingerprint is
+	// charged as the one shared entry it is.
+	if got, want := s.bytes(), int64(8*2*fpTableSlots+sharedEntryBytes); s.tuples != nil || got != want {
+		t.Fatalf("bytes = %d with tuples %t, want %d and none", got, s.tuples != nil, want)
+	}
+}
+
+// members enumerates s the way the stores do, through forEach.
+func members(s *keyTable) []uint64 {
+	var out []uint64
+	s.forEach(func(fp uint64, _ string) error {
+		out = append(out, fp)
+		return nil
+	})
+	return out
+}
+
+// TestFpSetAppendAll: the stores' enumeration (forEach) returns every
+// member exactly once (zero included) at every size around a growth
+// boundary.
+func TestFpSetAppendAll(t *testing.T) {
+	s := newKeyTable(0)
+	want := map[uint64]bool{}
+	add := func(fp uint64) {
+		fpAdd(s, fp)
+		want[fp] = true
+	}
+	add(0)
+	trigger := fpTableSlots*7/10 + 1 // the insert that grows the table
+	for i := 1; i <= trigger+3; i++ {
+		add(uint64(i) << 13)
+		if i >= trigger-1 && i <= trigger+1 || i == trigger+3 {
+			got := members(s)
+			if len(got) != len(want) {
+				t.Fatalf("after %d inserts: forEach returned %d members, want %d", i, len(got), len(want))
+			}
+			seen := map[uint64]bool{}
+			for _, fp := range got {
+				if seen[fp] {
+					t.Fatalf("forEach duplicated %#x", fp)
+				}
+				seen[fp] = true
+				if !want[fp] {
+					t.Fatalf("forEach invented %#x", fp)
+				}
+			}
+		}
+	}
+}
+
+// maxDisplacement is the longest probe sequence in the table: how far the
+// worst-placed member sits from its probe start.
+func maxDisplacement(s *keyTable) uint64 {
+	var worst uint64
+	for i, fp := range s.fps {
+		if fp != 0 {
+			worst = max(worst, (uint64(i)-s.probeStart(fp))&s.mask)
+		}
+	}
+	return worst
+}
+
+// TestFpSetReservedBulkLoad pins what keeps checkpoint seeding linear: a
+// table-order dump (forEach) loaded into a table that reserved for it first never grows and probes
+// no further than the table it was dumped from. Loading the same stream
+// into an unreserved set is the anti-pattern reserve documents — every
+// insert then walks one ever-longer cluster, seconds at this size and
+// quadratic beyond — so it is described here, not timed.
+func TestFpSetReservedBulkLoad(t *testing.T) {
+	const n = 200000
+	src := newKeyTable(0)
+	rng := rand.New(rand.NewSource(7))
+	fpAdd(src, 0)
+	for src.len() < n {
+		fpAdd(src, rng.Uint64())
+	}
+	dump := members(src)
+
+	dst := newKeyTable(0)
+	dst.reserve(len(dump), 0)
+	slots := len(dst.fps)
+	if slots != len(src.fps) {
+		t.Fatalf("reserve(%d) sized the table to %d slots; growing to %d members sized it to %d", n, slots, n, len(src.fps))
+	}
+	for _, fp := range dump {
+		if !fpAdd(dst, fp) {
+			t.Fatalf("claim(%#x) reported a duplicate in a duplicate-free dump", fp)
+		}
+	}
+	if len(dst.fps) != slots || dst.grows != 0 {
+		t.Fatalf("the reserved table grew from %d to %d slots during the load", slots, len(dst.fps))
+	}
+	if dst.len() != n {
+		t.Fatalf("len = %d after the load, want %d", dst.len(), n)
+	}
+	// 200k random members in 2^19 slots (38% load): the longest probe
+	// sequence is a few dozen slots, not the thousands a cluster built by
+	// an unreserved load reaches.
+	if got, was := maxDisplacement(dst), maxDisplacement(src); got > was || got > 64 {
+		t.Fatalf("longest probe sequence after the reserved load = %d slots (source table %d), want <= source and <= 64", got, was)
+	}
+
+	// Reserving on a populated table rehashes it once, losing nothing.
+	dst.reserve(4*n, 0)
+	if len(dst.fps) <= slots {
+		t.Fatalf("reserve(%d) on %d members left the table at %d slots", 4*n, n, len(dst.fps))
+	}
+	slots = len(dst.fps)
+	for _, fp := range dump {
+		if !fpHas(dst, fp) {
+			t.Fatalf("fingerprint %#x lost across reserve", fp)
+		}
+	}
+	for dst.len() < 5*n {
+		fpAdd(dst, rng.Uint64())
+	}
+	if len(dst.fps) != slots {
+		t.Fatalf("the table grew from %d to %d slots within its reservation", slots, len(dst.fps))
+	}
+
+	// Under a budget the table takes what fills the largest table the
+	// budget holds to 70%: 2^13 8-byte slots in 64 KB.
+	if fit := newKeyTable(0).reserve(n, 64<<10); fit != 8192*7/10 {
+		t.Fatalf("reserve(%d, 64 KB) = %d entries, want %d", n, fit, 8192*7/10)
+	}
+}
+
+// TestFpSetPartitionedLowBits inserts fingerprints that all share their
+// low bits — the population a table sees when its caller routes by them —
+// across several growths.
+func TestFpSetPartitionedLowBits(t *testing.T) {
+	s := newKeyTable(0)
+	const low = 0x2a
+	for i := uint64(1); i <= 50000; i++ {
+		fp := i<<6 | low
+		if !fpAdd(s, fp) {
+			t.Fatalf("claim(%#x) reported duplicate on first insert", fp)
+		}
+		if !fpHas(s, fp) {
+			t.Fatalf("has(%#x) = false immediately after claim", fp)
+		}
+	}
+	if s.len() != 50000 {
+		t.Fatalf("len = %d, want 50000", s.len())
+	}
+	if fpHas(s, 1<<6|0x2b) {
+		t.Fatal("has reported a fingerprint from another partition")
+	}
+}
+
+// TestFpSetDrainSorted: a drained table returns every member once, in
+// ascending order, the out-of-band zero fingerprint included, on both
+// sides of the radix sort's cutover.
+func TestFpSetDrainSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 100, radixMin - 1, radixMin, 50000} {
+		for _, zero := range []bool{false, true} {
+			s := newKeyTable(0)
+			var want []uint64
+			for len(want) < n {
+				if fp := rng.Uint64(); fp != 0 && fpAdd(s, fp) {
+					want = append(want, fp)
+				}
+			}
+			if zero {
+				fpAdd(s, 0)
+				want = append(want, 0)
+			}
+			slices.Sort(want)
+			var got []uint64
+			s.drainSorted(nil, func(fp uint64, key string) error {
+				got = append(got, fp)
+				return nil
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("n=%d zero=%t: drained %d members (sorted %t), want %d", n, zero, len(got), slices.IsSorted(got), len(want))
+			}
+			if s.len() != 0 || len(s.fps) != fpTableSlots || fpHas(s, 0) {
+				t.Errorf("n=%d zero=%t: the drained table holds %d entries on %d slots", n, zero, s.len(), len(s.fps))
+			}
+		}
+	}
+}
+
+// TestSortFingerprints: the radix sort orders like slices.Sort on random
+// input and on inputs that stress its passes: every element one value
+// (each pass skipped), one digit varying (three skipped), already sorted,
+// reversed, duplicates, and lengths either side of radixMin.
+func TestSortFingerprints(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gen := map[string]func(i int) uint64{
+		"random":     func(int) uint64 { return rng.Uint64() },
+		"one-value":  func(int) uint64 { return 0xdeadbeefcafef00d },
+		"low-digit":  func(int) uint64 { return 0x1234_5678_9abc_0000 | uint64(rng.Intn(1<<16)) },
+		"high-digit": func(int) uint64 { return uint64(rng.Intn(1<<16))<<48 | 0x5555 },
+		"ascending":  func(i int) uint64 { return uint64(i)<<24 | 0xabc },
+		"descending": func(i int) uint64 { return ^(uint64(i) << 20) },
+		"duplicates": func(int) uint64 { return uint64(rng.Intn(7)) << 33 },
+	}
+	for name, g := range gen {
+		for _, n := range []int{0, 1, radixMin - 1, radixMin, 3*radixMin + 7, 100000} {
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = g(i)
+			}
+			want := slices.Clone(a)
+			slices.Sort(want)
+			if sortFingerprints(a); !slices.Equal(a, want) {
+				t.Errorf("%s n=%d: differs from slices.Sort", name, n)
+			}
 		}
 	}
 }

@@ -194,8 +194,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		// This level's provenance overrides settle: the next level's nodes
 		// take them as they are handed out.
 		cl := &run.claims
-		clear(cl.pending)
-		clear(cl.pendingExact)
+		cl.pending.clear()
 		cl.parentKeys = newTupleArena(cl.parentKeys.stride)
 		cl.settled, cl.overrides = cl.overrides, cl.settled
 		cl.overrides.clear()
@@ -297,7 +296,7 @@ func (l levelSource) take(w int, buf []*Node) int {
 	m := l.Next(w, buf)
 	if settled := &l.run.claims.settled; settled.len() > 0 {
 		for _, n := range buf[:m] {
-			if path, ok := settled.get(n.fp, l.run.store.ctx.nodeKey(n)); ok {
+			if path, _, ok := settled.get(n.fp, l.run.store.ctx.nodeKey(n)); ok {
 				n.path = append(n.path[:0], path...)
 				n.Pid = int(path[len(path)-1])
 			}

@@ -27,7 +27,7 @@ import (
 //
 // Deduplication — delayed duplicate detection over sorted runs:
 //
-//   - The resident *delta* table (a keyedSet) holds the visited entries
+//   - The resident *delta* table (a keyTable) holds the visited entries
 //     admitted since the last spill. Candidates are checked against the
 //     delta only, so a claim costs what it costs without a budget.
 //
@@ -40,7 +40,7 @@ import (
 //   - Under fingerprint keys every key is empty, so the store orders
 //     packed fingerprints as integers wherever it orders entries: a
 //     flushed delta's slot array is compacted and radix-sorted where it
-//     lies (fpSet.drainSorted), and a level's suspects and its budget
+//     lies (keyTable.drainSorted), and a level's suspects and its budget
 //     cutoff are sorted as []uint64 too. Only exact-key entries are
 //     compared as (fingerprint, key) pairs, a tie by the encodings the
 //     run's dictionary holds for the keys' refs. A run's exact keys are
@@ -115,7 +115,7 @@ type spillStore struct {
 	source  *spillSource // last handed-out streaming source (for Close)
 
 	// delta holds the entries admitted since the last spill.
-	delta keyedSet
+	delta *keyTable
 
 	// bloom summarizes every fingerprint spilled so far (created at the
 	// first spill); admissions it proves fresh skip the barrier's run-file
@@ -176,7 +176,7 @@ const runFanout = 8
 func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) {
 	s := &spillStore{ctx: ctx, budget: max(budget, 0), dir: dir,
 		queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreMem},
-		delta: newKeyedSet(ctx.keyStride())}
+		delta: newKeyTable(ctx.keyStride())}
 	if s.budget == 0 {
 		return s, nil
 	}
@@ -385,7 +385,7 @@ func (s *spillStore) cutResident(maxNext int) LevelResult {
 			// node's refs are rewritten once it is recycled.
 			key := s.ctx.nodeKey(n)
 			if key != "" {
-				key, _ = s.delta.keys.lookup(n.fp, key)
+				key, _ = s.delta.lookup(n.fp, key)
 			}
 			s.added.add(n.fp, key)
 		}
@@ -420,16 +420,15 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 	}
 	// The admissions revoked at the barrier, by entry; nil when there are
 	// none.
-	var revoked *keyedSet
+	var revoked *keyTable
 	for j := range s.level.fps {
 		e := s.level.at(j)
 		switch {
 		case s.dead[j]:
 			if revoked == nil {
-				r := newKeyedSet(s.ctx.keyStride())
-				revoked = &r
+				revoked = newKeyTable(s.ctx.keyStride())
 			}
-			revoked.add(e.fp, e.key)
+			revoked.claim(e.fp, e.key)
 		case s.keep && kept > 0 && (cut == nil || !entryLess(d, *cut, e)):
 			s.added.add(e.fp, e.key)
 		}
@@ -739,7 +738,7 @@ type spillSource struct {
 	// revoked holds the admissions revoked at the barrier (nil: none), and
 	// the budget cut drops every record past cut (nil: no cut); both are
 	// read-only once the source is handed out.
-	revoked *keyedSet
+	revoked *keyTable
 	cut     *entry
 
 	mu      sync.Mutex
@@ -910,7 +909,7 @@ func (s *spillStore) SeedVisited(visited entryList) error {
 		if room == 0 {
 			room = s.delta.reserve(left, budget)
 		}
-		s.delta.add(fp, visited.key(i))
+		s.delta.claim(fp, visited.key(i))
 		room--
 		// The delta has reached the budget.
 		if budget > 0 && (room == 0 || s.delta.bytes() > budget) && left > 1 {

@@ -13,9 +13,10 @@ import (
 // an exploration, deduplication (the visited set) and frontier queuing (the
 // next level's nodes). How far it leaves RAM is set by its byte budget:
 //
-//   - Without one (Store "" or "mem") it is an open-addressing fingerprint
-//     table (under exact keys, one probed by fingerprint whose ref tuples
-//     live in an arena) and per-worker node slices: a claim is one
+//   - Without one (Store "" or "mem") it is the open-addressing visited
+//     table (keyTable: probed by fingerprint, and under exact keys
+//     decided by ref tuples that live in an arena) and per-worker node
+//     slices: a claim is one
 //     table probe, a queued node one append, and a barrier concatenates the
 //     slices and cuts them back to the budget (kthEntry), keeping the
 //     survivors in admission order. It touches no disk.
@@ -30,7 +31,7 @@ import (
 // During a level the visited set is only ever touched under the engine's
 // claim lock (Claim), a worker's queue only by that worker (Queue), and
 // EndLevel and CutLevel run alone at the barrier. The store therefore
-// takes no lock of its own, mirroring the fpSet contract. (The async order
+// takes no lock of its own, mirroring the keyTable contract. (The async order
 // has no levels: it keeps its frontier in the workers' deques and only
 // ever claims, see async.go.)
 

@@ -18,8 +18,9 @@ import (
 // subdirectory instead of misreading old entries. v3: a symmetric
 // instance's fingerprint (sweep.Cell.InstanceFingerprint, part of every
 // key) became a class-sum hash, so v2 keys name instances by another
-// function.
-const CacheSchema = "v3"
+// function. v4: Table 1's register rows print their refutation instead
+// of a validation, so a v3 entry for either row holds the old verdict.
+const CacheSchema = "v4"
 
 // cacheEntry is one persisted verdict: the full key (verified on read,
 // so filename hash collisions degrade to misses), the sweep record, and

@@ -304,7 +304,7 @@ func TestCacheSchemaDirectory(t *testing.T) {
 
 // TestCacheEarlierSchemaNotRead: entries of an earlier schema stay where
 // they are and are never served: a v2 directory holding a valid entry for
-// a key is a miss for that key under v3.
+// a key is a miss for that key under the current schema.
 func TestCacheEarlierSchemaNotRead(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(dir)

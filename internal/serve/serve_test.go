@@ -374,7 +374,9 @@ func TestServeDrain(t *testing.T) {
 	}
 
 	quickID := submit(Request{Row: "explore", N: 4, K: 2, MaxConfigs: 20000, Async: true})
-	slowID := submit(Request{Row: "explore", N: 6, K: 2, MaxConfigs: 5_000_000, Async: true})
+	// The slow job's cap is out of reach of the 2s drain: one worker
+	// admits ~3M configurations a second on a current core.
+	slowID := submit(Request{Row: "explore", N: 6, K: 2, MaxConfigs: 50_000_000, Async: true})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -398,7 +400,7 @@ func TestServeDrain(t *testing.T) {
 		t.Fatal("slow job was left hanging by the forced drain")
 	}
 	if sr.Result.Status == sweep.StatusOK {
-		t.Fatalf("slow 5M-config job claims to have finished in 2s: %+v", sr.Result)
+		t.Fatalf("slow 50M-config job claims to have finished in 2s: %+v", sr.Result)
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/harness"
 	"repro/internal/lowerbound"
+	"repro/internal/model"
 )
 
 // --- Table 1 rows (ported from the harness tests when the definitions
@@ -373,4 +375,65 @@ func addTestRow(spec RowSpec) string {
 
 func undoTestRow(key string) {
 	delete(rowRegistry, key)
+}
+
+// TestTable1RegisterRowsRefuted: both register rows of Table 1 model a
+// protocol the engine refutes, so neither may report a measured object
+// count or a passing validation. Each prints the cited upper bound, "—"
+// for Measured and Certified, and a status naming the refutation, and
+// the cell stays ok: it reports the citation, it does not search. The
+// refutations themselves are pinned here, by the engine.
+func TestTable1RegisterRowsRefuted(t *testing.T) {
+	for _, tt := range []struct{ n, k int }{{4, 1}, {4, 2}, {8, 2}} {
+		rows, err := Table1Rows(tt.n, tt.k, harness.ValidateOptions{Schedules: 2, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		registers := 0
+		for _, r := range rows {
+			if r.Objects != "Registers" {
+				continue
+			}
+			registers++
+			if r.Measured != -1 || r.Certified != -1 || strings.Contains(r.Status, "OK") || !strings.Contains(r.Status, "REFUTED") {
+				t.Errorf("n=%d k=%d %s/Registers: measured %d, certified %d, status %q; want -1, -1 and a refutation", tt.n, tt.k, r.Task, r.Measured, r.Certified, r.Status)
+			}
+		}
+		if registers != 2 {
+			t.Errorf("n=%d k=%d: %d register rows, want 2", tt.n, tt.k, registers)
+		}
+	}
+	for _, key := range []string{"consensus-registers", "kset-registers"} {
+		spec, _ := RowByKey(key)
+		out, err := spec.Run(Cell{Row: key, N: 4, K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := cellStatus(spec, out); st != StatusOK || out.States != 0 || out.Measured != -1 {
+			t.Errorf("%s: status %s, %d states, measured %d; want ok, no search, -1", key, st, out.States, out.Measured)
+		}
+	}
+
+	for _, tc := range []struct {
+		name           string
+		build          func() (model.Protocol, error)
+		inputs         []int
+		k              int
+		steps, visited int
+	}{
+		{"racing counters n=3", func() (model.Protocol, error) { return baseline.NewRacingCounters(3, 2) }, []int{0, 1, 1}, 1, 21, 25864},
+		{"register k-set n=4 k=2", func() (model.Protocol, error) { return baseline.NewRegisterKSet(4, 2, 3) }, []int{0, 1, 2, 0}, 2, 29, 199995},
+	} {
+		p, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := lowerbound.FindAgreementViolation(p, tc.inputs, tc.k, lowerbound.SearchLimits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w == nil || len(w.Schedule) != tc.steps || w.Visited != tc.visited || len(w.Decided) <= tc.k {
+			t.Errorf("%s: witness %+v, want a %d-step schedule deciding more than %d values after %d configurations", tc.name, w, tc.steps, tc.k, tc.visited)
+		}
+	}
 }
