@@ -7,7 +7,7 @@
 //	Figures 2-5   -> BenchmarkCoveringScan, BenchmarkBivalenceSearch
 //	Figure 6      -> BenchmarkForbiddenLedger
 //	Lemma 8       -> BenchmarkSoloTermination
-//	X1 (runtime)  -> BenchmarkRuntimeConsensus*, BenchmarkRuntimeKSet
+//	X1 (runtime)  -> BenchmarkRuntimeConsensus*, BenchmarkRuntimeKSet, BenchmarkRuntimeSoloPropose
 //	X2 (schedules)-> BenchmarkAdversarialSchedules
 //
 // Each benchmark reports the paper-relevant metric (certified object
@@ -427,6 +427,22 @@ func BenchmarkRuntimeKSet(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRuntimeSoloPropose measures the per-swap cost of the runtime:
+// one proposer alone on a fresh n=16 instance without backoff, so no
+// contention and no sleep hides the steps between swaps.
+func BenchmarkRuntimeSoloPropose(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := core.NewSetAgreement(core.Params{N: 16, K: 1, M: 2}, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v, err := s.Propose(3, 1); err != nil || v != 1 {
+			b.Fatalf("solo proposer decided %d, %v; want 1", v, err)
+		}
 	}
 }
 

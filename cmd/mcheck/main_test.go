@@ -31,11 +31,12 @@ type cell struct {
 // engineCells are the engine settings every case runs under, as lbcheck's
 // are, with -stringkeys for the other keying; compactingCells add the
 // spill store at a budget small enough to compact its sorted runs under
-// either keying: 8KB under fingerprints, 4KB under exact keys, where an
-// entry is charged its ref tuple and table slot and the n=4 k=2 instance's
-// delta outgrows 8KB one barrier too late for the eight runs a compaction
-// needs. A case prints one golden file under all of its cells; the first
-// writes it under -update.
+// either keying: 512B under fingerprints, what an empty 64-slot delta
+// table is charged, since the n=4 k=2 instance has eleven levels and its
+// delta must flush at nearly every barrier for the eight runs a compaction
+// needs (at 1KB it writes seven); 4KB under exact keys, where an entry is
+// charged its ref tuple and table slot. A case prints one golden file
+// under all of its cells; the first writes it under -update.
 var (
 	engineCells = []cell{
 		{"w1", []string{"-workers", "1"}, false},
@@ -44,7 +45,7 @@ var (
 		{"w2-stringkeys-spill16k", []string{"-workers", "2", "-stringkeys", "-store", "spill", "-membudget", "16KB"}, false},
 	}
 	compactingCells = []cell{
-		{"w2-spill8k", []string{"-workers", "2", "-store", "spill", "-membudget", "8KB"}, true},
+		{"w2-spill512b", []string{"-workers", "2", "-store", "spill", "-membudget", "512B"}, true},
 		{"w2-stringkeys-spill4k", []string{"-workers", "2", "-stringkeys", "-store", "spill", "-membudget", "4KB"}, true},
 	}
 )

@@ -232,11 +232,11 @@ func TestSpillStoreCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestSpillSeedTinyBudgetBatchesRuns: a snapshot seeded under a budget
-// smaller than a delta table batches its flushes by that table (1,433
-// fingerprints fill its 2,048 slots to the growth bound) instead of writing a run every few entries and
-// compacting them all every runFanout — which made resuming quadratic in
-// the snapshot.
+// TestSpillSeedTinyBudgetBatchesRuns: a snapshot seeded under a tiny
+// budget batches its flushes by SeedVisited's 16 KB floor (1,433
+// fingerprints fill a 2,048-slot table to the growth bound) instead of
+// writing a run every few entries and compacting them all every
+// runFanout — which made resuming quadratic in the snapshot.
 func TestSpillSeedTinyBudgetBatchesRuns(t *testing.T) {
 	st, err := newSpillStore(storeCtx{workers: 1, nObj: 1, nProc: 2}, 1, t.TempDir())
 	if err != nil {

@@ -117,14 +117,11 @@ type sharedKey struct {
 	at uint32
 }
 
-// A new table's size. Under exact keys it is small, since many searches
-// are (a Lemma 13 bivalence test), and growth rehashes 12-byte slots,
-// never tuples. Under fingerprint keys it is 16 KB, the floor
-// SeedVisited puts under a spill budget.
-const (
-	fpTableSlots  = 2048
-	keyTableSlots = 64
-)
+// keyTableSlots is a new table's size under either keying. It is small,
+// since many searches are (a Lemma 13 bivalence test), and so is a spill
+// store's delta at a barrier that admitted little; growth rehashes 8- or
+// 12-byte slots, never tuples.
+const keyTableSlots = 64
 
 // sharedEntryBytes is what resident accounting charges a shared entry on
 // top of its tuple: a Go map slot with its string header and value.
@@ -134,15 +131,8 @@ const sharedEntryBytes = 48
 // with stride 0 for fingerprint keys.
 func newKeyTable(stride int) *keyTable {
 	t := &keyTable{arena: newTupleArena(stride)}
-	t.setSlots(t.startSlots())
+	t.setSlots(keyTableSlots)
 	return t
-}
-
-func (t *keyTable) startSlots() int {
-	if t.arena.stride == 0 {
-		return fpTableSlots
-	}
-	return keyTableSlots
 }
 
 // slotBytes is what a slot costs: its fingerprint, and its tuple index
@@ -269,7 +259,7 @@ func (t *keyTable) reserve(n int, budget int64) int {
 	if budget > 0 {
 		slot, tuple := t.slotBytes(), int64(4*t.arena.stride)
 		fit := 1
-		for slots := int64(t.startSlots()); slot*slots+tuple <= budget; slots <<= 1 {
+		for slots := int64(keyTableSlots); slot*slots+tuple <= budget; slots <<= 1 {
 			room := slots * 7 / 10
 			if tuple > 0 {
 				room = min(room, (budget-slot*slots)/tuple)

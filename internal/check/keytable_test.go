@@ -392,8 +392,8 @@ func TestFpSet(t *testing.T) {
 // never occupy (or be counted against) a slot.
 func TestFpSetGrowthBoundary(t *testing.T) {
 	s := newKeyTable(0)
-	if got := len(s.fps); got != fpTableSlots {
-		t.Fatalf("initial slots = %d, want %d", got, fpTableSlots)
+	if got := len(s.fps); got != keyTableSlots {
+		t.Fatalf("initial slots = %d, want %d", got, keyTableSlots)
 	}
 	threshold := len(s.fps) * 7 / 10 // last count that does NOT grow
 
@@ -401,7 +401,7 @@ func TestFpSetGrowthBoundary(t *testing.T) {
 	for i := 1; i <= threshold; i++ {
 		fpAdd(s, uint64(i)*0x9E3779B97F4A7C15)
 	}
-	if got := len(s.fps); got != fpTableSlots {
+	if got := len(s.fps); got != keyTableSlots {
 		t.Fatalf("slots = %d after %d inserts (70%% load), want no growth yet", got, threshold)
 	}
 	if s.len() != threshold+1 {
@@ -409,8 +409,8 @@ func TestFpSetGrowthBoundary(t *testing.T) {
 	}
 
 	fpAdd(s, uint64(threshold+1)*0x9E3779B97F4A7C15) // crosses 70%
-	if got := len(s.fps); got != 2*fpTableSlots {
-		t.Fatalf("slots = %d after crossing the load threshold, want %d", got, 2*fpTableSlots)
+	if got := len(s.fps); got != 2*keyTableSlots {
+		t.Fatalf("slots = %d after crossing the load threshold, want %d", got, 2*keyTableSlots)
 	}
 	// Everything must survive the rehash, zero included.
 	if !fpHas(s, 0) {
@@ -426,7 +426,7 @@ func TestFpSetGrowthBoundary(t *testing.T) {
 	}
 	// A slot costs 8 bytes and holds no tuple; the zero fingerprint is
 	// charged as the one shared entry it is.
-	if got, want := s.bytes(), int64(8*2*fpTableSlots+sharedEntryBytes); s.tuples != nil || got != want {
+	if got, want := s.bytes(), int64(8*2*keyTableSlots+sharedEntryBytes); s.tuples != nil || got != want {
 		t.Fatalf("bytes = %d with tuples %t, want %d and none", got, s.tuples != nil, want)
 	}
 }
@@ -452,7 +452,7 @@ func TestFpSetAppendAll(t *testing.T) {
 		want[fp] = true
 	}
 	add(0)
-	trigger := fpTableSlots*7/10 + 1 // the insert that grows the table
+	trigger := keyTableSlots*7/10 + 1 // the insert that grows the table
 	for i := 1; i <= trigger+3; i++ {
 		add(uint64(i) << 13)
 		if i >= trigger-1 && i <= trigger+1 || i == trigger+3 {
@@ -601,7 +601,7 @@ func TestFpSetDrainSorted(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Errorf("n=%d zero=%t: drained %d members (sorted %t), want %d", n, zero, len(got), slices.IsSorted(got), len(want))
 			}
-			if s.len() != 0 || len(s.fps) != fpTableSlots || fpHas(s, 0) {
+			if s.len() != 0 || len(s.fps) != keyTableSlots || fpHas(s, 0) {
 				t.Errorf("n=%d zero=%t: the drained table holds %d entries on %d slots", n, zero, s.len(), len(s.fps))
 			}
 		}

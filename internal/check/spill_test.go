@@ -325,11 +325,13 @@ func TestTruncationStraddleDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSpillCompactionMatchesResident: at a budget small enough that every
-// barrier flushes a sorted run, so runs are compacted and re-encountered
-// configurations pass the Bloom prefilter to the barrier merge, the spill
-// store visits what the resident store visits under both keyings, on a run
-// whose budget cuts its last level: the same count, decided values and
-// most decided together, and the same configurations at the cut level.
+// barrier flushes a sorted run (256 bytes, under what an empty 64-slot
+// delta table is charged under either keying), so runs are compacted and
+// re-encountered configurations pass the Bloom prefilter to the barrier
+// merge, the spill store visits what the resident store visits under both
+// keyings, on a run whose budget cuts its last level: the same count,
+// decided values and most decided together, and the same configurations at
+// the cut level.
 func TestSpillCompactionMatchesResident(t *testing.T) {
 	p := core.MustNew(core.Params{N: 4, K: 1, M: 3})
 	c := model.MustNewConfig(p, []int{0, 1, 2, 0})
@@ -365,7 +367,7 @@ func TestSpillCompactionMatchesResident(t *testing.T) {
 		if want.complete || want.visited != limits.MaxConfigs {
 			t.Fatalf("exact=%t: resident run visited %d (complete %t), want a cut run", exact, want.visited, want.complete)
 		}
-		got, st := run(check.EngineOptions{Workers: 2, StringKeys: exact, Store: check.StoreSpill, MemBudget: 1 << 10})
+		got, st := run(check.EngineOptions{Workers: 2, StringKeys: exact, Store: check.StoreSpill, MemBudget: 256})
 		if st.RunsMerged == 0 || st.PrefilterHits == 0 {
 			t.Errorf("exact=%t: runs merged %d, prefilter hits %d: the run exercises no compaction or barrier merge",
 				exact, st.RunsMerged, st.PrefilterHits)

@@ -897,8 +897,9 @@ func (s *spillStore) takeAdded() entryList {
 // the visited set resident than the run that wrote the snapshot did.
 func (s *spillStore) SeedVisited(visited entryList) error {
 	fps := visited.fps
-	// The budget, floored at a delta table's initial footprint (2,048
-	// slots) so tiny budgets batch flushes instead of spilling every entry.
+	// The budget, floored at 16 KB (a 2,048-slot fingerprint table) so a
+	// tiny budget batches the seed into runs of a few hundred entries
+	// instead of flushing a run every few.
 	budget := s.budget
 	if budget > 0 {
 		budget = max(budget, 16<<10)

@@ -4,21 +4,23 @@
 // an n-process consensus algorithm from n-1 swap objects, exactly matching
 // the Theorem 10 lower bound.
 //
-// Two implementations are provided over the same logic:
+// One transition function, Protocol's Observe (lines 5-20 of the
+// pseudocode), has two drivers:
 //
-//   - Protocol: a deterministic state machine over internal/model objects,
-//     driven by schedulers, the model checker, and the lower-bound
-//     adversaries (internal/lowerbound). This is the form the paper's
-//     proofs quantify over. Its Params.Ablation field weakens one design
-//     choice at a time (the line 16 margin, the line 15 tie-break, the
-//     conflict reset of lines 4-5, the n-k object count) for the ablation
-//     experiments of cmd/ablate; the zero value is the paper's algorithm.
+//   - the model: Protocol is a deterministic state machine over
+//     internal/model objects, driven by schedulers, the model checker, and
+//     the lower-bound adversaries (internal/lowerbound). This is the form
+//     the paper's proofs quantify over. Its Params.Ablation field weakens
+//     one design choice at a time (the line 16 margin, the line 15
+//     tie-break, the conflict reset of lines 4-5, the n-k object count)
+//     for the ablation experiments of cmd/ablate; the zero value is the
+//     paper's algorithm.
 //
-//   - SetAgreement: a runtime implementation for real goroutines backed by
-//     sync/atomic (atomic.Pointer.Swap is a genuine hardware swap), with
-//     optional randomized backoff as contention management, since
-//     obstruction-freedom alone does not guarantee progress under
-//     contention.
+//   - the runtime: SetAgreement runs real goroutines over sync/atomic
+//     objects (each Swap is a genuine hardware exchange) and steps the
+//     same transition after every swap, with optional randomized backoff
+//     as contention management, since obstruction-freedom alone does not
+//     guarantee progress under contention.
 //
 // The algorithm is a race among input values. Each process keeps a local
 // lap counter U[0..m-1]; it repeatedly swaps ⟨U, pid⟩ through all n-k

@@ -84,7 +84,8 @@ func (a *Protocol) InputDomain() int { return a.params.M }
 func (a *Protocol) Objects() []model.ObjectSpec { return a.specs }
 
 // state is the local state of one Algorithm 1 process. It is immutable:
-// transitions allocate a fresh state (and a fresh U when U changes).
+// transitions return a fresh state, and a fresh U when U changes, never
+// writing an existing U in place (SetAgreement relies on that).
 type state struct {
 	// u is the local lap counter U[0..m-1].
 	u model.Vec
@@ -155,7 +156,12 @@ func (a *Protocol) Poised(pid int, st model.State) (model.Op, bool) {
 // 13-20 when the swap completed the pass (idx reached n-k-1), with the
 // instance's ablations applied.
 func (a *Protocol) Observe(pid int, st model.State, resp model.Value) model.State {
-	s := st.(state)
+	return a.observe(pid, st.(state), resp)
+}
+
+// observe is Observe on the concrete state: the one copy of lines 5-20,
+// which both the model and SetAgreement step.
+func (a *Protocol) observe(pid int, s state, resp model.Value) state {
 	if s.decided >= 0 {
 		panic(fmt.Sprintf("core: Observe on decided process %d", pid))
 	}
@@ -166,10 +172,9 @@ func (a *Protocol) Observe(pid int, st model.State, resp model.Value) model.Stat
 
 	next := s // struct copy; u still shared until modified
 	// Lines 8-12: detect a conflicting response and merge lap counters.
-	mine := respID != nil && model.ValuesEqual(respID, model.Int(pid)) && respU.Equal(s.u)
-	if !mine {
+	if id, ok := respID.(model.Int); !ok || int(id) != pid || !respU.Equal(s.u) {
 		next.conflict = true
-		if !respU.Equal(s.u) {
+		if !s.u.Dominates(respU) {
 			next.u = s.u.Clone().MaxInto(respU)
 			next.uVal = next.u
 		}

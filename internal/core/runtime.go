@@ -5,29 +5,9 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/model"
 )
-
-// cell is the immutable value stored in each runtime swap object: the
-// ⟨lap counter, identifier⟩ pair. A cell is never mutated after it is
-// published via Swap; fresh cells are allocated for every swap.
-type cell struct {
-	// u is the lap counter field, one entry per input value.
-	u []int
-	// pid is the identifier field; -1 encodes ⊥ (the initial value).
-	pid int
-}
-
-func (c *cell) isOwn(pid int, u []int) bool {
-	if c.pid != pid || len(c.u) != len(u) {
-		return false
-	}
-	for j := range u {
-		if c.u[j] != u[j] {
-			return false
-		}
-	}
-	return true
-}
 
 // Options tunes the runtime SetAgreement. The zero value is valid: no
 // backoff, nanosecond-seeded RNG per process.
@@ -69,43 +49,46 @@ type Stats struct {
 	ConflictPasses atomic.Int64
 }
 
-// SetAgreement is the runtime form of Algorithm 1 for real goroutines. The
-// shared objects are atomic.Pointer cells; atomic.Pointer.Swap compiles to
-// the hardware atomic-exchange instruction, so this is a faithful
-// realization of the paper's swap objects.
+// SetAgreement is the runtime form of Algorithm 1 for real goroutines: it
+// drives Protocol's transition function over shared objects that are
+// atomic.Values holding the model's ⟨U, id⟩ cells. A Swap exchanges the
+// value's data word with the hardware atomic-exchange instruction (its type
+// word is fixed once the object is initialized), so this is a faithful
+// realization of the paper's swap objects, and the steps between swaps are
+// exactly the ones the model checker verifies.
 //
 // A SetAgreement instance is single-shot: each of the n processes calls
 // Propose at most once.
 type SetAgreement struct {
-	params Params
-	opts   Options
-	objs   []atomic.Pointer[cell]
-	stats  Stats
+	proto *Protocol
+	opts  Options
+	objs  []atomic.Value
+	stats Stats
 }
 
 // NewSetAgreement constructs a runtime Algorithm 1 instance with n-k swap
 // objects, each initialized to ⟨[0,...,0], ⊥⟩.
 func NewSetAgreement(p Params, opts Options) (*SetAgreement, error) {
-	if err := p.Validate(); err != nil {
+	proto, err := New(p)
+	if err != nil {
 		return nil, err
 	}
 	if p.Ablation != (Ablation{}) {
 		return nil, fmt.Errorf("core: the runtime runs the paper's algorithm; ablations are model-only")
 	}
 	s := &SetAgreement{
-		params: p,
-		opts:   opts.withDefaults(),
-		objs:   make([]atomic.Pointer[cell], p.NumObjects()),
+		proto: proto,
+		opts:  opts.withDefaults(),
+		objs:  make([]atomic.Value, len(proto.specs)),
 	}
-	initial := &cell{u: make([]int, p.M), pid: -1}
-	for i := range s.objs {
-		s.objs[i].Store(initial)
+	for i, spec := range proto.specs {
+		s.objs[i].Store(spec.Init)
 	}
 	return s, nil
 }
 
 // Params returns the instance parameters.
-func (s *SetAgreement) Params() Params { return s.params }
+func (s *SetAgreement) Params() Params { return s.proto.params }
 
 // Stats returns the instance's operation counters.
 func (s *SetAgreement) Stats() *Stats { return &s.stats }
@@ -115,7 +98,7 @@ func (s *SetAgreement) Stats() *Stats { return &s.stats }
 // and Backoff disabled it may spin indefinitely (obstruction-freedom is
 // conditional progress).
 func (s *SetAgreement) Propose(pid, v int) (int, error) {
-	p := s.params
+	p := s.proto.params
 	if pid < 0 || pid >= p.N {
 		return 0, fmt.Errorf("core: pid %d outside [0,%d)", pid, p.N)
 	}
@@ -129,29 +112,24 @@ func (s *SetAgreement) Propose(pid, v int) (int, error) {
 	}
 	backoff := s.opts.BaseBackoff
 
-	// Lines 2-3: initialize the local lap counter.
-	u := make([]int, p.M)
-	u[v] = 1
-
-	for {
-		// Lines 5-12: one pass swapping ⟨U, pid⟩ through every object.
-		conflict := false
-		for i := range s.objs {
-			mine := &cell{u: append([]int(nil), u...), pid: pid}
-			prev := s.objs[i].Swap(mine)
-			s.stats.Swaps.Add(1)
-			if !prev.isOwn(pid, u) {
-				conflict = true
-				if !intsEqual(prev.u, u) {
-					for j := range u {
-						if prev.u[j] > u[j] {
-							u[j] = prev.u[j]
-						}
-					}
-				}
-			}
+	st := s.proto.Init(pid, v).(state)
+	// mine is ⟨U, pid⟩ boxed for the Swap. U is immutable and replaced
+	// whenever it changes, so its first element's address names it and
+	// mine is boxed again only then, not at every swap.
+	var mine model.Value
+	var boxed *int
+	for st.decided < 0 {
+		if &st.u[0] != boxed {
+			mine, boxed = model.Pair{First: st.uVal, Second: model.Int(pid)}, &st.u[0]
 		}
-		if conflict {
+		prev := s.objs[st.idx].Swap(mine).(model.Value)
+		s.stats.Swaps.Add(1)
+		next := s.proto.observe(pid, st, prev)
+		if next.laps > st.laps {
+			s.stats.Laps.Add(1)
+			backoff = s.opts.BaseBackoff
+		} else if next.idx == 0 {
+			// The pass ended in conflict (lines 4-5).
 			s.stats.ConflictPasses.Add(1)
 			if rng != nil {
 				d := time.Duration(rng.Int63n(int64(backoff) + 1))
@@ -163,40 +141,8 @@ func (s *SetAgreement) Propose(pid, v int) (int, error) {
 					}
 				}
 			}
-			continue
 		}
-
-		// Lines 13-20: lap completed.
-		s.stats.Laps.Add(1)
-		backoff = s.opts.BaseBackoff
-		c, lead := u[0], 0
-		for j, x := range u {
-			if x > c {
-				c, lead = x, j
-			}
-		}
-		ahead := true
-		for j, x := range u {
-			if j != lead && u[lead] < x+2 {
-				ahead = false
-				break
-			}
-		}
-		if ahead {
-			return lead, nil // lines 17-18
-		}
-		u[lead] = c + 1 // line 20
+		st = next
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return st.decided, nil
 }

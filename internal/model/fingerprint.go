@@ -2,16 +2,10 @@ package model
 
 import "sync"
 
-// This file implements a compact binary encoding of configurations and a
-// 64-bit FNV-1a fingerprint over that encoding. The string Key() encoding
-// remains the canonical, human-readable identity; the fingerprint is the
-// fast path used by the frontier engine in internal/check, where keying
-// the visited set by 8-byte hashes instead of full key strings cuts both
-// memory and hashing cost.
-//
-// Two configurations with different Keys may in principle collide on the
-// 64-bit fingerprint; the explorer documents this (bitstate-hashing-style)
-// trade-off and offers an exact string-key mode for differential testing.
+// This file implements a compact binary encoding of configurations and
+// values, and the 64-bit FNV-1a hash (fnv1a) that hashEncoding runs over a
+// slot's encoding for the slot fingerprints of stepper.go. The string
+// Key() encoding remains the canonical, human-readable identity.
 
 // Encoding tags. Every encoded value starts with one tag byte so that the
 // encoding is prefix-free across types ("3" the Int never aliases "3" the
@@ -128,22 +122,4 @@ func fnv1a(h uint64, b []byte) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// Fingerprint returns the 64-bit FNV-1a hash of c's compact encoding.
-// Equal configurations always have equal fingerprints; distinct
-// configurations collide with probability ~2^-64 per pair.
-func (c *Config) Fingerprint() uint64 {
-	fp, _ := c.FingerprintInto(nil)
-	return fp
-}
-
-// FingerprintInto is Fingerprint with an explicit scratch buffer: it
-// encodes c into buf[:0], hashes it, and returns the hash together with
-// the (possibly grown) buffer for reuse by the next call. The explorer
-// workers keep one scratch buffer each, making fingerprinting
-// allocation-free in steady state.
-func (c *Config) FingerprintInto(buf []byte) (uint64, []byte) {
-	buf = c.AppendEncoding(buf[:0])
-	return fnv1a(fnvOffset64, buf), buf
 }
