@@ -676,8 +676,10 @@ func BenchmarkExploreColdCell(b *testing.B) {
 // BenchmarkTheorem10Certificate is the exact-key engine where the paper
 // needs it: the Theorem 10 certificate for Algorithm 1 at n=12, k=3 — the
 // sweep's theorem10 scenario, as certify-grid runs it — whose R-only
-// decision hunts run on exact string keys with provenance. configs/s
-// counts every configuration those searches visit.
+// decision hunts run on exact keys (ref tuples into the run's slot
+// dictionary) with provenance, their classifiers reading decisions from
+// the dictionary. configs/s counts every configuration those searches
+// visit.
 func BenchmarkTheorem10Certificate(b *testing.B) {
 	const n, k = 12, 3
 	mode, _ := sweep.LBModeByKey("theorem10")

@@ -33,7 +33,7 @@ func admissionHash(t *testing.T, p model.Protocol, inputs []int, limits check.Ex
 	}
 	h, hp := fnv.New64a(), fnv.New64a()
 	var rec [20]byte
-	stats, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node, _ *model.Config) error {
+	stats, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node, _ *check.View) error {
 		binary.LittleEndian.PutUint32(rec[0:], uint32(n.Depth))
 		binary.LittleEndian.PutUint64(rec[4:], n.Fingerprint())
 		binary.LittleEndian.PutUint64(rec[12:], uint64(int64(n.Pid)))
@@ -135,7 +135,8 @@ func TestSpillReloadEqualsOriginalParallel(t *testing.T) {
 			seen := map[string]string{}
 			_, err := check.RunFrontier(p, c, []int{0, 1, 2, 3}, check.ExploreLimits{MaxConfigs: 1000000, MaxDepth: 9},
 				check.EngineOptions{Workers: workers, StringKeys: exact, Store: store, MemBudget: spillBudget(store, 1)},
-				func(_ int, n *check.Node, cfg *model.Config) error {
+				func(_ int, n *check.Node, v *check.View) error {
+					cfg := v.Config()
 					mu.Lock()
 					defer mu.Unlock()
 					key := cfg.Key()

@@ -53,7 +53,7 @@ func runAsyncCount(t *testing.T, p model.Protocol, inputs, pids []int, workers i
 	c := model.MustNewConfig(p, inputs)
 	stats, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: 100000},
 		EngineOptions{Order: OrderAsync, Workers: workers},
-		func(_ int, _ *Node, _ *model.Config) error { return nil }, nil)
+		func(_ int, _ *Node, _ *View) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

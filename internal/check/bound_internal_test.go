@@ -43,7 +43,7 @@ func levelNodes(t *testing.T, limits ExploreLimits, workers int) (built map[int]
 	stats, err := RunFrontier(p, c, pids, limits, EngineOptions{Workers: workers, Progress: func(pr Progress) {
 		now := taken.Load()
 		built[pr.Depth], last = now-last, now
-	}}, func(_ int, n *Node, _ *model.Config) error {
+	}}, func(_ int, n *Node, _ *View) error {
 		mu.Lock()
 		defer mu.Unlock()
 		fps[n.Depth] = append(fps[n.Depth], n.fp)

@@ -320,7 +320,7 @@ func TestFrontierConcurrentFailuresOfDifferentTypes(t *testing.T) {
 		var once sync.Once
 		_, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: 5_000_000},
 			EngineOptions{Ctx: ctx, Workers: 2, Order: order},
-			func(_ int, n *Node, _ *model.Config) error {
+			func(_ int, n *Node, _ *View) error {
 				if n.Depth < 3 {
 					return nil
 				}

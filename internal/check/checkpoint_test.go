@@ -364,7 +364,7 @@ func TestCheckpointSpillResumeKeepsDepth(t *testing.T) {
 	pids := []int{0, 1, 2}
 	limits := check.ExploreLimits{MaxConfigs: 5000}
 	var wrong atomic.Int64
-	visit := func(_ int, n *check.Node, _ *model.Config) error {
+	visit := func(_ int, n *check.Node, _ *check.View) error {
 		if n.Depth != len(n.Path()) {
 			wrong.Add(1)
 		}
@@ -655,7 +655,7 @@ func TestPathRunsCapProcesses(t *testing.T) {
 	c := model.MustNewConfig(p, make([]int, 256))
 	for _, opts := range []check.EngineOptions{{Checkpoint: t.TempDir()}, {Provenance: true}} {
 		_, err := check.RunFrontier(p, c, []int{0, 1}, check.ExploreLimits{MaxConfigs: 10}, opts,
-			func(int, *check.Node, *model.Config) error { return nil }, nil)
+			func(int, *check.Node, *check.View) error { return nil }, nil)
 		if err == nil || !strings.Contains(err.Error(), "at most 255 processes") {
 			t.Errorf("checkpoint %t, provenance %t: err = %v, want the 255-process cap",
 				opts.Checkpoint != "", opts.Provenance, err)
@@ -686,7 +686,7 @@ func TestCheckpointFrontierChecksum(t *testing.T) {
 		t.Helper()
 		c := model.MustNewConfig(p, inputs)
 		_, err := check.RunFrontier(p, c, pids, check.ExploreLimits{}, check.EngineOptions{Workers: 2, Checkpoint: dir, CheckpointEvery: 3},
-			func(_ int, n *check.Node, _ *model.Config) error {
+			func(_ int, n *check.Node, _ *check.View) error {
 				if n.Depth == 3 {
 					return errors.New("killed")
 				}
@@ -754,7 +754,7 @@ func TestCheckpointFrontierChecksum(t *testing.T) {
 
 			c := model.MustNewConfig(p, inputs)
 			_, err := check.RunFrontier(p, c, pids, check.ExploreLimits{}, check.EngineOptions{Workers: 2, Checkpoint: dir, CheckpointEvery: 3},
-				func(int, *check.Node, *model.Config) error { return nil }, nil)
+				func(int, *check.Node, *check.View) error { return nil }, nil)
 			if err == nil || !strings.Contains(err.Error(), dir) {
 				t.Fatalf("resume over a frontier that is not the one written: err = %v, want an error naming %s", err, dir)
 			}

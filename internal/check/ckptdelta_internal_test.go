@@ -73,7 +73,8 @@ func TestCheckpointDeltasHoldEachEntryOnce(t *testing.T) {
 					}
 					var mu sync.Mutex
 					depthOf := map[entry]int{}
-					stats, err := RunFrontier(p, c, pids, limits, opts, func(_ int, n *Node, cfg *model.Config) error {
+					stats, err := RunFrontier(p, c, pids, limits, opts, func(_ int, n *Node, v *View) error {
+						cfg := v.Config()
 						e := entry{fp: n.fp}
 						if exact { // a delta's exact key is the configuration's encoding
 							e.key = string(cfg.AppendEncoding(nil))

@@ -42,7 +42,7 @@ func TestDuplicateTakesNoNode(t *testing.T) {
 			taken := countNodesTaken(t, func() {
 				stats, err = RunFrontier(p, c, []int{0, 1, 2, 3}, ExploreLimits{MaxConfigs: 1000000},
 					EngineOptions{Order: order, Reduction: ReduceSym, Workers: workers},
-					func(int, *Node, *model.Config) error { return nil }, nil)
+					func(int, *Node, *View) error { return nil }, nil)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +83,7 @@ func TestChunkOfDuplicatesBuildsNothing(t *testing.T) {
 		var err error
 		taken := countNodesTaken(t, func() {
 			stats, err = RunFrontier(spinProto{}, c, []int{0}, ExploreLimits{MaxConfigs: 100}, EngineOptions{Order: order, Workers: 2},
-				func(int, *Node, *model.Config) error { return nil }, nil)
+				func(int, *Node, *View) error { return nil }, nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +125,7 @@ func TestChunkSizedLevels(t *testing.T) {
 				opts.Progress = func(pr Progress) { levels = append(levels, pr.FrontierSize) }
 			}
 			stats, err := RunFrontier(p, c, []int{0, 1}, ExploreLimits{MaxConfigs: 1000000}, opts,
-				func(int, *Node, *model.Config) error { return nil }, nil)
+				func(int, *Node, *View) error { return nil }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestChunkCutShort(t *testing.T) {
 		visits := 0
 		taken := countNodesTaken(t, func() {
 			_, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: 100000}, EngineOptions{Order: order, Workers: 1},
-				func(_ int, n *Node, _ *model.Config) error {
+				func(_ int, n *Node, _ *View) error {
 					visits++
 					if visits == 20 {
 						return boom
@@ -183,7 +183,7 @@ func TestChunkCutShort(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		seen := map[uint64]bool{}
 		_, err := RunFrontier(p, c, pids, ExploreLimits{MaxConfigs: 100000}, EngineOptions{Order: order, Workers: 1, Ctx: ctx},
-			func(_ int, n *Node, _ *model.Config) error {
+			func(_ int, n *Node, _ *View) error {
 				if seen[n.Fingerprint()] {
 					t.Errorf("%s: state %x visited twice", order, n.Fingerprint())
 				}

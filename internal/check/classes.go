@@ -61,10 +61,12 @@ type classTable struct {
 
 func newClassTable() *classTable { return &classTable{best: map[int]*Witness{}} }
 
-// offer enters the configuration cfg, reached at depth by path with
+// offer enters the configuration v, reached at depth by path with
 // fingerprint fp, in each of classes where it precedes the class's
-// witness. cfg and path are copied.
-func (t *classTable) offer(depth int, fp uint64, cfg *model.Config, path []byte, classes []int) {
+// witness. v's configuration is materialised only for an offer that wins
+// a class or ties its witness (the tie-break compares keys), and it and
+// path are copied.
+func (t *classTable) offer(depth int, fp uint64, v *View, path []byte, classes []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var won *Witness // the witness, built once for all the classes it wins
@@ -76,7 +78,7 @@ func (t *classTable) offer(depth int, fp uint64, cfg *model.Config, path []byte,
 				continue
 			case 0:
 				if key == "" {
-					key = cfg.Key()
+					key = v.Config().Key()
 				}
 				if key >= w.Cfg.Key() {
 					continue
@@ -84,7 +86,7 @@ func (t *classTable) offer(depth int, fp uint64, cfg *model.Config, path []byte,
 			}
 		}
 		if won == nil {
-			won = &Witness{Depth: depth, FP: fp, Cfg: cfg.Clone(), Path: append([]byte(nil), path...)}
+			won = &Witness{Depth: depth, FP: fp, Cfg: v.Config().Clone(), Path: append([]byte(nil), path...)}
 		}
 		t.best[c] = won
 	}
@@ -93,14 +95,17 @@ func (t *classTable) offer(depth int, fp uint64, cfg *model.Config, path []byte,
 // SearchClasses is the class search: a breadth-first walk of the
 // pids-only space of p from start on RunFrontier. classify, run
 // concurrently on the engine's workers, appends the int classes (zero or
-// more) of each visited configuration to its second argument. For each
-// class met the search returns its Witness; at every level barrier it
-// stops once stopAt classes are met (0: never). Callers that need
-// witness paths set opts.Engine.Provenance themselves; in a run that
-// keeps paths every witness's path is replayed at the end, and the
-// search fails if it does not reach the witness's configuration.
+// more) of each visited configuration, read through its View, to its
+// second argument; a classifier that reads only View.Decided has no
+// configuration built for it, and the search builds one only for an
+// offer that wins or ties a class. For each class met the search returns
+// its Witness; at every level barrier it stops once stopAt classes are
+// met (0: never). Callers that need witness paths set
+// opts.Engine.Provenance themselves; in a run that keeps paths every
+// witness's path is replayed at the end, and the search fails if it does
+// not reach the witness's configuration.
 func SearchClasses(p model.Protocol, start *model.Config, pids []int, opts ExploreOptions, stopAt int,
-	classify func(cfg *model.Config, classes []int) ([]int, error),
+	classify func(v *View, classes []int) ([]int, error),
 ) (map[int]*Witness, RunStats, error) {
 	return searchClasses(p, start, pids, opts, stopAt, classify, newClassTable())
 }
@@ -108,15 +113,15 @@ func SearchClasses(p model.Protocol, start *model.Config, pids []int, opts Explo
 // searchClasses is SearchClasses on a given table, which a checkpointing
 // caller records and restores through its aux hooks.
 func searchClasses(p model.Protocol, start *model.Config, pids []int, opts ExploreOptions, stopAt int,
-	classify func(cfg *model.Config, classes []int) ([]int, error), t *classTable,
+	classify func(v *View, classes []int) ([]int, error), t *classTable,
 ) (map[int]*Witness, RunStats, error) {
 	// One class buffer per worker: handed to an unknown function, a
 	// buffer on the visit's stack would escape to the heap at every visit.
 	bufs := make([][8]int, opts.Engine.withDefaults().Workers)
-	visit := func(w int, n *Node, cfg *model.Config) error {
-		classes, err := classify(cfg, bufs[w][:0])
+	visit := func(w int, n *Node, v *View) error {
+		classes, err := classify(v, bufs[w][:0])
 		if err == nil && len(classes) > 0 {
-			t.offer(n.Depth, n.fp, cfg, n.path, classes)
+			t.offer(n.Depth, n.fp, v, n.path, classes)
 		}
 		return err
 	}

@@ -26,7 +26,8 @@ type captured struct {
 }
 
 // visit is a RunFrontier visitor that copies each node into c.
-func (c *captured) visit(_ int, n *Node, cfg *model.Config) error {
+func (c *captured) visit(_ int, n *Node, v *View) error {
+	cfg := v.Config()
 	m := *n
 	m.refs = make([]uint32, len(n.refs))
 	c.dict.Intern(cfg, m.refs)
@@ -544,7 +545,8 @@ func TestSpillReloadEqualsOriginal(t *testing.T) {
 				opts.MemBudget = 1
 			}
 			_, err := RunFrontier(p, start, []int{0, 1, 2}, ExploreLimits{MaxDepth: 6}, opts,
-				func(_ int, n *Node, cfg *model.Config) error {
+				func(_ int, n *Node, v *View) error {
+					cfg := v.Config()
 					mu.Lock()
 					defer mu.Unlock()
 					seen[cfg.Key()] = fmt.Sprintf("fp %#x slotFP %#x (%#x) depth %d pid %d path %v",

@@ -24,8 +24,9 @@ import (
 //     (model.Dict: its encoding, content hash and canonical object under a
 //     dense ref), and a node holds its configuration as a vector of refs,
 //     one per slot, cut from a pointer-free slab the collector does not
-//     scan. A model.Config is materialised from the refs only for the
-//     visitor, into its worker's scratch.
+//     scan. The visitor gets a View of the refs: decisions are read from
+//     the dictionary, and a model.Config is materialised into the
+//     worker's scratch only when the visitor asks for one.
 //
 //   - The expander (expand.go) turns a chunk of frontier nodes into
 //     admitted successors in three phases. It keys every successor from its
@@ -230,10 +231,9 @@ type Progress struct {
 // Node is one admitted configuration in an engine run, with, in runs that
 // keep paths, the pid path that replays a schedule reaching it. The
 // configuration is its refs into the run's slot dictionary, one per slot
-// (objects, then states), which the engine materialises into a
-// model.Config for the visit; a slot's content hash is the dictionary's
-// too. The engine recycles a node once it has been visited and expanded,
-// so a visitor must not keep it.
+// (objects, then states), which the visitor reads through a View; a slot's
+// content hash is the dictionary's too. The engine recycles a node once it
+// has been visited and expanded, so a visitor must not keep it.
 type Node struct {
 	// Depth is the BFS depth (root = 0).
 	Depth int
@@ -249,6 +249,50 @@ type Node struct {
 	// reexpand marks an async-order depth-relaxation item (MaxDepth runs
 	// only): a state already visited, re-expanded at an improved depth.
 	reexpand bool
+}
+
+// View is a visited configuration as a visitor reads it: the node's slot
+// refs and the run's dictionary. Decided reads a process's decision from
+// the dictionary, which computed it when the state was interned, so a
+// visitor that reads only decisions never builds a model.Config; Config
+// materialises one into the worker's scratch on its first call. A view,
+// like its node, is valid only during the visit, and what Config returns
+// must not be mutated.
+type View struct {
+	dict  *model.Dict
+	refs  []uint32
+	nObj  int
+	cfg   *model.Config
+	ready bool // cfg holds the configuration of refs
+}
+
+// materialiseHook, when non-nil, is called whenever a View materialises
+// its configuration — a test seam for counting them
+// (TestClassSearchMaterialisesOnOffers).
+var materialiseHook func()
+
+// Decided reports whether process pid has decided, and its value.
+func (v *View) Decided(pid int) (int, bool) { return v.dict.Decision(v.refs[v.nObj+pid]) }
+
+// Config returns the configuration, materialised on the first call.
+func (v *View) Config() *model.Config {
+	if !v.ready {
+		if hook := materialiseHook; hook != nil {
+			hook()
+		}
+		v.dict.Materialise(v.refs, v.cfg)
+		v.ready = true
+	}
+	return v.cfg
+}
+
+// configView wraps cfg, a configuration of p outside any run, in a view
+// over a dictionary of its own.
+func configView(p model.Protocol, cfg *model.Config) *View {
+	v := &View{dict: model.NewDict(p), refs: make([]uint32, len(cfg.Objects)+len(cfg.States)),
+		nObj: len(cfg.Objects), cfg: cfg, ready: true}
+	v.dict.Intern(cfg, v.refs)
+	return v
 }
 
 // Fingerprint returns the dedup key of the node's configuration under the
@@ -320,80 +364,21 @@ const chunkSize = 256
 type claimState struct {
 	mu sync.Mutex
 	// pending holds the claim each of this level's admissions is credited
-	// to (provenance runs only). parentKeys holds the exact keys of the
-	// parents the claims are credited to, copied out of the nodes, which
-	// are recycled before the level ends.
+	// to (provenance runs only; entrymap.go). parentKeys holds the exact
+	// keys of the parents the claims are credited to, copied out of the
+	// nodes, which are recycled before the level ends; a claim holds its
+	// parent's key by index.
 	pending    entryMap[claimant]
 	parentKeys tupleArena
 	// overrides holds the root-to-node path of every admission of this
 	// level a later, smaller claim took over; at the barrier it becomes
 	// settled, whose paths levelSource.take writes into the nodes before
-	// they are visited or expanded.
-	overrides, settled entryMap[[]byte]
+	// they are visited or expanded. The barrier clears pending, parentKeys
+	// and the new overrides in place, for the next level to refill.
+	overrides, settled pathMap
 	// depth is the best-known depth per state (async MaxDepth runs only); a
 	// strictly smaller duplicate re-enqueues the state as a deepen item.
 	depth map[uint64]int
-}
-
-// entryMap maps visited entries to values the way the visited table
-// keys them: by fingerprint, with the key checked byte for byte, and an
-// exact map only for an entry whose fingerprint a different key already
-// holds, so that under exact keys a shared fingerprint never merges two
-// configurations. A lookup hashes 8 bytes, not a whole exact key. An
-// entry keeps the key it was first set with, which must be the visited
-// table's copy (keyTable.claim's stored key), never a view of scratch.
-type entryMap[V any] struct {
-	byFP  map[uint64]keyed[V]
-	exact map[string]keyed[V]
-}
-
-type keyed[V any] struct {
-	key string
-	v   V
-}
-
-func newEntryMap[V any]() entryMap[V] {
-	return entryMap[V]{byFP: map[uint64]keyed[V]{}, exact: map[string]keyed[V]{}}
-}
-
-// get returns the value of (fp, key) and the key the map holds for it.
-func (m *entryMap[V]) get(fp uint64, key string) (v V, stored string, ok bool) {
-	e, ok := m.byFP[fp]
-	if ok && e.key != key {
-		e, ok = m.exact[key]
-	}
-	return e.v, e.key, ok
-}
-
-// set sets the value of (fp, key). An entry the map holds keeps its
-// stored key, so only a new entry's key must be the table's copy.
-func (m *entryMap[V]) set(fp uint64, key string, v V) {
-	e, ok := m.byFP[fp]
-	switch {
-	case !ok:
-		m.byFP[fp] = keyed[V]{key, v}
-	case e.key == key:
-		m.byFP[fp] = keyed[V]{e.key, v}
-	default:
-		if e, ok := m.exact[key]; ok {
-			key = e.key
-		}
-		m.exact[key] = keyed[V]{key, v}
-	}
-}
-
-func (m *entryMap[V]) len() int { return len(m.byFP) + len(m.exact) }
-
-func (m *entryMap[V]) clear() {
-	clear(m.byFP)
-	clear(m.exact)
-}
-
-// claimant is the claim a provenance run credits an admission to: the
-// parent's entry and the pid that stepped it.
-type claimant struct {
-	parent entry
-	pid    int32
 }
 
 // engineRun carries the per-run state both exploration orders share: the
@@ -408,7 +393,7 @@ type engineRun struct {
 	dict       *model.Dict // every slot the run meets; nodes hold refs into it
 	opts       EngineOptions
 	limits     ExploreLimits
-	visit      func(worker int, n *Node, cfg *model.Config) error
+	visit      func(worker int, n *Node, v *View) error
 	afterLevel func(depth, processed int) (stop bool)
 	began      time.Time
 
@@ -510,7 +495,7 @@ func (r *engineRun) workerLoop(w int, src workSource, chunkLen int, locked bool)
 			}
 			var err error
 			if !n.reexpand {
-				if err = r.visit(w, n, x.config(n)); err == nil {
+				if err = r.visit(w, n, x.view(n)); err == nil {
 					visited++
 				}
 			}
@@ -638,13 +623,14 @@ func (r *engineRun) rootNode(w int) *Node {
 // RunFrontier explores the pids-only reachable space of p from start with
 // the frontier engine. visit is called exactly once per distinct
 // admitted configuration, concurrently from workers (worker indices are
-// 0..Workers-1, for per-worker accumulators), with the node and its
-// configuration materialised into the worker's scratch: valid only during
-// the call, and not to be mutated. afterLevel, if non-nil, is
+// 0..Workers-1, for per-worker accumulators), with the node and a view of
+// its configuration (View: decisions read from the run's dictionary, the
+// configuration materialised into the worker's scratch only if asked
+// for), both valid only during the call. afterLevel, if non-nil, is
 // called at each level barrier and may stop the run early. start is not
 // mutated. A visit error or an illegal poised operation aborts the run.
 func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits ExploreLimits, opts EngineOptions,
-	visit func(worker int, n *Node, cfg *model.Config) error,
+	visit func(worker int, n *Node, v *View) error,
 	afterLevel func(depth, processed int) (stop bool),
 ) (rstats RunStats, rerr error) {
 	asyncOn, symOn, err := opts.resolve(opts.Dist != nil)
@@ -690,7 +676,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		cl := &run.claims
 		cl.pending = newEntryMap[claimant]()
 		cl.parentKeys = newTupleArena(nObj + nProc)
-		cl.overrides, cl.settled = newEntryMap[[]byte](), newEntryMap[[]byte]()
+		cl.overrides, cl.settled = newPathMap(), newPathMap()
 	}
 	if asyncOn && limits.MaxDepth > 0 {
 		run.claims.depth = map[uint64]int{}

@@ -328,7 +328,8 @@ func TestRunFrontierSchedules(t *testing.T) {
 	start := model.MustNewConfig(p, []int{0, 1, 1})
 	err := error(nil)
 	_, err = check.RunFrontier(p, start, []int{0, 1, 2}, check.ExploreLimits{}, check.EngineOptions{Workers: 2, Provenance: true},
-		func(_ int, n *check.Node, cfg *model.Config) error {
+		func(_ int, n *check.Node, v *check.View) error {
+			cfg := v.Config()
 			replay, err := model.Replay(p, start, n.Path())
 			if err != nil {
 				return fmt.Errorf("replaying path %v: %w", n.Path(), err)

@@ -55,7 +55,8 @@ func TestExactKeysAreRefTuples(t *testing.T) {
 		walk := func(name string, opts EngineOptions) (map[string]bool, RunStats, error) {
 			var mu sync.Mutex
 			seen := map[string]bool{}
-			stats, err := RunFrontier(pc.p, start, pids, limits, opts, func(_ int, n *Node, cfg *model.Config) error {
+			stats, err := RunFrontier(pc.p, start, pids, limits, opts, func(_ int, n *Node, v *View) error {
+				cfg := v.Config()
 				enc := string(cfg.AppendEncoding(nil))
 				mu.Lock()
 				defer mu.Unlock()
@@ -242,7 +243,8 @@ func TestOrderIgnoresRefNumbering(t *testing.T) {
 	var states []model.State
 	seenV, seenS := map[string]bool{}, map[string]bool{}
 	_, err := RunFrontier(p, start, pids, ExploreLimits{MaxDepth: 12}, EngineOptions{Workers: 1, StringKeys: true},
-		func(_ int, _ *Node, cfg *model.Config) error {
+		func(_ int, _ *Node, v *View) error {
+			cfg := v.Config()
 			for _, v := range cfg.Objects {
 				if k := v.Key(); !seenV[k] {
 					seenV[k] = true
@@ -312,7 +314,8 @@ func TestOrderIgnoresRefNumbering(t *testing.T) {
 				}
 			}
 		}
-		out.stats, err = RunFrontier(p, start, pids, limits, opts, func(_ int, n *Node, cfg *model.Config) error {
+		out.stats, err = RunFrontier(p, start, pids, limits, opts, func(_ int, n *Node, v *View) error {
+			cfg := v.Config()
 			mu.Lock()
 			defer mu.Unlock()
 			out.paths[string(cfg.AppendEncoding(nil))] = fmt.Sprint(n.Path())

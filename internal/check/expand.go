@@ -64,8 +64,9 @@ type expander struct {
 	st     *model.Stepper
 	sw     *symWorker // nil unless the symmetry quotient is active
 	enc    []byte     // encoding scratch (exact-key frontier checksums)
-	// cfg is the configuration of the node being visited, materialised
-	// from its refs for the visitor.
+	// cur is the view of the node being visited, over cfg, the scratch
+	// its configuration is materialised into if the visitor asks.
+	cur View
 	cfg model.Config
 	tmp *Node  // a successor on its way to another peer (distributed runs)
 	rec []byte // tmp's node record
@@ -73,16 +74,17 @@ type expander struct {
 	visited atomic.Int64
 
 	// The chunk under expansion: the planned nodes (and, in a provenance
-	// run under exact keys, each one's key once a claim has copied it), their
-	// candidates in generation order, the candidates' ref tuples under
-	// exact keys, and what commit derives from them (the candidates to
-	// build, the nodes built).
-	parents    []*Node
-	parentKeys []string
-	cands      []cand
-	keys       []uint32
-	fresh      []int32
-	out        []*Node
+	// run under exact keys, each one's key's index in the level's parent
+	// arena once a claim has copied it there), their candidates in
+	// generation order, the candidates' ref tuples under exact keys, and
+	// what commit derives from them (the candidates to build, the nodes
+	// built).
+	parents   []*Node
+	parentAts []uint32
+	cands     []cand
+	keys      []uint32
+	fresh     []int32
+	out       []*Node
 
 	// The replay's stack (replaySource): stack[d] is the node d steps
 	// along prefix, the path it was last replayed to. The nodes are the
@@ -138,11 +140,10 @@ func (x *expander) frontierMix(n *Node) uint64 {
 	return frontierMix(n.fp, enc)
 }
 
-// config materialises n's configuration into the expander's scratch, for
-// the visitor: valid until the next call.
-func (x *expander) config(n *Node) *model.Config {
-	x.run.dict.Materialise(n.refs, &x.cfg)
-	return &x.cfg
+// view is the visitor's view of n: valid until the next call.
+func (x *expander) view(n *Node) *View {
+	x.cur = View{dict: x.run.dict, refs: n.refs, nObj: x.run.nObj, cfg: &x.cfg}
+	return &x.cur
 }
 
 // visitOnly reports whether a node at depth is visited but not expanded,
@@ -160,7 +161,7 @@ func (r *engineRun) visitOnly(depth int) bool {
 
 // begin starts a new chunk.
 func (x *expander) begin() {
-	x.parents, x.parentKeys, x.cands, x.keys = x.parents[:0], x.parentKeys[:0], x.cands[:0], x.keys[:0]
+	x.parents, x.parentAts, x.cands, x.keys = x.parents[:0], x.parentAts[:0], x.cands[:0], x.keys[:0]
 }
 
 // plan keys n's successors into the chunk, none if n is visit-only. n must
@@ -174,7 +175,7 @@ func (x *expander) plan(n *Node) error {
 		return nil
 	}
 	parent := int32(len(x.parents))
-	x.parents, x.parentKeys = append(x.parents, n), append(x.parentKeys, "")
+	x.parents, x.parentAts = append(x.parents, n), append(x.parentAts, noParentKey)
 	if x.sw != nil {
 		x.sw.load(n.slotFP, n.refs)
 	}
@@ -285,16 +286,25 @@ func (x *expander) candKey(c *cand) string {
 	return tupleKey(x.keys[c.keyOff : int(c.keyOff)+x.run.nObj+x.run.nProc])
 }
 
-// parentEntry is the entry of the chunk's parent i, its key copied out of
-// the node (which is recycled once its chunk is done) into the level's
-// parent arena the first time a claim needs it. The caller holds the claim
-// lock whenever another goroutine could be claiming.
-func (x *expander) parentEntry(i int32) entry {
+// claimant is the claim of the chunk's parent i by pid. Under exact keys
+// the parent's key is copied out of the node (which is recycled once its
+// chunk is done) into the level's parent arena the first time a claim
+// needs it. The caller holds the claim lock whenever another goroutine
+// could be claiming.
+func (x *expander) claimant(i, pid int32) claimant {
 	a := x.parents[i]
-	if x.run.opts.StringKeys && x.parentKeys[i] == "" {
-		x.parentKeys[i], _ = x.run.claims.parentKeys.add(tupleKey(a.refs))
+	if x.run.opts.StringKeys && x.parentAts[i] == noParentKey {
+		_, x.parentAts[i] = x.run.claims.parentKeys.add(tupleKey(a.refs))
 	}
-	return entry{a.fp, x.parentKeys[i]}
+	return claimant{parentFP: a.fp, parentAt: x.parentAts[i], pid: pid}
+}
+
+// parent is the entry c is credited to.
+func (cl *claimState) parent(c claimant) entry {
+	if c.parentAt == noParentKey {
+		return entry{c.parentFP, ""}
+	}
+	return entry{c.parentFP, cl.parentKeys.key(c.parentAt)}
 }
 
 // claim applies the admission protocol to a candidate, wherever it lives (a
@@ -315,7 +325,7 @@ func (x *expander) claim(c *cand, key string) uint8 {
 	if added {
 		c.verdict = candNew
 		if r.opts.Provenance {
-			cl.pending.set(c.fp, stored, claimant{x.parentEntry(c.parent), c.pid})
+			cl.pending.set(c.fp, stored, x.claimant(c.parent, c.pid))
 		}
 		if cl.depth != nil {
 			cl.depth[c.fp] = x.parents[c.parent].Depth + 1
@@ -347,19 +357,17 @@ func (x *expander) claim(c *cand, key string) uint8 {
 // is taken.
 func (x *expander) reclaim(c *cand, key string) {
 	cl := &x.run.claims
-	prev, stored, ok := cl.pending.get(c.fp, key)
-	if !ok {
+	prev, stored := cl.pending.get(c.fp, key)
+	if prev == nil {
 		return
 	}
 	a := x.parents[c.parent]
 	parent := entry{a.fp, x.run.store.ctx.nodeKey(a)}
-	if d := entryCompare(x.run.dict, parent, prev.parent); d > 0 || d == 0 && c.pid >= prev.pid {
+	if d := entryCompare(x.run.dict, parent, cl.parent(*prev)); d > 0 || d == 0 && c.pid >= prev.pid {
 		return
 	}
-	prev.parent, prev.pid = x.parentEntry(c.parent), c.pid
-	cl.pending.set(c.fp, stored, prev)
-	path, _, _ := cl.overrides.get(c.fp, stored)
-	cl.overrides.set(c.fp, stored, append(append(path[:0], a.path...), byte(c.pid)))
+	*prev = x.claimant(c.parent, c.pid)
+	cl.overrides.setPath(c.fp, stored, a.path, byte(c.pid))
 }
 
 // build writes candidate c's successor into n: its parent's refs with the

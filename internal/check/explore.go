@@ -182,12 +182,12 @@ func newExploreSearch(p model.Protocol, start *model.Config, pids []int, k int) 
 	return &exploreSearch{p: p, start: start, pids: pids, k: k, t: newClassTable()}
 }
 
-// classify puts cfg in the class of each value a member of P decided in
+// classify puts v in the class of each value a member of P decided in
 // it and, when more than k are decided together, in violationClass.
-func (s *exploreSearch) classify(cfg *model.Config, classes []int) ([]int, error) {
+func (s *exploreSearch) classify(v *View, classes []int) ([]int, error) {
 	for _, pid := range s.pids {
-		if v, ok := cfg.Decided(s.p, pid); ok && !slices.Contains(classes, v) {
-			classes = append(classes, v)
+		if val, ok := v.Decided(pid); ok && !slices.Contains(classes, val) {
+			classes = append(classes, val)
 		}
 	}
 	storeMax(&s.maxTogether, len(classes))
@@ -249,10 +249,11 @@ func (s *exploreSearch) restore(rec ClassRecord) error {
 		if err != nil {
 			return fmt.Errorf("check: replaying the witness of class %d: %w", w.Class, err)
 		}
-		if classes, _ := s.classify(cfg, buf[:0]); !slices.Contains(classes, w.Class) { // classify never fails
+		v := configView(s.p, cfg)
+		if classes, _ := s.classify(v, buf[:0]); !slices.Contains(classes, w.Class) { // classify never fails
 			return fmt.Errorf("check: the witness path of class %d reaches a configuration outside it (classes %v)", w.Class, classes)
 		}
-		s.t.offer(w.Depth, w.FP, cfg, w.Path, []int{w.Class})
+		s.t.offer(w.Depth, w.FP, v, w.Path, []int{w.Class})
 	}
 	return nil
 }

@@ -103,7 +103,7 @@ type keyTable struct {
 	fps    []uint64
 	tuples []uint32 // nil under fingerprint keys
 	mask   uint64
-	shift  uint // 64 - log2(len(fps)), for probeStart
+	shift  uint // slotShift(len(fps)), for probeStart
 	n      int  // entries in the slots
 	grows  int  // doublings under load (a reserve is not one)
 	// shared maps each key the slots cannot hold to its fingerprint and
@@ -150,12 +150,19 @@ func (t *keyTable) setSlots(size int) {
 		t.tuples = make([]uint32, size)
 	}
 	t.mask = uint64(size - 1)
-	t.shift = uint(64 - bits.Len(uint(size)) + 1)
+	t.shift = slotShift(size)
 }
 
-func (t *keyTable) probeStart(fp uint64) uint64 {
-	return (fp * 0x9E3779B97F4A7C15) >> t.shift
-}
+func (t *keyTable) probeStart(fp uint64) uint64 { return probeStart(fp, t.shift) }
+
+// slotShift is the shift probeStart takes for a table of size slots, a
+// power of two.
+func slotShift(size int) uint { return uint(64 - bits.Len(uint(size)) + 1) }
+
+// probeStart is where fp's probe starts in a table of 64-shift bits of
+// slots: the high bits of fp remixed multiplicatively (Fibonacci
+// hashing), so that fingerprints sharing bits spread over the table.
+func probeStart(fp uint64, shift uint) uint64 { return (fp * 0x9E3779B97F4A7C15) >> shift }
 
 // len is the number of entries.
 func (t *keyTable) len() int { return t.n + len(t.shared) }
@@ -386,6 +393,11 @@ func newTupleArena(stride int) tupleArena {
 	cb := max(tupleFirstBits, bits.Len(uint(tupleChunkBytes/(4*max(stride, 1))))-1)
 	return tupleArena{stride: stride, capBits: cb, growing: 1<<cb - tupleFirst}
 }
+
+// reset empties the arena and keeps its chunks, to be written again: only
+// for an arena no key view outlives (the provenance parent keys, which
+// claims hold by index and the barrier resets).
+func (a *tupleArena) reset() { a.n = 0 }
 
 // locate is the chunk and tuple offset within it of tuple at.
 func (a *tupleArena) locate(at uint32) (int, int) {

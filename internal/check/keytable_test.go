@@ -229,13 +229,13 @@ func TestKeyTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestKeyedSetExactReservePresizes: seeding a checkpoint's exact entries
+// TestKeyTableExactReservePresizes: seeding a checkpoint's exact entries
 // (SeedVisited) sizes the delta's slots once, before the load, as it does
 // one under fingerprint keys, so the load never grows the table and stays linear
 // whatever order the entries arrive in. Under a budget the table is sized
 // only for what the budget can take before a flush, its slots and tuples
 // charged at what they cost.
-func TestKeyedSetExactReservePresizes(t *testing.T) {
+func TestKeyTableExactReservePresizes(t *testing.T) {
 	const n = 50000
 	var visited entryList
 	for i := range n {
@@ -340,10 +340,10 @@ func fpAdd(s *keyTable, fp uint64) bool {
 
 func fpHas(s *keyTable, fp uint64) bool { return s.has(fp, "") }
 
-// TestFpSet drives the visited table at stride 0 against a reference map,
-// covering the zero-fingerprint sentinel and growth across several
-// doublings.
-func TestFpSet(t *testing.T) {
+// TestKeyTableFingerprints drives the visited table at stride 0 against
+// a reference map, covering the zero-fingerprint sentinel and growth
+// across several doublings.
+func TestKeyTableFingerprints(t *testing.T) {
 	s := newKeyTable(0)
 	ref := map[uint64]bool{}
 	rng := rand.New(rand.NewSource(1))
@@ -386,11 +386,11 @@ func TestFpSet(t *testing.T) {
 	}
 }
 
-// TestFpSetGrowthBoundary pins the rehash trigger exactly: the table
+// TestKeyTableGrowthBoundary pins the rehash trigger exactly: the table
 // doubles when the load passes 70%, not at, and every member survives
 // each rehash — including the out-of-band zero fingerprint, which must
 // never occupy (or be counted against) a slot.
-func TestFpSetGrowthBoundary(t *testing.T) {
+func TestKeyTableGrowthBoundary(t *testing.T) {
 	s := newKeyTable(0)
 	if got := len(s.fps); got != keyTableSlots {
 		t.Fatalf("initial slots = %d, want %d", got, keyTableSlots)
@@ -441,10 +441,10 @@ func members(s *keyTable) []uint64 {
 	return out
 }
 
-// TestFpSetAppendAll: the stores' enumeration (forEach) returns every
+// TestKeyTableAppendAll: the stores' enumeration (forEach) returns every
 // member exactly once (zero included) at every size around a growth
 // boundary.
-func TestFpSetAppendAll(t *testing.T) {
+func TestKeyTableAppendAll(t *testing.T) {
 	s := newKeyTable(0)
 	want := map[uint64]bool{}
 	add := func(fp uint64) {
@@ -486,13 +486,13 @@ func maxDisplacement(s *keyTable) uint64 {
 	return worst
 }
 
-// TestFpSetReservedBulkLoad pins what keeps checkpoint seeding linear: a
+// TestKeyTableReservedBulkLoad pins what keeps checkpoint seeding linear: a
 // table-order dump (forEach) loaded into a table that reserved for it first never grows and probes
 // no further than the table it was dumped from. Loading the same stream
 // into an unreserved set is the anti-pattern reserve documents — every
 // insert then walks one ever-longer cluster, seconds at this size and
 // quadratic beyond — so it is described here, not timed.
-func TestFpSetReservedBulkLoad(t *testing.T) {
+func TestKeyTableReservedBulkLoad(t *testing.T) {
 	const n = 200000
 	src := newKeyTable(0)
 	rng := rand.New(rand.NewSource(7))
@@ -551,10 +551,10 @@ func TestFpSetReservedBulkLoad(t *testing.T) {
 	}
 }
 
-// TestFpSetPartitionedLowBits inserts fingerprints that all share their
+// TestKeyTablePartitionedLowBits inserts fingerprints that all share their
 // low bits — the population a table sees when its caller routes by them —
 // across several growths.
-func TestFpSetPartitionedLowBits(t *testing.T) {
+func TestKeyTablePartitionedLowBits(t *testing.T) {
 	s := newKeyTable(0)
 	const low = 0x2a
 	for i := uint64(1); i <= 50000; i++ {
@@ -574,10 +574,10 @@ func TestFpSetPartitionedLowBits(t *testing.T) {
 	}
 }
 
-// TestFpSetDrainSorted: a drained table returns every member once, in
+// TestKeyTableDrainSorted: a drained table returns every member once, in
 // ascending order, the out-of-band zero fingerprint included, on both
 // sides of the radix sort's cutover.
-func TestFpSetDrainSorted(t *testing.T) {
+func TestKeyTableDrainSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 100, radixMin - 1, radixMin, 50000} {
 		for _, zero := range []bool{false, true} {

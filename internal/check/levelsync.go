@@ -195,7 +195,7 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		// take them as they are handed out.
 		cl := &run.claims
 		cl.pending.clear()
-		cl.parentKeys = newTupleArena(cl.parentKeys.stride)
+		cl.parentKeys.reset()
 		cl.settled, cl.overrides = cl.overrides, cl.settled
 		cl.overrides.clear()
 		stop := run.afterLevel != nil && run.afterLevel(depth, stats.Processed)
@@ -296,7 +296,7 @@ func (l levelSource) take(w int, buf []*Node) int {
 	m := l.Next(w, buf)
 	if settled := &l.run.claims.settled; settled.len() > 0 {
 		for _, n := range buf[:m] {
-			if path, _, ok := settled.get(n.fp, l.run.store.ctx.nodeKey(n)); ok {
+			if path, ok := settled.path(n.fp, l.run.store.ctx.nodeKey(n)); ok {
 				n.path = append(n.path[:0], path...)
 				n.Pid = int(path[len(path)-1])
 			}

@@ -107,8 +107,8 @@ func CheckObstructionFreeOpts(p model.Protocol, inputs []int, opts ExploreOption
 		}
 		return stuck, stuckErr
 	}
-	found, stats, err := SearchClasses(p, start, all, opts, 1, func(cfg *model.Config, classes []int) ([]int, error) {
-		if stuck, _ := firstStuck(cfg, true); stuck >= 0 {
+	found, stats, err := SearchClasses(p, start, all, opts, 1, func(v *View, classes []int) ([]int, error) {
+		if stuck, _ := firstStuck(v.Config(), true); stuck >= 0 {
 			classes = append(classes, 0)
 		}
 		return classes, nil

@@ -143,7 +143,8 @@ func TestSpillProvenanceSchedules(t *testing.T) {
 	start := model.MustNewConfig(p, []int{0, 1, 1})
 	stats, err := check.RunFrontier(p, start, []int{0, 1, 2}, check.ExploreLimits{},
 		check.EngineOptions{Workers: 2, Provenance: true, Store: check.StoreSpill, MemBudget: 1},
-		func(_ int, n *check.Node, cfg *model.Config) error {
+		func(_ int, n *check.Node, v *check.View) error {
+			cfg := v.Config()
 			replay, err := model.Replay(p, start, n.Path())
 			if err != nil {
 				return fmt.Errorf("replaying path %v: %w", n.Path(), err)
@@ -177,7 +178,7 @@ func TestUnknownStoreRejected(t *testing.T) {
 	c := model.MustNewConfig(p, []int{0, 1})
 	_, err := check.RunFrontier(p, c, []int{0, 1}, check.ExploreLimits{},
 		check.EngineOptions{Store: "floppy"},
-		func(int, *check.Node, *model.Config) error { return nil }, nil)
+		func(int, *check.Node, *check.View) error { return nil }, nil)
 	if err == nil {
 		t.Fatal("unknown store accepted")
 	}
@@ -349,7 +350,8 @@ func TestSpillCompactionMatchesResident(t *testing.T) {
 		res := exploreT(t, p, c, pids, 1, check.ExploreOptions{Limits: limits, Engine: eng})
 		var mu sync.Mutex
 		byDepth := map[int][]string{}
-		_, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node, cfg *model.Config) error {
+		_, err := check.RunFrontier(p, c, pids, limits, eng, func(_ int, n *check.Node, v *check.View) error {
+			cfg := v.Config()
 			mu.Lock()
 			byDepth[n.Depth] = append(byDepth[n.Depth], cfg.Key())
 			mu.Unlock()

@@ -43,6 +43,28 @@ func CoveredObjects(p model.Protocol, c *model.Config, s []int) map[int]int {
 	return out
 }
 
+// coveredCount is len(CoveredObjects(p, c, s)), counted in a bitset over
+// the objects instead of built as a map: one word on the stack for up to
+// 64 objects.
+func coveredCount(p model.Protocol, c *model.Config, s []int) int {
+	var word [1]uint64
+	set := word[:]
+	if n := len(c.Objects); n > 64 {
+		set = make([]uint64, (n+63)/64)
+	}
+	count := 0
+	for _, pid := range s {
+		if op, ok := p.Poised(pid, c.States[pid]); ok && !op.Trivial() {
+			w, bit := op.Object/64, uint64(1)<<(op.Object%64)
+			if set[w]&bit == 0 {
+				set[w] |= bit
+				count++
+			}
+		}
+	}
+	return count
+}
+
 // BivalenceCertificate is evidence that a set of processes Q is bivalent
 // in some configuration: two Q-only schedules deciding different values.
 type BivalenceCertificate struct {
@@ -59,7 +81,7 @@ type BivalenceCertificate struct {
 // two are met. Returns nil if none found within limits (which proves
 // nothing — univalence needs exhaustion).
 func ProveBivalent(p model.Protocol, c *model.Config, q []int, limits SearchLimits) (*BivalenceCertificate, error) {
-	found, _, err := check.SearchClasses(p, c, q, limits.engineOptions(), 2, decidedBy(p, q))
+	found, _, err := check.SearchClasses(p, c, q, limits.engineOptions(), 2, decidedBy(q))
 	if err != nil || len(found) < 2 {
 		return nil, err
 	}
@@ -142,8 +164,8 @@ func Lemma13Gamma(p model.Protocol, c *model.Config, q, s []int, limits SearchLi
 		}
 		return ProveBivalent(p, withBeta, q, bivLimits)
 	}
-	found, stats, err := check.SearchClasses(p, c, q, limits.engineOptions(), 1, func(cfg *model.Config, classes []int) ([]int, error) {
-		cert, err := afterBeta(cfg)
+	found, stats, err := check.SearchClasses(p, c, q, limits.engineOptions(), 1, func(v *check.View, classes []int) ([]int, error) {
+		cert, err := afterBeta(v.Config())
 		if cert != nil {
 			classes = append(classes, 0)
 		}
@@ -194,8 +216,8 @@ func CoveringScan(p model.Protocol, inputs []int, limits SearchLimits) (*Coverin
 		return nil, err
 	}
 	all := allPids(p)
-	found, stats, err := check.SearchClasses(p, start, all, limits.engineOptions(), 0, func(cfg *model.Config, classes []int) ([]int, error) {
-		return append(classes, len(CoveredObjects(p, cfg, all))), nil
+	found, stats, err := check.SearchClasses(p, start, all, limits.engineOptions(), 0, func(v *check.View, classes []int) ([]int, error) {
+		return append(classes, coveredCount(p, v.Config(), all)), nil
 	})
 	if err != nil {
 		return nil, err

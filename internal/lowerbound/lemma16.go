@@ -134,7 +134,7 @@ func Lemma16Run(p model.Protocol, limits SearchLimits) (*Lemma16Result, error) {
 	inXY := map[int]bool{}
 
 	bivalent := func(c *model.Config) (bool, error) {
-		found, stats, err := check.SearchClasses(p, c, q, valencyOpts, 2, decidedBy(p, q))
+		found, stats, err := check.SearchClasses(p, c, q, valencyOpts, 2, decidedBy(q))
 		switch {
 		case err != nil:
 			return false, fmt.Errorf("lowerbound: lemma 16: %w", err)

@@ -109,13 +109,14 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 	if restrict == nil {
 		restrict = allPids(p)
 	}
-	found, stats, err := check.SearchClasses(p, start, restrict, limits.engineOptions(), 1, func(cfg *model.Config, classes []int) ([]int, error) {
+	n := p.NumProcesses()
+	found, stats, err := check.SearchClasses(p, start, restrict, limits.engineOptions(), 1, func(cv *check.View, classes []int) ([]int, error) {
 		// The distinct decided values (a k-set protocol decides at most
 		// k+1 of them) are collected on the stack.
 		var buf [8]int
 		dec := buf[:0]
-		for pid := range cfg.States {
-			if v, ok := cfg.Decided(p, pid); ok && !slices.Contains(dec, v) {
+		for pid := range n {
+			if v, ok := cv.Decided(pid); ok && !slices.Contains(dec, v) {
 				dec = append(dec, v)
 			}
 		}
@@ -133,10 +134,10 @@ func searchDecisions(p model.Protocol, inputs []int, restrict []int, limits Sear
 
 // decidedBy is the classifier whose classes are the values the processes
 // of q have decided.
-func decidedBy(p model.Protocol, q []int) func(cfg *model.Config, classes []int) ([]int, error) {
-	return func(cfg *model.Config, classes []int) ([]int, error) {
+func decidedBy(q []int) func(cv *check.View, classes []int) ([]int, error) {
+	return func(cv *check.View, classes []int) ([]int, error) {
 		for _, pid := range q {
-			if v, ok := cfg.Decided(p, pid); ok && !slices.Contains(classes, v) {
+			if v, ok := cv.Decided(pid); ok && !slices.Contains(classes, v) {
 				classes = append(classes, v)
 			}
 		}

@@ -30,11 +30,17 @@ import (
 //     finds its slots again. The first entry of the hash is taken, the
 //     trust a fingerprint-keyed run places in a slot hash.
 //
+//   - A state entry also holds its decision (a value or none), computed
+//     once, when the entry gets its canonical object: a classifier that
+//     reads only decisions reads them by ref (Decision), with no
+//     configuration materialised.
+//
 //   - An encoding can be interned without its object (InternEncodings):
 //     how a resumed exact-key run turns its checkpoint's encoded keys into
 //     refs. Such an entry has its encoding and hash but no canonical
 //     object until the first InternValue or InternState of that encoding
-//     attaches one; only its encoding and hash may be read before then.
+//     attaches one, and its decision with it; only its encoding and hash
+//     may be read before then.
 //
 // Refs are assigned in the order interns happen, which across workers is
 // timing: nothing may be ordered by a ref's value. Hashes are content
@@ -62,22 +68,27 @@ type dictPool[T any] struct {
 	chunks [dictChunks][]dictEntry[T]
 	n      int
 	idx    map[uint64][]uint32 // content hash -> refs, in intern order
+	// decide is the decision of an object, computed when an entry gets
+	// it (states only; nil for values).
+	decide func(T) (int, bool)
 }
 
 type dictEntry[T any] struct {
 	h   uint64
 	enc string
 	obj T
-	// bare marks an entry interned by its encoding alone, whose obj is
-	// still to be attached (InternEncodings).
-	bare bool
+	dec int // obj's decision, if decided (state entries)
+	// decided reports that obj has decided dec; bare marks an entry
+	// interned by its encoding alone, whose obj is still to be attached
+	// (InternEncodings).
+	decided, bare bool
 }
 
 // NewDict returns an empty dictionary for configurations of p.
 func NewDict(p Protocol) *Dict {
 	return &Dict{nObj: len(p.Objects()),
 		vals: dictPool[Value]{idx: map[uint64][]uint32{}},
-		sts:  dictPool[State]{idx: map[uint64][]uint32{}}}
+		sts:  dictPool[State]{idx: map[uint64][]uint32{}, decide: p.Decision}}
 }
 
 // locate is the chunk and index of ref.
@@ -110,7 +121,7 @@ func (p *dictPool[T]) intern(enc []byte, obj T, bare bool) uint32 {
 	h := hashEncoding(enc)
 	if ref, ok := p.find(h, enc); ok {
 		if e := p.at(ref); e.bare && !bare {
-			e.obj, e.bare = obj, false
+			p.attach(e, obj)
 		}
 		return ref
 	}
@@ -119,10 +130,23 @@ func (p *dictPool[T]) intern(enc []byte, obj T, bare bool) uint32 {
 	if p.chunks[k] == nil {
 		p.chunks[k] = make([]dictEntry[T], dictFirst<<k)
 	}
-	p.chunks[k][i] = dictEntry[T]{h: h, enc: string(enc), obj: obj, bare: bare}
+	e := &p.chunks[k][i]
+	*e = dictEntry[T]{h: h, enc: string(enc), bare: true}
+	if !bare {
+		p.attach(e, obj)
+	}
 	p.n++
 	p.idx[h] = append(p.idx[h], ref)
 	return ref
+}
+
+// attach gives the bare entry e its canonical object and, in a pool that
+// decides, the object's decision. The caller holds the lock.
+func (p *dictPool[T]) attach(e *dictEntry[T], obj T) {
+	e.obj, e.bare = obj, false
+	if p.decide != nil {
+		e.dec, e.decided = p.decide(obj)
+	}
 }
 
 // Len reports the number of interned values and states.
@@ -156,6 +180,15 @@ func (d *Dict) InternState(s State) uint32 {
 
 func (d *Dict) value(ref uint32) Value { return d.vals.at(ref).obj }
 func (d *Dict) state(ref uint32) State { return d.sts.at(ref).obj }
+
+// Decision is the protocol's Decision of the state ref stands for,
+// computed when the entry got its object: (value, true) if decided. It
+// reads no lock, like any read by ref, and must not be asked of a bare
+// entry.
+func (d *Dict) Decision(ref uint32) (int, bool) {
+	e := d.sts.at(ref)
+	return e.dec, e.decided
+}
 
 // SlotHash is the content hash of slot i (an object slot below the object
 // count, a state slot above) holding ref.

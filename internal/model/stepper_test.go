@@ -277,8 +277,8 @@ func TestArenaInterning(t *testing.T) {
 	if v3 == v1 || d.SlotHash(0, v3) == d.SlotHash(0, v1) {
 		t.Fatal("distinct values interned to the same entry")
 	}
-	s1 := d.InternState(model.Int(7)) // any Value doubles as a keyed State here
-	s2 := d.InternState(model.Int(7))
+	s1 := d.InternState(cowSt{pid: 1, done: true}) // a state of p: the dictionary asks p for its decision
+	s2 := d.InternState(cowSt{pid: 1, done: true})
 	if s1 != s2 {
 		t.Fatal("equal states did not intern to one ref")
 	}
