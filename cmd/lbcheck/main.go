@@ -123,26 +123,26 @@ func run(args []string, out io.Writer) error {
 		}
 	}()
 
-	// withOverrides threads the engine flags into a search budget, with
-	// -max/-depth overriding the given defaults.
+	// base is the engine flags as search limits, validated once: a bad
+	// -store/-membudget pair, or a flag the witness-producing searches
+	// cannot honor (-order async, -reduce, -checkpoint), is a usage error
+	// before any search runs.
+	base, err := engFlags.SearchLimits(0, 0, os.Stderr)
+	if err != nil {
+		return usageError{err}
+	}
+	// withOverrides is base with a mode's budget: the given defaults, with
+	// -max/-depth overriding them.
 	withOverrides := func(modeConfigs, modeDepth int) lowerbound.SearchLimits {
+		l := base
+		l.MaxConfigs, l.MaxDepth = modeConfigs, modeDepth
 		if *maxConfigs > 0 {
-			modeConfigs = *maxConfigs
+			l.MaxConfigs = *maxConfigs
 		}
 		if *maxDepth > 0 {
-			modeDepth = *maxDepth
-		}
-		l, err := engFlags.SearchLimits(modeConfigs, modeDepth, os.Stderr)
-		if err != nil {
-			panic("lbcheck: " + err.Error()) // flag errors are caught below before any mode runs
+			l.MaxDepth = *maxDepth
 		}
 		return l
-	}
-	// Surface a bad -store/-membudget pair, or a flag the witness-producing
-	// searches cannot honor (-order async, -reduce, -checkpoint), as a
-	// usage error before any search runs.
-	if _, err := engFlags.SearchLimits(0, 0, nil); err != nil {
-		return usageError{err}
 	}
 	// limits resolves a mode's default budget from the shared sweep
 	// registry and applies the overrides.

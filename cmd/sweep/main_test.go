@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -23,23 +24,57 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output")
 
-// TestGolden pins the small grid's records, timing aside. At -par 1 and
-// GOMAXPROCS=1 every cell runs its engine on one worker, the only setting
-// at which a reduced cell's states_pruned is fixed; the records are sorted
-// because they stream in completion order.
+// TestGolden pins the small grid's records, timing aside, in two cells.
+// At -par 1 and GOMAXPROCS=1 every cell runs its engine on one worker,
+// the only setting at which a reduced cell's states_pruned is fixed
+// (check.ReductionStats); at -par 2 and GOMAXPROCS=4 two cells run at
+// once, each on 4 workers, and states_pruned on sym records is the one
+// field scrubbed, on both sides. The records are sorted because they
+// stream in completion order.
 func TestGolden(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var out strings.Builder
-	if err := run([]string{"-grid", "small", "-par", "1", "-json"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	records := nonEmptyLines(out.String())
-	slices.Sort(records)
 	golden := filepath.Join("testdata", "golden", "grid-small.out")
-	if err := harness.Golden(golden, strings.Join(records, "\n")+"\n", *update); err != nil {
-		t.Error(err)
+	for _, tc := range []struct {
+		name        string
+		procs       int
+		par         string
+		scrubPruned bool
+	}{
+		{"gomaxprocs1-par1", 1, "1", false},
+		{"gomaxprocs4-par2", 4, "2", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			var out strings.Builder
+			if err := run([]string{"-grid", "small", "-par", tc.par, "-json"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			records := nonEmptyLines(out.String())
+			slices.Sort(records)
+			got, path := strings.Join(records, "\n")+"\n", golden
+			if tc.scrubPruned {
+				want, err := os.ReadFile(golden)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path = filepath.Join(t.TempDir(), "grid-small.out")
+				if err := os.WriteFile(path, []byte(scrubSymPruned(string(want))), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				got = scrubSymPruned(got)
+			}
+			if err := harness.Golden(path, got, *update && !tc.scrubPruned); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
+
+// symPruned is a sym record's states_pruned, the one count of a record
+// that depends on the worker count.
+var symPruned = regexp.MustCompile(`("reduce":"sym",(?:[^\n]*?,)?"states_pruned":)\d+`)
+
+// scrubSymPruned replaces every sym record's states_pruned with _.
+func scrubSymPruned(records string) string { return symPruned.ReplaceAllString(records, "${1}_") }
 
 // TestDefaultGridReproducesTable1 is the contract with cmd/table1: on the
 // default grid (shrunk to n=4, k=2 with 2 schedules to keep the test

@@ -22,6 +22,13 @@ const allocBytesPerState = 261
 // encoded whole into a byte arena measured 391.
 const exactAllocBytesPerState = 337
 
+// provenanceAllocBytesPerState is allocBytesPerState for the same run under
+// exact keys with provenance, the path every certificate search takes:
+// the 503 bytes measured with the claims and paths in entryMaps on the
+// visited table's slot index (503.1 at GOMAXPROCS 1, 2 and 4, 504.7
+// under -race; the same as with an index of their own) plus 25%.
+const provenanceAllocBytesPerState = 629
+
 // TestAllocBytesPerState: Table 1's row 3 (Algorithm 1, n=4, k=1, m=3) at
 // 100,000 states on one worker allocates at most allocBytesPerState bytes
 // per visited state (runtime.MemStats.TotalAlloc, which counts every heap
@@ -34,6 +41,13 @@ func TestAllocBytesPerState(t *testing.T) {
 // (StringKeys), bounded by exactAllocBytesPerState.
 func TestExactAllocBytesPerState(t *testing.T) {
 	allocPerState(t, check.EngineOptions{Workers: 1, StringKeys: true}, exactAllocBytesPerState)
+}
+
+// TestProvenanceAllocBytesPerState is TestAllocBytesPerState under exact
+// keys with provenance (every node keeps its schedule, each level folds
+// its claims), bounded by provenanceAllocBytesPerState.
+func TestProvenanceAllocBytesPerState(t *testing.T) {
+	allocPerState(t, check.EngineOptions{Workers: 1, StringKeys: true, Provenance: true}, provenanceAllocBytesPerState)
 }
 
 func allocPerState(t *testing.T, eng check.EngineOptions, bound float64) {

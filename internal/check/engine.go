@@ -364,10 +364,12 @@ const chunkSize = 256
 type claimState struct {
 	mu sync.Mutex
 	// pending holds the claim each of this level's admissions is credited
-	// to (provenance runs only; entrymap.go). parentKeys holds the exact
-	// keys of the parents the claims are credited to, copied out of the
-	// nodes, which are recycled before the level ends; a claim holds its
-	// parent's key by index.
+	// to (provenance runs only). Like overrides and settled it is an
+	// entryMap (entrymap.go): keyed as the visited table is, on the same
+	// slot index (slotindex.go), by views of the table's stored keys.
+	// parentKeys holds the exact keys of the parents the claims are
+	// credited to, copied out of the nodes, which are recycled before the
+	// level ends; a claim holds its parent's key by index.
 	pending    entryMap[claimant]
 	parentKeys tupleArena
 	// overrides holds the root-to-node path of every admission of this

@@ -66,32 +66,15 @@ func bytesView(b []byte) string {
 // (entry.go) under either keying, fixed at creation: the store's visited
 // set (its delta since the last spill, under a budget) and its per-level
 // drop set. Under fingerprint keys (stride 0) every key is "" and the
-// fingerprint is the entry. Under exact keys the key — a ref tuple of
-// stride words — alone decides equality and the fingerprint only says
-// where to look: the table never hashes a key and copies each admitted
-// one once, into an append-only arena. It is not safe for concurrent use
-// (the engine claims under its claim lock, or from the one worker a run
-// or level has); lookup and has alone may run concurrently, with
-// themselves.
-//
-//   - The slots are parallel arrays probed from the fingerprint (linear
-//     probing): fps, 0 marking an empty slot, and under exact keys
-//     tuples, the arena index of the slot's tuple. A slot is 8 bytes
-//     under fingerprint keys and 12 under exact keys, pointer-free, so
-//     the collector never scans the table, and growth rehashes
-//     fingerprints, not tuples. The fingerprints one table holds can
-//     share bits (a distributed peer owns a range of the top six), so
-//     probe starts are not cut from the fingerprint as it is: probeStart
-//     remixes multiplicatively and takes the high bits of the product
-//     (Fibonacci hashing).
-//   - The first key a fingerprint is claimed with takes its slot. A
-//     different key with the same fingerprint goes to shared, an exact
-//     map, so a colliding pair is two entries, never one; under the
-//     degenerate slot hash every key but the first takes that path.
-//     A key has one fingerprint (the hash of its configuration), so
-//     shared is keyed by the key alone. The zero fingerprint, which
-//     cannot take a slot, goes there too (under fingerprint keys as the
-//     one entry of key "").
+// fingerprint is the entry: its index keeps 8-byte slots and no entry
+// indices. Under exact keys the key — a ref tuple of stride words — alone
+// decides equality and the fingerprint only says where to look: the table
+// never hashes a key and copies each admitted one once, into an
+// append-only arena, whose tuple indices its 12-byte slots hold. The
+// probe, growth and overflow rule is the slot index's (slotindex.go). It
+// is not safe for concurrent use (the engine claims under its claim lock,
+// or from the one worker a run or level has); lookup and has alone may
+// run concurrently, with themselves.
 //
 // Aliasing invariant. The keys claim returns — the keys entry lists and
 // the provenance maps keep — are views of the arena (tupleKey), so they
@@ -100,153 +83,67 @@ func bytesView(b []byte) string {
 // drained or replaced table starts on new chunks. A chunk lives as long
 // as any key into it (TestKeyTableMatchesMap).
 type keyTable struct {
-	fps    []uint64
-	tuples []uint32 // nil under fingerprint keys
-	mask   uint64
-	shift  uint // slotShift(len(fps)), for probeStart
-	n      int  // entries in the slots
-	grows  int  // doublings under load (a reserve is not one)
-	// shared maps each key the slots cannot hold to its fingerprint and
-	// tuple; nil until the first.
-	shared map[string]sharedKey
-	arena  tupleArena
+	idx   slotIndex
+	arena tupleArena
 }
-
-type sharedKey struct {
-	fp uint64
-	at uint32
-}
-
-// keyTableSlots is a new table's size under either keying. It is small,
-// since many searches are (a Lemma 13 bivalence test), and so is a spill
-// store's delta at a barrier that admitted little; growth rehashes 8- or
-// 12-byte slots, never tuples.
-const keyTableSlots = 64
-
-// sharedEntryBytes is what resident accounting charges a shared entry on
-// top of its tuple: a Go map slot with its string header and value.
-const sharedEntryBytes = 48
 
 // newKeyTable returns an empty table for exact keys of stride refs, or
 // with stride 0 for fingerprint keys.
 func newKeyTable(stride int) *keyTable {
-	t := &keyTable{arena: newTupleArena(stride)}
-	t.setSlots(keyTableSlots)
-	return t
+	return &keyTable{idx: newSlotIndex(stride > 0), arena: newTupleArena(stride)}
 }
-
-// slotBytes is what a slot costs: its fingerprint, and its tuple index
-// under exact keys.
-func (t *keyTable) slotBytes() int64 {
-	if t.arena.stride == 0 {
-		return 8
-	}
-	return 12
-}
-
-func (t *keyTable) setSlots(size int) {
-	t.fps = make([]uint64, size)
-	if t.arena.stride > 0 {
-		t.tuples = make([]uint32, size)
-	}
-	t.mask = uint64(size - 1)
-	t.shift = slotShift(size)
-}
-
-func (t *keyTable) probeStart(fp uint64) uint64 { return probeStart(fp, t.shift) }
-
-// slotShift is the shift probeStart takes for a table of size slots, a
-// power of two.
-func slotShift(size int) uint { return uint(64 - bits.Len(uint(size)) + 1) }
-
-// probeStart is where fp's probe starts in a table of 64-shift bits of
-// slots: the high bits of fp remixed multiplicatively (Fibonacci
-// hashing), so that fingerprints sharing bits spread over the table.
-func probeStart(fp uint64, shift uint) uint64 { return (fp * 0x9E3779B97F4A7C15) >> shift }
 
 // len is the number of entries.
-func (t *keyTable) len() int { return t.n + len(t.shared) }
+func (t *keyTable) len() int { return t.idx.len() }
 
-// bytes is the table's resident footprint as accounted: its slots, its
-// arena's chunks and its shared entries.
-func (t *keyTable) bytes() int64 {
-	return int64(len(t.fps))*t.slotBytes() + 4*int64(t.arena.words) + int64(len(t.shared))*sharedEntryBytes
+// bytes is the table's resident footprint as accounted: its index and its
+// arena's chunks.
+func (t *keyTable) bytes() int64 { return t.idx.bytes() + 4*int64(t.arena.words) }
+
+// find returns the arena index of (fp, key) if the table holds it, and
+// otherwise the slot a new entry takes (slotIndex.miss).
+func (t *keyTable) find(fp uint64, key string) (at uint32, ok bool, free int) {
+	s, at, held := t.idx.probe(fp)
+	if held && (t.arena.stride == 0 || t.arena.key(at) == key) {
+		return at, true, s
+	}
+	return t.idx.miss(s, held, key)
 }
 
 // claim inserts (fp, key) and reports whether it was absent; stored is
 // the arena copy of key, "" for a duplicate and under fingerprint keys.
-// key may be a view of scratch.
+// key may be a view of scratch. Its lookup is find's, written out so that
+// the probe inlines into the claim path.
 func (t *keyTable) claim(fp uint64, key string) (stored string, added bool) {
-	if fp == 0 {
-		return t.claimShared(fp, key)
-	}
-	for i := t.probeStart(fp); ; i = (i + 1) & t.mask {
-		switch t.fps[i] {
-		case 0:
-			t.fps[i] = fp
-			if t.tuples != nil {
-				stored, t.tuples[i] = t.arena.add(key)
-			}
-			t.n++
-			// Grow at 70% load so probe chains stay short.
-			if uint64(t.n)*10 > uint64(len(t.fps))*7 {
-				t.resize(len(t.fps) * 2)
-				t.grows++
-			}
-			return stored, true
-		case fp:
-			if t.tuples == nil || t.arena.key(t.tuples[i]) == key {
-				return "", false
-			}
-			return t.claimShared(fp, key)
-		}
-	}
-}
-
-// claimShared is claim for an entry the slots cannot hold.
-func (t *keyTable) claimShared(fp uint64, key string) (stored string, added bool) {
-	if _, dup := t.shared[key]; dup {
+	s, at, held := t.idx.probe(fp)
+	if held && (t.arena.stride == 0 || t.arena.key(at) == key) {
 		return "", false
 	}
-	if t.shared == nil {
-		t.shared = map[string]sharedKey{}
+	if _, dup, free := t.idx.miss(s, held, key); !dup {
+		if t.arena.stride > 0 {
+			stored, at = t.arena.add(key)
+		}
+		if t.idx.put(free, fp, stored, at) {
+			t.idx.grow()
+		}
+		return stored, true
 	}
-	var at uint32
-	if t.tuples != nil {
-		stored, at = t.arena.add(key)
-	}
-	t.shared[stored] = sharedKey{fp, at}
-	return stored, true
+	return "", false
 }
 
 // lookup returns the stored copy of (fp, key), if the table has it ("",
 // under fingerprint keys). It only reads, so calls may overlap one
 // another (not a claim).
 func (t *keyTable) lookup(fp uint64, key string) (string, bool) {
-	for i := t.probeStart(fp); fp != 0; i = (i + 1) & t.mask {
-		if t.fps[i] == 0 {
-			return "", false
-		}
-		if t.fps[i] != fp {
-			continue
-		}
-		if t.tuples == nil {
-			return "", true
-		}
-		if stored := t.arena.key(t.tuples[i]); stored == key {
-			return stored, true
-		}
-		break
-	}
-	sh, ok := t.shared[key]
-	if !ok || t.tuples == nil {
+	at, ok, _ := t.find(fp, key)
+	if !ok || t.arena.stride == 0 {
 		return "", ok
 	}
-	return t.arena.key(sh.at), true
+	return t.arena.key(at), true
 }
 
 func (t *keyTable) has(fp uint64, key string) bool {
-	_, ok := t.lookup(fp, key)
+	_, ok, _ := t.find(fp, key)
 	return ok
 }
 
@@ -264,7 +161,7 @@ func (t *keyTable) has(fp uint64, key string) bool {
 // it was dumped from.
 func (t *keyTable) reserve(n int, budget int64) int {
 	if budget > 0 {
-		slot, tuple := t.slotBytes(), int64(4*t.arena.stride)
+		slot, tuple := t.idx.slotBytes(), int64(4*t.arena.stride)
 		fit := 1
 		for slots := int64(keyTableSlots); slot*slots+tuple <= budget; slots <<= 1 {
 			room := slots * 7 / 10
@@ -275,58 +172,21 @@ func (t *keyTable) reserve(n int, budget int64) int {
 		}
 		n = min(n, fit)
 	}
-	size := len(t.fps)
-	for uint64(t.n+n)*10 > uint64(size)*7 {
-		size <<= 1
-	}
-	if size > len(t.fps) {
-		t.resize(size)
-	}
+	t.idx.reserve(n)
 	return n
 }
 
-// resize rehashes the slots into a table of size slots, by fingerprint.
-func (t *keyTable) resize(size int) {
-	fps, tuples := t.fps, t.tuples
-	t.setSlots(size)
-	for j, fp := range fps {
-		if fp == 0 {
-			continue
-		}
-		for i := t.probeStart(fp); ; i = (i + 1) & t.mask {
-			if t.fps[i] == 0 {
-				t.fps[i] = fp
-				if tuples != nil {
-					t.tuples[i] = tuples[j]
-				}
-				break
-			}
-		}
-	}
-}
-
-// forEach calls fn on every entry — the slots in table order (sorted by
-// probe start: load such a stream only into a reserved table), then the
-// shared keys — and stops at fn's first error.
+// forEach calls fn on every entry in the index's order (slotIndex.forEach:
+// load such a stream only into a reserved table) and stops at fn's first
+// error.
 func (t *keyTable) forEach(fn func(fp uint64, key string) error) error {
-	for i, fp := range t.fps {
-		if fp == 0 {
-			continue
-		}
+	return t.idx.forEach(func(fp uint64, at uint32) error {
 		key := ""
-		if t.tuples != nil {
-			key = t.arena.key(t.tuples[i])
+		if t.arena.stride > 0 {
+			key = t.arena.key(at)
 		}
-		if err := fn(fp, key); err != nil {
-			return err
-		}
-	}
-	for k, sh := range t.shared {
-		if err := fn(sh.fp, k); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(fp, key)
+	})
 }
 
 // drainSorted empties the table and calls fn on what it held in entry
@@ -337,14 +197,14 @@ func (t *keyTable) forEach(fn func(fp uint64, key string) error) error {
 // nothing with the drained one.
 func (t *keyTable) drainSorted(d *model.Dict, fn func(fp uint64, key string) error) error {
 	defer func(stride int) { *t = *newKeyTable(stride) }(t.arena.stride)
-	if t.tuples == nil {
-		fps := t.fps[:0]
-		for _, fp := range t.fps {
+	if t.arena.stride == 0 {
+		fps := t.idx.fps[:0]
+		for _, fp := range t.idx.fps {
 			if fp != 0 {
 				fps = append(fps, fp)
 			}
 		}
-		if len(t.shared) > 0 {
+		if len(t.idx.shared) > 0 {
 			fps = append(fps, 0) // in place: the table is never full
 		}
 		sortFingerprints(fps)

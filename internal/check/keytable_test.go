@@ -131,13 +131,13 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		t.Fatalf("len = %d, reference %d", s.len(), len(ref))
 	}
 	zeros := 0
-	for _, sh := range s.shared {
+	for _, sh := range s.idx.shared {
 		if sh.fp == 0 {
 			zeros++
 		}
 	}
-	if len(s.shared) == zeros || zeros == 0 {
-		t.Fatalf("%d keys went to the shared-fingerprint map, %d of them at fingerprint 0: the stream forces several keys onto fingerprints 0 to 3", len(s.shared), zeros)
+	if len(s.idx.shared) == zeros || zeros == 0 {
+		t.Fatalf("%d keys went to the shared-fingerprint map, %d of them at fingerprint 0: the stream forces several keys onto fingerprints 0 to 3", len(s.idx.shared), zeros)
 	}
 	for i, k := range keys {
 		_, in := ref[k]
@@ -206,7 +206,7 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		}
 		fpRef[x] = true
 	}
-	if !fpRef[0] || fp.len() != len(fpRef) || fp.tuples != nil || fp.arena.words != 0 {
+	if !fpRef[0] || fp.len() != len(fpRef) || fp.idx.at != nil || fp.arena.words != 0 {
 		t.Fatalf("len = %d, reference %d (zero drawn: %t); %d arena words", fp.len(), len(fpRef), fpRef[0], fp.arena.words)
 	}
 	for x := range uint64(100) {
@@ -251,14 +251,14 @@ func TestKeyTableExactReservePresizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := st.delta
-	if tab.grows != 0 {
-		t.Errorf("seeding %d exact entries grew the table %d times, want a single presize", n, tab.grows)
+	if tab.idx.grows != 0 {
+		t.Errorf("seeding %d exact entries grew the table %d times, want a single presize", n, tab.idx.grows)
 	}
 	if got := st.delta.len(); got != n {
 		t.Errorf("seeded %d entries, want %d", got, n)
 	}
-	if want := 1 << 17; len(tab.fps) != want { // 50k entries fill 2^17 slots to 38%
-		t.Errorf("seeded table has %d slots, want %d", len(tab.fps), want)
+	if want := 1 << 17; len(tab.idx.fps) != want { // 50k entries fill 2^17 slots to 38%
+		t.Errorf("seeded table has %d slots, want %d", len(tab.idx.fps), want)
 	}
 	// Entry 0's fingerprint is 0, which no slot holds: it is the one
 	// shared entry.
@@ -272,7 +272,7 @@ func TestKeyTableExactReservePresizes(t *testing.T) {
 	for i := range visited.fps {
 		plain.claim(visited.fps[i], visited.key(i))
 	}
-	if plain.grows == 0 {
+	if plain.idx.grows == 0 {
 		t.Fatal("an unreserved load of 50k entries never grew the table")
 	}
 
@@ -281,8 +281,8 @@ func TestKeyTableExactReservePresizes(t *testing.T) {
 	const budget = 64 << 10
 	d := newKeyTable(3)
 	fit := d.reserve(n, budget)
-	if fit < 1 || fit >= n || int64(12*len(d.fps)+12*fit) > budget || fit*10 > len(d.fps)*7 {
-		t.Errorf("reserve(%d, %d) = %d entries on %d slots", n, budget, fit, len(d.fps))
+	if fit < 1 || fit >= n || int64(12*len(d.idx.fps)+12*fit) > budget || fit*10 > len(d.idx.fps)*7 {
+		t.Errorf("reserve(%d, %d) = %d entries on %d slots", n, budget, fit, len(d.idx.fps))
 	}
 	if fit < budget/(12+12)/2 {
 		t.Errorf("reserve(%d, %d) = %d: a %d-byte budget holds more 12-byte tuples than that", n, budget, fit, budget)
@@ -392,16 +392,16 @@ func TestKeyTableFingerprints(t *testing.T) {
 // never occupy (or be counted against) a slot.
 func TestKeyTableGrowthBoundary(t *testing.T) {
 	s := newKeyTable(0)
-	if got := len(s.fps); got != keyTableSlots {
+	if got := len(s.idx.fps); got != keyTableSlots {
 		t.Fatalf("initial slots = %d, want %d", got, keyTableSlots)
 	}
-	threshold := len(s.fps) * 7 / 10 // last count that does NOT grow
+	threshold := len(s.idx.fps) * 7 / 10 // last count that does NOT grow
 
 	fpAdd(s, 0) // tracked out of band: contributes to len, never to load
 	for i := 1; i <= threshold; i++ {
 		fpAdd(s, uint64(i)*0x9E3779B97F4A7C15)
 	}
-	if got := len(s.fps); got != keyTableSlots {
+	if got := len(s.idx.fps); got != keyTableSlots {
 		t.Fatalf("slots = %d after %d inserts (70%% load), want no growth yet", got, threshold)
 	}
 	if s.len() != threshold+1 {
@@ -409,7 +409,7 @@ func TestKeyTableGrowthBoundary(t *testing.T) {
 	}
 
 	fpAdd(s, uint64(threshold+1)*0x9E3779B97F4A7C15) // crosses 70%
-	if got := len(s.fps); got != 2*keyTableSlots {
+	if got := len(s.idx.fps); got != 2*keyTableSlots {
 		t.Fatalf("slots = %d after crossing the load threshold, want %d", got, 2*keyTableSlots)
 	}
 	// Everything must survive the rehash, zero included.
@@ -426,8 +426,8 @@ func TestKeyTableGrowthBoundary(t *testing.T) {
 	}
 	// A slot costs 8 bytes and holds no tuple; the zero fingerprint is
 	// charged as the one shared entry it is.
-	if got, want := s.bytes(), int64(8*2*keyTableSlots+sharedEntryBytes); s.tuples != nil || got != want {
-		t.Fatalf("bytes = %d with tuples %t, want %d and none", got, s.tuples != nil, want)
+	if got, want := s.bytes(), int64(8*2*keyTableSlots+sharedEntryBytes); s.idx.at != nil || got != want {
+		t.Fatalf("bytes = %d with tuples %t, want %d and none", got, s.idx.at != nil, want)
 	}
 }
 
@@ -478,9 +478,9 @@ func TestKeyTableAppendAll(t *testing.T) {
 // worst-placed member sits from its probe start.
 func maxDisplacement(s *keyTable) uint64 {
 	var worst uint64
-	for i, fp := range s.fps {
+	for i, fp := range s.idx.fps {
 		if fp != 0 {
-			worst = max(worst, (uint64(i)-s.probeStart(fp))&s.mask)
+			worst = max(worst, (uint64(i)-probeStart(fp, s.idx.shift))&s.idx.mask)
 		}
 	}
 	return worst
@@ -504,17 +504,17 @@ func TestKeyTableReservedBulkLoad(t *testing.T) {
 
 	dst := newKeyTable(0)
 	dst.reserve(len(dump), 0)
-	slots := len(dst.fps)
-	if slots != len(src.fps) {
-		t.Fatalf("reserve(%d) sized the table to %d slots; growing to %d members sized it to %d", n, slots, n, len(src.fps))
+	slots := len(dst.idx.fps)
+	if slots != len(src.idx.fps) {
+		t.Fatalf("reserve(%d) sized the table to %d slots; growing to %d members sized it to %d", n, slots, n, len(src.idx.fps))
 	}
 	for _, fp := range dump {
 		if !fpAdd(dst, fp) {
 			t.Fatalf("claim(%#x) reported a duplicate in a duplicate-free dump", fp)
 		}
 	}
-	if len(dst.fps) != slots || dst.grows != 0 {
-		t.Fatalf("the reserved table grew from %d to %d slots during the load", slots, len(dst.fps))
+	if len(dst.idx.fps) != slots || dst.idx.grows != 0 {
+		t.Fatalf("the reserved table grew from %d to %d slots during the load", slots, len(dst.idx.fps))
 	}
 	if dst.len() != n {
 		t.Fatalf("len = %d after the load, want %d", dst.len(), n)
@@ -528,10 +528,10 @@ func TestKeyTableReservedBulkLoad(t *testing.T) {
 
 	// Reserving on a populated table rehashes it once, losing nothing.
 	dst.reserve(4*n, 0)
-	if len(dst.fps) <= slots {
-		t.Fatalf("reserve(%d) on %d members left the table at %d slots", 4*n, n, len(dst.fps))
+	if len(dst.idx.fps) <= slots {
+		t.Fatalf("reserve(%d) on %d members left the table at %d slots", 4*n, n, len(dst.idx.fps))
 	}
-	slots = len(dst.fps)
+	slots = len(dst.idx.fps)
 	for _, fp := range dump {
 		if !fpHas(dst, fp) {
 			t.Fatalf("fingerprint %#x lost across reserve", fp)
@@ -540,8 +540,8 @@ func TestKeyTableReservedBulkLoad(t *testing.T) {
 	for dst.len() < 5*n {
 		fpAdd(dst, rng.Uint64())
 	}
-	if len(dst.fps) != slots {
-		t.Fatalf("the table grew from %d to %d slots within its reservation", slots, len(dst.fps))
+	if len(dst.idx.fps) != slots {
+		t.Fatalf("the table grew from %d to %d slots within its reservation", slots, len(dst.idx.fps))
 	}
 
 	// Under a budget the table takes what fills the largest table the
@@ -601,8 +601,8 @@ func TestKeyTableDrainSorted(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Errorf("n=%d zero=%t: drained %d members (sorted %t), want %d", n, zero, len(got), slices.IsSorted(got), len(want))
 			}
-			if s.len() != 0 || len(s.fps) != keyTableSlots || fpHas(s, 0) {
-				t.Errorf("n=%d zero=%t: the drained table holds %d entries on %d slots", n, zero, s.len(), len(s.fps))
+			if s.len() != 0 || len(s.idx.fps) != keyTableSlots || fpHas(s, 0) {
+				t.Errorf("n=%d zero=%t: the drained table holds %d entries on %d slots", n, zero, s.len(), len(s.idx.fps))
 			}
 		}
 	}

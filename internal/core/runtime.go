@@ -16,23 +16,22 @@ type Options struct {
 	// pass. Algorithm 1 is obstruction-free, not wait-free: under
 	// sustained contention two lap counters can chase each other forever.
 	// Backoff is the standard contention-management remedy; it does not
-	// change the algorithm's steps, only when they are scheduled.
+	// change the algorithm's steps, only when they are scheduled. A
+	// process sleeps a random time up to its bound, which starts at
+	// 500ns, doubles per conflicted pass up to 64µs and is reset by a
+	// completed one.
 	Backoff bool
-	// BaseBackoff is the initial backoff duration (default 500ns).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff (default 64µs).
-	MaxBackoff time.Duration
 	// Seed seeds the per-process backoff RNGs; 0 uses the current time.
 	Seed int64
 }
 
+// The bounds of Options.Backoff's randomized exponential backoff.
+const (
+	baseBackoff = 500 * time.Nanosecond
+	maxBackoff  = 64 * time.Microsecond
+)
+
 func (o Options) withDefaults() Options {
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 500 * time.Nanosecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 64 * time.Microsecond
-	}
 	if o.Seed == 0 {
 		o.Seed = time.Now().UnixNano()
 	}
@@ -110,7 +109,7 @@ func (s *SetAgreement) Propose(pid, v int) (int, error) {
 	if s.opts.Backoff {
 		rng = rand.New(rand.NewSource(s.opts.Seed + int64(pid)*0x9E3779B9))
 	}
-	backoff := s.opts.BaseBackoff
+	backoff := baseBackoff
 
 	st := s.proto.Init(pid, v).(state)
 	// mine is ⟨U, pid⟩ boxed for the Swap. U is immutable and replaced
@@ -127,19 +126,14 @@ func (s *SetAgreement) Propose(pid, v int) (int, error) {
 		next := s.proto.observe(pid, st, prev)
 		if next.laps > st.laps {
 			s.stats.Laps.Add(1)
-			backoff = s.opts.BaseBackoff
+			backoff = baseBackoff
 		} else if next.idx == 0 {
 			// The pass ended in conflict (lines 4-5).
 			s.stats.ConflictPasses.Add(1)
 			if rng != nil {
 				d := time.Duration(rng.Int63n(int64(backoff) + 1))
 				time.Sleep(d)
-				if backoff < s.opts.MaxBackoff {
-					backoff *= 2
-					if backoff > s.opts.MaxBackoff {
-						backoff = s.opts.MaxBackoff
-					}
-				}
+				backoff = min(2*backoff, maxBackoff)
 			}
 		}
 		st = next

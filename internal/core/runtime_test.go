@@ -186,12 +186,7 @@ func TestRuntimeHighContentionManyValues(t *testing.T) {
 			inputs[i] = i // all distinct: maximal disagreement potential
 		}
 		start := time.Now()
-		decided := runRound(t, params, inputs, core.Options{
-			Backoff:     true,
-			Seed:        int64(round + 13),
-			BaseBackoff: time.Microsecond,
-			MaxBackoff:  256 * time.Microsecond,
-		})
+		decided := runRound(t, params, inputs, core.Options{Backoff: true, Seed: int64(round + 13)})
 		checkRound(t, params, inputs, decided)
 		if d := time.Since(start); d > 30*time.Second {
 			t.Fatalf("round took %v", d)
