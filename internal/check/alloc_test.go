@@ -24,10 +24,12 @@ const exactAllocBytesPerState = 337
 
 // provenanceAllocBytesPerState is allocBytesPerState for the same run under
 // exact keys with provenance, the path every certificate search takes:
-// the 503 bytes measured with the claims and paths in entryMaps on the
-// visited table's slot index (503.1 at GOMAXPROCS 1, 2 and 4, 504.7
-// under -race; the same as with an index of their own) plus 25%.
-const provenanceAllocBytesPerState = 629
+// the 385 bytes measured with each level's claims in a column indexed by
+// the visited table's entry index, sized from the last level's growth
+// (385.2 at GOMAXPROCS 1 and 2, 385.3 at 4, 400.4 under -race), plus 25%.
+// The claims in an entryMap measured 503; the column grown by append
+// alone, 431.
+const provenanceAllocBytesPerState = 482
 
 // TestAllocBytesPerState: Table 1's row 3 (Algorithm 1, n=4, k=1, m=3) at
 // 100,000 states on one worker allocates at most allocBytesPerState bytes

@@ -258,7 +258,7 @@ func TestSpillSeedTinyBudgetBatchesRuns(t *testing.T) {
 	// What the store holds: its resident delta and its runs.
 	seen := 0
 	count := func(uint64, string) error { seen++; return nil }
-	st.delta.forEach(count)
+	st.delta.forEach(func(fp uint64, key string) { count(fp, key) })
 	for _, run := range st.runs {
 		r, err := openEntries(run.path, artifactRun)
 		if err != nil {

@@ -139,7 +139,8 @@ type EngineOptions struct {
 	// level's claims of a configuration, the one with the smallest
 	// (parent fingerprint, parent key, pid) wins, whatever the discovery
 	// order — required by the witness-extracting searches. It costs a
-	// pending-table insert per admission and a path per node; nodes are
+	// claim written per admission (under fingerprint keys, 12-byte slots
+	// in the visited table instead of 8) and a path per node; nodes are
 	// recycled once visited and expanded, and a budgeted store spools the
 	// frontier, as in any run. Limited to 255 processes, like Checkpoint.
 	Provenance bool `json:"provenance,omitempty"`
@@ -363,25 +364,46 @@ const chunkSize = 256
 // barrier, take no lock.
 type claimState struct {
 	mu sync.Mutex
-	// pending holds the claim each of this level's admissions is credited
-	// to (provenance runs only). Like overrides and settled it is an
-	// entryMap (entrymap.go): keyed as the visited table is, on the same
-	// slot index (slotindex.go), by views of the table's stored keys.
-	// parentKeys holds the exact keys of the parents the claims are
-	// credited to, copied out of the nodes, which are recycled before the
-	// level ends; a claim holds its parent's key by index.
-	pending    entryMap[claimant]
+	// claims holds the claim each of this level's admissions is credited
+	// to (provenance runs only), indexed by the admission's entry index in
+	// the store's delta less base, the delta's entry count when the level
+	// began: a level's admissions are the delta's entries from base on,
+	// dense and in claim order (a delta is flushed, and renumbered from
+	// 0, only at the barrier, before base is taken). An admission the
+	// closing level's cut bound drops holds no claim. parentKeys holds the
+	// exact keys of the parents the claims are credited to, copied out of
+	// the nodes, which are recycled before the level ends; a claim holds
+	// its parent's key by index.
+	claims     []claimant
+	base       uint32
 	parentKeys tupleArena
 	// overrides holds the root-to-node path of every admission of this
-	// level a later, smaller claim took over; at the barrier it becomes
-	// settled, whose paths levelSource.take writes into the nodes before
-	// they are visited or expanded. The barrier clears pending, parentKeys
-	// and the new overrides in place, for the next level to refill.
+	// level a later, smaller claim took over, keyed by the entry (an
+	// entryMap, entrymap.go) since a flush renumbers the delta before the
+	// next level reads it; at the barrier it becomes settled, whose paths
+	// levelSource.take writes into the nodes before they are visited or
+	// expanded. Each level starts claims over from base, and the barrier
+	// resets parentKeys and the new overrides in place, for the next level
+	// to refill.
 	overrides, settled pathMap
 	// depth is the best-known depth per state (async MaxDepth runs only); a
 	// strictly smaller duplicate re-enqueues the state as a deepen item.
 	depth map[uint64]int
 }
+
+// claimant is the claim a provenance run credits an admission to: the
+// parent's fingerprint and, under exact keys, its key's index in the
+// level's parent arena (claimState.parentKeys; noParentKey otherwise), and
+// the pid that stepped it. A pid < 0 is no claim: the admission of a node
+// never built, which no duplicate can take over.
+type claimant struct {
+	parentFP uint64
+	parentAt uint32
+	pid      int32
+}
+
+// noParentKey is a claimant's parentAt outside exact-key runs.
+const noParentKey = ^uint32(0)
 
 // engineRun carries the per-run state both exploration orders share: the
 // instance, the callbacks, the store, the per-worker expanders, the
@@ -676,7 +698,6 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 
 	if opts.Provenance {
 		cl := &run.claims
-		cl.pending = newEntryMap[claimant]()
 		cl.parentKeys = newTupleArena(nObj + nProc)
 		cl.overrides, cl.settled = newPathMap(), newPathMap()
 	}
@@ -689,6 +710,7 @@ func RunFrontier(p model.Protocol, start *model.Config, pids []int, limits Explo
 		nProc:      nProc,
 		dict:       run.dict,
 		stringKeys: opts.StringKeys,
+		indexed:    opts.Provenance,
 		newNode:    run.newNode,
 		recycle:    run.recycle,
 		fail:       run.fail,

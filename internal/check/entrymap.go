@@ -1,11 +1,11 @@
 package check
 
 // This file is the provenance run's per-level maps from visited entries
-// to values (claimState): the claim each admission is credited to
-// (pending) and the paths a later, smaller claim took over (overrides,
-// settled). They are set and read at claim rate, so they key entries as
-// the visited table does, on its slot index (slotindex.go), and are kept
-// from level to level and cleared in place at the barrier.
+// to paths (claimState): the paths a later, smaller claim took over
+// (overrides, settled). They key entries as the visited table does, on its
+// slot index (slotindex.go), not by the table's entry index, since the
+// next level reads settled after a flush may have renumbered the table;
+// they are kept from level to level and cleared in place at the barrier.
 
 // entryMap maps visited entries to values the way the visited table
 // keys them: by fingerprint, with the key compared byte for byte, so that
@@ -33,21 +33,11 @@ func newEntryMap[V any]() entryMap[V] { return entryMap[V]{idx: newSlotIndex(tru
 // find returns the column index of (fp, key) if the map holds it, and
 // otherwise the slot a new entry takes (slotIndex.miss).
 func (m *entryMap[V]) find(fp uint64, key string) (i uint32, ok bool, free int) {
-	s, i, held := m.idx.probe(fp)
+	s, i, held := m.idx.probe(fp, false)
 	if held && m.keys[i] == key {
 		return i, true, s
 	}
 	return m.idx.miss(s, held, key)
-}
-
-// get returns the value of (fp, key), or nil if the map does not hold it,
-// and the key the map holds for it. The pointer is valid until the next
-// set or clear.
-func (m *entryMap[V]) get(fp uint64, key string) (v *V, stored string) {
-	if i, ok, _ := m.find(fp, key); ok {
-		return &m.vals[i], m.keys[i]
-	}
-	return nil, ""
 }
 
 // set sets the value of (fp, key). An entry the map holds keeps its
@@ -93,10 +83,11 @@ func newPathMap() pathMap { return pathMap{entryMap: newEntryMap[pathSpan]()} }
 // path returns the path of (fp, key), a view of the map valid until its
 // next clear.
 func (m *pathMap) path(fp uint64, key string) ([]byte, bool) {
-	s, _ := m.get(fp, key)
-	if s == nil {
+	i, ok, _ := m.find(fp, key)
+	if !ok {
 		return nil, false
 	}
+	s := m.vals[i]
 	return m.bytes[s.off : s.off+s.n : s.off+s.n], true
 }
 
@@ -112,16 +103,3 @@ func (m *pathMap) clear() {
 	m.entryMap.clear()
 	m.bytes = m.bytes[:0]
 }
-
-// claimant is the claim a provenance run credits an admission to: the
-// parent's fingerprint and, under exact keys, its key's index in the
-// level's parent arena (claimState.parentKeys; noParentKey otherwise), and
-// the pid that stepped it.
-type claimant struct {
-	parentFP uint64
-	parentAt uint32
-	pid      int32
-}
-
-// noParentKey is a claimant's parentAt outside exact-key runs.
-const noParentKey = ^uint32(0)

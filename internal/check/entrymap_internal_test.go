@@ -7,10 +7,18 @@ import (
 	"unsafe"
 )
 
-// TestEntryMapMatchesMap drives the provenance maps (an entryMap of
-// claimants and a pathMap) against map[entry]V references on random
-// streams of sets and lookups, over several clear-and-refill cycles as a
-// run's levels reuse them. Fingerprints are drawn so that collisions are
+// mapVal is a pointer-free value for the generic entryMap half of
+// TestEntryMapMatchesMap.
+type mapVal struct {
+	a uint64
+	b uint32
+	c int32
+}
+
+// TestEntryMapMatchesMap drives the entry maps (an entryMap of
+// pointer-free values and a pathMap) against map[entry]V references on
+// random streams of sets and lookups, over several clear-and-refill cycles
+// as a run's levels reuse them. Fingerprints are drawn so that collisions are
 // the rule, as under the degenerate slot hash: every key on one
 // fingerprint, keys spread over three fingerprints, and fingerprint 0,
 // which cannot take a slot; under fingerprint keys (key "") the entry is
@@ -45,11 +53,19 @@ func TestEntryMapMatchesMap(t *testing.T) {
 				}
 				return entry{tc.fp(i), ""}
 			}
-			claims := newEntryMap[claimant]()
+			claims := newEntryMap[mapVal]()
+			// get is the value of (fp, key), or nil, and the key the map
+			// holds it under.
+			get := func(fp uint64, key string) (*mapVal, string) {
+				if i, ok, _ := claims.find(fp, key); ok {
+					return &claims.vals[i], claims.keys[i]
+				}
+				return nil, ""
+			}
 			paths := newPathMap()
 			var prev []entry // the previous cycle's entries
 			for cycle := range 4 {
-				refClaims := map[entry]claimant{}
+				refClaims := map[entry]mapVal{}
 				refPaths := map[entry][]byte{}
 				stored := map[entry]string{} // the key each entry was first set with
 				depth := 1 + cycle           // one level's paths share a length
@@ -70,7 +86,7 @@ func TestEntryMapMatchesMap(t *testing.T) {
 					if _, ok := stored[e]; !ok {
 						stored[e] = key
 					}
-					c := claimant{parentFP: rng.Uint64(), parentAt: uint32(rng.Intn(1000)), pid: int32(rng.Intn(8))}
+					c := mapVal{a: rng.Uint64(), b: uint32(rng.Intn(1000)), c: int32(rng.Intn(8))}
 					claims.set(e.fp, key, c)
 					refClaims[e] = c
 					if rng.Intn(3) == 0 {
@@ -84,7 +100,7 @@ func TestEntryMapMatchesMap(t *testing.T) {
 					}
 					// A lookup of a random pool entry after every set.
 					probe := entryOf(rng.Intn(keys))
-					got, _ := claims.get(probe.fp, probe.key)
+					got, _ := get(probe.fp, probe.key)
 					if want, ok := refClaims[probe]; ok != (got != nil) || ok && *got != want {
 						t.Fatalf("cycle %d: get %v = %v, the reference holds %v (%t)", cycle, probe.fp, got, want, ok)
 					}
@@ -95,7 +111,7 @@ func TestEntryMapMatchesMap(t *testing.T) {
 				}
 				for i := range keys {
 					e := entryOf(i)
-					got, key := claims.get(e.fp, e.key)
+					got, key := get(e.fp, e.key)
 					want, ok := refClaims[e]
 					if ok != (got != nil) || ok && *got != want {
 						t.Fatalf("cycle %d: entry %d holds %v, the reference %v (%t)", cycle, i, got, want, ok)
@@ -113,7 +129,7 @@ func TestEntryMapMatchesMap(t *testing.T) {
 					if _, ok := refClaims[e]; ok {
 						continue
 					}
-					if got, _ := claims.get(e.fp, e.key); got != nil {
+					if got, _ := get(e.fp, e.key); got != nil {
 						t.Fatalf("cycle %d: a cleared entry (%#x) is still found", cycle, e.fp)
 					}
 				}
@@ -127,7 +143,7 @@ func TestEntryMapMatchesMap(t *testing.T) {
 					t.Fatalf("cycle %d: a cleared map holds %d claims and %d paths", cycle, claims.len(), paths.len())
 				}
 				for _, e := range prev {
-					if got, _ := claims.get(e.fp, e.key); got != nil {
+					if got, _ := get(e.fp, e.key); got != nil {
 						t.Fatalf("cycle %d: entry %#x is found after the clear", cycle, e.fp)
 					}
 					if _, ok := paths.path(e.fp, e.key); ok {

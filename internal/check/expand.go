@@ -316,16 +316,20 @@ func (cl *claimState) parent(c claimant) entry {
 func (x *expander) claim(c *cand, key string) uint8 {
 	r := x.run
 	cl := &r.claims
-	stored, added := r.store.Claim(c.fp, key)
+	at, added := r.store.Claim(c.fp, key)
 	if added && r.bound.on && !r.bound.admit(c.fp) {
-		// Claimed, but past the closing level's cut: never built.
+		// Claimed, but past the closing level's cut: never built, so no
+		// claim.
+		if r.opts.Provenance {
+			cl.claims = append(cl.claims, claimant{pid: -1})
+		}
 		c.verdict = candDup
 		return candDup
 	}
 	if added {
 		c.verdict = candNew
 		if r.opts.Provenance {
-			cl.pending.set(c.fp, stored, x.claimant(c.parent, c.pid))
+			cl.claims = append(cl.claims, x.claimant(c.parent, c.pid))
 		}
 		if cl.depth != nil {
 			cl.depth[c.fp] = x.parents[c.parent].Depth + 1
@@ -333,8 +337,8 @@ func (x *expander) claim(c *cand, key string) uint8 {
 		return candNew
 	}
 	c.verdict = candDup
-	if r.opts.Provenance {
-		x.reclaim(c, key)
+	if r.opts.Provenance && at >= cl.base {
+		x.reclaim(c, at)
 	}
 	if cl.depth != nil {
 		// Without a barrier a duplicate can still owe work under a MaxDepth
@@ -348,17 +352,17 @@ func (x *expander) claim(c *cand, key string) uint8 {
 }
 
 // reclaim is a provenance run's same-level fold for a duplicate claim c of
-// an entry (c.fp, key): if the configuration was admitted this very level,
-// c takes its provenance when c is deterministically smaller than the claim
+// the delta's entry at, which this very level admitted (at ≥ base): c
+// takes its provenance when c is deterministically smaller than the claim
 // credited so far — by the parent's entry (fingerprint, then encoding),
 // then pid — so witness schedules do not depend on discovery order. (Keys
 // are empty, and so equal, outside exact-key runs.) The winner's path goes
 // into overrides now, while its parent is live; the node gets it when it
 // is taken.
-func (x *expander) reclaim(c *cand, key string) {
+func (x *expander) reclaim(c *cand, at uint32) {
 	cl := &x.run.claims
-	prev, stored := cl.pending.get(c.fp, key)
-	if prev == nil {
+	prev := &cl.claims[at-cl.base]
+	if prev.pid < 0 {
 		return
 	}
 	a := x.parents[c.parent]
@@ -367,7 +371,7 @@ func (x *expander) reclaim(c *cand, key string) {
 		return
 	}
 	*prev = x.claimant(c.parent, c.pid)
-	cl.overrides.setPath(c.fp, stored, a.path, byte(c.pid))
+	cl.overrides.setPath(c.fp, x.run.store.delta.key(at), a.path, byte(c.pid))
 }
 
 // build writes candidate c's successor into n: its parent's refs with the

@@ -67,16 +67,18 @@ func bytesView(b []byte) string {
 // set (its delta since the last spill, under a budget) and its per-level
 // drop set. Under fingerprint keys (stride 0) every key is "" and the
 // fingerprint is the entry: its index keeps 8-byte slots and no entry
-// indices. Under exact keys the key — a ref tuple of stride words — alone
-// decides equality and the fingerprint only says where to look: the table
-// never hashes a key and copies each admitted one once, into an
-// append-only arena, whose tuple indices its 12-byte slots hold. The
-// probe, growth and overflow rule is the slot index's (slotindex.go). It
-// is not safe for concurrent use (the engine claims under its claim lock,
-// or from the one worker a run or level has); lookup and has alone may
-// run concurrently, with themselves.
+// indices, except in a provenance run's visited set, whose claims are
+// indexed by entry. Under exact keys the key — a ref tuple of stride
+// words — alone decides equality and the fingerprint only says where to
+// look: the table never hashes a key and copies each admitted one once,
+// into an append-only arena, whose tuple indices its 12-byte slots hold.
+// Either way an entry's index is its order of arrival, and claim returns
+// it. The probe, growth and overflow rule is the slot index's
+// (slotindex.go). It is not safe for concurrent use (the engine claims
+// under its claim lock, or from the one worker a run or level has);
+// find and has alone may run concurrently, with themselves.
 //
-// Aliasing invariant. The keys claim returns — the keys entry lists and
+// Aliasing invariant. The stored keys (key) — the keys entry lists and
 // the provenance maps keep — are views of the arena (tupleKey), so they
 // stay immutable only because arena words are never rewritten or reused:
 // a chunk is written once per tuple and never cleared or recycled, and a
@@ -88,9 +90,12 @@ type keyTable struct {
 }
 
 // newKeyTable returns an empty table for exact keys of stride refs, or
-// with stride 0 for fingerprint keys.
-func newKeyTable(stride int) *keyTable {
-	return &keyTable{idx: newSlotIndex(stride > 0), arena: newTupleArena(stride)}
+// with stride 0 for fingerprint keys. An exact-key table names its
+// entries by their arena indices; indexed gives a fingerprint-keyed one
+// entry indices too (12-byte slots), numbering its entries in order of
+// arrival as the arena does.
+func newKeyTable(stride int, indexed bool) *keyTable {
+	return &keyTable{idx: newSlotIndex(stride > 0 || indexed), arena: newTupleArena(stride)}
 }
 
 // len is the number of entries.
@@ -103,45 +108,58 @@ func (t *keyTable) bytes() int64 { return t.idx.bytes() + 4*int64(t.arena.words)
 // find returns the arena index of (fp, key) if the table holds it, and
 // otherwise the slot a new entry takes (slotIndex.miss).
 func (t *keyTable) find(fp uint64, key string) (at uint32, ok bool, free int) {
-	s, at, held := t.idx.probe(fp)
+	s, at, held := t.idx.probe(fp, false)
 	if held && (t.arena.stride == 0 || t.arena.key(at) == key) {
 		return at, true, s
 	}
 	return t.idx.miss(s, held, key)
 }
 
-// claim inserts (fp, key) and reports whether it was absent; stored is
-// the arena copy of key, "" for a duplicate and under fingerprint keys.
-// key may be a view of scratch. Its lookup is find's, written out so that
-// the probe inlines into the claim path.
-func (t *keyTable) claim(fp uint64, key string) (stored string, added bool) {
-	s, at, held := t.idx.probe(fp)
-	if held && (t.arena.stride == 0 || t.arena.key(at) == key) {
-		return "", false
-	}
-	if _, dup, free := t.idx.miss(s, held, key); !dup {
-		if t.arena.stride > 0 {
-			stored, at = t.arena.add(key)
+// claim inserts (fp, key) and reports whether it was absent, and the
+// entry's index, new or not (no index at all in a fingerprint table
+// without indices); key(at) is the arena copy of key. key may be a view
+// of scratch. Its probe takes an empty slot as it meets one: no key of
+// that fingerprint is held, in the slots or in shared.
+func (t *keyTable) claim(fp uint64, key string) (at uint32, added bool) {
+	s, at, held := t.idx.probe(fp, true)
+	if s >= 0 && !held {
+		if t.idx.at != nil {
+			at = uint32(t.idx.len() - 1)
+			t.idx.at[s] = at
 		}
-		if t.idx.put(free, fp, stored, at) {
+		if t.arena.stride > 0 {
+			t.arena.add(key)
+		}
+		if overLoad(t.idx.n, len(t.idx.fps)) {
 			t.idx.grow()
 		}
-		return stored, true
+		return at, true
 	}
-	return "", false
+	if held && (t.arena.stride == 0 || t.arena.key(at) == key) {
+		return at, false
+	}
+	at, dup, free := t.idx.miss(s, held, key)
+	if !dup {
+		at = uint32(t.idx.len())
+		if t.arena.stride > 0 {
+			key, _ = t.arena.add(key)
+		}
+		t.idx.put(free, fp, key, at)
+	}
+	return at, !dup
 }
 
-// lookup returns the stored copy of (fp, key), if the table has it ("",
-// under fingerprint keys). It only reads, so calls may overlap one
-// another (not a claim).
-func (t *keyTable) lookup(fp uint64, key string) (string, bool) {
-	at, ok, _ := t.find(fp, key)
-	if !ok || t.arena.stride == 0 {
-		return "", ok
+// key is entry at's stored key: a view of the arena, "" under fingerprint
+// keys.
+func (t *keyTable) key(at uint32) string {
+	if t.arena.stride == 0 {
+		return ""
 	}
-	return t.arena.key(at), true
+	return t.arena.key(at)
 }
 
+// has reports whether the table holds (fp, key). It only reads, as find
+// does, so calls may overlap one another (not a claim).
 func (t *keyTable) has(fp uint64, key string) bool {
 	_, ok, _ := t.find(fp, key)
 	return ok
@@ -177,26 +195,19 @@ func (t *keyTable) reserve(n int, budget int64) int {
 }
 
 // forEach calls fn on every entry in the index's order (slotIndex.forEach:
-// load such a stream only into a reserved table) and stops at fn's first
-// error.
-func (t *keyTable) forEach(fn func(fp uint64, key string) error) error {
-	return t.idx.forEach(func(fp uint64, at uint32) error {
-		key := ""
-		if t.arena.stride > 0 {
-			key = t.arena.key(at)
-		}
-		return fn(fp, key)
-	})
+// load such a stream only into a reserved table).
+func (t *keyTable) forEach(fn func(fp uint64, key string)) {
+	t.idx.forEach(func(fp uint64, at uint32) { fn(fp, t.key(at)) })
 }
 
 // drainSorted empties the table and calls fn on what it held in entry
 // order (entryCompare over d), stopping at fn's first error. Under
 // fingerprint keys the slots are compacted and radix-sorted where they
 // lie; only exact-key entries are gathered and compared as (fingerprint,
-// key) pairs. The table starts over, empty, on an arena that shares
-// nothing with the drained one.
+// key) pairs. The table starts over, empty and indexed as it was, on an
+// arena that shares nothing with the drained one (indices restart at 0).
 func (t *keyTable) drainSorted(d *model.Dict, fn func(fp uint64, key string) error) error {
-	defer func(stride int) { *t = *newKeyTable(stride) }(t.arena.stride)
+	defer func(stride int, indexed bool) { *t = *newKeyTable(stride, indexed) }(t.arena.stride, t.idx.at != nil)
 	if t.arena.stride == 0 {
 		fps := t.idx.fps[:0]
 		for _, fp := range t.idx.fps {
@@ -216,10 +227,7 @@ func (t *keyTable) drainSorted(d *model.Dict, fn func(fp uint64, key string) err
 		return nil
 	}
 	entries := make([]entry, 0, t.len())
-	t.forEach(func(fp uint64, key string) error {
-		entries = append(entries, entry{fp, key})
-		return nil
-	})
+	t.forEach(func(fp uint64, key string) { entries = append(entries, entry{fp, key}) })
 	slices.SortFunc(entries, func(a, b entry) int { return entryCompare(d, a, b) })
 	for _, e := range entries {
 		if err := fn(e.fp, e.key); err != nil {

@@ -55,13 +55,15 @@ func (p *keyPool) byEncoding(a, b entry) int {
 // against a map[string]uint64 reference on random (fingerprint, ref tuple)
 // streams in which many keys share a fingerprint, the zero fingerprint
 // included, so both the slots and the shared-fingerprint map are
-// exercised. claim, has, len and drainSorted must agree with the
+// exercised. claim, find, has, len and drainSorted must agree with the
 // reference, drainSorted in the order of the configurations' encodings on
-// a fingerprint tie. It also pins the aliasing invariant: every key a
-// claim returned is a copy in the arena, not the scratch the claim was
-// given, and must read the same bytes after 100k more claims, after the
-// set is drained, and after the drained set is refilled. Under
-// fingerprint keys (stride 0) the same table must agree with a
+// a fingerprint tie, and claim and find must name an entry by its order
+// of arrival, a duplicate by the index its first claim returned. It also
+// pins the aliasing invariant: every key a claim stored is a copy in the
+// arena, not the scratch the claim was given, and must read the same
+// bytes after 100k more claims, after the set is drained, and after the
+// drained set is refilled. Under fingerprint keys (stride 0) the same
+// table, with entry indices and without, must agree with a
 // map[uint64]bool reference, the zero fingerprint included, and hold no
 // tuple.
 func TestKeyTableMatchesMap(t *testing.T) {
@@ -88,30 +90,32 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		}
 	}
 
-	s := newKeyTable(4)
+	s := newKeyTable(4, false)
 	ref := map[string]uint64{}
-	var returned, want []string // what claims returned, and the keys
+	index := map[string]uint32{} // the entry index each claim of a key returns
+	var returned, want []string  // what claims returned, and the keys
 	scratch := make([]uint32, 4)
 	claim := func(fp uint64, key string) {
 		t.Helper()
 		// The key arrives as a view of scratch that the next claim
 		// overwrites, as the engine's chunk scratch is.
 		view := tupleKey(keyTuple(scratch, key))
-		stored, added := s.claim(fp, view)
+		at, added := s.claim(fp, view)
 		_, had := ref[key]
 		if added == had {
 			t.Fatalf("claim(%#x, %x) added=%v, reference had it: %v", fp, key, added, had)
 		}
 		if !added {
-			if stored != "" {
-				t.Fatalf("duplicate claim(%#x, %x) returned %x", fp, key, stored)
+			if at != index[key] {
+				t.Fatalf("duplicate claim(%#x, %x) returned index %d, the entry's is %d", fp, key, at, index[key])
 			}
 			return
 		}
-		if stored != key || &keyView(stored)[0] == &keyView(view)[0] {
-			t.Fatalf("claim(%#x, %x) stored %x, a copy of its own: %t", fp, key, stored, &keyView(stored)[0] != &keyView(view)[0])
+		stored := s.key(at)
+		if at != uint32(len(ref)) || stored != key || &keyView(stored)[0] == &keyView(view)[0] {
+			t.Fatalf("claim(%#x, %x) took index %d of %d, stored %x, a copy of its own: %t", fp, key, at, len(ref), stored, &keyView(stored)[0] != &keyView(view)[0])
 		}
-		ref[key] = fp
+		ref[key], index[key] = fp, at
 		returned, want = append(returned, stored), append(want, key)
 	}
 	checkReturned := func(when string) {
@@ -144,8 +148,8 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		if got := s.has(fps[i], k); got != in {
 			t.Fatalf("has(%#x, %x) = %v, reference %v", fps[i], k, got, in)
 		}
-		if stored, ok := s.lookup(fps[i], k); ok != in || in && stored != k {
-			t.Fatalf("lookup(%#x, %x) = %x, %v; reference %v", fps[i], k, stored, ok, in)
+		if at, ok, _ := s.find(fps[i], k); ok != in || in && (at != index[k] || s.key(at) != k) {
+			t.Fatalf("find(%#x, %x) = %d, %v; reference %d, %v", fps[i], k, at, ok, index[k], in)
 		}
 	}
 
@@ -179,39 +183,55 @@ func TestKeyTableMatchesMap(t *testing.T) {
 	}
 	checkReturned("after drainSorted")
 
-	// The drained set takes the same keys again, on chunks of its own.
+	// The drained set takes the same keys again, on chunks of its own,
+	// numbered from 0 again.
 	clear(ref)
+	clear(index)
 	for i, k := range keys {
 		claim(fps[i], k)
 	}
 	checkReturned("after the drained set was refilled")
-	s = newKeyTable(4)
+	s = newKeyTable(4, false)
 	clear(ref)
+	clear(index)
 	for i := range 5000 {
 		claim(0, pool.key(-100-i, [3]int{}))
 	}
 	checkReturned("after the set was replaced")
 
-	// Fingerprint keys: every key is "", the fingerprint is the entry.
-	fp := newKeyTable(0)
+	// Fingerprint keys: every key is "", the fingerprint is the entry. A
+	// table without entry indices and one with them (a provenance run's
+	// delta) take the same stream; the indexed one numbers its entries in
+	// order of arrival, the zero fingerprint's included.
+	fp, ix := newKeyTable(0, false), newKeyTable(0, true)
 	fpRef := map[uint64]bool{}
+	fpIndex := map[uint64]uint32{}
 	for range 50000 {
 		x := uint64(rng.Intn(4)) // 0 to 3 often, 0 among them
 		if rng.Intn(2) == 0 {
 			x = rng.Uint64() >> uint(rng.Intn(48))
 		}
-		stored, added := fp.claim(x, "")
-		if added == fpRef[x] || stored != "" {
-			t.Fatalf("claim(%#x) = %q, %v; reference had it: %v", x, stored, added, fpRef[x])
+		at, added := fp.claim(x, "")
+		if added == fpRef[x] || fp.key(at) != "" {
+			t.Fatalf("claim(%#x) = %d, %v; reference had it: %v", x, at, added, fpRef[x])
+		}
+		at, added = ix.claim(x, "")
+		want, had := fpIndex[x]
+		if !had {
+			want = uint32(len(fpIndex))
+			fpIndex[x] = want
+		}
+		if added == had || at != want {
+			t.Fatalf("indexed claim(%#x) = %d, %v; reference: index %d, had it: %v", x, at, added, want, had)
 		}
 		fpRef[x] = true
 	}
-	if !fpRef[0] || fp.len() != len(fpRef) || fp.idx.at != nil || fp.arena.words != 0 {
-		t.Fatalf("len = %d, reference %d (zero drawn: %t); %d arena words", fp.len(), len(fpRef), fpRef[0], fp.arena.words)
+	if !fpRef[0] || fp.len() != len(fpRef) || fp.idx.at != nil || fp.arena.words != 0 || ix.len() != len(fpRef) || ix.idx.at == nil || ix.arena.words != 0 {
+		t.Fatalf("len = %d and %d, reference %d (zero drawn: %t); %d and %d arena words", fp.len(), ix.len(), len(fpRef), fpRef[0], fp.arena.words, ix.arena.words)
 	}
 	for x := range uint64(100) {
-		if stored, ok := fp.lookup(x, ""); ok != fpRef[x] || stored != "" {
-			t.Fatalf("lookup(%#x) = %q, %v; reference %v", x, stored, ok, fpRef[x])
+		if at, ok, _ := ix.find(x, ""); ok != fpRef[x] || ok && at != fpIndex[x] || fp.has(x, "") != fpRef[x] {
+			t.Fatalf("find(%#x) = %d, %v; reference %d, %v", x, at, ok, fpIndex[x], fpRef[x])
 		}
 	}
 	var drained []uint64
@@ -268,7 +288,7 @@ func TestKeyTableExactReservePresizes(t *testing.T) {
 
 	// The same load claimed without a reservation grows the table from
 	// its initial size: the counter does see growth.
-	plain := newKeyTable(3)
+	plain := newKeyTable(3, false)
 	for i := range visited.fps {
 		plain.claim(visited.fps[i], visited.key(i))
 	}
@@ -279,7 +299,7 @@ func TestKeyTableExactReservePresizes(t *testing.T) {
 	// Under a budget the table is sized for no more entries than its
 	// slots and tuples take within the budget.
 	const budget = 64 << 10
-	d := newKeyTable(3)
+	d := newKeyTable(3, false)
 	fit := d.reserve(n, budget)
 	if fit < 1 || fit >= n || int64(12*len(d.idx.fps)+12*fit) > budget || fit*10 > len(d.idx.fps)*7 {
 		t.Errorf("reserve(%d, %d) = %d entries on %d slots", n, budget, fit, len(d.idx.fps))
@@ -344,7 +364,7 @@ func fpHas(s *keyTable, fp uint64) bool { return s.has(fp, "") }
 // a reference map, covering the zero-fingerprint sentinel and growth
 // across several doublings.
 func TestKeyTableFingerprints(t *testing.T) {
-	s := newKeyTable(0)
+	s := newKeyTable(0, false)
 	ref := map[uint64]bool{}
 	rng := rand.New(rand.NewSource(1))
 
@@ -391,7 +411,7 @@ func TestKeyTableFingerprints(t *testing.T) {
 // each rehash — including the out-of-band zero fingerprint, which must
 // never occupy (or be counted against) a slot.
 func TestKeyTableGrowthBoundary(t *testing.T) {
-	s := newKeyTable(0)
+	s := newKeyTable(0, false)
 	if got := len(s.idx.fps); got != keyTableSlots {
 		t.Fatalf("initial slots = %d, want %d", got, keyTableSlots)
 	}
@@ -434,10 +454,7 @@ func TestKeyTableGrowthBoundary(t *testing.T) {
 // members enumerates s the way the stores do, through forEach.
 func members(s *keyTable) []uint64 {
 	var out []uint64
-	s.forEach(func(fp uint64, _ string) error {
-		out = append(out, fp)
-		return nil
-	})
+	s.forEach(func(fp uint64, _ string) { out = append(out, fp) })
 	return out
 }
 
@@ -445,7 +462,7 @@ func members(s *keyTable) []uint64 {
 // member exactly once (zero included) at every size around a growth
 // boundary.
 func TestKeyTableAppendAll(t *testing.T) {
-	s := newKeyTable(0)
+	s := newKeyTable(0, false)
 	want := map[uint64]bool{}
 	add := func(fp uint64) {
 		fpAdd(s, fp)
@@ -494,7 +511,7 @@ func maxDisplacement(s *keyTable) uint64 {
 // quadratic beyond — so it is described here, not timed.
 func TestKeyTableReservedBulkLoad(t *testing.T) {
 	const n = 200000
-	src := newKeyTable(0)
+	src := newKeyTable(0, false)
 	rng := rand.New(rand.NewSource(7))
 	fpAdd(src, 0)
 	for src.len() < n {
@@ -502,7 +519,7 @@ func TestKeyTableReservedBulkLoad(t *testing.T) {
 	}
 	dump := members(src)
 
-	dst := newKeyTable(0)
+	dst := newKeyTable(0, false)
 	dst.reserve(len(dump), 0)
 	slots := len(dst.idx.fps)
 	if slots != len(src.idx.fps) {
@@ -546,7 +563,7 @@ func TestKeyTableReservedBulkLoad(t *testing.T) {
 
 	// Under a budget the table takes what fills the largest table the
 	// budget holds to 70%: 2^13 8-byte slots in 64 KB.
-	if fit := newKeyTable(0).reserve(n, 64<<10); fit != 8192*7/10 {
+	if fit := newKeyTable(0, false).reserve(n, 64<<10); fit != 8192*7/10 {
 		t.Fatalf("reserve(%d, 64 KB) = %d entries, want %d", n, fit, 8192*7/10)
 	}
 }
@@ -555,7 +572,7 @@ func TestKeyTableReservedBulkLoad(t *testing.T) {
 // low bits — the population a table sees when its caller routes by them —
 // across several growths.
 func TestKeyTablePartitionedLowBits(t *testing.T) {
-	s := newKeyTable(0)
+	s := newKeyTable(0, false)
 	const low = 0x2a
 	for i := uint64(1); i <= 50000; i++ {
 		fp := i<<6 | low
@@ -581,7 +598,7 @@ func TestKeyTableDrainSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 100, radixMin - 1, radixMin, 50000} {
 		for _, zero := range []bool{false, true} {
-			s := newKeyTable(0)
+			s := newKeyTable(0, false)
 			var want []uint64
 			for len(want) < n {
 				if fp := rng.Uint64(); fp != 0 && fpAdd(s, fp) {

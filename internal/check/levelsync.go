@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -152,6 +153,13 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		if bounded && !atDepthCap && !run.closed.Load() && 2*float64(levelSize)*growth > float64(remainder) {
 			run.bound.arm(remainder)
 		}
+		if run.opts.Provenance {
+			// The level's claims start at the delta's next entry index: a
+			// spill flush renumbered the delta at the barrier, if at all.
+			// The column is sized for the admissions growth predicts.
+			run.claims.claims = slices.Grow(run.claims.claims[:0], int(float64(levelSize)*growth))
+			run.claims.base = uint32(run.store.delta.len())
+		}
 		expandLevel(run, frontier)
 		run.bound.on = false
 		if err := run.err(); err != nil {
@@ -194,7 +202,6 @@ func runLevelSync(run *engineRun, root *Node) (RunStats, error) {
 		// This level's provenance overrides settle: the next level's nodes
 		// take them as they are handed out.
 		cl := &run.claims
-		cl.pending.clear()
 		cl.parentKeys.reset()
 		cl.settled, cl.overrides = cl.overrides, cl.settled
 		cl.overrides.clear()

@@ -61,6 +61,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -107,11 +108,13 @@ func sortedValueSet(set map[int]bool) []int {
 
 // Run steps protocol p from configuration c (which it mutates) under
 // scheduler s until every process has decided, the scheduler yields no
-// process (returns -1), or maxSteps is exceeded (ErrStepLimit).
+// process (returns -1), or maxSteps is exceeded (ErrStepLimit). The active
+// set handed to s is one buffer, rewritten at every step.
 func Run(p model.Protocol, c *model.Config, s sched.Scheduler, maxSteps int) (*Result, error) {
 	res := &Result{Final: c, Decisions: map[int]int{}}
+	var active []int
 	for steps := 0; ; steps++ {
-		active := c.Active(p)
+		active = c.AppendActive(active[:0], p)
 		if len(active) == 0 {
 			break
 		}
@@ -119,7 +122,7 @@ func Run(p model.Protocol, c *model.Config, s sched.Scheduler, maxSteps int) (*R
 		if pid == -1 {
 			break
 		}
-		if !contains(active, pid) {
+		if !slices.Contains(active, pid) {
 			return nil, fmt.Errorf("check: scheduler %s picked inactive process %d", sched.Describe(s), pid)
 		}
 		if steps >= maxSteps {
@@ -181,15 +184,6 @@ func fillDecisions(p model.Protocol, c *model.Config, res *Result) {
 			res.Decisions[pid] = v
 		}
 	}
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // CheckAgreement verifies the k-agreement property on a result: at most k

@@ -12,8 +12,9 @@ import "math/bits"
 //
 //   - The slots are parallel arrays: fps, 0 marking an empty slot, and
 //     at, the index of the slot's entry. An owner whose fingerprint is the
-//     whole entry (the visited table under fingerprint keys) keeps no at,
-//     so its slots are 8 bytes; the others are 12. Slots are pointer-free,
+//     whole entry and who names no entry by index (the visited table under
+//     fingerprint keys, outside provenance runs) keeps no at, so its slots
+//     are 8 bytes; the others are 12. Slots are pointer-free,
 //     so the collector never scans them, and growth rehashes fingerprints
 //     and indices, never a key.
 //   - A probe runs linearly from probeStart's remix of the fingerprint to
@@ -84,15 +85,24 @@ func slotShift(size int) uint { return uint(64 - bits.Len(uint(size)) + 1) }
 func probeStart(fp uint64, shift uint) uint64 { return (fp * 0x9E3779B97F4A7C15) >> shift }
 
 // probe returns the slot fp's probe ends on and whether it holds fp
-// (held, with its entry index at) or is empty. Fingerprint 0 takes no
-// slot: its probe ends on none (s < 0).
-func (x *slotIndex) probe(fp uint64) (s int, at uint32, held bool) {
+// (held, with its entry index at) or is empty. With take, an empty slot
+// is taken there and then for a new entry: it gets fp and counts, and
+// the caller writes the entry's index and checks the growth bound.
+// Writing the fingerprint inside the loop, not after it, is what keeps
+// the fingerprint claim path as fast as a loop of its own (a claim that
+// left the loop first measured 3% slower on row 3). Fingerprint 0 takes
+// no slot: its probe ends on none (s < 0).
+func (x *slotIndex) probe(fp uint64, take bool) (s int, at uint32, held bool) {
 	if fp == 0 {
 		return -1, 0, false
 	}
 	for i := probeStart(fp, x.shift); ; i = (i + 1) & x.mask {
 		switch x.fps[i] {
 		case 0:
+			if take {
+				x.fps[i] = fp
+				x.n++
+			}
 			return int(i), 0, false
 		case fp:
 			if x.at != nil {
@@ -182,7 +192,7 @@ func (x *slotIndex) resize(size int) {
 		if fp == 0 {
 			continue
 		}
-		s, _, _ := x.probe(fp) // empty: the new slots hold each fingerprint once
+		s, _, _ := x.probe(fp, false) // empty: the new slots hold each fingerprint once
 		x.fps[s] = fp
 		if at != nil {
 			x.at[s] = at[j]
@@ -190,9 +200,9 @@ func (x *slotIndex) resize(size int) {
 	}
 }
 
-// forEach calls fn on every entry — the slots in table order (sorted by
-// probe start), then the shared ones — and stops at fn's first error.
-func (x *slotIndex) forEach(fn func(fp uint64, at uint32) error) error {
+// forEach calls fn on every entry: the slots in table order (sorted by
+// probe start), then the shared ones.
+func (x *slotIndex) forEach(fn func(fp uint64, at uint32)) {
 	for i, fp := range x.fps {
 		if fp == 0 {
 			continue
@@ -201,16 +211,11 @@ func (x *slotIndex) forEach(fn func(fp uint64, at uint32) error) error {
 		if x.at != nil {
 			at = x.at[i]
 		}
-		if err := fn(fp, at); err != nil {
-			return err
-		}
+		fn(fp, at)
 	}
 	for _, sh := range x.shared {
-		if err := fn(sh.fp, sh.at); err != nil {
-			return err
-		}
+		fn(sh.fp, sh.at)
 	}
-	return nil
 }
 
 // clear empties the index in place, keeping its slots.

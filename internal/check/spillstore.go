@@ -176,7 +176,7 @@ const runFanout = 8
 func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) {
 	s := &spillStore{ctx: ctx, budget: max(budget, 0), dir: dir,
 		queues: make([]spillQueue, ctx.workers), stats: StoreStats{Kind: StoreMem},
-		delta: newKeyTable(ctx.keyStride())}
+		delta: newKeyTable(ctx.keyStride(), ctx.indexed)}
 	if s.budget == 0 {
 		return s, nil
 	}
@@ -204,25 +204,26 @@ func newSpillStore(ctx storeCtx, budget int64, dir string) (*spillStore, error) 
 
 // Claim records the entry (fp, key) as visited and reports whether it was
 // absent — the admission decision, taken on the entry alone, before any
-// node for it exists. key is "" outside exact-key runs; it may be a view
-// of scratch, and stored is the copy the store keeps, for the provenance
-// tables to share. Calls must not overlap (the engine holds the claim
+// node for it exists — and the entry's index in the delta, new or not
+// (keyTable.claim). A flush to a sorted run (CutLevel) starts the delta,
+// and its indices, over at 0. key is "" outside exact-key runs; it may be
+// a view of scratch. Calls must not overlap (the engine holds the claim
 // lock).
-func (s *spillStore) Claim(fp uint64, key string) (string, bool) {
-	stored, added := s.delta.claim(fp, key)
+func (s *spillStore) Claim(fp uint64, key string) (uint32, bool) {
+	at, added := s.delta.claim(fp, key)
 	if !added || s.budget == 0 {
-		return stored, added
+		return at, added
 	}
 	// Prefilter verdict: a fingerprint the bloom has never seen appears
 	// in no spilled run (the filter has no false negatives; in exact-key
 	// mode an absent fingerprint implies the (fp, key) pair is absent
 	// too), so the admission is final and skips the barrier merge.
-	s.level.add(fp, stored)
+	s.level.add(fp, s.delta.key(at))
 	if s.bloom != nil && s.bloom.has(fp) {
 		s.suspects = append(s.suspects, len(s.level.fps)-1)
 		s.stats.PrefilterHits++
 	}
-	return stored, true
+	return at, true
 }
 
 // Queue queues n, whose entry this level's Claim admitted, for the next
@@ -385,7 +386,8 @@ func (s *spillStore) cutResident(maxNext int) LevelResult {
 			// node's refs are rewritten once it is recycled.
 			key := s.ctx.nodeKey(n)
 			if key != "" {
-				key, _ = s.delta.lookup(n.fp, key)
+				at, _, _ := s.delta.find(n.fp, key)
+				key = s.delta.key(at)
 			}
 			s.added.add(n.fp, key)
 		}
@@ -426,7 +428,7 @@ func (s *spillStore) cutSpooled(maxNext int) (LevelResult, error) {
 		switch {
 		case s.dead[j]:
 			if revoked == nil {
-				revoked = newKeyTable(s.ctx.keyStride())
+				revoked = newKeyTable(s.ctx.keyStride(), false)
 			}
 			revoked.claim(e.fp, e.key)
 		case s.keep && kept > 0 && (cut == nil || !entryLess(d, *cut, e)):

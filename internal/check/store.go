@@ -167,6 +167,7 @@ type storeCtx struct {
 	nProc      int
 	dict       *model.Dict // the run's slot dictionary
 	stringKeys bool
+	indexed    bool // entry indices in a fingerprint-keyed delta (provenance)
 	newNode    func(worker int) *Node
 	recycle    func(worker int, n *Node)
 	fail       func(error)

@@ -85,7 +85,7 @@ func ValidateProtocol(p model.Protocol, k int, opts ValidateOptions) error {
 			if _, done := c.Decided(p, pid); done {
 				continue
 			}
-			if _, err := check.SoloRun(p, c, pid, opts.SoloBound); err != nil {
+			if _, err := check.SoloSteps(p, c, pid, opts.SoloBound); err != nil {
 				return fmt.Errorf("harness: trial %d: solo finish of p%d: %w", trial, pid, err)
 			}
 		}

@@ -177,14 +177,17 @@ func (c *Config) DecidedValues(p Protocol) []int {
 }
 
 // Active returns the processes that have not decided in c, in pid order.
-func (c *Config) Active(p Protocol) []int {
-	var out []int
+func (c *Config) Active(p Protocol) []int { return c.AppendActive(nil, p) }
+
+// AppendActive appends the processes that have not decided in c, in pid
+// order, to dst and returns the extended slice.
+func (c *Config) AppendActive(dst []int, p Protocol) []int {
 	for pid := range c.States {
 		if _, done := p.Decision(c.States[pid]); !done {
-			out = append(out, pid)
+			dst = append(dst, pid)
 		}
 	}
-	return out
+	return dst
 }
 
 // Covers reports whether process pid is poised to apply a nontrivial

@@ -15,8 +15,9 @@ import (
 // Scheduler picks the next process to step. Next receives the current
 // configuration and the list of active (undecided, schedulable) process
 // ids in ascending order, and returns one of them. Next must not mutate
-// the configuration. Returning a pid not in active is a programming error
-// that the runner reports.
+// the configuration, nor keep active once it returns: the runner rewrites
+// it for the next step. Returning a pid not in active is a programming
+// error that the runner reports.
 type Scheduler interface {
 	// Next returns the pid of the process to take the next step.
 	Next(c *model.Config, active []int) int
